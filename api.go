@@ -49,8 +49,7 @@ type (
 // and owns writes, appends and version queries; a Snapshot (from
 // Blob.Latest or Blob.Snapshot) pins one published (version, size)
 // pair and serves zero-copy io.ReaderAt reads plus streaming readers,
-// with no per-call metadata round-trips. The flat Client.Read/Write/
-// Locations calls remain as compatibility shims over this path.
+// with no per-call metadata round-trips.
 type (
 	// Blob is a handle on one BLOB.
 	Blob = core.Blob

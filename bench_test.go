@@ -278,7 +278,7 @@ func BenchmarkBSFSAppend(b *testing.B) {
 	defer cl.Stop()
 	ctx := context.Background()
 	client := cl.NewClient("")
-	m, err := client.Create(ctx, blockSize, 1)
+	bl, err := client.CreateBlob(ctx, blockSize, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func BenchmarkBSFSAppend(b *testing.B) {
 	b.SetBytes(blockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Append(ctx, m.ID, data); err != nil {
+		if _, err := bl.Append(ctx, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,19 +301,25 @@ func BenchmarkBSFSRead(b *testing.B) {
 	defer cl.Stop()
 	ctx := context.Background()
 	client := cl.NewClient("")
-	m, err := client.Create(ctx, blockSize, 1)
+	bl, err := client.CreateBlob(ctx, blockSize, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	data := make([]byte, 8*blockSize)
-	v, err := client.Append(ctx, m.ID, data)
+	v, err := bl.Append(ctx, data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
+	// Each iteration pins the version and reads it into a fresh buffer:
+	// the cost of one cold whole-version read.
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Read(ctx, m.ID, v, 0, int64(len(data))); err != nil {
+		s, err := bl.Snapshot(ctx, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.ReadAt(make([]byte, len(data)), 0); err != nil && err != io.EOF {
 			b.Fatal(err)
 		}
 	}

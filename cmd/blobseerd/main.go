@@ -37,8 +37,7 @@
 // backend by URL — "file:///var/blocks?sync=1" for a file-backed store,
 // "http://peer:9000/base" for a remote object server, or
 // "tiered://?hot=mem://&cold=file:///var/blocks" for the hot/cold
-// tiered engine (see the store package for the policy knobs). The old
-// -dir/-sync flags remain as deprecated aliases for the file:// form.
+// tiered engine (see the store package for the policy knobs).
 // The control-plane daemons (vmanager, namespace) are volatile by
 // default; pass -data-dir to journal every mutation to a write-ahead
 // log and recover the state on restart (-wal-sync trades durability for
@@ -52,7 +51,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -91,8 +89,6 @@ func main() {
 		nnAddr   = flag.String("namenode", "", "namenode address (datanode role; registers at startup)")
 		host     = flag.String("host", "", "physical host label exposed for affinity scheduling (provider/datanode)")
 		storeURL = flag.String("store", "", "block-store backend URL: mem:// | file:///path?sync=1 | http://peer/base | tiered://?hot=...&cold=... (default: mem://)")
-		dir      = flag.String("dir", "", "deprecated alias for -store file://<dir>")
-		syncW    = flag.Bool("sync", false, "deprecated: with -dir, alias for the ?sync=1 store option")
 		strategy = flag.String("strategy", "roundrobin", "placement strategy: roundrobin | random | sticky | leastloaded (pmanager/namenode)")
 		seed     = flag.Uint64("seed", 1, "placement RNG seed (random/sticky)")
 		stickyW  = flag.Int("sticky-window", 8, "sticky placement window (namenode's HDFS-0.20-like clustering)")
@@ -119,24 +115,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The -vmanager list is parsed (and, by the roles that need it,
+	// validated) once: "," or " " names no address at all.
+	vmAddrs := splitAddrs(*vmAddr)
+
 	newStore := func() store.Store {
 		u := *storeURL
-		switch {
-		case u == "" && *dir == "":
+		if u == "" {
 			u = "mem://"
-		case u == "":
-			// Deprecated -dir/-sync spelling maps onto the URL form.
-			fu := url.URL{Scheme: "file", Path: *dir}
-			if !filepath.IsAbs(*dir) {
-				fu = url.URL{Scheme: "file", Opaque: *dir}
-			}
-			if *syncW {
-				fu.RawQuery = "sync=1"
-			}
-			u = fu.String()
-			log.Printf("-dir is deprecated; use -store %s", u)
-		case *dir != "":
-			log.Fatalf("-store and -dir are mutually exclusive (use -store %s)", u)
 		}
 		st, err := store.Open(u)
 		if err != nil {
@@ -207,7 +193,7 @@ func main() {
 	// version manager, provider manager, metadata DHT and providers,
 	// looping scan-and-repair until stopped.
 	if *role == "repair" {
-		if *vmAddr == "" || *pmAddr == "" || *metas == "" {
+		if len(vmAddrs) == 0 || *pmAddr == "" || *metas == "" {
 			log.Fatal("repair: -vmanager, -pmanager and -meta are required")
 		}
 		if *repEvery <= 0 {
@@ -217,7 +203,7 @@ func main() {
 		ring := dht.NewRing(splitAddrs(*metas), dht.DefaultVnodes)
 		dhtClient := dht.NewClient(ring, pool, *metaRepl)
 		eng := repair.New(repair.Config{
-			VM:          vmClient(pool, *vmAddr),
+			VM:          vmanager.NewClient(pool, vmAddrs...),
 			PM:          pmanager.NewClient(pool, *pmAddr),
 			Prov:        provider.NewClient(pool),
 			Meta:        mdtree.MaybeCache(mdtree.NewDHTStore(dhtClient), *metaCach),
@@ -311,11 +297,11 @@ func main() {
 		opName = pmanager.MethodName
 
 	case "namespace":
-		if *vmAddr == "" {
+		if len(vmAddrs) == 0 {
 			log.Fatal("namespace: -vmanager is required")
 		}
 		pool := rpc.NewPool(rpc.TCPDialer)
-		creator := namespace.VMBlobCreator(vmClient(pool, *vmAddr))
+		creator := namespace.VMBlobCreator(vmanager.NewClient(pool, vmAddrs...))
 		var state *namespace.State
 		if l := openWAL("namespace"); l != nil {
 			var err error
@@ -440,6 +426,7 @@ func main() {
 	srv.Close()
 }
 
+// splitAddrs parses a comma-separated address list, dropping blanks.
 func splitAddrs(s string) []string {
 	var out []string
 	for _, a := range strings.Split(s, ",") {
@@ -448,16 +435,6 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return out
-}
-
-// vmClient turns a -vmanager flag value (one address, or the full
-// comma-separated shard list in shard order) into the matching client.
-func vmClient(pool *rpc.Pool, flagVal string) vmanager.API {
-	addrs := splitAddrs(flagVal)
-	if len(addrs) > 1 {
-		return vmanager.NewRouter(pool, addrs)
-	}
-	return vmanager.NewClient(pool, addrs[0])
 }
 
 // parseShard parses -shard "k/K" into a ShardInfo ("" = unsharded).

@@ -140,7 +140,6 @@ func main() {
 		}
 		clientCore := core.NewClient(core.Config{
 			Pool:          pool,
-			VMAddr:        vmAddrs[0],
 			VMAddrs:       vmAddrs,
 			PMAddr:        *pmAddr,
 			MetaStore:     metaStore,

@@ -100,8 +100,6 @@ func main() {
 		mrepl   = flag.Int("meta-replication", 1, "DHT replication level")
 		mcache  = flag.Int("meta-cache", -1, "immutable-node cache entries (<0 default, 0 off)")
 		host    = flag.String("host", "", "client host label (affinity experiments)")
-		plane   = flag.String("data-plane", "chained", "write replication transport: chained | fanout")
-		frame   = flag.Int("frame-size", 0, "chained-plane streaming frame bytes (0 = default)")
 		rahead  = flag.Int("readahead", bsfs.DefaultReadaheadBlocks, "reader async prefetch window in blocks (0 = synchronous)")
 		wbehind = flag.Int("write-behind", bsfs.DefaultWriteBehindDepth, "writer background block commits in flight (0 = synchronous)")
 		noCache = flag.Bool("no-cache", false, "disable the BSFS block cache and streaming pipeline (ablation)")
@@ -112,16 +110,6 @@ func main() {
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
-	}
-
-	var dataPlane core.DataPlane
-	switch *plane {
-	case "chained":
-		dataPlane = core.DataPlaneChained
-	case "fanout":
-		dataPlane = core.DataPlaneFanout
-	default:
-		fatal(fmt.Errorf("unknown data plane %q (want chained or fanout)", *plane))
 	}
 
 	// top only talks HTTP to /metrics endpoints — no RPC stack needed.
@@ -167,13 +155,12 @@ func main() {
 	ctx := context.Background()
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 
-	// One client surface over every version-manager shard: a plain
-	// client for a single address, a Router for a comma-separated list.
+	// One client over every version-manager shard.
 	vmAddrs := splitAddrs(*vmAddr)
 	if len(vmAddrs) == 0 {
 		fatal(fmt.Errorf("-vmanager: no addresses"))
 	}
-	vm := core.NewVMClient(pool, vmAddrs[0], vmAddrs)
+	vm := vmanager.NewClient(pool, vmAddrs...)
 
 	// The maintenance commands speak to the managers directly — no
 	// file-system layer involved.
@@ -201,14 +188,11 @@ func main() {
 	fsys, err := bsfs.New(bsfs.Config{
 		Core: core.NewClient(core.Config{
 			Pool:          pool,
-			VMAddr:        vmAddrs[0],
 			VMAddrs:       vmAddrs,
 			PMAddr:        *pmAddr,
 			MetaStore:     metaStore,
 			Host:          *host,
 			MetaCacheSize: *mcache,
-			DataPlane:     dataPlane,
-			FrameSize:     *frame,
 			Overlay:       overlay,
 		}),
 		NS:               namespace.NewClient(pool, *nsAddr),
@@ -226,35 +210,23 @@ func main() {
 	}
 }
 
-// vmShardClients flattens the client surface back to one client per
-// shard so the maintenance commands can address each shard directly.
-func vmShardClients(vm vmanager.API) []*vmanager.Client {
-	switch v := vm.(type) {
-	case *vmanager.Router:
-		return v.Shards()
-	case *vmanager.Client:
-		return []*vmanager.Client{v}
-	}
-	return nil
-}
-
 // runVM handles the version-manager maintenance commands, reporting
 // every shard in shard order.
-func runVM(ctx context.Context, vm vmanager.API, args []string) error {
+func runVM(ctx context.Context, vm *vmanager.Client, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("vm: want status | snapshot")
 	}
-	shards := vmShardClients(vm)
+	shards := vm.NumShards()
 	switch args[0] {
 	case "status":
-		for k, c := range shards {
-			rep, err := c.Status(ctx)
+		for k := 0; k < shards; k++ {
+			rep, err := vm.Status(ctx, k)
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", k, err)
 			}
 			st, ops := rep.WAL, rep.Ops
-			if len(shards) > 1 {
-				fmt.Printf("--- shard %d/%d ---\n", k, len(shards))
+			if shards > 1 {
+				fmt.Printf("--- shard %d/%d ---\n", k, shards)
 			}
 			fmt.Printf("WAL directory:   %s\n", st.Dir)
 			fmt.Printf("segments:        %d (seq %d..%d, %d bytes)\n",
@@ -276,19 +248,19 @@ func runVM(ctx context.Context, vm vmanager.API, args []string) error {
 		}
 		return nil
 	case "snapshot":
-		for k, c := range shards {
-			if err := c.ForceSnapshot(ctx); err != nil {
-				return fmt.Errorf("shard %d: %w", k, err)
-			}
-			st, err := c.WALStatus(ctx)
+		if err := vm.ForceSnapshot(ctx); err != nil {
+			return err
+		}
+		for k := 0; k < shards; k++ {
+			rep, err := vm.Status(ctx, k)
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", k, err)
 			}
-			if len(shards) > 1 {
+			if shards > 1 {
 				fmt.Printf("shard %d: ", k)
 			}
 			fmt.Printf("snapshot written (seq %d); log compacted to %d segment(s), %d bytes\n",
-				st.SnapshotSeq, st.Segments, st.LogBytes)
+				rep.WAL.SnapshotSeq, rep.WAL.Segments, rep.WAL.LogBytes)
 		}
 		return nil
 	}

@@ -307,37 +307,30 @@ func readChunksTolerant(b *simstore.BSFS, id blob.ID, nodes []simnet.NodeID, n i
 
 // AblationReplication re-runs the single-writer workload with the data
 // replication level varied (the fault-tolerance mechanism of Section
-// VI-B: each block is written to `r` providers), once per data plane.
-// Fan-out pays R×B of client uplink per block, so its throughput
-// divides by R; chain replication ships each block once and pushes the
-// extra copies provider-to-provider, keeping the client link the only
-// bottleneck.
+// VI-B: each block is written to `r` providers). Chain replication
+// ships each block once and pushes the extra copies
+// provider-to-provider, so the client link stays the only bottleneck
+// and throughput barely moves with r.
 func AblationReplication(fileGB float64, replications []int) []Series {
 	tun := simstore.DefaultTuning()
-	out := make([]Series, 0, 2*len(replications))
-	for _, plane := range []struct {
-		name   string
-		fanout bool
-	}{{"fanout", true}, {"chained", false}} {
-		for _, r := range replications {
-			size := int64(fileGB*float64(util.GB)) / BlockSize * BlockSize
-			b := newBSFS(tun)
-			b.FanoutWrites = plane.fanout
-			m := b.CreateBlob(BlockSize, r)
-			var end sim.Time
-			b.Env.Go(func(p *sim.Proc) {
-				for off := int64(0); off < size; off += BlockSize {
-					if _, err := b.Write(p, clientNode, m.ID, blob.KindAppend, 0, BlockSize, uint64(off)+1); err != nil {
-						panic(err)
-					}
-					end = p.Now()
+	out := make([]Series, 0, len(replications))
+	for _, r := range replications {
+		size := int64(fileGB*float64(util.GB)) / BlockSize * BlockSize
+		b := newBSFS(tun)
+		m := b.CreateBlob(BlockSize, r)
+		var end sim.Time
+		b.Env.Go(func(p *sim.Proc) {
+			for off := int64(0); off < size; off += BlockSize {
+				if _, err := b.Write(p, clientNode, m.ID, blob.KindAppend, 0, BlockSize, uint64(off)+1); err != nil {
+					panic(err)
 				}
-			})
-			b.Env.Run()
-			s := Series{Name: fmt.Sprintf("repl=%d %s", r, plane.name), XLabel: "file size (GB)", YLabel: "MB/s"}
-			s.Points = append(s.Points, Point{X: fileGB, Y: mbps(size, end)})
-			out = append(out, s)
-		}
+				end = p.Now()
+			}
+		})
+		b.Env.Run()
+		s := Series{Name: fmt.Sprintf("repl=%d", r), XLabel: "file size (GB)", YLabel: "MB/s"}
+		s.Points = append(s.Points, Point{X: fileGB, Y: mbps(size, end)})
+		out = append(out, s)
 	}
 	return out
 }

@@ -56,26 +56,18 @@ func TestAblationBlockSizeInsensitiveForSingleWriter(t *testing.T) {
 	}
 }
 
-func TestAblationReplicationScalesCost(t *testing.T) {
+func TestAblationReplicationNearInsensitive(t *testing.T) {
 	series := AblationReplication(2, []int{1, 2})
 	byName := map[string]float64{}
 	for _, s := range series {
 		byName[s.Name] = single(t, s)
 	}
-	// Fan-out pays the full replication tax on the client uplink.
-	ratio := byName["repl=1 fanout"] / byName["repl=2 fanout"]
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("doubling fan-out replication should halve write throughput: ratio %.2f (%v)", ratio, byName)
-	}
-	// Chain replication moves that tax provider-to-provider: at R=2 it
-	// must clearly beat fan-out, and stay near its own R=1 rate.
-	if byName["repl=2 chained"] <= 1.5*byName["repl=2 fanout"] {
-		t.Errorf("chained r2 %.1f should beat fanout r2 %.1f by >1.5x",
-			byName["repl=2 chained"], byName["repl=2 fanout"])
-	}
-	if byName["repl=2 chained"] < 0.8*byName["repl=1 chained"] {
+	// Chain replication moves the replication tax provider-to-provider:
+	// a client pushing every copy itself would halve its rate at R=2;
+	// the chain must stay near its own R=1 rate.
+	if byName["repl=2"] < 0.8*byName["repl=1"] {
 		t.Errorf("chained write throughput should be near replication-insensitive: r1 %.1f, r2 %.1f",
-			byName["repl=1 chained"], byName["repl=2 chained"])
+			byName["repl=1"], byName["repl=2"])
 	}
 }
 

@@ -82,7 +82,7 @@ func AblationCrashRecovery(versions int) ([]Series, error) {
 			return nil, err
 		}
 		survived := 0
-		vm := vmanager.NewClient(c.Pool, c.VMAddr)
+		vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
 		if pub, _, err := vm.Latest(ctx, b.ID()); err == nil {
 			survived = int(pub)
 		}

@@ -33,14 +33,14 @@ func TestCachedClientWarmReread(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xb5}, int(16*block))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, c, m.ID, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	read := func() {
 		t.Helper()
-		got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+		got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"net"
 	"path/filepath"
 
-	"blobseer/internal/core"
 	"blobseer/internal/namespace"
 	"blobseer/internal/rpc"
 	"blobseer/internal/vmanager"
@@ -67,15 +66,9 @@ func (c *BlobSeer) newVMState(k int) (*vmanager.State, error) {
 	return st, nil
 }
 
-// newVMAPI builds the deployment's version-manager client surface: a
-// plain client for one shard, a Router across all of them otherwise.
-func (c *BlobSeer) newVMAPI() vmanager.API {
-	return core.NewVMClient(c.Pool, c.VMAddr, c.VMAddrs)
-}
-
 // newNSState builds the namespace core, WAL-recovered when durable.
 func (c *BlobSeer) newNSState() (*namespace.State, error) {
-	creator := namespace.VMBlobCreator(c.newVMAPI())
+	creator := namespace.VMBlobCreator(vmanager.NewClient(c.Pool, c.VMAddrs...))
 	if c.Cfg.DataDir == "" {
 		return namespace.NewState(creator), nil
 	}

@@ -117,7 +117,7 @@ func TestChaosVManagerKillRestart(t *testing.T) {
 	// Wait out publication of everything acknowledged (in-flight
 	// versions from failed writes may sit ahead of acked ones until
 	// the janitor aborts them).
-	vm := vmanager.NewClient(c.Pool, c.VMAddr)
+	vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	pub, _, err := vm.WaitPublished(wctx, id, maxAcked, 25*time.Second)
@@ -189,7 +189,7 @@ func TestChaosWaitPublishedRearms(t *testing.T) {
 	defer c.Stop()
 
 	ctx := context.Background()
-	vm := vmanager.NewClient(c.Pool, c.VMAddr)
+	vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
 	// Wide schedule: the waiter must survive the restart window.
 	vm.SetRetry(rpc.Backoff{Attempts: 20, Base: 20 * time.Millisecond, Max: 200 * time.Millisecond})
 	m, err := vm.CreateBlob(ctx, cfg.BlockSize, 1)
@@ -316,7 +316,7 @@ func TestChaosNoWALLosesState(t *testing.T) {
 	defer c.Stop()
 
 	ctx := context.Background()
-	vm := vmanager.NewClient(c.Pool, c.VMAddr)
+	vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
 	m, err := vm.CreateBlob(ctx, cfg.BlockSize, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -40,10 +40,8 @@ type Config struct {
 	MetaReplication int // DHT replication level
 	MetaCacheSize   int // per-client immutable-node cache entries (<0 default, 0 off)
 	Strategy        placement.Strategy
-	WriteTimeout    time.Duration  // janitor abort threshold; 0 disables
-	UseTCP          bool           // listen on loopback TCP instead of inproc
-	DataPlane       core.DataPlane // write transport (chained by default)
-	FrameSize       int            // chained-plane frame size (0 = provider default)
+	WriteTimeout    time.Duration // janitor abort threshold; 0 disables
+	UseTCP          bool          // listen on loopback TCP instead of inproc
 	// BSFS streaming-pipeline tunables (Section IV-B): 0 picks the
 	// bsfs defaults, negative disables (fully synchronous block I/O).
 	ReadaheadBlocks  int  // reader async prefetch window, in blocks
@@ -62,9 +60,9 @@ type Config struct {
 	// VMShards runs K independent version-manager shard services
 	// instead of one. Shard k owns the blob IDs with
 	// vmanager.ShardOf(id, K) == k and keeps its own WAL (under
-	// DataDir/vmanager/shard-<k> when durable); clients route through a
-	// vmanager.Router, so publish throughput scales with K. 0/1 keeps
-	// the classic single manager.
+	// DataDir/vmanager/shard-<k> when durable); every vmanager.Client
+	// routes per-blob calls by the same rule, so publish throughput
+	// scales with K. 0/1 keeps the classic single manager.
 	VMShards int
 
 	// Crash durability (the control-plane WAL). DataDir enables
@@ -143,8 +141,7 @@ func (c *Config) fill() {
 type BlobSeer struct {
 	Cfg           Config
 	Pool          *rpc.Pool
-	VMAddr        string   // shard 0's address (the whole manager when unsharded)
-	VMAddrs       []string // every version-manager shard, in shard order
+	VMAddrs       []string // every version-manager shard, in shard order (one when unsharded)
 	PMAddr        string
 	NSAddr        string
 	ProviderAddrs []string
@@ -277,7 +274,6 @@ func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 		c.vmSvcs = append(c.vmSvcs, svc)
 		c.VMAddrs = append(c.VMAddrs, addr)
 	}
-	c.VMAddr = c.VMAddrs[0]
 
 	// Provider manager (with the liveness-expiry loop when configured).
 	c.pmSvc = pmanager.NewService(pmanager.NewState(cfg.Strategy))
@@ -338,7 +334,7 @@ func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 	// drive RunOnce directly); the background loop only runs when a
 	// scan period is configured.
 	c.repairEng = repair.New(repair.Config{
-		VM:          c.newVMAPI(),
+		VM:          vmanager.NewClient(c.Pool, c.VMAddrs...),
 		PM:          pmanager.NewClient(c.Pool, c.PMAddr),
 		Prov:        provider.NewClient(c.Pool),
 		Meta:        c.MetaStore,
@@ -476,6 +472,10 @@ func (c *BlobSeer) HostOf(i int) string { return fmt.Sprintf("host-%d", i) }
 // (a dedicated, non-co-deployed node, as in the paper's microbenchmark
 // boot-up phases) or one of HostOf(i) for a co-deployed client.
 func (c *BlobSeer) NewClient(host string) *core.Client {
+	return c.newClient(host, nil)
+}
+
+func (c *BlobSeer) newClient(host string, reg *metrics.Registry) *core.Client {
 	return core.NewClient(core.Config{
 		Pool:          c.Pool,
 		VMAddrs:       c.VMAddrs,
@@ -483,9 +483,8 @@ func (c *BlobSeer) NewClient(host string) *core.Client {
 		MetaStore:     c.MetaStore,
 		Host:          host,
 		MetaCacheSize: c.Cfg.MetaCacheSize,
-		DataPlane:     c.Cfg.DataPlane,
-		FrameSize:     c.Cfg.FrameSize,
 		Overlay:       c.Overlay,
+		Metrics:       reg,
 		Tracer:        c.clientTracer,
 	})
 }
@@ -496,42 +495,25 @@ func (c *BlobSeer) NewClient(host string) *core.Client {
 // stream pipeline gauges) next to every daemon.
 func (c *BlobSeer) NewMeteredClient(host, name string) (*core.Client, *metrics.Registry) {
 	reg := metrics.NewRegistry()
-	cl := core.NewClient(core.Config{
-		Pool:          c.Pool,
-		VMAddrs:       c.VMAddrs,
-		PMAddr:        c.PMAddr,
-		MetaStore:     c.MetaStore,
-		Host:          host,
-		MetaCacheSize: c.Cfg.MetaCacheSize,
-		DataPlane:     c.Cfg.DataPlane,
-		FrameSize:     c.Cfg.FrameSize,
-		Overlay:       c.Overlay,
-		Metrics:       reg,
-		Tracer:        c.clientTracer,
-	})
 	c.exporter.Register(name, reg)
-	return cl, reg
+	return c.newClient(host, reg), reg
 }
 
 // NewMeteredBSFS returns a BSFS client whose core client exports its
 // metrics through the deployment exporter under name.
 func (c *BlobSeer) NewMeteredBSFS(host, name string) (*bsfs.FS, error) {
 	cl, _ := c.NewMeteredClient(host, name)
-	return bsfs.New(bsfs.Config{
-		Core:             cl,
-		NS:               namespace.NewClient(c.Pool, c.NSAddr),
-		BlockSize:        c.Cfg.BlockSize,
-		Replication:      c.Cfg.Replication,
-		ReadaheadBlocks:  c.Cfg.ReadaheadBlocks,
-		WriteBehindDepth: c.Cfg.WriteBehindDepth,
-		DisableCache:     c.Cfg.DisableCache,
-	})
+	return c.newBSFS(cl)
 }
 
 // NewBSFS returns a BSFS file-system client for this deployment.
 func (c *BlobSeer) NewBSFS(host string) (*bsfs.FS, error) {
+	return c.newBSFS(c.NewClient(host))
+}
+
+func (c *BlobSeer) newBSFS(cl *core.Client) (*bsfs.FS, error) {
 	return bsfs.New(bsfs.Config{
-		Core:             c.NewClient(host),
+		Core:             cl,
 		NS:               namespace.NewClient(c.Pool, c.NSAddr),
 		BlockSize:        c.Cfg.BlockSize,
 		Replication:      c.Cfg.Replication,

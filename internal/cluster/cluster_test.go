@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/cluster"
+	"blobseer/internal/core"
 	"blobseer/internal/fs"
 	"blobseer/internal/mapred"
 	"blobseer/internal/mapred/apps"
@@ -18,6 +20,48 @@ import (
 )
 
 const blockSize = int(64 * util.KB)
+
+// The helpers below run one by-ID blob operation through the
+// Blob/Snapshot handles.
+
+func writeBlob(ctx context.Context, c *core.Client, id blob.ID, off int64, data []byte) (blob.Version, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return 0, err
+	}
+	return b.Write(ctx, off, data)
+}
+
+func appendBlob(ctx context.Context, c *core.Client, id blob.ID, data []byte) (blob.Version, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return 0, err
+	}
+	return b.Append(ctx, data)
+}
+
+// pinBlob pins version v of blob id (NoVersion = latest published).
+func pinBlob(ctx context.Context, c *core.Client, id blob.ID, v blob.Version) (*core.Snapshot, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return b.Snapshot(ctx, v)
+}
+
+// readBlob returns up to length bytes at off of version v, clamped at
+// the snapshot size.
+func readBlob(ctx context.Context, c *core.Client, id blob.ID, v blob.Version, off, length int64) ([]byte, error) {
+	s, err := pinBlob(ctx, c, id, v)
+	if err != nil || off >= s.Size() || length <= 0 {
+		return nil, err
+	}
+	buf := make([]byte, min(length, s.Size()-off))
+	if _, err := s.ReadAtContext(ctx, buf, off); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
 
 // TestBlobSeerOverTCP runs the full client stack against daemons
 // listening on real loopback TCP sockets — the cross-process
@@ -314,11 +358,15 @@ func TestWriteAvoidsDeadProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{7}, 4*blockSize)
-	v, err := client.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, client, m.ID, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs, err := client.Locations(ctx, m.ID, v, 0, int64(len(payload)))
+	snap, err := pinBlob(ctx, client, m.ID, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := snap.Locations(ctx, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +377,7 @@ func TestWriteAvoidsDeadProvider(t *testing.T) {
 			}
 		}
 	}
-	got, err := client.Read(ctx, m.ID, v, 0, int64(len(payload)))
+	got, err := readBlob(ctx, client, m.ID, v, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatal(err)
 	}

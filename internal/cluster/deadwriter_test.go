@@ -38,7 +38,7 @@ func TestDeadWriterRecovery(t *testing.T) {
 	}
 
 	// A good baseline version so the blob is non-empty.
-	if _, err := c.Append(ctx, m.ID, bytes.Repeat([]byte{'a'}, int(block))); err != nil {
+	if _, err := appendBlob(ctx, c, m.ID, bytes.Repeat([]byte{'a'}, int(block))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestDeadWriterRecovery(t *testing.T) {
 
 	// A healthy writer appends after the corpse; its version (3) cannot
 	// publish until version 2 resolves.
-	healthy, err := c.Append(ctx, m.ID, bytes.Repeat([]byte{'c'}, int(block)))
+	healthy, err := appendBlob(ctx, c, m.ID, bytes.Repeat([]byte{'c'}, int(block)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDeadWriterRecovery(t *testing.T) {
 	if !d.Aborted {
 		t.Error("corpse version not marked aborted")
 	}
-	got, err := c.Read(ctx, m.ID, healthy, 0, 3*block)
+	got, err := readBlob(ctx, c, m.ID, healthy, 0, 3*block)
 	if err != nil {
 		t.Fatal(err)
 	}

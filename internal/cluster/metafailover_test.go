@@ -32,7 +32,7 @@ func TestMetadataSurvivesMetaProviderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0x5c}, int(8*block))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, c, m.ID, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestMetadataSurvivesMetaProviderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+	got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatalf("read after metadata provider loss: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestMetadataSurvivesMetaProviderLoss(t *testing.T) {
 
 	// New writes keep working too (puts go to the surviving replicas;
 	// the wiped provider simply gets fresh copies of new nodes).
-	if _, err := c.Append(ctx, m.ID, payload[:block]); err != nil {
+	if _, err := appendBlob(ctx, c, m.ID, payload[:block]); err != nil {
 		t.Fatalf("write after metadata provider loss: %v", err)
 	}
 }

@@ -16,7 +16,7 @@ func writeBlocks(t *testing.T, cl *cluster.BlobSeer, id blob.ID, nBlocks int) []
 	ctx := context.Background()
 	client := cl.NewClient("")
 	payload := bytes.Repeat([]byte("self-heal "), nBlocks*blockSize/10+1)[:nBlocks*blockSize]
-	v, err := client.Append(ctx, id, payload)
+	v, err := appendBlob(ctx, client, id, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRepairConvergesAfterProviderDeath(t *testing.T) {
 		cl.KillProvider(addr)
 		cl.PMService().State().MarkDead(addr)
 	}
-	got, err := client.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(payload)))
+	got, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatalf("read after two more original deaths: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestFailureFeedbackMarksDead(t *testing.T) {
 	// block replicated on the victim are guaranteed to attempt it —
 	// and the failed attempt must trigger feedback.
 	for i := 0; i < 4 && client.DeadReports() == 0; i++ {
-		got, err := client.Read(ctx, m.ID, blob.NoVersion, int64(blockSize), int64(blockSize))
+		got, err := readBlob(ctx, client, m.ID, blob.NoVersion, int64(blockSize), int64(blockSize))
 		if err != nil || !bytes.Equal(got, payload[blockSize:2*blockSize]) {
 			t.Fatalf("read with one dead replica: %v", err)
 		}
@@ -224,7 +224,7 @@ func TestFailureFeedbackMarksDead(t *testing.T) {
 		t.Fatal("client sent no failure feedback for the unreachable provider")
 	}
 	// The full range stays readable too.
-	got, err := client.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(payload)))
+	got, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("full read with one dead replica: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestFailureFeedbackMarksDead(t *testing.T) {
 	// Rate limiting: a repeat read hits the same dead provider again but
 	// must not re-report it within the TTL.
 	before := client.DeadReports()
-	if _, err := client.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(payload))); err != nil {
+	if _, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
 	if client.DeadReports() != before {
@@ -314,7 +314,7 @@ func TestDecommissionDrainThenRetire(t *testing.T) {
 	// the operator shuts it down after the drain) — but even hard-killing
 	// it now loses nothing.
 	cl.KillProvider(victim)
-	got, err := client.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(payload)))
+	got, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read after drain-then-kill: %v", err)
 	}
@@ -357,7 +357,11 @@ func TestOrphanAuditFindsStrays(t *testing.T) {
 	// neither its replica set nor the overlay (the signature of a
 	// repair push whose relocation record was lost).
 	var strayAddr string
-	locs, err := client.Locations(ctx, m.ID, blob.NoVersion, 0, int64(blockSize))
+	snap, err := pinBlob(ctx, client, m.ID, blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := snap.Locations(ctx, 0, int64(blockSize))
 	if err != nil || len(locs) == 0 {
 		t.Fatalf("locations: %v", err)
 	}
@@ -434,11 +438,11 @@ func TestGCPurgesOverlay(t *testing.T) {
 
 	// Two published versions; v1's blocks are fully hidden by v2.
 	v1Payload := bytes.Repeat([]byte{1}, 2*blockSize)
-	v1, err := client.Write(ctx, m.ID, 0, v1Payload)
+	v1, err := writeBlob(ctx, client, m.ID, 0, v1Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := client.Write(ctx, m.ID, 0, bytes.Repeat([]byte{2}, 2*blockSize))
+	v2, err := writeBlob(ctx, client, m.ID, 0, bytes.Repeat([]byte{2}, 2*blockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +511,7 @@ func TestGCPurgesOverlay(t *testing.T) {
 		}
 	}
 	// The current version still reads.
-	got, err := client.Read(ctx, m.ID, blob.NoVersion, 0, 2*int64(blockSize))
+	got, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, 2*int64(blockSize))
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{2}, 2*blockSize)) {
 		t.Fatalf("current version unreadable after GC: %v", err)
 	}

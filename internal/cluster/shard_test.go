@@ -242,7 +242,7 @@ func TestChaosVMShardKillRestart(t *testing.T) {
 		len(vicAcked), maxAcked, len(st.acked), sibDuring-sibBefore)
 
 	// Zero acked publishes lost on the recovered shard.
-	vm := core.NewVMClient(c.Pool, c.VMAddr, c.VMAddrs)
+	vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
 	vm.SetRetry(rpc.Backoff{Attempts: 10, Base: 20 * time.Millisecond, Max: 200 * time.Millisecond})
 	wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()

@@ -70,7 +70,7 @@ func TestTieredClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	got, err := client.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(payload)))
+	got, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatalf("read after demotion: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestRepairIgnoresDemotedBlocks(t *testing.T) {
 	if got := liveItems(cl, live); got != int64(3*nBlocks) {
 		t.Fatalf("live replicas after repair = %d, want %d", got, 3*nBlocks)
 	}
-	got, err := client.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(payload)))
+	got, err := readBlob(ctx, client, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatalf("read after repair: %v", err)
 	}
@@ -188,10 +188,10 @@ func TestGCReclaimsDemotedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Write(ctx, m.ID, 0, bytes.Repeat([]byte{1}, 2*blockSize)); err != nil {
+	if _, err := writeBlob(ctx, client, m.ID, 0, bytes.Repeat([]byte{1}, 2*blockSize)); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := client.Write(ctx, m.ID, 0, bytes.Repeat([]byte{2}, 2*blockSize))
+	v2, err := writeBlob(ctx, client, m.ID, 0, bytes.Repeat([]byte{2}, 2*blockSize))
 	if err != nil {
 		t.Fatal(err)
 	}

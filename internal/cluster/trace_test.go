@@ -3,11 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"blobseer/internal/blob"
 	"blobseer/internal/core"
 	"blobseer/internal/trace"
 )
@@ -57,12 +57,19 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The traced operation: one flat read of the latest snapshot.
+	// The traced operation: pin the latest snapshot and read it, under
+	// one application-level root span.
 	tctx, id := core.WithTrace(ctx)
-	got, err := client.Read(tctx, b.ID(), blob.NoVersion, 0, int64(len(data)))
+	tctx, sp := cl.ClientTracer().Start(tctx, "read")
+	snap, err := b.Latest(tctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make([]byte, len(data))
+	if _, err := snap.ReadAtContext(tctx, got, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	sp.Finish(nil)
 	if !bytes.Equal(got, data) {
 		t.Fatal("traced read returned wrong bytes")
 	}
@@ -219,7 +226,11 @@ func TestClusterNoSpanLeakUntraced(t *testing.T) {
 	if _, err := b.WaitPublished(ctx, v, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Read(ctx, b.ID(), blob.NoVersion, 0, int64(len(data))); err != nil {
+	snap, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.ReadAt(make([]byte, len(data)), 0); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
 

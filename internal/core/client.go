@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,30 +44,12 @@ const (
 	fetchConcurrency = 16 // block downloads in flight per read
 )
 
-// DataPlane selects how a write's blocks reach their replicas.
-type DataPlane int
-
-const (
-	// DataPlaneChained (the default) streams each block once to the
-	// head of a replica chain; providers forward frames hop to hop, so
-	// the client's egress is B bytes per block regardless of the
-	// replication level. A failed chain falls back to fan-out for the
-	// affected block.
-	DataPlaneChained DataPlane = iota
-	// DataPlaneFanout is the legacy path: the client pushes every
-	// replica itself, costing R×B of client uplink per block.
-	DataPlaneFanout
-)
-
 // Config wires a Client to a deployment.
 type Config struct {
-	Pool   *rpc.Pool
-	VMAddr string // version manager endpoint (single-shard deployments)
+	Pool *rpc.Pool
 	// VMAddrs lists the version-manager shard endpoints in shard order
-	// for a sharded control plane (addr k serves the blob IDs with
-	// vmanager.ShardOf(id, K) == k). When set it takes precedence over
-	// VMAddr; more than one address routes every call through a
-	// vmanager.Router.
+	// (addr k serves the blob IDs with vmanager.ShardOf(id, K) == k);
+	// an unsharded control plane is the one-address case.
 	VMAddrs   []string
 	PMAddr    string       // provider manager endpoint
 	MetaStore mdtree.Store // metadata DHT (mdtree.NewDHTStore) or test store
@@ -81,14 +62,6 @@ type Config struct {
 	// enabling whenever the same ranges are read repeatedly (MapReduce
 	// input scans).
 	MetaCacheSize int
-
-	// DataPlane selects the replication transport for writes
-	// (DataPlaneChained by default).
-	DataPlane DataPlane
-
-	// FrameSize overrides the chained data plane's streaming frame
-	// payload size (provider.DefaultFrameSize if 0).
-	FrameSize int
 
 	// Overlay resolves relocated replicas: when the repair plane copies
 	// a block off a dead provider, the new location is recorded here
@@ -110,15 +83,6 @@ type Config struct {
 	// hot path trace-free; ops tagged via WithTrace still propagate
 	// their trace context to the services either way.
 	Tracer *trace.Tracer
-
-	// DisableFailureFeedback stops the client from reporting providers
-	// it could not reach to the provider manager. The feedback loop is
-	// on by default: a MarkDead report pulls a dead provider out of the
-	// allocation pool immediately instead of waiting for heartbeat
-	// expiry. Reports fire only on transport-level failures (connection
-	// refused/broken), never on application errors, and are rate-limited
-	// per provider.
-	DisableFailureFeedback bool
 }
 
 // LocationOverlay is the read path's view of the repair plane's
@@ -133,20 +97,17 @@ type LocationOverlay interface {
 // Client is a BlobSeer client. It is safe for concurrent use; all
 // state it keeps is cache (histories, provider host map).
 type Client struct {
-	vm         vmanager.API
-	pm         *pmanager.Client
-	prov       *provider.Client
-	meta       mdtree.Store
-	host       string
-	plane      DataPlane
-	frameSize  int
-	nonce      nonceSource
-	readRR     atomic.Uint64 // rotates the first replica tried per fetch
-	putSem     chan struct{} // global cap on concurrent per-replica puts
-	overlay    LocationOverlay
-	noFeedback bool
+	vm      *vmanager.Client
+	pm      *pmanager.Client
+	prov    *provider.Client
+	meta    mdtree.Store
+	host    string
+	nonce   nonceSource
+	readRR  atomic.Uint64 // rotates the first replica tried per fetch
+	putSem  chan struct{} // global cap on concurrent per-replica fallback puts
+	overlay LocationOverlay
 
-	chainFallbacks atomic.Uint64 // blocks that fell back to fan-out
+	chainFallbacks atomic.Uint64 // blocks that fell back to direct puts
 	deadReports    atomic.Uint64 // MarkDead feedback reports sent
 	deadSuppressed atomic.Uint64 // reports dropped by the per-provider rate limit
 
@@ -158,47 +119,29 @@ type Client struct {
 	mu        sync.Mutex
 	histories map[blob.ID]*blob.History
 	metas     map[blob.ID]blob.Meta
-	sizes     map[verKey]int64     // published (blob, version) -> size; descriptors are immutable
 	hosts     map[string]string    // provider addr -> host
 	noChain   map[string]struct{}  // heads that answered CodeChainUnsupported
 	reported  map[string]time.Time // providers recently reported dead (rate limit)
 }
 
-// verKey names one published snapshot for the size cache.
-type verKey struct {
-	id blob.ID
-	v  blob.Version
-}
-
-// maxSizeCacheEntries bounds the published-version size cache. Cached
-// sizes are tiny and immutable, but a long-lived client pinning many
-// versions must not grow without limit; on overflow the whole map is
-// dropped (entries are one cheap Latest/VersionInfo round-trip to
-// refill, so plain reset beats LRU bookkeeping here).
-const maxSizeCacheEntries = 4096
-
 // NewClient builds a client from cfg.
 func NewClient(cfg Config) *Client {
 	meta := mdtree.MaybeCache(cfg.MetaStore, cfg.MetaCacheSize)
 	c := &Client{
-		vm:         NewVMClient(cfg.Pool, cfg.VMAddr, cfg.VMAddrs),
-		pm:         pmanager.NewClient(cfg.Pool, cfg.PMAddr),
-		prov:       provider.NewClient(cfg.Pool),
-		meta:       meta,
-		host:       cfg.Host,
-		plane:      cfg.DataPlane,
-		frameSize:  cfg.FrameSize,
-		overlay:    cfg.Overlay,
-		noFeedback: cfg.DisableFailureFeedback,
-		tracer:     cfg.Tracer,
-		nonce:      newNonceSource(),
-		putSem:     make(chan struct{}, putConcurrency),
-		histories:  make(map[blob.ID]*blob.History),
-		metas:      make(map[blob.ID]blob.Meta),
-		sizes:      make(map[verKey]int64),
-		hosts:      make(map[string]string),
-		noChain:    make(map[string]struct{}),
-		reported:   make(map[string]time.Time),
+		vm:        vmanager.NewClient(cfg.Pool, cfg.VMAddrs...),
+		pm:        pmanager.NewClient(cfg.Pool, cfg.PMAddr),
+		prov:      provider.NewClient(cfg.Pool),
+		meta:      meta,
+		host:      cfg.Host,
+		overlay:   cfg.Overlay,
+		tracer:    cfg.Tracer,
+		nonce:     newNonceSource(),
+		putSem:    make(chan struct{}, putConcurrency),
+		histories: make(map[blob.ID]*blob.History),
+		metas:     make(map[blob.ID]blob.Meta),
+		hosts:     make(map[string]string),
+		noChain:   make(map[string]struct{}),
+		reported:  make(map[string]time.Time),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		c.reg = reg
@@ -247,9 +190,9 @@ func WithTrace(ctx context.Context) (context.Context, trace.ID) {
 // nil for an unmetered client (stream wiring is nil-safe either way).
 func (c *Client) StreamCollector() *stream.Collector { return c.coll }
 
-// ChainFallbacks reports how many blocks this client pushed through the
-// fan-out fallback because their replica chain failed — the signal that
-// a deployment is quietly paying R×B of client egress again.
+// ChainFallbacks reports how many blocks this client pushed to every
+// replica itself because their replica chain failed — the signal that a
+// deployment is quietly paying R×B of client egress.
 func (c *Client) ChainFallbacks() uint64 { return c.chainFallbacks.Load() }
 
 // DeadReports reports how many MarkDead feedback reports this client
@@ -269,12 +212,13 @@ func (c *Client) DeadReportsSuppressed() uint64 { return c.deadSuppressed.Load()
 const deadReportTTL = 30 * time.Second
 
 // reportDead closes the failure-feedback loop: a provider the client
-// could not reach at the transport level is reported to the provider
-// manager so allocation stops handing it out before heartbeat expiry
-// fires. Fire-and-forget on a background context — the caller's read or
+// could not reach at the transport level (connection refused/broken,
+// never an application error) is reported to the provider manager so
+// allocation stops handing it out before heartbeat expiry fires.
+// Fire-and-forget on a background context — the caller's read or
 // write must not block on control-plane bookkeeping.
 func (c *Client) reportDead(addr string, err error) {
-	if c.noFeedback || !rpc.TransportFailure(err) {
+	if !rpc.TransportFailure(err) {
 		return
 	}
 	c.mu.Lock()
@@ -320,23 +264,8 @@ func newNonceSource() nonceSource {
 func (n nonceSource) next() uint64 { return n.base + n.counter.Add(1) }
 
 // VM exposes the version-manager client (BSFS and tools need direct
-// access for size/stat queries). In a sharded deployment this is a
-// *vmanager.Router; otherwise a *vmanager.Client.
-func (c *Client) VM() vmanager.API { return c.vm }
-
-// NewVMClient builds the version-manager client surface for a
-// deployment: a plain per-address client when there is one endpoint,
-// a shard Router when there are several. addrs wins over addr.
-func NewVMClient(pool *rpc.Pool, addr string, addrs []string) vmanager.API {
-	switch {
-	case len(addrs) > 1:
-		return vmanager.NewRouter(pool, addrs)
-	case len(addrs) == 1:
-		return vmanager.NewClient(pool, addrs[0])
-	default:
-		return vmanager.NewClient(pool, addr)
-	}
-}
+// access for size/stat queries).
+func (c *Client) VM() *vmanager.Client { return c.vm }
 
 // Create allocates a new empty BLOB.
 func (c *Client) Create(ctx context.Context, blockSize int64, replication int) (blob.Meta, error) {
@@ -389,21 +318,8 @@ func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, 
 	return pv, size, err
 }
 
-// Write stores data at off in blob id and returns the new snapshot
-// version. Off must be block-aligned; a partial final block is only
-// allowed when the write reaches (or extends) the end of the blob.
-// The returned version may not be immediately readable: it publishes
-// once all lower versions commit (use WaitPublished to observe it).
-func (c *Client) Write(ctx context.Context, id blob.ID, off int64, data []byte) (blob.Version, error) {
-	return c.doWrite(ctx, id, blob.KindWrite, off, data)
-}
-
-// Append adds data at the end of blob id; the offset is fixed by the
-// version manager at assignment time (Section III-D).
-func (c *Client) Append(ctx context.Context, id blob.ID, data []byte) (blob.Version, error) {
-	return c.doWrite(ctx, id, blob.KindAppend, 0, data)
-}
-
+// doWrite is the two-phase write protocol behind Blob.Write and
+// Blob.Append.
 func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, off int64, data []byte) (_ blob.Version, err error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("core: empty %s", kind)
@@ -430,9 +346,8 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 	}
 
 	// Phase 1b: store all blocks, fully parallel with other writers.
-	// One worker per block (putConcurrency in flight): the chained
-	// plane ships the block once to the head of its replica chain, the
-	// fan-out plane pushes every replica itself.
+	// One worker per block (putConcurrency in flight), each shipping its
+	// block once to the head of the block's replica chain.
 	nonce := c.nonce.next()
 	refs := make([]mdtree.BlockRef, nBlocks)
 	sem := make(chan struct{}, putConcurrency)
@@ -452,13 +367,7 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 		sem <- struct{}{}
 		go func(replicas []string, key blob.BlockKey, chunk []byte) {
 			defer func() { <-sem; wg.Done() }()
-			var err error
-			if c.plane == DataPlaneChained {
-				err = c.putBlockChained(ctx, replicas, key, chunk)
-			} else {
-				err = c.putBlockFanout(ctx, replicas, key, chunk)
-			}
-			if err != nil {
+			if err := c.putBlock(ctx, replicas, key, chunk); err != nil {
 				werrMu.Lock()
 				if werr == nil {
 					werr = err
@@ -523,26 +432,28 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 	return a.Version, nil
 }
 
-// putBlockChained stores one block on all its replicas through the
-// streaming chain, falling back to direct fan-out when any chain hop
-// fails mid-write (mixed-version providers, a dead downstream hop).
-// Plain puts are idempotent whole-block writes, so replicas the chain
-// did reach are simply overwritten; the write only fails if a replica
-// is truly down.
-func (c *Client) putBlockChained(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
+// putBlock stores one block on all its replicas through the streaming
+// chain: the client ships it once to the chain head and providers
+// forward frames hop to hop, so client egress is B bytes per block
+// whatever the replication level. When any chain hop fails mid-write
+// (mixed-version providers, a dead downstream hop) the block falls back
+// to direct puts. Plain puts are idempotent whole-block writes, so
+// replicas the chain did reach are simply overwritten; the write only
+// fails if a replica is truly down.
+func (c *Client) putBlock(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
 	chain := c.chainOrder(ctx, replicas)
 	c.mu.Lock()
 	_, headNoChain := c.noChain[chain[0]]
 	c.mu.Unlock()
 	if !headNoChain {
-		err := c.prov.PutChained(ctx, chain, key, chunk, c.frameSize)
+		err := c.prov.PutChained(ctx, chain, key, chunk, provider.DefaultFrameSize)
 		if err == nil {
 			return nil
 		}
 		if ctx.Err() != nil {
 			// The caller's context died, not the chain: re-sending R
-			// full copies through the fan-out would be a doomed egress
-			// burst (and would misreport chain health).
+			// full copies directly would be a doomed egress burst (and
+			// would misreport chain health).
 			return err
 		}
 		if rpc.CodeOf(err) == provider.CodeChainUnsupported {
@@ -559,15 +470,15 @@ func (c *Client) putBlockChained(ctx context.Context, replicas []string, key blo
 		c.reportDead(chain[0], err)
 	}
 	c.chainFallbacks.Add(1)
-	return c.putBlockFanout(ctx, replicas, key, chunk)
+	return c.putBlockDirect(ctx, replicas, key, chunk)
 }
 
-// putBlockFanout pushes one block to each of its replicas in parallel —
-// the legacy data plane, and the chained plane's per-block fallback.
-// The client-wide putSem keeps the total number of in-flight puts at
-// putConcurrency no matter how many blocks fan out at once (block
-// workers hold slots of a different semaphore, so this cannot cycle).
-func (c *Client) putBlockFanout(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
+// putBlockDirect is putBlock's fallback: it pushes one block to each of
+// its replicas in parallel. The client-wide putSem keeps the total
+// number of in-flight puts at putConcurrency no matter how many blocks
+// fall back at once (block workers hold slots of a different semaphore,
+// so this cannot cycle).
+func (c *Client) putBlockDirect(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var ferr error
@@ -670,19 +581,9 @@ func (c *Client) extendHistory(id blob.ID, descs []blob.WriteDesc) (*blob.Histor
 	return h.Clone(), nil
 }
 
-// versionSize resolves the blob size at published version v, caching
-// the answer: published write descriptors are immutable, so once a
-// (blob, version) pair has been seen published its size never changes.
-// A version newer than the latest published snapshot fails with
-// ErrNotPublished.
+// versionSize resolves the blob size at published version v. A version
+// newer than the latest published snapshot fails with ErrNotPublished.
 func (c *Client) versionSize(ctx context.Context, id blob.ID, v blob.Version) (int64, error) {
-	key := verKey{id, v}
-	c.mu.Lock()
-	size, ok := c.sizes[key]
-	c.mu.Unlock()
-	if ok {
-		return size, nil
-	}
 	pub, pubSize, err := c.vm.Latest(ctx, id)
 	if err != nil {
 		return 0, err
@@ -691,57 +592,10 @@ func (c *Client) versionSize(ctx context.Context, id blob.ID, v blob.Version) (i
 		return 0, fmt.Errorf("%w: version %d, published %d", ErrNotPublished, v, pub)
 	}
 	if v == pub {
-		size = pubSize
-	} else {
-		d, err := c.vm.VersionInfo(ctx, id, v)
-		if err != nil {
-			return 0, err
-		}
-		size = d.SizeAfter
+		return pubSize, nil
 	}
-	c.mu.Lock()
-	if len(c.sizes) >= maxSizeCacheEntries {
-		c.sizes = make(map[verKey]int64)
-	}
-	c.sizes[key] = size
-	c.mu.Unlock()
-	return size, nil
-}
-
-// Read returns length bytes starting at off from version v of blob id
-// (v == blob.NoVersion reads the latest published snapshot). Reads are
-// clamped at the snapshot size; unwritten regions read as zeros.
-//
-// Read is a compatibility shim over the Snapshot handle path: it pins
-// the version, allocates a result buffer, and fills it with one
-// ReadAt. Its clamp semantics are deliberately loose — a read past EOF
-// and a read of an unpublished (empty) blob both return (nil, nil),
-// indistinguishable from each other. Callers that need to tell the two
-// apart, or that read the same version more than once, should use
-// OpenBlob/Snapshot: the handle resolves the version metadata once and
-// reads into caller-owned buffers with no per-call round-trips.
-func (c *Client) Read(ctx context.Context, id blob.ID, v blob.Version, off, length int64) (_ []byte, err error) {
-	ctx, sp := c.tracer.Start(ctx, "read")
-	defer func() { sp.Finish(err) }()
-	b, err := c.OpenBlob(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	s, err := b.Snapshot(ctx, v)
-	if err != nil {
-		return nil, err
-	}
-	if off >= s.size || length <= 0 {
-		return nil, nil // empty blob, zero-length request, or past-EOF clamp
-	}
-	if off+length > s.size {
-		length = s.size - off
-	}
-	buf := make([]byte, length)
-	if _, err := s.ReadAtContext(ctx, buf, off); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf, nil
+	d, err := c.vm.VersionInfo(ctx, id, v)
+	return d.SizeAfter, err
 }
 
 // readInto resolves [off, off+len(dst)) of version v into extents and
@@ -861,22 +715,6 @@ type Location struct {
 	Len       int64
 	Providers []string // provider RPC addresses (replicas)
 	Hosts     []string // physical hosts of those providers
-}
-
-// Locations returns the block locations covering [off, off+length) of
-// version v (NoVersion = latest published). Like Read, it is a shim
-// over the Snapshot handle path: pinning a Snapshot once and calling
-// its Locations avoids re-resolving the version on every query.
-func (c *Client) Locations(ctx context.Context, id blob.ID, v blob.Version, off, length int64) ([]Location, error) {
-	b, err := c.OpenBlob(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	s, err := b.Snapshot(ctx, v)
-	if err != nil {
-		return nil, err
-	}
-	return s.Locations(ctx, off, length)
 }
 
 // locationsAt maps a pinned (version, size) range onto provider

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,44 @@ func startCluster(t *testing.T, cfg cluster.Config) *cluster.BlobSeer {
 	return c
 }
 
+// The helpers below run one operation of the flat by-ID shape the
+// tests were written in through the Blob/Snapshot handles.
+
+func writeBlob(ctx context.Context, c *core.Client, id blob.ID, off int64, data []byte) (blob.Version, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return 0, err
+	}
+	return b.Write(ctx, off, data)
+}
+
+func appendBlob(ctx context.Context, c *core.Client, id blob.ID, data []byte) (blob.Version, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return 0, err
+	}
+	return b.Append(ctx, data)
+}
+
+// readBlob returns up to length bytes at off of version v (NoVersion =
+// latest published), clamped at the snapshot size: a read past EOF or
+// of an unpublished blob returns (nil, nil).
+func readBlob(ctx context.Context, c *core.Client, id blob.ID, v blob.Version, off, length int64) ([]byte, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	s, err := b.Snapshot(ctx, v)
+	if err != nil || off >= s.Size() || length <= 0 {
+		return nil, err
+	}
+	buf := make([]byte, min(length, s.Size()-off))
+	if _, err := s.ReadAtContext(ctx, buf, off); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func pattern(tag byte, n int) []byte {
 	d := make([]byte, n)
 	for i := range d {
@@ -48,14 +87,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := pattern('a', 3*B+100) // 4 blocks, partial tail
-	v, err := c.Write(ctx, m.ID, 0, data)
+	v, err := writeBlob(ctx, c, m.ID, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v != 1 {
 		t.Errorf("version = %d", v)
 	}
-	got, err := c.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(data)))
+	got, err := readBlob(ctx, c, m.ID, blob.NoVersion, 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +109,7 @@ func TestReadSubRanges(t *testing.T) {
 	ctx := context.Background()
 	m, _ := c.Create(ctx, B, 1)
 	data := pattern('r', 4*B)
-	if _, err := c.Write(ctx, m.ID, 0, data); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct{ off, n int64 }{
@@ -83,7 +122,7 @@ func TestReadSubRanges(t *testing.T) {
 		{3 * B, 1},      // single byte
 	}
 	for _, cse := range cases {
-		got, err := c.Read(ctx, m.ID, blob.NoVersion, cse.off, cse.n)
+		got, err := readBlob(ctx, c, m.ID, blob.NoVersion, cse.off, cse.n)
 		if err != nil {
 			t.Fatalf("read(%d,%d): %v", cse.off, cse.n, err)
 		}
@@ -108,23 +147,23 @@ func TestVersioningRollbackAndOldReads(t *testing.T) {
 	m, _ := c.Create(ctx, B, 1)
 
 	v1Data := pattern('1', 2*B)
-	v1, err := c.Write(ctx, m.ID, 0, v1Data)
+	v1, err := writeBlob(ctx, c, m.ID, 0, v1Data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v2Data := pattern('2', B)
-	v2, err := c.Write(ctx, m.ID, 0, v2Data) // overwrite block 0
+	v2, err := writeBlob(ctx, c, m.ID, 0, v2Data) // overwrite block 0
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Latest reflects v2.
-	got, _ := c.Read(ctx, m.ID, blob.NoVersion, 0, 2*B)
+	got, _ := readBlob(ctx, c, m.ID, blob.NoVersion, 0, 2*B)
 	want := append(append([]byte(nil), v2Data...), v1Data[B:]...)
 	if !bytes.Equal(got, want) {
 		t.Error("latest read mismatch")
 	}
 	// v1 is still fully readable (rollback / time travel).
-	got, err = c.Read(ctx, m.ID, v1, 0, 2*B)
+	got, err = readBlob(ctx, c, m.ID, v1, 0, 2*B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +182,7 @@ func TestAppendsGrowBlob(t *testing.T) {
 	var want []byte
 	for i := 0; i < 5; i++ {
 		chunk := pattern(byte('a'+i), B)
-		if _, err := c.Append(ctx, m.ID, chunk); err != nil {
+		if _, err := appendBlob(ctx, c, m.ID, chunk); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, chunk...)
@@ -152,7 +191,7 @@ func TestAppendsGrowBlob(t *testing.T) {
 	if err != nil || v != 5 || size != 5*B {
 		t.Fatalf("Latest = v%d size %d, %v", v, size, err)
 	}
-	got, _ := c.Read(ctx, m.ID, blob.NoVersion, 0, size)
+	got, _ := readBlob(ctx, c, m.ID, blob.NoVersion, 0, size)
 	if !bytes.Equal(got, want) {
 		t.Error("append accumulation mismatch")
 	}
@@ -175,7 +214,7 @@ func TestConcurrentAppendsAllLand(t *testing.T) {
 			defer wg.Done()
 			c := cl.NewClient("") // each appender is its own client
 			chunk := bytes.Repeat([]byte{byte(i + 1)}, B)
-			if _, err := c.Append(ctx, m.ID, chunk); err != nil {
+			if _, err := appendBlob(ctx, c, m.ID, chunk); err != nil {
 				errs <- fmt.Errorf("appender %d: %w", i, err)
 			}
 		}(i)
@@ -189,7 +228,7 @@ func TestConcurrentAppendsAllLand(t *testing.T) {
 	if err != nil || v != N || size != N*B {
 		t.Fatalf("after appends: v%d size %d, %v", v, size, err)
 	}
-	got, err := setup.Read(ctx, m.ID, blob.NoVersion, 0, size)
+	got, err := readBlob(ctx, setup, m.ID, blob.NoVersion, 0, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +258,7 @@ func TestConcurrentWritersDisjointBlocks(t *testing.T) {
 	setup := cl.NewClient("")
 	m, _ := setup.Create(ctx, B, 1)
 	// Pre-size the blob so writers overwrite disjoint ranges.
-	if _, err := setup.Write(ctx, m.ID, 0, make([]byte, 8*B)); err != nil {
+	if _, err := writeBlob(ctx, setup, m.ID, 0, make([]byte, 8*B)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,7 +270,7 @@ func TestConcurrentWritersDisjointBlocks(t *testing.T) {
 			defer wg.Done()
 			c := cl.NewClient("")
 			data := bytes.Repeat([]byte{byte('A' + i)}, B)
-			if _, err := c.Write(ctx, m.ID, int64(i)*B, data); err != nil {
+			if _, err := writeBlob(ctx, c, m.ID, int64(i)*B, data); err != nil {
 				t.Errorf("writer %d: %v", i, err)
 			}
 		}(i)
@@ -240,7 +279,7 @@ func TestConcurrentWritersDisjointBlocks(t *testing.T) {
 	if _, _, err := setup.WaitPublished(ctx, m.ID, N+1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := setup.Read(ctx, m.ID, blob.NoVersion, 0, 8*B)
+	got, err := readBlob(ctx, setup, m.ID, blob.NoVersion, 0, 8*B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +300,7 @@ func TestReadersDecoupledFromWriters(t *testing.T) {
 	c := cl.NewClient("")
 	m, _ := c.Create(ctx, B, 1)
 	v1Data := pattern('x', 2*B)
-	if _, err := c.Write(ctx, m.ID, 0, v1Data); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, v1Data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,14 +316,14 @@ func TestReadersDecoupledFromWriters(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := w.Write(ctx, m.ID, 0, pattern(byte(i), B)); err != nil {
+			if _, err := writeBlob(ctx, w, m.ID, 0, pattern(byte(i), B)); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		got, err := c.Read(ctx, m.ID, 1, 0, 2*B)
+		got, err := readBlob(ctx, c, m.ID, 1, 0, 2*B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +340,7 @@ func TestReadUnpublishedVersionRejected(t *testing.T) {
 	c := cl.NewClient("")
 	ctx := context.Background()
 	m, _ := c.Create(ctx, B, 1)
-	if _, err := c.Read(ctx, m.ID, 3, 0, 10); !errors.Is(err, core.ErrNotPublished) {
+	if _, err := readBlob(ctx, c, m.ID, 3, 0, 10); !errors.Is(err, core.ErrNotPublished) {
 		t.Errorf("err = %v, want ErrNotPublished", err)
 	}
 }
@@ -311,7 +350,7 @@ func TestEmptyBlobReads(t *testing.T) {
 	c := cl.NewClient("")
 	ctx := context.Background()
 	m, _ := c.Create(ctx, B, 1)
-	got, err := c.Read(ctx, m.ID, blob.NoVersion, 0, 100)
+	got, err := readBlob(ctx, c, m.ID, blob.NoVersion, 0, 100)
 	if err != nil || got != nil {
 		t.Errorf("empty blob read = %v, %v", got, err)
 	}
@@ -322,10 +361,10 @@ func TestUnalignedWriteRejectedClientSide(t *testing.T) {
 	c := cl.NewClient("")
 	ctx := context.Background()
 	m, _ := c.Create(ctx, B, 1)
-	if _, err := c.Write(ctx, m.ID, 7, make([]byte, B)); err == nil {
+	if _, err := writeBlob(ctx, c, m.ID, 7, make([]byte, B)); err == nil {
 		t.Error("unaligned write accepted")
 	}
-	if _, err := c.Write(ctx, m.ID, 0, nil); err == nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, nil); err == nil {
 		t.Error("empty write accepted")
 	}
 }
@@ -336,13 +375,13 @@ func TestReplicationSurvivesProviderLoss(t *testing.T) {
 	c := cl.NewClient("")
 	m, _ := c.Create(ctx, B, 2) // replication 2
 	data := pattern('z', 2*B)
-	if _, err := c.Write(ctx, m.ID, 0, data); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	// Kill one provider's contents entirely.
 	victim := cl.ProviderAddrs[0]
 	cl.ProviderService(victim).Store().DeletePrefix("")
-	got, err := c.Read(ctx, m.ID, blob.NoVersion, 0, 2*B)
+	got, err := readBlob(ctx, c, m.ID, blob.NoVersion, 0, 2*B)
 	if err != nil {
 		t.Fatalf("read after replica loss: %v", err)
 	}
@@ -356,10 +395,18 @@ func TestLocationsExposeDataLayout(t *testing.T) {
 	ctx := context.Background()
 	c := cl.NewClient("")
 	m, _ := c.Create(ctx, B, 1)
-	if _, err := c.Write(ctx, m.ID, 0, pattern('L', 4*B)); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, pattern('L', 4*B)); err != nil {
 		t.Fatal(err)
 	}
-	locs, err := c.Locations(ctx, m.ID, blob.NoVersion, 0, 4*B)
+	b, err := c.OpenBlob(ctx, m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := s.Locations(ctx, 0, 4*B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +434,7 @@ func TestWriteFailsCleanlyWhenProvidersDie(t *testing.T) {
 	ctx := context.Background()
 	c := cl.NewClient("")
 	m, _ := c.Create(ctx, B, 1)
-	if _, err := c.Write(ctx, m.ID, 0, pattern('1', B)); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, pattern('1', B)); err != nil {
 		t.Fatal(err)
 	}
 	// Mark every provider dead: allocation must fail, and the blob
@@ -395,7 +442,7 @@ func TestWriteFailsCleanlyWhenProvidersDie(t *testing.T) {
 	for _, addr := range cl.ProviderAddrs {
 		cl.PMService().State().MarkDead(addr)
 	}
-	if _, err := c.Write(ctx, m.ID, 0, pattern('2', B)); err == nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, pattern('2', B)); err == nil {
 		t.Fatal("write succeeded with no providers")
 	}
 	v, size, err := c.Latest(ctx, m.ID)
@@ -413,10 +460,10 @@ func TestWriteAcrossTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := pattern('t', 2*B+17)
-	if _, err := c.Write(ctx, m.ID, 0, data); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(data)))
+	got, err := readBlob(ctx, c, m.ID, blob.NoVersion, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("TCP round trip failed: %v", err)
 	}
@@ -446,7 +493,7 @@ func TestManyVersionsStressAgainstModel(t *testing.T) {
 			// subsequent append stays legal (the BSFS layer handles
 			// unaligned tails; core does not).
 			data = pattern(byte(rng.Next()), int((1+rng.Int63n(3))*B))
-			if _, err := c.Append(ctx, m.ID, data); err != nil {
+			if _, err := appendBlob(ctx, c, m.ID, data); err != nil {
 				t.Fatalf("step %d append: %v", i, err)
 			}
 			off = int64(len(model))
@@ -454,12 +501,12 @@ func TestManyVersionsStressAgainstModel(t *testing.T) {
 			off = rng.Int63n(sizeBlocks) * B
 			n := (1 + rng.Int63n(2)) * B
 			data = pattern(byte(rng.Next()), int(n))
-			if _, err := c.Write(ctx, m.ID, off, data); err != nil {
+			if _, err := writeBlob(ctx, c, m.ID, off, data); err != nil {
 				t.Fatalf("step %d write: %v", i, err)
 			}
 		}
 		apply(off, data)
-		got, err := c.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(model)))
+		got, err := readBlob(ctx, c, m.ID, blob.NoVersion, 0, int64(len(model)))
 		if err != nil {
 			t.Fatalf("step %d read: %v", i, err)
 		}
@@ -470,15 +517,15 @@ func TestManyVersionsStressAgainstModel(t *testing.T) {
 	// One final partial append (legal: EOF is aligned) — the tail must
 	// read back and further appends must be rejected.
 	tail := pattern('T', B/3)
-	if _, err := c.Append(ctx, m.ID, tail); err != nil {
+	if _, err := appendBlob(ctx, c, m.ID, tail); err != nil {
 		t.Fatalf("final partial append: %v", err)
 	}
 	apply(int64(len(model)), tail)
-	got, err := c.Read(ctx, m.ID, blob.NoVersion, 0, int64(len(model)))
+	got, err := readBlob(ctx, c, m.ID, blob.NoVersion, 0, int64(len(model)))
 	if err != nil || !bytes.Equal(got, model) {
 		t.Fatalf("final read mismatch: %v", err)
 	}
-	if _, err := c.Append(ctx, m.ID, []byte("x")); err == nil {
+	if _, err := appendBlob(ctx, c, m.ID, []byte("x")); err == nil {
 		t.Error("append onto unaligned EOF accepted by core")
 	}
 }

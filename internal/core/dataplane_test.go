@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
 	"blobseer/internal/placement"
 	"blobseer/internal/pmanager"
@@ -107,14 +109,14 @@ func startMiniWith(t *testing.T, nProv int, meta mdtree.Store, withForwarder boo
 func TestChainUnsupportedHeadIsCached(t *testing.T) {
 	const blockSize = int64(4 * 1024)
 	d := startMiniWith(t, 2, mdtree.NewMemStore(), false)
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
-	m, err := c.Create(ctx, blockSize, 2)
+	b, err := c.CreateBlob(ctx, blockSize, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{3}, int(4*blockSize))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := b.Append(ctx, payload)
 	if err != nil {
 		t.Fatalf("write against forwarderless providers did not fall back: %v", err)
 	}
@@ -127,7 +129,7 @@ func TestChainUnsupportedHeadIsCached(t *testing.T) {
 	if cached == 0 {
 		t.Error("no chain-unsupported heads cached after fallbacks")
 	}
-	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+	got, err := readVersion(ctx, b, v, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back: %v", err)
 	}
@@ -141,7 +143,7 @@ func TestChainUnsupportedHeadIsCached(t *testing.T) {
 
 // newClient returns a core client whose egress bytes accumulate in the
 // returned counter.
-func (d *miniDeploy) newClient(t *testing.T, plane DataPlane) (*Client, *atomic.Int64) {
+func (d *miniDeploy) newClient(t *testing.T) (*Client, *atomic.Int64) {
 	t.Helper()
 	sent := new(atomic.Int64)
 	pool := rpc.NewPool(func(addr string) (net.Conn, error) {
@@ -154,16 +156,28 @@ func (d *miniDeploy) newClient(t *testing.T, plane DataPlane) (*Client, *atomic.
 	t.Cleanup(pool.Close)
 	return NewClient(Config{
 		Pool:      pool,
-		VMAddr:    d.vmAddr,
+		VMAddrs:   []string{d.vmAddr},
 		PMAddr:    d.pmAddr,
 		MetaStore: d.clientMeta,
-		DataPlane: plane,
 	}), sent
 }
 
-// TestChainedWriteClientEgressBytes pins the tentpole claim on the real
-// client stack: a chained write of N blocks at replication R costs the
-// client ~N blocks of uplink, where the fan-out plane pays ~R×N.
+// readVersion reads the first n bytes of published version v.
+func readVersion(ctx context.Context, b *Blob, v blob.Version, n int64) ([]byte, error) {
+	s, err := b.Snapshot(ctx, v)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	if _, err := s.ReadAtContext(ctx, buf, 0); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// TestChainedWriteClientEgressBytes pins the data plane's claim on the
+// real client stack: a write of N blocks at replication R=3 costs the
+// client ~N blocks of uplink (1×B per block), not R×N.
 func TestChainedWriteClientEgressBytes(t *testing.T) {
 	const (
 		blockSize = int64(64 * 1024)
@@ -172,42 +186,41 @@ func TestChainedWriteClientEgressBytes(t *testing.T) {
 	)
 	payloadBytes := int64(nBlocks) * blockSize
 
-	run := func(plane DataPlane) int64 {
-		d := startMini(t, 4, mdtree.NewMemStore())
-		c, sent := d.newClient(t, plane)
-		ctx := context.Background()
-		m, err := c.Create(ctx, blockSize, repl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := bytes.Repeat([]byte{0x5a}, int(payloadBytes))
-		v, err := c.Append(ctx, m.ID, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The data must actually be replicated and readable either way.
-		got, err := c.Read(ctx, m.ID, v, 0, payloadBytes)
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("read back: %v", err)
-		}
-		return sent.Load()
+	d := startMini(t, 4, mdtree.NewMemStore())
+	c, sent := d.newClient(t)
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, blockSize, repl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5a}, int(payloadBytes))
+	v, err := b.Append(ctx, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.ChainFallbacks(); n != 0 {
+		t.Fatalf("ChainFallbacks = %d on a healthy chain, want 0", n)
+	}
+	// The data must actually be replicated R times and readable.
+	got, err := readVersion(ctx, b, v, payloadBytes)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back: %v", err)
+	}
+	var stored int64
+	for _, cs := range d.provStore {
+		stored += cs.Stats().Bytes
+	}
+	if stored != repl*payloadBytes {
+		t.Errorf("providers hold %d bytes, want %d (R×payload)", stored, repl*payloadBytes)
 	}
 
-	chained := run(DataPlaneChained)
-	fanout := run(DataPlaneFanout)
-
-	// Chained: one copy of the payload plus protocol overhead. The read
-	// and control RPCs ride the same counter, so allow generous slack —
+	// One copy of the payload plus protocol overhead. The read and
+	// control RPCs ride the same counter, so allow generous slack —
 	// generous is still far below a second payload copy.
-	slack := payloadBytes / 2
-	if chained < payloadBytes || chained > payloadBytes+slack {
-		t.Errorf("chained client egress = %d, want ~%d (+%d slack)", chained, payloadBytes, slack)
+	egress, slack := sent.Load(), payloadBytes/2
+	if egress < payloadBytes || egress > payloadBytes+slack {
+		t.Errorf("client egress = %d, want ~%d (+%d slack): 1×B per block at R=%d", egress, payloadBytes, slack, repl)
 	}
-	if fanout < repl*payloadBytes {
-		t.Errorf("fanout client egress = %d, want >= %d (R×payload)", fanout, repl*payloadBytes)
-	}
-	t.Logf("client egress: chained %d bytes, fanout %d bytes (payload %d, R=%d)",
-		chained, fanout, payloadBytes, repl)
 }
 
 // TestChainedReplicasHoldIdenticalBlocks verifies every replica in the
@@ -215,14 +228,14 @@ func TestChainedWriteClientEgressBytes(t *testing.T) {
 func TestChainedReplicasHoldIdenticalBlocks(t *testing.T) {
 	const blockSize = int64(8 * 1024)
 	d := startMini(t, 3, mdtree.NewMemStore())
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
-	m, err := c.Create(ctx, blockSize, 3)
+	b, err := c.CreateBlob(ctx, blockSize, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{7}, int(4*blockSize))
-	if _, err := c.Append(ctx, m.ID, payload); err != nil {
+	if _, err := b.Append(ctx, payload); err != nil {
 		t.Fatal(err)
 	}
 	for i, cs := range d.provStore {
@@ -238,24 +251,24 @@ func TestChainedReplicasHoldIdenticalBlocks(t *testing.T) {
 func TestReadRotationSpreadsAcrossReplicas(t *testing.T) {
 	const blockSize = int64(4 * 1024)
 	d := startMini(t, 2, mdtree.NewMemStore())
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
-	m, err := c.Create(ctx, blockSize, 2)
+	b, err := c.CreateBlob(ctx, blockSize, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Append(ctx, m.ID, make([]byte, blockSize))
+	v, err := b.Append(ctx, make([]byte, blockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := c.Read(ctx, m.ID, v, 0, blockSize); err != nil {
+		if _, err := readVersion(ctx, b, v, blockSize); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, b := d.provStore[0].gets.Load(), d.provStore[1].gets.Load()
-	if a == 0 || b == 0 {
-		t.Errorf("8 reads of a 2-replica block hit providers %d/%d times; rotation should spread them", a, b)
+	g0, g1 := d.provStore[0].gets.Load(), d.provStore[1].gets.Load()
+	if g0 == 0 || g1 == 0 {
+		t.Errorf("8 reads of a 2-replica block hit providers %d/%d times; rotation should spread them", g0, g1)
 	}
 }
 
@@ -290,15 +303,15 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	meta := &failingMetaStore{MemStore: inner}
 	d := startMini(t, 2, inner) // the VM repairs through the healthy view
 	d.clientMeta = meta
-	c, _ := d.newClient(t, DataPlaneChained)
+	c, _ := d.newClient(t)
 	ctx := context.Background()
-	m, err := c.Create(ctx, blockSize, 1)
+	b, err := c.CreateBlob(ctx, blockSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	meta.broken.Store(true)
-	if _, err := c.Append(ctx, m.ID, make([]byte, blockSize)); err == nil {
+	if _, err := b.Append(ctx, make([]byte, blockSize)); err == nil {
 		t.Fatal("write with broken metadata store succeeded")
 	}
 	meta.broken.Store(false)
@@ -306,11 +319,11 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	// No deployment janitor runs here: only doWrite's own abort can
 	// have repaired the line, so this publishes (or the test hangs on
 	// the stalled version and times out below).
-	v, err := c.Append(ctx, m.ID, make([]byte, blockSize))
+	v, err := b.Append(ctx, make([]byte, blockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.WaitPublished(ctx, m.ID, v, 2*time.Second); err != nil {
+	if _, _, err := c.WaitPublished(ctx, b.ID(), v, 2*time.Second); err != nil {
 		t.Fatalf("version after failed write never published: %v", err)
 	}
 	// The failed write's blocks were garbage collected.
@@ -330,7 +343,7 @@ func TestChainOrderLeadsWithLocalProvider(t *testing.T) {
 	pool := rpc.NewPool(d.net.Dial)
 	t.Cleanup(pool.Close)
 	c := NewClient(Config{
-		Pool: pool, VMAddr: d.vmAddr, PMAddr: d.pmAddr,
+		Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr,
 		MetaStore: d.meta, Host: "host-1",
 	})
 	ctx := context.Background()
@@ -343,7 +356,7 @@ func TestChainOrderLeadsWithLocalProvider(t *testing.T) {
 	}
 	// No co-hosted provider: order untouched.
 	c2 := NewClient(Config{
-		Pool: pool, VMAddr: d.vmAddr, PMAddr: d.pmAddr,
+		Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr,
 		MetaStore: d.meta, Host: "elsewhere",
 	})
 	got = c2.chainOrder(ctx, []string{"provider-2", "provider-0"})

@@ -34,7 +34,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xAB}, int(6*block))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, c, m.ID, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 		}
 	}
 
-	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+	got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatalf("read after primary loss: %v", err)
 	}
@@ -74,8 +74,8 @@ func TestReadFailsOverToReplica(t *testing.T) {
 
 // TestWriteFallsBackWhenChainBreaks: a provider that errors mid-chain
 // (a mixed-version or misbehaving hop) must not fail the write — the
-// client falls back to per-replica fan-out, and every block still ends
-// up on its full replica set.
+// client falls back to direct per-replica puts, and every block still
+// ends up byte-identical on its full replica set.
 func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 	const block = int64(4 * util.KB)
 	cl, err := cluster.StartBlobSeer(cluster.Config{
@@ -101,7 +101,7 @@ func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0x77}, int(4*block))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, c, m.ID, payload)
 	if err != nil {
 		t.Fatalf("write through broken chain did not fall back: %v", err)
 	}
@@ -120,6 +120,12 @@ func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 		if len(e.Block.Providers) != 2 {
 			t.Fatalf("block %s has %d replicas, want 2", e.Block.Key, len(e.Block.Providers))
 		}
+		for _, addr := range e.Block.Providers {
+			data, err := cl.ProviderService(addr).Store().Get(e.Block.Key.String())
+			if err != nil || !bytes.Equal(data, payload[e.FileOff:e.FileOff+e.Len]) {
+				t.Fatalf("replica of block %s on %s differs from the written bytes (err %v)", e.Block.Key, addr, err)
+			}
+		}
 		// Alternate which replica dies so both rotation positions see a
 		// failure at some block.
 		st := cl.ProviderService(e.Block.Providers[i%2]).Store()
@@ -127,7 +133,7 @@ func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+	got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
 	if err != nil {
 		t.Fatalf("read after alternating replica loss: %v", err)
 	}
@@ -159,7 +165,7 @@ func TestReadRotationSurvivesAlternatingLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xCD}, int(8*block))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, c, m.ID, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestReadRotationSurvivesAlternatingLoss(t *testing.T) {
 	// Repeat the read so the rotation counter cycles through both
 	// starting positions for every block.
 	for i := 0; i < 4; i++ {
-		got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+		got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
 		if err != nil {
 			t.Fatalf("read %d after alternating loss: %v", i, err)
 		}
@@ -205,7 +211,7 @@ func TestReadFailsWhenAllReplicasLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Append(ctx, m.ID, bytes.Repeat([]byte{1}, int(2*block)))
+	v, err := appendBlob(ctx, c, m.ID, bytes.Repeat([]byte{1}, int(2*block)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,7 @@ func TestReadFailsWhenAllReplicasLost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Read(ctx, m.ID, v, 0, 2*block); err == nil {
+	if _, err := readBlob(ctx, c, m.ID, v, 0, 2*block); err == nil {
 		t.Fatal("read with all replicas lost should fail")
 	}
 }

@@ -50,16 +50,6 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	if err != nil {
 		return GCStats{}, err
 	}
-	// Pruned versions must stop resolving through the size cache:
-	// flat reads of a garbaged version report the version manager's
-	// ErrPruned, not a stale read against deleted nodes.
-	c.mu.Lock()
-	for k := range c.sizes {
-		if k.id == id && k.v < keep {
-			delete(c.sizes, k)
-		}
-	}
-	c.mu.Unlock()
 	st := GCStats{From: from, To: keep}
 	for k := from; k < keep; k++ {
 		d, ok := hist.Desc(k)

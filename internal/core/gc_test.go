@@ -53,13 +53,13 @@ func TestGCFreesOverwrittenBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Append(ctx, m.ID, fill('a', 4)); err != nil {
+	if _, err := appendBlob(ctx, c, m.ID, fill('a', 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write(ctx, m.ID, gcBlock, fill('x', 2)); err != nil {
+	if _, err := writeBlob(ctx, c, m.ID, gcBlock, fill('x', 2)); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := c.Append(ctx, m.ID, fill('e', 1))
+	v3, err := appendBlob(ctx, c, m.ID, fill('e', 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestGCFreesOverwrittenBlocks(t *testing.T) {
 	}
 
 	// The kept snapshot is untouched.
-	got, err := c.Read(ctx, m.ID, v3, 0, 5*gcBlock)
+	got, err := readBlob(ctx, c, m.ID, v3, 0, 5*gcBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestGCFreesOverwrittenBlocks(t *testing.T) {
 	}
 
 	// Pruned snapshots are gone, with the dedicated error.
-	if _, err := c.Read(ctx, m.ID, 1, 0, gcBlock); !errors.Is(err, vmanager.ErrPruned) {
+	if _, err := readBlob(ctx, c, m.ID, 1, 0, gcBlock); !errors.Is(err, vmanager.ErrPruned) {
 		t.Fatalf("read of pruned version: got %v, want ErrPruned", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestGCIdempotentAndMonotone(t *testing.T) {
 	}
 	var last blob.Version
 	for i := 0; i < 3; i++ {
-		if last, err = c.Write(ctx, m.ID, 0, fill(byte('a'+i), 1)); err != nil {
+		if last, err = writeBlob(ctx, c, m.ID, 0, fill(byte('a'+i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestGCRandomSchedules(t *testing.T) {
 						// mid-blob writes must cover whole blocks: data
 						// already is whole blocks, fine.
 					}
-					v, err = c.Write(ctx, m.ID, off, data)
+					v, err = writeBlob(ctx, c, m.ID, off, data)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -184,7 +184,7 @@ func TestGCRandomSchedules(t *testing.T) {
 					copy(next[off:], data)
 					cur = next
 				} else {
-					v, err = c.Append(ctx, m.ID, data)
+					v, err = appendBlob(ctx, c, m.ID, data)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -205,7 +205,7 @@ func TestGCRandomSchedules(t *testing.T) {
 				// Validate every kept version byte-for-byte.
 				for kv := prunedBelow; kv <= latest; kv++ {
 					want := ref[kv]
-					got, err := c.Read(ctx, m.ID, kv, 0, int64(len(want)))
+					got, err := readBlob(ctx, c, m.ID, kv, 0, int64(len(want)))
 					if err != nil {
 						t.Fatalf("step %d: read kept v%d: %v", step, kv, err)
 					}
@@ -215,7 +215,7 @@ func TestGCRandomSchedules(t *testing.T) {
 				}
 				// And a pruned one (if any) must fail.
 				if prunedBelow > 1 {
-					if _, err := c.Read(ctx, m.ID, prunedBelow-1, 0, gcBlock); !errors.Is(err, vmanager.ErrPruned) {
+					if _, err := readBlob(ctx, c, m.ID, prunedBelow-1, 0, gcBlock); !errors.Is(err, vmanager.ErrPruned) {
 						t.Fatalf("step %d: pruned v%d still readable (err=%v)", step, prunedBelow-1, err)
 					}
 				}

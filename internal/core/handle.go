@@ -60,20 +60,19 @@ func (b *Blob) Client() *Client { return b.c }
 // version may not be immediately readable: it publishes once all
 // lower versions commit (use WaitPublished to observe it).
 func (b *Blob) Write(ctx context.Context, off int64, data []byte) (blob.Version, error) {
-	return b.c.Write(ctx, b.meta.ID, off, data)
+	return b.c.doWrite(ctx, b.meta.ID, blob.KindWrite, off, data)
 }
 
 // Append adds data at the end of the blob; the offset is fixed by the
 // version manager at assignment time (Section III-D).
 func (b *Blob) Append(ctx context.Context, data []byte) (blob.Version, error) {
-	return b.c.Append(ctx, b.meta.ID, data)
+	return b.c.doWrite(ctx, b.meta.ID, blob.KindAppend, 0, data)
 }
 
 // Latest pins the newest published snapshot. An unpublished blob (no
 // writes committed yet) yields a zero-size Snapshot whose Version is
 // blob.NoVersion — explicitly distinguishable from a zero-length
-// clamp, unlike the flat Client.Read which returns (nil, nil) for
-// both.
+// clamp.
 func (b *Blob) Latest(ctx context.Context) (*Snapshot, error) {
 	v, size, err := b.c.vm.Latest(ctx, b.meta.ID)
 	if err != nil {

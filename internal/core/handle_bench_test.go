@@ -10,10 +10,10 @@ import (
 )
 
 // benchSnapshot deploys a small cluster, publishes an nBlocks-block
-// blob and returns a pinned snapshot plus the flat client. With
-// metered set the client carries a live metrics registry, so the
-// instrumented hot path is measured instead of the no-op one.
-func benchSnapshot(b *testing.B, nBlocks int, metered bool) (*core.Client, *core.Snapshot) {
+// blob and returns a pinned snapshot. With metered set the client
+// carries a live metrics registry, so the instrumented hot path is
+// measured instead of the no-op one.
+func benchSnapshot(b *testing.B, nBlocks int, metered bool) *core.Snapshot {
 	b.Helper()
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 4,
@@ -48,13 +48,12 @@ func benchSnapshot(b *testing.B, nBlocks int, metered bool) (*core.Client, *core
 	if _, err := s.ReadAt(buf, 0); err != nil && err != io.EOF {
 		b.Fatal(err)
 	}
-	return c, s
+	return s
 }
 
 // BenchmarkSnapshotReadAt measures repeated pinned-snapshot reads into
 // a caller-owned buffer: zero whole-range intermediate allocations and
-// zero per-call metadata round-trips. Compare allocs/op against
-// BenchmarkFlatRead.
+// zero per-call metadata round-trips.
 func BenchmarkSnapshotReadAt(b *testing.B) {
 	benchmarkSnapshotReadAt(b, false)
 }
@@ -70,7 +69,7 @@ func BenchmarkSnapshotReadAtMetered(b *testing.B) {
 
 func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 	const nBlocks = 8
-	_, s := benchSnapshot(b, nBlocks, metered)
+	s := benchSnapshot(b, nBlocks, metered)
 	buf := make([]byte, s.Size())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -80,22 +79,4 @@ func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 		}
 	}
 	b.SetBytes(s.Size())
-}
-
-// BenchmarkFlatRead measures the same workload through the flat
-// compatibility shim, which allocates a fresh whole-range buffer and
-// re-resolves the version on every call.
-func BenchmarkFlatRead(b *testing.B) {
-	const nBlocks = 8
-	c, s := benchSnapshot(b, nBlocks, false)
-	ctx := context.Background()
-	id, v, size := s.Blob().ID(), s.Version(), s.Size()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Read(ctx, id, v, 0, size); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(size)
 }

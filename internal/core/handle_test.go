@@ -143,9 +143,7 @@ func TestLatestOnUnpublishedBlob(t *testing.T) {
 // TestSnapshotPinnedMetadataOps is the op-count regression pin for the
 // handle redesign: after one warming read, N repeated ReadAt calls
 // against a pinned Snapshot must cost ZERO version-manager round-trips
-// and ZERO metadata-DHT fetches (the node cache serves the tree), where
-// the flat Read path used to pay the Meta+Latest(+VersionInfo) triple
-// on every call.
+// and ZERO metadata-DHT fetches (the node cache serves the tree).
 func TestSnapshotPinnedMetadataOps(t *testing.T) {
 	cl := startCluster(t, cluster.Config{
 		DataProviders: 4,
@@ -192,22 +190,6 @@ func TestSnapshotPinnedMetadataOps(t *testing.T) {
 	if warmer.Misses != warm.Misses {
 		t.Errorf("%d repeated pinned reads missed the node cache %d times, want 0", N, warmer.Misses-warm.Misses)
 	}
-
-	// The flat path on a pinned version also amortizes: the version
-	// size is cached after the first resolution, so N flat reads of the
-	// same published version cost no further VM round-trips either.
-	if _, err := c.Read(ctx, b.ID(), s.Version(), 0, int64(len(data))); err != nil {
-		t.Fatal(err)
-	}
-	vmCalls = cl.VMService().Calls()
-	for i := 0; i < N; i++ {
-		if _, err := c.Read(ctx, b.ID(), s.Version(), 0, int64(len(data))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := cl.VMService().Calls(); got != vmCalls {
-		t.Errorf("%d flat pinned-version reads cost %d version-manager round-trips, want 0", N, got-vmCalls)
-	}
 }
 
 // TestParallelReadAtWhileWritersPublish hammers one Snapshot with
@@ -243,7 +225,7 @@ func TestParallelReadAtWhileWritersPublish(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := w.Write(ctx, b.ID(), 0, pattern(byte(i), B)); err != nil {
+			if _, err := writeBlob(ctx, w, b.ID(), 0, pattern(byte(i), B)); err != nil {
 				t.Error(err)
 				return
 			}

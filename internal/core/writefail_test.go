@@ -39,7 +39,7 @@ func TestWholeWriteFailsAndOrphansAreGCd(t *testing.T) {
 
 	// 8 blocks round-robin over 4 placement slots: two blocks must hit
 	// the phantom, so the write fails regardless of rotation offset.
-	if _, err := c.Append(ctx, m.ID, make([]byte, 8*block)); err == nil {
+	if _, err := appendBlob(ctx, c, m.ID, make([]byte, 8*block)); err == nil {
 		t.Fatal("write through an unreachable provider should fail as a whole")
 	}
 
@@ -59,11 +59,11 @@ func TestWholeWriteFailsAndOrphansAreGCd(t *testing.T) {
 	// The blob works once the phantom is removed from placement.
 	cl.PMService().State().MarkDead("phantom-provider")
 	payload := bytes.Repeat([]byte{9}, int(8*block))
-	v, err := c.Append(ctx, m.ID, payload)
+	v, err := appendBlob(ctx, c, m.ID, payload)
 	if err != nil {
 		t.Fatalf("write after phantom removal: %v", err)
 	}
-	got, err := c.Read(ctx, m.ID, v, 0, int64(len(payload)))
+	got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("recovery read failed: %v", err)
 	}

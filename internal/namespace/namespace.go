@@ -56,8 +56,8 @@ type entry struct {
 type BlobCreator func(ctx context.Context, blockSize int64, replication int) (blob.ID, error)
 
 // VMBlobCreator builds a BlobCreator over a version-manager client
-// (or shard Router — new files then spread across the control plane).
-func VMBlobCreator(vm vmanager.API) BlobCreator {
+// (over several shards, new files spread across the control plane).
+func VMBlobCreator(vm *vmanager.Client) BlobCreator {
 	return func(ctx context.Context, blockSize int64, replication int) (blob.ID, error) {
 		m, err := vm.CreateBlob(ctx, blockSize, replication)
 		if err != nil {

@@ -24,7 +24,7 @@ const (
 
 // Config wires an Engine to a deployment.
 type Config struct {
-	VM      vmanager.API // single-shard client or sharded Router
+	VM      *vmanager.Client
 	PM      *pmanager.Client
 	Prov    *provider.Client
 	Meta    mdtree.Store // metadata tree store (scan path)

@@ -56,36 +56,6 @@ func TestChainedWriteClientEgress(t *testing.T) {
 	if want := float64(repl-1) * payload; math.Abs(provEgress-want) > 1 {
 		t.Errorf("provider forwarding egress = %.0f bytes, want %.0f ((R-1)×N blocks)", provEgress, want)
 	}
-
-	// The legacy plane charges the client the full R×N.
-	fb := smallBSFS(t)
-	fb.FanoutWrites = true
-	fm := fb.CreateBlob(testBlock, repl)
-	writeBlocks(t, fb, fm.ID, nBlocks)
-	if egress := fb.Net.EgressOf(client); math.Abs(egress-float64(repl)*payload) > 1 {
-		t.Errorf("fanout client egress = %.0f bytes, want %.0f (R×N blocks)", egress, float64(repl)*payload)
-	}
-}
-
-// TestChainedWriteBeatsFanoutAtR3 pins the structural throughput win:
-// at replication 3 the chained plane's write completes well ahead of
-// fan-out, whose client uplink carries three copies of everything.
-func TestChainedWriteBeatsFanoutAtR3(t *testing.T) {
-	const nBlocks = 8
-
-	chained := smallBSFS(t)
-	cm := chained.CreateBlob(testBlock, 3)
-	chainedEnd := writeBlocks(t, chained, cm.ID, nBlocks)
-
-	fanout := smallBSFS(t)
-	fanout.FanoutWrites = true
-	fm := fanout.CreateBlob(testBlock, 3)
-	fanoutEnd := writeBlocks(t, fanout, fm.ID, nBlocks)
-
-	if float64(chainedEnd) > 0.6*float64(fanoutEnd) {
-		t.Errorf("chained write (%.2fs) should finish in <60%% of fanout (%.2fs) at R=3",
-			chainedEnd.Seconds(), fanoutEnd.Seconds())
-	}
 }
 
 // TestReadRotationSpreadsReplicaLoad: with the block replicated on two
@@ -121,27 +91,9 @@ func TestReadRotationSpreadsReplicaLoad(t *testing.T) {
 	}
 }
 
-// TestChainedSingleReplicaMatchesFanout: at R=1 the planes are the same
-// single flow; their virtual completion times must agree.
-func TestChainedSingleReplicaMatchesFanout(t *testing.T) {
-	a := smallBSFS(t)
-	am := a.CreateBlob(testBlock, 1)
-	aEnd := writeBlocks(t, a, am.ID, 4)
-
-	f := smallBSFS(t)
-	f.FanoutWrites = true
-	fm := f.CreateBlob(testBlock, 1)
-	fEnd := writeBlocks(t, f, fm.ID, 4)
-
-	if aEnd != fEnd {
-		t.Errorf("R=1 chained (%.3fs) and fanout (%.3fs) should cost the same", aEnd.Seconds(), fEnd.Seconds())
-	}
-}
-
-// --- acceptance benchmarks: client egress per write on the simnet
-// billing model, chained vs fan-out ---
-
-func benchmarkWritePlane(b *testing.B, fanout bool) {
+// BenchmarkWriteChained reports client egress per write on the simnet
+// billing model at R=3.
+func BenchmarkWriteChained(b *testing.B) {
 	const (
 		nBlocks = 8
 		repl    = 3
@@ -153,7 +105,6 @@ func benchmarkWritePlane(b *testing.B, fanout bool) {
 		net := simnet.New(env, simnet.Grid5000(12))
 		bs := NewBSFS(net, DefaultTuning(), placement.NewRoundRobin(), 0,
 			[]simnet.NodeID{1, 2}, []simnet.NodeID{3, 4, 5, 6, 7, 8, 9})
-		bs.FanoutWrites = fanout
 		m := bs.CreateBlob(testBlock, repl)
 		var end sim.Time
 		bs.Env.Go(func(p *sim.Proc) {
@@ -170,6 +121,3 @@ func benchmarkWritePlane(b *testing.B, fanout bool) {
 	b.ReportMetric(egressPerWrite/float64(util.MB), "client_egress_MB/write")
 	b.ReportMetric(mbps, "sim_MB/s")
 }
-
-func BenchmarkWriteFanout(b *testing.B)  { benchmarkWritePlane(b, true) }
-func BenchmarkWriteChained(b *testing.B) { benchmarkWritePlane(b, false) }

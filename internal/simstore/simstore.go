@@ -131,13 +131,6 @@ type BSFS struct {
 	Net *simnet.Net
 	Tun Tuning
 
-	// FanoutWrites selects the legacy data plane: the client pushes
-	// every replica itself (R×B of client egress per block). The
-	// default is the chained plane — one client flow to the chain head
-	// plus one provider-to-provider flow per further hop — matching the
-	// real client's core.DataPlaneChained.
-	FanoutWrites bool
-
 	VM    *vmanager.State
 	PM    *pmanager.State
 	Store *mdtree.MemStore
@@ -281,22 +274,15 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 				blockLen = rem
 			}
 		}
-		if b.FanoutWrites {
-			for _, addr := range targets[i] {
-				// The provider's storage medium is in the path whether
-				// the block travels the network or stays local.
-				dst := b.provNode[addr]
-				b.Net.TransferDisk(cp, client, dst, blockLen, b.writeCap(), dst)
-			}
-			return
-		}
-		// Chain replication: the client ships the block once to the
-		// chain head; every hop streams frames to the next replica
-		// while persisting locally, so all hops are concurrently
-		// active flows and the block completes when the slowest hop
-		// (the one its tail ack waits on) finishes. The client is
-		// charged B of egress; each further hop bills the forwarding
-		// provider's uplink.
+		// Chain replication, as in the real client: the client ships
+		// the block once to the chain head; every hop streams frames to
+		// the next replica while persisting locally (the provider's
+		// storage medium is in the path whether the block travels the
+		// network or stays local), so all hops are concurrently active
+		// flows and the block completes when the slowest hop (the one
+		// its tail ack waits on) finishes. The client is charged B of
+		// egress; each further hop bills the forwarding provider's
+		// uplink.
 		env := cp.Env()
 		done := env.NewEvent()
 		live := len(targets[i])
@@ -317,8 +303,8 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 
 	// Phase 2a: version assignment — the only serialized step, queued
 	// on the service resource of the shard owning this blob (the
-	// simulated twin of the Router's hash(id) % K dispatch). Writers to
-	// blobs on different shards never share a queue.
+	// simulated twin of vmanager.Client's ShardOf(id, K) dispatch).
+	// Writers to blobs on different shards never share a queue.
 	b.Net.Message(p, client, b.vmNode, 128)
 	b.vmShardRes(id).Use(p, b.Tun.VMService)
 	a, err := b.VM.AssignVersion(id, kind, off, size, nonce, 0)

@@ -3,6 +3,8 @@ package vmanager
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -567,7 +569,6 @@ func (s *Service) handleListBlobs(ctx context.Context, p []byte) ([]byte, error)
 	return b.Bytes(), nil
 }
 
-// Client is the version-manager RPC client.
 func (s *Service) handlePrune(ctx context.Context, p []byte) ([]byte, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
@@ -599,29 +600,48 @@ func (s *Service) handlePrunedBelow(ctx context.Context, p []byte) ([]byte, erro
 	return b.Bytes(), nil
 }
 
+// Client is the version-manager RPC client over the K >= 1 shard
+// services of a deployment. Every per-blob call goes to the shard that
+// owns the blob — addrs[ShardOf(id, K)], the same rule the shards mint
+// by — so a write to blob X touches exactly one shard service;
+// CreateBlob round-robins (any shard can mint; IDs never collide
+// because each shard mints its own residue class mod K). There is no
+// routing table: the shard count and the ID are the route, and a
+// single-address client is simply the K=1 case. Safe for concurrent
+// use.
 type Client struct {
 	pool  *rpc.Pool
-	addr  string
+	addrs []string // shard k's endpoint at index k
 	retry rpc.Backoff
+	next  atomic.Uint64 // round-robin cursor for CreateBlob
 }
 
-// NewClient returns a client for the version manager at addr. Calls
-// retry transport-classified failures with rpc.DefaultBackoff, so a
+// NewClient returns a client for the version-manager shard services at
+// addrs, in shard-index order (addrs[k] must be shard k of len(addrs);
+// one address is the classic unsharded manager). Calls retry
+// transport-classified failures with rpc.DefaultBackoff, so a
 // version-manager crash-restart cycle is invisible to callers
 // (Publish/Commit is idempotent; a retried AssignVersion whose first
 // response was lost leaks an in-flight version for the janitor).
-func NewClient(pool *rpc.Pool, addr string) *Client {
-	return &Client{pool: pool, addr: addr, retry: rpc.DefaultBackoff}
+func NewClient(pool *rpc.Pool, addrs ...string) *Client {
+	if len(addrs) == 0 {
+		panic("vmanager: NewClient with no shard addresses")
+	}
+	return &Client{pool: pool, addrs: addrs, retry: rpc.DefaultBackoff}
 }
+
+// NumShards reports the shard count K.
+func (c *Client) NumShards() int { return len(c.addrs) }
 
 // SetRetry overrides the client's retry schedule (chaos tests widen it,
 // latency-sensitive callers shrink it).
 func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
-func (c *Client) call(ctx context.Context, m uint16, payload []byte) ([]byte, error) {
+// call issues one RPC to shard k.
+func (c *Client) call(ctx context.Context, k int, m uint16, payload []byte) ([]byte, error) {
 	var resp []byte
 	err := rpc.Retry(ctx, c.retry, func(ctx context.Context) error {
-		cl, err := c.pool.Get(c.addr)
+		cl, err := c.pool.Get(c.addrs[k])
 		if err != nil {
 			return err
 		}
@@ -634,12 +654,19 @@ func (c *Client) call(ctx context.Context, m uint16, payload []byte) ([]byte, er
 	return resp, nil
 }
 
-// CreateBlob allocates a new blob.
+// callBlob issues one RPC to the shard owning id.
+func (c *Client) callBlob(ctx context.Context, id blob.ID, m uint16, payload []byte) ([]byte, error) {
+	return c.call(ctx, ShardOf(id, len(c.addrs)), m, payload)
+}
+
+// CreateBlob allocates a new blob on the next shard in round-robin
+// order, spreading unrelated blobs across the control plane.
 func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication int) (blob.Meta, error) {
 	b := wire.NewBuffer(12)
 	b.I64(blockSize)
 	b.U32(uint32(replication))
-	resp, err := c.call(ctx, mCreateBlob, b.Bytes())
+	k := int((c.next.Add(1) - 1) % uint64(len(c.addrs)))
+	resp, err := c.call(ctx, k, mCreateBlob, b.Bytes())
 	if err != nil {
 		return blob.Meta{}, err
 	}
@@ -652,7 +679,7 @@ func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication in
 func (c *Client) GetMeta(ctx context.Context, id blob.ID) (blob.Meta, error) {
 	b := wire.NewBuffer(8)
 	b.U64(uint64(id))
-	resp, err := c.call(ctx, mGetMeta, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mGetMeta, b.Bytes())
 	if err != nil {
 		return blob.Meta{}, err
 	}
@@ -670,7 +697,7 @@ func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteK
 	b.I64(size)
 	b.U64(nonce)
 	b.U64(uint64(since))
-	resp, err := c.call(ctx, mAssignVersion, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mAssignVersion, b.Bytes())
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -689,7 +716,7 @@ func (c *Client) Commit(ctx context.Context, id blob.ID, v blob.Version) error {
 	b := wire.NewBuffer(16)
 	b.U64(uint64(id))
 	b.U64(uint64(v))
-	_, err := c.call(ctx, mCommit, b.Bytes())
+	_, err := c.callBlob(ctx, id, mCommit, b.Bytes())
 	return err
 }
 
@@ -698,7 +725,7 @@ func (c *Client) Abort(ctx context.Context, id blob.ID, v blob.Version) error {
 	b := wire.NewBuffer(16)
 	b.U64(uint64(id))
 	b.U64(uint64(v))
-	_, err := c.call(ctx, mAbort, b.Bytes())
+	_, err := c.callBlob(ctx, id, mAbort, b.Bytes())
 	return err
 }
 
@@ -706,7 +733,7 @@ func (c *Client) Abort(ctx context.Context, id blob.ID, v blob.Version) error {
 func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, error) {
 	b := wire.NewBuffer(8)
 	b.U64(uint64(id))
-	resp, err := c.call(ctx, mLatest, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mLatest, b.Bytes())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -721,7 +748,7 @@ func (c *Client) VersionInfo(ctx context.Context, id blob.ID, v blob.Version) (b
 	b := wire.NewBuffer(16)
 	b.U64(uint64(id))
 	b.U64(uint64(v))
-	resp, err := c.call(ctx, mVersionInfo, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mVersionInfo, b.Bytes())
 	if err != nil {
 		return blob.WriteDesc{}, err
 	}
@@ -735,7 +762,7 @@ func (c *Client) History(ctx context.Context, id blob.ID, since blob.Version) ([
 	b := wire.NewBuffer(16)
 	b.U64(uint64(id))
 	b.U64(uint64(since))
-	resp, err := c.call(ctx, mHistory, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mHistory, b.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -753,7 +780,7 @@ func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, 
 	b.U64(uint64(id))
 	b.U64(uint64(v))
 	b.I64(int64(timeout / time.Millisecond))
-	resp, err := c.call(rpc.NoTimeout(ctx), mWaitPublished, b.Bytes())
+	resp, err := c.callBlob(rpc.NoTimeout(ctx), id, mWaitPublished, b.Bytes())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -763,19 +790,27 @@ func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, 
 	return pub, size, r.Err()
 }
 
-// ListBlobs returns all blob IDs.
+// ListBlobs returns all blob IDs, merging every shard's list into
+// ascending ID order.
 func (c *Client) ListBlobs(ctx context.Context) ([]blob.ID, error) {
-	resp, err := c.call(ctx, mListBlobs, nil)
-	if err != nil {
-		return nil, err
+	var out []blob.ID
+	for k := range c.addrs {
+		resp, err := c.call(ctx, k, mListBlobs, nil)
+		if err != nil {
+			return nil, err
+		}
+		r := wire.NewReader(resp)
+		n := r.U32()
+		out = slices.Grow(out, int(n))
+		for i := uint32(0); i < n; i++ {
+			out = append(out, blob.ID(r.U64()))
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
 	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	out := make([]blob.ID, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, blob.ID(r.U64()))
-	}
-	return out, r.Err()
+	slices.Sort(out)
+	return out, nil
 }
 
 // PrunedBelow returns the oldest still-readable version of the blob
@@ -784,7 +819,7 @@ func (c *Client) ListBlobs(ctx context.Context) ([]blob.ID, error) {
 func (c *Client) PrunedBelow(ctx context.Context, id blob.ID) (blob.Version, error) {
 	b := wire.NewBuffer(8)
 	b.U64(uint64(id))
-	resp, err := c.call(ctx, mPrunedBelow, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mPrunedBelow, b.Bytes())
 	if err != nil {
 		return 0, err
 	}
@@ -799,7 +834,7 @@ func (c *Client) Prune(ctx context.Context, id blob.ID, keep blob.Version) (blob
 	b := wire.NewBuffer(16)
 	b.U64(uint64(id))
 	b.U64(uint64(keep))
-	resp, err := c.call(ctx, mPrune, b.Bytes())
+	resp, err := c.callBlob(ctx, id, mPrune, b.Bytes())
 	if err != nil {
 		return 0, errFromCode(err)
 	}
@@ -815,11 +850,11 @@ type StatusReply struct {
 	Ops OpCounts
 }
 
-// Status reports the manager's write-ahead-log shape and per-op
-// dispatch counters. Fails with a remote error when the manager runs
-// without a WAL.
-func (c *Client) Status(ctx context.Context) (StatusReply, error) {
-	resp, err := c.call(ctx, mWALStatus, nil)
+// Status reports shard k's write-ahead-log shape and per-op dispatch
+// counters. Fails with a remote error when the shard runs without a
+// WAL.
+func (c *Client) Status(ctx context.Context, k int) (StatusReply, error) {
+	resp, err := c.call(ctx, k, mWALStatus, nil)
 	if err != nil {
 		return StatusReply{}, err
 	}
@@ -841,15 +876,14 @@ func (c *Client) Status(ctx context.Context) (StatusReply, error) {
 	return st, r.Err()
 }
 
-// WALStatus reports the manager's write-ahead-log shape (see Status).
-func (c *Client) WALStatus(ctx context.Context) (wal.Status, error) {
-	st, err := c.Status(ctx)
-	return st.WAL, err
-}
-
-// ForceSnapshot snapshots the manager's state into its WAL and
-// compacts the log behind it.
+// ForceSnapshot snapshots every shard's state into its WAL and compacts
+// the log behind it, reporting the failures after attempting all shards.
 func (c *Client) ForceSnapshot(ctx context.Context) error {
-	_, err := c.call(ctx, mForceSnapshot, nil)
-	return err
+	var errs []error
+	for k := range c.addrs {
+		if _, err := c.call(ctx, k, mForceSnapshot, nil); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", k, err))
+		}
+	}
+	return errors.Join(errs...)
 }

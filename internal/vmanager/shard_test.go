@@ -16,13 +16,16 @@ import (
 )
 
 // startShardedVM deploys K shard services on an inproc network and
-// returns a Router over them (addresses in shard order).
-func startShardedVM(t *testing.T, k int) *Router {
+// returns a Client over them (addresses in shard order) plus the
+// services, for their per-shard op counters.
+func startShardedVM(t *testing.T, k int) (*Client, []*Service) {
 	t.Helper()
 	n := rpc.NewInprocNetwork()
 	addrs := make([]string, k)
+	svcs := make([]*Service, k)
 	for i := 0; i < k; i++ {
 		svc := NewService(NewShardState(MetadataRepairer(mdtree.NewMemStore()), ShardInfo{Index: i, Count: k}))
+		svcs[i] = svc
 		addrs[i] = fmt.Sprintf("vmanager-%d", i)
 		lis, err := n.Listen(addrs[i])
 		if err != nil {
@@ -34,7 +37,7 @@ func startShardedVM(t *testing.T, k int) *Router {
 	}
 	pool := rpc.NewPool(n.Dial)
 	t.Cleanup(pool.Close)
-	return NewRouter(pool, addrs)
+	return NewClient(pool, addrs...), svcs
 }
 
 func TestShardOf(t *testing.T) {
@@ -167,97 +170,129 @@ func TestRecoverShardRejectsForeignLog(t *testing.T) {
 	}
 }
 
-// TestRouterCreateBlobRace is the sharding satellite: N goroutines
-// minting blobs through the Router concurrently must get globally
-// unique IDs, each owned by the shard the routing rule predicts.
+// TestClientCreateBlobRace: N goroutines minting blobs through one
+// Client concurrently must get globally unique IDs, each owned by the
+// shard the routing rule predicts — for the single-address client
+// (K=1, the historical 1, 2, 3, ... sequence) and a sharded one alike.
 // Run with -race.
-func TestRouterCreateBlobRace(t *testing.T) {
-	const shards = 4
-	r := startShardedVM(t, shards)
-	ctx := context.Background()
-
-	const goroutines = 8
-	const perG = 25
-	var mu sync.Mutex
-	ids := make(map[blob.ID]bool)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				m, err := r.CreateBlob(ctx, B, 1)
-				if err != nil {
-					t.Errorf("create: %v", err)
-					return
-				}
-				mu.Lock()
-				if ids[m.ID] {
-					t.Errorf("duplicate blob id %d", m.ID)
-				}
-				ids[m.ID] = true
-				mu.Unlock()
+func TestClientCreateBlobRace(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
+			c, _ := startShardedVM(t, shards)
+			if c.NumShards() != shards {
+				t.Fatalf("NumShards = %d, want %d", c.NumShards(), shards)
 			}
-		}()
-	}
-	wg.Wait()
-	if len(ids) != goroutines*perG {
-		t.Fatalf("minted %d unique ids, want %d", len(ids), goroutines*perG)
-	}
-	// Every ID must resolve through the shard the routing rule picks:
-	// GetMeta goes to ShardFor(id), and only the minting shard knows it.
-	for id := range ids {
-		if _, err := r.GetMeta(ctx, id); err != nil {
-			t.Fatalf("blob %d not found on predicted shard %d: %v", id, ShardOf(id, shards), err)
-		}
-	}
-	// The round-robin spread: every shard minted something.
-	perShard := make([]int, shards)
-	for id := range ids {
-		perShard[ShardOf(id, shards)]++
-	}
-	for k, n := range perShard {
-		if n == 0 {
-			t.Errorf("shard %d minted nothing: %v", k, perShard)
-		}
-	}
-	// ListBlobs merges all shards, sorted and complete.
-	all, err := r.ListBlobs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(ids) {
-		t.Fatalf("ListBlobs merged %d ids, want %d", len(all), len(ids))
-	}
-	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i] < all[j] }) {
-		t.Error("merged ListBlobs not sorted")
+			ctx := context.Background()
+
+			const goroutines = 8
+			const perG = 25
+			var mu sync.Mutex
+			ids := make(map[blob.ID]bool)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						m, err := c.CreateBlob(ctx, B, 1)
+						if err != nil {
+							t.Errorf("create: %v", err)
+							return
+						}
+						mu.Lock()
+						if ids[m.ID] {
+							t.Errorf("duplicate blob id %d", m.ID)
+						}
+						ids[m.ID] = true
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			if len(ids) != goroutines*perG {
+				t.Fatalf("minted %d unique ids, want %d", len(ids), goroutines*perG)
+			}
+			// Every ID must resolve through the shard the routing rule
+			// picks: GetMeta goes to addrs[ShardOf(id, K)], and only the
+			// minting shard knows it.
+			for id := range ids {
+				if _, err := c.GetMeta(ctx, id); err != nil {
+					t.Fatalf("blob %d not found on predicted shard %d: %v", id, ShardOf(id, shards), err)
+				}
+			}
+			// The round-robin spread: every shard minted its even share.
+			perShard := make([]int, shards)
+			for id := range ids {
+				perShard[ShardOf(id, shards)]++
+			}
+			for k, n := range perShard {
+				if n != goroutines*perG/shards {
+					t.Errorf("shard %d minted %d, want an even share: %v", k, n, perShard)
+				}
+			}
+			// ListBlobs visits all shards, sorted and complete; K=1 mints
+			// the unsharded 1..N sequence.
+			all, err := c.ListBlobs(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) != len(ids) {
+				t.Fatalf("ListBlobs merged %d ids, want %d", len(all), len(ids))
+			}
+			if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i] < all[j] }) {
+				t.Error("merged ListBlobs not sorted")
+			}
+			if shards == 1 && (all[0] != 1 || all[len(all)-1] != blob.ID(len(all))) {
+				t.Errorf("K=1 minted %d..%d, want 1..%d", all[0], all[len(all)-1], len(all))
+			}
+		})
 	}
 }
 
-// TestRouterRoutesPerBlobOps drives a full publish through the Router
-// and checks cross-shard isolation: an unknown blob owned by another
-// shard errors with the usual sentinel.
-func TestRouterRoutesPerBlobOps(t *testing.T) {
-	r := startShardedVM(t, 2)
-	ctx := context.Background()
-	m, err := r.CreateBlob(ctx, B, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := r.AssignVersion(ctx, m.ID, blob.KindAppend, 0, B, 0x1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Commit(ctx, m.ID, a.Version); err != nil {
-		t.Fatal(err)
-	}
-	v, size, err := r.Latest(ctx, m.ID)
-	if err != nil || v != a.Version || size != B {
-		t.Fatalf("Latest = %d/%d, %v", v, size, err)
-	}
-	// An ID the owning shard never minted: routed there, rejected there.
-	missing := m.ID + 2*10 // same shard, unknown blob
-	if _, err := r.GetMeta(ctx, missing); !errors.Is(err, ErrUnknownBlob) {
-		t.Fatalf("GetMeta(missing) err = %v, want ErrUnknownBlob", err)
+// TestClientRoutesPerBlobOps drives a full publish through the Client
+// and checks every per-blob call lands on ShardOf(id, K) and nowhere
+// else (per-shard op counters), plus cross-shard isolation: an unknown
+// blob owned by a shard errors there with the usual sentinel.
+func TestClientRoutesPerBlobOps(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
+			c, svcs := startShardedVM(t, shards)
+			ctx := context.Background()
+			m, err := c.CreateBlob(ctx, B, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := c.AssignVersion(ctx, m.ID, blob.KindAppend, 0, B, 0x1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Commit(ctx, m.ID, a.Version); err != nil {
+				t.Fatal(err)
+			}
+			v, size, err := c.Latest(ctx, m.ID)
+			if err != nil || v != a.Version || size != B {
+				t.Fatalf("Latest = %d/%d, %v", v, size, err)
+			}
+			if d, err := c.VersionInfo(ctx, m.ID, v); err != nil || d.SizeAfter != B {
+				t.Fatalf("VersionInfo = %+v, %v", d, err)
+			}
+			// An ID the owning shard never minted: routed there, rejected there.
+			missing := m.ID + blob.ID(shards*10) // same shard, unknown blob
+			if _, err := c.GetMeta(ctx, missing); !errors.Is(err, ErrUnknownBlob) {
+				t.Fatalf("GetMeta(missing) err = %v, want ErrUnknownBlob", err)
+			}
+			// The owner saw exactly this blob's traffic; every other
+			// shard saw none of it.
+			owner := ShardOf(m.ID, shards)
+			for k, svc := range svcs {
+				want := OpCounts{}
+				if k == owner {
+					want = OpCounts{Create: 1, GetMeta: 1, Assign: 1, Commit: 1, Latest: 1, VersionInfo: 1}
+				}
+				if ops := svc.Ops(); ops != want {
+					t.Errorf("shard %d ops = %+v, want %+v (owner %d)", k, ops, want, owner)
+				}
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@
 //     never contend and the dead-writer janitor's Expired scan pauses
 //     one stripe at a time instead of freezing every publish.
 //   - Horizontally, K independent shard services each own the blob IDs
-//     congruent to their index mod K (see ShardInfo and Router). IDs
+//     congruent to their index mod K (see ShardInfo and Client). IDs
 //     are minted shard-locally with stride K, so shards never
 //     coordinate — not even for CreateBlob.
 package vmanager
@@ -92,7 +92,7 @@ func (si ShardInfo) firstID() blob.ID {
 }
 
 // ShardOf is the routing rule shared by the minting side (State) and
-// the client side (Router): blob id is owned by shard id mod shards.
+// the client side (Client): blob id is owned by shard id mod shards.
 func ShardOf(id blob.ID, shards int) int {
 	if shards <= 1 {
 		return 0

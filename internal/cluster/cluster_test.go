@@ -17,6 +17,7 @@ import (
 	"blobseer/internal/mapred"
 	"blobseer/internal/mapred/apps"
 	"blobseer/internal/util"
+	"blobseer/internal/wire"
 )
 
 const blockSize = int(64 * util.KB)
@@ -120,6 +121,70 @@ func TestBlobSeerOverTCP(t *testing.T) {
 		if len(l.Hosts) == 0 || !strings.HasPrefix(l.Hosts[0], "host-") {
 			t.Fatalf("bad location hosts %v", l.Hosts)
 		}
+	}
+}
+
+// TestRoundTripWithPoisonedBuffers drives a replicated write and both
+// read paths over TCP while every released buffer is overwritten with
+// 0xDB: a layer that kept a slice of a recycled frame, block buffer or
+// response (stream, rpc, provider chain, store) returns wrong bytes
+// here instead of usually-right ones.
+func TestRoundTripWithPoisonedBuffers(t *testing.T) {
+	wire.PoisonReleased(true)
+	defer wire.PoisonReleased(false)
+	cl, err := cluster.StartBlobSeer(cluster.Config{
+		DataProviders: 3,
+		MetaProviders: 2,
+		BlockSize:     int64(blockSize),
+		Replication:   2,
+		UseTCP:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+	fsys, err := cl.NewBSFS("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 9*blockSize+777)
+	for i := range payload {
+		payload[i] = byte(i * 31 >> 3)
+	}
+	w, err := fsys.Create(ctx, "/p/f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(payload); off += 10_000 { // write-behind recycles block buffers
+		if _, err := w.Write(payload[off:min(off+10_000, len(payload))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fsys.Open(ctx, "/p/f") // streaming read: readahead buffers, GetInto
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	r.Close()
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("streamed read-back: %d bytes, %v; want the %d written", len(got), err, len(payload))
+	}
+	// The handle path: one multi-block append, then an unaligned ReadAt
+	// across blocks into a caller buffer.
+	b, err := cl.NewClient("").CreateBlob(ctx, int64(blockSize), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Append(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err = readBlob(ctx, b.Client(), b.ID(), blob.NoVersion, 12345, int64(3*blockSize))
+	if err != nil || !bytes.Equal(got, payload[12345:12345+3*blockSize]) {
+		t.Fatalf("ReadAt across blocks: %d bytes, %v", len(got), err)
 	}
 }
 

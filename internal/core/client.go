@@ -675,9 +675,9 @@ func (c *Client) fetchExtentInto(ctx context.Context, e mdtree.Extent, dst []byt
 	var lastErr error
 	for i := 0; i < n; i++ {
 		addr := e.Block.Providers[(start+i)%n]
-		data, err := c.prov.Get(ctx, addr, e.Block.Key, e.DataOff, e.Len)
+		got, err := c.prov.GetInto(ctx, addr, e.Block.Key, e.DataOff, dst)
 		if err == nil {
-			return copy(dst, data), nil
+			return got, nil
 		}
 		c.reportDead(addr, err)
 		lastErr = err
@@ -695,9 +695,9 @@ func (c *Client) fetchExtentInto(ctx context.Context, e mdtree.Extent, dst []byt
 				if tried[addr] {
 					continue
 				}
-				data, err := c.prov.Get(ctx, addr, e.Block.Key, e.DataOff, e.Len)
+				got, err := c.prov.GetInto(ctx, addr, e.Block.Key, e.DataOff, dst)
 				if err == nil {
-					return copy(dst, data), nil
+					return got, nil
 				}
 				c.reportDead(addr, err)
 				lastErr = err

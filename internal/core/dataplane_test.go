@@ -44,9 +44,9 @@ type countingStore struct {
 	gets atomic.Int64
 }
 
-func (c *countingStore) GetRange(key string, off, length int64) ([]byte, error) {
+func (c *countingStore) ReadAt(key string, p []byte, off int64) (int, error) {
 	c.gets.Add(1)
-	return c.Store.GetRange(key, off, length)
+	return c.Store.ReadAt(key, p, off)
 }
 
 type miniDeploy struct {

@@ -272,20 +272,19 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 		Readahead: o.Readahead,
 		NoCache:   o.NoCache,
 		Collector: s.b.c.coll,
-		Fetch: func(ctx context.Context, off, length int64) (_ []byte, err error) {
+		Fetch: func(ctx context.Context, off int64, p []byte) (err error) {
 			// One span per stream-engine block fetch, so demand reads
 			// and readahead prefetches both show up in the trace.
 			ctx, sp := s.b.c.tracer.Start(ctx, "stream.fetch")
 			defer func() { sp.Finish(err) }()
-			buf := make([]byte, length)
-			n, err := s.ReadAtContext(ctx, buf, off)
+			n, err := s.ReadAtContext(ctx, p, off)
 			if err != nil && err != io.EOF {
-				return nil, err
+				return err
 			}
-			if int64(n) != length {
-				return nil, fmt.Errorf("core: snapshot fetch [%d,+%d): short read of %d bytes", off, length, n)
+			if n != len(p) {
+				return fmt.Errorf("core: snapshot fetch [%d,+%d): short read of %d bytes", off, len(p), n)
 			}
-			return buf, nil
+			return nil
 		},
 	})
 }

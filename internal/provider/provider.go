@@ -55,6 +55,7 @@ package provider
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -119,14 +120,13 @@ var ErrBlockNotFound = rpc.CodedError(CodeNotFound, "provider: block not found")
 // 64 MB block pipelines across chain hops instead of store-and-forward.
 const DefaultFrameSize = 1 << 20
 
-const (
-	// chainHopTimeout bounds one downstream frame forward; a stuck hop
-	// must not pin handler goroutines past the client's patience.
-	chainHopTimeout = 30 * time.Second
-	// uploadTTL is how long an idle in-flight upload may linger before
-	// the sweep aborts it (its writer died mid-chain).
-	uploadTTL = time.Minute
-)
+// chainHopTimeout bounds one downstream frame forward; a stuck hop
+// must not pin handler goroutines past the client's patience.
+const chainHopTimeout = 30 * time.Second
+
+// uploadTTL is how long an idle in-flight upload may linger before its
+// reaper aborts it (its writer died mid-chain). Tests shorten it.
+var uploadTTL = time.Minute
 
 // Service is the provider-side implementation.
 type Service struct {
@@ -170,6 +170,7 @@ type Service struct {
 // upload tracks one in-flight chained block transfer.
 type upload struct {
 	lastActive atomic.Int64 // unix nanos of the latest frame (stale sweep)
+	reaper     *time.Timer  // set and stopped under Service.mu
 
 	mu        sync.Mutex
 	w         store.BlockWriter
@@ -249,7 +250,7 @@ func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
 	m.Handle(mPutBlock, s.handlePut)
-	m.Handle(mGetBlock, s.handleGet)
+	m.HandleFrame(mGetBlock, s.handleGet)
 	m.Handle(mHasBlock, s.handleHas)
 	m.Handle(mDeleteWrite, s.handleDeleteWrite)
 	m.Handle(mDeleteBlock, s.handleDeleteBlock)
@@ -292,26 +293,39 @@ func (s *Service) handlePut(ctx context.Context, payload []byte) ([]byte, error)
 	return nil, nil
 }
 
-func (s *Service) handleGet(ctx context.Context, payload []byte) ([]byte, error) {
+// handleGet reads the store straight into the response frame: the
+// requested bytes are never held in a slice of their own.
+func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	off := r.I64()
-	length := r.I64()
+	length := min(r.I64(), wire.MaxFrameSize)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	data, err := s.store.GetRange(key.String(), off, length)
-	if err == store.ErrNotFound {
-		return nil, ErrBlockNotFound
+	f := rpc.NewFrame(4 + int(max(length, 0)))
+	f.U32(0) // the byte count, patched in below
+	var err error
+	if length < 0 { // "to the end": only the store knows how much that is
+		var data []byte
+		data, err = s.store.GetRange(key.String(), off, length)
+		copy(f.Extend(len(data)), data)
+	} else {
+		var n int
+		n, err = s.store.ReadAt(key.String(), f.Extend(int(length)), off)
+		f.Truncate(4 + n)
 	}
 	if err != nil {
+		f.Release()
+		if err == store.ErrNotFound {
+			err = ErrBlockNotFound
+		}
 		return nil, err
 	}
+	binary.BigEndian.PutUint32(f.Bytes(), uint32(f.Len()-4))
 	s.mGets.Inc()
-	s.mBytesOut.Add(int64(len(data)))
-	b := wire.NewBuffer(4 + len(data))
-	b.Bytes32(data)
-	return b.Bytes(), nil
+	s.mBytesOut.Add(int64(f.Len() - 4))
+	return f, nil
 }
 
 func (s *Service) handleHas(ctx context.Context, payload []byte) ([]byte, error) {
@@ -456,8 +470,8 @@ func (s *Service) applyFrame(key blob.BlockKey, ck wire.Chunk) error {
 		// Arm the reaper for this upload: if its writer dies mid-chain
 		// (upstream crash, client gone), the partial value must not pin
 		// a buffer or temp file forever — even on an otherwise idle
-		// provider.
-		time.AfterFunc(uploadTTL, func() { s.reapIfStale(k, u) })
+		// provider. Whoever takes the upload out of the table stops it.
+		u.reaper = time.AfterFunc(uploadTTL, func() { s.reapIfStale(k, u) })
 	}
 	s.mu.Unlock()
 
@@ -522,11 +536,18 @@ func (s *Service) finishFrame(key blob.BlockKey, ck wire.Chunk) error {
 	if complete {
 		s.mu.Lock()
 		if s.uploads[k] == u {
-			delete(s.uploads, k)
+			s.dropUploadLocked(k, u)
 		}
 		s.mu.Unlock()
 	}
 	return nil
+}
+
+// dropUploadLocked takes u out of the upload table and stops its
+// reaper, so a finished upload pins nothing. Caller holds s.mu.
+func (s *Service) dropUploadLocked(k string, u *upload) {
+	delete(s.uploads, k)
+	u.reaper.Stop()
 }
 
 // failUpload aborts and forgets the block's in-flight upload, if any,
@@ -535,7 +556,9 @@ func (s *Service) finishFrame(key blob.BlockKey, ck wire.Chunk) error {
 func (s *Service) failUpload(k string) {
 	s.mu.Lock()
 	u := s.uploads[k]
-	delete(s.uploads, k)
+	if u != nil {
+		s.dropUploadLocked(k, u)
+	}
 	now := time.Now()
 	for fk, at := range s.failed {
 		if now.Sub(at) > 2*uploadTTL {
@@ -571,8 +594,8 @@ func (s *Service) reapIfStale(k string, u *upload) {
 	}
 	idle := u.idle()
 	if idle <= uploadTTL {
+		u.reaper.Reset(uploadTTL - idle)
 		s.mu.Unlock()
-		time.AfterFunc(uploadTTL-idle, func() { s.reapIfStale(k, u) })
 		return
 	}
 	delete(s.uploads, k)
@@ -604,7 +627,7 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) ([]byte
 	var doomed []*upload
 	for k, u := range s.uploads {
 		if strings.HasPrefix(k, prefix) {
-			delete(s.uploads, k)
+			s.dropUploadLocked(k, u)
 			doomed = append(doomed, u)
 		}
 	}
@@ -732,15 +755,33 @@ func NewClient(pool *rpc.Pool) *Client { return &Client{pool: pool} }
 
 // Put stores one block on the provider at addr.
 func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data []byte) error {
-	b := wire.NewBuffer(24 + len(data))
-	encodeKey(b, key)
-	b.Bytes32(data)
+	f := rpc.NewFrame(24 + len(data))
+	encodeKey(f, key)
+	f.Bytes32(data)
+	resp, err := c.callFrame(ctx, addr, mPutBlock, f)
+	wire.PutBuf(resp)
+	return err
+}
+
+// call sends a small request to addr; the response is the caller's.
+func (c *Client) call(ctx context.Context, addr string, method uint16, b *wire.Buffer) (*wire.Reader, error) {
 	cl, err := c.pool.Get(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = cl.Call(ctx, mPutBlock, b.Bytes())
-	return err
+	resp, err := cl.Call(ctx, method, b.Bytes())
+	return wire.NewReader(resp), err
+}
+
+// callFrame sends the request encoded in f to addr over the data path:
+// f is rpc's from here on, the response goes back to wire.PutBuf.
+func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *wire.Buffer) ([]byte, error) {
+	cl, err := c.pool.Get(addr)
+	if err != nil {
+		f.Release()
+		return nil, err
+	}
+	return cl.CallFrame(ctx, method, f)
 }
 
 // chainWindow is how many frames of one block a client (or forwarding
@@ -808,15 +849,12 @@ func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockK
 // putChainFrame ships one frame to addr, naming the replicas still
 // downstream of it.
 func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockKey, chain []string, ck wire.Chunk) error {
-	b := wire.NewBuffer(64 + len(ck.Data))
-	encodeKey(b, key)
-	b.StringSlice(chain)
-	b.Chunk(ck)
-	cl, err := c.pool.Get(addr)
-	if err != nil {
-		return err
-	}
-	_, err = cl.Call(ctx, mPutChained, b.Bytes())
+	f := rpc.NewFrame(64 + len(ck.Data))
+	encodeKey(f, key)
+	f.StringSlice(chain)
+	f.Chunk(ck)
+	resp, err := c.callFrame(ctx, addr, mPutChained, f)
+	wire.PutBuf(resp)
 	return err
 }
 
@@ -827,35 +865,40 @@ func (c *Client) Get(ctx context.Context, addr string, key blob.BlockKey, off, l
 	encodeKey(b, key)
 	b.I64(off)
 	b.I64(length)
-	cl, err := c.pool.Get(addr)
+	r, err := c.call(ctx, addr, mGetBlock, b)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cl.Call(ctx, mGetBlock, b.Bytes())
+	data := r.Bytes32()
+	return data, r.Err()
+}
+
+// GetInto fetches len(dst) bytes at off within the block into dst and
+// returns how many the block had there; no slice is allocated for the
+// data on either side of the connection.
+func (c *Client) GetInto(ctx context.Context, addr string, key blob.BlockKey, off int64, dst []byte) (int, error) {
+	f := rpc.NewFrame(36)
+	encodeKey(f, key)
+	f.I64(off)
+	f.I64(int64(len(dst)))
+	resp, err := c.callFrame(ctx, addr, mGetBlock, f)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	defer wire.PutBuf(resp)
 	r := wire.NewReader(resp)
 	data := r.Bytes32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return copy(dst, data), r.Err()
 }
 
 // Has reports whether the provider stores the block.
 func (c *Client) Has(ctx context.Context, addr string, key blob.BlockKey) (bool, error) {
 	b := wire.NewBuffer(20)
 	encodeKey(b, key)
-	cl, err := c.pool.Get(addr)
+	r, err := c.call(ctx, addr, mHasBlock, b)
 	if err != nil {
 		return false, err
 	}
-	resp, err := cl.Call(ctx, mHasBlock, b.Bytes())
-	if err != nil {
-		return false, err
-	}
-	r := wire.NewReader(resp)
 	v := r.Bool()
 	return v, r.Err()
 }
@@ -866,15 +909,10 @@ func (c *Client) DeleteWrite(ctx context.Context, addr string, id blob.ID, nonce
 	b := wire.NewBuffer(16)
 	b.U64(uint64(id))
 	b.U64(nonce)
-	cl, err := c.pool.Get(addr)
+	r, err := c.call(ctx, addr, mDeleteWrite, b)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := cl.Call(ctx, mDeleteWrite, b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
 	n := int(r.U32())
 	return n, r.Err()
 }
@@ -884,11 +922,7 @@ func (c *Client) DeleteWrite(ctx context.Context, addr string, id blob.ID, nonce
 func (c *Client) Delete(ctx context.Context, addr string, key blob.BlockKey) error {
 	b := wire.NewBuffer(20)
 	encodeKey(b, key)
-	cl, err := c.pool.Get(addr)
-	if err != nil {
-		return err
-	}
-	_, err = cl.Call(ctx, mDeleteBlock, b.Bytes())
+	_, err := c.call(ctx, addr, mDeleteBlock, b)
 	return err
 }
 
@@ -899,15 +933,10 @@ func (c *Client) Delete(ctx context.Context, addr string, key blob.BlockKey) err
 func (c *Client) BlockReport(ctx context.Context, addr, prefix string) ([]blob.BlockKey, error) {
 	b := wire.NewBuffer(8 + len(prefix))
 	b.String(prefix)
-	cl, err := c.pool.Get(addr)
+	r, err := c.call(ctx, addr, mBlockReport, b)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := cl.Call(ctx, mBlockReport, b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
 	n := r.U32()
 	if r.Err() != nil || int(n) > r.Remaining()/20+1 { // each key is 20 bytes
 		return nil, fmt.Errorf("provider: malformed block report from %s", addr)
@@ -926,25 +955,16 @@ func (c *Client) Replicate(ctx context.Context, addr string, key blob.BlockKey, 
 	b := wire.NewBuffer(32)
 	encodeKey(b, key)
 	b.StringSlice(targets)
-	cl, err := c.pool.Get(addr)
-	if err != nil {
-		return err
-	}
-	_, err = cl.Call(ctx, mReplicate, b.Bytes())
+	_, err := c.call(ctx, addr, mReplicate, b)
 	return err
 }
 
 // Stat returns the provider's storage statistics.
 func (c *Client) Stat(ctx context.Context, addr string) (store.Stats, error) {
-	cl, err := c.pool.Get(addr)
+	r, err := c.call(ctx, addr, mStat, &wire.Buffer{})
 	if err != nil {
 		return store.Stats{}, err
 	}
-	resp, err := cl.Call(ctx, mStat, nil)
-	if err != nil {
-		return store.Stats{}, err
-	}
-	r := wire.NewReader(resp)
 	st := store.Stats{Items: r.I64(), Bytes: r.I64()}
 	st.Tiers = store.DecodeTiers(r)
 	return st, r.Err()

@@ -1,0 +1,214 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"blobseer/internal/wire"
+)
+
+// The whole rpc suite runs with released buffers poisoned: a response,
+// payload or result that outlives the buffer it sits in reads as 0xDB,
+// and a buffer released twice panics.
+func TestMain(m *testing.M) {
+	wire.PoisonReleased(true)
+	os.Exit(m.Run())
+}
+
+func dialEcho(t *testing.T, mux *Mux) *Client {
+	t.Helper()
+	n, addr, _ := startServer(t, mux)
+	conn, err := n.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn)
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestHandlerMayReturnItsRequest: the echo handler's response aliases
+// the recycled request buffer; it must be on the wire before that
+// buffer is released.
+func TestHandlerMayReturnItsRequest(t *testing.T) {
+	mux := NewMux()
+	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p[1:], nil })
+	c := dialEcho(t, mux)
+	for _, size := range []int{2, 64, 70_000, 1 << 20} {
+		want := bytes.Repeat([]byte{0xA5}, size)
+		got, err := c.Call(context.Background(), 1, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[1:]) {
+			t.Fatalf("echo of %d bytes came back different (first byte %#x)", size, got[0])
+		}
+	}
+}
+
+// TestLateResponseIsDrained: a response that arrives after its Call
+// gave up on ctx is read off the connection and its buffer released;
+// the connection keeps serving later calls.
+func TestLateResponseIsDrained(t *testing.T) {
+	release := make(chan struct{})
+	mux := NewMux()
+	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) {
+		<-release
+		return bytes.Repeat([]byte{1}, 100_000), nil
+	})
+	mux.Handle(2, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	c := dialEcho(t, mux)
+
+	for _, recycled := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.call(ctx, 1, frameOf(nil), recycled)
+			done <- err
+		}()
+		time.Sleep(10 * time.Millisecond) // let the request reach the handler
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned call: err = %v, want context.Canceled", err)
+		}
+		release <- struct{}{}
+		got, err := c.Call(context.Background(), 2, []byte("still here"))
+		if err != nil || string(got) != "still here" {
+			t.Fatalf("call after a drained response = %q, %v", got, err)
+		}
+	}
+}
+
+// TestCallResultsStayIntact: Call's result belongs to the caller for
+// ever (DHT values live in the node cache), however many frames the
+// client recycles afterwards.
+func TestCallResultsStayIntact(t *testing.T) {
+	mux := NewMux()
+	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	c := dialEcho(t, mux)
+	ctx := context.Background()
+	var kept [][]byte
+	for i := 0; i < 8; i++ {
+		got, err := c.Call(ctx, 1, []byte(fmt.Sprintf("value-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, got)
+	}
+	for i := 0; i < 1000; i++ {
+		resp, err := c.CallFrame(ctx, 1, frameOf(bytes.Repeat([]byte{byte(i)}, 300)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.PutBuf(resp)
+	}
+	for i, got := range kept {
+		if want := fmt.Sprintf("value-%d", i); string(got) != want {
+			t.Errorf("result %d = %q after 1000 further calls, want %q", i, got, want)
+		}
+	}
+}
+
+// cutConn fails its first Write after passing half of it on.
+type cutConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	n, _ := c.Conn.Write(p[:len(p)/2])
+	return n, errors.New("cut mid-frame")
+}
+
+// TestFrameWriteFailsMidway: the frame is released exactly once (the
+// poison check panics on a second release) and the connection closed.
+func TestFrameWriteFailsMidway(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go func() { // swallow the half frame
+		buf := make([]byte, 1<<16)
+		for {
+			if _, err := srv.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	cc := &cutConn{Conn: cli}
+	c := NewClient(cc)
+	defer c.Close()
+	_, err := c.CallFrame(context.Background(), 1, frameOf(bytes.Repeat([]byte{7}, 5000)))
+	if err == nil || cc.writes.Load() != 1 {
+		t.Fatalf("err = %v after %d writes, want a send error after one", err, cc.writes.Load())
+	}
+	if _, err := cli.Write([]byte{0}); err == nil {
+		t.Error("connection still open after a partial frame")
+	}
+	if _, err := c.Call(context.Background(), 1, nil); err == nil {
+		t.Error("call on a client whose frame write failed should fail")
+	}
+}
+
+// countConn counts Write calls.
+type countConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// benchEcho measures Call round trips over loopback TCP through a
+// wrapped net.Conn (where net.Buffers would degrade to one Write per
+// slice) and reports the client's conn writes per frame.
+func benchEcho(b *testing.B, size int) {
+	wire.PoisonReleased(false)
+	mux := NewMux()
+	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	lis, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(mux)
+	go srv.Serve(lis)
+	defer srv.Close()
+	conn, err := TCPDialer(lis.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc := &countConn{Conn: conn}
+	c := NewClient(cc)
+	defer c.Close()
+	payload := bytes.Repeat([]byte{3}, size)
+	ctx := context.Background()
+	if _, err := c.Call(ctx, 1, payload); err != nil { // fill the free lists
+		b.Fatal(err)
+	}
+	cc.writes.Store(0)
+	b.SetBytes(int64(2 * size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Call(ctx, 1, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	perFrame := float64(cc.writes.Load()) / float64(b.N)
+	b.ReportMetric(perFrame, "conn-writes/frame")
+	if perFrame > 1 {
+		b.Errorf("%.2f conn writes per frame, want 1", perFrame)
+	}
+}
+
+func BenchmarkCallEcho64B(b *testing.B) { benchEcho(b, 64) }
+func BenchmarkCallEcho1M(b *testing.B)  { benchEcho(b, 1<<20) }

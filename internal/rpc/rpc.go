@@ -16,10 +16,20 @@
 // sampled). Requests without the bit carry no trace bytes at all, so
 // untraced frames are byte-identical to the pre-trace protocol and old
 // peers interoperate.
+//
+// Buffer ownership: every frame lives in one recycled buffer
+// (wire.GetBuf) with room for its headers in front of the payload, so a
+// frame costs one conn.Write and no copy to join the two. A handler's
+// payload is valid until the handler returns (its response may alias
+// it); a frame handed to CallFrame or returned by a FrameHandler is
+// rpc's from then on; Call's result is the caller's for ever;
+// CallFrame's is recycled and goes to wire.PutBuf when the caller is
+// done with it.
 package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +52,55 @@ const (
 	traceSampled = 1
 	// traceHdrLen is the size of the optional trace context block.
 	traceHdrLen = 25
+	// hdrLen is the fixed header: id, method, flags, status.
+	hdrLen = 13
+	// frameHead is the room NewFrame keeps in front of a payload. Headers
+	// are written right-aligned, so an untraced frame starts traceHdrLen in.
+	frameHead = wire.FrameLenSize + hdrLen + traceHdrLen
 )
+
+// NewFrame returns a recycled buffer to encode a request or response
+// payload of about capacity bytes into, for CallFrame or a FrameHandler.
+func NewFrame(capacity int) *wire.Buffer { return wire.NewFrame(frameHead, capacity) }
+
+// frameOf copies p into a frame.
+func frameOf(p []byte) *wire.Buffer {
+	f := NewFrame(len(p))
+	copy(f.Extend(len(p)), p)
+	return f
+}
+
+// writeFrame completes f's headers in place, puts the frame on conn
+// with exactly one Write (mu serializes them) and releases f, always.
+func writeFrame(conn net.Conn, mu *sync.Mutex, deadline time.Duration, f *wire.Buffer,
+	id uint64, method uint16, flags uint8, status uint16, tc trace.Context) error {
+	b := f.Raw()
+	if flags&flagTrace == 0 {
+		b = b[traceHdrLen:]
+	}
+	binary.BigEndian.PutUint32(b, uint32(len(b)-wire.FrameLenSize))
+	h := b[wire.FrameLenSize:]
+	binary.BigEndian.PutUint64(h, id)
+	binary.BigEndian.PutUint16(h[8:], method)
+	h[10] = flags
+	binary.BigEndian.PutUint16(h[11:], status)
+	if flags&flagTrace != 0 {
+		binary.BigEndian.PutUint64(h[13:], tc.Trace.Hi)
+		binary.BigEndian.PutUint64(h[21:], tc.Trace.Lo)
+		binary.BigEndian.PutUint64(h[29:], uint64(tc.Span))
+		h[37] = traceSampled
+	}
+	mu.Lock()
+	if deadline > 0 {
+		// A peer that stopped draining its socket must not wedge the
+		// sender forever: bound the frame write.
+		conn.SetWriteDeadline(time.Now().Add(deadline))
+	}
+	_, err := conn.Write(b)
+	mu.Unlock()
+	f.Release()
+	return err
+}
 
 // StatusOK marks a successful response.
 const StatusOK uint16 = 0
@@ -157,28 +215,46 @@ func CodeOf(err error) uint16 {
 // frame was traced), so handlers that fan out — a provider forwarding
 // down a replica chain, the namespace manager calling the version
 // manager — propagate causality by passing ctx to their own calls.
+// payload is valid until the handler returns; the response may alias it.
 type HandlerFunc func(ctx context.Context, payload []byte) ([]byte, error)
+
+// FrameHandler is a HandlerFunc that encodes its response straight into
+// a frame from NewFrame: the server sends that frame without copying it
+// and releases it.
+type FrameHandler func(ctx context.Context, payload []byte) (*wire.Buffer, error)
 
 // Mux dispatches requests by method number. The zero value is usable.
 type Mux struct {
 	mu       sync.RWMutex
-	handlers map[uint16]HandlerFunc
+	handlers map[uint16]FrameHandler
 }
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux { return &Mux{handlers: make(map[uint16]HandlerFunc)} }
+func NewMux() *Mux { return &Mux{handlers: make(map[uint16]FrameHandler)} }
 
-// Handle registers fn for method m, replacing any previous handler.
+// Handle registers fn for method m, replacing any previous handler. Its
+// response is copied into a frame.
 func (x *Mux) Handle(m uint16, fn HandlerFunc) {
+	x.HandleFrame(m, func(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+		resp, err := fn(ctx, payload)
+		if err != nil {
+			return nil, err
+		}
+		return frameOf(resp), nil
+	})
+}
+
+// HandleFrame registers fn for method m, replacing any previous handler.
+func (x *Mux) HandleFrame(m uint16, fn FrameHandler) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.handlers == nil {
-		x.handlers = make(map[uint16]HandlerFunc)
+		x.handlers = make(map[uint16]FrameHandler)
 	}
 	x.handlers[m] = fn
 }
 
-func (x *Mux) lookup(m uint16) (HandlerFunc, bool) {
+func (x *Mux) lookup(m uint16) (FrameHandler, bool) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	fn, ok := x.handlers[m]
@@ -286,27 +362,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
 	for {
-		frame, err := wire.ReadFrame(conn, 0)
-		if err != nil {
+		// An oversize length drops the connection before any
+		// payload-sized buffer is taken.
+		var pre [wire.FrameLenSize]byte
+		if _, err := io.ReadFull(conn, pre[:]); err != nil {
 			return
 		}
-		r := wire.NewReader(frame)
-		id := r.U64()
-		method := r.U16()
-		flags := r.U8()
-		_ = r.U16() // status unused on requests
-		var tc trace.Context
-		if flags&flagTrace != 0 {
-			hi, lo := r.U64(), r.U64()
-			span := r.U64()
-			if tf := r.U8(); tf&traceSampled != 0 {
-				tc = trace.Context{Trace: trace.ID{Hi: hi, Lo: lo}, Span: trace.SpanID(span)}
-			}
+		n := int(binary.BigEndian.Uint32(pre[:]))
+		if n > wire.MaxFrameSize {
+			return
 		}
-		if r.Err() != nil || flags&flagResponse != 0 {
+		req := wire.GetBuf(n)[:n]
+		if _, err := io.ReadFull(conn, req); err != nil {
+			wire.PutBuf(req)
+			return
+		}
+		id, method, payload, tc, ok := parseRequest(req)
+		if !ok {
+			wire.PutBuf(req)
 			return // protocol violation; drop the connection
 		}
-		payload := frame[len(frame)-r.Remaining():]
 		hwg.Add(1)
 		go func() {
 			defer hwg.Done()
@@ -315,15 +390,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				ctx = trace.NewContext(ctx, tc)
 			}
 			resp, status := s.dispatch(ctx, method, payload)
-			buf := wire.NewBuffer(13 + len(resp))
-			buf.U64(id)
-			buf.U16(method)
-			buf.U8(flagResponse)
-			buf.U16(status)
-			out := append(buf.Bytes(), resp...)
-			wmu.Lock()
-			err := wire.WriteFrame(conn, out)
-			wmu.Unlock()
+			err := writeFrame(conn, &wmu, 0, resp, id, method, flagResponse, status, trace.Context{})
+			wire.PutBuf(req) // the response is out: nothing references the request now
 			if err != nil {
 				conn.Close()
 			}
@@ -331,10 +399,27 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) ([]byte, uint16) {
+// parseRequest splits a request frame into its header fields, sampled
+// trace context and payload; ok is false for a response frame or a
+// truncated header.
+func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc trace.Context, ok bool) {
+	r := wire.NewReader(req)
+	id, method = r.U64(), r.U16()
+	flags := r.U8()
+	_ = r.U16() // status unused on requests
+	if flags&flagTrace != 0 {
+		hi, lo, span := r.U64(), r.U64(), r.U64()
+		if r.U8()&traceSampled != 0 {
+			tc = trace.Context{Trace: trace.ID{Hi: hi, Lo: lo}, Span: trace.SpanID(span)}
+		}
+	}
+	return id, method, req[len(req)-r.Remaining():], tc, r.Err() == nil && flags&flagResponse == 0
+}
+
+func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) (*wire.Buffer, uint16) {
 	fn, ok := s.mux.lookup(method)
 	if !ok {
-		return []byte(fmt.Sprintf("unknown method %d", method)), StatusError
+		return frameOf([]byte(fmt.Sprintf("unknown method %d", method))), StatusError
 	}
 	var sp trace.Active
 	if s.tracer != nil {
@@ -348,7 +433,7 @@ func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) ([
 	if err != nil {
 		code := CodeOf(err)
 		sp.FinishCode(code, err.Error())
-		return []byte(err.Error()), code
+		return frameOf([]byte(err.Error())), code
 	}
 	sp.FinishCode(StatusOK, "")
 	return resp, StatusOK
@@ -363,7 +448,7 @@ type Client struct {
 	timeout atomic.Int64 // per-call I/O deadline in ns (0 = none)
 
 	mu      sync.Mutex
-	pending map[uint64]chan callResult
+	pending map[uint64]call
 	err     error // set once the read loop dies
 
 	wmu sync.Mutex // serializes request frames
@@ -376,6 +461,11 @@ type Client struct {
 // (the write deadline always applies). d <= 0 disables.
 func (c *Client) SetIOTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
+type call struct {
+	ch       chan callResult // buffered: the read loop never blocks on it
+	recycled bool            // read the response payload into a wire.GetBuf slice
+}
+
 type callResult struct {
 	payload []byte
 	status  uint16
@@ -383,59 +473,54 @@ type callResult struct {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn, pending: make(map[uint64]chan callResult)}
+	c := &Client{conn: conn, pending: make(map[uint64]call)}
 	go c.readLoop()
 	return c
 }
 
 // Call sends a request and waits for its response or ctx cancellation.
+// payload is copied into a frame and not retained; the result is read
+// from the connection into a slice of its own, the caller's to keep.
 func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
+	return c.call(ctx, method, frameOf(payload), false)
+}
+
+// CallFrame is Call for the data path: the request is already encoded
+// in req (from NewFrame), which rpc owns from here on, and the result
+// is a recycled slice the caller hands to wire.PutBuf when done.
+func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer) ([]byte, error) {
+	return c.call(ctx, method, req, true)
+}
+
+func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool) ([]byte, error) {
 	id := c.nextID.Add(1)
 	ch := make(chan callResult, 1)
 
+	// A context that is already done fails the call here, not by a coin
+	// toss between its Done channel and a fast response.
+	err := ctx.Err()
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err == nil {
+		err = c.err
+	}
+	if err != nil {
 		c.mu.Unlock()
+		req.Release()
 		return nil, err
 	}
-	c.pending[id] = ch
+	c.pending[id] = call{ch: ch, recycled: recycled}
 	c.mu.Unlock()
 
 	// A trace context on ctx rides the frame so the server joins the
 	// caller's trace; untraced calls emit exactly the legacy header.
 	tc, traced := trace.FromContext(ctx)
-	traced = traced && !tc.Trace.IsZero()
-	hdr := 13
 	var flags uint8
-	if traced {
-		hdr += traceHdrLen
-		flags |= flagTrace
+	if traced && !tc.Trace.IsZero() {
+		flags = flagTrace
 	}
-	buf := wire.NewBuffer(hdr + len(payload))
-	buf.U64(id)
-	buf.U16(method)
-	buf.U8(flags)
-	buf.U16(0)
-	if traced {
-		buf.U64(tc.Trace.Hi)
-		buf.U64(tc.Trace.Lo)
-		buf.U64(uint64(tc.Span))
-		buf.U8(traceSampled)
-	}
-	frame := append(buf.Bytes(), payload...)
-
 	d := time.Duration(c.timeout.Load())
-	c.wmu.Lock()
-	if d > 0 {
-		// A peer that stopped draining its socket must not wedge the
-		// sender forever: bound the frame write.
-		c.conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	err := wire.WriteFrame(c.conn, frame)
-	c.wmu.Unlock()
-	if err != nil {
-		c.forget(id)
+	if err := writeFrame(c.conn, &c.wmu, d, req, id, method, flags, 0, tc); err != nil {
+		c.abandon(id, ch)
 		// A failed frame write may have left a partial frame on the
 		// wire; the connection is unusable for framing either way.
 		c.conn.Close()
@@ -458,27 +543,34 @@ func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byt
 
 	select {
 	case res := <-ch:
-		switch res.status {
-		case StatusOK:
+		if res.status == StatusOK {
 			return res.payload, nil
-		case statusTransport:
-			return nil, fmt.Errorf("%w: %s", ErrConnBroken, res.payload)
-		default:
-			return nil, &RemoteError{Code: res.status, Msg: string(res.payload)}
 		}
+		defer wire.PutBuf(res.payload) // dead once the error is built, recycled or not
+		if res.status == statusTransport {
+			return nil, fmt.Errorf("%w: %s", ErrConnBroken, res.payload)
+		}
+		return nil, &RemoteError{Code: res.status, Msg: string(res.payload)}
 	case <-ioTimer:
-		c.forget(id)
+		c.abandon(id, ch)
 		return nil, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
 	case <-ctx.Done():
-		c.forget(id)
+		c.abandon(id, ch)
 		return nil, ctx.Err()
 	}
 }
 
-func (c *Client) forget(id uint64) {
+// abandon gives up on call id: the read loop drains a response that
+// still arrives, one delivered just before is released here.
+func (c *Client) abandon(id uint64, ch chan callResult) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
+	select {
+	case res := <-ch:
+		wire.PutBuf(res.payload)
+	default:
+	}
 }
 
 // Close tears down the connection; in-flight calls fail.
@@ -487,27 +579,45 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) readLoop() {
 	var err error
 	for {
-		var frame []byte
-		frame, err = wire.ReadFrame(c.conn, 0)
-		if err != nil {
+		// Length prefix and header first: which call the frame answers
+		// decides where its payload is read to.
+		var pre [wire.FrameLenSize + hdrLen]byte
+		if _, err = io.ReadFull(c.conn, pre[:]); err != nil {
 			break
 		}
-		r := wire.NewReader(frame)
-		id := r.U64()
-		_ = r.U16() // method echo
-		flags := r.U8()
-		status := r.U16()
-		if r.Err() != nil || flags&flagResponse == 0 {
+		n := int(binary.BigEndian.Uint32(pre[:])) - hdrLen
+		h := pre[wire.FrameLenSize:]
+		id, flags, status := binary.BigEndian.Uint64(h), h[10], binary.BigEndian.Uint16(h[11:])
+		if n < 0 || n+hdrLen > wire.MaxFrameSize || flags&flagResponse == 0 {
 			err = errors.New("rpc: protocol violation in response")
 			break
 		}
-		payload := frame[len(frame)-r.Remaining():]
 		c.mu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
+		cl, ok := c.pending[id]
 		c.mu.Unlock()
-		if ok {
-			ch <- callResult{payload: payload, status: status}
+		res := callResult{status: status}
+		switch {
+		case !ok: // the call gave up: drain its response
+			_, err = io.CopyN(io.Discard, c.conn, int64(n))
+		case cl.recycled:
+			res.payload = wire.GetBuf(n)[:n]
+			_, err = io.ReadFull(c.conn, res.payload)
+		default:
+			res.payload = make([]byte, n)
+			_, err = io.ReadFull(c.conn, res.payload)
+		}
+		// Deliver only to a call that is still waiting (it may have
+		// given up during the read), under the lock abandon takes.
+		c.mu.Lock()
+		if _, ok = c.pending[id]; ok && err == nil {
+			delete(c.pending, id)
+			cl.ch <- res
+		} else {
+			wire.PutBuf(res.payload)
+		}
+		c.mu.Unlock()
+		if err != nil {
+			break
 		}
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
@@ -515,9 +625,9 @@ func (c *Client) readLoop() {
 	}
 	c.mu.Lock()
 	c.err = err
-	for id, ch := range c.pending {
+	for id, cl := range c.pending {
 		delete(c.pending, id)
-		ch <- callResult{payload: []byte(err.Error()), status: statusTransport}
+		cl.ch <- callResult{payload: []byte(err.Error()), status: statusTransport}
 	}
 	c.mu.Unlock()
 	c.conn.Close()

@@ -15,7 +15,6 @@ type bufWriter struct {
 	buf    []byte
 	done   bool
 	commit func(buf []byte) error
-	abort  func()
 }
 
 func newBufWriter(commit func(buf []byte) error) *bufWriter {
@@ -68,8 +67,5 @@ func (w *bufWriter) Abort() error {
 	defer w.mu.Unlock()
 	w.done = true
 	w.buf = nil
-	if w.abort != nil {
-		w.abort()
-	}
 	return nil
 }

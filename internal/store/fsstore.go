@@ -176,18 +176,22 @@ func (w *fsWriter) Abort() error {
 }
 
 // Get implements Store.
-func (s *FSStore) Get(key string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, err := os.ReadFile(s.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNotFound
-	}
-	return v, err
-}
+func (s *FSStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1) }
 
 // GetRange implements Store.
 func (s *FSStore) GetRange(key string, off, length int64) ([]byte, error) {
+	return s.readRange(key, off, length, func(n int64) []byte { return make([]byte, n) })
+}
+
+// ReadAt implements Store.
+func (s *FSStore) ReadAt(key string, p []byte, off int64) (int, error) {
+	got, err := s.readRange(key, off, int64(len(p)), func(n int64) []byte { return p[:n] })
+	return len(got), err
+}
+
+// readRange reads [off, off+length) of key's file, clamped to the file,
+// into the slice dst supplies for the clamped length.
+func (s *FSStore) readRange(key string, off, length int64, dst func(n int64) []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	f, err := os.Open(s.path(key))
@@ -203,7 +207,7 @@ func (s *FSStore) GetRange(key string, off, length int64) ([]byte, error) {
 		return nil, err
 	}
 	o, l := clampRange(fi.Size(), off, length)
-	buf := make([]byte, l)
+	buf := dst(l)
 	if l == 0 {
 		return buf, nil
 	}

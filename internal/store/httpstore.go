@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -66,7 +67,7 @@ func (s *HTTPStore) do(req *http.Request, ok ...int) ([]byte, error) {
 
 // Put implements Store.
 func (s *HTTPStore) Put(key string, val []byte) error {
-	req, err := http.NewRequest(http.MethodPut, s.objURL(key), strings.NewReader(string(val)))
+	req, err := http.NewRequest(http.MethodPut, s.objURL(key), bytes.NewReader(val))
 	if err != nil {
 		return err
 	}
@@ -84,30 +85,46 @@ func (s *HTTPStore) PutWriter(key string) (BlockWriter, error) {
 }
 
 // Get implements Store.
-func (s *HTTPStore) Get(key string) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, s.objURL(key), nil)
-	if err != nil {
-		return nil, err
-	}
-	return s.do(req, http.StatusOK)
+func (s *HTTPStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1) }
+
+// GetRange implements Store.
+func (s *HTTPStore) GetRange(key string, off, length int64) (out []byte, err error) {
+	out = []byte{}
+	err = s.ranged(key, off, length, func(body io.Reader) (err error) {
+		out, err = io.ReadAll(body)
+		return err
+	})
+	return out, err
 }
 
-// GetRange implements Store. The clamp semantics of the contract map
+// ReadAt implements Store: the body lands in p with no slice between.
+func (s *HTTPStore) ReadAt(key string, p []byte, off int64) (n int, err error) {
+	err = s.ranged(key, off, int64(len(p)), func(body io.Reader) (err error) {
+		if n, err = io.ReadFull(body, p); err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = nil // the value ended first
+		}
+		return err
+	})
+	return n, err
+}
+
+// ranged issues the range request behind GetRange and ReadAt and hands
+// the response body to read. The clamp semantics of the contract map
 // onto HTTP ranges: a start past the end answers 416, which is the
-// contract's empty slice.
-func (s *HTTPStore) GetRange(key string, off, length int64) ([]byte, error) {
+// contract's empty result (read is not called).
+func (s *HTTPStore) ranged(key string, off, length int64, read func(body io.Reader) error) error {
 	if off < 0 {
 		off = 0 // clamp keeps the requested length, matching clampRange
 	}
 	if length == 0 {
 		if !s.Has(key) {
-			return nil, ErrNotFound
+			return ErrNotFound
 		}
-		return []byte{}, nil
+		return nil
 	}
 	req, err := http.NewRequest(http.MethodGet, s.objURL(key), nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if length < 0 {
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", off))
@@ -116,21 +133,19 @@ func (s *HTTPStore) GetRange(key string, off, length int64) ([]byte, error) {
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("httpstore: get %s: %w", key, err)
+		return fmt.Errorf("httpstore: get %s: %w", key, err)
 	}
 	defer resp.Body.Close()
+	defer io.Copy(io.Discard, resp.Body) // drained, the connection is reused
 	switch resp.StatusCode {
 	case http.StatusPartialContent, http.StatusOK:
-		return io.ReadAll(resp.Body)
+		return read(resp.Body)
 	case http.StatusRequestedRangeNotSatisfiable:
-		io.Copy(io.Discard, resp.Body)
-		return []byte{}, nil
+		return nil
 	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
-	io.Copy(io.Discard, resp.Body)
-	return nil, fmt.Errorf("httpstore: get %s: unexpected status %s", key, resp.Status)
+	return fmt.Errorf("httpstore: get %s: unexpected status %s", key, resp.Status)
 }
 
 // Has implements Store.

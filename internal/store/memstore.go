@@ -1,7 +1,6 @@
 package store
 
 import (
-	"hash/fnv"
 	"strings"
 	"sync"
 )
@@ -28,10 +27,14 @@ func NewMemStore() *MemStore {
 	return s
 }
 
+// shard places key by its 32-bit FNV-1a hash, inlined: hash/fnv and
+// the []byte(key) copy cost two allocations on every operation.
 func (s *MemStore) shard(key string) *memShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &s.shards[h.Sum32()%memShards]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &s.shards[h%memShards]
 }
 
 // Put implements Store.
@@ -56,8 +59,9 @@ func (s *MemStore) PutWriter(key string) (BlockWriter, error) {
 	}), nil
 }
 
-// Get implements Store.
-func (s *MemStore) Get(key string) ([]byte, error) {
+// stored returns key's value as the store holds it: never modified in
+// place (Put installs a fresh slice), so safe to read without the lock.
+func (s *MemStore) stored(key string) ([]byte, error) {
 	sh := s.shard(key)
 	sh.mu.RLock()
 	v, ok := sh.m[key]
@@ -65,29 +69,36 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), v...), nil
+	return v, nil
 }
+
+// Get implements Store.
+func (s *MemStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1) }
 
 // GetRange implements Store.
 func (s *MemStore) GetRange(key string, off, length int64) ([]byte, error) {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
+	v, err := s.stored(key)
+	if err != nil {
+		return nil, err
 	}
 	o, l := clampRange(int64(len(v)), off, length)
 	return append([]byte(nil), v[o:o+l]...), nil
 }
 
+// ReadAt implements Store.
+func (s *MemStore) ReadAt(key string, p []byte, off int64) (int, error) {
+	v, err := s.stored(key)
+	if err != nil {
+		return 0, err
+	}
+	o, l := clampRange(int64(len(v)), off, int64(len(p)))
+	return copy(p, v[o:o+l]), nil
+}
+
 // Has implements Store.
 func (s *MemStore) Has(key string) bool {
-	sh := s.shard(key)
-	sh.mu.RLock()
-	_, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return ok
+	_, err := s.stored(key)
+	return err == nil
 }
 
 // Delete implements Store.

@@ -9,6 +9,11 @@
 // idle blocks to the slow backend and promotes them back on read.
 // Every backend implements the full Store contract, so providers, the
 // repair plane and GC run unchanged on any of them.
+//
+// Buffer ownership: a store never keeps a slice it was handed — Put and
+// BlockWriter.WriteAt copy (callers recycle their buffers right after)
+// — Get and GetRange return slices that are the caller's, and ReadAt
+// fills caller memory and touches none of it past the count it returns.
 package store
 
 import "errors"
@@ -64,6 +69,10 @@ type Store interface {
 	// Reads beyond the stored length are truncated; off past the end
 	// yields an empty slice.
 	GetRange(key string, off, length int64) ([]byte, error)
+	// ReadAt is GetRange into the caller's memory: it copies up to
+	// len(p) bytes at off within the value into p and returns the count,
+	// short when the value ends first — not an error, unlike io.ReaderAt.
+	ReadAt(key string, p []byte, off int64) (int, error)
 	// Has reports whether key exists.
 	Has(key string) bool
 	// Delete removes key (no error if absent).

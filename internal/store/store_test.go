@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync"
 	"testing"
@@ -264,5 +265,22 @@ func TestFSStoreBinaryKeysAndPersistence(t *testing.T) {
 	v, err := s2.Get(key)
 	if err != nil || string(v) != "bin" {
 		t.Fatalf("reopened Get = %q, %v", v, err)
+	}
+}
+
+// TestMemShardPlacement pins the inlined shard hash to hash/fnv's
+// FNV-1a, so keys stay in the shards earlier builds put them in, and
+// pins that placing a key allocates nothing.
+func TestMemShardPlacement(t *testing.T) {
+	s := NewMemStore()
+	for _, key := range []string{"", "a", "b1/2/3", "t7/9/0/4096", "blöb\x00key"} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if got, want := s.shard(key), &s.shards[h.Sum32()%memShards]; got != want {
+			t.Errorf("shard(%q) moved", key)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Has("b1/2/3") }); n != 0 {
+		t.Errorf("Has allocates %v times per call", n)
 	}
 }

@@ -7,7 +7,9 @@
 package storetest
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +28,7 @@ func Run(t *testing.T, mk func(t *testing.T) store.Store) {
 		{"Overwrite", testOverwrite},
 		{"NotFound", testNotFound},
 		{"GetRangeClamps", testGetRangeClamps},
+		{"WritesCopy", testWritesCopy},
 		{"HasDelete", testHasDelete},
 		{"PutWriter", testPutWriter},
 		{"PutWriterInvisible", testPutWriterInvisible},
@@ -92,6 +95,9 @@ func testNotFound(t *testing.T, st store.Store) {
 	if _, err := st.GetRange("missing", 0, 4); err != store.ErrNotFound {
 		t.Fatalf("GetRange(missing) err = %v, want ErrNotFound", err)
 	}
+	if _, err := st.ReadAt("missing", make([]byte, 4), 0); err != store.ErrNotFound {
+		t.Fatalf("ReadAt(missing) err = %v, want ErrNotFound", err)
+	}
 	if st.Has("missing") {
 		t.Fatal("Has(missing) = true")
 	}
@@ -125,6 +131,37 @@ func testGetRangeClamps(t *testing.T, st store.Store) {
 		if string(got) != c.want {
 			t.Fatalf("GetRange(%d,%d) = %q, want %q", c.off, c.length, got, c.want)
 		}
+		if c.length < 0 {
+			continue
+		}
+		// ReadAt clamps the same way into caller memory, and leaves
+		// everything past the count it returns alone.
+		p := []byte("################")
+		n, err := st.ReadAt("k", p[:c.length], c.off)
+		if err != nil || string(p[:n]) != c.want || strings.Trim(string(p[n:]), "#") != "" {
+			t.Fatalf("ReadAt(%d bytes at %d) = %d, %v leaving %q, want %q then untouched", c.length, c.off, n, err, p, c.want)
+		}
+	}
+}
+
+// testWritesCopy: Put and BlockWriter.WriteAt take copies, so callers
+// (the provider's handlers) may recycle their buffers at once.
+func testWritesCopy(t *testing.T, st store.Store) {
+	val, frame := []byte("put-value"), []byte("frame-value")
+	w, err := st.PutWriter("w")
+	if err == nil {
+		err = errors.Join(st.Put("p", val), w.WriteAt(frame, 0))
+	}
+	clear(val)
+	clear(frame)
+	if err == nil {
+		err = w.Commit()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, w := get(t, st, "p"), get(t, st, "w"); p != "put-value" || w != "frame-value" {
+		t.Fatalf("store kept the caller's slices: Put -> %q, WriteAt -> %q", p, w)
 	}
 }
 

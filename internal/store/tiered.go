@@ -136,43 +136,54 @@ func (s *Tiered) PutWriter(key string) (BlockWriter, error) {
 }
 
 // Get implements Store, promoting on a hot miss.
-func (s *Tiered) Get(key string) ([]byte, error) {
-	if val, err := s.hot.Get(key); err == nil {
-		s.hotHits.Add(1)
-		s.touch(key)
-		return val, nil
-	} else if err != ErrNotFound {
-		return nil, err
-	}
-	val, err := s.cold.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	s.coldHits.Add(1)
-	s.promote(key, val)
-	return val, nil
-}
+func (s *Tiered) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1) }
 
 // GetRange implements Store. A cold hit promotes the whole block —
 // the access pattern that demoted it was cold, the one reading it back
 // is likely sequential over the block — then serves the range from the
 // promoted copy.
 func (s *Tiered) GetRange(key string, off, length int64) ([]byte, error) {
-	if val, err := s.hot.GetRange(key, off, length); err == nil {
+	val, err := s.hot.GetRange(key, off, length)
+	if err == ErrNotFound {
+		if val, err = s.readCold(key); err != nil {
+			return nil, err
+		}
+		if o, l := clampRange(int64(len(val)), off, length); l < int64(len(val)) {
+			val = append([]byte(nil), val[o:o+l]...) // do not pin the block for a piece of it
+		}
+		return val, nil
+	}
+	s.hotHit(key, err)
+	return val, err
+}
+
+// ReadAt implements Store, promoting like GetRange.
+func (s *Tiered) ReadAt(key string, p []byte, off int64) (int, error) {
+	n, err := s.hot.ReadAt(key, p, off)
+	if err == ErrNotFound {
+		val, err := s.readCold(key)
+		o, l := clampRange(int64(len(val)), off, int64(len(p)))
+		return copy(p, val[o:o+l]), err
+	}
+	s.hotHit(key, err)
+	return n, err
+}
+
+func (s *Tiered) hotHit(key string, err error) {
+	if err == nil {
 		s.hotHits.Add(1)
 		s.touch(key)
-		return val, nil
-	} else if err != ErrNotFound {
-		return nil, err
 	}
+}
+
+// readCold fetches a block the hot tier lacks and promotes it.
+func (s *Tiered) readCold(key string) ([]byte, error) {
 	val, err := s.cold.Get(key)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		s.coldHits.Add(1)
+		s.promote(key, val)
 	}
-	s.coldHits.Add(1)
-	s.promote(key, val)
-	o, l := clampRange(int64(len(val)), off, length)
-	return append([]byte(nil), val[o:o+l]...), nil
+	return val, err
 }
 
 func (s *Tiered) touch(key string) {

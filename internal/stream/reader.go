@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"blobseer/internal/wire"
 )
 
-// Fetch reads [off, off+length) of a pinned immutable snapshot and
-// returns the bytes. Implementations must be safe for concurrent calls:
-// the readahead window fetches several ranges at once.
-type Fetch func(ctx context.Context, off, length int64) ([]byte, error)
+// Fetch reads [off, off+len(p)) of a pinned immutable snapshot into p,
+// all of it or an error. Implementations must be safe for concurrent
+// calls — the readahead window fetches several ranges at once — and
+// must not touch p after returning: the reader recycles it.
+type Fetch func(ctx context.Context, off int64, p []byte) error
 
 // ReaderConfig wires a Reader to its snapshot.
 type ReaderConfig struct {
@@ -66,8 +69,8 @@ type Reader struct {
 
 	mu       sync.Mutex
 	pos      int64
-	cacheOff int64 // file offset of cached block (-1 = empty)
-	cache    []byte
+	cacheOff int64  // file offset of cached block (-1 = empty)
+	cache    []byte // a wire.GetBuf slice, as is every window entry's: at most readahead+2 are live
 	closed   bool
 
 	nextSeq int64                // block start that would continue the sequential run (-1 = none)
@@ -81,12 +84,17 @@ var (
 	_ PipelinedReader   = (*Reader)(nil)
 )
 
-// blockLoad is one asynchronous block fetch.
+// blockLoad is one asynchronous block fetch. Its buffer becomes the
+// reader's cache when the stream consumes the load; a load dropped from
+// the window recycles it, once the fetch goroutine is done with it.
 type blockLoad struct {
 	done   chan struct{}
 	cancel context.CancelFunc
 	data   []byte
 	err    error
+
+	// Under Reader.mu.
+	finished, dropped bool
 }
 
 // NewReader returns a reader over the snapshot described by cfg. The
@@ -163,30 +171,31 @@ func (r *Reader) Read(p []byte) (int, error) {
 // enclosing block if needed.
 func (r *Reader) lockedFetch(off int64) ([]byte, error) {
 	blockStart := off / r.blockSize * r.blockSize
-	if r.cache == nil || r.cacheOff != blockStart || off-blockStart >= int64(len(r.cache)) {
-		length := r.blockSize
-		if blockStart+length > r.size {
-			length = r.size - blockStart
-		}
-		if r.noCache {
-			// Ablation mode: fetch only what was asked (here: to block
-			// end, since callers of lockedFetch consume incrementally;
-			// the distinction matters for the simulator, which models
-			// per-request costs).
-			return r.fetch(r.ctx, off, blockStart+length-off)
-		}
+	if r.cacheOff != blockStart || off-blockStart >= int64(len(r.cache)) {
+		length := min(r.blockSize, r.size-blockStart)
 		if r.readahead > 0 {
 			if err := r.lockedLoadPipelined(off, blockStart, length); err != nil {
 				return nil, err
 			}
-		} else {
-			data, err := r.fetch(r.ctx, blockStart, length)
-			if err != nil {
-				return nil, err
-			}
-			r.cache = data
-			r.cacheOff = blockStart
+			return r.cache[off-r.cacheOff:], nil
 		}
+		if r.cache == nil {
+			r.cache = wire.GetBuf(int(r.blockSize))
+		}
+		r.cacheOff = -1 // the buffer is being overwritten
+		if r.noCache {
+			// Ablation mode: fetch only what was asked (here: to block
+			// end, since callers of lockedFetch consume incrementally;
+			// the distinction matters for the simulator, which models
+			// per-request costs) and cache nothing.
+			r.cache = r.cache[:blockStart+length-off]
+			return r.cache, r.fetch(r.ctx, off, r.cache)
+		}
+		r.cache = r.cache[:length]
+		if err := r.fetch(r.ctx, blockStart, r.cache); err != nil {
+			return nil, err
+		}
+		r.cacheOff = blockStart
 	}
 	return r.cache[off-r.cacheOff:], nil
 }
@@ -235,25 +244,31 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 		if r.closed {
 			return ErrReaderClosed
 		}
+		// A load a concurrent Seek dropped from the window no longer
+		// owns its buffer: it counts as canceled whatever it fetched.
+		err := f.err
 		if r.window[blockStart] == f {
 			delete(r.window, blockStart)
-		}
-		if f.err == nil {
-			r.cache = f.data
-			r.cacheOff = blockStart
-			if r.pos != off {
-				return errSeekRaced // block kept cached; serve the new pos
+			if err == nil {
+				wire.PutBuf(r.cache)
+				r.cache, r.cacheOff = f.data, blockStart
+			} else {
+				wire.PutBuf(f.data)
 			}
-			return nil
+		} else if err == nil {
+			err = context.Canceled
 		}
 		if r.pos != off {
-			return errSeekRaced
+			return errSeekRaced // a fetched block stays cached; serve the new pos
+		}
+		if err == nil {
+			return nil
 		}
 		// A prefetch canceled by a concurrent Seek (whose target then
 		// turned out to need this block after all) is not a stream
 		// error: retry once in the foreground.
-		if attempt > 0 || !errors.Is(f.err, context.Canceled) || r.ctx.Err() != nil {
-			return f.err
+		if attempt > 0 || !errors.Is(err, context.Canceled) || r.ctx.Err() != nil {
+			return err
 		}
 		f = r.startFetch(blockStart, length)
 		r.window[blockStart] = f
@@ -264,23 +279,24 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 // blockStart+length) with its own cancelable context.
 func (r *Reader) startFetch(blockStart, length int64) *blockLoad {
 	fctx, cancel := context.WithCancel(r.ctx)
-	f := &blockLoad{done: make(chan struct{}), cancel: cancel}
+	f := &blockLoad{done: make(chan struct{}), cancel: cancel, data: wire.GetBuf(int(r.blockSize))[:length]}
 	go func() {
-		defer close(f.done)
-		f.data, f.err = r.fetch(fctx, blockStart, length)
+		err := r.fetch(fctx, blockStart, f.data)
 		cancel()
+		r.mu.Lock()
+		f.err, f.finished = err, true
+		if f.dropped {
+			wire.PutBuf(f.data)
+		}
+		r.mu.Unlock()
+		close(f.done)
 	}()
 	return f
 }
 
 // lockedCancelWindow aborts every outstanding background fetch.
 func (r *Reader) lockedCancelWindow() {
-	for start, f := range r.window {
-		f.cancel()
-		delete(r.window, start)
-		r.stats.Canceled++
-		r.coll.prefetchDrop()
-	}
+	r.lockedPruneBehind(r.size)
 	r.nextSeq = -1
 }
 
@@ -290,6 +306,9 @@ func (r *Reader) lockedPruneBehind(blockStart int64) {
 	for start, f := range r.window {
 		if start < blockStart {
 			f.cancel()
+			if f.dropped = true; f.finished {
+				wire.PutBuf(f.data)
+			}
 			delete(r.window, start)
 			r.stats.Canceled++
 			r.coll.prefetchDrop()
@@ -326,7 +345,7 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	if abs != r.pos {
 		newBlock := abs / r.blockSize * r.blockSize
 		switch {
-		case r.cache != nil && r.cacheOff == newBlock:
+		case r.cacheOff == newBlock:
 			r.lockedPruneBehind(newBlock)
 		case r.window[newBlock] != nil:
 			r.lockedPruneBehind(newBlock)
@@ -348,7 +367,8 @@ func (r *Reader) Close() error {
 		r.coll.readerClosed()
 	}
 	r.closed = true
-	r.cache = nil
+	wire.PutBuf(r.cache)
+	r.cache, r.cacheOff = nil, -1
 	return nil
 }
 

@@ -31,19 +31,20 @@ type memSource struct {
 	fail    atomic.Bool
 }
 
-func (m *memSource) fetch(ctx context.Context, off, length int64) ([]byte, error) {
+func (m *memSource) fetch(ctx context.Context, off int64, p []byte) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.fail.Load() {
-		return nil, errors.New("memSource: injected fetch failure")
+		return errors.New("memSource: injected fetch failure")
 	}
 	m.fetches.Add(1)
-	end := off + length
+	end := off + int64(len(p))
 	if end > int64(len(m.data)) {
-		return nil, fmt.Errorf("memSource: fetch [%d,+%d) past size %d", off, length, len(m.data))
+		return fmt.Errorf("memSource: fetch [%d,+%d) past size %d", off, len(p), len(m.data))
 	}
-	return append([]byte(nil), m.data[off:end]...), nil
+	copy(p, m.data[off:end])
+	return nil
 }
 
 func (m *memSource) reader(readahead int) *stream.Reader {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"sync"
+
+	"blobseer/internal/wire"
 )
 
 // StartState is the write mode a Writer resolves on its first flush.
@@ -34,6 +36,8 @@ type WriterConfig struct {
 	// from offset 0). It runs at most once.
 	Start func(ctx context.Context) (StartState, error)
 	// WriteAt commits data at a fixed, block-aligned offset (required).
+	// Neither callback may retain data: it is a recycled block buffer
+	// the writer refills as soon as the callback returns.
 	WriteAt func(ctx context.Context, off int64, data []byte) error
 	// Append commits data through the storage layer's native append
 	// (required unless Start always selects offset mode).
@@ -58,9 +62,9 @@ type Writer struct {
 
 	mu         sync.Mutex
 	started    bool
-	offsetMode bool  // create mode, or append after an unaligned-tail merge
-	written    int64 // offset mode: file offset of the next flush
-	buf        []byte
+	offsetMode bool   // create mode, or append after an unaligned-tail merge
+	written    int64  // offset mode: file offset of the next flush
+	buf        []byte // a wire.GetBuf slice of block capacity, recycled after its commit
 	closed     bool
 	closeErr   error
 
@@ -129,6 +133,9 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	total := 0
 	for len(p) > 0 {
+		if w.buf == nil {
+			w.buf = wire.GetBuf(int(w.blockSize))
+		}
 		room := int(w.blockSize) - len(w.buf)
 		if room <= 0 {
 			if err := w.lockedFlush(false); err != nil {
@@ -172,7 +179,9 @@ func (w *Writer) lockedStart() error {
 	w.offsetMode = st.OffsetMode
 	w.written = st.Off
 	if len(st.Prefix) > 0 {
-		w.buf = append(append([]byte(nil), st.Prefix...), w.buf...)
+		merged := append(append(wire.GetBuf(int(w.blockSize)+len(w.buf)), st.Prefix...), w.buf...)
+		wire.PutBuf(w.buf)
+		w.buf = merged
 	}
 	w.started = true
 	return nil
@@ -182,8 +191,8 @@ func (w *Writer) lockedStart() error {
 // whole blocks so every flush offset stays block-aligned (the
 // remainder stays buffered for the next round). With write-behind
 // enabled, non-final flushes enqueue whole blocks to the background
-// pool instead of committing inline. On error the buffered data is
-// restored, so a transient failure loses nothing.
+// pool instead of committing inline. On error the buffered data stays
+// put, so a transient failure loses nothing; else the buffer is reused.
 func (w *Writer) lockedFlush(final bool) error {
 	if len(w.buf) == 0 {
 		return nil
@@ -194,34 +203,27 @@ func (w *Writer) lockedFlush(final bool) error {
 	if w.depth > 0 && !final {
 		return w.lockedEnqueueFull()
 	}
-	data := w.buf
-	if final {
-		w.buf = nil
-	} else {
-		keep := int64(len(data)) % w.blockSize
-		flushLen := int64(len(data)) - keep
+	flushLen := int64(len(w.buf))
+	if !final {
+		flushLen -= flushLen % w.blockSize
 		if flushLen == 0 {
 			return nil // no whole block buffered yet
 		}
-		w.buf = append([]byte(nil), data[flushLen:]...)
-		data = data[:flushLen]
 	}
+	data := w.buf[:flushLen]
 	if !w.offsetMode {
 		// Native append: fully concurrent with other appenders, the
 		// storage layer fixes the offset (Figure 5's workload).
 		if err := w.cfg.Append(w.ctx, data); err != nil {
-			w.buf = append(data, w.buf...)
 			return err
 		}
-		return nil
+	} else {
+		if err := w.cfg.WriteAt(w.ctx, w.written, data); err != nil {
+			return err
+		}
+		w.written += flushLen
 	}
-	off := w.written
-	w.written += int64(len(data))
-	if err := w.cfg.WriteAt(w.ctx, off, data); err != nil {
-		w.buf = append(data, w.buf...)
-		w.written = off
-		return err
-	}
+	w.buf = w.buf[:copy(w.buf, w.buf[flushLen:])]
 	return nil
 }
 
@@ -232,10 +234,12 @@ func (w *Writer) lockedEnqueueFull() error {
 		if err := w.asyncErr(); err != nil {
 			return err
 		}
-		data := w.buf
-		block := data[:w.blockSize:w.blockSize]
-		w.buf = append([]byte(nil), data[w.blockSize:]...)
-		blk := wbBlock{off: -1, data: block}
+		// The block travels in its own buffer (the worker recycles it);
+		// whatever lies past it moves to a fresh one, taken only if needed.
+		blk, rest := wbBlock{off: -1, data: w.buf[:w.blockSize]}, w.buf[w.blockSize:]
+		if w.buf = nil; len(rest) > 0 {
+			w.buf = append(wire.GetBuf(int(w.blockSize)), rest...)
+		}
 		if w.offsetMode {
 			blk.off = w.written
 			w.written += w.blockSize
@@ -275,6 +279,7 @@ func (w *Writer) commitLoop() {
 	defer w.wg.Done()
 	for blk := range w.queue {
 		if w.asyncErr() != nil {
+			wire.PutBuf(blk.data)
 			w.cfg.Collector.commitDone(0)
 			continue
 		}
@@ -288,6 +293,7 @@ func (w *Writer) commitLoop() {
 			w.setAsyncErr(err)
 		}
 		w.cfg.Collector.commitDone(int64(len(blk.data)))
+		wire.PutBuf(blk.data)
 	}
 }
 
@@ -316,6 +322,8 @@ func (w *Writer) Close() error {
 	if err := w.lockedFlush(true); err != nil {
 		return err
 	}
+	wire.PutBuf(w.buf)
+	w.buf = nil
 	w.closed = true
 	w.cfg.Collector.writerClosed()
 	return nil

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrFrameTooLarge is returned when an incoming frame exceeds the
@@ -26,20 +27,50 @@ const MaxFrameSize = 80 << 20
 
 // Buffer encodes a message body. The zero value is ready to use.
 type Buffer struct {
-	b []byte
+	b    []byte
+	head int // bytes of b in front of the body (a frame's header room)
 }
 
 // NewBuffer returns a Buffer with the given initial capacity.
 func NewBuffer(capacity int) *Buffer { return &Buffer{b: make([]byte, 0, capacity)} }
 
+// NewFrame returns a Buffer over a recycled slice (GetBuf) that keeps
+// head bytes free in front of the body, so a transport can put its
+// headers there and send headers and body with one write. Whoever ends
+// up owning the frame calls Release exactly once.
+func NewFrame(head, capacity int) *Buffer {
+	return &Buffer{b: GetBuf(head + capacity)[:head], head: head}
+}
+
+// Raw returns the header room followed by the body.
+func (e *Buffer) Raw() []byte { return e.b }
+
+// Release recycles a frame's slice; the Buffer and every slice obtained
+// from it are dead afterwards.
+func (e *Buffer) Release() {
+	PutBuf(e.b)
+	e.b = nil
+}
+
 // Bytes returns the encoded body.
-func (e *Buffer) Bytes() []byte { return e.b }
+func (e *Buffer) Bytes() []byte { return e.b[e.head:] }
 
 // Len returns the number of encoded bytes.
-func (e *Buffer) Len() int { return len(e.b) }
+func (e *Buffer) Len() int { return len(e.b) - e.head }
 
 // Reset clears the buffer for reuse.
-func (e *Buffer) Reset() { e.b = e.b[:0] }
+func (e *Buffer) Reset() { e.b = e.b[:e.head] }
+
+// Extend appends n bytes of unspecified content and returns them, for a
+// caller that reads into the body directly; Truncate cuts the body back
+// to n bytes when the read came up short.
+func (e *Buffer) Extend(n int) []byte {
+	e.b = slices.Grow(e.b, n)[:len(e.b)+n]
+	return e.b[len(e.b)-n:]
+}
+
+// Truncate shortens the body to its first n bytes.
+func (e *Buffer) Truncate(n int) { e.b = e.b[:e.head+n] }
 
 // U8 appends a byte.
 func (e *Buffer) U8(v uint8) { e.b = append(e.b, v) }
@@ -280,26 +311,28 @@ func (r *Reader) Chunk() Chunk {
 	}
 }
 
-// WriteFrame writes a length-prefixed frame to w.
+// FrameLenSize is the size of a frame's length prefix.
+const FrameLenSize = 4
+
+// WriteFrame writes a length-prefixed frame to w with one Write, from a
+// recycled buffer; body is not retained.
 func WriteFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: write frame body: %w", err)
+	b := GetBuf(FrameLenSize + len(body))
+	defer PutBuf(b)
+	b = append(binary.BigEndian.AppendUint32(b, uint32(len(body))), body...)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
 // ReadFrame reads one length-prefixed frame from r, enforcing limit
-// (MaxFrameSize if limit <= 0).
+// (MaxFrameSize if limit <= 0). The returned slice is the caller's.
 func ReadFrame(r io.Reader, limit int) ([]byte, error) {
 	if limit <= 0 {
 		limit = MaxFrameSize
 	}
-	var hdr [4]byte
+	var hdr [FrameLenSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}

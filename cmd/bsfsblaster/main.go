@@ -27,7 +27,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -35,12 +34,10 @@ import (
 	"blobseer/internal/bsfs"
 	"blobseer/internal/cluster"
 	"blobseer/internal/core"
-	"blobseer/internal/dht"
-	"blobseer/internal/fs"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/metrics"
-	"blobseer/internal/namespace"
+	"blobseer/internal/node"
 	"blobseer/internal/rpc"
+	"blobseer/internal/trace"
 	"blobseer/internal/util"
 )
 
@@ -75,12 +72,7 @@ func main() {
 		repl      = flag.Int("replication", 1, "replication level for blaster files")
 
 		// Real-deployment endpoints (ignored with -sim).
-		vmAddr = flag.String("vmanager", "127.0.0.1:7001", "real: comma-separated version manager shard addresses")
-		pmAddr = flag.String("pmanager", "127.0.0.1:7002", "real: provider manager address")
-		nsAddr = flag.String("namespace", "127.0.0.1:7003", "real: namespace manager address")
-		metas  = flag.String("meta", "127.0.0.1:7101", "real: comma-separated metadata provider addresses")
-		mrepl  = flag.Int("meta-replication", 1, "real: DHT replication level")
-		mcache = flag.Int("meta-cache", -1, "real: immutable-node cache entries (<0 default, 0 off)")
+		conn = node.ConnFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
@@ -97,8 +89,14 @@ func main() {
 		cancel()
 	}()
 
+	// Both modes build their client the way every binary does, from the
+	// deployment's addresses alone (node.Connect); they differ in where
+	// the addresses come from and in who serves /metrics and /trace.
 	reg := metrics.NewRegistry()
-	var fsys fs.FileSystem
+	var (
+		clients *node.Clients
+		client  *core.Client
+	)
 	if *sim {
 		cl, err := cluster.StartBlobSeer(cluster.Config{
 			DataProviders: *providers,
@@ -113,61 +111,47 @@ func main() {
 			log.Fatalf("start cluster: %v", err)
 		}
 		defer cl.Stop()
-		clientCore, _ := cl.NewMeteredClient("", "client")
-		cl.Exporter().Register("blaster", reg)
-		fsys, err = bsfs.New(bsfs.Config{
-			Core:             clientCore,
-			NS:               namespace.NewClient(cl.Pool, cl.NSAddr),
-			BlockSize:        *blockSz,
-			Replication:      *repl,
-			ReadaheadBlocks:  *rahead,
-			WriteBehindDepth: *wbehind,
+		clients = node.Connect(cl.Pool, node.Endpoints{
+			VM: cl.VMAddrs, PM: cl.PMAddr, NS: cl.NSAddr, Meta: cl.MetaAddrs, MetaReplication: cl.Cfg.MetaReplication,
 		})
-		if err != nil {
-			log.Fatalf("bsfs: %v", err)
-		}
+		client, _ = cl.NewMeteredClient("", "client")
+		cl.Exporter().Register("blaster", reg)
 		if url := cl.MetricsURL(); url != "" {
 			log.Printf("metrics on %s/metrics", url)
 		}
 	} else {
+		ep, mcache, err := conn()
+		if err != nil {
+			log.Fatal(err)
+		}
 		pool := rpc.NewPool(rpc.TCPDialer)
 		defer pool.Close()
-		ring := dht.NewRing(splitAddrs(*metas), dht.DefaultVnodes)
-		metaStore := mdtree.NewDHTStore(dht.NewClient(ring, pool, *mrepl))
-		vmAddrs := splitAddrs(*vmAddr)
-		if len(vmAddrs) == 0 {
-			log.Fatal("-vmanager: no addresses")
+		var tracer *trace.Tracer // records the ops -trace-every tags
+		if *trEvery > 0 {
+			tracer = trace.New("client", 0)
 		}
-		clientCore := core.NewClient(core.Config{
-			Pool:          pool,
-			VMAddrs:       vmAddrs,
-			PMAddr:        *pmAddr,
-			MetaStore:     metaStore,
-			MetaCacheSize: *mcache,
-			Metrics:       reg,
-		})
-		var err error
-		fsys, err = bsfs.New(bsfs.Config{
-			Core:             clientCore,
-			NS:               namespace.NewClient(pool, *nsAddr),
-			BlockSize:        *blockSz,
-			Replication:      *repl,
-			ReadaheadBlocks:  *rahead,
-			WriteBehindDepth: *wbehind,
-		})
-		if err != nil {
-			log.Fatalf("bsfs: %v", err)
-		}
+		clients = node.Connect(pool, ep)
+		client = clients.Core("", mcache, reg, tracer)
 		if *metAddr != "" {
-			exp := metrics.NewExporter()
-			exp.Register("blaster", reg)
-			bound, stop, err := exp.Serve(*metAddr)
+			mexp, texp := metrics.NewExporter(), trace.NewExporter()
+			mexp.Register("blaster", reg)
+			texp.Register(tracer)
+			bound, stop, err := node.ServeObs(*metAddr, mexp, texp)
 			if err != nil {
 				log.Fatalf("metrics listener on %s: %v", *metAddr, err)
 			}
 			defer stop()
 			log.Printf("metrics on http://%s/metrics", bound)
 		}
+	}
+	fsys, err := clients.BSFS(client, bsfs.Config{
+		BlockSize:        *blockSz,
+		Replication:      *repl,
+		ReadaheadBlocks:  *rahead,
+		WriteBehindDepth: *wbehind,
+	})
+	if err != nil {
+		log.Fatalf("bsfs: %v", err)
 	}
 
 	mode := fmt.Sprintf("%s window", *duration)
@@ -234,14 +218,4 @@ func main() {
 		log.Fatalf("check failed: %v", err)
 	}
 	log.Printf("check passed")
-}
-
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -44,12 +44,8 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/bsfs"
-	"blobseer/internal/core"
-	"blobseer/internal/dht"
-	"blobseer/internal/mdtree"
-	"blobseer/internal/namespace"
+	"blobseer/internal/node"
 	"blobseer/internal/pmanager"
-	"blobseer/internal/provider"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
@@ -91,14 +87,9 @@ flags:
 
 func main() {
 	var (
-		vmAddr  = flag.String("vmanager", "127.0.0.1:7001", "comma-separated version manager shard addresses (shard order)")
-		pmAddr  = flag.String("pmanager", "127.0.0.1:7002", "provider manager address")
-		nsAddr  = flag.String("namespace", "127.0.0.1:7003", "namespace manager address")
-		metas   = flag.String("meta", "127.0.0.1:7101", "comma-separated metadata provider addresses")
+		conn    = node.ConnFlags(flag.CommandLine)
 		blockSz = flag.Int64("block-size", 64*util.MB, "striping unit for new files")
 		repl    = flag.Int("replication", 1, "replication level for new files")
-		mrepl   = flag.Int("meta-replication", 1, "DHT replication level")
-		mcache  = flag.Int("meta-cache", -1, "immutable-node cache entries (<0 default, 0 off)")
 		host    = flag.String("host", "", "client host label (affinity experiments)")
 		rahead  = flag.Int("readahead", bsfs.DefaultReadaheadBlocks, "reader async prefetch window in blocks (0 = synchronous)")
 		wbehind = flag.Int("write-behind", bsfs.DefaultWriteBehindDepth, "writer background block commits in flight (0 = synchronous)")
@@ -131,7 +122,7 @@ func main() {
 			}
 			iters = n
 		}
-		if err := runTop(splitAddrs(*metEPs), interval, iters); err != nil {
+		if err := runTop(node.SplitAddrs(*metEPs), interval, iters); err != nil {
 			fatal(err)
 		}
 		return
@@ -139,63 +130,39 @@ func main() {
 
 	// trace only talks HTTP to /trace endpoints — no RPC stack needed.
 	if flag.Arg(0) == "trace" {
-		if err := runTrace(splitAddrs(*metEPs), flag.Args()[1:]); err != nil {
+		if err := runTrace(node.SplitAddrs(*metEPs), flag.Args()[1:]); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
+	ep, mcache, err := conn()
+	if err != nil {
+		fatal(err)
+	}
 	pool := rpc.NewPool(rpc.TCPDialer)
 	defer pool.Close()
-	ring := dht.NewRing(splitAddrs(*metas), dht.DefaultVnodes)
-	dhtClient := dht.NewClient(ring, pool, *mrepl)
-	overlay := repair.NewOverlay(dhtClient)
-	metaStore := mdtree.NewDHTStore(dhtClient)
+	clients := node.Connect(pool, ep)
 
 	ctx := context.Background()
 	cmd, args := flag.Arg(0), flag.Args()[1:]
-
-	// One client over every version-manager shard.
-	vmAddrs := splitAddrs(*vmAddr)
-	if len(vmAddrs) == 0 {
-		fatal(fmt.Errorf("-vmanager: no addresses"))
-	}
-	vm := vmanager.NewClient(pool, vmAddrs...)
 
 	// The maintenance commands speak to the managers directly — no
 	// file-system layer involved.
 	switch cmd {
 	case "vm":
-		if err := runVM(ctx, vm, args); err != nil {
+		if err := runVM(ctx, clients.VM(), args); err != nil {
 			fatal(err)
 		}
 		return
 	case "providers", "decommission":
-		eng := repair.New(repair.Config{
-			VM:      vm,
-			PM:      pmanager.NewClient(pool, *pmAddr),
-			Prov:    provider.NewClient(pool),
-			Meta:    mdtree.MaybeCache(metaStore, *mcache),
-			Overlay: overlay,
-		})
-		pm := pmanager.NewClient(pool, *pmAddr)
-		if err := runAdmin(ctx, pm, eng, cmd, args); err != nil {
+		if err := runAdmin(ctx, clients.PM(), clients.Repair(mcache, 0), cmd, args); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	fsys, err := bsfs.New(bsfs.Config{
-		Core: core.NewClient(core.Config{
-			Pool:          pool,
-			VMAddrs:       vmAddrs,
-			PMAddr:        *pmAddr,
-			MetaStore:     metaStore,
-			Host:          *host,
-			MetaCacheSize: *mcache,
-			Overlay:       overlay,
-		}),
-		NS:               namespace.NewClient(pool, *nsAddr),
+	fsys, err := clients.BSFS(clients.Core(*host, mcache, nil, nil), bsfs.Config{
 		BlockSize:        *blockSz,
 		Replication:      *repl,
 		ReadaheadBlocks:  *rahead,
@@ -590,16 +557,6 @@ func run(ctx context.Context, fsys *bsfs.FS, cmd string, args []string) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -2,20 +2,21 @@ package bench
 
 import "testing"
 
-// TestAblationTieringQuick runs the CI-scale tiering ablation and pins
-// the two acceptance properties via Check: every demoted block comes
-// back bit-exact through promotion, and the tiered engine's hot path
-// stays within 10% of the plain fs backend.
-func TestAblationTieringQuick(t *testing.T) {
+// TestAblationTiering runs the CI-scale tiering ablation once and pins
+// what it determines regardless of machine load: every demoted block
+// comes back bit-exact through promotion, each block is demoted once
+// and promoted by the cold pass, and the report has its four arms with
+// a single cold pass. The wall-clock gates (tiered hot path within 10%
+// of plain fs, and whatever follows from pass timings) are not for a
+// test that shares the machine with `go test ./...`: Check enforces
+// them where `figures -tiering` runs alone.
+func TestAblationTiering(t *testing.T) {
 	r, err := TieringBenchRun(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Check(); err != nil {
-		t.Error(err)
-	}
-	if len(r.Throughput) != 4 {
-		t.Fatalf("want 4 throughput arms, got %d", len(r.Throughput))
+	if r.Readable != 1.0 {
+		t.Errorf("Readable = %.2f, want every demoted block back bit-exact", r.Readable)
 	}
 	if r.Demotions != int64(r.Blocks) {
 		t.Errorf("Demotions = %d, want %d (one per block)", r.Demotions, r.Blocks)
@@ -23,30 +24,12 @@ func TestAblationTieringQuick(t *testing.T) {
 	if r.Promotions < int64(r.Blocks) {
 		t.Errorf("Promotions = %d, want >= %d (cold arm promotes every block)", r.Promotions, r.Blocks)
 	}
-}
-
-// TestAblationTieringColdSlower checks the cold arm actually pays for
-// the demotion round trip: its single pass must not beat the best hot
-// pass (it does strictly more work — cold read + promotion write).
-func TestAblationTieringColdSlower(t *testing.T) {
-	r, err := TieringBenchRun(true)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Throughput) != 4 {
+		t.Fatalf("want 4 throughput arms, got %d", len(r.Throughput))
 	}
-	var hot, cold Series
 	for _, s := range r.Throughput {
-		switch s.Name {
-		case "tiered-hot":
-			hot = s
-		case "tiered-cold":
-			cold = s
+		if s.Name == "tiered-cold" && len(s.Points) != 1 {
+			t.Errorf("cold arm should have exactly one pass, got %d", len(s.Points))
 		}
-	}
-	if len(cold.Points) != 1 {
-		t.Fatalf("cold arm should have exactly one pass, got %d", len(cold.Points))
-	}
-	if cold.Points[0].Y > best(hot) {
-		t.Errorf("cold pass (%.1f MB/s) beat the best hot pass (%.1f MB/s); promotion cost unmodeled?",
-			cold.Points[0].Y, best(hot))
 	}
 }

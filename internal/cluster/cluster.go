@@ -1,16 +1,19 @@
 // Package cluster assembles whole deployments in one process: every
 // daemon of Figure 2 (version manager, provider manager, data
-// providers, metadata providers, namespace manager) wired over an
-// in-process or TCP transport, exactly as the automated Grid'5000
-// deployment of Section V-A wires physical machines. Tests, examples
-// and the CLI tools all start clusters through this package.
+// providers, metadata providers, namespace manager) started as a
+// node.Node over an in-process or loopback-TCP transport, exactly as the
+// automated Grid'5000 deployment of Section V-A starts one blobseerd per
+// physical machine. Tests, examples and the CLI tools all start clusters
+// through this package.
 package cluster
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"net"
-	"net/http"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,12 +23,12 @@ import (
 	"blobseer/internal/mdtree"
 	"blobseer/internal/metrics"
 	"blobseer/internal/namespace"
+	"blobseer/internal/node"
 	"blobseer/internal/placement"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
-	"blobseer/internal/store"
 	"blobseer/internal/trace"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
@@ -49,13 +52,11 @@ type Config struct {
 	DisableCache     bool // ablation: no block cache, no pipeline
 
 	// Self-healing replication (the repair plane). Heartbeats and the
-	// expiry ticker form the liveness loop; the repair engine restores
-	// redundancy after provider loss. All three default off so the
+	// expiry ticker form the liveness loop; RepairEngine().RunOnce
+	// restores redundancy after provider loss. Both default off so the
 	// paper-faithful experiments keep their exact traffic shape.
 	HeartbeatInterval time.Duration // providers heartbeat store stats to the pmanager (0 disables)
 	ExpireAfter       time.Duration // pmanager expires providers silent this long (0 disables)
-	RepairInterval    time.Duration // background repair scan period (0 = on-demand via RepairEngine only)
-	RepairConcurrency int           // parallel block repairs (0 = repair.DefaultConcurrency)
 
 	// VMShards runs K independent version-manager shard services
 	// instead of one. Shard k owns the blob IDs with
@@ -67,14 +68,11 @@ type Config struct {
 
 	// Crash durability (the control-plane WAL). DataDir enables
 	// write-ahead logging for the version manager and the namespace
-	// under DataDir/vmanager and DataDir/namespace; both recover their
-	// state from the logs at start. Empty keeps the historical
-	// in-memory-only control plane.
+	// under DataDir/vmanager and DataDir/namespace, fsynced per record
+	// (no acknowledged operation is ever lost); both recover their state
+	// from the logs at start. Empty keeps the historical in-memory-only
+	// control plane.
 	DataDir string
-	// WALSyncInterval selects the fsync policy: 0 syncs every record
-	// (no acknowledged operation is ever lost); >0 batches fsyncs at
-	// this interval (client-acked publishes are still always synced).
-	WALSyncInterval time.Duration
 	// CallTimeout is the per-call RPC I/O deadline applied to the
 	// deployment's shared pool: calls against a hung peer fail (and
 	// become retryable) after this long. 0 disables, the historical
@@ -92,12 +90,10 @@ type Config struct {
 	// Distributed tracing. Every daemon always carries a tracer (it
 	// records only requests that arrive already-traced, so an untraced
 	// workload costs nothing); TraceSample sets the client-side head
-	// sampling probability in [0,1], TraceSlow force-samples any client
-	// root operation slower than the threshold, and TraceBuf bounds
-	// each tracer's span ring (0 = trace.DefaultBufSpans).
+	// sampling probability in [0,1] and TraceSlow force-samples any
+	// client root operation slower than the threshold.
 	TraceSample float64
 	TraceSlow   time.Duration
-	TraceBuf    int
 
 	// StoreURL selects every data provider's block-store backend (see
 	// store.Open): "mem://" (the default when empty), "file:///path",
@@ -137,10 +133,77 @@ func (c *Config) fill() {
 	}
 }
 
+// fabric is what every deployment here is made of: a transport
+// (in-process pipes or loopback TCP), a connection pool over it, and the
+// nodes started on it, by address.
+type fabric struct {
+	Pool   *rpc.Pool
+	inproc *rpc.InprocNetwork // nil: loopback TCP
+
+	mu    sync.Mutex // a restart replaces a node while tests look others up
+	nodes map[string]*node.Node
+}
+
+func (f *fabric) init(tcp bool) {
+	f.nodes = make(map[string]*node.Node)
+	if tcp {
+		f.Pool = rpc.NewPool(rpc.TCPDialer)
+		return
+	}
+	f.inproc = rpc.NewInprocNetwork()
+	f.Pool = rpc.NewPool(f.inproc.Dial)
+}
+
+// listen binds an endpoint: name on the in-process network, or addr on
+// loopback TCP, where "" picks a free port.
+func (f *fabric) listen(name, addr string) (net.Listener, error) {
+	if f.inproc != nil {
+		return f.inproc.Listen(name)
+	}
+	return rpc.ListenTCP(cmp.Or(addr, "127.0.0.1:0"))
+}
+
+// startNode runs one more node on the fabric, under cfg.Name. A
+// restarted node passes the address it had (a real daemon comes back
+// where it is configured) and takes its predecessor's place.
+func (f *fabric) startNode(cfg node.Config, addr string) (*node.Node, error) {
+	lis, err := f.listen(cfg.Name, addr)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Listener, cfg.Pool = lis, f.Pool
+	n, err := node.Start(cfg)
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	f.nodes[n.Addr] = n
+	f.mu.Unlock()
+	return n, nil
+}
+
+// node returns the node serving addr (nil when none was started there;
+// a nil node's Stop and Kill do nothing).
+func (f *fabric) node(addr string) *node.Node {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nodes[addr]
+}
+
+// stop stops the nodes at addrs in that order — clients of a service
+// before the service; node.Node.Stop has the order within one — and
+// closes the pool.
+func (f *fabric) stop(addrs ...string) {
+	for _, a := range addrs {
+		f.node(a).Stop()
+	}
+	f.Pool.Close()
+}
+
 // BlobSeer is a running deployment.
 type BlobSeer struct {
-	Cfg           Config
-	Pool          *rpc.Pool
+	Cfg Config
+	fabric
 	VMAddrs       []string // every version-manager shard, in shard order (one when unsharded)
 	PMAddr        string
 	NSAddr        string
@@ -149,13 +212,7 @@ type BlobSeer struct {
 	MetaStore     mdtree.Store
 	Overlay       *repair.Overlay
 
-	vmSvcs     []*vmanager.Service // per shard, in shard order
-	pmSvc      *pmanager.Service
-	nsSvc      *namespace.Service
-	provSvcs   map[string]*provider.Service
-	provStores []store.Store // provider-order backends, closed on Stop
-	metaSvcs   map[string]*dht.MetaService
-
+	clients   *node.Clients // the stack every NewClient/NewBSFS is built from
 	repairEng *repair.Engine
 
 	exporter    *metrics.Exporter
@@ -166,260 +223,141 @@ type BlobSeer struct {
 	tracers      map[string]*trace.Tracer // per-daemon, by service name
 	clientTracer *trace.Tracer            // shared by every NewClient of this deployment
 	traceExp     *trace.Exporter
-
-	net       *rpc.InprocNetwork
-	serversMu sync.Mutex
-	servers   []*rpc.Server
-	srvByAddr map[string]*rpc.Server
-
-	heartbeatMu   sync.Mutex
-	stopHeartbeat map[string]chan struct{} // per-provider heartbeat loops
 }
-
-// listenerFactory abstracts inproc vs TCP endpoints.
-type listenerFactory func(name string) (net.Listener, string, error)
 
 // StartBlobSeer deploys all services of a BlobSeer instance.
 func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 	cfg.fill()
 	c := &BlobSeer{
-		Cfg:           cfg,
-		provSvcs:      make(map[string]*provider.Service),
-		metaSvcs:      make(map[string]*dht.MetaService),
-		srvByAddr:     make(map[string]*rpc.Server),
-		stopHeartbeat: make(map[string]chan struct{}),
-		tracers:       make(map[string]*trace.Tracer),
-		traceExp:      trace.NewExporter(),
+		Cfg:          cfg,
+		exporter:     metrics.NewExporter(),
+		tracers:      make(map[string]*trace.Tracer),
+		clientTracer: trace.New("client", 0),
+		traceExp:     trace.NewExporter(),
 	}
-	c.clientTracer = trace.New("client", cfg.TraceBuf)
+	c.init(cfg.UseTCP)
 	c.clientTracer.SetSampling(cfg.TraceSample, cfg.TraceSlow)
 	c.traceExp.Register(c.clientTracer)
-
-	var listen listenerFactory
-	if cfg.UseTCP {
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := rpc.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, lis.Addr().String(), nil
-		}
-		c.Pool = rpc.NewPool(rpc.TCPDialer)
-	} else {
-		c.net = rpc.NewInprocNetwork()
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := c.net.Listen(name)
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, name, nil
-		}
-		c.Pool = rpc.NewPool(c.net.Dial)
-	}
 	if cfg.CallTimeout > 0 {
 		c.Pool.SetCallTimeout(cfg.CallTimeout)
 	}
-
-	serve := func(name string, mux *rpc.Mux, opName func(uint16) string) (string, error) {
-		lis, addr, err := listen(name)
-		if err != nil {
-			return "", err
-		}
-		srv := rpc.NewServer(mux)
-		srv.SetTrace(c.tracerFor(name), opName)
-		c.serversMu.Lock()
-		c.servers = append(c.servers, srv)
-		c.srvByAddr[addr] = srv
-		c.serversMu.Unlock()
-		go srv.Serve(lis)
-		return addr, nil
-	}
-
-	// Metadata providers + DHT.
-	for i := 0; i < cfg.MetaProviders; i++ {
-		svc := dht.NewMetaService(store.NewMemStore())
-		addr, err := serve(fmt.Sprintf("meta-%d", i), svc.Mux(), dht.MethodName)
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		c.MetaAddrs = append(c.MetaAddrs, addr)
-		c.metaSvcs[addr] = svc
-	}
-	ring := dht.NewRing(c.MetaAddrs, dht.DefaultVnodes)
-	dhtClient := dht.NewClient(ring, c.Pool, cfg.MetaReplication)
-	c.MetaStore = mdtree.NewDHTStore(dhtClient)
-	// The location overlay shares the metadata DHT: relocation records
-	// are tiny KV entries under their own namespace.
-	c.Overlay = repair.NewOverlay(dhtClient)
-
-	// Version manager shards (with abort repair over the DHT, each
-	// recovered from its own WAL when the deployment is durable).
-	for k := 0; k < cfg.VMShards; k++ {
-		vmState, err := c.newVMState(k)
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		svc := vmanager.NewService(vmState)
-		if cfg.WriteTimeout > 0 {
-			svc.StartJanitor(cfg.WriteTimeout, cfg.WriteTimeout/2)
-		}
-		addr, err := serve(c.vmName(k), svc.Mux(), vmanager.MethodName)
-		if err != nil {
-			svc.StopJanitor()
-			c.Stop()
-			return nil, err
-		}
-		c.vmSvcs = append(c.vmSvcs, svc)
-		c.VMAddrs = append(c.VMAddrs, addr)
-	}
-
-	// Provider manager (with the liveness-expiry loop when configured).
-	c.pmSvc = pmanager.NewService(pmanager.NewState(cfg.Strategy))
-	if cfg.ExpireAfter > 0 {
-		c.pmSvc.StartExpiry(cfg.ExpireAfter, cfg.ExpireAfter/2)
-	}
-	pmAddr, err := serve("pmanager", c.pmSvc.Mux(), pmanager.MethodName)
-	if err != nil {
+	if err := c.start(); err != nil {
 		c.Stop()
 		return nil, err
-	}
-	c.PMAddr = pmAddr
-
-	// Namespace manager (the BSFS layer's file->BLOB map).
-	nsState, err := c.newNSState()
-	if err != nil {
-		c.Stop()
-		return nil, err
-	}
-	c.nsSvc = namespace.NewService(nsState)
-	nsAddr, err := serve("namespace", c.nsSvc.Mux(), namespace.MethodName)
-	if err != nil {
-		c.Stop()
-		return nil, err
-	}
-	c.NSAddr = nsAddr
-
-	// Data providers; each lives on its own synthetic host, mirroring
-	// the paper's one-provider-per-machine deployment. The block store
-	// behind each comes from the backend URL (mem:// when unset).
-	storeURL := cfg.StoreURL
-	if storeURL == "" {
-		storeURL = "mem://"
-	}
-	for i := 0; i < cfg.DataProviders; i++ {
-		st, err := store.OpenMember(storeURL, i)
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("cluster: provider %d store: %w", i, err)
-		}
-		c.provStores = append(c.provStores, st)
-		svc := provider.NewService(st, provider.WithForwarder(c.Pool))
-		addr, err := serve(fmt.Sprintf("provider-%d", i), svc.Mux(), provider.MethodName)
-		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		c.ProviderAddrs = append(c.ProviderAddrs, addr)
-		c.provSvcs[addr] = svc
-		c.pmSvc.State().Register(addr, c.HostOf(i))
-		if cfg.HeartbeatInterval > 0 {
-			c.startHeartbeat(addr, c.HostOf(i), svc)
-		}
-	}
-
-	// Repair engine: scanner + executor over the deployment's own
-	// client stack. Constructed always (tests and bsfsctl-style tools
-	// drive RunOnce directly); the background loop only runs when a
-	// scan period is configured.
-	c.repairEng = repair.New(repair.Config{
-		VM:          vmanager.NewClient(c.Pool, c.VMAddrs...),
-		PM:          pmanager.NewClient(c.Pool, c.PMAddr),
-		Prov:        provider.NewClient(c.Pool),
-		Meta:        c.MetaStore,
-		Overlay:     c.Overlay,
-		Concurrency: cfg.RepairConcurrency,
-	})
-	if cfg.RepairInterval > 0 {
-		c.repairEng.Start(cfg.RepairInterval)
-	}
-
-	// Metrics export: every daemon's registry under its service name —
-	// the same layout a multi-machine deployment gets from one
-	// blobseerd -metrics-addr per daemon, collapsed onto one endpoint.
-	c.exporter = metrics.NewExporter()
-	for k, svc := range c.vmSvcs {
-		c.exporter.Register(c.vmName(k), svc.Metrics())
-	}
-	c.exporter.Register("pmanager", c.pmSvc.Metrics())
-	c.exporter.Register("namespace", c.nsSvc.Metrics())
-	for i, addr := range c.ProviderAddrs {
-		c.exporter.Register(fmt.Sprintf("provider-%d", i), c.provSvcs[addr].Metrics())
-	}
-	for i, addr := range c.MetaAddrs {
-		c.exporter.Register(fmt.Sprintf("meta-%d", i), c.metaSvcs[addr].Metrics())
-	}
-	c.exporter.Register("repair", c.repairEng.Metrics())
-	if cfg.MetricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", c.exporter)
-		mux.Handle("/", c.exporter)
-		mux.Handle("/trace", c.traceExp)
-		bound, stop, err := metrics.ServeHandler(cfg.MetricsAddr, mux)
-		if err != nil {
-			c.Stop()
-			return nil, fmt.Errorf("cluster: metrics listener: %w", err)
-		}
-		c.metricsURL = "http://" + bound
-		c.stopMetrics = stop
 	}
 	return c, nil
+}
+
+// start brings the daemons up in dependency order — the order a
+// multi-machine deployment starts its blobseerd processes in.
+func (c *BlobSeer) start() error {
+	cfg := c.Cfg
+	for i := 0; i < cfg.MetaProviders; i++ {
+		n, err := c.startNode(node.Config{Role: node.Meta, Name: fmt.Sprintf("meta-%d", i)}, "")
+		if err != nil {
+			return err
+		}
+		c.MetaAddrs = append(c.MetaAddrs, n.Addr)
+	}
+	ep := node.Endpoints{Meta: c.MetaAddrs, MetaReplication: cfg.MetaReplication}
+
+	// Version manager shards, each repairing aborted writes over the DHT
+	// and recovered from its own WAL when the deployment is durable.
+	// Shard 0 keeps the historical "vmanager" name, so a single-shard
+	// deployment looks the same as ever.
+	for k := 0; k < cfg.VMShards; k++ {
+		name := "vmanager"
+		if k > 0 {
+			name = fmt.Sprintf("vmanager-%d", k)
+		}
+		n, err := c.startNode(node.Config{
+			Role: node.VManager, Name: name, Endpoints: ep,
+			Shard:        vmanager.ShardInfo{Index: k, Count: cfg.VMShards},
+			WriteTimeout: cfg.WriteTimeout, DataDir: cfg.DataDir,
+		}, "")
+		if err != nil {
+			return err
+		}
+		c.VMAddrs = append(c.VMAddrs, n.Addr)
+	}
+	ep.VM = c.VMAddrs
+
+	n, err := c.startNode(node.Config{Role: node.PManager, Strategy: cfg.Strategy, ExpireAfter: cfg.ExpireAfter}, "")
+	if err != nil {
+		return err
+	}
+	c.PMAddr, ep.PM = n.Addr, n.Addr
+
+	if n, err = c.startNode(node.Config{Role: node.Namespace, Endpoints: ep, DataDir: cfg.DataDir}, ""); err != nil {
+		return err
+	}
+	c.NSAddr, ep.NS = n.Addr, n.Addr
+
+	// Data providers; each lives on its own synthetic host, mirroring
+	// the paper's one-provider-per-machine deployment, and registers
+	// with the provider manager the way a real daemon does.
+	for i := 0; i < cfg.DataProviders; i++ {
+		n, err := c.startNode(node.Config{
+			Role: node.Provider, Name: fmt.Sprintf("provider-%d", i), Endpoints: ep,
+			StoreURL:  strings.ReplaceAll(cfg.StoreURL, "{n}", strconv.Itoa(i)),
+			Host:      c.HostOf(i),
+			Heartbeat: cfg.HeartbeatInterval,
+		}, "")
+		if err != nil {
+			return fmt.Errorf("cluster: provider %d: %w", i, err)
+		}
+		c.ProviderAddrs = append(c.ProviderAddrs, n.Addr)
+	}
+
+	c.clients = node.Connect(c.Pool, ep)
+	c.MetaStore, c.Overlay = c.clients.MetaStore, c.clients.Overlay
+	// The repair engine runs over the deployment's own client stack, on
+	// demand: tests and tools drive RunOnce.
+	c.repairEng = c.clients.Repair(0, 0)
+	c.exporter.Register("repair", c.repairEng.Metrics())
+
+	// Every daemon's registry and tracer is exported under its service
+	// name — the layout a multi-machine deployment gets from one
+	// blobseerd -metrics-addr per daemon, collapsed onto one endpoint.
+	if cfg.MetricsAddr != "" {
+		bound, stop, err := node.ServeObs(cfg.MetricsAddr, c.exporter, c.traceExp)
+		if err != nil {
+			return fmt.Errorf("cluster: metrics listener: %w", err)
+		}
+		c.metricsURL, c.stopMetrics = "http://"+bound, stop
+	}
+	return nil
+}
+
+// startNode is fabric.startNode plus the deployment's observability:
+// the daemon's registry and tracer are exported under its service name.
+func (c *BlobSeer) startNode(cfg node.Config, addr string) (*node.Node, error) {
+	cfg.Name = cmp.Or(cfg.Name, cfg.Role)
+	cfg.Tracer = c.tracerFor(cfg.Name)
+	n, err := c.fabric.startNode(cfg, addr)
+	if err != nil {
+		return nil, err
+	}
+	c.exporter.Register(cfg.Name, n.Metrics())
+	return n, nil
 }
 
 // tracerFor returns (creating on first use) the tracer of a named
 // daemon and registers it with the deployment trace exporter. Daemon
 // tracers never head-sample on their own — they record exactly the
-// requests that arrive carrying a sampled trace context.
+// requests that arrive carrying a sampled trace context. A restarted
+// daemon gets the tracer it had, so spans recorded before the crash and
+// after the recovery stitch into one tree.
 func (c *BlobSeer) tracerFor(name string) *trace.Tracer {
 	c.tracersMu.Lock()
 	defer c.tracersMu.Unlock()
 	t, ok := c.tracers[name]
 	if !ok {
-		t = trace.New(name, c.Cfg.TraceBuf)
+		t = trace.New(name, 0)
 		c.tracers[name] = t
 		c.traceExp.Register(t)
 	}
 	return t
-}
-
-// startHeartbeat launches the provider's liveness loop: every interval
-// it reports itself (with live store statistics) to the provider
-// manager over the same RPC path a real daemon uses, re-registering if
-// the manager has lost its membership.
-func (c *BlobSeer) startHeartbeat(addr, host string, svc *provider.Service) {
-	stop := make(chan struct{})
-	c.heartbeatMu.Lock()
-	c.stopHeartbeat[addr] = stop
-	c.heartbeatMu.Unlock()
-	pm := pmanager.NewClient(c.Pool, c.PMAddr)
-	interval := c.Cfg.HeartbeatInterval
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), interval)
-				if known, err := pm.Heartbeat(ctx, addr, svc.Store().Stats()); err == nil && !known {
-					_ = pm.Register(ctx, addr, host)
-				}
-				cancel()
-			}
-		}
-	}()
 }
 
 // KillProvider simulates a provider crash: its RPC server goes down
@@ -428,20 +366,7 @@ func (c *BlobSeer) startHeartbeat(addr, host string, svc *provider.Service) {
 // can remove it from the allocation pool — exactly a real crash's
 // signature. The provider's store is NOT cleared: a later repair pass
 // must not depend on it, but tests can inspect it.
-func (c *BlobSeer) KillProvider(addr string) {
-	c.heartbeatMu.Lock()
-	if stop, ok := c.stopHeartbeat[addr]; ok {
-		close(stop)
-		delete(c.stopHeartbeat, addr)
-	}
-	c.heartbeatMu.Unlock()
-	c.serversMu.Lock()
-	srv, ok := c.srvByAddr[addr]
-	c.serversMu.Unlock()
-	if ok {
-		srv.Close()
-	}
-}
+func (c *BlobSeer) KillProvider(addr string) { c.node(addr).Kill() }
 
 // RepairEngine exposes the deployment's repair plane (tests, tools).
 func (c *BlobSeer) RepairEngine() *repair.Engine { return c.repairEng }
@@ -472,21 +397,7 @@ func (c *BlobSeer) HostOf(i int) string { return fmt.Sprintf("host-%d", i) }
 // (a dedicated, non-co-deployed node, as in the paper's microbenchmark
 // boot-up phases) or one of HostOf(i) for a co-deployed client.
 func (c *BlobSeer) NewClient(host string) *core.Client {
-	return c.newClient(host, nil)
-}
-
-func (c *BlobSeer) newClient(host string, reg *metrics.Registry) *core.Client {
-	return core.NewClient(core.Config{
-		Pool:          c.Pool,
-		VMAddrs:       c.VMAddrs,
-		PMAddr:        c.PMAddr,
-		MetaStore:     c.MetaStore,
-		Host:          host,
-		MetaCacheSize: c.Cfg.MetaCacheSize,
-		Overlay:       c.Overlay,
-		Metrics:       reg,
-		Tracer:        c.clientTracer,
-	})
+	return c.clients.Core(host, c.Cfg.MetaCacheSize, nil, c.clientTracer)
 }
 
 // NewMeteredClient returns a core client wired to a fresh metrics
@@ -496,7 +407,7 @@ func (c *BlobSeer) newClient(host string, reg *metrics.Registry) *core.Client {
 func (c *BlobSeer) NewMeteredClient(host, name string) (*core.Client, *metrics.Registry) {
 	reg := metrics.NewRegistry()
 	c.exporter.Register(name, reg)
-	return c.newClient(host, reg), reg
+	return c.clients.Core(host, c.Cfg.MetaCacheSize, reg, c.clientTracer), reg
 }
 
 // NewMeteredBSFS returns a BSFS client whose core client exports its
@@ -512,9 +423,7 @@ func (c *BlobSeer) NewBSFS(host string) (*bsfs.FS, error) {
 }
 
 func (c *BlobSeer) newBSFS(cl *core.Client) (*bsfs.FS, error) {
-	return bsfs.New(bsfs.Config{
-		Core:             cl,
-		NS:               namespace.NewClient(c.Pool, c.NSAddr),
+	return c.clients.BSFS(cl, bsfs.Config{
 		BlockSize:        c.Cfg.BlockSize,
 		Replication:      c.Cfg.Replication,
 		ReadaheadBlocks:  c.Cfg.ReadaheadBlocks,
@@ -524,27 +433,27 @@ func (c *BlobSeer) newBSFS(cl *core.Client) (*bsfs.FS, error) {
 }
 
 // VMService exposes the version manager — shard 0 when sharded (tests).
-func (c *BlobSeer) VMService() *vmanager.Service { return c.vmSvcs[0] }
+func (c *BlobSeer) VMService() *vmanager.Service { return c.node(c.VMAddrs[0]).VM }
 
 // VMServiceShard exposes one version-manager shard (tests).
-func (c *BlobSeer) VMServiceShard(k int) *vmanager.Service { return c.vmSvcs[k] }
+func (c *BlobSeer) VMServiceShard(k int) *vmanager.Service { return c.node(c.VMAddrs[k]).VM }
 
 // VMShards reports the configured shard count.
-func (c *BlobSeer) VMShards() int { return len(c.vmSvcs) }
+func (c *BlobSeer) VMShards() int { return len(c.VMAddrs) }
 
 // NSService exposes the namespace manager (tests).
-func (c *BlobSeer) NSService() *namespace.Service { return c.nsSvc }
+func (c *BlobSeer) NSService() *namespace.Service { return c.node(c.NSAddr).NS }
 
 // PMService exposes the provider manager (tests, layout metrics).
-func (c *BlobSeer) PMService() *pmanager.Service { return c.pmSvc }
+func (c *BlobSeer) PMService() *pmanager.Service { return c.node(c.PMAddr).PM }
 
 // ProviderService returns the daemon behind a provider address (tests,
 // failure injection).
-func (c *BlobSeer) ProviderService(addr string) *provider.Service { return c.provSvcs[addr] }
+func (c *BlobSeer) ProviderService(addr string) *provider.Service { return c.node(addr).Prov }
 
 // MetaService returns the daemon behind a metadata provider address
 // (tests, failure injection).
-func (c *BlobSeer) MetaService(addr string) *dht.MetaService { return c.metaSvcs[addr] }
+func (c *BlobSeer) MetaService(addr string) *dht.MetaService { return c.node(addr).Meta }
 
 // Stop shuts every daemon down.
 func (c *BlobSeer) Stop() {
@@ -552,51 +461,5 @@ func (c *BlobSeer) Stop() {
 		_ = c.stopMetrics()
 		c.stopMetrics = nil
 	}
-	if c.repairEng != nil {
-		c.repairEng.Stop()
-	}
-	c.heartbeatMu.Lock()
-	for addr, stop := range c.stopHeartbeat {
-		close(stop)
-		delete(c.stopHeartbeat, addr)
-	}
-	c.heartbeatMu.Unlock()
-	if c.pmSvc != nil {
-		c.pmSvc.StopExpiry()
-	}
-	for _, svc := range c.vmSvcs {
-		svc.StopJanitor()
-	}
-	c.serversMu.Lock()
-	servers := append([]*rpc.Server(nil), c.servers...)
-	c.serversMu.Unlock()
-	for _, s := range servers {
-		s.Sever()
-	}
-	// Parked WaitPublished handlers would stall the drain below for
-	// their full wait timeout; wake them now that no response can
-	// reach a client.
-	for _, svc := range c.vmSvcs {
-		svc.State().ReleaseWaiters()
-	}
-	for _, s := range servers {
-		s.Close()
-	}
-	// Graceful shutdown: flush the control-plane logs (the SIGTERM
-	// path of blobseerd does the same).
-	for _, svc := range c.vmSvcs {
-		svc.State().CloseWAL()
-	}
-	if c.nsSvc != nil {
-		c.nsSvc.State().CloseWAL()
-	}
-	// Release the provider backends (stops tiered policy loops, closes
-	// HTTP connection pools).
-	for _, st := range c.provStores {
-		st.Close()
-	}
-	c.provStores = nil
-	if c.Pool != nil {
-		c.Pool.Close()
-	}
+	c.stop(slices.Concat(c.ProviderAddrs, []string{c.NSAddr}, c.VMAddrs, []string{c.PMAddr}, c.MetaAddrs)...)
 }

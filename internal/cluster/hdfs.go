@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 
 	"blobseer/internal/hdfs"
+	"blobseer/internal/node"
 	"blobseer/internal/placement"
 	"blobseer/internal/provider"
-	"blobseer/internal/rpc"
-	"blobseer/internal/store"
 	"blobseer/internal/util"
 )
 
@@ -38,75 +36,41 @@ func (c *HDFSConfig) fill() {
 
 // HDFS is a running baseline deployment.
 type HDFS struct {
-	Cfg           HDFSConfig
-	Pool          *rpc.Pool
+	Cfg HDFSConfig
+	fabric
 	NNAddr        string
 	DatanodeAddrs []string
-
-	nnSvc   *hdfs.Service
-	dnSvcs  map[string]*provider.Service
-	net     *rpc.InprocNetwork
-	servers []*rpc.Server
 }
 
 // StartHDFS deploys a namenode plus datanodes.
 func StartHDFS(cfg HDFSConfig) (*HDFS, error) {
 	cfg.fill()
-	h := &HDFS{Cfg: cfg, dnSvcs: make(map[string]*provider.Service)}
-
-	var listen func(name string) (net.Listener, string, error)
-	if cfg.UseTCP {
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := rpc.ListenTCP("127.0.0.1:0")
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, lis.Addr().String(), nil
-		}
-		h.Pool = rpc.NewPool(rpc.TCPDialer)
-	} else {
-		h.net = rpc.NewInprocNetwork()
-		listen = func(name string) (net.Listener, string, error) {
-			lis, err := h.net.Listen(name)
-			if err != nil {
-				return nil, "", err
-			}
-			return lis, name, nil
-		}
-		h.Pool = rpc.NewPool(h.net.Dial)
-	}
-
-	serve := func(name string, mux *rpc.Mux) (string, error) {
-		lis, addr, err := listen(name)
-		if err != nil {
-			return "", err
-		}
-		srv := rpc.NewServer(mux)
-		h.servers = append(h.servers, srv)
-		go srv.Serve(lis)
-		return addr, nil
-	}
-
-	h.nnSvc = hdfs.NewService(hdfs.NewNamenode(cfg.BlockSize, cfg.Strategy))
-	nnAddr, err := serve("namenode", h.nnSvc.Mux())
-	if err != nil {
+	h := &HDFS{Cfg: cfg}
+	h.init(cfg.UseTCP)
+	if err := h.start(); err != nil {
 		h.Stop()
 		return nil, err
 	}
-	h.NNAddr = nnAddr
-
-	for i := 0; i < cfg.Datanodes; i++ {
-		svc := provider.NewService(store.NewMemStore())
-		addr, err := serve(fmt.Sprintf("datanode-%d", i), svc.Mux())
-		if err != nil {
-			h.Stop()
-			return nil, err
-		}
-		h.DatanodeAddrs = append(h.DatanodeAddrs, addr)
-		h.dnSvcs[addr] = svc
-		h.nnSvc.Namenode().RegisterDatanode(addr, h.HostOf(i))
-	}
 	return h, nil
+}
+
+func (h *HDFS) start() error {
+	nn, err := h.startNode(node.Config{Role: node.Namenode, Name: "namenode", BlockSize: h.Cfg.BlockSize, Strategy: h.Cfg.Strategy}, "")
+	if err != nil {
+		return err
+	}
+	h.NNAddr = nn.Addr
+	for i := 0; i < h.Cfg.Datanodes; i++ {
+		dn, err := h.startNode(node.Config{
+			Role: node.Datanode, Name: fmt.Sprintf("datanode-%d", i),
+			NamenodeAddr: h.NNAddr, Host: h.HostOf(i),
+		}, "")
+		if err != nil {
+			return err
+		}
+		h.DatanodeAddrs = append(h.DatanodeAddrs, dn.Addr)
+	}
+	return nil
 }
 
 // HostOf returns the synthetic host name of datanode i (shared scheme
@@ -125,17 +89,10 @@ func (h *HDFS) NewFS(host string) (*hdfs.FS, error) {
 }
 
 // Namenode exposes the namenode core (tests, layout metrics).
-func (h *HDFS) Namenode() *hdfs.Namenode { return h.nnSvc.Namenode() }
+func (h *HDFS) Namenode() *hdfs.Namenode { return h.node(h.NNAddr).NN.Namenode() }
 
 // DatanodeService returns the daemon behind a datanode address.
-func (h *HDFS) DatanodeService(addr string) *provider.Service { return h.dnSvcs[addr] }
+func (h *HDFS) DatanodeService(addr string) *provider.Service { return h.node(addr).Prov }
 
 // Stop shuts the deployment down.
-func (h *HDFS) Stop() {
-	for _, s := range h.servers {
-		s.Close()
-	}
-	if h.Pool != nil {
-		h.Pool.Close()
-	}
-}
+func (h *HDFS) Stop() { h.stop(append(h.DatanodeAddrs, h.NNAddr)...) }

@@ -40,14 +40,13 @@ func (c *MapRedConfig) fill() {
 // MapRed is a running Map/Reduce deployment (jobtracker +
 // tasktrackers) on its own in-process control network.
 type MapRed struct {
-	Cfg    MapRedConfig
-	Pool   *rpc.Pool
+	Cfg MapRedConfig
+	fabric
 	JTAddr string
 
 	jtSvc    *mapred.JTService
 	trackers []*mapred.TaskTracker
 	servers  []*rpc.Server
-	net      *rpc.InprocNetwork
 }
 
 // StartMapRed deploys the engine. jtFS is the FileSystem the jobtracker
@@ -57,15 +56,15 @@ func StartMapRed(cfg MapRedConfig) (*MapRed, error) {
 	if cfg.FSFor == nil {
 		return nil, fmt.Errorf("cluster: MapRedConfig.FSFor is required")
 	}
-	m := &MapRed{Cfg: cfg, net: rpc.NewInprocNetwork()}
-	m.Pool = rpc.NewPool(m.net.Dial)
+	m := &MapRed{Cfg: cfg}
+	m.init(false)
 
 	jtFS, err := cfg.FSFor("")
 	if err != nil {
 		return nil, err
 	}
 	m.jtSvc = mapred.NewJTService(mapred.NewJobTracker(jtFS))
-	lis, err := m.net.Listen("jobtracker")
+	lis, err := m.listen("jobtracker", "")
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +91,7 @@ func StartMapRed(cfg MapRedConfig) (*MapRed, error) {
 			ReduceSlots: cfg.ReduceSlots,
 			Poll:        cfg.Poll,
 		})
-		tlis, err := m.net.Listen(addr)
+		tlis, err := m.listen(addr, "")
 		if err != nil {
 			m.Stop()
 			return nil, err
@@ -122,7 +121,5 @@ func (m *MapRed) Stop() {
 	for _, s := range m.servers {
 		s.Close()
 	}
-	if m.Pool != nil {
-		m.Pool.Close()
-	}
+	m.stop()
 }

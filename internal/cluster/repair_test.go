@@ -8,6 +8,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cluster"
+	"blobseer/internal/node"
 )
 
 // writeBlocks publishes an nBlocks-block payload and returns it.
@@ -129,6 +130,17 @@ func TestRepairConvergesAfterProviderDeath(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("read after failures returned wrong bytes (%d of %d)", len(got), len(payload))
+	}
+
+	// The same read through a client built from addresses alone, the way
+	// bsfsctl and bsfsblaster build theirs: it must find the relocated
+	// copies too.
+	fromAddrs := node.Connect(cl.Pool, node.Endpoints{
+		VM: cl.VMAddrs, PM: cl.PMAddr, NS: cl.NSAddr, Meta: cl.MetaAddrs, MetaReplication: cl.Cfg.MetaReplication,
+	}).Core("", 0, nil, nil)
+	got, err = readBlob(ctx, fromAddrs, m.ID, blob.NoVersion, 0, int64(len(payload)))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("client built from endpoints read %d of %d bytes after relocation: %v", len(got), len(payload), err)
 	}
 }
 

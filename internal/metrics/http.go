@@ -3,7 +3,6 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 )
@@ -98,35 +97,6 @@ func (e *Exporter) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(snap)
-}
-
-// Handler returns an http.Handler with the exporter mounted at
-// /metrics (and at /, so `curl host:port` works too).
-func (e *Exporter) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", e)
-	mux.Handle("/", e)
-	return mux
-}
-
-// Serve starts an HTTP listener on addr (":0" picks a free port) and
-// returns the bound address plus a stop function.
-func (e *Exporter) Serve(addr string) (string, func() error, error) {
-	return ServeHandler(addr, e.Handler())
-}
-
-// ServeHandler starts an HTTP listener on addr (":0" picks a free
-// port) serving h, returning the bound address plus a stop function.
-// Daemons use it to co-mount the trace endpoint next to /metrics on
-// one listener.
-func ServeHandler(addr string, h http.Handler) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }
 
 // Fetch scrapes a /metrics endpoint (host:port or full URL) and

@@ -137,7 +137,7 @@ func TestExporterHTTP(t *testing.T) {
 	e.Register("provider-0", reg)
 	e.Register("ignored", nil) // nil registries must be dropped
 
-	srv := httptest.NewServer(e.Handler())
+	srv := httptest.NewServer(e)
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")

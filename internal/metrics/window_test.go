@@ -123,7 +123,7 @@ func TestTextFormatScrape(t *testing.T) {
 
 	e := NewExporter()
 	e.Register("svc", reg)
-	srv := httptest.NewServer(e.Handler())
+	srv := httptest.NewServer(e)
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics?format=text")

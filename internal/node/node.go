@@ -1,0 +1,392 @@
+// Package node is the one place that knows how a role of the paper's
+// Figure 2 becomes a running service (Start, Stop, Kill) and how a set
+// of addresses becomes a client stack (Connect). internal/cluster runs
+// N nodes in one process, cmd/blobseerd one node per process: same
+// construction, same registration, same stop order.
+package node
+
+import (
+	"cmp"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"blobseer/internal/dht"
+	"blobseer/internal/hdfs"
+	"blobseer/internal/mdtree"
+	"blobseer/internal/metrics"
+	"blobseer/internal/namespace"
+	"blobseer/internal/placement"
+	"blobseer/internal/pmanager"
+	"blobseer/internal/provider"
+	"blobseer/internal/repair"
+	"blobseer/internal/rpc"
+	"blobseer/internal/store"
+	"blobseer/internal/trace"
+	"blobseer/internal/vmanager"
+	"blobseer/internal/wal"
+)
+
+// The roles a node can run.
+const (
+	Meta      = "meta"
+	VManager  = "vmanager"
+	PManager  = "pmanager"
+	Namespace = "namespace"
+	Provider  = "provider"
+	Repair    = "repair"
+	Namenode  = "namenode"
+	Datanode  = "datanode"
+)
+
+// Config describes one node; a role reads only the fields that name it.
+type Config struct {
+	Role string
+	Name string // service name in /metrics, /trace and `bsfsctl top` ("" = Role)
+	// Listener is the endpoint to serve (every role but repair). Start
+	// owns it from the call on, also when Start fails.
+	Listener net.Listener
+	// Pool carries the node's own calls (registration, heartbeats, chain
+	// forwarding, blob creation, DHT access) to the peers Endpoints and
+	// NamenodeAddr name. The caller closes it after Stop.
+	Pool *rpc.Pool
+	Endpoints
+	NamenodeAddr string // datanode
+
+	StoreURL string // meta, provider, datanode: store.Open URL ("" = mem://)
+	Host     string // provider, datanode: host label for affinity scheduling
+
+	Shard        vmanager.ShardInfo // vmanager: identity k/K (zero = unsharded)
+	NoRepair     bool               // vmanager: no metadata repair of aborted writes
+	MetaCache    int                // vmanager, repair: node-cache entries (<0 default, 0 off)
+	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
+	// DataDir makes vmanager and namespace durable: they journal to, and
+	// recover from, DataDir/vmanager (DataDir/vmanager/shard-k when
+	// sharded) and DataDir/namespace. WALSync > 0 batches fsyncs at that
+	// interval instead of syncing every record.
+	DataDir string
+	WALSync time.Duration
+
+	Strategy    placement.Strategy // pmanager, namenode
+	ExpireAfter time.Duration      // pmanager: expire providers silent this long (0 = never)
+	Heartbeat   time.Duration      // provider: heartbeat period (0 = none)
+	BlockSize   int64              // namenode
+
+	RepairInterval    time.Duration // repair: scan period
+	RepairConcurrency int           // repair: parallel block repairs (0 = default)
+
+	MetricsAddr string // serve this node's registry and tracer here (see ServeObs)
+	// Tracer records server spans (nil = none); its sampling policy is
+	// the caller's. A restarted node is handed its predecessor's, so
+	// spans from before and after the outage stitch.
+	Tracer *trace.Tracer
+	Logf   func(format string, args ...any) // nil = silent
+}
+
+// Node is a running service. The role decides which one service field
+// is set (a datanode is a provider service).
+type Node struct {
+	Addr string // bound address ("" for repair)
+
+	VM     *vmanager.Service
+	NS     *namespace.Service
+	PM     *pmanager.Service
+	Prov   *provider.Service
+	Meta   *dht.MetaService
+	NN     *hdfs.Service
+	Repair *repair.Engine
+
+	cfg   Config
+	reg   *metrics.Registry
+	srv   *rpc.Server
+	store store.Store
+	loops []func() // stops what the role runs in the background
+	kill  sync.Once
+}
+
+// Start builds the role's service, serves it on cfg.Listener, announces
+// a provider or datanode to its manager and starts the role's loops.
+func Start(cfg Config) (n *Node, err error) {
+	cfg.Name = cmp.Or(cfg.Name, cfg.Role)
+	n = &Node{cfg: cfg}
+	defer func() {
+		if err != nil {
+			if n.srv == nil && cfg.Listener != nil {
+				cfg.Listener.Close()
+			}
+			n.Stop()
+			n = nil
+		}
+	}()
+	mux, opName, err := n.build()
+	if err != nil {
+		return n, err
+	}
+	if mux != nil {
+		n.Addr = cfg.Listener.Addr().String()
+		n.srv = rpc.NewServer(mux)
+		n.srv.SetTrace(cfg.Tracer, opName)
+		go n.srv.Serve(cfg.Listener)
+		n.logf("%s listening on %s", cfg.Name, n.Addr)
+	}
+	if err := n.announce(); err != nil {
+		return n, err
+	}
+	if cfg.MetricsAddr != "" {
+		mexp, texp := metrics.NewExporter(), trace.NewExporter()
+		mexp.Register(cfg.Name, n.reg)
+		texp.Register(cfg.Tracer)
+		bound, stop, err := ServeObs(cfg.MetricsAddr, mexp, texp)
+		if err != nil {
+			return n, fmt.Errorf("metrics listener on %s: %w", cfg.MetricsAddr, err)
+		}
+		n.loops = append(n.loops, func() { _ = stop() })
+		n.logf("metrics on http://%s/metrics (traces at /trace)", bound)
+	}
+	return n, nil
+}
+
+// build constructs the role's service and returns its dispatch table
+// and the method namer for server spans (both nil for repair, a pure
+// client). The usage errors name blobseerd's flags: it is their caller.
+func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
+	cfg := &n.cfg
+	switch cfg.Role {
+	case Meta, Provider, Datanode:
+		if cfg.Role == Provider && cfg.PM == "" {
+			return nil, nil, errors.New("provider: -pmanager is required")
+		}
+		if cfg.Role == Datanode && cfg.NamenodeAddr == "" {
+			return nil, nil, errors.New("datanode: -namenode is required")
+		}
+		if n.store, err = store.Open(cmp.Or(cfg.StoreURL, "mem://")); err != nil {
+			return nil, nil, fmt.Errorf("open store: %w", err)
+		}
+		switch cfg.Role {
+		case Meta:
+			n.Meta = dht.NewMetaService(n.store)
+			n.reg = n.Meta.Metrics()
+			return n.Meta.Mux(), dht.MethodName, nil
+		case Provider: // providers forward chain frames to downstream replicas
+			n.Prov = provider.NewService(n.store, provider.WithForwarder(cfg.Pool))
+		default:
+			n.Prov = provider.NewService(n.store)
+		}
+		n.reg = n.Prov.Metrics()
+		return n.Prov.Mux(), provider.MethodName, nil
+
+	case VManager:
+		var rep vmanager.Repairer
+		if !cfg.NoRepair {
+			if len(cfg.Meta) == 0 {
+				return nil, nil, errors.New("vmanager: -meta is required (or pass -no-repair)")
+			}
+			rep = vmanager.MetadataRepairer(mdtree.MaybeCache(Connect(cfg.Pool, cfg.Endpoints).MetaStore, cfg.MetaCache))
+		}
+		sub := "vmanager"
+		if cfg.Shard.Count > 1 { // one WAL per shard: recovery never crosses shards
+			sub = filepath.Join(sub, fmt.Sprintf("shard-%d", cfg.Shard.Index))
+		}
+		st, err := openState(n, sub,
+			func(l *wal.Log) (*vmanager.State, error) { return vmanager.RecoverShard(l, rep, cfg.Shard) },
+			func() *vmanager.State { return vmanager.NewShardState(rep, cfg.Shard) })
+		if err != nil {
+			return nil, nil, err
+		}
+		n.VM = vmanager.NewService(st)
+		if cfg.WriteTimeout > 0 {
+			n.VM.StartJanitor(cfg.WriteTimeout, cfg.WriteTimeout/2)
+			n.loops = append(n.loops, n.VM.StopJanitor)
+		}
+		n.reg = n.VM.Metrics()
+		return n.VM.Mux(), vmanager.MethodName, nil
+
+	case PManager:
+		n.PM = pmanager.NewService(pmanager.NewState(cfg.Strategy))
+		if cfg.ExpireAfter > 0 {
+			n.PM.StartExpiry(cfg.ExpireAfter, cfg.ExpireAfter/2)
+			n.loops = append(n.loops, n.PM.StopExpiry)
+		}
+		n.reg = n.PM.Metrics()
+		return n.PM.Mux(), pmanager.MethodName, nil
+
+	case Namespace:
+		if len(cfg.VM) == 0 {
+			return nil, nil, errors.New("namespace: -vmanager is required")
+		}
+		creator := namespace.VMBlobCreator(vmanager.NewClient(cfg.Pool, cfg.VM...))
+		st, err := openState(n, "namespace",
+			func(l *wal.Log) (*namespace.State, error) { return namespace.Recover(l, creator) },
+			func() *namespace.State { return namespace.NewState(creator) })
+		if err != nil {
+			return nil, nil, err
+		}
+		n.NS = namespace.NewService(st)
+		n.reg = n.NS.Metrics()
+		return n.NS.Mux(), namespace.MethodName, nil
+
+	case Namenode:
+		n.NN = hdfs.NewService(hdfs.NewNamenode(cfg.BlockSize, cfg.Strategy))
+		return n.NN.Mux(), nil, nil
+
+	case Repair:
+		if len(cfg.VM) == 0 || cfg.PM == "" || len(cfg.Meta) == 0 {
+			return nil, nil, errors.New("repair: -vmanager, -pmanager and -meta are required")
+		}
+		if cfg.RepairInterval <= 0 {
+			return nil, nil, errors.New("repair: -repair-interval must be positive")
+		}
+		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair(cfg.MetaCache, cfg.RepairConcurrency)
+		n.reg = n.Repair.Metrics()
+		n.Repair.Start(cfg.RepairInterval)
+		n.loops = append(n.loops, n.Repair.Stop)
+		n.logf("repair loop running (every %s)", cfg.RepairInterval)
+		return nil, nil, nil
+	}
+	return nil, nil, fmt.Errorf("unknown role %q", cfg.Role)
+}
+
+// openState returns a control-plane role's state: recovered from the
+// write-ahead log under DataDir/sub when the node is durable (later
+// mutations are journaled there), fresh and volatile otherwise.
+func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fresh func() S) (st S, err error) {
+	if n.cfg.DataDir == "" {
+		return fresh(), nil
+	}
+	opts := wal.Options{Policy: wal.SyncAlways}
+	if n.cfg.WALSync > 0 {
+		opts = wal.Options{Policy: wal.SyncInterval, Interval: n.cfg.WALSync}
+	}
+	log, err := wal.Open(filepath.Join(n.cfg.DataDir, sub), opts)
+	if err != nil {
+		return st, fmt.Errorf("open WAL under %s: %w", n.cfg.DataDir, err)
+	}
+	if st, err = recover(log); err != nil {
+		log.Close()
+		return st, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Name, err)
+	}
+	ws := log.Status()
+	n.logf("%s: recovered from WAL (%d segment(s), %d bytes)", n.cfg.Name, ws.Segments, ws.LogBytes)
+	return st, nil
+}
+
+// announce registers a storage node with its manager, so clients need
+// the manager's address alone, and starts a provider's liveness loop.
+func (n *Node) announce() error {
+	cfg := &n.cfg
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	switch cfg.Role {
+	case Provider:
+		pm := pmanager.NewClient(cfg.Pool, cfg.PM)
+		if err := pm.Register(ctx, n.Addr, cfg.Host); err != nil {
+			return fmt.Errorf("register with provider manager %s: %w", cfg.PM, err)
+		}
+		n.logf("registered with provider manager %s as host %q", cfg.PM, cfg.Host)
+		if cfg.Heartbeat > 0 {
+			stop, done := make(chan struct{}), make(chan struct{})
+			go n.heartbeat(pm, stop, done)
+			n.loops = append(n.loops, func() { close(stop); <-done })
+		}
+	case Datanode:
+		if err := hdfs.NewNNClient(cfg.Pool, cfg.NamenodeAddr).Register(ctx, n.Addr, cfg.Host); err != nil {
+			return fmt.Errorf("register with namenode %s: %w", cfg.NamenodeAddr, err)
+		}
+		n.logf("registered with namenode %s as host %q", cfg.NamenodeAddr, cfg.Host)
+	}
+	return nil
+}
+
+// heartbeat is the provider's liveness loop. Heartbeats carry live
+// store statistics, so the manager's listings track what the provider
+// holds; going silent for the manager's expiry window drops it from the
+// allocation pool. A manager that restarted and lost its membership
+// answers "unknown" and the provider registers again, so the pool
+// recovers without restarting every provider.
+func (n *Node) heartbeat(pm *pmanager.Client, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(n.cfg.Heartbeat)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.Heartbeat)
+		known, err := pm.Heartbeat(ctx, n.Addr, n.store.Stats())
+		if err == nil && !known {
+			if err = pm.Register(ctx, n.Addr, n.cfg.Host); err == nil {
+				n.logf("re-registered with provider manager %s", n.cfg.PM)
+			}
+		}
+		if err != nil {
+			n.logf("heartbeat to %s: %v", n.cfg.PM, err)
+		}
+		cancel()
+	}
+}
+
+func (n *Node) logf(format string, args ...any) {
+	if n.cfg.Logf != nil {
+		n.cfg.Logf(format, args...)
+	}
+}
+
+// Config returns the configuration the node runs with. Starting it
+// again on a fresh Listener for Addr restarts the node: same role, same
+// WAL directory, same tracer.
+func (n *Node) Config() Config { return n.cfg }
+
+// Metrics returns the role's registry (nil for a namenode).
+func (n *Node) Metrics() *metrics.Registry { return n.reg }
+
+// Kill is a crash: everything Stop does except closing the block store,
+// which stays readable for whoever inspects the wreck. The order is
+// what matters. Loops stop first. Then the server is severed: from here
+// on no response reaches a client. Parked WaitPublished handlers are
+// woken (they would stall the drain for their whole timeout) and the
+// server drains. Only then is the write-ahead log closed: a closed log
+// journals nothing, so closing it while a handler can still answer
+// would acknowledge mutations that were never logged.
+func (n *Node) Kill() {
+	if n == nil {
+		return
+	}
+	n.kill.Do(func() {
+		for _, stop := range n.loops {
+			stop()
+		}
+		if n.srv != nil {
+			n.srv.Sever()
+			if n.VM != nil {
+				n.VM.State().ReleaseWaiters()
+			}
+			n.srv.Close()
+		}
+		var err error
+		if n.VM != nil {
+			err = n.VM.State().CloseWAL()
+		}
+		if n.NS != nil {
+			err = n.NS.State().CloseWAL()
+		}
+		if err != nil {
+			n.logf("%s: close WAL: %v", n.cfg.Name, err)
+		}
+	})
+}
+
+// Stop shuts the node down for good: Kill, then the block store is
+// closed (which stops a tiered store's policy loop). Stopping a nil,
+// killed or stopped node is safe.
+func (n *Node) Stop() {
+	n.Kill()
+	if n != nil && n.store != nil {
+		n.store.Close()
+	}
+}

@@ -63,14 +63,6 @@ func Open(rawURL string) (Store, error) {
 	return st, nil
 }
 
-// OpenMember opens the store URL for member i of a fleet: every "{n}"
-// in the URL is replaced by the member index first, so one template
-// like "file:///var/blobseer/provider-{n}" (or a tiered URL nesting
-// it) configures a whole deployment without colliding directories.
-func OpenMember(rawURL string, i int) (Store, error) {
-	return Open(strings.ReplaceAll(rawURL, "{n}", strconv.Itoa(i)))
-}
-
 func init() {
 	Register("mem", func(u *url.URL) (Store, error) {
 		return NewMemStore(), nil

@@ -90,31 +90,6 @@ func TestOpenFilePaths(t *testing.T) {
 	}
 }
 
-func TestOpenMember(t *testing.T) {
-	dir := t.TempDir()
-	st0, err := OpenMember("file://"+dir+"/p{n}", 0)
-	if err != nil {
-		t.Fatalf("OpenMember(0): %v", err)
-	}
-	defer st0.Close()
-	st1, err := OpenMember("file://"+dir+"/p{n}", 1)
-	if err != nil {
-		t.Fatalf("OpenMember(1): %v", err)
-	}
-	defer st1.Close()
-	if err := st0.Put("k", []byte("zero")); err != nil {
-		t.Fatal(err)
-	}
-	if st1.Has("k") {
-		t.Fatal("members share a directory; {n} substitution failed")
-	}
-	// Without {n} every member shares one store URL (mem:// gives each
-	// its own instance anyway).
-	if _, err := OpenMember("mem://", 3); err != nil {
-		t.Fatalf("OpenMember(mem://): %v", err)
-	}
-}
-
 func TestOpenTieredOptions(t *testing.T) {
 	q := url.Values{}
 	q.Set("hot", "mem://")

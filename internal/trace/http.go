@@ -43,13 +43,6 @@ func (e *Exporter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(spansResponse{Spans: e.Spans(id)})
 }
 
-// Handler returns an http.Handler with the exporter mounted at /trace.
-func (e *Exporter) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/trace", e)
-	return mux
-}
-
 // normalize turns "host:port" or a full URL into the /trace query URL.
 func normalize(endpoint string) string {
 	if !strings.Contains(endpoint, "://") {

@@ -234,7 +234,7 @@ func TestExporterHTTPRoundTrip(t *testing.T) {
 	root.Finish(nil)
 	id := root.Trace()
 
-	srv := httptest.NewServer(exp.Handler())
+	srv := httptest.NewServer(exp)
 	defer srv.Close()
 
 	spans, err := Fetch(srv.URL, id)

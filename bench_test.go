@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 
 	"blobseer"
@@ -351,5 +353,68 @@ func BenchmarkHDFSWrite(b *testing.B) {
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAppendShared is the paper's Fig 5 shape on the real stack:
+// two clients append aligned 64 KB blocks to one blob over loopback
+// TCP. At that size the per-call control path (placement, version
+// grant, tree build, DHT batch, publish) is the cost, and it must be
+// constant in the blob's age: the budget is the mem store's resident
+// copy plus a quarter, and 130 allocations per append. Run it with
+// -benchtime=2000x (CI does).
+func BenchmarkAppendShared(b *testing.B) {
+	const blockSize, appenders = 64 * util.KB, 2
+	cl, err := blobseer.Start(blobseer.Config{BlockSize: blockSize, MetaCacheSize: -1, UseTCP: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+	first, err := cl.NewClient("").CreateBlob(ctx, blockSize, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blobs := []*blobseer.Blob{first}
+	for len(blobs) < appenders {
+		bl, err := cl.NewClient("").OpenBlob(ctx, first.ID())
+		if err != nil {
+			b.Fatal(err)
+		}
+		blobs = append(blobs, bl)
+	}
+	appendEach := func(n int) {
+		var wg sync.WaitGroup
+		for _, bl := range blobs {
+			wg.Add(1)
+			go func(bl *blobseer.Blob) {
+				defer wg.Done()
+				data := make([]byte, blockSize)
+				for i := 0; i < n; i++ {
+					if _, err := bl.Append(ctx, data); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(bl)
+		}
+		wg.Wait()
+	}
+	appendEach(8) // connections dialed, free lists filled
+	per := (b.N + appenders - 1) / appenders
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.SetBytes(blockSize)
+	b.ResetTimer()
+	appendEach(per)
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	ops := float64(per * appenders)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / ops / float64(blockSize)
+	allocs := float64(after.Mallocs-before.Mallocs) / ops
+	b.ReportMetric(perByte, "alloc-B/payload-B")
+	b.ReportMetric(allocs, "allocs/append")
+	if b.N >= 1000 && (perByte > 1.25 || allocs > 130) {
+		b.Errorf("%.2f bytes and %.0f allocations per 64 KB append, want at most 1.25 B/B and 130", perByte, allocs)
 	}
 }

@@ -12,6 +12,8 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"blobseer/internal/util"
 )
@@ -75,7 +77,13 @@ type BlockKey struct {
 }
 
 func (k BlockKey) String() string {
-	return fmt.Sprintf("%s%d", k.WritePrefix(), k.Seq)
+	return string(strconv.AppendUint(k.appendPrefix(make([]byte, 0, 48)), uint64(k.Seq), 10))
+}
+
+func (k BlockKey) appendPrefix(b []byte) []byte {
+	b = strconv.AppendUint(append(b, 'b'), uint64(k.Blob), 10)
+	b = strconv.AppendUint(append(b, '/'), k.Nonce, 16)
+	return append(b, '/')
 }
 
 // WritePrefix returns the store-key prefix shared by every block the
@@ -83,7 +91,7 @@ func (k BlockKey) String() string {
 // trailing separator keeps nonce 0x1 from matching nonce 0x12. Provider
 // garbage collection deletes by this prefix.
 func (k BlockKey) WritePrefix() string {
-	return fmt.Sprintf("b%d/%x/", k.Blob, k.Nonce)
+	return string(k.appendPrefix(make([]byte, 0, 40)))
 }
 
 // KeyPrefix is the first byte of every serialized BlockKey — the store
@@ -164,11 +172,54 @@ type WriteDesc struct {
 func (d WriteDesc) Range() Range { return Range{Off: d.Off, Len: d.Len} }
 
 // History is the dense, version-ordered sequence of write descriptors of
-// one blob. Descs[i] has Version == i+1. History is a value type: the
-// version manager owns the authoritative copy, clients keep a cached
-// prefix and extend it from AssignVersion/GetHistory replies.
+// one blob. Descs[i] has Version == i+1. The version manager owns the
+// authoritative history, clients keep a cached prefix and extend it from
+// AssignVersion/GetHistory replies. The owner serializes its own calls;
+// what it hands out through View and Since is read-only and needs no
+// lock: the backing array is only ever appended to, and an entry that
+// really changes (Extend, MarkAborted) is written to a fresh copy.
+// Descs is for reading; change a history through its methods only.
 type History struct {
-	Descs []WriteDesc
+	Descs  []WriteDesc
+	shared bool // a view may alias Descs: copy before changing an entry
+}
+
+// Since returns the descriptors of versions > since, in O(1), as a
+// read-only slice that later changes to h never show through.
+func (h *History) Since(since Version) []WriteDesc {
+	n := len(h.Descs)
+	if int(since) >= n {
+		return nil
+	}
+	h.shared = true
+	return h.Descs[since:n:n]
+}
+
+// View returns the history as recorded so far, in O(1), for a reader
+// that outlives the owner's lock (a metadata build, an abort repair).
+func (h *History) View() *History {
+	return &History{Descs: h.Since(0), shared: true}
+}
+
+// set overwrites entry idx unless it already equals d.
+func (h *History) set(idx int, d WriteDesc) {
+	if h.Descs[idx] == d {
+		return
+	}
+	if h.shared {
+		h.Descs, h.shared = slices.Clone(h.Descs), false
+	}
+	h.Descs[idx] = d
+}
+
+// MarkAborted flags version v as aborted; false if v is not recorded.
+func (h *History) MarkAborted(v Version) bool {
+	d, ok := h.Desc(v)
+	if ok {
+		d.Aborted = true
+		h.set(int(v)-1, d)
+	}
+	return ok
 }
 
 // Len returns the number of versions recorded.
@@ -208,8 +259,8 @@ func (h *History) Append(d WriteDesc) error {
 }
 
 // Extend merges a contiguous descriptor suffix fetched from the version
-// manager into the local cache. Overlapping entries are overwritten
-// (an entry may change Aborted status after a repair).
+// manager into the local cache. Overlapping entries that differ are
+// overwritten (an entry may change Aborted status after a repair).
 func (h *History) Extend(descs []WriteDesc) error {
 	for _, d := range descs {
 		idx := int(d.Version) - 1
@@ -217,7 +268,7 @@ func (h *History) Extend(descs []WriteDesc) error {
 		case idx < 0:
 			return fmt.Errorf("blob: descriptor with version 0")
 		case idx < len(h.Descs):
-			h.Descs[idx] = d
+			h.set(idx, d)
 		case idx == len(h.Descs):
 			h.Descs = append(h.Descs, d)
 		default:
@@ -241,11 +292,6 @@ func (h *History) LatestIntersecting(r Range, upTo Version) Version {
 		}
 	}
 	return NoVersion
-}
-
-// Clone returns a deep copy of the history.
-func (h *History) Clone() *History {
-	return &History{Descs: append([]WriteDesc(nil), h.Descs...)}
 }
 
 // Blocks returns the number of blocks needed to hold size bytes given

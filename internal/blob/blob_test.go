@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,17 +167,141 @@ func TestHistoryExtend(t *testing.T) {
 	}
 }
 
-func TestHistoryClone(t *testing.T) {
+// TestHistoryViewIsImmutable: a view taken at length n is a value. The
+// owner appending, re-extending an identical overlapping suffix, really
+// changing an entry and aborting a version never shows through it, and
+// the holder changing its view never reaches the owner.
+func TestHistoryViewIsImmutable(t *testing.T) {
+	desc := func(v int) WriteDesc {
+		return WriteDesc{Version: Version(v), Off: int64(v-1) * 10, Len: 10, SizeAfter: int64(v) * 10, Kind: KindAppend, Nonce: uint64(v)}
+	}
+	f := func(seed uint64) bool {
+		r := util.NewSplitMix64(seed)
+		h := &History{}
+		type held struct {
+			view *History
+			want []WriteDesc
+		}
+		var views []held
+		for step := 0; step < 200; step++ {
+			n := h.Len()
+			switch op := r.Intn(6); {
+			case op <= 1 || n == 0:
+				if h.Append(desc(n+1)) != nil {
+					return false
+				}
+			case op == 2: // an assignment reply overlapping what is cached
+				from := 1 + r.Intn(n)
+				suffix := append([]WriteDesc(nil), h.Descs[from-1:]...)
+				suffix = append(suffix, desc(n+1))
+				if h.Extend(suffix) != nil {
+					return false
+				}
+			case op == 3: // the same, with an entry that changed after a repair
+				d := h.Descs[r.Intn(n)]
+				d.Aborted = true
+				if h.Extend([]WriteDesc{d}) != nil {
+					return false
+				}
+			case op == 4:
+				v := Version(1 + r.Intn(n))
+				if !h.MarkAborted(v) {
+					return false
+				}
+				if d, _ := h.Desc(v); !d.Aborted {
+					return false
+				}
+			default:
+				v := h.View()
+				views = append(views, held{v, append([]WriteDesc(nil), v.Descs...)})
+				if r.Intn(4) == 0 { // a holder that writes to its view
+					mine := h.View()
+					mine.MarkAborted(Version(1 + r.Intn(n)))
+					mine.Append(desc(n + 1))
+				}
+			}
+			for _, hv := range views {
+				if !slices.Equal(hv.view.Descs, hv.want) {
+					return false
+				}
+			}
+			for i, d := range h.Descs {
+				if d.Version != Version(i+1) {
+					return false
+				}
+			}
+		}
+		return h.MarkAborted(Version(h.Len()+1)) == false
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHistoryViewUnderRace: a goroutine reads its view, lock-free,
+// while the owner keeps changing the history (run with -race).
+func TestHistoryViewUnderRace(t *testing.T) {
 	h := &History{}
-	if err := h.Append(WriteDesc{Version: 1, Len: 1, SizeAfter: 1}); err != nil {
-		t.Fatal(err)
+	for v := 1; v <= 64; v++ {
+		if err := h.Append(WriteDesc{Version: Version(v), Off: int64(v), Len: 1, SizeAfter: int64(v + 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c := h.Clone()
-	if err := c.Append(WriteDesc{Version: 2, Off: 1, Len: 1, SizeAfter: 2}); err != nil {
-		t.Fatal(err)
+	view := h.View()
+	want := append([]WriteDesc(nil), view.Descs...)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, d := range want {
+				if got, ok := view.Desc(Version(i + 1)); !ok || got != d {
+					t.Errorf("view of version %d changed to %+v", i+1, got)
+					return
+				}
+			}
+			if view.LatestIntersecting(Range{Off: 3, Len: 1}, 64) != 3 || view.Len() != 64 {
+				t.Error("view changed")
+				return
+			}
+		}
+	}()
+	for v := 65; v <= 4000; v++ {
+		if err := h.Append(WriteDesc{Version: Version(v), Off: int64(v), Len: 1, SizeAfter: int64(v + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		switch v % 3 {
+		case 0:
+			if err := h.Extend(h.Descs[v-40:]); err != nil { // identical overlapping suffix
+				t.Fatal(err)
+			}
+		case 1:
+			h.MarkAborted(Version(1 + v%64))
+			h.View() // a later view must not make the first one writable again
+		}
 	}
-	if h.Latest() != 1 || c.Latest() != 2 {
-		t.Error("clone shares backing storage")
+	close(stop)
+	<-done
+	for v := Version(1); v <= 64; v++ {
+		if d, _ := h.Desc(v); !d.Aborted {
+			t.Fatalf("owner lost the abort of version %d", v)
+		}
+	}
+}
+
+// TestBlockKeyFormat pins the store key: providers, GC prefixes and
+// block reports all parse it.
+func TestBlockKeyFormat(t *testing.T) {
+	k := BlockKey{Blob: 12, Nonce: 0xdeadbeef01, Seq: 7}
+	if k.String() != "b12/deadbeef01/7" || k.WritePrefix() != "b12/deadbeef01/" {
+		t.Errorf("key %q prefix %q", k.String(), k.WritePrefix())
+	}
+	if got, err := ParseBlockKey(BlockKey{Blob: 1, Nonce: ^uint64(0), Seq: ^uint32(0)}.String()); err != nil || got.Nonce != ^uint64(0) || got.Seq != ^uint32(0) {
+		t.Errorf("round trip: %+v, %v", got, err)
 	}
 }
 

@@ -114,4 +114,13 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	if snap["namespace"].Counters["ops_create_file"] == 0 {
 		t.Error("namespace create_file counter is zero after Create")
 	}
+	// The recycled-buffer free lists every frame above came from: the
+	// smallest class carried the control calls, all of them recycled.
+	pool := snap["wire"].Gauges
+	if pool["pool_1k_hits"] == 0 || pool["pool_1k_parked_bytes"] == 0 {
+		t.Errorf("wire pool: %d hits, %d bytes parked in the 1 KB class after a write and a read", pool["pool_1k_hits"], pool["pool_1k_parked_bytes"])
+	}
+	if _, ok := pool["pool_1024k_misses"]; !ok || len(pool) != 3*11 {
+		t.Errorf("wire pool exports %d gauges, want hits, misses and parked_bytes for 11 classes up to 1024k", len(pool))
+	}
 }

@@ -565,8 +565,8 @@ func (c *Client) cachedLatest(id blob.ID) blob.Version {
 	return 0
 }
 
-// extendHistory merges descriptors into the cache and returns a private
-// snapshot safe to use during metadata builds.
+// extendHistory merges descriptors into the cache and returns a
+// read-only view of it, stable during the metadata build.
 func (c *Client) extendHistory(id blob.ID, descs []blob.WriteDesc) (*blob.History, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -578,7 +578,7 @@ func (c *Client) extendHistory(id blob.ID, descs []blob.WriteDesc) (*blob.Histor
 	if err := h.Extend(descs); err != nil {
 		return nil, err
 	}
-	return h.Clone(), nil
+	return h.View(), nil
 }
 
 // versionSize resolves the blob size at published version v. A version

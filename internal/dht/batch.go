@@ -2,8 +2,10 @@ package dht
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"blobseer/internal/wire"
@@ -20,28 +22,42 @@ import (
 // carrying every pair it is responsible for) and the per-provider RPCs
 // run in parallel. Like Put, it fails if any replica write fails.
 func (c *Client) PutBatch(ctx context.Context, kvs []wire.KV) error {
-	if len(kvs) == 0 {
+	return c.PutEach(ctx, len(kvs),
+		func(i int, dst []byte) []byte { return append(dst, kvs[i].Key...) },
+		func(i int, b *wire.Buffer) { copy(b.Extend(len(kvs[i].Val)), kvs[i].Val) })
+}
+
+// PutEach is PutBatch for a caller that can encode its n pairs itself:
+// key appends pair i's key to dst, val appends its value to b. Both go
+// straight into the frame each provider is sent, and run once more for
+// every retry of that frame, so they must be pure.
+func (c *Client) PutEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, val func(i int, b *wire.Buffer)) error {
+	if n == 0 {
 		return nil
 	}
-	if len(kvs) == 1 {
-		return c.Put(ctx, kvs[0].Key, kvs[0].Val)
+	kbuf := make([]byte, 0, 96)
+	if n == 1 {
+		b := wire.NewBuffer(128)
+		val(0, b)
+		return c.Put(ctx, string(key(0, kbuf)), b.Bytes())
 	}
-	groups := make(map[string][]wire.KV)
-	for _, kv := range kvs {
-		addrs := c.ring.Lookup(kv.Key, c.replicas)
-		if len(addrs) == 0 {
+	// owners[i*reps:][:reps] are the ring nodes pair i goes to.
+	reps := max(1, min(c.replicas, c.ring.Len()))
+	owners := make([]int32, 0, n*reps)
+	var nodes []int32 // distinct owners
+	for i := 0; i < n; i++ {
+		owners = c.ring.appendOwners(owners, hash64(key(i, kbuf)), reps)
+		if len(owners) != (i+1)*reps {
 			return errors.New("dht: empty ring")
 		}
-		for _, addr := range addrs {
-			groups[addr] = append(groups[addr], kv)
+		for _, node := range owners[i*reps:] {
+			if !slices.Contains(nodes, node) {
+				nodes = append(nodes, node)
+			}
 		}
 	}
-	addrs := make([]string, 0, len(groups))
-	for addr := range groups {
-		addrs = append(addrs, addr)
-	}
-	return c.eachReplica(addrs, func(addr string) error {
-		return c.putBatchOne(ctx, addr, groups[addr])
+	return c.eachReplica(len(nodes), func(k int) error {
+		return c.putOwned(ctx, nodes[k], n, reps, owners, key, val)
 	})
 }
 
@@ -54,24 +70,37 @@ const (
 	maxBatchBytes = 8 << 20
 )
 
-func (c *Client) putBatchOne(ctx context.Context, addr string, kvs []wire.KV) error {
-	for start := 0; start < len(kvs); {
-		size := 4
-		end := start
-		for end < len(kvs) && end-start < maxBatchPairs {
-			pair := 8 + len(kvs[end].Key) + len(kvs[end].Val)
-			if end > start && size+pair > maxBatchBytes {
-				break
+// putOwned sends ring node `node` the pairs it owns, a chunk per frame.
+func (c *Client) putOwned(ctx context.Context, node int32, n, reps int, owners []int32,
+	key func(int, []byte) []byte, val func(int, *wire.Buffer)) error {
+	addr, kbuf := c.ring.nodes[node], make([]byte, 0, 96)
+	for start := 0; start < n; {
+		var pairs, next int
+		err := c.callAddr(ctx, addr, mMetaPutBatch, 4+96*min(n-start, maxBatchPairs), func(b *wire.Buffer) {
+			b.U32(0) // the pair count, known once the chunk is cut
+			pairs = 0
+			for next = start; next < n && pairs < maxBatchPairs; next++ {
+				if !slices.Contains(owners[next*reps:][:reps], node) {
+					continue
+				}
+				mark := b.Len()
+				b.Bytes32(key(next, kbuf))
+				vmark := b.Len()
+				b.U32(0) // the value's length, known once it is encoded
+				val(next, b)
+				binary.BigEndian.PutUint32(b.Bytes()[vmark:], uint32(b.Len()-vmark-4))
+				if pairs > 0 && b.Len() > maxBatchBytes {
+					b.Truncate(mark)
+					break
+				}
+				pairs++
 			}
-			size += pair
-			end++
+			binary.BigEndian.PutUint32(b.Bytes(), uint32(pairs))
+		}, nil)
+		if err != nil {
+			return fmt.Errorf("dht: put batch (%d keys) to %s: %w", pairs, addr, err)
 		}
-		b := wire.NewBuffer(size)
-		b.KVSlice(kvs[start:end])
-		if _, err := c.callAddr(ctx, addr, mMetaPutBatch, b.Bytes()); err != nil {
-			return fmt.Errorf("dht: put batch (%d keys) to %s: %w", end-start, addr, err)
-		}
-		start = end
+		start = next
 	}
 	return nil
 }
@@ -190,40 +219,30 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) (map[string][]byte
 // error a nil entry means "unresolved", not "missing".
 func (c *Client) getBatchOne(ctx context.Context, addr string, keys []string) ([][]byte, error) {
 	vals := make([][]byte, len(keys))
-	for start := 0; start < len(keys); {
-		end := start + maxBatchPairs
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[start:end]
+	for start := 0; start < len(keys); start += maxBatchPairs {
+		chunk := keys[start:min(start+maxBatchPairs, len(keys))]
 		size := 4
 		for _, k := range chunk {
 			size += 4 + len(k)
 		}
-		b := wire.NewBuffer(size)
-		b.StringSlice(chunk)
-		resp, err := c.callAddr(ctx, addr, mMetaGetBatch, b.Bytes())
+		err := c.callAddr(ctx, addr, mMetaGetBatch, size, func(b *wire.Buffer) { b.StringSlice(chunk) }, func(p []byte) error {
+			r := wire.NewReader(p)
+			if n := r.U32(); int(n) != len(chunk) {
+				return fmt.Errorf("%d answers for %d keys", n, len(chunk))
+			}
+			own := make([]byte, 0, len(p)) // the values' home: p is recycled
+			for i := range chunk {
+				found, v := r.Bool(), r.Bytes32()
+				if found {
+					own = append(own, v...)
+					vals[start+i] = own[len(own)-len(v) : len(own) : len(own)]
+				}
+			}
+			return r.Err()
+		})
 		if err != nil {
 			return vals, fmt.Errorf("dht: get batch (%d keys) from %s: %w", len(chunk), addr, err)
 		}
-		r := wire.NewReader(resp)
-		if n := r.U32(); int(n) != len(chunk) {
-			return vals, fmt.Errorf("dht: get batch from %s: %d answers for %d keys", addr, n, len(chunk))
-		}
-		for i := range chunk {
-			found := r.Bool()
-			v := r.Bytes32()
-			if found {
-				if v == nil {
-					v = []byte{}
-				}
-				vals[start+i] = v
-			}
-		}
-		if err := r.Err(); err != nil {
-			return vals, fmt.Errorf("dht: get batch from %s: %w", addr, err)
-		}
-		start = end
 	}
 	return vals, nil
 }

@@ -87,16 +87,16 @@ func (s *MetaService) Metrics() *metrics.Registry { return s.reg }
 // Mux returns the RPC dispatch table.
 func (s *MetaService) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mMetaPut, s.handlePut)
-	m.Handle(mMetaGet, s.handleGet)
-	m.Handle(mMetaDelete, s.handleDelete)
-	m.Handle(mMetaStat, s.handleStat)
-	m.Handle(mMetaPutBatch, s.handlePutBatch)
-	m.Handle(mMetaGetBatch, s.handleGetBatch)
+	m.HandleFrame(mMetaPut, s.handlePut)
+	m.HandleFrame(mMetaGet, s.handleGet)
+	m.HandleFrame(mMetaDelete, s.handleDelete)
+	m.HandleFrame(mMetaStat, s.handleStat)
+	m.HandleFrame(mMetaPutBatch, s.handlePutBatch)
+	m.HandleFrame(mMetaGetBatch, s.handleGetBatch)
 	return m
 }
 
-func (s *MetaService) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *MetaService) handlePut(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := r.String()
 	val := r.Bytes32()
@@ -108,7 +108,7 @@ func (s *MetaService) handlePut(ctx context.Context, payload []byte) ([]byte, er
 	return nil, s.store.Put(key, val)
 }
 
-func (s *MetaService) handleGet(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *MetaService) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := r.String()
 	if err := r.Err(); err != nil {
@@ -123,12 +123,12 @@ func (s *MetaService) handleGet(ctx context.Context, payload []byte) ([]byte, er
 	}
 	s.mGets.Inc()
 	s.mBytesOut.Add(int64(len(val)))
-	b := wire.NewBuffer(4 + len(val))
+	b := rpc.NewFrame(4 + len(val))
 	b.Bytes32(val)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *MetaService) handleDelete(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *MetaService) handleDelete(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := r.String()
 	if err := r.Err(); err != nil {
@@ -138,18 +138,18 @@ func (s *MetaService) handleDelete(ctx context.Context, payload []byte) ([]byte,
 	return nil, s.store.Delete(key)
 }
 
-func (s *MetaService) handleStat(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *MetaService) handleStat(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	st := s.store.Stats()
-	b := wire.NewBuffer(16)
+	b := rpc.NewFrame(16)
 	b.I64(st.Items)
 	b.I64(st.Bytes)
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // handlePutBatch stores every pair of a multi-put; any failure aborts
 // the batch (the client treats the whole RPC as failed, matching the
 // durability contract of single puts).
-func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	kvs := r.KVSlice()
 	if err := r.Err(); err != nil {
@@ -169,7 +169,7 @@ func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) ([]byt
 // handleGetBatch answers a multi-get. Unlike single gets, a missing key
 // is not an RPC error: each requested key gets a presence flag so one
 // response carries hits and authoritative misses side by side.
-func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	keys := r.StringSlice()
 	if err := r.Err(); err != nil {
@@ -177,7 +177,7 @@ func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) ([]byt
 	}
 	s.mBatchGet.Observe(int64(len(keys)))
 	s.mGets.Add(int64(len(keys)))
-	b := wire.NewBuffer(16 * len(keys))
+	b := rpc.NewFrame(16 * len(keys))
 	b.U32(uint32(len(keys)))
 	for _, key := range keys {
 		val, err := s.store.Get(key)
@@ -192,7 +192,7 @@ func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) ([]byt
 			b.Bytes32(val)
 		}
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Client is the replicated DHT client used by BlobSeer writers and
@@ -237,20 +237,11 @@ func (c *Client) Ring() *Ring { return c.ring }
 func (c *Client) Fallbacks() int64 { return c.fallbacks.Load() }
 
 // callAddr issues one RPC against a specific metadata provider,
-// re-dialing and retrying transport failures per the client schedule.
-// Puts and deletes are idempotent; gets are read-only — all safe to
-// repeat.
-func (c *Client) callAddr(ctx context.Context, addr string, m uint16, payload []byte) ([]byte, error) {
-	var resp []byte
-	err := rpc.Retry(ctx, c.retry, func(ctx context.Context) error {
-		cl, err := c.pool.Get(addr)
-		if err != nil {
-			return err
-		}
-		resp, err = cl.Call(ctx, m, payload)
-		return err
-	})
-	return resp, err
+// re-dialing and retrying transport failures per the client schedule
+// (see rpc.Pool.Call for enc and dec). Puts and deletes are idempotent;
+// gets are read-only — all safe to repeat.
+func (c *Client) callAddr(ctx context.Context, addr string, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
+	return c.pool.Call(ctx, c.retry, addr, m, size, enc, dec)
 }
 
 // Put stores key on every replica in parallel; it fails if any replica
@@ -260,44 +251,47 @@ func (c *Client) Put(ctx context.Context, key string, val []byte) error {
 	if len(addrs) == 0 {
 		return errors.New("dht: empty ring")
 	}
-	b := wire.NewBuffer(8 + len(key) + len(val))
-	b.String(key)
-	b.Bytes32(val)
-	payload := b.Bytes()
-	return c.eachReplica(addrs, func(addr string) error {
-		if _, err := c.callAddr(ctx, addr, mMetaPut, payload); err != nil {
-			return fmt.Errorf("dht: put %q to %s: %w", key, addr, err)
+	return c.eachReplica(len(addrs), func(i int) error {
+		err := c.callAddr(ctx, addrs[i], mMetaPut, 8+len(key)+len(val), func(b *wire.Buffer) {
+			b.String(key)
+			b.Bytes32(val)
+		}, nil)
+		if err != nil {
+			return fmt.Errorf("dht: put %q to %s: %w", key, addrs[i], err)
 		}
 		return nil
 	})
 }
 
-// eachReplica runs fn against every address concurrently and returns
-// the first error.
-func (c *Client) eachReplica(addrs []string, fn func(addr string) error) error {
-	if len(addrs) == 1 {
-		return fn(addrs[0])
+// eachReplica runs fn(0..n-1) concurrently, the last one on the
+// caller's goroutine, and returns the first error.
+func (c *Client) eachReplica(n int, fn func(i int) error) error {
+	var st struct {
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		err error
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, addr := range addrs {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			if err := fn(addr); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+	run := func(i int) {
+		if err := fn(i); err != nil {
+			st.mu.Lock()
+			if st.err == nil {
+				st.err = err
 			}
-		}(addr)
+			st.mu.Unlock()
+		}
 	}
-	wg.Wait()
-	return firstErr
+	for i := 0; i < n-1; i++ {
+		st.wg.Add(1)
+		go func(i int) {
+			defer st.wg.Done()
+			run(i)
+		}(i)
+	}
+	if n > 0 {
+		run(n - 1)
+	}
+	st.wg.Wait()
+	return st.err
 }
 
 // Get fetches key from the first answering replica. It returns
@@ -310,33 +304,28 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("dht: empty ring")
 	}
-	b := wire.NewBuffer(8 + len(key))
-	b.String(key)
-	payload := b.Bytes()
 	var lastErr error
 	notFound := 0
 	for i, addr := range addrs {
 		if i > 0 {
 			c.fallbacks.Add(1)
 		}
-		resp, err := c.callAddr(ctx, addr, mMetaGet, payload)
-		if err != nil {
-			if rpc.CodeOf(err) == CodeNotFound {
-				// Authoritative miss on this replica; for immutable
-				// metadata the key is absent only if no replica has it.
-				notFound++
-			} else {
-				lastErr = err
-			}
-			continue
-		}
-		r := wire.NewReader(resp)
-		val := r.Bytes32()
-		if err := r.Err(); err != nil {
+		var val []byte
+		err := c.callAddr(ctx, addr, mMetaGet, 8+len(key), func(b *wire.Buffer) { b.String(key) }, func(p []byte) error {
+			r := wire.NewReader(p)
+			val = append([]byte{}, r.Bytes32()...) // the response is recycled
+			return r.Err()
+		})
+		switch {
+		case err == nil:
+			return val, nil
+		case rpc.CodeOf(err) == CodeNotFound:
+			// Authoritative miss on this replica; for immutable
+			// metadata the key is absent only if no replica has it.
+			notFound++
+		default:
 			lastErr = err
-			continue
 		}
-		return val, nil
 	}
 	if notFound == len(addrs) || lastErr == nil {
 		return nil, ErrNotFound
@@ -348,11 +337,7 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 // by GC).
 func (c *Client) Delete(ctx context.Context, key string) error {
 	addrs := c.ring.Lookup(key, c.replicas)
-	b := wire.NewBuffer(8 + len(key))
-	b.String(key)
-	payload := b.Bytes()
-	return c.eachReplica(addrs, func(addr string) error {
-		_, err := c.callAddr(ctx, addr, mMetaDelete, payload)
-		return err
+	return c.eachReplica(len(addrs), func(i int) error {
+		return c.callAddr(ctx, addrs[i], mMetaDelete, 8+len(key), func(b *wire.Buffer) { b.String(key) }, nil)
 	})
 }

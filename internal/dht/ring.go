@@ -46,7 +46,7 @@ package dht
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 )
 
@@ -100,40 +100,47 @@ func (r *Ring) Len() int { return len(r.nodes) }
 // key, in preference order (primary first). n is clamped to the number
 // of members.
 func (r *Ring) Lookup(key string, n int) []string {
-	if len(r.points) == 0 {
+	var buf [8]int32
+	idx := r.appendOwners(buf[:0], hash64(key), n)
+	if len(idx) == 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	out := make([]string, len(idx))
+	for i, node := range idx {
+		out[i] = r.nodes[node]
 	}
-	if n <= 0 {
-		n = 1
+	return out
+}
+
+// appendOwners appends to out the indices (into r.nodes) of the n
+// distinct nodes responsible for the key hashing to h, primary first; n
+// is clamped to [1, members], and an empty ring appends nothing.
+func (r *Ring) appendOwners(out []int32, h uint64, n int) []int32 {
+	if len(r.points) == 0 {
+		return out
 	}
-	h := hash64(key)
+	n = max(1, min(n, len(r.nodes)))
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if idx == len(r.points) {
-		idx = 0
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(idx+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, r.nodes[p.node])
+	base := len(out)
+	for i := 0; len(out)-base < n && i < len(r.points); i++ {
+		node := int32(r.points[(idx+i)%len(r.points)].node)
+		if !slices.Contains(out[base:], node) {
+			out = append(out, node)
 		}
 	}
 	return out
 }
 
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
+// hash64 is FNV-1a over the key's bytes, then a finalizer.
+func hash64[T string | []byte](s T) uint64 {
+	z := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		z = (z ^ uint64(s[i])) * 1099511628211
+	}
 	// FNV alone has poor avalanche on short, near-sequential keys
 	// (exactly what tree-node identifiers look like); run the sum
 	// through a splitmix64-style finalizer so consecutive keys land on
 	// independent arcs of the ring.
-	z := h.Sum64()
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -1,7 +1,6 @@
 package mdtree
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -43,14 +42,32 @@ const cacheShardCount = 16
 
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[NodeID]*list.Element
-	lru     *list.List // front = most recent; values are *cacheEntry
+	entries map[NodeID]*cacheEntry
+	lru     cacheEntry // list head: lru.next is the most recent entry, lru.prev the coldest
 	flights map[NodeID]*flight
 }
 
+// cacheEntry is a cached node and its place in its shard's LRU ring.
 type cacheEntry struct {
-	id NodeID
-	n  Node
+	id         NodeID
+	n          Node
+	prev, next *cacheEntry
+}
+
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// touch makes e (new, or unlinked) the shard's most recent entry.
+func (s *cacheShard) touch(e *cacheEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// drop removes e from the shard.
+func (s *cacheShard) drop(e *cacheEntry) {
+	e.unlink()
+	delete(s.entries, e.id)
 }
 
 // flight is one in-progress fetch that concurrent callers wait on.
@@ -71,8 +88,8 @@ func NewNodeCache(inner Store, capacity int) *NodeCache {
 	c := &NodeCache{inner: inner, perCap: perCap, shards: make([]cacheShard, cacheShardCount)}
 	c.batch, _ = inner.(BatchStore)
 	for i := range c.shards {
-		c.shards[i].entries = make(map[NodeID]*list.Element)
-		c.shards[i].lru = list.New()
+		c.shards[i].entries = make(map[NodeID]*cacheEntry)
+		c.shards[i].lru.prev, c.shards[i].lru.next = &c.shards[i].lru, &c.shards[i].lru
 		c.shards[i].flights = make(map[NodeID]*flight)
 	}
 	return c
@@ -134,21 +151,31 @@ func (c *NodeCache) shard(id NodeID) *cacheShard {
 // hit: nodes are immutable for readers, but abort repair re-Builds an
 // aborted version's nodes under the same IDs with empty block refs.
 func (c *NodeCache) insertLocked(s *cacheShard, id NodeID, n Node) {
-	if el, ok := s.entries[id]; ok {
-		el.Value.(*cacheEntry).n = n
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[id] = s.lru.PushFront(&cacheEntry{id: id, n: n})
-	for len(s.entries) > c.perCap {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		s.lru.Remove(back)
-		delete(s.entries, back.Value.(*cacheEntry).id)
+	e, ok := s.entries[id]
+	switch {
+	case ok:
+		e.unlink()
+	case len(s.entries) >= c.perCap: // full: the coldest entry becomes this one
+		e = s.lru.prev
+		s.drop(e)
 		c.evictions.Add(1)
+	default:
+		e = &cacheEntry{}
 	}
+	e.id, e.n = id, n
+	s.entries[id] = e
+	s.touch(e)
+}
+
+// hitLocked returns the cached node for id, refreshing its LRU place.
+func (s *cacheShard) hitLocked(id NodeID) (Node, bool) {
+	e, ok := s.entries[id]
+	if !ok {
+		return Node{}, false
+	}
+	e.unlink()
+	s.touch(e)
+	return e.n, true
 }
 
 // Put implements Store: write-through, then cache (the node is
@@ -188,11 +215,10 @@ func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
 func (c *NodeCache) Get(ctx context.Context, id NodeID) (Node, error) {
 	s := c.shard(id)
 	s.mu.Lock()
-	if el, ok := s.entries[id]; ok {
-		s.lru.MoveToFront(el)
+	if n, ok := s.hitLocked(id); ok {
 		s.mu.Unlock()
 		c.hits.Add(1)
-		return el.Value.(*cacheEntry).n, nil
+		return n, nil
 	}
 	c.misses.Add(1)
 	if f, ok := s.flights[id]; ok {
@@ -271,11 +297,10 @@ func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 		}
 		s := c.shard(id)
 		s.mu.Lock()
-		if el, ok := s.entries[id]; ok {
-			s.lru.MoveToFront(el)
+		if n, ok := s.hitLocked(id); ok {
 			s.mu.Unlock()
 			c.hits.Add(1)
-			out[id] = el.Value.(*cacheEntry).n
+			out[id] = n
 			continue
 		}
 		c.misses.Add(1)
@@ -386,10 +411,9 @@ func (c *NodeCache) InvalidateVersion(b blob.ID, v blob.Version) int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for id, el := range s.entries {
+		for id, e := range s.entries {
 			if id.Blob == b && id.Version == v {
-				s.lru.Remove(el)
-				delete(s.entries, id)
+				s.drop(e)
 				dropped++
 			}
 		}
@@ -404,9 +428,8 @@ func (c *NodeCache) InvalidateVersion(b blob.ID, v blob.Version) int {
 func (c *NodeCache) Delete(ctx context.Context, id NodeID) error {
 	s := c.shard(id)
 	s.mu.Lock()
-	if el, ok := s.entries[id]; ok {
-		s.lru.Remove(el)
-		delete(s.entries, id)
+	if e, ok := s.entries[id]; ok {
+		s.drop(e)
 	}
 	s.mu.Unlock()
 	d, ok := c.inner.(Deleter)

@@ -295,7 +295,7 @@ func TestCacheConcurrentResolveBuildRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			snap := h.Clone()
+			snap := h.View()
 			mu.Unlock()
 			if _, err := Build(ctx, cache, m, snap, v, refs(uint64(v), 2, 0)); err != nil {
 				t.Error(err)
@@ -477,5 +477,65 @@ func TestCacheGetBatchSingleflightAcrossCallers(t *testing.T) {
 	_, gets := mem.Ops()
 	if gets > int64(len(ids)*callers/2) {
 		t.Errorf("%d inner gets for %d ids x %d callers (dedup ineffective)", gets, len(ids), callers)
+	}
+}
+
+// TestCacheEvictsColdestFirst pins the LRU order inside one shard: a
+// hit or a rewrite makes an entry the most recent, the entry touched
+// longest ago goes first, and what a full shard allocates per insert is
+// nothing (the evicted entry is reused).
+func TestCacheEvictsColdestFirst(t *testing.T) {
+	cache := NewNodeCache(NewMemStore(), 4*cacheShardCount) // 4 entries per shard
+	ctx := context.Background()
+	var ids []NodeID // nodes of one shard
+	for v := blob.Version(1); len(ids) < 7; v++ {
+		id := NodeID{Blob: 1, Version: v, Span: B}
+		if cache.shard(id) == &cache.shards[0] {
+			ids = append(ids, id)
+		}
+	}
+	put := func(i int) {
+		t.Helper()
+		if err := cache.Put(ctx, Node{ID: ids[i], Leaf: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func(i int) bool {
+		s := cache.shard(ids[i])
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.entries[ids[i]]
+		return ok
+	}
+	for i := 0; i < 4; i++ {
+		put(i)
+	}
+	if _, err := cache.Get(ctx, ids[0]); err != nil { // 0 is recent again
+		t.Fatal(err)
+	}
+	put(1) // and so is 1: coldest first is now 2, 3, 0, 1
+	for next, evicted := range []int{2, 3, 0} {
+		put(4 + next)
+		if cached(evicted) {
+			t.Fatalf("inserting node %d into a full shard kept node %d", 4+next, evicted)
+		}
+	}
+	for _, i := range []int{1, 4, 5, 6} {
+		if !cached(i) {
+			t.Errorf("node %d was evicted out of turn", i)
+		}
+	}
+	if st := cache.Stats(); st.Evictions != 3 || st.Size != 4 {
+		t.Errorf("stats = %+v, want 3 evictions and 4 entries", st)
+	}
+	s := &cache.shards[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		s.mu.Lock()
+		cache.insertLocked(s, ids[0], Node{ID: ids[0]})
+		cache.insertLocked(s, ids[2], Node{ID: ids[2]})
+		s.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Errorf("inserting into a full shard allocates %.1f times", allocs)
 	}
 }

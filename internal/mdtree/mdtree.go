@@ -18,7 +18,9 @@ package mdtree
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
+	"strconv"
 
 	"blobseer/internal/blob"
 )
@@ -33,9 +35,15 @@ type NodeID struct {
 	Span    int64
 }
 
-// Key renders the DHT key for the node.
-func (id NodeID) Key() string {
-	return fmt.Sprintf("t%d/%d/%d/%d", id.Blob, id.Version, id.Off, id.Span)
+// Key renders the DHT key for the node: "t<blob>/<version>/<off>/<span>".
+func (id NodeID) Key() string { return string(id.AppendKey(make([]byte, 0, 64))) }
+
+// AppendKey appends the node's DHT key to dst.
+func (id NodeID) AppendKey(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, 't'), uint64(id.Blob), 10)
+	dst = strconv.AppendUint(append(dst, '/'), uint64(id.Version), 10)
+	dst = strconv.AppendInt(append(dst, '/'), id.Off, 10)
+	return strconv.AppendInt(append(dst, '/'), id.Span, 10)
 }
 
 // Range returns the byte range the node covers.
@@ -116,8 +124,11 @@ func Build(ctx context.Context, st Store, meta blob.Meta, h *blob.History, v blo
 		return 0, fmt.Errorf("mdtree: version %d: %d block refs for %d blocks", v, len(blocks), want)
 	}
 
-	b := &builder{meta: meta, h: h, v: v, update: update, blocks: blocks}
 	span := blob.SpanBytes(d.SizeAfter, meta.BlockSize)
+	// A patch of k blocks materializes its leaves, their ancestors inside
+	// the patch (fewer than k more) and a path up to the root.
+	room := 2*len(blocks) + bits.Len64(uint64(span/meta.BlockSize))
+	b := &builder{meta: meta, h: h, v: v, update: update, blocks: blocks, out: make([]Node, 0, room)}
 	if _, err := b.node(blob.Range{Off: 0, Len: span}); err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package mdtree
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -410,5 +411,20 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeNode(inner.ID, []byte{1, 2}); err == nil {
 		t.Error("garbage decoded")
+	}
+}
+
+// TestNodeKeyFormat pins the DHT key: it decides which metadata
+// provider holds a node, so it may never change.
+func TestNodeKeyFormat(t *testing.T) {
+	for _, id := range []NodeID{
+		{},
+		{Blob: 3, Version: 9, Off: 128, Span: 64},
+		{Blob: 1<<64 - 1, Version: 1<<64 - 1, Off: 1<<63 - 1, Span: 1 << 62},
+	} {
+		want := fmt.Sprintf("t%d/%d/%d/%d", id.Blob, id.Version, id.Off, id.Span)
+		if id.Key() != want || string(id.AppendKey([]byte("x"))) != "x"+want {
+			t.Errorf("Key() = %q, AppendKey = %q, want %q", id.Key(), id.AppendKey(nil), want)
+		}
 	}
 }

@@ -13,6 +13,11 @@ import (
 // EncodeNode serializes a node's value (the identity lives in the key).
 func EncodeNode(n Node) []byte {
 	b := wire.NewBuffer(64)
+	encodeNode(b, n)
+	return b.Bytes()
+}
+
+func encodeNode(b *wire.Buffer, n Node) {
 	b.Bool(n.Leaf)
 	if n.Leaf {
 		b.U64(uint64(n.Block.Key.Blob))
@@ -24,7 +29,6 @@ func EncodeNode(n Node) []byte {
 		b.U64(uint64(n.Left.Version))
 		b.U64(uint64(n.Right.Version))
 	}
-	return b.Bytes()
 }
 
 // DecodeNode parses a node value fetched under id.
@@ -174,15 +178,13 @@ func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
 	return DecodeNode(id, val)
 }
 
-// PutBatch implements BatchStore: the DHT client groups the encoded
-// nodes by provider and replicates each group with one parallel RPC
-// per provider.
+// PutBatch implements BatchStore: the DHT client groups the nodes by
+// provider, has each encoded straight into its provider's frame and
+// replicates each group with one parallel RPC per provider.
 func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
-	kvs := make([]wire.KV, len(nodes))
-	for i, n := range nodes {
-		kvs[i] = wire.KV{Key: n.ID.Key(), Val: EncodeNode(n)}
-	}
-	return s.c.PutBatch(ctx, kvs)
+	return s.c.PutEach(ctx, len(nodes),
+		func(i int, dst []byte) []byte { return nodes[i].ID.AppendKey(dst) },
+		func(i int, b *wire.Buffer) { encodeNode(b, nodes[i]) })
 }
 
 // GetBatch implements BatchStore: one multi-get RPC per provider, with

@@ -31,11 +31,11 @@ func (s *Service) Metrics() *metrics.Registry { return s.reg }
 
 // timed wraps a handler with a per-op counter, error counter, and
 // latency histogram.
-func (s *Service) timed(name string, fn rpc.HandlerFunc) rpc.HandlerFunc {
+func (s *Service) timed(name string, fn rpc.FrameHandler) rpc.FrameHandler {
 	ops := s.reg.Counter("ops_" + name)
 	errs := s.reg.Counter("errors_" + name)
 	lat := s.reg.Histogram("latency_" + name)
-	return func(ctx context.Context, p []byte) ([]byte, error) {
+	return func(ctx context.Context, p []byte) (*wire.Buffer, error) {
 		ops.Inc()
 		t0 := time.Now()
 		resp, err := fn(ctx, p)
@@ -50,17 +50,17 @@ func (s *Service) timed(name string, fn rpc.HandlerFunc) rpc.HandlerFunc {
 // Mux returns the RPC dispatch table.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mCreateFile, s.timed("create_file", s.handleCreateFile))
-	m.Handle(mGetFile, s.timed("get_file", s.handleGetFile))
-	m.Handle(mMkdirs, s.timed("mkdirs", s.handleMkdirs))
-	m.Handle(mDelete, s.timed("delete", s.handleDelete))
-	m.Handle(mRename, s.timed("rename", s.handleRename))
-	m.Handle(mList, s.timed("list", s.handleList))
-	m.Handle(mStatEntry, s.timed("stat", s.handleStatEntry))
+	m.HandleFrame(mCreateFile, s.timed("create_file", s.handleCreateFile))
+	m.HandleFrame(mGetFile, s.timed("get_file", s.handleGetFile))
+	m.HandleFrame(mMkdirs, s.timed("mkdirs", s.handleMkdirs))
+	m.HandleFrame(mDelete, s.timed("delete", s.handleDelete))
+	m.HandleFrame(mRename, s.timed("rename", s.handleRename))
+	m.HandleFrame(mList, s.timed("list", s.handleList))
+	m.HandleFrame(mStatEntry, s.timed("stat", s.handleStatEntry))
 	return m
 }
 
-func (s *Service) handleCreateFile(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleCreateFile(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	blockSize := r.I64()
@@ -73,12 +73,12 @@ func (s *Service) handleCreateFile(ctx context.Context, p []byte) ([]byte, error
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(uint64(id))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleGetFile(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleGetFile(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -88,12 +88,12 @@ func (s *Service) handleGetFile(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(uint64(id))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleMkdirs(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleMkdirs(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -102,7 +102,7 @@ func (s *Service) handleMkdirs(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, fs.WrapErr(s.state.Mkdirs(path))
 }
 
-func (s *Service) handleDelete(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleDelete(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	recursive := r.Bool()
@@ -113,15 +113,15 @@ func (s *Service) handleDelete(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(4 + 8*len(orphans))
+	b := rpc.NewFrame(4 + 8*len(orphans))
 	b.U32(uint32(len(orphans)))
 	for _, id := range orphans {
 		b.U64(uint64(id))
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleRename(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleRename(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	src := r.String()
 	dst := r.String()
@@ -131,7 +131,7 @@ func (s *Service) handleRename(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, fs.WrapErr(s.state.Rename(src, dst))
 }
 
-func (s *Service) handleList(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -141,17 +141,17 @@ func (s *Service) handleList(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.U32(uint32(len(entries)))
 	for _, e := range entries {
 		b.String(e.Name)
 		b.Bool(e.IsDir)
 		b.U64(uint64(e.Blob))
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleStatEntry(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleStatEntry(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -161,11 +161,11 @@ func (s *Service) handleStatEntry(ctx context.Context, p []byte) ([]byte, error)
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(32)
+	b := rpc.NewFrame(32)
 	b.String(e.Name)
 	b.Bool(e.IsDir)
 	b.U64(uint64(e.Blob))
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Client is the namespace-manager RPC client.
@@ -187,112 +187,90 @@ func NewClient(pool *rpc.Pool, addr string) *Client {
 // SetRetry overrides the client's retry schedule.
 func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
-func (c *Client) call(ctx context.Context, m uint16, payload []byte) ([]byte, error) {
-	var resp []byte
-	err := rpc.Retry(ctx, c.retry, func(ctx context.Context) error {
-		cl, err := c.pool.Get(c.addr)
-		if err != nil {
-			return err
+// call issues one RPC about path (see rpc.Pool.Call for enc and dec);
+// enc, when non-nil, appends what follows the path.
+func (c *Client) call(ctx context.Context, m uint16, path string, enc func(*wire.Buffer), dec func([]byte) error) error {
+	return fs.UnwrapErr(c.pool.Call(ctx, c.retry, c.addr, m, 64+len(path), func(b *wire.Buffer) {
+		b.String(path)
+		if enc != nil {
+			enc(b)
 		}
-		resp, err = cl.Call(ctx, m, payload)
-		return err
-	})
-	if err != nil {
-		return nil, fs.UnwrapErr(err)
+	}, dec))
+}
+
+// blobReply decodes a response that is one blob ID.
+func blobReply(id *blob.ID) func([]byte) error {
+	return func(p []byte) error {
+		r := wire.NewReader(p)
+		*id = blob.ID(r.U64())
+		return r.Err()
 	}
-	return resp, nil
 }
 
 // CreateFile registers a new file backed by a fresh BLOB.
-func (c *Client) CreateFile(ctx context.Context, path string, blockSize int64, replication int, overwrite bool) (blob.ID, error) {
-	b := wire.NewBuffer(32)
-	b.String(path)
-	b.I64(blockSize)
-	b.U32(uint32(replication))
-	b.Bool(overwrite)
-	resp, err := c.call(ctx, mCreateFile, b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	id := blob.ID(r.U64())
-	return id, r.Err()
+func (c *Client) CreateFile(ctx context.Context, path string, blockSize int64, replication int, overwrite bool) (id blob.ID, err error) {
+	err = c.call(ctx, mCreateFile, path, func(b *wire.Buffer) {
+		b.I64(blockSize)
+		b.U32(uint32(replication))
+		b.Bool(overwrite)
+	}, blobReply(&id))
+	return id, err
 }
 
 // GetFile resolves a path to its BLOB.
-func (c *Client) GetFile(ctx context.Context, path string) (blob.ID, error) {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	resp, err := c.call(ctx, mGetFile, b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	id := blob.ID(r.U64())
-	return id, r.Err()
+func (c *Client) GetFile(ctx context.Context, path string) (id blob.ID, err error) {
+	err = c.call(ctx, mGetFile, path, nil, blobReply(&id))
+	return id, err
 }
 
 // Mkdirs creates a directory chain.
 func (c *Client) Mkdirs(ctx context.Context, path string) error {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	_, err := c.call(ctx, mMkdirs, b.Bytes())
-	return err
+	return c.call(ctx, mMkdirs, path, nil, nil)
 }
 
 // Delete unlinks a path, returning orphaned blob IDs.
-func (c *Client) Delete(ctx context.Context, path string, recursive bool) ([]blob.ID, error) {
-	b := wire.NewBuffer(20)
-	b.String(path)
-	b.Bool(recursive)
-	resp, err := c.call(ctx, mDelete, b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	out := make([]blob.ID, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, blob.ID(r.U64()))
-	}
-	return out, r.Err()
+func (c *Client) Delete(ctx context.Context, path string, recursive bool) (out []blob.ID, err error) {
+	err = c.call(ctx, mDelete, path, func(b *wire.Buffer) { b.Bool(recursive) }, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		out = make([]blob.ID, 0, min(n, uint32(r.Remaining()/8)))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			out = append(out, blob.ID(r.U64()))
+		}
+		return r.Err()
+	})
+	return out, err
 }
 
 // Rename moves a path.
 func (c *Client) Rename(ctx context.Context, src, dst string) error {
-	b := wire.NewBuffer(32)
-	b.String(src)
-	b.String(dst)
-	_, err := c.call(ctx, mRename, b.Bytes())
-	return err
+	return c.call(ctx, mRename, src, func(b *wire.Buffer) { b.String(dst) }, nil)
+}
+
+func decodeEntry(r *wire.Reader) Entry {
+	return Entry{Name: r.String(), IsDir: r.Bool(), Blob: blob.ID(r.U64())}
 }
 
 // List enumerates a directory.
-func (c *Client) List(ctx context.Context, path string) ([]Entry, error) {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	resp, err := c.call(ctx, mList, b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	out := make([]Entry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, Entry{Name: r.String(), IsDir: r.Bool(), Blob: blob.ID(r.U64())})
-	}
-	return out, r.Err()
+func (c *Client) List(ctx context.Context, path string) (out []Entry, err error) {
+	err = c.call(ctx, mList, path, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		out = make([]Entry, 0, min(n, uint32(r.Remaining())))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			out = append(out, decodeEntry(r))
+		}
+		return r.Err()
+	})
+	return out, err
 }
 
 // StatEntry describes one path.
-func (c *Client) StatEntry(ctx context.Context, path string) (Entry, error) {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	resp, err := c.call(ctx, mStatEntry, b.Bytes())
-	if err != nil {
-		return Entry{}, err
-	}
-	r := wire.NewReader(resp)
-	e := Entry{Name: r.String(), IsDir: r.Bool(), Blob: blob.ID(r.U64())}
-	return e, r.Err()
+func (c *Client) StatEntry(ctx context.Context, path string) (e Entry, err error) {
+	err = c.call(ctx, mStatEntry, path, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		e = decodeEntry(r)
+		return r.Err()
+	})
+	return e, err
 }

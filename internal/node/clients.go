@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"blobseer/internal/rpc"
 	"blobseer/internal/trace"
 	"blobseer/internal/vmanager"
+	"blobseer/internal/wire"
 )
 
 // Endpoints is a deployment as a client sees it: addresses only.
@@ -128,6 +130,7 @@ func (c *Clients) Repair(cache, concurrency int) *repair.Engine {
 // and /, and t at /trace. It returns the bound address and a stop
 // function.
 func ServeObs(addr string, m *metrics.Exporter, t *trace.Exporter) (string, func() error, error) {
+	m.Register("wire", poolMetrics())
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", m)
 	mux.Handle("/", m)
@@ -139,4 +142,17 @@ func ServeObs(addr string, m *metrics.Exporter, t *trace.Exporter) (string, func
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
+}
+
+// poolMetrics exports the process's recycled-buffer free lists (data and
+// control frames share them), one gauge triple per size class.
+func poolMetrics() *metrics.Registry {
+	reg := metrics.NewRegistry()
+	for c, st := range wire.PoolStats() {
+		name := fmt.Sprintf("pool_%dk_", st.Size>>10)
+		reg.GaugeFunc(name+"hits", func() int64 { return wire.PoolStats()[c].Hits })
+		reg.GaugeFunc(name+"misses", func() int64 { return wire.PoolStats()[c].Misses })
+		reg.GaugeFunc(name+"parked_bytes", func() int64 { return wire.PoolStats()[c].ParkedBytes })
+	}
+	return reg
 }

@@ -330,16 +330,16 @@ func (s *Service) StopExpiry() {
 // Mux returns the RPC dispatch table.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mRegister, s.handleRegister)
-	m.Handle(mAllocate, s.handleAllocate)
-	m.Handle(mList, s.handleList)
-	m.Handle(mMarkDead, s.handleMarkDead)
-	m.Handle(mHeartbeat, s.handleHeartbeat)
-	m.Handle(mDecommission, s.handleDecommission)
+	m.HandleFrame(mRegister, s.handleRegister)
+	m.HandleFrame(mAllocate, s.handleAllocate)
+	m.HandleFrame(mList, s.handleList)
+	m.HandleFrame(mMarkDead, s.handleMarkDead)
+	m.HandleFrame(mHeartbeat, s.handleHeartbeat)
+	m.HandleFrame(mDecommission, s.handleDecommission)
 	return m
 }
 
-func (s *Service) handleRegister(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleRegister(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	addr := r.String()
 	host := r.String()
@@ -351,7 +351,7 @@ func (s *Service) handleRegister(ctx context.Context, p []byte) ([]byte, error) 
 	return nil, nil
 }
 
-func (s *Service) handleHeartbeat(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleHeartbeat(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	addr := r.String()
 	st := store.Stats{Items: r.I64(), Bytes: r.I64()}
@@ -364,12 +364,12 @@ func (s *Service) handleHeartbeat(ctx context.Context, p []byte) ([]byte, error)
 	if !known {
 		s.reg.Counter("heartbeats_unknown").Inc()
 	}
-	b := wire.NewBuffer(1)
+	b := rpc.NewFrame(1)
 	b.Bool(known)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleMarkDead(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleMarkDead(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	addr := r.String()
 	if err := r.Err(); err != nil {
@@ -380,7 +380,7 @@ func (s *Service) handleMarkDead(ctx context.Context, p []byte) ([]byte, error) 
 	return nil, nil
 }
 
-func (s *Service) handleDecommission(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleDecommission(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	addr := r.String()
 	if err := r.Err(); err != nil {
@@ -391,7 +391,7 @@ func (s *Service) handleDecommission(ctx context.Context, p []byte) ([]byte, err
 	return nil, nil
 }
 
-func (s *Service) handleAllocate(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleAllocate(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	nBlocks := int(r.U32())
 	replicas := int(r.U32())
@@ -409,17 +409,17 @@ func (s *Service) handleAllocate(ctx context.Context, p []byte) ([]byte, error) 
 		}
 		return nil, err
 	}
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.U32(uint32(len(targets)))
 	for _, set := range targets {
 		b.StringSlice(set)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleList(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	infos := s.state.List()
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.U32(uint32(len(infos)))
 	for _, in := range infos {
 		b.String(in.Addr)
@@ -430,7 +430,7 @@ func (s *Service) handleList(ctx context.Context, p []byte) ([]byte, error) {
 		b.Bool(in.Draining)
 		store.EncodeTiers(b, in.Tiers)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Client is the provider-manager RPC client.
@@ -451,26 +451,17 @@ func NewClient(pool *rpc.Pool, addr string) *Client {
 // SetRetry overrides the client's retry schedule.
 func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
-func (c *Client) call(ctx context.Context, m uint16, payload []byte) ([]byte, error) {
-	var resp []byte
-	err := rpc.Retry(ctx, c.retry, func(ctx context.Context) error {
-		cl, err := c.pool.Get(c.addr)
-		if err != nil {
-			return err
-		}
-		resp, err = cl.Call(ctx, m, payload)
-		return err
-	})
-	return resp, err
+// call issues one RPC (see rpc.Pool.Call for enc and dec).
+func (c *Client) call(ctx context.Context, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
+	return c.pool.Call(ctx, c.retry, c.addr, m, size, enc, dec)
 }
 
 // Register announces a provider.
 func (c *Client) Register(ctx context.Context, addr, host string) error {
-	b := wire.NewBuffer(16)
-	b.String(addr)
-	b.String(host)
-	_, err := c.call(ctx, mRegister, b.Bytes())
-	return err
+	return c.call(ctx, mRegister, 16+len(addr)+len(host), func(b *wire.Buffer) {
+		b.String(addr)
+		b.String(host)
+	}, nil)
 }
 
 // Heartbeat refreshes liveness, carrying the provider's live store
@@ -478,78 +469,77 @@ func (c *Client) Register(ctx context.Context, addr, host string) error {
 // means the manager does not know this provider (it restarted and lost
 // its membership): the caller must Register again.
 func (c *Client) Heartbeat(ctx context.Context, addr string, stats store.Stats) (known bool, err error) {
-	b := wire.NewBuffer(32 + 32*len(stats.Tiers))
-	b.String(addr)
-	b.I64(stats.Items)
-	b.I64(stats.Bytes)
-	store.EncodeTiers(b, stats.Tiers)
-	resp, err := c.call(ctx, mHeartbeat, b.Bytes())
-	if err != nil {
-		return false, err
-	}
-	r := wire.NewReader(resp)
-	known = r.Bool()
-	return known, r.Err()
+	err = c.call(ctx, mHeartbeat, 64+32*len(stats.Tiers), func(b *wire.Buffer) {
+		b.String(addr)
+		b.I64(stats.Items)
+		b.I64(stats.Bytes)
+		store.EncodeTiers(b, stats.Tiers)
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		known = r.Bool()
+		return r.Err()
+	})
+	return known, err
 }
 
 // Decommission marks a provider draining (out of the allocation pool,
 // still a read/repair source).
 func (c *Client) Decommission(ctx context.Context, addr string) error {
-	b := wire.NewBuffer(16)
-	b.String(addr)
-	_, err := c.call(ctx, mDecommission, b.Bytes())
-	return err
+	return c.call(ctx, mDecommission, 8+len(addr), func(b *wire.Buffer) { b.String(addr) }, nil)
 }
 
 // MarkDead removes a provider from allocation.
 func (c *Client) MarkDead(ctx context.Context, addr string) error {
-	b := wire.NewBuffer(16)
-	b.String(addr)
-	_, err := c.call(ctx, mMarkDead, b.Bytes())
-	return err
+	return c.call(ctx, mMarkDead, 8+len(addr), func(b *wire.Buffer) { b.String(addr) }, nil)
 }
 
 // Allocate requests placement targets for nBlocks blocks.
 func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost string) ([][]string, error) {
-	b := wire.NewBuffer(16)
-	b.U32(uint32(nBlocks))
-	b.U32(uint32(replicas))
-	b.String(clientHost)
-	resp, err := c.call(ctx, mAllocate, b.Bytes())
+	var out [][]string
+	err := c.call(ctx, mAllocate, 16+len(clientHost), func(b *wire.Buffer) {
+		b.U32(uint32(nBlocks))
+		b.U32(uint32(replicas))
+		b.String(clientHost)
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		out = make([][]string, 0, min(n, uint32(r.Remaining())))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			out = append(out, r.StringSlice())
+		}
+		return r.Err()
+	})
 	if err != nil {
 		if rpc.CodeOf(err) == CodeNoProviders {
 			return nil, placement.ErrNoProviders
 		}
 		return nil, err
 	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	out := make([][]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, r.StringSlice())
-	}
-	return out, r.Err()
+	return out, nil
 }
 
 // List fetches the membership snapshot.
 func (c *Client) List(ctx context.Context) ([]ProviderInfo, error) {
-	resp, err := c.call(ctx, mList, nil)
+	var out []ProviderInfo
+	err := c.call(ctx, mList, 0, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		out = make([]ProviderInfo, 0, min(n, uint32(r.Remaining())))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			out = append(out, ProviderInfo{
+				Addr:     r.String(),
+				Host:     r.String(),
+				Blocks:   r.I64(),
+				Bytes:    r.I64(),
+				Alive:    r.Bool(),
+				Draining: r.Bool(),
+				Tiers:    store.DecodeTiers(r),
+			})
+		}
+		return r.Err()
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	out := make([]ProviderInfo, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, ProviderInfo{
-			Addr:     r.String(),
-			Host:     r.String(),
-			Blocks:   r.I64(),
-			Bytes:    r.I64(),
-			Alive:    r.Bool(),
-			Draining: r.Bool(),
-			Tiers:    store.DecodeTiers(r),
-		})
-	}
-	return out, r.Err()
+	return out, nil
 }

@@ -34,10 +34,36 @@ func FuzzServerFrame(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, wire.MaxFrameSize+1))
 	f.Add(rawFrame(5, 1, flagResponse, []byte("a response")))
 	f.Add(append(rawFrame(6, 2, 0, nil), rawFrame(7, 99, 0, []byte("unknown method"))...))
+	// A control method (the shape of vmanager's commit and latest): two
+	// words in, a frame-encoded reply, a coded error, or nothing at all.
+	words := func(a, b uint64) []byte {
+		return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, a), b)
+	}
+	f.Add(rawFrame(8, 3, 0, words(1, 7)))
+	f.Add(rawFrame(9, 3, 0, words(0, 7)))      // coded error reply
+	f.Add(rawFrame(10, 3, 0, words(2, 0)))     // empty reply
+	f.Add(rawFrame(11, 3, 0, words(1, 7)[:9])) // short request
+	f.Add(append(rawFrame(12, 3, 0, words(1, 1)), rawFrame(13, 3, flagTrace, words(1, 2))...))
 
 	mux := NewMux()
 	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	mux.Handle(2, func(context.Context, []byte) ([]byte, error) { return nil, errors.New("refused") })
+	mux.HandleFrame(3, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+		r := wire.NewReader(p)
+		id, v := r.U64(), r.U64()
+		switch {
+		case r.Err() != nil:
+			return nil, r.Err()
+		case id == 0:
+			return nil, CodedError(20, "unknown blob")
+		case v == 0:
+			return nil, nil
+		}
+		resp := NewFrame(16)
+		resp.U64(v)
+		resp.U64(id)
+		return resp, nil
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, addr, srv := startServer(t, mux)
 		conn, err := n.Dial(addr)

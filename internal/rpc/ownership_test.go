@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,6 +154,183 @@ func TestFrameWriteFailsMidway(t *testing.T) {
 	}
 	if _, err := c.Call(context.Background(), 1, nil); err == nil {
 		t.Error("call on a client whose frame write failed should fail")
+	}
+}
+
+// TestBlockedHandlerDelaysNobody: a request whose handler blocks (a
+// publication wait, a WAL sync, a chain forward) does not hold up the
+// requests behind it on the same connection.
+func TestBlockedHandlerDelaysNobody(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 4)
+	mux := NewMux()
+	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return p, nil
+	})
+	mux.Handle(2, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	c := dialEcho(t, mux)
+	ctx := context.Background()
+	blocked := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		go func() {
+			_, err := c.Call(ctx, 1, []byte("wait"))
+			blocked <- err
+		}()
+		<-entered
+	}
+	for i := 0; i < 100; i++ {
+		want := fmt.Sprintf("behind-%d", i)
+		if got, err := c.Call(ctx, 2, []byte(want)); err != nil || string(got) != want {
+			t.Fatalf("call behind four blocked handlers = %q, %v", got, err)
+		}
+	}
+	close(release)
+	for i := 0; i < 4; i++ {
+		if err := <-blocked; err != nil {
+			t.Errorf("blocked call = %v", err)
+		}
+	}
+}
+
+// TestAbandonedCallRecordIsReused: a call that gave up hands its record
+// (channel, timer) to the next call at once; the answer to the first,
+// arriving later, must reach neither that call nor any after it.
+func TestAbandonedCallRecordIsReused(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	mux := NewMux()
+	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return []byte("late answer"), nil
+	})
+	mux.Handle(2, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	c := dialEcho(t, mux)
+	c.SetIOTimeout(time.Minute) // calls arm, stop and re-arm the record's timer
+	for round := 0; round < 50; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.CallFrame(ctx, 1, frameOf(nil))
+			done <- err
+		}()
+		<-entered
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned call = %v", err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() { // one of these reuses the abandoned record
+				defer wg.Done()
+				want := fmt.Sprintf("round-%d-call-%d", round, i)
+				got, err := c.CallFrame(context.Background(), 2, frameOf([]byte(want)))
+				if err != nil || string(got) != want {
+					t.Errorf("call on a reused record = %q, %v; want %q", got, err, want)
+				}
+				wire.PutBuf(got)
+			}()
+			if i == 1 {
+				release <- struct{}{} // the late answer lands among them
+			}
+		}
+		wg.Wait()
+	}
+	c.mu.Lock()
+	free, pending := len(c.free), len(c.pending)
+	c.mu.Unlock()
+	if pending != 0 || free == 0 || free > 5 {
+		t.Errorf("%d calls pending and %d records parked after 250 calls, want 0 and at most 5", pending, free)
+	}
+}
+
+// TestPoolCall: the request is encoded again for every attempt, the
+// response is decoded before it is recycled, and a response that does
+// not decode fails the call without another attempt.
+func TestPoolCall(t *testing.T) {
+	mux := NewMux()
+	mux.HandleFrame(1, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+		f := NewFrame(len(p))
+		f.String(string(p))
+		return f, nil
+	})
+	mux.HandleFrame(2, func(context.Context, []byte) (*wire.Buffer, error) { return nil, nil })
+	mux.Handle(3, func(context.Context, []byte) ([]byte, error) { return nil, CodedError(77, "refused") })
+	n, addr, _ := startServer(t, mux)
+	var dials atomic.Int32
+	pool := NewPool(func(a string) (net.Conn, error) {
+		conn, err := n.Dial(a)
+		if dials.Add(1) == 1 && err == nil {
+			conn = &cutConn{Conn: conn} // the first attempt dies mid-frame
+		}
+		return conn, err
+	})
+	defer pool.Close()
+	ctx := context.Background()
+	b := Backoff{Attempts: 3, Base: time.Millisecond}
+
+	var encoded int
+	var got string
+	err := pool.Call(ctx, b, addr, 1, 16, func(f *wire.Buffer) {
+		encoded++
+		f.Bytes32([]byte("payload"))
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		got = string(r.Bytes32()[4:]) // the echoed Bytes32, as a string
+		return r.Err()
+	})
+	if err != nil || got != "payload" || encoded != 2 || dials.Load() != 2 {
+		t.Fatalf("Call = %q, %v after %d encodings and %d dials; want the payload from the second of each", got, err, encoded, dials.Load())
+	}
+	for i := 0; i < 100; i++ { // recycle the frame got was decoded from
+		if err := pool.Call(ctx, b, addr, 2, 0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != "payload" {
+		t.Errorf("decoded value changed to %q", got)
+	}
+
+	encoded = 0
+	errDecode := errors.New("does not decode")
+	err = pool.Call(ctx, b, addr, 2, 0, func(*wire.Buffer) { encoded++ }, func(p []byte) error {
+		if len(p) != 0 {
+			t.Errorf("empty response arrived as %d bytes", len(p))
+		}
+		return errDecode
+	})
+	if !errors.Is(err, errDecode) || encoded != 1 {
+		t.Errorf("undecodable response: err = %v after %d attempts, want the decode error after 1", err, encoded)
+	}
+	if err := pool.Call(ctx, b, addr, 3, 0, nil, func([]byte) error { t.Error("decoded an error reply"); return nil }); CodeOf(err) != 77 {
+		t.Errorf("coded error = %v", err)
+	}
+}
+
+// TestCallAllocations pins what a small round trip allocates on both
+// sides together, now that calls reuse their record, channel and timer
+// (8 before that).
+func TestCallAllocations(t *testing.T) {
+	wire.PoisonReleased(false) // the poison bookkeeping allocates
+	defer wire.PoisonReleased(true)
+	mux := NewMux()
+	mux.HandleFrame(1, func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
+	c := dialEcho(t, mux)
+	c.SetIOTimeout(time.Minute)
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{3}, 64)
+	allocs := testing.AllocsPerRun(500, func() {
+		resp, err := c.CallFrame(ctx, 1, frameOf(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.PutBuf(resp)
+	})
+	if allocs > 5 {
+		t.Errorf("%.1f allocations per 64 B round trip, want at most 5", allocs)
 	}
 }
 

@@ -24,7 +24,9 @@
 // it); a frame handed to CallFrame or returned by a FrameHandler is
 // rpc's from then on; Call's result is the caller's for ever;
 // CallFrame's is recycled and goes to wire.PutBuf when the caller is
-// done with it.
+// done with it. Pool.Call wraps those rules for the control plane: it
+// encodes the request again for every attempt and recycles the response
+// as soon as the caller's decoder has returned.
 package rpc
 
 import (
@@ -361,10 +363,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wmu sync.Mutex // serializes response frames on the shared conn
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
+	var pre [wire.FrameLenSize]byte
 	for {
 		// An oversize length drops the connection before any
 		// payload-sized buffer is taken.
-		var pre [wire.FrameLenSize]byte
 		if _, err := io.ReadFull(conn, pre[:]); err != nil {
 			return
 		}
@@ -436,6 +438,9 @@ func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) (*
 		return frameOf([]byte(err.Error())), code
 	}
 	sp.FinishCode(StatusOK, "")
+	if resp == nil { // a handler with nothing to say
+		resp = NewFrame(0)
+	}
 	return resp, StatusOK
 }
 
@@ -448,8 +453,9 @@ type Client struct {
 	timeout atomic.Int64 // per-call I/O deadline in ns (0 = none)
 
 	mu      sync.Mutex
-	pending map[uint64]call
-	err     error // set once the read loop dies
+	pending map[uint64]*call
+	free    []*call // finished call records, channel empty, timer stopped
+	err     error   // set once the read loop dies
 
 	wmu sync.Mutex // serializes request frames
 }
@@ -461,8 +467,12 @@ type Client struct {
 // (the write deadline always applies). d <= 0 disables.
 func (c *Client) SetIOTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
+// call is one in-flight request. Records are reused (Client.free): a
+// record goes back only once it is out of pending and its channel is
+// drained, so nothing can still send to it.
 type call struct {
 	ch       chan callResult // buffered: the read loop never blocks on it
+	timer    *time.Timer     // the response bound, stopped between calls
 	recycled bool            // read the response payload into a wire.GetBuf slice
 }
 
@@ -473,7 +483,7 @@ type callResult struct {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn, pending: make(map[uint64]call)}
+	c := &Client{conn: conn, pending: make(map[uint64]*call)}
 	go c.readLoop()
 	return c
 }
@@ -494,7 +504,6 @@ func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer)
 
 func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool) ([]byte, error) {
 	id := c.nextID.Add(1)
-	ch := make(chan callResult, 1)
 
 	// A context that is already done fails the call here, not by a coin
 	// toss between its Done channel and a fast response.
@@ -508,7 +517,14 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 		req.Release()
 		return nil, err
 	}
-	c.pending[id] = call{ch: ch, recycled: recycled}
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		cl = &call{ch: make(chan callResult, 1)}
+	}
+	cl.recycled = recycled
+	c.pending[id] = cl
 	c.mu.Unlock()
 
 	// A trace context on ctx rides the frame so the server joins the
@@ -520,7 +536,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	}
 	d := time.Duration(c.timeout.Load())
 	if err := writeFrame(c.conn, &c.wmu, d, req, id, method, flags, 0, tc); err != nil {
-		c.abandon(id, ch)
+		c.abandon(id, cl)
 		// A failed frame write may have left a partial frame on the
 		// wire; the connection is unusable for framing either way.
 		c.conn.Close()
@@ -535,14 +551,18 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	var ioTimer <-chan time.Time
 	if d > 0 && !hasNoTimeout(ctx) {
 		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			ioTimer = t.C
+			if cl.timer == nil {
+				cl.timer = time.NewTimer(d)
+			} else {
+				cl.timer.Reset(d)
+			}
+			ioTimer = cl.timer.C
 		}
 	}
 
 	select {
-	case res := <-ch:
+	case res := <-cl.ch:
+		c.release(cl)
 		if res.status == StatusOK {
 			return res.payload, nil
 		}
@@ -552,25 +572,37 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 		}
 		return nil, &RemoteError{Code: res.status, Msg: string(res.payload)}
 	case <-ioTimer:
-		c.abandon(id, ch)
+		c.abandon(id, cl)
 		return nil, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
 	case <-ctx.Done():
-		c.abandon(id, ch)
+		c.abandon(id, cl)
 		return nil, ctx.Err()
 	}
 }
 
 // abandon gives up on call id: the read loop drains a response that
 // still arrives, one delivered just before is released here.
-func (c *Client) abandon(id uint64, ch chan callResult) {
+func (c *Client) abandon(id uint64, cl *call) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
 	select {
-	case res := <-ch:
+	case res := <-cl.ch:
 		wire.PutBuf(res.payload)
 	default:
 	}
+	c.release(cl)
+}
+
+// release parks a call record that is out of pending with its channel
+// empty. (Since Go 1.23 a stopped timer's channel holds no stale tick.)
+func (c *Client) release(cl *call) {
+	if cl.timer != nil {
+		cl.timer.Stop()
+	}
+	c.mu.Lock()
+	c.free = append(c.free, cl)
+	c.mu.Unlock()
 }
 
 // Close tears down the connection; in-flight calls fail.
@@ -578,10 +610,10 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) readLoop() {
 	var err error
+	var pre [wire.FrameLenSize + hdrLen]byte
 	for {
 		// Length prefix and header first: which call the frame answers
 		// decides where its payload is read to.
-		var pre [wire.FrameLenSize + hdrLen]byte
 		if _, err = io.ReadFull(c.conn, pre[:]); err != nil {
 			break
 		}
@@ -594,12 +626,13 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Lock()
 		cl, ok := c.pending[id]
+		recycled := ok && cl.recycled // read here: an abandoned record is reused
 		c.mu.Unlock()
 		res := callResult{status: status}
 		switch {
 		case !ok: // the call gave up: drain its response
 			_, err = io.CopyN(io.Discard, c.conn, int64(n))
-		case cl.recycled:
+		case recycled:
 			res.payload = wire.GetBuf(n)[:n]
 			_, err = io.ReadFull(c.conn, res.payload)
 		default:
@@ -609,7 +642,7 @@ func (c *Client) readLoop() {
 		// Deliver only to a call that is still waiting (it may have
 		// given up during the read), under the lock abandon takes.
 		c.mu.Lock()
-		if _, ok = c.pending[id]; ok && err == nil {
+		if cl, ok = c.pending[id]; ok && err == nil {
 			delete(c.pending, id)
 			cl.ch <- res
 		} else {

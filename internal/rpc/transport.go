@@ -1,10 +1,13 @@
 package rpc
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
 	"time"
+
+	"blobseer/internal/wire"
 )
 
 // Dialer opens a connection to an address. Deployments use TCPDialer;
@@ -171,6 +174,37 @@ func (p *Pool) Get(addr string) (*Client, error) {
 	}
 	p.clients[addr] = c
 	return c, nil
+}
+
+// Call is the control-plane call every manager client makes: one
+// request to addr, transport failures retried per b. enc encodes the
+// request into a fresh recycled frame on every attempt, because rpc
+// owns a frame once it was sent; dec (nil when the response carries
+// nothing) decodes the response, which is recycled the moment dec
+// returns — what dec keeps must be copied out, never alias p.
+func (p *Pool) Call(ctx context.Context, b Backoff, addr string, m uint16, size int,
+	enc func(*wire.Buffer), dec func(p []byte) error) error {
+	var derr error // a response that does not decode is not a reason to retry
+	err := Retry(ctx, b, func(ctx context.Context) error {
+		cl, err := p.Get(addr)
+		if err != nil {
+			return err
+		}
+		f := NewFrame(size)
+		if enc != nil {
+			enc(f)
+		}
+		resp, err := cl.CallFrame(ctx, m, f)
+		if err == nil && dec != nil {
+			derr = dec(resp)
+		}
+		wire.PutBuf(resp)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	return derr
 }
 
 // Close closes every pooled client.

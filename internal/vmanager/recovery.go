@@ -177,7 +177,7 @@ func (s *State) applyRecord(p []byte) error {
 		if v == blob.NoVersion || v > bs.hist.Latest() {
 			return fmt.Errorf("vmanager: abort record for unassigned version %d of blob %d", v, id)
 		}
-		bs.hist.Descs[v-1].Aborted = true
+		bs.hist.MarkAborted(v)
 	case recPrune:
 		keep := blob.Version(r.U64())
 		if err := r.Err(); err != nil {

@@ -254,9 +254,9 @@ func (s *Service) Ops() OpCounts {
 
 // counted wraps a handler with the total and per-op dispatch counters
 // plus the per-op latency histogram.
-func (s *Service) counted(m uint16, fn rpc.HandlerFunc) rpc.HandlerFunc {
+func (s *Service) counted(m uint16, fn rpc.FrameHandler) rpc.FrameHandler {
 	h := s.opLatency[m-1]
-	return func(ctx context.Context, p []byte) ([]byte, error) {
+	return func(ctx context.Context, p []byte) (*wire.Buffer, error) {
 		s.calls.Add(1)
 		s.ops[m-1].Add(1)
 		t0 := time.Now()
@@ -298,20 +298,20 @@ func (s *Service) StopJanitor() {
 // Mux returns the RPC dispatch table.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mCreateBlob, s.counted(mCreateBlob, s.handleCreate))
-	m.Handle(mGetMeta, s.counted(mGetMeta, s.handleGetMeta))
-	m.Handle(mAssignVersion, s.counted(mAssignVersion, s.handleAssign))
-	m.Handle(mCommit, s.counted(mCommit, s.handleCommit))
-	m.Handle(mAbort, s.counted(mAbort, s.handleAbort))
-	m.Handle(mLatest, s.counted(mLatest, s.handleLatest))
-	m.Handle(mVersionInfo, s.counted(mVersionInfo, s.handleVersionInfo))
-	m.Handle(mHistory, s.counted(mHistory, s.handleHistory))
-	m.Handle(mWaitPublished, s.counted(mWaitPublished, s.handleWait))
-	m.Handle(mListBlobs, s.counted(mListBlobs, s.handleListBlobs))
-	m.Handle(mPrune, s.counted(mPrune, s.handlePrune))
-	m.Handle(mPrunedBelow, s.counted(mPrunedBelow, s.handlePrunedBelow))
-	m.Handle(mWALStatus, s.counted(mWALStatus, s.handleWALStatus))
-	m.Handle(mForceSnapshot, s.counted(mForceSnapshot, s.handleForceSnapshot))
+	m.HandleFrame(mCreateBlob, s.counted(mCreateBlob, s.handleCreate))
+	m.HandleFrame(mGetMeta, s.counted(mGetMeta, s.handleGetMeta))
+	m.HandleFrame(mAssignVersion, s.counted(mAssignVersion, s.handleAssign))
+	m.HandleFrame(mCommit, s.counted(mCommit, s.handleCommit))
+	m.HandleFrame(mAbort, s.counted(mAbort, s.handleAbort))
+	m.HandleFrame(mLatest, s.counted(mLatest, s.handleLatest))
+	m.HandleFrame(mVersionInfo, s.counted(mVersionInfo, s.handleVersionInfo))
+	m.HandleFrame(mHistory, s.counted(mHistory, s.handleHistory))
+	m.HandleFrame(mWaitPublished, s.counted(mWaitPublished, s.handleWait))
+	m.HandleFrame(mListBlobs, s.counted(mListBlobs, s.handleListBlobs))
+	m.HandleFrame(mPrune, s.counted(mPrune, s.handlePrune))
+	m.HandleFrame(mPrunedBelow, s.counted(mPrunedBelow, s.handlePrunedBelow))
+	m.HandleFrame(mWALStatus, s.counted(mWALStatus, s.handleWALStatus))
+	m.HandleFrame(mForceSnapshot, s.counted(mForceSnapshot, s.handleForceSnapshot))
 	return m
 }
 
@@ -351,12 +351,12 @@ func decodeOps(r *wire.Reader) OpCounts {
 	}
 }
 
-func (s *Service) handleWALStatus(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleWALStatus(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	st, err := s.state.WALStatus()
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(192)
+	b := rpc.NewFrame(192)
 	b.String(st.Dir)
 	b.U32(uint32(st.Segments))
 	b.U64(st.FirstSeq)
@@ -367,10 +367,10 @@ func (s *Service) handleWALStatus(ctx context.Context, p []byte) ([]byte, error)
 	b.I64(st.LastSyncUnix)
 	b.U64(st.Syncs)
 	encodeOps(b, s.Ops())
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleForceSnapshot(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleForceSnapshot(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	if err := s.state.SnapshotNow(); err != nil {
 		return nil, wrap(err)
 	}
@@ -418,7 +418,7 @@ func decodeDescs(r *wire.Reader) []blob.WriteDesc {
 	return out
 }
 
-func (s *Service) handleCreate(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	blockSize := r.I64()
 	replication := int(r.U32())
@@ -429,12 +429,12 @@ func (s *Service) handleCreate(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(uint64(m.ID))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleGetMeta(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleGetMeta(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	if err := r.Err(); err != nil {
@@ -444,13 +444,13 @@ func (s *Service) handleGetMeta(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(12)
+	b := rpc.NewFrame(12)
 	b.I64(m.BlockSize)
 	b.U32(uint32(m.Replication))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleAssign(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleAssign(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	kind := blob.WriteKind(r.U8())
@@ -465,15 +465,15 @@ func (s *Service) handleAssign(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.U64(uint64(a.Version))
 	b.I64(a.Off)
 	b.I64(a.Size)
 	encodeDescs(b, a.Descs)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleCommit(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleCommit(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	v := blob.Version(r.U64())
@@ -483,7 +483,7 @@ func (s *Service) handleCommit(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, wrap(s.state.Commit(id, v))
 }
 
-func (s *Service) handleAbort(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	v := blob.Version(r.U64())
@@ -493,7 +493,7 @@ func (s *Service) handleAbort(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, wrap(s.state.Abort(id, v))
 }
 
-func (s *Service) handleLatest(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleLatest(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	if err := r.Err(); err != nil {
@@ -503,13 +503,13 @@ func (s *Service) handleLatest(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(16)
+	b := rpc.NewFrame(16)
 	b.U64(uint64(v))
 	b.I64(size)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleVersionInfo(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleVersionInfo(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	v := blob.Version(r.U64())
@@ -520,12 +520,12 @@ func (s *Service) handleVersionInfo(ctx context.Context, p []byte) ([]byte, erro
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(48)
+	b := rpc.NewFrame(48)
 	encodeDesc(b, d)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleHistory(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleHistory(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	since := blob.Version(r.U64())
@@ -536,12 +536,12 @@ func (s *Service) handleHistory(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(4 + len(ds)*48)
+	b := rpc.NewFrame(4 + len(ds)*48)
 	encodeDescs(b, ds)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleWait(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleWait(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	v := blob.Version(r.U64())
@@ -553,23 +553,23 @@ func (s *Service) handleWait(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(16)
+	b := rpc.NewFrame(16)
 	b.U64(uint64(pub))
 	b.I64(size)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleListBlobs(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleListBlobs(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	ids := s.state.Blobs()
-	b := wire.NewBuffer(4 + len(ids)*8)
+	b := rpc.NewFrame(4 + len(ids)*8)
 	b.U32(uint32(len(ids)))
 	for _, id := range ids {
 		b.U64(uint64(id))
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handlePrune(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handlePrune(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	keep := blob.Version(r.U64())
@@ -580,12 +580,12 @@ func (s *Service) handlePrune(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(uint64(from))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handlePrunedBelow(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handlePrunedBelow(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
 	if err := r.Err(); err != nil {
@@ -595,9 +595,9 @@ func (s *Service) handlePrunedBelow(ctx context.Context, p []byte) ([]byte, erro
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(uint64(v))
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Client is the version-manager RPC client over the K >= 1 shard
@@ -637,157 +637,132 @@ func (c *Client) NumShards() int { return len(c.addrs) }
 // latency-sensitive callers shrink it).
 func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
-// call issues one RPC to shard k.
-func (c *Client) call(ctx context.Context, k int, m uint16, payload []byte) ([]byte, error) {
-	var resp []byte
-	err := rpc.Retry(ctx, c.retry, func(ctx context.Context) error {
-		cl, err := c.pool.Get(c.addrs[k])
-		if err != nil {
-			return err
-		}
-		resp, err = cl.Call(ctx, m, payload)
-		return err
-	})
-	if err != nil {
-		return nil, errFromCode(err)
-	}
-	return resp, nil
+// call issues one RPC to shard k (see rpc.Pool.Call for enc and dec).
+func (c *Client) call(ctx context.Context, k int, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
+	return errFromCode(c.pool.Call(ctx, c.retry, c.addrs[k], m, size, enc, dec))
 }
 
-// callBlob issues one RPC to the shard owning id.
-func (c *Client) callBlob(ctx context.Context, id blob.ID, m uint16, payload []byte) ([]byte, error) {
-	return c.call(ctx, ShardOf(id, len(c.addrs)), m, payload)
+// callBlob issues one RPC to the shard owning id; most requests are
+// the blob ID and at most one more word.
+func (c *Client) callBlob(ctx context.Context, id blob.ID, m uint16, dec func([]byte) error, args ...uint64) error {
+	return c.call(ctx, ShardOf(id, len(c.addrs)), m, 16, func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		for _, a := range args {
+			b.U64(a)
+		}
+	}, dec)
 }
 
 // CreateBlob allocates a new blob on the next shard in round-robin
 // order, spreading unrelated blobs across the control plane.
 func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication int) (blob.Meta, error) {
-	b := wire.NewBuffer(12)
-	b.I64(blockSize)
-	b.U32(uint32(replication))
+	m := blob.Meta{BlockSize: blockSize, Replication: replication}
 	k := int((c.next.Add(1) - 1) % uint64(len(c.addrs)))
-	resp, err := c.call(ctx, k, mCreateBlob, b.Bytes())
+	err := c.call(ctx, k, mCreateBlob, 12, func(b *wire.Buffer) {
+		b.I64(blockSize)
+		b.U32(uint32(replication))
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		m.ID = blob.ID(r.U64())
+		return r.Err()
+	})
 	if err != nil {
 		return blob.Meta{}, err
 	}
-	r := wire.NewReader(resp)
-	m := blob.Meta{ID: blob.ID(r.U64()), BlockSize: blockSize, Replication: replication}
-	return m, r.Err()
+	return m, nil
 }
 
 // GetMeta fetches a blob's static configuration.
 func (c *Client) GetMeta(ctx context.Context, id blob.ID) (blob.Meta, error) {
-	b := wire.NewBuffer(8)
-	b.U64(uint64(id))
-	resp, err := c.callBlob(ctx, id, mGetMeta, b.Bytes())
+	m := blob.Meta{ID: id}
+	err := c.callBlob(ctx, id, mGetMeta, func(p []byte) error {
+		r := wire.NewReader(p)
+		m.BlockSize, m.Replication = r.I64(), int(r.U32())
+		return r.Err()
+	})
 	if err != nil {
 		return blob.Meta{}, err
 	}
-	r := wire.NewReader(resp)
-	m := blob.Meta{ID: id, BlockSize: r.I64(), Replication: int(r.U32())}
-	return m, r.Err()
+	return m, nil
 }
 
 // AssignVersion requests a version number for a prepared write.
 func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version) (Assignment, error) {
-	b := wire.NewBuffer(48)
-	b.U64(uint64(id))
-	b.U8(uint8(kind))
-	b.I64(off)
-	b.I64(size)
-	b.U64(nonce)
-	b.U64(uint64(since))
-	resp, err := c.callBlob(ctx, id, mAssignVersion, b.Bytes())
+	var a Assignment
+	err := c.call(ctx, ShardOf(id, len(c.addrs)), mAssignVersion, 48, func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		b.U8(uint8(kind))
+		b.I64(off)
+		b.I64(size)
+		b.U64(nonce)
+		b.U64(uint64(since))
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		a = Assignment{Version: blob.Version(r.U64()), Off: r.I64(), Size: r.I64(), Descs: decodeDescs(r)}
+		return r.Err()
+	})
 	if err != nil {
 		return Assignment{}, err
 	}
-	r := wire.NewReader(resp)
-	a := Assignment{
-		Version: blob.Version(r.U64()),
-		Off:     r.I64(),
-		Size:    r.I64(),
-		Descs:   decodeDescs(r),
-	}
-	return a, r.Err()
+	return a, nil
 }
 
 // Commit reports a completed write.
 func (c *Client) Commit(ctx context.Context, id blob.ID, v blob.Version) error {
-	b := wire.NewBuffer(16)
-	b.U64(uint64(id))
-	b.U64(uint64(v))
-	_, err := c.callBlob(ctx, id, mCommit, b.Bytes())
-	return err
+	return c.callBlob(ctx, id, mCommit, nil, uint64(v))
 }
 
 // Abort reports a failed write.
 func (c *Client) Abort(ctx context.Context, id blob.ID, v blob.Version) error {
-	b := wire.NewBuffer(16)
-	b.U64(uint64(id))
-	b.U64(uint64(v))
-	_, err := c.callBlob(ctx, id, mAbort, b.Bytes())
-	return err
+	return c.callBlob(ctx, id, mAbort, nil, uint64(v))
+}
+
+// versionAndSize is the response Latest and WaitPublished share.
+func versionAndSize(v *blob.Version, size *int64) func([]byte) error {
+	return func(p []byte) error {
+		r := wire.NewReader(p)
+		*v, *size = blob.Version(r.U64()), r.I64()
+		return r.Err()
+	}
 }
 
 // Latest returns the newest published version and size.
-func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, error) {
-	b := wire.NewBuffer(8)
-	b.U64(uint64(id))
-	resp, err := c.callBlob(ctx, id, mLatest, b.Bytes())
-	if err != nil {
-		return 0, 0, err
-	}
-	r := wire.NewReader(resp)
-	v := blob.Version(r.U64())
-	size := r.I64()
-	return v, size, r.Err()
+func (c *Client) Latest(ctx context.Context, id blob.ID) (v blob.Version, size int64, err error) {
+	err = c.callBlob(ctx, id, mLatest, versionAndSize(&v, &size))
+	return v, size, err
 }
 
 // VersionInfo fetches one version's descriptor.
-func (c *Client) VersionInfo(ctx context.Context, id blob.ID, v blob.Version) (blob.WriteDesc, error) {
-	b := wire.NewBuffer(16)
-	b.U64(uint64(id))
-	b.U64(uint64(v))
-	resp, err := c.callBlob(ctx, id, mVersionInfo, b.Bytes())
-	if err != nil {
-		return blob.WriteDesc{}, err
-	}
-	r := wire.NewReader(resp)
-	d := decodeDesc(r)
-	return d, r.Err()
+func (c *Client) VersionInfo(ctx context.Context, id blob.ID, v blob.Version) (d blob.WriteDesc, err error) {
+	err = c.callBlob(ctx, id, mVersionInfo, func(p []byte) error {
+		r := wire.NewReader(p)
+		d = decodeDesc(r)
+		return r.Err()
+	}, uint64(v))
+	return d, err
 }
 
 // History fetches descriptors after since.
-func (c *Client) History(ctx context.Context, id blob.ID, since blob.Version) ([]blob.WriteDesc, error) {
-	b := wire.NewBuffer(16)
-	b.U64(uint64(id))
-	b.U64(uint64(since))
-	resp, err := c.callBlob(ctx, id, mHistory, b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	ds := decodeDescs(r)
-	return ds, r.Err()
+func (c *Client) History(ctx context.Context, id blob.ID, since blob.Version) (ds []blob.WriteDesc, err error) {
+	err = c.callBlob(ctx, id, mHistory, func(p []byte) error {
+		r := wire.NewReader(p)
+		ds = decodeDescs(r)
+		return r.Err()
+	}, uint64(since))
+	return ds, err
 }
 
 // WaitPublished blocks until v is published or timeout passes. The
 // call blocks server-side by design, so it is exempted from the
 // per-call I/O deadline; if the manager restarts mid-wait the retry in
 // call re-issues it, re-arming the waiter on the recovered state.
-func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, timeout time.Duration) (blob.Version, int64, error) {
-	b := wire.NewBuffer(24)
-	b.U64(uint64(id))
-	b.U64(uint64(v))
-	b.I64(int64(timeout / time.Millisecond))
-	resp, err := c.callBlob(rpc.NoTimeout(ctx), id, mWaitPublished, b.Bytes())
-	if err != nil {
-		return 0, 0, err
-	}
-	r := wire.NewReader(resp)
-	pub := blob.Version(r.U64())
-	size := r.I64()
-	return pub, size, r.Err()
+func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, timeout time.Duration) (pub blob.Version, size int64, err error) {
+	err = c.call(rpc.NoTimeout(ctx), ShardOf(id, len(c.addrs)), mWaitPublished, 24, func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		b.U64(uint64(v))
+		b.I64(int64(timeout / time.Millisecond))
+	}, versionAndSize(&pub, &size))
+	return pub, size, err
 }
 
 // ListBlobs returns all blob IDs, merging every shard's list into
@@ -795,17 +770,16 @@ func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, 
 func (c *Client) ListBlobs(ctx context.Context) ([]blob.ID, error) {
 	var out []blob.ID
 	for k := range c.addrs {
-		resp, err := c.call(ctx, k, mListBlobs, nil)
+		err := c.call(ctx, k, mListBlobs, 0, nil, func(p []byte) error {
+			r := wire.NewReader(p)
+			n := r.U32()
+			out = slices.Grow(out, int(min(n, uint32(r.Remaining()/8))))
+			for i := uint32(0); i < n && r.Err() == nil; i++ {
+				out = append(out, blob.ID(r.U64()))
+			}
+			return r.Err()
+		})
 		if err != nil {
-			return nil, err
-		}
-		r := wire.NewReader(resp)
-		n := r.U32()
-		out = slices.Grow(out, int(n))
-		for i := uint32(0); i < n; i++ {
-			out = append(out, blob.ID(r.U64()))
-		}
-		if err := r.Err(); err != nil {
 			return nil, err
 		}
 	}
@@ -813,34 +787,28 @@ func (c *Client) ListBlobs(ctx context.Context) ([]blob.ID, error) {
 	return out, nil
 }
 
+// versionReply decodes a response that is one version number.
+func versionReply(v *blob.Version) func([]byte) error {
+	return func(p []byte) error {
+		r := wire.NewReader(p)
+		*v = blob.Version(r.U64())
+		return r.Err()
+	}
+}
+
 // PrunedBelow returns the oldest still-readable version of the blob
 // (1 if never pruned). The repair scanner uses it to bound its walk to
 // versions whose metadata still exists.
-func (c *Client) PrunedBelow(ctx context.Context, id blob.ID) (blob.Version, error) {
-	b := wire.NewBuffer(8)
-	b.U64(uint64(id))
-	resp, err := c.callBlob(ctx, id, mPrunedBelow, b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	v := blob.Version(r.U64())
-	return v, r.Err()
+func (c *Client) PrunedBelow(ctx context.Context, id blob.ID) (v blob.Version, err error) {
+	err = c.callBlob(ctx, id, mPrunedBelow, versionReply(&v))
+	return v, err
 }
 
 // Prune advances the oldest readable version to keep, returning the
 // previous prune point (see State.Prune).
-func (c *Client) Prune(ctx context.Context, id blob.ID, keep blob.Version) (blob.Version, error) {
-	b := wire.NewBuffer(16)
-	b.U64(uint64(id))
-	b.U64(uint64(keep))
-	resp, err := c.callBlob(ctx, id, mPrune, b.Bytes())
-	if err != nil {
-		return 0, errFromCode(err)
-	}
-	r := wire.NewReader(resp)
-	from := blob.Version(r.U64())
-	return from, r.Err()
+func (c *Client) Prune(ctx context.Context, id blob.ID, keep blob.Version) (from blob.Version, err error) {
+	err = c.callBlob(ctx, id, mPrune, versionReply(&from), uint64(keep))
+	return from, err
 }
 
 // StatusReply is one shard's WAL shape plus its per-op dispatch
@@ -853,27 +821,26 @@ type StatusReply struct {
 // Status reports shard k's write-ahead-log shape and per-op dispatch
 // counters. Fails with a remote error when the shard runs without a
 // WAL.
-func (c *Client) Status(ctx context.Context, k int) (StatusReply, error) {
-	resp, err := c.call(ctx, k, mWALStatus, nil)
-	if err != nil {
-		return StatusReply{}, err
-	}
-	r := wire.NewReader(resp)
-	st := StatusReply{
-		WAL: wal.Status{
-			Dir:          r.String(),
-			Segments:     int(r.U32()),
-			FirstSeq:     r.U64(),
-			LastSeq:      r.U64(),
-			SnapshotSeq:  r.U64(),
-			LogBytes:     r.I64(),
-			Records:      r.U64(),
-			LastSyncUnix: r.I64(),
-			Syncs:        r.U64(),
-		},
-		Ops: decodeOps(r),
-	}
-	return st, r.Err()
+func (c *Client) Status(ctx context.Context, k int) (st StatusReply, err error) {
+	err = c.call(ctx, k, mWALStatus, 0, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		st = StatusReply{
+			WAL: wal.Status{
+				Dir:          r.String(),
+				Segments:     int(r.U32()),
+				FirstSeq:     r.U64(),
+				LastSeq:      r.U64(),
+				SnapshotSeq:  r.U64(),
+				LogBytes:     r.I64(),
+				Records:      r.U64(),
+				LastSyncUnix: r.I64(),
+				Syncs:        r.U64(),
+			},
+			Ops: decodeOps(r),
+		}
+		return r.Err()
+	})
+	return st, err
 }
 
 // ForceSnapshot snapshots every shard's state into its WAL and compacts
@@ -881,7 +848,7 @@ func (c *Client) Status(ctx context.Context, k int) (StatusReply, error) {
 func (c *Client) ForceSnapshot(ctx context.Context) error {
 	var errs []error
 	for k := range c.addrs {
-		if _, err := c.call(ctx, k, mForceSnapshot, nil); err != nil {
+		if err := c.call(ctx, k, mForceSnapshot, 0, nil, nil); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", k, err))
 		}
 	}

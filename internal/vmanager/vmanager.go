@@ -259,6 +259,8 @@ func (s *State) Blobs() []blob.ID {
 // Assignment is the reply to AssignVersion: the new version, its fixed
 // byte range, and the descriptor suffix the client was missing (its
 // weaving "hint", which includes descriptors of in-progress writers).
+// Descs is read-only: on the manager's side it is a view of the blob's
+// history (blob.History.Since).
 type Assignment struct {
 	Version blob.Version
 	Off     int64
@@ -319,14 +321,7 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 	if err := s.appendStriped(false, encodeAssign(id, d, at)); err != nil {
 		return Assignment{}, err
 	}
-	return Assignment{Version: v, Off: off, Size: after, Descs: bs.descsSinceLocked(since)}, nil
-}
-
-func (bs *blobState) descsSinceLocked(since blob.Version) []blob.WriteDesc {
-	if since > bs.hist.Latest() {
-		return nil
-	}
-	return append([]blob.WriteDesc(nil), bs.hist.Descs[since:]...)
+	return Assignment{Version: v, Off: off, Size: after, Descs: bs.hist.Since(since)}, nil
 }
 
 // Commit records that version v's data and metadata are fully written
@@ -392,16 +387,15 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 		st.mu.Unlock()
 		return fmt.Errorf("vmanager: version %d already committed", v)
 	}
-	bs.hist.Descs[v-1].Aborted = true
+	bs.hist.MarkAborted(v)
 	// Policy append: if this record is lost, the version stays in
 	// `assigned` after recovery and the janitor re-runs the abort.
 	if err := s.appendStriped(false, encodeVersionRec(recAbort, id, v)); err != nil {
 		st.mu.Unlock()
 		return err
 	}
-	meta := bs.meta
-	hist := bs.hist.Clone()
-	repair := s.repair
+	// The repair below reads a view: O(1) here, stable outside the lock.
+	meta, hist, repair := bs.meta, bs.hist.View(), s.repair
 	st.mu.Unlock()
 
 	if repair != nil {
@@ -445,7 +439,8 @@ func (s *State) VersionInfo(id blob.ID, v blob.Version) (blob.WriteDesc, error) 
 	return d, nil
 }
 
-// History returns descriptors for versions in (since, latest].
+// History returns descriptors for versions in (since, latest], as a
+// read-only view.
 func (s *State) History(id blob.ID, since blob.Version) ([]blob.WriteDesc, error) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
@@ -454,7 +449,7 @@ func (s *State) History(id blob.ID, since blob.Version) ([]blob.WriteDesc, error
 	if !ok {
 		return nil, ErrUnknownBlob
 	}
-	return bs.descsSinceLocked(since), nil
+	return bs.hist.Since(since), nil
 }
 
 // Prune advances the blob's oldest readable version to keep: versions

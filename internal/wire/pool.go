@@ -26,6 +26,29 @@ const (
 var freeBufs [maxBufShift - minBufShift + 1]struct {
 	mu   sync.Mutex
 	idle [][]byte // nil until the class is first used
+
+	hits, misses atomic.Int64 // GetBuf served from idle / by make because idle was empty
+}
+
+// ClassStats is one size class of the free lists as PoolStats saw it.
+type ClassStats struct {
+	Size         int   // payload bytes the class is cut for (slices carry bufSlack more)
+	Hits, Misses int64 // GetBuf calls recycled, and allocated because the class was empty
+	ParkedBytes  int64 // capacity idle in the class right now
+}
+
+// PoolStats reports every size class, smallest first: a class whose
+// misses grow has more buffers in flight than it retains.
+func PoolStats() []ClassStats {
+	out := make([]ClassStats, len(freeBufs))
+	for c := range freeBufs {
+		l := &freeBufs[c]
+		l.mu.Lock()
+		parked := len(l.idle) * classSize(c)
+		l.mu.Unlock()
+		out[c] = ClassStats{Size: classSize(c) - bufSlack, Hits: l.hits.Load(), Misses: l.misses.Load(), ParkedBytes: int64(parked)}
+	}
+	return out
 }
 
 func classSize(c int) int { return 1<<(minBufShift+c) + bufSlack }
@@ -56,8 +79,10 @@ func GetBuf(n int) []byte {
 	}
 	k := len(l.idle) - 1
 	if k < 0 { // more in flight than the class holds
+		l.misses.Add(1)
 		return make([]byte, 0, size)
 	}
+	l.hits.Add(1)
 	b := l.idle[k]
 	l.idle = l.idle[:k]
 	trackBuf(b, false)

@@ -286,6 +286,12 @@ func (h *History) LatestIntersecting(r Range, upTo Version) Version {
 	if upTo > Version(len(h.Descs)) {
 		upTo = Version(len(h.Descs))
 	}
+	// A blob never shrinks, so a range at or past its size as of upTo
+	// (every right-hand sibling an append asks about) was written by no
+	// version that old. A never-written hole inside the blob still scans.
+	if upTo >= 1 && r.Off >= h.Descs[upTo-1].SizeAfter {
+		return NoVersion
+	}
 	for v := upTo; v >= 1; v-- {
 		if h.Descs[v-1].Range().Intersects(r) {
 			return v

@@ -121,6 +121,11 @@ func TestHistoryLatestIntersecting(t *testing.T) {
 	must(h.Append(WriteDesc{Version: 1, Off: 0, Len: 400, SizeAfter: 400}))   // blocks 0-3
 	must(h.Append(WriteDesc{Version: 2, Off: 100, Len: 200, SizeAfter: 400})) // blocks 1-2
 	must(h.Append(WriteDesc{Version: 3, Off: 400, Len: 100, SizeAfter: 500})) // block 4
+	must(h.Append(WriteDesc{Version: 4, Off: 500, Len: 100, SizeAfter: 600})) // block 5, then aborted
+	must(h.Append(WriteDesc{Version: 5, Off: 800, Len: 100, SizeAfter: 900})) // block 8: 6-7 are a hole
+	if !h.MarkAborted(4) {
+		t.Fatal("MarkAborted(4) = false")
+	}
 
 	cases := []struct {
 		r    Range
@@ -135,6 +140,16 @@ func TestHistoryLatestIntersecting(t *testing.T) {
 		{Range{500, 100}, 3, NoVersion},
 		{Range{0, 500}, 3, 3},
 		{Range{0, 500}, 99, 3}, // upTo beyond history is clamped
+		// At or past the blob's size as of upTo: answered without a scan.
+		{Range{500, 100}, 4, 4}, // an aborted version still counts, and still grew the blob
+		{Range{600, 100}, 4, NoVersion},
+		{Range{599, 2}, 4, 4},
+		{Range{900, 100}, 5, NoVersion},
+		{Range{1 << 40, 100}, 99, NoVersion},
+		{Range{0, 100}, 0, NoVersion},
+		// A never-written hole inside the blob: the scan finds nothing either.
+		{Range{600, 200}, 5, NoVersion},
+		{Range{600, 300}, 5, 5},
 	}
 	for _, c := range cases {
 		if got := h.LatestIntersecting(c.r, c.upTo); got != c.want {

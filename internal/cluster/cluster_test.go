@@ -128,15 +128,16 @@ func TestBlobSeerOverTCP(t *testing.T) {
 // read paths over TCP while every released buffer is overwritten with
 // 0xDB: a layer that kept a slice of a recycled frame, block buffer or
 // response (stream, rpc, provider chain, store) returns wrong bytes
-// here instead of usually-right ones.
+// here instead of usually-right ones. At R = 3 the middle hop of every
+// chain forwards a frame whose tail aliases the request it is holding.
 func TestRoundTripWithPoisonedBuffers(t *testing.T) {
 	wire.PoisonReleased(true)
 	defer wire.PoisonReleased(false)
 	cl, err := cluster.StartBlobSeer(cluster.Config{
-		DataProviders: 3,
+		DataProviders: 4,
 		MetaProviders: 2,
 		BlockSize:     int64(blockSize),
-		Replication:   2,
+		Replication:   3,
 		UseTCP:        true,
 	})
 	if err != nil {
@@ -175,7 +176,7 @@ func TestRoundTripWithPoisonedBuffers(t *testing.T) {
 	}
 	// The handle path: one multi-block append, then an unaligned ReadAt
 	// across blocks into a caller buffer.
-	b, err := cl.NewClient("").CreateBlob(ctx, int64(blockSize), 2)
+	b, err := cl.NewClient("").CreateBlob(ctx, int64(blockSize), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +186,36 @@ func TestRoundTripWithPoisonedBuffers(t *testing.T) {
 	got, err = readBlob(ctx, b.Client(), b.ID(), blob.NoVersion, 12345, int64(3*blockSize))
 	if err != nil || !bytes.Equal(got, payload[12345:12345+3*blockSize]) {
 		t.Fatalf("ReadAt across blocks: %d bytes, %v", len(got), err)
+	}
+	// The reads above saw one replica of each block; every hop of every
+	// chain must hold the same bytes.
+	copies := make(map[string][][]byte)
+	for _, a := range cl.ProviderAddrs {
+		st := cl.ProviderService(a).Store()
+		keys, err := st.Keys("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			v, err := st.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copies[k] = append(copies[k], v)
+		}
+	}
+	if len(copies) != 20 {
+		t.Errorf("%d distinct blocks stored, want 10 per file", len(copies))
+	}
+	for k, vs := range copies {
+		if len(vs) != 3 {
+			t.Errorf("block %s has %d replicas, want 3", k, len(vs))
+		}
+		for _, v := range vs[1:] {
+			if !bytes.Equal(v, vs[0]) {
+				t.Errorf("block %s differs between replicas", k)
+			}
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"blobseer/internal/rpc"
 	"blobseer/internal/stream"
 	"blobseer/internal/trace"
+	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
 )
 
@@ -346,38 +347,14 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 	}
 
 	// Phase 1b: store all blocks, fully parallel with other writers.
-	// One worker per block (putConcurrency in flight), each shipping its
-	// block once to the head of the block's replica chain.
 	nonce := c.nonce.next()
 	refs := make([]mdtree.BlockRef, nBlocks)
-	sem := make(chan struct{}, putConcurrency)
-	var wg sync.WaitGroup
-	var werrMu sync.Mutex
-	var werr error
-	for i := 0; i < nBlocks; i++ {
+	for i := range refs {
 		start := int64(i) * m.BlockSize
-		end := start + m.BlockSize
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
 		key := blob.BlockKey{Blob: id, Nonce: nonce, Seq: uint32(i)}
-		refs[i] = mdtree.BlockRef{Key: key, Providers: targets[i], Len: end - start}
-		chunk := data[start:end]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(replicas []string, key blob.BlockKey, chunk []byte) {
-			defer func() { <-sem; wg.Done() }()
-			if err := c.putBlock(ctx, replicas, key, chunk); err != nil {
-				werrMu.Lock()
-				if werr == nil {
-					werr = err
-				}
-				werrMu.Unlock()
-			}
-		}(targets[i], key, chunk)
+		refs[i] = mdtree.BlockRef{Key: key, Providers: targets[i], Len: min(m.BlockSize, int64(len(data))-start)}
 	}
-	wg.Wait()
-	if werr != nil {
+	if werr := c.putBlocks(ctx, data, m.BlockSize, refs); werr != nil {
 		// The paper: "If, for some reason, writing of a block fails,
 		// then the whole write fails." No version was assigned, so no
 		// repair is needed — just GC the orphaned blocks.
@@ -430,6 +407,20 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 		return 0, err
 	}
 	return a.Version, nil
+}
+
+// putBlocks stores the blocks of a patch, putConcurrency in flight, each
+// shipped once to the head of its replica chain, and returns the first
+// error. A one-block write (every stream block, every append) is a
+// plain call.
+func (c *Client) putBlocks(ctx context.Context, data []byte, blockSize int64, refs []mdtree.BlockRef) error {
+	if len(refs) == 1 {
+		return c.putBlock(ctx, refs[0].Providers, refs[0].Key, data)
+	}
+	return util.Windowed(len(refs), putConcurrency, func(i int) error {
+		start := int64(i) * blockSize
+		return c.putBlock(ctx, refs[i].Providers, refs[i].Key, data[start:start+refs[i].Len])
+	})
 }
 
 // putBlock stores one block on all its replicas through the streaming

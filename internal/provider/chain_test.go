@@ -260,7 +260,7 @@ func TestChainFrameRejectsAbsurdTotal(t *testing.T) {
 		encodeKey(b, blob.BlockKey{Blob: 7, Nonce: 1})
 		b.StringSlice(nil)
 		b.Chunk(wire.Chunk{Off: total - 1, Total: total, Data: []byte{1}})
-		if _, err := svc.handlePutChained(context.Background(), b.Bytes()); err == nil {
+		if _, err := svc.handlePutChained(context.Background(), append(b.Bytes(), b.Tail()...)); err == nil {
 			t.Fatalf("frame with total %d accepted", total)
 		}
 	}

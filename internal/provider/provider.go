@@ -67,6 +67,7 @@ import (
 	"blobseer/internal/metrics"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
 
@@ -293,8 +294,9 @@ func (s *Service) handlePut(ctx context.Context, payload []byte) ([]byte, error)
 	return nil, nil
 }
 
-// handleGet reads the store straight into the response frame: the
-// requested bytes are never held in a slice of their own.
+// handleGet never copies the requested bytes into a slice of their own:
+// a store that lends sends its own bytes as the response frame's tail,
+// any other reads straight into the frame.
 func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
@@ -303,17 +305,24 @@ func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, 
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	f := rpc.NewFrame(4 + int(max(length, 0)))
-	f.U32(0) // the byte count, patched in below
+	var f *wire.Buffer
+	var data []byte // rides as the frame's tail: lent, or a slice GetRange made for us
 	var err error
-	if length < 0 { // "to the end": only the store knows how much that is
-		var data []byte
+	if l, ok := s.store.(store.Lender); ok {
+		data, err = l.Lend(key.String(), off, length)
+	} else if length < 0 { // "to the end": only the store knows how much that is
 		data, err = s.store.GetRange(key.String(), off, length)
-		copy(f.Extend(len(data)), data)
 	} else {
+		f = rpc.NewFrame(4 + int(length))
+		f.U32(0) // the byte count, patched in below
 		var n int
 		n, err = s.store.ReadAt(key.String(), f.Extend(int(length)), off)
 		f.Truncate(4 + n)
+		binary.BigEndian.PutUint32(f.Bytes(), uint32(n))
+	}
+	if f == nil {
+		f = rpc.NewFrame(4)
+		f.Tail32(data)
 	}
 	if err != nil {
 		f.Release()
@@ -322,9 +331,8 @@ func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, 
 		}
 		return nil, err
 	}
-	binary.BigEndian.PutUint32(f.Bytes(), uint32(f.Len()-4))
 	s.mGets.Inc()
-	s.mBytesOut.Add(int64(f.Len() - 4))
+	s.mBytesOut.Add(int64(f.Len() - 4 + len(f.Tail())))
 	return f, nil
 }
 
@@ -374,30 +382,32 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 	}
 
 	// Forward downstream concurrently with the local write; the frame's
-	// ack requires both, so acks propagate back from the chain tail.
-	var fwdErr error
-	fwdDone := make(chan struct{})
+	// ack requires both, so acks propagate back from the chain tail. The
+	// forwarded frame's tail aliases the request, which rpc keeps until
+	// this handler returns.
+	var fwd chan error // nil at the tail of a chain: nothing to wait for
 	if len(chain) > 0 {
+		done := make(chan error, 1)
+		fwd = done
 		go func() {
-			defer close(fwdDone)
 			// Derive from the handler ctx so the hop inherits the trace
 			// context; the inbound ctx carries no cancellation, so the
 			// hop timeout is still the only deadline.
 			ctx, cancel := context.WithTimeout(ctx, chainHopTimeout)
 			defer cancel()
 			t0 := time.Now()
-			fwdErr = s.forwardFrame(ctx, chain, key, ck)
+			err := s.forwardFrame(ctx, chain, key, ck)
 			s.mHopLatency.ObserveSince(t0)
+			done <- err
 		}()
-	} else {
-		close(fwdDone)
 	}
 	s.mChainFrames.Inc()
 	s.mBytesIn.Add(int64(len(ck.Data)))
 	err := s.applyFrame(key, ck)
-	<-fwdDone
-	if err == nil {
-		err = fwdErr
+	if fwd != nil {
+		if ferr := <-fwd; err == nil {
+			err = ferr
+		}
 	}
 	if err == nil {
 		// The frame is down locally and on every downstream replica;
@@ -755,10 +765,10 @@ func NewClient(pool *rpc.Pool) *Client { return &Client{pool: pool} }
 
 // Put stores one block on the provider at addr.
 func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data []byte) error {
-	f := rpc.NewFrame(24 + len(data))
+	f := rpc.NewFrame(24)
 	encodeKey(f, key)
-	f.Bytes32(data)
-	resp, err := c.callFrame(ctx, addr, mPutBlock, f)
+	f.Tail32(data)
+	resp, _, err := c.callFrame(ctx, addr, mPutBlock, f, nil)
 	wire.PutBuf(resp)
 	return err
 }
@@ -774,14 +784,16 @@ func (c *Client) call(ctx context.Context, addr string, method uint16, b *wire.B
 }
 
 // callFrame sends the request encoded in f to addr over the data path:
-// f is rpc's from here on, the response goes back to wire.PutBuf.
-func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *wire.Buffer) ([]byte, error) {
+// f is rpc's from here on, the response goes back to wire.PutBuf. Of a
+// response that is a u32 count and that many bytes, the n bytes land in
+// dst when they fit (rpc.Client.CallInto).
+func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *wire.Buffer, dst []byte) (resp []byte, n int, err error) {
 	cl, err := c.pool.Get(addr)
 	if err != nil {
 		f.Release()
-		return nil, err
+		return nil, 0, err
 	}
-	return cl.CallFrame(ctx, method, f)
+	return cl.CallInto(ctx, method, f, 4, dst)
 }
 
 // chainWindow is how many frames of one block a client (or forwarding
@@ -807,53 +819,35 @@ func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockK
 	}
 	head, chain := addrs[0], addrs[1:]
 	total := int64(len(data))
+	if len(data) <= frameSize { // one frame (every stream block, every append): no window to run
+		return c.putChainFrame(ctx, head, key, chain, wire.Chunk{Total: total, Data: data})
+	}
 
 	// A failed frame cancels the rest immediately: without this, a hung
 	// hop would stall every remaining window round for a full timeout
 	// each before the caller could fall back.
-	ctx, cancel := context.WithCancel(ctx)
+	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, chainWindow)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var first error
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return first != nil
-	}
-	for off := 0; off < len(data) && !failed(); off += frameSize {
-		end := off + frameSize
-		if end > len(data) {
-			end = len(data)
+	frames := (len(data) + frameSize - 1) / frameSize
+	return util.Windowed(frames, chainWindow, func(i int) error {
+		off := i * frameSize
+		ck := wire.Chunk{Off: int64(off), Total: total, Data: data[off:min(off+frameSize, len(data))]}
+		err := c.putChainFrame(fctx, head, key, chain, ck)
+		if err != nil {
+			cancel()
 		}
-		ck := wire.Chunk{Off: int64(off), Total: total, Data: data[off:end]}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(ck wire.Chunk) {
-			defer func() { <-sem; wg.Done() }()
-			if err := c.putChainFrame(ctx, head, key, chain, ck); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-				cancel()
-			}
-		}(ck)
-	}
-	wg.Wait()
-	return first
+		return err
+	})
 }
 
 // putChainFrame ships one frame to addr, naming the replicas still
 // downstream of it.
 func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockKey, chain []string, ck wire.Chunk) error {
-	f := rpc.NewFrame(64 + len(ck.Data))
+	f := rpc.NewFrame(64)
 	encodeKey(f, key)
 	f.StringSlice(chain)
 	f.Chunk(ck)
-	resp, err := c.callFrame(ctx, addr, mPutChained, f)
+	resp, _, err := c.callFrame(ctx, addr, mPutChained, f, nil)
 	wire.PutBuf(resp)
 	return err
 }
@@ -874,21 +868,23 @@ func (c *Client) Get(ctx context.Context, addr string, key blob.BlockKey, off, l
 }
 
 // GetInto fetches len(dst) bytes at off within the block into dst and
-// returns how many the block had there; no slice is allocated for the
-// data on either side of the connection.
+// returns how many the block had there (the rest of dst is untouched);
+// the data goes from the connection straight into dst, which is written
+// only between call and return.
 func (c *Client) GetInto(ctx context.Context, addr string, key blob.BlockKey, off int64, dst []byte) (int, error) {
 	f := rpc.NewFrame(36)
 	encodeKey(f, key)
 	f.I64(off)
 	f.I64(int64(len(dst)))
-	resp, err := c.callFrame(ctx, addr, mGetBlock, f)
+	resp, n, err := c.callFrame(ctx, addr, mGetBlock, f, dst)
 	if err != nil {
 		return 0, err
 	}
 	defer wire.PutBuf(resp)
-	r := wire.NewReader(resp)
-	data := r.Bytes32()
-	return copy(dst, data), r.Err()
+	if len(resp) != 4 || int(binary.BigEndian.Uint32(resp)) != n {
+		return 0, fmt.Errorf("provider: get %s from %s: %d bytes asked for, response of %d is not a count and that many", key, addr, len(dst), len(resp)+n)
+	}
+	return n, nil
 }
 
 // Has reports whether the provider stores the block.

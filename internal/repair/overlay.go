@@ -51,7 +51,8 @@ type KV interface {
 // Overlay maps block keys to the extra replica locations created by
 // repair. It implements core.LocationOverlay.
 type Overlay struct {
-	kv KV
+	kv    KV
+	addMu [16]sync.Mutex // striped by block key: Add's read-merge-write, atomic among adders through this Overlay
 }
 
 // NewOverlay returns an overlay stored in kv.
@@ -79,17 +80,21 @@ func (o *Overlay) Get(ctx context.Context, key blob.BlockKey) ([]string, error) 
 	return addrs, r.Err()
 }
 
-// Add merges addrs into the block's overlay entry. Within one engine
-// the executor runs one task per block, but two engines can overlap (a
-// background repair daemon and an operator's bsfsctl decommission), so
-// the read-merge-write is verified: after writing, the entry is read
-// back and re-merged until it contains every address we meant to
-// record. Concurrent adders thus converge to the union instead of one
-// silently overwriting the other's relocations.
+// Add merges addrs into the block's overlay entry. Adders through one
+// Overlay (the one repair daemon of a deployment) are atomic: the
+// read-merge-write runs under the key's lock. Engines in different
+// processes can still overlap (that daemon and an operator's bsfsctl
+// decommission), so the write is also verified: the entry is read back
+// and re-merged until it contains every address we meant to record.
+// Such adders only converge — one that verified and returned can still
+// be overwritten by a slower one, whose own verify loop restores the union.
 func (o *Overlay) Add(ctx context.Context, key blob.BlockKey, addrs []string) error {
 	if len(addrs) == 0 {
 		return nil
 	}
+	mu := &o.addMu[(uint64(key.Blob)^key.Nonce^uint64(key.Seq))%uint64(len(o.addMu))]
+	mu.Lock()
+	defer mu.Unlock()
 	const attempts = 4
 	for i := 0; i < attempts; i++ {
 		existing, err := o.Get(ctx, key)

@@ -71,7 +71,7 @@ func TestLateResponseIsDrained(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := c.call(ctx, 1, frameOf(nil), recycled)
+			_, _, err := c.call(ctx, 1, frameOf(nil), recycled, 0, nil)
 			done <- err
 		}()
 		time.Sleep(10 * time.Millisecond) // let the request reach the handler
@@ -312,25 +312,53 @@ func TestPoolCall(t *testing.T) {
 
 // TestCallAllocations pins what a small round trip allocates on both
 // sides together, now that calls reuse their record, channel and timer
-// (8 before that).
+// (8 before that) — and that sending the payload by reference, as a tail
+// in both directions, with or without a vectored write, and receiving it
+// into a destination, allocates nothing on top.
 func TestCallAllocations(t *testing.T) {
 	wire.PoisonReleased(false) // the poison bookkeeping allocates
 	defer wire.PoisonReleased(true)
+	payload := bytes.Repeat([]byte{3}, 64)
 	mux := NewMux()
 	mux.HandleFrame(1, func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
-	c := dialEcho(t, mux)
-	c.SetIOTimeout(time.Minute)
-	ctx := context.Background()
-	payload := bytes.Repeat([]byte{3}, 64)
-	allocs := testing.AllocsPerRun(500, func() {
-		resp, err := c.CallFrame(ctx, 1, frameOf(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire.PutBuf(resp)
+	mux.HandleFrame(2, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+		f := NewFrame(4)
+		f.Tail32(payload)
+		return f, nil
 	})
-	if allocs > 5 {
-		t.Errorf("%.1f allocations per 64 B round trip, want at most 5", allocs)
+	ctx := context.Background()
+	dst := make([]byte, len(payload))
+	for _, tcp := range []bool{false, true} {
+		cli, srv := connPair(t, tcp)
+		s := NewServer(mux)
+		s.wg.Add(1)
+		go s.serveConn(srv)
+		c := NewClient(cli)
+		c.SetIOTimeout(time.Minute)
+		copied := testing.AllocsPerRun(500, func() {
+			resp, err := c.CallFrame(ctx, 1, frameOf(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire.PutBuf(resp)
+		})
+		if copied > 5 {
+			t.Errorf("tcp=%v: %.1f allocations per 64 B round trip, want at most 5", tcp, copied)
+		}
+		tailed := testing.AllocsPerRun(500, func() {
+			f := NewFrame(4)
+			f.Tail32(payload)
+			resp, n, err := c.CallInto(ctx, 2, f, 4, dst)
+			if err != nil || n != len(dst) {
+				t.Fatal(n, err)
+			}
+			wire.PutBuf(resp)
+		})
+		if tailed > copied {
+			t.Errorf("tcp=%v: %.1f allocations per round trip by reference, %.1f copied: want none extra", tcp, tailed, copied)
+		}
+		c.Close()
+		s.Close()
 	}
 }
 

@@ -24,9 +24,13 @@
 // it); a frame handed to CallFrame or returned by a FrameHandler is
 // rpc's from then on; Call's result is the caller's for ever;
 // CallFrame's is recycled and goes to wire.PutBuf when the caller is
-// done with it. Pool.Call wraps those rules for the control plane: it
-// encodes the request again for every attempt and recycles the response
-// as soon as the caller's decoder has returned.
+// done with it. Bulk bytes travel by reference both ways: a frame's
+// tail (wire.Buffer.Tail32) stays the caller's, is sent with the frame
+// (one writev on TCP) and must not change until the call — or, for a
+// response, the handler's frame write — has returned; CallInto's dst is
+// written only between call and return. Pool.Call wraps those rules for
+// the control plane: it encodes the request again for every attempt and
+// recycles the response as soon as the caller's decoder has returned.
 package rpc
 
 import (
@@ -72,15 +76,27 @@ func frameOf(p []byte) *wire.Buffer {
 	return f
 }
 
-// writeFrame completes f's headers in place, puts the frame on conn
-// with exactly one Write (mu serializes them) and releases f, always.
-func writeFrame(conn net.Conn, mu *sync.Mutex, deadline time.Duration, f *wire.Buffer,
+// frameWriter puts frames on one connection, one at a time.
+type frameWriter struct {
+	conn net.Conn
+	mu   sync.Mutex // serializes frames on the shared conn
+	// A tailed frame's two pieces. The vector lives here, not in a
+	// literal, so that sending one allocates nothing.
+	vec net.Buffers
+	arr [2][]byte
+}
+
+// writeFrame completes f's headers in place, puts the frame on the conn
+// and releases f, always. A frame without a tail is exactly one Write; a
+// tailed one is one vectored write where the conn has that (TCP: writev)
+// and otherwise a second Write for the tail under the same lock.
+func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
 	id uint64, method uint16, flags uint8, status uint16, tc trace.Context) error {
-	b := f.Raw()
+	b, tail := f.Raw(), f.Tail()
 	if flags&flagTrace == 0 {
 		b = b[traceHdrLen:]
 	}
-	binary.BigEndian.PutUint32(b, uint32(len(b)-wire.FrameLenSize))
+	binary.BigEndian.PutUint32(b, uint32(len(b)-wire.FrameLenSize+len(tail)))
 	h := b[wire.FrameLenSize:]
 	binary.BigEndian.PutUint64(h, id)
 	binary.BigEndian.PutUint16(h[8:], method)
@@ -92,14 +108,22 @@ func writeFrame(conn net.Conn, mu *sync.Mutex, deadline time.Duration, f *wire.B
 		binary.BigEndian.PutUint64(h[29:], uint64(tc.Span))
 		h[37] = traceSampled
 	}
-	mu.Lock()
+	w.mu.Lock()
 	if deadline > 0 {
 		// A peer that stopped draining its socket must not wedge the
 		// sender forever: bound the frame write.
-		conn.SetWriteDeadline(time.Now().Add(deadline))
+		w.conn.SetWriteDeadline(time.Now().Add(deadline))
 	}
-	_, err := conn.Write(b)
-	mu.Unlock()
+	var err error
+	if len(tail) == 0 {
+		_, err = w.conn.Write(b)
+	} else {
+		w.arr = [2][]byte{b, tail}
+		w.vec = w.arr[:]
+		_, err = w.vec.WriteTo(w.conn)
+		w.arr = [2][]byte{} // the tail is the caller's again
+	}
+	w.mu.Unlock()
 	f.Release()
 	return err
 }
@@ -360,7 +384,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	var wmu sync.Mutex // serializes response frames on the shared conn
+	fw := &frameWriter{conn: conn}
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
 	var pre [wire.FrameLenSize]byte
@@ -379,23 +403,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			wire.PutBuf(req)
 			return
 		}
-		id, method, payload, tc, ok := parseRequest(req)
-		if !ok {
+		if _, _, _, _, ok := parseRequest(req); !ok {
 			wire.PutBuf(req)
 			return // protocol violation; drop the connection
 		}
 		hwg.Add(1)
 		go func() {
 			defer hwg.Done()
+			// Parsed again rather than captured: req alone makes the
+			// closure 64 bytes, the parsed header made it 144.
+			id, method, payload, tc, _ := parseRequest(req)
 			ctx := context.Background()
 			if !tc.Trace.IsZero() {
 				ctx = trace.NewContext(ctx, tc)
 			}
 			resp, status := s.dispatch(ctx, method, payload)
-			err := writeFrame(conn, &wmu, 0, resp, id, method, flagResponse, status, trace.Context{})
+			err := fw.writeFrame(0, resp, id, method, flagResponse, status, trace.Context{})
 			wire.PutBuf(req) // the response is out: nothing references the request now
 			if err != nil {
-				conn.Close()
+				fw.conn.Close()
 			}
 		}()
 	}
@@ -448,6 +474,7 @@ func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) (*
 // concurrent use; concurrent Calls share the connection.
 type Client struct {
 	conn net.Conn
+	w    frameWriter // request frames
 
 	nextID  atomic.Uint64
 	timeout atomic.Int64 // per-call I/O deadline in ns (0 = none)
@@ -456,8 +483,10 @@ type Client struct {
 	pending map[uint64]*call
 	free    []*call // finished call records, channel empty, timer stopped
 	err     error   // set once the read loop dies
-
-	wmu sync.Mutex // serializes request frames
+	// landing is the id of the call whose dst the read loop is reading a
+	// response into right now (0: none); landed announces its end.
+	landing uint64
+	landed  sync.Cond
 }
 
 // SetIOTimeout bounds every subsequent Call: frame writes get a write
@@ -474,16 +503,20 @@ type call struct {
 	ch       chan callResult // buffered: the read loop never blocks on it
 	timer    *time.Timer     // the response bound, stopped between calls
 	recycled bool            // read the response payload into a wire.GetBuf slice
+	head     int             // CallInto: a successful response's body past its first
+	dst      []byte          // head bytes is read straight into dst, when it fits
 }
 
 type callResult struct {
 	payload []byte
+	n       int // body bytes past payload that were read into the call's dst
 	status  uint16
 }
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{conn: conn, pending: make(map[uint64]*call)}
+	c := &Client{conn: conn, w: frameWriter{conn: conn}, pending: make(map[uint64]*call)}
+	c.landed.L = &c.mu
 	go c.readLoop()
 	return c
 }
@@ -492,17 +525,30 @@ func NewClient(conn net.Conn) *Client {
 // payload is copied into a frame and not retained; the result is read
 // from the connection into a slice of its own, the caller's to keep.
 func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
-	return c.call(ctx, method, frameOf(payload), false)
+	resp, _, err := c.call(ctx, method, frameOf(payload), false, 0, nil)
+	return resp, err
 }
 
 // CallFrame is Call for the data path: the request is already encoded
 // in req (from NewFrame), which rpc owns from here on, and the result
 // is a recycled slice the caller hands to wire.PutBuf when done.
 func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer) ([]byte, error) {
-	return c.call(ctx, method, req, true)
+	resp, _, err := c.call(ctx, method, req, true, 0, nil)
+	return resp, err
 }
 
-func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool) ([]byte, error) {
+// CallInto is CallFrame for a response that is a head of fixed size
+// followed by bulk data. When the call succeeds and the body past its
+// first head bytes fits dst, those n bytes are read off the connection
+// straight into dst and resp is the head alone; otherwise n is 0 and the
+// outcome is CallFrame's, the whole body in resp. dst is written only
+// between call and return: a call that gives up (ctx, I/O timeout) while
+// its response is being read into dst returns once that read has ended.
+func (c *Client) CallInto(ctx context.Context, method uint16, req *wire.Buffer, head int, dst []byte) (resp []byte, n int, err error) {
+	return c.call(ctx, method, req, true, head, dst)
+}
+
+func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool, head int, dst []byte) ([]byte, int, error) {
 	id := c.nextID.Add(1)
 
 	// A context that is already done fails the call here, not by a coin
@@ -515,7 +561,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	if err != nil {
 		c.mu.Unlock()
 		req.Release()
-		return nil, err
+		return nil, 0, err
 	}
 	var cl *call
 	if n := len(c.free); n > 0 {
@@ -523,7 +569,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	} else {
 		cl = &call{ch: make(chan callResult, 1)}
 	}
-	cl.recycled = recycled
+	cl.recycled, cl.head, cl.dst = recycled, head, dst
 	c.pending[id] = cl
 	c.mu.Unlock()
 
@@ -535,15 +581,15 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 		flags = flagTrace
 	}
 	d := time.Duration(c.timeout.Load())
-	if err := writeFrame(c.conn, &c.wmu, d, req, id, method, flags, 0, tc); err != nil {
+	if err := c.w.writeFrame(d, req, id, method, flags, 0, tc); err != nil {
 		c.abandon(id, cl)
 		// A failed frame write may have left a partial frame on the
 		// wire; the connection is unusable for framing either way.
 		c.conn.Close()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil, fmt.Errorf("%w: frame write stalled for %v", ErrCallTimeout, d)
+			return nil, 0, fmt.Errorf("%w: frame write stalled for %v", ErrCallTimeout, d)
 		}
-		return nil, fmt.Errorf("rpc: send: %w", err)
+		return nil, 0, fmt.Errorf("rpc: send: %w", err)
 	}
 
 	// The response bound: skipped when the caller manages its own
@@ -564,27 +610,44 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	case res := <-cl.ch:
 		c.release(cl)
 		if res.status == StatusOK {
-			return res.payload, nil
+			return res.payload, res.n, nil
 		}
 		defer wire.PutBuf(res.payload) // dead once the error is built, recycled or not
 		if res.status == statusTransport {
-			return nil, fmt.Errorf("%w: %s", ErrConnBroken, res.payload)
+			return nil, 0, fmt.Errorf("%w: %s", ErrConnBroken, res.payload)
 		}
-		return nil, &RemoteError{Code: res.status, Msg: string(res.payload)}
+		return nil, 0, &RemoteError{Code: res.status, Msg: string(res.payload)}
 	case <-ioTimer:
 		c.abandon(id, cl)
-		return nil, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
+		return nil, 0, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
 	case <-ctx.Done():
 		c.abandon(id, cl)
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
 }
 
+// landGrace bounds abandon's wait on a client without an I/O timeout.
+var landGrace = 5 * time.Second
+
 // abandon gives up on call id: the read loop drains a response that
-// still arrives, one delivered just before is released here.
+// still arrives, one delivered just before is released here, and one
+// being read into the call's dst right now is waited for — the caller
+// gets its buffer back only when nothing writes to it any more.
 func (c *Client) abandon(id uint64, cl *call) {
 	c.mu.Lock()
 	delete(c.pending, id)
+	if c.landing == id {
+		// A peer that stalls mid-frame has wedged the connection for every
+		// call on it: bound the wait like a frame write, by closing it.
+		d := time.Duration(c.timeout.Load())
+		if d <= 0 {
+			d = landGrace
+		}
+		defer time.AfterFunc(d, func() { c.conn.Close() }).Stop()
+		for c.landing == id {
+			c.landed.Wait()
+		}
+	}
 	c.mu.Unlock()
 	select {
 	case res := <-cl.ch:
@@ -600,6 +663,7 @@ func (c *Client) release(cl *call) {
 	if cl.timer != nil {
 		cl.timer.Stop()
 	}
+	cl.dst = nil // do not pin the caller's buffer until the record is reused
 	c.mu.Lock()
 	c.free = append(c.free, cl)
 	c.mu.Unlock()
@@ -627,8 +691,15 @@ func (c *Client) readLoop() {
 		c.mu.Lock()
 		cl, ok := c.pending[id]
 		recycled := ok && cl.recycled // read here: an abandoned record is reused
+		var dst []byte
+		if ok && cl.dst != nil && status == StatusOK && n >= cl.head && n-cl.head <= len(cl.dst) {
+			// The payload is the head alone, the rest goes to dst; a call
+			// that gives up meanwhile waits in abandon for the read to end.
+			dst, n = cl.dst[:n-cl.head], cl.head
+			c.landing = id
+		}
 		c.mu.Unlock()
-		res := callResult{status: status}
+		res := callResult{status: status, n: len(dst)}
 		switch {
 		case !ok: // the call gave up: drain its response
 			_, err = io.CopyN(io.Discard, c.conn, int64(n))
@@ -639,9 +710,16 @@ func (c *Client) readLoop() {
 			res.payload = make([]byte, n)
 			_, err = io.ReadFull(c.conn, res.payload)
 		}
+		if dst != nil && err == nil {
+			_, err = io.ReadFull(c.conn, dst)
+		}
 		// Deliver only to a call that is still waiting (it may have
 		// given up during the read), under the lock abandon takes.
 		c.mu.Lock()
+		if c.landing != 0 {
+			c.landing = 0
+			c.landed.Broadcast()
+		}
 		if cl, ok = c.pending[id]; ok && err == nil {
 			delete(c.pending, id)
 			cl.ch <- res

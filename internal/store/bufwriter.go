@@ -30,20 +30,22 @@ func (w *bufWriter) WriteAt(p []byte, off int64) error {
 	if off < 0 {
 		return errors.New("store: negative write offset")
 	}
-	if end := int(off) + len(p); end > len(w.buf) {
+	if int(off) == len(w.buf) {
+		// The in-order case: append grows geometrically and clears
+		// nothing it is about to overwrite.
+		w.buf = append(w.buf, p...)
+		return nil
+	}
+	if n, end := len(w.buf), int(off)+len(p); end > n {
+		// A frame landing past the end leaves a gap that reads as zeros
+		// until its own frame arrives.
 		if end > cap(w.buf) {
-			// Grow geometrically: frames mostly arrive in ascending
-			// order, so linear growth would copy the buffer once per
-			// frame — quadratic in the block size.
-			newCap := 2 * cap(w.buf)
-			if newCap < end {
-				newCap = end
-			}
-			grown := make([]byte, end, newCap)
+			grown := make([]byte, end, max(end, 2*cap(w.buf)))
 			copy(grown, w.buf)
 			w.buf = grown
 		} else {
 			w.buf = w.buf[:end]
+			clear(w.buf[n:max(n, int(off))]) // the gap, if the frame leaves one
 		}
 	}
 	copy(w.buf[off:], p)

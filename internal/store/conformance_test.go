@@ -1,6 +1,8 @@
 package store_test
 
 import (
+	"bytes"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -9,81 +11,176 @@ import (
 	"blobseer/internal/store/storetest"
 )
 
-// TestConformance runs the shared contract harness against every
-// backend, each behind the same URL factory the daemons use.
-func TestConformance(t *testing.T) {
-	t.Run("Mem", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			return openURL(t, "mem://")
-		})
-	})
-	t.Run("FS", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			return openURL(t, "file://"+t.TempDir())
-		})
-	})
-	t.Run("FSSync", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			return openURL(t, "file://"+t.TempDir()+"?sync=1")
-		})
-	})
-	t.Run("HTTP", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			srv := httptest.NewServer(store.Handler(store.NewMemStore()))
-			t.Cleanup(srv.Close)
-			return openURL(t, srv.URL)
-		})
-	})
-	t.Run("HTTPOverFS", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			backing, err := store.NewFSStore(t.TempDir(), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(store.Handler(backing))
-			t.Cleanup(srv.Close)
-			return openURL(t, srv.URL)
-		})
-	})
-	t.Run("TieredWriteThrough", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			return openURL(t, "tiered://?hot=mem://&cold=mem://")
-		})
-	})
-	t.Run("TieredWriteBack", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			return openURL(t, "tiered://?hot=mem://&cold=mem://&write-back=1")
-		})
-	})
-	t.Run("TieredFSCold", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			return openURL(t, "tiered://?hot=mem://&cold=file://"+t.TempDir())
-		})
-	})
+// backends is every backend, each behind the same URL factory the
+// daemons use.
+var backends = []struct {
+	name string
+	mk   func(t *testing.T) store.Store
+}{
+	{"Mem", func(t *testing.T) store.Store {
+		return openURL(t, "mem://")
+	}},
+	{"FS", func(t *testing.T) store.Store {
+		return openURL(t, "file://"+t.TempDir())
+	}},
+	{"FSSync", func(t *testing.T) store.Store {
+		return openURL(t, "file://"+t.TempDir()+"?sync=1")
+	}},
+	{"HTTP", func(t *testing.T) store.Store {
+		srv := httptest.NewServer(store.Handler(store.NewMemStore()))
+		t.Cleanup(srv.Close)
+		return openURL(t, srv.URL)
+	}},
+	{"HTTPOverFS", func(t *testing.T) store.Store {
+		backing, err := store.NewFSStore(t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(store.Handler(backing))
+		t.Cleanup(srv.Close)
+		return openURL(t, srv.URL)
+	}},
+	{"TieredWriteThrough", func(t *testing.T) store.Store {
+		return openURL(t, "tiered://?hot=mem://&cold=mem://")
+	}},
+	{"TieredWriteBack", func(t *testing.T) store.Store {
+		return openURL(t, "tiered://?hot=mem://&cold=mem://&write-back=1")
+	}},
+	{"TieredFSCold", func(t *testing.T) store.Store {
+		return openURL(t, "tiered://?hot=mem://&cold=file://"+t.TempDir())
+	}},
 	// The contract must hold while the policy loop demotes everything
 	// it can as fast as it can — reads land mid-demotion and must still
 	// see every committed block via promotion.
-	t.Run("TieredAggressiveDemotion", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			hot := store.NewMemStore()
-			cold := store.NewMemStore()
-			return store.NewTiered(hot, cold, store.TierOptions{
-				DemoteAfter: 0,
-				Interval:    time.Millisecond,
-			})
+	{"TieredAggressiveDemotion", func(t *testing.T) store.Store {
+		hot := store.NewMemStore()
+		cold := store.NewMemStore()
+		return store.NewTiered(hot, cold, store.TierOptions{
+			DemoteAfter: 0,
+			Interval:    time.Millisecond,
 		})
-	})
-	t.Run("TieredAggressiveWriteBack", func(t *testing.T) {
-		storetest.Run(t, func(t *testing.T) store.Store {
-			hot := store.NewMemStore()
-			cold := store.NewMemStore()
-			return store.NewTiered(hot, cold, store.TierOptions{
-				DemoteAfter: 0,
-				Interval:    time.Millisecond,
-				WriteBack:   true,
-			})
+	}},
+	{"TieredAggressiveWriteBack", func(t *testing.T) store.Store {
+		hot := store.NewMemStore()
+		cold := store.NewMemStore()
+		return store.NewTiered(hot, cold, store.TierOptions{
+			DemoteAfter: 0,
+			Interval:    time.Millisecond,
+			WriteBack:   true,
 		})
-	})
+	}},
+}
+
+// TestConformance runs the shared contract harness against every
+// backend.
+func TestConformance(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) { storetest.Run(t, b.mk) })
+	}
+}
+
+// TestPutWriterFrameOrders: whatever order a block's frames land in —
+// ascending (the common case, which a buffering backend grows for by
+// appending), any other, overlapping, or leaving a gap nobody fills —
+// the value is each byte's last write, zero where there was none. (It
+// lives here, not in storetest, to share the backend table.)
+func TestPutWriterFrameOrders(t *testing.T) {
+	src := make([]byte, 8000)
+	for i := range src {
+		src[i] = byte(1 + i%251)
+	}
+	type frame struct{ off, n int }
+	cases := map[string][]frame{
+		"in-order":       {{0, 1000}, {1000, 1000}, {2000, 1000}, {3000, 1000}, {4000, 1000}, {5000, 1000}, {6000, 1000}, {7000, 1000}},
+		"out-of-order":   {{2000, 1000}, {0, 1000}, {1000, 1000}, {3000, 1000}, {7000, 1000}, {5000, 1000}, {6000, 1000}, {4000, 1000}},
+		"overlapping":    {{0, 3000}, {2000, 3000}, {1000, 500}, {4500, 3500}},
+		"overlap-in-cap": {{0, 1000}, {990, 20}},
+		"gap":            {{0, 1000}, {3000, 1000}},
+		"gap-in-growth":  {{0, 1000}, {1000, 1000}, {2000, 1000}, {3010, 20}},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			st := b.mk(t)
+			defer st.Close()
+			for name, frames := range cases {
+				w, err := st.PutWriter(name)
+				if err != nil {
+					t.Fatalf("%s: PutWriter: %v", name, err)
+				}
+				var want []byte
+				for _, f := range frames {
+					if err := w.WriteAt(src[f.off:f.off+f.n], int64(f.off)); err != nil {
+						t.Fatalf("%s: WriteAt(%d bytes at %d): %v", name, f.n, f.off, err)
+					}
+					if end := f.off + f.n; end > len(want) {
+						want = append(want, make([]byte, end-len(want))...)
+					}
+					copy(want[f.off:], src[f.off:f.off+f.n])
+				}
+				if err := w.Commit(); err != nil {
+					t.Fatalf("%s: Commit: %v", name, err)
+				}
+				if got, err := st.Get(name); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s: assembled %d bytes (%v) differ from the %d written", name, len(got), err, len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestLends: a backend that lends (store.Lender; mem:// is the one that
+// does) hands out the bytes it holds, clamped like GetRange, and those
+// bytes never change — not when the key is overwritten, not when it is
+// deleted — while the store still never keeps a slice it was handed.
+func TestLends(t *testing.T) {
+	var lenders []string
+	for _, b := range backends {
+		st := b.mk(t)
+		defer st.Close()
+		l, ok := st.(store.Lender)
+		if !ok {
+			continue
+		}
+		lenders = append(lenders, b.name)
+		if _, err := l.Lend("absent", 0, -1); err != store.ErrNotFound {
+			t.Fatalf("%s: Lend of an absent key: err = %v, want ErrNotFound", b.name, err)
+		}
+		val := []byte("0123456789")
+		if err := st.Put("k", val); err != nil {
+			t.Fatal(err)
+		}
+		clear(val) // WritesCopy: what is lent is the store's copy, not the caller's slice
+		lent, err := l.Lend("k", 2, 5)
+		if err != nil || string(lent) != "23456" || cap(lent) != len(lent) {
+			t.Fatalf("%s: Lend(2, 5) = %q (cap %d), %v", b.name, lent, cap(lent), err)
+		}
+		if end, err := l.Lend("k", 7, -1); err != nil || string(end) != "789" {
+			t.Fatalf("%s: Lend(7, to the end) = %q, %v", b.name, end, err)
+		}
+		if past, err := l.Lend("k", 20, 5); err != nil || len(past) != 0 {
+			t.Fatalf("%s: Lend past the end = %q, %v", b.name, past, err)
+		}
+		err = st.Put("k", []byte("overwritten"))
+		w, werr := st.PutWriter("k")
+		if err == nil && werr == nil {
+			err = errors.Join(w.WriteAt([]byte("and again!!"), 0), w.Commit())
+		}
+		if err != nil || werr != nil {
+			t.Fatal(err, werr)
+		}
+		if string(lent) != "23456" {
+			t.Fatalf("%s: lent bytes read %q after the key was overwritten", b.name, lent)
+		}
+		if err := st.Delete("k"); err != nil {
+			t.Fatal(err)
+		}
+		if string(lent) != "23456" {
+			t.Fatalf("%s: lent bytes read %q after the key was deleted", b.name, lent)
+		}
+	}
+	if len(lenders) != 1 || lenders[0] != "Mem" {
+		t.Errorf("backends that lend: %v, want mem:// alone", lenders)
+	}
 }
 
 func openURL(t *testing.T, rawURL string) store.Store {

@@ -8,7 +8,8 @@ import (
 const memShards = 16
 
 // MemStore is a sharded in-memory Store. Values are copied on Put and
-// Get so callers can reuse buffers freely.
+// Get so callers can reuse buffers freely, and never modified once
+// stored, which is what lets it lend them (Lender).
 type MemStore struct {
 	shards [memShards]memShard
 }
@@ -77,22 +78,24 @@ func (s *MemStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -
 
 // GetRange implements Store.
 func (s *MemStore) GetRange(key string, off, length int64) ([]byte, error) {
+	v, err := s.Lend(key, off, length)
+	return append([]byte(nil), v...), err
+}
+
+// Lend implements Lender.
+func (s *MemStore) Lend(key string, off, length int64) ([]byte, error) {
 	v, err := s.stored(key)
 	if err != nil {
 		return nil, err
 	}
 	o, l := clampRange(int64(len(v)), off, length)
-	return append([]byte(nil), v[o:o+l]...), nil
+	return v[o : o+l : o+l], nil
 }
 
 // ReadAt implements Store.
 func (s *MemStore) ReadAt(key string, p []byte, off int64) (int, error) {
-	v, err := s.stored(key)
-	if err != nil {
-		return 0, err
-	}
-	o, l := clampRange(int64(len(v)), off, int64(len(p)))
-	return copy(p, v[o:o+l]), nil
+	v, err := s.Lend(key, off, int64(len(p)))
+	return copy(p, v), err
 }
 
 // Has implements Store.

@@ -14,6 +14,8 @@
 // BlockWriter.WriteAt copy (callers recycle their buffers right after)
 // — Get and GetRange return slices that are the caller's, and ReadAt
 // fills caller memory and touches none of it past the count it returns.
+// The one exception runs the other way: what a Lender lends is still the
+// store's, and read-only for ever.
 package store
 
 import "errors"
@@ -90,6 +92,15 @@ type Store interface {
 	Stats() Stats
 	// Close releases resources.
 	Close() error
+}
+
+// Lender is the optional interface of a backend that holds its values
+// in memory and never modifies one in place; callers type-assert for it
+// and fall back to ReadAt. Lend is GetRange by reference: the bytes as
+// the store holds them, read-only for ever, and unchanged for as long as
+// they are referenced, even once the key is overwritten or deleted.
+type Lender interface {
+	Lend(key string, off, length int64) ([]byte, error)
 }
 
 func clampRange(valLen, off, length int64) (int64, int64) {

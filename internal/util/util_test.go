@@ -1,9 +1,15 @@
 package util
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestFormatBytes(t *testing.T) {
@@ -199,5 +205,67 @@ func TestSplitMix64Perm(t *testing.T) {
 			t.Fatalf("invalid permutation: %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// goid is the running goroutine's "goroutine N" label.
+func goid() string {
+	b := make([]byte, 32)
+	b = b[:runtime.Stack(b, false)]
+	return string(b[:bytes.IndexByte(b, '[')])
+}
+
+func TestWindowed(t *testing.T) {
+	// Every index runs once, never more than the window at a time, the
+	// last one on the caller's goroutine.
+	var mu sync.Mutex
+	var inflight, peak int
+	seen := make([]int, 20)
+	caller, lastOn := goid(), ""
+	err := Windowed(len(seen), 3, func(i int) error {
+		mu.Lock()
+		seen[i]++
+		inflight++
+		peak = max(peak, inflight)
+		if i == len(seen)-1 {
+			lastOn = goid()
+		}
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		return nil
+	})
+	if err != nil || peak != 3 || lastOn != caller {
+		t.Fatalf("Windowed = %v, %d in flight at most, last task on %q; want nil, 3 and %q", err, peak, lastOn, caller)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("fn(%d) ran %d times", i, n)
+		}
+	}
+	// The first error comes back, and nothing starts after a failure.
+	boom := errors.New("boom")
+	var started atomic.Int32
+	err = Windowed(100, 2, func(i int) error {
+		started.Add(1)
+		if i == 3 {
+			return boom
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err != boom || started.Load() > 10 {
+		t.Errorf("Windowed = %v after starting %d of 100, want boom after a handful", err, started.Load())
+	}
+	// One task is a plain call.
+	if err := Windowed(1, 4, func(int) error {
+		if goid() != caller {
+			t.Error("a single task left the calling goroutine")
+		}
+		return boom
+	}); err != boom {
+		t.Errorf("Windowed(1) = %v", err)
 	}
 }

@@ -12,12 +12,13 @@ func TestChunkRoundTrip(t *testing.T) {
 		{Off: 0, Total: 1, Data: []byte("x")},
 	}
 	wantLast := []bool{false, true, true}
-	b := NewBuffer(64)
-	for _, c := range chunks {
-		b.Chunk(c)
-	}
-	r := NewReader(b.Bytes())
 	for i, want := range chunks {
+		b := NewBuffer(64)
+		b.Chunk(want) // the data rides as the tail: a transport sends it after the body
+		if len(b.Tail()) != len(want.Data) || &b.Tail()[0] != &want.Data[0] {
+			t.Errorf("chunk %d: the data was copied, want it by reference", i)
+		}
+		r := NewReader(append(b.Bytes(), b.Tail()...))
 		got := r.Chunk()
 		if got.Off != want.Off || got.Total != want.Total ||
 			!bytes.Equal(got.Data, want.Data) {
@@ -26,24 +27,51 @@ func TestChunkRoundTrip(t *testing.T) {
 		if got.Last() != wantLast[i] {
 			t.Errorf("chunk %d Last() = %v, want %v", i, got.Last(), wantLast[i])
 		}
-	}
-	if r.Err() != nil {
-		t.Fatalf("decode error: %v", r.Err())
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("remaining = %d", r.Remaining())
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Errorf("chunk %d: decode error %v, %d bytes left", i, r.Err(), r.Remaining())
+		}
 	}
 }
 
 func TestChunkTruncated(t *testing.T) {
 	b := NewBuffer(32)
 	b.Chunk(Chunk{Off: 0, Total: 4, Data: []byte("full")})
-	enc := b.Bytes()
+	enc := append(b.Bytes(), b.Tail()...)
 	for cut := 1; cut < len(enc); cut++ {
 		r := NewReader(enc[:cut])
 		r.Chunk()
 		if r.Err() == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
+	}
+}
+
+// TestTailEndsTheBody: nothing is encoded after a tail (a second tail
+// would replace the first, anything else would land before its bytes on
+// the wire); an empty tail and a Reset lift the rule.
+func TestTailEndsTheBody(t *testing.T) {
+	after := map[string]func(*Buffer){
+		"U8":      func(b *Buffer) { b.U8(1) },
+		"I64":     func(b *Buffer) { b.I64(1) },
+		"Bytes32": func(b *Buffer) { b.Bytes32(nil) },
+		"String":  func(b *Buffer) { b.String("s") },
+		"Extend":  func(b *Buffer) { b.Extend(0) },
+		"Tail32":  func(b *Buffer) { b.Tail32([]byte("again")) },
+		"Chunk":   func(b *Buffer) { b.Chunk(Chunk{Data: []byte("c")}) },
+	}
+	for name, encode := range after {
+		b := NewBuffer(16)
+		b.Tail32([]byte("tail"))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Tail32 did not panic", name)
+				}
+			}()
+			encode(b)
+		}()
+		b.Reset()
+		b.Tail32(nil)
+		encode(b) // must not panic
 	}
 }

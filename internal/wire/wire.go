@@ -28,7 +28,8 @@ const MaxFrameSize = 80 << 20
 // Buffer encodes a message body. The zero value is ready to use.
 type Buffer struct {
 	b    []byte
-	head int // bytes of b in front of the body (a frame's header room)
+	head int    // bytes of b in front of the body (a frame's header room)
+	tail []byte // the end of the body, carried by reference (Tail32)
 }
 
 // NewBuffer returns a Buffer with the given initial capacity.
@@ -46,11 +47,30 @@ func NewFrame(head, capacity int) *Buffer {
 func (e *Buffer) Raw() []byte { return e.b }
 
 // Release recycles a frame's slice; the Buffer and every slice obtained
-// from it are dead afterwards.
+// from it are dead afterwards. The tail is the caller's and only let go.
 func (e *Buffer) Release() {
 	PutBuf(e.b)
-	e.b = nil
+	e.b, e.tail = nil, nil
 }
+
+// Tail32 ends the body with a length-prefixed (u32) byte slice like
+// Bytes32, but by reference: only the prefix is encoded (Bytes and Len
+// stop there) and the transport, rpc, sends v itself after it. v stays
+// the caller's and must not change until the frame has been sent.
+func (e *Buffer) Tail32(v []byte) {
+	e.U32(uint32(len(v)))
+	e.tail = v
+}
+
+// open starts every append: a tail ends the body, nothing follows it.
+func (e *Buffer) open() {
+	if len(e.tail) != 0 {
+		panic("wire: encode after Tail32")
+	}
+}
+
+// Tail returns the slice Tail32 attached, nil if none.
+func (e *Buffer) Tail() []byte { return e.tail }
 
 // Bytes returns the encoded body.
 func (e *Buffer) Bytes() []byte { return e.b[e.head:] }
@@ -59,12 +79,13 @@ func (e *Buffer) Bytes() []byte { return e.b[e.head:] }
 func (e *Buffer) Len() int { return len(e.b) - e.head }
 
 // Reset clears the buffer for reuse.
-func (e *Buffer) Reset() { e.b = e.b[:e.head] }
+func (e *Buffer) Reset() { e.b, e.tail = e.b[:e.head], nil }
 
 // Extend appends n bytes of unspecified content and returns them, for a
 // caller that reads into the body directly; Truncate cuts the body back
 // to n bytes when the read came up short.
 func (e *Buffer) Extend(n int) []byte {
+	e.open()
 	e.b = slices.Grow(e.b, n)[:len(e.b)+n]
 	return e.b[len(e.b)-n:]
 }
@@ -73,16 +94,16 @@ func (e *Buffer) Extend(n int) []byte {
 func (e *Buffer) Truncate(n int) { e.b = e.b[:e.head+n] }
 
 // U8 appends a byte.
-func (e *Buffer) U8(v uint8) { e.b = append(e.b, v) }
+func (e *Buffer) U8(v uint8) { e.open(); e.b = append(e.b, v) }
 
 // U16 appends a big-endian uint16.
-func (e *Buffer) U16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
+func (e *Buffer) U16(v uint16) { e.open(); e.b = binary.BigEndian.AppendUint16(e.b, v) }
 
 // U32 appends a big-endian uint32.
-func (e *Buffer) U32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *Buffer) U32(v uint32) { e.open(); e.b = binary.BigEndian.AppendUint32(e.b, v) }
 
 // U64 appends a big-endian uint64.
-func (e *Buffer) U64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *Buffer) U64(v uint64) { e.open(); e.b = binary.BigEndian.AppendUint64(e.b, v) }
 
 // I64 appends a big-endian int64 (two's complement).
 func (e *Buffer) I64(v int64) { e.U64(uint64(v)) }
@@ -154,11 +175,12 @@ type Chunk struct {
 // Last reports whether the chunk covers the value's final byte.
 func (c Chunk) Last() bool { return c.Off+int64(len(c.Data)) == c.Total }
 
-// Chunk appends one streaming frame.
+// Chunk ends the body with one streaming frame, its data by reference
+// (Tail32).
 func (e *Buffer) Chunk(c Chunk) {
 	e.I64(c.Off)
 	e.I64(c.Total)
-	e.Bytes32(c.Data)
+	e.Tail32(c.Data)
 }
 
 // Reader decodes a message body. Decoding errors are sticky: once a

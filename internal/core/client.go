@@ -96,7 +96,7 @@ type LocationOverlay interface {
 }
 
 // Client is a BlobSeer client. It is safe for concurrent use; all
-// state it keeps is cache (histories, provider host map).
+// state it keeps is cache (per-blob state, provider host map).
 type Client struct {
 	vm      *vmanager.Client
 	pm      *pmanager.Client
@@ -117,32 +117,72 @@ type Client struct {
 	coll     *stream.Collector  // client-wide stream pipeline counters (nil when unmetered)
 	tracer   *trace.Tracer      // nil unless Config.Tracer was set (nil is a no-op)
 
-	mu        sync.Mutex
-	histories map[blob.ID]*blob.History
-	metas     map[blob.ID]blob.Meta
-	hosts     map[string]string    // provider addr -> host
-	noChain   map[string]struct{}  // heads that answered CodeChainUnsupported
-	reported  map[string]time.Time // providers recently reported dead (rate limit)
+	mu       sync.Mutex
+	blobs    map[blob.ID]*blobState // at most maxBlobStates, least recently used out
+	useClock uint64
+	hosts    map[string]string    // provider addr -> host
+	noChain  map[string]struct{}  // heads that answered CodeChainUnsupported
+	reported map[string]time.Time // providers recently reported dead (rate limit)
+}
+
+// blobState is the client's cache of one blob. All of it can be fetched
+// again; a write or a Snapshot holding a dropped state keeps working on it.
+type blobState struct {
+	used uint64    // Client.useClock at the last lookup
+	meta blob.Meta // zero until fetched or created
+	// hist is the writer's weaving hint, in-flight writes included;
+	// owners the reader's, published versions only. Kept apart because an
+	// in-flight descriptor can vanish (a restarted version manager reissues
+	// an unlogged version number): a reader must not name a leaf from one.
+	hist   blob.History
+	owners mdtree.Owners
+}
+
+// maxBlobStates bounds Client.blobs: a long-lived BSFS client opens
+// thousands of files, and a 100-version file is 6 KB of descriptors.
+const maxBlobStates = 1024
+
+// state returns id's cached state; a new one pushes the least recently
+// used out of a full table.
+func (c *Client) state(id blob.ID) *blobState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.blobs[id]
+	if !ok {
+		if len(c.blobs) >= maxBlobStates {
+			var oldest blob.ID // 0 names no blob
+			for k, s := range c.blobs {
+				if o, ok := c.blobs[oldest]; !ok || s.used < o.used {
+					oldest = k
+				}
+			}
+			delete(c.blobs, oldest)
+		}
+		st = &blobState{}
+		c.blobs[id] = st
+	}
+	c.useClock++
+	st.used = c.useClock
+	return st
 }
 
 // NewClient builds a client from cfg.
 func NewClient(cfg Config) *Client {
 	meta := mdtree.MaybeCache(cfg.MetaStore, cfg.MetaCacheSize)
 	c := &Client{
-		vm:        vmanager.NewClient(cfg.Pool, cfg.VMAddrs...),
-		pm:        pmanager.NewClient(cfg.Pool, cfg.PMAddr),
-		prov:      provider.NewClient(cfg.Pool),
-		meta:      meta,
-		host:      cfg.Host,
-		overlay:   cfg.Overlay,
-		tracer:    cfg.Tracer,
-		nonce:     newNonceSource(),
-		putSem:    make(chan struct{}, putConcurrency),
-		histories: make(map[blob.ID]*blob.History),
-		metas:     make(map[blob.ID]blob.Meta),
-		hosts:     make(map[string]string),
-		noChain:   make(map[string]struct{}),
-		reported:  make(map[string]time.Time),
+		vm:       vmanager.NewClient(cfg.Pool, cfg.VMAddrs...),
+		pm:       pmanager.NewClient(cfg.Pool, cfg.PMAddr),
+		prov:     provider.NewClient(cfg.Pool),
+		meta:     meta,
+		host:     cfg.Host,
+		overlay:  cfg.Overlay,
+		tracer:   cfg.Tracer,
+		nonce:    newNonceSource(),
+		putSem:   make(chan struct{}, putConcurrency),
+		blobs:    make(map[blob.ID]*blobState),
+		hosts:    make(map[string]string),
+		noChain:  make(map[string]struct{}),
+		reported: make(map[string]time.Time),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		c.reg = reg
@@ -276,18 +316,20 @@ func (c *Client) Create(ctx context.Context, blockSize int64, replication int) (
 	if err != nil {
 		return blob.Meta{}, err
 	}
+	st := c.state(m.ID)
 	c.mu.Lock()
-	c.metas[m.ID] = m
+	st.meta = m
 	c.mu.Unlock()
 	return m, nil
 }
 
 // Meta returns the blob's static configuration (cached).
 func (c *Client) Meta(ctx context.Context, id blob.ID) (blob.Meta, error) {
+	st := c.state(id)
 	c.mu.Lock()
-	m, ok := c.metas[id]
+	m := st.meta
 	c.mu.Unlock()
-	if ok {
+	if m.ID != 0 {
 		return m, nil
 	}
 	ctx, sp := c.tracer.Start(ctx, "meta")
@@ -297,7 +339,7 @@ func (c *Client) Meta(ctx context.Context, id blob.ID) (blob.Meta, error) {
 		return blob.Meta{}, err
 	}
 	c.mu.Lock()
-	c.metas[id] = m
+	st.meta = m
 	c.mu.Unlock()
 	return m, nil
 }
@@ -321,7 +363,7 @@ func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, 
 
 // doWrite is the two-phase write protocol behind Blob.Write and
 // Blob.Append.
-func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, off int64, data []byte) (_ blob.Version, err error) {
+func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, off int64, data []byte) (_ blob.Version, err error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("core: empty %s", kind)
 	}
@@ -331,10 +373,7 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 	}
 	ctx, sp := c.tracer.Start(ctx, op)
 	defer func() { sp.Finish(err) }()
-	m, err := c.Meta(ctx, id)
-	if err != nil {
-		return 0, err
-	}
+	id := m.ID
 	if kind == blob.KindWrite && off%m.BlockSize != 0 {
 		return 0, fmt.Errorf("core: write offset %d not aligned to block size %d", off, m.BlockSize)
 	}
@@ -363,13 +402,19 @@ func (c *Client) doWrite(ctx context.Context, id blob.ID, kind blob.WriteKind, o
 	}
 
 	// Phase 2a: version assignment — the single serialization point.
-	since := c.cachedLatest(id)
+	st := c.state(id)
+	c.mu.Lock()
+	since := st.hist.Latest()
+	c.mu.Unlock()
 	a, err := c.vm.AssignVersion(ctx, id, kind, off, int64(len(data)), nonce, since)
 	if err != nil {
 		c.gcBlocks(id, nonce, targets)
 		return 0, err
 	}
-	hist, err := c.extendHistory(id, a.Descs)
+	c.mu.Lock()
+	err = st.hist.Extend(a.Descs)
+	hist := st.hist.View() // read-only, stable during the metadata build
+	c.mu.Unlock()
 	if err != nil {
 		// The version was assigned: leaving it dangling would stall
 		// publication of every later version until the janitor notices.
@@ -547,59 +592,29 @@ func (c *Client) gcBlocks(id blob.ID, nonce uint64, targets [][]string) {
 	}
 }
 
-func (c *Client) cachedLatest(id blob.ID) blob.Version {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h, ok := c.histories[id]; ok {
-		return h.Latest()
+// resolve maps a range of the snapshot onto extents, for reads and
+// layout queries alike: by naming its leaves when the pin brought the
+// block index up to the version, by walking the tree when it could not.
+func (s *Snapshot) resolve(ctx context.Context, r blob.Range) ([]mdtree.Extent, error) {
+	c, m := s.b.c, s.b.meta
+	if s.owners != nil {
+		return s.owners.Resolve(ctx, c.meta, m, s.version, s.size, r)
 	}
-	return 0
+	return mdtree.Resolve(ctx, c.meta, m, s.version, s.size, r)
 }
 
-// extendHistory merges descriptors into the cache and returns a
-// read-only view of it, stable during the metadata build.
-func (c *Client) extendHistory(id blob.ID, descs []blob.WriteDesc) (*blob.History, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.histories[id]
-	if !ok {
-		h = &blob.History{}
-		c.histories[id] = h
-	}
-	if err := h.Extend(descs); err != nil {
-		return nil, err
-	}
-	return h.View(), nil
-}
-
-// versionSize resolves the blob size at published version v. A version
-// newer than the latest published snapshot fails with ErrNotPublished.
-func (c *Client) versionSize(ctx context.Context, id blob.ID, v blob.Version) (int64, error) {
-	pub, pubSize, err := c.vm.Latest(ctx, id)
-	if err != nil {
-		return 0, err
-	}
-	if v > pub {
-		return 0, fmt.Errorf("%w: version %d, published %d", ErrNotPublished, v, pub)
-	}
-	if v == pub {
-		return pubSize, nil
-	}
-	d, err := c.vm.VersionInfo(ctx, id, v)
-	return d.SizeAfter, err
-}
-
-// readInto resolves [off, off+len(dst)) of version v into extents and
+// readInto resolves [off, off+len(dst)) of the snapshot into extents and
 // fetches each extent's bytes directly into the matching subslice of
 // dst — the zero-copy core of Snapshot.ReadAt: no whole-range
 // intermediate buffer exists at any point. Holes and the zero tails of
 // short blocks are cleared explicitly (dst may be a reused buffer
 // holding stale bytes). The requested range must lie inside the
 // snapshot.
-func (c *Client) readInto(ctx context.Context, m blob.Meta, v blob.Version, size, off int64, dst []byte) error {
+func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
+	c := s.b.c
 	t0 := time.Now()
 	rctx, sp := c.tracer.Start(ctx, "resolve")
-	extents, err := mdtree.Resolve(rctx, c.meta, m, v, size, blob.Range{Off: off, Len: int64(len(dst))})
+	extents, err := s.resolve(rctx, blob.Range{Off: off, Len: int64(len(dst))})
 	sp.Finish(err)
 	c.mResolve.ObserveSince(t0)
 	if err != nil {
@@ -619,29 +634,9 @@ func (c *Client) readInto(ctx context.Context, m blob.Meta, v blob.Version, size
 		return nil
 	}
 	if len(extents) == 1 {
-		// The common small-read case: one extent, no fan-out machinery.
-		return fill(ctx, extents[0])
+		return fill(ctx, extents[0]) // the common small read: no fan-out machinery
 	}
-	sem := make(chan struct{}, fetchConcurrency)
-	var wg sync.WaitGroup
-	var rerrMu sync.Mutex
-	var rerr error
-	for _, e := range extents {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(e mdtree.Extent) {
-			defer func() { <-sem; wg.Done() }()
-			if err := fill(ctx, e); err != nil {
-				rerrMu.Lock()
-				if rerr == nil {
-					rerr = err
-				}
-				rerrMu.Unlock()
-			}
-		}(e)
-	}
-	wg.Wait()
-	return rerr
+	return util.Windowed(len(extents), fetchConcurrency, func(i int) error { return fill(ctx, extents[i]) })
 }
 
 // fetchExtentInto reads one extent into dst, returning the byte count
@@ -706,25 +701,6 @@ type Location struct {
 	Len       int64
 	Providers []string // provider RPC addresses (replicas)
 	Hosts     []string // physical hosts of those providers
-}
-
-// locationsAt maps a pinned (version, size) range onto provider
-// addresses and hosts.
-func (c *Client) locationsAt(ctx context.Context, m blob.Meta, v blob.Version, size, off, length int64) ([]Location, error) {
-	extents, err := mdtree.Resolve(ctx, c.meta, m, v, size, blob.Range{Off: off, Len: length})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Location, 0, len(extents))
-	for _, e := range extents {
-		loc := Location{Off: e.FileOff, Len: e.Len}
-		if e.HasData {
-			loc.Providers = e.Block.Providers
-			loc.Hosts = c.hostsFor(ctx, e.Block.Providers)
-		}
-		out = append(out, loc)
-	}
-	return out, nil
 }
 
 // hostsFor maps provider addresses to hosts, refreshing the cached

@@ -51,6 +51,7 @@ func (c *countingStore) ReadAt(key string, p []byte, off int64) (int, error) {
 
 type miniDeploy struct {
 	net    *rpc.InprocNetwork
+	vm     *vmanager.Service
 	vmAddr string
 	pmAddr string
 	// meta is the version manager's (repair) view of the metadata
@@ -81,7 +82,8 @@ func startMiniWith(t *testing.T, nProv int, meta mdtree.Store, withForwarder boo
 		t.Cleanup(func() { srv.Close() })
 		return name
 	}
-	d.vmAddr = serve("vmanager", vmanager.NewService(vmanager.NewState(vmanager.MetadataRepairer(meta))).Mux())
+	d.vm = vmanager.NewService(vmanager.NewState(vmanager.MetadataRepairer(meta)))
+	d.vmAddr = serve("vmanager", d.vm.Mux())
 	pmState := pmanager.NewState(placement.NewRoundRobin())
 	d.pmAddr = serve("pmanager", pmanager.NewService(pmState).Mux())
 

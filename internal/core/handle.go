@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/mdtree"
 	"blobseer/internal/stream"
 )
 
@@ -60,55 +61,63 @@ func (b *Blob) Client() *Client { return b.c }
 // version may not be immediately readable: it publishes once all
 // lower versions commit (use WaitPublished to observe it).
 func (b *Blob) Write(ctx context.Context, off int64, data []byte) (blob.Version, error) {
-	return b.c.doWrite(ctx, b.meta.ID, blob.KindWrite, off, data)
+	return b.c.doWrite(ctx, b.meta, blob.KindWrite, off, data)
 }
 
 // Append adds data at the end of the blob; the offset is fixed by the
 // version manager at assignment time (Section III-D).
 func (b *Blob) Append(ctx context.Context, data []byte) (blob.Version, error) {
-	return b.c.doWrite(ctx, b.meta.ID, blob.KindAppend, 0, data)
+	return b.c.doWrite(ctx, b.meta, blob.KindAppend, 0, data)
 }
 
 // Latest pins the newest published snapshot. An unpublished blob (no
 // writes committed yet) yields a zero-size Snapshot whose Version is
 // blob.NoVersion — explicitly distinguishable from a zero-length
-// clamp.
+// clamp. The same call fetches the history Snapshot reads by.
 func (b *Blob) Latest(ctx context.Context) (*Snapshot, error) {
-	v, size, err := b.c.vm.Latest(ctx, b.meta.ID)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{b: b, ctx: ctx, version: v, size: size}, nil
+	return b.Snapshot(ctx, blob.NoVersion)
 }
 
-// Snapshot pins published version v. v == blob.NoVersion pins the
-// latest published snapshot (see Latest). Naming a version newer than
-// the latest published one fails with ErrNotPublished. The (version,
-// size) pair is resolved once: every subsequent ReadAt or Locations
-// call on the returned Snapshot skips the metadata round-trips
-// entirely.
+// Snapshot pins published version v; v == blob.NoVersion pins the
+// latest (see Latest). It is the one place a Snapshot is made, so every
+// way of pinning extends the client's block index of the blob. A version
+// not yet published fails with ErrNotPublished, a garbage-collected one
+// with vmanager.ErrPruned. The (version, size) pair is resolved once: no
+// ReadAt or Locations call goes back to the version manager.
 func (b *Blob) Snapshot(ctx context.Context, v blob.Version) (*Snapshot, error) {
-	if v == blob.NoVersion {
-		return b.Latest(ctx)
-	}
-	size, err := b.c.versionSize(ctx, b.meta.ID, v)
+	c, id := b.c, b.meta.ID
+	owners := &c.state(id).owners
+	pub, size, descs, err := c.vm.LatestSince(ctx, id, owners.Through())
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{b: b, ctx: ctx, version: v, size: size}, nil
+	switch {
+	case v == blob.NoVersion:
+		v = pub
+	case v > pub:
+		return nil, fmt.Errorf("%w: version %d, published %d", ErrNotPublished, v, pub)
+	case v < pub:
+		// Also the check that v has not been pruned.
+		d, err := c.vm.VersionInfo(ctx, id, v)
+		if err != nil {
+			return nil, err
+		}
+		size = d.SizeAfter
+	}
+	s := &Snapshot{b: b, ctx: ctx, version: v, size: size}
+	owners.Extend(b.meta.BlockSize, descs)
+	if owners.Through() >= v {
+		s.owners = owners
+	}
+	return s, nil
 }
 
 // WaitPublished blocks until version v is published (the snapshot
 // notification mechanism of Section III-A5), then pins it.
 func (b *Blob) WaitPublished(ctx context.Context, v blob.Version, timeout time.Duration) (*Snapshot, error) {
-	pub, size, err := b.c.vm.WaitPublished(ctx, b.meta.ID, v, timeout)
-	if err != nil {
+	if _, _, err := b.c.vm.WaitPublished(ctx, b.meta.ID, v, timeout); err != nil {
 		return nil, err
 	}
-	if pub == v {
-		return &Snapshot{b: b, ctx: ctx, version: v, size: size}, nil
-	}
-	// Publication moved past v while we waited: pin v itself.
 	return b.Snapshot(ctx, v)
 }
 
@@ -172,18 +181,21 @@ func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
 }
 
 // Snapshot is a pinned, immutable published version of a BLOB. The
-// (version, size) pair is resolved at creation; reads against the
-// snapshot go straight to metadata-tree resolution (served from the
-// client's immutable-node cache when warm) and the data providers —
-// zero version-manager round-trips, no matter how many reads the
-// snapshot serves or how many new versions writers publish meanwhile.
-// A Snapshot is safe for concurrent use: ReadAt may run from many
-// goroutines at once.
+// (version, size) pair is resolved at creation, so reads cost zero
+// version-manager round-trips, however many the snapshot serves or
+// writers publish meanwhile. Normally the pin's reply carried every
+// write descriptor up to the version, so the client knows which version
+// owns each block and a read fetches exactly its leaves: one batched
+// metadata round trip, none when the immutable-node cache has them. A
+// client too far behind for one reply walks the segment tree from the
+// version's root instead, one batched round trip per level. A Snapshot
+// is safe for concurrent use: ReadAt may run from many goroutines.
 type Snapshot struct {
 	b       *Blob
 	ctx     context.Context // pinned at creation; bare ReadAt runs under it
 	version blob.Version
 	size    int64
+	owners  *mdtree.Owners // the client's block index, when it reaches version; else nil
 }
 
 var _ io.ReaderAt = (*Snapshot)(nil)
@@ -229,7 +241,7 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 		n = int(s.size - off)
 	}
 	ctx, sp := s.b.c.tracer.Start(ctx, "readat")
-	if err := s.b.c.readInto(ctx, s.b.meta, s.version, s.size, off, p[:n]); err != nil {
+	if err := s.readInto(ctx, off, p[:n]); err != nil {
 		sp.Finish(err)
 		return 0, err
 	}
@@ -244,10 +256,20 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 // the pinned snapshot — the layout primitive affinity schedulers ask
 // (Section IV-C) — without re-resolving the version.
 func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location, error) {
-	if s.version == blob.NoVersion {
-		return nil, nil
+	extents, err := s.resolve(ctx, blob.Range{Off: off, Len: length})
+	if err != nil {
+		return nil, err
 	}
-	return s.b.c.locationsAt(ctx, s.b.meta, s.version, s.size, off, length)
+	out := make([]Location, 0, len(extents))
+	for _, e := range extents {
+		loc := Location{Off: e.FileOff, Len: e.Len}
+		if e.HasData {
+			loc.Providers = e.Block.Providers
+			loc.Hosts = s.b.c.hostsFor(ctx, e.Block.Providers)
+		}
+		out = append(out, loc)
+	}
+	return out, nil
 }
 
 // ReaderOptions configures a sequential streaming reader over a

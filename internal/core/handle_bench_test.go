@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"io"
+	"runtime"
 	"testing"
 
 	"blobseer/internal/cluster"
@@ -71,6 +72,8 @@ func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 	const nBlocks = 8
 	s := benchSnapshot(b, nBlocks, metered)
 	buf := make([]byte, s.Size())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,5 +81,13 @@ func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.SetBytes(s.Size())
+	// The budget of a warm 8-block read, client and daemons together: 58
+	// when the leaves are named from the block index, 77 when the tree
+	// was walked to them.
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 64 {
+		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 64", allocs, nBlocks)
+	}
 }

@@ -1,0 +1,394 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"testing"
+
+	"blobseer/internal/blob"
+	"blobseer/internal/mdtree"
+	"blobseer/internal/rpc"
+	"blobseer/internal/wire"
+)
+
+// These tests hold the read path to the versioning contract — a reader
+// of v sees exactly the writes <= v — on both ways a Snapshot resolves:
+// from the client's block index (the pin brought the history) and by
+// walking the tree (it could not). They run with released buffers
+// poisoned, so a descriptor or node decoded out of a recycled frame
+// shows as a wrong read.
+
+const pinBS = int64(4 * 1024)
+
+func poisonReleased(t *testing.T) {
+	wire.PoisonReleased(true)
+	t.Cleanup(func() { wire.PoisonReleased(false) })
+}
+
+// pinClient returns a fresh client of d (cold caches) with a node cache
+// of cacheSize entries (0: none, so every resolve reaches d's store).
+func pinClient(t *testing.T, d *miniDeploy, cacheSize int) *Client {
+	t.Helper()
+	pool := rpc.NewPool(d.net.Dial)
+	t.Cleanup(pool.Close)
+	return NewClient(Config{Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr, MetaStore: d.clientMeta, MetaCacheSize: cacheSize})
+}
+
+func blocksOf(tags ...byte) []byte {
+	var out []byte
+	for _, tag := range tags {
+		out = append(out, bytes.Repeat([]byte{tag}, int(pinBS))...)
+	}
+	return out
+}
+
+func mustWrite(t *testing.T, b *Blob, off int64, data []byte) blob.Version {
+	t.Helper()
+	v, err := b.Write(context.Background(), off*pinBS, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func readAll(s *Snapshot) ([]byte, error) {
+	buf := bytes.Repeat([]byte{0xEE}, int(s.Size()))
+	if _, err := s.ReadAt(buf, 0); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// walking returns s as a pin that learned no history would have made it.
+func walking(s *Snapshot) *Snapshot {
+	w := *s
+	w.owners = nil
+	return &w
+}
+
+// TestPinnedSnapshotStableWhileItsClientOverwrites: the client that
+// pinned v goes on to overwrite the same blocks and to pin again, so its
+// block index runs far ahead of v. The snapshot must keep naming v's
+// leaves.
+func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
+	poisonReleased(t)
+	d := startMini(t, 2, mdtree.NewMemStore())
+	c := pinClient(t, d, 0)
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, b, 0, blocksOf('a', 'a', 'a', 'a'))
+	mustWrite(t, b, 1, blocksOf('b'))
+	want := blocksOf('a', 'b', 'a', 'a')
+	s, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.owners == nil {
+		t.Fatal("a pin from version 0 of a 2-version blob did not bring the history")
+	}
+	before, err := readAll(s)
+	if err != nil || !bytes.Equal(before, want) {
+		t.Fatalf("read of v2 before the overwrites: %v", err)
+	}
+	for i := byte(0); i < 6; i++ {
+		mustWrite(t, b, int64(i%4), blocksOf('p'+i, 'q'+i))
+		if _, err := b.Latest(ctx); err != nil { // extends the index s reads through
+			t.Fatal(err)
+		}
+	}
+	if through := s.owners.Through(); through != 8 {
+		t.Fatalf("block index reaches version %d after pinning version 8", through)
+	}
+	for name, snap := range map[string]*Snapshot{"index": s, "walk": walking(s)} {
+		after, err := readAll(snap)
+		if err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: v2 reads differently after its client overwrote it (err %v)", name, err)
+		}
+	}
+	// And an old version pinned late, by a client that only knows the
+	// whole history, is still that version.
+	old, err := b.Snapshot(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readAll(old); err != nil || !bytes.Equal(got, blocksOf('a', 'a', 'a', 'a')) {
+		t.Errorf("v1 pinned after 8 versions does not read as v1 (err %v)", err)
+	}
+}
+
+// TestAbortedVersionReadsAsZerosOnBothPaths: a version whose writer
+// failed is repaired to leaves without data; both resolves must land on
+// those leaves, and on the later writes beside them.
+func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
+	poisonReleased(t)
+	inner := mdtree.NewMemStore()
+	meta := &failingMetaStore{MemStore: inner}
+	d := startMini(t, 2, inner) // the VM repairs through the healthy view
+	d.clientMeta = meta
+	ctx := context.Background()
+	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, b, 0, blocksOf('a', 'a'))
+	meta.broken.Store(true)
+	if _, err := b.Append(ctx, blocksOf('x')); err == nil {
+		t.Fatal("append with a broken metadata store succeeded")
+	}
+	meta.broken.Store(false)
+	if _, err := b.Append(ctx, blocksOf('c')); err != nil {
+		t.Fatal(err)
+	}
+	want := blocksOf('a', 'a', 0, 'c')
+
+	rb, err := pinClient(t, d, 0).OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rb.WaitPublished(ctx, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.owners == nil {
+		t.Fatal("pin did not bring the history")
+	}
+	for name, snap := range map[string]*Snapshot{"index": s, "walk": walking(s)} {
+		if got, err := readAll(snap); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: blob with an aborted version 2 reads wrong (err %v)", name, err)
+		}
+	}
+}
+
+// TestSnapshotBelowPrunePointNeverReadsAnotherVersion: once GC passes a
+// pinned version its snapshot may fail, or may still read what is left
+// of it — but a read that succeeds returns that version's bytes.
+func TestSnapshotBelowPrunePointNeverReadsAnotherVersion(t *testing.T) {
+	poisonReleased(t)
+	d := startMini(t, 2, mdtree.NewMemStore())
+	ctx := context.Background()
+	w := pinClient(t, d, 0)
+	b, err := w.CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, b, 0, blocksOf('a', 'a', 'a', 'a'))
+	mustWrite(t, b, 1, blocksOf('b'))
+	mustWrite(t, b, 1, blocksOf('c'))
+	content := map[blob.Version][]byte{1: blocksOf('a', 'a', 'a', 'a'), 2: blocksOf('a', 'b', 'a', 'a')}
+
+	rb, err := pinClient(t, d, -1).OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []*Snapshot
+	for v := range content {
+		s, err := rb.Snapshot(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, s, walking(s))
+	}
+	if _, err := w.GC(ctx, b.ID(), 3); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, s := range snaps {
+		for _, r := range []blob.Range{{Off: 0, Len: 4 * pinBS}, {Off: 0, Len: pinBS}, {Off: pinBS, Len: pinBS}} {
+			got := make([]byte, r.Len)
+			if _, err := s.ReadAt(got, r.Off); err != nil && err != io.EOF {
+				failed++
+				continue
+			}
+			if !bytes.Equal(got, content[s.version][r.Off:r.End()]) {
+				t.Errorf("v%d %v after GC(keep 3): read succeeded with bytes of another version (%q...)", s.version, r, got[:1])
+			}
+		}
+	}
+	if failed == 0 {
+		t.Error("GC freed nothing any pruned snapshot reads: the test no longer covers a pruned read")
+	}
+	if _, err := rb.Snapshot(ctx, 2); err == nil {
+		t.Error("pinning a pruned version succeeded")
+	}
+}
+
+// TestPinBeyondDescriptorCapWalksTheTree: a client further behind than
+// one Latest reply carries learns nothing from the pin, and its
+// snapshot walks the tree — to the same bytes.
+func TestPinBeyondDescriptorCapWalksTheTree(t *testing.T) {
+	poisonReleased(t)
+	mem := mdtree.NewMemStore()
+	d := startMini(t, 2, mem)
+	ctx := context.Background()
+	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A long history without the cost of writing it: versions assigned
+	// and committed straight at the manager, each an overwrite of block
+	// 0. They have no trees, and need none, because the real write that
+	// follows covers the whole blob and borrows nothing.
+	vm := d.vm.State()
+	const behind = 10000 // above vmanager's cap on descriptors per reply
+	for i := 0; i < behind; i++ {
+		a, err := vm.AssignVersion(b.ID(), blob.KindWrite, 0, pinBS, uint64(i+1), blob.Version(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Commit(b.ID(), a.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := blocksOf('w', 'x', 'y', 'z')
+	mustWrite(t, b, 0, want)
+
+	rb, err := pinClient(t, d, 0).OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rb.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Version() != behind+1 || s.owners != nil {
+		t.Fatalf("pin %d versions behind: version %d, index %v; want a snapshot without one", behind+1, s.Version(), s.owners)
+	}
+	_, batches := mem.BatchOps()
+	got, err := readAll(s)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("tree-walk read: %v", err)
+	}
+	if _, after := mem.BatchOps(); after-batches < 2 {
+		t.Errorf("a 4-block read took %d batched fetches: that is not a walk of a 3-level tree", after-batches)
+	}
+}
+
+// TestReadCostsOneMetadataRoundTrip pins the point of the block index:
+// a cold read reaches the metadata store in exactly one batch holding
+// exactly its leaves, a warm one not at all, and a pin is one Latest
+// call at the version manager — where the tree walk pays a round trip
+// per level.
+func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
+	poisonReleased(t)
+	mem := mdtree.NewMemStore()
+	d := startMini(t, 2, mem)
+	ctx := context.Background()
+	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, b, 0, blocksOf('a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'))
+	mustWrite(t, b, 3, blocksOf('D'))
+	mustWrite(t, b, 4, blocksOf('E'))
+	want := blocksOf('a', 'b', 'c', 'D', 'E', 'f', 'g', 'h')
+
+	c := pinClient(t, d, -1)
+	rb, err := c.OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := d.vm.Ops()
+	s, err := rb.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now := d.vm.Ops(); now.Latest != ops.Latest+1 || now.History != ops.History || now.Total() != ops.Total()+1 {
+		t.Errorf("one pin cost the version manager %+v -> %+v, want exactly one Latest", ops, now)
+	}
+
+	// Three blocks, unaligned, across both overwrites.
+	off, buf := 2*pinBS+100, make([]byte, 2*pinBS+200)
+	read := func(s *Snapshot) (batches, nodes int64) {
+		t.Helper()
+		_, b0 := mem.BatchOps()
+		_, n0 := mem.Ops()
+		if _, err := s.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want[off:off+int64(len(buf))]) {
+			t.Fatal("wrong bytes")
+		}
+		_, b1 := mem.BatchOps()
+		_, n1 := mem.Ops()
+		return b1 - b0, n1 - n0
+	}
+	cached := c.MetaCacheStats().BatchGets
+	if batches, nodes := read(s); batches != 1 || nodes != 3 {
+		t.Errorf("cold 3-block read: %d batches fetching %d nodes, want 1 batch of the 3 leaves", batches, nodes)
+	}
+	if got := c.MetaCacheStats().BatchGets - cached; got != 1 {
+		t.Errorf("cold 3-block read: node cache issued %d batched fetches, want 1", got)
+	}
+	if batches, nodes := read(s); batches != 0 || nodes != 0 {
+		t.Errorf("warm 3-block read: %d batches, %d nodes, want none", batches, nodes)
+	}
+
+	// The same read by a client that has to walk: a level at a time.
+	wb, err := pinClient(t, d, -1).OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := wb.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n0 := mem.Ops()
+	batches, _ := read(walking(ws))
+	_, n1 := mem.Ops()
+	if depth := int64(4); batches+1 != depth || n1-n0 <= 3 { // the root alone is a plain Get
+		t.Errorf("tree-walk 3-block read: %d batches, %d nodes; want %d levels and inner nodes among them", batches, n1-n0, depth)
+	}
+}
+
+// TestBlobStateTableIsBounded: the per-blob cache holds maxBlobStates
+// blobs, the least recently used goes first, and nothing that still
+// holds a dropped state — or comes back to the blob — notices.
+func TestBlobStateTableIsBounded(t *testing.T) {
+	d := startMini(t, 2, mdtree.NewMemStore())
+	c := pinClient(t, d, 0)
+	ctx := context.Background()
+	first, err := c.CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, first, 0, blocksOf('a'))
+	s, err := first.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxBlobStates; i++ {
+		if i%100 == 0 {
+			mustWrite(t, second, 0, blocksOf('s')) // stays in use
+		}
+		if _, err := c.CreateBlob(ctx, pinBS, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	n, keptFirst, keptSecond := len(c.blobs), c.blobs[first.ID()] != nil, c.blobs[second.ID()] != nil
+	c.mu.Unlock()
+	if n != maxBlobStates || keptFirst || !keptSecond {
+		t.Fatalf("%d states cached (bound %d); idle blob kept: %v, busy blob kept: %v", n, maxBlobStates, keptFirst, keptSecond)
+	}
+	if got, err := readAll(s); err != nil || !bytes.Equal(got, blocksOf('a')) {
+		t.Errorf("snapshot of a dropped blob: %v", err)
+	}
+	if _, err := first.Append(ctx, blocksOf('b')); err != nil {
+		t.Errorf("append to a dropped blob: %v", err)
+	}
+	s, err = first.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readAll(s); err != nil || !bytes.Equal(got, blocksOf('a', 'b')) || s.owners == nil {
+		t.Errorf("re-pinned dropped blob: err %v, index %v", err, s.owners)
+	}
+}

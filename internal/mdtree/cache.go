@@ -278,23 +278,15 @@ func (c *NodeCache) complete(s *cacheShard, id NodeID, f *flight, n Node, ok boo
 
 // GetBatch implements BatchStore. Cached nodes are served from memory;
 // the rest are fetched with one inner multi-get (minus any node some
-// other caller is already fetching, which is joined instead).
+// other caller is already fetching, which is joined instead). A call
+// that hits on every id allocates only its result. A repeated id needs
+// no bookkeeping: a second hit is a hit, a second miss joins the flight
+// the first opened, which this call completes before it waits on any.
 func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	out := make(map[NodeID]Node, len(ids))
-	var owned []NodeID // misses this call will fetch
-	ownedFlights := make(map[NodeID]*flight)
-	var joined []NodeID // misses someone else is fetching
-	joinedFlights := make(map[NodeID]*flight)
+	var owned, joined []NodeID // misses this call fetches / someone else is fetching
+	var ownedFlights, joinedFlights []*flight
 	for _, id := range ids {
-		if _, dup := out[id]; dup {
-			continue
-		}
-		if _, dup := ownedFlights[id]; dup {
-			continue
-		}
-		if _, dup := joinedFlights[id]; dup {
-			continue
-		}
 		s := c.shard(id)
 		s.mu.Lock()
 		if n, ok := s.hitLocked(id); ok {
@@ -306,40 +298,21 @@ func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 		c.misses.Add(1)
 		if f, ok := s.flights[id]; ok {
 			s.mu.Unlock()
-			joined = append(joined, id)
-			joinedFlights[id] = f
+			joined, joinedFlights = append(joined, id), append(joinedFlights, f)
 			continue
 		}
 		f := &flight{done: make(chan struct{})}
 		s.flights[id] = f
 		s.mu.Unlock()
-		owned = append(owned, id)
-		ownedFlights[id] = f
+		owned, ownedFlights = append(owned, id), append(ownedFlights, f)
 	}
 
-	var fetchErr error
 	if len(owned) > 0 {
-		var got map[NodeID]Node
-		if c.batch != nil {
-			c.batchGets.Add(1)
-			got, fetchErr = c.batch.GetBatch(ctx, owned)
-		} else {
-			got = make(map[NodeID]Node, len(owned))
-			for _, id := range owned {
-				n, err := c.inner.Get(ctx, id)
-				if err != nil {
-					// A plain Store cannot distinguish "absent" from
-					// "unreachable"; treat the error as indeterminate and
-					// let the caller surface it.
-					fetchErr = err
-					break
-				}
-				got[id] = n
-			}
-		}
-		for _, id := range owned {
+		// A plain Store's error may mean absent or unreachable: surface it.
+		got, fetchErr := c.fetchDirect(ctx, owned)
+		for i, id := range owned {
 			n, ok := got[id]
-			c.complete(c.shard(id), id, ownedFlights[id], n, ok && fetchErr == nil, fetchErr)
+			c.complete(c.shard(id), id, ownedFlights[i], n, ok && fetchErr == nil, fetchErr)
 			if ok && fetchErr == nil {
 				out[id] = n
 			}
@@ -352,8 +325,8 @@ func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 	// owner failed is retried under this call's own context instead of
 	// inheriting the owner's error (it may just have been canceled).
 	var retry []NodeID
-	for _, id := range joined {
-		f := joinedFlights[id]
+	for i, id := range joined {
+		f := joinedFlights[i]
 		select {
 		case <-f.done:
 		case <-ctx.Done():
@@ -382,8 +355,8 @@ func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 	return out, nil
 }
 
-// fetchDirect fetches ids from the inner store without flight
-// registration (used to retry after a failed joined flight).
+// fetchDirect fetches ids from the inner store: one multi-get when it
+// batches, one Get per id otherwise.
 func (c *NodeCache) fetchDirect(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	if c.batch != nil {
 		c.batchGets.Add(1)

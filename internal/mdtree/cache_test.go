@@ -539,3 +539,34 @@ func TestCacheEvictsColdestFirst(t *testing.T) {
 		t.Errorf("inserting into a full shard allocates %.1f times", allocs)
 	}
 }
+
+// TestGetBatchAllHitsAllocateOnlyTheResult: a batch the cache serves
+// whole makes its result map and nothing else — no flight bookkeeping.
+func TestGetBatchAllHitsAllocateOnlyTheResult(t *testing.T) {
+	mem := NewMemStore()
+	_, m := buildBlocks(t, mem, 16)
+	c := NewNodeCache(mem, 0)
+	ctx := context.Background()
+	ids := make([]NodeID, 16)
+	for i := range ids {
+		ids[i] = NodeID{Blob: m.ID, Version: 1, Off: int64(i) * B, Span: B}
+	}
+	if got, err := c.GetBatch(ctx, ids); err != nil || len(got) != len(ids) {
+		t.Fatalf("warming GetBatch = %d nodes, %v", len(got), err)
+	}
+	var result map[NodeID]Node // escapes, as a returned map does
+	resultOnly := testing.AllocsPerRun(100, func() {
+		result = make(map[NodeID]Node, len(ids))
+		for _, id := range ids {
+			result[id] = Node{}
+		}
+	})
+	allHit := testing.AllocsPerRun(100, func() {
+		if got, err := c.GetBatch(ctx, ids); err != nil || len(got) != len(ids) {
+			t.Fatalf("warm GetBatch = %d nodes, %v", len(got), err)
+		}
+	})
+	if allHit > resultOnly {
+		t.Errorf("an all-hit GetBatch of %d ids allocates %.0f times, its result map alone %.0f", len(ids), allHit, resultOnly)
+	}
+}

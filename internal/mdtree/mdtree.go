@@ -13,6 +13,13 @@
 // descriptor history alone, a writer can weave references to metadata
 // that concurrent lower-version writers are *still producing* — the
 // paper's key trick for fully parallel metadata generation.
+//
+// Readers reach the same leaves two ways. One that holds the history up
+// to its snapshot (Owners, fed by the descriptors a pin returns) names
+// each leaf the way Build does and fetches the leaves alone, in one
+// batch. One that does not walks down from the snapshot's root (Resolve),
+// a batch per level whatever the history's length; repair, the simulator
+// and the tests' reference run that walk.
 package mdtree
 
 import (
@@ -255,17 +262,9 @@ type Extent struct {
 // On a plain Store the same traversal degrades gracefully to one Get
 // per node.
 func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size int64, r blob.Range) ([]Extent, error) {
-	if v == blob.NoVersion || size <= 0 {
-		return nil, nil
-	}
-	if r.Off < 0 {
-		return nil, fmt.Errorf("mdtree: negative read offset %d", r.Off)
-	}
-	if r.End() > size {
-		r.Len = size - r.Off
-	}
-	if r.IsEmpty() {
-		return nil, nil
+	r, err := clampRead(v, size, r)
+	if err != nil || r.IsEmpty() {
+		return nil, err
 	}
 	want := r
 	bs, _ := st.(BatchStore)
@@ -330,6 +329,20 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 	// restores the contract of ordered extents.
 	sort.Slice(out, func(i, j int) bool { return out[i].FileOff < out[j].FileOff })
 	return out, nil
+}
+
+// clampRead cuts a read of snapshot (v, size) down to the bytes it has.
+func clampRead(v blob.Version, size int64, r blob.Range) (blob.Range, error) {
+	if v == blob.NoVersion || size <= 0 {
+		return blob.Range{}, nil
+	}
+	if r.Off < 0 {
+		return blob.Range{}, fmt.Errorf("mdtree: negative read offset %d", r.Off)
+	}
+	if r.End() > size {
+		r.Len = size - r.Off
+	}
+	return r, nil
 }
 
 // fetchLevel gets one BFS level's nodes, batched when possible. The

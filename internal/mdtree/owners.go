@@ -1,0 +1,122 @@
+package mdtree
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+
+	"blobseer/internal/blob"
+)
+
+// Owners is a blob's write history indexed by block: the versions that
+// wrote each block, ascending. It answers a reader's one question —
+// which version owns block b in snapshot v — by binary search, where
+// blob.History.LatestIntersecting scans the history. It is extended with
+// *published* descriptors only (their ranges never change, so no entry
+// is ever rewritten). The zero value is empty; safe for concurrent use.
+type Owners struct {
+	mu      sync.RWMutex
+	through blob.Version // versions 1..through are indexed
+	byBlock map[int64][]blob.Version
+}
+
+// Through returns the newest version indexed.
+func (o *Owners) Through() blob.Version {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.through
+}
+
+// Extend indexes descs, consecutive published versions of a blob of
+// blockSize blocks. Versions already indexed are skipped; a run that
+// does not continue at Through()+1 is left out (Through tells).
+func (o *Owners) Extend(blockSize int64, descs []blob.WriteDesc) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.byBlock == nil {
+		o.byBlock = make(map[int64][]blob.Version)
+	}
+	for _, d := range descs {
+		if d.Version <= o.through {
+			continue
+		}
+		if d.Version != o.through+1 {
+			return
+		}
+		for b, end := d.Off/blockSize, blob.Blocks(d.Off+d.Len, blockSize); b < end; b++ {
+			o.byBlock[b] = append(o.byBlock[b], d.Version)
+		}
+		o.through = d.Version
+	}
+}
+
+// ownerLocked returns the newest version <= v that wrote block b, or
+// NoVersion (a hole): the rule builder.node weaves leaves by, so (blob,
+// owner, b*blockSize, blockSize) names the leaf v reads b through. An
+// aborted version counts: its repaired leaf exists and holds no data.
+func (o *Owners) ownerLocked(b int64, v blob.Version) blob.Version {
+	ws := o.byBlock[b]
+	i := sort.Search(len(ws), func(i int) bool { return ws[i] > v })
+	if i == 0 {
+		return blob.NoVersion
+	}
+	return ws[i-1]
+}
+
+// Resolve returns what the package's Resolve returns for a snapshot v <=
+// Through() — the ordered extents covering r, the same blocks at the
+// same offsets — without walking the tree: each block's leaf is named
+// from the index and all are fetched in one batch (one metadata round
+// trip, none when cached; inner nodes are never read). One difference:
+// adjacent holes come back as one extent, where the walk splits them
+// along subtree boundaries.
+func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size int64, r blob.Range) ([]Extent, error) {
+	r, err := clampRead(v, size, r)
+	if err != nil || r.IsEmpty() {
+		return nil, err
+	}
+	bs := meta.BlockSize
+	first, end := r.Off/bs, blob.Blocks(r.End(), bs)
+	out := make([]Extent, 0, end-first)
+	ids := make([]NodeID, 0, end-first)
+	o.mu.RLock()
+	if v > o.through {
+		o.mu.RUnlock()
+		return nil, fmt.Errorf("mdtree: block index reaches version %d, snapshot is %d", o.through, v)
+	}
+	for b := first; b < end; b++ {
+		part := blob.Range{Off: b * bs, Len: bs}.Intersection(r)
+		w := o.ownerLocked(b, v)
+		switch n := len(out); {
+		case w != blob.NoVersion:
+			ids = append(ids, NodeID{Blob: meta.ID, Version: w, Off: b * bs, Span: bs})
+			out = append(out, Extent{FileOff: part.Off, Len: part.Len, HasData: true, DataOff: part.Off - b*bs})
+		case n > 0 && !out[n-1].HasData:
+			out[n-1].Len += part.Len
+		default:
+			out = append(out, Extent{FileOff: part.Off, Len: part.Len})
+		}
+	}
+	o.mu.RUnlock()
+	if len(ids) == 0 {
+		return out, nil
+	}
+	batch, _ := st.(BatchStore)
+	leaves, err := fetchLevel(ctx, st, batch, ids)
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	for k := range out {
+		if !out[k].HasData {
+			continue
+		}
+		if !leaves[i].Leaf {
+			return nil, fmt.Errorf("mdtree: node %s is not a leaf", ids[i].Key())
+		}
+		out[k].Block = leaves[i].Block
+		i++
+	}
+	return out, nil
+}

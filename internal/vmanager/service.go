@@ -496,16 +496,25 @@ func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, erro
 func (s *Service) handleLatest(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
+	// since is optional: an 8-byte request (a size query, an older
+	// client) is answered without descriptors.
+	pinning, since := r.Remaining() >= 8, ^blob.Version(0)
+	if pinning {
+		since = blob.Version(r.U64())
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	v, size, err := s.state.Latest(id)
+	v, size, descs, err := s.state.LatestSince(id, since)
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := rpc.NewFrame(16)
+	b := rpc.NewFrame(20 + len(descs)*42) // 42 B a descriptor
 	b.U64(uint64(v))
 	b.I64(size)
+	if pinning {
+		encodeDescs(b, descs)
+	}
 	return b, nil
 }
 
@@ -730,6 +739,20 @@ func versionAndSize(v *blob.Version, size *int64) func([]byte) error {
 func (c *Client) Latest(ctx context.Context, id blob.ID) (v blob.Version, size int64, err error) {
 	err = c.callBlob(ctx, id, mLatest, versionAndSize(&v, &size))
 	return v, size, err
+}
+
+// LatestSince is Latest for a caller about to read the version: the one
+// RPC also returns what State.LatestSince says of (since, published].
+func (c *Client) LatestSince(ctx context.Context, id blob.ID, since blob.Version) (v blob.Version, size int64, descs []blob.WriteDesc, err error) {
+	err = c.callBlob(ctx, id, mLatest, func(p []byte) error {
+		r := wire.NewReader(p)
+		v, size = blob.Version(r.U64()), r.I64()
+		if r.Remaining() > 0 { // absent from a manager that predates the field
+			descs = decodeDescs(r)
+		}
+		return r.Err()
+	}, uint64(since))
+	return v, size, descs, err
 }
 
 // VersionInfo fetches one version's descriptor.

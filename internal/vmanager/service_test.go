@@ -9,6 +9,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
 	"blobseer/internal/rpc"
+	"blobseer/internal/wire"
 )
 
 func startVM(t *testing.T) *Client {
@@ -143,5 +144,76 @@ func TestJanitorAbortsStuckWriters(t *testing.T) {
 	ds, _ := s.History(m.ID, 0)
 	if !ds[0].Aborted {
 		t.Error("stuck write not marked aborted")
+	}
+}
+
+// TestLatestSinceCarriesPublishedDescriptors: a pinning Latest returns
+// the descriptors of (since, published] in the same reply — published
+// versions only, none past the cap, none to a caller already there —
+// and the 8-byte request of a size query is answered as it always was.
+func TestLatestSinceCarriesPublishedDescriptors(t *testing.T) {
+	c := startVM(t)
+	ctx := context.Background()
+	m, err := c.CreateBlob(ctx, B, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := func() blob.Version {
+		t.Helper()
+		a, err := c.AssignVersion(ctx, m.ID, blob.KindAppend, 0, B, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Version
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Commit(ctx, m.ID, assign()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assign() // version 4 stays in flight
+
+	v, size, descs, err := c.LatestSince(ctx, m.ID, 1)
+	if err != nil || v != 3 || size != 3*B {
+		t.Fatalf("LatestSince = v%d size %d, %v", v, size, err)
+	}
+	if len(descs) != 2 || descs[0].Version != 2 || descs[1].Version != 3 || descs[1].SizeAfter != 3*B {
+		t.Fatalf("descriptors since 1 = %+v, want exactly versions 2 and 3 (4 is unpublished)", descs)
+	}
+	for _, since := range []blob.Version{3, 4, 99} {
+		if _, _, descs, err := c.LatestSince(ctx, m.ID, since); err != nil || len(descs) != 0 {
+			t.Errorf("since %d: %d descriptors, %v; want none", since, len(descs), err)
+		}
+	}
+
+	// An older client's request is the blob ID alone; the reply must be
+	// exactly version and size.
+	err = c.call(ctx, 0, mLatest, 8, func(b *wire.Buffer) { b.U64(uint64(m.ID)) }, func(p []byte) error {
+		if len(p) != 16 {
+			t.Errorf("8-byte Latest request answered with %d bytes, want 16", len(p))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Past the cap the reply carries none: the reader walks the tree.
+	s := NewState(nil)
+	big, _ := s.CreateBlob(B, 1)
+	for i := 0; i < latestDescsCap+1; i++ {
+		a, err := s.AssignVersion(big.ID, blob.KindAppend, 0, B, 1, blob.Version(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(big.ID, a.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, descs, _ := s.LatestSince(big.ID, 0); descs != nil {
+		t.Errorf("a gap of %d got %d descriptors, want none", latestDescsCap+1, len(descs))
+	}
+	if _, _, descs, _ := s.LatestSince(big.ID, 1); len(descs) != latestDescsCap {
+		t.Errorf("a gap of exactly the cap got %d descriptors, want %d", len(descs), latestDescsCap)
 	}
 }

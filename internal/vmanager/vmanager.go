@@ -407,16 +407,37 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 }
 
 // Latest returns the newest published version and the blob size at it.
-// This is the call every reader (and BSFS open) issues first.
 func (s *State) Latest(id blob.ID) (blob.Version, int64, error) {
+	v, size, _, err := s.LatestSince(id, ^blob.Version(0))
+	return v, size, err
+}
+
+// latestDescsCap bounds the descriptors one LatestSince reply carries; a
+// reader further behind walks the tree, whose cost does not grow with
+// the history. Over loopback TCP a pin costs 0.12 ms per 1,000 and a walk
+// costs each read 0.13 ms more than naming its leaves: 1,100 repay
+// themselves on the first read, 8,192 (1.1 ms, 344 KB) by the eighth.
+const latestDescsCap = 8192
+
+// LatestSince is the call every reader (and BSFS open) issues first:
+// Latest, plus the descriptors of (since, published] as a read-only view
+// — the hint AssignVersion hands a writer, so the reader too can name
+// its leaves without walking to them. Published versions only (their
+// descriptors can no longer change or vanish), and none for a since at
+// or past the published version or more than latestDescsCap behind it.
+func (s *State) LatestSince(id blob.ID, since blob.Version) (blob.Version, int64, []blob.WriteDesc, error) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	bs, ok := st.blobs[id]
 	if !ok {
-		return 0, 0, ErrUnknownBlob
+		return 0, 0, nil, ErrUnknownBlob
 	}
-	return bs.published, bs.hist.SizeAt(bs.published), nil
+	var descs []blob.WriteDesc
+	if pub := bs.published; since < pub && pub-since <= latestDescsCap {
+		descs = bs.hist.Since(since)[: pub-since : pub-since]
+	}
+	return bs.published, bs.hist.SizeAt(bs.published), descs, nil
 }
 
 // VersionInfo returns the descriptor of a published or in-flight

@@ -209,7 +209,7 @@ func main() {
 		log.Printf("  traced op: %s (bsfsctl -metrics <addr> trace %s)", id, id)
 	}
 	if *out != "" {
-		if err := report.WriteJSON(*out); err != nil {
+		if err := bench.WriteJSON(*out, report); err != nil {
 			log.Fatalf("write %s: %v", *out, err)
 		}
 		log.Printf("report written to %s", *out)

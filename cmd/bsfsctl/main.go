@@ -49,6 +49,7 @@ import (
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/stream"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
 )
@@ -91,8 +92,8 @@ func main() {
 		blockSz = flag.Int64("block-size", 64*util.MB, "striping unit for new files")
 		repl    = flag.Int("replication", 1, "replication level for new files")
 		host    = flag.String("host", "", "client host label (affinity experiments)")
-		rahead  = flag.Int("readahead", bsfs.DefaultReadaheadBlocks, "reader async prefetch window in blocks (0 = synchronous)")
-		wbehind = flag.Int("write-behind", bsfs.DefaultWriteBehindDepth, "writer background block commits in flight (0 = synchronous)")
+		rahead  = flag.Int("readahead", stream.DefaultReadahead, "reader async prefetch window in blocks (0 = synchronous)")
+		wbehind = flag.Int("write-behind", stream.DefaultWriteBehind, "writer background block commits in flight (0 = synchronous)")
 		noCache = flag.Bool("no-cache", false, "disable the BSFS block cache and streaming pipeline (ablation)")
 		metEPs  = flag.String("metrics", "", "comma-separated /metrics endpoints (top command)")
 	)

@@ -7,8 +7,10 @@
 //	figures -fig 4           # only Figure 4
 //	figures -fig 6b -quick   # Figure 6b, coarse sweep
 //	figures -ablations       # the design-choice ablations of DESIGN.md
+//	figures -recovery        # crash-recovery ablation, BENCH_recovery.json
 //	figures -vmshard         # control-plane sharding + group commit, BENCH_vmshard.json
 //	figures -tiering         # hot/cold store tiering ablation, BENCH_tiering.json
+//	                         # (the three combine: -recovery -vmshard -tiering runs all of them)
 //	figures -selftest        # live-stack sanity check before a long sweep
 //
 // Expected output shapes are documented in EXPERIMENTS.md; the shape
@@ -87,57 +89,41 @@ func main() {
 		return
 	}
 
-	if *recovery {
-		r, err := bench.CrashRecoveryBench(*quick)
+	die := func(what string, err error) {
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: recovery bench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", what, err)
 			os.Exit(1)
 		}
+	}
+	writeReport := func(path string, report any) {
+		die("write report", bench.WriteJSON(path, report))
+		fmt.Println("wrote", path)
+	}
+	if *recovery {
+		r, err := bench.CrashRecoveryBench(*quick)
+		die("recovery bench", err)
 		fmt.Println(bench.Table("Crash recovery — publication-line durability (vmanager kill+restart)", r.Durability))
 		fmt.Println(bench.Table("Crash recovery — cold replay time vs log length", r.RecoveryTime))
 		fmt.Println(bench.Table("Crash recovery — fsync policy throughput cost", r.FsyncCost))
-		if err := r.WriteJSON("BENCH_recovery.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_recovery.json")
-		return
+		writeReport("BENCH_recovery.json", r)
 	}
-
 	if *vmshard {
 		r, err := bench.VMShardScalingBench(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: vmshard bench: %v\n", err)
-			os.Exit(1)
-		}
+		die("vmshard bench", err)
 		fmt.Println(bench.Table("Control-plane sharding — publish throughput vs shard count (8 writers)", r.ShardScaling))
 		fmt.Println(bench.Table("WAL group commit — durable publish rate vs concurrent writers", r.GroupCommit))
-		if err := r.WriteJSON("BENCH_vmshard.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_vmshard.json")
-		return
+		writeReport("BENCH_vmshard.json", r)
 	}
-
 	if *tiering {
 		r, err := bench.TieringBenchRun(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: tiering bench: %v\n", err)
-			os.Exit(1)
-		}
+		die("tiering bench", err)
 		fmt.Println(bench.Table("Store tiering — read throughput per arm (fs baseline, tiered hot, cold+promote, promoted)", r.Throughput))
 		fmt.Printf("hot_ratio=%.3f promoted_ratio=%.3f readable=%.3f demotions=%d promotions=%d\n",
 			r.HotRatio, r.PromotedRatio, r.Readable, r.Demotions, r.Promotions)
-		if err := r.WriteJSON("BENCH_tiering.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_tiering.json")
-		if err := r.Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: tiering acceptance: %v\n", err)
-			os.Exit(1)
-		}
+		writeReport("BENCH_tiering.json", r)
+		die("tiering acceptance", r.Check())
+	}
+	if *recovery || *vmshard || *tiering {
 		return
 	}
 

@@ -23,11 +23,11 @@ import (
 	"strings"
 	"time"
 
-	"blobseer/internal/bsfs"
 	"blobseer/internal/cluster"
 	"blobseer/internal/fs"
 	"blobseer/internal/mapred"
 	"blobseer/internal/mapred/apps"
+	"blobseer/internal/stream"
 	"blobseer/internal/util"
 )
 
@@ -43,8 +43,8 @@ func main() {
 		pattern  = flag.String("pattern", "blob", "grep: substring to count")
 		reduces  = flag.Int("reduces", 1, "number of reduce tasks")
 		show     = flag.Int("show", 10, "output lines to print per part file")
-		rahead   = flag.Int("readahead", bsfs.DefaultReadaheadBlocks, "bsfs: reader async prefetch window in blocks (0 = synchronous)")
-		wbehind  = flag.Int("write-behind", bsfs.DefaultWriteBehindDepth, "bsfs: writer background block commits in flight (0 = synchronous)")
+		rahead   = flag.Int("readahead", stream.DefaultReadahead, "bsfs: reader async prefetch window in blocks (0 = synchronous)")
+		wbehind  = flag.Int("write-behind", stream.DefaultWriteBehind, "bsfs: writer background block commits in flight (0 = synchronous)")
 		noCache  = flag.Bool("no-cache", false, "bsfs: disable the block cache and streaming pipeline (ablation)")
 	)
 	flag.Parse()

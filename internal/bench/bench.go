@@ -7,7 +7,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 
 	"blobseer/internal/blob"
@@ -34,6 +36,16 @@ type Series struct {
 	XLabel string
 	YLabel string
 	Points []Point
+}
+
+// WriteJSON writes a report (a BENCH_*.json file) to path, indented for
+// diffability.
+func WriteJSON(path string, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Table renders series side by side for terminal output.

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,15 +144,6 @@ func (r BlasterReport) Check() error {
 		return fmt.Errorf("blaster: error rate %.4f exceeds budget %.4f", r.ErrorRate, r.ErrorBudget)
 	}
 	return nil
-}
-
-// WriteJSON writes the report to path, indented for diffability.
-func (r BlasterReport) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // blasterMetrics is the pre-resolved instrument set all workers share.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -246,13 +245,4 @@ func CrashRecoveryBench(quick bool) (RecoveryBench, error) {
 		return r, fmt.Errorf("fsync arm: %w", err)
 	}
 	return r, nil
-}
-
-// WriteJSON writes the report to path, indented for diffability.
-func (r RecoveryBench) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

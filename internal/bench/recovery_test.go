@@ -58,7 +58,7 @@ func TestCrashRecoveryDirection(t *testing.T) {
 	}
 
 	// The report must serialize: it is the BENCH_recovery.json artifact.
-	if err := r.WriteJSON(filepath.Join(t.TempDir(), "BENCH_recovery.json")); err != nil {
+	if err := WriteJSON(filepath.Join(t.TempDir(), "BENCH_recovery.json"), r); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 }

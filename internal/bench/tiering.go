@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -222,13 +221,4 @@ func (r TieringBench) Check() error {
 		return fmt.Errorf("tiered hot-path throughput is %.2fx the plain fs backend, want >= 0.9", r.HotRatio)
 	}
 	return nil
-}
-
-// WriteJSON writes the report to path, indented for diffability.
-func (r TieringBench) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

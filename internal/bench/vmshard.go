@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -180,13 +179,4 @@ func VMShardScalingBench(quick bool) (VMShardBench, error) {
 		return r, fmt.Errorf("group-commit arm: %w", err)
 	}
 	return r, nil
-}
-
-// WriteJSON writes the report to path, indented for diffability.
-func (r VMShardBench) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -25,15 +25,6 @@ import (
 	"blobseer/internal/vmanager"
 )
 
-// Default streaming-pipeline windows (Section IV-B): how far a
-// sequential reader fetches ahead of the stream position, and how many
-// full-block commits a writer keeps in flight while the application
-// keeps writing. cluster.Config applies these when its knobs are zero.
-const (
-	DefaultReadaheadBlocks  = 2
-	DefaultWriteBehindDepth = 2
-)
-
 // Config configures a BSFS client.
 type Config struct {
 	Core        *core.Client

@@ -29,6 +29,7 @@ import (
 	"blobseer/internal/provider"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
+	"blobseer/internal/stream"
 	"blobseer/internal/trace"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
@@ -126,10 +127,10 @@ func (c *Config) fill() {
 		c.VMShards = 1
 	}
 	if c.ReadaheadBlocks == 0 {
-		c.ReadaheadBlocks = bsfs.DefaultReadaheadBlocks
+		c.ReadaheadBlocks = stream.DefaultReadahead
 	}
 	if c.WriteBehindDepth == 0 {
-		c.WriteBehindDepth = bsfs.DefaultWriteBehindDepth
+		c.WriteBehindDepth = stream.DefaultWriteBehind
 	}
 }
 

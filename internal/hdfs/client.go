@@ -5,13 +5,13 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"sync"
+	"sync/atomic"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/fs"
 	"blobseer/internal/provider"
 	"blobseer/internal/rpc"
+	"blobseer/internal/stream"
 )
 
 // datanodeKey names a chunk in a datanode's store. Datanodes reuse the
@@ -69,14 +69,40 @@ func newLease() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Create implements fs.FileSystem.
+// Create implements fs.FileSystem. The writer is the shared streaming
+// engine in its native-append mode, which is HDFS's DataStreamer: one
+// ordered commit worker (the namenode accepts CompleteBlock only for
+// the file's last block), block n+1 buffering while block n drains.
+// Each block costs the namenode two round trips — AddBlock for the
+// pipeline's targets, CompleteBlock to make the bytes visible — where
+// BSFS's allocation, version assignment and commit are spread over
+// three services; that centralisation is the point of the baseline.
 func (f *FS) Create(ctx context.Context, path string, overwrite bool) (fs.Writer, error) {
 	lease := newLease()
 	id, err := f.nn.Create(ctx, path, overwrite, lease)
 	if err != nil {
 		return nil, err
 	}
-	return &writer{fs: f, ctx: ctx, file: id, lease: lease}, nil
+	return &writer{
+		seal: func() error { return f.nn.CompleteFile(ctx, id, lease) },
+		Writer: stream.NewWriter(ctx, stream.WriterConfig{
+			BlockSize: f.cfg.BlockSize,
+			Depth:     stream.DefaultWriteBehind,
+			Start:     func(context.Context) (stream.StartState, error) { return stream.StartState{}, nil },
+			Append: func(ctx context.Context, data []byte) error {
+				bid, targets, err := f.nn.AddBlock(ctx, id, lease, f.cfg.Host, f.cfg.Replication)
+				if err != nil {
+					return err
+				}
+				// The replication pipeline: the client sends the block to the
+				// first datanode only, each datanode stores and forwards.
+				if err := f.dn.PutChained(ctx, targets, datanodeKey(bid), data, 0); err != nil {
+					return fmt.Errorf("hdfs: pipeline %v: %w", targets, err)
+				}
+				return f.nn.CompleteBlock(ctx, id, lease, bid, int64(len(data)))
+			},
+		}),
+	}, nil
 }
 
 // Append implements fs.FileSystem: HDFS 0.20 has no append — the gap
@@ -85,13 +111,44 @@ func (f *FS) Append(ctx context.Context, path string) (fs.Writer, error) {
 	return nil, fs.ErrNoAppend
 }
 
-// Open implements fs.FileSystem.
+// Open implements fs.FileSystem: the block list is fetched once from
+// the namenode, data reads go straight to the datanodes through the
+// shared engine's whole-block cache and readahead window. The file is
+// immutable once closed, so the list is the reader's snapshot.
 func (f *FS) Open(ctx context.Context, path string) (fs.Reader, error) {
 	blocks, size, err := f.nn.GetBlockLocations(ctx, path, 0, int64(1)<<62)
 	if err != nil {
 		return nil, err
 	}
-	return &reader{fs: f, ctx: ctx, blocks: blocks, size: size}, nil
+	return stream.NewReader(ctx, stream.ReaderConfig{
+		Size:      size,
+		BlockSize: f.cfg.BlockSize,
+		Readahead: stream.DefaultReadahead,
+		Fetch: func(ctx context.Context, off int64, p []byte) error {
+			// Every block but the last is full, so the offset names its block.
+			i := off / f.cfg.BlockSize
+			if i >= int64(len(blocks)) || off < blocks[i].Off || off+int64(len(p)) > blocks[i].Off+blocks[i].Len {
+				return fmt.Errorf("hdfs: no block covers [%d,+%d)", off, len(p))
+			}
+			return f.fetch(ctx, &blocks[i], off-blocks[i].Off, p)
+		},
+	}), nil
+}
+
+// fetch fills p from offset off of one block, straight off the
+// connection, trying the replicas in the namenode's order.
+func (f *FS) fetch(ctx context.Context, lb *LocatedBlock, off int64, p []byte) (err error) {
+	for _, addr := range lb.Locations {
+		var n int
+		n, err = f.dn.GetInto(ctx, addr, datanodeKey(lb.Block), off, p)
+		if err == nil && n < len(p) {
+			err = fmt.Errorf("short read of %d bytes from %s", n, addr)
+		}
+		if err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("hdfs: all replicas failed for block %d: %w", lb.Block, err)
 }
 
 // Stat implements fs.FileSystem.
@@ -130,211 +187,29 @@ func (f *FS) Locations(ctx context.Context, path string, off, length int64) ([]f
 	return out, nil
 }
 
-// writer streams a file block by block: buffer a chunk, ask the
-// namenode for a target (AddBlock), push it to the datanode pipeline,
-// commit the length (CompleteBlock) — HDFS's client-side buffering
-// described in Section II-B.
+// writer is the stream engine plus the one thing HDFS adds at the end
+// of a file: sealing it on the namenode.
 type writer struct {
-	fs    *FS
-	ctx   context.Context
-	file  FileID
-	lease string
-
-	mu     sync.Mutex
-	buf    []byte
-	closed bool
+	*stream.Writer
+	seal   func() error // CompleteFile, under the writer's context and lease
+	sealed atomic.Bool
 }
 
-// Write implements io.Writer.
-func (w *writer) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, fs.ErrWriterClosed
-	}
-	total := 0
-	for len(p) > 0 {
-		room := int(w.fs.cfg.BlockSize) - len(w.buf)
-		if room == 0 {
-			if err := w.lockedFlush(); err != nil {
-				return total, err
-			}
-			room = int(w.fs.cfg.BlockSize)
-		}
-		n := len(p)
-		if n > room {
-			n = room
-		}
-		w.buf = append(w.buf, p[:n]...)
-		p = p[n:]
-		total += n
-	}
-	if int64(len(w.buf)) == w.fs.cfg.BlockSize {
-		if err := w.lockedFlush(); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// lockedFlush commits the buffered block. On error the buffer is
-// restored, so a transient failure loses nothing and Close may retry.
-func (w *writer) lockedFlush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	data := w.buf
-	w.buf = nil
-	err := func() error {
-		bid, targets, err := w.fs.nn.AddBlock(w.ctx, w.file, w.lease, w.fs.cfg.Host, w.fs.cfg.Replication)
-		if err != nil {
-			return err
-		}
-		// Replication pipeline: HDFS forwards through the datanode chain;
-		// we model it as sequential stores in pipeline order.
-		for _, addr := range targets {
-			if err := w.fs.dn.Put(w.ctx, addr, datanodeKey(bid), data); err != nil {
-				return fmt.Errorf("hdfs: pipeline to %s: %w", addr, err)
-			}
-		}
-		return w.fs.nn.CompleteBlock(w.ctx, w.file, w.lease, bid, int64(len(data)))
-	}()
-	if err != nil {
-		w.buf = data
-	}
-	return err
-}
-
-// Close flushes the final block and seals the file (immutable).
-// Close flushes the buffered tail and seals the file. It only latches
-// the writer closed once both succeed: a failed Close keeps the state
-// and may be retried, and never reports a lost tail as durable.
+// Close drains the pipeline, commits the buffered tail and seals the
+// file (immutable from here on). Only a Close that did all three
+// latches: a failed one keeps the tail and may be retried, and never
+// reports a lost tail or an unsealed file as durable; a background
+// commit error, once latched by the engine, is what every Close reports.
 func (w *writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
+	if err := w.Writer.Close(); err != nil {
+		return err
+	}
+	if w.sealed.Load() {
 		return nil
 	}
-	if err := w.lockedFlush(); err != nil {
+	if err := w.seal(); err != nil {
 		return err
 	}
-	if err := w.fs.nn.CompleteFile(w.ctx, w.file, w.lease); err != nil {
-		return err
-	}
-	w.closed = true
-	return nil
-}
-
-// reader implements the HDFS read path: the block list is fetched once
-// from the namenode at open; data reads go straight to datanodes with
-// whole-block prefetching.
-type reader struct {
-	fs     *FS
-	ctx    context.Context
-	blocks []LocatedBlock
-	size   int64
-
-	mu       sync.Mutex
-	pos      int64
-	cacheOff int64
-	cache    []byte
-	closed   bool
-}
-
-// Read implements io.Reader.
-func (r *reader) Read(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, fs.ErrReaderClosed
-	}
-	if r.pos >= r.size {
-		return 0, io.EOF
-	}
-	want := int64(len(p))
-	if r.pos+want > r.size {
-		want = r.size - r.pos
-	}
-	n := 0
-	for want > 0 {
-		data, err := r.lockedFetch(r.pos)
-		if err != nil {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, err
-		}
-		c := copy(p[n:int64(n)+want], data)
-		n += c
-		r.pos += int64(c)
-		want -= int64(c)
-		if c == 0 {
-			break
-		}
-	}
-	return n, nil
-}
-
-func (r *reader) lockedFetch(off int64) ([]byte, error) {
-	// Locate the block containing off.
-	var lb *LocatedBlock
-	for i := range r.blocks {
-		if off >= r.blocks[i].Off && off < r.blocks[i].Off+r.blocks[i].Len {
-			lb = &r.blocks[i]
-			break
-		}
-	}
-	if lb == nil {
-		return nil, fmt.Errorf("hdfs: no block covers offset %d", off)
-	}
-	if r.cache == nil || r.cacheOff != lb.Off {
-		var data []byte
-		var err error
-		for _, addr := range lb.Locations {
-			data, err = r.fs.dn.Get(r.ctx, addr, datanodeKey(lb.Block), 0, lb.Len)
-			if err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hdfs: all replicas failed for block %d: %w", lb.Block, err)
-		}
-		r.cache = data
-		r.cacheOff = lb.Off
-	}
-	return r.cache[off-r.cacheOff:], nil
-}
-
-// Seek implements io.Seeker.
-func (r *reader) Seek(offset int64, whence int) (int64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return 0, fs.ErrReaderClosed
-	}
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = r.pos + offset
-	case io.SeekEnd:
-		abs = r.size + offset
-	default:
-		return 0, fmt.Errorf("hdfs: bad whence %d", whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("hdfs: negative seek position %d", abs)
-	}
-	r.pos = abs
-	return abs, nil
-}
-
-// Close implements io.Closer.
-func (r *reader) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	r.cache = nil
+	w.sealed.Store(true)
 	return nil
 }

@@ -2,10 +2,23 @@
 // faithful-in-shape reimplementation of the HDFS 0.20 storage model
 // (Section II-B). A centralized namenode keeps both the directory
 // structure and the chunk layout; datanodes store 64 MB blocks (they
-// reuse the provider daemon); files are single-writer, immutable once
+// are the provider daemon); files are single-writer, immutable once
 // closed, and — deliberately — there is NO append (Section V-F: "We
 // could not perform the same experiment for HDFS, since it does not
 // implement the append operation").
+//
+// The client moves bytes exactly as the BSFS client does, so that a
+// BSFS/HDFS ratio measures the designs: stream.Writer and stream.Reader
+// with HDFS's hooks, blocks sent once down the namenode's target list
+// as a chained put (the HDFS replication pipeline: each datanode stores
+// and forwards) and read with GetInto into the reader's recycled buffer,
+// namenode calls on recycled frames. Write-behind is ordered — one
+// commit worker, block n+1 buffering while block n drains — because the
+// namenode accepts CompleteBlock only for a file's last block. What is
+// deliberately still different is the paper's list: a central namenode
+// on every block allocation and completion, single-writer leases,
+// sticky-random placement, no versioning, no append. Known gap: the
+// datanode blocks of deleted or replaced files are never invalidated.
 package hdfs
 
 import (
@@ -65,9 +78,9 @@ func NewNamenode(blockSize int64, strategy placement.Strategy) *Namenode {
 		blockSize: blockSize,
 	}
 	n.ns = namespace.NewState(func(ctx context.Context, _ int64, _ int) (blob.ID, error) {
-		// The namespace creator runs under n.mu (callers hold it).
+		// The namespace creator runs under n.mu (callers hold it). It only
+		// numbers the file: Create records it once the tree has linked it.
 		n.nextFile++
-		n.files[n.nextFile] = &fileMeta{open: true}
 		return blob.ID(n.nextFile), nil
 	})
 	return n
@@ -98,31 +111,11 @@ func (n *Namenode) RegisterDatanode(addr, host string) {
 	n.byAddr[addr] = nd
 }
 
-// MarkDead removes a datanode from placement.
-func (n *Namenode) MarkDead(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if nd, ok := n.byAddr[addr]; ok {
-		nd.Alive = false
-	}
-}
-
 // Layout returns blocks-per-datanode counts (Figure 3(b) metric).
 func (n *Namenode) Layout() []int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return placement.Layout(n.nodes)
-}
-
-// Datanodes lists registered datanodes.
-func (n *Namenode) Datanodes() []placement.Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]placement.Node, len(n.nodes))
-	for i, nd := range n.nodes {
-		out[i] = *nd
-	}
-	return out
 }
 
 // Create registers a new file held by lease. Concurrent writers are
@@ -140,9 +133,18 @@ func (n *Namenode) Create(path string, overwrite bool, lease string) (FileID, er
 	if err != nil {
 		return 0, err
 	}
-	fid := FileID(id)
-	n.files[fid].lease = lease
-	return fid, nil
+	n.lockedForgetOrphans() // the file this one replaced
+	n.files[FileID(id)] = &fileMeta{open: true, lease: lease}
+	return FileID(id), nil
+}
+
+// lockedForgetOrphans drops the chunk layout of every file the
+// namespace tree unlinked since the last call (delete, overwrite), and
+// with it the tree's own list of them.
+func (n *Namenode) lockedForgetOrphans() {
+	for _, id := range n.ns.Orphaned() {
+		delete(n.files, FileID(id))
+	}
 }
 
 // AddBlock allocates the next chunk of an open file and picks its
@@ -307,13 +309,10 @@ func (n *Namenode) Mkdirs(path string) error {
 func (n *Namenode) Delete(path string, recursive bool) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	orphans, err := n.ns.Delete(path, recursive)
-	if err != nil {
+	if _, err := n.ns.Delete(path, recursive); err != nil {
 		return err
 	}
-	for _, id := range orphans {
-		delete(n.files, FileID(id))
-	}
+	n.lockedForgetOrphans()
 	return nil
 }
 

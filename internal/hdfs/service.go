@@ -22,7 +22,6 @@ const (
 	mMkdirs
 	mDelete
 	mRename
-	mMarkDead
 )
 
 // Service is the namenode RPC shell.
@@ -39,22 +38,21 @@ func (s *Service) Namenode() *Namenode { return s.nn }
 // Mux returns the dispatch table.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mRegisterDatanode, s.handleRegister)
-	m.Handle(mCreate, s.handleCreate)
-	m.Handle(mAddBlock, s.handleAddBlock)
-	m.Handle(mCompleteBlock, s.handleCompleteBlock)
-	m.Handle(mCompleteFile, s.handleCompleteFile)
-	m.Handle(mGetBlockLocations, s.handleGetBlockLocations)
-	m.Handle(mStat, s.handleStat)
-	m.Handle(mList, s.handleList)
-	m.Handle(mMkdirs, s.handleMkdirs)
-	m.Handle(mDelete, s.handleDelete)
-	m.Handle(mRename, s.handleRename)
-	m.Handle(mMarkDead, s.handleMarkDead)
+	m.HandleFrame(mRegisterDatanode, s.handleRegister)
+	m.HandleFrame(mCreate, s.handleCreate)
+	m.HandleFrame(mAddBlock, s.handleAddBlock)
+	m.HandleFrame(mCompleteBlock, s.handleCompleteBlock)
+	m.HandleFrame(mCompleteFile, s.handleCompleteFile)
+	m.HandleFrame(mGetBlockLocations, s.handleGetBlockLocations)
+	m.HandleFrame(mStat, s.handleStat)
+	m.HandleFrame(mList, s.handleList)
+	m.HandleFrame(mMkdirs, s.handleMkdirs)
+	m.HandleFrame(mDelete, s.handleDelete)
+	m.HandleFrame(mRename, s.handleRename)
 	return m
 }
 
-func (s *Service) handleRegister(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleRegister(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	addr, host := r.String(), r.String()
 	if err := r.Err(); err != nil {
@@ -64,17 +62,7 @@ func (s *Service) handleRegister(ctx context.Context, p []byte) ([]byte, error) 
 	return nil, nil
 }
 
-func (s *Service) handleMarkDead(ctx context.Context, p []byte) ([]byte, error) {
-	r := wire.NewReader(p)
-	addr := r.String()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	s.nn.MarkDead(addr)
-	return nil, nil
-}
-
-func (s *Service) handleCreate(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	overwrite := r.Bool()
@@ -86,12 +74,12 @@ func (s *Service) handleCreate(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(uint64(id))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleAddBlock(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleAddBlock(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := FileID(r.U64())
 	lease := r.String()
@@ -104,13 +92,13 @@ func (s *Service) handleAddBlock(ctx context.Context, p []byte) ([]byte, error) 
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(32)
+	b := rpc.NewFrame(32)
 	b.U64(uint64(bid))
 	b.StringSlice(addrs)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleCompleteBlock(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleCompleteBlock(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := FileID(r.U64())
 	lease := r.String()
@@ -122,7 +110,7 @@ func (s *Service) handleCompleteBlock(ctx context.Context, p []byte) ([]byte, er
 	return nil, fs.WrapErr(s.nn.CompleteBlock(id, lease, bid, length))
 }
 
-func (s *Service) handleCompleteFile(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleCompleteFile(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := FileID(r.U64())
 	lease := r.String()
@@ -132,7 +120,7 @@ func (s *Service) handleCompleteFile(ctx context.Context, p []byte) ([]byte, err
 	return nil, fs.WrapErr(s.nn.CompleteFile(id, lease))
 }
 
-func (s *Service) handleGetBlockLocations(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleGetBlockLocations(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	off, length := r.I64(), r.I64()
@@ -143,7 +131,7 @@ func (s *Service) handleGetBlockLocations(ctx context.Context, p []byte) ([]byte
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.I64(size)
 	b.U32(uint32(len(blocks)))
 	for _, lb := range blocks {
@@ -153,7 +141,7 @@ func (s *Service) handleGetBlockLocations(ctx context.Context, p []byte) ([]byte
 		b.StringSlice(lb.Locations)
 		b.StringSlice(lb.Hosts)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 func encodeStatus(b *wire.Buffer, st fs.FileStatus) {
@@ -166,7 +154,7 @@ func decodeStatus(r *wire.Reader) fs.FileStatus {
 	return fs.FileStatus{Path: r.String(), Size: r.I64(), IsDir: r.Bool()}
 }
 
-func (s *Service) handleStat(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleStat(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -176,12 +164,12 @@ func (s *Service) handleStat(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(32)
+	b := rpc.NewFrame(32)
 	encodeStatus(b, st)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleList(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -191,15 +179,15 @@ func (s *Service) handleList(ctx context.Context, p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.U32(uint32(len(sts)))
 	for _, st := range sts {
 		encodeStatus(b, st)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handleMkdirs(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleMkdirs(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	if err := r.Err(); err != nil {
@@ -208,7 +196,7 @@ func (s *Service) handleMkdirs(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, fs.WrapErr(s.nn.Mkdirs(path))
 }
 
-func (s *Service) handleDelete(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleDelete(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	path := r.String()
 	recursive := r.Bool()
@@ -218,7 +206,7 @@ func (s *Service) handleDelete(ctx context.Context, p []byte) ([]byte, error) {
 	return nil, fs.WrapErr(s.nn.Delete(path, recursive))
 }
 
-func (s *Service) handleRename(ctx context.Context, p []byte) ([]byte, error) {
+func (s *Service) handleRename(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	src, dst := r.String(), r.String()
 	if err := r.Err(); err != nil {
@@ -238,19 +226,15 @@ func NewNNClient(pool *rpc.Pool, addr string) *NNClient {
 	return &NNClient{pool: pool, addr: addr}
 }
 
-func (c *NNClient) call(ctx context.Context, m uint16, payload []byte) ([]byte, error) {
-	cl, err := c.pool.Get(c.addr)
-	if err != nil {
-		return nil, err
+// call issues one RPC (see rpc.Pool.Call for enc and dec). One attempt:
+// the namenode keeps no log to come back from, and Create and AddBlock
+// are not idempotent.
+func (c *NNClient) call(ctx context.Context, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
+	err := c.pool.Call(ctx, rpc.Backoff{}, c.addr, m, size, enc, dec)
+	if rpc.CodeOf(err) == CodeNoProviders {
+		return placement.ErrNoProviders
 	}
-	resp, err := cl.Call(ctx, m, payload)
-	if err != nil {
-		if rpc.CodeOf(err) == CodeNoProviders {
-			return nil, placement.ErrNoProviders
-		}
-		return nil, fs.UnwrapErr(err)
-	}
-	return resp, nil
+	return fs.UnwrapErr(err)
 }
 
 // CodeNoProviders mirrors pmanager's code for a full cluster outage.
@@ -258,151 +242,130 @@ const CodeNoProviders uint16 = 30
 
 // Register announces a datanode.
 func (c *NNClient) Register(ctx context.Context, addr, host string) error {
-	b := wire.NewBuffer(16)
-	b.String(addr)
-	b.String(host)
-	_, err := c.call(ctx, mRegisterDatanode, b.Bytes())
-	return err
-}
-
-// MarkDead removes a datanode.
-func (c *NNClient) MarkDead(ctx context.Context, addr string) error {
-	b := wire.NewBuffer(16)
-	b.String(addr)
-	_, err := c.call(ctx, mMarkDead, b.Bytes())
-	return err
+	return c.call(ctx, mRegisterDatanode, 16+len(addr)+len(host), func(b *wire.Buffer) {
+		b.String(addr)
+		b.String(host)
+	}, nil)
 }
 
 // Create registers a new single-writer file.
-func (c *NNClient) Create(ctx context.Context, path string, overwrite bool, lease string) (FileID, error) {
-	b := wire.NewBuffer(32)
-	b.String(path)
-	b.Bool(overwrite)
-	b.String(lease)
-	resp, err := c.call(ctx, mCreate, b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	id := FileID(r.U64())
-	return id, r.Err()
+func (c *NNClient) Create(ctx context.Context, path string, overwrite bool, lease string) (id FileID, err error) {
+	err = c.call(ctx, mCreate, 32+len(path), func(b *wire.Buffer) {
+		b.String(path)
+		b.Bool(overwrite)
+		b.String(lease)
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		id = FileID(r.U64())
+		return r.Err()
+	})
+	return id, err
 }
 
 // AddBlock allocates the file's next chunk.
-func (c *NNClient) AddBlock(ctx context.Context, id FileID, lease, clientHost string, replicas int) (BlockID, []string, error) {
-	b := wire.NewBuffer(32)
-	b.U64(uint64(id))
-	b.String(lease)
-	b.String(clientHost)
-	b.U32(uint32(replicas))
-	resp, err := c.call(ctx, mAddBlock, b.Bytes())
-	if err != nil {
-		return 0, nil, err
-	}
-	r := wire.NewReader(resp)
-	bid := BlockID(r.U64())
-	addrs := r.StringSlice()
-	return bid, addrs, r.Err()
+func (c *NNClient) AddBlock(ctx context.Context, id FileID, lease, clientHost string, replicas int) (bid BlockID, addrs []string, err error) {
+	err = c.call(ctx, mAddBlock, 40+len(clientHost), func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		b.String(lease)
+		b.String(clientHost)
+		b.U32(uint32(replicas))
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		bid = BlockID(r.U64())
+		addrs = r.StringSlice()
+		return r.Err()
+	})
+	return bid, addrs, err
 }
 
 // CompleteBlock commits the last block's length.
 func (c *NNClient) CompleteBlock(ctx context.Context, id FileID, lease string, bid BlockID, length int64) error {
-	b := wire.NewBuffer(40)
-	b.U64(uint64(id))
-	b.String(lease)
-	b.U64(uint64(bid))
-	b.I64(length)
-	_, err := c.call(ctx, mCompleteBlock, b.Bytes())
-	return err
+	return c.call(ctx, mCompleteBlock, 48, func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		b.String(lease)
+		b.U64(uint64(bid))
+		b.I64(length)
+	}, nil)
 }
 
 // CompleteFile closes the file.
 func (c *NNClient) CompleteFile(ctx context.Context, id FileID, lease string) error {
-	b := wire.NewBuffer(24)
-	b.U64(uint64(id))
-	b.String(lease)
-	_, err := c.call(ctx, mCompleteFile, b.Bytes())
-	return err
+	return c.call(ctx, mCompleteFile, 32, func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		b.String(lease)
+	}, nil)
 }
 
 // GetBlockLocations fetches the chunks overlapping a range.
-func (c *NNClient) GetBlockLocations(ctx context.Context, path string, off, length int64) ([]LocatedBlock, int64, error) {
-	b := wire.NewBuffer(32)
-	b.String(path)
-	b.I64(off)
-	b.I64(length)
-	resp, err := c.call(ctx, mGetBlockLocations, b.Bytes())
-	if err != nil {
-		return nil, 0, err
-	}
-	r := wire.NewReader(resp)
-	size := r.I64()
-	n := r.U32()
-	blocks := make([]LocatedBlock, 0, n)
-	for i := uint32(0); i < n; i++ {
-		blocks = append(blocks, LocatedBlock{
-			Block:     BlockID(r.U64()),
-			Off:       r.I64(),
-			Len:       r.I64(),
-			Locations: r.StringSlice(),
-			Hosts:     r.StringSlice(),
-		})
-	}
-	return blocks, size, r.Err()
+func (c *NNClient) GetBlockLocations(ctx context.Context, path string, off, length int64) (blocks []LocatedBlock, size int64, err error) {
+	err = c.call(ctx, mGetBlockLocations, 24+len(path), func(b *wire.Buffer) {
+		b.String(path)
+		b.I64(off)
+		b.I64(length)
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		size = r.I64()
+		n := r.U32()
+		blocks = make([]LocatedBlock, 0, min(n, uint32(r.Remaining())))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			blocks = append(blocks, LocatedBlock{
+				Block:     BlockID(r.U64()),
+				Off:       r.I64(),
+				Len:       r.I64(),
+				Locations: r.StringSlice(),
+				Hosts:     r.StringSlice(),
+			})
+		}
+		return r.Err()
+	})
+	return blocks, size, err
+}
+
+// pathCall issues an RPC whose request is one path, plus what enc adds.
+func (c *NNClient) pathCall(ctx context.Context, m uint16, path string, enc func(*wire.Buffer), dec func([]byte) error) error {
+	return c.call(ctx, m, 16+len(path), func(b *wire.Buffer) {
+		b.String(path)
+		if enc != nil {
+			enc(b)
+		}
+	}, dec)
 }
 
 // Stat describes a path.
-func (c *NNClient) Stat(ctx context.Context, path string) (fs.FileStatus, error) {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	resp, err := c.call(ctx, mStat, b.Bytes())
-	if err != nil {
-		return fs.FileStatus{}, err
-	}
-	r := wire.NewReader(resp)
-	st := decodeStatus(r)
-	return st, r.Err()
+func (c *NNClient) Stat(ctx context.Context, path string) (st fs.FileStatus, err error) {
+	err = c.pathCall(ctx, mStat, path, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		st = decodeStatus(r)
+		return r.Err()
+	})
+	return st, err
 }
 
 // List enumerates a directory.
-func (c *NNClient) List(ctx context.Context, path string) ([]fs.FileStatus, error) {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	resp, err := c.call(ctx, mList, b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	out := make([]fs.FileStatus, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, decodeStatus(r))
-	}
-	return out, r.Err()
+func (c *NNClient) List(ctx context.Context, path string) (out []fs.FileStatus, err error) {
+	err = c.pathCall(ctx, mList, path, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		out = make([]fs.FileStatus, 0, min(n, uint32(r.Remaining())))
+		for i := uint32(0); i < n && r.Err() == nil; i++ {
+			out = append(out, decodeStatus(r))
+		}
+		return r.Err()
+	})
+	return out, err
 }
 
 // Mkdirs creates directories.
 func (c *NNClient) Mkdirs(ctx context.Context, path string) error {
-	b := wire.NewBuffer(16)
-	b.String(path)
-	_, err := c.call(ctx, mMkdirs, b.Bytes())
-	return err
+	return c.pathCall(ctx, mMkdirs, path, nil, nil)
 }
 
 // Delete unlinks a path.
 func (c *NNClient) Delete(ctx context.Context, path string, recursive bool) error {
-	b := wire.NewBuffer(20)
-	b.String(path)
-	b.Bool(recursive)
-	_, err := c.call(ctx, mDelete, b.Bytes())
-	return err
+	return c.pathCall(ctx, mDelete, path, func(b *wire.Buffer) { b.Bool(recursive) }, nil)
 }
 
 // Rename moves a path.
 func (c *NNClient) Rename(ctx context.Context, src, dst string) error {
-	b := wire.NewBuffer(32)
-	b.String(src)
-	b.String(dst)
-	_, err := c.call(ctx, mRename, b.Bytes())
-	return err
+	return c.pathCall(ctx, mRename, src, func(b *wire.Buffer) { b.String(dst) }, nil)
 }

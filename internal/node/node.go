@@ -166,16 +166,14 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		if n.store, err = store.Open(cmp.Or(cfg.StoreURL, "mem://")); err != nil {
 			return nil, nil, fmt.Errorf("open store: %w", err)
 		}
-		switch cfg.Role {
-		case Meta:
+		if cfg.Role == Meta {
 			n.Meta = dht.NewMetaService(n.store)
 			n.reg = n.Meta.Metrics()
 			return n.Meta.Mux(), dht.MethodName, nil
-		case Provider: // providers forward chain frames to downstream replicas
-			n.Prov = provider.NewService(n.store, provider.WithForwarder(cfg.Pool))
-		default:
-			n.Prov = provider.NewService(n.store)
 		}
+		// Providers and datanodes forward chain frames to the replicas
+		// downstream of them: BlobSeer's chain and HDFS's pipeline.
+		n.Prov = provider.NewService(n.store, provider.WithForwarder(cfg.Pool))
 		n.reg = n.Prov.Metrics()
 		return n.Prov.Mux(), provider.MethodName, nil
 

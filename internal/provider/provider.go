@@ -54,6 +54,7 @@
 package provider
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -773,15 +774,10 @@ func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data [
 	return err
 }
 
-// call sends a small request to addr; the response is the caller's.
-func (c *Client) call(ctx context.Context, addr string, method uint16, b *wire.Buffer) (*wire.Reader, error) {
-	cl, err := c.pool.Get(addr)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cl.Call(ctx, method, b.Bytes())
-	return wire.NewReader(resp), err
-}
+// oneAttempt is the schedule of the small calls (Has, Delete, Stat, ...),
+// which go through rpc.Pool.Call on recycled frames: like the data path
+// they are not retried here, their callers own replica failover.
+var oneAttempt = rpc.Backoff{}
 
 // callFrame sends the request encoded in f to addr over the data path:
 // f is rpc's from here on, the response goes back to wire.PutBuf. Of a
@@ -855,15 +851,17 @@ func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockK
 // Get fetches length bytes at off within the block (length < 0 means
 // "to the end").
 func (c *Client) Get(ctx context.Context, addr string, key blob.BlockKey, off, length int64) ([]byte, error) {
-	b := wire.NewBuffer(36)
-	encodeKey(b, key)
-	b.I64(off)
-	b.I64(length)
-	r, err := c.call(ctx, addr, mGetBlock, b)
+	f := rpc.NewFrame(36)
+	encodeKey(f, key)
+	f.I64(off)
+	f.I64(length)
+	resp, _, err := c.callFrame(ctx, addr, mGetBlock, f, nil)
 	if err != nil {
 		return nil, err
 	}
-	data := r.Bytes32()
+	defer wire.PutBuf(resp)
+	r := wire.NewReader(resp)
+	data := bytes.Clone(r.Bytes32()) // the response is recycled, the result is the caller's
 	return data, r.Err()
 }
 
@@ -888,80 +886,72 @@ func (c *Client) GetInto(ctx context.Context, addr string, key blob.BlockKey, of
 }
 
 // Has reports whether the provider stores the block.
-func (c *Client) Has(ctx context.Context, addr string, key blob.BlockKey) (bool, error) {
-	b := wire.NewBuffer(20)
-	encodeKey(b, key)
-	r, err := c.call(ctx, addr, mHasBlock, b)
-	if err != nil {
-		return false, err
-	}
-	v := r.Bool()
-	return v, r.Err()
+func (c *Client) Has(ctx context.Context, addr string, key blob.BlockKey) (has bool, err error) {
+	err = c.pool.Call(ctx, oneAttempt, addr, mHasBlock, 20, func(b *wire.Buffer) { encodeKey(b, key) }, func(p []byte) error {
+		r := wire.NewReader(p)
+		has = r.Bool()
+		return r.Err()
+	})
+	return has, err
 }
 
 // DeleteWrite garbage-collects every block a write operation stored on
 // the provider (identified by blob + nonce), returning the count.
-func (c *Client) DeleteWrite(ctx context.Context, addr string, id blob.ID, nonce uint64) (int, error) {
-	b := wire.NewBuffer(16)
-	b.U64(uint64(id))
-	b.U64(nonce)
-	r, err := c.call(ctx, addr, mDeleteWrite, b)
-	if err != nil {
-		return 0, err
-	}
-	n := int(r.U32())
-	return n, r.Err()
+func (c *Client) DeleteWrite(ctx context.Context, addr string, id blob.ID, nonce uint64) (n int, err error) {
+	err = c.pool.Call(ctx, oneAttempt, addr, mDeleteWrite, 16, func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		b.U64(nonce)
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		n = int(r.U32())
+		return r.Err()
+	})
+	return n, err
 }
 
 // Delete removes one block (version garbage collection; deleting an
 // absent block is not an error).
 func (c *Client) Delete(ctx context.Context, addr string, key blob.BlockKey) error {
-	b := wire.NewBuffer(20)
-	encodeKey(b, key)
-	_, err := c.call(ctx, addr, mDeleteBlock, b)
-	return err
+	return c.pool.Call(ctx, oneAttempt, addr, mDeleteBlock, 20, func(b *wire.Buffer) { encodeKey(b, key) }, nil)
 }
 
 // BlockReport enumerates the block keys the provider at addr holds
 // under prefix ("" reports every block). This is the repair plane's
 // inventory call: what a provider *actually* stores, not what was once
 // allocated to it.
-func (c *Client) BlockReport(ctx context.Context, addr, prefix string) ([]blob.BlockKey, error) {
-	b := wire.NewBuffer(8 + len(prefix))
-	b.String(prefix)
-	r, err := c.call(ctx, addr, mBlockReport, b)
-	if err != nil {
-		return nil, err
-	}
-	n := r.U32()
-	if r.Err() != nil || int(n) > r.Remaining()/20+1 { // each key is 20 bytes
-		return nil, fmt.Errorf("provider: malformed block report from %s", addr)
-	}
-	out := make([]blob.BlockKey, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, decodeKey(r))
-	}
-	return out, r.Err()
+func (c *Client) BlockReport(ctx context.Context, addr, prefix string) (out []blob.BlockKey, err error) {
+	err = c.pool.Call(ctx, oneAttempt, addr, mBlockReport, 8+len(prefix), func(b *wire.Buffer) { b.String(prefix) }, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		if r.Err() != nil || int(n) > r.Remaining()/20+1 { // each key is 20 bytes
+			return fmt.Errorf("provider: malformed block report from %s", addr)
+		}
+		out = make([]blob.BlockKey, 0, n)
+		for i := uint32(0); i < n; i++ {
+			out = append(out, decodeKey(r))
+		}
+		return r.Err()
+	})
+	return out, err
 }
 
 // Replicate asks the provider at addr to push its copy of the block to
 // the target providers over the chained data plane. The call returns
 // once every target holds the block.
 func (c *Client) Replicate(ctx context.Context, addr string, key blob.BlockKey, targets []string) error {
-	b := wire.NewBuffer(32)
-	encodeKey(b, key)
-	b.StringSlice(targets)
-	_, err := c.call(ctx, addr, mReplicate, b)
-	return err
+	return c.pool.Call(ctx, oneAttempt, addr, mReplicate, 32, func(b *wire.Buffer) {
+		encodeKey(b, key)
+		b.StringSlice(targets)
+	}, nil)
 }
 
 // Stat returns the provider's storage statistics.
-func (c *Client) Stat(ctx context.Context, addr string) (store.Stats, error) {
-	r, err := c.call(ctx, addr, mStat, &wire.Buffer{})
-	if err != nil {
-		return store.Stats{}, err
-	}
-	st := store.Stats{Items: r.I64(), Bytes: r.I64()}
-	st.Tiers = store.DecodeTiers(r)
-	return st, r.Err()
+func (c *Client) Stat(ctx context.Context, addr string) (st store.Stats, err error) {
+	err = c.pool.Call(ctx, oneAttempt, addr, mStat, 0, nil, func(p []byte) error {
+		r := wire.NewReader(p)
+		st = store.Stats{Items: r.I64(), Bytes: r.I64()}
+		st.Tiers = store.DecodeTiers(r)
+		return r.Err()
+	})
+	return st, err
 }

@@ -8,6 +8,15 @@ import (
 	"blobseer/internal/wire"
 )
 
+// Default pipeline windows (Section IV-B), shared by every file system
+// built on this engine: how many blocks a sequential reader fetches
+// ahead of the stream position, and how many full-block commits a
+// writer keeps in flight while the application keeps writing.
+const (
+	DefaultReadahead   = 2
+	DefaultWriteBehind = 2
+)
+
 // StartState is the write mode a Writer resolves on its first flush.
 type StartState struct {
 	// OffsetMode streams commit at self-tracked offsets (create-mode

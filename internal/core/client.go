@@ -18,6 +18,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -606,9 +608,11 @@ func (s *Snapshot) resolve(ctx context.Context, r blob.Range) ([]mdtree.Extent, 
 // readInto resolves [off, off+len(dst)) of the snapshot into extents and
 // fetches each extent's bytes directly into the matching subslice of
 // dst — the zero-copy core of Snapshot.ReadAt: no whole-range
-// intermediate buffer exists at any point. Holes and the zero tails of
-// short blocks are cleared explicitly (dst may be a reused buffer
-// holding stale bytes). The requested range must lie inside the
+// intermediate buffer exists at any point. The extents whose first
+// replica is the same provider ride one call (one round trip per
+// provider, not per block), the providers in parallel. Holes and the
+// zero tails of short blocks are cleared explicitly (dst may be a reused
+// buffer holding stale bytes). The requested range must lie inside the
 // snapshot.
 func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	c := s.b.c
@@ -620,47 +624,129 @@ func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	fill := func(ctx context.Context, e mdtree.Extent) error {
+	if len(extents) == 1 { // the common small read: one call, no grouping, no fan-out machinery
+		var one [1]fetch
+		if fs := c.fetches(ctx, one[:0], extents, off, dst); len(fs) == 1 {
+			return c.fetchGroup(ctx, fs)
+		}
+		return nil
+	}
+	fs := c.fetches(ctx, make([]fetch, 0, len(extents)), extents, off, dst)
+	// Stable, so a provider serves its ranges in file order.
+	slices.SortStableFunc(fs, func(a, b fetch) int { return strings.Compare(a.addr(), b.addr()) })
+	providers := 0
+	for i := 0; i < len(fs); i = runEnd(fs, i) {
+		providers++
+	}
+	if providers == 1 {
+		return c.fetchGroup(ctx, fs)
+	}
+	return util.Windowed(providers, fetchConcurrency, func(g int) error {
+		lo := 0
+		for ; g > 0; g-- {
+			lo = runEnd(fs, lo)
+		}
+		return c.fetchGroup(ctx, fs[lo:runEnd(fs, lo)])
+	})
+}
+
+// runEnd returns where the run of fetches that starts at fs[i], all
+// trying the same replica first, ends.
+func runEnd(fs []fetch, i int) int {
+	j := i + 1
+	for j < len(fs) && fs[j].addr() == fs[i].addr() {
+		j++
+	}
+	return j
+}
+
+// fetch is one data extent of a read: where its bytes go, and the
+// replica tried first.
+type fetch struct {
+	e     *mdtree.Extent
+	dst   []byte
+	first int // index into e.Block.Providers
+}
+
+func (f fetch) addr() string { return f.e.Block.Providers[f.first] }
+
+// fetches appends to fs the data extents of a read of dst at off and
+// clears dst where the extents are holes.
+func (c *Client) fetches(ctx context.Context, fs []fetch, extents []mdtree.Extent, off int64, dst []byte) []fetch {
+	for i := range extents {
+		e := &extents[i]
 		sub := dst[e.FileOff-off : e.FileOff-off+e.Len]
 		if !e.HasData || len(e.Block.Providers) == 0 {
 			clear(sub) // hole or repaired-abort leaf reads as zeros
-			return nil
+			continue
 		}
-		n, err := c.fetchExtentInto(ctx, e, sub)
-		if err != nil {
-			return err
-		}
-		clear(sub[n:]) // bytes past the stored block length read as zeros
-		return nil
+		fs = append(fs, fetch{e: e, dst: sub, first: c.firstReplica(ctx, e.Block.Providers)})
 	}
-	if len(extents) == 1 {
-		return fill(ctx, extents[0]) // the common small read: no fan-out machinery
-	}
-	return util.Windowed(len(extents), fetchConcurrency, func(i int) error { return fill(ctx, extents[i]) })
+	return fs
 }
 
-// fetchExtentInto reads one extent into dst, returning the byte count
-// stored (a block shorter than the request leaves a zero tail for the
-// caller to clear). A replica co-hosted with the client is tried first
-// (Map/Reduce schedules tasks onto replica hosts expecting a local
-// read); otherwise the starting replica rotates so concurrent readers
-// spread load across the replica set instead of serializing on the
-// first address. Either way the remaining replicas serve as failover,
-// and once the original replica set is exhausted the location overlay
-// is consulted for repair copies. Providers that failed at the
-// transport level are reported to the provider manager.
-func (c *Client) fetchExtentInto(ctx context.Context, e mdtree.Extent, dst []byte) (int, error) {
-	n := len(e.Block.Providers)
-	start := c.localReplicaIndex(ctx, e.Block.Providers)
-	if start < 0 {
-		start = 0
-		if n > 1 {
-			start = int(c.readRR.Add(1) % uint64(n))
-		}
+// firstReplica picks the replica a read of a block tries first: the one
+// co-hosted with the client (Map/Reduce schedules tasks onto replica
+// hosts expecting a local read), otherwise the next in a rotation, so
+// that concurrent readers spread load across the replica set instead of
+// serializing on the first address.
+func (c *Client) firstReplica(ctx context.Context, replicas []string) int {
+	if i := c.localReplicaIndex(ctx, replicas); i >= 0 {
+		return i
 	}
-	var lastErr error
-	for i := 0; i < n; i++ {
-		addr := e.Block.Providers[(start+i)%n]
+	if n := len(replicas); n > 1 {
+		return int(c.readRR.Add(1) % uint64(n))
+	}
+	return 0
+}
+
+// fetchGroup reads extents that try the same provider first with one
+// call to it; if that call fails, each extent fails over on its own.
+func (c *Client) fetchGroup(ctx context.Context, fs []fetch) error {
+	var vec [16]provider.Range // on the stack: one per block of a 1 MB read of 64 KB blocks
+	rs := vec[:0]
+	for _, f := range fs {
+		rs = append(rs, provider.Range{Key: f.e.Block.Key, Off: f.e.DataOff, Dst: f.dst})
+	}
+	addr := fs[0].addr()
+	err := c.prov.GetRanges(ctx, addr, rs)
+	if err != nil {
+		c.reportDead(addr, err)
+	}
+	for i, f := range fs {
+		n := rs[i].N
+		if err != nil {
+			// A provider that answered may hold this block even though it
+			// lacks another of the group's: ask it again, alone.
+			askFirst := len(fs) > 1 && !rpc.TransportFailure(err)
+			var ferr error
+			if n, ferr = c.fetchExtentInto(ctx, f, err, askFirst); ferr != nil {
+				return ferr
+			}
+		}
+		clear(f.dst[n:]) // bytes past the stored block length read as zeros
+	}
+	return nil
+}
+
+// fetchExtentInto is one extent's failover after the call to its first
+// replica failed with firstErr: it reads the extent into f.dst from the
+// other replicas in rotation order (then the first one again, when
+// askFirst), and once the original replica set is exhausted from the
+// repair copies the location overlay knows of. It returns the byte count
+// stored (a block shorter than the request leaves a zero tail for the
+// caller to clear). Providers that failed at the transport level are
+// reported to the provider manager.
+func (c *Client) fetchExtentInto(ctx context.Context, f fetch, firstErr error, askFirst bool) (int, error) {
+	e, dst := f.e, f.dst
+	n := len(e.Block.Providers)
+	tries := n - 1
+	if askFirst {
+		tries = n
+	}
+	lastErr := firstErr
+	for i := 1; i <= tries; i++ {
+		addr := e.Block.Providers[(f.first+i)%n]
 		got, err := c.prov.GetInto(ctx, addr, e.Block.Key, e.DataOff, dst)
 		if err == nil {
 			return got, nil

@@ -8,6 +8,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/cluster"
 	"blobseer/internal/mdtree"
+	"blobseer/internal/placement"
 	"blobseer/internal/util"
 )
 
@@ -190,6 +191,51 @@ func TestReadRotationSurvivesAlternatingLoss(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("read %d returned wrong bytes", i)
 		}
+	}
+}
+
+// TestDeadProviderFailsOverPerExtent: at replication 2, a provider killed
+// under a multi-block read fails the one call that asked it for all of
+// its blocks; each of those blocks is then read from its other replica,
+// the read returns the written bytes, and the dead provider is reported
+// once — not once per block it held.
+func TestDeadProviderFailsOverPerExtent(t *testing.T) {
+	const block = int64(4 * util.KB)
+	cl, err := cluster.StartBlobSeer(cluster.Config{
+		DataProviders: 4,
+		MetaProviders: 2,
+		BlockSize:     block,
+		Replication:   2,
+		Strategy:      placement.NewRoundRobin(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+	c := cl.NewClient("")
+	m, err := c.Create(ctx, block, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 16*block)
+	for i := range payload {
+		payload[i] = byte(i*13 + i/int(block))
+	}
+	v, err := appendBlob(ctx, c, m.ID, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.KillProvider(cl.ProviderAddrs[1])
+	got, err := readBlob(ctx, c, m.ID, v, 0, int64(len(payload)))
+	if err != nil {
+		t.Fatalf("read with one of two replicas dead: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("failover read returned wrong bytes")
+	}
+	if sent, dropped := c.DeadReports(), c.DeadReportsSuppressed(); sent != 1 || dropped != 0 {
+		t.Errorf("the dead provider was reported %d times (and %d more suppressed), want once", sent, dropped)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"blobseer/internal/fs"
 	"blobseer/internal/hdfs"
 	"blobseer/internal/placement"
+	"blobseer/internal/rpc"
 	"blobseer/internal/util"
 )
 
@@ -238,6 +239,37 @@ func TestLocationsForScheduling(t *testing.T) {
 		if l.Off != int64(i)*B || len(l.Hosts) != 1 || l.Hosts[0] == "" {
 			t.Errorf("loc %d = %+v", i, l)
 		}
+	}
+}
+
+// TestNoDatanodesIsErrNoProviders: a namenode with no live datanode
+// refuses a block with placement.ErrNoProviders, which a BSFS write meets
+// in the same situation, not with an anonymous remote error.
+func TestNoDatanodesIsErrNoProviders(t *testing.T) {
+	n := rpc.NewInprocNetwork()
+	lis, err := n.Listen("namenode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer(hdfs.NewService(hdfs.NewNamenode(B, placement.NewRoundRobin())).Mux())
+	go srv.Serve(lis)
+	defer srv.Close()
+	pool := rpc.NewPool(n.Dial)
+	defer pool.Close()
+	f, err := hdfs.New(hdfs.Config{Pool: pool, NNAddr: "namenode", BlockSize: B})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := f.Create(context.Background(), "/nowhere", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Write(pattern('n', B))
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if !errors.Is(err, placement.ErrNoProviders) {
+		t.Fatalf("a write with no datanodes = %v, want placement.ErrNoProviders", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"context"
+	"errors"
 
 	"blobseer/internal/fs"
 	"blobseer/internal/placement"
@@ -89,6 +90,9 @@ func (s *Service) handleAddBlock(ctx context.Context, p []byte) (*wire.Buffer, e
 		return nil, err
 	}
 	bid, addrs, err := s.nn.AddBlock(id, lease, clientHost, replicas)
+	if errors.Is(err, placement.ErrNoProviders) {
+		return nil, rpc.CodedError(CodeNoProviders, err.Error())
+	}
 	if err != nil {
 		return nil, fs.WrapErr(err)
 	}

@@ -20,7 +20,8 @@
 // blob u64 | nonce u64 | seq u32. The methods:
 //
 //	1 mPutBlock     request:  key | data bytes32                 response: empty
-//	2 mGetBlock     request:  key | off i64 | len i64            response: data bytes32 (or status CodeNotFound)
+//	2 mGetBlock     request:  (key | off i64 | len i64)+         response: count u32 per range, then that many
+//	                                                                       bytes per range (or status CodeNotFound)
 //	3 mHasBlock     request:  key                                response: present bool
 //	4 mDeleteWrite  request:  blob u64 | nonce u64               response: deleted u32
 //	5 mDeleteBlock  request:  key                                response: empty
@@ -295,45 +296,82 @@ func (s *Service) handlePut(ctx context.Context, payload []byte) ([]byte, error)
 	return nil, nil
 }
 
-// handleGet never copies the requested bytes into a slice of their own:
-// a store that lends sends its own bytes as the response frame's tail,
-// any other reads straight into the frame.
+// rangeSize is the encoded size of one range of an mGetBlock request.
+const rangeSize = 20 + 8 + 8
+
+// maxGetBody bounds an mGetBlock response body, counts and pieces: it
+// must fit one frame with its rpc headers.
+const maxGetBody = wire.MaxFrameSize - 64
+
+// decodeRange reads one range of an mGetBlock request; no length asks
+// for more than a frame holds.
+func decodeRange(r *wire.Reader) (key blob.BlockKey, off, length int64) {
+	key = decodeKey(r)
+	off = r.I64()
+	return key, off, min(r.I64(), wire.MaxFrameSize)
+}
+
+// handleGet serves every range of the request in one response and never
+// copies their bytes into a slice of their own: a store that lends sends
+// its own bytes as the response frame's tails, any other reads straight
+// into the frame. A range asking "to the end" (a negative length), which
+// only the store can size, makes every piece a slice GetRange made for
+// us, sent as a tail. A missing block fails the whole request.
 func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+	k := len(payload) / rangeSize
+	if k == 0 || len(payload) != k*rangeSize {
+		return nil, fmt.Errorf("provider: a get request of %d bytes is not a list of %d-byte ranges", len(payload), rangeSize)
+	}
+	lend := s.store.GetRange // what lends a piece: a slice made for us ...
+	l, byRef := s.store.(store.Lender)
+	if byRef {
+		lend = l.Lend // ... or the store's own bytes
+	}
+	body := int64(4 * k)
+	for r := wire.NewReader(payload); r.Remaining() > 0; {
+		_, _, length := decodeRange(r)
+		byRef = byRef || length < 0
+		body += max(length, 0)
+	}
+	if !byRef && body > maxGetBody {
+		return nil, fmt.Errorf("provider: a get of %d ranges asks for %d bytes, more than a frame holds", k, body)
+	}
+	size := 4 * k
+	if !byRef {
+		size = int(body)
+	}
+	f := rpc.NewFrame(size)
+	f.Extend(4 * k) // the counts, filled in as the pieces come
+	var sent int64
 	r := wire.NewReader(payload)
-	key := decodeKey(r)
-	off := r.I64()
-	length := min(r.I64(), wire.MaxFrameSize)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var f *wire.Buffer
-	var data []byte // rides as the frame's tail: lent, or a slice GetRange made for us
-	var err error
-	if l, ok := s.store.(store.Lender); ok {
-		data, err = l.Lend(key.String(), off, length)
-	} else if length < 0 { // "to the end": only the store knows how much that is
-		data, err = s.store.GetRange(key.String(), off, length)
-	} else {
-		f = rpc.NewFrame(4 + int(length))
-		f.U32(0) // the byte count, patched in below
+	for i := 0; i < k; i++ {
+		key, off, length := decodeRange(r)
 		var n int
-		n, err = s.store.ReadAt(key.String(), f.Extend(int(length)), off)
-		f.Truncate(4 + n)
-		binary.BigEndian.PutUint32(f.Bytes(), uint32(n))
-	}
-	if f == nil {
-		f = rpc.NewFrame(4)
-		f.Tail32(data)
-	}
-	if err != nil {
-		f.Release()
-		if err == store.ErrNotFound {
-			err = ErrBlockNotFound
+		var err error
+		if byRef {
+			var data []byte
+			data, err = lend(key.String(), off, length)
+			f.Attach(data)
+			n = len(data)
+		} else {
+			n, err = s.store.ReadAt(key.String(), f.Extend(int(length)), off)
+			f.Truncate(f.Len() - int(length) + n)
 		}
-		return nil, err
+		if err == nil && sent+int64(n) > maxGetBody-int64(4*k) {
+			err = fmt.Errorf("provider: a get of %d ranges would send more than a frame holds", k)
+		}
+		if err != nil {
+			f.Release()
+			if err == store.ErrNotFound {
+				err = ErrBlockNotFound
+			}
+			return nil, err
+		}
+		binary.BigEndian.PutUint32(f.Bytes()[4*i:], uint32(n))
+		sent += int64(n)
 	}
-	s.mGets.Inc()
-	s.mBytesOut.Add(int64(f.Len() - 4 + len(f.Tail())))
+	s.mGets.Add(int64(k))
+	s.mBytesOut.Add(sent)
 	return f, nil
 }
 
@@ -769,7 +807,7 @@ func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data [
 	f := rpc.NewFrame(24)
 	encodeKey(f, key)
 	f.Tail32(data)
-	resp, _, err := c.callFrame(ctx, addr, mPutBlock, f, nil)
+	resp, err := c.callFrame(ctx, addr, mPutBlock, f)
 	wire.PutBuf(resp)
 	return err
 }
@@ -780,16 +818,16 @@ func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data [
 var oneAttempt = rpc.Backoff{}
 
 // callFrame sends the request encoded in f to addr over the data path:
-// f is rpc's from here on, the response goes back to wire.PutBuf. Of a
-// response that is a u32 count and that many bytes, the n bytes land in
-// dst when they fit (rpc.Client.CallInto).
-func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *wire.Buffer, dst []byte) (resp []byte, n int, err error) {
+// f is rpc's from here on, the response goes back to wire.PutBuf. A
+// response of a u32 count per dst and the pieces lands in dsts
+// (rpc.Client.CallInto).
+func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *wire.Buffer, dsts ...[]byte) ([]byte, error) {
 	cl, err := c.pool.Get(addr)
 	if err != nil {
 		f.Release()
-		return nil, 0, err
+		return nil, err
 	}
-	return cl.CallInto(ctx, method, f, 4, dst)
+	return cl.CallInto(ctx, method, f, dsts...)
 }
 
 // chainWindow is how many frames of one block a client (or forwarding
@@ -843,7 +881,7 @@ func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockK
 	encodeKey(f, key)
 	f.StringSlice(chain)
 	f.Chunk(ck)
-	resp, _, err := c.callFrame(ctx, addr, mPutChained, f, nil)
+	resp, err := c.callFrame(ctx, addr, mPutChained, f)
 	wire.PutBuf(resp)
 	return err
 }
@@ -851,11 +889,11 @@ func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockK
 // Get fetches length bytes at off within the block (length < 0 means
 // "to the end").
 func (c *Client) Get(ctx context.Context, addr string, key blob.BlockKey, off, length int64) ([]byte, error) {
-	f := rpc.NewFrame(36)
+	f := rpc.NewFrame(rangeSize)
 	encodeKey(f, key)
 	f.I64(off)
 	f.I64(length)
-	resp, _, err := c.callFrame(ctx, addr, mGetBlock, f, nil)
+	resp, err := c.callFrame(ctx, addr, mGetBlock, f)
 	if err != nil {
 		return nil, err
 	}
@@ -866,23 +904,64 @@ func (c *Client) Get(ctx context.Context, addr string, key blob.BlockKey, off, l
 }
 
 // GetInto fetches len(dst) bytes at off within the block into dst and
-// returns how many the block had there (the rest of dst is untouched);
-// the data goes from the connection straight into dst, which is written
-// only between call and return.
+// returns how many the block had there (the rest of dst is untouched):
+// GetRanges for one range.
 func (c *Client) GetInto(ctx context.Context, addr string, key blob.BlockKey, off int64, dst []byte) (int, error) {
-	f := rpc.NewFrame(36)
-	encodeKey(f, key)
-	f.I64(off)
-	f.I64(int64(len(dst)))
-	resp, n, err := c.callFrame(ctx, addr, mGetBlock, f, dst)
+	rs := [1]Range{{Key: key, Off: off, Dst: dst}}
+	err := c.GetRanges(ctx, addr, rs[:])
+	return rs[0].N, err
+}
+
+// Range is one piece of a GetRanges call: the bytes at Off within block
+// Key, as many as Dst holds, go into Dst, and N is set to how many the
+// block had there (the rest of Dst is untouched).
+type Range struct {
+	Key blob.BlockKey
+	Off int64
+	Dst []byte
+	N   int
+}
+
+// GetRanges fetches every range from the provider at addr, in one round
+// trip as long as the ranges fit one response frame (more when they do
+// not). The bytes go from the connection straight into each Dst, which is
+// written only between call and return; on error the N are unspecified.
+func (c *Client) GetRanges(ctx context.Context, addr string, rs []Range) error {
+	for len(rs) > 0 {
+		k, body := 1, 4+len(rs[0].Dst)
+		for k < len(rs) && body+4+len(rs[k].Dst) <= maxGetBody {
+			body += 4 + len(rs[k].Dst)
+			k++
+		}
+		if err := c.getRanges(ctx, addr, rs[:k]); err != nil {
+			return err
+		}
+		rs = rs[k:]
+	}
+	return nil
+}
+
+// getRanges is one mGetBlock call: the ranges in, a count per range and
+// the pieces back, each piece landing in its range's Dst.
+func (c *Client) getRanges(ctx context.Context, addr string, rs []Range) error {
+	var vec [16][]byte // on the stack: enough for a 1 MB read of 64 KB blocks
+	dsts := vec[:0]
+	f := rpc.NewFrame(rangeSize * len(rs))
+	for _, r := range rs {
+		encodeKey(f, r.Key)
+		f.I64(r.Off)
+		f.I64(int64(len(r.Dst)))
+		dsts = append(dsts, r.Dst)
+	}
+	counts, err := c.callFrame(ctx, addr, mGetBlock, f, dsts...)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	defer wire.PutBuf(resp)
-	if len(resp) != 4 || int(binary.BigEndian.Uint32(resp)) != n {
-		return 0, fmt.Errorf("provider: get %s from %s: %d bytes asked for, response of %d is not a count and that many", key, addr, len(dst), len(resp)+n)
+	for i := range rs {
+		rs[i].N = int(binary.BigEndian.Uint32(counts[4*i:]))
 	}
-	return n, nil
+	wire.PutBuf(counts)
+	return nil
 }
 
 // Has reports whether the provider stores the block.

@@ -71,7 +71,7 @@ func TestLateResponseIsDrained(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := c.call(ctx, 1, frameOf(nil), recycled, 0, nil)
+			_, err := c.call(ctx, 1, frameOf(nil), recycled, nil)
 			done <- err
 		}()
 		time.Sleep(10 * time.Millisecond) // let the request reach the handler
@@ -348,9 +348,9 @@ func TestCallAllocations(t *testing.T) {
 		tailed := testing.AllocsPerRun(500, func() {
 			f := NewFrame(4)
 			f.Tail32(payload)
-			resp, n, err := c.CallInto(ctx, 2, f, 4, dst)
-			if err != nil || n != len(dst) {
-				t.Fatal(n, err)
+			resp, err := c.CallInto(ctx, 2, f, dst)
+			if err != nil || !bytes.Equal(dst, payload) {
+				t.Fatal(err)
 			}
 			wire.PutBuf(resp)
 		})

@@ -25,12 +25,15 @@
 // rpc's from then on; Call's result is the caller's for ever;
 // CallFrame's is recycled and goes to wire.PutBuf when the caller is
 // done with it. Bulk bytes travel by reference both ways: a frame's
-// tail (wire.Buffer.Tail32) stays the caller's, is sent with the frame
-// (one writev on TCP) and must not change until the call — or, for a
-// response, the handler's frame write — has returned; CallInto's dst is
-// written only between call and return. Pool.Call wraps those rules for
-// the control plane: it encodes the request again for every attempt and
-// recycles the response as soon as the caller's decoder has returned.
+// tails (wire.Buffer.Tail32, Attach) stay the caller's, are sent with the
+// frame (one writev on TCP) and must not change until the call — or, for
+// a response, the handler's frame write — has returned. CallInto's dsts
+// are written only between call and return, each only up to the count
+// the response gives it, and none of them when any count does not fit:
+// a call that gives up while its response is landing returns once the
+// read has ended. Pool.Call wraps those rules for the control plane: it
+// encodes the request again for every attempt and recycles the response
+// as soon as the caller's decoder has returned.
 package rpc
 
 import (
@@ -80,23 +83,23 @@ func frameOf(p []byte) *wire.Buffer {
 type frameWriter struct {
 	conn net.Conn
 	mu   sync.Mutex // serializes frames on the shared conn
-	// A tailed frame's two pieces. The vector lives here, not in a
-	// literal, so that sending one allocates nothing.
-	vec net.Buffers
-	arr [2][]byte
+	// A frame's pieces: headers and body, then its tails. The vector
+	// lives here and is reused, so that sending a frame allocates nothing
+	// once the conn has sent one with as many tails.
+	pieces [][]byte
+	vec    net.Buffers // pieces as WriteTo consumes them
 }
 
 // writeFrame completes f's headers in place, puts the frame on the conn
 // and releases f, always. A frame without a tail is exactly one Write; a
 // tailed one is one vectored write where the conn has that (TCP: writev)
-// and otherwise a second Write for the tail under the same lock.
+// and otherwise one more Write per tail under the same lock.
 func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
 	id uint64, method uint16, flags uint8, status uint16, tc trace.Context) error {
-	b, tail := f.Raw(), f.Tail()
+	b := f.Raw()
 	if flags&flagTrace == 0 {
 		b = b[traceHdrLen:]
 	}
-	binary.BigEndian.PutUint32(b, uint32(len(b)-wire.FrameLenSize+len(tail)))
 	h := b[wire.FrameLenSize:]
 	binary.BigEndian.PutUint64(h, id)
 	binary.BigEndian.PutUint16(h[8:], method)
@@ -109,20 +112,25 @@ func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
 		h[37] = traceSampled
 	}
 	w.mu.Lock()
+	w.pieces = f.AppendTails(append(w.pieces[:0], b))
+	n := -wire.FrameLenSize
+	for _, p := range w.pieces {
+		n += len(p)
+	}
+	binary.BigEndian.PutUint32(b, uint32(n))
 	if deadline > 0 {
 		// A peer that stopped draining its socket must not wedge the
 		// sender forever: bound the frame write.
 		w.conn.SetWriteDeadline(time.Now().Add(deadline))
 	}
 	var err error
-	if len(tail) == 0 {
+	if len(w.pieces) == 1 {
 		_, err = w.conn.Write(b)
 	} else {
-		w.arr = [2][]byte{b, tail}
-		w.vec = w.arr[:]
+		w.vec = w.pieces
 		_, err = w.vec.WriteTo(w.conn)
-		w.arr = [2][]byte{} // the tail is the caller's again
 	}
+	clear(w.pieces) // the tails are the caller's again
 	w.mu.Unlock()
 	f.Release()
 	return err
@@ -135,13 +143,14 @@ const StatusOK uint16 = 0
 // an error that carries no specific code.
 const StatusError uint16 = 1
 
-// statusTransport marks a locally-generated failure: the connection
-// died while a call was in flight.
-const statusTransport uint16 = 0xffff
-
 // ErrConnBroken wraps transport-level call failures so callers can
 // distinguish them from remote application errors and retry safely.
 var ErrConnBroken = errors.New("rpc: connection broken")
+
+// ErrMisfit fails a CallInto whose response is not a u32 count per
+// destination followed by that many bytes for each, or gives one a count
+// larger than it holds: nothing was written to any destination.
+var ErrMisfit = errors.New("rpc: response does not fit its destinations")
 
 // ErrCallTimeout wraps calls aborted by the transport's own per-call
 // I/O deadline: the peer accepted the connection but produced no
@@ -483,7 +492,7 @@ type Client struct {
 	pending map[uint64]*call
 	free    []*call // finished call records, channel empty, timer stopped
 	err     error   // set once the read loop dies
-	// landing is the id of the call whose dst the read loop is reading a
+	// landing is the id of the call whose dsts the read loop is reading a
 	// response into right now (0: none); landed announces its end.
 	landing uint64
 	landed  sync.Cond
@@ -503,14 +512,15 @@ type call struct {
 	ch       chan callResult // buffered: the read loop never blocks on it
 	timer    *time.Timer     // the response bound, stopped between calls
 	recycled bool            // read the response payload into a wire.GetBuf slice
-	head     int             // CallInto: a successful response's body past its first
-	dst      []byte          // head bytes is read straight into dst, when it fits
+	// CallInto's destinations, copied into a vector of the record's own
+	// so that the caller's may live on its stack.
+	dsts [][]byte
 }
 
 type callResult struct {
 	payload []byte
-	n       int // body bytes past payload that were read into the call's dst
 	status  uint16
+	err     error // the call failed on this side: connection lost, ErrMisfit
 }
 
 // NewClient wraps an established connection.
@@ -525,30 +535,29 @@ func NewClient(conn net.Conn) *Client {
 // payload is copied into a frame and not retained; the result is read
 // from the connection into a slice of its own, the caller's to keep.
 func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
-	resp, _, err := c.call(ctx, method, frameOf(payload), false, 0, nil)
-	return resp, err
+	return c.call(ctx, method, frameOf(payload), false, nil)
 }
 
 // CallFrame is Call for the data path: the request is already encoded
 // in req (from NewFrame), which rpc owns from here on, and the result
 // is a recycled slice the caller hands to wire.PutBuf when done.
 func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer) ([]byte, error) {
-	resp, _, err := c.call(ctx, method, req, true, 0, nil)
-	return resp, err
+	return c.call(ctx, method, req, true, nil)
 }
 
-// CallInto is CallFrame for a response that is a head of fixed size
-// followed by bulk data. When the call succeeds and the body past its
-// first head bytes fits dst, those n bytes are read off the connection
-// straight into dst and resp is the head alone; otherwise n is 0 and the
-// outcome is CallFrame's, the whole body in resp. dst is written only
-// between call and return: a call that gives up (ctx, I/O timeout) while
-// its response is being read into dst returns once that read has ended.
-func (c *Client) CallInto(ctx context.Context, method uint16, req *wire.Buffer, head int, dst []byte) (resp []byte, n int, err error) {
-	return c.call(ctx, method, req, true, head, dst)
+// CallInto is CallFrame for a response of k = len(dsts) pieces: k u32
+// counts, then that many bytes for each piece in turn. Piece i is read
+// off the connection straight into dsts[i], past its count dsts[i] is
+// left as it was, and resp is the counts alone. A successful response of
+// another shape fails with ErrMisfit and writes to no destination. The
+// dsts are written only between call and return: a call that gives up
+// (ctx, I/O timeout) while its response is landing returns once that
+// read has ended. With no dsts, CallInto is CallFrame.
+func (c *Client) CallInto(ctx context.Context, method uint16, req *wire.Buffer, dsts ...[]byte) (resp []byte, err error) {
+	return c.call(ctx, method, req, true, dsts)
 }
 
-func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool, head int, dst []byte) ([]byte, int, error) {
+func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool, dsts [][]byte) ([]byte, error) {
 	id := c.nextID.Add(1)
 
 	// A context that is already done fails the call here, not by a coin
@@ -561,7 +570,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	if err != nil {
 		c.mu.Unlock()
 		req.Release()
-		return nil, 0, err
+		return nil, err
 	}
 	var cl *call
 	if n := len(c.free); n > 0 {
@@ -569,7 +578,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	} else {
 		cl = &call{ch: make(chan callResult, 1)}
 	}
-	cl.recycled, cl.head, cl.dst = recycled, head, dst
+	cl.recycled, cl.dsts = recycled, append(cl.dsts[:0], dsts...)
 	c.pending[id] = cl
 	c.mu.Unlock()
 
@@ -587,9 +596,9 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 		// wire; the connection is unusable for framing either way.
 		c.conn.Close()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil, 0, fmt.Errorf("%w: frame write stalled for %v", ErrCallTimeout, d)
+			return nil, fmt.Errorf("%w: frame write stalled for %v", ErrCallTimeout, d)
 		}
-		return nil, 0, fmt.Errorf("rpc: send: %w", err)
+		return nil, fmt.Errorf("rpc: send: %w", err)
 	}
 
 	// The response bound: skipped when the caller manages its own
@@ -609,20 +618,20 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	select {
 	case res := <-cl.ch:
 		c.release(cl)
-		if res.status == StatusOK {
-			return res.payload, res.n, nil
+		if res.err == nil && res.status == StatusOK {
+			return res.payload, nil
 		}
 		defer wire.PutBuf(res.payload) // dead once the error is built, recycled or not
-		if res.status == statusTransport {
-			return nil, 0, fmt.Errorf("%w: %s", ErrConnBroken, res.payload)
+		if res.err != nil {
+			return nil, res.err
 		}
-		return nil, 0, &RemoteError{Code: res.status, Msg: string(res.payload)}
+		return nil, &RemoteError{Code: res.status, Msg: string(res.payload)}
 	case <-ioTimer:
 		c.abandon(id, cl)
-		return nil, 0, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
+		return nil, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
 	case <-ctx.Done():
 		c.abandon(id, cl)
-		return nil, 0, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -631,8 +640,8 @@ var landGrace = 5 * time.Second
 
 // abandon gives up on call id: the read loop drains a response that
 // still arrives, one delivered just before is released here, and one
-// being read into the call's dst right now is waited for — the caller
-// gets its buffer back only when nothing writes to it any more.
+// being read into the call's dsts right now is waited for — the caller
+// gets its buffers back only when nothing writes to them any more.
 func (c *Client) abandon(id uint64, cl *call) {
 	c.mu.Lock()
 	delete(c.pending, id)
@@ -663,7 +672,7 @@ func (c *Client) release(cl *call) {
 	if cl.timer != nil {
 		cl.timer.Stop()
 	}
-	cl.dst = nil // do not pin the caller's buffer until the record is reused
+	clear(cl.dsts) // do not pin the caller's buffers until the record is reused
 	c.mu.Lock()
 	c.free = append(c.free, cl)
 	c.mu.Unlock()
@@ -691,27 +700,26 @@ func (c *Client) readLoop() {
 		c.mu.Lock()
 		cl, ok := c.pending[id]
 		recycled := ok && cl.recycled // read here: an abandoned record is reused
-		var dst []byte
-		if ok && cl.dst != nil && status == StatusOK && n >= cl.head && n-cl.head <= len(cl.dst) {
-			// The payload is the head alone, the rest goes to dst; a call
-			// that gives up meanwhile waits in abandon for the read to end.
-			dst, n = cl.dst[:n-cl.head], cl.head
+		var dsts [][]byte
+		if ok && len(cl.dsts) > 0 && status == StatusOK {
+			// A call that gives up meanwhile waits in abandon for the read
+			// to end before its record, and this vector, go back.
+			dsts = cl.dsts
 			c.landing = id
 		}
 		c.mu.Unlock()
-		res := callResult{status: status, n: len(dst)}
+		res := callResult{status: status}
 		switch {
 		case !ok: // the call gave up: drain its response
 			_, err = io.CopyN(io.Discard, c.conn, int64(n))
+		case dsts != nil:
+			res.payload, res.err, err = land(c.conn, n, dsts)
 		case recycled:
 			res.payload = wire.GetBuf(n)[:n]
 			_, err = io.ReadFull(c.conn, res.payload)
 		default:
 			res.payload = make([]byte, n)
 			_, err = io.ReadFull(c.conn, res.payload)
-		}
-		if dst != nil && err == nil {
-			_, err = io.ReadFull(c.conn, dst)
 		}
 		// Deliver only to a call that is still waiting (it may have
 		// given up during the read), under the lock abandon takes.
@@ -736,10 +744,52 @@ func (c *Client) readLoop() {
 	}
 	c.mu.Lock()
 	c.err = err
+	broken := fmt.Errorf("%w: %v", ErrConnBroken, err)
 	for id, cl := range c.pending {
 		delete(c.pending, id)
-		cl.ch <- callResult{payload: []byte(err.Error()), status: statusTransport}
+		cl.ch <- callResult{err: broken}
 	}
 	c.mu.Unlock()
 	c.conn.Close()
+}
+
+// land reads a successful response body of n bytes for a call with
+// destinations: a u32 count per dst, then the pieces, each straight into
+// its dst. The counts are the payload. A body of another shape is
+// drained and answered with ErrMisfit before any byte reaches a dst.
+func land(conn net.Conn, n int, dsts [][]byte) (payload []byte, misfit, err error) {
+	head := 4 * len(dsts)
+	if n < head {
+		_, err = io.CopyN(io.Discard, conn, int64(n))
+		return nil, ErrMisfit, err
+	}
+	payload = wire.GetBuf(head)[:head]
+	if _, err = io.ReadFull(conn, payload); err != nil {
+		return payload, nil, err
+	}
+	if !countsFit(payload, dsts, n-head) {
+		wire.PutBuf(payload)
+		_, err = io.CopyN(io.Discard, conn, int64(n-head))
+		return nil, ErrMisfit, err
+	}
+	for i, dst := range dsts {
+		if _, err = io.ReadFull(conn, dst[:binary.BigEndian.Uint32(payload[4*i:])]); err != nil {
+			break
+		}
+	}
+	return payload, nil, err
+}
+
+// countsFit reports whether counts, a u32 per dst, each fit their dst
+// and add up to body bytes: the check CallInto makes of a response's
+// counts before it lands a byte.
+func countsFit(counts []byte, dsts [][]byte, body int) bool {
+	for i, dst := range dsts {
+		k := int(binary.BigEndian.Uint32(counts[4*i:]))
+		if k > len(dst) {
+			return false
+		}
+		body -= k
+	}
+	return body == 0
 }

@@ -205,14 +205,21 @@ func TestTailIsOnlyRead(t *testing.T) {
 	}
 }
 
-// intoMux serves method 1: the request names how many data bytes to
-// answer with, as a 4-byte count and then that many bytes by reference.
-// Method 2 does the same once gate has been closed or fed; method 3
-// refuses.
+// pieceStride is where consecutive pieces of an intoMux answer start in
+// its data, so that pieces landed out of order show.
+const pieceStride = 7919
+
+// intoMux serves method 1: the request lists u32 sizes, and the response
+// is those sizes as its counts and then the pieces by reference, piece i
+// being size_i bytes of data from i*pieceStride. Method 2 does the same
+// once gate has been closed or fed; method 3 refuses.
 func intoMux(data []byte, entered chan<- struct{}, gate <-chan struct{}) *Mux {
 	answer := func(_ context.Context, p []byte) (*wire.Buffer, error) {
-		f := NewFrame(4)
-		f.Tail32(data[:binary.BigEndian.Uint32(p)])
+		f := NewFrame(len(p))
+		copy(f.Extend(len(p)), p)
+		for i := 0; i < len(p)/4; i++ {
+			f.Attach(data[i*pieceStride:][:binary.BigEndian.Uint32(p[4*i:])])
+		}
 		return f, nil
 	}
 	mux := NewMux()
@@ -226,15 +233,17 @@ func intoMux(data []byte, entered chan<- struct{}, gate <-chan struct{}) *Mux {
 	return mux
 }
 
-func askFor(n int) *wire.Buffer {
-	f := NewFrame(4)
-	f.U32(uint32(n))
+func askFor(sizes ...int) *wire.Buffer {
+	f := NewFrame(4 * len(sizes))
+	for _, n := range sizes {
+		f.U32(uint32(n))
+	}
 	return f
 }
 
-// TestCallInto: the data lands in dst and only the head comes back; a
-// body that does not fit dst and a coded error arrive as from CallFrame
-// and leave dst alone.
+// TestCallInto: the data lands in dst and only the count comes back; a
+// count larger than dst fails the call with ErrMisfit and, like a coded
+// error, writes nothing into dst and leaves the connection serving.
 func TestCallInto(t *testing.T) {
 	data := blockOf(300_000)
 	c := dialEcho(t, intoMux(data, nil, nil))
@@ -242,32 +251,129 @@ func TestCallInto(t *testing.T) {
 	dst := bytes.Repeat([]byte{0xAA}, 200_000)
 
 	for _, want := range []int{200_000, 1234, 0} { // full, short, empty
-		resp, n, err := c.CallInto(ctx, 1, askFor(want), 4, dst)
-		if err != nil || n != want || len(resp) != 4 || int(binary.BigEndian.Uint32(resp)) != want {
-			t.Fatalf("CallInto for %d bytes = head %x, n %d, %v", want, resp, n, err)
+		resp, err := c.CallInto(ctx, 1, askFor(want), dst)
+		if err != nil || len(resp) != 4 || int(binary.BigEndian.Uint32(resp)) != want {
+			t.Fatalf("CallInto for %d bytes = head %x, %v", want, resp, err)
 		}
 		wire.PutBuf(resp)
-		if !bytes.Equal(dst[:n], data[:n]) {
-			t.Fatalf("the %d bytes in dst are not the ones sent", n)
+		if !bytes.Equal(dst[:want], data[:want]) {
+			t.Fatalf("the %d bytes in dst are not the ones sent", want)
 		}
-		for i, b := range dst[n:] {
+		for i, b := range dst[want:] {
 			if b != 0xAA {
-				t.Fatalf("dst[%d] = %#x: written past the %d bytes received", n+i, b, n)
+				t.Fatalf("dst[%d] = %#x: written past the %d bytes received", want+i, b, want)
 			}
 		}
 		copy(dst, bytes.Repeat([]byte{0xAA}, len(dst)))
 	}
 
-	resp, n, err := c.CallInto(ctx, 1, askFor(200_001), 4, dst)
-	if err != nil || n != 0 || len(resp) != 4+200_001 || !bytes.Equal(resp[4:], data[:200_001]) {
-		t.Fatalf("a body larger than dst = %d bytes, n %d, %v; want the whole body as from CallFrame", len(resp), n, err)
+	if _, err := c.CallInto(ctx, 1, askFor(200_001), dst); !errors.Is(err, ErrMisfit) {
+		t.Fatalf("a count larger than dst = %v, want ErrMisfit", err)
 	}
-	wire.PutBuf(resp)
-	if _, _, err := c.CallInto(ctx, 3, askFor(0), 4, dst); CodeOf(err) != 77 {
+	if _, err := c.CallInto(ctx, 3, askFor(0), dst); CodeOf(err) != 77 {
 		t.Fatalf("coded error with a destination = %v", err)
 	}
 	if !bytes.Equal(dst, bytes.Repeat([]byte{0xAA}, len(dst))) {
 		t.Error("dst was written to by a response that did not land in it")
+	}
+}
+
+// TestCallIntoLandsPieces: over a pipe (one Write per tail) and over TCP
+// (one writev for them all), each piece lands in its own destination in
+// order, a short last piece leaves the rest of its destination zeroed —
+// no recycled, poisoned byte gets there — and a count larger than its
+// destination fails the whole call before any piece lands.
+func TestCallIntoLandsPieces(t *testing.T) {
+	data := blockOf(100_000)
+	sizes := []int{65_536, 1, 20_000, 9_000} // the last block is short of its 12_000
+	for _, tcp := range []bool{false, true} {
+		cli, srv := connPair(t, tcp)
+		s := NewServer(intoMux(data, nil, nil))
+		s.wg.Add(1)
+		go s.serveConn(srv)
+		c := NewClient(cli)
+		ctx := context.Background()
+
+		dsts := [][]byte{make([]byte, 65_536), make([]byte, 1), make([]byte, 20_000), make([]byte, 12_000)}
+		for round := 0; round < 3; round++ { // recycled frames and records in between
+			resp, err := c.CallInto(ctx, 1, askFor(sizes...), dsts...)
+			if err != nil || len(resp) != 4*len(sizes) {
+				t.Fatalf("tcp=%v: CallInto = %d-byte head, %v", tcp, len(resp), err)
+			}
+			for i, n := range sizes {
+				if got := int(binary.BigEndian.Uint32(resp[4*i:])); got != n {
+					t.Fatalf("tcp=%v: count %d = %d, want %d", tcp, i, got, n)
+				}
+				if !bytes.Equal(dsts[i][:n], data[i*pieceStride:][:n]) {
+					t.Fatalf("tcp=%v: piece %d landed other bytes (out of order?)", tcp, i)
+				}
+			}
+			wire.PutBuf(resp)
+			if tail := dsts[3][sizes[3]:]; !bytes.Equal(tail, make([]byte, len(tail))) {
+				t.Fatalf("tcp=%v: the short piece's destination is not zero past its count", tcp)
+			}
+		}
+
+		marked := [][]byte{bytes.Repeat([]byte{0x5C}, 10), bytes.Repeat([]byte{0x5C}, 10)}
+		if _, err := c.CallInto(ctx, 1, askFor(10, 11), marked...); !errors.Is(err, ErrMisfit) {
+			t.Fatalf("tcp=%v: a count larger than its destination = %v, want ErrMisfit", tcp, err)
+		}
+		for i, d := range marked {
+			if !bytes.Equal(d, bytes.Repeat([]byte{0x5C}, 10)) {
+				t.Errorf("tcp=%v: destination %d was written by a response that did not fit", tcp, i)
+			}
+		}
+		c.Close()
+		s.Close()
+	}
+}
+
+// TestCallIntoMisfitKeepsFraming: counts that claim more or fewer bytes
+// than the body holds, or a body shorter than its counts, fail the call
+// with ErrMisfit, land nothing, and the next response on the connection
+// is read from the right place.
+func TestCallIntoMisfitKeepsFraming(t *testing.T) {
+	counts := func(ks ...uint32) []byte {
+		var b []byte
+		for _, k := range ks {
+			b = binary.BigEndian.AppendUint32(b, k)
+		}
+		return b
+	}
+	for name, body := range map[string][]byte{
+		"short":        append(counts(10, 10), make([]byte, 15)...),
+		"long":         append(counts(10, 10), make([]byte, 25)...),
+		"no counts":    {0, 0, 1},
+		"larger count": append(counts(10, 11), make([]byte, 21)...),
+	} {
+		cli, srv := net.Pipe()
+		c := NewClient(cli)
+		go func() {
+			for id := uint64(1); id <= 2; id++ {
+				io.CopyN(io.Discard, srv, int64(wire.FrameLenSize+hdrLen))
+				reply := body
+				if id == 2 {
+					reply = append(counts(3, 2), "abcde"...)
+				}
+				srv.Write(rawFrame(id, 1, flagResponse, reply))
+			}
+		}()
+		dsts := [][]byte{bytes.Repeat([]byte{0x5C}, 10), bytes.Repeat([]byte{0x5C}, 10)}
+		if _, err := c.CallInto(context.Background(), 1, NewFrame(0), dsts...); !errors.Is(err, ErrMisfit) {
+			t.Fatalf("%s: CallInto = %v, want ErrMisfit", name, err)
+		}
+		for i, d := range dsts {
+			if !bytes.Equal(d, bytes.Repeat([]byte{0x5C}, 10)) {
+				t.Fatalf("%s: destination %d was written", name, i)
+			}
+		}
+		resp, err := c.CallInto(context.Background(), 1, NewFrame(0), dsts...)
+		if err != nil || string(dsts[0][:3]) != "abc" || string(dsts[1][:2]) != "de" {
+			t.Fatalf("%s: the call after the misfit = %v, pieces %q %q", name, err, dsts[0][:3], dsts[1][:2])
+		}
+		wire.PutBuf(resp)
+		c.Close()
+		srv.Close()
 	}
 }
 
@@ -292,7 +398,7 @@ func TestAbandonedCallIntoLeavesDstAlone(t *testing.T) {
 		} else {
 			go func() { <-entered; cancel() }()
 		}
-		_, _, err := c.CallInto(ctx, 2, askFor(len(dst)), 4, dst)
+		_, err := c.CallInto(ctx, 2, askFor(len(dst)), dst)
 		if !errors.Is(err, want) {
 			t.Fatalf("abandoned call = %v, want %v", err, want)
 		}
@@ -303,9 +409,9 @@ func TestAbandonedCallIntoLeavesDstAlone(t *testing.T) {
 		copy(dst, pattern)
 		gate <- struct{}{} // the late answer is on its way
 		for i := 0; i < 50; i++ {
-			resp, n, err := c.CallInto(context.Background(), 1, askFor(len(other)), 4, other)
-			if err != nil || n != len(other) || !bytes.Equal(other, data) {
-				t.Fatalf("call %d after the abandoned one = n %d, %v", i, n, err)
+			resp, err := c.CallInto(context.Background(), 1, askFor(len(other)), other)
+			if err != nil || !bytes.Equal(other, data) {
+				t.Fatalf("call %d after the abandoned one = %v", i, err)
 			}
 			wire.PutBuf(resp)
 		}
@@ -333,44 +439,50 @@ func (c *heldRead) Read(p []byte) (int, error) {
 }
 
 // TestAbandonWaitsForTheReadIntoDst: a call cancelled while the read
-// loop is filling its dst returns only once that read is over.
+// loop is filling one of its destinations — the only one, or the second
+// of three — returns only once that read is over.
 func TestAbandonWaitsForTheReadIntoDst(t *testing.T) {
-	data := blockOf(50_000)
-	n, addr, _ := startServer(t, intoMux(data, nil, nil))
-	conn, err := n.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, len(data))
-	held := &heldRead{Conn: conn, into: dst, entered: make(chan struct{}), release: make(chan struct{})}
-	c := NewClient(held)
-	defer c.Close()
+	data := blockOf(150_000)
+	for _, sizes := range [][]int{{50_000}, {10_000, 50_000, 20_000}} {
+		n, addr, _ := startServer(t, intoMux(data, nil, nil))
+		conn, err := n.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsts := make([][]byte, len(sizes))
+		for i, size := range sizes {
+			dsts[i] = make([]byte, size)
+		}
+		held := &heldRead{Conn: conn, into: dsts[len(dsts)/2], entered: make(chan struct{}), release: make(chan struct{})}
+		c := NewClient(held)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.CallInto(ctx, 1, askFor(len(dst)), 4, dst)
-		done <- err
-	}()
-	<-held.entered
-	cancel()
-	select {
-	case err := <-done:
-		t.Fatalf("the call returned (%v) while its dst was being read into", err)
-	case <-time.After(50 * time.Millisecond):
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.CallInto(ctx, 1, askFor(sizes...), dsts...)
+			done <- err
+		}()
+		<-held.entered
+		cancel()
+		select {
+		case err := <-done:
+			t.Fatalf("%d pieces: the call returned (%v) while a destination was being read into", len(sizes), err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(held.release)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d pieces: abandoned call = %v, want context.Canceled", len(sizes), err)
+		}
+		if i := len(dsts) / 2; !bytes.Equal(dsts[i], data[i*pieceStride:][:sizes[i]]) { // the read that had begun ran to its end
+			t.Errorf("%d pieces: the read into the held destination was cut short", len(sizes))
+		}
+		resp, err := c.CallInto(context.Background(), 1, askFor(10), make([]byte, 10))
+		if err != nil {
+			t.Fatalf("%d pieces: call after the abandoned one = %v", len(sizes), err)
+		}
+		wire.PutBuf(resp)
+		c.Close()
 	}
-	close(held.release)
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned call = %v, want context.Canceled", err)
-	}
-	if !bytes.Equal(dst, data) { // the read that had begun ran to its end
-		t.Error("the read into dst was cut short")
-	}
-	resp, got, err := c.CallInto(context.Background(), 1, askFor(10), 4, make([]byte, 10))
-	if err != nil || got != 10 {
-		t.Fatalf("call after the abandoned one = n %d, %v", got, err)
-	}
-	wire.PutBuf(resp)
 }
 
 // TestAbandonIsBoundedWithoutIOTimeout: a peer that stalls in the middle
@@ -396,7 +508,7 @@ func TestAbandonIsBoundedWithoutIOTimeout(t *testing.T) {
 	dst := make([]byte, len(data))
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.CallInto(ctx, 1, askFor(len(dst)), 4, dst)
+		_, err := c.CallInto(ctx, 1, askFor(len(dst)), dst)
 		done <- err
 	}()
 	select {

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestChunkRoundTrip(t *testing.T) {
@@ -73,5 +75,35 @@ func TestTailEndsTheBody(t *testing.T) {
 		b.Reset()
 		b.Tail32(nil)
 		encode(b) // must not panic
+	}
+}
+
+// TestAttachKeepsOrder: the slices attached after a body come back in
+// the order attached, empty ones dropped, and Release and Reset let go
+// of every one; all the while a Buffer stays inside the 64-byte size
+// class that every frame allocates one in.
+func TestAttachKeepsOrder(t *testing.T) {
+	if size := unsafe.Sizeof(Buffer{}); size > 64 {
+		t.Fatalf("a Buffer is %d bytes, over its 64-byte size class", size)
+	}
+	for _, end := range []func(*Buffer){(*Buffer).Release, (*Buffer).Reset} {
+		for round := 0; round < 2; round++ { // the second reuses a recycled vector
+			b := NewFrame(8, 8)
+			b.U32(3)
+			for _, p := range []string{"one", "", "two", "three"} {
+				b.Attach([]byte(p))
+			}
+			var got []string
+			for _, p := range b.AppendTails(nil) {
+				got = append(got, string(p))
+			}
+			if strings.Join(got, ",") != "one,two,three" {
+				t.Fatalf("attached one, (empty), two, three; AppendTails = %q", got)
+			}
+			end(b)
+			if b.Tail() != nil || len(b.AppendTails(nil)) != 0 {
+				t.Fatal("the attached slices outlived Release or Reset")
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 )
 
 // ErrFrameTooLarge is returned when an incoming frame exceeds the
@@ -26,11 +27,21 @@ var ErrShortBuffer = errors.New("wire: short buffer")
 const MaxFrameSize = 80 << 20
 
 // Buffer encodes a message body. The zero value is ready to use.
+//
+// Every frame allocates one Buffer, so it is kept within 64 bytes (the
+// allocator's size class below 80): of the slices sent after the body by
+// reference it holds the first, and a pointer to a recycled vector for
+// the rest only when there are more.
 type Buffer struct {
 	b    []byte
-	head int    // bytes of b in front of the body (a frame's header room)
-	tail []byte // the end of the body, carried by reference (Tail32)
+	head int       // bytes of b in front of the body (a frame's header room)
+	tail []byte    // the first slice sent after the body, by reference (Attach)
+	more *[][]byte // the slices attached after tail, nil while there are none
 }
+
+// tailVecs recycles the vectors of frames that carry more than one
+// slice by reference, so attaching many allocates nothing once warm.
+var tailVecs = sync.Pool{New: func() any { return new([][]byte) }}
 
 // NewBuffer returns a Buffer with the given initial capacity.
 func NewBuffer(capacity int) *Buffer { return &Buffer{b: make([]byte, 0, capacity)} }
@@ -47,10 +58,11 @@ func NewFrame(head, capacity int) *Buffer {
 func (e *Buffer) Raw() []byte { return e.b }
 
 // Release recycles a frame's slice; the Buffer and every slice obtained
-// from it are dead afterwards. The tail is the caller's and only let go.
+// from it are dead afterwards. The tails are the caller's and only let go.
 func (e *Buffer) Release() {
 	PutBuf(e.b)
-	e.b, e.tail = nil, nil
+	e.b = nil
+	e.dropTails()
 }
 
 // Tail32 ends the body with a length-prefixed (u32) byte slice like
@@ -59,18 +71,58 @@ func (e *Buffer) Release() {
 // the caller's and must not change until the frame has been sent.
 func (e *Buffer) Tail32(v []byte) {
 	e.U32(uint32(len(v)))
-	e.tail = v
+	e.Attach(v)
+}
+
+// Attach sends v after the body and after every slice attached before
+// it, by reference, with no prefix: the body must already say how long v
+// is. Like Tail32's slice, v stays the caller's and must not change until
+// the frame has been sent; nothing but another Attach may follow it.
+func (e *Buffer) Attach(v []byte) {
+	switch {
+	case len(v) == 0: // nothing to send
+	case e.tail == nil:
+		e.tail = v
+	default:
+		if e.more == nil {
+			e.more = tailVecs.Get().(*[][]byte)
+		}
+		*e.more = append(*e.more, v)
+	}
+}
+
+// dropTails lets go of every attached slice and recycles the vector.
+func (e *Buffer) dropTails() {
+	e.tail = nil
+	if e.more != nil {
+		clear(*e.more)
+		*e.more = (*e.more)[:0]
+		tailVecs.Put(e.more)
+		e.more = nil
+	}
 }
 
 // open starts every append: a tail ends the body, nothing follows it.
 func (e *Buffer) open() {
-	if len(e.tail) != 0 {
+	if e.tail != nil {
 		panic("wire: encode after Tail32")
 	}
 }
 
-// Tail returns the slice Tail32 attached, nil if none.
+// Tail returns the first slice attached, nil if none.
 func (e *Buffer) Tail() []byte { return e.tail }
+
+// AppendTails appends every slice attached, in order, to vec.
+func (e *Buffer) AppendTails(vec [][]byte) [][]byte {
+	if e.tail == nil {
+		return vec
+	}
+	vec = append(vec, e.tail)
+	if e.more != nil {
+		vec = append(vec, *e.more...)
+	}
+	return vec
+}
 
 // Bytes returns the encoded body.
 func (e *Buffer) Bytes() []byte { return e.b[e.head:] }
@@ -79,7 +131,10 @@ func (e *Buffer) Bytes() []byte { return e.b[e.head:] }
 func (e *Buffer) Len() int { return len(e.b) - e.head }
 
 // Reset clears the buffer for reuse.
-func (e *Buffer) Reset() { e.b, e.tail = e.b[:e.head], nil }
+func (e *Buffer) Reset() {
+	e.b = e.b[:e.head]
+	e.dropTails()
+}
 
 // Extend appends n bytes of unspecified content and returns them, for a
 // caller that reads into the body directly; Truncate cuts the body back

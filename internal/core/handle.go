@@ -151,18 +151,24 @@ func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
 			if !o.Append {
 				return stream.StartState{OffsetMode: true, Off: o.Off}, nil
 			}
-			s, err := b.Latest(ctx)
+			// The size decides; the history a pin would bring is needed
+			// only to read an unaligned tail.
+			v, size, err := b.c.Latest(ctx, b.meta.ID)
 			if err != nil {
 				return stream.StartState{}, err
 			}
-			rem := s.Size() % b.meta.BlockSize
+			rem := size % b.meta.BlockSize
 			if rem == 0 {
 				return stream.StartState{}, nil // native append path
 			}
 			// An unaligned tail cannot go through native appends (the
 			// version manager rejects appends onto unaligned EOFs), so
 			// merge it once and continue with offset-tracked writes.
-			tailStart := s.Size() - rem
+			s, err := b.Snapshot(ctx, v)
+			if err != nil {
+				return stream.StartState{}, err
+			}
+			tailStart := size - rem
 			tail := make([]byte, rem)
 			if _, err := s.ReadAtContext(ctx, tail, tailStart); err != nil && err != io.EOF {
 				return stream.StartState{}, err

@@ -344,6 +344,88 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppenderCachesExactlyItsLeaves: what an append writes through the
+// client's node cache stays cached only if a reader names it — the
+// appended leaves, never the spine above them — and a read of them
+// through the same client reaches the metadata store not at all.
+func TestAppenderCachesExactlyItsLeaves(t *testing.T) {
+	poisonReleased(t)
+	mem := mdtree.NewMemStore()
+	d := startMini(t, 2, mem)
+	c := pinClient(t, d, -1)
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := blocksOf('a', 'b', 'c', 'd', 'e')
+	for _, data := range [][]byte{want[:3*pinBS], want[3*pinBS:]} {
+		if _, err := b.Append(ctx, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.MetaCacheStats().Size; got != 5 {
+		t.Errorf("after appending 5 blocks the writer caches %d nodes, want its 5 leaves", got)
+	}
+	s, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gets := mem.Ops()
+	if got, err := readAll(s); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back: %v", err)
+	}
+	if _, after := mem.Ops(); after != gets {
+		t.Errorf("reading its own appends cost the writer %d metadata gets, want 0", after-gets)
+	}
+}
+
+// TestAlignedAppendWriterPinsNothing: an append-mode writer needs the
+// blob's size, not its history, unless the tail is unaligned and has to
+// be read: opened by a fresh client on a long aligned blob, it leaves the
+// client's block index empty.
+func TestAlignedAppendWriterPinsNothing(t *testing.T) {
+	d := startMini(t, 2, mdtree.NewMemStore())
+	ctx := context.Background()
+	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := d.vm.State()
+	for i := 0; i < 100; i++ { // aligned appends without trees: nothing reads them
+		a, err := vm.AssignVersion(b.ID(), blob.KindAppend, 0, pinBS, uint64(i+1), blob.Version(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Commit(b.ID(), a.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := pinClient(t, d, 0)
+	wb, err := c.OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wb.NewWriter(ctx, WriterOptions{Append: true})
+	if _, err := w.Write(blocksOf('z')); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if through := c.state(b.ID()).owners.Through(); through != 0 {
+		t.Errorf("opening an aligned append writer indexed the blob through version %d, want nothing pinned", through)
+	}
+	s, err := wb.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := make([]byte, pinBS)
+	if _, err := s.ReadAt(tail, 100*pinBS); (err != nil && err != io.EOF) || !bytes.Equal(tail, blocksOf('z')) || s.Size() != 101*pinBS {
+		t.Errorf("the writer's block did not land after the 100 appended ones (size %d, err %v)", s.Size(), err)
+	}
+}
+
 // TestBlobStateTableIsBounded: the per-blob cache holds maxBlobStates
 // blobs, the least recently used goes first, and nothing that still
 // holds a dropped state — or comes back to the blob — notices.

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"blobseer/internal/wire"
 )
@@ -28,37 +27,69 @@ func (c *Client) PutBatch(ctx context.Context, kvs []wire.KV) error {
 }
 
 // PutEach is PutBatch for a caller that can encode its n pairs itself:
-// key appends pair i's key to dst, val appends its value to b. Both go
-// straight into the frame each provider is sent, and run once more for
-// every retry of that frame, so they must be pure.
+// key appends pair i's key to dst, once per pair before anything is
+// sent; val appends its value to b, straight into the frame each
+// provider is sent, and runs once more for every retry of that frame, so
+// it must be pure. What a call allocates does not grow with the number
+// of providers the pairs go to.
 func (c *Client) PutEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, val func(i int, b *wire.Buffer)) error {
 	if n == 0 {
 		return nil
 	}
-	kbuf := make([]byte, 0, 96)
-	if n == 1 {
-		b := wire.NewBuffer(128)
-		val(0, b)
-		return c.Put(ctx, string(key(0, kbuf)), b.Bytes())
+	ps, nodes, err := c.place(n, key)
+	if err != nil {
+		return err
 	}
-	// owners[i*reps:][:reps] are the ring nodes pair i goes to.
+	return fanOut(len(nodes), func(k int) error {
+		return c.putOwned(ctx, nodes[k], ps, val)
+	})
+}
+
+// putPairs is a PutEach batch's keys and placement, worked out before
+// the first frame goes out and only read after: per pair, idx holds
+// where its key ends in keys, then the reps ring nodes it goes to.
+type putPairs struct {
+	keys []byte
+	idx  []int32
+	reps int
+}
+
+// place works out the keys and placement of n pairs, and the distinct
+// ring nodes they go to.
+func (c *Client) place(n int, key func(i int, dst []byte) []byte) (putPairs, []int32, error) {
 	reps := max(1, min(c.replicas, c.ring.Len()))
-	owners := make([]int32, 0, n*reps)
-	var nodes []int32 // distinct owners
+	ps := putPairs{reps: reps, keys: make([]byte, 0, 32*n), idx: make([]int32, 0, n*(1+reps))}
+	nodes := make([]int32, 0, min(c.ring.Len(), n*reps))
 	for i := 0; i < n; i++ {
-		owners = c.ring.appendOwners(owners, hash64(key(i, kbuf)), reps)
-		if len(owners) != (i+1)*reps {
-			return errors.New("dht: empty ring")
+		start := len(ps.keys)
+		ps.keys = key(i, ps.keys)
+		ps.idx = append(ps.idx, int32(len(ps.keys)))
+		ps.idx = c.ring.appendOwners(ps.idx, hash64(ps.keys[start:]), reps)
+		if len(ps.idx) != (i+1)*(1+reps) {
+			return putPairs{}, nil, errors.New("dht: empty ring")
 		}
-		for _, node := range owners[i*reps:] {
+		for _, node := range ps.owners(i) {
 			if !slices.Contains(nodes, node) {
 				nodes = append(nodes, node)
 			}
 		}
 	}
-	return c.eachReplica(len(nodes), func(k int) error {
-		return c.putOwned(ctx, nodes[k], n, reps, owners, key, val)
-	})
+	return ps, nodes, nil
+}
+
+func (p putPairs) len() int { return len(p.idx) / (1 + p.reps) }
+
+func (p putPairs) key(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = p.idx[(i-1)*(1+p.reps)]
+	}
+	return p.keys[start:p.idx[i*(1+p.reps)]]
+}
+
+func (p putPairs) owners(i int) []int32 {
+	at := i*(1+p.reps) + 1
+	return p.idx[at : at+p.reps]
 }
 
 // Chunking limits: one RPC frame per chunk, kept far below
@@ -71,20 +102,19 @@ const (
 )
 
 // putOwned sends ring node `node` the pairs it owns, a chunk per frame.
-func (c *Client) putOwned(ctx context.Context, node int32, n, reps int, owners []int32,
-	key func(int, []byte) []byte, val func(int, *wire.Buffer)) error {
-	addr, kbuf := c.ring.nodes[node], make([]byte, 0, 96)
+func (c *Client) putOwned(ctx context.Context, node int32, ps putPairs, val func(int, *wire.Buffer)) error {
+	addr, n := c.ring.nodes[node], ps.len()
 	for start := 0; start < n; {
 		var pairs, next int
 		err := c.callAddr(ctx, addr, mMetaPutBatch, 4+96*min(n-start, maxBatchPairs), func(b *wire.Buffer) {
 			b.U32(0) // the pair count, known once the chunk is cut
 			pairs = 0
 			for next = start; next < n && pairs < maxBatchPairs; next++ {
-				if !slices.Contains(owners[next*reps:][:reps], node) {
+				if !slices.Contains(ps.owners(next), node) {
 					continue
 				}
 				mark := b.Len()
-				b.Bytes32(key(next, kbuf))
+				b.Bytes32(ps.key(next))
 				vmark := b.Len()
 				b.U32(0) // the value's length, known once it is encoded
 				val(next, b)
@@ -114,7 +144,9 @@ type getState struct {
 }
 
 // GetBatch fetches many keys at once. Keys are grouped by their primary
-// replica and fetched with one parallel mMetaGetBatch RPC per provider;
+// replica and fetched with one mMetaGetBatch RPC per provider, in
+// parallel, one of them from the caller's goroutine (a batch that lives
+// on one provider starts no goroutine);
 // keys a provider misses (or whose provider is down) fall through to
 // the next replica in further rounds. The result maps each found key to
 // its value. A key absent from the map was authoritatively missing on
@@ -158,26 +190,20 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) (map[string][]byte
 			break
 		}
 		type result struct {
+			addr string
 			keys []string
 			vals [][]byte // nil entry = authoritative miss
 			err  error
 		}
 		results := make([]result, 0, len(groups))
-		var (
-			wg sync.WaitGroup
-			mu sync.Mutex
-		)
 		for addr, group := range groups {
-			wg.Add(1)
-			go func(addr string, group []string) {
-				defer wg.Done()
-				vals, err := c.getBatchOne(ctx, addr, group)
-				mu.Lock()
-				results = append(results, result{keys: group, vals: vals, err: err})
-				mu.Unlock()
-			}(addr, group)
+			results = append(results, result{addr: addr, keys: group})
 		}
-		wg.Wait()
+		_ = fanOut(len(results), func(k int) error {
+			res := &results[k]
+			res.vals, res.err = c.getBatchOne(ctx, res.addr, res.keys)
+			return nil
+		})
 		for _, res := range results {
 			for i, key := range res.keys {
 				st := states[key]

@@ -146,23 +146,40 @@ func (s *MetaService) handleStat(ctx context.Context, payload []byte) (*wire.Buf
 	return b, nil
 }
 
-// handlePutBatch stores every pair of a multi-put; any failure aborts
-// the batch (the client treats the whole RPC as failed, matching the
-// durability contract of single puts).
+// handlePutBatch stores every pair of a multi-put, and none when the
+// payload does not decode whole; any store failure fails the RPC (the
+// client treats the whole batch as failed, matching the durability
+// contract of single puts). A store.BatchPutter copies the batch in
+// bulk; any other store takes a Put per pair.
 func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
-	kvs := r.KVSlice()
+	n := r.U32()
+	if r.Err() != nil || uint64(n)*8 > uint64(r.Remaining()) { // each pair needs >= 8 prefix bytes
+		return nil, wire.ErrShortBuffer
+	}
+	pairs := make([]store.Pair, n)
+	var in int64
+	for i := range pairs {
+		pairs[i] = store.Pair{Key: r.Bytes32(), Val: r.Bytes32()}
+		in += int64(len(pairs[i].Val))
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	s.mBatchPut.Observe(int64(len(kvs)))
-	for _, kv := range kvs {
-		if err := s.store.Put(kv.Key, kv.Val); err != nil {
+	s.mBatchPut.Observe(int64(n))
+	if bp, ok := s.store.(store.BatchPutter); ok {
+		if err := bp.PutBatch(pairs); err != nil {
 			return nil, err
 		}
-		s.mPuts.Inc()
-		s.mBytesIn.Add(int64(len(kv.Val)))
+	} else {
+		for _, p := range pairs {
+			if err := s.store.Put(string(p.Key), p.Val); err != nil {
+				return nil, err
+			}
+		}
 	}
+	s.mPuts.Add(int64(n))
+	s.mBytesIn.Add(in)
 	return nil, nil
 }
 
@@ -251,7 +268,7 @@ func (c *Client) Put(ctx context.Context, key string, val []byte) error {
 	if len(addrs) == 0 {
 		return errors.New("dht: empty ring")
 	}
-	return c.eachReplica(len(addrs), func(i int) error {
+	return fanOut(len(addrs), func(i int) error {
 		err := c.callAddr(ctx, addrs[i], mMetaPut, 8+len(key)+len(val), func(b *wire.Buffer) {
 			b.String(key)
 			b.Bytes32(val)
@@ -263,16 +280,25 @@ func (c *Client) Put(ctx context.Context, key string, val []byte) error {
 	})
 }
 
-// eachReplica runs fn(0..n-1) concurrently, the last one on the
-// caller's goroutine, and returns the first error.
-func (c *Client) eachReplica(n int, fn func(i int) error) error {
-	var st struct {
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		err error
+// fanOut runs fn(0..n-1) concurrently, one of them on the caller's
+// goroutine, and returns the first error. Its goroutines share one
+// closure, so what a call allocates does not grow with n.
+func fanOut(n int, fn func(i int) error) error {
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return fn(0)
 	}
-	run := func(i int) {
-		if err := fn(i); err != nil {
+	var st struct {
+		wg   sync.WaitGroup
+		next atomic.Int32
+		mu   sync.Mutex
+		err  error
+	}
+	run := func() {
+		defer st.wg.Done()
+		if err := fn(int(st.next.Add(1)) - 1); err != nil {
 			st.mu.Lock()
 			if st.err == nil {
 				st.err = err
@@ -280,16 +306,11 @@ func (c *Client) eachReplica(n int, fn func(i int) error) error {
 			st.mu.Unlock()
 		}
 	}
-	for i := 0; i < n-1; i++ {
-		st.wg.Add(1)
-		go func(i int) {
-			defer st.wg.Done()
-			run(i)
-		}(i)
+	st.wg.Add(n)
+	for i := 1; i < n; i++ {
+		go run() // a func value without arguments: no closure per goroutine
 	}
-	if n > 0 {
-		run(n - 1)
-	}
+	run()
 	st.wg.Wait()
 	return st.err
 }
@@ -337,7 +358,7 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 // by GC).
 func (c *Client) Delete(ctx context.Context, key string) error {
 	addrs := c.ring.Lookup(key, c.replicas)
-	return c.eachReplica(len(addrs), func(i int) error {
+	return fanOut(len(addrs), func(i int) error {
 		return c.callAddr(ctx, addrs[i], mMetaDelete, 8+len(key), func(b *wire.Buffer) { b.String(key) }, nil)
 	})
 }

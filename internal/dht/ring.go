@@ -30,6 +30,14 @@
 // authoritative misses and the client can fall through to further
 // replicas only for the keys that need it.
 //
+// An mMetaPutBatch is all-or-nothing: the provider decodes all of it
+// before storing any, so a payload cut short stores no pair. A store
+// that implements store.BatchPutter (the mem store) then keeps the
+// batch with shared backing, every key cut from one string and every
+// value from one buffer, two allocations whatever its size. One batch is
+// one write's tree nodes, which GC and abort repair replace together, so
+// the shared backing is let go of as a whole.
+//
 // # Key namespaces
 //
 // Two key families share the DHT, distinguished by prefix:

@@ -17,6 +17,11 @@ import (
 // same range (the MapReduce pattern: one input scanned by many mappers)
 // resolve entirely from memory with zero DHT traffic.
 //
+// Writes go through to the store and leave their leaves cached, and
+// only those: a reader names leaves from its block index, so the leaves
+// a client wrote read back at no metadata cost, while the O(log n) inner
+// nodes of each write are fetched only by a tree walk that needs them.
+//
 // Concurrent misses for the same node are deduplicated singleflight-
 // style: one fetch travels to the store, every other caller waits for
 // its result. Under the paper's heavy-concurrency read workloads this
@@ -178,20 +183,16 @@ func (s *cacheShard) hitLocked(id NodeID) (Node, bool) {
 	return e.n, true
 }
 
-// Put implements Store: write-through, then cache (the node is
-// immutable, so it is cacheable the instant it is durable).
+// Put implements Store: write-through, then cache (see wrote).
 func (c *NodeCache) Put(ctx context.Context, n Node) error {
 	if err := c.inner.Put(ctx, n); err != nil {
 		return err
 	}
-	s := c.shard(n.ID)
-	s.mu.Lock()
-	c.insertLocked(s, n.ID, n)
-	s.mu.Unlock()
+	c.wrote(n)
 	return nil
 }
 
-// PutBatch implements BatchStore (write-through).
+// PutBatch implements BatchStore (write-through, see wrote).
 func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
 	if c.batch != nil {
 		if err := c.batch.PutBatch(ctx, nodes); err != nil {
@@ -203,12 +204,23 @@ func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
 		}
 	}
 	for _, n := range nodes {
-		s := c.shard(n.ID)
-		s.mu.Lock()
-		c.insertLocked(s, n.ID, n)
-		s.mu.Unlock()
+		c.wrote(n)
 	}
 	return nil
+}
+
+// wrote caches a node the instant it is durable, if it is a leaf: the
+// nodes a reader's block index names (Owners.Resolve) are leaves, and
+// the writer's own inner nodes would only push them out. An inner node
+// already cached — a tree walk fetched it — is replaced rather than left
+// stale, because abort repair rebuilds nodes under the same IDs.
+func (c *NodeCache) wrote(n Node) {
+	s := c.shard(n.ID)
+	s.mu.Lock()
+	if _, cached := s.entries[n.ID]; n.Leaf || cached {
+		c.insertLocked(s, n.ID, n)
+	}
+	s.mu.Unlock()
 }
 
 // Get implements Store with singleflight miss-deduplication.

@@ -59,12 +59,22 @@ func TestCacheWriteThroughMakesReadFree(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
 	cache := NewNodeCache(inner, 0)
-	_, m := buildBlocks(t, cache, 8)
+	h, m := buildBlocks(t, cache, 8)
 
-	// The writer's own cache was populated by Build's puts: a subsequent
-	// read through the same cache touches the store not at all.
-	if _, err := Resolve(ctx, cache, m, 1, 8*B, blob.Range{Off: 0, Len: 8 * B}); err != nil {
+	// The writer's cache holds what Build wrote that a reader names — the
+	// 8 leaves, not the 7 inner nodes above them — so a read through the
+	// block index touches the store not at all.
+	if st := cache.Stats(); st.Size != 8 {
+		t.Errorf("write-through cached %d nodes, want the 8 leaves", st.Size)
+	}
+	var o Owners
+	o.Extend(B, h.Descs)
+	ext, err := o.Resolve(ctx, cache, m, 1, 8*B, blob.Range{Off: 0, Len: 8 * B})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ext) != 8 {
+		t.Fatalf("read resolved %d extents, want 8", len(ext))
 	}
 	if _, gets := inner.Ops(); gets != 0 {
 		t.Errorf("read after write-through issued %d store gets, want 0", gets)
@@ -402,10 +412,12 @@ func TestCacheInvalidateVersion(t *testing.T) {
 
 func TestCacheRefreshesRepairedNode(t *testing.T) {
 	// Abort repair re-Builds an aborted version's nodes in place with
-	// empty block refs; a write-through of the repaired node must
-	// replace the cached original, not be ignored.
+	// empty block refs; a write-through of a repaired node must replace
+	// the cached original, not be ignored — a leaf, and an inner node
+	// a tree walk brought into the cache.
 	ctx := context.Background()
-	cache := NewNodeCache(NewMemStore(), 0)
+	inner := NewMemStore()
+	cache := NewNodeCache(inner, 0)
 	id := NodeID{Blob: 1, Version: 1, Off: 0, Span: B}
 	orig := Node{ID: id, Leaf: true, Block: BlockRef{Key: blob.BlockKey{Blob: 1, Nonce: 7}, Providers: []string{"p1"}, Len: B}}
 	if err := cache.Put(ctx, orig); err != nil {
@@ -421,6 +433,24 @@ func TestCacheRefreshesRepairedNode(t *testing.T) {
 	}
 	if len(got.Block.Providers) != 0 {
 		t.Errorf("cache still serves the pre-repair node: %+v", got)
+	}
+
+	spine := NodeID{Blob: 1, Version: 2, Off: 0, Span: 4 * B}
+	if err := cache.Put(ctx, Node{ID: spine, Left: ChildRef{Version: 2}, Right: ChildRef{Version: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.Get(ctx, spine); err != nil { // a walk fetches it
+		t.Fatal(err)
+	}
+	if err := cache.Put(ctx, Node{ID: spine, Left: ChildRef{Version: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	_, gets := inner.Ops()
+	if got, err := cache.Get(ctx, spine); err != nil || got.Right.Present() {
+		t.Errorf("cache still serves the pre-repair inner node: %+v, %v", got, err)
+	}
+	if _, after := inner.Ops(); after != gets {
+		t.Error("the repaired inner node was dropped from the cache, not replaced")
 	}
 }
 

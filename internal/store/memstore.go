@@ -9,7 +9,8 @@ const memShards = 16
 
 // MemStore is a sharded in-memory Store. Values are copied on Put and
 // Get so callers can reuse buffers freely, and never modified once
-// stored, which is what lets it lend them (Lender).
+// stored, which is what lets it lend them (Lender). A batch is copied
+// whole (BatchPutter).
 type MemStore struct {
 	shards [memShards]memShard
 }
@@ -45,6 +46,34 @@ func (s *MemStore) Put(key string, val []byte) error {
 	sh.mu.Lock()
 	sh.m[key] = cp
 	sh.mu.Unlock()
+	return nil
+}
+
+// PutBatch implements BatchPutter in two allocations whatever the batch
+// holds: the keys are cut from one string, the values from one buffer.
+// Each value is capped at its own end, so a lent value never reaches
+// its neighbour.
+func (s *MemStore) PutBatch(pairs []Pair) error {
+	var nk, nv int
+	for _, p := range pairs {
+		nk, nv = nk+len(p.Key), nv+len(p.Val)
+	}
+	var kb strings.Builder
+	kb.Grow(nk)
+	for _, p := range pairs {
+		kb.Write(p.Key)
+	}
+	keys, vals := kb.String(), make([]byte, 0, nv)
+	for _, p := range pairs {
+		key := keys[:len(p.Key)]
+		keys = keys[len(p.Key):]
+		vals = append(vals, p.Val...)
+		val := vals[len(vals)-len(p.Val) : len(vals) : len(vals)]
+		sh := s.shard(key)
+		sh.mu.Lock()
+		sh.m[key] = val
+		sh.mu.Unlock()
+	}
 	return nil
 }
 

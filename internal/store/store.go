@@ -103,6 +103,21 @@ type Lender interface {
 	Lend(key string, off, length int64) ([]byte, error)
 }
 
+// Pair is one key/value of a BatchPutter's batch, both still the caller's.
+type Pair struct {
+	Key, Val []byte
+}
+
+// BatchPutter is the optional interface of a backend that stores many
+// pairs for less than a Put each; callers type-assert for it and fall
+// back to Put per pair. PutBatch is that loop's contract — every pair
+// stored, a later pair of the same key winning — with the copies made in
+// bulk, so the batch's pairs may share their memory until the last of
+// them is overwritten or deleted.
+type BatchPutter interface {
+	PutBatch(pairs []Pair) error
+}
+
 func clampRange(valLen, off, length int64) (int64, int64) {
 	if off < 0 {
 		off = 0

@@ -358,7 +358,9 @@ func (r *Reader) StringSlice() []string {
 }
 
 // KVSlice reads a u32 count followed by each key/value pair. Values
-// alias the underlying body; callers that retain them must copy.
+// alias the underlying body; callers that retain them must copy. It
+// makes a string per key: the metadata provider decodes its batches
+// without them, and is fuzzed against this.
 func (r *Reader) KVSlice() []KV {
 	n := r.U32()
 	if r.err != nil {

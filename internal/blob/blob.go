@@ -12,6 +12,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -179,9 +180,70 @@ func (d WriteDesc) Range() Range { return Range{Off: d.Off, Len: d.Len} }
 // lock: the backing array is only ever appended to, and an entry that
 // really changes (Extend, MarkAborted) is written to a fresh copy.
 // Descs is for reading; change a history through its methods only.
+//
+// Beside Descs a history keeps an index for LatestIntersecting: for every
+// complete run of spanFan versions, of spanFan such runs, and so on up,
+// the byte range all their writes fall in. It is kept append-only like
+// Descs and shared by views the same way. A history made from a Descs
+// literal starts without one, and LatestIntersecting scans what it does
+// not cover; its first Append or Extend indexes it all.
 type History struct {
 	Descs  []WriteDesc
 	shared bool // a view may alias Descs: copy before changing an entry
+	spans  [spanLevels][]span
+}
+
+// The index's shape: a group at level l covers spanFan groups of level
+// l-1 (level 0: spanFan versions), so a group of level l holds
+// 1<<(spanShift*(l+1)) versions and the top level skips 16^6 at a time.
+const (
+	spanShift  = 4
+	spanFan    = 1 << spanShift
+	spanLevels = 6
+)
+
+// span is a half-open byte range [lo, hi) holding every byte a group of
+// versions wrote; lo == hi when none wrote any.
+type span struct{ lo, hi int64 }
+
+func spanOf(r Range) span {
+	if r.IsEmpty() {
+		return span{}
+	}
+	return span{r.Off, r.End()}
+}
+
+func (s span) union(o span) span {
+	switch {
+	case o.lo == o.hi:
+		return s
+	case s.lo == s.hi:
+		return o
+	}
+	return span{min(s.lo, o.lo), max(s.hi, o.hi)}
+}
+
+func (s span) intersects(r Range) bool { return s.lo < s.hi && s.lo < r.End() && r.Off < s.hi }
+
+// reindex extends the index over every group Descs completes.
+func (h *History) reindex() {
+	for l := range h.spans {
+		children := len(h.Descs)
+		if l > 0 {
+			children = len(h.spans[l-1])
+		}
+		for g := len(h.spans[l]); (g+1)*spanFan <= children; g++ {
+			var sp span
+			for i := g * spanFan; i < (g+1)*spanFan; i++ {
+				if l == 0 {
+					sp = sp.union(spanOf(h.Descs[i].Range()))
+				} else {
+					sp = sp.union(h.spans[l-1][i])
+				}
+			}
+			h.spans[l] = append(h.spans[l], sp)
+		}
+	}
 }
 
 // Since returns the descriptors of versions > since, in O(1), as a
@@ -197,19 +259,35 @@ func (h *History) Since(since Version) []WriteDesc {
 
 // View returns the history as recorded so far, in O(1), for a reader
 // that outlives the owner's lock (a metadata build, an abort repair).
-func (h *History) View() *History {
-	return &History{Descs: h.Since(0), shared: true}
+// The view is a value: changes to either side never reach the other.
+func (h *History) View() History {
+	v := History{Descs: h.Since(0), shared: true}
+	for l, s := range h.spans {
+		v.spans[l] = s[:len(s):len(s)]
+	}
+	return v
 }
 
-// set overwrites entry idx unless it already equals d.
+// set overwrites entry idx unless it already equals d. An entry whose
+// range changes takes the index groups holding it out, to be made again;
+// capped, so that making them again cannot write where a view reads.
 func (h *History) set(idx int, d WriteDesc) {
-	if h.Descs[idx] == d {
+	old := h.Descs[idx]
+	if old == d {
 		return
 	}
 	if h.shared {
 		h.Descs, h.shared = slices.Clone(h.Descs), false
 	}
 	h.Descs[idx] = d
+	if old.Range() != d.Range() {
+		for l, s := range h.spans {
+			if g := idx >> (spanShift * (l + 1)); g < len(s) {
+				h.spans[l] = s[:g:g]
+			}
+		}
+		h.reindex()
+	}
 }
 
 // MarkAborted flags version v as aborted; false if v is not recorded.
@@ -255,6 +333,7 @@ func (h *History) Append(d WriteDesc) error {
 		return fmt.Errorf("blob: history gap: have %d versions, appending version %d", len(h.Descs), d.Version)
 	}
 	h.Descs = append(h.Descs, d)
+	h.reindex()
 	return nil
 }
 
@@ -272,9 +351,11 @@ func (h *History) Extend(descs []WriteDesc) error {
 		case idx == len(h.Descs):
 			h.Descs = append(h.Descs, d)
 		default:
+			h.reindex()
 			return fmt.Errorf("blob: history gap: have %d versions, got version %d", len(h.Descs), d.Version)
 		}
 	}
+	h.reindex()
 	return nil
 }
 
@@ -282,22 +363,52 @@ func (h *History) Extend(descs []WriteDesc) error {
 // range intersects r (NoVersion if none). Aborted versions still count:
 // their metadata exists (repaired to describe an empty payload), so
 // borrowing from them stays well-defined.
+//
+// It scans back from upTo and skips, whole, the largest indexed group
+// ending where it stands whose writes all miss r. An append's left
+// siblings are answered by versions about as old as the bytes they
+// cover, so a build costs O(log n) steps per sibling, not O(n).
 func (h *History) LatestIntersecting(r Range, upTo Version) Version {
 	if upTo > Version(len(h.Descs)) {
 		upTo = Version(len(h.Descs))
 	}
 	// A blob never shrinks, so a range at or past its size as of upTo
 	// (every right-hand sibling an append asks about) was written by no
-	// version that old. A never-written hole inside the blob still scans.
+	// version that old.
 	if upTo >= 1 && r.Off >= h.Descs[upTo-1].SizeAfter {
 		return NoVersion
 	}
-	for v := upTo; v >= 1; v-- {
-		if h.Descs[v-1].Range().Intersects(r) {
-			return v
+	for v := int(upTo); v >= 1; {
+		if v%spanFan == 0 { // a group may end here
+			if w := h.missingRun(r, v); w > 0 {
+				v -= w
+				continue
+			}
 		}
+		// One by one down to where the next group ends.
+		lo := (v - 1) &^ (spanFan - 1)
+		run := h.Descs[lo:v]
+		for i := len(run) - 1; i >= 0; i-- {
+			if run[i].Range().Intersects(r) {
+				return Version(lo + i + 1)
+			}
+		}
+		v = lo
 	}
 	return NoVersion
+}
+
+// missingRun returns how many versions up to v make the largest indexed
+// group that ends at v and wrote nothing in r; 0 when there is none.
+func (h *History) missingRun(r Range, v int) int {
+	// A group of level l ends at v when v is a multiple of its width.
+	for l := min(bits.TrailingZeros(uint(v))/spanShift, spanLevels) - 1; l >= 0; l-- {
+		shift := spanShift * (l + 1)
+		if g := v >> shift; g <= len(h.spans[l]) && !h.spans[l][g-1].intersects(r) {
+			return 1 << shift
+		}
+	}
+	return 0
 }
 
 // Blocks returns the number of blocks needed to hold size bytes given

@@ -228,7 +228,7 @@ func TestHistoryViewIsImmutable(t *testing.T) {
 				}
 			default:
 				v := h.View()
-				views = append(views, held{v, append([]WriteDesc(nil), v.Descs...)})
+				views = append(views, held{&v, append([]WriteDesc(nil), v.Descs...)})
 				if r.Intn(4) == 0 { // a holder that writes to its view
 					mine := h.View()
 					mine.MarkAborted(Version(1 + r.Intn(n)))
@@ -436,5 +436,81 @@ func TestBlockKeyWritePrefix(t *testing.T) {
 		if strings.HasPrefix(o.String(), w.WritePrefix()) {
 			t.Errorf("prefix %q wrongly matches %q", w.WritePrefix(), o)
 		}
+	}
+}
+
+// TestLatestIntersectingIndexMatchesScan: the indexed scan answers as a
+// plain backward scan does, over random histories of appends, overwrites,
+// writes past a hole, aborted versions and entries Extend rewrote with
+// another range — on the owner, on views taken along the way, and on a
+// history made from a Descs literal, which has no index.
+func TestLatestIntersectingIndexMatchesScan(t *testing.T) {
+	scan := func(descs []WriteDesc, r Range, upTo Version) Version {
+		for v := min(upTo, Version(len(descs))); v >= 1; v-- {
+			if descs[v-1].Range().Intersects(r) {
+				return v
+			}
+		}
+		return NoVersion
+	}
+	f := func(seed uint64) bool {
+		rng := util.NewSplitMix64(seed)
+		h := &History{}
+		var views []History
+		size, n := int64(0), 1+rng.Intn(2000)
+		for v := 1; v <= n; v++ {
+			d := WriteDesc{Version: Version(v), Off: size, Len: 1 + rng.Int63n(64), Nonce: uint64(v)}
+			switch op := rng.Intn(10); {
+			case op < 3 && size > 0: // an overwrite somewhere inside
+				d.Off = rng.Int63n(size)
+			case op == 3: // a write past a hole
+				d.Off = size + rng.Int63n(200)
+			case op == 4:
+				d.Aborted = true
+			}
+			size = max(size, d.Range().End())
+			d.SizeAfter = size
+			if h.Append(d) != nil {
+				return false
+			}
+			switch rng.Intn(40) {
+			case 0: // a repair rewrote an entry: another range inside the same size
+				e := h.Descs[rng.Intn(v)]
+				e.Off = rng.Int63n(e.SizeAfter)
+				e.Len = rng.Int63n(e.SizeAfter - e.Off + 1)
+				e.Aborted = true
+				if h.Extend([]WriteDesc{e}) != nil {
+					return false
+				}
+			case 1:
+				h.MarkAborted(Version(1 + rng.Intn(v)))
+			case 2:
+				views = append(views, h.View())
+			}
+		}
+		literal := History{Descs: slices.Clone(h.Descs)}
+		for _, hv := range append(views, *h, literal) {
+			for q := 0; q < 200; q++ {
+				r := Range{Off: rng.Int63n(size + 10), Len: 1 + rng.Int63n(1+size/8)}
+				upTo := Version(rng.Intn(hv.Len() + 2))
+				if d := hv.Descs[rng.Intn(hv.Len())]; q%2 == 1 && d.Len > 0 {
+					// One byte at an edge of a write: a group's range must
+					// hold its writes' first and last bytes exactly.
+					r = Range{Off: d.Off, Len: 1}
+					if q%4 == 1 {
+						r.Off = d.Range().End() - 1
+					}
+					upTo = d.Version + Version(rng.Intn(3*spanFan))
+				}
+				if got, want := hv.LatestIntersecting(r, upTo), scan(hv.Descs, r, upTo); got != want {
+					t.Logf("seed %d: LatestIntersecting(%v, %d) over %d versions = %d, the scan says %d", seed, r, upTo, hv.Len(), got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }

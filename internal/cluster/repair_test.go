@@ -184,8 +184,8 @@ func TestHeartbeatExpiryRemovesCrashedProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range targets {
-		if set[0] == victim {
+	for _, addr := range targets.Addrs {
+		if addr == victim {
 			t.Fatal("expired provider still receiving allocations")
 		}
 	}

@@ -393,13 +393,13 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	for i := range refs {
 		start := int64(i) * m.BlockSize
 		key := blob.BlockKey{Blob: id, Nonce: nonce, Seq: uint32(i)}
-		refs[i] = mdtree.BlockRef{Key: key, Providers: targets[i], Len: min(m.BlockSize, int64(len(data))-start)}
+		refs[i] = mdtree.BlockRef{Key: key, Providers: targets.Block(i), Len: min(m.BlockSize, int64(len(data))-start)}
 	}
 	if werr := c.putBlocks(ctx, data, m.BlockSize, refs); werr != nil {
 		// The paper: "If, for some reason, writing of a block fails,
 		// then the whole write fails." No version was assigned, so no
 		// repair is needed — just GC the orphaned blocks.
-		c.gcBlocks(id, nonce, targets)
+		c.gcBlocks(id, nonce, targets.Addrs)
 		return 0, werr
 	}
 
@@ -410,7 +410,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	c.mu.Unlock()
 	a, err := c.vm.AssignVersion(ctx, id, kind, off, int64(len(data)), nonce, since)
 	if err != nil {
-		c.gcBlocks(id, nonce, targets)
+		c.gcBlocks(id, nonce, targets.Addrs)
 		return 0, err
 	}
 	c.mu.Lock()
@@ -424,13 +424,13 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return 0, fmt.Errorf("core: history cache failed (%v) and abort failed: %w", err, aerr)
 		}
-		c.gcBlocks(id, nonce, targets)
+		c.gcBlocks(id, nonce, targets.Addrs)
 		return 0, fmt.Errorf("core: history cache: %w", err)
 	}
 
 	// Phase 2b: weave and store metadata, concurrently with all other
 	// writers (including ones still working on lower versions).
-	if _, err := mdtree.Build(ctx, c.meta, m, hist, a.Version, refs); err != nil {
+	if _, err := mdtree.Build(ctx, c.meta, m, &hist, a.Version, refs); err != nil {
 		// Whatever Build managed to write through into the cache is
 		// suspect from here on: the janitor will eventually abort this
 		// version and the repairer rewrite its nodes in place. Purge
@@ -441,7 +441,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return 0, fmt.Errorf("core: metadata build failed (%v) and abort failed: %w", err, aerr)
 		}
-		c.gcBlocks(id, nonce, targets)
+		c.gcBlocks(id, nonce, targets.Addrs)
 		return 0, fmt.Errorf("core: metadata build: %w", err)
 	}
 
@@ -579,17 +579,16 @@ func (c *Client) invalidateMetaVersion(id blob.ID, v blob.Version) {
 	}
 }
 
-// gcBlocks best-effort deletes every block a failed write stored.
-func (c *Client) gcBlocks(id blob.ID, nonce uint64, targets [][]string) {
+// gcBlocks best-effort deletes every block a failed write stored on the
+// providers it was placed on.
+func (c *Client) gcBlocks(id blob.ID, nonce uint64, addrs []string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	seen := map[string]bool{}
-	for _, set := range targets {
-		for _, addr := range set {
-			if !seen[addr] {
-				seen[addr] = true
-				_, _ = c.prov.DeleteWrite(ctx, addr, id, nonce)
-			}
+	for _, addr := range addrs {
+		if !seen[addr] {
+			seen[addr] = true
+			_, _ = c.prov.DeleteWrite(ctx, addr, id, nonce)
 		}
 	}
 }

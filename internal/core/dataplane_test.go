@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -272,69 +271,6 @@ func TestReadRotationSpreadsAcrossReplicas(t *testing.T) {
 	g0, g1 := d.provStore[0].gets.Load(), d.provStore[1].gets.Load()
 	if g0 == 0 || g1 == 0 {
 		t.Errorf("8 reads of a 2-replica block hit providers %d/%d times; rotation should spread them", g0, g1)
-	}
-}
-
-// writeCounter counts Write calls: on an inproc conn, one per frame
-// without a tail, so one per read request.
-type writeCounter struct {
-	net.Conn
-	writes *atomic.Int64
-}
-
-func (c *writeCounter) Write(p []byte) (int, error) {
-	c.writes.Add(1)
-	return c.Conn.Write(p)
-}
-
-// TestReadIsOneCallPerProvider: a 16-block ReadAt over 4 providers asks
-// each provider once for all four of its blocks — 4 requests, not 16 —
-// and every block lands in its place.
-func TestReadIsOneCallPerProvider(t *testing.T) {
-	const blockSize = int64(4 * 1024)
-	d := startMini(t, 4, mdtree.NewMemStore())
-	var requests atomic.Int64
-	pool := rpc.NewPool(func(addr string) (net.Conn, error) {
-		conn, err := d.net.Dial(addr)
-		if err != nil || !strings.HasPrefix(addr, "provider-") {
-			return conn, err
-		}
-		return &writeCounter{Conn: conn, writes: &requests}, nil
-	})
-	t.Cleanup(pool.Close)
-	c := NewClient(Config{Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr, MetaStore: d.clientMeta})
-	ctx := context.Background()
-	b, err := c.CreateBlob(ctx, blockSize, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 16*blockSize)
-	for i := range payload {
-		payload[i] = byte(i*7 + i/int(blockSize))
-	}
-	v, err := b.Append(ctx, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cs := range d.provStore {
-		if st := cs.Stats(); st.Items != 4 {
-			t.Fatalf("provider %d holds %d blocks, want 4 of the 16", i, st.Items)
-		}
-	}
-	s, err := b.Snapshot(ctx, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requests.Store(0)
-	got := bytes.Repeat([]byte{0xDB}, len(payload))
-	if _, err := s.ReadAtContext(ctx, got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("read back other bytes than written")
-	}
-	if n := requests.Load(); n != 4 {
-		t.Errorf("a 16-block read over 4 providers sent %d provider requests, want 4", n)
 	}
 }
 

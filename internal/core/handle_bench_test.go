@@ -84,10 +84,11 @@ func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.SetBytes(s.Size())
-	// The budget of a warm 8-block read, client and daemons together: 32
-	// when each provider's blocks ride one call, 58 when every block was
-	// a call of its own, 77 when the tree was walked to the leaves.
-	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 48 {
-		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 48", allocs, nBlocks)
+	// The budget of a warm 8-block read, client and daemons together: 24
+	// now that frames are recycled with their bytes, 32 when every frame
+	// allocated its wire.Buffer, 58 when every block was a call of its own,
+	// 77 when the tree was walked to the leaves.
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 30 {
+		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 30", allocs, nBlocks)
 	}
 }

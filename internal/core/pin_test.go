@@ -380,52 +380,6 @@ func TestAppenderCachesExactlyItsLeaves(t *testing.T) {
 	}
 }
 
-// TestAlignedAppendWriterPinsNothing: an append-mode writer needs the
-// blob's size, not its history, unless the tail is unaligned and has to
-// be read: opened by a fresh client on a long aligned blob, it leaves the
-// client's block index empty.
-func TestAlignedAppendWriterPinsNothing(t *testing.T) {
-	d := startMini(t, 2, mdtree.NewMemStore())
-	ctx := context.Background()
-	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := d.vm.State()
-	for i := 0; i < 100; i++ { // aligned appends without trees: nothing reads them
-		a, err := vm.AssignVersion(b.ID(), blob.KindAppend, 0, pinBS, uint64(i+1), blob.Version(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.Commit(b.ID(), a.Version); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := pinClient(t, d, 0)
-	wb, err := c.OpenBlob(ctx, b.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := wb.NewWriter(ctx, WriterOptions{Append: true})
-	if _, err := w.Write(blocksOf('z')); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if through := c.state(b.ID()).owners.Through(); through != 0 {
-		t.Errorf("opening an aligned append writer indexed the blob through version %d, want nothing pinned", through)
-	}
-	s, err := wb.Latest(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := make([]byte, pinBS)
-	if _, err := s.ReadAt(tail, 100*pinBS); (err != nil && err != io.EOF) || !bytes.Equal(tail, blocksOf('z')) || s.Size() != 101*pinBS {
-		t.Errorf("the writer's block did not land after the 100 appended ones (size %d, err %v)", s.Size(), err)
-	}
-}
-
 // TestBlobStateTableIsBounded: the per-blob cache holds maxBlobStates
 // blobs, the least recently used goes first, and nothing that still
 // holds a dropped state — or comes back to the blob — notices.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"blobseer/internal/wire"
 )
@@ -30,19 +32,47 @@ func (c *Client) PutBatch(ctx context.Context, kvs []wire.KV) error {
 // key appends pair i's key to dst, once per pair before anything is
 // sent; val appends its value to b, straight into the frame each
 // provider is sent, and runs once more for every retry of that frame, so
-// it must be pure. What a call allocates does not grow with the number
-// of providers the pairs go to.
+// it must be pure. The keys, their placement and the per-provider sends
+// live in a record the client recycles: a warm call allocates none of
+// them, whatever the number of pairs and providers.
 func (c *Client) PutEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, val func(i int, b *wire.Buffer)) error {
 	if n == 0 {
 		return nil
 	}
-	ps, nodes, err := c.place(n, key)
-	if err != nil {
-		return err
+	pc, ok := c.putCalls.get()
+	if !ok {
+		pc = &putCall{c: c}
+		pc.sendOne = pc.send
 	}
-	return fanOut(len(nodes), func(k int) error {
-		return c.putOwned(ctx, nodes[k], ps, val)
-	})
+	err := pc.place(n, key)
+	if err == nil {
+		pc.ctx, pc.val = ctx, val
+		err = pc.fanOut()
+	}
+	pc.ctx, pc.val, pc.err = nil, nil, nil
+	if cap(pc.keys) <= maxKeptKeys {
+		c.putCalls.put(pc)
+	}
+	return err
+}
+
+// maxKeptKeys bounds the key bytes a recycled putCall keeps.
+const maxKeptKeys = 64 << 10
+
+// putCall is one PutEach in flight: its pairs' keys and placement, and
+// what the goroutines sending them to their providers share.
+type putCall struct {
+	c *Client
+	putPairs
+	nodes   []int32 // the distinct ring nodes the pairs go to
+	sendOne func()  // send, bound once so that starting it allocates nothing
+
+	ctx  context.Context
+	val  func(int, *wire.Buffer)
+	next atomic.Int32
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	err  error
 }
 
 // putPairs is a PutEach batch's keys and placement, worked out before
@@ -56,25 +86,52 @@ type putPairs struct {
 
 // place works out the keys and placement of n pairs, and the distinct
 // ring nodes they go to.
-func (c *Client) place(n int, key func(i int, dst []byte) []byte) (putPairs, []int32, error) {
-	reps := max(1, min(c.replicas, c.ring.Len()))
-	ps := putPairs{reps: reps, keys: make([]byte, 0, 32*n), idx: make([]int32, 0, n*(1+reps))}
-	nodes := make([]int32, 0, min(c.ring.Len(), n*reps))
+func (pc *putCall) place(n int, key func(i int, dst []byte) []byte) error {
+	ring := pc.c.ring
+	pc.reps = max(1, min(pc.c.replicas, ring.Len()))
+	pc.keys, pc.idx, pc.nodes = pc.keys[:0], pc.idx[:0], pc.nodes[:0]
 	for i := 0; i < n; i++ {
-		start := len(ps.keys)
-		ps.keys = key(i, ps.keys)
-		ps.idx = append(ps.idx, int32(len(ps.keys)))
-		ps.idx = c.ring.appendOwners(ps.idx, hash64(ps.keys[start:]), reps)
-		if len(ps.idx) != (i+1)*(1+reps) {
-			return putPairs{}, nil, errors.New("dht: empty ring")
+		start := len(pc.keys)
+		pc.keys = key(i, pc.keys)
+		pc.idx = append(pc.idx, int32(len(pc.keys)))
+		pc.idx = ring.appendOwners(pc.idx, hash64(pc.keys[start:]), pc.reps)
+		if len(pc.idx) != (i+1)*(1+pc.reps) {
+			return errors.New("dht: empty ring")
 		}
-		for _, node := range ps.owners(i) {
-			if !slices.Contains(nodes, node) {
-				nodes = append(nodes, node)
+		for _, node := range pc.owners(i) {
+			if !slices.Contains(pc.nodes, node) {
+				pc.nodes = append(pc.nodes, node)
 			}
 		}
 	}
-	return ps, nodes, nil
+	return nil
+}
+
+// fanOut sends every ring node its pairs, one node from the caller's
+// goroutine and the others concurrently, and returns the first error.
+func (pc *putCall) fanOut() error {
+	k := len(pc.nodes)
+	pc.next.Store(0)
+	pc.wg.Add(k)
+	for i := 1; i < k; i++ {
+		go pc.sendOne()
+	}
+	pc.send()
+	pc.wg.Wait()
+	return pc.err
+}
+
+// send puts the next ring node's pairs.
+func (pc *putCall) send() {
+	defer pc.wg.Done()
+	node := pc.nodes[pc.next.Add(1)-1]
+	if err := pc.c.putOwned(pc.ctx, node, pc.putPairs, pc.val); err != nil {
+		pc.mu.Lock()
+		if pc.err == nil {
+			pc.err = err
+		}
+		pc.mu.Unlock()
+	}
 }
 
 func (p putPairs) len() int { return len(p.idx) / (1 + p.reps) }
@@ -271,4 +328,36 @@ func (c *Client) getBatchOne(ctx context.Context, addr string, keys []string) ([
 		}
 	}
 	return vals, nil
+}
+
+// freeList is a bounded stack of values to reuse, under the discipline
+// of wire's free lists: what a warm process allocates depends neither on
+// when collections run nor on how many values were ever in use at once.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []T
+}
+
+// freeListMax bounds the values a freeList keeps.
+const freeListMax = 64
+
+func (l *freeList[T]) get() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.idle)
+	if n == 0 {
+		return v, false
+	}
+	v, ok = l.idle[n-1], true
+	var zero T
+	l.idle[n-1], l.idle = zero, l.idle[:n-1]
+	return v, ok
+}
+
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.idle) < freeListMax {
+		l.idle = append(l.idle, v)
+	}
 }

@@ -238,3 +238,38 @@ func TestDHTPutBatchEmpty(t *testing.T) {
 		t.Fatalf("empty GetBatch = %v, %v", got, err)
 	}
 }
+
+// TestDHTPutBatchConcurrentCalls: concurrent batches, each one's keys,
+// placement and sends in a put record the client recycles, land every
+// value on its replicas and nowhere mixed with another batch's.
+func TestDHTPutBatchConcurrentCalls(t *testing.T) {
+	c, _ := startDHT(t, 4, 2)
+	ctx := context.Background()
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			for round := 0; round < 10; round++ {
+				kvs := make([]wire.KV, 1+(g+round)%12)
+				for i := range kvs {
+					kvs[i] = wire.KV{Key: fmt.Sprintf("t%d/%d/%d/64", g, round, i), Val: []byte(fmt.Sprintf("%d-%d-%d", g, round, i))}
+				}
+				if err := c.PutBatch(ctx, kvs); err != nil {
+					errs <- err
+					return
+				}
+				for _, kv := range kvs {
+					if got, err := c.Get(ctx, kv.Key); err != nil || !bytes.Equal(got, kv.Val) {
+						errs <- fmt.Errorf("Get(%s) = %q, %v; want %q", kv.Key, got, err, kv.Val)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -60,6 +60,8 @@ type MetaService struct {
 	mBatchGet *metrics.Histogram // keys per get-batch RPC
 	mBytesIn  *metrics.Counter
 	mBytesOut *metrics.Counter
+
+	pairVecs freeList[[]store.Pair] // handlePutBatch's decoded batches, recycled
 }
 
 // NewMetaService returns a metadata provider over st.
@@ -157,10 +159,19 @@ func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire
 	if r.Err() != nil || uint64(n)*8 > uint64(r.Remaining()) { // each pair needs >= 8 prefix bytes
 		return nil, wire.ErrShortBuffer
 	}
-	pairs := make([]store.Pair, n)
+	pairs, _ := s.pairVecs.get()
+	if cap(pairs) < int(n) {
+		pairs = make([]store.Pair, 0, n)
+	}
+	defer func() {
+		if cap(pairs) <= maxBatchPairs {
+			clear(pairs) // the pairs alias the request
+			s.pairVecs.put(pairs[:0])
+		}
+	}()
 	var in int64
-	for i := range pairs {
-		pairs[i] = store.Pair{Key: r.Bytes32(), Val: r.Bytes32()}
+	for i := uint32(0); i < n; i++ {
+		pairs = append(pairs, store.Pair{Key: r.Bytes32(), Val: r.Bytes32()})
 		in += int64(len(pairs[i].Val))
 	}
 	if err := r.Err(); err != nil {
@@ -226,6 +237,8 @@ type Client struct {
 	// replica tried and fell through to a later one (dead or lagging
 	// metadata providers make this grow).
 	fallbacks atomic.Int64
+
+	putCalls freeList[*putCall] // PutEach's records, recycled
 }
 
 // metaBackoff is the per-replica retry schedule. It is deliberately

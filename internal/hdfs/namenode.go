@@ -65,6 +65,7 @@ type Namenode struct {
 	nodes     []*placement.Node
 	byAddr    map[string]*placement.Node
 	strategy  placement.Strategy
+	picks     []*placement.Node // the strategy's output vector, reused
 	blockSize int64
 }
 
@@ -162,14 +163,15 @@ func (n *Namenode) AddBlock(id FileID, lease string, clientHost string, replicas
 	if replicas < 1 {
 		replicas = 1
 	}
-	targets, err := n.strategy.Pick(1, replicas, clientHost, n.nodes)
+	targets, err := n.strategy.Pick(n.picks[:0], 1, replicas, clientHost, n.nodes)
 	if err != nil {
 		return 0, nil, err
 	}
+	n.picks = targets
 	n.nextBlock++
 	bid := n.nextBlock
-	addrs := make([]string, len(targets[0]))
-	for i, nd := range targets[0] {
+	addrs := make([]string, len(targets))
+	for i, nd := range targets {
 		addrs[i] = nd.Addr
 	}
 	fm.blocks = append(fm.blocks, blockInfo{id: bid, locations: addrs})

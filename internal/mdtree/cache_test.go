@@ -307,7 +307,7 @@ func TestCacheConcurrentResolveBuildRace(t *testing.T) {
 			}
 			snap := h.View()
 			mu.Unlock()
-			if _, err := Build(ctx, cache, m, snap, v, refs(uint64(v), 2, 0)); err != nil {
+			if _, err := Build(ctx, cache, m, &snap, v, refs(uint64(v), 2, 0)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -135,7 +135,7 @@ func Build(ctx context.Context, st Store, meta blob.Meta, h *blob.History, v blo
 	// A patch of k blocks materializes its leaves, their ancestors inside
 	// the patch (fewer than k more) and a path up to the root.
 	room := 2*len(blocks) + bits.Len64(uint64(span/meta.BlockSize))
-	b := &builder{meta: meta, h: h, v: v, update: update, blocks: blocks, out: make([]Node, 0, room)}
+	b := &builder{meta: meta, h: *h, v: v, update: update, blocks: blocks, out: make([]Node, 0, room)}
 	if _, err := b.node(blob.Range{Off: 0, Len: span}); err != nil {
 		return 0, err
 	}
@@ -150,7 +150,7 @@ func Build(ctx context.Context, st Store, meta blob.Meta, h *blob.History, v blo
 
 type builder struct {
 	meta   blob.Meta
-	h      *blob.History
+	h      blob.History // a copy, so that the caller's stays off the heap
 	v      blob.Version
 	update blob.Range
 	blocks []BlockRef
@@ -227,7 +227,7 @@ func PlanNodes(meta blob.Meta, h *blob.History, v blob.Version) ([]NodeID, error
 		return nil, fmt.Errorf("mdtree: history has no descriptor for version %d", v)
 	}
 	n := int(blob.Blocks(d.Len, meta.BlockSize))
-	b := &builder{meta: meta, h: h, v: v, update: d.Range(), blocks: make([]BlockRef, n)}
+	b := &builder{meta: meta, h: *h, v: v, update: d.Range(), blocks: make([]BlockRef, n)}
 	span := blob.SpanBytes(d.SizeAfter, meta.BlockSize)
 	if _, err := b.node(blob.Range{Off: 0, Len: span}); err != nil {
 		return nil, err

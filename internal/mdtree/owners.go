@@ -12,9 +12,10 @@ import (
 // Owners is a blob's write history indexed by block: the versions that
 // wrote each block, ascending. It answers a reader's one question —
 // which version owns block b in snapshot v — by binary search, where
-// blob.History.LatestIntersecting scans the history. It is extended with
-// *published* descriptors only (their ranges never change, so no entry
-// is ever rewritten). The zero value is empty; safe for concurrent use.
+// blob.History.LatestIntersecting walks the history back from v. It is
+// extended with *published* descriptors only (their ranges never change,
+// so no entry is ever rewritten). The zero value is empty; safe for
+// concurrent use.
 type Owners struct {
 	mu      sync.RWMutex
 	through blob.Version // versions 1..through are indexed

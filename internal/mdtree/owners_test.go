@@ -268,9 +268,8 @@ func (leafStore) Get(_ context.Context, id NodeID) (Node, error) {
 
 // BenchmarkResolveOneBlock resolves one block of a random snapshot on
 // the worst block there is: one that every version of the history
-// overwrote. The cost must not grow with the history the way
-// History.LatestIntersecting's scan does (1,024 times the versions: a
-// few more steps of a binary search).
+// overwrote. The cost must not grow with the history (1,024 times the
+// versions: a few more steps of a binary search).
 func BenchmarkResolveOneBlock(b *testing.B) {
 	ctx, m := context.Background(), blob.Meta{ID: 1, BlockSize: eqBS, Replication: 1}
 	for _, versions := range []int{64, 65536} {

@@ -2,6 +2,8 @@ package mdtree
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -105,4 +107,45 @@ type seqBenchStore struct{ inner Store }
 func (s *seqBenchStore) Put(ctx context.Context, n Node) error { return s.inner.Put(ctx, n) }
 func (s *seqBenchStore) Get(ctx context.Context, id NodeID) (Node, error) {
 	return s.inner.Get(ctx, id)
+}
+
+// discardStore keeps nothing: a build timed on it is the build alone.
+type discardStore struct{}
+
+func (discardStore) Put(context.Context, Node) error           { return nil }
+func (discardStore) PutBatch(context.Context, []Node) error    { return nil }
+func (discardStore) Get(context.Context, NodeID) (Node, error) { return Node{}, errNotStored }
+func (discardStore) GetBatch(context.Context, []NodeID) (map[NodeID]Node, error) {
+	return nil, errNotStored
+}
+
+var errNotStored = errors.New("mdtree: the discard store holds nothing")
+
+// BenchmarkBuildAppend builds the metadata of one aligned one-block
+// append onto a blob of 1,000 and of 100,000 earlier appends. Every left
+// sibling the build borrows asks the history for its newest writer, an
+// old version at the top of the tree; the history's index keeps that
+// from scanning back through the versions between, so the 100,000-version
+// build costs less than twice the 1,000-version one.
+func BenchmarkBuildAppend(b *testing.B) {
+	const bs = 64 << 10
+	m := blob.Meta{ID: 1, BlockSize: bs, Replication: 1}
+	for _, versions := range []int{1000, 100000} {
+		h := &blob.History{}
+		for v := 1; v <= versions; v++ {
+			d := blob.WriteDesc{Version: blob.Version(v), Off: int64(v-1) * bs, Len: bs, SizeAfter: int64(v) * bs, Kind: blob.KindAppend}
+			if err := h.Append(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		refs := []BlockRef{{Key: blob.BlockKey{Blob: 1, Nonce: uint64(versions)}, Providers: []string{"p"}, Len: bs}}
+		b.Run(fmt.Sprintf("V=%d", versions), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(context.Background(), discardStore{}, m, h, blob.Version(versions), refs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -31,44 +31,57 @@ var ErrNoProviders = errors.New("placement: no alive providers")
 
 // Strategy selects storage targets for new blocks.
 type Strategy interface {
-	// Pick returns, for each of n blocks, `replicas` distinct nodes.
-	// Implementations update Node.Blocks for the choices they make so
-	// consecutive calls observe their own load. clientHost is the host
-	// of the writing client ("" if unknown / not co-deployed).
-	Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*Node, error)
+	// Pick appends to dst, block after block, `replicas` distinct nodes
+	// for each of n blocks: block i's are the i-th run of `replicas`.
+	// It fails before it appends anything when no alive node is left or
+	// fewer than `replicas` are. Implementations update Node.Blocks for
+	// the choices they make so consecutive calls observe their own load.
+	// clientHost is the host of the writing client ("" if unknown / not
+	// co-deployed).
+	Pick(dst []*Node, n, replicas int, clientHost string, nodes []*Node) ([]*Node, error)
 	Name() string
 }
 
-func alive(nodes []*Node) []*Node {
-	out := make([]*Node, 0, len(nodes))
+// livePool is a strategy's vector of the nodes that take new blocks,
+// reused from one Pick to the next.
+type livePool struct{ live []*Node }
+
+// of returns the nodes that are alive and not draining, once it is known
+// that they can hold `replicas` distinct copies of a block.
+func (p *livePool) of(nodes []*Node, replicas int) ([]*Node, error) {
+	p.live = p.live[:0]
 	for _, nd := range nodes {
 		if nd.Alive && !nd.Draining {
-			out = append(out, nd)
+			p.live = append(p.live, nd)
 		}
 	}
-	return out
+	switch {
+	case len(p.live) == 0:
+		return nil, ErrNoProviders
+	case replicas < 1:
+		return nil, fmt.Errorf("placement: replication %d", replicas)
+	case replicas > len(p.live):
+		return nil, fmt.Errorf("placement: replication %d exceeds %d alive providers", replicas, len(p.live))
+	}
+	return p.live, nil
 }
 
-// spreadReplicas fills targets[1:] with distinct nodes following the
-// primary in index order (wrapping), charging each for the stored block.
-func spreadReplicas(primaryIdx, replicas int, pool []*Node, targets []*Node) error {
-	if replicas > len(pool) {
-		return fmt.Errorf("placement: replication %d exceeds %d alive providers", replicas, len(pool))
+// spreadReplicas appends the primary and the replicas - 1 nodes
+// following it in index order (wrapping), charging each for the block.
+func spreadReplicas(dst []*Node, primaryIdx, replicas int, pool []*Node) []*Node {
+	for r := 0; r < replicas; r++ {
+		nd := pool[(primaryIdx+r)%len(pool)]
+		nd.Blocks++
+		dst = append(dst, nd)
 	}
-	targets[0] = pool[primaryIdx]
-	pool[primaryIdx].Blocks++
-	for r := 1; r < replicas; r++ {
-		idx := (primaryIdx + r) % len(pool)
-		targets[r] = pool[idx]
-		pool[idx].Blocks++
-	}
-	return nil
+	return dst
 }
 
 // RoundRobin is BlobSeer's default strategy: blocks are dealt to
 // providers in strict rotation, producing the near-ideal balance the
 // paper credits for BSFS's sustained throughput (Section V-D).
 type RoundRobin struct {
+	livePool
 	next int
 }
 
@@ -79,24 +92,21 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (s *RoundRobin) Name() string { return "roundrobin" }
 
 // Pick implements Strategy.
-func (s *RoundRobin) Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*Node, error) {
-	pool := alive(nodes)
-	if len(pool) == 0 {
-		return nil, ErrNoProviders
+func (s *RoundRobin) Pick(dst []*Node, n, replicas int, clientHost string, nodes []*Node) ([]*Node, error) {
+	pool, err := s.of(nodes, replicas)
+	if err != nil {
+		return dst, err
 	}
-	out := make([][]*Node, n)
-	for i := range out {
-		out[i] = make([]*Node, replicas)
-		if err := spreadReplicas(s.next%len(pool), replicas, pool, out[i]); err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
+		dst = spreadReplicas(dst, s.next%len(pool), replicas, pool)
 		s.next = (s.next + 1) % len(pool)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Random places each block on an independently uniform node.
 type Random struct {
+	livePool
 	rng *util.SplitMix64
 }
 
@@ -107,19 +117,15 @@ func NewRandom(seed uint64) *Random { return &Random{rng: util.NewSplitMix64(see
 func (s *Random) Name() string { return "random" }
 
 // Pick implements Strategy.
-func (s *Random) Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*Node, error) {
-	pool := alive(nodes)
-	if len(pool) == 0 {
-		return nil, ErrNoProviders
+func (s *Random) Pick(dst []*Node, n, replicas int, clientHost string, nodes []*Node) ([]*Node, error) {
+	pool, err := s.of(nodes, replicas)
+	if err != nil {
+		return dst, err
 	}
-	out := make([][]*Node, n)
-	for i := range out {
-		out[i] = make([]*Node, replicas)
-		if err := spreadReplicas(s.rng.Intn(len(pool)), replicas, pool, out[i]); err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
+		dst = spreadReplicas(dst, s.rng.Intn(len(pool)), replicas, pool)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // RandomSticky models the chunk clustering the paper measured for HDFS
@@ -128,6 +134,7 @@ func (s *Random) Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*N
 // consecutive blocks before switching. Window=1 degenerates to Random;
 // larger windows reproduce larger measured unbalance.
 type RandomSticky struct {
+	livePool
 	Window  int
 	rng     *util.SplitMix64
 	current int
@@ -146,24 +153,20 @@ func NewRandomSticky(window int, seed uint64) *RandomSticky {
 func (s *RandomSticky) Name() string { return fmt.Sprintf("randomsticky(%d)", s.Window) }
 
 // Pick implements Strategy.
-func (s *RandomSticky) Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*Node, error) {
-	pool := alive(nodes)
-	if len(pool) == 0 {
-		return nil, ErrNoProviders
+func (s *RandomSticky) Pick(dst []*Node, n, replicas int, clientHost string, nodes []*Node) ([]*Node, error) {
+	pool, err := s.of(nodes, replicas)
+	if err != nil {
+		return dst, err
 	}
-	out := make([][]*Node, n)
-	for i := range out {
+	for i := 0; i < n; i++ {
 		if s.current < 0 || s.current >= len(pool) || s.used >= s.Window {
 			s.current = s.rng.Intn(len(pool))
 			s.used = 0
 		}
-		out[i] = make([]*Node, replicas)
-		if err := spreadReplicas(s.current, replicas, pool, out[i]); err != nil {
-			return nil, err
-		}
+		dst = spreadReplicas(dst, s.current, replicas, pool)
 		s.used++
 	}
-	return out, nil
+	return dst, nil
 }
 
 // LocalFirst is the HDFS 0.20 default policy: if the writing client is
@@ -172,6 +175,7 @@ func (s *RandomSticky) Pick(n, replicas int, clientHost string, nodes []*Node) (
 // Section V-D deploys test clients on dedicated nodes — otherwise HDFS
 // stores the whole file locally.
 type LocalFirst struct {
+	livePool
 	Fallback Strategy
 }
 
@@ -182,10 +186,10 @@ func NewLocalFirst(fallback Strategy) *LocalFirst { return &LocalFirst{Fallback:
 func (s *LocalFirst) Name() string { return "localfirst+" + s.Fallback.Name() }
 
 // Pick implements Strategy.
-func (s *LocalFirst) Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*Node, error) {
-	pool := alive(nodes)
-	if len(pool) == 0 {
-		return nil, ErrNoProviders
+func (s *LocalFirst) Pick(dst []*Node, n, replicas int, clientHost string, nodes []*Node) ([]*Node, error) {
+	pool, err := s.of(nodes, replicas)
+	if err != nil {
+		return dst, err
 	}
 	localIdx := -1
 	if clientHost != "" {
@@ -197,22 +201,18 @@ func (s *LocalFirst) Pick(n, replicas int, clientHost string, nodes []*Node) ([]
 		}
 	}
 	if localIdx < 0 {
-		return s.Fallback.Pick(n, replicas, clientHost, nodes)
+		return s.Fallback.Pick(dst, n, replicas, clientHost, nodes)
 	}
-	out := make([][]*Node, n)
-	for i := range out {
-		out[i] = make([]*Node, replicas)
-		if err := spreadReplicas(localIdx, replicas, pool, out[i]); err != nil {
-			return nil, err
-		}
+	for i := 0; i < n; i++ {
+		dst = spreadReplicas(dst, localIdx, replicas, pool)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // LeastLoaded greedily picks the node currently storing the fewest
 // blocks; with a single writer it behaves like round-robin, but it also
 // absorbs heterogeneous starting loads.
-type LeastLoaded struct{}
+type LeastLoaded struct{ livePool }
 
 // NewLeastLoaded returns the greedy balancer.
 func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
@@ -221,25 +221,21 @@ func NewLeastLoaded() *LeastLoaded { return &LeastLoaded{} }
 func (s *LeastLoaded) Name() string { return "leastloaded" }
 
 // Pick implements Strategy.
-func (s *LeastLoaded) Pick(n, replicas int, clientHost string, nodes []*Node) ([][]*Node, error) {
-	pool := alive(nodes)
-	if len(pool) == 0 {
-		return nil, ErrNoProviders
+func (s *LeastLoaded) Pick(dst []*Node, n, replicas int, clientHost string, nodes []*Node) ([]*Node, error) {
+	pool, err := s.of(nodes, replicas)
+	if err != nil {
+		return dst, err
 	}
-	out := make([][]*Node, n)
-	for i := range out {
+	for i := 0; i < n; i++ {
 		best := 0
 		for j, nd := range pool {
 			if nd.Blocks < pool[best].Blocks {
 				best = j
 			}
 		}
-		out[i] = make([]*Node, replicas)
-		if err := spreadReplicas(best, replicas, pool, out[i]); err != nil {
-			return nil, err
-		}
+		dst = spreadReplicas(dst, best, replicas, pool)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Layout summarizes a placement as blocks-per-node counts keyed by the

@@ -21,7 +21,7 @@ func mkNodes(n int) []*Node {
 func TestRoundRobinBalance(t *testing.T) {
 	nodes := mkNodes(5)
 	s := NewRoundRobin()
-	targets, err := s.Pick(100, 1, "", nodes)
+	targets, err := s.Pick(nil, 100, 1, "", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRoundRobinCursorPersistsAcrossCalls(t *testing.T) {
 	nodes := mkNodes(4)
 	s := NewRoundRobin()
 	for i := 0; i < 6; i++ {
-		if _, err := s.Pick(1, 1, "", nodes); err != nil {
+		if _, err := s.Pick(nil, 1, 1, "", nodes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,12 +56,12 @@ func TestRoundRobinSkipsDeadNodes(t *testing.T) {
 	nodes := mkNodes(3)
 	nodes[1].Alive = false
 	s := NewRoundRobin()
-	targets, err := s.Pick(10, 1, "", nodes)
+	targets, err := s.Pick(nil, 10, 1, "", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range targets {
-		if set[0] == nodes[1] {
+	for _, nd := range targets {
+		if nd == nodes[1] {
 			t.Fatal("placed block on dead node")
 		}
 	}
@@ -73,14 +73,15 @@ func TestRoundRobinSkipsDeadNodes(t *testing.T) {
 func TestReplicationDistinctTargets(t *testing.T) {
 	nodes := mkNodes(5)
 	s := NewRoundRobin()
-	targets, err := s.Pick(20, 3, "", nodes)
+	targets, err := s.Pick(nil, 20, 3, "", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range targets {
-		if len(set) != 3 {
-			t.Fatalf("replica set size = %d", len(set))
-		}
+	if len(targets) != 60 {
+		t.Fatalf("%d targets for 20 blocks of 3 replicas", len(targets))
+	}
+	for i := 0; i < len(targets); i += 3 {
+		set := targets[i : i+3]
 		seen := map[*Node]bool{}
 		for _, nd := range set {
 			if seen[nd] {
@@ -101,8 +102,27 @@ func TestReplicationDistinctTargets(t *testing.T) {
 func TestReplicationExceedsProviders(t *testing.T) {
 	nodes := mkNodes(2)
 	s := NewRoundRobin()
-	if _, err := s.Pick(1, 3, "", nodes); err == nil {
+	if _, err := s.Pick(nil, 1, 3, "", nodes); err == nil {
 		t.Fatal("over-replication accepted")
+	}
+}
+
+// TestPickRefusesBeforeAllocating: a request no live pool can hold fails
+// before a vector the size of it is made, whatever its block count, and a
+// warm Pick into a reused vector allocates nothing.
+func TestPickRefusesBeforeAllocating(t *testing.T) {
+	nodes := mkNodes(3)
+	for _, s := range []Strategy{NewRoundRobin(), NewRandom(1), NewRandomSticky(4, 1), NewLeastLoaded(), NewLocalFirst(NewRandom(1))} {
+		for _, replicas := range []int{0, 4, 1<<32 - 1} {
+			got, err := s.Pick(nil, 1<<32-1, replicas, "host-a", nodes)
+			if err == nil || got != nil {
+				t.Errorf("%s: %d replicas on 3 nodes = %d targets, %v; want an error and none", s.Name(), replicas, len(got), err)
+			}
+		}
+		dst, _ := s.Pick(nil, 2, 2, "host-a", nodes)
+		if allocs := testing.AllocsPerRun(100, func() { dst, _ = s.Pick(dst[:0], 2, 2, "host-a", nodes) }); allocs != 0 {
+			t.Errorf("%s: a warm Pick allocates %.1f times", s.Name(), allocs)
+		}
 	}
 }
 
@@ -111,7 +131,7 @@ func TestNoAliveProviders(t *testing.T) {
 	nodes[0].Alive = false
 	nodes[1].Alive = false
 	for _, s := range []Strategy{NewRoundRobin(), NewRandom(1), NewRandomSticky(4, 1), NewLeastLoaded(), NewLocalFirst(NewRandom(1))} {
-		if _, err := s.Pick(1, 1, "", nodes); err != ErrNoProviders {
+		if _, err := s.Pick(nil, 1, 1, "", nodes); err != ErrNoProviders {
 			t.Errorf("%s: err = %v, want ErrNoProviders", s.Name(), err)
 		}
 	}
@@ -120,7 +140,7 @@ func TestNoAliveProviders(t *testing.T) {
 func TestRandomCoversNodes(t *testing.T) {
 	nodes := mkNodes(8)
 	s := NewRandom(42)
-	if _, err := s.Pick(400, 1, "", nodes); err != nil {
+	if _, err := s.Pick(nil, 400, 1, "", nodes); err != nil {
 		t.Fatal(err)
 	}
 	for _, nd := range nodes {
@@ -140,7 +160,7 @@ func TestRandomStickyClustersMoreThanRandom(t *testing.T) {
 
 	run := func(s Strategy) float64 {
 		nodes := mkNodes(N)
-		if _, err := s.Pick(blocks, 1, "", nodes); err != nil {
+		if _, err := s.Pick(nil, blocks, 1, "", nodes); err != nil {
 			t.Fatal(err)
 		}
 		return util.ManhattanDistance(Layout(nodes))
@@ -156,12 +176,12 @@ func TestRandomStickyClustersMoreThanRandom(t *testing.T) {
 func TestRandomStickyWindow(t *testing.T) {
 	nodes := mkNodes(10)
 	s := NewRandomSticky(5, 3)
-	targets, err := s.Pick(5, 1, "", nodes)
+	targets, err := s.Pick(nil, 5, 1, "", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(targets); i++ {
-		if targets[i][0] != targets[0][0] {
+		if targets[i] != targets[0] {
 			t.Fatal("sticky window switched nodes early")
 		}
 	}
@@ -170,13 +190,13 @@ func TestRandomStickyWindow(t *testing.T) {
 func TestLocalFirstUsesLocalNode(t *testing.T) {
 	nodes := mkNodes(4)
 	s := NewLocalFirst(NewRandom(1))
-	targets, err := s.Pick(10, 1, "host-c", nodes)
+	targets, err := s.Pick(nil, 10, 1, "host-c", nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range targets {
-		if set[0].Host != "host-c" {
-			t.Fatalf("block placed on %s, want host-c", set[0].Host)
+	for _, nd := range targets {
+		if nd.Host != "host-c" {
+			t.Fatalf("block placed on %s, want host-c", nd.Host)
 		}
 	}
 }
@@ -184,7 +204,7 @@ func TestLocalFirstUsesLocalNode(t *testing.T) {
 func TestLocalFirstFallsBackForRemoteClient(t *testing.T) {
 	nodes := mkNodes(4)
 	s := NewLocalFirst(NewRoundRobin())
-	if _, err := s.Pick(8, 1, "not-a-storage-host", nodes); err != nil {
+	if _, err := s.Pick(nil, 8, 1, "not-a-storage-host", nodes); err != nil {
 		t.Fatal(err)
 	}
 	if d := util.ManhattanDistance(Layout(nodes)); d != 0 {
@@ -196,7 +216,7 @@ func TestLeastLoadedAbsorbsSkew(t *testing.T) {
 	nodes := mkNodes(3)
 	nodes[0].Blocks = 10 // pre-existing load
 	s := NewLeastLoaded()
-	if _, err := s.Pick(20, 1, "", nodes); err != nil {
+	if _, err := s.Pick(nil, 20, 1, "", nodes); err != nil {
 		t.Fatal(err)
 	}
 	// All 20 blocks should go to the two empty nodes.

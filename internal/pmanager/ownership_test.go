@@ -64,7 +64,7 @@ type gated struct {
 	entered chan struct{}
 }
 
-func (g *gated) Pick(n, replicas int, host string, nodes []*placement.Node) ([][]*placement.Node, error) {
+func (g *gated) Pick(dst []*placement.Node, n, replicas int, host string, nodes []*placement.Node) ([]*placement.Node, error) {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
@@ -72,7 +72,7 @@ func (g *gated) Pick(n, replicas int, host string, nodes []*placement.Node) ([][
 		g.entered <- struct{}{}
 		<-gate
 	}
-	return g.Strategy.Pick(n, replicas, host, nodes)
+	return g.Strategy.Pick(dst, n, replicas, host, nodes)
 }
 
 func TestFrameOwnership(t *testing.T) {
@@ -98,16 +98,13 @@ func TestFrameOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkTargets := func(t *testing.T, targets [][]string, blocks, replicas int) {
+	checkTargets := func(t *testing.T, targets Placement, blocks, replicas int) {
 		t.Helper()
-		if len(targets) != blocks {
-			t.Fatalf("%d target sets for %d blocks", len(targets), blocks)
+		if targets.Replicas != replicas || len(targets.Addrs) != blocks*replicas {
+			t.Fatalf("%d addresses in sets of %d for %d blocks of %d replicas", len(targets.Addrs), targets.Replicas, blocks, replicas)
 		}
-		for _, set := range targets {
-			if len(set) != replicas {
-				t.Fatalf("target set %v, want %d replicas", set, replicas)
-			}
-			for _, addr := range set {
+		for i := 0; i < blocks; i++ {
+			for _, addr := range targets.Block(i) {
 				if addr != "provider-a" && addr != "provider-b" && addr != "provider-c" {
 					t.Fatalf("target %q is no provider: the result aliases a recycled frame", addr)
 				}

@@ -9,6 +9,7 @@ package pmanager
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -62,6 +63,7 @@ type State struct {
 	// failed writes and repair copies the estimate never sees.
 	reported map[string]store.Stats
 	strategy placement.Strategy
+	picks    []*placement.Node // the strategy's output vector, reused
 }
 
 // NewState returns a core using the given strategy.
@@ -150,24 +152,84 @@ func (s *State) ExpireStale(maxAge time.Duration) int {
 	return n
 }
 
+// Placement is where the blocks of one write go: block i's replica
+// addresses, primary first, are Addrs[i*Replicas : (i+1)*Replicas].
+type Placement struct {
+	Addrs    []string
+	Replicas int
+}
+
+// Block returns block i's replica addresses.
+func (p Placement) Block(i int) []string {
+	end := (i + 1) * p.Replicas
+	return p.Addrs[i*p.Replicas : end : end]
+}
+
 // Allocate picks, for each of nBlocks blocks, `replicas` distinct
 // provider addresses.
-func (s *State) Allocate(nBlocks, replicas int, clientHost string) ([][]string, error) {
+func (s *State) Allocate(nBlocks, replicas int, clientHost string) (Placement, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	targets, err := s.strategy.Pick(nBlocks, replicas, clientHost, s.nodes)
+	picks, err := s.pickLocked(nBlocks, replicas, clientHost)
 	if err != nil {
-		return nil, err
+		return Placement{}, err
 	}
-	out := make([][]string, len(targets))
-	for i, set := range targets {
-		addrs := make([]string, len(set))
-		for j, nd := range set {
-			addrs[j] = nd.Addr
+	p := Placement{Addrs: make([]string, len(picks)), Replicas: replicas}
+	for i, nd := range picks {
+		p.Addrs[i] = nd.Addr
+	}
+	return p, nil
+}
+
+// encodeAllocation is Allocate straight into an mAllocate response: the
+// picks go from the reused vector into b, a string slice per block.
+func (s *State) encodeAllocation(b *wire.Buffer, nBlocks, replicas int, clientHost string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	picks, err := s.pickLocked(nBlocks, replicas, clientHost)
+	if err != nil {
+		return err
+	}
+	b.U32(uint32(nBlocks))
+	for i, nd := range picks {
+		if i%replicas == 0 {
+			b.U32(uint32(replicas))
 		}
-		out[i] = addrs
+		b.String(nd.Addr)
 	}
-	return out, nil
+	return nil
+}
+
+// maxKeptPicks bounds the pick vector State keeps between allocations.
+const maxKeptPicks = 4096
+
+// pickLocked runs the strategy into the reused pick vector, once the
+// placements asked for are known to fit one response frame: the counts
+// come off the wire, and nothing may be sized by them before that.
+// Caller holds s.mu.
+func (s *State) pickLocked(nBlocks, replicas int, clientHost string) ([]*placement.Node, error) {
+	longest := 0
+	for _, n := range s.nodes {
+		longest = max(longest, len(n.Addr))
+	}
+	if !fitsFrame(nBlocks, replicas, longest) {
+		return nil, fmt.Errorf("pmanager: %d blocks of %d replicas do not fit one response", nBlocks, replicas)
+	}
+	picks, err := s.strategy.Pick(s.picks[:0], nBlocks, replicas, clientHost, s.nodes)
+	if cap(picks) <= maxKeptPicks {
+		s.picks = picks[:0]
+	}
+	return picks, err
+}
+
+// fitsFrame reports whether nBlocks sets of replicas addresses, none of
+// them longer than addrLen bytes, encode into one response frame.
+func fitsFrame(nBlocks, replicas, addrLen int) bool {
+	const room = wire.MaxFrameSize - 64 // the block count and the rpc headers
+	if nBlocks < 0 || replicas < 0 || replicas > room {
+		return false
+	}
+	return nBlocks <= room/(4+replicas*(4+addrLen))
 }
 
 // ProviderInfo is one row of the provider listing.
@@ -399,21 +461,18 @@ func (s *Service) handleAllocate(ctx context.Context, p []byte) (*wire.Buffer, e
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	targets, err := s.state.Allocate(nBlocks, replicas, clientHost)
+	b := rpc.NewFrame(64)
+	err := s.state.encodeAllocation(b, nBlocks, replicas, clientHost)
 	s.reg.Counter("allocations").Inc()
-	s.reg.Counter("blocks_allocated").Add(int64(nBlocks))
 	if err != nil {
+		b.Release()
 		s.reg.Counter("allocation_errors").Inc()
 		if errors.Is(err, placement.ErrNoProviders) {
 			return nil, rpc.CodedError(CodeNoProviders, err.Error())
 		}
 		return nil, err
 	}
-	b := rpc.NewFrame(64)
-	b.U32(uint32(len(targets)))
-	for _, set := range targets {
-		b.StringSlice(set)
-	}
+	s.reg.Counter("blocks_allocated").Add(int64(nBlocks))
 	return b, nil
 }
 
@@ -438,14 +497,21 @@ type Client struct {
 	pool  *rpc.Pool
 	addr  string
 	retry rpc.Backoff
+
+	mu    sync.Mutex
+	addrs map[string]string // provider addresses seen in placements, interned
 }
+
+// maxInterned bounds Client.addrs: a deployment has far fewer providers,
+// and one that churns through more starts the table afresh.
+const maxInterned = 4096
 
 // NewClient returns a client for the provider manager at addr. All
 // provider-manager operations (Register, Heartbeat, Allocate, List)
 // are idempotent or safely repeatable, so transport failures are
 // retried with rpc.DefaultBackoff.
 func NewClient(pool *rpc.Pool, addr string) *Client {
-	return &Client{pool: pool, addr: addr, retry: rpc.DefaultBackoff}
+	return &Client{pool: pool, addr: addr, retry: rpc.DefaultBackoff, addrs: make(map[string]string)}
 }
 
 // SetRetry overrides the client's retry schedule.
@@ -493,29 +559,54 @@ func (c *Client) MarkDead(ctx context.Context, addr string) error {
 	return c.call(ctx, mMarkDead, 8+len(addr), func(b *wire.Buffer) { b.String(addr) }, nil)
 }
 
-// Allocate requests placement targets for nBlocks blocks.
-func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost string) ([][]string, error) {
-	var out [][]string
+// Allocate requests placement targets for nBlocks blocks. The
+// placement is decoded into one vector, its addresses interned: what a
+// call allocates is that vector.
+func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost string) (Placement, error) {
+	var out Placement
 	err := c.call(ctx, mAllocate, 16+len(clientHost), func(b *wire.Buffer) {
 		b.U32(uint32(nBlocks))
 		b.U32(uint32(replicas))
 		b.String(clientHost)
 	}, func(p []byte) error {
 		r := wire.NewReader(p)
-		n := r.U32()
-		out = make([][]string, 0, min(n, uint32(r.Remaining())))
-		for i := uint32(0); i < n && r.Err() == nil; i++ {
-			out = append(out, r.StringSlice())
+		if n := r.U32(); r.Err() != nil || int(n) != nBlocks || nBlocks*replicas > r.Remaining()/4 {
+			return fmt.Errorf("pmanager: an allocation of %d blocks of %d replicas answered with %d", nBlocks, replicas, n)
+		}
+		out = Placement{Addrs: make([]string, 0, nBlocks*replicas), Replicas: replicas}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := 0; i < nBlocks && r.Err() == nil; i++ {
+			if k := r.U32(); int(k) != replicas {
+				return fmt.Errorf("pmanager: block %d placed on %d replicas, want %d", i, k, replicas)
+			}
+			for j := 0; j < replicas; j++ {
+				out.Addrs = append(out.Addrs, c.internLocked(r.Bytes32()))
+			}
 		}
 		return r.Err()
 	})
 	if err != nil {
 		if rpc.CodeOf(err) == CodeNoProviders {
-			return nil, placement.ErrNoProviders
+			return Placement{}, placement.ErrNoProviders
 		}
-		return nil, err
+		return Placement{}, err
 	}
 	return out, nil
+}
+
+// internLocked returns the address b spells, as a string made the first
+// time it was seen. Caller holds c.mu.
+func (c *Client) internLocked(b []byte) string {
+	if a, ok := c.addrs[string(b)]; ok {
+		return a
+	}
+	if len(c.addrs) >= maxInterned {
+		clear(c.addrs)
+	}
+	a := string(b)
+	c.addrs[a] = a
+	return a
 }
 
 // List fetches the membership snapshot.

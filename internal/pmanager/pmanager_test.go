@@ -11,6 +11,7 @@ import (
 	"blobseer/internal/placement"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/wire"
 )
 
 func newState(n int) *State {
@@ -27,8 +28,8 @@ func TestAllocateRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(targets) != 8 {
-		t.Fatalf("got %d targets", len(targets))
+	if len(targets.Addrs) != 8 {
+		t.Fatalf("got %d targets", len(targets.Addrs))
 	}
 	layout := s.Layout()
 	for i, c := range layout {
@@ -52,8 +53,8 @@ func TestMarkDeadExcludes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range targets {
-		if set[0] == "p1" {
+	for _, addr := range targets.Addrs {
+		if addr == "p1" {
 			t.Fatal("allocated on dead provider")
 		}
 	}
@@ -125,8 +126,8 @@ func TestDecommissionExcludesFromAllocateButStaysAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range targets {
-		if set[0] == "p1" {
+	for _, addr := range targets.Addrs {
+		if addr == "p1" {
 			t.Fatal("allocated on draining provider")
 		}
 	}
@@ -176,8 +177,8 @@ func TestExpiryLoopExcludesSilentProvider(t *testing.T) {
 			t.Fatal(err)
 		}
 		sawDead := false
-		for _, set := range targets {
-			if set[0] == "p1" {
+		for _, addr := range targets.Addrs {
+			if addr == "p1" {
 				sawDead = true
 			}
 		}
@@ -263,7 +264,7 @@ func TestServiceRPCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(targets) != 4 || len(targets[0]) != 2 {
+	if len(targets.Addrs) != 8 || len(targets.Block(0)) != 2 {
 		t.Fatalf("targets = %v", targets)
 	}
 	infos, err := c.List(ctx)
@@ -309,5 +310,41 @@ func TestServiceNoProvidersOverRPC(t *testing.T) {
 	c := NewClient(pool, "pm")
 	if _, err := c.Allocate(context.Background(), 1, 1, ""); !errors.Is(err, placement.ErrNoProviders) {
 		t.Errorf("err = %v, want ErrNoProviders", err)
+	}
+}
+
+// TestAllocateBoundsWireCounts: the block and replica counts of an
+// mAllocate come off the wire, so a 16-byte request may claim 2^32-1 of
+// each. The manager refuses such a request before it sizes anything by
+// the counts, and keeps serving; so does a replication beyond the live
+// pool, and a block count whose placements would not fit one response.
+func TestAllocateBoundsWireCounts(t *testing.T) {
+	n := rpc.NewInprocNetwork()
+	svc := NewService(newState(3))
+	lis, err := n.Listen("pm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer(svc.Mux())
+	go srv.Serve(lis)
+	defer srv.Close()
+	pool := rpc.NewPool(n.Dial)
+	defer pool.Close()
+	ctx := context.Background()
+	const huge = 1<<32 - 1
+	for _, counts := range [][2]uint32{{huge, huge}, {1, huge}, {huge, 1}, {1, 4}} {
+		err := pool.Call(ctx, rpc.Backoff{}, "pm", mAllocate, 16, func(b *wire.Buffer) {
+			b.U32(counts[0])
+			b.U32(counts[1])
+			b.String("")
+		}, nil)
+		var re *rpc.RemoteError
+		if !errors.As(err, &re) {
+			t.Errorf("mAllocate of %d blocks of %d replicas = %v, want the manager's refusal", counts[0], counts[1], err)
+		}
+	}
+	c := NewClient(pool, "pm")
+	if targets, err := c.Allocate(ctx, 2, 3, ""); err != nil || len(targets.Addrs) != 6 {
+		t.Fatalf("Allocate after the refusals = %v, %v", targets, err)
 	}
 }

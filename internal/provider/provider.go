@@ -60,7 +60,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,7 +126,7 @@ const DefaultFrameSize = 1 << 20
 // must not pin handler goroutines past the client's patience.
 const chainHopTimeout = 30 * time.Second
 
-// uploadTTL is how long an idle in-flight upload may linger before its
+// uploadTTL is how long an in-flight upload may sit idle before the
 // reaper aborts it (its writer died mid-chain). Tests shorten it.
 var uploadTTL = time.Minute
 
@@ -153,27 +152,39 @@ type Service struct {
 	chainBroken atomic.Bool // test hook: fail every chained put
 
 	mu      sync.Mutex
-	uploads map[string]*upload
-	// deleted tombstones recently GC'd write prefixes so straggler
-	// chain frames (forwarded on detached contexts that outlive the
-	// client's RPC) cannot re-create a block after DeleteWrite reclaimed
-	// it — that block would be referenced by no metadata and its nonce
-	// GC already ran, so nothing would ever delete it again.
-	deleted map[string]time.Time
+	uploads map[blob.BlockKey]*upload
+	// reaper sweeps the upload table for stale uploads while it holds
+	// any (sweeping): one timer per service, not one per upload.
+	reaper   *time.Timer
+	sweeping bool
+	// deleted tombstones recently GC'd writes so straggler chain frames
+	// (forwarded on detached contexts that outlive the client's RPC)
+	// cannot re-create a block after DeleteWrite reclaimed it — that
+	// block would be referenced by no metadata and its nonce GC already
+	// ran, so nothing would ever delete it again.
+	deleted map[writeID]time.Time
 	// failed tombstones recently failed upload keys so in-flight
 	// sibling frames of a doomed chain are rejected outright instead of
 	// re-creating a partial upload that pins a buffer until the reaper.
-	failed map[string]time.Time
+	failed map[blob.BlockKey]time.Time
 	// noChainDown remembers downstream providers that answered
 	// CodeChainUnsupported (tail-only deployments): frames for them are
 	// sent chain-less while the rest of the chain is driven from here.
 	noChainDown map[string]struct{}
 }
 
+// writeID names one write operation's blocks: every key of its blob and
+// nonce, what DeleteWrite reclaims.
+type writeID struct {
+	blob  blob.ID
+	nonce uint64
+}
+
+func writeOf(k blob.BlockKey) writeID { return writeID{k.Blob, k.Nonce} }
+
 // upload tracks one in-flight chained block transfer.
 type upload struct {
 	lastActive atomic.Int64 // unix nanos of the latest frame (stale sweep)
-	reaper     *time.Timer  // set and stopped under Service.mu
 
 	mu        sync.Mutex
 	w         store.BlockWriter
@@ -205,9 +216,9 @@ func WithForwarder(pool *rpc.Pool) Option {
 func NewService(st store.Store, opts ...Option) *Service {
 	s := &Service{
 		store:       st,
-		uploads:     make(map[string]*upload),
-		deleted:     make(map[string]time.Time),
-		failed:      make(map[string]time.Time),
+		uploads:     make(map[blob.BlockKey]*upload),
+		deleted:     make(map[writeID]time.Time),
+		failed:      make(map[blob.BlockKey]time.Time),
 		noChainDown: make(map[string]struct{}),
 	}
 	for _, o := range opts {
@@ -252,15 +263,15 @@ func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 // Mux returns the RPC dispatch table for the service.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mPutBlock, s.handlePut)
+	m.HandleFrame(mPutBlock, s.handlePut)
 	m.HandleFrame(mGetBlock, s.handleGet)
-	m.Handle(mHasBlock, s.handleHas)
-	m.Handle(mDeleteWrite, s.handleDeleteWrite)
-	m.Handle(mDeleteBlock, s.handleDeleteBlock)
-	m.Handle(mStat, s.handleStat)
-	m.Handle(mPutChained, s.handlePutChained)
-	m.Handle(mBlockReport, s.handleBlockReport)
-	m.Handle(mReplicate, s.handleReplicate)
+	m.HandleFrame(mHasBlock, s.handleHas)
+	m.HandleFrame(mDeleteWrite, s.handleDeleteWrite)
+	m.HandleFrame(mDeleteBlock, s.handleDeleteBlock)
+	m.HandleFrame(mStat, s.handleStat)
+	m.HandleFrame(mPutChained, s.handlePutChained)
+	m.HandleFrame(mBlockReport, s.handleBlockReport)
+	m.HandleFrame(mReplicate, s.handleReplicate)
 	return m
 }
 
@@ -281,7 +292,7 @@ func encodeKey(b *wire.Buffer, k blob.BlockKey) {
 	b.U32(k.Seq)
 }
 
-func (s *Service) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handlePut(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	data := r.Bytes32()
@@ -375,18 +386,18 @@ func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, 
 	return f, nil
 }
 
-func (s *Service) handleHas(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handleHas(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	b := wire.NewBuffer(1)
+	b := rpc.NewFrame(1)
 	b.Bool(s.store.Has(key.String()))
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	chain := r.StringSlice()
@@ -397,7 +408,7 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 	// A doomed transfer also dooms whatever frames of it already
 	// landed: abort the partial upload before erroring out.
 	if s.chainBroken.Load() {
-		s.failUpload(key.String())
+		s.failUpload(key)
 		return nil, rpc.CodedError(CodeChainFail, "provider: chain broken (injected)")
 	}
 	// The Total cap mirrors plain Put's implicit bound (the whole block
@@ -406,7 +417,7 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 	// allocation or sparse file.
 	if ck.Off < 0 || ck.Total <= 0 || ck.Total > wire.MaxFrameSize ||
 		ck.Off+int64(len(ck.Data)) > ck.Total {
-		s.failUpload(key.String())
+		s.failUpload(key)
 		return nil, rpc.CodedError(CodeChainFail,
 			fmt.Sprintf("provider: bad chain frame for %s: off %d len %d total %d", key, ck.Off, len(ck.Data), ck.Total))
 	}
@@ -456,7 +467,7 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) ([]byte,
 		err = s.finishFrame(key, ck)
 	}
 	if err != nil {
-		s.failUpload(key.String())
+		s.failUpload(key)
 		if rpc.CodeOf(err) == CodeChainFail {
 			return nil, err // keep the downstream hop's detail
 		}
@@ -504,23 +515,18 @@ func (s *Service) forwardFrame(ctx context.Context, chain []string, key blob.Blo
 // creating it on the first-arriving frame (which, with pipelining, need
 // not be the first-offset frame) and committing once all bytes landed.
 func (s *Service) applyFrame(key blob.BlockKey, ck wire.Chunk) error {
-	k := key.String()
 	s.mu.Lock()
-	u, ok := s.uploads[k]
+	u, ok := s.uploads[key]
 	if !ok {
-		w, err := s.store.PutWriter(k)
+		w, err := s.store.PutWriter(key.String())
 		if err != nil {
 			s.mu.Unlock()
 			return err
 		}
 		u = &upload{w: w, total: ck.Total}
 		u.touch()
-		s.uploads[k] = u
-		// Arm the reaper for this upload: if its writer dies mid-chain
-		// (upstream crash, client gone), the partial value must not pin
-		// a buffer or temp file forever — even on an otherwise idle
-		// provider. Whoever takes the upload out of the table stops it.
-		u.reaper = time.AfterFunc(uploadTTL, func() { s.reapIfStale(k, u) })
+		s.uploads[key] = u
+		s.armReaperLocked()
 	}
 	s.mu.Unlock()
 
@@ -549,9 +555,8 @@ func (s *Service) applyFrame(key blob.BlockKey, ck wire.Chunk) error {
 // written and acked by the whole downstream chain) and commits the
 // block once every byte is.
 func (s *Service) finishFrame(key blob.BlockKey, ck wire.Chunk) error {
-	k := key.String()
 	s.mu.Lock()
-	u := s.uploads[k]
+	u := s.uploads[key]
 	s.mu.Unlock()
 	if u == nil {
 		return errors.New("upload vanished before completion")
@@ -584,37 +589,28 @@ func (s *Service) finishFrame(key blob.BlockKey, ck wire.Chunk) error {
 
 	if complete {
 		s.mu.Lock()
-		if s.uploads[k] == u {
-			s.dropUploadLocked(k, u)
+		if s.uploads[key] == u {
+			delete(s.uploads, key)
 		}
 		s.mu.Unlock()
 	}
 	return nil
 }
 
-// dropUploadLocked takes u out of the upload table and stops its
-// reaper, so a finished upload pins nothing. Caller holds s.mu.
-func (s *Service) dropUploadLocked(k string, u *upload) {
-	delete(s.uploads, k)
-	u.reaper.Stop()
-}
-
 // failUpload aborts and forgets the block's in-flight upload, if any,
 // and tombstones the key so sibling frames still in the pipe are
 // rejected instead of starting a fresh doomed upload.
-func (s *Service) failUpload(k string) {
+func (s *Service) failUpload(key blob.BlockKey) {
 	s.mu.Lock()
-	u := s.uploads[k]
-	if u != nil {
-		s.dropUploadLocked(k, u)
-	}
+	u := s.uploads[key]
+	delete(s.uploads, key)
 	now := time.Now()
 	for fk, at := range s.failed {
 		if now.Sub(at) > 2*uploadTTL {
 			delete(s.failed, fk)
 		}
 	}
-	s.failed[k] = now
+	s.failed[key] = now
 	s.mu.Unlock()
 	if u != nil {
 		u.fail()
@@ -632,35 +628,51 @@ func (u *upload) fail() {
 	u.w.Abort()
 }
 
-// reapIfStale aborts the upload if it has gone idle past the TTL, or
-// re-arms itself for the remaining time while frames keep arriving
-// (long transfers over slow links must not be reaped mid-stream).
-func (s *Service) reapIfStale(k string, u *upload) {
-	s.mu.Lock()
-	if s.uploads[k] != u {
-		s.mu.Unlock()
-		return // committed or already failed
+// armReaperLocked starts the stale-upload sweep unless it is running.
+// Caller holds s.mu.
+func (s *Service) armReaperLocked() {
+	switch {
+	case s.sweeping:
+	case s.reaper == nil:
+		s.reaper = time.AfterFunc(uploadTTL/2, s.reap)
+	default:
+		s.reaper.Reset(uploadTTL / 2)
 	}
-	idle := u.idle()
-	if idle <= uploadTTL {
-		u.reaper.Reset(uploadTTL - idle)
-		s.mu.Unlock()
-		return
-	}
-	delete(s.uploads, k)
-	s.mu.Unlock()
-	u.fail()
-	s.mReaps.Inc()
+	s.sweeping = true
 }
 
-func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) ([]byte, error) {
+// reap aborts every upload idle for longer than uploadTTL: its writer
+// died mid-chain (upstream crash, client gone), and the partial value
+// must not pin a buffer or temp file forever, even on an otherwise idle
+// provider. A long transfer over a slow link is never idle that long
+// and is spared. The sweep runs every half TTL while uploads are in
+// flight, so a stale one goes within one and a half TTLs.
+func (s *Service) reap() {
+	var stale []*upload
+	s.mu.Lock()
+	for k, u := range s.uploads {
+		if u.idle() > uploadTTL {
+			delete(s.uploads, k)
+			stale = append(stale, u)
+		}
+	}
+	s.sweeping = len(s.uploads) > 0
+	if s.sweeping {
+		s.reaper.Reset(uploadTTL / 2)
+	}
+	s.mu.Unlock()
+	for _, u := range stale {
+		u.fail()
+		s.mReaps.Inc()
+	}
+}
+
+func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
-	id := blob.ID(r.U64())
-	nonce := r.U64()
+	w := writeID{blob: blob.ID(r.U64()), nonce: r.U64()}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	prefix := blob.BlockKey{Blob: id, Nonce: nonce}.WritePrefix()
 	// Tombstone the write and abort its in-flight uploads before
 	// touching the store, so a chained frame still in the pipe can
 	// neither finish an existing upload nor start a fresh one and
@@ -672,11 +684,11 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) ([]byte
 			delete(s.deleted, p)
 		}
 	}
-	s.deleted[prefix] = now
+	s.deleted[w] = now
 	var doomed []*upload
 	for k, u := range s.uploads {
-		if strings.HasPrefix(k, prefix) {
-			s.dropUploadLocked(k, u)
+		if writeOf(k) == w {
+			delete(s.uploads, k)
 			doomed = append(doomed, u)
 		}
 	}
@@ -684,13 +696,13 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) ([]byte
 	for _, u := range doomed {
 		u.fail()
 	}
-	n, err := s.store.DeletePrefix(prefix)
+	n, err := s.store.DeletePrefix(blob.BlockKey{Blob: w.blob, Nonce: w.nonce}.WritePrefix())
 	if err != nil {
 		return nil, err
 	}
-	b := wire.NewBuffer(4)
+	b := rpc.NewFrame(4)
 	b.U32(uint32(n))
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // writeDoomed reports whether the frame's write was recently
@@ -698,14 +710,14 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) ([]byte
 func (s *Service) writeDoomed(key blob.BlockKey) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.deleted[key.WritePrefix()]; ok {
+	if _, ok := s.deleted[writeOf(key)]; ok {
 		return true
 	}
-	_, ok := s.failed[key.String()]
+	_, ok := s.failed[key]
 	return ok
 }
 
-func (s *Service) handleDeleteBlock(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handleDeleteBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	if err := r.Err(); err != nil {
@@ -720,7 +732,7 @@ func (s *Service) handleDeleteBlock(ctx context.Context, payload []byte) ([]byte
 // handleBlockReport enumerates the block keys this provider holds.
 // Keys that do not parse as block keys (foreign entries in a shared
 // store) are skipped: the report's consumers reason in BlockKeys.
-func (s *Service) handleBlockReport(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handleBlockReport(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	prefix := r.String()
 	if err := r.Err(); err != nil {
@@ -739,18 +751,18 @@ func (s *Service) handleBlockReport(ctx context.Context, payload []byte) ([]byte
 			parsed = append(parsed, bk)
 		}
 	}
-	b := wire.NewBuffer(4 + 20*len(parsed))
+	b := rpc.NewFrame(4 + 20*len(parsed))
 	b.U32(uint32(len(parsed)))
 	for _, bk := range parsed {
 		encodeKey(b, bk)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // handleReplicate pushes one locally stored block to the target
 // providers, reusing the chained data plane (this provider is the
 // chain's client). It is the repair executor's work primitive.
-func (s *Service) handleReplicate(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handleReplicate(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	targets := r.StringSlice()
@@ -784,13 +796,13 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) ([]byte, 
 	return nil, nil
 }
 
-func (s *Service) handleStat(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Service) handleStat(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	st := s.store.Stats()
-	b := wire.NewBuffer(16 + 32*len(st.Tiers))
+	b := rpc.NewFrame(16 + 32*len(st.Tiers))
 	b.I64(st.Items)
 	b.I64(st.Bytes)
 	store.EncodeTiers(b, st.Tiers)
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Client talks to data providers. One Client serves calls to any number

@@ -87,9 +87,9 @@ func TestReaperSparesLiveTransfer(t *testing.T) {
 	}
 }
 
-// TestCommittedUploadsPinNothing: a committed upload leaves no timer,
-// closure or writer behind — after 2,000 chained puts the heap holds as
-// many objects as before them.
+// TestCommittedUploadsPinNothing: a committed upload leaves no record,
+// writer or tombstone behind — after 2,000 chained puts the heap holds
+// as many objects as before them.
 func TestCommittedUploadsPinNothing(t *testing.T) {
 	wire.PoisonReleased(false) // 2,000 x 64 KB fills would dominate the test
 	defer wire.PoisonReleased(true)

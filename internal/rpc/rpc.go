@@ -17,23 +17,26 @@
 // untraced frames are byte-identical to the pre-trace protocol and old
 // peers interoperate.
 //
-// Buffer ownership: every frame lives in one recycled buffer
-// (wire.GetBuf) with room for its headers in front of the payload, so a
-// frame costs one conn.Write and no copy to join the two. A handler's
-// payload is valid until the handler returns (its response may alias
-// it); a frame handed to CallFrame or returned by a FrameHandler is
-// rpc's from then on; Call's result is the caller's for ever;
-// CallFrame's is recycled and goes to wire.PutBuf when the caller is
-// done with it. Bulk bytes travel by reference both ways: a frame's
-// tails (wire.Buffer.Tail32, Attach) stay the caller's, are sent with the
-// frame (one writev on TCP) and must not change until the call — or, for
-// a response, the handler's frame write — has returned. CallInto's dsts
-// are written only between call and return, each only up to the count
-// the response gives it, and none of them when any count does not fit:
-// a call that gives up while its response is landing returns once the
-// read has ended. Pool.Call wraps those rules for the control plane: it
-// encodes the request again for every attempt and recycles the response
-// as soon as the caller's decoder has returned.
+// Buffer ownership: every frame is a recycled wire.Buffer over one
+// recycled slice (wire.GetBuf) with room for its headers in front of the
+// payload, so a frame costs one conn.Write, no copy to join the two and,
+// once warm, no allocation. A handler's payload is valid until the
+// handler returns (its response may alias it); a frame handed to
+// CallFrame or returned by a FrameHandler is rpc's from then on, and the
+// *wire.Buffer itself is dead once rpc has sent it: rpc releases it, and
+// it is handed out again to whoever asks for a frame next. Call's result
+// is the caller's for ever; CallFrame's is recycled and goes to
+// wire.PutBuf when the caller is done with it. Bulk bytes travel by
+// reference both ways: a frame's tails (wire.Buffer.Tail32, Attach) stay
+// the caller's, are sent with the frame (one writev on TCP) and must not
+// change until the call — or, for a response, the handler's frame write
+// — has returned. CallInto's dsts are written only between call and
+// return, each only up to the count the response gives it, and none of
+// them when any count does not fit: a call that gives up while its
+// response is landing returns once the read has ended. Pool.Call wraps
+// those rules for the control plane: it encodes the request again for
+// every attempt and recycles the response as soon as the caller's
+// decoder has returned.
 package rpc
 
 import (
@@ -460,9 +463,11 @@ func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) (*
 	}
 	var sp trace.Active
 	if s.tracer != nil {
-		name := "m" + strconv.Itoa(int(method))
+		var name string
 		if s.opName != nil {
 			name = s.opName(method)
+		} else {
+			name = "m" + strconv.Itoa(int(method))
 		}
 		ctx, sp = s.tracer.Start(ctx, name)
 	}

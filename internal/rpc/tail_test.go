@@ -143,7 +143,7 @@ func TestTailIsOnlyRead(t *testing.T) {
 	}
 	check := func(when string, f *wire.Buffer) {
 		t.Helper()
-		if f.Raw() != nil || f.Tail() != nil {
+		if f.Tail() != nil || !released(f) {
 			t.Errorf("%s: the frame was not released", when)
 		}
 		if !bytes.Equal(data, pristine) {

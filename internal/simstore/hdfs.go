@@ -77,11 +77,11 @@ func (h *HDFS) AppendBlock(p *sim.Proc, client simnet.NodeID, path string, ln in
 	// Namenode allocation (serialized, centralized).
 	h.Net.Message(p, client, h.nnNode, 256)
 	h.nnRes.Use(p, h.Tun.NNService)
-	targets, err := h.strategy.Pick(1, 1, HostOfNode(client), h.nodes)
+	targets, err := h.strategy.Pick(nil, 1, 1, HostOfNode(client), h.nodes)
 	if err != nil {
 		return err
 	}
-	dst := h.byAddr[targets[0][0].Addr]
+	dst := h.byAddr[targets[0].Addr]
 	p.Sleep(h.Tun.HDFSChunkSetup)
 	if dst == client {
 		// HDFS 0.20's local-first fast path still runs the full

@@ -285,9 +285,9 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 		// uplink.
 		env := cp.Env()
 		done := env.NewEvent()
-		live := len(targets[i])
+		live := len(targets.Block(i))
 		src := client
-		for _, addr := range targets[i] {
+		for _, addr := range targets.Block(i) {
 			hopSrc, hopDst := src, b.provNode[addr]
 			env.Go(func(hp *sim.Proc) {
 				b.Net.TransferDisk(hp, hopSrc, hopDst, blockLen, b.writeCap(), hopDst)
@@ -327,7 +327,7 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 		}
 		refs[i] = mdtree.BlockRef{
 			Key:       blob.BlockKey{Blob: id, Nonce: nonce, Seq: uint32(i)},
-			Providers: targets[i],
+			Providers: targets.Block(i),
 			Len:       ln,
 		}
 		b.blocks[refs[i].Key.String()] = true // fresh writes land hot

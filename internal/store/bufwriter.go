@@ -8,17 +8,23 @@ import (
 // bufWriter is the shared frame-assembly engine behind the backends
 // that buffer a streaming block before installing it in one shot (mem,
 // http, tiered write-back). Frames land at arbitrary offsets; Commit
-// hands the assembled buffer to the backend's commit callback, which
-// takes ownership (no copy).
+// hands the assembled buffer to the backend's install, which takes
+// ownership (no copy).
 type bufWriter struct {
-	mu     sync.Mutex
-	buf    []byte
-	done   bool
-	commit func(buf []byte) error
+	mu   sync.Mutex
+	buf  []byte
+	done bool
+	key  string
+	to   installer
 }
 
-func newBufWriter(commit func(buf []byte) error) *bufWriter {
-	return &bufWriter{commit: commit}
+// installer is a backend that takes an assembled value as its own.
+type installer interface {
+	install(key string, buf []byte) error
+}
+
+func newBufWriter(to installer, key string) *bufWriter {
+	return &bufWriter{key: key, to: to}
 }
 
 func (w *bufWriter) WriteAt(p []byte, off int64) error {
@@ -61,7 +67,7 @@ func (w *bufWriter) Commit() error {
 	w.done = true
 	buf := w.buf
 	w.buf = nil
-	return w.commit(buf)
+	return w.to.install(w.key, buf)
 }
 
 func (w *bufWriter) Abort() error {

@@ -78,11 +78,9 @@ func (s *HTTPStore) Put(key string, val []byte) error {
 // PutWriter implements Store: frames assemble locally and the value
 // uploads in one PUT on Commit, so a half-written block is never
 // visible remotely.
-func (s *HTTPStore) PutWriter(key string) (BlockWriter, error) {
-	return newBufWriter(func(buf []byte) error {
-		return s.Put(key, buf)
-	}), nil
-}
+func (s *HTTPStore) PutWriter(key string) (BlockWriter, error) { return newBufWriter(s, key), nil }
+
+func (s *HTTPStore) install(key string, buf []byte) error { return s.Put(key, buf) }
 
 // Get implements Store.
 func (s *HTTPStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1) }

@@ -79,14 +79,14 @@ func (s *MemStore) PutBatch(pairs []Pair) error {
 
 // PutWriter implements Store. Frames accumulate in a private buffer
 // whose ownership transfers to the store on Commit (no copy).
-func (s *MemStore) PutWriter(key string) (BlockWriter, error) {
-	return newBufWriter(func(buf []byte) error {
-		sh := s.shard(key)
-		sh.mu.Lock()
-		sh.m[key] = buf
-		sh.mu.Unlock()
-		return nil
-	}), nil
+func (s *MemStore) PutWriter(key string) (BlockWriter, error) { return newBufWriter(s, key), nil }
+
+func (s *MemStore) install(key string, buf []byte) error {
+	sh := s.shard(key)
+	sh.mu.Lock()
+	sh.m[key] = buf
+	sh.mu.Unlock()
+	return nil
 }
 
 // stored returns key's value as the store holds it: never modified in

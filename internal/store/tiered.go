@@ -129,11 +129,9 @@ func (s *Tiered) putLocked(key string, val []byte) error {
 // PutWriter implements Store: frames assemble locally and land through
 // the tier write path in one shot on Commit, so neither tier ever
 // holds a partial block.
-func (s *Tiered) PutWriter(key string) (BlockWriter, error) {
-	return newBufWriter(func(buf []byte) error {
-		return s.Put(key, buf)
-	}), nil
-}
+func (s *Tiered) PutWriter(key string) (BlockWriter, error) { return newBufWriter(s, key), nil }
+
+func (s *Tiered) install(key string, buf []byte) error { return s.Put(key, buf) }
 
 // Get implements Store, promoting on a hot miss.
 func (s *Tiered) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1) }

@@ -196,7 +196,8 @@ func (s *State) applyRecord(p []byte) error {
 	return nil
 }
 
-// appendStriped journals a record if a log is attached. Callers hold
+// appendStriped journals the record rec encodes if a log is attached;
+// without one nothing is encoded. Callers hold
 // the stripe lock of the blob the record is about, which serializes
 // log order with mutation order *per blob* — the property replay
 // depends on (records for different blobs are independent under
@@ -209,7 +210,7 @@ func (s *State) applyRecord(p []byte) error {
 // failed. The memory/disk divergence this leaves (an assigned version
 // the disk never heard of) is the same shape as a lost in-flight
 // writer, which the janitor already cleans up.
-func (s *State) appendStriped(force bool, p []byte) error {
+func (s *State) appendStriped(force bool, rec func() []byte) error {
 	s.logMu.Lock()
 	log := s.log
 	s.logMu.Unlock()
@@ -217,9 +218,9 @@ func (s *State) appendStriped(force bool, p []byte) error {
 		return nil
 	}
 	if force {
-		return log.AppendSync(p)
+		return log.AppendSync(rec())
 	}
-	return log.Append(p)
+	return log.Append(rec())
 }
 
 // encodeSnapshotAllLocked serializes the full state. Callers hold

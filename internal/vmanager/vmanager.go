@@ -223,7 +223,7 @@ func (s *State) CreateBlob(blockSize int64, replication int) (blob.Meta, error) 
 	st.blobs[m.ID] = &blobState{meta: m, assigned: make(map[blob.Version]time.Time)}
 	// Forced sync: the namespace (and the client) will hold this ID
 	// durably, so the blob's existence must survive a crash too.
-	if err := s.appendStriped(true, encodeCreate(m)); err != nil {
+	if err := s.appendStriped(true, func() []byte { return encodeCreate(m) }); err != nil {
 		return blob.Meta{}, err
 	}
 	return m, nil
@@ -318,7 +318,7 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 	// assign record — a commit can never be durable without its
 	// assignment. An assign lost on its own is just a version that
 	// never happened.
-	if err := s.appendStriped(false, encodeAssign(id, d, at)); err != nil {
+	if err := s.appendStriped(false, func() []byte { return encodeAssign(id, d, at) }); err != nil {
 		return Assignment{}, err
 	}
 	return Assignment{Version: v, Off: off, Size: after, Descs: bs.hist.Since(since)}, nil
@@ -342,7 +342,7 @@ func (s *State) Commit(id blob.ID, v blob.Version) error {
 	// crash, so the record must be on disk first. Concurrent commits on
 	// other stripes issue their fsyncs in parallel; the WAL coalesces
 	// them into shared group commits.
-	if err := s.appendStriped(true, encodeVersionRec(recCommit, id, v)); err != nil {
+	if err := s.appendStriped(true, func() []byte { return encodeVersionRec(recCommit, id, v) }); err != nil {
 		return err
 	}
 	bs.committed[v-1] = true
@@ -390,7 +390,7 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 	bs.hist.MarkAborted(v)
 	// Policy append: if this record is lost, the version stays in
 	// `assigned` after recovery and the janitor re-runs the abort.
-	if err := s.appendStriped(false, encodeVersionRec(recAbort, id, v)); err != nil {
+	if err := s.appendStriped(false, func() []byte { return encodeVersionRec(recAbort, id, v) }); err != nil {
 		st.mu.Unlock()
 		return err
 	}
@@ -399,7 +399,7 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 	st.mu.Unlock()
 
 	if repair != nil {
-		if err := repair(meta, hist, v); err != nil {
+		if err := repair(meta, &hist, v); err != nil {
 			return fmt.Errorf("vmanager: repair of aborted version %d: %w", v, err)
 		}
 	}
@@ -506,7 +506,7 @@ func (s *State) Prune(id blob.ID, keep blob.Version) (from blob.Version, err err
 	// Forced sync: the caller garbage-collects payloads based on this
 	// answer; forgetting the prune point after a crash would leave the
 	// manager offering versions whose blocks are already gone.
-	if err := s.appendStriped(true, encodeVersionRec(recPrune, id, keep)); err != nil {
+	if err := s.appendStriped(true, func() []byte { return encodeVersionRec(recPrune, id, keep) }); err != nil {
 		return 0, err
 	}
 	return from, nil

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 func TestChunkRoundTrip(t *testing.T) {
@@ -80,14 +79,12 @@ func TestTailEndsTheBody(t *testing.T) {
 
 // TestAttachKeepsOrder: the slices attached after a body come back in
 // the order attached, empty ones dropped, and Release and Reset let go
-// of every one; all the while a Buffer stays inside the 64-byte size
-// class that every frame allocates one in.
+// of every one. A released frame is dead, so what it kept shows in the
+// frame NewFrame hands out next: the same Buffer, the free list being a
+// stack.
 func TestAttachKeepsOrder(t *testing.T) {
-	if size := unsafe.Sizeof(Buffer{}); size > 64 {
-		t.Fatalf("a Buffer is %d bytes, over its 64-byte size class", size)
-	}
-	for _, end := range []func(*Buffer){(*Buffer).Release, (*Buffer).Reset} {
-		for round := 0; round < 2; round++ { // the second reuses a recycled vector
+	for _, release := range []bool{true, false} {
+		for round := 0; round < 2; round++ { // the second reuses the kept vector
 			b := NewFrame(8, 8)
 			b.U32(3)
 			for _, p := range []string{"one", "", "two", "three"} {
@@ -100,10 +97,18 @@ func TestAttachKeepsOrder(t *testing.T) {
 			if strings.Join(got, ",") != "one,two,three" {
 				t.Fatalf("attached one, (empty), two, three; AppendTails = %q", got)
 			}
-			end(b)
-			if b.Tail() != nil || len(b.AppendTails(nil)) != 0 {
-				t.Fatal("the attached slices outlived Release or Reset")
+			if release {
+				b.Release()
+				if next := NewFrame(8, 8); next != b {
+					t.Fatal("the frame released last was not the next one handed out")
+				}
+			} else {
+				b.Reset()
 			}
+			if b.Tail() != nil || len(b.AppendTails(nil)) != 0 || cap(b.tails) < 3 {
+				t.Fatalf("release=%v: tails %d (vector of %d) after the frame was let go of, want none in a kept vector", release, len(b.tails), cap(b.tails))
+			}
+			b.Release()
 		}
 	}
 }

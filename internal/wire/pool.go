@@ -109,7 +109,9 @@ func PutBuf(b []byte) {
 
 // poisoned is the ownership check tests switch on with PoisonReleased:
 // a released slice is overwritten with 0xDB, so a reader that kept a
-// reference sees that, and releasing an idle slice panics.
+// reference sees that, and releasing an idle slice panics. A released
+// frame Buffer is retired instead of recycled, and any Release, encode
+// or Raw of it panics.
 var poisoned struct {
 	on   atomic.Bool
 	mu   sync.Mutex

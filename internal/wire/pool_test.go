@@ -39,3 +39,63 @@ func TestPoolStats(t *testing.T) {
 		t.Errorf("a recycled Get/Put pair allocates %.1f times", allocs)
 	}
 }
+
+// TestFramesAreRecycled: once warm, a frame costs no allocation, its
+// Buffer and its tail vector included, nor does letting it go.
+func TestFramesAreRecycled(t *testing.T) {
+	tail := []byte("by reference")
+	frame := func() {
+		f := NewFrame(38, 64)
+		f.U64(7)
+		f.Attach(tail)
+		f.Attach(tail)
+		f.Release()
+	}
+	frame()
+	if allocs := testing.AllocsPerRun(1000, frame); allocs != 0 {
+		t.Errorf("a warm NewFrame/Release with two tails allocates %.1f times", allocs)
+	}
+}
+
+// TestReleasedFramePoisoned: under PoisonReleased a released frame is
+// tracked like a released slice: it is retired, not handed out again, so
+// every later use of it panics — a second Release, an encode, Raw. Without
+// poison a second Release is a no-op that cannot put the Buffer on the
+// free list twice.
+func TestReleasedFramePoisoned(t *testing.T) {
+	uses := map[string]func(*Buffer){
+		"Release": (*Buffer).Release,
+		"U64":     func(f *Buffer) { f.U64(1) },
+		"Bytes32": func(f *Buffer) { f.Bytes32([]byte("x")) },
+		"Extend":  func(f *Buffer) { f.Extend(4) },
+		"Raw":     func(f *Buffer) { _ = f.Raw() },
+	}
+	PoisonReleased(true)
+	defer PoisonReleased(false)
+	for name, use := range uses {
+		f := NewFrame(8, 8)
+		f.Release()
+		if next := NewFrame(8, 8); next == f {
+			t.Fatal("a poisoned frame was handed out again")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Release did not panic", name)
+				}
+			}()
+			use(f)
+		}()
+	}
+
+	PoisonReleased(false)
+	f := NewFrame(8, 8)
+	f.Release()
+	f.Release()
+	a, b := NewFrame(8, 8), NewFrame(8, 8)
+	if a == b {
+		t.Error("a frame released twice was handed out twice")
+	}
+	a.Release()
+	b.Release()
+}

@@ -28,41 +28,107 @@ const MaxFrameSize = 80 << 20
 
 // Buffer encodes a message body. The zero value is ready to use.
 //
-// Every frame allocates one Buffer, so it is kept within 64 bytes (the
-// allocator's size class below 80): of the slices sent after the body by
-// reference it holds the first, and a pointer to a recycled vector for
-// the rest only when there are more.
+// A frame (NewFrame) is a recycled Buffer over a recycled slice: Release
+// hands both back to their free lists, and the Buffer is dead from then
+// on, like every slice obtained from it. The slices sent after the body
+// by reference collect in a vector the Buffer keeps when it is reused, so
+// once warm neither a frame nor its tails allocate.
 type Buffer struct {
-	b    []byte
-	head int       // bytes of b in front of the body (a frame's header room)
-	tail []byte    // the first slice sent after the body, by reference (Attach)
-	more *[][]byte // the slices attached after tail, nil while there are none
+	b     []byte
+	head  int      // bytes of b in front of the body (a frame's header room)
+	tails [][]byte // the slices sent after the body, by reference (Attach)
+	freed bool     // released: dead until NewFrame hands it out again
 }
 
-// tailVecs recycles the vectors of frames that carry more than one
-// slice by reference, so attaching many allocates nothing once warm.
-var tailVecs = sync.Pool{New: func() any { return new([][]byte) }}
+// maxKeptTails bounds the tail vector a recycled Buffer keeps.
+const maxKeptTails = 64
+
+// framesIdle is how many released frame Buffers wait for reuse, all of
+// them allocated in one go on the first NewFrame.
+const framesIdle = 256
+
+// freeFrames is the frame Buffers' free list: a bounded stack, like a
+// size class of GetBuf's, so what a running process allocates per frame
+// depends neither on when collections run nor on how many frames were
+// ever in flight at once.
+var freeFrames struct {
+	mu   sync.Mutex
+	idle []*Buffer // nil until the first NewFrame
+}
 
 // NewBuffer returns a Buffer with the given initial capacity.
 func NewBuffer(capacity int) *Buffer { return &Buffer{b: make([]byte, 0, capacity)} }
 
-// NewFrame returns a Buffer over a recycled slice (GetBuf) that keeps
-// head bytes free in front of the body, so a transport can put its
+// NewFrame returns a recycled Buffer over a recycled slice (GetBuf) that
+// keeps head bytes free in front of the body, so a transport can put its
 // headers there and send headers and body with one write. Whoever ends
 // up owning the frame calls Release exactly once.
 func NewFrame(head, capacity int) *Buffer {
-	return &Buffer{b: GetBuf(head + capacity)[:head], head: head}
+	l := &freeFrames
+	l.mu.Lock()
+	if l.idle == nil {
+		all := make([]Buffer, framesIdle)
+		l.idle = make([]*Buffer, framesIdle)
+		for i := range all {
+			all[i].freed = true
+			l.idle[i] = &all[i]
+		}
+	}
+	var e *Buffer
+	if k := len(l.idle) - 1; k >= 0 {
+		e, l.idle = l.idle[k], l.idle[:k]
+		e.freed = false
+	}
+	l.mu.Unlock()
+	if e == nil { // more frames in flight than the list holds
+		e = &Buffer{}
+	}
+	e.b, e.head = GetBuf(head + capacity)[:head], head
+	return e
 }
 
 // Raw returns the header room followed by the body.
-func (e *Buffer) Raw() []byte { return e.b }
+func (e *Buffer) Raw() []byte {
+	if e.freed {
+		misuse("Raw")
+	}
+	return e.b
+}
 
-// Release recycles a frame's slice; the Buffer and every slice obtained
-// from it are dead afterwards. The tails are the caller's and only let go.
+// Release recycles a frame's slice and the Buffer itself; both, and every
+// slice obtained from them, are dead afterwards. The tails are the
+// caller's and only let go. Releasing a dead Buffer again does nothing.
 func (e *Buffer) Release() {
+	if e.freed {
+		misuse("Release")
+		return
+	}
 	PutBuf(e.b)
-	e.b = nil
+	e.b, e.head = nil, 0
 	e.dropTails()
+	if cap(e.tails) > maxKeptTails {
+		e.tails = nil
+	}
+	if poisoned.on.Load() {
+		e.freed = true // retired, so that any later use panics
+		return
+	}
+	l := &freeFrames
+	l.mu.Lock()
+	e.freed = true
+	if len(l.idle) < cap(l.idle) {
+		l.idle = append(l.idle, e)
+	}
+	l.mu.Unlock()
+}
+
+// misuse reports a use of a released Buffer: a panic under
+// PoisonReleased, where a released frame is never handed out again, and
+// nothing otherwise (a second Release stays harmless).
+func misuse(op string) {
+	if poisoned.on.Load() {
+		panic("wire: " + op + " of a released frame")
+	}
 }
 
 // Tail32 ends the body with a length-prefixed (u32) byte slice like
@@ -79,50 +145,38 @@ func (e *Buffer) Tail32(v []byte) {
 // is. Like Tail32's slice, v stays the caller's and must not change until
 // the frame has been sent; nothing but another Attach may follow it.
 func (e *Buffer) Attach(v []byte) {
-	switch {
-	case len(v) == 0: // nothing to send
-	case e.tail == nil:
-		e.tail = v
-	default:
-		if e.more == nil {
-			e.more = tailVecs.Get().(*[][]byte)
-		}
-		*e.more = append(*e.more, v)
+	if len(v) > 0 { // an empty slice has nothing to send
+		e.tails = append(e.tails, v)
 	}
 }
 
-// dropTails lets go of every attached slice and recycles the vector.
+// dropTails lets go of every attached slice and keeps the vector.
 func (e *Buffer) dropTails() {
-	e.tail = nil
-	if e.more != nil {
-		clear(*e.more)
-		*e.more = (*e.more)[:0]
-		tailVecs.Put(e.more)
-		e.more = nil
-	}
+	clear(e.tails)
+	e.tails = e.tails[:0]
 }
 
-// open starts every append: a tail ends the body, nothing follows it.
+// open starts every append: a released Buffer takes none, and a tail
+// ends the body, nothing follows it.
 func (e *Buffer) open() {
-	if e.tail != nil {
+	if e.freed {
+		misuse("encode")
+	}
+	if len(e.tails) > 0 {
 		panic("wire: encode after Tail32")
 	}
 }
 
 // Tail returns the first slice attached, nil if none.
-func (e *Buffer) Tail() []byte { return e.tail }
+func (e *Buffer) Tail() []byte {
+	if len(e.tails) == 0 {
+		return nil
+	}
+	return e.tails[0]
+}
 
 // AppendTails appends every slice attached, in order, to vec.
-func (e *Buffer) AppendTails(vec [][]byte) [][]byte {
-	if e.tail == nil {
-		return vec
-	}
-	vec = append(vec, e.tail)
-	if e.more != nil {
-		vec = append(vec, *e.more...)
-	}
-	return vec
-}
+func (e *Buffer) AppendTails(vec [][]byte) [][]byte { return append(vec, e.tails...) }
 
 // Bytes returns the encoded body.
 func (e *Buffer) Bytes() []byte { return e.b[e.head:] }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"blobseer/internal/blob"
@@ -260,7 +261,9 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 
 // Locations returns the block locations covering [off, off+length) of
 // the pinned snapshot — the layout primitive affinity schedulers ask
-// (Section IV-C) — without re-resolving the version.
+// (Section IV-C) — without re-resolving the version. The slices are the
+// caller's: a provider list is copied out of the node cache, whose
+// leaves share theirs.
 func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location, error) {
 	extents, err := s.resolve(ctx, blob.Range{Off: off, Len: length})
 	if err != nil {
@@ -270,7 +273,7 @@ func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location
 	for _, e := range extents {
 		loc := Location{Off: e.FileOff, Len: e.Len}
 		if e.HasData {
-			loc.Providers = e.Block.Providers
+			loc.Providers = slices.Clone(e.Block.Providers)
 			loc.Hosts = s.b.c.hostsFor(ctx, e.Block.Providers)
 		}
 		out = append(out, loc)

@@ -92,3 +92,68 @@ func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 30", allocs, nBlocks)
 	}
 }
+
+// BenchmarkSnapshotReadAtColdMeta measures pinned reads whose leaves the
+// node cache has mostly forgotten: 64 one-block writes, then 8 KB reads
+// at a half-block offset, each spanning 3 leaves, through a one-entry
+// cache (one per shard), over loopback TCP. Nearly every read fetches
+// its leaves from the metadata providers, so what it allocates is the
+// metadata read path's cost per call.
+func BenchmarkSnapshotReadAtColdMeta(b *testing.B) {
+	const nBlocks = 64
+	cl, err := cluster.StartBlobSeer(cluster.Config{
+		DataProviders: 4,
+		MetaProviders: 2,
+		BlockSize:     B,
+		MetaCacheSize: 1,
+		UseTCP:        true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(cl.Stop)
+	ctx := context.Background()
+	bh, err := cl.NewClient("").CreateBlob(ctx, B, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < nBlocks; i++ {
+		if _, err := bh.Write(ctx, int64(i)*B, pattern(byte('a'+i%26), B)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rb, err := cl.NewClient("").OpenBlob(ctx, bh.ID())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := rb.Latest(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 2*B)
+	read := func(i int) {
+		off := int64(i%(nBlocks-2))*B + B/2
+		if _, err := s.ReadAt(buf, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < nBlocks; i++ { // connections, frames and free lists warm
+		read(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.SetBytes(int64(len(buf)))
+	// The budget of a cold 3-leaf read, client and daemons together: about
+	// 21 once the leaves are fetched and decoded per call, 43 when every
+	// layer built its own map, strings and copies for each key.
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 26 {
+		b.Errorf("%.1f allocations per cold 3-leaf ReadAt, want at most 26", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -363,6 +364,62 @@ func TestSnapshotLocationsPinned(t *testing.T) {
 	for i, l := range locs {
 		if l.Off != int64(i)*B || l.Len != B || len(l.Hosts) != 1 {
 			t.Errorf("loc %d = %+v", i, l)
+		}
+	}
+}
+
+// TestLocationsAreTheCallers: the provider lists Locations returns are
+// copies. Sorting or editing one must change neither what a later read
+// of the snapshot fetches nor what a later Locations reports, though the
+// node cache holds the leaves and leaves placed alike share one list.
+func TestLocationsAreTheCallers(t *testing.T) {
+	cl := startCluster(t, cluster.Config{DataProviders: 4, MetaProviders: 2, MetaCacheSize: -1})
+	ctx := context.Background()
+	c := cl.NewClient("")
+	b, err := c.CreateBlob(ctx, B, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := pattern('m', 8*B)
+	if _, err := b.Write(ctx, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := cl.NewClient("").OpenBlob(ctx, b.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rb.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.Locations(ctx, 0, s.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]string
+	for _, l := range before {
+		want = append(want, append([]string(nil), l.Providers...))
+		for i := range l.Providers {
+			l.Providers[i] = "nowhere:1"
+		}
+	}
+	got := make([]byte, len(data))
+	if _, err := s.ReadAt(got, 0); err != nil && err != io.EOF {
+		t.Fatalf("read after editing returned locations: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("read after editing returned locations: wrong bytes")
+	}
+	after, err := s.Locations(ctx, 0, s.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(want) {
+		t.Fatalf("%d locations, then %d", len(want), len(after))
+	}
+	for i, l := range after {
+		if !slices.Equal(l.Providers, want[i]) {
+			t.Errorf("location %d: providers %v, then %v", i, want[i], l.Providers)
 		}
 	}
 }

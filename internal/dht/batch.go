@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -39,93 +40,49 @@ func (c *Client) PutEach(ctx context.Context, n int, key func(i int, dst []byte)
 	if n == 0 {
 		return nil
 	}
-	pc, ok := c.putCalls.get()
+	pc, ok := c.putCalls.Get()
 	if !ok {
 		pc = &putCall{c: c}
-		pc.sendOne = pc.send
+		pc.bind(pc.send)
 	}
-	err := pc.place(n, key)
+	err := pc.place(c, n, key)
 	if err == nil {
+		pc.nodes = pc.nodes[:0]
+		for i := 0; i < n; i++ {
+			for _, node := range pc.owners(i) {
+				pc.addNode(node)
+			}
+		}
 		pc.ctx, pc.val = ctx, val
-		err = pc.fanOut()
+		pc.run()
+		err = pc.err
 	}
 	pc.ctx, pc.val, pc.err = nil, nil, nil
 	if cap(pc.keys) <= maxKeptKeys {
-		c.putCalls.put(pc)
+		c.putCalls.Put(pc)
 	}
 	return err
 }
 
-// maxKeptKeys bounds the key bytes a recycled putCall keeps.
+// maxKeptKeys bounds the key bytes a recycled batch record keeps.
 const maxKeptKeys = 64 << 10
 
 // putCall is one PutEach in flight: its pairs' keys and placement, and
 // what the goroutines sending them to their providers share.
 type putCall struct {
 	c *Client
-	putPairs
-	nodes   []int32 // the distinct ring nodes the pairs go to
-	sendOne func()  // send, bound once so that starting it allocates nothing
+	placed
+	sends
 
-	ctx  context.Context
-	val  func(int, *wire.Buffer)
-	next atomic.Int32
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	err  error
+	ctx context.Context
+	val func(int, *wire.Buffer)
+	mu  sync.Mutex
+	err error
 }
 
-// putPairs is a PutEach batch's keys and placement, worked out before
-// the first frame goes out and only read after: per pair, idx holds
-// where its key ends in keys, then the reps ring nodes it goes to.
-type putPairs struct {
-	keys []byte
-	idx  []int32
-	reps int
-}
-
-// place works out the keys and placement of n pairs, and the distinct
-// ring nodes they go to.
-func (pc *putCall) place(n int, key func(i int, dst []byte) []byte) error {
-	ring := pc.c.ring
-	pc.reps = max(1, min(pc.c.replicas, ring.Len()))
-	pc.keys, pc.idx, pc.nodes = pc.keys[:0], pc.idx[:0], pc.nodes[:0]
-	for i := 0; i < n; i++ {
-		start := len(pc.keys)
-		pc.keys = key(i, pc.keys)
-		pc.idx = append(pc.idx, int32(len(pc.keys)))
-		pc.idx = ring.appendOwners(pc.idx, hash64(pc.keys[start:]), pc.reps)
-		if len(pc.idx) != (i+1)*(1+pc.reps) {
-			return errors.New("dht: empty ring")
-		}
-		for _, node := range pc.owners(i) {
-			if !slices.Contains(pc.nodes, node) {
-				pc.nodes = append(pc.nodes, node)
-			}
-		}
-	}
-	return nil
-}
-
-// fanOut sends every ring node its pairs, one node from the caller's
-// goroutine and the others concurrently, and returns the first error.
-func (pc *putCall) fanOut() error {
-	k := len(pc.nodes)
-	pc.next.Store(0)
-	pc.wg.Add(k)
-	for i := 1; i < k; i++ {
-		go pc.sendOne()
-	}
-	pc.send()
-	pc.wg.Wait()
-	return pc.err
-}
-
-// send puts the next ring node's pairs.
-func (pc *putCall) send() {
-	defer pc.wg.Done()
-	node := pc.nodes[pc.next.Add(1)-1]
-	if err := pc.c.putOwned(pc.ctx, node, pc.putPairs, pc.val); err != nil {
+// send puts the k-th ring node's pairs.
+func (pc *putCall) send(k int) {
+	if err := pc.c.putOwned(pc.ctx, pc.nodes[k], pc.placed, pc.val); err != nil {
 		pc.mu.Lock()
 		if pc.err == nil {
 			pc.err = err
@@ -134,9 +91,34 @@ func (pc *putCall) send() {
 	}
 }
 
-func (p putPairs) len() int { return len(p.idx) / (1 + p.reps) }
+// placed is a batch's keys and placement, worked out before the first
+// frame goes out and only read after: per key, idx holds where it ends
+// in keys, then the reps ring nodes it lives on, primary first.
+type placed struct {
+	keys []byte
+	idx  []int32
+	reps int
+}
 
-func (p putPairs) key(i int) []byte {
+// place encodes n keys and works out where each lives on c's ring.
+func (p *placed) place(c *Client, n int, key func(i int, dst []byte) []byte) error {
+	p.reps = max(1, min(c.replicas, c.ring.Len()))
+	p.keys, p.idx = p.keys[:0], p.idx[:0]
+	for i := 0; i < n; i++ {
+		start := len(p.keys)
+		p.keys = key(i, p.keys)
+		p.idx = append(p.idx, int32(len(p.keys)))
+		p.idx = c.ring.appendOwners(p.idx, hash64(p.keys[start:]), p.reps)
+		if len(p.idx) != (i+1)*(1+p.reps) {
+			return errors.New("dht: empty ring")
+		}
+	}
+	return nil
+}
+
+func (p placed) len() int { return len(p.idx) / (1 + p.reps) }
+
+func (p placed) key(i int) []byte {
 	start := int32(0)
 	if i > 0 {
 		start = p.idx[(i-1)*(1+p.reps)]
@@ -144,9 +126,46 @@ func (p putPairs) key(i int) []byte {
 	return p.keys[start:p.idx[i*(1+p.reps)]]
 }
 
-func (p putPairs) owners(i int) []int32 {
+func (p placed) owners(i int) []int32 {
 	at := i*(1+p.reps) + 1
 	return p.idx[at : at+p.reps]
+}
+
+// sends runs one send per ring node of a batch, the first from the
+// caller's goroutine and the others concurrently. Its functions are
+// bound once, so that starting a send allocates nothing.
+type sends struct {
+	nodes []int32 // the distinct ring nodes sent to
+	each  func(k int)
+	one   func()
+	next  atomic.Int32
+	wg    sync.WaitGroup
+}
+
+// bind sets what a send does: each(k) sends to nodes[k].
+func (s *sends) bind(each func(k int)) { s.each, s.one = each, s.sendNext }
+
+func (s *sends) addNode(node int32) {
+	if !slices.Contains(s.nodes, node) {
+		s.nodes = append(s.nodes, node)
+	}
+}
+
+func (s *sends) sendNext() {
+	defer s.wg.Done()
+	s.each(int(s.next.Add(1)) - 1)
+}
+
+// run sends to every node, at least one, and waits for all of them.
+func (s *sends) run() {
+	k := len(s.nodes)
+	s.next.Store(0)
+	s.wg.Add(k)
+	for i := 1; i < k; i++ {
+		go s.one()
+	}
+	s.sendNext()
+	s.wg.Wait()
 }
 
 // Chunking limits: one RPC frame per chunk, kept far below
@@ -159,7 +178,7 @@ const (
 )
 
 // putOwned sends ring node `node` the pairs it owns, a chunk per frame.
-func (c *Client) putOwned(ctx context.Context, node int32, ps putPairs, val func(int, *wire.Buffer)) error {
+func (c *Client) putOwned(ctx context.Context, node int32, ps placed, val func(int, *wire.Buffer)) error {
 	addr, n := c.ring.nodes[node], ps.len()
 	for start := 0; start < n; {
 		var pairs, next int
@@ -192,172 +211,241 @@ func (c *Client) putOwned(ctx context.Context, node int32, ps putPairs, val func
 	return nil
 }
 
-// getState tracks one key's progress through the replica rounds of a
-// GetBatch.
-type getState struct {
-	addrs    []string // replica preference order
-	round    int      // next replica index to try
-	notFound int      // replicas that authoritatively missed
-}
-
-// GetBatch fetches many keys at once. Keys are grouped by their primary
-// replica and fetched with one mMetaGetBatch RPC per provider, in
-// parallel, one of them from the caller's goroutine (a batch that lives
-// on one provider starts no goroutine);
-// keys a provider misses (or whose provider is down) fall through to
-// the next replica in further rounds. The result maps each found key to
-// its value. A key absent from the map was authoritatively missing on
-// every replica; if any key could not be resolved either way (all
-// remaining replicas unreachable), GetBatch returns an error, because
-// for immutable metadata an inconclusive miss must not be read as a
-// hole.
+// GetBatch fetches many keys at once (see GetEach). The result maps each
+// found key to a copy of its value; a key absent from the map was
+// authoritatively missing on every replica.
 func (c *Client) GetBatch(ctx context.Context, keys []string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
-	if len(keys) == 0 {
-		return out, nil
-	}
-	states := make(map[string]*getState, len(keys))
-	for _, key := range keys {
-		if _, ok := states[key]; ok {
-			continue // dedup: one fetch answers every occurrence
-		}
-		addrs := c.ring.Lookup(key, c.replicas)
-		if len(addrs) == 0 {
-			return nil, errors.New("dht: empty ring")
-		}
-		states[key] = &getState{addrs: addrs}
-	}
-
-	maxRounds := c.replicas
-	for round := 0; round < maxRounds; round++ {
-		// Group every unresolved key by the replica it should try next.
-		groups := make(map[string][]string)
-		for key, st := range states {
-			if _, done := out[key]; done || st.round >= len(st.addrs) {
-				continue
+	var own []byte // the values' home: the frames they arrive in are recycled
+	var mu sync.Mutex
+	err := c.GetEach(ctx, len(keys),
+		func(i int, dst []byte) []byte { return append(dst, keys[i]...) },
+		func(i int, val []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, ok := out[keys[i]]; !ok {
+				own = append(own, val...)
+				out[keys[i]] = own[len(own)-len(val) : len(own) : len(own)]
 			}
-			addr := st.addrs[st.round]
-			st.round++
-			if round > 0 {
-				c.fallbacks.Add(1)
-			}
-			groups[addr] = append(groups[addr], key)
-		}
-		if len(groups) == 0 {
-			break
-		}
-		type result struct {
-			addr string
-			keys []string
-			vals [][]byte // nil entry = authoritative miss
-			err  error
-		}
-		results := make([]result, 0, len(groups))
-		for addr, group := range groups {
-			results = append(results, result{addr: addr, keys: group})
-		}
-		_ = fanOut(len(results), func(k int) error {
-			res := &results[k]
-			res.vals, res.err = c.getBatchOne(ctx, res.addr, res.keys)
-			return nil
 		})
-		for _, res := range results {
-			for i, key := range res.keys {
-				st := states[key]
-				switch {
-				case res.vals != nil && res.vals[i] != nil:
-					// A value fetched before a later chunk failed is still
-					// a value: keep it instead of re-fetching elsewhere.
-					if _, done := out[key]; !done {
-						out[key] = res.vals[i]
-					}
-				case res.err != nil:
-					// Transport failure: the key stays unresolved and is
-					// retried on the next replica (never counted as a miss).
-				default:
-					st.notFound++
-				}
-			}
-		}
-	}
-
-	for key, st := range states {
-		if _, ok := out[key]; ok {
-			continue
-		}
-		if st.notFound < len(st.addrs) {
-			// At least one replica never answered: the key may exist
-			// there, so the caller must not treat this as a miss.
-			return nil, fmt.Errorf("dht: get batch: key %q unresolved (%d/%d replicas answered not-found)", key, st.notFound, len(st.addrs))
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// getBatchOne fetches keys from one provider, chunking the multi-get
-// so neither request nor response can approach the frame limit. The
-// returned slice parallels keys; a nil entry is an authoritative miss.
-// On error the slice carries whatever earlier chunks resolved, so the
-// caller keeps values fetched before the failure. NOTE: with a non-nil
-// error a nil entry means "unresolved", not "missing".
-func (c *Client) getBatchOne(ctx context.Context, addr string, keys []string) ([][]byte, error) {
-	vals := make([][]byte, len(keys))
-	for start := 0; start < len(keys); start += maxBatchPairs {
-		chunk := keys[start:min(start+maxBatchPairs, len(keys))]
-		size := 4
-		for _, k := range chunk {
-			size += 4 + len(k)
-		}
-		err := c.callAddr(ctx, addr, mMetaGetBatch, size, func(b *wire.Buffer) { b.StringSlice(chunk) }, func(p []byte) error {
-			r := wire.NewReader(p)
-			if n := r.U32(); int(n) != len(chunk) {
-				return fmt.Errorf("%d answers for %d keys", n, len(chunk))
-			}
-			own := make([]byte, 0, len(p)) // the values' home: p is recycled
-			for i := range chunk {
-				found, v := r.Bool(), r.Bytes32()
-				if found {
-					own = append(own, v...)
-					vals[start+i] = own[len(own)-len(v) : len(own) : len(own)]
+// GetEach fetches n keys in rounds, one per replica. A round sends every
+// provider one mMetaGetBatch (a chunk per frame) carrying the unresolved
+// keys it is the next replica of — the primaries first, all providers in
+// parallel, one from the caller's goroutine — and a key its provider
+// misses, or whose provider is down, falls through to its next replica
+// in the next round. key appends key i to dst, once per key before
+// anything is sent; a key that repeats is fetched once. got(i, val) runs
+// once for every key i found, with val straight from the response frame:
+// val is valid only until got returns. Values from different providers
+// arrive in parallel, so got may run concurrently for different keys. A key
+// that gets no call was authoritatively missing on every replica; if any
+// key could not be resolved either way (all its remaining replicas
+// unreachable), GetEach returns an error, because for immutable metadata
+// an inconclusive miss must not be read as a hole. Like PutEach's, the
+// keys, their placement and the sends live in a record the client
+// recycles: a warm call allocates none of them.
+func (c *Client) GetEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, got func(i int, val []byte)) error {
+	if n == 0 {
+		return nil
+	}
+	gc, ok := c.getCalls.Get()
+	if !ok {
+		gc = &getCall{c: c}
+		gc.bind(gc.send)
+	}
+	err := gc.place(c, n, key)
+	if err == nil {
+		gc.ctx, gc.got = ctx, got
+		err = gc.rounds()
+	}
+	gc.ctx, gc.got, gc.lastErr = nil, nil, nil
+	if cap(gc.keys) <= maxKeptKeys {
+		c.getCalls.Put(gc)
+	}
+	return err
+}
+
+// getCall is one GetEach in flight. During a round at is only read: the
+// senders share it, and each writes found and misses of its own keys
+// alone.
+type getCall struct {
+	c *Client
+	placed
+	sends
+	per    []*getSend       // the sends of a round, by node
+	at     []int32          // per key: the ring node asked this round, askedNone or repeated
+	link   []int32          // per key: the next key spelled the same, -1 for none
+	found  []bool           // per key: answered
+	misses []int32          // per key: replicas that answered not-found
+	first  map[uint64]int32 // key hash -> its first key, to find repeats
+
+	ctx     context.Context
+	got     func(int, []byte)
+	mu      sync.Mutex // guards lastErr
+	lastErr error
+}
+
+// Values of getCall.at besides ring nodes.
+const (
+	askedNone = -1 // found: nothing left to ask
+	repeated  = -2 // a repeat of an earlier key, answered with it
+)
+
+// rounds asks every key of each replica in turn until all are resolved.
+func (gc *getCall) rounds() error {
+	n := gc.len()
+	gc.linkRepeats(n)
+	for round := 0; round < gc.reps; round++ {
+		gc.nodes = gc.nodes[:0]
+		for i := 0; i < n; i++ {
+			switch {
+			case gc.at[i] == repeated:
+			case gc.found[i]:
+				gc.at[i] = askedNone
+			default:
+				gc.at[i] = gc.owners(i)[round]
+				gc.addNode(gc.at[i])
+				if round > 0 {
+					gc.c.fallbacks.Add(1)
 				}
 			}
-			return r.Err()
-		})
-		if err != nil {
-			return vals, fmt.Errorf("dht: get batch (%d keys) from %s: %w", len(chunk), addr, err)
+		}
+		if len(gc.nodes) == 0 {
+			break
+		}
+		for len(gc.per) < len(gc.nodes) {
+			s := &getSend{gc: gc}
+			s.enc, s.dec = s.encode, s.decode
+			gc.per = append(gc.per, s)
+		}
+		gc.run()
+	}
+	for i := 0; i < n; i++ {
+		if gc.at[i] != repeated && !gc.found[i] && int(gc.misses[i]) < gc.reps {
+			return fmt.Errorf("dht: get batch: key %q unresolved (%d/%d replicas answered not-found): %w", gc.key(i), gc.misses[i], gc.reps, gc.lastErr)
 		}
 	}
-	return vals, nil
+	return nil
 }
 
-// freeList is a bounded stack of values to reuse, under the discipline
-// of wire's free lists: what a warm process allocates depends neither on
-// when collections run nor on how many values were ever in use at once.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	idle []T
-}
-
-// freeListMax bounds the values a freeList keeps.
-const freeListMax = 64
-
-func (l *freeList[T]) get() (v T, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.idle)
-	if n == 0 {
-		return v, false
+// linkRepeats resets the per-key state of n keys and links every key
+// spelled like an earlier one to it.
+func (gc *getCall) linkRepeats(n int) {
+	gc.at = slices.Grow(gc.at[:0], n)[:n]
+	gc.link = slices.Grow(gc.link[:0], n)[:n]
+	gc.found = slices.Grow(gc.found[:0], n)[:n]
+	gc.misses = slices.Grow(gc.misses[:0], n)[:n]
+	clear(gc.at)
+	clear(gc.found)
+	clear(gc.misses)
+	for i := range gc.link {
+		gc.link[i] = -1
 	}
-	v, ok = l.idle[n-1], true
-	var zero T
-	l.idle[n-1], l.idle = zero, l.idle[:n-1]
-	return v, ok
+	if n == 1 {
+		return
+	}
+	if gc.first == nil {
+		gc.first = make(map[uint64]int32, n)
+	}
+	clear(gc.first)
+	for i := 0; i < n; i++ {
+		h := hash64(gc.key(i))
+		f, seen := gc.first[h]
+		switch {
+		case !seen:
+			gc.first[h] = int32(i)
+		case bytes.Equal(gc.key(int(f)), gc.key(i)): // else a hash collision, asked on its own
+			gc.at[i] = repeated
+			gc.link[i], gc.link[f] = gc.link[f], int32(i)
+		}
+	}
 }
 
-func (l *freeList[T]) put(v T) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.idle) < freeListMax {
-		l.idle = append(l.idle, v)
+// send asks the k-th ring node of the round for its keys, a chunk per
+// frame. A failed call leaves the rest of them unresolved, to be asked
+// of their next replica.
+func (gc *getCall) send(k int) {
+	s := gc.per[k]
+	s.node = gc.nodes[k]
+	addr, n := gc.c.ring.nodes[s.node], gc.len()
+	size := min(4+4*n+len(gc.keys), 1<<20)
+	for s.start = 0; ; s.start = s.next {
+		for s.start < n && gc.at[s.start] != s.node {
+			s.start++
+		}
+		if s.start == n {
+			return
+		}
+		if err := gc.c.callAddr(gc.ctx, addr, mMetaGetBatch, size, s.enc, s.dec); err != nil {
+			gc.mu.Lock()
+			gc.lastErr = fmt.Errorf("dht: get batch from %s: %w", addr, err)
+			gc.mu.Unlock()
+			return
+		}
 	}
+}
+
+// getSend is one provider's share of a round: the chunk in flight asks
+// it for the keys in [start, next) that at names it for, asked of them.
+// Its encoder and decoder are bound once, so that a recycled call sends
+// without allocating.
+type getSend struct {
+	gc                 *getCall
+	node               int32
+	start, next, asked int
+	enc                func(*wire.Buffer)
+	dec                func([]byte) error
+}
+
+// encode writes the chunk's request, from start on.
+func (s *getSend) encode(b *wire.Buffer) {
+	gc, n := s.gc, s.gc.len()
+	b.U32(0) // the key count, known once the chunk is cut
+	s.asked = 0
+	for s.next = s.start; s.next < n && s.asked < maxBatchPairs; s.next++ {
+		if gc.at[s.next] == s.node {
+			b.Bytes32(gc.key(s.next))
+			s.asked++
+		}
+	}
+	binary.BigEndian.PutUint32(b.Bytes(), uint32(s.asked))
+}
+
+// decode hands the chunk's values on. The whole response decodes before
+// any of them does, so an answer cut short resolves none of its keys.
+func (s *getSend) decode(p []byte) error {
+	r := wire.NewReader(p)
+	if k := r.U32(); r.Err() == nil && int(k) != s.asked {
+		return fmt.Errorf("%d answers for %d keys", k, s.asked)
+	}
+	for i := 0; i < s.asked; i++ {
+		r.Bool()
+		r.Bytes32()
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	r = wire.NewReader(p[4:])
+	gc := s.gc
+	for i := s.start; i < s.next; i++ {
+		if gc.at[i] != s.node {
+			continue
+		}
+		found, val := r.Bool(), r.Bytes32()
+		if !found {
+			gc.misses[i]++
+			continue
+		}
+		gc.found[i] = true
+		for j := i; j >= 0; j = int(gc.link[j]) {
+			gc.got(j, val)
+		}
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"blobseer/internal/metrics"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
 
@@ -61,7 +63,8 @@ type MetaService struct {
 	mBytesIn  *metrics.Counter
 	mBytesOut *metrics.Counter
 
-	pairVecs freeList[[]store.Pair] // handlePutBatch's decoded batches, recycled
+	pairVecs util.FreeList[[]store.Pair] // handlePutBatch's decoded batches, recycled
+	lentVecs util.FreeList[[]lent]       // handleGetBatch's answers, recycled
 }
 
 // NewMetaService returns a metadata provider over st.
@@ -116,7 +119,7 @@ func (s *MetaService) handleGet(ctx context.Context, payload []byte) (*wire.Buff
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	val, err := s.store.Get(key)
+	val, err := s.value(key)
 	if err == store.ErrNotFound {
 		return nil, ErrNotFound
 	}
@@ -128,6 +131,15 @@ func (s *MetaService) handleGet(ctx context.Context, payload []byte) (*wire.Buff
 	b := rpc.NewFrame(4 + len(val))
 	b.Bytes32(val)
 	return b, nil
+}
+
+// value returns key's value: lent when the store lends (store.Lender),
+// so that the response frame is its only copy.
+func (s *MetaService) value(key string) ([]byte, error) {
+	if l, ok := s.store.(store.Lender); ok {
+		return l.Lend(key, 0, -1)
+	}
+	return s.store.Get(key)
 }
 
 func (s *MetaService) handleDelete(ctx context.Context, payload []byte) (*wire.Buffer, error) {
@@ -159,14 +171,14 @@ func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire
 	if r.Err() != nil || uint64(n)*8 > uint64(r.Remaining()) { // each pair needs >= 8 prefix bytes
 		return nil, wire.ErrShortBuffer
 	}
-	pairs, _ := s.pairVecs.get()
+	pairs, _ := s.pairVecs.Get()
 	if cap(pairs) < int(n) {
 		pairs = make([]store.Pair, 0, n)
 	}
 	defer func() {
 		if cap(pairs) <= maxBatchPairs {
 			clear(pairs) // the pairs alias the request
-			s.pairVecs.put(pairs[:0])
+			s.pairVecs.Put(pairs[:0])
 		}
 	}()
 	var in int64
@@ -196,31 +208,59 @@ func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire
 
 // handleGetBatch answers a multi-get. Unlike single gets, a missing key
 // is not an RPC error: each requested key gets a presence flag so one
-// response carries hits and authoritative misses side by side.
+// response carries hits and authoritative misses side by side. Every
+// key is cut from one string, and every value is lent and copied once,
+// into a response sized to fit them all.
 func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
-	keys := r.StringSlice()
-	if err := r.Err(); err != nil {
-		return nil, err
+	n := r.U32()
+	if r.Err() != nil || uint64(n)*4 > uint64(r.Remaining()) { // each key needs >= 4 prefix bytes
+		return nil, wire.ErrShortBuffer
 	}
-	s.mBatchGet.Observe(int64(len(keys)))
-	s.mGets.Add(int64(len(keys)))
-	b := rpc.NewFrame(16 * len(keys))
-	b.U32(uint32(len(keys)))
-	for _, key := range keys {
-		val, err := s.store.Get(key)
+	vals, _ := s.lentVecs.Get()
+	defer func() {
+		if cap(vals) <= maxBatchPairs {
+			clear(vals) // the values are the store's
+			s.lentVecs.Put(vals[:0])
+		}
+	}()
+	vals = slices.Grow(vals, int(n))
+	all := string(payload)
+	size := 4
+	for i := uint32(0); i < n; i++ {
+		k := r.Bytes32()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		end := len(payload) - r.Remaining()
+		val, err := s.value(all[end-len(k) : end])
 		switch {
 		case err == store.ErrNotFound:
-			b.Bool(false)
-			b.Bytes32(nil)
 		case err != nil:
 			return nil, err
 		default:
-			b.Bool(true)
-			b.Bytes32(val)
+			vals = append(vals, lent{val: val, ok: true})
+			size += 5 + len(val)
+			continue
 		}
+		vals = append(vals, lent{})
+		size += 5
+	}
+	s.mBatchGet.Observe(int64(n))
+	s.mGets.Add(int64(n))
+	b := rpc.NewFrame(size)
+	b.U32(n)
+	for _, v := range vals {
+		b.Bool(v.ok)
+		b.Bytes32(v.val)
 	}
 	return b, nil
+}
+
+// lent is one answer of a multi-get: the value as the store holds it.
+type lent struct {
+	val []byte
+	ok  bool
 }
 
 // Client is the replicated DHT client used by BlobSeer writers and
@@ -238,7 +278,8 @@ type Client struct {
 	// metadata providers make this grow).
 	fallbacks atomic.Int64
 
-	putCalls freeList[*putCall] // PutEach's records, recycled
+	putCalls util.FreeList[*putCall] // PutEach's records, recycled
+	getCalls util.FreeList[*getCall] // GetEach's records, recycled
 }
 
 // metaBackoff is the per-replica retry schedule. It is deliberately

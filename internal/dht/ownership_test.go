@@ -171,6 +171,32 @@ func TestFrameOwnership(t *testing.T) {
 		checkBatch(t, got)
 	})
 
+	t.Run("kept values read poison", func(t *testing.T) {
+		// A value is valid only until got returns: its frame is released
+		// (and poisoned) once the response is decoded.
+		var mu sync.Mutex
+		var kept [][]byte
+		err := c.GetEach(ctx, len(keys),
+			func(i int, dst []byte) []byte { return append(dst, keys[i]...) },
+			func(i int, val []byte) {
+				mu.Lock()
+				kept = append(kept, val)
+				mu.Unlock()
+			})
+		if err != nil || len(kept) != len(keys) {
+			t.Fatalf("GetEach = %d values, %v", len(kept), err)
+		}
+		for i, v := range kept {
+			if len(v) == 0 || !bytes.Equal(v, bytes.Repeat([]byte{0xdb}, len(v))) {
+				t.Fatalf("value %d kept past got reads %x, not poison", i, v)
+			}
+		}
+	})
+
+	for _, cse := range OwnershipCases {
+		t.Run(cse.Name, func(t *testing.T) { cse.Run(t, c) })
+	}
+
 	t.Run("abandoned call", func(t *testing.T) {
 		gate := make(chan struct{})
 		st.gate.Store(&gate)
@@ -190,6 +216,13 @@ func TestFrameOwnership(t *testing.T) {
 		}
 		checkBatch(t, got)
 	})
+}
+
+// OwnershipCases are TestFrameOwnership cases that package dht_test
+// adds: those of stores built on the client, which import this package.
+var OwnershipCases []struct {
+	Name string
+	Run  func(t *testing.T, c *Client)
 }
 
 // TestHashIsFNV1a pins key placement: hash64 must stay the finalized

@@ -145,3 +145,49 @@ func FuzzMetaPutBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMetaGetBatch feeds the get-batch handler arbitrary bytes, which it
+// cuts keys from without a string per key. It must not panic, must fail
+// a payload that does not decode, and must answer one that does byte for
+// byte like a reference built from wire.Reader.StringSlice and
+// store.Get: the key count, then each key's presence and value.
+func FuzzMetaGetBatch(f *testing.F) {
+	st := store.NewMemStore()
+	for _, kv := range append(nodeBatch(1, 'a'), wire.KV{Key: "empty"}, wire.KV{Val: []byte("the empty key's")}) {
+		if err := st.Put(kv.Key, kv.Val); err != nil {
+			f.Fatal(err)
+		}
+	}
+	request := func(keys ...string) []byte {
+		b := wire.NewBuffer(64)
+		b.StringSlice(keys)
+		return b.Bytes()
+	}
+	one := request(nodeBatch(1, 'a')[3].Key, "absent", "empty", "", nodeBatch(1, 'a')[3].Key)
+	f.Add(one)
+	f.Add(request())
+	f.Add(one[:len(one)-3]) // cut short
+	s := NewMetaService(st)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		r := wire.NewReader(payload)
+		keys := r.StringSlice() // the reference decoder
+		resp, err := s.handleGetBatch(context.Background(), payload)
+		if (err == nil) != (r.Err() == nil) {
+			t.Fatalf("handler error %v where the reference decoder's is %v", err, r.Err())
+		}
+		if err != nil {
+			return
+		}
+		defer resp.Release()
+		want := wire.NewBuffer(64)
+		want.U32(uint32(len(keys)))
+		for _, k := range keys {
+			v, err := st.Get(k)
+			want.Bool(err == nil)
+			want.Bytes32(v)
+		}
+		if !bytes.Equal(resp.Bytes(), want.Bytes()) {
+			t.Fatalf("answer %x, want %x", resp.Bytes(), want.Bytes())
+		}
+	})
+}

@@ -16,8 +16,12 @@
 //	mMetaStat    request:  empty                          response: items i64 | bytes i64
 //
 // The batch methods move one multi-key payload per provider instead of
-// one RPC per key; the client groups keys by their ring replica set and
-// fans the per-provider RPCs out in parallel:
+// one RPC per key. A put sends every provider that holds a replica of
+// any pair one frame (a chunk per frame) with all its pairs, in
+// parallel. A get goes in rounds, one per replica: round r sends each
+// provider one mMetaGetBatch with the unresolved keys whose r-th replica
+// it is, in parallel, so a key its primary misses, or whose primary is
+// down, is asked of its next replica in the next round:
 //
 //	mMetaPutBatch  request:  count u32, then per pair: key string | val bytes32
 //	               response: empty (the whole batch fails on any error)
@@ -36,7 +40,24 @@
 // batch with shared backing, every key cut from one string and every
 // value from one buffer, two allocations whatever its size. One batch is
 // one write's tree nodes, which GC and abort repair replace together, so
-// the shared backing is let go of as a whole.
+// the shared backing is let go of as a whole. The metadata provider
+// answers an mMetaGetBatch with every key cut from one string and every
+// value lent by the store and copied once, into the response.
+//
+// # Batches without a copy per key
+//
+// Client.PutEach and Client.GetEach are the batch calls for a caller
+// that encodes its keys and values itself; PutBatch and GetBatch wrap
+// them for string keys. Both recycle what a call needs (keys in one
+// byte vector, owners as ring indices, the per-provider sends), so a
+// warm call allocates per call, not per key. Their callbacks own
+// nothing past their return: PutEach's val appends a value to the frame
+// being encoded and runs again for every retry of that frame, so it must
+// be pure; GetEach's got receives each value straight from its response
+// frame, concurrently for keys on different providers, and that val is
+// valid only until got returns — the frame is recycled then (and
+// poisoned under wire.PoisonReleased), so a value kept must be copied or
+// decoded into memory of the caller's.
 //
 // # Key namespaces
 //

@@ -26,9 +26,11 @@ import (
 // style: one fetch travels to the store, every other caller waits for
 // its result. Under the paper's heavy-concurrency read workloads this
 // collapses N simultaneous fetches of the shared tree spine into one.
+// A call's misses travel together: one flight, one inner fetch.
 type NodeCache struct {
 	inner  Store
 	batch  BatchStore // non-nil when inner supports multi-ops
+	filler filler     // non-nil when inner has the fill path
 	shards []cacheShard
 	perCap int // max entries per shard
 
@@ -49,7 +51,7 @@ type cacheShard struct {
 	mu      sync.Mutex
 	entries map[NodeID]*cacheEntry
 	lru     cacheEntry // list head: lru.next is the most recent entry, lru.prev the coldest
-	flights map[NodeID]*flight
+	flights map[NodeID]flightSlot
 }
 
 // cacheEntry is a cached node and its place in its shard's LRU ring.
@@ -75,12 +77,19 @@ func (s *cacheShard) drop(e *cacheEntry) {
 	delete(s.entries, e.id)
 }
 
-// flight is one in-progress fetch that concurrent callers wait on.
+// flight is one call's fetch of the nodes it missed, which concurrent
+// callers missing any of them wait on instead of fetching them again.
 type flight struct {
-	done chan struct{}
-	n    Node
-	ok   bool  // node exists
-	err  error // fetch failed; existence undecided
+	done  chan struct{}
+	ids   []NodeID
+	nodes []Node // parallels ids once done; the zero Node where absent
+	err   error  // the fetch failed: presence undecided
+}
+
+// flightSlot is where a node is being fetched: slot j of flight f.
+type flightSlot struct {
+	f *flight
+	j int32
 }
 
 // NewNodeCache wraps inner with a cache holding at most capacity nodes
@@ -92,10 +101,11 @@ func NewNodeCache(inner Store, capacity int) *NodeCache {
 	perCap := (capacity + cacheShardCount - 1) / cacheShardCount
 	c := &NodeCache{inner: inner, perCap: perCap, shards: make([]cacheShard, cacheShardCount)}
 	c.batch, _ = inner.(BatchStore)
+	c.filler, _ = inner.(filler)
 	for i := range c.shards {
 		c.shards[i].entries = make(map[NodeID]*cacheEntry)
 		c.shards[i].lru.prev, c.shards[i].lru.next = &c.shards[i].lru, &c.shards[i].lru
-		c.shards[i].flights = make(map[NodeID]*flight)
+		c.shards[i].flights = make(map[NodeID]flightSlot)
 	}
 	return c
 }
@@ -223,166 +233,176 @@ func (c *NodeCache) wrote(n Node) {
 	s.mu.Unlock()
 }
 
-// Get implements Store with singleflight miss-deduplication.
+// Get implements Store: a one-node fill.
 func (c *NodeCache) Get(ctx context.Context, id NodeID) (Node, error) {
-	s := c.shard(id)
-	s.mu.Lock()
-	if n, ok := s.hitLocked(id); ok {
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return n, nil
-	}
-	c.misses.Add(1)
-	if f, ok := s.flights[id]; ok {
-		s.mu.Unlock()
-		return c.await(ctx, id, f)
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[id] = f
-	s.mu.Unlock()
-
-	n, err := c.inner.Get(ctx, id)
-	c.complete(s, id, f, n, err == nil, err)
-	if err != nil {
+	ids, out := [1]NodeID{id}, [1]Node{}
+	if err := c.get(ctx, ids[:], out[:], true); err != nil {
 		return Node{}, err
 	}
-	return n, nil
-}
-
-// await blocks on another caller's in-flight fetch. If the owner's
-// fetch failed — its context may have been canceled, which says
-// nothing about this caller's — the miss is retried directly rather
-// than propagating a stranger's error into a healthy request.
-func (c *NodeCache) await(ctx context.Context, id NodeID, f *flight) (Node, error) {
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return Node{}, ctx.Err()
-	}
-	if f.err != nil {
-		n, err := c.inner.Get(ctx, id)
-		if err != nil {
-			return Node{}, err
-		}
-		s := c.shard(id)
-		s.mu.Lock()
-		c.insertLocked(s, id, n)
-		s.mu.Unlock()
-		return n, nil
-	}
-	if !f.ok {
+	if out[0].ID != id {
 		return Node{}, fmt.Errorf("mdtree: node %s not found", id.Key())
 	}
-	return f.n, nil
+	return out[0], nil
 }
 
-// complete publishes a flight's outcome and caches a found node.
-func (c *NodeCache) complete(s *cacheShard, id NodeID, f *flight, n Node, ok bool, err error) {
-	f.n, f.ok, f.err = n, ok, err
-	s.mu.Lock()
-	delete(s.flights, id)
-	if err == nil && ok {
-		c.insertLocked(s, id, n)
-	}
-	s.mu.Unlock()
-	close(f.done)
-}
-
-// GetBatch implements BatchStore. Cached nodes are served from memory;
-// the rest are fetched with one inner multi-get (minus any node some
-// other caller is already fetching, which is joined instead). A call
-// that hits on every id allocates only its result. A repeated id needs
-// no bookkeeping: a second hit is a hit, a second miss joins the flight
-// the first opened, which this call completes before it waits on any.
+// GetBatch implements BatchStore, a map over the fill path. A call that
+// hits on every id allocates only its result.
 func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	out := make(map[NodeID]Node, len(ids))
-	var owned, joined []NodeID // misses this call fetches / someone else is fetching
-	var ownedFlights, joinedFlights []*flight
-	for _, id := range ids {
+	var buf [32]Node // on the stack
+	nodes := buf[:]
+	if len(ids) > len(buf) {
+		nodes = make([]Node, len(ids))
+	}
+	nodes = nodes[:len(ids)]
+	if err := c.get(ctx, ids, nodes, false); err != nil {
+		return nil, err
+	}
+	return byID(ids, nodes), nil
+}
+
+// fill implements filler.
+func (c *NodeCache) fill(ctx context.Context, ids []NodeID, out []Node) error {
+	return c.get(ctx, ids, out, false)
+}
+
+// pending is a miss of a get: out[i] comes from a flight's slot.
+type pending struct {
+	i int32
+	flightSlot
+}
+
+// get fills out[i] with node ids[i], the zero Node where it is absent.
+// Hits are served from memory; the other ids are fetched with one flight
+// of this call, minus those another call's flight is already fetching,
+// which are waited for. A repeated id needs no bookkeeping: a second hit
+// is a hit, a second miss joins the flight the first opened, which this
+// call completes before it waits on any. single marks a Get's one node
+// (see fetch).
+func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node, single bool) error {
+	var buf [16]pending
+	misses := buf[:0]
+	var own *flight
+	for i, id := range ids {
 		s := c.shard(id)
 		s.mu.Lock()
 		if n, ok := s.hitLocked(id); ok {
 			s.mu.Unlock()
 			c.hits.Add(1)
-			out[id] = n
+			out[i] = n
 			continue
 		}
 		c.misses.Add(1)
-		if f, ok := s.flights[id]; ok {
-			s.mu.Unlock()
-			joined, joinedFlights = append(joined, id), append(joinedFlights, f)
-			continue
+		slot, ok := s.flights[id]
+		if !ok {
+			if own == nil {
+				own = &flight{done: make(chan struct{}), ids: make([]NodeID, 0, len(ids)-i)}
+			}
+			slot = flightSlot{f: own, j: int32(len(own.ids))}
+			own.ids = append(own.ids, id)
+			s.flights[id] = slot
 		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[id] = f
 		s.mu.Unlock()
-		owned, ownedFlights = append(owned, id), append(ownedFlights, f)
+		misses = append(misses, pending{i: int32(i), flightSlot: slot})
 	}
-
-	if len(owned) > 0 {
-		// A plain Store's error may mean absent or unreachable: surface it.
-		got, fetchErr := c.fetchDirect(ctx, owned)
-		for i, id := range owned {
-			n, ok := got[id]
-			c.complete(c.shard(id), id, ownedFlights[i], n, ok && fetchErr == nil, fetchErr)
-			if ok && fetchErr == nil {
-				out[id] = n
+	if own != nil {
+		own.nodes = make([]Node, len(own.ids))
+		own.err = c.fetch(ctx, own.ids, own.nodes, single)
+		c.complete(own)
+		if own.err != nil {
+			return own.err
+		}
+	}
+	// A flight whose owner failed is retried under this call's own
+	// context instead of inheriting the owner's error (it may just have
+	// been canceled).
+	var retry []int32
+	for _, m := range misses {
+		if m.f != own {
+			select {
+			case <-m.f.done:
+			case <-ctx.Done():
+				return ctx.Err()
 			}
 		}
-		if fetchErr != nil {
-			return nil, fetchErr
+		if m.f.err != nil {
+			retry = append(retry, m.i)
+			continue
 		}
-	}
-	// Joined flights: absent (ok=false) stays absent; a flight whose
-	// owner failed is retried under this call's own context instead of
-	// inheriting the owner's error (it may just have been canceled).
-	var retry []NodeID
-	for i, id := range joined {
-		f := joinedFlights[i]
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		switch {
-		case f.err != nil:
-			retry = append(retry, id)
-		case f.ok:
-			out[id] = f.n
-		}
+		out[m.i] = m.f.nodes[m.j]
 	}
 	if len(retry) > 0 {
-		got, err := c.fetchDirect(ctx, retry)
-		if err != nil {
-			return nil, err
-		}
-		for id, n := range got {
-			s := c.shard(id)
-			s.mu.Lock()
-			c.insertLocked(s, id, n)
-			s.mu.Unlock()
-			out[id] = n
-		}
+		return c.refetch(ctx, ids, out, retry, single)
 	}
-	return out, nil
+	return nil
 }
 
-// fetchDirect fetches ids from the inner store: one multi-get when it
-// batches, one Get per id otherwise.
-func (c *NodeCache) fetchDirect(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	if c.batch != nil {
-		c.batchGets.Add(1)
-		return c.batch.GetBatch(ctx, ids)
+// complete publishes a flight's outcome: the nodes found are cached, and
+// the flight leaves the shards before its waiters are let go.
+func (c *NodeCache) complete(f *flight) {
+	for j, id := range f.ids {
+		s := c.shard(id)
+		s.mu.Lock()
+		delete(s.flights, id)
+		if f.err == nil && f.nodes[j].ID == id {
+			c.insertLocked(s, id, f.nodes[j])
+		}
+		s.mu.Unlock()
 	}
-	got := make(map[NodeID]Node, len(ids))
-	for _, id := range ids {
+	close(f.done)
+}
+
+// refetch fetches the nodes ids[i], i in at, into out and caches them.
+func (c *NodeCache) refetch(ctx context.Context, ids []NodeID, out []Node, at []int32, single bool) error {
+	some := make([]NodeID, len(at))
+	for k, i := range at {
+		some[k] = ids[i]
+	}
+	nodes := make([]Node, len(at))
+	if err := c.fetch(ctx, some, nodes, single); err != nil {
+		return err
+	}
+	for k, i := range at {
+		out[i] = nodes[k]
+		if nodes[k].ID == some[k] {
+			s := c.shard(some[k])
+			s.mu.Lock()
+			c.insertLocked(s, some[k], nodes[k])
+			s.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// fetch gets ids from the inner store into out, the zero Node where
+// absent: through its fill path when it has one, with one multi-get when
+// it batches, a Get per id otherwise — and for a Get's single miss, so
+// that a store without the fill path serves a one-node read with Get, as
+// it always has. A plain Get's error may mean absent or unreachable: it
+// fails the fetch.
+func (c *NodeCache) fetch(ctx context.Context, ids []NodeID, out []Node, single bool) error {
+	switch {
+	case c.filler != nil:
+		c.batchGets.Add(1)
+		return c.filler.fill(ctx, ids, out)
+	case c.batch != nil && !single:
+		c.batchGets.Add(1)
+		got, err := c.batch.GetBatch(ctx, ids)
+		if err != nil {
+			return err
+		}
+		for j, id := range ids {
+			out[j] = got[id]
+		}
+		return nil
+	}
+	for j, id := range ids {
 		n, err := c.inner.Get(ctx, id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		got[id] = n
+		out[j] = n
 	}
-	return got, nil
+	return nil
 }
 
 // InvalidateVersion drops every cached node materialized by version v

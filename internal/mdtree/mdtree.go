@@ -59,7 +59,7 @@ func (id NodeID) Range() blob.Range { return blob.Range{Off: id.Off, Len: id.Spa
 // BlockRef locates one stored data block from a leaf.
 type BlockRef struct {
 	Key       blob.BlockKey
-	Providers []string // replica addresses, primary first
+	Providers []string // replica addresses, primary first; read-only (decoded leaves share it)
 	Len       int64    // bytes actually stored (<= block size; last block may be partial)
 }
 
@@ -96,10 +96,39 @@ type Store interface {
 // latency on the read path. GetBatch omits missing nodes from its
 // result instead of failing, but must return an error when a node's
 // presence could not be decided (e.g. all replicas unreachable).
+//
+// The package's own stores read through a fill path besides (filler):
+// a NodeCache over a DHTStore fills the caller's nodes in the order of
+// their ids, a hit from memory and every miss of a call with one
+// dht.GetEach, decoded straight from the response frames — no map,
+// key string or value copy per node, and a one-node Get is a one-node
+// batch. GetBatch is a map built over it. A NodeCache finds the path on
+// its inner store by type assertion, so a store that wraps a DHTStore
+// as a BatchStore alone (a tracing or timing seam) still receives every
+// read the cache misses as a Get or GetBatch.
 type BatchStore interface {
 	Store
 	PutBatch(ctx context.Context, nodes []Node) error
 	GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error)
+}
+
+// filler is the fill path (see BatchStore): fill fetches the nodes ids
+// name into out, in the same order. A node absent from the store leaves
+// the zero Node in its slot (ID unset: stored nodes have versions >= 1);
+// fill fails when a node's presence could not be decided.
+type filler interface {
+	fill(ctx context.Context, ids []NodeID, out []Node) error
+}
+
+// byID maps the nodes a fill found to their ids.
+func byID(ids []NodeID, nodes []Node) map[NodeID]Node {
+	out := make(map[NodeID]Node, len(ids))
+	for i, n := range nodes {
+		if n.ID == ids[i] {
+			out[n.ID] = n
+		}
+	}
+	return out
 }
 
 // putConcurrency bounds parallel node stores during a Build.
@@ -267,7 +296,6 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 		return nil, err
 	}
 	want := r
-	bs, _ := st.(BatchStore)
 	span := blob.SpanBytes(size, meta.BlockSize)
 
 	// A slot is one child reference still to be expanded, with the range
@@ -299,7 +327,7 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 		if len(ids) == 0 {
 			break
 		}
-		nodes, err := fetchLevel(ctx, st, bs, ids)
+		nodes, err := fetchLevel(ctx, st, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -345,11 +373,37 @@ func clampRead(v blob.Version, size int64, r blob.Range) (blob.Range, error) {
 	return r, nil
 }
 
-// fetchLevel gets one BFS level's nodes, batched when possible. The
-// returned slice parallels ids.
-func fetchLevel(ctx context.Context, st Store, bs BatchStore, ids []NodeID) ([]Node, error) {
+// fetchLevel gets nodes ids, in their order: one node with Get (on the
+// package's stores a one-node fill), several filled in place when st has
+// the fill path, with one multi-get when it batches, a Get per node
+// otherwise. An absent node fails it.
+func fetchLevel(ctx context.Context, st Store, ids []NodeID) ([]Node, error) {
 	nodes := make([]Node, len(ids))
-	if bs == nil || len(ids) == 1 {
+	f, fills := st.(filler)
+	bs, _ := st.(BatchStore)
+	switch {
+	case len(ids) > 1 && fills:
+		if err := f.fill(ctx, ids, nodes); err != nil {
+			return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
+		}
+		for i, id := range ids {
+			if nodes[i].ID != id {
+				return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
+			}
+		}
+	case len(ids) > 1 && bs != nil:
+		got, err := bs.GetBatch(ctx, ids)
+		if err != nil {
+			return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
+		}
+		for i, id := range ids {
+			n, ok := got[id]
+			if !ok {
+				return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
+			}
+			nodes[i] = n
+		}
+	default:
 		for i, id := range ids {
 			n, err := st.Get(ctx, id)
 			if err != nil {
@@ -357,18 +411,6 @@ func fetchLevel(ctx context.Context, st Store, bs BatchStore, ids []NodeID) ([]N
 			}
 			nodes[i] = n
 		}
-		return nodes, nil
-	}
-	got, err := bs.GetBatch(ctx, ids)
-	if err != nil {
-		return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
-	}
-	for i, id := range ids {
-		n, ok := got[id]
-		if !ok {
-			return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
-		}
-		nodes[i] = n
 	}
 	return nodes, nil
 }

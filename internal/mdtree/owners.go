@@ -103,8 +103,7 @@ func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.V
 	if len(ids) == 0 {
 		return out, nil
 	}
-	batch, _ := st.(BatchStore)
-	leaves, err := fetchLevel(ctx, st, batch, ids)
+	leaves, err := fetchLevel(ctx, st, ids)
 	if err != nil {
 		return nil, err
 	}

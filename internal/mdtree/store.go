@@ -1,12 +1,14 @@
 package mdtree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dht"
+	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
 
@@ -31,11 +33,17 @@ func encodeNode(b *wire.Buffer, n Node) {
 	}
 }
 
-// DecodeNode parses a node value fetched under id.
-func DecodeNode(id NodeID, val []byte) (Node, error) {
+// DecodeNode parses a node value fetched under id. Nothing it returns
+// aliases val, which may be a recycled frame.
+func DecodeNode(id NodeID, val []byte) (Node, error) { return decodeNode(id, val, nil) }
+
+// decodeNode is DecodeNode with a leaf's provider list interned in lists
+// when it is not nil.
+func decodeNode(id NodeID, val []byte, lists *replicaLists) (Node, error) {
 	r := wire.NewReader(val)
 	n := Node{ID: id}
 	n.Leaf = r.Bool()
+	var err error
 	if n.Leaf {
 		n.Block.Key = blob.BlockKey{
 			Blob:  blob.ID(r.U64()),
@@ -43,15 +51,62 @@ func DecodeNode(id NodeID, val []byte) (Node, error) {
 			Seq:   r.U32(),
 		}
 		n.Block.Len = r.I64()
-		n.Block.Providers = r.StringSlice()
+		n.Block.Providers, err = lists.read(r, val)
 	} else {
 		n.Left = ChildRef{Version: blob.Version(r.U64())}
 		n.Right = ChildRef{Version: blob.Version(r.U64())}
 	}
-	if err := r.Err(); err != nil {
+	if err == nil {
+		err = r.Err()
+	}
+	if err != nil {
 		return Node{}, fmt.Errorf("mdtree: decode %s: %w", id.Key(), err)
 	}
 	return n, nil
+}
+
+// replicaLists interns the provider lists of decoded leaves by their
+// encoding: a deployment places blocks on few distinct replica sets, so
+// a read decodes a list it has seen before and allocates nothing for it.
+// Leaves placed alike share one list, which is read-only. The table
+// starts afresh when full.
+type replicaLists struct {
+	mu sync.Mutex
+	m  map[string][]string
+}
+
+// maxReplicaLists bounds a replicaLists.
+const maxReplicaLists = 4096
+
+// read reads a leaf's provider list, the rest of r's body val: interned
+// in l, or a list of its own when l is nil.
+func (l *replicaLists) read(r *wire.Reader, val []byte) ([]string, error) {
+	if l == nil {
+		return r.StringSlice(), nil
+	}
+	start := len(val) - r.Remaining()
+	n := r.U32()
+	if r.Err() == nil && uint64(n)*4 > uint64(r.Remaining()) { // each address needs >= 4 prefix bytes
+		return nil, wire.ErrShortBuffer
+	}
+	for i := uint32(0); i < n; i++ {
+		r.Bytes32()
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	enc := val[start : len(val)-r.Remaining()]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if list, ok := l.m[string(enc)]; ok {
+		return list, nil
+	}
+	if len(l.m) >= maxReplicaLists || l.m == nil {
+		l.m = make(map[string][]string)
+	}
+	list := wire.NewReader(enc).StringSlice()
+	l.m[string(enc)] = list
+	return list, nil
 }
 
 // MemStore is an in-process Store used by unit tests, the version
@@ -153,7 +208,9 @@ func (s *MemStore) GetBatch(_ context.Context, ids []NodeID) (map[NodeID]Node, e
 // DHTStore adapts the metadata DHT client to the tree Store interface —
 // the production path: tree nodes distributed over metadata providers.
 type DHTStore struct {
-	c *dht.Client
+	c     *dht.Client
+	fills util.FreeList[*fillCall]
+	lists replicaLists // the provider lists of the leaves it decodes
 }
 
 // NewDHTStore wraps c.
@@ -169,13 +226,16 @@ func (s *DHTStore) Put(ctx context.Context, n Node) error {
 	return s.c.Put(ctx, n.ID.Key(), EncodeNode(n))
 }
 
-// Get implements Store.
+// Get implements Store: a one-node fill.
 func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
-	val, err := s.c.Get(ctx, id.Key())
-	if err != nil {
+	var out [1]Node
+	if err := s.fill(ctx, []NodeID{id}, out[:]); err != nil {
 		return Node{}, err
 	}
-	return DecodeNode(id, val)
+	if out[0].ID != id {
+		return Node{}, dht.ErrNotFound
+	}
+	return out[0], nil
 }
 
 // PutBatch implements BatchStore: the DHT client groups the nodes by
@@ -187,30 +247,55 @@ func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
 		func(i int, b *wire.Buffer) { encodeNode(b, nodes[i]) })
 }
 
-// GetBatch implements BatchStore: one multi-get RPC per provider, with
-// per-key replica fall-through on misses.
+// GetBatch implements BatchStore over the fill path.
 func (s *DHTStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = id.Key()
-	}
-	vals, err := s.c.GetBatch(ctx, keys)
-	if err != nil {
+	nodes := make([]Node, len(ids))
+	if err := s.fill(ctx, ids, nodes); err != nil {
 		return nil, err
 	}
-	out := make(map[NodeID]Node, len(vals))
-	for i, id := range ids {
-		val, ok := vals[keys[i]]
-		if !ok {
-			continue // authoritative miss: Resolve decides what it means
-		}
-		n, err := DecodeNode(id, val)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = n
+	return byID(ids, nodes), nil
+}
+
+// fill implements filler: one dht.GetEach, one multi-get RPC per
+// provider with per-key replica fall-through on misses, every node
+// decoded straight from its response frame into out.
+func (s *DHTStore) fill(ctx context.Context, ids []NodeID, out []Node) error {
+	clear(out[:len(ids)])
+	f, ok := s.fills.Get()
+	if !ok {
+		f = &fillCall{}
+		f.key, f.got = f.appendKey, f.decode
 	}
-	return out, nil
+	f.ids, f.out, f.lists = ids, out, &s.lists
+	err := cmp.Or(s.c.GetEach(ctx, len(ids), f.key, f.got), f.bad)
+	f.ids, f.out, f.bad = nil, nil, nil
+	s.fills.Put(f)
+	return err
+}
+
+// fillCall is one DHTStore fill in flight. Its callbacks are bound once,
+// so that a recycled record fills without allocating.
+type fillCall struct {
+	ids   []NodeID
+	out   []Node
+	lists *replicaLists
+	mu    sync.Mutex // guards bad: values from several providers decode at once
+	bad   error      // the first value that did not decode
+	key   func(int, []byte) []byte
+	got   func(int, []byte)
+}
+
+func (f *fillCall) appendKey(i int, dst []byte) []byte { return f.ids[i].AppendKey(dst) }
+
+func (f *fillCall) decode(i int, val []byte) {
+	n, err := decodeNode(f.ids[i], val, f.lists)
+	if err != nil {
+		f.mu.Lock()
+		f.bad = cmp.Or(f.bad, err)
+		f.mu.Unlock()
+		return
+	}
+	f.out[i] = n
 }
 
 // Delete implements Deleter (garbage collection of pruned versions).

@@ -275,10 +275,24 @@ func TestReadRotationSpreadsAcrossReplicas(t *testing.T) {
 }
 
 // failingMetaStore fails every Put while broken — the injection for
-// metadata-build failure mid-write.
+// metadata-build failure mid-write — and every read while readsBroken.
 type failingMetaStore struct {
 	*mdtree.MemStore
-	broken atomic.Bool
+	broken, readsBroken atomic.Bool
+}
+
+func (f *failingMetaStore) Get(ctx context.Context, id mdtree.NodeID) (mdtree.Node, error) {
+	if f.readsBroken.Load() {
+		return mdtree.Node{}, errors.New("injected metadata read failure")
+	}
+	return f.MemStore.Get(ctx, id)
+}
+
+func (f *failingMetaStore) GetBatch(ctx context.Context, ids []mdtree.NodeID) (map[mdtree.NodeID]mdtree.Node, error) {
+	if f.readsBroken.Load() {
+		return nil, errors.New("injected metadata read failure")
+	}
+	return f.MemStore.GetBatch(ctx, ids)
 }
 
 func (f *failingMetaStore) Put(ctx context.Context, n mdtree.Node) error {
@@ -335,6 +349,43 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	}
 	if items != 1 {
 		t.Errorf("%d blocks on providers, want 1 (failed write's orphans GC'd)", items)
+	}
+}
+
+// TestGCKeepsLeavesItCannotRead: a sweep that cannot read a dead leaf
+// fails, with the leaf — the only record of where its block lives —
+// still stored and the block still on its provider.
+func TestGCKeepsLeavesItCannotRead(t *testing.T) {
+	const blockSize = int64(4 * 1024)
+	inner := mdtree.NewMemStore()
+	meta := &failingMetaStore{MemStore: inner}
+	d := startMini(t, 2, inner)
+	d.clientMeta = meta
+	c, _ := d.newClient(t)
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, blockSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v blob.Version
+	for _, tag := range []byte{'a', 'b'} { // v2 overwrites v1's one block
+		if v, err = b.Write(ctx, 0, bytes.Repeat([]byte{tag}, int(blockSize))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta.readsBroken.Store(true)
+	if _, err := c.GC(ctx, b.ID(), v); err == nil {
+		t.Error("GC succeeded without reading the dead leaf")
+	}
+	if leaf := (mdtree.NodeID{Blob: b.ID(), Version: 1, Span: blockSize}); !inner.Has(leaf) {
+		t.Error("GC deleted a leaf whose block it did not free")
+	}
+	var items int64
+	for _, cs := range d.provStore {
+		items += cs.Stats().Items
+	}
+	if items != 2 {
+		t.Errorf("%d blocks on providers after a failed GC, want both versions' 2", items)
 	}
 }
 

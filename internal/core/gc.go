@@ -27,10 +27,6 @@ type GCStats struct {
 // pinned below keep loses its snapshot — the paper's stated contract
 // for garbaged versions.
 func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats, error) {
-	deleter, ok := c.meta.(mdtree.Deleter)
-	if !ok {
-		return GCStats{}, fmt.Errorf("core: metadata store %T cannot delete nodes", c.meta)
-	}
 	m, err := c.Meta(ctx, id)
 	if err != nil {
 		return GCStats{}, err
@@ -60,38 +56,64 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 		if err != nil {
 			return st, fmt.Errorf("core: gc of version %d: %w", k, err)
 		}
-		for _, dn := range dead {
-			if dn.Leaf && !d.Aborted {
-				// Free the data block first: once the leaf is gone there
-				// is no other record of where the payload lives.
-				node, err := c.meta.Get(ctx, dn.ID)
-				if err == nil {
-					for _, addr := range node.Block.Providers {
-						if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
-							st.BlocksFreed++
-						}
-					}
-					// Repair copies and their overlay record go with the
-					// block: a dangling relocation entry would point
-					// readers at storage the providers already reclaimed.
-					if c.overlay != nil {
-						extras, oerr := c.overlay.Get(ctx, node.Block.Key)
-						if oerr == nil {
-							for _, addr := range extras {
-								if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
-									st.BlocksFreed++
-								}
-							}
-							_ = c.overlay.Remove(ctx, node.Block.Key)
-						}
-					}
-				}
+		if !d.Aborted {
+			if err := c.freeBlocks(ctx, dead, &st); err != nil {
+				return st, fmt.Errorf("core: gc of version %d: %w", k, err)
 			}
-			if err := deleter.Delete(ctx, dn.ID); err != nil {
+		}
+		for _, dn := range dead {
+			if err := c.meta.Delete(ctx, dn.ID); err != nil {
 				return st, fmt.Errorf("core: gc: delete node %s: %w", dn.ID.Key(), err)
 			}
 			st.NodesFreed++
 		}
 	}
 	return st, nil
+}
+
+// freeBlocks deletes the data blocks the dead leaves among dead name. It
+// runs before any of those nodes is deleted, because a leaf is the only
+// record of where its payload lives: the leaves come in one batch, and a
+// batch that fails fails the sweep with every leaf still stored. A leaf
+// absent from the batch was deleted by an earlier sweep, with its block.
+func (c *Client) freeBlocks(ctx context.Context, dead []mdtree.DeadNode, st *GCStats) error {
+	var leaves []mdtree.NodeID
+	for _, dn := range dead {
+		if dn.Leaf {
+			leaves = append(leaves, dn.ID)
+		}
+	}
+	if len(leaves) == 0 {
+		return nil
+	}
+	nodes, err := c.meta.GetBatch(ctx, leaves)
+	if err != nil {
+		return fmt.Errorf("read dead leaves: %w", err)
+	}
+	for _, id := range leaves {
+		node, ok := nodes[id]
+		if !ok {
+			continue
+		}
+		for _, addr := range node.Block.Providers {
+			if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
+				st.BlocksFreed++
+			}
+		}
+		// Repair copies and their overlay record go with the block: a
+		// dangling relocation entry would point readers at storage the
+		// providers already reclaimed.
+		if c.overlay != nil {
+			extras, err := c.overlay.Get(ctx, node.Block.Key)
+			if err == nil {
+				for _, addr := range extras {
+					if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
+						st.BlocksFreed++
+					}
+				}
+				_ = c.overlay.Remove(ctx, node.Block.Key)
+			}
+		}
+	}
+	return nil
 }

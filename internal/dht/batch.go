@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -22,7 +21,7 @@ import (
 // PutBatch stores every pair on all of its replicas. Pairs are grouped
 // by provider address (each provider receives one mMetaPutBatch RPC
 // carrying every pair it is responsible for) and the per-provider RPCs
-// run in parallel. Like Put, it fails if any replica write fails.
+// run in parallel. It fails if any replica write fails.
 func (c *Client) PutBatch(ctx context.Context, kvs []wire.KV) error {
 	return c.PutEach(ctx, len(kvs),
 		func(i int, dst []byte) []byte { return append(dst, kvs[i].Key...) },
@@ -110,7 +109,7 @@ func (p *placed) place(c *Client, n int, key func(i int, dst []byte) []byte) err
 		p.idx = append(p.idx, int32(len(p.keys)))
 		p.idx = c.ring.appendOwners(p.idx, hash64(p.keys[start:]), p.reps)
 		if len(p.idx) != (i+1)*(1+p.reps) {
-			return errors.New("dht: empty ring")
+			return errEmptyRing
 		}
 	}
 	return nil

@@ -60,6 +60,24 @@ func TestRingEmpty(t *testing.T) {
 	}
 }
 
+// TestClientOnEmptyRingFails: with no metadata provider to ask, every
+// call fails alike — a delete included, which GC would otherwise count
+// as a node freed.
+func TestClientOnEmptyRingFails(t *testing.T) {
+	pool := rpc.NewPool(rpc.NewInprocNetwork().Dial)
+	t.Cleanup(pool.Close)
+	c, ctx := NewClient(NewRing(nil, 8), pool, 2), context.Background()
+	if err := c.Put(ctx, "k", []byte("v")); err == nil {
+		t.Error("put on an empty ring succeeded")
+	}
+	if _, err := c.Get(ctx, "k"); err == nil || rpc.CodeOf(err) == CodeNotFound {
+		t.Errorf("get on an empty ring = %v, want a failure that is not a miss", err)
+	}
+	if err := c.Delete(ctx, "k"); err == nil {
+		t.Error("delete on an empty ring succeeded")
+	}
+}
+
 func TestRingDistribution(t *testing.T) {
 	// With 20 metadata providers (the paper's microbenchmark setup),
 	// keys should spread without any provider being starved or owning

@@ -3,7 +3,6 @@ package dht
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,10 +15,11 @@ import (
 	"blobseer/internal/wire"
 )
 
-// RPC method numbers for the metadata provider service.
+// RPC method numbers for the metadata provider service. Methods 1 and 2
+// (single-key put and get) are retired; their numbers stay reserved.
 const (
-	mMetaPut uint16 = iota + 1
-	mMetaGet
+	_ uint16 = iota + 1
+	_
 	mMetaDelete
 	mMetaStat
 	mMetaPutBatch
@@ -46,6 +46,8 @@ const CodeNotFound uint16 = 11
 // ErrNotFound is returned when a metadata key is absent from every
 // queried replica.
 var ErrNotFound = rpc.CodedError(CodeNotFound, "dht: key not found")
+
+var errEmptyRing = errors.New("dht: empty ring")
 
 // MetaService is the metadata-provider daemon implementation: a plain
 // KV shell over a store.Store. Tree nodes, being immutable once
@@ -92,45 +94,11 @@ func (s *MetaService) Metrics() *metrics.Registry { return s.reg }
 // Mux returns the RPC dispatch table.
 func (s *MetaService) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.HandleFrame(mMetaPut, s.handlePut)
-	m.HandleFrame(mMetaGet, s.handleGet)
 	m.HandleFrame(mMetaDelete, s.handleDelete)
 	m.HandleFrame(mMetaStat, s.handleStat)
 	m.HandleFrame(mMetaPutBatch, s.handlePutBatch)
 	m.HandleFrame(mMetaGetBatch, s.handleGetBatch)
 	return m
-}
-
-func (s *MetaService) handlePut(ctx context.Context, payload []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(payload)
-	key := r.String()
-	val := r.Bytes32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	s.mPuts.Inc()
-	s.mBytesIn.Add(int64(len(val)))
-	return nil, s.store.Put(key, val)
-}
-
-func (s *MetaService) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(payload)
-	key := r.String()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	val, err := s.value(key)
-	if err == store.ErrNotFound {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.mGets.Inc()
-	s.mBytesOut.Add(int64(len(val)))
-	b := rpc.NewFrame(4 + len(val))
-	b.Bytes32(val)
-	return b, nil
 }
 
 // value returns key's value: lent when the store lends (store.Lender),
@@ -162,8 +130,8 @@ func (s *MetaService) handleStat(ctx context.Context, payload []byte) (*wire.Buf
 
 // handlePutBatch stores every pair of a multi-put, and none when the
 // payload does not decode whole; any store failure fails the RPC (the
-// client treats the whole batch as failed, matching the durability
-// contract of single puts). A store.BatchPutter copies the batch in
+// client treats the whole batch as failed: metadata must be durable
+// before a version can commit). A store.BatchPutter copies the batch in
 // bulk; any other store takes a Put per pair.
 func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
@@ -206,11 +174,11 @@ func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire
 	return nil, nil
 }
 
-// handleGetBatch answers a multi-get. Unlike single gets, a missing key
-// is not an RPC error: each requested key gets a presence flag so one
-// response carries hits and authoritative misses side by side. Every
-// key is cut from one string, and every value is lent and copied once,
-// into a response sized to fit them all.
+// handleGetBatch answers a multi-get. A missing key is not an RPC
+// error: each requested key gets a presence flag so one response
+// carries hits and authoritative misses side by side. Every key is cut
+// from one string, and every value is lent and copied once, into a
+// response sized to fit them all.
 func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	n := r.U32()
@@ -248,6 +216,7 @@ func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) (*wire
 	}
 	s.mBatchGet.Observe(int64(n))
 	s.mGets.Add(int64(n))
+	s.mBytesOut.Add(int64(size - 4 - 5*len(vals))) // the values alone
 	b := rpc.NewFrame(size)
 	b.U32(n)
 	for _, v := range vals {
@@ -315,23 +284,11 @@ func (c *Client) callAddr(ctx context.Context, addr string, m uint16, size int, 
 	return c.pool.Call(ctx, c.retry, addr, m, size, enc, dec)
 }
 
-// Put stores key on every replica in parallel; it fails if any replica
-// write fails (metadata must be durable before a version can commit).
+// Put stores key on every replica in parallel, a one-key PutEach; it
+// fails if any replica write fails (metadata must be durable before a
+// version can commit).
 func (c *Client) Put(ctx context.Context, key string, val []byte) error {
-	addrs := c.ring.Lookup(key, c.replicas)
-	if len(addrs) == 0 {
-		return errors.New("dht: empty ring")
-	}
-	return fanOut(len(addrs), func(i int) error {
-		err := c.callAddr(ctx, addrs[i], mMetaPut, 8+len(key)+len(val), func(b *wire.Buffer) {
-			b.String(key)
-			b.Bytes32(val)
-		}, nil)
-		if err != nil {
-			return fmt.Errorf("dht: put %q to %s: %w", key, addrs[i], err)
-		}
-		return nil
-	})
+	return c.PutBatch(ctx, []wire.KV{{Key: key, Val: val}})
 }
 
 // fanOut runs fn(0..n-1) concurrently, one of them on the caller's
@@ -369,49 +326,33 @@ func fanOut(n int, fn func(i int) error) error {
 	return st.err
 }
 
-// Get fetches key from the first answering replica. It returns
-// ErrNotFound only when every replica authoritatively reported the key
-// missing; if any replica was unreachable the miss is inconclusive and
-// the transport error is returned instead, so callers can distinguish
-// "the key does not exist" from "the key may exist on a dead provider".
+// Get fetches key from the first answering replica, a one-key GetEach.
+// It returns ErrNotFound only when every replica authoritatively
+// reported the key missing; if any replica was unreachable the miss is
+// inconclusive and the transport error is returned instead, so callers
+// can distinguish "the key does not exist" from "the key may exist on a
+// dead provider".
 func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	addrs := c.ring.Lookup(key, c.replicas)
-	if len(addrs) == 0 {
-		return nil, errors.New("dht: empty ring")
+	var val []byte // non-nil once found: the frame v arrives in is recycled
+	err := c.GetEach(ctx, 1,
+		func(_ int, dst []byte) []byte { return append(dst, key...) },
+		func(_ int, v []byte) { val = append([]byte{}, v...) })
+	if err == nil && val == nil {
+		err = ErrNotFound
 	}
-	var lastErr error
-	notFound := 0
-	for i, addr := range addrs {
-		if i > 0 {
-			c.fallbacks.Add(1)
-		}
-		var val []byte
-		err := c.callAddr(ctx, addr, mMetaGet, 8+len(key), func(b *wire.Buffer) { b.String(key) }, func(p []byte) error {
-			r := wire.NewReader(p)
-			val = append([]byte{}, r.Bytes32()...) // the response is recycled
-			return r.Err()
-		})
-		switch {
-		case err == nil:
-			return val, nil
-		case rpc.CodeOf(err) == CodeNotFound:
-			// Authoritative miss on this replica; for immutable
-			// metadata the key is absent only if no replica has it.
-			notFound++
-		default:
-			lastErr = err
-		}
+	if err != nil {
+		return nil, err
 	}
-	if notFound == len(addrs) || lastErr == nil {
-		return nil, ErrNotFound
-	}
-	return nil, lastErr
+	return val, nil
 }
 
 // Delete removes key from all replicas in parallel (best effort; used
 // by GC).
 func (c *Client) Delete(ctx context.Context, key string) error {
 	addrs := c.ring.Lookup(key, c.replicas)
+	if len(addrs) == 0 {
+		return errEmptyRing
+	}
 	return fanOut(len(addrs), func(i int) error {
 		return c.callAddr(ctx, addrs[i], mMetaDelete, 8+len(key), func(b *wire.Buffer) { b.String(key) }, nil)
 	})

@@ -24,10 +24,29 @@ func nodeBatch(version int, tag byte) []wire.KV {
 	return kvs
 }
 
+// encodeBatch frames kvs as an mMetaPutBatch request: a u32 count, then
+// each pair's key and value, both length-prefixed.
 func encodeBatch(kvs []wire.KV) []byte {
 	b := wire.NewBuffer(1024)
-	b.KVSlice(kvs)
+	b.U32(uint32(len(kvs)))
+	for _, kv := range kvs {
+		b.String(kv.Key)
+		b.Bytes32(kv.Val)
+	}
 	return b.Bytes()
+}
+
+// decodeBatch is the reference decoder of an mMetaPutBatch request, a
+// string per key where the handler makes none. It reports whether the
+// payload decodes.
+func decodeBatch(payload []byte) ([]wire.KV, bool) {
+	r := wire.NewReader(payload)
+	n := r.U32()
+	var kvs []wire.KV
+	for i := uint32(0); i < n && r.Err() == nil; i++ { // stops at the first pair cut short
+		kvs = append(kvs, wire.KV{Key: r.String(), Val: r.Bytes32()})
+	}
+	return kvs, r.Err() == nil
 }
 
 // storedAs reports whether st holds exactly kvs, a later pair of a key
@@ -118,9 +137,7 @@ func FuzzMetaPutBatch(f *testing.F) {
 	f.Add([]byte{0, 0x10, 0, 0, 0, 0, 0, 1, 'k'}) // 1M pairs claimed, one sent
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		r := wire.NewReader(payload)
-		want := r.KVSlice() // the reference decoder
-		decodes := r.Err() == nil
+		want, decodes := decodeBatch(payload)
 		for _, st := range []store.Store{store.NewMemStore(), plainStore{store.NewMemStore()}} {
 			s := NewMetaService(st)
 			var before, after runtime.MemStats

@@ -8,15 +8,16 @@
 // # Wire format
 //
 // All payloads use the package wire codec (big-endian, length-prefixed
-// strings and byte slices). The single-key methods:
+// strings and byte slices). Methods 1 and 2, the single-key put and get,
+// are retired and their numbers reserved: a provider answers them with
+// the rpc layer's unknown-method error. The other single-key methods:
 //
-//	mMetaPut     request:  key string | val bytes32       response: empty
-//	mMetaGet     request:  key string                     response: val bytes32 (or status CodeNotFound)
 //	mMetaDelete  request:  key string                     response: empty
 //	mMetaStat    request:  empty                          response: items i64 | bytes i64
 //
-// The batch methods move one multi-key payload per provider instead of
-// one RPC per key. A put sends every provider that holds a replica of
+// Keys are stored and fetched only in batches, one multi-key payload per
+// provider instead of one RPC per key; Client.Put and Client.Get are
+// one-key batches. A put sends every provider that holds a replica of
 // any pair one frame (a chunk per frame) with all its pairs, in
 // parallel. A get goes in rounds, one per replica: round r sends each
 // provider one mMetaGetBatch with the unresolved keys whose r-th replica
@@ -39,10 +40,11 @@
 // that implements store.BatchPutter (the mem store) then keeps the
 // batch with shared backing, every key cut from one string and every
 // value from one buffer, two allocations whatever its size. One batch is
-// one write's tree nodes, which GC and abort repair replace together, so
-// the shared backing is let go of as a whole. The metadata provider
-// answers an mMetaGetBatch with every key cut from one string and every
-// value lent by the store and copied once, into the response.
+// one write's tree nodes, which GC and abort repair replace together, or
+// a one-key Put's pair, so the shared backing is let go of as a whole.
+// The metadata provider answers an mMetaGetBatch with every key cut from
+// one string and every value lent by the store and copied once, into the
+// response.
 //
 // # Batches without a copy per key
 //

@@ -29,8 +29,6 @@ import (
 // A call's misses travel together: one flight, one inner fetch.
 type NodeCache struct {
 	inner  Store
-	batch  BatchStore // non-nil when inner supports multi-ops
-	filler filler     // non-nil when inner has the fill path
 	shards []cacheShard
 	perCap int // max entries per shard
 
@@ -100,8 +98,6 @@ func NewNodeCache(inner Store, capacity int) *NodeCache {
 	}
 	perCap := (capacity + cacheShardCount - 1) / cacheShardCount
 	c := &NodeCache{inner: inner, perCap: perCap, shards: make([]cacheShard, cacheShardCount)}
-	c.batch, _ = inner.(BatchStore)
-	c.filler, _ = inner.(filler)
 	for i := range c.shards {
 		c.shards[i].entries = make(map[NodeID]*cacheEntry)
 		c.shards[i].lru.prev, c.shards[i].lru.next = &c.shards[i].lru, &c.shards[i].lru
@@ -193,25 +189,13 @@ func (s *cacheShard) hitLocked(id NodeID) (Node, bool) {
 	return e.n, true
 }
 
-// Put implements Store: write-through, then cache (see wrote).
-func (c *NodeCache) Put(ctx context.Context, n Node) error {
-	if err := c.inner.Put(ctx, n); err != nil {
-		return err
-	}
-	c.wrote(n)
-	return nil
-}
+// Put implements Store: a one-node PutBatch.
+func (c *NodeCache) Put(ctx context.Context, n Node) error { return c.PutBatch(ctx, []Node{n}) }
 
-// PutBatch implements BatchStore (write-through, see wrote).
+// PutBatch implements Store: write-through, then cache (see wrote).
 func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
-	if c.batch != nil {
-		if err := c.batch.PutBatch(ctx, nodes); err != nil {
-			return err
-		}
-	} else {
-		if err := putAllSingles(ctx, c.inner, nodes); err != nil {
-			return err
-		}
+	if err := c.inner.PutBatch(ctx, nodes); err != nil {
+		return err
 	}
 	for _, n := range nodes {
 		c.wrote(n)
@@ -236,7 +220,7 @@ func (c *NodeCache) wrote(n Node) {
 // Get implements Store: a one-node fill.
 func (c *NodeCache) Get(ctx context.Context, id NodeID) (Node, error) {
 	ids, out := [1]NodeID{id}, [1]Node{}
-	if err := c.get(ctx, ids[:], out[:], true); err != nil {
+	if err := c.get(ctx, ids[:], out[:]); err != nil {
 		return Node{}, err
 	}
 	if out[0].ID != id {
@@ -245,7 +229,7 @@ func (c *NodeCache) Get(ctx context.Context, id NodeID) (Node, error) {
 	return out[0], nil
 }
 
-// GetBatch implements BatchStore, a map over the fill path. A call that
+// GetBatch implements Store, a map over the fill path. A call that
 // hits on every id allocates only its result.
 func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	var buf [32]Node // on the stack
@@ -254,7 +238,7 @@ func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 		nodes = make([]Node, len(ids))
 	}
 	nodes = nodes[:len(ids)]
-	if err := c.get(ctx, ids, nodes, false); err != nil {
+	if err := c.get(ctx, ids, nodes); err != nil {
 		return nil, err
 	}
 	return byID(ids, nodes), nil
@@ -262,7 +246,7 @@ func (c *NodeCache) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 
 // fill implements filler.
 func (c *NodeCache) fill(ctx context.Context, ids []NodeID, out []Node) error {
-	return c.get(ctx, ids, out, false)
+	return c.get(ctx, ids, out)
 }
 
 // pending is a miss of a get: out[i] comes from a flight's slot.
@@ -276,9 +260,8 @@ type pending struct {
 // of this call, minus those another call's flight is already fetching,
 // which are waited for. A repeated id needs no bookkeeping: a second hit
 // is a hit, a second miss joins the flight the first opened, which this
-// call completes before it waits on any. single marks a Get's one node
-// (see fetch).
-func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node, single bool) error {
+// call completes before it waits on any.
+func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node) error {
 	var buf [16]pending
 	misses := buf[:0]
 	var own *flight
@@ -306,7 +289,7 @@ func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node, single bo
 	}
 	if own != nil {
 		own.nodes = make([]Node, len(own.ids))
-		own.err = c.fetch(ctx, own.ids, own.nodes, single)
+		own.err = c.fetch(ctx, own.ids, own.nodes)
 		c.complete(own)
 		if own.err != nil {
 			return own.err
@@ -331,7 +314,7 @@ func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node, single bo
 		out[m.i] = m.f.nodes[m.j]
 	}
 	if len(retry) > 0 {
-		return c.refetch(ctx, ids, out, retry, single)
+		return c.refetch(ctx, ids, out, retry)
 	}
 	return nil
 }
@@ -352,13 +335,13 @@ func (c *NodeCache) complete(f *flight) {
 }
 
 // refetch fetches the nodes ids[i], i in at, into out and caches them.
-func (c *NodeCache) refetch(ctx context.Context, ids []NodeID, out []Node, at []int32, single bool) error {
+func (c *NodeCache) refetch(ctx context.Context, ids []NodeID, out []Node, at []int32) error {
 	some := make([]NodeID, len(at))
 	for k, i := range at {
 		some[k] = ids[i]
 	}
 	nodes := make([]Node, len(at))
-	if err := c.fetch(ctx, some, nodes, single); err != nil {
+	if err := c.fetch(ctx, some, nodes); err != nil {
 		return err
 	}
 	for k, i := range at {
@@ -374,35 +357,10 @@ func (c *NodeCache) refetch(ctx context.Context, ids []NodeID, out []Node, at []
 }
 
 // fetch gets ids from the inner store into out, the zero Node where
-// absent: through its fill path when it has one, with one multi-get when
-// it batches, a Get per id otherwise — and for a Get's single miss, so
-// that a store without the fill path serves a one-node read with Get, as
-// it always has. A plain Get's error may mean absent or unreachable: it
-// fails the fetch.
-func (c *NodeCache) fetch(ctx context.Context, ids []NodeID, out []Node, single bool) error {
-	switch {
-	case c.filler != nil:
-		c.batchGets.Add(1)
-		return c.filler.fill(ctx, ids, out)
-	case c.batch != nil && !single:
-		c.batchGets.Add(1)
-		got, err := c.batch.GetBatch(ctx, ids)
-		if err != nil {
-			return err
-		}
-		for j, id := range ids {
-			out[j] = got[id]
-		}
-		return nil
-	}
-	for j, id := range ids {
-		n, err := c.inner.Get(ctx, id)
-		if err != nil {
-			return err
-		}
-		out[j] = n
-	}
-	return nil
+// absent, with one batch (fillFrom).
+func (c *NodeCache) fetch(ctx context.Context, ids []NodeID, out []Node) error {
+	c.batchGets.Add(1)
+	return fillFrom(ctx, c.inner, ids, out)
 }
 
 // InvalidateVersion drops every cached node materialized by version v
@@ -427,7 +385,7 @@ func (c *NodeCache) InvalidateVersion(b blob.ID, v blob.Version) int {
 	return dropped
 }
 
-// Delete implements Deleter: the node is invalidated here and removed
+// Delete implements Store: the node is invalidated here and removed
 // from the inner store (GC of pruned versions — the one mutation the
 // immutability argument allows, deletion).
 func (c *NodeCache) Delete(ctx context.Context, id NodeID) error {
@@ -437,36 +395,5 @@ func (c *NodeCache) Delete(ctx context.Context, id NodeID) error {
 		s.drop(e)
 	}
 	s.mu.Unlock()
-	d, ok := c.inner.(Deleter)
-	if !ok {
-		return fmt.Errorf("mdtree: cached store %T cannot delete nodes", c.inner)
-	}
-	return d.Delete(ctx, id)
-}
-
-// putAllSingles is putAll's bounded-concurrency fallback, shared with
-// PutBatch over a non-batching inner store.
-func putAllSingles(ctx context.Context, st Store, nodes []Node) error {
-	sem := make(chan struct{}, putConcurrency)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for _, n := range nodes {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(n Node) {
-			defer func() { <-sem; wg.Done() }()
-			if err := st.Put(ctx, n); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(n)
-	}
-	wg.Wait()
-	return firstErr
+	return c.inner.Delete(ctx, id)
 }

@@ -104,20 +104,20 @@ func TestCacheBoundedEviction(t *testing.T) {
 	}
 }
 
-// blockingStore delays Get until released, counting inner fetches —
+// blockingStore delays GetBatch until released, counting inner fetches —
 // proves singleflight dedup.
 type blockingStore struct {
 	*MemStore
-	enter chan struct{} // one token per arrived Get
-	gate  chan struct{} // closed to release all Gets
+	enter chan struct{} // one token per arrived GetBatch
+	gate  chan struct{} // closed to release all GetBatches
 	calls atomic.Int64
 }
 
-func (b *blockingStore) Get(ctx context.Context, id NodeID) (Node, error) {
+func (b *blockingStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	b.calls.Add(1)
 	b.enter <- struct{}{}
 	<-b.gate
-	return b.MemStore.Get(ctx, id)
+	return b.MemStore.GetBatch(ctx, ids)
 }
 
 func TestCacheSingleflightDedupsConcurrentMisses(t *testing.T) {
@@ -153,21 +153,21 @@ func TestCacheSingleflightDedupsConcurrentMisses(t *testing.T) {
 	}
 }
 
-// cancelOwnerStore fails the first Get with its caller's context error
-// (once that context is canceled) and serves normally afterwards.
+// cancelOwnerStore fails the first GetBatch with its caller's context
+// error (once that context is canceled) and serves normally afterwards.
 type cancelOwnerStore struct {
 	*MemStore
 	calls   atomic.Int64
 	started chan struct{}
 }
 
-func (s *cancelOwnerStore) Get(ctx context.Context, id NodeID) (Node, error) {
+func (s *cancelOwnerStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	if s.calls.Add(1) == 1 {
 		close(s.started)
 		<-ctx.Done()
-		return Node{}, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return s.MemStore.Get(ctx, id)
+	return s.MemStore.GetBatch(ctx, ids)
 }
 
 func TestCacheJoinerSurvivesOwnerCancellation(t *testing.T) {

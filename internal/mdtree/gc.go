@@ -1,7 +1,6 @@
 package mdtree
 
 import (
-	"context"
 	"fmt"
 
 	"blobseer/internal/blob"
@@ -70,10 +69,4 @@ func DeadNodes(meta blob.Meta, h *blob.History, k, keep blob.Version) ([]DeadNod
 		}
 	}
 	return out, nil
-}
-
-// Deleter is the optional deletion capability of a Store. Both MemStore
-// and DHTStore implement it; GC requires it.
-type Deleter interface {
-	Delete(ctx context.Context, id NodeID) error
 }

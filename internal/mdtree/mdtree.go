@@ -83,41 +83,58 @@ type Node struct {
 }
 
 // Store is where tree nodes live: the metadata DHT in deployments, an
-// in-memory map in unit tests and the simulator.
-type Store interface {
-	Put(ctx context.Context, n Node) error
-	Get(ctx context.Context, id NodeID) (Node, error)
-}
-
-// BatchStore is the optional multi-op capability of a Store. Build uses
-// PutBatch to ship a whole patch's nodes grouped per provider, and
-// Resolve uses GetBatch to fetch a whole tree level in one round-trip
-// per provider — the difference between O(nodes) and O(depth) metadata
-// latency on the read path. GetBatch omits missing nodes from its
-// result instead of failing, but must return an error when a node's
-// presence could not be decided (e.g. all replicas unreachable).
+// in-memory map in unit tests and the simulator. Nodes move in batches:
+// Build ships a whole patch's nodes with one PutBatch, grouped per
+// provider, and a read fetches a whole tree level (or all the leaves it
+// names) with one GetBatch, a round trip per provider — the difference
+// between O(nodes) and O(depth) metadata latency on the read path.
+// GetBatch omits absent nodes from its result, and fails only when a
+// node's presence could not be decided (e.g. all replicas unreachable).
+// Put and Get are one-node batches; Get fails on an absent node. Delete
+// removes a node (garbage collection of pruned versions).
 //
 // The package's own stores read through a fill path besides (filler):
 // a NodeCache over a DHTStore fills the caller's nodes in the order of
 // their ids, a hit from memory and every miss of a call with one
-// dht.GetEach, decoded straight from the response frames — no map,
-// key string or value copy per node, and a one-node Get is a one-node
-// batch. GetBatch is a map built over it. A NodeCache finds the path on
-// its inner store by type assertion, so a store that wraps a DHTStore
-// as a BatchStore alone (a tracing or timing seam) still receives every
-// read the cache misses as a Get or GetBatch.
-type BatchStore interface {
-	Store
+// dht.GetEach, decoded straight from the response frames — no map, key
+// string or value copy per node. GetBatch is a map built over it. The
+// path stays outside Store, found by type assertion, so that a store
+// wrapping a DHTStore behind Store's methods alone (a tracing or timing
+// seam) still receives every read a NodeCache misses as a GetBatch.
+type Store interface {
 	PutBatch(ctx context.Context, nodes []Node) error
 	GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error)
+	Put(ctx context.Context, n Node) error
+	Get(ctx context.Context, id NodeID) (Node, error)
+	Delete(ctx context.Context, id NodeID) error
 }
 
-// filler is the fill path (see BatchStore): fill fetches the nodes ids
-// name into out, in the same order. A node absent from the store leaves
-// the zero Node in its slot (ID unset: stored nodes have versions >= 1);
+// BatchStore is Store under another name, kept for the callers that use
+// it.
+type BatchStore = Store
+
+// filler is the fill path (see Store): fill fetches the nodes ids name
+// into out, in the same order. A node absent from the store leaves the
+// zero Node in its slot (ID unset: stored nodes have versions >= 1);
 // fill fails when a node's presence could not be decided.
 type filler interface {
 	fill(ctx context.Context, ids []NodeID, out []Node) error
+}
+
+// fillFrom fetches the nodes ids name from st into out, as filler does:
+// through st's fill path when it has one, with one GetBatch otherwise.
+func fillFrom(ctx context.Context, st Store, ids []NodeID, out []Node) error {
+	if f, ok := st.(filler); ok {
+		return f.fill(ctx, ids, out)
+	}
+	got, err := st.GetBatch(ctx, ids)
+	if err != nil {
+		return err
+	}
+	for i, id := range ids {
+		out[i] = got[id]
+	}
+	return nil
 }
 
 // byID maps the nodes a fill found to their ids.
@@ -130,9 +147,6 @@ func byID(ids []NodeID, nodes []Node) map[NodeID]Node {
 	}
 	return out
 }
-
-// putConcurrency bounds parallel node stores during a Build.
-const putConcurrency = 16
 
 // Build generates and stores the metadata tree for version v. The
 // history h must contain descriptors for all versions <= v of the blob
@@ -171,7 +185,7 @@ func Build(ctx context.Context, st Store, meta blob.Meta, h *blob.History, v blo
 	if len(b.out) == 0 {
 		return 0, fmt.Errorf("mdtree: version %d produced no nodes", v)
 	}
-	if err := putAll(ctx, st, b.out); err != nil {
+	if err := st.PutBatch(ctx, b.out); err != nil {
 		return 0, err
 	}
 	return len(b.out), nil
@@ -237,15 +251,6 @@ func (b *builder) node(r blob.Range) (ChildRef, error) {
 	return ChildRef{Version: b.v}, nil
 }
 
-// putAll stores nodes: one batched multi-put when the store supports
-// it, bounded-concurrency single puts otherwise. Any failure aborts.
-func putAll(ctx context.Context, st Store, nodes []Node) error {
-	if bs, ok := st.(BatchStore); ok {
-		return bs.PutBatch(ctx, nodes)
-	}
-	return putAllSingles(ctx, st, nodes)
-}
-
 // PlanNodes returns the node IDs version v would materialize, without
 // storing anything. The version manager's abort-repair and the
 // large-scale simulator use it: repair re-creates exactly these nodes,
@@ -284,12 +289,10 @@ type Extent struct {
 // covering r. size is the blob size at v (from the version manager);
 // r is clamped against it. Resolve needs no history.
 //
-// The walk is a frontier BFS: every tree level is fetched at once, so
-// on a BatchStore the whole resolution costs O(depth) batched
-// round-trips instead of one blocking round-trip per visited node —
-// the metadata hot path the paper requires to never serialize readers.
-// On a plain Store the same traversal degrades gracefully to one Get
-// per node.
+// The walk is a frontier BFS: every tree level is fetched with one
+// batch, so the whole resolution costs O(depth) batched round-trips
+// instead of one blocking round-trip per visited node — the metadata
+// hot path the paper requires to never serialize readers.
 func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size int64, r blob.Range) ([]Extent, error) {
 	r, err := clampRead(v, size, r)
 	if err != nil || r.IsEmpty() {
@@ -373,43 +376,16 @@ func clampRead(v blob.Version, size int64, r blob.Range) (blob.Range, error) {
 	return r, nil
 }
 
-// fetchLevel gets nodes ids, in their order: one node with Get (on the
-// package's stores a one-node fill), several filled in place when st has
-// the fill path, with one multi-get when it batches, a Get per node
-// otherwise. An absent node fails it.
+// fetchLevel gets nodes ids, in their order, with one batch (fillFrom).
+// An absent node fails it.
 func fetchLevel(ctx context.Context, st Store, ids []NodeID) ([]Node, error) {
 	nodes := make([]Node, len(ids))
-	f, fills := st.(filler)
-	bs, _ := st.(BatchStore)
-	switch {
-	case len(ids) > 1 && fills:
-		if err := f.fill(ctx, ids, nodes); err != nil {
-			return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
-		}
-		for i, id := range ids {
-			if nodes[i].ID != id {
-				return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
-			}
-		}
-	case len(ids) > 1 && bs != nil:
-		got, err := bs.GetBatch(ctx, ids)
-		if err != nil {
-			return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
-		}
-		for i, id := range ids {
-			n, ok := got[id]
-			if !ok {
-				return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
-			}
-			nodes[i] = n
-		}
-	default:
-		for i, id := range ids {
-			n, err := st.Get(ctx, id)
-			if err != nil {
-				return nil, fmt.Errorf("mdtree: fetch %s: %w", id.Key(), err)
-			}
-			nodes[i] = n
+	if err := fillFrom(ctx, st, ids, nodes); err != nil {
+		return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
+	}
+	for i, id := range ids {
+		if nodes[i].ID != id {
+			return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
 		}
 	}
 	return nodes, nil

@@ -258,12 +258,16 @@ func FuzzDecodeNode(f *testing.F) {
 	})
 }
 
-// leafStore answers every Get with an empty leaf, at no cost worth
+// leafStore answers every GetBatch with empty leaves, at no cost worth
 // measuring.
 type leafStore struct{ Store }
 
-func (leafStore) Get(_ context.Context, id NodeID) (Node, error) {
-	return Node{ID: id, Leaf: true}, nil
+func (leafStore) GetBatch(_ context.Context, ids []NodeID) (map[NodeID]Node, error) {
+	out := make(map[NodeID]Node, len(ids))
+	for _, id := range ids {
+		out[id] = Node{ID: id, Leaf: true}
+	}
+	return out, nil
 }
 
 // BenchmarkResolveOneBlock resolves one block of a random snapshot on

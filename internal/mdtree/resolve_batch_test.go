@@ -25,12 +25,26 @@ func (s *tripStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node
 	return s.MemStore.GetBatch(ctx, ids)
 }
 
-// seqStore hides the batch capability, forcing per-node fetches — the
+// seqStore fetches a batch one Get per node, a trip each — the
 // pre-batching behaviour used as a baseline.
-type seqStore struct{ inner *tripStore }
+type seqStore struct{ *tripStore }
 
-func (s *seqStore) Put(ctx context.Context, n Node) error            { return s.inner.Put(ctx, n) }
-func (s *seqStore) Get(ctx context.Context, id NodeID) (Node, error) { return s.inner.Get(ctx, id) }
+func (s seqStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
+	return getOneByOne(ctx, s.tripStore, ids)
+}
+
+// getOneByOne is a batch-blind GetBatch: one st.Get per id, in turn.
+func getOneByOne(ctx context.Context, st Store, ids []NodeID) (map[NodeID]Node, error) {
+	out := make(map[NodeID]Node, len(ids))
+	for _, id := range ids {
+		n, err := st.Get(ctx, id)
+		if err != nil {
+			return nil, err
+		}
+		out[id] = n
+	}
+	return out, nil
+}
 
 // treeDepth is the number of levels of a tree spanning nBlocks blocks:
 // the batched Resolve's round-trip budget.
@@ -62,7 +76,7 @@ func TestResolveBatchedRoundTripsAreLogarithmic(t *testing.T) {
 			t.Errorf("n=%d: batched resolve took %d round-trips, want <= depth %d", nBlocks, got, depth)
 		}
 		// The same resolve through a batch-blind store pays per node.
-		seq := &seqStore{inner: ts}
+		seq := seqStore{ts}
 		ts.trips.Store(0)
 		if _, err := Resolve(ctx, seq, m, 1, size, blob.Range{Off: 0, Len: size}); err != nil {
 			t.Fatal(err)
@@ -103,7 +117,7 @@ func TestResolveBatchedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batched resolve %v: %v", r, err)
 		}
-		sequential, err := Resolve(ctx, &seqStore{inner: ts}, m, 3, 8*B, r)
+		sequential, err := Resolve(ctx, seqStore{ts}, m, 3, 8*B, r)
 		if err != nil {
 			t.Fatalf("sequential resolve %v: %v", r, err)
 		}

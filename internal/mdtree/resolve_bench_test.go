@@ -46,7 +46,7 @@ func benchTree(b *testing.B) (*simnetStore, blob.Meta) {
 // round-trip per visited node.
 func BenchmarkResolveSequential(b *testing.B) {
 	st, m := benchTree(b)
-	seq := &seqBenchStore{inner: st}
+	seq := seqBenchStore{st}
 	size := int64(benchBlocks) * B
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,11 +102,10 @@ func BenchmarkResolveWarm(b *testing.B) {
 
 // seqBenchStore hides batching from Resolve (distinct from seqStore so
 // the benchmarks do not depend on test-only counters).
-type seqBenchStore struct{ inner Store }
+type seqBenchStore struct{ Store }
 
-func (s *seqBenchStore) Put(ctx context.Context, n Node) error { return s.inner.Put(ctx, n) }
-func (s *seqBenchStore) Get(ctx context.Context, id NodeID) (Node, error) {
-	return s.inner.Get(ctx, id)
+func (s seqBenchStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
+	return getOneByOne(ctx, s.Store, ids)
 }
 
 // discardStore keeps nothing: a build timed on it is the build alone.
@@ -118,6 +117,7 @@ func (discardStore) Get(context.Context, NodeID) (Node, error) { return Node{}, 
 func (discardStore) GetBatch(context.Context, []NodeID) (map[NodeID]Node, error) {
 	return nil, errNotStored
 }
+func (discardStore) Delete(context.Context, NodeID) error { return nil }
 
 var errNotStored = errors.New("mdtree: the discard store holds nothing")
 

@@ -115,30 +115,22 @@ func (l *replicaLists) read(r *wire.Reader, val []byte) ([]string, error) {
 type MemStore struct {
 	mu         sync.RWMutex
 	nodes      map[string]Node
-	puts       int64 // individual nodes stored (batched or not)
-	gets       int64 // individual nodes fetched (batched or not)
-	putBatches int64 // PutBatch calls
-	getBatches int64 // GetBatch calls
+	puts       int64 // individual nodes stored
+	gets       int64 // individual nodes fetched
+	putBatches int64 // PutBatch calls, a Put's included
+	getBatches int64 // GetBatch calls, a Get's included
 }
 
 // NewMemStore returns an empty in-memory tree store.
 func NewMemStore() *MemStore { return &MemStore{nodes: make(map[string]Node)} }
 
-// Put implements Store.
-func (s *MemStore) Put(_ context.Context, n Node) error {
-	s.mu.Lock()
-	s.nodes[n.ID.Key()] = n
-	s.puts++
-	s.mu.Unlock()
-	return nil
-}
+// Put implements Store: a one-node PutBatch.
+func (s *MemStore) Put(ctx context.Context, n Node) error { return s.PutBatch(ctx, []Node{n}) }
 
-// Get implements Store.
-func (s *MemStore) Get(_ context.Context, id NodeID) (Node, error) {
-	s.mu.Lock()
-	s.gets++
-	n, ok := s.nodes[id.Key()]
-	s.mu.Unlock()
+// Get implements Store: a one-node GetBatch.
+func (s *MemStore) Get(ctx context.Context, id NodeID) (Node, error) {
+	got, _ := s.GetBatch(ctx, []NodeID{id})
+	n, ok := got[id]
 	if !ok {
 		return Node{}, fmt.Errorf("mdtree: node %s not found", id.Key())
 	}
@@ -160,24 +152,23 @@ func (s *MemStore) Len() int {
 	return len(s.nodes)
 }
 
-// Ops returns cumulative (puts, gets), counting individual nodes
-// whether they traveled alone or inside a batch.
+// Ops returns cumulative (puts, gets), counting individual nodes.
 func (s *MemStore) Ops() (puts, gets int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.puts, s.gets
 }
 
-// BatchOps returns the number of PutBatch and GetBatch calls — the
-// simulated round-trip count of the batched protocol.
+// BatchOps returns the number of batches put and fetched, one-node ones
+// included — the simulated round-trip count of the batched protocol.
 func (s *MemStore) BatchOps() (putBatches, getBatches int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.putBatches, s.getBatches
 }
 
-// PutBatch implements BatchStore: all nodes land atomically under one
-// lock, counting as one round-trip.
+// PutBatch implements Store: all nodes land atomically under one lock,
+// counting as one round-trip.
 func (s *MemStore) PutBatch(_ context.Context, nodes []Node) error {
 	s.mu.Lock()
 	for _, n := range nodes {
@@ -189,8 +180,8 @@ func (s *MemStore) PutBatch(_ context.Context, nodes []Node) error {
 	return nil
 }
 
-// GetBatch implements BatchStore: missing nodes are omitted from the
-// result, mirroring the DHT's authoritative-miss semantics.
+// GetBatch implements Store: missing nodes are omitted from the result,
+// mirroring the DHT's authoritative-miss semantics.
 func (s *MemStore) GetBatch(_ context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	out := make(map[NodeID]Node, len(ids))
 	s.mu.Lock()
@@ -203,6 +194,14 @@ func (s *MemStore) GetBatch(_ context.Context, ids []NodeID) (map[NodeID]Node, e
 	}
 	s.mu.Unlock()
 	return out, nil
+}
+
+// Delete implements Store.
+func (s *MemStore) Delete(_ context.Context, id NodeID) error {
+	s.mu.Lock()
+	delete(s.nodes, id.Key())
+	s.mu.Unlock()
+	return nil
 }
 
 // DHTStore adapts the metadata DHT client to the tree Store interface —
@@ -221,10 +220,8 @@ func NewDHTStore(c *dht.Client) *DHTStore { return &DHTStore{c: c} }
 // metrics can export it without reaching through the store.
 func (s *DHTStore) Fallbacks() int64 { return s.c.Fallbacks() }
 
-// Put implements Store.
-func (s *DHTStore) Put(ctx context.Context, n Node) error {
-	return s.c.Put(ctx, n.ID.Key(), EncodeNode(n))
-}
+// Put implements Store: a one-node PutBatch.
+func (s *DHTStore) Put(ctx context.Context, n Node) error { return s.PutBatch(ctx, []Node{n}) }
 
 // Get implements Store: a one-node fill.
 func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
@@ -238,7 +235,7 @@ func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
 	return out[0], nil
 }
 
-// PutBatch implements BatchStore: the DHT client groups the nodes by
+// PutBatch implements Store: the DHT client groups the nodes by
 // provider, has each encoded straight into its provider's frame and
 // replicates each group with one parallel RPC per provider.
 func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
@@ -247,13 +244,18 @@ func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
 		func(i int, b *wire.Buffer) { encodeNode(b, nodes[i]) })
 }
 
-// GetBatch implements BatchStore over the fill path.
+// GetBatch implements Store over the fill path.
 func (s *DHTStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
 	nodes := make([]Node, len(ids))
 	if err := s.fill(ctx, ids, nodes); err != nil {
 		return nil, err
 	}
 	return byID(ids, nodes), nil
+}
+
+// Delete implements Store.
+func (s *DHTStore) Delete(ctx context.Context, id NodeID) error {
+	return s.c.Delete(ctx, id.Key())
 }
 
 // fill implements filler: one dht.GetEach, one multi-get RPC per
@@ -296,17 +298,4 @@ func (f *fillCall) decode(i int, val []byte) {
 		return
 	}
 	f.out[i] = n
-}
-
-// Delete implements Deleter (garbage collection of pruned versions).
-func (s *MemStore) Delete(_ context.Context, id NodeID) error {
-	s.mu.Lock()
-	delete(s.nodes, id.Key())
-	s.mu.Unlock()
-	return nil
-}
-
-// Delete implements Deleter.
-func (s *DHTStore) Delete(ctx context.Context, id NodeID) error {
-	return s.c.Delete(ctx, id.Key())
 }

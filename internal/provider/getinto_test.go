@@ -14,7 +14,7 @@ import (
 	"blobseer/internal/wire"
 )
 
-// noLend hides everything but store.Store of a backend: handleGet's
+// noLend hides everything but store.Store of a backend: handleGetBlock's
 // fallback for a store that cannot lend.
 type noLend struct{ store.Store }
 

@@ -154,7 +154,7 @@ func TestGetOneRangeWire(t *testing.T) {
 			{encodeRange(key, 2, 5), append(binary.BigEndian.AppendUint32(nil, 5), "23456"...)},
 			{append(encodeRange(key, 8, 4), encodeRange(key, 0, 3)...), append(binary.BigEndian.AppendUint64(nil, 2<<32|3), "89012"...)},
 		} {
-			f, err := svc.handleGet(context.Background(), tc.req)
+			f, err := svc.handleGetBlock(context.Background(), tc.req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,12 +194,12 @@ func FuzzGetBlockRanges(f *testing.F) {
 	st.Put(k1.String(), bytes.Repeat([]byte{8}, 10))
 	svc := NewService(st)
 	f.Fuzz(func(t *testing.T, req, resp []byte) {
-		if out, err := svc.handleGet(context.Background(), req); err == nil {
+		if out, err := svc.handleGetBlock(context.Background(), req); err == nil {
 			out.Release() // the free lists it draws on are filled now, not while measured
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := svc.handleGet(context.Background(), req)
+		out, err := svc.handleGetBlock(context.Background(), req)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(8*len(req)+64<<10) {
 			t.Fatalf("a %d-byte request allocated %d bytes", len(req), grew)

@@ -263,8 +263,8 @@ func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 // Mux returns the RPC dispatch table for the service.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.HandleFrame(mPutBlock, s.handlePut)
-	m.HandleFrame(mGetBlock, s.handleGet)
+	m.HandleFrame(mPutBlock, s.handlePutBlock)
+	m.HandleFrame(mGetBlock, s.handleGetBlock)
 	m.HandleFrame(mHasBlock, s.handleHas)
 	m.HandleFrame(mDeleteWrite, s.handleDeleteWrite)
 	m.HandleFrame(mDeleteBlock, s.handleDeleteBlock)
@@ -292,7 +292,7 @@ func encodeKey(b *wire.Buffer, k blob.BlockKey) {
 	b.U32(k.Seq)
 }
 
-func (s *Service) handlePut(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+func (s *Service) handlePutBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
 	data := r.Bytes32()
@@ -322,13 +322,13 @@ func decodeRange(r *wire.Reader) (key blob.BlockKey, off, length int64) {
 	return key, off, min(r.I64(), wire.MaxFrameSize)
 }
 
-// handleGet serves every range of the request in one response and never
+// handleGetBlock serves every range of the request in one response and never
 // copies their bytes into a slice of their own: a store that lends sends
 // its own bytes as the response frame's tails, any other reads straight
 // into the frame. A range asking "to the end" (a negative length), which
 // only the store can size, makes every piece a slice GetRange made for
 // us, sent as a tail. A missing block fails the whole request.
-func (s *Service) handleGet(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	k := len(payload) / rangeSize
 	if k == 0 || len(payload) != k*rangeSize {
 		return nil, fmt.Errorf("provider: a get request of %d bytes is not a list of %d-byte ranges", len(payload), rangeSize)

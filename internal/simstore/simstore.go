@@ -355,23 +355,10 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 
 // countingStore records the fetch pattern Resolve produces so reads can
 // be billed: each GetBatch is one frontier level (one batched round-trip
-// per provider), each lone Get a level of one.
+// per provider).
 type countingStore struct {
-	inner  *mdtree.MemStore
+	*mdtree.MemStore
 	levels [][]string
-}
-
-func (c *countingStore) Put(ctx context.Context, n mdtree.Node) error {
-	return c.inner.Put(ctx, n)
-}
-
-func (c *countingStore) PutBatch(ctx context.Context, nodes []mdtree.Node) error {
-	return c.inner.PutBatch(ctx, nodes)
-}
-
-func (c *countingStore) Get(ctx context.Context, id mdtree.NodeID) (mdtree.Node, error) {
-	c.levels = append(c.levels, []string{id.Key()})
-	return c.inner.Get(ctx, id)
 }
 
 func (c *countingStore) GetBatch(ctx context.Context, ids []mdtree.NodeID) (map[mdtree.NodeID]mdtree.Node, error) {
@@ -380,7 +367,7 @@ func (c *countingStore) GetBatch(ctx context.Context, ids []mdtree.NodeID) (map[
 		keys[i] = id.Key()
 	}
 	c.levels = append(c.levels, keys)
-	return c.inner.GetBatch(ctx, ids)
+	return c.MemStore.GetBatch(ctx, ids)
 }
 
 // Read fetches [off, off+size) of the latest published version from
@@ -399,7 +386,7 @@ func (b *BSFS) Read(p *sim.Proc, client simnet.NodeID, id blob.ID, off, size int
 	if v == blob.NoVersion {
 		return 0, nil
 	}
-	cs := &countingStore{inner: b.Store}
+	cs := &countingStore{MemStore: b.Store}
 	extents, err := mdtree.Resolve(context.Background(), cs, m, v, vsize, blob.Range{Off: off, Len: size})
 	if err != nil {
 		return 0, err

@@ -249,22 +249,12 @@ func (e *Buffer) StringSlice(vs []string) {
 	}
 }
 
-// KV is one key/value pair of a batched message. Batch RPCs (the
-// metadata DHT's multi-put) frame their payload as a KVSlice instead of
-// one message per pair, so a whole tree level travels in one frame.
+// KV is one key/value pair of a batched message: the metadata DHT's
+// multi-put carries a whole write's tree nodes in one frame instead of
+// one message per pair.
 type KV struct {
 	Key string
 	Val []byte
-}
-
-// KVSlice appends a u32 count followed by each pair (key then value,
-// both length-prefixed).
-func (e *Buffer) KVSlice(kvs []KV) {
-	e.U32(uint32(len(kvs)))
-	for _, kv := range kvs {
-		e.String(kv.Key)
-		e.Bytes32(kv.Val)
-	}
 }
 
 // Chunk is one frame of a chunked streaming transfer: a piece of a
@@ -409,29 +399,6 @@ func (r *Reader) StringSlice() []string {
 		}
 	}
 	return vs
-}
-
-// KVSlice reads a u32 count followed by each key/value pair. Values
-// alias the underlying body; callers that retain them must copy. It
-// makes a string per key: the metadata provider decodes its batches
-// without them, and is fuzzed against this.
-func (r *Reader) KVSlice() []KV {
-	n := r.U32()
-	if r.err != nil {
-		return nil
-	}
-	if int(n) > r.Remaining()/8+1 { // each pair needs >= 8 prefix bytes
-		r.fail()
-		return nil
-	}
-	kvs := make([]KV, 0, n)
-	for i := uint32(0); i < n; i++ {
-		kvs = append(kvs, KV{Key: r.String(), Val: r.Bytes32()})
-		if r.err != nil {
-			return nil
-		}
-	}
-	return kvs
 }
 
 // Chunk reads one streaming frame. The data aliases the underlying

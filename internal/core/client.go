@@ -107,7 +107,6 @@ type Client struct {
 	host    string
 	nonce   nonceSource
 	readRR  atomic.Uint64 // rotates the first replica tried per fetch
-	putSem  chan struct{} // global cap on concurrent per-replica fallback puts
 	overlay LocationOverlay
 
 	chainFallbacks atomic.Uint64 // blocks that fell back to direct puts
@@ -123,7 +122,6 @@ type Client struct {
 	blobs    map[blob.ID]*blobState // at most maxBlobStates, least recently used out
 	useClock uint64
 	hosts    map[string]string    // provider addr -> host
-	noChain  map[string]struct{}  // heads that answered CodeChainUnsupported
 	reported map[string]time.Time // providers recently reported dead (rate limit)
 }
 
@@ -180,10 +178,8 @@ func NewClient(cfg Config) *Client {
 		overlay:  cfg.Overlay,
 		tracer:   cfg.Tracer,
 		nonce:    newNonceSource(),
-		putSem:   make(chan struct{}, putConcurrency),
 		blobs:    make(map[blob.ID]*blobState),
 		hosts:    make(map[string]string),
-		noChain:  make(map[string]struct{}),
 		reported: make(map[string]time.Time),
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -473,70 +469,41 @@ func (c *Client) putBlocks(ctx context.Context, data []byte, blockSize int64, re
 // putBlock stores one block on all its replicas through the streaming
 // chain: the client ships it once to the chain head and providers
 // forward frames hop to hop, so client egress is B bytes per block
-// whatever the replication level. When any chain hop fails mid-write
-// (mixed-version providers, a dead downstream hop) the block falls back
-// to direct puts. Plain puts are idempotent whole-block writes, so
-// replicas the chain did reach are simply overwritten; the write only
-// fails if a replica is truly down.
+// whatever the replication level. When any chain hop fails mid-write (a
+// dead downstream hop, a timeout) the block falls back to direct puts.
+// Plain puts are idempotent whole-block writes, so replicas the chain
+// did reach are simply overwritten; the write only fails if a replica is
+// truly down.
 func (c *Client) putBlock(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
 	chain := c.chainOrder(ctx, replicas)
-	c.mu.Lock()
-	_, headNoChain := c.noChain[chain[0]]
-	c.mu.Unlock()
-	if !headNoChain {
-		err := c.prov.PutChained(ctx, chain, key, chunk, provider.DefaultFrameSize)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			// The caller's context died, not the chain: re-sending R
-			// full copies directly would be a doomed egress burst (and
-			// would misreport chain health).
-			return err
-		}
-		if rpc.CodeOf(err) == provider.CodeChainUnsupported {
-			// The head itself cannot forward (old-version or tail-only
-			// deployment) — a permanent property, so stop attempting
-			// chains headed there instead of paying a doomed round
-			// trip per block.
-			c.mu.Lock()
-			c.noChain[chain[0]] = struct{}{}
-			c.mu.Unlock()
-		}
-		// An unreachable chain head is a dead provider; a coded chain
-		// failure only means some hop broke (the head answered).
-		c.reportDead(chain[0], err)
+	err := c.prov.PutChained(ctx, chain, key, chunk, provider.DefaultFrameSize)
+	if err == nil {
+		return nil
 	}
+	if ctx.Err() != nil {
+		// The caller's context died, not the chain: re-sending R full
+		// copies directly would be a doomed egress burst (and would
+		// misreport chain health).
+		return err
+	}
+	// An unreachable chain head is a dead provider; a coded chain
+	// failure only means some hop broke (the head answered).
+	c.reportDead(chain[0], err)
 	c.chainFallbacks.Add(1)
 	return c.putBlockDirect(ctx, replicas, key, chunk)
 }
 
 // putBlockDirect is putBlock's fallback: it pushes one block to each of
-// its replicas in parallel. The client-wide putSem keeps the total
-// number of in-flight puts at putConcurrency no matter how many blocks
-// fall back at once (block workers hold slots of a different semaphore,
-// so this cannot cycle).
+// its replicas in parallel. How many blocks fall back at once is bounded
+// by putBlocks' window, as chained puts are.
 func (c *Client) putBlockDirect(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ferr error
-	for _, addr := range replicas {
-		wg.Add(1)
-		c.putSem <- struct{}{}
-		go func(addr string) {
-			defer func() { <-c.putSem; wg.Done() }()
-			if err := c.prov.Put(ctx, addr, key, chunk); err != nil {
-				c.reportDead(addr, err)
-				mu.Lock()
-				if ferr == nil {
-					ferr = fmt.Errorf("core: store block %s on %s: %w", key, addr, err)
-				}
-				mu.Unlock()
-			}
-		}(addr)
-	}
-	wg.Wait()
-	return ferr
+	return util.Windowed(len(replicas), len(replicas), func(i int) error {
+		if err := c.prov.Put(ctx, replicas[i], key, chunk); err != nil {
+			c.reportDead(replicas[i], err)
+			return fmt.Errorf("core: store block %s on %s: %w", key, replicas[i], err)
+		}
+		return nil
+	})
 }
 
 // localReplicaIndex returns the index of the replica co-hosted with the

@@ -66,11 +66,6 @@ type miniDeploy struct {
 // over an inproc network and returns the fabric.
 func startMini(t *testing.T, nProv int, meta mdtree.Store) *miniDeploy {
 	t.Helper()
-	return startMiniWith(t, nProv, meta, true)
-}
-
-func startMiniWith(t *testing.T, nProv int, meta mdtree.Store, withForwarder bool) *miniDeploy {
-	t.Helper()
 	d := &miniDeploy{net: rpc.NewInprocNetwork(), meta: meta, clientMeta: meta}
 	serve := func(name string, mux *rpc.Mux) string {
 		lis, err := d.net.Listen(name)
@@ -94,53 +89,10 @@ func startMiniWith(t *testing.T, nProv int, meta mdtree.Store, withForwarder boo
 	for i := 0; i < nProv; i++ {
 		cs := &countingStore{Store: store.NewMemStore()}
 		d.provStore = append(d.provStore, cs)
-		var opts []provider.Option
-		if withForwarder {
-			opts = append(opts, provider.WithForwarder(provPool))
-		}
-		addr := serve(fmt.Sprintf("provider-%d", i), provider.NewService(cs, opts...).Mux())
+		addr := serve(fmt.Sprintf("provider-%d", i), provider.NewService(cs, provider.WithForwarder(provPool)).Mux())
 		pmState.Register(addr, fmt.Sprintf("host-%d", i))
 	}
 	return d
-}
-
-// TestChainUnsupportedHeadIsCached: providers without a forwarder (a
-// mixed-version cluster) answer CodeChainUnsupported; the client must
-// fall back per block, remember those heads, and stop attempting
-// doomed chains while the data still reaches every replica.
-func TestChainUnsupportedHeadIsCached(t *testing.T) {
-	const blockSize = int64(4 * 1024)
-	d := startMiniWith(t, 2, mdtree.NewMemStore(), false)
-	c, _ := d.newClient(t)
-	ctx := context.Background()
-	b, err := c.CreateBlob(ctx, blockSize, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{3}, int(4*blockSize))
-	v, err := b.Append(ctx, payload)
-	if err != nil {
-		t.Fatalf("write against forwarderless providers did not fall back: %v", err)
-	}
-	if n := c.ChainFallbacks(); n != 4 {
-		t.Errorf("ChainFallbacks = %d, want 4 (one per block)", n)
-	}
-	c.mu.Lock()
-	cached := len(c.noChain)
-	c.mu.Unlock()
-	if cached == 0 {
-		t.Error("no chain-unsupported heads cached after fallbacks")
-	}
-	got, err := readVersion(ctx, b, v, int64(len(payload)))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read back: %v", err)
-	}
-	// Replication still happened through the fallback.
-	for i, cs := range d.provStore {
-		if st := cs.Stats(); st.Items != 4 {
-			t.Errorf("provider %d holds %d blocks, want 4", i, st.Items)
-		}
-	}
 }
 
 // newClient returns a core client whose egress bytes accumulate in the

@@ -15,13 +15,14 @@ import (
 	"blobseer/internal/wire"
 )
 
-// RPC method numbers for the metadata provider service. Methods 1 and 2
-// (single-key put and get) are retired; their numbers stay reserved.
+// RPC method numbers for the metadata provider service. Methods 1, 2
+// and 4 (single-key put and get, stat) are retired; their numbers stay
+// reserved.
 const (
 	_ uint16 = iota + 1
 	_
 	mMetaDelete
-	mMetaStat
+	_
 	mMetaPutBatch
 	mMetaGetBatch
 )
@@ -95,7 +96,6 @@ func (s *MetaService) Metrics() *metrics.Registry { return s.reg }
 func (s *MetaService) Mux() *rpc.Mux {
 	m := rpc.NewMux()
 	m.HandleFrame(mMetaDelete, s.handleDelete)
-	m.HandleFrame(mMetaStat, s.handleStat)
 	m.HandleFrame(mMetaPutBatch, s.handlePutBatch)
 	m.HandleFrame(mMetaGetBatch, s.handleGetBatch)
 	return m
@@ -118,14 +118,6 @@ func (s *MetaService) handleDelete(ctx context.Context, payload []byte) (*wire.B
 	}
 	s.mDeletes.Inc()
 	return nil, s.store.Delete(key)
-}
-
-func (s *MetaService) handleStat(ctx context.Context, payload []byte) (*wire.Buffer, error) {
-	st := s.store.Stats()
-	b := rpc.NewFrame(16)
-	b.I64(st.Items)
-	b.I64(st.Bytes)
-	return b, nil
 }
 
 // handlePutBatch stores every pair of a multi-put, and none when the

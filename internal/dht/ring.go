@@ -8,12 +8,12 @@
 // # Wire format
 //
 // All payloads use the package wire codec (big-endian, length-prefixed
-// strings and byte slices). Methods 1 and 2, the single-key put and get,
-// are retired and their numbers reserved: a provider answers them with
-// the rpc layer's unknown-method error. The other single-key methods:
+// strings and byte slices). Methods 1, 2 and 4, the single-key put and
+// get and a storage stat, are retired and their numbers reserved: a
+// provider answers them with the rpc layer's unknown-method error. The
+// one single-key method left:
 //
-//	mMetaDelete  request:  key string                     response: empty
-//	mMetaStat    request:  empty                          response: items i64 | bytes i64
+//	3 mMetaDelete    request:  key string                   response: empty
 //
 // Keys are stored and fetched only in batches, one multi-key payload per
 // provider instead of one RPC per key; Client.Put and Client.Get are
@@ -24,11 +24,11 @@
 // it is, in parallel, so a key its primary misses, or whose primary is
 // down, is asked of its next replica in the next round:
 //
-//	mMetaPutBatch  request:  count u32, then per pair: key string | val bytes32
-//	               response: empty (the whole batch fails on any error)
-//	mMetaGetBatch  request:  count u32, then per key: key string
-//	               response: count u32, then per key (request order):
-//	                         found bool | val bytes32 (empty when absent)
+//	5 mMetaPutBatch  request:  count u32, then per pair: key string | val bytes32
+//	                 response: empty (the whole batch fails on any error)
+//	6 mMetaGetBatch  request:  count u32, then per key: key string
+//	                 response: count u32, then per key (request order):
+//	                           found bool | val bytes32 (empty when absent)
 //
 // A missing key inside mMetaGetBatch is not an RPC error: each entry
 // carries its own presence flag, so one response mixes hits and

@@ -54,7 +54,7 @@ func TestPutChainedReachesAllReplicas(t *testing.T) {
 		}
 	}
 	// The block reads back through the ordinary path too.
-	got, err := c.Get(ctx, addrs[2], key, 0, -1)
+	got, err := c.Get(ctx, addrs[2], key, 0, int64(len(data)))
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("tail read = %d bytes, %v", len(got), err)
 	}
@@ -149,10 +149,10 @@ func TestPutChainedRefusedWithoutForwarder(t *testing.T) {
 	if err == nil {
 		t.Fatal("chained put with downstream replicas accepted by forwarderless provider")
 	}
-	// The refusal is CodeChainUnsupported — a permanent property of the
-	// provider that clients cache to stop attempting chains there.
-	if rpc.CodeOf(err) != CodeChainUnsupported {
-		t.Errorf("error code = %d, want CodeChainUnsupported", rpc.CodeOf(err))
+	// The refusal is the one chain failure code, on which clients fall
+	// back to putting the block on every replica themselves.
+	if rpc.CodeOf(err) != CodeChainFail {
+		t.Errorf("error code = %d, want CodeChainFail", rpc.CodeOf(err))
 	}
 }
 
@@ -266,46 +266,5 @@ func TestChainFrameRejectsAbsurdTotal(t *testing.T) {
 	}
 	if st := svc.Store().Stats(); st.Items != 0 || st.Bytes != 0 {
 		t.Errorf("rejected frames left state: %+v", st)
-	}
-}
-
-func TestChainSplitsAroundTailOnlyHop(t *testing.T) {
-	// Mixed-version deployment: the middle replica has no forwarder.
-	// The upstream hop must discover that, serve it chain-less, and
-	// drive the rest of the chain itself — the write still succeeds
-	// with every replica holding the block, no client fallback needed.
-	net := rpc.NewInprocNetwork()
-	pool := rpc.NewPool(net.Dial)
-	t.Cleanup(pool.Close)
-	names := []string{"head", "tailonly", "tail"}
-	svcs := make([]*Service, 3)
-	for i, name := range names {
-		if name == "tailonly" {
-			svcs[i] = NewService(store.NewMemStore()) // no forwarder
-		} else {
-			svcs[i] = NewService(store.NewMemStore(), WithForwarder(pool))
-		}
-		lis, err := net.Listen(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := rpc.NewServer(svcs[i].Mux())
-		go srv.Serve(lis)
-		t.Cleanup(func() { srv.Close() })
-	}
-	c := NewClient(pool)
-	ctx := context.Background()
-	data := bytes.Repeat([]byte{0x42}, 6000)
-	for seq := uint32(0); seq < 2; seq++ { // second block uses the cached split
-		key := blob.BlockKey{Blob: 8, Nonce: 0xf00d, Seq: seq}
-		if err := c.PutChained(ctx, names, key, data, 1024); err != nil {
-			t.Fatalf("block %d: %v", seq, err)
-		}
-		for i, svc := range svcs {
-			got, err := svc.Store().Get(key.String())
-			if err != nil || !bytes.Equal(got, data) {
-				t.Fatalf("block %d replica %s: %d bytes, %v", seq, names[i], len(got), err)
-			}
-		}
 	}
 }

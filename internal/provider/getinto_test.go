@@ -65,9 +65,9 @@ func TestGetInto(t *testing.T) {
 			if !bytes.Equal(dst, bytes.Repeat([]byte{0xAA}, 100)) {
 				t.Error("a miss wrote into dst")
 			}
-			// Get asks "to the end", which only the store can size.
-			if got, err := c.Get(ctx, "p", key, 49_990, -1); err != nil || string(got) != "0123456789" {
-				t.Fatalf("Get to the end = %q, %v", got, err)
+			// Get returns as many bytes as the block had there.
+			if got, err := c.Get(ctx, "p", key, 49_990, 100); err != nil || string(got) != "0123456789" {
+				t.Fatalf("Get past the end = %q, %v", got, err)
 			}
 		})
 	}

@@ -183,6 +183,7 @@ func FuzzGetBlockRanges(f *testing.F) {
 		return b
 	}
 	f.Add(encodeRange(k0, 0, 100), append(counts(16), make([]byte, 16)...))
+	// A negative length, which the server refuses.
 	f.Add(append(encodeRange(k0, 50, 10), encodeRange(k1, 0, -1)...), append(counts(8, 0, 15), make([]byte, 23)...))
 	f.Add(append(encodeRange(k0, 0, 10), 1, 2, 3), append(counts(8, 0, 17), make([]byte, 25)...)) // trailing bytes; a count too large
 	f.Add(encodeRange(blob.BlockKey{Seq: 9}, 0, 1), append(counts(4), make([]byte, 5)...))        // a missing block; a body too long

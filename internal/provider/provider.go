@@ -20,19 +20,20 @@
 // blob u64 | nonce u64 | seq u32. The methods:
 //
 //	1 mPutBlock     request:  key | data bytes32                 response: empty
-//	2 mGetBlock     request:  (key | off i64 | len i64)+         response: count u32 per range, then that many
-//	                                                                       bytes per range (or status CodeNotFound)
-//	3 mHasBlock     request:  key                                response: present bool
+//	2 mGetBlock     request:  (key | off i64 | len i64)+,        response: count u32 per range, then that many
+//	                          every len >= 0                               bytes per range (or status CodeNotFound)
 //	4 mDeleteWrite  request:  blob u64 | nonce u64               response: deleted u32
 //	5 mDeleteBlock  request:  key                                response: empty
-//	6 mStat         request:  empty                              response: items i64 | bytes i64 | ntiers u32 |
-//	                                                                       (name string | items i64 | bytes i64)*
-//	7 mPutChained   request:  key | chain stringslice |          response: empty (or status CodeChainFail /
-//	                          off i64 | total i64 |                        CodeChainUnsupported)
+//	7 mPutChained   request:  key | chain stringslice |          response: empty (or status CodeChainFail)
+//	                          off i64 | total i64 |
 //	                          data bytes32
 //	8 mBlockReport  request:  prefix string                      response: count u32 | key*
 //	9 mReplicate    request:  key | targets stringslice          response: empty (or status CodeNotFound /
-//	                                                                       CodeChainFail / CodeChainUnsupported)
+//	                                                                       CodeChainFail)
+//
+// Methods 3 and 6, a presence check and a storage stat, are retired and
+// their numbers reserved: a provider answers them with the rpc layer's
+// unknown-method error (heartbeats carry the stats instead).
 //
 // mBlockReport is the repair plane's inventory primitive: it enumerates
 // the block keys the provider's store currently holds under prefix
@@ -55,7 +56,6 @@
 package provider
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -72,14 +72,15 @@ import (
 	"blobseer/internal/wire"
 )
 
-// RPC method numbers.
+// RPC method numbers. Methods 3 and 6 are retired; their numbers stay
+// reserved.
 const (
 	mPutBlock uint16 = iota + 1
 	mGetBlock
-	mHasBlock
+	_
 	mDeleteWrite
 	mDeleteBlock
-	mStat
+	_
 	mPutChained
 	mBlockReport
 	mReplicate
@@ -103,16 +104,10 @@ func MethodName(m uint16) string {
 // CodeNotFound is the RPC status for a missing block.
 const CodeNotFound uint16 = 10
 
-// CodeChainFail is the RPC status for a chained put that failed at this
-// hop or anywhere downstream; clients fall back to direct fan-out.
+// CodeChainFail is the RPC status for a chained put or replication push
+// that failed at this hop or anywhere downstream; clients fall back to
+// direct fan-out.
 const CodeChainFail uint16 = 11
-
-// CodeChainUnsupported is the RPC status a provider returns when it has
-// no forwarder for the downstream replicas named by a chained put (an
-// old-version or tail-only deployment). Unlike CodeChainFail it is a
-// permanent property of the provider, so clients cache it and stop
-// attempting chains headed there.
-const CodeChainUnsupported uint16 = 12
 
 // ErrBlockNotFound is returned when a requested block is absent.
 var ErrBlockNotFound = rpc.CodedError(CodeNotFound, "provider: block not found")
@@ -133,7 +128,7 @@ var uploadTTL = time.Minute
 // Service is the provider-side implementation.
 type Service struct {
 	store store.Store
-	fwd   *Client // forwards chain frames downstream; nil = tail-only
+	fwd   *Client // forwards chain frames downstream (WithForwarder)
 
 	// Metrics are resolved once at construction so the data path never
 	// touches the registry map.
@@ -167,10 +162,6 @@ type Service struct {
 	// sibling frames of a doomed chain are rejected outright instead of
 	// re-creating a partial upload that pins a buffer until the reaper.
 	failed map[blob.BlockKey]time.Time
-	// noChainDown remembers downstream providers that answered
-	// CodeChainUnsupported (tail-only deployments): frames for them are
-	// sent chain-less while the rest of the chain is driven from here.
-	noChainDown map[string]struct{}
 }
 
 // writeID names one write operation's blocks: every key of its blob and
@@ -204,10 +195,11 @@ func (u *upload) idle() time.Duration {
 // Option configures a Service.
 type Option func(*Service)
 
-// WithForwarder equips the provider to forward chain frames to
-// downstream replicas through pool. Without it the provider still
-// accepts chained puts as the tail of a chain (empty downstream), but
-// refuses any with replicas left to reach.
+// WithForwarder gives the provider the pool it forwards chain frames and
+// replication pushes through; every deployed provider has one. A service
+// built without it is the tail of any chain it takes part in: it fails
+// a frame that names downstream replicas, and every Replicate, with
+// CodeChainFail.
 func WithForwarder(pool *rpc.Pool) Option {
 	return func(s *Service) { s.fwd = NewClient(pool) }
 }
@@ -215,11 +207,10 @@ func WithForwarder(pool *rpc.Pool) Option {
 // NewService returns a provider service over st.
 func NewService(st store.Store, opts ...Option) *Service {
 	s := &Service{
-		store:       st,
-		uploads:     make(map[blob.BlockKey]*upload),
-		deleted:     make(map[writeID]time.Time),
-		failed:      make(map[blob.BlockKey]time.Time),
-		noChainDown: make(map[string]struct{}),
+		store:   st,
+		uploads: make(map[blob.BlockKey]*upload),
+		deleted: make(map[writeID]time.Time),
+		failed:  make(map[blob.BlockKey]time.Time),
 	}
 	for _, o := range opts {
 		o(s)
@@ -265,10 +256,8 @@ func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
 	m.HandleFrame(mPutBlock, s.handlePutBlock)
 	m.HandleFrame(mGetBlock, s.handleGetBlock)
-	m.HandleFrame(mHasBlock, s.handleHas)
 	m.HandleFrame(mDeleteWrite, s.handleDeleteWrite)
 	m.HandleFrame(mDeleteBlock, s.handleDeleteBlock)
-	m.HandleFrame(mStat, s.handleStat)
 	m.HandleFrame(mPutChained, s.handlePutChained)
 	m.HandleFrame(mBlockReport, s.handleBlockReport)
 	m.HandleFrame(mReplicate, s.handleReplicate)
@@ -302,6 +291,19 @@ func (s *Service) handlePutBlock(ctx context.Context, payload []byte) (*wire.Buf
 	if err := s.store.Put(key.String(), data); err != nil {
 		return nil, fmt.Errorf("provider: put %s: %w", key, err)
 	}
+	// rpc runs requests concurrently, so a put can land after its write's
+	// DeleteWrite and leave a block no metadata references and no GC will
+	// delete again. DeleteWrite tombstones before it deletes, so a check
+	// after the put sees every interleaving: a tombstone found here is
+	// undone here, and one set later precedes a delete of this block. The
+	// per-key failed tombstone does not count: a fallback put overwrites
+	// exactly such a key.
+	s.mu.Lock()
+	_, gone := s.deleted[writeOf(key)]
+	s.mu.Unlock()
+	if gone {
+		return nil, errors.Join(fmt.Errorf("provider: put %s: its write was garbage-collected", key), s.store.Delete(key.String()))
+	}
 	s.mPuts.Inc()
 	s.mBytesIn.Add(int64(len(data)))
 	return nil, nil
@@ -325,25 +327,22 @@ func decodeRange(r *wire.Reader) (key blob.BlockKey, off, length int64) {
 // handleGetBlock serves every range of the request in one response and never
 // copies their bytes into a slice of their own: a store that lends sends
 // its own bytes as the response frame's tails, any other reads straight
-// into the frame. A range asking "to the end" (a negative length), which
-// only the store can size, makes every piece a slice GetRange made for
-// us, sent as a tail. A missing block fails the whole request.
+// into the frame. A negative length is refused, and a missing block fails
+// the whole request.
 func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	k := len(payload) / rangeSize
 	if k == 0 || len(payload) != k*rangeSize {
 		return nil, fmt.Errorf("provider: a get request of %d bytes is not a list of %d-byte ranges", len(payload), rangeSize)
 	}
-	lend := s.store.GetRange // what lends a piece: a slice made for us ...
-	l, byRef := s.store.(store.Lender)
-	if byRef {
-		lend = l.Lend // ... or the store's own bytes
-	}
 	body := int64(4 * k)
 	for r := wire.NewReader(payload); r.Remaining() > 0; {
 		_, _, length := decodeRange(r)
-		byRef = byRef || length < 0
-		body += max(length, 0)
+		if length < 0 {
+			return nil, fmt.Errorf("provider: a get range of negative length %d", length)
+		}
+		body += length
 	}
+	l, byRef := s.store.(store.Lender)
 	if !byRef && body > maxGetBody {
 		return nil, fmt.Errorf("provider: a get of %d ranges asks for %d bytes, more than a frame holds", k, body)
 	}
@@ -361,7 +360,7 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 		var err error
 		if byRef {
 			var data []byte
-			data, err = lend(key.String(), off, length)
+			data, err = l.Lend(key.String(), off, length)
 			f.Attach(data)
 			n = len(data)
 		} else {
@@ -384,17 +383,6 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 	s.mGets.Add(int64(k))
 	s.mBytesOut.Add(sent)
 	return f, nil
-}
-
-func (s *Service) handleHas(ctx context.Context, payload []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(payload)
-	key := decodeKey(r)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	b := rpc.NewFrame(1)
-	b.Bool(s.store.Has(key.String()))
-	return b, nil
 }
 
 func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.Buffer, error) {
@@ -424,7 +412,7 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.B
 	if len(chain) > 0 && s.fwd == nil {
 		// No partial upload to abort: frames of one block all carry the
 		// same chain, so every one of them is rejected right here.
-		return nil, rpc.CodedError(CodeChainUnsupported, "provider: no forwarder for downstream chain")
+		return nil, rpc.CodedError(CodeChainFail, "provider: no forwarder for downstream chain")
 	}
 	if s.writeDoomed(key) {
 		return nil, rpc.CodedError(CodeChainFail,
@@ -446,7 +434,7 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.B
 			ctx, cancel := context.WithTimeout(ctx, chainHopTimeout)
 			defer cancel()
 			t0 := time.Now()
-			err := s.forwardFrame(ctx, chain, key, ck)
+			err := s.fwd.putChainFrame(ctx, chain[0], key, chain[1:], ck)
 			s.mHopLatency.ObserveSince(t0)
 			done <- err
 		}()
@@ -474,41 +462,6 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.B
 		return nil, rpc.CodedError(CodeChainFail, fmt.Sprintf("provider: chained put %s: %v", key, err))
 	}
 	return nil, nil
-}
-
-// forwardFrame ships one frame to every replica still downstream:
-// normally a single chained send to chain[0], which keeps forwarding.
-// A downstream provider that answers CodeChainUnsupported (tail-only,
-// mixed-version deployment) is remembered and from then on served its
-// frames chain-less, while this hop drives the rest of the chain
-// itself — the replication traffic stays provider-to-provider instead
-// of punting the whole block back to the client's fan-out.
-func (s *Service) forwardFrame(ctx context.Context, chain []string, key blob.BlockKey, ck wire.Chunk) error {
-	next, rest := chain[0], chain[1:]
-	if len(rest) == 0 {
-		return s.fwd.putChainFrame(ctx, next, key, nil, ck)
-	}
-	s.mu.Lock()
-	_, split := s.noChainDown[next]
-	s.mu.Unlock()
-	if !split {
-		err := s.fwd.putChainFrame(ctx, next, key, rest, ck)
-		if err == nil || rpc.CodeOf(err) != CodeChainUnsupported {
-			return err
-		}
-		s.mu.Lock()
-		s.noChainDown[next] = struct{}{}
-		s.mu.Unlock()
-	}
-	// next takes the frame as a tail; the remaining replicas chain on
-	// from this hop, concurrently.
-	errc := make(chan error, 1)
-	go func() { errc <- s.fwd.putChainFrame(ctx, next, key, nil, ck) }()
-	err := s.forwardFrame(ctx, rest, key, ck)
-	if terr := <-errc; err == nil {
-		err = terr
-	}
-	return err
 }
 
 // applyFrame writes one frame into the block's in-flight upload,
@@ -773,7 +726,7 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) (*wire.Bu
 		return nil, nil
 	}
 	if s.fwd == nil {
-		return nil, rpc.CodedError(CodeChainUnsupported, "provider: no forwarder for replication push")
+		return nil, rpc.CodedError(CodeChainFail, "provider: no forwarder for replication push")
 	}
 	data, err := s.store.Get(key.String())
 	if err == store.ErrNotFound {
@@ -788,21 +741,12 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) (*wire.Bu
 	ctx, cancel := context.WithTimeout(ctx, chainHopTimeout)
 	defer cancel()
 	if err := s.fwd.PutChained(ctx, targets, key, data, 0); err != nil {
-		if rpc.CodeOf(err) == CodeChainFail || rpc.CodeOf(err) == CodeChainUnsupported {
+		if rpc.CodeOf(err) == CodeChainFail {
 			return nil, err
 		}
 		return nil, rpc.CodedError(CodeChainFail, fmt.Sprintf("provider: replicate %s: %v", key, err))
 	}
 	return nil, nil
-}
-
-func (s *Service) handleStat(ctx context.Context, payload []byte) (*wire.Buffer, error) {
-	st := s.store.Stats()
-	b := rpc.NewFrame(16 + 32*len(st.Tiers))
-	b.I64(st.Items)
-	b.I64(st.Bytes)
-	store.EncodeTiers(b, st.Tiers)
-	return b, nil
 }
 
 // Client talks to data providers. One Client serves calls to any number
@@ -824,7 +768,7 @@ func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data [
 	return err
 }
 
-// oneAttempt is the schedule of the small calls (Has, Delete, Stat, ...),
+// oneAttempt is the schedule of the small calls (Delete, BlockReport, ...),
 // which go through rpc.Pool.Call on recycled frames: like the data path
 // they are not retried here, their callers own replica failover.
 var oneAttempt = rpc.Backoff{}
@@ -898,21 +842,15 @@ func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockK
 	return err
 }
 
-// Get fetches length bytes at off within the block (length < 0 means
-// "to the end").
+// Get fetches up to length (>= 0) bytes at off within the block into a
+// fresh slice: GetInto over a buffer of its own.
 func (c *Client) Get(ctx context.Context, addr string, key blob.BlockKey, off, length int64) ([]byte, error) {
-	f := rpc.NewFrame(rangeSize)
-	encodeKey(f, key)
-	f.I64(off)
-	f.I64(length)
-	resp, err := c.callFrame(ctx, addr, mGetBlock, f)
+	dst := make([]byte, length)
+	n, err := c.GetInto(ctx, addr, key, off, dst)
 	if err != nil {
 		return nil, err
 	}
-	defer wire.PutBuf(resp)
-	r := wire.NewReader(resp)
-	data := bytes.Clone(r.Bytes32()) // the response is recycled, the result is the caller's
-	return data, r.Err()
+	return dst[:n], nil
 }
 
 // GetInto fetches len(dst) bytes at off within the block into dst and
@@ -976,16 +914,6 @@ func (c *Client) getRanges(ctx context.Context, addr string, rs []Range) error {
 	return nil
 }
 
-// Has reports whether the provider stores the block.
-func (c *Client) Has(ctx context.Context, addr string, key blob.BlockKey) (has bool, err error) {
-	err = c.pool.Call(ctx, oneAttempt, addr, mHasBlock, 20, func(b *wire.Buffer) { encodeKey(b, key) }, func(p []byte) error {
-		r := wire.NewReader(p)
-		has = r.Bool()
-		return r.Err()
-	})
-	return has, err
-}
-
 // DeleteWrite garbage-collects every block a write operation stored on
 // the provider (identified by blob + nonce), returning the count.
 func (c *Client) DeleteWrite(ctx context.Context, addr string, id blob.ID, nonce uint64) (n int, err error) {
@@ -1034,15 +962,4 @@ func (c *Client) Replicate(ctx context.Context, addr string, key blob.BlockKey, 
 		encodeKey(b, key)
 		b.StringSlice(targets)
 	}, nil)
-}
-
-// Stat returns the provider's storage statistics.
-func (c *Client) Stat(ctx context.Context, addr string) (st store.Stats, err error) {
-	err = c.pool.Call(ctx, oneAttempt, addr, mStat, 0, nil, func(p []byte) error {
-		r := wire.NewReader(p)
-		st = store.Stats{Items: r.I64(), Bytes: r.I64()}
-		st.Tiers = store.DecodeTiers(r)
-		return r.Err()
-	})
-	return st, err
 }

@@ -35,7 +35,7 @@ func TestPutGetBlock(t *testing.T) {
 	if err := c.Put(ctx, addr, key, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(ctx, addr, key, 0, -1)
+	got, err := c.Get(ctx, addr, key, 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +64,12 @@ func TestGetSubRange(t *testing.T) {
 
 func TestGetMissingBlock(t *testing.T) {
 	c, addr, _ := startProvider(t)
-	_, err := c.Get(context.Background(), addr, blob.BlockKey{Blob: 9}, 0, -1)
+	_, err := c.Get(context.Background(), addr, blob.BlockKey{Blob: 9}, 0, 16)
 	if err == nil {
 		t.Fatal("missing block read succeeded")
 	}
 	if rpc.CodeOf(err) != CodeNotFound {
 		t.Errorf("code = %d, want CodeNotFound", rpc.CodeOf(err))
-	}
-}
-
-func TestHasBlock(t *testing.T) {
-	c, addr, _ := startProvider(t)
-	ctx := context.Background()
-	key := blob.BlockKey{Blob: 2, Nonce: 5, Seq: 0}
-	ok, err := c.Has(ctx, addr, key)
-	if err != nil || ok {
-		t.Fatalf("Has before put = %v, %v", ok, err)
-	}
-	c.Put(ctx, addr, key, []byte("x"))
-	ok, err = c.Has(ctx, addr, key)
-	if err != nil || !ok {
-		t.Fatalf("Has after put = %v, %v", ok, err)
 	}
 }
 
@@ -116,16 +101,35 @@ func TestDeleteWriteGC(t *testing.T) {
 	}
 }
 
-func TestStat(t *testing.T) {
-	c, addr, _ := startProvider(t)
+// TestPutAfterDeleteWriteRefused: a plain put of a key whose write was
+// garbage-collected (a fallback put that the rpc server ran after the
+// GC's DeleteWrite) is refused and leaves nothing behind, while a key
+// whose chained upload failed still takes a plain put: that is the
+// fallback.
+func TestPutAfterDeleteWriteRefused(t *testing.T) {
+	c, addr, svc := startProvider(t)
 	ctx := context.Background()
-	c.Put(ctx, addr, blob.BlockKey{Blob: 1, Nonce: 1, Seq: 0}, make([]byte, 1000))
-	st, err := c.Stat(ctx, addr)
-	if err != nil {
+	key := blob.BlockKey{Blob: 4, Nonce: 0xd1, Seq: 1}
+	if _, err := c.DeleteWrite(ctx, addr, key.Blob, key.Nonce); err != nil {
 		t.Fatal(err)
 	}
-	if st.Items != 1 || st.Bytes != 1000 {
-		t.Errorf("stats = %+v", st)
+	if err := c.Put(ctx, addr, key, []byte("late")); err == nil {
+		t.Error("put of a garbage-collected write's block succeeded")
+	}
+	if st := svc.Store().Stats(); st.Items != 0 {
+		t.Fatalf("a refused put left %d items in the store", st.Items)
+	}
+
+	failed := blob.BlockKey{Blob: 4, Nonce: 0xd2}
+	svc.BreakChain(true)
+	if err := c.PutChained(ctx, []string{addr}, failed, []byte("chained"), 0); rpc.CodeOf(err) != CodeChainFail {
+		t.Fatalf("chained put to a broken chain = %v, want CodeChainFail", err)
+	}
+	if err := c.Put(ctx, addr, failed, []byte("fallback")); err != nil {
+		t.Fatalf("fallback put of a failed upload's key: %v", err)
+	}
+	if got, err := svc.Store().Get(failed.String()); err != nil || string(got) != "fallback" {
+		t.Fatalf("fallback put stored %q, %v", got, err)
 	}
 }
 

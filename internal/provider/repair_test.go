@@ -109,8 +109,8 @@ func TestReplicatePushesOverChain(t *testing.T) {
 }
 
 func TestReplicateUnsupportedWithoutForwarder(t *testing.T) {
-	// startProvider's service has no forwarder: a tail-only deployment
-	// cannot act as a replication source.
+	// startProvider's service has no forwarder, so it cannot push: the
+	// push fails with the one chain failure code.
 	c, addr, _ := startProvider(t)
 	ctx := context.Background()
 	key := blob.BlockKey{Blob: 1, Nonce: 1, Seq: 0}
@@ -118,7 +118,7 @@ func TestReplicateUnsupportedWithoutForwarder(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := c.Replicate(ctx, addr, key, []string{"elsewhere"})
-	if rpc.CodeOf(err) != CodeChainUnsupported {
-		t.Errorf("Replicate without forwarder = %v, want CodeChainUnsupported", err)
+	if rpc.CodeOf(err) != CodeChainFail {
+		t.Errorf("Replicate without forwarder = %v, want CodeChainFail", err)
 	}
 }

@@ -136,7 +136,7 @@ func TestConservationWithDisks(t *testing.T) {
 		up := make([]float64, 6)
 		down := make([]float64, 6)
 		disk := make([]float64, 6)
-		for f := range n.flows {
+		for _, f := range n.flows {
 			if !f.local {
 				up[f.src] += f.rate
 				down[f.dst] += f.rate

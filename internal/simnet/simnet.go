@@ -55,9 +55,11 @@ type flow struct {
 
 // Net is the fabric.
 type Net struct {
-	env   *sim.Env
-	cfg   Config
-	flows map[*flow]struct{}
+	env *sim.Env
+	cfg Config
+	// flows are kept in arrival order so that rate allocation and
+	// completion callbacks run in the same order on every run.
+	flows []*flow
 
 	lastUpdate sim.Time
 	gen        uint64 // invalidates stale completion callbacks
@@ -78,7 +80,7 @@ func New(env *sim.Env, cfg Config) *Net {
 		panic("simnet: need at least one node")
 	}
 	return &Net{
-		env: env, cfg: cfg, flows: make(map[*flow]struct{}),
+		env: env, cfg: cfg,
 		egress:  make([]float64, cfg.Nodes),
 		ingress: make([]float64, cfg.Nodes),
 	}
@@ -148,7 +150,7 @@ func (n *Net) transfer(p *sim.Proc, src, dst NodeID, size int64, rateCap float64
 	f := &flow{src: src, dst: dst, disk: disk, local: local,
 		remaining: float64(size), cap: rateCap, done: n.env.NewEvent()}
 	n.advance()
-	n.flows[f] = struct{}{}
+	n.flows = append(n.flows, f)
 	n.recalc()
 	f.done.Wait(p)
 }
@@ -189,7 +191,7 @@ func (n *Net) advance() {
 	if dt <= 0 {
 		return
 	}
-	for f := range n.flows {
+	for _, f := range n.flows {
 		moved := f.rate * dt
 		if moved > f.remaining {
 			moved = f.remaining
@@ -218,15 +220,15 @@ func (n *Net) recalc() {
 		down[i].capacity = n.cfg.DownBps
 		disk[i].capacity = n.cfg.DiskBps
 	}
-	unfrozen := make(map[*flow]struct{}, len(n.flows))
-	for f := range n.flows {
+	unfrozen := make([]*flow, 0, len(n.flows))
+	for _, f := range n.flows {
 		f.rate = 0
 		if n.stalled(f) {
 			// Partitioned: zero rate, and no claim on any link share —
 			// bystander flows get the freed capacity.
 			continue
 		}
-		unfrozen[f] = struct{}{}
+		unfrozen = append(unfrozen, f)
 		if !f.local {
 			up[f.src].nFlows++
 			down[f.dst].nFlows++
@@ -250,7 +252,7 @@ func (n *Net) recalc() {
 				bind = math.Min(bind, disk[i].capacity/float64(disk[i].nFlows))
 			}
 		}
-		for f := range unfrozen {
+		for _, f := range unfrozen {
 			if f.cap > 0 {
 				bind = math.Min(bind, f.cap)
 			}
@@ -259,8 +261,8 @@ func (n *Net) recalc() {
 			break
 		}
 		// Freeze every flow touching a binding constraint at `bind`.
-		frozeAny := false
-		for f := range unfrozen {
+		still := unfrozen[:0]
+		for _, f := range unfrozen {
 			binding := false
 			if !f.local {
 				if up[f.src].capacity/float64(up[f.src].nFlows) <= bind+1e-9 {
@@ -276,29 +278,30 @@ func (n *Net) recalc() {
 			if f.cap > 0 && f.cap <= bind+1e-9 {
 				binding = true
 			}
-			if binding {
-				f.rate = bind
-				delete(unfrozen, f)
-				if !f.local {
-					up[f.src].capacity -= bind
-					up[f.src].nFlows--
-					down[f.dst].capacity -= bind
-					down[f.dst].nFlows--
-				}
-				if f.disk >= 0 {
-					disk[f.disk].capacity -= bind
-					disk[f.disk].nFlows--
-				}
-				frozeAny = true
+			if !binding {
+				still = append(still, f)
+				continue
+			}
+			f.rate = bind
+			if !f.local {
+				up[f.src].capacity -= bind
+				up[f.src].nFlows--
+				down[f.dst].capacity -= bind
+				down[f.dst].nFlows--
+			}
+			if f.disk >= 0 {
+				disk[f.disk].capacity -= bind
+				disk[f.disk].nFlows--
 			}
 		}
-		if !frozeAny {
+		if len(still) == len(unfrozen) {
 			// Numerical corner: freeze everything at the bound.
-			for f := range unfrozen {
+			for _, f := range still {
 				f.rate = bind
-				delete(unfrozen, f)
 			}
+			still = still[:0]
 		}
+		unfrozen = still
 	}
 	n.scheduleNextCompletion()
 }
@@ -309,7 +312,7 @@ func (n *Net) scheduleNextCompletion() {
 	gen := n.gen
 	next := sim.Time(math.MaxInt64)
 	found := false
-	for f := range n.flows {
+	for _, f := range n.flows {
 		if f.rate <= 0 {
 			continue
 		}
@@ -339,12 +342,16 @@ func (n *Net) scheduleNextCompletion() {
 		}
 		n.advance()
 		const eps = 1e-6
-		for f := range n.flows {
+		live := n.flows[:0]
+		for _, f := range n.flows {
 			if f.remaining <= eps {
-				delete(n.flows, f)
 				f.done.Fire()
+			} else {
+				live = append(live, f)
 			}
 		}
+		clear(n.flows[len(live):])
+		n.flows = live
 		n.recalc()
 	})
 }

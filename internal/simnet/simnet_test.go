@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -231,6 +232,35 @@ func TestPerNodeEgressIngressAccounting(t *testing.T) {
 		}
 		if got := net.IngressOf(c.node); math.Abs(got-c.ingr) > 1 {
 			t.Errorf("node %d ingress = %.0f, want %.0f", c.node, got, c.ingr)
+		}
+	}
+}
+
+func TestRunsAreReproducible(t *testing.T) {
+	// Flows that finish at the same instant must complete, and hand the
+	// fabric back to their processes, in the same order on every run:
+	// each process's next transfer depends on how many finished before
+	// it, so any reordering shows in the finishing times.
+	run := func() string {
+		env := sim.NewEnv()
+		net := New(env, testCfg(8))
+		var log []string
+		for i := 0; i < 12; i++ {
+			i := i
+			env.Go(func(p *sim.Proc) {
+				net.Transfer(p, NodeID(i%4), NodeID(4+i%3), 30e6, 0)
+				log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
+				net.Transfer(p, NodeID(4+i%4), NodeID(i%3), int64(len(log))*1e6, 0)
+				log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
+			})
+		}
+		env.Run()
+		return fmt.Sprint(log, net.BytesMoved)
+	}
+	want := run()
+	for i := 0; i < 10; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d differs:\n%s\nfirst run:\n%s", i+1, got, want)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Benchmarks: one per figure of the paper's evaluation (Section V),
-// one per ablation of DESIGN.md, and real-cluster microbenchmarks of
+// one per ablation in internal/bench, and real-cluster microbenchmarks of
 // the client stack. The Fig* benchmarks run the simulated Grid'5000
 // deployment at the paper's 270-node scale; a full sweep of every
 // figure is what cmd/figures prints. The remaining benchmarks measure
@@ -82,7 +82,7 @@ func BenchmarkFig6bDistributedGrep(b *testing.B) {
 	report(b, out)
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ---
+// --- Ablations (one design choice varied per run) ---
 
 func BenchmarkAblationPlacement(b *testing.B) {
 	var out []bench.Series
@@ -124,19 +124,6 @@ func BenchmarkAblationReplication(b *testing.B) {
 	report(b, out)
 }
 
-// BenchmarkAblationRepair measures the kill-provider availability
-// experiment: R=3 chunk readers healthy, after one provider dies, and
-// after three die — with and without the self-healing repair pass in
-// between. The lost-blocks series is the availability claim: self-heal
-// keeps it at zero through failures that strip every original replica.
-func BenchmarkAblationRepair(b *testing.B) {
-	var out []bench.Series
-	for i := 0; i < b.N; i++ {
-		out = bench.AblationRepair(64, 16)
-	}
-	report(b, out)
-}
-
 // BenchmarkAblationTiering measures the tiered hot/cold store engine on
 // real fs backends: hot-path read overhead vs a plain fs store, the
 // cold-read + promotion cost after demoting every block, and the
@@ -156,18 +143,6 @@ func BenchmarkAblationTiering(b *testing.B) {
 		b.ReportMetric(r.PromotedRatio, "promoted_ratio")
 		b.ReportMetric(r.Readable, "readable")
 	}
-}
-
-// BenchmarkAblationStreaming measures the client streaming pipeline on
-// the simulated paper topology: a 16 x 64 MB stream written and read
-// with the readahead/write-behind window at 0 (the synchronous client)
-// and open.
-func BenchmarkAblationStreaming(b *testing.B) {
-	var out []bench.Series
-	for i := 0; i < b.N; i++ {
-		out = bench.AblationStreaming(16, []int{0, 2, 4})
-	}
-	report(b, out)
 }
 
 // BenchmarkAblationPrefetch measures the real BSFS client's prefetch /

@@ -6,15 +6,17 @@
 //	figures                  # every figure, full sweeps
 //	figures -fig 4           # only Figure 4
 //	figures -fig 6b -quick   # Figure 6b, coarse sweep
-//	figures -ablations       # the design-choice ablations of DESIGN.md
+//	figures -ablations       # the design-choice ablations (internal/bench/ablation.go)
 //	figures -recovery        # crash-recovery ablation, BENCH_recovery.json
 //	figures -vmshard         # control-plane sharding + group commit, BENCH_vmshard.json
 //	figures -tiering         # hot/cold store tiering ablation, BENCH_tiering.json
 //	                         # (the three combine: -recovery -vmshard -tiering runs all of them)
 //	figures -selftest        # live-stack sanity check before a long sweep
 //
-// Expected output shapes are documented in EXPERIMENTS.md; the shape
-// regression tests live in internal/bench.
+// The figures and ablations are simulated and deterministic: every run
+// prints the same digits (-recovery, -vmshard and -tiering run the real
+// stack and do not). The expected shapes are pinned by the shape tests
+// in internal/bench.
 package main
 
 import (
@@ -138,8 +140,6 @@ func main() {
 			bench.AblationBlockSize(4, []int{16, 32, 64, 128})))
 		fmt.Println(bench.Table("Ablation — replication level (4 GB single writer)",
 			bench.AblationReplication(4, []int{1, 2, 3})))
-		fmt.Println(bench.Table("Ablation — self-healing repair (R=3, 64 blocks, 16 providers, kill 1 then 3)",
-			bench.AblationRepair(64, 16)))
 		return
 	}
 

@@ -7,7 +7,7 @@ import (
 
 // The ablation runners re-run microbenchmark workloads with one design
 // choice varied; these tests pin the *direction* each choice moves the
-// result, which is the claim DESIGN.md makes for each.
+// result, which is the claim each runner's doc comment makes.
 
 func single(t *testing.T, s Series) float64 {
 	t.Helper()
@@ -68,41 +68,6 @@ func TestAblationReplicationNearInsensitive(t *testing.T) {
 	if byName["repl=2"] < 0.8*byName["repl=1"] {
 		t.Errorf("chained write throughput should be near replication-insensitive: r1 %.1f, r2 %.1f",
 			byName["repl=1"], byName["repl=2"])
-	}
-}
-
-// TestAblationRepairDirection pins the self-healing claim: after one
-// provider dies and a repair pass runs, a failure wave that strips
-// every original replica of some blocks (three consecutive providers
-// down) loses data without repair and loses nothing with it — the
-// relocated copies reached through the location overlay keep every
-// block readable.
-func TestAblationRepairDirection(t *testing.T) {
-	series := AblationRepair(24, 8)
-	byName := map[string]Series{}
-	for _, s := range series {
-		byName[s.Name] = s
-	}
-	lostNR := byName["lost-blocks-no-repair"].Points
-	lostSH := byName["lost-blocks-self-heal"].Points
-	if len(lostNR) != 3 || len(lostSH) != 3 {
-		t.Fatalf("lost-blocks series malformed: %v / %v", lostNR, lostSH)
-	}
-	if lostNR[2].Y == 0 {
-		t.Error("no-repair should lose blocks once three consecutive providers are dead")
-	}
-	if lostSH[2].Y != 0 {
-		t.Errorf("self-heal lost %.0f blocks; repair + overlay should keep all readable", lostSH[2].Y)
-	}
-	rec := byName["recovery"].Points
-	if len(rec) != 1 || rec[0].X == 0 || rec[0].Y <= 0 {
-		t.Errorf("recovery series should report replicas re-created and a positive duration, got %v", rec)
-	}
-	// The throughput dip: losing a provider shifts its read load onto
-	// the survivors.
-	heal := byName["self-heal"].Points
-	if !(heal[1].Y < heal[0].Y) {
-		t.Errorf("expected a throughput dip after the first kill: %.1f -> %.1f", heal[0].Y, heal[1].Y)
 	}
 }
 

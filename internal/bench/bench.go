@@ -313,7 +313,7 @@ func Fig5(clients []int) []Series {
 	return []Series{bsfs}
 }
 
-// Application-model constants for Figure 6 (see EXPERIMENTS.md).
+// Application-model constants for Figure 6: the per-task CPU rates.
 const (
 	rtwGenRate   = 66e6 // RandomTextWriter text generation, bytes/s
 	grepScanRate = 24e6 // grep map task scan rate, bytes/s

@@ -5,7 +5,8 @@ import "testing"
 // These tests pin the qualitative findings of the paper's evaluation
 // (Section V): who wins, in which direction each curve moves, and
 // roughly by what factor. They are the repository's regression guard
-// for the reproduced figures; exact values live in EXPERIMENTS.md.
+// for the reproduced figures; `go run ./cmd/figures` prints the exact
+// values, the same on every run.
 
 func ys(s Series) []float64 {
 	out := make([]float64, len(s.Points))

@@ -178,9 +178,6 @@ type Event struct {
 // NewEvent creates an unfired event.
 func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
-// Fired reports whether the event fired.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Fire triggers the event, waking all waiters at the current instant.
 // Safe to call from process or scheduler-callback context; firing
 // twice is a no-op.

@@ -39,110 +39,34 @@ func DefaultConfig(trackers []simnet.NodeID) Config {
 	}
 }
 
-// condSig is a broadcast condition signal on the cooperative kernel:
-// waiters block until the next signal() after their wait began (the
-// one-shot sim.Event recreated per round, condition-variable style).
-type condSig struct {
-	env *sim.Env
-	ev  *sim.Event
-}
-
-func (c *condSig) wait(p *sim.Proc) {
-	if c.ev == nil || c.ev.Fired() {
-		c.ev = c.env.NewEvent()
-	}
-	c.ev.Wait(p)
-}
-
-func (c *condSig) signal() {
-	if c.ev != nil {
-		c.ev.Fire()
-	}
-}
-
 // streamBlocks writes `total` bytes of `name` block by block from node
-// tn, generating text at genRate. With wb <= 0 it models the
-// synchronous client: generate a block, then stall through its full
-// commit. With wb > 0 it models the BSFS write-behind window: a single
-// committer drains blocks in order (like the real append-mode worker)
-// while the producer generates up to wb blocks ahead, so text
-// generation overlaps block commits.
-func streamBlocks(p *sim.Proc, st simstore.Storage, tn simnet.NodeID, name string, total int64, genRate float64, wb int) error {
+// tn, generating text at genRate. The client is synchronous, as in the
+// paper's runs: it generates a block, then stalls through its full
+// commit.
+func streamBlocks(p *sim.Proc, st simstore.Storage, tn simnet.NodeID, name string, total int64, genRate float64) error {
 	bs := st.BlockSize()
-	nextLen := func(written int64) int64 {
-		n := bs
-		if written+n > total {
-			n = total - written
-		}
-		return n
-	}
-	if wb <= 0 {
-		for written := int64(0); written < total; {
-			n := nextLen(written)
-			p.Sleep(sim.DurationFromSeconds(float64(n) / genRate))
-			if err := st.AppendBlock(p, tn, name, n); err != nil {
-				return err
-			}
-			written += n
-		}
-		return nil
-	}
-	env := st.Env()
-	var (
-		queue  []int64 // generated blocks queued or in flight (head included)
-		closed bool
-		err    error
-	)
-	change := &condSig{env: env}
-	done := env.NewEvent()
-	env.Go(func(cp *sim.Proc) {
-		defer done.Fire()
-		for {
-			for len(queue) == 0 && !closed && err == nil {
-				change.wait(cp)
-			}
-			if err != nil || len(queue) == 0 {
-				return
-			}
-			if e := st.AppendBlock(cp, tn, name, queue[0]); e != nil && err == nil {
-				err = e
-			}
-			queue = queue[1:] // popped after commit: the window counts in-flight blocks
-			change.signal()
-		}
-	})
-	for written := int64(0); written < total && err == nil; {
-		n := nextLen(written)
+	for written := int64(0); written < total; {
+		n := min(bs, total-written)
 		p.Sleep(sim.DurationFromSeconds(float64(n) / genRate))
-		for len(queue) >= wb && err == nil {
-			change.wait(p)
+		if err := st.AppendBlock(p, tn, name, n); err != nil {
+			return err
 		}
-		if err != nil {
-			break
-		}
-		queue = append(queue, n)
-		change.signal()
 		written += n
 	}
-	closed = true
-	change.signal()
-	done.Wait(p)
-	return err
+	return nil
 }
 
 // RunRandomTextWriter simulates the paper's first application
 // (Section V-G): `mappers` map-only tasks, each generating
 // bytesPerMapper of text at genRate (bytes/sec of CPU work) and writing
-// it block-by-block to its own output file. When the storage client
-// pipelines (Storage.Pipeline's write-behind depth), generation
-// overlaps the block commits. It returns the job completion time.
+// it block-by-block to its own output file. It returns the job
+// completion time.
 func RunRandomTextWriter(st simstore.Storage, cfg Config, mappers int, bytesPerMapper int64, genRate float64) (sim.Time, error) {
 	env := st.Env()
 	start := env.Now() // job time excludes whatever ran before submission
 	var lastEnd sim.Time
 	var firstErr error
 	next := 0
-	_, wb := st.Pipeline()
 
 	for _, tn := range cfg.Trackers {
 		tn := tn
@@ -160,7 +84,7 @@ func RunRandomTextWriter(st simstore.Storage, cfg Config, mappers int, bytesPerM
 						firstErr = err
 						return
 					}
-					if err := streamBlocks(p, st, tn, name, bytesPerMapper, genRate, wb); err != nil {
+					if err := streamBlocks(p, st, tn, name, bytesPerMapper, genRate); err != nil {
 						firstErr = err
 						return
 					}
@@ -247,30 +171,11 @@ func RunGrep(st simstore.Storage, cfg Config, input string, scanRate float64) (s
 					if s == nil {
 						return
 					}
-					scan := sim.DurationFromSeconds(float64(s.size) / scanRate)
-					if ra, _ := st.Pipeline(); ra > 0 {
-						// Readahead streams the chunk under the scan:
-						// the task costs max(fetch, scan), the fluid
-						// limit of a full readahead window.
-						readDone := env.NewEvent()
-						var readErr error
-						env.Go(func(cp *sim.Proc) {
-							readErr = st.ReadRange(cp, tn, input, s.off, s.size)
-							readDone.Fire()
-						})
-						p.Sleep(scan)
-						readDone.Wait(p)
-						if readErr != nil {
-							firstErr = readErr
-							return
-						}
-					} else {
-						if err := st.ReadRange(p, tn, input, s.off, s.size); err != nil {
-							firstErr = err
-							return
-						}
-						p.Sleep(scan)
+					if err := st.ReadRange(p, tn, input, s.off, s.size); err != nil {
+						firstErr = err
+						return
 					}
+					p.Sleep(sim.DurationFromSeconds(float64(s.size) / scanRate))
 					remaining--
 					if end := p.Now(); end > lastEnd {
 						lastEnd = end

@@ -211,71 +211,3 @@ func TestGrepPrefersLocalMaps(t *testing.T) {
 		t.Errorf("all-local grep took %v, want <= %v (no network transfers)", done, bound)
 	}
 }
-
-// deployTuned builds a BSFS Storage whose client pipelines with the
-// given streaming windows (DefaultTuning leaves them at 0, the
-// synchronous client the figures are calibrated against).
-func deployTuned(t *testing.T, trackers, readahead, writeBehind int) (simstore.Storage, []simnet.NodeID) {
-	t.Helper()
-	env := sim.NewEnv()
-	net := simnet.New(env, simnet.Grid5000(trackers+12))
-	nodes := make([]simnet.NodeID, trackers)
-	for i := range nodes {
-		nodes[i] = simnet.NodeID(10 + i)
-	}
-	tun := simstore.DefaultTuning()
-	tun.ReadaheadBlocks = readahead
-	tun.WriteBehindDepth = writeBehind
-	b := simstore.NewBSFS(net, tun, placement.NewRoundRobin(), 0, []simnet.NodeID{1, 2}, nodes)
-	return simstore.NewBSFSFiles(b, blockSize, 1), nodes
-}
-
-// TestRandomTextWriterWriteBehindOverlapsGeneration: with the client's
-// write-behind window open, text generation overlaps block commits and
-// the job must finish strictly faster than with the synchronous client
-// (generation and commit rates are comparable, so the overlap is
-// roughly a halving of per-block time).
-func TestRandomTextWriterWriteBehindOverlapsGeneration(t *testing.T) {
-	run := func(wb int) sim.Time {
-		st, nodes := deployTuned(t, 4, 0, wb)
-		done, err := RunRandomTextWriter(st, DefaultConfig(nodes), 4, 8*blockSize, 66e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done
-	}
-	syncT, pipeT := run(0), run(2)
-	if pipeT >= syncT {
-		t.Errorf("write-behind job (%v) should beat the synchronous job (%v)", pipeT, syncT)
-	}
-}
-
-// TestGrepReadaheadOverlapsScan: with readahead on, each map's chunk
-// fetch streams under its scan, shortening the job.
-func TestGrepReadaheadOverlapsScan(t *testing.T) {
-	run := func(ra int) sim.Time {
-		st, nodes := deployTuned(t, 8, ra, 0)
-		if err := st.CreateFile("/in"); err != nil {
-			t.Fatal(err)
-		}
-		env := st.Env()
-		env.Go(func(p *sim.Proc) {
-			for i := 0; i < 16; i++ {
-				if err := st.AppendBlock(p, simnet.NodeID(3), "/in", blockSize); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		})
-		env.Run()
-		done, err := RunGrep(st, DefaultConfig(nodes), "/in", 50e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done
-	}
-	syncT, pipeT := run(0), run(2)
-	if pipeT >= syncT {
-		t.Errorf("readahead job (%v) should beat the synchronous job (%v)", pipeT, syncT)
-	}
-}

@@ -26,11 +26,6 @@ type Storage interface {
 	Size(name string) int64
 	// ChunkNodes returns the fabric node storing each chunk (locality).
 	ChunkNodes(name string) []simnet.NodeID
-	// Pipeline returns the client library's streaming windows
-	// (readahead blocks, write-behind depth); 0/0 means fully
-	// synchronous block I/O. The simulated Map/Reduce engine uses it
-	// to decide how much task compute overlaps storage traffic.
-	Pipeline() (readahead, writeBehind int)
 }
 
 // BSFSFiles adapts the simulated BSFS to the Storage interface: one
@@ -107,12 +102,6 @@ func (f *BSFSFiles) Size(name string) int64 {
 	return size
 }
 
-// Pipeline implements Storage from the deployment's tuning: the BSFS
-// client pipelines, the baseline's does not.
-func (f *BSFSFiles) Pipeline() (int, int) {
-	return f.B.Tun.ReadaheadBlocks, f.B.Tun.WriteBehindDepth
-}
-
 // ChunkNodes implements Storage.
 func (f *BSFSFiles) ChunkNodes(name string) []simnet.NodeID {
 	id, ok := f.files[name]
@@ -169,6 +158,3 @@ func (f *HDFSFiles) Size(name string) int64 { return f.H.Size(name) }
 
 // ChunkNodes implements Storage.
 func (f *HDFSFiles) ChunkNodes(name string) []simnet.NodeID { return f.H.LocationsOf(name) }
-
-// Pipeline implements Storage: the HDFS-like client is synchronous.
-func (f *HDFSFiles) Pipeline() (int, int) { return 0, 0 }

@@ -1,13 +1,18 @@
 // Package simstore models BSFS and the HDFS-like baseline at the
 // paper's deployment scale (270 nodes) on the simulated Grid'5000
-// fabric. Crucially, the *decision logic* is the real library code —
-// placement strategies (internal/placement), version assignment and
-// publication ordering (vmanager.State), and segment-tree construction
-// and resolution (mdtree over an in-memory store) — while only the data
-// movement is fluid-simulated. The figures' shapes therefore emerge
-// from the same algorithms a real deployment runs; the per-stream
-// efficiency constants are the single calibration documented in
-// EXPERIMENTS.md.
+// fabric, for what Section V plots: BSFS writes, appends and reads
+// (chain replication, replica rotation, batched metadata traffic, the
+// version manager's serialized assignment, sharded by blob) and the
+// HDFS baseline's namenode, chunk pipeline and local-first placement.
+// The *decision logic* is the real library code — placement strategies
+// (internal/placement), version assignment and publication ordering
+// (vmanager.State), and segment-tree construction and resolution
+// (mdtree over an in-memory store) — while only the data movement is
+// fluid-simulated. The figures' shapes therefore emerge from the same
+// algorithms a real deployment runs; the per-stream efficiency
+// constants of DefaultTuning are the single calibration. Failures,
+// repair, store tiering and the client's streaming windows are not
+// modeled: the real stack's own tests and benchmarks cover them.
 package simstore
 
 import (
@@ -43,30 +48,11 @@ type Tuning struct {
 	MetaFanout     int      // concurrent per-provider batch RPCs per client
 	PipelineDepth  int      // concurrent block flows per BSFS client
 
-	// BSFS client streaming-pipeline windows (Section IV-B): how many
-	// block fetches a sequential reader keeps in flight ahead of the
-	// consumer, and how many full-block commits a writer keeps in
-	// flight behind the producer. Zero models the synchronous client
-	// the paper measured — the figures are calibrated against it — so
-	// DefaultTuning leaves both off; the streaming ablation and the
-	// Stream benchmarks turn them on to quantify the overlap win.
-	ReadaheadBlocks  int
-	WriteBehindDepth int
-
 	// HDFSLocalWriteBps caps a datanode's local write path (loopback
 	// socket + checksum verification + journal): slower than one remote
 	// BlobSeer stream, which is why the co-deployed RandomTextWriter
 	// still favors BSFS's remote round-robin striping (Section V-G).
 	HDFSLocalWriteBps float64
-
-	// Cold-tier model for providers on a tiered store (store.Tiered).
-	// A block marked demoted serves its next read from the cold tier:
-	// the flow is capped at ColdReadBps (the slow backend's media rate)
-	// and pays ColdPenalty once (promotion setup: cold open + hot
-	// install), after which the block is hot again. Zero ColdReadBps
-	// leaves tiering unmodeled — the calibrated figures are unchanged.
-	ColdReadBps float64
-	ColdPenalty sim.Time
 }
 
 // DefaultTuning returns the calibrated constants.
@@ -89,11 +75,6 @@ func DefaultTuning() Tuning {
 // HostOfNode names the synthetic host of a fabric node (shared between
 // storage and Map/Reduce co-deployment).
 func HostOfNode(n simnet.NodeID) string { return fmt.Sprintf("h%d", n) }
-
-// ProviderAddr returns the simulated RPC address of the data provider
-// deployed on node n (failure injection and repair experiments name
-// providers by address, as the real stack does).
-func ProviderAddr(n simnet.NodeID) string { return fmt.Sprintf("provider-%d", n) }
 
 // parallel runs n closures as child processes with bounded concurrency
 // and blocks p until all complete. The kernel is cooperative, so the
@@ -143,22 +124,6 @@ type BSFS struct {
 	vmRes     []*sim.Resource // one service queue per control-plane shard
 	metaRes   map[string]*sim.Resource
 	readRR    int // rotates the replica serving each extent fetch
-
-	// Self-healing state (mirrors internal/repair over the simulated
-	// fabric): dead providers serve nothing, the overlay records where
-	// repair pushed relocated replicas, and the counters feed the
-	// kill-provider ablation.
-	dead           map[string]bool
-	overlay        map[string][]string // block key -> extra replica addrs
-	RepairedBlocks int
-	RepairedBytes  int64
-
-	// Tiered-store state (see Tuning.ColdReadBps): every written block
-	// key, which of them currently live cold, and how many reads paid
-	// the promotion path.
-	blocks         map[string]bool
-	demoted        map[string]bool
-	PromotedBlocks int
 }
 
 // NewBSFS deploys a simulated BlobSeer instance: the version manager
@@ -179,10 +144,6 @@ func NewBSFS(net *simnet.Net, tun Tuning, strategy placement.Strategy, vmNode si
 		metaNode: make(map[string]simnet.NodeID),
 		metaRes:  make(map[string]*sim.Resource),
 		vmRes:    make([]*sim.Resource, shards),
-		dead:     make(map[string]bool),
-		overlay:  make(map[string][]string),
-		blocks:   make(map[string]bool),
-		demoted:  make(map[string]bool),
 	}
 	for k := range b.vmRes {
 		b.vmRes[k] = b.Env.NewResource(1)
@@ -330,7 +291,6 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 			Providers: targets.Block(i),
 			Len:       ln,
 		}
-		b.blocks[refs[i].Key.String()] = true // fresh writes land hot
 	}
 	if _, err := mdtree.Build(context.Background(), b.Store, m, hist, a.Version, refs); err != nil {
 		return 0, err
@@ -400,24 +360,13 @@ func (b *BSFS) Read(p *sim.Proc, client simnet.NodeID, id blob.ID, off, size int
 	}
 	// Block fetches. A replica co-located with the reading client is
 	// served locally (Map/Reduce schedules tasks for exactly that);
-	// otherwise rotate across the live replica set so concurrent readers
+	// otherwise rotate across the replica set so concurrent readers
 	// spread load instead of piling onto the first replica (the
-	// cooperative kernel makes the shared rotation cursor safe). Dead
-	// providers are skipped; once the original replica set is exhausted
-	// the location overlay supplies repair copies — the same fall-through
-	// order as the real client's fetchExtentInto.
-	total := int64(0)
-	var lost *mdtree.Extent
+	// cooperative kernel makes the shared rotation cursor safe).
 	parallel(p, len(extents), b.Tun.PipelineDepth, func(cp *sim.Proc, i int) {
 		e := extents[i]
-		if !e.HasData || len(e.Block.Providers) == 0 {
-			return
-		}
-		addrs := b.liveReplicas(e.Block)
-		if len(addrs) == 0 {
-			if lost == nil {
-				lost = &extents[i]
-			}
+		addrs := e.Block.Providers
+		if !e.HasData || len(addrs) == 0 {
 			return
 		}
 		pick := -1
@@ -432,214 +381,13 @@ func (b *BSFS) Read(p *sim.Proc, client simnet.NodeID, id blob.ID, off, size int
 			b.readRR++
 		}
 		src := b.provNode[addrs[pick]]
-		rate := b.readCap()
-		if key := e.Block.Key.String(); b.demoted[key] {
-			// Cold hit: the block streams at the slow tier's media rate
-			// and pays the promotion setup once; it is hot afterwards.
-			delete(b.demoted, key)
-			b.PromotedBlocks++
-			if b.Tun.ColdPenalty > 0 {
-				cp.Sleep(b.Tun.ColdPenalty)
-			}
-			if b.Tun.ColdReadBps > 0 && b.Tun.ColdReadBps < rate {
-				rate = b.Tun.ColdReadBps
-			}
-		}
-		b.Net.TransferDisk(cp, src, client, e.Len, rate, src)
+		b.Net.TransferDisk(cp, src, client, e.Len, b.readCap(), src)
 	})
-	if lost != nil {
-		return 0, fmt.Errorf("simstore: all replicas of block %s dead", lost.Block.Key)
-	}
+	total := int64(0)
 	for _, e := range extents {
 		total += e.Len
 	}
 	return total, nil
-}
-
-// liveReplicas returns the replica addresses a read may be served
-// from, mirroring the real client's fall-through order exactly: live
-// originals while any exist, overlay relocations only once every
-// original replica is dead (core.fetchExtentInto consults the overlay
-// strictly as a last resort, so the sim must not credit repair copies
-// with extra read capacity while originals still serve).
-func (b *BSFS) liveReplicas(ref mdtree.BlockRef) []string {
-	out := make([]string, 0, len(ref.Providers))
-	for _, a := range ref.Providers {
-		if !b.dead[a] {
-			out = append(out, a)
-		}
-	}
-	if len(out) > 0 {
-		return out
-	}
-	for _, a := range b.overlay[ref.Key.String()] {
-		if !b.dead[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// liveCopies returns every live holder of the block — originals and
-// overlay relocations together. The repair scanner counts redundancy
-// with this (a relocated copy satisfies the replication target even
-// while originals serve reads).
-func (b *BSFS) liveCopies(ref mdtree.BlockRef) []string {
-	out := make([]string, 0, len(ref.Providers))
-	for _, a := range ref.Providers {
-		if !b.dead[a] {
-			out = append(out, a)
-		}
-	}
-	for _, a := range b.overlay[ref.Key.String()] {
-		if !b.dead[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// KillProvider crashes a data provider: it stops serving reads and
-// repair sources, and leaves the allocation pool.
-func (b *BSFS) KillProvider(addr string) {
-	b.dead[addr] = true
-	b.PM.MarkDead(addr)
-}
-
-// Repair runs one scan-and-repair pass from node runner: it walks every
-// blob's published versions through the real metadata code, diffs each
-// block's replica set (originals + overlay) against live membership,
-// and pushes each missing replica provider-to-provider over the fabric
-// with `concurrency` transfers in flight — the simulated twin of
-// repair.Engine.RunOnce. It returns the number of replicas created.
-func (b *BSFS) Repair(p *sim.Proc, concurrency int) (int, error) {
-	type job struct {
-		ref mdtree.BlockRef
-		src string
-		dst []string
-	}
-	seen := make(map[string]bool)
-	var jobs []job
-	load := make(map[string]int64)
-	var liveAddrs []string
-	for addr := range b.provNode {
-		if !b.dead[addr] {
-			liveAddrs = append(liveAddrs, addr)
-		}
-	}
-	sort.Strings(liveAddrs)
-	for _, id := range b.VM.Blobs() {
-		m, err := b.VM.GetMeta(id)
-		if err != nil {
-			return 0, err
-		}
-		published, _, err := b.VM.Latest(id)
-		if err != nil || published == blob.NoVersion {
-			continue
-		}
-		oldest, err := b.VM.PrunedBelow(id)
-		if err != nil {
-			return 0, err
-		}
-		hist := &blob.History{}
-		descs, err := b.VM.History(id, 0)
-		if err != nil {
-			return 0, err
-		}
-		if err := hist.Extend(descs); err != nil {
-			return 0, err
-		}
-		for v := oldest; v <= published; v++ {
-			d, ok := hist.Desc(v)
-			if !ok || d.Aborted {
-				continue
-			}
-			extents, err := mdtree.Resolve(context.Background(), b.Store, m, v, d.SizeAfter, blob.Range{Off: 0, Len: d.SizeAfter})
-			if err != nil {
-				return 0, err
-			}
-			for _, e := range extents {
-				if !e.HasData || len(e.Block.Providers) == 0 || seen[e.Block.Key.String()] {
-					continue
-				}
-				seen[e.Block.Key.String()] = true
-				live := b.liveCopies(e.Block)
-				missing := m.Replication - len(live)
-				if missing <= 0 || len(live) == 0 {
-					continue
-				}
-				holding := make(map[string]bool, len(live))
-				for _, a := range live {
-					holding[a] = true
-				}
-				var dst []string
-				for len(dst) < missing {
-					best := ""
-					for _, a := range liveAddrs {
-						if holding[a] {
-							continue
-						}
-						if best == "" || load[a] < load[best] {
-							best = a
-						}
-					}
-					if best == "" {
-						break
-					}
-					holding[best] = true
-					load[best]++
-					dst = append(dst, best)
-				}
-				if len(dst) > 0 {
-					jobs = append(jobs, job{ref: e.Block, src: live[0], dst: dst})
-				}
-			}
-		}
-	}
-	copies := 0
-	parallel(p, len(jobs), concurrency, func(cp *sim.Proc, i int) {
-		j := jobs[i]
-		// The source provider pushes the block down a chain of targets,
-		// exactly like the real mReplicate reusing the chained data
-		// plane: every hop is a concurrently active provider-to-provider
-		// flow billed on the fabric.
-		env := cp.Env()
-		done := env.NewEvent()
-		live := len(j.dst)
-		src := b.provNode[j.src]
-		for _, addr := range j.dst {
-			hopSrc, hopDst := src, b.provNode[addr]
-			env.Go(func(hp *sim.Proc) {
-				b.Net.TransferDisk(hp, hopSrc, hopDst, j.ref.Len, b.writeCap(), hopDst)
-				live--
-				if live == 0 {
-					done.Fire()
-				}
-			})
-			src = hopDst
-		}
-		done.Wait(cp)
-		b.overlay[j.ref.Key.String()] = append(b.overlay[j.ref.Key.String()], j.dst...)
-		copies += len(j.dst)
-		b.RepairedBlocks++
-		b.RepairedBytes += j.ref.Len * int64(len(j.dst))
-	})
-	return copies, nil
-}
-
-// DemoteAll moves every stored block to the cold tier (the simulated
-// twin of store.Tiered.DemoteNow with an elapsed idle policy), and
-// returns how many blocks went cold. Subsequent reads pay the cold-tier
-// path once per block, then the block is hot again.
-func (b *BSFS) DemoteAll() int {
-	n := 0
-	for k := range b.blocks {
-		if !b.demoted[k] {
-			b.demoted[k] = true
-			n++
-		}
-	}
-	return n
 }
 
 // Layout returns blocks-per-provider counts (Figure 3b).

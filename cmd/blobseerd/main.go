@@ -63,7 +63,6 @@ import (
 	"blobseer/internal/node"
 	"blobseer/internal/placement"
 	"blobseer/internal/rpc"
-	"blobseer/internal/trace"
 	"blobseer/internal/util"
 )
 
@@ -106,9 +105,6 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		repEvery = fs.Duration("repair-interval", 30*time.Second, "repair: scan-and-repair period")
 		repConc  = fs.Int("repair-concurrency", 0, "repair: parallel block repairs (0 = default)")
 		metAddr  = fs.String("metrics-addr", "", "HTTP address serving this daemon's /metrics and /trace (\"127.0.0.1:0\" picks a port; empty disables)")
-		trSample = fs.Float64("trace-sample", 0, "probability [0,1] that a request with no inbound trace context starts a sampled trace")
-		trSlow   = fs.Duration("trace-slow", 0, "force-sample any root operation slower than this (0 disables slow-root capture)")
-		trBuf    = fs.Int("trace-buf", 0, "per-daemon span ring capacity (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -151,11 +147,6 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	default:
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
-	// Rate 0 (the default) records only requests that arrive already
-	// carrying a sampled trace context, so an untraced deployment pays
-	// the no-op path.
-	cfg.Tracer = trace.New(*role, *trBuf)
-	cfg.Tracer.SetSampling(*trSample, *trSlow)
 	cfg.Pool = rpc.NewPool(rpc.TCPDialer)
 	defer cfg.Pool.Close()
 	// The repair daemon serves no RPC: it is a pure client of the

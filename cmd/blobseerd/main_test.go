@@ -64,7 +64,7 @@ func TestDeployment(t *testing.T) {
 	clients := node.Connect(pool, node.Endpoints{
 		VM: []string{vm}, PM: pm, NS: ns, Meta: []string{meta0, meta1}, MetaReplication: 2,
 	})
-	fsys, err := clients.BSFS(clients.Core("", -1, nil, nil), bsfs.Config{BlockSize: 16 << 10, Replication: 2})
+	fsys, err := clients.BSFS(clients.Core("", -1), bsfs.Config{BlockSize: 16 << 10, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,9 @@ import (
 	"blobseer/internal/bench"
 	"blobseer/internal/bsfs"
 	"blobseer/internal/cluster"
-	"blobseer/internal/core"
-	"blobseer/internal/metrics"
 	"blobseer/internal/node"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
-	"blobseer/internal/trace"
 	"blobseer/internal/util"
 )
 
@@ -90,12 +88,13 @@ func main() {
 	}()
 
 	// Both modes build their client the way every binary does, from the
-	// deployment's addresses alone (node.Connect); they differ in where
-	// the addresses come from and in who serves /metrics and /trace.
-	reg := metrics.NewRegistry()
+	// deployment's addresses alone (node.Connect), and export it next to
+	// the blaster's own registry; they differ in where the addresses come
+	// from and in whose exporter serves /metrics and /trace.
 	var (
 		clients *node.Clients
-		client  *core.Client
+		mcache  int
+		exp     *obs.Exporter
 	)
 	if *sim {
 		cl, err := cluster.StartBlobSeer(cluster.Config{
@@ -114,29 +113,20 @@ func main() {
 		clients = node.Connect(cl.Pool, node.Endpoints{
 			VM: cl.VMAddrs, PM: cl.PMAddr, NS: cl.NSAddr, Meta: cl.MetaAddrs, MetaReplication: cl.Cfg.MetaReplication,
 		})
-		client, _ = cl.NewMeteredClient("", "client")
-		cl.Exporter().Register("blaster", reg)
+		mcache, exp = cl.Cfg.MetaCacheSize, cl.Obs()
 		if url := cl.MetricsURL(); url != "" {
 			log.Printf("metrics on %s/metrics", url)
 		}
 	} else {
-		ep, mcache, err := conn()
+		ep, c, err := conn()
 		if err != nil {
 			log.Fatal(err)
 		}
 		pool := rpc.NewPool(rpc.TCPDialer)
 		defer pool.Close()
-		var tracer *trace.Tracer // records the ops -trace-every tags
-		if *trEvery > 0 {
-			tracer = trace.New("client", 0)
-		}
-		clients = node.Connect(pool, ep)
-		client = clients.Core("", mcache, reg, tracer)
+		clients, mcache, exp = node.Connect(pool, ep), c, obs.NewExporter()
 		if *metAddr != "" {
-			mexp, texp := metrics.NewExporter(), trace.NewExporter()
-			mexp.Register("blaster", reg)
-			texp.Register(tracer)
-			bound, stop, err := node.ServeObs(*metAddr, mexp, texp)
+			bound, stop, err := exp.Serve(*metAddr)
 			if err != nil {
 				log.Fatalf("metrics listener on %s: %v", *metAddr, err)
 			}
@@ -144,6 +134,11 @@ func main() {
 			log.Printf("metrics on http://%s/metrics", bound)
 		}
 	}
+	clients.Tracer = exp.Plane("client").Tracer() // records the ops -trace-every tags
+	client := clients.Core("", mcache)
+	exp.Register("client", client.Metrics())
+	reg := obs.NewRegistry()
+	exp.Register("blaster", reg)
 	fsys, err := clients.BSFS(client, bsfs.Config{
 		BlockSize:        *blockSz,
 		Replication:      *repl,
@@ -167,7 +162,7 @@ func main() {
 	var traceHook func(context.Context) (context.Context, string)
 	if *trEvery > 0 {
 		traceHook = func(ctx context.Context) (context.Context, string) {
-			tctx, id := core.WithTrace(ctx)
+			tctx, id := obs.WithRoot(ctx)
 			return tctx, id.String()
 		}
 	}

@@ -163,7 +163,7 @@ func main() {
 		return
 	}
 
-	fsys, err := clients.BSFS(clients.Core(*host, mcache, nil, nil), bsfs.Config{
+	fsys, err := clients.BSFS(clients.Core(*host, mcache), bsfs.Config{
 		BlockSize:        *blockSz,
 		Replication:      *repl,
 		ReadaheadBlocks:  *rahead,

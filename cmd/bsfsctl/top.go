@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 )
 
 // runTop polls one or more /metrics endpoints (see -metrics and
@@ -25,18 +25,18 @@ func runTop(endpoints []string, interval time.Duration, iters int) error {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	var prev map[string]metrics.Snapshot
+	var prev map[string]obs.Snapshot
 	for i := 0; iters <= 0 || i < iters; i++ {
 		if i > 0 {
 			time.Sleep(interval)
 		}
 		type sample struct {
 			ep string
-			s  metrics.Snapshot
+			s  obs.Snapshot
 		}
 		bySvc := make(map[string][]sample)
 		for _, ep := range endpoints {
-			snap, err := metrics.Fetch(ep)
+			snap, err := obs.FetchMetrics(ep)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "top: %s: %v\n", ep, err)
 				continue
@@ -45,7 +45,7 @@ func runTop(endpoints []string, interval time.Duration, iters int) error {
 				bySvc[svc] = append(bySvc[svc], sample{ep, s})
 			}
 		}
-		merged := make(map[string]metrics.Snapshot)
+		merged := make(map[string]obs.Snapshot)
 		for svc, list := range bySvc {
 			if len(list) == 1 {
 				merged[svc] = list[0].s
@@ -63,7 +63,7 @@ func runTop(endpoints []string, interval time.Duration, iters int) error {
 
 // printTop renders one scrape. Rates need two samples, so the first
 // tick shows totals only.
-func printTop(cur, prev map[string]metrics.Snapshot, interval time.Duration, haveRates bool) {
+func printTop(cur, prev map[string]obs.Snapshot, interval time.Duration, haveRates bool) {
 	fmt.Printf("=== %s  (%d service(s)) ===\n", time.Now().Format("15:04:05"), len(cur))
 	for _, svc := range sortedNames(cur) {
 		s := cur[svc]

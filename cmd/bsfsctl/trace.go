@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"blobseer/internal/trace"
+	"blobseer/internal/obs"
 )
 
 // runTrace implements `bsfsctl trace <trace-id>` and `bsfsctl trace
@@ -21,9 +21,9 @@ func runTrace(endpoints []string, args []string) error {
 	}
 
 	if args[0] == "slow" {
-		var roots []trace.Root
+		var roots []obs.Root
 		for _, ep := range endpoints {
-			rs, err := trace.FetchSlow(ep)
+			rs, err := obs.FetchSlow(ep)
 			if err != nil {
 				fmt.Printf("# %s: %v\n", ep, err)
 				continue
@@ -31,7 +31,7 @@ func runTrace(endpoints []string, args []string) error {
 			roots = append(roots, rs...)
 		}
 		if len(roots) == 0 {
-			fmt.Println("no slow roots retained (is -trace-slow set on the daemons?)")
+			fmt.Println("no slow roots retained (is the client's -trace-slow set? see bsfsblaster -trace-slow)")
 			return nil
 		}
 		fmt.Printf("%-32s %-24s %12s  %s\n", "TRACE", "OPERATION", "DURATION", "START")
@@ -46,13 +46,13 @@ func runTrace(endpoints []string, args []string) error {
 		return nil
 	}
 
-	id, err := trace.ParseID(args[0])
+	id, err := obs.ParseID(args[0])
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	var spans []trace.Span
+	var spans []obs.Span
 	for _, ep := range endpoints {
-		ss, err := trace.Fetch(ep, id)
+		ss, err := obs.FetchSpans(ep, id)
 		if err != nil {
 			// A dead endpoint must not hide the rest of the trace.
 			fmt.Printf("# %s: %v\n", ep, err)
@@ -63,6 +63,6 @@ func runTrace(endpoints []string, args []string) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("trace %s: no spans retained at any endpoint (evicted, unsampled, or wrong id)", id)
 	}
-	fmt.Print(trace.FormatTree(trace.Stitch(spans)))
+	fmt.Print(obs.FormatTree(obs.Stitch(spans)))
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"blobseer/internal/fs"
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/util"
 )
 
@@ -20,7 +20,7 @@ import (
 // with an untimed ramp-up, a measured steady-state window, and a
 // BENCH_blaster.json report of sustained throughput, per-op latency
 // percentiles and the error rate against a budget. Every observation
-// flows through internal/metrics, so a -metrics-addr endpoint shows
+// flows through an obs.Registry, so a -metrics-addr endpoint shows
 // the client side of the run live next to the daemons' own registries.
 
 // Blaster op names, in report order.
@@ -63,12 +63,12 @@ type BlasterConfig struct {
 	ErrorBudget float64
 	// Registry receives the blaster's live metrics (per-op latency
 	// histograms, op/error/byte counters). Nil creates a private one.
-	Registry *metrics.Registry
+	Registry *obs.Registry
 	// OnError, when non-nil, observes every failed op (diagnostics;
 	// the error is still counted against the budget).
 	OnError func(op string, err error)
 	// Trace, when non-nil and TraceEvery > 0, wraps every TraceEvery-th
-	// op's context (e.g. with core.WithTrace) and returns the trace ID
+	// op's context (e.g. with obs.WithRoot) and returns the trace ID
 	// it started; the first few IDs land in the report so a run can be
 	// cross-examined with `bsfsctl trace`. The hook shape keeps bench
 	// free of a client-stack dependency.
@@ -95,7 +95,7 @@ func (c *BlasterConfig) fill() {
 		c.MixOpen, c.MixRead, c.MixWrite, c.MixAppend = 10, 60, 20, 10
 	}
 	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
+		c.Registry = obs.NewRegistry()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -148,20 +148,20 @@ func (r BlasterReport) Check() error {
 
 // blasterMetrics is the pre-resolved instrument set all workers share.
 type blasterMetrics struct {
-	lat     map[string]*metrics.Histogram
-	corr    map[string]*metrics.Histogram // paced mode only: intended-start latency
-	ops     map[string]*metrics.Counter
-	errs    map[string]*metrics.Counter
-	bytesR  *metrics.Counter
-	bytesW  *metrics.Counter
-	workers *metrics.Gauge
+	lat     map[string]*obs.Histogram
+	corr    map[string]*obs.Histogram // paced mode only: intended-start latency
+	ops     map[string]*obs.Counter
+	errs    map[string]*obs.Counter
+	bytesR  *obs.Counter
+	bytesW  *obs.Counter
+	workers *obs.Gauge
 }
 
-func newBlasterMetrics(reg *metrics.Registry, paced bool) *blasterMetrics {
+func newBlasterMetrics(reg *obs.Registry, paced bool) *blasterMetrics {
 	m := &blasterMetrics{
-		lat:     make(map[string]*metrics.Histogram, len(blasterOps)),
-		ops:     make(map[string]*metrics.Counter, len(blasterOps)),
-		errs:    make(map[string]*metrics.Counter, len(blasterOps)),
+		lat:     make(map[string]*obs.Histogram, len(blasterOps)),
+		ops:     make(map[string]*obs.Counter, len(blasterOps)),
+		errs:    make(map[string]*obs.Counter, len(blasterOps)),
 		bytesR:  reg.Counter("bytes_read"),
 		bytesW:  reg.Counter("bytes_written"),
 		workers: reg.Gauge("workers"),
@@ -172,7 +172,7 @@ func newBlasterMetrics(reg *metrics.Registry, paced bool) *blasterMetrics {
 		m.errs[op] = reg.Counter("errors_" + op)
 	}
 	if paced {
-		m.corr = make(map[string]*metrics.Histogram, len(blasterOps))
+		m.corr = make(map[string]*obs.Histogram, len(blasterOps))
 		for _, op := range blasterOps {
 			m.corr[op] = reg.Histogram("corrected_" + op)
 		}

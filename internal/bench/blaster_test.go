@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"blobseer/internal/cluster"
-	"blobseer/internal/core"
-	"blobseer/internal/metrics"
-	"blobseer/internal/trace"
+	"blobseer/internal/obs"
 	"blobseer/internal/util"
 )
 
@@ -30,7 +28,7 @@ func TestBlasterShortRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := metrics.NewRegistry()
+	reg := obs.NewRegistry()
 	report, err := RunBlaster(context.Background(), BlasterConfig{
 		FS:       fsys,
 		Workers:  3,
@@ -147,7 +145,7 @@ func TestBlasterPacedOpenLoop(t *testing.T) {
 		Seed:        11,
 		Trace: func(ctx context.Context) (context.Context, string) {
 			traced++
-			tctx, id := core.WithTrace(ctx)
+			tctx, id := obs.WithRoot(ctx)
 			return tctx, id.String()
 		},
 		TraceEvery: 10,
@@ -186,7 +184,7 @@ func TestBlasterPacedOpenLoop(t *testing.T) {
 			traced, len(report.TraceIDs))
 	}
 	for _, id := range report.TraceIDs {
-		if _, err := trace.ParseID(id); err != nil {
+		if _, err := obs.ParseID(id); err != nil {
 			t.Errorf("reported trace ID %q unparseable: %v", id, err)
 		}
 	}

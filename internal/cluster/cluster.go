@@ -21,16 +21,15 @@ import (
 	"blobseer/internal/core"
 	"blobseer/internal/dht"
 	"blobseer/internal/mdtree"
-	"blobseer/internal/metrics"
 	"blobseer/internal/namespace"
 	"blobseer/internal/node"
+	"blobseer/internal/obs"
 	"blobseer/internal/placement"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
 	"blobseer/internal/stream"
-	"blobseer/internal/trace"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
 )
@@ -80,12 +79,12 @@ type Config struct {
 	// behavior.
 	CallTimeout time.Duration
 
-	// MetricsAddr, when non-empty, serves the whole deployment's
-	// metrics over HTTP at this address ("127.0.0.1:0" picks a free
-	// port; MetricsURL reports the bound endpoint). Every daemon's
-	// registry is exported under its service name regardless — the
-	// address only controls whether an HTTP listener fronts them. The
-	// same listener also serves the trace exporter at /trace.
+	// MetricsAddr, when non-empty, serves the whole deployment's planes
+	// over HTTP at this address, metrics at /metrics and spans at
+	// /trace ("127.0.0.1:0" picks a free port; MetricsURL reports the
+	// bound endpoint). Every daemon's plane is in Obs() under its service
+	// name regardless — the address only controls whether an HTTP
+	// listener fronts them.
 	MetricsAddr string
 
 	// Distributed tracing. Every daemon always carries a tracer (it
@@ -164,11 +163,11 @@ func (f *fabric) listen(name, addr string) (net.Listener, error) {
 	return rpc.ListenTCP(cmp.Or(addr, "127.0.0.1:0"))
 }
 
-// startNode runs one more node on the fabric, under cfg.Name. A
+// startNode runs one more node on the fabric, under its plane's name. A
 // restarted node passes the address it had (a real daemon comes back
 // where it is configured) and takes its predecessor's place.
 func (f *fabric) startNode(cfg node.Config, addr string) (*node.Node, error) {
-	lis, err := f.listen(cfg.Name, addr)
+	lis, err := f.listen(cfg.Plane.Name(), addr)
 	if err != nil {
 		return nil, err
 	}
@@ -216,29 +215,16 @@ type BlobSeer struct {
 	clients   *node.Clients // the stack every NewClient/NewBSFS is built from
 	repairEng *repair.Engine
 
-	exporter    *metrics.Exporter
+	obs         *obs.Exporter // every daemon's plane and the clients' "client" plane, by name
 	metricsURL  string
 	stopMetrics func() error
-
-	tracersMu    sync.Mutex
-	tracers      map[string]*trace.Tracer // per-daemon, by service name
-	clientTracer *trace.Tracer            // shared by every NewClient of this deployment
-	traceExp     *trace.Exporter
 }
 
 // StartBlobSeer deploys all services of a BlobSeer instance.
 func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 	cfg.fill()
-	c := &BlobSeer{
-		Cfg:          cfg,
-		exporter:     metrics.NewExporter(),
-		tracers:      make(map[string]*trace.Tracer),
-		clientTracer: trace.New("client", 0),
-		traceExp:     trace.NewExporter(),
-	}
+	c := &BlobSeer{Cfg: cfg, obs: obs.NewExporter()}
 	c.init(cfg.UseTCP)
-	c.clientTracer.SetSampling(cfg.TraceSample, cfg.TraceSlow)
-	c.traceExp.Register(c.clientTracer)
 	if cfg.CallTimeout > 0 {
 		c.Pool.SetCallTimeout(cfg.CallTimeout)
 	}
@@ -254,7 +240,7 @@ func StartBlobSeer(cfg Config) (*BlobSeer, error) {
 func (c *BlobSeer) start() error {
 	cfg := c.Cfg
 	for i := 0; i < cfg.MetaProviders; i++ {
-		n, err := c.startNode(node.Config{Role: node.Meta, Name: fmt.Sprintf("meta-%d", i)}, "")
+		n, err := c.startNode(node.Config{Role: node.Meta, Plane: c.obs.Plane(fmt.Sprintf("meta-%d", i))}, "")
 		if err != nil {
 			return err
 		}
@@ -272,7 +258,7 @@ func (c *BlobSeer) start() error {
 			name = fmt.Sprintf("vmanager-%d", k)
 		}
 		n, err := c.startNode(node.Config{
-			Role: node.VManager, Name: name, Endpoints: ep,
+			Role: node.VManager, Plane: c.obs.Plane(name), Endpoints: ep,
 			Shard:        vmanager.ShardInfo{Index: k, Count: cfg.VMShards},
 			WriteTimeout: cfg.WriteTimeout, DataDir: cfg.DataDir,
 		}, "")
@@ -283,13 +269,13 @@ func (c *BlobSeer) start() error {
 	}
 	ep.VM = c.VMAddrs
 
-	n, err := c.startNode(node.Config{Role: node.PManager, Strategy: cfg.Strategy, ExpireAfter: cfg.ExpireAfter}, "")
+	n, err := c.startNode(node.Config{Role: node.PManager, Plane: c.obs.Plane(node.PManager), Strategy: cfg.Strategy, ExpireAfter: cfg.ExpireAfter}, "")
 	if err != nil {
 		return err
 	}
 	c.PMAddr, ep.PM = n.Addr, n.Addr
 
-	if n, err = c.startNode(node.Config{Role: node.Namespace, Endpoints: ep, DataDir: cfg.DataDir}, ""); err != nil {
+	if n, err = c.startNode(node.Config{Role: node.Namespace, Plane: c.obs.Plane(node.Namespace), Endpoints: ep, DataDir: cfg.DataDir}, ""); err != nil {
 		return err
 	}
 	c.NSAddr, ep.NS = n.Addr, n.Addr
@@ -299,7 +285,7 @@ func (c *BlobSeer) start() error {
 	// with the provider manager the way a real daemon does.
 	for i := 0; i < cfg.DataProviders; i++ {
 		n, err := c.startNode(node.Config{
-			Role: node.Provider, Name: fmt.Sprintf("provider-%d", i), Endpoints: ep,
+			Role: node.Provider, Plane: c.obs.Plane(fmt.Sprintf("provider-%d", i)), Endpoints: ep,
 			StoreURL:  strings.ReplaceAll(cfg.StoreURL, "{n}", strconv.Itoa(i)),
 			Host:      c.HostOf(i),
 			Heartbeat: cfg.HeartbeatInterval,
@@ -311,54 +297,25 @@ func (c *BlobSeer) start() error {
 	}
 
 	c.clients = node.Connect(c.Pool, ep)
+	c.clients.Tracer = c.obs.Plane("client").Tracer()
+	c.clients.Tracer.SetSampling(cfg.TraceSample, cfg.TraceSlow)
 	c.MetaStore, c.Overlay = c.clients.MetaStore, c.clients.Overlay
 	// The repair engine runs over the deployment's own client stack, on
 	// demand: tests and tools drive RunOnce.
 	c.repairEng = c.clients.Repair(0, 0)
-	c.exporter.Register("repair", c.repairEng.Metrics())
+	c.obs.Register("repair", c.repairEng.Metrics())
 
-	// Every daemon's registry and tracer is exported under its service
-	// name — the layout a multi-machine deployment gets from one
-	// blobseerd -metrics-addr per daemon, collapsed onto one endpoint.
+	// Every daemon's plane is exported under its service name — the
+	// layout a multi-machine deployment gets from one blobseerd
+	// -metrics-addr per daemon, collapsed onto one endpoint.
 	if cfg.MetricsAddr != "" {
-		bound, stop, err := node.ServeObs(cfg.MetricsAddr, c.exporter, c.traceExp)
+		bound, stop, err := c.obs.Serve(cfg.MetricsAddr)
 		if err != nil {
 			return fmt.Errorf("cluster: metrics listener: %w", err)
 		}
 		c.metricsURL, c.stopMetrics = "http://"+bound, stop
 	}
 	return nil
-}
-
-// startNode is fabric.startNode plus the deployment's observability:
-// the daemon's registry and tracer are exported under its service name.
-func (c *BlobSeer) startNode(cfg node.Config, addr string) (*node.Node, error) {
-	cfg.Name = cmp.Or(cfg.Name, cfg.Role)
-	cfg.Tracer = c.tracerFor(cfg.Name)
-	n, err := c.fabric.startNode(cfg, addr)
-	if err != nil {
-		return nil, err
-	}
-	c.exporter.Register(cfg.Name, n.Metrics())
-	return n, nil
-}
-
-// tracerFor returns (creating on first use) the tracer of a named
-// daemon and registers it with the deployment trace exporter. Daemon
-// tracers never head-sample on their own — they record exactly the
-// requests that arrive carrying a sampled trace context. A restarted
-// daemon gets the tracer it had, so spans recorded before the crash and
-// after the recovery stitch into one tree.
-func (c *BlobSeer) tracerFor(name string) *trace.Tracer {
-	c.tracersMu.Lock()
-	defer c.tracersMu.Unlock()
-	t, ok := c.tracers[name]
-	if !ok {
-		t = trace.New(name, 0)
-		c.tracers[name] = t
-		c.traceExp.Register(t)
-	}
-	return t
 }
 
 // KillProvider simulates a provider crash: its RPC server goes down
@@ -372,24 +329,15 @@ func (c *BlobSeer) KillProvider(addr string) { c.node(addr).Kill() }
 // RepairEngine exposes the deployment's repair plane (tests, tools).
 func (c *BlobSeer) RepairEngine() *repair.Engine { return c.repairEng }
 
-// Exporter exposes the deployment-wide metrics exporter. It is always
-// populated (register extra registries, snapshot in tests); an HTTP
-// listener fronts it only when Config.MetricsAddr was set.
-func (c *BlobSeer) Exporter() *metrics.Exporter { return c.exporter }
+// Obs exposes the deployment's planes: every daemon's under its
+// service name, and "client", whose tracer every NewClient shares.
+// Registering a client's Metrics() here meters it. An HTTP listener
+// fronts it only when Config.MetricsAddr was set.
+func (c *BlobSeer) Obs() *obs.Exporter { return c.obs }
 
-// MetricsURL returns the served metrics endpoint ("http://host:port"),
-// or "" when Config.MetricsAddr was empty. The same listener answers
-// /trace queries.
+// MetricsURL returns the served endpoint ("http://host:port") of
+// /metrics and /trace, or "" when Config.MetricsAddr was empty.
 func (c *BlobSeer) MetricsURL() string { return c.metricsURL }
-
-// TraceExporter exposes the deployment-wide trace exporter: every
-// daemon's span buffer plus the shared client tracer (tests stitch
-// trees from it directly; the metrics listener serves it at /trace).
-func (c *BlobSeer) TraceExporter() *trace.Exporter { return c.traceExp }
-
-// ClientTracer exposes the tracer shared by every client of this
-// deployment (tests adjust sampling per-scenario with SetSampling).
-func (c *BlobSeer) ClientTracer() *trace.Tracer { return c.clientTracer }
 
 // HostOf returns the synthetic host name of data provider i.
 func (c *BlobSeer) HostOf(i int) string { return fmt.Sprintf("host-%d", i) }
@@ -398,24 +346,7 @@ func (c *BlobSeer) HostOf(i int) string { return fmt.Sprintf("host-%d", i) }
 // (a dedicated, non-co-deployed node, as in the paper's microbenchmark
 // boot-up phases) or one of HostOf(i) for a co-deployed client.
 func (c *BlobSeer) NewClient(host string) *core.Client {
-	return c.clients.Core(host, c.Cfg.MetaCacheSize, nil, c.clientTracer)
-}
-
-// NewMeteredClient returns a core client wired to a fresh metrics
-// registry, registered with the deployment exporter under name — so a
-// scrape shows the client side (resolve latency, cache hit rates,
-// stream pipeline gauges) next to every daemon.
-func (c *BlobSeer) NewMeteredClient(host, name string) (*core.Client, *metrics.Registry) {
-	reg := metrics.NewRegistry()
-	c.exporter.Register(name, reg)
-	return c.clients.Core(host, c.Cfg.MetaCacheSize, reg, c.clientTracer), reg
-}
-
-// NewMeteredBSFS returns a BSFS client whose core client exports its
-// metrics through the deployment exporter under name.
-func (c *BlobSeer) NewMeteredBSFS(host, name string) (*bsfs.FS, error) {
-	cl, _ := c.NewMeteredClient(host, name)
-	return c.newBSFS(cl)
+	return c.clients.Core(host, c.Cfg.MetaCacheSize)
 }
 
 // NewBSFS returns a BSFS file-system client for this deployment.

@@ -5,6 +5,7 @@ import (
 
 	"blobseer/internal/hdfs"
 	"blobseer/internal/node"
+	"blobseer/internal/obs"
 	"blobseer/internal/placement"
 	"blobseer/internal/provider"
 	"blobseer/internal/util"
@@ -55,14 +56,14 @@ func StartHDFS(cfg HDFSConfig) (*HDFS, error) {
 }
 
 func (h *HDFS) start() error {
-	nn, err := h.startNode(node.Config{Role: node.Namenode, Name: "namenode", BlockSize: h.Cfg.BlockSize, Strategy: h.Cfg.Strategy}, "")
+	nn, err := h.startNode(node.Config{Role: node.Namenode, Plane: obs.NewPlane("namenode"), BlockSize: h.Cfg.BlockSize, Strategy: h.Cfg.Strategy}, "")
 	if err != nil {
 		return err
 	}
 	h.NNAddr = nn.Addr
 	for i := 0; i < h.Cfg.Datanodes; i++ {
 		dn, err := h.startNode(node.Config{
-			Role: node.Datanode, Name: fmt.Sprintf("datanode-%d", i),
+			Role: node.Datanode, Plane: obs.NewPlane(fmt.Sprintf("datanode-%d", i)),
 			NamenodeAddr: h.NNAddr, Host: h.HostOf(i),
 		}, "")
 		if err != nil {

@@ -5,7 +5,7 @@ import (
 	"io"
 	"testing"
 
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 )
 
 // TestClusterMetricsEndToEnd drives real I/O through a deployment and
@@ -27,7 +27,9 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 		t.Fatal("no metrics URL despite MetricsAddr")
 	}
 
-	fsys, err := cl.NewMeteredBSFS("", "client")
+	client := cl.NewClient("")
+	cl.Obs().Register("client", client.Metrics())
+	fsys, err := cl.newBSFS(client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := metrics.Fetch(cl.MetricsURL())
+	snap, err := obs.FetchMetrics(cl.MetricsURL())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func TestRepairConvergesAfterProviderDeath(t *testing.T) {
 	// copies too.
 	fromAddrs := node.Connect(cl.Pool, node.Endpoints{
 		VM: cl.VMAddrs, PM: cl.PMAddr, NS: cl.NSAddr, Meta: cl.MetaAddrs, MetaReplication: cl.Cfg.MetaReplication,
-	}).Core("", 0, nil, nil)
+	}).Core("", 0)
 	got, err = readBlob(ctx, fromAddrs, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("client built from endpoints read %d of %d bytes after relocation: %v", len(got), len(payload), err)

@@ -8,13 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"blobseer/internal/core"
-	"blobseer/internal/trace"
+	"blobseer/internal/obs"
 )
 
 // findService walks a stitched tree and returns the first node whose
 // service name has the given prefix, plus its depth below root.
-func findService(n *trace.Node, prefix string, depth int) (*trace.Node, int) {
+func findService(n *obs.Node, prefix string, depth int) (*obs.Node, int) {
 	if strings.HasPrefix(n.Span.Service, prefix) {
 		return n, depth
 	}
@@ -59,8 +58,8 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 
 	// The traced operation: pin the latest snapshot and read it, under
 	// one application-level root span.
-	tctx, id := core.WithTrace(ctx)
-	tctx, sp := cl.ClientTracer().Start(tctx, "read")
+	tctx, id := obs.WithRoot(ctx)
+	tctx, sp := cl.Obs().Plane("client").Tracer().Start(tctx, "read")
 	snap, err := b.Latest(tctx)
 	if err != nil {
 		t.Fatal(err)
@@ -74,17 +73,17 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		t.Fatal("traced read returned wrong bytes")
 	}
 
-	spans := cl.TraceExporter().Spans(id)
+	spans := cl.Obs().Spans(id)
 	if len(spans) < 4 {
 		t.Fatalf("exporter retained %d spans of the trace, want >= 4: %+v", len(spans), spans)
 	}
-	roots := trace.Stitch(spans)
+	roots := obs.Stitch(spans)
 	if len(roots) != 1 {
 		t.Fatalf("Stitch produced %d roots, want one connected tree:\n%s",
-			len(roots), trace.FormatTree(roots))
+			len(roots), obs.FormatTree(roots))
 	}
 	root := roots[0]
-	tree := trace.FormatTree(roots)
+	tree := obs.FormatTree(roots)
 	if root.Span.Service != "client" || root.Span.Op != "read" {
 		t.Errorf("root = %s.%s, want client.read\n%s", root.Span.Service, root.Span.Op, tree)
 	}
@@ -123,7 +122,7 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 
 	// The same trace must be reachable over HTTP exactly the way
 	// `bsfsctl trace` fetches it: via /trace on the metrics listener.
-	fetched, err := trace.Fetch(cl.MetricsURL(), id)
+	fetched, err := obs.FetchSpans(cl.MetricsURL(), id)
 	if err != nil {
 		t.Fatalf("HTTP trace fetch: %v", err)
 	}
@@ -171,7 +170,7 @@ func TestClusterTraceSurvivesVMKillRestart(t *testing.T) {
 	// The first traced call after the restart may land on a severed
 	// pooled connection; retry like a real client until one incarnation
 	// answers. The trace ID rides the context, not the connection.
-	tctx, id := core.WithTrace(ctx)
+	tctx, id := obs.WithRoot(ctx)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, _, err = client.Latest(tctx, b.ID()); err == nil {
@@ -183,8 +182,8 @@ func TestClusterTraceSurvivesVMKillRestart(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	spans := cl.TraceExporter().Spans(id)
-	var vmSpan *trace.Span
+	spans := cl.Obs().Spans(id)
+	var vmSpan *obs.Span
 	for i := range spans {
 		if strings.HasPrefix(spans[i].Service, "vmanager") && spans[i].Op == "latest" {
 			vmSpan = &spans[i]
@@ -234,20 +233,18 @@ func TestClusterNoSpanLeakUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := cl.ClientTracer().Recorded(); n != 0 {
+	if n := cl.Obs().Plane("client").Tracer().Recorded(); n != 0 {
 		t.Errorf("client tracer recorded %d spans for an untraced workload", n)
 	}
-	cl.tracersMu.Lock()
-	defer cl.tracersMu.Unlock()
-	for name, tr := range cl.tracers {
-		if n := tr.Recorded(); n != 0 {
-			t.Errorf("%s tracer recorded %d spans for an untraced workload", name, n)
+	for _, p := range cl.Obs().Planes() {
+		if n := p.Tracer().Recorded(); n != 0 {
+			t.Errorf("%s tracer recorded %d spans for an untraced workload", p.Name(), n)
 		}
 	}
 }
 
 // TestClusterTraceSampling: Config.TraceSample=1 samples organically —
-// no explicit WithTrace — and the slow-root index surfaces the roots.
+// no explicit WithRoot — and the slow-root index surfaces the roots.
 func TestClusterTraceSampling(t *testing.T) {
 	cl, err := StartBlobSeer(Config{
 		DataProviders: 2,
@@ -275,10 +272,10 @@ func TestClusterTraceSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := cl.ClientTracer().Recorded(); n == 0 {
+	if n := cl.Obs().Plane("client").Tracer().Recorded(); n == 0 {
 		t.Error("TraceSample=1 recorded no client spans")
 	}
-	roots := cl.TraceExporter().SlowRoots()
+	roots := cl.Obs().SlowRoots()
 	if len(roots) == 0 {
 		t.Fatal("TraceSlow recorded no slow roots")
 	}

@@ -26,12 +26,11 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/rpc"
 	"blobseer/internal/stream"
-	"blobseer/internal/trace"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
 )
@@ -73,19 +72,12 @@ type Config struct {
 	// block's original replicas; nil disables the lookup.
 	Overlay LocationOverlay
 
-	// Metrics, when non-nil, receives the client's observability
-	// surface: a resolve-latency histogram, node-cache and replica
-	// fallback gauges, failure-feedback counters, and the streaming
-	// layer's pipeline gauges. Nil keeps the data path metric-free
-	// (every instrument degrades to a no-op).
-	Metrics *metrics.Registry
-
 	// Tracer, when non-nil, records client-side spans (read, readat,
 	// resolve, write, ...) for sampled requests, and its sampling
 	// policy decides which fresh requests start a trace. Nil keeps the
-	// hot path trace-free; ops tagged via WithTrace still propagate
+	// hot path trace-free; ops tagged via obs.WithRoot still propagate
 	// their trace context to the services either way.
-	Tracer *trace.Tracer
+	Tracer *obs.Tracer
 }
 
 // LocationOverlay is the read path's view of the repair plane's
@@ -109,14 +101,14 @@ type Client struct {
 	readRR  atomic.Uint64 // rotates the first replica tried per fetch
 	overlay LocationOverlay
 
-	chainFallbacks atomic.Uint64 // blocks that fell back to direct puts
-	deadReports    atomic.Uint64 // MarkDead feedback reports sent
-	deadSuppressed atomic.Uint64 // reports dropped by the per-provider rate limit
-
-	reg      *metrics.Registry  // nil unless Config.Metrics was set
-	mResolve *metrics.Histogram // metadata resolve latency per readInto
-	coll     *stream.Collector  // client-wide stream pipeline counters (nil when unmetered)
-	tracer   *trace.Tracer      // nil unless Config.Tracer was set (nil is a no-op)
+	// The client's own registry; exporting it is the caller's choice.
+	reg            *obs.Registry
+	mResolve       *obs.Histogram  // metadata resolve latency per readInto
+	chainFallbacks *obs.Counter    // blocks that fell back to direct puts
+	deadReports    *obs.Counter    // MarkDead feedback reports sent
+	deadSuppressed *obs.Counter    // reports dropped by the per-provider rate limit
+	streams        *stream.Metrics // shared by every reader and writer of the client
+	tracer         *obs.Tracer     // nil unless Config.Tracer was set (nil is a no-op)
 
 	mu       sync.Mutex
 	blobs    map[blob.ID]*blobState // at most maxBlobStates, least recently used out
@@ -168,82 +160,55 @@ func (c *Client) state(id blob.ID) *blobState {
 
 // NewClient builds a client from cfg.
 func NewClient(cfg Config) *Client {
-	meta := mdtree.MaybeCache(cfg.MetaStore, cfg.MetaCacheSize)
+	reg := obs.NewRegistry()
 	c := &Client{
-		vm:       vmanager.NewClient(cfg.Pool, cfg.VMAddrs...),
-		pm:       pmanager.NewClient(cfg.Pool, cfg.PMAddr),
-		prov:     provider.NewClient(cfg.Pool),
-		meta:     meta,
-		host:     cfg.Host,
-		overlay:  cfg.Overlay,
-		tracer:   cfg.Tracer,
-		nonce:    newNonceSource(),
-		blobs:    make(map[blob.ID]*blobState),
-		hosts:    make(map[string]string),
-		reported: make(map[string]time.Time),
+		vm:             vmanager.NewClient(cfg.Pool, cfg.VMAddrs...),
+		pm:             pmanager.NewClient(cfg.Pool, cfg.PMAddr),
+		prov:           provider.NewClient(cfg.Pool),
+		meta:           mdtree.MaybeCache(cfg.MetaStore, cfg.MetaCacheSize),
+		host:           cfg.Host,
+		overlay:        cfg.Overlay,
+		reg:            reg,
+		mResolve:       reg.Histogram("resolve_latency"),
+		chainFallbacks: reg.Counter("chain_fallbacks"),
+		deadReports:    reg.Counter("dead_reports"),
+		deadSuppressed: reg.Counter("dead_reports_suppressed"),
+		streams:        stream.NewMetrics(reg),
+		tracer:         cfg.Tracer,
+		nonce:          newNonceSource(),
+		blobs:          make(map[blob.ID]*blobState),
+		hosts:          make(map[string]string),
+		reported:       make(map[string]time.Time),
 	}
-	if reg := cfg.Metrics; reg != nil {
-		c.reg = reg
-		c.mResolve = reg.Histogram("resolve_latency")
-		c.coll = &stream.Collector{}
-		reg.GaugeFunc("chain_fallbacks", func() int64 { return int64(c.chainFallbacks.Load()) })
-		reg.GaugeFunc("dead_reports", func() int64 { return int64(c.deadReports.Load()) })
-		reg.GaugeFunc("dead_reports_suppressed", func() int64 { return int64(c.deadSuppressed.Load()) })
-		reg.GaugeFunc("meta_cache_hits", func() int64 { return c.MetaCacheStats().Hits })
-		reg.GaugeFunc("meta_cache_misses", func() int64 { return c.MetaCacheStats().Misses })
-		if f, ok := cfg.MetaStore.(interface{ Fallbacks() int64 }); ok {
-			reg.GaugeFunc("meta_replica_fallbacks", f.Fallbacks)
-		}
-		reg.GaugeFunc("readers_open", c.coll.ReadersOpen)
-		reg.GaugeFunc("writers_open", c.coll.WritersOpen)
-		reg.GaugeFunc("prefetched", c.coll.Prefetched)
-		reg.GaugeFunc("prefetch_hits", c.coll.PrefetchHits)
-		reg.GaugeFunc("prefetch_canceled", c.coll.Canceled)
-		reg.GaugeFunc("write_behind_depth", c.coll.WriteBehindDepth)
-		reg.GaugeFunc("write_behind_commits", c.coll.WriteBehindCommits)
-		reg.GaugeFunc("write_behind_bytes", c.coll.WriteBehindBytes)
+	reg.GaugeFunc("meta_cache_hits", func() int64 { return c.MetaCacheStats().Hits })
+	reg.GaugeFunc("meta_cache_misses", func() int64 { return c.MetaCacheStats().Misses })
+	if f, ok := cfg.MetaStore.(interface{ Fallbacks() int64 }); ok {
+		reg.GaugeFunc("meta_replica_fallbacks", f.Fallbacks)
 	}
 	return c
 }
 
-// Metrics exposes the registry handed in via Config.Metrics (nil for an
-// unmetered client).
-func (c *Client) Metrics() *metrics.Registry { return c.reg }
-
-// Tracer exposes the tracer handed in via Config.Tracer (nil for an
-// untraced client).
-func (c *Client) Tracer() *trace.Tracer { return c.tracer }
-
-// WithTrace force-samples: it returns ctx tagged with a fresh trace
-// root plus the trace ID to look the spans up with later. Every RPC
-// issued under the returned context is traced end to end — client-side
-// spans (when the client has a tracer), every service hop's server
-// span — regardless of any sampling rate. This is how the blaster and
-// tests tag individual operations, and how `bsfsctl trace` gets an ID
-// to stitch.
-func WithTrace(ctx context.Context) (context.Context, trace.ID) {
-	return trace.WithRoot(ctx)
-}
-
-// StreamCollector returns the client-wide stream pipeline counters, or
-// nil for an unmetered client (stream wiring is nil-safe either way).
-func (c *Client) StreamCollector() *stream.Collector { return c.coll }
+// Metrics exposes the client's registry: resolve latency, node-cache and
+// replica-fallback gauges, failure-feedback counters and the streaming
+// layer's pipeline instruments. Registering it with an obs.Exporter is
+// what makes a client metered.
+func (c *Client) Metrics() *obs.Registry { return c.reg }
 
 // ChainFallbacks reports how many blocks this client pushed to every
 // replica itself because their replica chain failed — the signal that a
 // deployment is quietly paying R×B of client egress.
-func (c *Client) ChainFallbacks() uint64 { return c.chainFallbacks.Load() }
+func (c *Client) ChainFallbacks() uint64 { return uint64(c.chainFallbacks.Value()) }
 
 // DeadReports reports how many MarkDead feedback reports this client
 // has sent to the provider manager (tests, observability).
-func (c *Client) DeadReports() uint64 { return c.deadReports.Load() }
+func (c *Client) DeadReports() uint64 { return uint64(c.deadReports.Value()) }
 
 // DeadReportsSuppressed reports how many MarkDead reports the
 // per-provider rate limit swallowed. A high ratio of suppressed to sent
 // reports means the client keeps hitting the same dead providers —
 // stale metadata pointing at a departed node, or a repair plane that
 // cannot keep up.
-func (c *Client) DeadReportsSuppressed() uint64 { return c.deadSuppressed.Load() }
+func (c *Client) DeadReportsSuppressed() uint64 { return uint64(c.deadSuppressed.Value()) }
 
 // deadReportTTL rate-limits MarkDead feedback per provider: one report
 // per TTL is plenty — the provider manager needs the bit once, and a
@@ -263,12 +228,12 @@ func (c *Client) reportDead(addr string, err error) {
 	c.mu.Lock()
 	if at, ok := c.reported[addr]; ok && time.Since(at) < deadReportTTL {
 		c.mu.Unlock()
-		c.deadSuppressed.Add(1)
+		c.deadSuppressed.Inc()
 		return
 	}
 	c.reported[addr] = time.Now()
 	c.mu.Unlock()
-	c.deadReports.Add(1)
+	c.deadReports.Inc()
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -489,7 +454,7 @@ func (c *Client) putBlock(ctx context.Context, replicas []string, key blob.Block
 	// An unreachable chain head is a dead provider; a coded chain
 	// failure only means some hop broke (the head answered).
 	c.reportDead(chain[0], err)
-	c.chainFallbacks.Add(1)
+	c.chainFallbacks.Inc()
 	return c.putBlockDirect(ctx, replicas, key, chunk)
 }
 

@@ -147,7 +147,7 @@ func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
 	return stream.NewWriter(ctx, stream.WriterConfig{
 		BlockSize: b.meta.BlockSize,
 		Depth:     o.Depth,
-		Collector: b.c.coll,
+		Metrics:   b.c.streams,
 		Start: func(ctx context.Context) (stream.StartState, error) {
 			if !o.Append {
 				return stream.StartState{OffsetMode: true, Off: o.Off}, nil
@@ -302,7 +302,7 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 		BlockSize: s.b.meta.BlockSize,
 		Readahead: o.Readahead,
 		NoCache:   o.NoCache,
-		Collector: s.b.c.coll,
+		Metrics:   s.b.c.streams,
 		Fetch: func(ctx context.Context, off int64, p []byte) (err error) {
 			// One span per stream-engine block fetch, so demand reads
 			// and readahead prefetches both show up in the trace.

@@ -11,10 +11,8 @@ import (
 )
 
 // benchSnapshot deploys a small cluster, publishes an nBlocks-block
-// blob and returns a pinned snapshot. With metered set the client
-// carries a live metrics registry, so the instrumented hot path is
-// measured instead of the no-op one.
-func benchSnapshot(b *testing.B, nBlocks int, metered bool) *core.Snapshot {
+// blob and returns a pinned snapshot.
+func benchSnapshot(b *testing.B, nBlocks int) *core.Snapshot {
 	b.Helper()
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 4,
@@ -27,13 +25,7 @@ func benchSnapshot(b *testing.B, nBlocks int, metered bool) *core.Snapshot {
 	}
 	b.Cleanup(cl.Stop)
 	ctx := context.Background()
-	var c *core.Client
-	if metered {
-		c, _ = cl.NewMeteredClient("", "bench")
-	} else {
-		c = cl.NewClient("")
-	}
-	bh, err := c.CreateBlob(ctx, B, 1)
+	bh, err := cl.NewClient("").CreateBlob(ctx, B, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +36,7 @@ func benchSnapshot(b *testing.B, nBlocks int, metered bool) *core.Snapshot {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the immutable-node cache so both paths measure steady state.
+	// Warm the immutable-node cache so the reads measure steady state.
 	buf := make([]byte, s.Size())
 	if _, err := s.ReadAt(buf, 0); err != nil && err != io.EOF {
 		b.Fatal(err)
@@ -54,23 +46,11 @@ func benchSnapshot(b *testing.B, nBlocks int, metered bool) *core.Snapshot {
 
 // BenchmarkSnapshotReadAt measures repeated pinned-snapshot reads into
 // a caller-owned buffer: zero whole-range intermediate allocations and
-// zero per-call metadata round-trips.
+// zero per-call metadata round-trips. Every client carries its
+// registry, so each read also times Resolve into it.
 func BenchmarkSnapshotReadAt(b *testing.B) {
-	benchmarkSnapshotReadAt(b, false)
-}
-
-// BenchmarkSnapshotReadAtMetered is the instrumented twin of
-// BenchmarkSnapshotReadAt: the same workload through a client wired to
-// a live metrics registry, so every read times Resolve and bumps the
-// cache/stream counters. The delta between the two pins the hot-path
-// cost of instrumentation; it must stay in the noise (<5%).
-func BenchmarkSnapshotReadAtMetered(b *testing.B) {
-	benchmarkSnapshotReadAt(b, true)
-}
-
-func benchmarkSnapshotReadAt(b *testing.B, metered bool) {
 	const nBlocks = 8
-	s := benchSnapshot(b, nBlocks, metered)
+	s := benchSnapshot(b, nBlocks)
 	buf := make([]byte, s.Size())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

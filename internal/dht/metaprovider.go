@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
 	"blobseer/internal/util"
@@ -57,14 +57,14 @@ var errEmptyRing = errors.New("dht: empty ring")
 type MetaService struct {
 	store store.Store
 
-	reg       *metrics.Registry
-	mPuts     *metrics.Counter
-	mGets     *metrics.Counter
-	mDeletes  *metrics.Counter
-	mBatchPut *metrics.Histogram // pairs per put-batch RPC
-	mBatchGet *metrics.Histogram // keys per get-batch RPC
-	mBytesIn  *metrics.Counter
-	mBytesOut *metrics.Counter
+	reg       *obs.Registry
+	mPuts     *obs.Counter
+	mGets     *obs.Counter
+	mDeletes  *obs.Counter
+	mBatchPut *obs.Histogram // pairs per put-batch RPC
+	mBatchGet *obs.Histogram // keys per get-batch RPC
+	mBytesIn  *obs.Counter
+	mBytesOut *obs.Counter
 
 	pairVecs util.FreeList[[]store.Pair] // handlePutBatch's decoded batches, recycled
 	lentVecs util.FreeList[[]lent]       // handleGetBatch's answers, recycled
@@ -72,7 +72,7 @@ type MetaService struct {
 
 // NewMetaService returns a metadata provider over st.
 func NewMetaService(st store.Store) *MetaService {
-	s := &MetaService{store: st, reg: metrics.NewRegistry()}
+	s := &MetaService{store: st, reg: obs.NewRegistry()}
 	s.mPuts = s.reg.Counter("puts")
 	s.mGets = s.reg.Counter("gets")
 	s.mDeletes = s.reg.Counter("deletes")
@@ -90,7 +90,7 @@ func (s *MetaService) Store() store.Store { return s.store }
 
 // Metrics exposes the metadata provider's registry (op counts, batch
 // size histograms, store occupancy) for HTTP export.
-func (s *MetaService) Metrics() *metrics.Registry { return s.reg }
+func (s *MetaService) Metrics() *obs.Registry { return s.reg }
 
 // Mux returns the RPC dispatch table.
 func (s *MetaService) Mux() *rpc.Mux {

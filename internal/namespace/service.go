@@ -6,7 +6,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/fs"
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
 )
@@ -14,12 +14,12 @@ import (
 // Service is the RPC shell around State.
 type Service struct {
 	state *State
-	reg   *metrics.Registry
+	reg   *obs.Registry
 }
 
 // NewService wraps state.
 func NewService(state *State) *Service {
-	return &Service{state: state, reg: metrics.NewRegistry()}
+	return &Service{state: state, reg: obs.NewRegistry()}
 }
 
 // State exposes the core (tests).
@@ -27,7 +27,7 @@ func (s *Service) State() *State { return s.state }
 
 // Metrics exposes the namespace registry (per-op counts, error
 // counts, latency histograms) for HTTP export.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
+func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // timed wraps a handler with a per-op counter, error counter, and
 // latency histogram.

@@ -3,24 +3,19 @@ package node
 import (
 	"errors"
 	"flag"
-	"fmt"
-	"net"
-	"net/http"
 	"strings"
 
 	"blobseer/internal/bsfs"
 	"blobseer/internal/core"
 	"blobseer/internal/dht"
 	"blobseer/internal/mdtree"
-	"blobseer/internal/metrics"
 	"blobseer/internal/namespace"
+	"blobseer/internal/obs"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
-	"blobseer/internal/trace"
 	"blobseer/internal/vmanager"
-	"blobseer/internal/wire"
 )
 
 // Endpoints is a deployment as a client sees it: addresses only.
@@ -68,6 +63,9 @@ type Clients struct {
 	// Overlay shares the metadata DHT: relocation records are tiny KV
 	// entries under their own key prefix.
 	Overlay *repair.Overlay
+	// Tracer records the spans of every BLOB client built here (nil =
+	// none); its sampling policy is the caller's.
+	Tracer *obs.Tracer
 }
 
 // Connect builds the client stack for ep over pool. Nothing is dialed
@@ -88,9 +86,8 @@ func (c *Clients) NS() *namespace.Client { return namespace.NewClient(c.Pool, c.
 
 // Core returns a BLOB client. host is "" for a dedicated client node or
 // the label of the provider it is co-deployed with; cache sizes its
-// metadata node cache; reg and tr (either may be nil) receive its
-// metrics and spans.
-func (c *Clients) Core(host string, cache int, reg *metrics.Registry, tr *trace.Tracer) *core.Client {
+// metadata node cache.
+func (c *Clients) Core(host string, cache int) *core.Client {
 	return core.NewClient(core.Config{
 		Pool:          c.Pool,
 		VMAddrs:       c.Endpoints.VM,
@@ -99,8 +96,7 @@ func (c *Clients) Core(host string, cache int, reg *metrics.Registry, tr *trace.
 		Host:          host,
 		MetaCacheSize: cache,
 		Overlay:       c.Overlay,
-		Metrics:       reg,
-		Tracer:        tr,
+		Tracer:        c.Tracer,
 	})
 }
 
@@ -123,36 +119,4 @@ func (c *Clients) Repair(cache, concurrency int) *repair.Engine {
 		Overlay:     c.Overlay,
 		Concurrency: concurrency,
 	})
-}
-
-// ServeObs is the observability mount of every binary: one HTTP
-// listener on addr ("127.0.0.1:0" picks a port) serving m at /metrics
-// and /, and t at /trace. It returns the bound address and a stop
-// function.
-func ServeObs(addr string, m *metrics.Exporter, t *trace.Exporter) (string, func() error, error) {
-	m.Register("wire", poolMetrics())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", m)
-	mux.Handle("/", m)
-	mux.Handle("/trace", t)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
-}
-
-// poolMetrics exports the process's recycled-buffer free lists (data and
-// control frames share them), one gauge triple per size class.
-func poolMetrics() *metrics.Registry {
-	reg := metrics.NewRegistry()
-	for c, st := range wire.PoolStats() {
-		name := fmt.Sprintf("pool_%dk_", st.Size>>10)
-		reg.GaugeFunc(name+"hits", func() int64 { return wire.PoolStats()[c].Hits })
-		reg.GaugeFunc(name+"misses", func() int64 { return wire.PoolStats()[c].Misses })
-		reg.GaugeFunc(name+"parked_bytes", func() int64 { return wire.PoolStats()[c].ParkedBytes })
-	}
-	return reg
 }

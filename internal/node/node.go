@@ -18,15 +18,14 @@ import (
 	"blobseer/internal/dht"
 	"blobseer/internal/hdfs"
 	"blobseer/internal/mdtree"
-	"blobseer/internal/metrics"
 	"blobseer/internal/namespace"
+	"blobseer/internal/obs"
 	"blobseer/internal/placement"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
-	"blobseer/internal/trace"
 	"blobseer/internal/vmanager"
 	"blobseer/internal/wal"
 )
@@ -46,7 +45,6 @@ const (
 // Config describes one node; a role reads only the fields that name it.
 type Config struct {
 	Role string
-	Name string // service name in /metrics, /trace and `bsfsctl top` ("" = Role)
 	// Listener is the endpoint to serve (every role but repair). Start
 	// owns it from the call on, also when Start fails.
 	Listener net.Listener
@@ -79,12 +77,14 @@ type Config struct {
 	RepairInterval    time.Duration // repair: scan period
 	RepairConcurrency int           // repair: parallel block repairs (0 = default)
 
-	MetricsAddr string // serve this node's registry and tracer here (see ServeObs)
-	// Tracer records server spans (nil = none); its sampling policy is
-	// the caller's. A restarted node is handed its predecessor's, so
-	// spans from before and after the outage stitch.
-	Tracer *trace.Tracer
-	Logf   func(format string, args ...any) // nil = silent
+	MetricsAddr string // serve this node's plane at /metrics and /trace here ("" = none)
+	// Plane is the node's observability, and its name is the node's
+	// service name in /metrics, /trace and `bsfsctl top` (nil = a fresh
+	// plane named Role). Its tracer records server spans, and the role's
+	// registry becomes its registry. A restarted node is handed its
+	// predecessor's, so spans from before and after the outage stitch.
+	Plane *obs.Plane
+	Logf  func(format string, args ...any) // nil = silent
 }
 
 // Node is a running service. The role decides which one service field
@@ -101,7 +101,6 @@ type Node struct {
 	Repair *repair.Engine
 
 	cfg   Config
-	reg   *metrics.Registry
 	srv   *rpc.Server
 	store store.Store
 	loops []func() // stops what the role runs in the background
@@ -111,7 +110,9 @@ type Node struct {
 // Start builds the role's service, serves it on cfg.Listener, announces
 // a provider or datanode to its manager and starts the role's loops.
 func Start(cfg Config) (n *Node, err error) {
-	cfg.Name = cmp.Or(cfg.Name, cfg.Role)
+	if cfg.Plane == nil {
+		cfg.Plane = obs.NewPlane(cfg.Role)
+	}
 	n = &Node{cfg: cfg}
 	defer func() {
 		if err != nil {
@@ -129,18 +130,15 @@ func Start(cfg Config) (n *Node, err error) {
 	if mux != nil {
 		n.Addr = cfg.Listener.Addr().String()
 		n.srv = rpc.NewServer(mux)
-		n.srv.SetTrace(cfg.Tracer, opName)
+		n.srv.SetTrace(cfg.Plane.Tracer(), opName)
 		go n.srv.Serve(cfg.Listener)
-		n.logf("%s listening on %s", cfg.Name, n.Addr)
+		n.logf("%s listening on %s", cfg.Plane.Name(), n.Addr)
 	}
 	if err := n.announce(); err != nil {
 		return n, err
 	}
 	if cfg.MetricsAddr != "" {
-		mexp, texp := metrics.NewExporter(), trace.NewExporter()
-		mexp.Register(cfg.Name, n.reg)
-		texp.Register(cfg.Tracer)
-		bound, stop, err := ServeObs(cfg.MetricsAddr, mexp, texp)
+		bound, stop, err := obs.NewExporter(cfg.Plane).Serve(cfg.MetricsAddr)
 		if err != nil {
 			return n, fmt.Errorf("metrics listener on %s: %w", cfg.MetricsAddr, err)
 		}
@@ -168,13 +166,13 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		}
 		if cfg.Role == Meta {
 			n.Meta = dht.NewMetaService(n.store)
-			n.reg = n.Meta.Metrics()
+			cfg.Plane.Use(n.Meta.Metrics())
 			return n.Meta.Mux(), dht.MethodName, nil
 		}
 		// Providers and datanodes forward chain frames to the replicas
 		// downstream of them: BlobSeer's chain and HDFS's pipeline.
 		n.Prov = provider.NewService(n.store, provider.WithForwarder(cfg.Pool))
-		n.reg = n.Prov.Metrics()
+		cfg.Plane.Use(n.Prov.Metrics())
 		return n.Prov.Mux(), provider.MethodName, nil
 
 	case VManager:
@@ -200,7 +198,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			n.VM.StartJanitor(cfg.WriteTimeout, cfg.WriteTimeout/2)
 			n.loops = append(n.loops, n.VM.StopJanitor)
 		}
-		n.reg = n.VM.Metrics()
+		cfg.Plane.Use(n.VM.Metrics())
 		return n.VM.Mux(), vmanager.MethodName, nil
 
 	case PManager:
@@ -209,7 +207,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			n.PM.StartExpiry(cfg.ExpireAfter, cfg.ExpireAfter/2)
 			n.loops = append(n.loops, n.PM.StopExpiry)
 		}
-		n.reg = n.PM.Metrics()
+		cfg.Plane.Use(n.PM.Metrics())
 		return n.PM.Mux(), pmanager.MethodName, nil
 
 	case Namespace:
@@ -224,7 +222,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			return nil, nil, err
 		}
 		n.NS = namespace.NewService(st)
-		n.reg = n.NS.Metrics()
+		cfg.Plane.Use(n.NS.Metrics())
 		return n.NS.Mux(), namespace.MethodName, nil
 
 	case Namenode:
@@ -239,7 +237,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			return nil, nil, errors.New("repair: -repair-interval must be positive")
 		}
 		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair(cfg.MetaCache, cfg.RepairConcurrency)
-		n.reg = n.Repair.Metrics()
+		cfg.Plane.Use(n.Repair.Metrics())
 		n.Repair.Start(cfg.RepairInterval)
 		n.loops = append(n.loops, n.Repair.Stop)
 		n.logf("repair loop running (every %s)", cfg.RepairInterval)
@@ -265,10 +263,10 @@ func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fr
 	}
 	if st, err = recover(log); err != nil {
 		log.Close()
-		return st, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Name, err)
+		return st, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Plane.Name(), err)
 	}
 	ws := log.Status()
-	n.logf("%s: recovered from WAL (%d segment(s), %d bytes)", n.cfg.Name, ws.Segments, ws.LogBytes)
+	n.logf("%s: recovered from WAL (%d segment(s), %d bytes)", n.cfg.Plane.Name(), ws.Segments, ws.LogBytes)
 	return st, nil
 }
 
@@ -337,11 +335,8 @@ func (n *Node) logf(format string, args ...any) {
 
 // Config returns the configuration the node runs with. Starting it
 // again on a fresh Listener for Addr restarts the node: same role, same
-// WAL directory, same tracer.
+// WAL directory, same plane.
 func (n *Node) Config() Config { return n.cfg }
-
-// Metrics returns the role's registry (nil for a namenode).
-func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
 // Kill is a crash: everything Stop does except closing the block store,
 // which stays readable for whoever inspects the wreck. The order is
@@ -374,7 +369,7 @@ func (n *Node) Kill() {
 			err = n.NS.State().CloseWAL()
 		}
 		if err != nil {
-			n.logf("%s: close WAL: %v", n.cfg.Name, err)
+			n.logf("%s: close WAL: %v", n.cfg.Plane.Name(), err)
 		}
 	})
 }

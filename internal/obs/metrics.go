@@ -1,17 +1,28 @@
-// Package metrics is the dependency-free observability core shared by
-// every BlobSeer service: counters, gauges, callback gauges, and
-// fixed-bucket latency histograms with interpolated percentiles. It is
-// built for hot paths — one atomic add per counter increment, one
-// atomic add plus an O(1) bucket index per histogram observation — and
-// every method is safe on a nil receiver, so a nil *Registry is the
-// zero-cost no-op registry (the ablation baseline for measuring
-// instrumentation overhead).
-package metrics
+// Package obs is the observability plane of every BlobSeer process. A
+// plane is one named service's metric registry plus its span tracer;
+// one Exporter serves a process's planes over HTTP (/metrics, /trace),
+// and one fetch path reads them back for `bsfsctl top` and `bsfsctl
+// trace`.
+//
+// Metrics are counters, gauges, callback gauges, and fixed-bucket
+// latency histograms with interpolated percentiles. They are built for
+// hot paths — one atomic add per counter increment, one atomic add plus
+// an O(1) bucket index per histogram observation — and every method is
+// safe on a nil receiver, so a nil *Registry records nothing.
+//
+// Tracing carries 128-bit trace IDs on the RPC frame between services;
+// each process records the spans it executes into a bounded in-memory
+// ring, and Stitch reassembles the per-service fragments into one
+// causal tree. Recording is nil-safe and the not-sampled path allocates
+// nothing, so tracing stays compiled into every hot path until a
+// request is actually sampled. There is no collector daemon: `bsfsctl
+// trace <id>` polls every service's /trace endpoint and stitches
+// client-side.
+package obs
 
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,14 +177,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the running total of observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by walking the bucket
@@ -504,14 +507,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// sortedKeys returns map keys in stable order (text exporter, tests).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,11 +1,6 @@
-package metrics
+package obs
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +47,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	h := r.Histogram("z")
 	h.Observe(100)
 	h.ObserveSince(time.Now())
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram must stay empty")
 	}
 	r.GaugeFunc("f", func() int64 { return 1 })
@@ -124,66 +119,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("count = %d, want 8000", h.Count())
-	}
-}
-
-func TestExporterHTTP(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("puts").Add(3)
-	reg.Gauge("live").Set(2)
-	reg.Histogram("latency").Observe(int64(5 * time.Millisecond))
-
-	e := NewExporter()
-	e.Register("provider-0", reg)
-	e.Register("ignored", nil) // nil registries must be dropped
-
-	srv := httptest.NewServer(e)
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap map[string]Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := snap["ignored"]; ok {
-		t.Fatal("nil registry leaked into the export")
-	}
-	s := snap["provider-0"]
-	if s.Counters["puts"] != 3 || s.Gauges["live"] != 2 {
-		t.Fatalf("bad snapshot: %+v", s)
-	}
-	if h := s.Histograms["latency"]; h.Count != 1 || h.P99 <= 0 {
-		t.Fatalf("bad histogram export: %+v", h)
-	}
-
-	// Text format.
-	resp2, err := http.Get(srv.URL + "/metrics?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	body, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	for _, want := range []string{"provider-0.puts 3", "provider-0.live 2", "provider-0.latency{count} 1"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("text export missing %q:\n%s", want, text)
-		}
-	}
-
-	// Fetch round-trips the same snapshot.
-	got, err := Fetch(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["provider-0"].Counters["puts"] != 3 {
-		t.Fatalf("Fetch mismatch: %+v", got)
 	}
 }
 

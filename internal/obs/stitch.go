@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"fmt"

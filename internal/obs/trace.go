@@ -1,16 +1,4 @@
-// Package trace is the dependency-free distributed tracing subsystem:
-// 128-bit trace IDs ride the RPC frame between services, each process
-// records the spans it executes into a bounded in-memory ring, and a
-// stitcher reassembles the per-service fragments into one causal tree.
-//
-// The design mirrors the metrics plane: recording is nil-safe and the
-// not-sampled path allocates nothing, so tracing stays compiled into
-// every hot path at zero cost until a request is actually sampled.
-// There is no collector daemon — `bsfsctl trace <id>` polls every
-// service's /trace endpoint and stitches client-side, which is enough
-// for a deployment of this size and keeps the subsystem dependency
-// free.
-package trace
+package obs
 
 import (
 	"context"
@@ -135,9 +123,11 @@ func FromContext(ctx context.Context) (Context, bool) {
 
 // WithRoot force-samples: it returns ctx tagged with a fresh trace at
 // its root, plus the trace ID for later lookup. Every RPC issued under
-// the returned context is traced end to end regardless of any tracer's
-// sampling rate — this is the hook tests and the blaster use to tag
-// individual operations.
+// the returned context is traced end to end — client-side spans (when
+// the client has a tracer), every service hop's server span —
+// regardless of any tracer's sampling rate. This is the hook tests and
+// the blaster use to tag individual operations, and how `bsfsctl
+// trace` gets an ID to stitch.
 func WithRoot(ctx context.Context) (context.Context, ID) {
 	id := NewID()
 	return NewContext(ctx, Context{Trace: id}), id

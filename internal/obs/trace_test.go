@@ -1,9 +1,8 @@
-package trace
+package obs
 
 import (
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -55,7 +54,7 @@ func TestNewIDNonZero(t *testing.T) {
 }
 
 func TestTracerRecordsOnlyTracedContexts(t *testing.T) {
-	tr := New("svc", 0) // sampling fully off
+	tr := NewTracer("svc") // sampling fully off
 
 	// A plain context must not record.
 	ctx, sp := tr.Start(context.Background(), "op")
@@ -104,7 +103,7 @@ func TestTracerRecordsOnlyTracedContexts(t *testing.T) {
 }
 
 func TestHeadSampling(t *testing.T) {
-	always := New("svc", 0)
+	always := NewTracer("svc")
 	always.SetSampling(1, 0)
 	_, sp := always.Start(context.Background(), "op")
 	if !sp.Recording() {
@@ -112,7 +111,7 @@ func TestHeadSampling(t *testing.T) {
 	}
 	sp.Finish(nil)
 
-	never := New("svc", 0)
+	never := NewTracer("svc")
 	never.SetSampling(0, 0)
 	for i := 0; i < 50; i++ {
 		if _, sp := never.Start(context.Background(), "op"); sp.Recording() {
@@ -122,11 +121,10 @@ func TestHeadSampling(t *testing.T) {
 }
 
 func TestRingBounded(t *testing.T) {
-	tr := New("svc", 16)
-	tr.SetSampling(1, 0)
+	tr := NewTracer("svc")
 	id := NewID()
 	ctx := NewContext(context.Background(), Context{Trace: id})
-	const total = 500
+	const total = 3 * ringSpans
 	for i := 0; i < total; i++ {
 		_, sp := tr.Start(ctx, "op")
 		sp.Finish(nil)
@@ -134,15 +132,14 @@ func TestRingBounded(t *testing.T) {
 	if got := tr.Recorded(); got != total {
 		t.Errorf("Recorded() = %d, want %d", got, total)
 	}
-	// Capacity rounds up to the stripe count, but eviction must hold:
-	// nowhere near all 500 spans may be retained.
-	if got := len(tr.Spans(id)); got > 2*16 {
-		t.Errorf("ring retained %d spans, want <= 32 (bounded)", got)
+	// Eviction must hold: the ring keeps at most its capacity.
+	if got := len(tr.Spans(id)); got > ringSpans {
+		t.Errorf("ring retained %d spans, want <= %d (bounded)", got, ringSpans)
 	}
 }
 
 func TestSlowRootCapture(t *testing.T) {
-	tr := New("svc", 0)
+	tr := NewTracer("svc")
 	tr.SetSampling(0, time.Nanosecond) // slow>0: trace everything, index slow roots
 
 	ctx, root := tr.Start(context.Background(), "read")
@@ -177,7 +174,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 	if ctx != context.Background() {
 		t.Error("nil tracer modified ctx")
 	}
-	if tr.Spans(NewID()) != nil || tr.SlowRoots() != nil || tr.Recorded() != 0 || tr.Service() != "" {
+	if tr.Spans(NewID()) != nil || tr.SlowRoots() != nil || tr.Recorded() != 0 {
 		t.Error("nil tracer query not empty")
 	}
 	tr.SetSampling(1, time.Second) // must not panic
@@ -221,52 +218,6 @@ func TestStitch(t *testing.T) {
 	}
 }
 
-func TestExporterHTTPRoundTrip(t *testing.T) {
-	tr := New("svc", 0)
-	tr.SetSampling(0, time.Nanosecond)
-	exp := NewExporter()
-	exp.Register(tr)
-
-	ctx, root := tr.Start(context.Background(), "write")
-	_, child := tr.Start(ctx, "commit")
-	time.Sleep(time.Millisecond)
-	child.Finish(nil)
-	root.Finish(nil)
-	id := root.Trace()
-
-	srv := httptest.NewServer(exp)
-	defer srv.Close()
-
-	spans, err := Fetch(srv.URL, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 2 {
-		t.Fatalf("Fetch returned %d spans, want 2", len(spans))
-	}
-	// Sorted by start: the root began first.
-	if spans[0].Op != "write" || spans[1].Parent != spans[0].ID {
-		t.Errorf("fetched spans lost structure: %+v", spans)
-	}
-
-	slow, err := FetchSlow(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slow) != 1 || slow[0].Trace != id {
-		t.Errorf("FetchSlow = %+v, want the one slow root", slow)
-	}
-
-	// An unknown but well-formed ID returns an empty span set, not an error.
-	none, err := Fetch(srv.URL, NewID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Errorf("unknown trace returned %d spans", len(none))
-	}
-}
-
 // The paired benchmarks pin the no-op path: tracing compiled into a hot
 // path must cost nothing measurable until a request is sampled. Compare
 // allocs/op across the three.
@@ -281,7 +232,7 @@ func BenchmarkStartFinishNilTracer(b *testing.B) {
 }
 
 func BenchmarkStartFinishSamplingOff(b *testing.B) {
-	tr := New("svc", 0)
+	tr := NewTracer("svc")
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -291,7 +242,7 @@ func BenchmarkStartFinishSamplingOff(b *testing.B) {
 }
 
 func BenchmarkStartFinishSampled(b *testing.B) {
-	tr := New("svc", 0)
+	tr := NewTracer("svc")
 	tr.SetSampling(1, 0)
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -1,17 +1,16 @@
-package trace
+package obs
 
 import (
 	"context"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// DefaultBufSpans is the default per-tracer span capacity.
-const DefaultBufSpans = 4096
+// ringSpans is every tracer's span capacity, split across the stripes.
+const ringSpans = 4096
 
 // nStripes fans recording across independent rings so concurrent
 // handlers on one service don't serialize on a single mutex. Queries
@@ -64,7 +63,7 @@ type Root struct {
 }
 
 // Tracer records spans for one service into a bounded lock-striped
-// ring. The nil *Tracer is a valid no-op, mirroring the nil metrics
+// ring. The nil *Tracer is a valid no-op, mirroring the nil
 // registry: Start on a nil tracer returns ctx unchanged and a zero
 // Active whose Finish does nothing, so instrumented code never
 // branches on "is tracing on".
@@ -88,28 +87,16 @@ type Tracer struct {
 	recorded atomic.Uint64 // total spans recorded (tests, leak checks)
 }
 
-// New returns a tracer for service with capacity for bufSpans spans
-// (DefaultBufSpans if <= 0), rounded up to the stripe count. Sampling
-// starts fully off; see SetSampling.
-func New(service string, bufSpans int) *Tracer {
-	if bufSpans <= 0 {
-		bufSpans = DefaultBufSpans
-	}
-	per := (bufSpans + nStripes - 1) / nStripes
+// NewTracer returns a tracer for service retaining the last ringSpans
+// spans. Sampling starts fully off: it records only requests that
+// arrive carrying a sampled trace context (see SetSampling).
+func NewTracer(service string) *Tracer {
 	t := &Tracer{service: service}
 	for i := range t.stripes {
-		t.stripes[i].buf = make([]Span, per)
+		t.stripes[i].buf = make([]Span, ringSpans/nStripes)
 	}
 	t.slowBuf = make([]Root, 64)
 	return t
-}
-
-// Service returns the service name stamped on recorded spans.
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
 }
 
 // SetSampling configures head sampling and slow-root capture. rate is
@@ -290,53 +277,4 @@ func (t *Tracer) Recorded() uint64 {
 		return 0
 	}
 	return t.recorded.Load()
-}
-
-// Exporter aggregates the tracers of one process (or one in-process
-// cluster) behind a single query surface; the HTTP side lives in
-// http.go.
-type Exporter struct {
-	mu      sync.Mutex
-	tracers []*Tracer
-}
-
-// NewExporter returns an empty exporter.
-func NewExporter() *Exporter { return &Exporter{} }
-
-// Register adds t to the exporter. Nil tracers are ignored.
-func (e *Exporter) Register(t *Tracer) {
-	if t == nil {
-		return
-	}
-	e.mu.Lock()
-	e.tracers = append(e.tracers, t)
-	e.mu.Unlock()
-}
-
-func (e *Exporter) snapshot() []*Tracer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*Tracer(nil), e.tracers...)
-}
-
-// Spans returns every retained span of trace id across all registered
-// tracers, sorted by start time.
-func (e *Exporter) Spans(id ID) []Span {
-	var out []Span
-	for _, t := range e.snapshot() {
-		out = append(out, t.Spans(id)...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
-}
-
-// SlowRoots returns the slow-root entries of all registered tracers,
-// sorted by start time.
-func (e *Exporter) SlowRoots() []Root {
-	var out []Root
-	for _, t := range e.snapshot() {
-		out = append(out, t.SlowRoots()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
 }

@@ -13,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/placement"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
@@ -316,7 +316,7 @@ func (s *State) Layout() []int {
 // ticker that retires silent providers from the allocation pool.
 type Service struct {
 	state *State
-	reg   *metrics.Registry
+	reg   *obs.Registry
 
 	expiryMu   sync.Mutex
 	stopExpiry chan struct{}
@@ -324,7 +324,7 @@ type Service struct {
 
 // NewService wraps state.
 func NewService(state *State) *Service {
-	s := &Service{state: state, reg: metrics.NewRegistry()}
+	s := &Service{state: state, reg: obs.NewRegistry()}
 	s.reg.GaugeFunc("providers_live", func() int64 {
 		live, _, _ := state.Membership()
 		return int64(live)
@@ -348,7 +348,7 @@ func (s *Service) State() *State { return s.state }
 
 // Metrics exposes the manager's registry (membership gauges, heartbeat
 // lag, allocation counters) for HTTP export.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
+func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // StartExpiry launches the liveness loop: every interval, providers
 // silent for longer than maxAge are marked dead and leave the

@@ -65,7 +65,7 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
 	"blobseer/internal/util"
@@ -132,17 +132,17 @@ type Service struct {
 
 	// Metrics are resolved once at construction so the data path never
 	// touches the registry map.
-	reg          *metrics.Registry
-	mBytesIn     *metrics.Counter
-	mBytesOut    *metrics.Counter
-	mPuts        *metrics.Counter
-	mGets        *metrics.Counter
-	mChainFrames *metrics.Counter
-	mCommits     *metrics.Counter
-	mFailed      *metrics.Counter
-	mReaps       *metrics.Counter
-	mReplicas    *metrics.Counter
-	mHopLatency  *metrics.Histogram
+	reg          *obs.Registry
+	mBytesIn     *obs.Counter
+	mBytesOut    *obs.Counter
+	mPuts        *obs.Counter
+	mGets        *obs.Counter
+	mChainFrames *obs.Counter
+	mCommits     *obs.Counter
+	mFailed      *obs.Counter
+	mReaps       *obs.Counter
+	mReplicas    *obs.Counter
+	mHopLatency  *obs.Histogram
 
 	chainBroken atomic.Bool // test hook: fail every chained put
 
@@ -215,7 +215,7 @@ func NewService(st store.Store, opts ...Option) *Service {
 	for _, o := range opts {
 		o(s)
 	}
-	s.reg = metrics.NewRegistry()
+	s.reg = obs.NewRegistry()
 	s.mBytesIn = s.reg.Counter("bytes_in")
 	s.mBytesOut = s.reg.Counter("bytes_out")
 	s.mPuts = s.reg.Counter("puts")
@@ -245,7 +245,7 @@ func NewService(st store.Store, opts ...Option) *Service {
 // Metrics exposes the provider's registry (bytes in/out, chain frame
 // and hop-latency stats, stale-upload sweeps, per-tier counters) for
 // HTTP export.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
+func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // BreakChain makes every chained put fail at this provider (failure
 // injection for tests: forces clients onto the fan-out fallback).

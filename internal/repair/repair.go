@@ -9,7 +9,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/pmanager"
 	"blobseer/internal/provider"
 	"blobseer/internal/vmanager"
@@ -42,14 +42,13 @@ type Config struct {
 // blocks twice.
 type Engine struct {
 	cfg Config
-	reg *metrics.Registry
+	reg *obs.Registry
 
 	runMu sync.Mutex // serializes RunOnce/Decommission
 
-	mu     sync.Mutex
-	stop   chan struct{}
-	last   Report
-	copies int64 // cumulative replicas created
+	mu   sync.Mutex
+	stop chan struct{}
+	last Report
 }
 
 // New returns an engine over cfg.
@@ -63,7 +62,7 @@ func New(cfg Config) *Engine {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = DefaultBackoff
 	}
-	e := &Engine{cfg: cfg, reg: metrics.NewRegistry()}
+	e := &Engine{cfg: cfg, reg: obs.NewRegistry()}
 	lastGauge := func(pick func(Report) int64) func() int64 {
 		return func() int64 { return pick(e.LastReport()) }
 	}
@@ -71,13 +70,12 @@ func New(cfg Config) *Engine {
 	e.reg.GaugeFunc("blocks_scanned", lastGauge(func(r Report) int64 { return int64(r.Blocks) }))
 	e.reg.GaugeFunc("lost_blocks", lastGauge(func(r Report) int64 { return int64(r.Lost) }))
 	e.reg.GaugeFunc("failed_blocks", lastGauge(func(r Report) int64 { return int64(r.Failed) }))
-	e.reg.GaugeFunc("copies_total", e.Copies)
 	return e
 }
 
 // Metrics exposes the repair registry (backlog depth, cumulative
 // re-replications, retry counts) for HTTP export.
-func (e *Engine) Metrics() *metrics.Registry { return e.reg }
+func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // Task is one under-replicated block the scanner found.
 type Task struct {
@@ -107,11 +105,7 @@ func (e *Engine) LastReport() Report {
 
 // Copies returns the cumulative number of replicas the engine created —
 // the op-count regression tests pin it to exactly the lost blocks.
-func (e *Engine) Copies() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.copies
-}
+func (e *Engine) Copies() int64 { return e.reg.Counter("re_replications").Value() }
 
 // membership is the scanner's view of the provider pool.
 type membership struct {
@@ -350,7 +344,6 @@ func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
 	rep.Elapsed = time.Since(start)
 	e.mu.Lock()
 	e.last = rep
-	e.copies += int64(rep.Copies)
 	e.mu.Unlock()
 	e.reg.Counter("passes").Inc()
 	e.reg.Counter("re_replications").Add(int64(rep.Copies))

@@ -52,7 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blobseer/internal/trace"
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -98,7 +98,7 @@ type frameWriter struct {
 // tailed one is one vectored write where the conn has that (TCP: writev)
 // and otherwise one more Write per tail under the same lock.
 func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
-	id uint64, method uint16, flags uint8, status uint16, tc trace.Context) error {
+	id uint64, method uint16, flags uint8, status uint16, tc obs.Context) error {
 	b := f.Raw()
 	if flags&flagTrace == 0 {
 		b = b[traceHdrLen:]
@@ -305,7 +305,7 @@ func (x *Mux) lookup(m uint16) (FrameHandler, bool) {
 type Server struct {
 	mux *Mux
 
-	tracer *trace.Tracer
+	tracer *obs.Tracer
 	opName func(uint16) string
 
 	mu     sync.Mutex
@@ -323,7 +323,7 @@ func NewServer(mux *Mux) *Server {
 // SetTrace attaches a tracer: every dispatched request records one
 // server-side span, named via opName (each service package exports a
 // MethodName for this). Must be called before Serve.
-func (s *Server) SetTrace(t *trace.Tracer, opName func(uint16) string) {
+func (s *Server) SetTrace(t *obs.Tracer, opName func(uint16) string) {
 	s.tracer = t
 	s.opName = opName
 }
@@ -427,10 +427,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			id, method, payload, tc, _ := parseRequest(req)
 			ctx := context.Background()
 			if !tc.Trace.IsZero() {
-				ctx = trace.NewContext(ctx, tc)
+				ctx = obs.NewContext(ctx, tc)
 			}
 			resp, status := s.dispatch(ctx, method, payload)
-			err := fw.writeFrame(0, resp, id, method, flagResponse, status, trace.Context{})
+			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
 			wire.PutBuf(req) // the response is out: nothing references the request now
 			if err != nil {
 				fw.conn.Close()
@@ -442,7 +442,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // parseRequest splits a request frame into its header fields, sampled
 // trace context and payload; ok is false for a response frame or a
 // truncated header.
-func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc trace.Context, ok bool) {
+func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc obs.Context, ok bool) {
 	r := wire.NewReader(req)
 	id, method = r.U64(), r.U16()
 	flags := r.U8()
@@ -450,7 +450,7 @@ func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc trac
 	if flags&flagTrace != 0 {
 		hi, lo, span := r.U64(), r.U64(), r.U64()
 		if r.U8()&traceSampled != 0 {
-			tc = trace.Context{Trace: trace.ID{Hi: hi, Lo: lo}, Span: trace.SpanID(span)}
+			tc = obs.Context{Trace: obs.ID{Hi: hi, Lo: lo}, Span: obs.SpanID(span)}
 		}
 	}
 	return id, method, req[len(req)-r.Remaining():], tc, r.Err() == nil && flags&flagResponse == 0
@@ -461,7 +461,7 @@ func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) (*
 	if !ok {
 		return frameOf([]byte(fmt.Sprintf("unknown method %d", method))), StatusError
 	}
-	var sp trace.Active
+	var sp obs.Active
 	if s.tracer != nil {
 		var name string
 		if s.opName != nil {
@@ -589,7 +589,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 
 	// A trace context on ctx rides the frame so the server joins the
 	// caller's trace; untraced calls emit exactly the legacy header.
-	tc, traced := trace.FromContext(ctx)
+	tc, traced := obs.FromContext(ctx)
 	var flags uint8
 	if traced && !tc.Trace.IsZero() {
 		flags = flagTrace

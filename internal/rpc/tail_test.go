@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"blobseer/internal/trace"
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -63,7 +63,7 @@ func TestTailedFramesMatchCopiedEncoding(t *testing.T) {
 		}
 		return f
 	}
-	tc := trace.Context{Trace: trace.ID{Hi: 0x1111222233334444, Lo: 0x5555666677778888}, Span: 0x0102030405060708}
+	tc := obs.Context{Trace: obs.ID{Hi: 0x1111222233334444, Lo: 0x5555666677778888}, Span: 0x0102030405060708}
 	body := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, 0xfeed), uint32(len(data)))
 	body = append(body, data...)
 
@@ -71,7 +71,7 @@ func TestTailedFramesMatchCopiedEncoding(t *testing.T) {
 		for _, traced := range []bool{false, true} {
 			ctx, flags, traceBlock := context.Background(), uint8(0), []byte(nil)
 			if traced {
-				ctx, flags = trace.NewContext(ctx, tc), flagTrace
+				ctx, flags = obs.NewContext(ctx, tc), flagTrace
 				traceBlock = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, tc.Trace.Hi), tc.Trace.Lo), uint64(tc.Span))
 				traceBlock = append(traceBlock, traceSampled)
 			}

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"blobseer/internal/trace"
+	"blobseer/internal/obs"
 	"blobseer/internal/wire"
 )
 
@@ -72,8 +72,8 @@ func TestWireFormatUntracedPinned(t *testing.T) {
 // header with the trace bit set, then exactly 25 trace bytes (trace id
 // hi, lo, parent span, flags), then the payload.
 func TestWireFormatTraced(t *testing.T) {
-	id := trace.ID{Hi: 0x1111222233334444, Lo: 0x5555666677778888}
-	ctx := trace.NewContext(context.Background(), trace.Context{Trace: id, Span: 0x0102030405060708})
+	id := obs.ID{Hi: 0x1111222233334444, Lo: 0x5555666677778888}
+	ctx := obs.NewContext(context.Background(), obs.Context{Trace: id, Span: 0x0102030405060708})
 	payload := []byte("xyz")
 	frame := rawExchange(t, ctx, 9, payload)
 
@@ -104,7 +104,7 @@ func TestTracePropagation(t *testing.T) {
 	mux.Handle(3, func(ctx context.Context, p []byte) ([]byte, error) {
 		// The traced request's handler must see the inbound context.
 		if string(p) == "traced" {
-			if tc, ok := trace.FromContext(ctx); !ok || tc.Trace.IsZero() {
+			if tc, ok := obs.FromContext(ctx); !ok || tc.Trace.IsZero() {
 				t.Error("handler ctx carries no trace context")
 			}
 		}
@@ -115,7 +115,7 @@ func TestTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New("svc", 0)
+	tr := obs.NewTracer("svc")
 	srv := NewServer(mux)
 	srv.SetTrace(tr, func(m uint16) string { return "op3" })
 	go srv.Serve(lis)
@@ -128,8 +128,8 @@ func TestTracePropagation(t *testing.T) {
 	c := NewClient(conn)
 	defer c.Close()
 
-	id := trace.NewID()
-	ctx := trace.NewContext(context.Background(), trace.Context{Trace: id, Span: 42})
+	id := obs.NewID()
+	ctx := obs.NewContext(context.Background(), obs.Context{Trace: id, Span: 42})
 	if _, err := c.Call(ctx, 3, []byte("traced")); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTraceErrorSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New("svc", 0)
+	tr := obs.NewTracer("svc")
 	srv := NewServer(mux)
 	srv.SetTrace(tr, nil) // no name fn: the numeric fallback
 	go srv.Serve(lis)
@@ -178,7 +178,7 @@ func TestTraceErrorSpan(t *testing.T) {
 	c := NewClient(conn)
 	defer c.Close()
 
-	ctx, id := trace.WithRoot(context.Background())
+	ctx, id := obs.WithRoot(context.Background())
 	if _, err := c.Call(ctx, 4, nil); err == nil {
 		t.Fatal("expected remote error")
 	}
@@ -208,13 +208,13 @@ func TestTraceSurvivesRetryRedial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New("svc", 0)
+	tr := obs.NewTracer("svc")
 	srv := NewServer(mux)
 	srv.SetTrace(tr, func(m uint16) string { return "flaky_op" })
 	go srv.Serve(lis)
 	defer srv.Close()
 
-	ctx, id := trace.WithRoot(context.Background())
+	ctx, id := obs.WithRoot(context.Background())
 	attempts := 0
 	err = Retry(ctx, Backoff{Attempts: 5, Base: time.Millisecond}, func(ctx context.Context) error {
 		attempts++

@@ -33,9 +33,9 @@ type ReaderConfig struct {
 	// every Read fetches exactly the range it still needs (ablation
 	// benches; the simulator models per-request costs).
 	NoCache bool
-	// Collector, when non-nil, aggregates this reader's pipeline
-	// activity into shared client-wide metrics.
-	Collector *Collector
+	// Metrics, when non-nil, counts this reader's pipeline activity
+	// into its client's registry.
+	Metrics *Metrics
 }
 
 // ReadStats counts the reader-side pipeline activity (tests, tuning).
@@ -76,7 +76,7 @@ type Reader struct {
 	nextSeq int64                // block start that would continue the sequential run (-1 = none)
 	window  map[int64]*blockLoad // block start -> in-flight or completed background fetch
 	stats   ReadStats
-	coll    *Collector
+	m       *Metrics
 }
 
 var (
@@ -105,7 +105,8 @@ func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 	if readahead < 0 || cfg.NoCache {
 		readahead = 0
 	}
-	cfg.Collector.readerOpened()
+	m := orNoMetrics(cfg.Metrics)
+	m.readersOpen.Add(1)
 	return &Reader{
 		ctx:       ctx,
 		fetch:     cfg.Fetch,
@@ -116,7 +117,7 @@ func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 		cacheOff:  -1,
 		nextSeq:   -1,
 		window:    make(map[int64]*blockLoad),
-		coll:      cfg.Collector,
+		m:         m,
 	}
 }
 
@@ -215,7 +216,7 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 		r.window[blockStart] = f
 	} else {
 		r.stats.PrefetchHits++
-		r.coll.prefetchHit()
+		r.m.prefetchHits.Inc()
 	}
 
 	// Sequential-access detection: the run continues (or starts at the
@@ -229,7 +230,7 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 			ln := min(r.blockSize, r.size-next)
 			r.window[next] = r.startFetch(next, ln)
 			r.stats.Prefetched++
-			r.coll.prefetchStart()
+			r.m.prefetched.Inc()
 		}
 	}
 	r.nextSeq = blockStart + r.blockSize
@@ -311,7 +312,7 @@ func (r *Reader) lockedPruneBehind(blockStart int64) {
 			}
 			delete(r.window, start)
 			r.stats.Canceled++
-			r.coll.prefetchDrop()
+			r.m.canceled.Inc()
 		}
 	}
 }
@@ -364,7 +365,7 @@ func (r *Reader) Close() error {
 	defer r.mu.Unlock()
 	r.lockedCancelWindow()
 	if !r.closed {
-		r.coll.readerClosed()
+		r.m.readersOpen.Add(-1)
 	}
 	r.closed = true
 	wire.PutBuf(r.cache)

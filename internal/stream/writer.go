@@ -51,9 +51,9 @@ type WriterConfig struct {
 	// Append commits data through the storage layer's native append
 	// (required unless Start always selects offset mode).
 	Append func(ctx context.Context, data []byte) error
-	// Collector, when non-nil, aggregates this writer's write-behind
-	// activity into shared client-wide metrics.
-	Collector *Collector
+	// Metrics, when non-nil, counts this writer's write-behind activity
+	// into its client's registry.
+	Metrics *Metrics
 }
 
 // Writer is a sequential writer with write-behind buffering: data is
@@ -103,7 +103,8 @@ func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
 	if depth < 0 {
 		depth = 0
 	}
-	cfg.Collector.writerOpened()
+	cfg.Metrics = orNoMetrics(cfg.Metrics)
+	cfg.Metrics.writersOpen.Add(1)
 	return &Writer{
 		ctx:       ctx,
 		cfg:       cfg,
@@ -254,7 +255,7 @@ func (w *Writer) lockedEnqueueFull() error {
 			w.written += w.blockSize
 		}
 		w.lockedEnsureWorkers()
-		w.cfg.Collector.commitQueued()
+		w.cfg.Metrics.wbDepth.Add(1)
 		w.queue <- blk
 	}
 	return nil
@@ -289,7 +290,7 @@ func (w *Writer) commitLoop() {
 	for blk := range w.queue {
 		if w.asyncErr() != nil {
 			wire.PutBuf(blk.data)
-			w.cfg.Collector.commitDone(0)
+			w.cfg.Metrics.commitDone(0)
 			continue
 		}
 		var err error
@@ -301,7 +302,7 @@ func (w *Writer) commitLoop() {
 		if err != nil {
 			w.setAsyncErr(err)
 		}
-		w.cfg.Collector.commitDone(int64(len(blk.data)))
+		w.cfg.Metrics.commitDone(int64(len(blk.data)))
 		wire.PutBuf(blk.data)
 	}
 }
@@ -325,7 +326,7 @@ func (w *Writer) Close() error {
 	if err := w.asyncErr(); err != nil {
 		w.closed = true
 		w.closeErr = err
-		w.cfg.Collector.writerClosed()
+		w.cfg.Metrics.writersOpen.Add(-1)
 		return err
 	}
 	if err := w.lockedFlush(true); err != nil {
@@ -334,7 +335,7 @@ func (w *Writer) Close() error {
 	wire.PutBuf(w.buf)
 	w.buf = nil
 	w.closed = true
-	w.cfg.Collector.writerClosed()
+	w.cfg.Metrics.writersOpen.Add(-1)
 	return nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
-	"blobseer/internal/metrics"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wal"
 	"blobseer/internal/wire"
@@ -149,7 +149,7 @@ type OpCounts struct {
 	Snapshot    int64
 }
 
-// Total sums every per-op counter (== Service.Calls()).
+// Total sums every per-op counter.
 func (o OpCounts) Total() int64 {
 	return o.Create + o.GetMeta + o.Assign + o.Commit + o.Abort + o.Latest +
 		o.VersionInfo + o.History + o.Wait + o.List + o.Prune + o.PrunedBelow +
@@ -175,11 +175,13 @@ func MethodName(m uint16) string {
 // Service is the RPC shell around State, plus the dead-writer janitor.
 type Service struct {
 	state *State
-	calls atomic.Int64
-	ops   [mForceSnapshot]atomic.Int64 // indexed by RPC method - 1
 
-	reg       *metrics.Registry
-	opLatency [mForceSnapshot]*metrics.Histogram
+	// Per RPC method - 1: dispatches, counted on entry (a parked
+	// WaitPublished counts before it answers), and latency, observed on
+	// exit.
+	reg       *obs.Registry
+	ops       [mForceSnapshot]*obs.Counter
+	opLatency [mForceSnapshot]*obs.Histogram
 
 	stopJanitor chan struct{}
 }
@@ -187,11 +189,11 @@ type Service struct {
 // NewService wraps state.
 func NewService(state *State) *Service {
 	s := &Service{state: state, stopJanitor: make(chan struct{})}
-	s.reg = metrics.NewRegistry()
+	s.reg = obs.NewRegistry()
 	for m := uint16(1); m <= mForceSnapshot; m++ {
+		s.ops[m-1] = s.reg.Counter("ops_" + opNames[m-1])
 		s.opLatency[m-1] = s.reg.Histogram("latency_" + opNames[m-1])
 	}
-	s.reg.GaugeFunc("rpc_calls", s.calls.Load)
 	// WAL shape gauges: evaluated only at scrape time. A manager running
 	// without a WAL reports zeros.
 	walGauge := func(pick func(wal.Status) int64) func() int64 {
@@ -221,7 +223,7 @@ func NewService(state *State) *Service {
 
 // Metrics exposes the shard's registry (per-op latency histograms,
 // dispatch counts, WAL group-commit gauges) for HTTP export.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
+func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // State exposes the core (simulator, tests).
 func (s *Service) State() *State { return s.state }
@@ -229,36 +231,34 @@ func (s *Service) State() *State { return s.state }
 // Calls reports the cumulative RPC dispatch count — the metadata
 // round-trips clients have charged this version manager. Regression
 // tests pin it: reads against a pinned core.Snapshot must not grow it.
-// It always equals Ops().Total().
-func (s *Service) Calls() int64 { return s.calls.Load() }
+func (s *Service) Calls() int64 { return s.Ops().Total() }
 
 // Ops reports the dispatch count split by operation.
 func (s *Service) Ops() OpCounts {
 	return OpCounts{
-		Create:      s.ops[mCreateBlob-1].Load(),
-		GetMeta:     s.ops[mGetMeta-1].Load(),
-		Assign:      s.ops[mAssignVersion-1].Load(),
-		Commit:      s.ops[mCommit-1].Load(),
-		Abort:       s.ops[mAbort-1].Load(),
-		Latest:      s.ops[mLatest-1].Load(),
-		VersionInfo: s.ops[mVersionInfo-1].Load(),
-		History:     s.ops[mHistory-1].Load(),
-		Wait:        s.ops[mWaitPublished-1].Load(),
-		List:        s.ops[mListBlobs-1].Load(),
-		Prune:       s.ops[mPrune-1].Load(),
-		PrunedBelow: s.ops[mPrunedBelow-1].Load(),
-		WALStatus:   s.ops[mWALStatus-1].Load(),
-		Snapshot:    s.ops[mForceSnapshot-1].Load(),
+		Create:      s.ops[mCreateBlob-1].Value(),
+		GetMeta:     s.ops[mGetMeta-1].Value(),
+		Assign:      s.ops[mAssignVersion-1].Value(),
+		Commit:      s.ops[mCommit-1].Value(),
+		Abort:       s.ops[mAbort-1].Value(),
+		Latest:      s.ops[mLatest-1].Value(),
+		VersionInfo: s.ops[mVersionInfo-1].Value(),
+		History:     s.ops[mHistory-1].Value(),
+		Wait:        s.ops[mWaitPublished-1].Value(),
+		List:        s.ops[mListBlobs-1].Value(),
+		Prune:       s.ops[mPrune-1].Value(),
+		PrunedBelow: s.ops[mPrunedBelow-1].Value(),
+		WALStatus:   s.ops[mWALStatus-1].Value(),
+		Snapshot:    s.ops[mForceSnapshot-1].Value(),
 	}
 }
 
-// counted wraps a handler with the total and per-op dispatch counters
-// plus the per-op latency histogram.
+// counted wraps a handler with its dispatch counter and latency
+// histogram.
 func (s *Service) counted(m uint16, fn rpc.FrameHandler) rpc.FrameHandler {
-	h := s.opLatency[m-1]
+	ops, h := s.ops[m-1], s.opLatency[m-1]
 	return func(ctx context.Context, p []byte) (*wire.Buffer, error) {
-		s.calls.Add(1)
-		s.ops[m-1].Add(1)
+		ops.Inc()
 		t0 := time.Now()
 		resp, err := fn(ctx, p)
 		h.ObserveSince(t0)

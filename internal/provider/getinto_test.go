@@ -18,11 +18,12 @@ import (
 // fallback for a store that cannot lend.
 type noLend struct{ store.Store }
 
-// TestGetInto: the bytes land in dst whether the store lent them or
-// read them into the frame; a block shorter than dst yields its count
-// and leaves the rest of dst to the caller; a miss leaves all of it.
+// TestGetInto: the bytes land in dst whether the store lent them, lent
+// their file or read them into the frame; a block shorter than dst
+// yields its count and leaves the rest of dst to the caller; a miss
+// leaves all of it.
 func TestGetInto(t *testing.T) {
-	for name, st := range map[string]store.Store{"lends": store.NewMemStore(), "reads": noLend{store.NewMemStore()}} {
+	for name, st := range map[string]store.Store{"lends": store.NewMemStore(), "files": fileStore(t), "reads": noLend{store.NewMemStore()}} {
 		t.Run(name, func(t *testing.T) {
 			n := rpc.NewInprocNetwork()
 			lis, err := n.Listen("p")

@@ -34,12 +34,12 @@ func serveProvider(t *testing.T, st store.Store) *Client {
 func marked(n int) []byte { return bytes.Repeat([]byte{0xAA}, n) }
 
 // TestGetRanges: one call fetches ranges of several blocks, whether the
-// store lent them or read them into the frame. Each lands in its own
-// destination; a block shorter than its range yields its count and
-// leaves the rest of the destination alone; a missing block fails the
-// call before any destination is written.
+// store lent them, lent their files or read them into the frame. Each
+// lands in its own destination; a block shorter than its range yields its
+// count and leaves the rest of the destination alone; a missing block
+// fails the call before any destination is written.
 func TestGetRanges(t *testing.T) {
-	for name, st := range map[string]store.Store{"lends": store.NewMemStore(), "reads": noLend{store.NewMemStore()}} {
+	for name, st := range map[string]store.Store{"lends": store.NewMemStore(), "files": fileStore(t), "reads": noLend{store.NewMemStore()}} {
 		t.Run(name, func(t *testing.T) {
 			c, ctx := serveProvider(t, st), context.Background()
 			var keys []blob.BlockKey

@@ -324,33 +324,40 @@ func decodeRange(r *wire.Reader) (key blob.BlockKey, off, length int64) {
 	return key, off, min(r.I64(), wire.MaxFrameSize)
 }
 
+// maxFileTails caps the files a get response holds open: its last ranges
+// go out as file tails, any before them are read into the frame.
+const maxFileTails = 16
+
 // handleGetBlock serves every range of the request in one response and never
 // copies their bytes into a slice of their own: a store that lends sends
-// its own bytes as the response frame's tails, any other reads straight
-// into the frame. A negative length is refused, and a missing block fails
-// the whole request.
+// its own bytes as the response frame's tails, a file store its files,
+// any other reads straight into the frame. A negative length is refused,
+// and a missing block fails the whole request.
 func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	k := len(payload) / rangeSize
 	if k == 0 || len(payload) != k*rangeSize {
 		return nil, fmt.Errorf("provider: a get request of %d bytes is not a list of %d-byte ranges", len(payload), rangeSize)
 	}
-	body := int64(4 * k)
-	for r := wire.NewReader(payload); r.Remaining() > 0; {
+	l, byRef := s.store.(store.Lender)
+	fl, byFile := s.store.(store.FileLender)
+	firstFile := k // the first range sent as a file tail
+	if byFile {
+		firstFile = max(0, k-maxFileTails)
+	}
+	size := int64(4 * k) // the counts and the ranges read into the frame
+	for i, r := 0, wire.NewReader(payload); r.Remaining() > 0; i++ {
 		_, _, length := decodeRange(r)
 		if length < 0 {
 			return nil, fmt.Errorf("provider: a get range of negative length %d", length)
 		}
-		body += length
+		if !byRef && i < firstFile {
+			size += length
+		}
 	}
-	l, byRef := s.store.(store.Lender)
-	if !byRef && body > maxGetBody {
-		return nil, fmt.Errorf("provider: a get of %d ranges asks for %d bytes, more than a frame holds", k, body)
+	if size > maxGetBody {
+		return nil, fmt.Errorf("provider: a get of %d ranges asks for %d bytes, more than a frame holds", k, size)
 	}
-	size := 4 * k
-	if !byRef {
-		size = int(body)
-	}
-	f := rpc.NewFrame(size)
+	f := rpc.NewFrame(int(size))
 	f.Extend(4 * k) // the counts, filled in as the pieces come
 	var sent int64
 	r := wire.NewReader(payload)
@@ -363,6 +370,12 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 			data, err = l.Lend(key.String(), off, length)
 			f.Attach(data)
 			n = len(data)
+		} else if i >= firstFile {
+			file, m, ferr := fl.LendFile(key.String(), off, length)
+			if err = ferr; err == nil {
+				f.AttachFile(file, max(off, 0), m)
+			}
+			n = int(m)
 		} else {
 			n, err = s.store.ReadAt(key.String(), f.Extend(int(length)), off)
 			f.Truncate(f.Len() - int(length) + n)

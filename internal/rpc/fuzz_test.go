@@ -1,10 +1,12 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -101,5 +103,85 @@ func FuzzServerFrame(f *testing.F) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("server did not shut down: a handler or the read loop hangs")
 		}
+	})
+}
+
+// FuzzCallIntoResponse answers a CallInto of 1 to 4 dsts (sizes: a byte
+// each) over net.Pipe with an arbitrary response — flags, status and body
+// — and then a well-formed one. Nothing may panic; no byte may land in a
+// dst past its count, nor in any dst when the call fails (a misfit among
+// them); and the second call must land its bytes exactly, unless the
+// first response broke the protocol and the conn was closed.
+func FuzzCallIntoResponse(f *testing.F) {
+	counted := func(counts []byte, pieces string) []byte { return append(counts, pieces...) }
+	f.Add(uint8(flagResponse), uint16(0), []byte{3, 2}, counted([]byte{0, 0, 0, 3, 0, 0, 0, 2}, "abcde"))
+	f.Add(uint8(flagResponse), uint16(0), []byte{3, 2}, counted([]byte{0, 0, 0, 3, 0, 0, 0, 3}, "abcdef")) // a count too large
+	f.Add(uint8(flagResponse), uint16(0), []byte{3}, counted([]byte{0, 0, 0, 2}, "abc"))                   // a body too long
+	f.Add(uint8(flagResponse), uint16(0), []byte{3, 2, 1, 9}, []byte{0, 0, 0})                             // shorter than its counts
+	f.Add(uint8(flagResponse), uint16(77), []byte{3}, []byte("refused"))
+	f.Add(uint8(0), uint16(0), []byte{3}, counted([]byte{0, 0, 0, 3}, "abc")) // not a response
+	f.Fuzz(func(t *testing.T, flags uint8, status uint16, sizes, body []byte) {
+		k := min(max(len(sizes), 1), 4)
+		const guard = 8
+		backing, dsts := make([][]byte, k), make([][]byte, k)
+		for i := range dsts {
+			n := 0
+			if i < len(sizes) {
+				n = int(sizes[i])
+			}
+			backing[i] = bytes.Repeat([]byte{0xEE}, n+guard)
+			dsts[i] = backing[i][:n:n]
+		}
+		cli, srv := net.Pipe()
+		defer srv.Close()
+		c := NewClient(cli)
+		defer c.Close()
+		c.SetIOTimeout(5 * time.Second)
+		second := make([]byte, 4*k)
+		for i := range dsts {
+			binary.BigEndian.PutUint32(second[4*i:], uint32(min(len(dsts[i]), 1)))
+			if len(dsts[i]) > 0 {
+				second = append(second, byte('A'+i))
+			}
+		}
+		go func() {
+			for id, resp := range [][]byte{body, second} {
+				if _, err := io.CopyN(io.Discard, srv, int64(wire.FrameLenSize+hdrLen)); err != nil {
+					return
+				}
+				frame := rawFrame(uint64(id+1), 1, flagResponse, resp)
+				if id == 0 {
+					frame[wire.FrameLenSize+10] = flags
+					binary.BigEndian.PutUint16(frame[wire.FrameLenSize+11:], status)
+				}
+				if _, err := srv.Write(frame); err != nil {
+					return
+				}
+			}
+		}()
+		resp, err := c.CallInto(context.Background(), 1, NewFrame(0), dsts...)
+		for i, b := range backing {
+			landed := 0
+			if err == nil {
+				landed = int(binary.BigEndian.Uint32(resp[4*i:]))
+			}
+			if rest := b[landed:]; !bytes.Equal(rest, bytes.Repeat([]byte{0xEE}, len(rest))) {
+				t.Fatalf("call = %v: dst %d was written past the %d bytes it was given", err, i, landed)
+			}
+		}
+		wire.PutBuf(resp)
+
+		resp, err = c.CallInto(context.Background(), 1, NewFrame(0), dsts...)
+		if framed := flags&flagResponse != 0; framed != (err == nil) {
+			t.Fatalf("the call after a response of flags %#x = %v", flags, err)
+		} else if !framed {
+			return // the conn was closed
+		}
+		for i, d := range dsts {
+			if len(d) > 0 && d[0] != byte('A'+i) {
+				t.Fatalf("the call after the fuzzed response landed %q in dst %d", d[:1], i)
+			}
+		}
+		wire.PutBuf(resp)
 	})
 }

@@ -30,7 +30,8 @@
 // reference both ways: a frame's tails (wire.Buffer.Tail32, Attach) stay
 // the caller's, are sent with the frame (one writev on TCP) and must not
 // change until the call — or, for a response, the handler's frame write
-// — has returned. CallInto's dsts are written only between call and
+// — has returned. A frame's file tails (AttachFile) are the frame's and
+// follow the others, by sendfile on TCP. CallInto's dsts are written only between call and
 // return, each only up to the count the response gives it, and none of
 // them when any count does not fit: a call that gives up while its
 // response is landing returns once the read has ended. Pool.Call wraps
@@ -40,6 +41,7 @@
 package rpc
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -50,6 +52,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"blobseer/internal/obs"
@@ -91,12 +94,19 @@ type frameWriter struct {
 	// once the conn has sent one with as many tails.
 	pieces [][]byte
 	vec    net.Buffers // pieces as WriteTo consumes them
+	// File tails go by sendfile on a raw fd (TCP): the RawConn, callback
+	// and tail being sent live here, so that a file tail allocates nothing.
+	raw     syscall.RawConn // nil: the conn has none, file tails are copied
+	send    func(sock uintptr) bool
+	file    wire.FileTail // what is left of the tail being sent
+	fileErr error
 }
 
 // writeFrame completes f's headers in place, puts the frame on the conn
 // and releases f, always. A frame without a tail is exactly one Write; a
 // tailed one is one vectored write where the conn has that (TCP: writev)
-// and otherwise one more Write per tail under the same lock.
+// and otherwise one more Write per tail under the same lock. File tails
+// follow; one cut short fails the write, and the caller closes the conn.
 func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
 	id uint64, method uint16, flags uint8, status uint16, tc obs.Context) error {
 	b := f.Raw()
@@ -120,6 +130,9 @@ func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
 	for _, p := range w.pieces {
 		n += len(p)
 	}
+	for _, t := range f.Files() {
+		n += int(t.N)
+	}
 	binary.BigEndian.PutUint32(b, uint32(n))
 	if deadline > 0 {
 		// A peer that stopped draining its socket must not wedge the
@@ -134,8 +147,32 @@ func (w *frameWriter) writeFrame(deadline time.Duration, f *wire.Buffer,
 		_, err = w.vec.WriteTo(w.conn)
 	}
 	clear(w.pieces) // the tails are the caller's again
+	for i := 0; err == nil && i < len(f.Files()); i++ {
+		err = w.writeFile(f.Files()[i])
+	}
 	w.mu.Unlock()
 	f.Release()
+	return err
+}
+
+// writeFile sends a file tail: by sendfile, else via a recycled buffer.
+func (w *frameWriter) writeFile(t wire.FileTail) error {
+	if w.send == nil {
+		w.send = w.sendfile
+		if sc, ok := w.conn.(syscall.Conn); ok && haveSendfile {
+			w.raw, _ = sc.SyscallConn() // a conn that has none is copied to
+		}
+	}
+	if w.raw != nil {
+		w.file, w.fileErr = t, nil
+		return cmp.Or(w.raw.Write(w.send), w.fileErr)
+	}
+	buf := wire.GetBuf(int(min(t.N, 1<<20)))
+	defer wire.PutBuf(buf)
+	n, err := io.CopyBuffer(w.conn, io.NewSectionReader(t.F, t.Off, t.N), buf[:cap(buf)])
+	if err == nil && n < t.N {
+		err = io.ErrUnexpectedEOF
+	}
 	return err
 }
 

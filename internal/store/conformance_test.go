@@ -3,7 +3,11 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -128,8 +132,35 @@ func TestPutWriterFrameOrders(t *testing.T) {
 	}
 }
 
-// TestLends: a backend that lends (store.Lender; mem:// is the one that
-// does) hands out the bytes it holds, clamped like GetRange, and those
+// lendFunc is Lend or LendFile, with the lent bytes behind a reader.
+type lendFunc func(key string, off, length int64) (io.ReadSeeker, error)
+
+// lenderOf returns st's lend function, nil for a backend that does not lend.
+func lenderOf(t *testing.T, st store.Store) lendFunc {
+	switch l := st.(type) {
+	case store.Lender:
+		return func(key string, off, length int64) (io.ReadSeeker, error) {
+			v, err := l.Lend(key, off, length)
+			if err == nil && cap(v) != len(v) {
+				err = fmt.Errorf("lent %d bytes with room for %d", len(v), cap(v))
+			}
+			return bytes.NewReader(v), err
+		}
+	case store.FileLender:
+		return func(key string, off, length int64) (io.ReadSeeker, error) {
+			f, n, err := l.LendFile(key, off, length)
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { f.Close() })
+			return io.NewSectionReader(f, max(off, 0), n), nil
+		}
+	}
+	return nil
+}
+
+// TestLends: a backend that lends (store.Lender, mem://; store.FileLender,
+// file://) hands out the bytes it holds, clamped like GetRange, and those
 // bytes never change — not when the key is overwritten, not when it is
 // deleted — while the store still never keeps a slice it was handed.
 func TestLends(t *testing.T) {
@@ -137,28 +168,38 @@ func TestLends(t *testing.T) {
 	for _, b := range backends {
 		st := b.mk(t)
 		defer st.Close()
-		l, ok := st.(store.Lender)
-		if !ok {
+		lend := lenderOf(t, st)
+		if lend == nil {
 			continue
 		}
 		lenders = append(lenders, b.name)
-		if _, err := l.Lend("absent", 0, -1); err != store.ErrNotFound {
-			t.Fatalf("%s: Lend of an absent key: err = %v, want ErrNotFound", b.name, err)
+		read := func(r io.ReadSeeker) string {
+			r.Seek(0, io.SeekStart)
+			v, err := io.ReadAll(r)
+			if err != nil {
+				t.Fatalf("%s: reading lent bytes: %v", b.name, err)
+			}
+			return string(v)
+		}
+		if _, err := lend("absent", 0, -1); err != store.ErrNotFound {
+			t.Fatalf("%s: lend of an absent key: err = %v, want ErrNotFound", b.name, err)
 		}
 		val := []byte("0123456789")
 		if err := st.Put("k", val); err != nil {
 			t.Fatal(err)
 		}
 		clear(val) // WritesCopy: what is lent is the store's copy, not the caller's slice
-		lent, err := l.Lend("k", 2, 5)
-		if err != nil || string(lent) != "23456" || cap(lent) != len(lent) {
-			t.Fatalf("%s: Lend(2, 5) = %q (cap %d), %v", b.name, lent, cap(lent), err)
+		for _, c := range []struct {
+			off, length int64
+			want        string
+		}{{7, -1, "789"}, {20, 5, ""}, {-3, 2, "01"}, {1, math.MaxInt64, "123456789"}} {
+			if r, err := lend("k", c.off, c.length); err != nil || read(r) != c.want {
+				t.Fatalf("%s: lend(%d, %d) = %v, want %q", b.name, c.off, c.length, err, c.want)
+			}
 		}
-		if end, err := l.Lend("k", 7, -1); err != nil || string(end) != "789" {
-			t.Fatalf("%s: Lend(7, to the end) = %q, %v", b.name, end, err)
-		}
-		if past, err := l.Lend("k", 20, 5); err != nil || len(past) != 0 {
-			t.Fatalf("%s: Lend past the end = %q, %v", b.name, past, err)
+		lent, err := lend("k", 2, 5)
+		if err != nil {
+			t.Fatalf("%s: lend(2, 5): %v", b.name, err)
 		}
 		err = st.Put("k", []byte("overwritten"))
 		w, werr := st.PutWriter("k")
@@ -168,18 +209,18 @@ func TestLends(t *testing.T) {
 		if err != nil || werr != nil {
 			t.Fatal(err, werr)
 		}
-		if string(lent) != "23456" {
-			t.Fatalf("%s: lent bytes read %q after the key was overwritten", b.name, lent)
+		if got := read(lent); got != "23456" {
+			t.Fatalf("%s: lent bytes read %q after the key was overwritten", b.name, got)
 		}
 		if err := st.Delete("k"); err != nil {
 			t.Fatal(err)
 		}
-		if string(lent) != "23456" {
-			t.Fatalf("%s: lent bytes read %q after the key was deleted", b.name, lent)
+		if got := read(lent); got != "23456" {
+			t.Fatalf("%s: lent bytes read %q after the key was deleted", b.name, got)
 		}
 	}
-	if len(lenders) != 1 || lenders[0] != "Mem" {
-		t.Errorf("backends that lend: %v, want mem:// alone", lenders)
+	if want := []string{"Mem", "FS", "FSSync"}; !slices.Equal(lenders, want) {
+		t.Errorf("backends that lend: %v, want %v", lenders, want)
 	}
 }
 

@@ -192,29 +192,39 @@ func (s *FSStore) ReadAt(key string, p []byte, off int64) (int, error) {
 // readRange reads [off, off+length) of key's file, clamped to the file,
 // into the slice dst supplies for the clamped length.
 func (s *FSStore) readRange(key string, off, length int64, dst func(n int64) []byte) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, err := os.Open(s.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ErrNotFound
-	}
+	f, l, err := s.LendFile(key, off, length)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	o, l := clampRange(fi.Size(), off, length)
 	buf := dst(l)
 	if l == 0 {
 		return buf, nil
 	}
-	if _, err := f.ReadAt(buf, o); err != nil {
+	if _, err := f.ReadAt(buf, max(off, 0)); err != nil {
 		return nil, fmt.Errorf("fsstore: read %s: %w", key, err)
 	}
 	return buf, nil
+}
+
+// LendFile implements FileLender.
+func (s *FSStore) LendFile(key string, off, length int64) (*os.File, int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	f, err := os.Open(s.path(key))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, ErrNotFound
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	_, l := clampRange(fi.Size(), off, length)
+	return f, l, nil
 }
 
 // Has implements Store.

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -137,6 +138,9 @@ func parseRange(rng string) (off, length int64, ok bool) {
 	end, err := strconv.ParseInt(b, 10, 64)
 	if err != nil || end < off {
 		return 0, 0, false
+	}
+	if end-off == math.MaxInt64 { // end-off+1 would wrap: to the end
+		return off, -1, true
 	}
 	return off, end - off + 1, true
 }

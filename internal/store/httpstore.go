@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -124,7 +125,7 @@ func (s *HTTPStore) ranged(key string, off, length int64, read func(body io.Read
 	if err != nil {
 		return err
 	}
-	if length < 0 {
+	if length < 0 || length > math.MaxInt64-off { // the end would overflow: read to it
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", off))
 	} else {
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+length-1))

@@ -18,7 +18,10 @@
 // store's, and read-only for ever.
 package store
 
-import "errors"
+import (
+	"errors"
+	"os"
+)
 
 // ErrNotFound is returned when a key is absent.
 var ErrNotFound = errors.New("store: key not found")
@@ -98,9 +101,20 @@ type Store interface {
 // in memory and never modifies one in place; callers type-assert for it
 // and fall back to ReadAt. Lend is GetRange by reference: the bytes as
 // the store holds them, read-only for ever, and unchanged for as long as
-// they are referenced, even once the key is overwritten or deleted.
+// they are referenced, even once the key is overwritten or deleted. A
+// provider sends them as a frame's byte tail (wire.Buffer.Attach).
 type Lender interface {
 	Lend(key string, off, length int64) ([]byte, error)
+}
+
+// FileLender is Lender for a backend that keeps each value in a file
+// replaced only by rename (file://): LendFile opens key's file and clamps
+// the range like GetRange, lending the n bytes at max(off, 0). The caller
+// closes the file — a provider hands it to a frame as a file tail
+// (wire.Buffer.AttachFile) — and its bytes outlive an overwrite or delete
+// of the key, neither of which touches an open file.
+type FileLender interface {
+	LendFile(key string, off, length int64) (f *os.File, n int64, err error)
 }
 
 // Pair is one key/value of a BatchPutter's batch, both still the caller's.
@@ -118,6 +132,8 @@ type BatchPutter interface {
 	PutBatch(pairs []Pair) error
 }
 
+// clampRange cuts [off, off+length) to a value of valLen bytes; length < 0
+// reads to the end. It never adds off and length, which may overflow.
 func clampRange(valLen, off, length int64) (int64, int64) {
 	if off < 0 {
 		off = 0
@@ -125,7 +141,7 @@ func clampRange(valLen, off, length int64) (int64, int64) {
 	if off >= valLen {
 		return valLen, 0
 	}
-	if length < 0 || off+length > valLen {
+	if length < 0 || length > valLen-off {
 		length = valLen - off
 	}
 	return off, length

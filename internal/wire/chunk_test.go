@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,44 @@ func TestTailEndsTheBody(t *testing.T) {
 		b.Reset()
 		b.Tail32(nil)
 		encode(b) // must not panic
+	}
+}
+
+// TestAttachFile: a file tail follows the slices and ends the frame —
+// neither an encode nor an Attach may follow it — and the frame closes
+// the file when it is released or reset, sent or not.
+func TestAttachFile(t *testing.T) {
+	for _, release := range []bool{true, false} {
+		f, err := os.Open(os.DevNull)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewFrame(8, 8)
+		b.U32(3)
+		b.Attach([]byte("one"))
+		b.AttachFile(f, 5, 7)
+		if got := b.Files(); len(got) != 1 || got[0] != (FileTail{F: f, Off: 5, N: 7}) || len(b.AppendTails(nil)) != 1 {
+			t.Fatalf("file tails %v after one slice and one file", got)
+		}
+		for name, after := range map[string]func(){"U8": func() { b.U8(1) }, "Attach": func() { b.Attach([]byte("x")) }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s after AttachFile did not panic", name)
+					}
+				}()
+				after()
+			}()
+		}
+		if release {
+			b.Release()
+		} else {
+			b.Reset()
+			defer b.Release()
+		}
+		if err := f.Close(); !errors.Is(err, os.ErrClosed) || len(b.files) != 0 {
+			t.Errorf("release=%v: the file was not closed with the frame (Close = %v)", release, err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"slices"
 	"sync"
 )
@@ -30,14 +31,24 @@ const MaxFrameSize = 80 << 20
 //
 // A frame (NewFrame) is a recycled Buffer over a recycled slice: Release
 // hands both back to their free lists, and the Buffer is dead from then
-// on, like every slice obtained from it. The slices sent after the body
-// by reference collect in a vector the Buffer keeps when it is reused, so
-// once warm neither a frame nor its tails allocate.
+// on, like every slice obtained from it. A frame's bytes come in three
+// kinds, sent in this order: the body, which the frame owns; byte tails
+// (Tail32, Attach), slices sent by reference that stay the caller's; and
+// file tails (AttachFile), file ranges the frame owns and closes on
+// Release, sent or not. The tails collect in vectors the Buffer keeps
+// when it is reused, so once warm neither a frame nor its tails allocate.
 type Buffer struct {
 	b     []byte
-	head  int      // bytes of b in front of the body (a frame's header room)
-	tails [][]byte // the slices sent after the body, by reference (Attach)
-	freed bool     // released: dead until NewFrame hands it out again
+	head  int        // bytes of b in front of the body (a frame's header room)
+	tails [][]byte   // the slices sent after the body, by reference (Attach)
+	files []FileTail // the file ranges sent after the slices (AttachFile)
+	freed bool       // released: dead until NewFrame hands it out again
+}
+
+// FileTail is N bytes of F at Off, sent after a frame's byte tails.
+type FileTail struct {
+	F      *os.File
+	Off, N int64
 }
 
 // maxKeptTails bounds the tail vector a recycled Buffer keeps.
@@ -96,8 +107,8 @@ func (e *Buffer) Raw() []byte {
 }
 
 // Release recycles a frame's slice and the Buffer itself; both, and every
-// slice obtained from them, are dead afterwards. The tails are the
-// caller's and only let go. Releasing a dead Buffer again does nothing.
+// slice obtained from them, are dead afterwards. Byte tails are let go
+// of, file tails closed. Releasing a dead Buffer again does nothing.
 func (e *Buffer) Release() {
 	if e.freed {
 		misuse("Release")
@@ -106,8 +117,8 @@ func (e *Buffer) Release() {
 	PutBuf(e.b)
 	e.b, e.head = nil, 0
 	e.dropTails()
-	if cap(e.tails) > maxKeptTails {
-		e.tails = nil
+	if cap(e.tails) > maxKeptTails || cap(e.files) > maxKeptTails {
+		e.tails, e.files = nil, nil
 	}
 	if poisoned.on.Load() {
 		e.freed = true // retired, so that any later use panics
@@ -143,17 +154,35 @@ func (e *Buffer) Tail32(v []byte) {
 // Attach sends v after the body and after every slice attached before
 // it, by reference, with no prefix: the body must already say how long v
 // is. Like Tail32's slice, v stays the caller's and must not change until
-// the frame has been sent; nothing but another Attach may follow it.
+// the frame has been sent; only Attach or AttachFile may follow it.
 func (e *Buffer) Attach(v []byte) {
+	if len(e.files) > 0 {
+		panic("wire: Attach after AttachFile")
+	}
 	if len(v) > 0 { // an empty slice has nothing to send
 		e.tails = append(e.tails, v)
 	}
 }
 
-// dropTails lets go of every attached slice and keeps the vector.
+// AttachFile sends n bytes of f at off after every tail attached before
+// it, which the body must say, like Attach's. The frame owns f and closes
+// it on Release, sent or not; nothing but an AttachFile may follow it.
+func (e *Buffer) AttachFile(f *os.File, off, n int64) {
+	e.files = append(e.files, FileTail{F: f, Off: off, N: n})
+}
+
+// Files returns the file tails in order; they stay the frame's.
+func (e *Buffer) Files() []FileTail { return e.files }
+
+// dropTails lets go of the slices, closes the files and keeps the vectors.
 func (e *Buffer) dropTails() {
 	clear(e.tails)
 	e.tails = e.tails[:0]
+	for _, t := range e.files {
+		t.F.Close()
+	}
+	clear(e.files)
+	e.files = e.files[:0]
 }
 
 // open starts every append: a released Buffer takes none, and a tail
@@ -162,7 +191,7 @@ func (e *Buffer) open() {
 	if e.freed {
 		misuse("encode")
 	}
-	if len(e.tails) > 0 {
+	if len(e.tails) > 0 || len(e.files) > 0 {
 		panic("wire: encode after Tail32")
 	}
 }

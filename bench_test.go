@@ -131,17 +131,17 @@ func BenchmarkAblationReplication(b *testing.B) {
 // claim: every demoted block readable, hot path within 10% of plain fs.
 func BenchmarkAblationTiering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := bench.TieringBenchRun(true)
+		r, err := bench.TieringReport(true)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := r.Check(); err != nil {
 			b.Fatal(err)
 		}
-		report(b, r.Throughput)
-		b.ReportMetric(r.HotRatio, "hot_ratio")
-		b.ReportMetric(r.PromotedRatio, "promoted_ratio")
-		b.ReportMetric(r.Readable, "readable")
+		report(b, r.Sections[0].Series)
+		for _, k := range []string{"hot_ratio", "promoted_ratio", "readable"} {
+			b.ReportMetric(r.Values[k], k)
+		}
 	}
 }
 

@@ -15,8 +15,9 @@
 //
 // The figures and ablations are simulated and deterministic: every run
 // prints the same digits (-recovery, -vmshard and -tiering run the real
-// stack and do not). The expected shapes are pinned by the shape tests
-// in internal/bench.
+// stack and do not). Their sweeps are bench.Figures and bench.Ablations;
+// internal/bench's golden test pins what -quick and -ablations print,
+// and its shape tests pin the expected curves.
 package main
 
 import (
@@ -97,85 +98,43 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	writeReport := func(path string, report any) {
-		die("write report", bench.WriteJSON(path, report))
-		fmt.Println("wrote", path)
-	}
-	if *recovery {
-		r, err := bench.CrashRecoveryBench(*quick)
-		die("recovery bench", err)
-		fmt.Println(bench.Table("Crash recovery — publication-line durability (vmanager kill+restart)", r.Durability))
-		fmt.Println(bench.Table("Crash recovery — cold replay time vs log length", r.RecoveryTime))
-		fmt.Println(bench.Table("Crash recovery — fsync policy throughput cost", r.FsyncCost))
-		writeReport("BENCH_recovery.json", r)
-	}
-	if *vmshard {
-		r, err := bench.VMShardScalingBench(*quick)
-		die("vmshard bench", err)
-		fmt.Println(bench.Table("Control-plane sharding — publish throughput vs shard count (8 writers)", r.ShardScaling))
-		fmt.Println(bench.Table("WAL group commit — durable publish rate vs concurrent writers", r.GroupCommit))
-		writeReport("BENCH_vmshard.json", r)
-	}
-	if *tiering {
-		r, err := bench.TieringBenchRun(*quick)
-		die("tiering bench", err)
-		fmt.Println(bench.Table("Store tiering — read throughput per arm (fs baseline, tiered hot, cold+promote, promoted)", r.Throughput))
-		fmt.Printf("hot_ratio=%.3f promoted_ratio=%.3f readable=%.3f demotions=%d promotions=%d\n",
-			r.HotRatio, r.PromotedRatio, r.Readable, r.Demotions, r.Promotions)
-		writeReport("BENCH_tiering.json", r)
-		die("tiering acceptance", r.Check())
-	}
-	if *recovery || *vmshard || *tiering {
-		return
-	}
-
-	if *ablations {
-		fmt.Println(bench.Table("Ablation — placement strategy (Fig-4 workload, 150 readers)",
-			bench.AblationPlacement(150)))
-		fmt.Println(bench.Table("Ablation — metadata providers (Fig-4 workload, 150 readers)",
-			bench.AblationMetadataProviders(150, []int{1, 5, 10, 20})))
-		fmt.Println(bench.Table("Ablation — version-manager service time (Fig-5 workload, 150 appenders)",
-			bench.AblationVMService(150, []float64{0.5, 2, 10, 50})))
-		fmt.Println(bench.Table("Ablation — block size (4 GB single writer)",
-			bench.AblationBlockSize(4, []int{16, 32, 64, 128})))
-		fmt.Println(bench.Table("Ablation — replication level (4 GB single writer)",
-			bench.AblationReplication(4, []int{1, 2, 3})))
-		return
-	}
-
-	var (
-		gbs     = []float64{1, 2, 4, 6, 8, 10, 12, 14, 16}
-		clients = []int{1, 25, 50, 75, 100, 125, 150, 175, 200, 225, 250}
-		mappers = []int{50, 25, 10, 5, 2, 1}
-		inputs  = []float64{6.4, 8.0, 9.6, 11.2, 12.8}
-	)
-	if *quick {
-		gbs = []float64{1, 8, 16}
-		clients = []int{1, 100, 250}
-		mappers = []int{50, 5, 1}
-		inputs = []float64{6.4, 9.6, 12.8}
-	}
-
-	runs := []struct {
-		id    string
-		title string
-		run   func() []bench.Series
+	reports := []struct {
+		name string
+		on   bool
+		run  func(quick bool) (bench.Report, error)
 	}{
-		{"3a", "Figure 3(a) — single writer, single file: throughput vs file size", func() []bench.Series { return bench.Fig3a(gbs) }},
-		{"3b", "Figure 3(b) — load balance: Manhattan distance to the ideal layout", func() []bench.Series { return bench.Fig3b(gbs) }},
-		{"4", "Figure 4 — concurrent readers, shared file: per-client throughput", func() []bench.Series { return bench.Fig4(clients) }},
-		{"5", "Figure 5 — concurrent appenders, shared file: aggregated throughput", func() []bench.Series { return bench.Fig5(clients) }},
-		{"6a", "Figure 6(a) — RandomTextWriter: job completion time vs per-mapper output", func() []bench.Series { return bench.Fig6a(mappers) }},
-		{"6b", "Figure 6(b) — distributed grep: job completion time vs input size", func() []bench.Series { return bench.Fig6b(inputs) }},
+		{"recovery", *recovery, bench.RecoveryReport},
+		{"vmshard", *vmshard, bench.VMShardReport},
+		{"tiering", *tiering, bench.TieringReport},
 	}
-
-	matched := false
-	for _, r := range runs {
-		if *fig != "all" && *fig != r.id {
+	ran := false
+	for _, r := range reports {
+		if !r.on {
 			continue
 		}
-		matched = true
-		fmt.Println(bench.Table(r.title, r.run()))
+		ran = true
+		rep, err := r.run(*quick)
+		die(r.name+" bench", err)
+		fmt.Print(rep)
+		path := "BENCH_" + r.name + ".json"
+		die("write report", bench.WriteJSON(path, rep))
+		fmt.Println("wrote", path)
+		die(r.name+" acceptance", rep.Check())
+	}
+	if ran {
+		return
+	}
+
+	exps, want := bench.Figures(*quick), *fig
+	if *ablations {
+		exps, want = bench.Ablations(), "all"
+	}
+	matched := false
+	for _, e := range exps {
+		if want == "all" || want == e.ID {
+			matched = true
+			fmt.Println(bench.Table(e.Title, e.Run()))
+		}
 	}
 	if !matched {
 		fmt.Fprintf(os.Stderr, "figures: unknown figure %q (want 3a, 3b, 4, 5, 6a, 6b or all)\n", *fig)

@@ -130,16 +130,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var st mapred.JobStatus
-	for {
-		st, err = jt.Status(ctx, jobID)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if st.State == mapred.JobSucceeded || st.State == mapred.JobFailed {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	st, err := jt.Wait(ctx, jobID, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	if st.State == mapred.JobFailed {

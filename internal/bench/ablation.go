@@ -3,87 +3,39 @@ package bench
 import (
 	"fmt"
 
-	"blobseer/internal/blob"
 	"blobseer/internal/placement"
 	"blobseer/internal/sim"
-	"blobseer/internal/simnet"
 	"blobseer/internal/simstore"
 	"blobseer/internal/util"
 )
 
 // Ablation experiments: each isolates one design choice the paper
-// calls out and re-runs a microbenchmark with that choice varied. They
-// answer "how much of the headline result does this mechanism buy?".
+// calls out and re-runs a microbenchmark with that choice varied, one
+// arm per value at a single x. They answer "how much of the headline
+// result does this mechanism buy?".
 
 // AblationPlacement re-runs the Figure 4 concurrent-read workload with
 // BlobSeer's placement strategy swapped out (Sections V-D/V-E credit
 // the round-robin balance for the sustained read throughput).
 func AblationPlacement(clients int) []Series {
-	strategies := []struct {
-		name string
-		s    func() placement.Strategy
-	}{
-		{"roundrobin", func() placement.Strategy { return placement.NewRoundRobin() }},
-		{"random", func() placement.Strategy { return placement.NewRandom(7) }},
-		{"sticky(8)", func() placement.Strategy { return placement.NewRandomSticky(8, 7) }},
-		{"leastloaded", func() placement.Strategy { return placement.NewLeastLoaded() }},
+	names := []string{"roundrobin", "random", "sticky(8)", "leastloaded"}
+	strategies := []placement.Strategy{
+		placement.NewRoundRobin(), placement.NewRandom(7), placement.NewRandomSticky(8, 7), placement.NewLeastLoaded(),
 	}
-	tun := simstore.DefaultTuning()
-	out := make([]Series, 0, len(strategies))
-	for _, st := range strategies {
-		env := sim.NewEnv()
-		net := simnet.New(env, simnet.Grid5000(fabricNodes))
-		vm, metas, provs := bsfsTopology()
-		b := simstore.NewBSFS(net, tun, st.s(), vm, metas, provs)
-		m := b.CreateBlob(BlockSize, 1)
-		size := int64(clients) * BlockSize
-		b.Env.Go(func(p *sim.Proc) {
-			for off := int64(0); off < size; off += BlockSize {
-				if _, err := b.Write(p, clientNode, m.ID, blob.KindAppend, 0, BlockSize, uint64(off)+1); err != nil {
-					panic(err)
-				}
-			}
-		})
-		b.Env.Run()
-		s := Series{Name: st.name, XLabel: "clients", YLabel: "MB/s per client"}
-		s.Points = append(s.Points, Point{X: float64(clients), Y: readChunksBSFS(b, m.ID, provs, clients)})
-		out = append(out, s)
-	}
-	return out
+	return sweep("clients", "MB/s per client", []float64{float64(clients)}, names, func(a, _ int) float64 {
+		st, nodes := deploy("BSFS", simstore.DefaultTuning(), strategies[a], metaCount, BlockSize, 1)
+		return readChunks(st, nodes, clients)
+	})
 }
 
 // AblationMetadataProviders re-runs the Figure 4 workload with the
 // metadata DHT shrunk to 1, 5 and 20 providers: the decentralized
 // metadata claim of Section III-A3 (ref [13]).
 func AblationMetadataProviders(clients int, metaCounts []int) []Series {
-	tun := simstore.DefaultTuning()
-	out := make([]Series, 0, len(metaCounts))
-	for _, mc := range metaCounts {
-		env := sim.NewEnv()
-		net := simnet.New(env, simnet.Grid5000(fabricNodes))
-		var metas, provs []simnet.NodeID
-		for i := 1; i <= mc; i++ {
-			metas = append(metas, simnet.NodeID(i))
-		}
-		for i := mc + 1; i < totalNodes; i++ {
-			provs = append(provs, simnet.NodeID(i))
-		}
-		b := simstore.NewBSFS(net, tun, placement.NewRoundRobin(), 0, metas, provs)
-		m := b.CreateBlob(BlockSize, 1)
-		size := int64(clients) * BlockSize
-		b.Env.Go(func(p *sim.Proc) {
-			for off := int64(0); off < size; off += BlockSize {
-				if _, err := b.Write(p, clientNode, m.ID, blob.KindAppend, 0, BlockSize, uint64(off)+1); err != nil {
-					panic(err)
-				}
-			}
-		})
-		b.Env.Run()
-		s := Series{Name: fmt.Sprintf("meta=%d", mc), XLabel: "clients", YLabel: "MB/s per client"}
-		s.Points = append(s.Points, Point{X: float64(clients), Y: readChunksBSFS(b, m.ID, provs, clients)})
-		out = append(out, s)
-	}
-	return out
+	return sweep("clients", "MB/s per client", []float64{float64(clients)}, labels("meta=%d", metaCounts), func(a, _ int) float64 {
+		st, nodes := deploy("BSFS", simstore.DefaultTuning(), placement.NewRoundRobin(), metaCounts[a], BlockSize, 1)
+		return readChunks(st, nodes, clients)
+	})
 }
 
 // AblationVMService re-runs the Figure 5 concurrent-append workload
@@ -92,62 +44,20 @@ func AblationMetadataProviders(clients int, metaCounts []int) []Series {
 // (Section III-A4), so this measures how slow it may get before it
 // gates the aggregate throughput.
 func AblationVMService(clients int, serviceMS []float64) []Series {
-	out := make([]Series, 0, len(serviceMS))
-	for _, ms := range serviceMS {
+	return sweep("clients", "aggregated MB/s", []float64{float64(clients)}, labels("vm=%.1fms", serviceMS), func(a, _ int) float64 {
 		tun := simstore.DefaultTuning()
-		tun.VMService = sim.Time(ms * float64(sim.Millisecond))
-		env := sim.NewEnv()
-		net := simnet.New(env, simnet.Grid5000(fabricNodes))
-		vm, metas, provs := bsfsTopology()
-		b := simstore.NewBSFS(net, tun, placement.NewRoundRobin(), vm, metas, provs)
-		m := b.CreateBlob(BlockSize, 1)
-		var last sim.Time
-		for i := 0; i < clients; i++ {
-			i := i
-			client := provs[(i+len(provs)/2)%len(provs)]
-			b.Env.Go(func(p *sim.Proc) {
-				if _, err := b.Write(p, client, m.ID, blob.KindAppend, 0, BlockSize, uint64(i)+1); err != nil {
-					panic(err)
-				}
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
-		}
-		b.Env.Run()
-		s := Series{Name: fmt.Sprintf("vm=%.1fms", ms), XLabel: "clients", YLabel: "aggregated MB/s"}
-		s.Points = append(s.Points, Point{X: float64(clients), Y: mbps(int64(clients)*BlockSize, last)})
-		out = append(out, s)
-	}
-	return out
+		tun.VMService = sim.Time(serviceMS[a] * float64(sim.Millisecond))
+		return appendShared(tun, clients)
+	})
 }
 
 // AblationBlockSize re-runs the Figure 3a single-writer workload with
 // the striping unit varied (the GPFS discussion of Section II-B: 16 MB
 // blocks vs Hadoop's 64 MB chunks).
 func AblationBlockSize(fileGB float64, blockMBs []int) []Series {
-	tun := simstore.DefaultTuning()
-	out := make([]Series, 0, len(blockMBs))
-	for _, bm := range blockMBs {
-		bs := int64(bm) * util.MB
-		size := int64(fileGB*float64(util.GB)) / bs * bs
-		b := newBSFS(tun)
-		m := b.CreateBlob(bs, 1)
-		var end sim.Time
-		b.Env.Go(func(p *sim.Proc) {
-			for off := int64(0); off < size; off += bs {
-				if _, err := b.Write(p, clientNode, m.ID, blob.KindAppend, 0, bs, uint64(off)+1); err != nil {
-					panic(err)
-				}
-				end = p.Now()
-			}
-		})
-		b.Env.Run()
-		s := Series{Name: fmt.Sprintf("block=%dMB", bm), XLabel: "file size (GB)", YLabel: "MB/s"}
-		s.Points = append(s.Points, Point{X: fileGB, Y: mbps(size, end)})
-		out = append(out, s)
-	}
-	return out
+	return sweep("file size (GB)", "MB/s", []float64{fileGB}, labels("block=%dMB", blockMBs), func(a, _ int) float64 {
+		return writeThroughput(int64(blockMBs[a])*util.MB, 1, fileGB)
+	})
 }
 
 // AblationReplication re-runs the single-writer workload with the data
@@ -157,25 +67,25 @@ func AblationBlockSize(fileGB float64, blockMBs []int) []Series {
 // provider-to-provider, so the client link stays the only bottleneck
 // and throughput barely moves with r.
 func AblationReplication(fileGB float64, replications []int) []Series {
-	tun := simstore.DefaultTuning()
-	out := make([]Series, 0, len(replications))
-	for _, r := range replications {
-		size := int64(fileGB*float64(util.GB)) / BlockSize * BlockSize
-		b := newBSFS(tun)
-		m := b.CreateBlob(BlockSize, r)
-		var end sim.Time
-		b.Env.Go(func(p *sim.Proc) {
-			for off := int64(0); off < size; off += BlockSize {
-				if _, err := b.Write(p, clientNode, m.ID, blob.KindAppend, 0, BlockSize, uint64(off)+1); err != nil {
-					panic(err)
-				}
-				end = p.Now()
-			}
-		})
-		b.Env.Run()
-		s := Series{Name: fmt.Sprintf("repl=%d", r), XLabel: "file size (GB)", YLabel: "MB/s"}
-		s.Points = append(s.Points, Point{X: fileGB, Y: mbps(size, end)})
-		out = append(out, s)
+	return sweep("file size (GB)", "MB/s", []float64{fileGB}, labels("repl=%d", replications), func(a, _ int) float64 {
+		return writeThroughput(BlockSize, replications[a], fileGB)
+	})
+}
+
+// writeThroughput is the single-writer workload on BSFS over bs-byte
+// blocks with r copies each: the dedicated client's MB/s writing gb
+// rounded down to whole blocks.
+func writeThroughput(bs int64, r int, gb float64) float64 {
+	st, _ := deploy("BSFS", simstore.DefaultTuning(), placement.NewRoundRobin(), metaCount, bs, r)
+	size := chunks(gb, bs)
+	return mbps(size, writeFile(st, clientNode, "/f", size))
+}
+
+// labels names one arm per value.
+func labels[T any](format string, vals []T) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = fmt.Sprintf(format, v)
 	}
 	return out
 }

@@ -91,3 +91,20 @@ func TestTableRendering(t *testing.T) {
 		t.Fatal("empty table should still carry its title")
 	}
 }
+
+func TestReportCheck(t *testing.T) {
+	r := Report{
+		Values: map[string]float64{"readable": 1, "hot_ratio": 0.85, "blocks": 32},
+		Min:    map[string]float64{"readable": 1, "hot_ratio": 0.9},
+	}
+	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "hot_ratio") {
+		t.Fatalf("Check() = %v, want the hot_ratio shortfall", err)
+	}
+	r.Values["hot_ratio"] = 0.95
+	if err := r.Check(); err != nil {
+		t.Fatalf("Check() = %v, want nil", err)
+	}
+	if s := r.String(); s != "blocks=32 hot_ratio=0.950 readable=1\n" {
+		t.Fatalf("String() = %q", s)
+	}
+}

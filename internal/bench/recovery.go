@@ -2,8 +2,10 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"blobseer/internal/blob"
@@ -24,51 +26,78 @@ import (
 //  3. Fsync policy is the durability/throughput trade: every-record
 //     fsync pays per operation, interval fsync amortizes it.
 //
-// CrashRecoveryBench bundles all three for BENCH_recovery.json.
+// RecoveryReport bundles all three for BENCH_recovery.json.
 
-// recoveryBlock keeps the durability arms quick: the property under
-// test is the publication line, not data-plane bandwidth.
-const recoveryBlock = 64 * util.KB
+// controlBlock keeps the real-stack control-plane experiments quick:
+// the properties under test are the publication line and the
+// version-assignment queue, not data-plane bandwidth.
+const controlBlock = 64 * util.KB
+
+// RecoveryReport runs the three recovery experiments for
+// BENCH_recovery.json; quick shrinks the sweeps for CI smoke runs.
+func RecoveryReport(quick bool) (Report, error) {
+	versions, fsyncN := 32, 2000
+	counts := []int{1000, 5000, 20000}
+	if quick {
+		versions, fsyncN = 8, 200
+		counts = []int{200, 1000}
+	}
+	dir, err := os.MkdirTemp("", "bench-recovery-*")
+	if err != nil {
+		return Report{}, err
+	}
+	defer os.RemoveAll(dir)
+	durability, err := AblationCrashRecovery(dir, versions)
+	if err != nil {
+		return Report{}, fmt.Errorf("durability arm: %w", err)
+	}
+	replay, err := AblationRecoveryTime(dir, counts)
+	if err != nil {
+		return Report{}, fmt.Errorf("recovery-time arm: %w", err)
+	}
+	fsync, err := AblationFsyncPolicy(dir, fsyncN)
+	if err != nil {
+		return Report{}, fmt.Errorf("fsync arm: %w", err)
+	}
+	return Report{Sections: []Section{
+		{"Crash recovery — publication-line durability (vmanager kill+restart)", durability},
+		{"Crash recovery — cold replay time vs log length", replay},
+		{"Crash recovery — fsync policy throughput cost", fsync},
+	}}, nil
+}
 
 // AblationCrashRecovery runs the durability arms on a live cluster:
 // write `versions` versions, crash and restart the version manager,
 // and count what survived. The "no-wal" arm runs volatile (DataDir
-// unset) and loses the line; the "wal" arm recovers it entirely.
-func AblationCrashRecovery(versions int) ([]Series, error) {
+// unset) and loses the line; the "wal" arm logs under dir and recovers
+// it entirely.
+func AblationCrashRecovery(dir string, versions int) ([]Series, error) {
 	arms := []struct {
 		name    string
-		durable bool
+		dataDir string
 	}{
-		{"no-wal", false},
-		{"wal", true},
+		{"no-wal", ""},
+		{"wal", filepath.Join(dir, "cluster")},
 	}
 	ctx := context.Background()
 	out := make([]Series, 0, len(arms))
 	for _, arm := range arms {
-		cfg := cluster.Config{
+		c, err := cluster.StartBlobSeer(cluster.Config{
 			DataProviders: 2,
 			MetaProviders: 1,
-			BlockSize:     recoveryBlock,
+			BlockSize:     controlBlock,
 			CallTimeout:   2 * time.Second,
-		}
-		if arm.durable {
-			dir, err := os.MkdirTemp("", "bench-recovery-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			cfg.DataDir = dir
-		}
-		c, err := cluster.StartBlobSeer(cfg)
+			DataDir:       arm.dataDir,
+		})
 		if err != nil {
 			return nil, err
 		}
-		b, err := c.NewClient("").CreateBlob(ctx, recoveryBlock, 1)
+		b, err := c.NewClient("").CreateBlob(ctx, controlBlock, 1)
 		if err != nil {
 			c.Stop()
 			return nil, err
 		}
-		payload := make([]byte, recoveryBlock)
+		payload := make([]byte, controlBlock)
 		acked := 0
 		for i := 0; i < versions; i++ {
 			if _, err := b.Append(ctx, payload); err == nil {
@@ -96,27 +125,26 @@ func AblationCrashRecovery(versions int) ([]Series, error) {
 
 // AblationRecoveryTime measures replay cost against log length: build
 // a version-manager WAL of n records (one assign + one commit per
-// version), then time a cold Recover.
-func AblationRecoveryTime(counts []int) ([]Series, error) {
+// version) under dir, then time a cold Recover.
+func AblationRecoveryTime(dir string, counts []int) ([]Series, error) {
+	// Interval sync while seeding: we measure replay, not append.
+	opts := wal.Options{Policy: wal.SyncInterval, Interval: 50 * time.Millisecond}
 	s := Series{Name: "replay", XLabel: "log records", YLabel: "recovery ms"}
-	for _, n := range counts {
-		dir, err := os.MkdirTemp("", "bench-replay-*")
+	for i, n := range counts {
+		logDir := filepath.Join(dir, fmt.Sprint("replay-", i))
+		st, err := openState(logDir, opts)
 		if err != nil {
 			return nil, err
 		}
-		defer os.RemoveAll(dir)
-		// Interval sync while seeding: we measure replay, not append.
-		if err := seedVMLog(dir, n/2); err != nil {
+		m, err := st.CreateBlob(controlBlock, 1)
+		if err == nil {
+			err = publish(st, m.ID, n/2)
+		}
+		if err = errors.Join(err, st.CloseWAL()); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		log, err := wal.Open(dir, wal.Options{Policy: wal.SyncInterval, Interval: 50 * time.Millisecond})
-		if err != nil {
-			return nil, err
-		}
-		st, err := vmanager.Recover(log, nil)
-		if err != nil {
-			log.Close()
+		if st, err = openState(logDir, opts); err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
@@ -126,40 +154,11 @@ func AblationRecoveryTime(counts []int) ([]Series, error) {
 	return []Series{s}, nil
 }
 
-// seedVMLog writes a WAL holding `versions` committed versions (plus
-// the create record) and closes it.
-func seedVMLog(dir string, versions int) error {
-	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncInterval, Interval: 50 * time.Millisecond})
-	if err != nil {
-		return err
-	}
-	st, err := vmanager.Recover(log, nil)
-	if err != nil {
-		log.Close()
-		return err
-	}
-	defer st.CloseWAL()
-	m, err := st.CreateBlob(recoveryBlock, 1)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < versions; i++ {
-		a, err := st.AssignVersion(m.ID, blob.KindAppend, 0, recoveryBlock, uint64(i)+1, blob.NoVersion)
-		if err != nil {
-			return err
-		}
-		if err := st.Commit(m.ID, a.Version); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AblationFsyncPolicy measures the throughput cost of the fsync
 // policy: assign+commit pairs per second on a bare version-manager
 // core under every-record fsync, interval fsync, and no WAL at all
-// (the upper bound durability pays against).
-func AblationFsyncPolicy(versions int) ([]Series, error) {
+// (the upper bound durability pays against). The logs live under dir.
+func AblationFsyncPolicy(dir string, versions int) ([]Series, error) {
 	arms := []struct {
 		name string
 		opts *wal.Options // nil = volatile
@@ -171,78 +170,56 @@ func AblationFsyncPolicy(versions int) ([]Series, error) {
 	out := make([]Series, 0, len(arms))
 	for _, arm := range arms {
 		var st *vmanager.State
+		var err error
 		if arm.opts == nil {
 			st = vmanager.NewState(nil)
-		} else {
-			dir, err := os.MkdirTemp("", "bench-fsync-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			log, err := wal.Open(dir, *arm.opts)
-			if err != nil {
-				return nil, err
-			}
-			st, err = vmanager.Recover(log, nil)
-			if err != nil {
-				log.Close()
-				return nil, err
-			}
-		}
-		m, err := st.CreateBlob(recoveryBlock, 1)
-		if err != nil {
-			st.CloseWAL()
+		} else if st, err = openState(filepath.Join(dir, arm.name), *arm.opts); err != nil {
 			return nil, err
 		}
+		m, err := st.CreateBlob(controlBlock, 1)
 		start := time.Now()
-		for i := 0; i < versions; i++ {
-			a, err := st.AssignVersion(m.ID, blob.KindAppend, 0, recoveryBlock, uint64(i)+1, blob.NoVersion)
-			if err != nil {
-				st.CloseWAL()
-				return nil, err
-			}
-			if err := st.Commit(m.ID, a.Version); err != nil {
-				st.CloseWAL()
-				return nil, err
-			}
+		if err == nil {
+			err = publish(st, m.ID, versions)
 		}
 		elapsed := time.Since(start)
 		st.CloseWAL()
-		opsPerSec := float64(versions) / elapsed.Seconds()
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, Series{
 			Name: arm.name, XLabel: "versions", YLabel: "publishes/sec",
-			Points: []Point{{X: float64(versions), Y: opsPerSec}},
+			Points: []Point{{X: float64(versions), Y: float64(versions) / elapsed.Seconds()}},
 		})
 	}
 	return out, nil
 }
 
-// RecoveryBench is the BENCH_recovery.json document.
-type RecoveryBench struct {
-	Durability   []Series `json:"durability"`
-	RecoveryTime []Series `json:"recovery_time"`
-	FsyncCost    []Series `json:"fsync_cost"`
+// openState opens the version-manager WAL in dir under opts and
+// recovers the state it holds; the state's CloseWAL closes the log.
+func openState(dir string, opts wal.Options) (*vmanager.State, error) {
+	log, err := wal.Open(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	st, err := vmanager.Recover(log, nil)
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
+	return st, nil
 }
 
-// CrashRecoveryBench runs all three recovery experiments. quick
-// shrinks the sweeps for CI smoke runs.
-func CrashRecoveryBench(quick bool) (RecoveryBench, error) {
-	versions, fsyncN := 32, 2000
-	counts := []int{1000, 5000, 20000}
-	if quick {
-		versions, fsyncN = 8, 200
-		counts = []int{200, 1000}
+// publish runs n assign+commit pairs, each appending one controlBlock
+// to blob id.
+func publish(st *vmanager.State, id blob.ID, n int) error {
+	for i := range n {
+		a, err := st.AssignVersion(id, blob.KindAppend, 0, controlBlock, uint64(i)+1, blob.NoVersion)
+		if err != nil {
+			return err
+		}
+		if err := st.Commit(id, a.Version); err != nil {
+			return err
+		}
 	}
-	var r RecoveryBench
-	var err error
-	if r.Durability, err = AblationCrashRecovery(versions); err != nil {
-		return r, fmt.Errorf("durability arm: %w", err)
-	}
-	if r.RecoveryTime, err = AblationRecoveryTime(counts); err != nil {
-		return r, fmt.Errorf("recovery-time arm: %w", err)
-	}
-	if r.FsyncCost, err = AblationFsyncPolicy(fsyncN); err != nil {
-		return r, fmt.Errorf("fsync arm: %w", err)
-	}
-	return r, nil
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"blobseer/internal/store"
@@ -23,9 +24,17 @@ import (
 //	                every byte must come back intact (readable == 1.0)
 //	tiered-promoted re-reads after promotion: back at the hot rate
 //
-// Each arm reads the full block set `rounds` times; the report keeps
-// the per-round series and the best-of summary ratios (best-of damps
-// scheduler noise on shared CI machines).
+// Each arm reads the full block set `rounds` times. The report keeps
+// the per-round series and, as values, the best-of summary ratios
+// (best-of damps scheduler noise on shared CI machines) with the counts
+// behind them:
+//
+//	hot_ratio       best tiered-hot MB/s over best fs-hot MB/s (min 0.9)
+//	readable        share of demoted blocks read back bit-exact through
+//	                promotion (min 1)
+//	promoted_ratio  best tiered-promoted MB/s over best fs-hot MB/s:
+//	                promotion restores the hot path
+//	blocks, block_bytes, demotions, promotions
 
 // blockFill returns block i's deterministic payload, so the cold arm
 // can verify promotion returns the exact bytes that were written.
@@ -60,25 +69,6 @@ func fillStore(st store.Store, blocks, size int) error {
 	return nil
 }
 
-// TieringBench is the BENCH_tiering.json document.
-type TieringBench struct {
-	// Throughput holds one read-MB/s series per arm, X = round.
-	Throughput []Series `json:"throughput"`
-	// HotRatio is best tiered-hot MB/s over best fs-hot MB/s — the
-	// tiered engine's hot-path overhead (acceptance: >= 0.9).
-	HotRatio float64 `json:"hot_ratio"`
-	// Readable is the fraction of demoted blocks whose post-demotion
-	// read returned bit-exact data via promotion (must be 1.0).
-	Readable float64 `json:"readable"`
-	// PromotedRatio is best promoted-re-read MB/s over best fs-hot
-	// MB/s: promotion restores the hot path.
-	PromotedRatio float64 `json:"promoted_ratio"`
-	Blocks        int     `json:"blocks"`
-	BlockBytes    int     `json:"block_bytes"`
-	Demotions     int64   `json:"demotions"`
-	Promotions    int64   `json:"promotions"`
-}
-
 func best(s Series) float64 {
 	m := 0.0
 	for _, p := range s.Points {
@@ -91,37 +81,27 @@ func best(s Series) float64 {
 
 // AblationTiering measures the four arms over blocks x size bytes with
 // `rounds` read passes per arm.
-func AblationTiering(blocks, size, rounds int) (TieringBench, error) {
-	r := TieringBench{Blocks: blocks, BlockBytes: size}
-
-	// Arm 1 store: plain fs baseline.
-	fsDir, err := os.MkdirTemp("", "bench-tier-fs-*")
+func AblationTiering(blocks, size, rounds int) (Report, error) {
+	var r Report
+	dir, err := os.MkdirTemp("", "bench-tier-*")
 	if err != nil {
 		return r, err
 	}
-	defer os.RemoveAll(fsDir)
-	fsStore, err := store.NewFSStore(fsDir, false)
+	defer os.RemoveAll(dir)
+
+	// Arm 1 store: plain fs baseline.
+	fsStore, err := store.NewFSStore(filepath.Join(dir, "fs"), false)
 	if err != nil {
 		return r, err
 	}
 	defer fsStore.Close()
 
 	// Arms 2-4 store: the tiered engine over two fs backends.
-	hotDir, err := os.MkdirTemp("", "bench-tier-hot-*")
+	hot, err := store.NewFSStore(filepath.Join(dir, "hot"), false)
 	if err != nil {
 		return r, err
 	}
-	defer os.RemoveAll(hotDir)
-	coldDir, err := os.MkdirTemp("", "bench-tier-cold-*")
-	if err != nil {
-		return r, err
-	}
-	defer os.RemoveAll(coldDir)
-	hot, err := store.NewFSStore(hotDir, false)
-	if err != nil {
-		return r, err
-	}
-	cold, err := store.NewFSStore(coldDir, false)
+	cold, err := store.NewFSStore(filepath.Join(dir, "cold"), false)
 	if err != nil {
 		hot.Close()
 		return r, err
@@ -178,7 +158,7 @@ func AblationTiering(blocks, size, rounds int) (TieringBench, error) {
 		return r, err
 	}
 	tieredCold.Points = append(tieredCold.Points, Point{X: 0, Y: mbps})
-	r.Readable = float64(intact) / float64(blocks)
+	readable := float64(intact) / float64(blocks)
 
 	tieredProm := Series{Name: "tiered-promoted", XLabel: "round", YLabel: "read MB/s"}
 	for round := 0; round < rounds; round++ {
@@ -190,35 +170,28 @@ func AblationTiering(blocks, size, rounds int) (TieringBench, error) {
 	}
 
 	c := ti.Counters()
-	r.Demotions = c.Demotions
-	r.Promotions = c.Promotions
-	r.Throughput = []Series{fsHot, tieredHot, tieredCold, tieredProm}
-	if b := best(fsHot); b > 0 {
-		r.HotRatio = best(tieredHot) / b
-		r.PromotedRatio = best(tieredProm) / b
+	r.Sections = []Section{{
+		Title:  "Store tiering — read throughput per arm (fs baseline, tiered hot, cold+promote, promoted)",
+		Series: []Series{fsHot, tieredHot, tieredCold, tieredProm},
+	}}
+	r.Values = map[string]float64{
+		"hot_ratio": 0, "promoted_ratio": 0, "readable": readable,
+		"blocks": float64(blocks), "block_bytes": float64(size),
+		"demotions": float64(c.Demotions), "promotions": float64(c.Promotions),
 	}
+	if b := best(fsHot); b > 0 {
+		r.Values["hot_ratio"] = best(tieredHot) / b
+		r.Values["promoted_ratio"] = best(tieredProm) / b
+	}
+	r.Min = map[string]float64{"readable": 1, "hot_ratio": 0.9}
 	return r, nil
 }
 
-// TieringBenchRun runs the ablation at report scale; quick shrinks it
-// for CI smoke runs.
-func TieringBenchRun(quick bool) (TieringBench, error) {
-	blocks, size, rounds := 64, int(util.MB), 5
+// TieringReport runs the ablation at report scale for
+// BENCH_tiering.json; quick shrinks it for CI smoke runs.
+func TieringReport(quick bool) (Report, error) {
 	if quick {
-		blocks, size, rounds = 32, 256*int(util.KB), 5
+		return AblationTiering(32, 256*int(util.KB), 5)
 	}
-	return AblationTiering(blocks, size, rounds)
-}
-
-// Check validates the acceptance properties the ablation pins: every
-// demoted block readable via promotion, and the tiered hot path within
-// 10% of the plain fs backend.
-func (r TieringBench) Check() error {
-	if r.Readable < 1.0 {
-		return fmt.Errorf("only %.2f of demoted blocks readable after demotion", r.Readable)
-	}
-	if r.HotRatio < 0.9 {
-		return fmt.Errorf("tiered hot-path throughput is %.2fx the plain fs backend, want >= 0.9", r.HotRatio)
-	}
-	return nil
+	return AblationTiering(64, int(util.MB), 5)
 }

@@ -11,23 +11,27 @@ import "testing"
 // test that shares the machine with `go test ./...`: Check enforces
 // them where `figures -tiering` runs alone.
 func TestAblationTiering(t *testing.T) {
-	r, err := TieringBenchRun(true)
+	r, err := TieringReport(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Readable != 1.0 {
-		t.Errorf("Readable = %.2f, want every demoted block back bit-exact", r.Readable)
+	v := r.Values
+	if v["blocks"] == 0 {
+		t.Fatalf("report carries no block count: %v", v)
 	}
-	if r.Demotions != int64(r.Blocks) {
-		t.Errorf("Demotions = %d, want %d (one per block)", r.Demotions, r.Blocks)
+	if v["readable"] != 1.0 {
+		t.Errorf("readable = %.2f, want every demoted block back bit-exact", v["readable"])
 	}
-	if r.Promotions < int64(r.Blocks) {
-		t.Errorf("Promotions = %d, want >= %d (cold arm promotes every block)", r.Promotions, r.Blocks)
+	if v["demotions"] != v["blocks"] {
+		t.Errorf("demotions = %.0f, want %.0f (one per block)", v["demotions"], v["blocks"])
 	}
-	if len(r.Throughput) != 4 {
-		t.Fatalf("want 4 throughput arms, got %d", len(r.Throughput))
+	if v["promotions"] < v["blocks"] {
+		t.Errorf("promotions = %.0f, want >= %.0f (cold arm promotes every block)", v["promotions"], v["blocks"])
 	}
-	for _, s := range r.Throughput {
+	if len(r.Sections) != 1 || len(r.Sections[0].Series) != 4 {
+		t.Fatalf("want one table of 4 throughput arms, got %+v", r.Sections)
+	}
+	for _, s := range r.Sections[0].Series {
 		if s.Name == "tiered-cold" && len(s.Points) != 1 {
 			t.Errorf("cold arm should have exactly one pass, got %d", len(s.Points))
 		}

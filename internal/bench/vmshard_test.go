@@ -39,7 +39,7 @@ func TestAblationVMShardsMonotone(t *testing.T) {
 // fewer fsyncs than records) and beat 2x the single-writer rate — the
 // whole point of leader-follower batching.
 func TestGroupCommitCoalesces(t *testing.T) {
-	series, err := GroupCommitBench(200, []int{1, 8})
+	series, err := GroupCommitBench(t.TempDir(), 200, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

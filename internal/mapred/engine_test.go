@@ -64,6 +64,20 @@ func startEngine(t *testing.T, fsFor func(string) (fs.FileSystem, error), tracke
 	return m
 }
 
+// runJob submits conf and waits for the job to finish; a job that ends
+// failed is an error.
+func runJob(ctx context.Context, jt *mapred.JTClient, conf mapred.JobConf) (mapred.JobStatus, error) {
+	id, err := jt.Submit(ctx, conf)
+	if err != nil {
+		return mapred.JobStatus{}, err
+	}
+	st, err := jt.Wait(ctx, id, 0)
+	if err == nil && st.State == mapred.JobFailed {
+		err = fmt.Errorf("job failed: %s", st.Err)
+	}
+	return st, err
+}
+
 func catDir(t *testing.T, fsys fs.FileSystem, dir string) string {
 	t.Helper()
 	sts, err := fsys.List(context.Background(), dir)
@@ -100,7 +114,7 @@ func TestRandomTextWriterOnBothBackends(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 
-			st, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+			st, err := runJob(ctx, m.Client(), mapred.JobConf{
 				Name: "rtw",
 				App:  apps.RandomTextWriterApp,
 				Args: map[string]string{
@@ -108,7 +122,7 @@ func TestRandomTextWriterOnBothBackends(t *testing.T) {
 					"bytesPerMapper": strconv.Itoa(2 * B),
 				},
 				OutputDir: "/out-rtw",
-			}, 0)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,14 +183,14 @@ func TestDistributedGrepOnBothBackends(t *testing.T) {
 			}
 
 			m := startEngine(t, fsFor, 3)
-			st, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+			st, err := runJob(ctx, m.Client(), mapred.JobConf{
 				Name:       "grep",
 				App:        apps.GrepApp,
 				Args:       map[string]string{"pattern": "NEEDLE"},
 				InputPaths: []string{"/grep-input"},
 				OutputDir:  "/out-grep",
 				NumReduces: 1,
-			}, 0)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,13 +229,13 @@ func TestWordCountCorrectness(t *testing.T) {
 	}
 
 	m := startEngine(t, fsFor, 3)
-	if _, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+	if _, err := runJob(ctx, m.Client(), mapred.JobConf{
 		Name:       "wc",
 		App:        apps.WordCountApp,
 		InputPaths: []string{"/wc-in"},
 		OutputDir:  "/wc-out",
 		NumReduces: 3,
-	}, 0); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
@@ -280,14 +294,14 @@ func TestLocalityPreferredScheduling(t *testing.T) {
 	}
 	t.Cleanup(m.Stop)
 
-	st, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+	st, err := runJob(ctx, m.Client(), mapred.JobConf{
 		Name:       "grep-local",
 		App:        apps.GrepApp,
 		Args:       map[string]string{"pattern": "zzz"},
 		InputPaths: []string{"/in"},
 		OutputDir:  "/out",
 		NumReduces: 1,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +339,14 @@ func TestSharedOutputConcurrentAppendMode(t *testing.T) {
 				}
 				sw.Close()
 			}
-			if _, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+			if _, err := runJob(ctx, m.Client(), mapred.JobConf{
 				Name:         "wc-shared",
 				App:          apps.WordCountApp,
 				InputPaths:   []string{"/in"},
 				OutputDir:    "/shared-out",
 				NumReduces:   3,
 				SharedOutput: true,
-			}, 0); err != nil {
+			}); err != nil {
 				t.Fatal(err)
 			}
 			sts, err := fsys.List(ctx, "/shared-out")
@@ -370,12 +384,12 @@ func TestTaskRetryOnFailure(t *testing.T) {
 	m := startEngine(t, fsFor, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	st, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+	st, err := runJob(ctx, m.Client(), mapred.JobConf{
 		Name:        "flaky",
 		App:         "flaky-test-app",
 		OutputDir:   "/flaky-out",
 		MaxAttempts: 5,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatalf("job should succeed after retries: %v", err)
 	}
@@ -397,12 +411,12 @@ func TestJobFailsAfterMaxAttempts(t *testing.T) {
 	m := startEngine(t, fsFor, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	_, err := mapred.SubmitAndWait(ctx, m.Client(), mapred.JobConf{
+	_, err := runJob(ctx, m.Client(), mapred.JobConf{
 		Name:        "doomed",
 		App:         "always-fails-app",
 		OutputDir:   "/doomed-out",
 		MaxAttempts: 2,
-	}, 0)
+	})
 	if err == nil {
 		t.Fatal("doomed job reported success")
 	}

@@ -350,31 +350,3 @@ func (t *TaskTracker) fetchMapOutput(ctx context.Context, addr string, jobID uin
 	}
 	return decodeKVs(data)
 }
-
-// SubmitAndWait submits conf and polls until the job finishes.
-func SubmitAndWait(ctx context.Context, jt *JTClient, conf JobConf, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
-	id, err := jt.Submit(ctx, conf)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	for {
-		st, err := jt.Status(ctx, id)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		if st.State != JobRunning {
-			if st.State == JobFailed {
-				return st, fmt.Errorf("mapred: job failed: %s", st.Err)
-			}
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}

@@ -64,10 +64,6 @@ type Net struct {
 	lastUpdate sim.Time
 	gen        uint64 // invalidates stale completion callbacks
 
-	// faults holds injected link degradations keyed by unordered node
-	// pair; nil until the first injection (see faults.go).
-	faults map[pairKey]*fault
-
 	// Stats
 	BytesMoved float64
 	egress     []float64 // per-node bytes sent over the uplink
@@ -133,16 +129,11 @@ func (n *Net) transfer(p *sim.Proc, src, dst NodeID, size int64, rateCap float64
 	}
 	n.checkNode(src)
 	n.checkNode(dst)
-	if size <= 0 {
-		if !local {
-			n.awaitHealed(p, src, dst)
-			p.Sleep(n.latencyBetween(src, dst))
-		}
-		return
-	}
 	if !local {
-		n.awaitHealed(p, src, dst)
-		p.Sleep(n.latencyBetween(src, dst))
+		p.Sleep(n.cfg.Latency)
+	}
+	if size <= 0 {
+		return
 	}
 	if n.cfg.DiskBps <= 0 {
 		disk = -1
@@ -164,16 +155,9 @@ func (n *Net) Message(p *sim.Proc, src, dst NodeID, bytes int64) {
 	}
 	n.checkNode(src)
 	n.checkNode(dst)
-	n.awaitHealed(p, src, dst)
-	d := 2 * n.latencyBetween(src, dst)
+	d := 2 * n.cfg.Latency
 	if bytes > 0 && n.cfg.UpBps > 0 {
 		d += sim.DurationFromSeconds(float64(bytes) / n.cfg.UpBps)
-	}
-	if f := n.faultOf(src, dst); f != nil && f.dropEvery > 0 {
-		f.msgCount++
-		if f.msgCount%f.dropEvery == 0 {
-			d += f.dropPenalty
-		}
 	}
 	p.Sleep(d)
 }
@@ -223,11 +207,6 @@ func (n *Net) recalc() {
 	unfrozen := make([]*flow, 0, len(n.flows))
 	for _, f := range n.flows {
 		f.rate = 0
-		if n.stalled(f) {
-			// Partitioned: zero rate, and no claim on any link share —
-			// bystander flows get the freed capacity.
-			continue
-		}
 		unfrozen = append(unfrozen, f)
 		if !f.local {
 			up[f.src].nFlows++

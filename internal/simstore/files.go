@@ -26,6 +26,9 @@ type Storage interface {
 	Size(name string) int64
 	// ChunkNodes returns the fabric node storing each chunk (locality).
 	ChunkNodes(name string) []simnet.NodeID
+	// Layout returns the chunks each storage node holds, every node
+	// counted (Figure 3b's balance).
+	Layout() []int
 }
 
 // BSFSFiles adapts the simulated BSFS to the Storage interface: one
@@ -115,6 +118,9 @@ func (f *BSFSFiles) ChunkNodes(name string) []simnet.NodeID {
 	return nodes
 }
 
+// Layout implements Storage.
+func (f *BSFSFiles) Layout() []int { return f.B.Layout() }
+
 // HDFSFiles adapts the simulated HDFS baseline to Storage. Appends are
 // only legal while the single writer streams the file (the baseline has
 // no reopen-append, matching the real system).
@@ -158,3 +164,6 @@ func (f *HDFSFiles) Size(name string) int64 { return f.H.Size(name) }
 
 // ChunkNodes implements Storage.
 func (f *HDFSFiles) ChunkNodes(name string) []simnet.NodeID { return f.H.LocationsOf(name) }
+
+// Layout implements Storage.
+func (f *HDFSFiles) Layout() []int { return f.H.Layout() }

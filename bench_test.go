@@ -147,7 +147,7 @@ func BenchmarkAblationTiering(b *testing.B) {
 
 // BenchmarkAblationPrefetch measures the real BSFS client's prefetch /
 // write-behind cache (Section IV-B): a Hadoop-style sequence of 4 KB
-// reads over a striped file, with the cache enabled vs disabled.
+// reads over a striped file, with and without the readahead window.
 func BenchmarkAblationPrefetch(b *testing.B) {
 	const (
 		blockSize = 256 * util.KB
@@ -178,10 +178,9 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	}
 
 	for _, mode := range []struct {
-		name         string
-		disableCache bool
-		readahead    int
-	}{{"pipelined", false, 3}, {"prefetch", false, 0}, {"nocache", true, 0}} {
+		name      string
+		readahead int
+	}{{"pipelined", 3}, {"prefetch", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			fsys, err := bsfs.New(bsfs.Config{
 				Core:            cl.NewClient(""),
@@ -189,7 +188,6 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 				BlockSize:       blockSize,
 				Replication:     1,
 				ReadaheadBlocks: mode.readahead,
-				DisableCache:    mode.disableCache,
 			})
 			if err != nil {
 				b.Fatal(err)

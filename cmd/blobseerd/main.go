@@ -35,8 +35,7 @@
 //
 // Block payloads live in memory by default; pass -store to select any
 // backend by URL — "file:///var/blocks?sync=1" for a file-backed store,
-// "http://peer:9000/base" for a remote object server, or
-// "tiered://?hot=mem://&cold=file:///var/blocks" for the hot/cold
+// or "tiered://?hot=mem://&cold=file:///var/blocks" for the hot/cold
 // tiered engine (see the store package for the policy knobs).
 // The control-plane daemons (vmanager, namespace) are volatile by
 // default; pass -data-dir to journal every mutation to a write-ahead
@@ -83,16 +82,15 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	var (
 		role     = fs.String("role", "", "daemon role: vmanager | pmanager | provider | meta | namespace | repair | namenode | datanode")
 		listen   = fs.String("listen", "127.0.0.1:0", "TCP listen address")
-		metas    = fs.String("meta", "", "comma-separated metadata provider addresses (vmanager: abort repair; required for -role vmanager unless -no-repair)")
+		metas    = fs.String("meta", "", "comma-separated metadata provider addresses (vmanager: abort repair; required for -role vmanager)")
 		metaRepl = fs.Int("meta-replication", 1, "DHT replication level (vmanager repair path)")
 		metaCach = fs.Int("meta-cache", 0, "vmanager: immutable-node cache entries for the repair store (<0 default, 0 off)")
-		noRepair = fs.Bool("no-repair", false, "vmanager: disable metadata abort repair")
 		shard    = fs.String("shard", "", "vmanager: shard identity k/K (e.g. 0/4); empty = unsharded")
 		vmAddr   = fs.String("vmanager", "", "version manager address, comma-separated shard list when sharded (namespace/repair roles)")
 		pmAddr   = fs.String("pmanager", "", "provider manager address (provider role; registers at startup)")
 		nnAddr   = fs.String("namenode", "", "namenode address (datanode role; registers at startup)")
 		host     = fs.String("host", "", "physical host label exposed for affinity scheduling (provider/datanode)")
-		storeURL = fs.String("store", "", "block-store backend URL: mem:// | file:///path?sync=1 | http://peer/base | tiered://?hot=...&cold=... (default: mem://)")
+		storeURL = fs.String("store", "", "block-store backend URL: mem:// | file:///path?sync=1 | tiered://?hot=...&cold=... (default: mem://)")
 		strategy = fs.String("strategy", "roundrobin", "placement strategy: roundrobin | random | sticky | leastloaded (pmanager/namenode)")
 		seed     = fs.Uint64("seed", 1, "placement RNG seed (random/sticky)")
 		stickyW  = fs.Int("sticky-window", 8, "sticky placement window (namenode's HDFS-0.20-like clustering)")
@@ -103,7 +101,6 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		hbEvery  = fs.Duration("heartbeat", 5*time.Second, "provider: heartbeat interval to the provider manager (0 disables)")
 		expire   = fs.Duration("expire-after", 0, "pmanager: mark providers silent this long dead (0 disables the liveness loop)")
 		repEvery = fs.Duration("repair-interval", 30*time.Second, "repair: scan-and-repair period")
-		repConc  = fs.Int("repair-concurrency", 0, "repair: parallel block repairs (0 = default)")
 		metAddr  = fs.String("metrics-addr", "", "HTTP address serving this daemon's /metrics and /trace (\"127.0.0.1:0\" picks a port; empty disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -123,11 +120,11 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 			Meta: node.SplitAddrs(*metas), MetaReplication: *metaRepl,
 		},
 		NamenodeAddr: *nnAddr, StoreURL: *storeURL, Host: *host,
-		NoRepair: *noRepair, MetaCache: *metaCach, WriteTimeout: *wtimeout,
+		MetaCache: *metaCach, WriteTimeout: *wtimeout,
 		DataDir: *dataDir, WALSync: *walSync,
 		ExpireAfter: *expire, Heartbeat: *hbEvery, BlockSize: *blockSz,
-		RepairInterval: *repEvery, RepairConcurrency: *repConc,
-		MetricsAddr: *metAddr, Logf: log.Printf,
+		RepairInterval: *repEvery,
+		MetricsAddr:    *metAddr, Logf: log.Printf,
 	}
 	if *shard != "" { // "k/K"; empty = unsharded
 		k, n := &cfg.Shard.Index, &cfg.Shard.Count

@@ -184,8 +184,9 @@ func TestDataDirWrittenInProcess(t *testing.T) {
 	}
 	cl.Stop()
 
-	vm0, _ := daemon(t, "-role", "vmanager", "-shard", "0/2", "-no-repair", "-data-dir", dir)
-	vm1, _ := daemon(t, "-role", "vmanager", "-shard", "1/2", "-no-repair", "-data-dir", dir)
+	meta, _ := daemon(t, "-role", "meta")
+	vm0, _ := daemon(t, "-role", "vmanager", "-shard", "0/2", "-meta", meta, "-data-dir", dir)
+	vm1, _ := daemon(t, "-role", "vmanager", "-shard", "1/2", "-meta", meta, "-data-dir", dir)
 	ns, _ := daemon(t, "-role", "namespace", "-vmanager", vm0+","+vm1, "-data-dir", dir)
 	pool := rpc.NewPool(rpc.TCPDialer)
 	defer pool.Close()
@@ -215,8 +216,8 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{nil, "-role is required"},
 		{[]string{"-role", "namespace", "-vmanager", ","}, "namespace: -vmanager is required"},
-		{[]string{"-role", "vmanager", "-no-repair", "-shard", "2/2"}, `vmanager: bad -shard "2/2" (want k/K with 0 <= k < K)`},
-		{[]string{"-role", "vmanager"}, "vmanager: -meta is required (or pass -no-repair)"},
+		{[]string{"-role", "vmanager", "-meta", "m", "-shard", "2/2"}, `vmanager: bad -shard "2/2" (want k/K with 0 <= k < K)`},
+		{[]string{"-role", "vmanager"}, "vmanager: -meta is required"},
 		{[]string{"-role", "provider"}, "provider: -pmanager is required"},
 		{[]string{"-role", "datanode"}, "datanode: -namenode is required"},
 		{[]string{"-role", "pmanager", "-strategy", "best"}, `unknown strategy "best"`},

@@ -58,8 +58,6 @@ func main() {
 		trEvery  = flag.Int("trace-every", 0, "tag every Nth op with a distributed trace and report the IDs (0 disables)")
 		trSample = flag.Float64("trace-sample", 0, "sim: head-sampling rate for the embedded cluster's client tracer")
 		trSlow   = flag.Duration("trace-slow", 0, "sim: trace everything and index roots slower than this (0 disables)")
-		rahead   = flag.Int("readahead", stream.DefaultReadahead, "sequential-read prefetch window in blocks (0 = synchronous)")
-		wbehind  = flag.Int("write-behind", stream.DefaultWriteBehind, "async commit window in blocks (0 = synchronous)")
 		out      = flag.String("out", "BENCH_blaster.json", "report path (empty disables)")
 		metAddr  = flag.String("metrics-addr", "", "HTTP address serving /metrics during the run (empty disables)")
 		seed     = flag.Int64("seed", 1, "worker RNG seed")
@@ -143,8 +141,8 @@ func main() {
 	fsys, err := clients.BSFS(client, bsfs.Config{
 		BlockSize:        *blockSz,
 		Replication:      *repl,
-		ReadaheadBlocks:  *rahead,
-		WriteBehindDepth: *wbehind,
+		ReadaheadBlocks:  stream.DefaultReadahead,
+		WriteBehindDepth: stream.DefaultWriteBehind,
 	})
 	if err != nil {
 		log.Fatalf("bsfs: %v", err)

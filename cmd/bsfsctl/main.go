@@ -92,9 +92,6 @@ func main() {
 		blockSz = flag.Int64("block-size", 64*util.MB, "striping unit for new files")
 		repl    = flag.Int("replication", 1, "replication level for new files")
 		host    = flag.String("host", "", "client host label (affinity experiments)")
-		rahead  = flag.Int("readahead", stream.DefaultReadahead, "reader async prefetch window in blocks (0 = synchronous)")
-		wbehind = flag.Int("write-behind", stream.DefaultWriteBehind, "writer background block commits in flight (0 = synchronous)")
-		noCache = flag.Bool("no-cache", false, "disable the BSFS block cache and streaming pipeline (ablation)")
 		metEPs  = flag.String("metrics", "", "comma-separated /metrics endpoints (top command)")
 	)
 	flag.Usage = usage
@@ -157,7 +154,7 @@ func main() {
 		}
 		return
 	case "providers", "decommission":
-		if err := runAdmin(ctx, clients.PM(), clients.Repair(mcache, 0), cmd, args); err != nil {
+		if err := runAdmin(ctx, clients.PM(), clients.Repair(mcache), cmd, args); err != nil {
 			fatal(err)
 		}
 		return
@@ -166,9 +163,8 @@ func main() {
 	fsys, err := clients.BSFS(clients.Core(*host, mcache), bsfs.Config{
 		BlockSize:        *blockSz,
 		Replication:      *repl,
-		ReadaheadBlocks:  *rahead,
-		WriteBehindDepth: *wbehind,
-		DisableCache:     *noCache,
+		ReadaheadBlocks:  stream.DefaultReadahead,
+		WriteBehindDepth: stream.DefaultWriteBehind,
 	})
 	if err != nil {
 		fatal(err)
@@ -413,8 +409,7 @@ func run(ctx context.Context, fsys *bsfs.FS, cmd string, args []string) error {
 			return fmt.Errorf("catv: bad version %q", args[0])
 		}
 		// OpenVersion IS the handle path now (Blob.Snapshot +
-		// Snapshot.NewReader under the hood) and respects the
-		// -readahead/-no-cache tuning flags.
+		// Snapshot.NewReader under the hood), with the default readahead.
 		r, err := fsys.OpenVersion(ctx, args[1], v)
 		if err != nil {
 			return err

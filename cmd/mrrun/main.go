@@ -43,9 +43,6 @@ func main() {
 		pattern  = flag.String("pattern", "blob", "grep: substring to count")
 		reduces  = flag.Int("reduces", 1, "number of reduce tasks")
 		show     = flag.Int("show", 10, "output lines to print per part file")
-		rahead   = flag.Int("readahead", stream.DefaultReadahead, "bsfs: reader async prefetch window in blocks (0 = synchronous)")
-		wbehind  = flag.Int("write-behind", stream.DefaultWriteBehind, "bsfs: writer background block commits in flight (0 = synchronous)")
-		noCache  = flag.Bool("no-cache", false, "bsfs: disable the block cache and streaming pipeline (ablation)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -58,21 +55,11 @@ func main() {
 	var fsFor func(host string) (fs.FileSystem, error)
 	switch *backend {
 	case "bsfs":
-		// cluster.Config treats 0 as "use the default window", so map
-		// the CLI's "0 = synchronous" onto the explicit disable value.
-		ra, wb := *rahead, *wbehind
-		if ra == 0 {
-			ra = -1
-		}
-		if wb == 0 {
-			wb = -1
-		}
 		cl, err := cluster.StartBlobSeer(cluster.Config{
 			DataProviders:    *nodes,
 			BlockSize:        *blockSz,
-			ReadaheadBlocks:  ra,
-			WriteBehindDepth: wb,
-			DisableCache:     *noCache,
+			ReadaheadBlocks:  stream.DefaultReadahead,
+			WriteBehindDepth: stream.DefaultWriteBehind,
 		})
 		if err != nil {
 			log.Fatal(err)

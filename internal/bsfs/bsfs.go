@@ -41,10 +41,6 @@ type Config struct {
 	// keeps buffering. 0 (or negative) keeps writes fully synchronous —
 	// each block commit completes before Write returns.
 	WriteBehindDepth int
-	// DisableCache turns off block caching, prefetch and write-behind
-	// entirely (ablation benches; reads and writes then hit BlobSeer at
-	// request granularity).
-	DisableCache bool
 }
 
 // FS implements fs.FileSystem over BlobSeer.
@@ -77,12 +73,8 @@ func New(cfg Config) (*FS, error) {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
-	if cfg.ReadaheadBlocks < 0 || cfg.DisableCache {
-		cfg.ReadaheadBlocks = 0
-	}
-	if cfg.WriteBehindDepth < 0 || cfg.DisableCache {
-		cfg.WriteBehindDepth = 0
-	}
+	cfg.ReadaheadBlocks = max(cfg.ReadaheadBlocks, 0)
+	cfg.WriteBehindDepth = max(cfg.WriteBehindDepth, 0)
 	return &FS{cfg: cfg}, nil
 }
 
@@ -169,10 +161,7 @@ func (f *FS) OpenVersion(ctx context.Context, path string, version uint64) (fs.R
 // newReader streams a pinned snapshot through the shared engine with
 // this FS's pipeline tuning.
 func (f *FS) newReader(ctx context.Context, s *core.Snapshot) *stream.Reader {
-	return s.NewReader(ctx, core.ReaderOptions{
-		Readahead: f.cfg.ReadaheadBlocks,
-		NoCache:   f.cfg.DisableCache,
-	})
+	return s.NewReader(ctx, core.ReaderOptions{Readahead: f.cfg.ReadaheadBlocks})
 }
 
 // Stat implements fs.FileSystem.

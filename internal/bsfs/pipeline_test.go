@@ -288,8 +288,7 @@ func TestReaderClosedSemantics(t *testing.T) {
 
 // TestSyncModeMatchesPipelined pins the ablation contract byte-for-byte:
 // the same stream written and read through depth-0 windows and through
-// wide windows produces identical file content, and DisableCache remains
-// the fully synchronous mode.
+// wide windows produces identical file content.
 func TestSyncModeMatchesPipelined(t *testing.T) {
 	data := pattern('A', 5*B+1234)
 	read := func(readahead, writeBehind int) []byte {

@@ -47,9 +47,8 @@ type Config struct {
 	UseTCP          bool          // listen on loopback TCP instead of inproc
 	// BSFS streaming-pipeline tunables (Section IV-B): 0 picks the
 	// bsfs defaults, negative disables (fully synchronous block I/O).
-	ReadaheadBlocks  int  // reader async prefetch window, in blocks
-	WriteBehindDepth int  // writer background commits in flight
-	DisableCache     bool // ablation: no block cache, no pipeline
+	ReadaheadBlocks  int // reader async prefetch window, in blocks
+	WriteBehindDepth int // writer background commits in flight
 
 	// Self-healing replication (the repair plane). Heartbeats and the
 	// expiry ticker form the liveness loop; RepairEngine().RunOnce
@@ -97,7 +96,7 @@ type Config struct {
 
 	// StoreURL selects every data provider's block-store backend (see
 	// store.Open): "mem://" (the default when empty), "file:///path",
-	// "http://peer/base", or a composing "tiered://?hot=...&cold=...".
+	// or a composing "tiered://?hot=...&cold=...".
 	// A "{n}" anywhere in the URL expands to the provider index, so one
 	// template configures the whole fleet without directory collisions.
 	StoreURL string
@@ -302,7 +301,7 @@ func (c *BlobSeer) start() error {
 	c.MetaStore, c.Overlay = c.clients.MetaStore, c.clients.Overlay
 	// The repair engine runs over the deployment's own client stack, on
 	// demand: tests and tools drive RunOnce.
-	c.repairEng = c.clients.Repair(0, 0)
+	c.repairEng = c.clients.Repair(0)
 	c.obs.Register("repair", c.repairEng.Metrics())
 
 	// Every daemon's plane is exported under its service name — the
@@ -360,7 +359,6 @@ func (c *BlobSeer) newBSFS(cl *core.Client) (*bsfs.FS, error) {
 		Replication:      c.Cfg.Replication,
 		ReadaheadBlocks:  c.Cfg.ReadaheadBlocks,
 		WriteBehindDepth: c.Cfg.WriteBehindDepth,
-		DisableCache:     c.Cfg.DisableCache,
 	})
 }
 

@@ -44,7 +44,6 @@ type MapRed struct {
 	fabric
 	JTAddr string
 
-	jtSvc    *mapred.JTService
 	trackers []*mapred.TaskTracker
 	servers  []*rpc.Server
 }
@@ -63,12 +62,12 @@ func StartMapRed(cfg MapRedConfig) (*MapRed, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.jtSvc = mapred.NewJTService(mapred.NewJobTracker(jtFS))
+	jtSvc := mapred.NewJTService(mapred.NewJobTracker(jtFS))
 	lis, err := m.listen("jobtracker", "")
 	if err != nil {
 		return nil, err
 	}
-	srv := rpc.NewServer(m.jtSvc.Mux())
+	srv := rpc.NewServer(jtSvc.Mux())
 	m.servers = append(m.servers, srv)
 	go srv.Serve(lis)
 	m.JTAddr = "jobtracker"
@@ -109,9 +108,6 @@ func StartMapRed(cfg MapRedConfig) (*MapRed, error) {
 func (m *MapRed) Client() *mapred.JTClient {
 	return mapred.NewJTClient(m.Pool, m.JTAddr)
 }
-
-// JTService exposes the jobtracker (tests).
-func (m *MapRed) JTService() *mapred.JTService { return m.jtSvc }
 
 // Stop shuts the deployment down.
 func (m *MapRed) Stop() {

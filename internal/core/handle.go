@@ -287,9 +287,6 @@ type ReaderOptions struct {
 	// Readahead is the asynchronous prefetch window, in blocks. <= 0
 	// keeps reads fully synchronous.
 	Readahead int
-	// NoCache disables block caching and prefetch entirely (ablation:
-	// reads hit BlobSeer at request granularity).
-	NoCache bool
 }
 
 // NewReader returns a sequential io.ReadSeekCloser over the snapshot
@@ -301,7 +298,6 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 		Size:      s.size,
 		BlockSize: s.b.meta.BlockSize,
 		Readahead: o.Readahead,
-		NoCache:   o.NoCache,
 		Metrics:   s.b.c.streams,
 		Fetch: func(ctx context.Context, off int64, p []byte) (err error) {
 			// One span per stream-engine block fetch, so demand reads

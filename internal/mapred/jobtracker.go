@@ -362,9 +362,6 @@ type JTService struct {
 // NewJTService wraps jt.
 func NewJTService(jt *JobTracker) *JTService { return &JTService{jt: jt} }
 
-// Tracker exposes the core (tests).
-func (s *JTService) Tracker() *JobTracker { return s.jt }
-
 // Mux returns the dispatch table.
 func (s *JTService) Mux() *rpc.Mux {
 	m := rpc.NewMux()

@@ -109,14 +109,13 @@ func (c *Clients) BSFS(cl *core.Client, cfg bsfs.Config) (*bsfs.FS, error) {
 }
 
 // Repair returns a repair engine (scanner and executor) over the stack;
-// cache sizes the scan path's node cache, concurrency 0 is the default.
-func (c *Clients) Repair(cache, concurrency int) *repair.Engine {
+// cache sizes the scan path's node cache.
+func (c *Clients) Repair(cache int) *repair.Engine {
 	return repair.New(repair.Config{
-		VM:          c.VM(),
-		PM:          c.PM(),
-		Prov:        provider.NewClient(c.Pool),
-		Meta:        mdtree.MaybeCache(c.MetaStore, cache),
-		Overlay:     c.Overlay,
-		Concurrency: concurrency,
+		VM:      c.VM(),
+		PM:      c.PM(),
+		Prov:    provider.NewClient(c.Pool),
+		Meta:    mdtree.MaybeCache(c.MetaStore, cache),
+		Overlay: c.Overlay,
 	})
 }

@@ -59,7 +59,6 @@ type Config struct {
 	Host     string // provider, datanode: host label for affinity scheduling
 
 	Shard        vmanager.ShardInfo // vmanager: identity k/K (zero = unsharded)
-	NoRepair     bool               // vmanager: no metadata repair of aborted writes
 	MetaCache    int                // vmanager, repair: node-cache entries (<0 default, 0 off)
 	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
 	// DataDir makes vmanager and namespace durable: they journal to, and
@@ -74,8 +73,7 @@ type Config struct {
 	Heartbeat   time.Duration      // provider: heartbeat period (0 = none)
 	BlockSize   int64              // namenode
 
-	RepairInterval    time.Duration // repair: scan period
-	RepairConcurrency int           // repair: parallel block repairs (0 = default)
+	RepairInterval time.Duration // repair: scan period
 
 	MetricsAddr string // serve this node's plane at /metrics and /trace here ("" = none)
 	// Plane is the node's observability, and its name is the node's
@@ -176,13 +174,10 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		return n.Prov.Mux(), provider.MethodName, nil
 
 	case VManager:
-		var rep vmanager.Repairer
-		if !cfg.NoRepair {
-			if len(cfg.Meta) == 0 {
-				return nil, nil, errors.New("vmanager: -meta is required (or pass -no-repair)")
-			}
-			rep = vmanager.MetadataRepairer(mdtree.MaybeCache(Connect(cfg.Pool, cfg.Endpoints).MetaStore, cfg.MetaCache))
+		if len(cfg.Meta) == 0 {
+			return nil, nil, errors.New("vmanager: -meta is required")
 		}
+		rep := vmanager.MetadataRepairer(mdtree.MaybeCache(Connect(cfg.Pool, cfg.Endpoints).MetaStore, cfg.MetaCache))
 		sub := "vmanager"
 		if cfg.Shard.Count > 1 { // one WAL per shard: recovery never crosses shards
 			sub = filepath.Join(sub, fmt.Sprintf("shard-%d", cfg.Shard.Index))
@@ -236,7 +231,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		if cfg.RepairInterval <= 0 {
 			return nil, nil, errors.New("repair: -repair-interval must be positive")
 		}
-		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair(cfg.MetaCache, cfg.RepairConcurrency)
+		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair(cfg.MetaCache)
 		cfg.Plane.Use(n.Repair.Metrics())
 		n.Repair.Start(cfg.RepairInterval)
 		n.loops = append(n.loops, n.Repair.Stop)

@@ -61,19 +61,21 @@ func startTCP(t *testing.T, cfg node.Config, addr string) *node.Node {
 // refused once the stop cut it off: Stop may not close the log while a
 // handler can still acknowledge.
 func TestStopAcknowledgesNothingItDidNotLog(t *testing.T) {
+	meta := startTCP(t, node.Config{Role: node.Meta}, "") // the vmanager's abort-repair store
+	defer meta.Stop()
 	for round := 0; round < 50; round++ {
-		stopUnderLoad(t, t.TempDir())
+		stopUnderLoad(t, t.TempDir(), meta.Addr)
 	}
 }
 
-func stopUnderLoad(t *testing.T, dir string) {
+func stopUnderLoad(t *testing.T, dir, meta string) {
 	const writers, warm = 3, 2 // each writer has this many acks before the stop
 	ctx := context.Background()
 	pool := rpc.NewPool(rpc.TCPDialer)
 	defer pool.Close()
 	once := rpc.Backoff{Attempts: 1} // a refused call fails, it does not wait for a restart
 
-	vmCfg := node.Config{Role: node.VManager, Pool: pool, NoRepair: true, DataDir: dir}
+	vmCfg := node.Config{Role: node.VManager, Pool: pool, DataDir: dir, Endpoints: node.Endpoints{Meta: []string{meta}}}
 	vmNode := startTCP(t, vmCfg, "")
 	nsCfg := node.Config{Role: node.Namespace, Pool: pool, DataDir: dir, Endpoints: node.Endpoints{VM: []string{vmNode.Addr}}}
 	nsNode := startTCP(t, nsCfg, "")

@@ -15,11 +15,11 @@ import (
 	"blobseer/internal/vmanager"
 )
 
-// Defaults for the executor.
+// The executor's shape.
 const (
-	DefaultConcurrency = 4
-	DefaultRetries     = 3
-	DefaultBackoff     = 50 * time.Millisecond
+	parallelRepairs = 4                     // block repairs in flight
+	repairAttempts  = 3                     // tries per block
+	retryBackoff    = 50 * time.Millisecond // before the first retry, doubled per attempt
 )
 
 // Config wires an Engine to a deployment.
@@ -29,10 +29,6 @@ type Config struct {
 	Prov    *provider.Client
 	Meta    mdtree.Store // metadata tree store (scan path)
 	Overlay *Overlay     // relocation records (must be non-nil)
-
-	Concurrency int           // parallel block repairs (DefaultConcurrency if <= 0)
-	Retries     int           // attempts per block (DefaultRetries if <= 0)
-	Backoff     time.Duration // base retry backoff, doubled per attempt (DefaultBackoff if <= 0)
 }
 
 // Engine is the repair plane: Scan finds under-replicated blocks,
@@ -53,15 +49,6 @@ type Engine struct {
 
 // New returns an engine over cfg.
 func New(cfg Config) *Engine {
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = DefaultConcurrency
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = DefaultRetries
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBackoff
-	}
 	e := &Engine{cfg: cfg, reg: obs.NewRegistry()}
 	lastGauge := func(pick func(Report) int64) func() int64 {
 		return func() int64 { return pick(e.LastReport()) }
@@ -306,7 +293,7 @@ func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
 
 	rep := Report{Blocks: st.nBlocks, UnderReplicated: len(tasks)}
 	var mu sync.Mutex // guards rep counters and mem.load
-	sem := make(chan struct{}, e.cfg.Concurrency)
+	sem := make(chan struct{}, parallelRepairs)
 	var wg sync.WaitGroup
 	for _, t := range tasks {
 		if len(t.Sources) == 0 {
@@ -387,9 +374,9 @@ func pickTargets(mem *membership, t Task, n int) []string {
 // number of replicas created (all-or-nothing per chained push, so on
 // success that is len(targets)).
 func (e *Engine) repairBlock(ctx context.Context, t Task, targets []string) (int, error) {
-	backoff := e.cfg.Backoff
+	backoff := retryBackoff
 	var lastErr error
-	for attempt := 0; attempt < e.cfg.Retries; attempt++ {
+	for attempt := 0; attempt < repairAttempts; attempt++ {
 		if attempt > 0 {
 			e.reg.Counter("retries").Inc()
 			select {

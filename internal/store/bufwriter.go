@@ -7,9 +7,8 @@ import (
 
 // bufWriter is the shared frame-assembly engine behind the backends
 // that buffer a streaming block before installing it in one shot (mem,
-// http, tiered write-back). Frames land at arbitrary offsets; Commit
-// hands the assembled buffer to the backend's install, which takes
-// ownership (no copy).
+// tiered). Frames land at arbitrary offsets; Commit hands the assembled
+// buffer to the backend's install, which takes ownership (no copy).
 type bufWriter struct {
 	mu   sync.Mutex
 	buf  []byte

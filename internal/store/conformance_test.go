@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
@@ -30,25 +29,8 @@ var backends = []struct {
 	{"FSSync", func(t *testing.T) store.Store {
 		return openURL(t, "file://"+t.TempDir()+"?sync=1")
 	}},
-	{"HTTP", func(t *testing.T) store.Store {
-		srv := httptest.NewServer(store.Handler(store.NewMemStore()))
-		t.Cleanup(srv.Close)
-		return openURL(t, srv.URL)
-	}},
-	{"HTTPOverFS", func(t *testing.T) store.Store {
-		backing, err := store.NewFSStore(t.TempDir(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(store.Handler(backing))
-		t.Cleanup(srv.Close)
-		return openURL(t, srv.URL)
-	}},
 	{"TieredWriteThrough", func(t *testing.T) store.Store {
 		return openURL(t, "tiered://?hot=mem://&cold=mem://")
-	}},
-	{"TieredWriteBack", func(t *testing.T) store.Store {
-		return openURL(t, "tiered://?hot=mem://&cold=mem://&write-back=1")
 	}},
 	{"TieredFSCold", func(t *testing.T) store.Store {
 		return openURL(t, "tiered://?hot=mem://&cold=file://"+t.TempDir())
@@ -62,15 +44,6 @@ var backends = []struct {
 		return store.NewTiered(hot, cold, store.TierOptions{
 			DemoteAfter: 0,
 			Interval:    time.Millisecond,
-		})
-	}},
-	{"TieredAggressiveWriteBack", func(t *testing.T) store.Store {
-		hot := store.NewMemStore()
-		cold := store.NewMemStore()
-		return store.NewTiered(hot, cold, store.TierOptions{
-			DemoteAfter: 0,
-			Interval:    time.Millisecond,
-			WriteBack:   true,
 		})
 	}},
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,8 +12,8 @@ import (
 )
 
 // Opener constructs a Store from a parsed URL. The query carries
-// backend options; openers must ignore parameters they do not know so
-// shared knobs can be added without breaking registered backends.
+// backend options; openers reject parameters they do not read, so a
+// mistyped option fails the open instead of being silently ignored.
 type Opener func(u *url.URL) (Store, error)
 
 var (
@@ -20,9 +22,9 @@ var (
 )
 
 // Register installs an opener for a URL scheme, replacing any previous
-// registration. The built-in schemes (mem, file, http, https, tiered)
-// are registered at init; deployments can add their own backends
-// (an S3 SDK, a dedup engine, ...) without touching this package.
+// registration. The built-in schemes (mem, file, tiered) are
+// registered at init; deployments can add their own backends (an S3
+// SDK, a dedup engine, ...) without touching this package.
 func Register(scheme string, open Opener) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -34,21 +36,20 @@ func Register(scheme string, open Opener) {
 //	mem://                                sharded in-memory store
 //	file:///var/blocks?sync=1             file-backed store (sync=1 fsyncs writes
 //	                                      and directory renames)
-//	http://peer:9000/base                 remote HTTP object store (S3-flavored
-//	                                      GET/PUT/DELETE/range/list; see httpstore.go)
 //	tiered://?hot=mem://&cold=file:///c   hot/cold tiered engine; see tiered.go
 //	                                      for the policy knobs (max-hot-bytes,
-//	                                      demote-after, demote-every, write-back)
+//	                                      demote-after, demote-every)
 //
-// Nested URLs inside tiered:// only need escaping when they carry a
-// query of their own (url.QueryEscape the whole nested URL then).
+// An option the backend does not read is an error. Nested URLs inside
+// tiered:// only need escaping when they carry a query of their own
+// (url.QueryEscape the whole nested URL then).
 func Open(rawURL string) (Store, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %q: %w", rawURL, err)
 	}
 	if u.Scheme == "" {
-		return nil, fmt.Errorf("store: open %q: no scheme (want mem://, file://, http://, tiered://)", rawURL)
+		return nil, fmt.Errorf("store: open %q: no scheme (want mem://, file://, tiered://)", rawURL)
 	}
 	registryMu.RLock()
 	open, ok := registry[strings.ToLower(u.Scheme)]
@@ -65,12 +66,24 @@ func Open(rawURL string) (Store, error) {
 
 func init() {
 	Register("mem", func(u *url.URL) (Store, error) {
+		if err := onlyParams(u.Query()); err != nil {
+			return nil, fmt.Errorf("mem store: %w", err)
+		}
 		return NewMemStore(), nil
 	})
 	Register("file", openFile)
-	Register("http", openHTTP)
-	Register("https", openHTTP)
 	Register("tiered", openTiered)
+}
+
+// onlyParams fails on the first query key, in sorted order, that is not
+// one of known.
+func onlyParams(q url.Values, known ...string) error {
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(known, k) {
+			return fmt.Errorf("unknown option %q", k)
+		}
+	}
+	return nil
 }
 
 // openFile maps file URLs onto NewFSStore. Both absolute
@@ -87,21 +100,33 @@ func openFile(u *url.URL) (Store, error) {
 	if path == "" {
 		return nil, fmt.Errorf("file store: empty path")
 	}
-	return NewFSStore(path, boolParam(u.Query(), "sync"))
-}
-
-func openHTTP(u *url.URL) (Store, error) {
-	base := *u
-	base.RawQuery = ""
-	base.Fragment = ""
-	return NewHTTPStore(base.String()), nil
+	q := u.Query()
+	if err := onlyParams(q, "sync"); err != nil {
+		return nil, fmt.Errorf("file store: %w", err)
+	}
+	return NewFSStore(path, boolParam(q, "sync"))
 }
 
 func openTiered(u *url.URL) (Store, error) {
 	q := u.Query()
+	if err := onlyParams(q, "hot", "cold", "max-hot-bytes", "demote-after", "demote-every"); err != nil {
+		return nil, fmt.Errorf("tiered store: %w", err)
+	}
 	hotURL, coldURL := q.Get("hot"), q.Get("cold")
 	if hotURL == "" || coldURL == "" {
 		return nil, fmt.Errorf("tiered store: want hot= and cold= backend URLs")
+	}
+	var opts TierOptions
+	var err error
+	opts.MaxHotBytes, err = sizeParam(q, "max-hot-bytes")
+	if err == nil {
+		opts.DemoteAfter, err = durParam(q, "demote-after")
+	}
+	if err == nil {
+		opts.Interval, err = durParam(q, "demote-every")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("tiered store: %w", err)
 	}
 	hot, err := Open(hotURL)
 	if err != nil {
@@ -111,20 +136,6 @@ func openTiered(u *url.URL) (Store, error) {
 	if err != nil {
 		hot.Close()
 		return nil, fmt.Errorf("tiered store: cold tier: %w", err)
-	}
-	opts := TierOptions{WriteBack: boolParam(q, "write-back")}
-	if opts.MaxHotBytes, err = sizeParam(q, "max-hot-bytes"); err != nil {
-		hot.Close()
-		cold.Close()
-		return nil, fmt.Errorf("tiered store: %w", err)
-	}
-	if opts.DemoteAfter, err = durParam(q, "demote-after"); err == nil {
-		opts.Interval, err = durParam(q, "demote-every")
-	}
-	if err != nil {
-		hot.Close()
-		cold.Close()
-		return nil, fmt.Errorf("tiered store: %w", err)
 	}
 	return NewTiered(hot, cold, opts), nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"net/url"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -15,8 +16,6 @@ func TestOpenSchemes(t *testing.T) {
 		{"mem://", "*store.MemStore"},
 		{"file://" + t.TempDir(), "*store.FSStore"},
 		{"file://" + t.TempDir() + "?sync=1", "*store.FSStore"},
-		{"http://127.0.0.1:1/base", "*store.HTTPStore"},
-		{"https://127.0.0.1:1/base", "*store.HTTPStore"},
 		{"tiered://?hot=mem://&cold=mem://", "*store.Tiered"},
 	}
 	for _, c := range cases {
@@ -35,11 +34,6 @@ func TestOpenSchemes(t *testing.T) {
 			if !ok {
 				t.Fatalf("Open(%q) = %T", c.url, st)
 			}
-		case "*store.HTTPStore":
-			_, ok := st.(*HTTPStore)
-			if !ok {
-				t.Fatalf("Open(%q) = %T", c.url, st)
-			}
 		case "*store.Tiered":
 			_, ok := st.(*Tiered)
 			if !ok {
@@ -54,9 +48,13 @@ func TestOpenErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"bogus://x",
-		"tiered://",                      // missing hot= and cold=
-		"tiered://?hot=mem://",           // missing cold=
-		"tiered://?hot=x://&cold=mem://", // bad nested scheme
+		"mem://?sync=1",
+		"file://" + t.TempDir() + "?snyc=1", // a mistyped option is refused, not ignored
+		"tiered://?hot=mem://&cold=mem://&write-back=1",
+		"tiered://?hot=mem://?x=1&cold=mem://", // the nested store refuses it too
+		"tiered://",                            // missing hot= and cold=
+		"tiered://?hot=mem://",                 // missing cold=
+		"tiered://?hot=x://&cold=mem://",       // bad nested scheme
 		"tiered://?hot=mem://&cold=mem://&max-hot-bytes=abc",
 		"tiered://?hot=mem://&cold=mem://&demote-after=xyz",
 	}
@@ -65,6 +63,9 @@ func TestOpenErrors(t *testing.T) {
 			st.Close()
 			t.Fatalf("Open(%q) succeeded, want error", u)
 		}
+	}
+	if _, err := Open("http://h/b"); err == nil || !strings.Contains(err.Error(), "unknown backend scheme") {
+		t.Fatalf("Open(http://h/b) = %v, want an unknown backend scheme", err)
 	}
 }
 
@@ -97,7 +98,6 @@ func TestOpenTieredOptions(t *testing.T) {
 	q.Set("max-hot-bytes", "4096")
 	q.Set("demote-after", "250ms")
 	q.Set("demote-every", "1s")
-	q.Set("write-back", "1")
 	st, err := Open("tiered://?" + q.Encode())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -115,9 +115,6 @@ func TestOpenTieredOptions(t *testing.T) {
 	}
 	if ti.opts.Interval != time.Second {
 		t.Fatalf("Interval = %v", ti.opts.Interval)
-	}
-	if !ti.opts.WriteBack {
-		t.Fatal("WriteBack not set")
 	}
 }
 

@@ -2,11 +2,10 @@
 // metadata providers. Backends are selected by URL through Open (see
 // factory.go): a sharded in-memory store ("mem://", the default for
 // experiments, mirroring the paper's RAM-resident providers), a
-// file-backed store for durable deployments ("file:///dir?sync=1"), a
-// generic HTTP object store speaking an S3-flavored GET/PUT/DELETE/
-// range/list protocol ("http://host:port/base"), and a composing
-// hot/cold tiered engine ("tiered://?hot=...&cold=...") that demotes
-// idle blocks to the slow backend and promotes them back on read.
+// file-backed store for durable deployments ("file:///dir?sync=1"), and
+// a composing write-through hot/cold tiered engine
+// ("tiered://?hot=...&cold=...") that drops idle blocks' hot copies and
+// promotes them back on read.
 // Every backend implements the full Store contract, so providers, the
 // repair plane and GC run unchanged on any of them.
 //

@@ -1,5 +1,5 @@
 // Package storetest is the shared conformance harness for Store
-// backends. Every backend — mem, fs, http, tiered — must pass the same
+// backends. Every backend — mem, fs, tiered — must pass the same
 // contract: Run exercises the visibility, clamping, enumeration and
 // concurrency semantics the provider and repair planes rely on, so a
 // new backend is wired in by writing an opener, not by re-deriving the
@@ -123,7 +123,7 @@ func testGetRangeClamps(t *testing.T, st store.Store) {
 		{99, 3, ""},      // start past end
 		{-2, 5, "01234"}, // negative start clamps to 0, length kept
 		{-2, -1, "0123456789"},
-		// off+length overflows (HTTP "Range: bytes=1-9223372036854775807")
+		// off+length overflows int64
 		{1, math.MaxInt64, "123456789"},
 		{9, math.MaxInt64 - 3, "9"},
 		{0, math.MaxInt64, "0123456789"},

@@ -8,8 +8,7 @@ import (
 	"time"
 )
 
-// TierOptions configures a Tiered store's demotion policy and write
-// path.
+// TierOptions configures a Tiered store's demotion policy.
 type TierOptions struct {
 	// MaxHotBytes bounds the hot tier: whenever it grows past this,
 	// least-recently-accessed blocks are demoted until it fits again.
@@ -23,12 +22,6 @@ type TierOptions struct {
 	// Interval runs the background policy loop this often. 0 disables
 	// the loop; DemoteNow still works for manual or test-driven passes.
 	Interval time.Duration
-	// WriteBack selects the write path. Write-through (the default)
-	// copies every committed block to the cold tier immediately, so
-	// demotion is a pure hot-copy drop. Write-back lands blocks on the
-	// hot tier only and defers the cold copy to demotion — faster
-	// writes, but blocks written since the last pass live in one tier.
-	WriteBack bool
 }
 
 // TierCounters snapshots a Tiered store's traffic split.
@@ -36,12 +29,13 @@ type TierCounters struct {
 	HotHits    int64 // reads served by the hot tier
 	ColdHits   int64 // reads that had to touch the cold tier
 	Promotions int64 // cold blocks copied back to hot on read
-	Demotions  int64 // hot blocks dropped (and flushed, when dirty) to cold
+	Demotions  int64 // hot copies dropped (cold already holds every block)
 }
 
 // Tiered composes a fast hot store and a slow cold store into one
-// Store: reads hit the hot tier first and transparently promote cold
-// blocks back on a miss, a policy loop demotes idle blocks, and every
+// Store: writes go through to both tiers, reads hit the hot tier first
+// and transparently promote cold blocks back on a miss, a policy loop
+// demotes idle blocks by dropping their hot copy, and every
 // contract operation (Keys, Has, Delete, DeletePrefix) spans both
 // tiers — so providers, block reports, repair and GC see one logical
 // store and a demoted block still counts as present. Build one with
@@ -52,11 +46,9 @@ type Tiered struct {
 
 	hotHits, coldHits, promotions, demotions atomic.Int64
 
-	mu         sync.Mutex
-	access     map[string]time.Time // last access per hot-resident key
-	dirty      map[string]int64     // write-back keys not yet flushed (-> value size)
-	dirtyBytes int64
-	stop       chan struct{}
+	mu     sync.Mutex
+	access map[string]time.Time // last access per hot-resident key
+	stop   chan struct{}
 }
 
 // NewTiered composes hot and cold under the given policy, taking
@@ -68,7 +60,6 @@ func NewTiered(hot, cold Store, opts TierOptions) *Tiered {
 		cold:   cold,
 		opts:   opts,
 		access: make(map[string]time.Time),
-		dirty:  make(map[string]int64),
 	}
 	if opts.Interval > 0 {
 		s.stop = make(chan struct{})
@@ -90,36 +81,16 @@ func (s *Tiered) policyLoop(stop <-chan struct{}) {
 	}
 }
 
-// Put implements Store.
+// Put implements Store. Cold first: a block is committed only once the
+// durable tier holds it; the hot copy is a pure read accelerator.
 func (s *Tiered) Put(key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.putLocked(key, val)
-}
-
-func (s *Tiered) putLocked(key string, val []byte) error {
-	if s.opts.WriteBack {
-		if err := s.hot.Put(key, val); err != nil {
-			return err
-		}
-		if old, ok := s.dirty[key]; ok {
-			s.dirtyBytes -= old
-		} else if err := s.cold.Delete(key); err != nil {
-			// Drop any demoted copy of the old value so the tiers never
-			// hold two generations of one key.
-			return err
-		}
-		s.dirty[key] = int64(len(val))
-		s.dirtyBytes += int64(len(val))
-	} else {
-		// Cold first: a block is committed only once the durable tier
-		// holds it; the hot copy is a pure read accelerator.
-		if err := s.cold.Put(key, val); err != nil {
-			return err
-		}
-		if err := s.hot.Put(key, val); err != nil {
-			return err
-		}
+	if err := s.cold.Put(key, val); err != nil {
+		return err
+	}
+	if err := s.hot.Put(key, val); err != nil {
+		return err
 	}
 	s.access[key] = time.Now()
 	s.evictLocked()
@@ -217,16 +188,8 @@ func (s *Tiered) Has(key string) bool {
 func (s *Tiered) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.forgetLocked(key)
-	return errors.Join(s.hot.Delete(key), s.cold.Delete(key))
-}
-
-func (s *Tiered) forgetLocked(key string) {
 	delete(s.access, key)
-	if sz, ok := s.dirty[key]; ok {
-		s.dirtyBytes -= sz
-		delete(s.dirty, key)
-	}
+	return errors.Join(s.hot.Delete(key), s.cold.Delete(key))
 }
 
 // DeletePrefix implements Store: the sweep spans both tiers, so GC
@@ -239,7 +202,7 @@ func (s *Tiered) DeletePrefix(prefix string) (int, error) {
 		return 0, err
 	}
 	for _, k := range keys {
-		s.forgetLocked(k)
+		delete(s.access, k)
 	}
 	if _, err := s.hot.DeletePrefix(prefix); err != nil {
 		return 0, err
@@ -281,25 +244,18 @@ func (s *Tiered) keysLocked(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// Stats implements Store. Items/Bytes count the logical contents (cold
-// holds everything except unflushed write-back blocks); Tiers breaks
-// down physical occupancy.
+// Stats implements Store. Items/Bytes count the logical contents, which
+// the cold tier holds all of; Tiers breaks down physical occupancy.
 func (s *Tiered) Stats() Stats {
-	// Snapshot under the mutation lock so a concurrent demotion cannot
-	// move a block between the cold snapshot and the dirty count.
-	s.mu.Lock()
-	hotSt := s.hot.Stats()
-	coldSt := s.cold.Stats()
-	st := Stats{
-		Items: coldSt.Items + int64(len(s.dirty)),
-		Bytes: coldSt.Bytes + s.dirtyBytes,
+	hotSt, coldSt := s.TierStats()
+	return Stats{
+		Items: coldSt.Items,
+		Bytes: coldSt.Bytes,
+		Tiers: []TierStat{
+			{Name: "hot", Items: hotSt.Items, Bytes: hotSt.Bytes},
+			{Name: "cold", Items: coldSt.Items, Bytes: coldSt.Bytes},
+		},
 	}
-	s.mu.Unlock()
-	st.Tiers = []TierStat{
-		{Name: "hot", Items: hotSt.Items, Bytes: hotSt.Bytes},
-		{Name: "cold", Items: coldSt.Items, Bytes: coldSt.Bytes},
-	}
-	return st
 }
 
 // TierStats returns each tier's physical occupancy.
@@ -320,8 +276,7 @@ func (s *Tiered) Counters() TierCounters {
 // DemoteNow runs one policy pass synchronously and reports how many
 // blocks it demoted: first every hot block idle for DemoteAfter or
 // longer (oldest first), then — when MaxHotBytes bounds the hot tier —
-// least-recently-used blocks until the tier fits. Dirty write-back
-// blocks are flushed to cold before their hot copy is dropped.
+// least-recently-used blocks until the tier fits.
 func (s *Tiered) DemoteNow() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -398,24 +353,8 @@ func (s *Tiered) sizeOf(key string) (int64, error) {
 	return int64(len(val)), err
 }
 
-// demoteLocked drops one block's hot copy, flushing it to cold first
-// when it is dirty. Caller holds s.mu.
+// demoteLocked drops one block's hot copy. Caller holds s.mu.
 func (s *Tiered) demoteLocked(key string) error {
-	if _, dirty := s.dirty[key]; dirty {
-		val, err := s.hot.Get(key)
-		if err == ErrNotFound {
-			s.forgetLocked(key)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.cold.Put(key, val); err != nil {
-			return err // keep it hot and dirty; the next pass retries
-		}
-		s.dirtyBytes -= s.dirty[key]
-		delete(s.dirty, key)
-	}
 	if err := s.hot.Delete(key); err != nil {
 		return err
 	}

@@ -24,27 +24,6 @@ func TestTieredWriteThroughLandsBothTiers(t *testing.T) {
 	}
 }
 
-func TestTieredWriteBackDefersCold(t *testing.T) {
-	ti, hot, cold := newTestTiered(t, TierOptions{WriteBack: true})
-	if err := ti.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if !hot.Has("k") || cold.Has("k") {
-		t.Fatalf("write-back put: hot=%v cold=%v, want hot only", hot.Has("k"), cold.Has("k"))
-	}
-	n, err := ti.DemoteNow()
-	if err != nil || n != 1 {
-		t.Fatalf("DemoteNow = (%d, %v), want (1, nil)", n, err)
-	}
-	if hot.Has("k") || !cold.Has("k") {
-		t.Fatalf("after demotion: hot=%v cold=%v, want cold only", hot.Has("k"), cold.Has("k"))
-	}
-	got, err := cold.Get("k")
-	if err != nil || string(got) != "v" {
-		t.Fatalf("cold value = %q, %v", got, err)
-	}
-}
-
 func TestTieredPromotionOnRead(t *testing.T) {
 	ti, hot, _ := newTestTiered(t, TierOptions{})
 	if err := ti.Put("k", []byte("hello world")); err != nil {
@@ -232,31 +211,6 @@ func TestTieredDeletePrefixCountsDistinct(t *testing.T) {
 	}
 	if ti.Has("p/1") {
 		t.Fatal("prefixed key survived")
-	}
-}
-
-func TestTieredWriteBackOverwriteAfterDemotion(t *testing.T) {
-	ti, _, cold := newTestTiered(t, TierOptions{WriteBack: true})
-	if err := ti.Put("k", []byte("generation-one")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ti.DemoteNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ti.Put("k", []byte("gen2")); err != nil {
-		t.Fatal(err)
-	}
-	// The stale demoted copy is gone; stats count one logical block.
-	if cold.Has("k") {
-		t.Fatal("stale cold generation survived the overwrite")
-	}
-	st := ti.Stats()
-	if st.Items != 1 || st.Bytes != 4 {
-		t.Fatalf("stats = %+v, want 1 item / 4 bytes", st)
-	}
-	got, err := ti.Get("k")
-	if err != nil || string(got) != "gen2" {
-		t.Fatalf("Get = %q, %v", got, err)
 	}
 }
 

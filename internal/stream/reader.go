@@ -29,10 +29,6 @@ type ReaderConfig struct {
 	// stream. <= 0 keeps reads fully synchronous — one block fetched at
 	// a time, on demand.
 	Readahead int
-	// NoCache disables block-granularity caching and prefetch entirely:
-	// every Read fetches exactly the range it still needs (ablation
-	// benches; the simulator models per-request costs).
-	NoCache bool
 	// Metrics, when non-nil, counts this reader's pipeline activity
 	// into its client's registry.
 	Metrics *Metrics
@@ -65,7 +61,6 @@ type Reader struct {
 	size      int64
 	blockSize int64
 	readahead int
-	noCache   bool
 
 	mu       sync.Mutex
 	pos      int64
@@ -102,7 +97,7 @@ type blockLoad struct {
 // outstanding fetches.
 func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 	readahead := cfg.Readahead
-	if readahead < 0 || cfg.NoCache {
+	if readahead < 0 {
 		readahead = 0
 	}
 	m := orNoMetrics(cfg.Metrics)
@@ -113,7 +108,6 @@ func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 		size:      cfg.Size,
 		blockSize: cfg.BlockSize,
 		readahead: readahead,
-		noCache:   cfg.NoCache,
 		cacheOff:  -1,
 		nextSeq:   -1,
 		window:    make(map[int64]*blockLoad),
@@ -184,14 +178,6 @@ func (r *Reader) lockedFetch(off int64) ([]byte, error) {
 			r.cache = wire.GetBuf(int(r.blockSize))
 		}
 		r.cacheOff = -1 // the buffer is being overwritten
-		if r.noCache {
-			// Ablation mode: fetch only what was asked (here: to block
-			// end, since callers of lockedFetch consume incrementally;
-			// the distinction matters for the simulator, which models
-			// per-request costs) and cache nothing.
-			r.cache = r.cache[:blockStart+length-off]
-			return r.cache, r.fetch(r.ctx, off, r.cache)
-		}
 		r.cache = r.cache[:length]
 		if err := r.fetch(r.ctx, blockStart, r.cache); err != nil {
 			return nil, err

@@ -166,30 +166,6 @@ func TestReaderSeekCancelsWindow(t *testing.T) {
 	}
 }
 
-// TestReaderNoCacheFetchesExactRanges: ablation mode bypasses the block
-// cache entirely — every Read fetches at request granularity.
-func TestReaderNoCacheFetchesExactRanges(t *testing.T) {
-	src := &memSource{data: pattern('n', 2*B)}
-	r := stream.NewReader(context.Background(), stream.ReaderConfig{
-		Fetch:     src.fetch,
-		Size:      int64(len(src.data)),
-		BlockSize: B,
-		Readahead: 4, // NoCache wins: forced synchronous
-		NoCache:   true,
-	})
-	defer r.Close()
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src.data) {
-		t.Fatal("nocache round trip mismatch")
-	}
-	if st := r.ReadStats(); st.Prefetched != 0 {
-		t.Errorf("NoCache reader prefetched %d blocks, want 0", st.Prefetched)
-	}
-}
-
 // TestReaderClosedSemantics: Read and Seek on a closed reader return
 // ErrReaderClosed, matching the shared ErrClosed sentinel.
 func TestReaderClosedSemantics(t *testing.T) {

@@ -338,11 +338,3 @@ func (w *Writer) Close() error {
 	w.cfg.Metrics.writersOpen.Add(-1)
 	return nil
 }
-
-// Buffered reports the bytes accepted by Write but not yet handed to a
-// commit (tests, diagnostics).
-func (w *Writer) Buffered() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.buf)
-}

@@ -39,9 +39,9 @@
 // tiered engine (see the store package for the policy knobs).
 // The control-plane daemons (vmanager, namespace) are volatile by
 // default; pass -data-dir to journal every mutation to a write-ahead
-// log and recover the state on restart (-wal-sync trades durability for
-// throughput by batching fsyncs). SIGTERM stops serving, drains, and
-// only then flushes and closes the log.
+// log, fsynced before the mutation is acknowledged, and recover the
+// state on restart. SIGTERM stops serving, drains, and only then
+// closes the log.
 //
 // Every role is a node.Node (internal/node): the same construction,
 // registration and stop order the in-process deployments of
@@ -97,7 +97,6 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		blockSz  = fs.Int64("block-size", 64*util.MB, "chunk size in bytes (namenode)")
 		wtimeout = fs.Duration("write-timeout", 0, "vmanager: abort writers silent for this long (0 disables the janitor)")
 		dataDir  = fs.String("data-dir", "", "vmanager/namespace: WAL directory for crash-durable state (default: volatile)")
-		walSync  = fs.Duration("wal-sync", 0, "vmanager/namespace: fsync the WAL at this interval instead of per record (0 = every record)")
 		hbEvery  = fs.Duration("heartbeat", 5*time.Second, "provider: heartbeat interval to the provider manager (0 disables)")
 		expire   = fs.Duration("expire-after", 0, "pmanager: mark providers silent this long dead (0 disables the liveness loop)")
 		repEvery = fs.Duration("repair-interval", 30*time.Second, "repair: scan-and-repair period")
@@ -121,7 +120,7 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		},
 		NamenodeAddr: *nnAddr, StoreURL: *storeURL, Host: *host,
 		MetaCache: *metaCach, WriteTimeout: *wtimeout,
-		DataDir: *dataDir, WALSync: *walSync,
+		DataDir:     *dataDir,
 		ExpireAfter: *expire, Heartbeat: *hbEvery, BlockSize: *blockSz,
 		RepairInterval: *repEvery,
 		MetricsAddr:    *metAddr, Logf: log.Printf,

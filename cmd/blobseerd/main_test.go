@@ -223,6 +223,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-role", "pmanager", "-strategy", "best"}, `unknown strategy "best"`},
 		{[]string{"-role", "repair", "-vmanager", "a", "-pmanager", "b"}, "repair: -vmanager, -pmanager and -meta are required"},
 		{[]string{"-role", "janitor"}, `unknown role "janitor"`},
+		{[]string{"-role", "vmanager", "-wal-sync", "5ms"}, "flag provided but not defined: -wal-sync"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		err := run(ctx, tc.args, func(string) { cancel() }) // a daemon that does start is stopped at once

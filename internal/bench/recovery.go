@@ -23,8 +23,9 @@ import (
 //  1. Durability: without a WAL a version-manager crash erases the
 //     publication line; with one, every acknowledged write survives.
 //  2. Recovery time grows with the un-snapshotted log suffix.
-//  3. Fsync policy is the durability/throughput trade: every-record
-//     fsync pays per operation, interval fsync amortizes it.
+//  3. Durability has a throughput price: every record is fsynced
+//     before its acknowledgement, against a volatile manager that
+//     fsyncs nothing.
 //
 // RecoveryReport bundles all three for BENCH_recovery.json.
 
@@ -62,7 +63,7 @@ func RecoveryReport(quick bool) (Report, error) {
 	return Report{Sections: []Section{
 		{"Crash recovery — publication-line durability (vmanager kill+restart)", durability},
 		{"Crash recovery — cold replay time vs log length", replay},
-		{"Crash recovery — fsync policy throughput cost", fsync},
+		{"Crash recovery — fsync throughput cost", fsync},
 	}}, nil
 }
 
@@ -127,12 +128,10 @@ func AblationCrashRecovery(dir string, versions int) ([]Series, error) {
 // a version-manager WAL of n records (one assign + one commit per
 // version) under dir, then time a cold Recover.
 func AblationRecoveryTime(dir string, counts []int) ([]Series, error) {
-	// Interval sync while seeding: we measure replay, not append.
-	opts := wal.Options{Policy: wal.SyncInterval, Interval: 50 * time.Millisecond}
 	s := Series{Name: "replay", XLabel: "log records", YLabel: "recovery ms"}
 	for i, n := range counts {
 		logDir := filepath.Join(dir, fmt.Sprint("replay-", i))
-		st, err := openState(logDir, opts)
+		st, err := openState(logDir)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +143,7 @@ func AblationRecoveryTime(dir string, counts []int) ([]Series, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if st, err = openState(logDir, opts); err != nil {
+		if st, err = openState(logDir); err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
@@ -154,26 +153,18 @@ func AblationRecoveryTime(dir string, counts []int) ([]Series, error) {
 	return []Series{s}, nil
 }
 
-// AblationFsyncPolicy measures the throughput cost of the fsync
-// policy: assign+commit pairs per second on a bare version-manager
-// core under every-record fsync, interval fsync, and no WAL at all
-// (the upper bound durability pays against). The logs live under dir.
+// AblationFsyncPolicy measures what durability costs: assign+commit
+// pairs per second on a bare version-manager core that fsyncs every
+// record into a WAL under dir, against one with no WAL at all (the
+// upper bound durability pays against).
 func AblationFsyncPolicy(dir string, versions int) ([]Series, error) {
-	arms := []struct {
-		name string
-		opts *wal.Options // nil = volatile
-	}{
-		{"fsync-always", &wal.Options{Policy: wal.SyncAlways}},
-		{"fsync-5ms", &wal.Options{Policy: wal.SyncInterval, Interval: 5 * time.Millisecond}},
-		{"no-wal", nil},
-	}
-	out := make([]Series, 0, len(arms))
-	for _, arm := range arms {
+	var out []Series
+	for _, name := range []string{"fsync-always", "no-wal"} {
 		var st *vmanager.State
 		var err error
-		if arm.opts == nil {
+		if name == "no-wal" {
 			st = vmanager.NewState(nil)
-		} else if st, err = openState(filepath.Join(dir, arm.name), *arm.opts); err != nil {
+		} else if st, err = openState(filepath.Join(dir, name)); err != nil {
 			return nil, err
 		}
 		m, err := st.CreateBlob(controlBlock, 1)
@@ -187,17 +178,17 @@ func AblationFsyncPolicy(dir string, versions int) ([]Series, error) {
 			return nil, err
 		}
 		out = append(out, Series{
-			Name: arm.name, XLabel: "versions", YLabel: "publishes/sec",
+			Name: name, XLabel: "versions", YLabel: "publishes/sec",
 			Points: []Point{{X: float64(versions), Y: float64(versions) / elapsed.Seconds()}},
 		})
 	}
 	return out, nil
 }
 
-// openState opens the version-manager WAL in dir under opts and
-// recovers the state it holds; the state's CloseWAL closes the log.
-func openState(dir string, opts wal.Options) (*vmanager.State, error) {
-	log, err := wal.Open(dir, opts)
+// openState opens the version-manager WAL in dir and recovers the
+// state it holds; the state's CloseWAL closes the log.
+func openState(dir string) (*vmanager.State, error) {
+	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -52,8 +52,8 @@ func TestCrashRecoveryDirection(t *testing.T) {
 		}
 	}
 
-	if len(fsync) != 3 {
-		t.Fatalf("fsync sweep arms = %d, want 3", len(fsync))
+	if len(fsync) != 2 {
+		t.Fatalf("fsync sweep arms = %d, want 2", len(fsync))
 	}
 	for _, s := range fsync {
 		if len(s.Points) != 1 || s.Points[0].Y <= 0 {

@@ -12,7 +12,6 @@ import (
 	"blobseer/internal/placement"
 	"blobseer/internal/simstore"
 	"blobseer/internal/vmanager"
-	"blobseer/internal/wal"
 )
 
 // Control-plane scaling experiments for BENCH_vmshard.json: how far the
@@ -86,7 +85,7 @@ func GroupCommitBench(dir string, versions int, writerCounts []int) ([]Series, e
 	rate := Series{Name: "group-commit", XLabel: "writers", YLabel: "publishes/sec"}
 	coalesce := Series{Name: "fsyncs-per-record", XLabel: "writers", YLabel: "fsyncs/record"}
 	for i, w := range writerCounts {
-		st, err := openState(filepath.Join(dir, fmt.Sprint("groupcommit-", i)), wal.Options{Policy: wal.SyncAlways})
+		st, err := openState(filepath.Join(dir, fmt.Sprint("groupcommit-", i)))
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,8 @@ type State struct {
 	creator  BlobCreator
 	orphaned []blob.ID // blobs unlinked by delete/overwrite (GC candidates)
 	// log, when non-nil, journals every mutation for crash recovery
-	// (see recovery.go). Attached by Recover; nil keeps the historical
+	// (see recovery.go). Recover sets it before the State is shared and
+	// nothing changes it afterwards; nil keeps the historical
 	// purely-in-memory behavior.
 	log *wal.Log
 }

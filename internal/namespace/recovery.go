@@ -236,23 +236,18 @@ func (s *State) SnapshotNow() error {
 
 // WALStatus reports the attached log's shape.
 func (s *State) WALStatus() (wal.Status, error) {
-	s.mu.RLock()
-	log := s.log
-	s.mu.RUnlock()
-	if log == nil {
+	if s.log == nil {
 		return wal.Status{}, ErrNoWAL
 	}
-	return log.Status(), nil
+	return s.log.Status(), nil
 }
 
-// CloseWAL flushes and closes the attached log (graceful shutdown).
+// CloseWAL closes the attached log (graceful shutdown). The log stays
+// attached, so a mutation after it fails with the log's "closed" error
+// instead of being acknowledged unjournaled.
 func (s *State) CloseWAL() error {
-	s.mu.Lock()
-	log := s.log
-	s.log = nil
-	s.mu.Unlock()
-	if log == nil {
+	if s.log == nil {
 		return nil
 	}
-	return log.Close()
+	return s.log.Close()
 }

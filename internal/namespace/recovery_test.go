@@ -148,7 +148,12 @@ func TestNamespaceRecoverIdempotentSecondReplay(t *testing.T) {
 
 	r := openNS(t, dir, cr)
 	// Re-apply the whole log onto the already-recovered state.
-	if err := r.log.Replay(func(p []byte, isSnap bool) error {
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := log.Replay(func(p []byte, isSnap bool) error {
 		if isSnap {
 			return r.loadSnapshot(p)
 		}

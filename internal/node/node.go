@@ -63,10 +63,9 @@ type Config struct {
 	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
 	// DataDir makes vmanager and namespace durable: they journal to, and
 	// recover from, DataDir/vmanager (DataDir/vmanager/shard-k when
-	// sharded) and DataDir/namespace. WALSync > 0 batches fsyncs at that
-	// interval instead of syncing every record.
+	// sharded) and DataDir/namespace, fsyncing every record before the
+	// mutation it records is acknowledged.
 	DataDir string
-	WALSync time.Duration
 
 	Strategy    placement.Strategy // pmanager, namenode
 	ExpireAfter time.Duration      // pmanager: expire providers silent this long (0 = never)
@@ -248,11 +247,7 @@ func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fr
 	if n.cfg.DataDir == "" {
 		return fresh(), nil
 	}
-	opts := wal.Options{Policy: wal.SyncAlways}
-	if n.cfg.WALSync > 0 {
-		opts = wal.Options{Policy: wal.SyncInterval, Interval: n.cfg.WALSync}
-	}
-	log, err := wal.Open(filepath.Join(n.cfg.DataDir, sub), opts)
+	log, err := wal.Open(filepath.Join(n.cfg.DataDir, sub), wal.Options{})
 	if err != nil {
 		return st, fmt.Errorf("open WAL under %s: %w", n.cfg.DataDir, err)
 	}
@@ -338,9 +333,9 @@ func (n *Node) Config() Config { return n.cfg }
 // what matters. Loops stop first. Then the server is severed: from here
 // on no response reaches a client. Parked WaitPublished handlers are
 // woken (they would stall the drain for their whole timeout) and the
-// server drains. Only then is the write-ahead log closed: a closed log
-// journals nothing, so closing it while a handler can still answer
-// would acknowledge mutations that were never logged.
+// server drains. Only then is the write-ahead log closed: a mutation
+// after that fails, so closing it while a handler can still answer
+// would fail requests a drain lets finish.
 func (n *Node) Kill() {
 	if n == nil {
 		return

@@ -85,9 +85,7 @@ func RecoverShard(log *wal.Log, repair Repairer, si ShardInfo) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vmanager: recover: %w", err)
 	}
-	s.logMu.Lock()
 	s.log = log
-	s.logMu.Unlock()
 	return s, nil
 }
 
@@ -201,26 +199,20 @@ func (s *State) applyRecord(p []byte) error {
 // the stripe lock of the blob the record is about, which serializes
 // log order with mutation order *per blob* — the property replay
 // depends on (records for different blobs are independent under
-// replay, so their cross-stripe interleaving is free). force bypasses
-// the interval fsync policy for records that back client-visible
-// acknowledgements.
+// replay, so their cross-stripe interleaving is free). The record is
+// on disk before this returns, so no acknowledged mutation — an
+// assigned version number included — is lost to a crash.
 //
 // On a log error the in-memory mutation has already happened; the
 // caller surfaces the error so the client treats the operation as
 // failed. The memory/disk divergence this leaves (an assigned version
 // the disk never heard of) is the same shape as a lost in-flight
 // writer, which the janitor already cleans up.
-func (s *State) appendStriped(force bool, rec func() []byte) error {
-	s.logMu.Lock()
-	log := s.log
-	s.logMu.Unlock()
-	if log == nil {
+func (s *State) appendStriped(rec func() []byte) error {
+	if s.log == nil {
 		return nil
 	}
-	if force {
-		return log.AppendSync(rec())
-	}
-	return log.Append(rec())
+	return s.log.AppendSync(rec())
 }
 
 // encodeSnapshotAllLocked serializes the full state. Callers hold
@@ -322,38 +314,30 @@ var ErrNoWAL = errors.New("vmanager: no write-ahead log attached")
 // operations pause for the duration (an explicit admin/maintenance
 // action, not a hot-path one).
 func (s *State) SnapshotNow() error {
-	s.logMu.Lock()
-	log := s.log
-	s.logMu.Unlock()
-	if log == nil {
+	if s.log == nil {
 		return ErrNoWAL
 	}
 	s.idMu.Lock()
 	defer s.idMu.Unlock()
 	s.lockAll()
 	defer s.unlockAll()
-	return log.SaveSnapshot(s.encodeSnapshotAllLocked())
+	return s.log.SaveSnapshot(s.encodeSnapshotAllLocked())
 }
 
 // WALStatus reports the attached log's shape (bsfsctl vm status).
 func (s *State) WALStatus() (wal.Status, error) {
-	s.logMu.Lock()
-	log := s.log
-	s.logMu.Unlock()
-	if log == nil {
+	if s.log == nil {
 		return wal.Status{}, ErrNoWAL
 	}
-	return log.Status(), nil
+	return s.log.Status(), nil
 }
 
-// CloseWAL flushes and closes the attached log (graceful shutdown).
+// CloseWAL closes the attached log (graceful shutdown). The log stays
+// attached, so a mutation after it fails with the log's "closed" error
+// instead of being acknowledged unjournaled.
 func (s *State) CloseWAL() error {
-	s.logMu.Lock()
-	log := s.log
-	s.log = nil
-	s.logMu.Unlock()
-	if log == nil {
+	if s.log == nil {
 		return nil
 	}
-	return log.Close()
+	return s.log.Close()
 }

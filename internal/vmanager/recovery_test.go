@@ -96,9 +96,8 @@ func TestRecoverInFlightVersionFeedsJanitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force the assign record out: the crash we simulate is of the
-	// *writer and manager together*, after the assign was journaled.
-	s.log.Sync()
+	// The crash we simulate is of the *writer and manager together*,
+	// after the assign was journaled.
 	s.CloseWAL()
 
 	r := openState(t, dir)
@@ -122,7 +121,6 @@ func TestRecoverPreservesAssignTime(t *testing.T) {
 	if _, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion); err != nil {
 		t.Fatal(err)
 	}
-	s.log.Sync()
 	s.CloseWAL()
 
 	time.Sleep(20 * time.Millisecond)
@@ -155,7 +153,12 @@ func TestRecoverIdempotentSecondReplay(t *testing.T) {
 	}
 	// Replaying the log into an already-recovered state must be a
 	// no-op, not a corruption (records are applied idempotently).
-	if err := r2.log.Replay(func(p []byte, isSnap bool) error {
+	log, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := log.Replay(func(p []byte, isSnap bool) error {
 		if isSnap {
 			return r2.loadSnapshot(p)
 		}
@@ -185,7 +188,6 @@ func TestSnapshotCompactAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.log.Sync()
 	st, err := s.WALStatus()
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +225,23 @@ func TestCommitIdempotent(t *testing.T) {
 	}
 	if pub, _, _ := s.Latest(m.ID); pub != v {
 		t.Errorf("published = %d, want %d", pub, v)
+	}
+}
+
+// TestMutationAfterCloseWALFails: a closed log stays attached, so a
+// mutation after CloseWAL fails instead of being acknowledged without
+// ever reaching the log.
+func TestMutationAfterCloseWALFails(t *testing.T) {
+	s := openState(t, t.TempDir())
+	m, err := s.CreateBlob(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion); err == nil {
+		t.Fatal("AssignVersion after CloseWAL succeeded; the assignment was never journaled")
 	}
 }
 

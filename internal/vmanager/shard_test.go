@@ -88,7 +88,7 @@ func TestShardStateMintsOwnedIDs(t *testing.T) {
 func TestRecoverShardRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	si := ShardInfo{Index: 2, Count: 4}
-	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
+	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRecoverShardRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log2, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
+	log2, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRecoverShardRoundTrip(t *testing.T) {
 // silently splitting a blob's history across shards.
 func TestRecoverShardRejectsForeignLog(t *testing.T) {
 	dir := t.TempDir()
-	log, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
+	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRecoverShardRejectsForeignLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log2, err := wal.Open(dir, wal.Options{Policy: wal.SyncAlways})
+	log2, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,10 +135,10 @@ type State struct {
 	repair Repairer
 
 	// log, when non-nil, journals every mutation for crash recovery
-	// (see recovery.go). Attached by Recover; nil keeps the historical
+	// (see recovery.go). Recover sets it before the State is shared and
+	// nothing changes it afterwards; nil keeps the historical
 	// purely-in-memory behavior (simulator, most tests).
-	logMu sync.Mutex
-	log   *wal.Log
+	log *wal.Log
 }
 
 type blobState struct {
@@ -221,9 +221,7 @@ func (s *State) CreateBlob(blockSize int64, replication int) (blob.Meta, error) 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.blobs[m.ID] = &blobState{meta: m, assigned: make(map[blob.Version]time.Time)}
-	// Forced sync: the namespace (and the client) will hold this ID
-	// durably, so the blob's existence must survive a crash too.
-	if err := s.appendStriped(true, func() []byte { return encodeCreate(m) }); err != nil {
+	if err := s.appendStriped(func() []byte { return encodeCreate(m) }); err != nil {
 		return blob.Meta{}, err
 	}
 	return m, nil
@@ -313,12 +311,7 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 	bs.committed = append(bs.committed, false)
 	at := time.Now()
 	bs.assigned[v] = at
-	// Policy append (not forced): the log is sequential, so the fsync
-	// that makes this version's *commit* durable also covers the
-	// assign record — a commit can never be durable without its
-	// assignment. An assign lost on its own is just a version that
-	// never happened.
-	if err := s.appendStriped(false, func() []byte { return encodeAssign(id, d, at) }); err != nil {
+	if err := s.appendStriped(func() []byte { return encodeAssign(id, d, at) }); err != nil {
 		return Assignment{}, err
 	}
 	return Assignment{Version: v, Off: off, Size: after, Descs: bs.hist.Since(since)}, nil
@@ -337,12 +330,12 @@ func (s *State) Commit(id blob.ID, v blob.Version) error {
 	if v == blob.NoVersion || v > bs.hist.Latest() {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	// Forced sync *before* the in-memory publish advances: the ack the
+	// Journal *before* the in-memory publish advances: the ack the
 	// client is about to receive promises the version survives a
 	// crash, so the record must be on disk first. Concurrent commits on
 	// other stripes issue their fsyncs in parallel; the WAL coalesces
 	// them into shared group commits.
-	if err := s.appendStriped(true, func() []byte { return encodeVersionRec(recCommit, id, v) }); err != nil {
+	if err := s.appendStriped(func() []byte { return encodeVersionRec(recCommit, id, v) }); err != nil {
 		return err
 	}
 	bs.committed[v-1] = true
@@ -388,9 +381,7 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 		return fmt.Errorf("vmanager: version %d already committed", v)
 	}
 	bs.hist.MarkAborted(v)
-	// Policy append: if this record is lost, the version stays in
-	// `assigned` after recovery and the janitor re-runs the abort.
-	if err := s.appendStriped(false, func() []byte { return encodeVersionRec(recAbort, id, v) }); err != nil {
+	if err := s.appendStriped(func() []byte { return encodeVersionRec(recAbort, id, v) }); err != nil {
 		st.mu.Unlock()
 		return err
 	}
@@ -503,10 +494,7 @@ func (s *State) Prune(id blob.ID, keep blob.Version) (from blob.Version, err err
 		return keep, nil
 	}
 	bs.prunedBelow = keep
-	// Forced sync: the caller garbage-collects payloads based on this
-	// answer; forgetting the prune point after a crash would leave the
-	// manager offering versions whose blocks are already gone.
-	if err := s.appendStriped(true, func() []byte { return encodeVersionRec(recPrune, id, keep) }); err != nil {
+	if err := s.appendStriped(func() []byte { return encodeVersionRec(recPrune, id, keep) }); err != nil {
 		return 0, err
 	}
 	return from, nil

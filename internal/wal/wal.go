@@ -10,6 +10,9 @@
 // conventional design (the same shape as etcd's wal or LevelDB's log):
 // state changes are appended as opaque records before they are acked,
 // and recovery replays them in order into a fresh in-memory state.
+// AppendSync, the only way in, returns once its record is fsynced, so
+// every acknowledged mutation survives a power loss; concurrent
+// appenders share fsyncs (group commit).
 //
 // On-disk layout (this comment is the format's authoritative doc,
 // alongside the provider and dht wire-format package comments):
@@ -24,10 +27,11 @@
 //	u32 length | u32 crc32(IEEE, payload) | payload
 //
 // A torn tail — a partial record at the end of the *last* segment,
-// from a crash mid-write — is detected by length/CRC and truncated. A
-// CRC mismatch anywhere else is corruption and fails recovery loudly:
-// silently skipping interior records would un-publish versions that
-// clients already saw acknowledged.
+// from a crash mid-write — is detected by length/CRC and truncated; a
+// last segment shorter than its header holds no acknowledged record and
+// gets its header rewritten. A CRC mismatch anywhere else is corruption
+// and fails recovery loudly: silently skipping interior records would
+// un-publish versions that clients already saw acknowledged.
 //
 // Snapshots are whole-state serializations written tmp+fsync+rename
 // (the fsstore idiom), so a crash never leaves a half-written snapshot
@@ -54,39 +58,17 @@ import (
 // Magic prefixes every segment file.
 const Magic = "BSWAL001"
 
-// SyncPolicy selects when appended records are fsynced.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs after every append: no acknowledged record is
-	// ever lost, at the cost of one fsync per operation.
-	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most every Options.Interval: a crash can
-	// lose the records appended since the last sync, in exchange for
-	// amortizing the fsync across many appends. AppendSync still
-	// forces durability for the records that must not be lost
-	// (Publish acks).
-	SyncInterval
-)
-
 // Options configures a Log.
 type Options struct {
 	// SegmentBytes rotates to a new segment once the current one
 	// exceeds this size. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// Policy selects the fsync cadence; the zero value is SyncAlways.
-	Policy SyncPolicy
-	// Interval is the maximum time an appended record stays unsynced
-	// under SyncInterval. 0 means DefaultInterval.
-	Interval time.Duration
 }
 
 const (
 	// DefaultSegmentBytes keeps segments small enough that replaying
 	// the post-snapshot suffix stays fast.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultInterval bounds the loss window under SyncInterval.
-	DefaultInterval = 50 * time.Millisecond
 
 	segHeaderSize = 8
 	recHeaderSize = 8
@@ -130,16 +112,17 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File // current segment
-	seq      uint64   // current segment sequence
-	size     int64    // current segment size
-	segs     []uint64 // live segment sequences, ascending (includes seq)
-	snapSeq  uint64   // newest snapshot sequence, 0 if none
-	records  uint64   // append sequence: total records written to the file
-	synced   uint64   // records made durable; dirty iff synced < records
-	syncs    uint64   // fsyncs issued
-	lastSync time.Time
+	mu         sync.Mutex
+	f          *os.File // current segment
+	seq        uint64   // current segment sequence
+	size       int64    // current segment size
+	syncedSize int64    // current segment's size at its last completed fsync
+	segs       []uint64 // live segment sequences, ascending (includes seq)
+	snapSeq    uint64   // newest snapshot sequence, 0 if none
+	records    uint64   // append sequence: total records written to the file
+	synced     uint64   // records made durable; dirty iff synced < records
+	syncs      uint64   // fsyncs issued
+	lastSync   time.Time
 
 	// Group-commit leader election: syncing is true while a leader's
 	// fsync is in flight outside l.mu; syncDone (on l.mu) wakes the
@@ -147,17 +130,13 @@ type Log struct {
 	syncing  bool
 	syncDone *sync.Cond
 
-	syncTimer *time.Timer // pending interval sync, nil if none
-	closed    bool
+	closed bool
 }
 
 // Open opens (creating if needed) the log in dir.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultInterval
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
@@ -196,9 +175,6 @@ func (l *Log) scan() error {
 	return nil
 }
 
-// openTail opens the newest segment for appending (creating segment 1
-// on a fresh log), truncating a torn tail if the process died mid
-// append.
 func (l *Log) segPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("wal-%08d.seg", seq))
 }
@@ -207,21 +183,24 @@ func (l *Log) snapPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("snap-%08d.snap", seq))
 }
 
+// openTail opens the newest segment for appending (creating segment 1
+// on a fresh log), truncating a torn tail if the process died mid
+// append.
 func (l *Log) openTail() error {
 	if len(l.segs) == 0 {
 		return l.rotateLocked(1)
 	}
 	seq := l.segs[len(l.segs)-1]
 	path := l.segPath(seq)
+	if fi, err := os.Stat(path); err == nil && fi.Size() < segHeaderSize {
+		// A crash before the segment's first fsync: no record in it
+		// was acknowledged. Recreate it, whatever comes before.
+		os.Remove(path)
+		l.segs = l.segs[:len(l.segs)-1]
+		return l.rotateLocked(seq)
+	}
 	valid, err := scanSegment(path, nil)
 	if err != nil {
-		if errors.Is(err, ErrCorrupt) && len(l.segs) == 1 && l.snapSeq == 0 {
-			// A lone segment that died before its header was written
-			// holds nothing; recreate it.
-			os.Remove(path)
-			l.segs = nil
-			return l.rotateLocked(seq)
-		}
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -236,7 +215,7 @@ func (l *Log) openTail() error {
 		f.Close()
 		return err
 	}
-	l.f, l.seq, l.size = f, seq, valid
+	l.f, l.seq, l.size, l.syncedSize = f, seq, valid, valid
 	return nil
 }
 
@@ -268,21 +247,37 @@ func (l *Log) rotateLocked(seq uint64) error {
 		f.Close()
 		return err
 	}
-	l.f, l.seq, l.size = f, seq, segHeaderSize
+	// The header becomes durable with the segment's first fsync; the
+	// file's name must already be, or a record acknowledged in it could
+	// vanish with its directory entry.
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return err
+	}
+	l.f, l.seq, l.size, l.syncedSize = f, seq, segHeaderSize, 0
 	l.segs = append(l.segs, seq)
 	return nil
 }
 
-// Append writes one record, durable per the configured policy.
-func (l *Log) Append(payload []byte) error { return l.append(payload, false) }
+// syncDir makes the directory entries created or renamed in dir
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("wal: fsync dir: %w", err)
+	}
+	return nil
+}
 
-// AppendSync writes one record and forces it (and, the log being
-// sequential, every record before it) to disk before returning,
-// regardless of policy. The version manager uses this for the records
-// that back client-visible acknowledgements (Publish).
-func (l *Log) AppendSync(payload []byte) error { return l.append(payload, true) }
-
-func (l *Log) append(payload []byte, force bool) error {
+// AppendSync writes one record and returns once it (and, the log being
+// sequential, every record before it) is on disk. It is the only way a
+// record enters the log: every journaled mutation is durable before it
+// is acknowledged.
+func (l *Log) AppendSync(payload []byte) error {
 	if len(payload) > maxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
@@ -312,27 +307,11 @@ func (l *Log) append(payload []byte, force bool) error {
 	l.size += int64(recHeaderSize + len(payload))
 	l.records++
 	seq := l.records
-	durable := force || l.opts.Policy == SyncAlways
-	// SyncInterval: arm a lazy flush so an idle log still becomes
-	// durable within Interval.
-	if !durable && l.syncTimer == nil {
-		l.syncTimer = time.AfterFunc(l.opts.Interval, func() {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			l.syncTimer = nil
-			if !l.closed && l.synced < l.records {
-				l.syncLocked() // best effort; next forced sync reports errors
-			}
-		})
-	}
 	l.mu.Unlock()
 
-	if durable {
-		// Group commit: the record is in the file; fsync outside l.mu
-		// so concurrent appenders keep writing while the flush runs.
-		return l.syncTo(seq)
-	}
-	return nil
+	// Group commit: the record is in the file; fsync outside l.mu so
+	// concurrent appenders keep writing while the flush runs.
+	return l.syncTo(seq)
 }
 
 // syncTo returns once record seq is durable. Callers whose record was
@@ -365,8 +344,8 @@ func (l *Log) syncTo(seq uint64) error {
 	// >100µs fsync.)
 	runtime.Gosched()
 	l.mu.Lock()
-	f := l.f // seq is unsynced, so it lives in the current segment
-	target := l.records
+	f, seg := l.f, l.seq // seq is unsynced, so it lives in the current segment
+	target, size := l.records, l.size
 	l.mu.Unlock()
 
 	err := f.Sync()
@@ -376,6 +355,9 @@ func (l *Log) syncTo(seq uint64) error {
 	if err == nil {
 		if target > l.synced {
 			l.synced = target
+		}
+		if seg == l.seq && size > l.syncedSize {
+			l.syncedSize = size
 		}
 		l.syncs++
 		l.lastSync = time.Now()
@@ -392,30 +374,19 @@ func (l *Log) syncTo(seq uint64) error {
 	return nil
 }
 
-// syncLocked fsyncs under l.mu (interval flush, seal, close paths —
-// not the group-commit hot path).
+// syncLocked fsyncs under l.mu (seal and close paths — not the
+// group-commit hot path).
 func (l *Log) syncLocked() error {
 	if l.synced >= l.records {
 		return nil
 	}
-	target := l.records
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.synced = target
+	l.synced, l.syncedSize = l.records, l.size
 	l.syncs++
 	l.lastSync = time.Now()
 	return nil
-}
-
-// Sync forces all appended records to disk.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.syncLocked()
 }
 
 // Close flushes and closes the log. It waits for an in-flight group
@@ -431,10 +402,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.syncTimer != nil {
-		l.syncTimer.Stop()
-		l.syncTimer = nil
-	}
 	err := l.syncLocked()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
@@ -492,9 +459,8 @@ func (l *Log) SaveSnapshot(state []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if f, derr := os.Open(l.dir); derr == nil {
-		f.Sync() // make the rename itself durable
-		f.Close()
+	if err := syncDir(l.dir); err != nil { // make the rename itself durable
+		return err
 	}
 
 	// Only now is it safe to drop the superseded files.
@@ -524,10 +490,6 @@ func (l *Log) SaveSnapshot(state []byte) error {
 // exactly once, as the first call.
 func (l *Log) Replay(fn func(payload []byte, isSnapshot bool) error) error {
 	l.mu.Lock()
-	if err := l.syncLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
 	snapSeq := l.snapSeq
 	segs := append([]uint64(nil), l.segs...)
 	l.mu.Unlock()
@@ -607,11 +569,14 @@ func scanSegment(path string, fn func(rec []byte) error) (validLen int64, err er
 		return 0, fmt.Errorf("wal: open segment: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("wal: stat segment: %w", err)
+	}
 	hdr := make([]byte, segHeaderSize)
 	if _, err := io.ReadFull(f, hdr); err != nil {
-		// An empty or sub-header file is a crash during segment
-		// creation with no records to lose: truncate to zero and
-		// let openTail rewrite the header.
+		// openTail recreates a last segment this short, so only an
+		// interior one gets here.
 		if err == io.EOF {
 			return 0, fmt.Errorf("wal: segment %s: empty: %w", path, ErrCorrupt)
 		}
@@ -628,8 +593,8 @@ func scanSegment(path string, fn func(rec []byte) error) (validLen int64, err er
 		}
 		n := binary.BigEndian.Uint32(rh[0:4])
 		want := binary.BigEndian.Uint32(rh[4:8])
-		if n > maxRecordSize {
-			return valid, nil // garbage length: torn tail
+		if n > maxRecordSize || int64(n) > fi.Size()-valid-recHeaderSize {
+			return valid, nil // garbage length or partial payload: torn tail
 		}
 		rec := make([]byte, n)
 		if _, err := io.ReadFull(f, rec); err != nil {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func replayAll(t *testing.T, l *Log) (snap []byte, recs [][]byte) {
@@ -39,7 +38,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	want := [][]byte{[]byte("one"), []byte("two"), {}, []byte("four")}
 	for _, r := range want {
-		if err := l.Append(r); err != nil {
+		if err := l.AppendSync(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +73,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	rec := bytes.Repeat([]byte("x"), 64)
 	for i := 0; i < 20; i++ {
-		if err := l.Append(rec); err != nil {
+		if err := l.AppendSync(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,8 +102,8 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("intact-1"))
-	l.Append([]byte("intact-2"))
+	l.AppendSync([]byte("intact-1"))
+	l.AppendSync([]byte("intact-2"))
 	l.Close()
 
 	// Simulate a crash mid-append: a full header promising 100 bytes
@@ -130,7 +129,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("replayed %d records, want the 2 intact ones", len(recs))
 	}
 	// And the log must be appendable right where the tear was cut.
-	if err := l2.Append([]byte("post-crash")); err != nil {
+	if err := l2.AppendSync([]byte("post-crash")); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -149,7 +148,7 @@ func TestTornTailTruncated(t *testing.T) {
 func TestTornCRCTail(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})
-	l.Append([]byte("good"))
+	l.AppendSync([]byte("good"))
 	l.Close()
 
 	// A record whose payload was only partly flushed: right length,
@@ -182,7 +181,7 @@ func TestInteriorCorruptionFailsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		l.Append(bytes.Repeat([]byte{byte('a' + i)}, 32))
+		l.AppendSync(bytes.Repeat([]byte{byte('a' + i)}, 32))
 	}
 	l.Close()
 
@@ -213,7 +212,7 @@ func TestSnapshotCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		l.Append(bytes.Repeat([]byte("s"), 48))
+		l.AppendSync(bytes.Repeat([]byte("s"), 48))
 	}
 	before := l.Status()
 	if before.Segments < 2 {
@@ -222,7 +221,7 @@ func TestSnapshotCompacts(t *testing.T) {
 	if err := l.SaveSnapshot([]byte("STATE-AT-10")); err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("after-snap"))
+	l.AppendSync([]byte("after-snap"))
 	after := l.Status()
 	if after.Segments != 1 {
 		t.Errorf("segments after compaction = %d, want 1", after.Segments)
@@ -253,11 +252,11 @@ func TestSecondSnapshotDropsFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Append([]byte("a"))
+	l.AppendSync([]byte("a"))
 	if err := l.SaveSnapshot([]byte("S1")); err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("b"))
+	l.AppendSync([]byte("b"))
 	if err := l.SaveSnapshot([]byte("S2")); err != nil {
 		t.Fatal(err)
 	}
@@ -277,41 +276,18 @@ func TestSecondSnapshotDropsFirst(t *testing.T) {
 	}
 }
 
-func TestSyncIntervalFlushesLazily(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{Policy: SyncInterval, Interval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append([]byte("lazy")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if st := l.Status(); st.LastSyncUnix != 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interval sync never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 func TestAppendSyncForcesDurability(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Policy: SyncInterval, Interval: time.Hour})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Append([]byte("unsynced"))
 	if err := l.AppendSync([]byte("synced")); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Status(); st.LastSyncUnix == 0 {
-		t.Error("AppendSync did not fsync despite interval policy")
+	if st := l.Status(); st.Syncs < 1 || st.LastSyncUnix == 0 {
+		t.Errorf("AppendSync returned before an fsync: %+v", st)
 	}
 }
 
@@ -335,7 +311,7 @@ func TestStatusCounts(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 5; i++ {
-		l.Append([]byte(fmt.Sprintf("r%d", i)))
+		l.AppendSync([]byte(fmt.Sprintf("r%d", i)))
 	}
 	st := l.Status()
 	if st.Records != 5 {
@@ -351,7 +327,7 @@ func TestStatusCounts(t *testing.T) {
 
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 512, Policy: SyncInterval, Interval: 5 * time.Millisecond})
+	l, err := Open(dir, Options{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +336,7 @@ func TestConcurrentAppends(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			for i := 0; i < each; i++ {
-				if err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				if err := l.AppendSync([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
 					done <- err
 					return
 				}

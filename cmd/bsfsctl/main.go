@@ -19,8 +19,7 @@
 //	bsfsctl [conn flags] rm -r /data
 //	bsfsctl [conn flags] providers                # membership, liveness, repair backlog
 //	bsfsctl [conn flags] decommission 127.0.0.1:7201  # drain, then retire
-//	bsfsctl [conn flags] vm status                # WAL segments, last snapshot
-//	bsfsctl [conn flags] vm snapshot              # force a snapshot + compact
+//	bsfsctl -metrics 127.0.0.1:9101 top           # rates and gauges, wal_* included
 //
 // Connection flags:
 //
@@ -51,7 +50,6 @@ import (
 	"blobseer/internal/store"
 	"blobseer/internal/stream"
 	"blobseer/internal/util"
-	"blobseer/internal/vmanager"
 )
 
 func usage() {
@@ -75,8 +73,6 @@ commands:
   locations <path>         show the block->host layout
   providers                show provider membership, liveness and repair backlog
   decommission <addr>      drain a provider's blocks, then retire it
-  vm status                show the version manager's WAL (segments, last snapshot)
-  vm snapshot              force a WAL snapshot and compact the log
   top [interval [count]]   poll -metrics endpoints and show cluster-wide rates
   trace <trace-id>         stitch a distributed trace from every -metrics endpoint
   trace slow               list slow-sampled root operations across endpoints
@@ -148,11 +144,6 @@ func main() {
 	// The maintenance commands speak to the managers directly — no
 	// file-system layer involved.
 	switch cmd {
-	case "vm":
-		if err := runVM(ctx, clients.VM(), args); err != nil {
-			fatal(err)
-		}
-		return
 	case "providers", "decommission":
 		if err := runAdmin(ctx, clients.PM(), clients.Repair(mcache), cmd, args); err != nil {
 			fatal(err)
@@ -172,63 +163,6 @@ func main() {
 	if err := run(ctx, fsys, cmd, args); err != nil {
 		fatal(err)
 	}
-}
-
-// runVM handles the version-manager maintenance commands, reporting
-// every shard in shard order.
-func runVM(ctx context.Context, vm *vmanager.Client, args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("vm: want status | snapshot")
-	}
-	shards := vm.NumShards()
-	switch args[0] {
-	case "status":
-		for k := 0; k < shards; k++ {
-			rep, err := vm.Status(ctx, k)
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", k, err)
-			}
-			st, ops := rep.WAL, rep.Ops
-			if shards > 1 {
-				fmt.Printf("--- shard %d/%d ---\n", k, shards)
-			}
-			fmt.Printf("WAL directory:   %s\n", st.Dir)
-			fmt.Printf("segments:        %d (seq %d..%d, %d bytes)\n",
-				st.Segments, st.FirstSeq, st.LastSeq, st.LogBytes)
-			if st.SnapshotSeq > 0 {
-				fmt.Printf("last snapshot:   seq %d\n", st.SnapshotSeq)
-			} else {
-				fmt.Printf("last snapshot:   none\n")
-			}
-			fmt.Printf("records (since open): %d\n", st.Records)
-			fmt.Printf("fsyncs (since open):  %d\n", st.Syncs)
-			if st.LastSyncUnix > 0 {
-				fmt.Printf("last fsync:      %s\n", time.Unix(st.LastSyncUnix, 0).Format(time.RFC3339))
-			} else {
-				fmt.Printf("last fsync:      never\n")
-			}
-			fmt.Printf("ops: create=%d assign=%d commit=%d abort=%d latest=%d wait=%d (total %d)\n",
-				ops.Create, ops.Assign, ops.Commit, ops.Abort, ops.Latest, ops.Wait, ops.Total())
-		}
-		return nil
-	case "snapshot":
-		if err := vm.ForceSnapshot(ctx); err != nil {
-			return err
-		}
-		for k := 0; k < shards; k++ {
-			rep, err := vm.Status(ctx, k)
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", k, err)
-			}
-			if shards > 1 {
-				fmt.Printf("shard %d: ", k)
-			}
-			fmt.Printf("snapshot written (seq %d); log compacted to %d segment(s), %d bytes\n",
-				rep.WAL.SnapshotSeq, rep.WAL.Segments, rep.WAL.LogBytes)
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown vm command %q (want status | snapshot)", args[0])
 }
 
 // formatTiers renders a per-tier occupancy breakdown like

@@ -61,6 +61,14 @@ func TestCrashRecoveryDirection(t *testing.T) {
 		}
 	}
 
+	// figures -recovery exits non-zero when the WAL arm lost a version.
+	if got := r.Values["wal_survived_ratio"]; got != 1 {
+		t.Errorf("wal_survived_ratio = %v, want 1", got)
+	}
+	if err := r.Check(); err != nil {
+		t.Error(err)
+	}
+
 	// The report must serialize: it is the BENCH_recovery.json artifact.
 	if err := WriteJSON(filepath.Join(t.TempDir(), "BENCH_recovery.json"), r); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

@@ -12,6 +12,7 @@ import (
 	"blobseer/internal/placement"
 	"blobseer/internal/simstore"
 	"blobseer/internal/vmanager"
+	"blobseer/internal/wal"
 )
 
 // Control-plane scaling experiments for BENCH_vmshard.json: how far the
@@ -85,11 +86,11 @@ func GroupCommitBench(dir string, versions int, writerCounts []int) ([]Series, e
 	rate := Series{Name: "group-commit", XLabel: "writers", YLabel: "publishes/sec"}
 	coalesce := Series{Name: "fsyncs-per-record", XLabel: "writers", YLabel: "fsyncs/record"}
 	for i, w := range writerCounts {
-		st, err := openState(filepath.Join(dir, fmt.Sprint("groupcommit-", i)))
+		st, log, err := openState(filepath.Join(dir, fmt.Sprint("groupcommit-", i)))
 		if err != nil {
 			return nil, err
 		}
-		elapsed, perRecord, err := publishConcurrently(st, w, versions)
+		elapsed, perRecord, err := publishConcurrently(st, log, w, versions)
 		st.CloseWAL()
 		if err != nil {
 			return nil, err
@@ -102,8 +103,8 @@ func GroupCommitBench(dir string, versions int, writerCounts []int) ([]Series, e
 
 // publishConcurrently runs w writers at once on st, each publishing
 // versions versions of its own new blob. It returns how long they took
-// and the fsyncs the log issued per record they wrote.
-func publishConcurrently(st *vmanager.State, w, versions int) (time.Duration, float64, error) {
+// and the fsyncs st's log issued per record they wrote.
+func publishConcurrently(st *vmanager.State, log *wal.Log, w, versions int) (time.Duration, float64, error) {
 	ids := make([]blob.ID, w)
 	for i := range ids {
 		m, err := st.CreateBlob(controlBlock, 1)
@@ -112,10 +113,7 @@ func publishConcurrently(st *vmanager.State, w, versions int) (time.Duration, fl
 		}
 		ids[i] = m.ID
 	}
-	before, err := st.WALStatus()
-	if err != nil {
-		return 0, 0, err
-	}
+	before := log.Status()
 	start := time.Now()
 	errs := make([]error, w)
 	var wg sync.WaitGroup
@@ -128,8 +126,8 @@ func publishConcurrently(st *vmanager.State, w, versions int) (time.Duration, fl
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	after, err := st.WALStatus()
-	if err := errors.Join(append(errs, err)...); err != nil {
+	after := log.Status()
+	if err := errors.Join(errs...); err != nil {
 		return 0, 0, err
 	}
 	return elapsed, float64(after.Syncs-before.Syncs) / float64(after.Records-before.Records), nil

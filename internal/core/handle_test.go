@@ -178,13 +178,13 @@ func TestSnapshotPinnedMetadataOps(t *testing.T) {
 	}
 	read() // warm the node cache
 
-	vmCalls := cl.VMService().Calls()
+	vmCalls := cl.VMService().Ops().Total()
 	warm := c.MetaCacheStats()
 	const N = 10
 	for i := 0; i < N; i++ {
 		read()
 	}
-	if got := cl.VMService().Calls(); got != vmCalls {
+	if got := cl.VMService().Ops().Total(); got != vmCalls {
 		t.Errorf("%d repeated pinned reads cost %d version-manager round-trips, want 0", N, got-vmCalls)
 	}
 	warmer := c.MetaCacheStats()

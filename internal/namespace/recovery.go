@@ -23,15 +23,11 @@ const (
 	recNSDrain
 )
 
-// ErrNoWAL is returned by snapshot/status operations on a namespace
-// running without a write-ahead log.
-var ErrNoWAL = errors.New("namespace: no write-ahead log attached")
-
 // Recover rebuilds a namespace State from the log and attaches it, so
-// subsequent mutations are journaled. An empty log yields an empty
-// namespace. Replay is idempotent — re-applying a record that is
-// already reflected in the tree is a no-op — so recovering twice from
-// the same log converges on the same tree.
+// subsequent mutations are journaled and the log compacts itself. An
+// empty log yields an empty namespace. Replay is idempotent —
+// re-applying a record that is already reflected in the tree is a no-op
+// — so recovering twice from the same log converges on the same tree.
 func Recover(log *wal.Log, creator BlobCreator) (*State, error) {
 	s := NewState(creator)
 	err := log.Replay(func(p []byte, isSnap bool) error {
@@ -44,6 +40,7 @@ func Recover(log *wal.Log, creator BlobCreator) (*State, error) {
 		return nil, fmt.Errorf("namespace: recover: %w", err)
 	}
 	s.log = log
+	log.Compact(s.snapshot)
 	return s, nil
 }
 
@@ -222,24 +219,13 @@ func (s *State) loadSnapshot(p []byte) error {
 	return nil
 }
 
-// SnapshotNow serializes the tree as a WAL snapshot and compacts the
-// log behind it. The lock is held across the write so the snapshot is
-// exactly consistent with the log prefix it supersedes.
-func (s *State) SnapshotNow() error {
+// snapshot is the log's compaction (wal.Log.Compact): it saves the tree
+// as a snapshot and compacts the log behind it. The lock is held across
+// the write so the snapshot is exactly the log prefix it supersedes.
+func (s *State) snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil {
-		return ErrNoWAL
-	}
 	return s.log.SaveSnapshot(s.encodeSnapshotLocked())
-}
-
-// WALStatus reports the attached log's shape.
-func (s *State) WALStatus() (wal.Status, error) {
-	if s.log == nil {
-		return wal.Status{}, ErrNoWAL
-	}
-	return s.log.Status(), nil
 }
 
 // CloseWAL closes the attached log (graceful shutdown). The log stays

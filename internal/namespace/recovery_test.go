@@ -2,6 +2,7 @@ package namespace
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -114,11 +115,14 @@ func TestNamespaceSnapshotCompactAndRecover(t *testing.T) {
 		}
 	}
 	s.Delete("/a/2", false) // leaves one orphan un-drained
-	if err := s.SnapshotNow(); err != nil {
+	if err := s.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot suffix.
 	id4, _ := s.CreateFile(ctx, "/b/4", 4096, 1, false)
+	if st := s.log.Status(); st.SnapshotSeq == 0 || st.Snapshots != 1 {
+		t.Errorf("snapshot not recorded in WAL status: %+v", st)
+	}
 	s.CloseWAL()
 
 	r := openNS(t, dir, cr)
@@ -133,6 +137,59 @@ func TestNamespaceSnapshotCompactAndRecover(t *testing.T) {
 	}
 	if got := r.Orphaned(); len(got) != 1 {
 		t.Errorf("un-drained orphan lost through snapshot: %v", got)
+	}
+}
+
+// TestNamespaceLogCompactsItself: 3,000 mkdir+delete pairs leave a
+// one-file tree, and the log that compacts itself keeps it behind a
+// segment or two, not behind every record ever written. Reopening
+// yields the same tree.
+func TestNamespaceLogCompactsItself(t *testing.T) {
+	dir := t.TempDir()
+	cr := &seqCreator{}
+	ctx := context.Background()
+	open := func() *State {
+		log, err := wal.Open(dir, wal.Options{SegmentBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Recover(log, cr.create)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.CloseWAL() })
+		return s
+	}
+	s := open()
+	id, err := s.CreateFile(ctx, "/keep/a", 4096, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3000 {
+		p := fmt.Sprintf("/churn/d%d", i)
+		if err := s.Mkdirs(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Delete(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.log.Status(); st.Segments > 2 {
+		t.Errorf("%d segments (%d bytes) after 3000 mkdir+delete pairs, want <= 2", st.Segments, st.LogBytes)
+	}
+
+	r := open()
+	if got, err := r.GetFile("/keep/a"); err != nil || got != id {
+		t.Errorf("/keep/a = (%d, %v), want (%d, nil)", got, err, id)
+	}
+	if ents, err := r.List("/churn"); err != nil || len(ents) != 0 {
+		t.Errorf("/churn = %+v (%v), want empty", ents, err)
+	}
+	if ents, err := r.List("/"); err != nil || len(ents) != 2 {
+		t.Errorf("/ = %+v (%v), want keep and churn", ents, err)
 	}
 }
 

@@ -181,13 +181,14 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		if cfg.Shard.Count > 1 { // one WAL per shard: recovery never crosses shards
 			sub = filepath.Join(sub, fmt.Sprintf("shard-%d", cfg.Shard.Index))
 		}
-		st, err := openState(n, sub,
+		st, log, err := openState(n, sub,
 			func(l *wal.Log) (*vmanager.State, error) { return vmanager.RecoverShard(l, rep, cfg.Shard) },
 			func() *vmanager.State { return vmanager.NewShardState(rep, cfg.Shard) })
 		if err != nil {
 			return nil, nil, err
 		}
 		n.VM = vmanager.NewService(st)
+		walGauges(n.VM.Metrics(), log)
 		if cfg.WriteTimeout > 0 {
 			n.VM.StartJanitor(cfg.WriteTimeout, cfg.WriteTimeout/2)
 			n.loops = append(n.loops, n.VM.StopJanitor)
@@ -209,13 +210,14 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			return nil, nil, errors.New("namespace: -vmanager is required")
 		}
 		creator := namespace.VMBlobCreator(vmanager.NewClient(cfg.Pool, cfg.VM...))
-		st, err := openState(n, "namespace",
+		st, log, err := openState(n, "namespace",
 			func(l *wal.Log) (*namespace.State, error) { return namespace.Recover(l, creator) },
 			func() *namespace.State { return namespace.NewState(creator) })
 		if err != nil {
 			return nil, nil, err
 		}
 		n.NS = namespace.NewService(st)
+		walGauges(n.NS.Metrics(), log)
 		cfg.Plane.Use(n.NS.Metrics())
 		return n.NS.Mux(), namespace.MethodName, nil
 
@@ -242,22 +244,47 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 
 // openState returns a control-plane role's state: recovered from the
 // write-ahead log under DataDir/sub when the node is durable (later
-// mutations are journaled there), fresh and volatile otherwise.
-func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fresh func() S) (st S, err error) {
+// mutations are journaled there, and the log is returned), fresh and
+// volatile otherwise.
+func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fresh func() S) (st S, log *wal.Log, err error) {
 	if n.cfg.DataDir == "" {
-		return fresh(), nil
+		return fresh(), nil, nil
 	}
-	log, err := wal.Open(filepath.Join(n.cfg.DataDir, sub), wal.Options{})
+	log, err = wal.Open(filepath.Join(n.cfg.DataDir, sub), wal.Options{})
 	if err != nil {
-		return st, fmt.Errorf("open WAL under %s: %w", n.cfg.DataDir, err)
+		return st, nil, fmt.Errorf("open WAL under %s: %w", n.cfg.DataDir, err)
 	}
 	if st, err = recover(log); err != nil {
 		log.Close()
-		return st, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Plane.Name(), err)
+		return st, nil, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Plane.Name(), err)
 	}
 	ws := log.Status()
 	n.logf("%s: recovered from WAL (%d segment(s), %d bytes)", n.cfg.Plane.Name(), ws.Segments, ws.LogBytes)
-	return st, nil
+	return st, log, nil
+}
+
+// walGauges exports a durable role's log shape on reg as the wal_*
+// gauges, evaluated at scrape time. A volatile role (log nil) has none.
+func walGauges(reg *obs.Registry, log *wal.Log) {
+	if log == nil {
+		return
+	}
+	gauge := func(name string, pick func(wal.Status) int64) {
+		reg.GaugeFunc("wal_"+name, func() int64 { return pick(log.Status()) })
+	}
+	gauge("segments", func(st wal.Status) int64 { return int64(st.Segments) })
+	gauge("log_bytes", func(st wal.Status) int64 { return st.LogBytes })
+	gauge("records", func(st wal.Status) int64 { return int64(st.Records) })
+	gauge("syncs", func(st wal.Status) int64 { return int64(st.Syncs) })
+	gauge("last_sync_age_ms", func(st wal.Status) int64 {
+		if st.LastSyncUnix == 0 {
+			return 0
+		}
+		return time.Now().UnixMilli() - st.LastSyncUnix*1000
+	})
+	gauge("unsnapshotted", func(st wal.Status) int64 { return int64(st.LastSeq - st.SnapshotSeq) })
+	gauge("snapshots", func(st wal.Status) int64 { return int64(st.Snapshots) })
+	gauge("compact_failures", func(st wal.Status) int64 { return int64(st.CompactFailures) })
 }
 
 // announce registers a storage node with its manager, so clients need

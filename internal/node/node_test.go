@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/namespace"
 	"blobseer/internal/node"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/vmanager"
 )
@@ -51,6 +53,41 @@ func startTCP(t *testing.T, cfg node.Config, addr string) *node.Node {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestDurableRolesExportWALGauges: both durable roles put their log's
+// shape on /metrics, the one place it is reported; a volatile role has
+// no log and no wal_* gauge.
+func TestDurableRolesExportWALGauges(t *testing.T) {
+	meta := startTCP(t, node.Config{Role: node.Meta}, "")
+	defer meta.Stop()
+	pool := rpc.NewPool(rpc.TCPDialer)
+	defer pool.Close()
+	dir := t.TempDir()
+	eps := node.Endpoints{Meta: []string{meta.Addr}}
+	vm := startTCP(t, node.Config{Role: node.VManager, Pool: pool, DataDir: dir, Endpoints: eps}, "")
+	defer vm.Stop()
+	ns := startTCP(t, node.Config{Role: node.Namespace, Pool: pool, DataDir: dir, Endpoints: node.Endpoints{VM: []string{vm.Addr}}}, "")
+	defer ns.Stop()
+	volatile := startTCP(t, node.Config{Role: node.VManager, Pool: pool, Endpoints: eps}, "")
+	defer volatile.Stop()
+
+	for name, reg := range map[string]*obs.Registry{"vmanager": vm.VM.Metrics(), "namespace": ns.NS.Metrics()} {
+		g := reg.Snapshot().Gauges
+		for _, k := range []string{"wal_segments", "wal_log_bytes", "wal_records", "wal_syncs", "wal_snapshots", "wal_compact_failures"} {
+			if _, ok := g[k]; !ok {
+				t.Errorf("%s exports no %s gauge: %v", name, k, g)
+			}
+		}
+		if g["wal_segments"] != 1 {
+			t.Errorf("%s: wal_segments = %d on a fresh log, want 1", name, g["wal_segments"])
+		}
+	}
+	for k := range volatile.VM.Metrics().Snapshot().Gauges {
+		if strings.HasPrefix(k, "wal_") {
+			t.Errorf("volatile vmanager exports %s", k)
+		}
+	}
 }
 
 // TestStopAcknowledgesNothingItDidNotLog stops a durable version

@@ -55,10 +55,10 @@ func encodeVersionRec(t uint8, id blob.ID, v blob.Version) []byte {
 }
 
 // Recover rebuilds a single-shard version-manager State from the log
-// (snapshot first, then the record suffix) and attaches the log so
-// subsequent mutations are journaled. A fresh/empty log yields a fresh
-// State, so this is the only constructor the durable deployment path
-// needs.
+// (snapshot first, then the record suffix) and attaches the log, so
+// subsequent mutations are journaled and the log compacts itself. A
+// fresh/empty log yields a fresh State, so this is the only constructor
+// the durable deployment path needs.
 //
 // Replay is idempotent: records already reflected in the state (e.g.
 // folded into the snapshot, or replayed twice) are skipped, so
@@ -86,6 +86,7 @@ func RecoverShard(log *wal.Log, repair Repairer, si ShardInfo) (*State, error) {
 		return nil, fmt.Errorf("vmanager: recover: %w", err)
 	}
 	s.log = log
+	log.Compact(s.snapshot)
 	return s, nil
 }
 
@@ -303,33 +304,17 @@ func (s *State) loadSnapshot(p []byte) error {
 	return nil
 }
 
-// ErrNoWAL is returned by snapshot/status operations on a manager
-// running without a write-ahead log.
-var ErrNoWAL = errors.New("vmanager: no write-ahead log attached")
-
-// SnapshotNow serializes the current state as a WAL snapshot and
-// compacts the log behind it. Every stripe lock (and the minting lock)
-// is held across the snapshot write so the saved state is exactly
-// consistent with the log prefix it supersedes; version-manager
-// operations pause for the duration (an explicit admin/maintenance
-// action, not a hot-path one).
-func (s *State) SnapshotNow() error {
-	if s.log == nil {
-		return ErrNoWAL
-	}
+// snapshot is the log's compaction (wal.Log.Compact): it saves the
+// state as a snapshot and compacts the log behind it. Every stripe lock
+// (and the minting lock) is held across the write, so the saved state
+// is exactly the log prefix it supersedes; version-manager operations
+// pause for the duration.
+func (s *State) snapshot() error {
 	s.idMu.Lock()
 	defer s.idMu.Unlock()
 	s.lockAll()
 	defer s.unlockAll()
 	return s.log.SaveSnapshot(s.encodeSnapshotAllLocked())
-}
-
-// WALStatus reports the attached log's shape (bsfsctl vm status).
-func (s *State) WALStatus() (wal.Status, error) {
-	if s.log == nil {
-		return wal.Status{}, ErrNoWAL
-	}
-	return s.log.Status(), nil
 }
 
 // CloseWAL closes the attached log (graceful shutdown). The log stays

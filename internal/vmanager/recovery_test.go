@@ -179,7 +179,7 @@ func TestSnapshotCompactAndRecover(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		assignCommit(t, s, m.ID, 4096)
 	}
-	if err := s.SnapshotNow(); err != nil {
+	if err := s.snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-snapshot mutations live only in the record suffix.
@@ -188,12 +188,8 @@ func TestSnapshotCompactAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.WALStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SnapshotSeq == 0 {
-		t.Error("snapshot not recorded in WAL status")
+	if st := s.log.Status(); st.SnapshotSeq == 0 || st.Snapshots != 1 {
+		t.Errorf("snapshot not recorded in WAL status: %+v", st)
 	}
 	s.CloseWAL()
 
@@ -252,10 +248,48 @@ func TestNoWALStateUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	assignCommit(t, s, m.ID, 4096)
-	if _, err := s.WALStatus(); err != ErrNoWAL {
-		t.Errorf("WALStatus without log = %v, want ErrNoWAL", err)
+	if pub, _, err := s.Latest(m.ID); err != nil || pub != 1 {
+		t.Errorf("published without log = (%d, %v), want (1, nil)", pub, err)
 	}
-	if err := s.SnapshotNow(); err != ErrNoWAL {
-		t.Errorf("SnapshotNow without log = %v, want ErrNoWAL", err)
+}
+
+// TestVersionLogCompactsItself: 2,000 published versions on small
+// segments snapshot the manager without anyone asking, and the
+// compacted log recovers the whole publication line.
+func TestVersionLogCompactsItself(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *State {
+		log, err := wal.Open(dir, wal.Options{SegmentBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Recover(log, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.CloseWAL() })
+		return s
+	}
+	s := open()
+	m, err := s.CreateBlob(4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2000 {
+		assignCommit(t, s, m.ID, 4096)
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.log.Status(); st.Snapshots < 1 || st.CompactFailures != 0 {
+		t.Errorf("status after 2000 versions = %+v, want a snapshot and no failure", st)
+	}
+
+	r := open()
+	if pub, size, err := r.Latest(m.ID); err != nil || pub != 2000 || size != 2000*4096 {
+		t.Errorf("recovered latest = (%d, %d, %v), want (2000, %d, nil)", pub, size, err, 2000*4096)
+	}
+	if v := assignCommit(t, r, m.ID, 4096); v != 2001 {
+		t.Errorf("first version after recovery = %d, want 2001", v)
 	}
 }

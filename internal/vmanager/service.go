@@ -3,7 +3,6 @@ package vmanager
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"blobseer/internal/mdtree"
 	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
-	"blobseer/internal/wal"
 	"blobseer/internal/wire"
 )
 
@@ -30,8 +28,7 @@ const (
 	mListBlobs
 	mPrune
 	mPrunedBelow
-	mWALStatus
-	mForceSnapshot
+	// 13 and 14 are retired: the log compacts itself (wal.Log.Compact).
 )
 
 // RPC status codes for the sentinel errors.
@@ -145,28 +142,24 @@ type OpCounts struct {
 	List        int64
 	Prune       int64
 	PrunedBelow int64
-	WALStatus   int64
-	Snapshot    int64
 }
 
 // Total sums every per-op counter.
 func (o OpCounts) Total() int64 {
 	return o.Create + o.GetMeta + o.Assign + o.Commit + o.Abort + o.Latest +
-		o.VersionInfo + o.History + o.Wait + o.List + o.Prune + o.PrunedBelow +
-		o.WALStatus + o.Snapshot
+		o.VersionInfo + o.History + o.Wait + o.List + o.Prune + o.PrunedBelow
 }
 
 // opNames maps RPC method numbers to metric-name suffixes.
-var opNames = [mForceSnapshot]string{
+var opNames = [mPrunedBelow]string{
 	"create", "get_meta", "assign", "commit", "abort", "latest",
 	"version_info", "history", "wait", "list", "prune", "pruned_below",
-	"wal_status", "force_snapshot",
 }
 
 // MethodName maps an RPC method number to its operation name, for the
 // server-side tracer.
 func MethodName(m uint16) string {
-	if m >= 1 && m <= mForceSnapshot {
+	if m >= 1 && m <= mPrunedBelow {
 		return opNames[m-1]
 	}
 	return "unknown"
@@ -180,8 +173,8 @@ type Service struct {
 	// WaitPublished counts before it answers), and latency, observed on
 	// exit.
 	reg       *obs.Registry
-	ops       [mForceSnapshot]*obs.Counter
-	opLatency [mForceSnapshot]*obs.Histogram
+	ops       [mPrunedBelow]*obs.Counter
+	opLatency [mPrunedBelow]*obs.Histogram
 
 	stopJanitor chan struct{}
 }
@@ -190,48 +183,19 @@ type Service struct {
 func NewService(state *State) *Service {
 	s := &Service{state: state, stopJanitor: make(chan struct{})}
 	s.reg = obs.NewRegistry()
-	for m := uint16(1); m <= mForceSnapshot; m++ {
+	for m := uint16(1); m <= mPrunedBelow; m++ {
 		s.ops[m-1] = s.reg.Counter("ops_" + opNames[m-1])
 		s.opLatency[m-1] = s.reg.Histogram("latency_" + opNames[m-1])
 	}
-	// WAL shape gauges: evaluated only at scrape time. A manager running
-	// without a WAL reports zeros.
-	walGauge := func(pick func(wal.Status) int64) func() int64 {
-		return func() int64 {
-			st, err := state.WALStatus()
-			if err != nil {
-				return 0
-			}
-			return pick(st)
-		}
-	}
-	s.reg.GaugeFunc("wal_segments", walGauge(func(st wal.Status) int64 { return int64(st.Segments) }))
-	s.reg.GaugeFunc("wal_log_bytes", walGauge(func(st wal.Status) int64 { return st.LogBytes }))
-	s.reg.GaugeFunc("wal_records", walGauge(func(st wal.Status) int64 { return int64(st.Records) }))
-	s.reg.GaugeFunc("wal_syncs", walGauge(func(st wal.Status) int64 { return int64(st.Syncs) }))
-	s.reg.GaugeFunc("wal_last_sync_age_ms", walGauge(func(st wal.Status) int64 {
-		if st.LastSyncUnix == 0 {
-			return 0
-		}
-		return time.Now().UnixMilli() - st.LastSyncUnix*1000
-	}))
-	s.reg.GaugeFunc("wal_unsnapshotted", walGauge(func(st wal.Status) int64 {
-		return int64(st.LastSeq - st.SnapshotSeq)
-	}))
 	return s
 }
 
-// Metrics exposes the shard's registry (per-op latency histograms,
-// dispatch counts, WAL group-commit gauges) for HTTP export.
+// Metrics exposes the shard's registry (per-op latency histograms and
+// dispatch counts; a durable node adds its WAL gauges) for HTTP export.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // State exposes the core (simulator, tests).
 func (s *Service) State() *State { return s.state }
-
-// Calls reports the cumulative RPC dispatch count — the metadata
-// round-trips clients have charged this version manager. Regression
-// tests pin it: reads against a pinned core.Snapshot must not grow it.
-func (s *Service) Calls() int64 { return s.Ops().Total() }
 
 // Ops reports the dispatch count split by operation.
 func (s *Service) Ops() OpCounts {
@@ -248,8 +212,6 @@ func (s *Service) Ops() OpCounts {
 		List:        s.ops[mListBlobs-1].Value(),
 		Prune:       s.ops[mPrune-1].Value(),
 		PrunedBelow: s.ops[mPrunedBelow-1].Value(),
-		WALStatus:   s.ops[mWALStatus-1].Value(),
-		Snapshot:    s.ops[mForceSnapshot-1].Value(),
 	}
 }
 
@@ -310,71 +272,7 @@ func (s *Service) Mux() *rpc.Mux {
 	m.HandleFrame(mListBlobs, s.counted(mListBlobs, s.handleListBlobs))
 	m.HandleFrame(mPrune, s.counted(mPrune, s.handlePrune))
 	m.HandleFrame(mPrunedBelow, s.counted(mPrunedBelow, s.handlePrunedBelow))
-	m.HandleFrame(mWALStatus, s.counted(mWALStatus, s.handleWALStatus))
-	m.HandleFrame(mForceSnapshot, s.counted(mForceSnapshot, s.handleForceSnapshot))
 	return m
-}
-
-func encodeOps(b *wire.Buffer, o OpCounts) {
-	b.I64(o.Create)
-	b.I64(o.GetMeta)
-	b.I64(o.Assign)
-	b.I64(o.Commit)
-	b.I64(o.Abort)
-	b.I64(o.Latest)
-	b.I64(o.VersionInfo)
-	b.I64(o.History)
-	b.I64(o.Wait)
-	b.I64(o.List)
-	b.I64(o.Prune)
-	b.I64(o.PrunedBelow)
-	b.I64(o.WALStatus)
-	b.I64(o.Snapshot)
-}
-
-func decodeOps(r *wire.Reader) OpCounts {
-	return OpCounts{
-		Create:      r.I64(),
-		GetMeta:     r.I64(),
-		Assign:      r.I64(),
-		Commit:      r.I64(),
-		Abort:       r.I64(),
-		Latest:      r.I64(),
-		VersionInfo: r.I64(),
-		History:     r.I64(),
-		Wait:        r.I64(),
-		List:        r.I64(),
-		Prune:       r.I64(),
-		PrunedBelow: r.I64(),
-		WALStatus:   r.I64(),
-		Snapshot:    r.I64(),
-	}
-}
-
-func (s *Service) handleWALStatus(ctx context.Context, p []byte) (*wire.Buffer, error) {
-	st, err := s.state.WALStatus()
-	if err != nil {
-		return nil, wrap(err)
-	}
-	b := rpc.NewFrame(192)
-	b.String(st.Dir)
-	b.U32(uint32(st.Segments))
-	b.U64(st.FirstSeq)
-	b.U64(st.LastSeq)
-	b.U64(st.SnapshotSeq)
-	b.I64(st.LogBytes)
-	b.U64(st.Records)
-	b.I64(st.LastSyncUnix)
-	b.U64(st.Syncs)
-	encodeOps(b, s.Ops())
-	return b, nil
-}
-
-func (s *Service) handleForceSnapshot(ctx context.Context, p []byte) (*wire.Buffer, error) {
-	if err := s.state.SnapshotNow(); err != nil {
-		return nil, wrap(err)
-	}
-	return nil, nil
 }
 
 func encodeDesc(b *wire.Buffer, d blob.WriteDesc) {
@@ -639,9 +537,6 @@ func NewClient(pool *rpc.Pool, addrs ...string) *Client {
 	return &Client{pool: pool, addrs: addrs, retry: rpc.DefaultBackoff}
 }
 
-// NumShards reports the shard count K.
-func (c *Client) NumShards() int { return len(c.addrs) }
-
 // SetRetry overrides the client's retry schedule (chaos tests widen it,
 // latency-sensitive callers shrink it).
 func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
@@ -832,48 +727,4 @@ func (c *Client) PrunedBelow(ctx context.Context, id blob.ID) (v blob.Version, e
 func (c *Client) Prune(ctx context.Context, id blob.ID, keep blob.Version) (from blob.Version, err error) {
 	err = c.callBlob(ctx, id, mPrune, versionReply(&from), uint64(keep))
 	return from, err
-}
-
-// StatusReply is one shard's WAL shape plus its per-op dispatch
-// counters (bsfsctl vm status).
-type StatusReply struct {
-	WAL wal.Status
-	Ops OpCounts
-}
-
-// Status reports shard k's write-ahead-log shape and per-op dispatch
-// counters. Fails with a remote error when the shard runs without a
-// WAL.
-func (c *Client) Status(ctx context.Context, k int) (st StatusReply, err error) {
-	err = c.call(ctx, k, mWALStatus, 0, nil, func(p []byte) error {
-		r := wire.NewReader(p)
-		st = StatusReply{
-			WAL: wal.Status{
-				Dir:          r.String(),
-				Segments:     int(r.U32()),
-				FirstSeq:     r.U64(),
-				LastSeq:      r.U64(),
-				SnapshotSeq:  r.U64(),
-				LogBytes:     r.I64(),
-				Records:      r.U64(),
-				LastSyncUnix: r.I64(),
-				Syncs:        r.U64(),
-			},
-			Ops: decodeOps(r),
-		}
-		return r.Err()
-	})
-	return st, err
-}
-
-// ForceSnapshot snapshots every shard's state into its WAL and compacts
-// the log behind it, reporting the failures after attempting all shards.
-func (c *Client) ForceSnapshot(ctx context.Context) error {
-	var errs []error
-	for k := range c.addrs {
-		if err := c.call(ctx, k, mForceSnapshot, 0, nil, nil); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", k, err))
-		}
-	}
-	return errors.Join(errs...)
 }

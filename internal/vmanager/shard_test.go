@@ -179,8 +179,8 @@ func TestClientCreateBlobRace(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
 			c, _ := startShardedVM(t, shards)
-			if c.NumShards() != shards {
-				t.Fatalf("NumShards = %d, want %d", c.NumShards(), shards)
+			if len(c.addrs) != shards {
+				t.Fatalf("client has %d shards, want %d", len(c.addrs), shards)
 			}
 			ctx := context.Background()
 
@@ -294,5 +294,19 @@ func TestClientRoutesPerBlobOps(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredMethodsUnknown: methods 13 (WAL status) and 14 (forced
+// snapshot) are retired, since the log compacts itself, and no later
+// method reuses their numbers: a caller built before the retirement
+// gets "unknown method", never another operation's answer.
+func TestRetiredMethodsUnknown(t *testing.T) {
+	c, _ := startShardedVM(t, 1)
+	for _, m := range []uint16{13, 14} {
+		err := c.call(context.Background(), 0, m, 0, nil, nil)
+		if want := fmt.Sprintf("unknown method %d", m); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("method %d answered %v, want %q", m, err, want)
+		}
 	}
 }

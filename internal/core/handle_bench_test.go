@@ -64,12 +64,13 @@ func BenchmarkSnapshotReadAt(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.SetBytes(s.Size())
-	// The budget of a warm 8-block read, client and daemons together: 24
-	// now that frames are recycled with their bytes, 32 when every frame
+	// The budget of a warm 8-block read, client and daemons together: 15
+	// now that a read's extents, fetches and provider window are recycled
+	// per client, 22 when each read built them, 32 when every frame
 	// allocated its wire.Buffer, 58 when every block was a call of its own,
 	// 77 when the tree was walked to the leaves.
-	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 30 {
-		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 30", allocs, nBlocks)
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 18 {
+		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 18", allocs, nBlocks)
 	}
 }
 
@@ -131,9 +132,10 @@ func BenchmarkSnapshotReadAtColdMeta(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.SetBytes(int64(len(buf)))
 	// The budget of a cold 3-leaf read, client and daemons together: about
-	// 21 once the leaves are fetched and decoded per call, 43 when every
-	// layer built its own map, strings and copies for each key.
-	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 26 {
-		b.Errorf("%.1f allocations per cold 3-leaf ReadAt, want at most 26", allocs)
+	// 10 now that the node cache's flights and the read's working set are
+	// recycled, 21 when each read built them, 43 when every layer built
+	// its own map, strings and copies for each key.
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 12 {
+		b.Errorf("%.1f allocations per cold 3-leaf ReadAt, want at most 12", allocs)
 	}
 }

@@ -3,10 +3,13 @@ package mdtree
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/util"
+	"blobseer/internal/wire"
 )
 
 // NodeCache is a bounded, sharded LRU cache wrapped around any Store.
@@ -27,10 +30,16 @@ import (
 // its result. Under the paper's heavy-concurrency read workloads this
 // collapses N simultaneous fetches of the shared tree spine into one.
 // A call's misses travel together: one flight, one inner fetch.
+//
+// A fill writes into the caller's slices, and a flight is recycled once
+// its owner and every caller that joined it are done with it, so a
+// warm cache allocates only the entries it keeps: a miss costs no
+// bookkeeping of its own.
 type NodeCache struct {
-	inner  Store
-	shards []cacheShard
-	perCap int // max entries per shard
+	inner   Store
+	shards  []cacheShard
+	perCap  int // max entries per shard
+	flights util.FreeList[*flight]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -77,11 +86,37 @@ func (s *cacheShard) drop(e *cacheEntry) {
 
 // flight is one call's fetch of the nodes it missed, which concurrent
 // callers missing any of them wait on instead of fetching them again.
+// Its owner and each caller that joins it hold a reference; the last to
+// let go recycles it (NodeCache.release).
 type flight struct {
-	done  chan struct{}
 	ids   []NodeID
-	nodes []Node // parallels ids once done; the zero Node where absent
+	nodes []Node // parallels ids once landed; the zero Node where absent
 	err   error  // the fetch failed: presence undecided
+	refs  atomic.Int32
+
+	mu     sync.Mutex
+	landed bool          // complete ran
+	done   chan struct{} // made by the first joiner that has to wait; closed when landed
+}
+
+// wait blocks until f has landed or ctx ends.
+func (f *flight) wait(ctx context.Context) error {
+	f.mu.Lock()
+	if f.landed {
+		f.mu.Unlock()
+		return nil
+	}
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	done := f.done
+	f.mu.Unlock()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // flightSlot is where a node is being fetched: slot j of flight f.
@@ -276,47 +311,86 @@ func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node) error {
 		}
 		c.misses.Add(1)
 		slot, ok := s.flights[id]
-		if !ok {
+		switch {
+		case !ok:
 			if own == nil {
-				own = &flight{done: make(chan struct{}), ids: make([]NodeID, 0, len(ids)-i)}
+				own = c.newFlight()
 			}
 			slot = flightSlot{f: own, j: int32(len(own.ids))}
 			own.ids = append(own.ids, id)
 			s.flights[id] = slot
+		case slot.f != own:
+			slot.f.refs.Add(1) // the flight is still in the shard: its owner holds it too
 		}
 		s.mu.Unlock()
 		misses = append(misses, pending{i: int32(i), flightSlot: slot})
 	}
+	var err error
 	if own != nil {
-		own.nodes = make([]Node, len(own.ids))
+		own.nodes = slices.Grow(own.nodes[:0], len(own.ids))[:len(own.ids)]
 		own.err = c.fetch(ctx, own.ids, own.nodes)
 		c.complete(own)
-		if own.err != nil {
-			return own.err
-		}
+		err = own.err
 	}
 	// A flight whose owner failed is retried under this call's own
 	// context instead of inheriting the owner's error (it may just have
 	// been canceled).
 	var retry []int32
 	for _, m := range misses {
-		if m.f != own {
-			select {
-			case <-m.f.done:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+		if err == nil && m.f != own {
+			err = m.f.wait(ctx)
 		}
-		if m.f.err != nil {
+		switch {
+		case err != nil:
+		case m.f.err != nil:
 			retry = append(retry, m.i)
-			continue
+		default:
+			out[m.i] = m.f.nodes[m.j]
 		}
-		out[m.i] = m.f.nodes[m.j]
+		if m.f != own {
+			c.release(m.f)
+		}
+	}
+	if own != nil {
+		c.release(own)
+	}
+	if err != nil {
+		return err
 	}
 	if len(retry) > 0 {
 		return c.refetch(ctx, ids, out, retry)
 	}
 	return nil
+}
+
+// newFlight returns an empty flight its caller holds the one reference
+// to: a released one, else a new one.
+func (c *NodeCache) newFlight() *flight {
+	f, ok := c.flights.Get()
+	if !ok {
+		f = new(flight)
+	}
+	f.refs.Store(1)
+	return f
+}
+
+// release drops one reference to f; the last recycles it. Its nodes are
+// cleared, or scribbled over when wire.PoisonReleased is on, so that a
+// caller still reading them sees no stale node.
+func (c *NodeCache) release(f *flight) {
+	if f.refs.Add(-1) > 0 {
+		return
+	}
+	if wire.Poisoning() {
+		for i := range f.nodes {
+			f.nodes[i] = Node{ID: NodeID{Off: -1, Span: -1}}
+		}
+	} else {
+		clear(f.nodes)
+	}
+	f.ids, f.nodes, f.err = f.ids[:0], f.nodes[:0], nil
+	f.landed, f.done = false, nil
+	c.flights.Put(f)
 }
 
 // complete publishes a flight's outcome: the nodes found are cached, and
@@ -331,7 +405,12 @@ func (c *NodeCache) complete(f *flight) {
 		}
 		s.mu.Unlock()
 	}
-	close(f.done)
+	f.mu.Lock()
+	f.landed = true
+	if f.done != nil {
+		close(f.done)
+	}
+	f.mu.Unlock()
 }
 
 // refetch fetches the nodes ids[i], i in at, into out and caches them.

@@ -69,7 +69,7 @@ func TestCacheWriteThroughMakesReadFree(t *testing.T) {
 	}
 	var o Owners
 	o.Extend(B, h.Descs)
-	ext, err := o.Resolve(ctx, cache, m, 1, 8*B, blob.Range{Off: 0, Len: 8 * B})
+	ext, err := o.Resolve(ctx, cache, m, 1, 8*B, blob.Range{Off: 0, Len: 8 * B}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,5 +598,49 @@ func TestGetBatchAllHitsAllocateOnlyTheResult(t *testing.T) {
 	})
 	if allHit > resultOnly {
 		t.Errorf("an all-hit GetBatch of %d ids allocates %.0f times, its result map alone %.0f", len(ids), allHit, resultOnly)
+	}
+}
+
+// leafFiller fills every id with a leaf naming one provider, through the
+// fill path and without allocating: a store whose cost is not measured.
+type leafFiller struct{ Store }
+
+var leafProviders = []string{"p0"}
+
+func (leafFiller) fill(_ context.Context, ids []NodeID, out []Node) error {
+	for i, id := range ids {
+		out[i] = Node{ID: id, Leaf: true, Block: BlockRef{Providers: leafProviders, Len: id.Span}}
+	}
+	return nil
+}
+
+// TestColdResolveAllocatesNothing: a resolve into a kept Scratch,
+// through a full node cache that misses on every call, allocates
+// nothing of its own — no extents, IDs, nodes or flight — once the
+// cache's entries and its recycled flight exist.
+func TestColdResolveAllocatesNothing(t *testing.T) {
+	ctx, m := context.Background(), blob.Meta{ID: 1, BlockSize: eqBS, Replication: 1}
+	var o Owners
+	o.Extend(eqBS, []blob.WriteDesc{{Version: 1, Len: 64 * eqBS, SizeAfter: 64 * eqBS}})
+	cache := NewNodeCache(leafFiller{}, cacheShardCount) // one entry per shard
+	var sc Scratch
+	i := 0
+	resolve := func() {
+		i = (i + 7) % 61
+		r := blob.Range{Off: int64(i)*eqBS + eqBS/2, Len: 2 * eqBS}
+		ext, err := o.Resolve(ctx, cache, m, 1, 64*eqBS, r, &sc)
+		if err != nil || len(ext) != 3 || ext[1].Block.Len != eqBS {
+			t.Fatalf("Resolve(%v) = %v, %v; want 3 data extents", r, ext, err)
+		}
+	}
+	for range 64 {
+		resolve() // every shard full, the scratch grown
+	}
+	misses := cache.Stats().Misses
+	if n := testing.AllocsPerRun(100, resolve); n != 0 {
+		t.Errorf("a cold 3-leaf resolve allocates %v times", n)
+	}
+	if cache.Stats().Misses == misses {
+		t.Error("the resolves hit the cache: nothing cold was measured")
 	}
 }

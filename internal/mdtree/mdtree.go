@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -311,6 +312,7 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 	var out []Extent
 	ids := make([]NodeID, 0, 16)
 	covers := make([]blob.Range, 0, 16)
+	var nodes []Node
 	for len(frontier) > 0 {
 		// Split the level into holes (resolved immediately) and present
 		// nodes (fetched together).
@@ -330,8 +332,8 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 		if len(ids) == 0 {
 			break
 		}
-		nodes, err := fetchLevel(ctx, st, ids)
-		if err != nil {
+		nodes = slices.Grow(nodes[:0], len(ids))[:len(ids)]
+		if err := fetchLevel(ctx, st, ids, nodes); err != nil {
 			return nil, err
 		}
 		var next []slot
@@ -376,17 +378,16 @@ func clampRead(v blob.Version, size int64, r blob.Range) (blob.Range, error) {
 	return r, nil
 }
 
-// fetchLevel gets nodes ids, in their order, with one batch (fillFrom).
-// An absent node fails it.
-func fetchLevel(ctx context.Context, st Store, ids []NodeID) ([]Node, error) {
-	nodes := make([]Node, len(ids))
+// fetchLevel gets nodes ids into the caller's nodes[:len(ids)], in
+// their order, with one batch (fillFrom). An absent node fails it.
+func fetchLevel(ctx context.Context, st Store, ids []NodeID, nodes []Node) error {
 	if err := fillFrom(ctx, st, ids, nodes); err != nil {
-		return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
+		return fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
 	}
 	for i, id := range ids {
 		if nodes[i].ID != id {
-			return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
+			return fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
 		}
 	}
-	return nodes, nil
+	return nil
 }

@@ -3,10 +3,12 @@ package mdtree
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/wire"
 )
 
 // Owners is a blob's write history indexed by block: the versions that
@@ -65,22 +67,57 @@ func (o *Owners) ownerLocked(b int64, v blob.Version) blob.Version {
 	return ws[i-1]
 }
 
+// Scratch is the room Owners.Resolve works in, owned by its caller: the
+// extents a call returns, and the leaf IDs and nodes it fetches them
+// through. A caller that keeps one across calls resolves without
+// allocating once its slices have grown to its reads. The zero value is
+// ready to use. A Scratch serves one call at a time, and the extents a
+// call returns are valid until the next call on the same Scratch.
+type Scratch struct {
+	extents []Extent
+	ids     []NodeID
+	nodes   []Node
+}
+
+// Reset drops what the last call left, so that a kept Scratch pins no
+// node's provider list. Under wire.PoisonReleased it is scribbled over
+// instead (a tree node that names no leaf), so that a reader still
+// holding extents or nodes of it reads garbage rather than the old
+// values.
+func (sc *Scratch) Reset() {
+	if !wire.Poisoning() {
+		clear(sc.extents)
+		clear(sc.nodes)
+	} else {
+		for i := range sc.extents {
+			sc.extents[i] = Extent{FileOff: -1, Len: -1, HasData: true, DataOff: -1}
+		}
+		for i := range sc.nodes {
+			sc.nodes[i] = Node{ID: NodeID{Off: -1, Span: -1}}
+		}
+	}
+	sc.extents, sc.ids, sc.nodes = sc.extents[:0], sc.ids[:0], sc.nodes[:0]
+}
+
 // Resolve returns what the package's Resolve returns for a snapshot v <=
 // Through() — the ordered extents covering r, the same blocks at the
 // same offsets — without walking the tree: each block's leaf is named
 // from the index and all are fetched in one batch (one metadata round
 // trip, none when cached; inner nodes are never read). One difference:
 // adjacent holes come back as one extent, where the walk splits them
-// along subtree boundaries.
-func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size int64, r blob.Range) ([]Extent, error) {
+// along subtree boundaries. The extents, the leaf IDs and the nodes go
+// into sc's slices, so a call allocates nothing of its own once they
+// have grown to the read; the extents' provider lists are the store's,
+// shared.
+func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size int64, r blob.Range, sc *Scratch) ([]Extent, error) {
 	r, err := clampRead(v, size, r)
 	if err != nil || r.IsEmpty() {
 		return nil, err
 	}
 	bs := meta.BlockSize
 	first, end := r.Off/bs, blob.Blocks(r.End(), bs)
-	out := make([]Extent, 0, end-first)
-	ids := make([]NodeID, 0, end-first)
+	out := slices.Grow(sc.extents[:0], int(end-first))
+	ids := slices.Grow(sc.ids[:0], int(end-first))
 	o.mu.RLock()
 	if v > o.through {
 		o.mu.RUnlock()
@@ -100,11 +137,13 @@ func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.V
 		}
 	}
 	o.mu.RUnlock()
+	sc.extents, sc.ids = out, ids
 	if len(ids) == 0 {
 		return out, nil
 	}
-	leaves, err := fetchLevel(ctx, st, ids)
-	if err != nil {
+	leaves := slices.Grow(sc.nodes[:0], len(ids))[:len(ids)]
+	sc.nodes = leaves
+	if err := fetchLevel(ctx, st, ids, leaves); err != nil {
 		return nil, err
 	}
 	i := 0

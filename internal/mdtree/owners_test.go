@@ -103,7 +103,7 @@ func checkEquivalence(t *testing.T, ops, queries []byte) {
 	var o Owners
 	half := th.h.Len() / 2
 	o.Extend(eqBS, th.h.Descs[:half])
-	if _, err := o.Resolve(ctx, th.st, th.meta, th.h.Latest(), 1, blob.Range{Len: 1}); half < th.h.Len() && err == nil {
+	if _, err := o.Resolve(ctx, th.st, th.meta, th.h.Latest(), 1, blob.Range{Len: 1}, new(Scratch)); half < th.h.Len() && err == nil {
 		t.Fatalf("index through version %d resolved version %d", half, th.h.Latest())
 	}
 	o.Extend(eqBS, th.h.Descs) // overlaps the first run
@@ -121,7 +121,7 @@ func checkEquivalence(t *testing.T, ops, queries []byte) {
 		}
 		for _, r := range ranges {
 			want, werr := Resolve(ctx, th.st, th.meta, v, size, r)
-			got, gerr := o.Resolve(ctx, th.st, th.meta, v, size, r)
+			got, gerr := o.Resolve(ctx, th.st, th.meta, v, size, r, new(Scratch))
 			if werr != nil || gerr != nil {
 				t.Fatalf("ops %v v%d %v: walk err %v, direct err %v", ops, v, r, werr, gerr)
 			}
@@ -192,7 +192,7 @@ func TestOwnersExtendedWhileRead(t *testing.T) {
 	}
 	var o Owners
 	o.Extend(eqBS, th.h.Descs[:8])
-	want, err := o.Resolve(ctx, th.st, th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS})
+	want, err := o.Resolve(ctx, th.st, th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestOwnersExtendedWhileRead(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for o.Through() < versions {
-				got, err := o.Resolve(ctx, th.st, th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS})
+				got, err := o.Resolve(ctx, th.st, th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS}, new(Scratch))
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("version 8 resolved differently while the index grew: %v", err)
 					return
@@ -287,7 +287,7 @@ func BenchmarkResolveOneBlock(b *testing.B) {
 			rng := util.NewSplitMix64(1)
 			for i := 0; i < b.N; i++ {
 				v := blob.Version(1 + rng.Intn(versions))
-				ext, err := o.Resolve(ctx, leafStore{}, m, v, eqBS, blob.Range{Len: eqBS})
+				ext, err := o.Resolve(ctx, leafStore{}, m, v, eqBS, blob.Range{Len: eqBS}, new(Scratch))
 				if err != nil || len(ext) != 1 {
 					b.Fatal(ext, err)
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,7 +19,8 @@ import (
 // providers; experiments default to MemStore.
 type FSStore struct {
 	dir  string
-	sync bool // fsync after writes
+	base string // dir and a separator: what a key's file name is appended to
+	sync bool   // fsync after writes
 
 	mu  sync.RWMutex  // guards cross-file operations (DeletePrefix vs Put races)
 	seq atomic.Uint64 // distinguishes concurrent streaming writers' temp files
@@ -39,11 +41,24 @@ func NewFSStore(dir string, syncWrites bool) (*FSStore, error) {
 			}
 		}
 	}
-	return &FSStore{dir: dir, sync: syncWrites}, nil
+	base := filepath.Clean(dir)
+	if !os.IsPathSeparator(base[len(base)-1]) {
+		base += string(filepath.Separator)
+	}
+	return &FSStore{dir: dir, base: base, sync: syncWrites}, nil
 }
 
+// path names key's file: the directory and the key's hex encoding, built
+// as the one string the file system call is given (which copies it
+// once more, to end it with a NUL).
 func (s *FSStore) path(key string) string {
-	return filepath.Join(s.dir, hex.EncodeToString([]byte(key)))
+	const digits = "0123456789abcdef"
+	var room [256]byte // on the stack unless the directory is long
+	b := append(room[:0], s.base...)
+	for i := 0; i < len(key); i++ {
+		b = append(b, digits[key[i]>>4], digits[key[i]&0xf])
+	}
+	return string(b)
 }
 
 // Put implements Store.
@@ -218,12 +233,12 @@ func (s *FSStore) LendFile(key string, off, length int64) (*os.File, int64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	fi, err := f.Stat()
+	size, err := f.Seek(0, io.SeekEnd) // a Stat would allocate its FileInfo; reads and sendfile pass offsets
 	if err != nil {
 		f.Close()
 		return nil, 0, err
 	}
-	_, l := clampRange(fi.Size(), off, length)
+	_, l := clampRange(size, off, length)
 	return f, l, nil
 }
 

@@ -284,3 +284,27 @@ func TestMemShardPlacement(t *testing.T) {
 		t.Errorf("Has allocates %v times per call", n)
 	}
 }
+
+// TestLendFileAllocs pins what lending a block's file allocates: its path
+// once, the system call's NUL-ended copy of it, and the open file (two
+// objects). Seven before the path was built in one piece and the size
+// read without a Stat.
+func TestLendFileAllocs(t *testing.T) {
+	s, err := NewFSStore(t.TempDir(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b1/7f/3", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	lend := func() {
+		f, n, err := s.LendFile("b1/7f/3", 2, 100)
+		if err != nil || n != 8 {
+			t.Fatalf("LendFile = %d, %v; want 8 bytes", n, err)
+		}
+		f.Close()
+	}
+	if n := testing.AllocsPerRun(100, lend); n > 4 {
+		t.Errorf("LendFile allocates %v times per call, want at most 4", n)
+	}
+}

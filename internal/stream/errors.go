@@ -10,6 +10,20 @@
 // full-block commits through WriteAt/Append hooks. core wires these to
 // Snapshot.ReadAt and Blob.Write/Blob.Append; tests wire them to
 // in-memory backends.
+//
+// A Reader's background fetch is a record (blockLoad) and a block
+// buffer. The record is the reader's: made the first time the window
+// needs one more, reused after that. A fetch takes a record from the
+// reader's idle list and a buffer from wire.GetBuf, and runs on a
+// goroutine under the window's context, which all the window's fetches
+// share. When the fetch finishes, the record stays in the window until
+// a Read consumes it: the buffer becomes the reader's cached block. A
+// Seek can drop it from the window instead, and then the buffer goes
+// back to wire. The record goes back to the idle list once three things
+// hold: its goroutine has finished, it has left the window, and no Read
+// is waiting on it. A block fetched this way allocates only its
+// goroutine's closure. Only a Seek or Close that cancels the window
+// while a fetch runs makes the next fetch build a new context.
 package stream
 
 import "errors"

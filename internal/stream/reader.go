@@ -63,6 +63,7 @@ type Reader struct {
 	readahead int
 
 	mu       sync.Mutex
+	landed   sync.Cond // on mu: broadcast when a background fetch finishes
 	pos      int64
 	cacheOff int64  // file offset of cached block (-1 = empty)
 	cache    []byte // a wire.GetBuf slice, as is every window entry's: at most readahead+2 are live
@@ -70,8 +71,17 @@ type Reader struct {
 
 	nextSeq int64                // block start that would continue the sequential run (-1 = none)
 	window  map[int64]*blockLoad // block start -> in-flight or completed background fetch
-	stats   ReadStats
-	m       *Metrics
+	idle    []*blockLoad         // loads done with, for the next startFetch
+	running int                  // background fetches not finished, dropped ones included
+
+	// The window's fetches run under wctx, made by the first one. A
+	// window canceled while a fetch runs cancels it, and so does Close;
+	// the next fetch then makes a new one.
+	wctx    context.Context
+	wcancel context.CancelFunc
+
+	stats ReadStats
+	m     *Metrics
 }
 
 var (
@@ -82,14 +92,19 @@ var (
 // blockLoad is one asynchronous block fetch. Its buffer becomes the
 // reader's cache when the stream consumes the load; a load dropped from
 // the window recycles it, once the fetch goroutine is done with it.
+//
+// The record itself is the reader's to reuse (Reader.idle) once three
+// things hold: its goroutine has finished, it has left the window
+// (consumed or dropped) and no Read is waiting on it. Whichever of the
+// three comes last recycles it (lockedRecycle).
 type blockLoad struct {
-	done   chan struct{}
-	cancel context.CancelFunc
-	data   []byte
-	err    error
+	data []byte
+	err  error
 
 	// Under Reader.mu.
-	finished, dropped bool
+	finished bool // the fetch goroutine is done with the record
+	dropped  bool // out of the window: data is no longer the load's to keep
+	waiters  int  // Reads waiting for it to finish
 }
 
 // NewReader returns a reader over the snapshot described by cfg. The
@@ -102,7 +117,7 @@ func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 	}
 	m := orNoMetrics(cfg.Metrics)
 	m.readersOpen.Add(1)
-	return &Reader{
+	r := &Reader{
 		ctx:       ctx,
 		fetch:     cfg.Fetch,
 		size:      cfg.Size,
@@ -113,6 +128,8 @@ func NewReader(ctx context.Context, cfg ReaderConfig) *Reader {
 		window:    make(map[int64]*blockLoad),
 		m:         m,
 	}
+	r.landed.L = &r.mu
+	return r
 }
 
 // errSeekRaced reports that a concurrent Seek moved the stream while a
@@ -221,16 +238,15 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 	}
 	r.nextSeq = blockStart + r.blockSize
 
-	// Blocks behind the stream position are dead weight: cancel them.
+	// Blocks behind the stream position are dead weight: drop them.
 	r.lockedPruneBehind(blockStart)
 
 	for attempt := 0; ; attempt++ {
-		r.mu.Unlock()
-		<-f.done
-		r.mu.Lock()
-		if r.closed {
-			return ErrReaderClosed
+		f.waiters++
+		for !f.finished {
+			r.landed.Wait()
 		}
+		f.waiters--
 		// A load a concurrent Seek dropped from the window no longer
 		// owns its buffer: it counts as canceled whatever it fetched.
 		err := f.err
@@ -242,8 +258,13 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 			} else {
 				wire.PutBuf(f.data)
 			}
+			f.data, f.dropped = nil, true
 		} else if err == nil {
 			err = context.Canceled
+		}
+		r.lockedRecycle(f)
+		if r.closed {
+			return ErrReaderClosed
 		}
 		if r.pos != off {
 			return errSeekRaced // a fetched block stays cached; serve the new pos
@@ -263,38 +284,83 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 }
 
 // startFetch launches a background fetch of [blockStart,
-// blockStart+length) with its own cancelable context.
+// blockStart+length) under the window's context. What it allocates is
+// the goroutine's closure; the record and the buffer are recycled.
 func (r *Reader) startFetch(blockStart, length int64) *blockLoad {
-	fctx, cancel := context.WithCancel(r.ctx)
-	f := &blockLoad{done: make(chan struct{}), cancel: cancel, data: wire.GetBuf(int(r.blockSize))[:length]}
-	go func() {
-		err := r.fetch(fctx, blockStart, f.data)
-		cancel()
-		r.mu.Lock()
-		f.err, f.finished = err, true
-		if f.dropped {
-			wire.PutBuf(f.data)
-		}
-		r.mu.Unlock()
-		close(f.done)
-	}()
+	if r.wctx == nil {
+		r.wctx, r.wcancel = context.WithCancel(r.ctx)
+	}
+	var f *blockLoad
+	if n := len(r.idle); n > 0 {
+		f, r.idle = r.idle[n-1], r.idle[:n-1]
+		*f = blockLoad{}
+	} else {
+		f = new(blockLoad)
+	}
+	f.data = wire.GetBuf(int(r.blockSize))[:length]
+	r.running++
+	go r.load(r.wctx, f, blockStart)
 	return f
 }
 
-// lockedCancelWindow aborts every outstanding background fetch.
+// load runs one background fetch and wakes the Reads waiting for it.
+func (r *Reader) load(ctx context.Context, f *blockLoad, blockStart int64) {
+	err := r.fetch(ctx, blockStart, f.data)
+	r.mu.Lock()
+	f.err, f.finished = err, true
+	r.running--
+	if f.dropped {
+		wire.PutBuf(f.data)
+		f.data = nil
+		r.lockedRecycle(f)
+	}
+	r.mu.Unlock()
+	r.landed.Broadcast()
+}
+
+// lockedRecycle keeps f for the next startFetch once nothing refers to
+// it: its fetch finished, it left the window and no Read waits on it.
+// Under wire.PoisonReleased its error is scribbled over, so that a
+// holder that outlived it fails instead of reading another block's
+// outcome.
+func (r *Reader) lockedRecycle(f *blockLoad) {
+	if !f.finished || !f.dropped || f.waiters > 0 {
+		return
+	}
+	*f = blockLoad{}
+	if wire.Poisoning() {
+		f.err, f.finished = errLoadReleased, true
+	}
+	r.idle = append(r.idle, f)
+}
+
+// errLoadReleased is what a recycled load reads as under
+// wire.PoisonReleased, until it is reused.
+var errLoadReleased = errors.New("stream: block load used after release")
+
+// lockedCancelWindow drops every window entry and aborts the fetches
+// still running, window entries or dropped earlier.
 func (r *Reader) lockedCancelWindow() {
 	r.lockedPruneBehind(r.size)
 	r.nextSeq = -1
+	if r.running > 0 && r.wcancel != nil {
+		r.wcancel()
+		r.wctx, r.wcancel = nil, nil
+	}
 }
 
-// lockedPruneBehind aborts window fetches strictly behind blockStart,
-// keeping the warm entries ahead of it.
+// lockedPruneBehind drops window entries strictly behind blockStart,
+// keeping the warm entries ahead of it. A dropped fetch still running
+// finishes unless the window is canceled: there are at most readahead
+// of them, and they share the window's context.
 func (r *Reader) lockedPruneBehind(blockStart int64) {
 	for start, f := range r.window {
 		if start < blockStart {
-			f.cancel()
-			if f.dropped = true; f.finished {
+			f.dropped = true
+			if f.finished {
 				wire.PutBuf(f.data)
+				f.data = nil
+				r.lockedRecycle(f)
 			}
 			delete(r.window, start)
 			r.stats.Canceled++
@@ -350,6 +416,10 @@ func (r *Reader) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lockedCancelWindow()
+	if r.wcancel != nil {
+		r.wcancel() // no fetch runs: this only lets the context go
+		r.wctx, r.wcancel = nil, nil
+	}
 	if !r.closed {
 		r.m.readersOpen.Add(-1)
 	}

@@ -393,3 +393,28 @@ func TestReaderConcurrentSeekReadRace(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelinedReadAllocatesOnlyItsGoroutines: a sequential read through
+// the readahead window allocates, per block, the closure of the
+// goroutine that fetches it: the window's context is shared, block
+// records and buffers are recycled. Per reader there is a handful more
+// (the reader, its window map, the context, the first records).
+func TestPipelinedReadAllocatesOnlyItsGoroutines(t *testing.T) {
+	const blocks = 64
+	src := &memSource{data: pattern('a', blocks*B)}
+	p := make([]byte, B/4)
+	readAll := func() {
+		r := src.reader(2)
+		for {
+			if _, err := r.Read(p); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Close()
+	}
+	if perBlock := testing.AllocsPerRun(20, readAll) / blocks; perBlock > 1.5 {
+		t.Errorf("a pipelined read allocates %.2f times per block, want its goroutine's closure and little more", perBlock)
+	}
+}

@@ -10,7 +10,29 @@ import (
 // failure no further one starts. The last one runs on the calling
 // goroutine, so n = 1 starts no goroutine at all.
 func Windowed(n, window int, fn func(i int) error) error {
-	w := &windowed{sem: make(chan struct{}, window), fn: fn}
+	return new(Window).Run(n, window, fn)
+}
+
+// Window is Windowed's state, for a caller that runs one batch after
+// another: a Window kept in a recycled record runs a batch without
+// allocating, beyond the closure of each goroutine it starts. The zero
+// value is ready to use; a Window runs one batch at a time.
+type Window struct {
+	sem    chan struct{}
+	fn     func(i int) error
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	mu     sync.Mutex
+	err    error // the first failure
+}
+
+// Run is Windowed on w's state. Once it returns, no goroutine it started
+// touches w, and fn is no longer referenced.
+func (w *Window) Run(n, window int, fn func(i int) error) error {
+	if cap(w.sem) != window {
+		w.sem = make(chan struct{}, window)
+	}
+	w.fn = fn
 	for i := 0; i < n && !w.failed.Load(); i++ {
 		w.sem <- struct{}{}
 		w.wg.Add(1)
@@ -21,21 +43,13 @@ func Windowed(n, window int, fn func(i int) error) error {
 		}
 	}
 	w.wg.Wait()
-	return w.err
+	err := w.err
+	w.fn, w.err = nil, nil
+	w.failed.Store(false)
+	return err
 }
 
-// windowed is one Windowed call's state, one allocation for all of it
-// (the read path runs a Windowed per multi-provider read).
-type windowed struct {
-	sem    chan struct{}
-	fn     func(i int) error
-	wg     sync.WaitGroup
-	failed atomic.Bool
-	mu     sync.Mutex
-	err    error // the first failure
-}
-
-func (w *windowed) run(i int) {
+func (w *Window) run(i int) {
 	defer func() { <-w.sem; w.wg.Done() }()
 	if err := w.fn(i); err != nil {
 		w.mu.Lock()

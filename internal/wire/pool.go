@@ -126,6 +126,10 @@ func PoisonReleased(on bool) {
 	poisoned.on.Store(on)
 }
 
+// Poisoning reports whether PoisonReleased is on, so that a package
+// recycling records of its own scribbles over them on release as well.
+func Poisoning() bool { return poisoned.on.Load() }
+
 // trackBuf records b entering (idle) or leaving the free lists.
 func trackBuf(b []byte, idle bool) {
 	if !poisoned.on.Load() {

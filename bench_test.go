@@ -399,12 +399,16 @@ func BenchmarkAppendShared(b *testing.B) {
 // task has) opens a 16-block file on file:// stores and reads it in
 // 64 KB calls through the default readahead, over loopback TCP. What it
 // allocates per block, client and daemons together, is the read path's
-// bookkeeping: about 21 today, of which some 10 are the fresh client's
-// own, spread over its 16 blocks; the rest are each call's handler
-// goroutine, the leaf the node cache keeps, the file the provider
-// sends, its path and the prefetch's goroutine. It was 33.5 while every
-// fetch, resolve and cache miss built records it dropped on return. Run
-// it with -benchtime=100x (CI does).
+// bookkeeping: about 19.6 today, of which some 10 are the fresh
+// client's own, spread over its 16 blocks; the rest are each call's
+// handler goroutine, the leaf the node cache keeps, the file the
+// provider sends, its path and the prefetch's goroutine. It was 33.5
+// while every fetch, resolve and cache miss built records it dropped on
+// return, and 21 while each block fetched its own leaf. It also counts
+// the metadata batches the client sends per block: the stream fetches
+// its leaves a window at a time, windows of 4, 8 and 4 blocks here, so
+// the whole file takes three (3/16 per block), where a batch per block
+// reads 1. Run it with -benchtime=100x (CI does).
 func BenchmarkStreamReadCold(b *testing.B) {
 	const blockSize, blocks, call = util.MB, 16, 64 * util.KB
 	cl, err := blobseer.Start(blobseer.Config{
@@ -433,7 +437,7 @@ func BenchmarkStreamReadCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := make([]byte, call)
-	readCold := func() {
+	readCold := func() *bsfs.FS {
 		fsys, err := cl.NewBSFS("")
 		if err != nil {
 			b.Fatal(err)
@@ -447,20 +451,35 @@ func BenchmarkStreamReadCold(b *testing.B) {
 			b.Fatalf("read %d bytes, %v; want %d", n, err, blocks*blockSize)
 		}
 		r.Close()
+		return fsys
 	}
 	readCold() // connections dialed, free lists filled
+	clients := make([]*bsfs.FS, 0, b.N)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.SetBytes(blocks * blockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		readCold()
+		clients = append(clients, readCold())
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N*blocks)
+	var batches int64
+	for _, fsys := range clients {
+		h, err := fsys.OpenBlob(ctx, "/bench/input")
+		if err != nil {
+			b.Fatal(err)
+		}
+		batches += h.Client().MetaCacheStats().BatchGets
+	}
+	perBlock := float64(batches) / float64(b.N*blocks)
 	b.ReportMetric(allocs, "allocs/block")
-	if b.N >= 50 && allocs > 26 {
-		b.Errorf("%.1f allocations per block of a cold BSFS read, want at most 26", allocs)
+	b.ReportMetric(perBlock, "meta_batches/block")
+	if b.N >= 50 && allocs > 25 {
+		b.Errorf("%.1f allocations per block of a cold BSFS read, want at most 25", allocs)
+	}
+	if perBlock > 0.25 {
+		b.Errorf("%.2f metadata batches per block of a cold BSFS read, want at most 0.25", perBlock)
 	}
 }

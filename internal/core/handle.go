@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"time"
 
 	"blobseer/internal/blob"
@@ -294,8 +295,13 @@ type ReaderOptions struct {
 // NewReader returns a sequential io.ReadSeekCloser over the snapshot
 // with whole-block caching and bounded asynchronous readahead — the
 // engine BSFS file readers run on, available to raw-blob applications
-// directly.
+// directly. Through a node cache it also reads the metadata ahead: its
+// block fetches name their leaves a window at a time, a window growing
+// with the run the reader streams up to leafBlocks blocks, so a cold
+// stream pays one metadata round trip per window, not one per block
+// (leafWindow).
 func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reader {
+	lw := s.newLeafWindow(o.Readahead)
 	return stream.NewReader(ctx, stream.ReaderConfig{
 		Size:      s.size,
 		BlockSize: s.b.meta.BlockSize,
@@ -306,6 +312,7 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 			// and readahead prefetches both show up in the trace.
 			ctx, sp := s.b.c.tracer.Start(ctx, "stream.fetch")
 			defer func() { sp.Finish(err) }()
+			lw.cover(ctx, off)
 			n, err := s.ReadAtContext(ctx, p, off)
 			if err != nil && err != io.EOF {
 				return err
@@ -316,4 +323,98 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 			return nil
 		},
 	})
+}
+
+// leafBlocks is the most blocks whose leaves a streamed reader fetches
+// with one batch. A cold 128-block partition then makes 6 metadata
+// round trips instead of 128 (windows of 4, 8, 20 and three of 32); a
+// wider window saves little more, and each client keeps a node-cache
+// flight as wide as its widest batch.
+const leafBlocks = 32
+
+// leafWindow is a streamed reader's metadata readahead: the run of
+// blocks [run, end) of its snapshot whose leaves it has fetched into
+// the client's node cache, a window at a time, so that its block
+// fetches there resolve from memory. The first fetch outside the run
+// fetches the next window while the reader's other fetches wait on mu,
+// so they open no flights of their own. A window is as wide as the run
+// the reader has shown asks: the first of a run covers the block
+// fetched and its readahead, and each window that goes on from the
+// last is twice the run so far, up to most, and ends by the next
+// multiple of most blocks. A reader that reads a block or two fetches
+// few more leaves than it reads; one that streams on fetches its
+// leaves leafBlocks at a time, and one that streams a partition of
+// whole windows none past its end.
+type leafWindow struct {
+	s           *Snapshot
+	nc          *mdtree.NodeCache
+	bs          int64
+	first, most int64 // a window's bytes: the first of a run, and at most
+
+	mu       sync.Mutex
+	run, end int64
+}
+
+// newLeafWindow returns a window for a reader of s whose stream reads
+// readahead blocks ahead, or nil where none applies, which reads as
+// before: a client without a node cache, a snapshot read by walking the
+// tree (its pin could not index it), or a cache whose shards hold fewer
+// than two leaves. A window is at most a shard's capacity, so a
+// prefetch never evicts its own leaves.
+func (s *Snapshot) newLeafWindow(readahead int) *leafWindow {
+	nc, ok := s.b.c.meta.(*mdtree.NodeCache)
+	if !ok || s.owners == nil {
+		return nil
+	}
+	most := min(leafBlocks, nc.PrefetchRoom())
+	if most < 2 {
+		return nil
+	}
+	bs := s.b.meta.BlockSize
+	// A fetch after a seek comes alone; the next, and a stream's first,
+	// comes with its readahead: readahead+2 blocks in all.
+	first := min(max(readahead, 0)+2, most)
+	return &leafWindow{s: s, nc: nc, bs: bs, first: int64(first) * bs, most: int64(most) * bs}
+}
+
+// cover makes sure the leaves of the window holding off are cached.
+// Outside the run it fetches, with one batch, those the cache lacks of
+// the next window: the one that goes on from the run if off lies
+// within it, else the first of a new run, from off's block. A new run
+// starts at block 0 if off lies within its first window's width of it:
+// a stream's first fetch comes with its readahead, and whichever of
+// them takes mu first must open a window that holds them all. A run
+// is checked whole, not only its last window, because readahead
+// fetches take mu out of order. A failed or canceled prefetch leaves
+// the run as it was; the read then fetches its own leaf, as without a
+// window. A fetch whose context has ended (a Seek or Close dropped it)
+// fetches nothing ahead.
+func (lw *leafWindow) cover(ctx context.Context, off int64) {
+	if lw == nil || ctx.Err() != nil {
+		return
+	}
+	lw.mu.Lock()
+	defer lw.mu.Unlock()
+	if ctx.Err() != nil || off >= lw.run && off < lw.end {
+		return
+	}
+	start := off / lw.bs * lw.bs
+	run, span := start, lw.first
+	next := min(lw.most, 2*(lw.end-lw.run), (lw.end/lw.most+1)*lw.most-lw.end)
+	switch {
+	case lw.end > lw.run && off >= lw.end && off < lw.end+next: // the run goes on
+		run, start, span = lw.run, lw.end, next
+	case start < lw.first:
+		run, start = 0, 0
+	}
+	s := lw.s
+	end := min(s.size, start+span)
+	var buf [leafBlocks]mdtree.NodeID // on the stack
+	ids, err := s.owners.Leaves(buf[:0], s.b.meta, s.version, blob.Range{Off: start, Len: end - start})
+	if err == nil {
+		err = lw.nc.Prefetch(ctx, ids)
+	}
+	if err == nil {
+		lw.run, lw.end = run, end
+	}
 }

@@ -57,7 +57,10 @@ const cacheShardCount = 16
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[NodeID]*cacheEntry
-	lru     cacheEntry // list head: lru.next is the most recent entry, lru.prev the coldest
+	// lru is the most recent entry of a ring that runs colder by next,
+	// so lru.prev is the coldest; nil when the shard is empty. A ring
+	// with no sentinel entry keeps an empty shard a few words.
+	lru     *cacheEntry
 	flights map[NodeID]flightSlot
 }
 
@@ -68,19 +71,31 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-func (e *cacheEntry) unlink() {
+// unlink takes e out of the shard's ring.
+func (s *cacheShard) unlink(e *cacheEntry) {
+	switch {
+	case e.next == e:
+		s.lru = nil
+	case s.lru == e:
+		s.lru = e.next
+	}
 	e.prev.next, e.next.prev = e.next, e.prev
 }
 
 // touch makes e (new, or unlinked) the shard's most recent entry.
 func (s *cacheShard) touch(e *cacheEntry) {
-	e.prev, e.next = &s.lru, s.lru.next
-	e.prev.next, e.next.prev = e, e
+	if s.lru == nil {
+		e.prev, e.next = e, e
+	} else {
+		e.prev, e.next = s.lru.prev, s.lru
+		e.prev.next, e.next.prev = e, e
+	}
+	s.lru = e
 }
 
 // drop removes e from the shard.
 func (s *cacheShard) drop(e *cacheEntry) {
-	e.unlink()
+	s.unlink(e)
 	delete(s.entries, e.id)
 }
 
@@ -135,7 +150,6 @@ func NewNodeCache(inner Store, capacity int) *NodeCache {
 	c := &NodeCache{inner: inner, perCap: perCap, shards: make([]cacheShard, cacheShardCount)}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[NodeID]*cacheEntry)
-		c.shards[i].lru.prev, c.shards[i].lru.next = &c.shards[i].lru, &c.shards[i].lru
 		c.shards[i].flights = make(map[NodeID]flightSlot)
 	}
 	return c
@@ -200,7 +214,7 @@ func (c *NodeCache) insertLocked(s *cacheShard, id NodeID, n Node) {
 	e, ok := s.entries[id]
 	switch {
 	case ok:
-		e.unlink()
+		s.unlink(e)
 	case len(s.entries) >= c.perCap: // full: the coldest entry becomes this one
 		e = s.lru.prev
 		s.drop(e)
@@ -219,7 +233,7 @@ func (s *cacheShard) hitLocked(id NodeID) (Node, bool) {
 	if !ok {
 		return Node{}, false
 	}
-	e.unlink()
+	s.unlink(e)
 	s.touch(e)
 	return e.n, true
 }
@@ -327,7 +341,7 @@ func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node) error {
 	}
 	var err error
 	if own != nil {
-		own.nodes = slices.Grow(own.nodes[:0], len(own.ids))[:len(own.ids)]
+		own.nodes = slices.Grow(own.nodes[:0], cap(own.ids))[:len(own.ids)]
 		own.err = c.fetch(ctx, own.ids, own.nodes)
 		c.complete(own)
 		err = own.err
@@ -362,6 +376,48 @@ func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node) error {
 	}
 	return nil
 }
+
+// Prefetch caches the nodes ids name ahead of the reads that will ask
+// for them: those neither cached nor being fetched go out as one flight
+// of this call, which other calls missing them join as they would a
+// get's. It waits on no other call's flight and copies nothing out.
+// Each node it fetches counts one miss, the read that later finds it
+// one hit, and the flight one batch. On an error nothing is cached, and
+// a get that joined the flight retries it under its own context. The
+// flight is sized for cap(ids) nodes, so a caller whose batches grow to
+// a bound, passing each in one buffer of that bound, sizes it once.
+func (c *NodeCache) Prefetch(ctx context.Context, ids []NodeID) error {
+	var own *flight
+	for _, id := range ids {
+		s := c.shard(id)
+		s.mu.Lock()
+		_, cached := s.hitLocked(id) // refreshed, so that the window's own inserts do not evict it
+		if _, flying := s.flights[id]; !cached && !flying {
+			c.misses.Add(1)
+			if own == nil {
+				own = c.newFlight()
+				own.ids = slices.Grow(own.ids, cap(ids)) // once, not by doublings
+			}
+			s.flights[id] = flightSlot{f: own, j: int32(len(own.ids))}
+			own.ids = append(own.ids, id)
+		}
+		s.mu.Unlock()
+	}
+	if own == nil {
+		return nil
+	}
+	own.nodes = slices.Grow(own.nodes[:0], cap(own.ids))[:len(own.ids)]
+	own.err = c.fetch(ctx, own.ids, own.nodes)
+	c.complete(own)
+	err := own.err
+	c.release(own)
+	return err
+}
+
+// PrefetchRoom is how many nodes one Prefetch can cache, or keep
+// cached, without evicting one of its own: a shard's capacity, since
+// all of them may hash to one shard.
+func (c *NodeCache) PrefetchRoom() int { return c.perCap }
 
 // newFlight returns an empty flight its caller holds the one reference
 // to: a released one, else a new one.

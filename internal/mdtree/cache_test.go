@@ -2,6 +2,7 @@ package mdtree
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -642,5 +643,76 @@ func TestColdResolveAllocatesNothing(t *testing.T) {
 	}
 	if cache.Stats().Misses == misses {
 		t.Error("the resolves hit the cache: nothing cold was measured")
+	}
+}
+
+// holdingStore holds a batch that asks for node hold until release is
+// closed; other batches go straight through.
+type holdingStore struct {
+	*MemStore
+	hold    NodeID
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *holdingStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
+	if slices.Contains(ids, h.hold) {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return h.MemStore.GetBatch(ctx, ids)
+}
+
+// TestPrefetchCountsAMissPerNodeItFetches pins the counters a prefetch
+// moves: a miss for each node it sends for and one batch for all of
+// them, nothing for a node already cached or in another call's flight,
+// which it does not wait for. The reads it served then count a hit
+// each, and a prefetch of cached nodes allocates nothing.
+func TestPrefetchCountsAMissPerNodeItFetches(t *testing.T) {
+	ctx := context.Background()
+	mem := NewMemStore()
+	ids := make([]NodeID, 8)
+	for i := range ids {
+		ids[i] = NodeID{Blob: 1, Version: 1, Off: int64(i) * B, Span: B}
+		if err := mem.Put(ctx, Node{ID: ids[i], Leaf: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := &holdingStore{MemStore: mem, hold: ids[0], entered: make(chan struct{}), release: make(chan struct{})}
+	c := NewNodeCache(held, 0)
+	if _, err := c.Get(ctx, ids[1]); err != nil { // cached
+		t.Fatal(err)
+	}
+	joined := make(chan error)
+	go func() { // in flight, held
+		_, err := c.Get(ctx, ids[0])
+		joined <- err
+	}()
+	<-held.entered
+	if err := c.Prefetch(ctx, ids); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 8 || st.Hits != 0 || st.BatchGets != 3 || st.Size != 7 {
+		t.Errorf("after a prefetch beside a cached node and a held flight: %+v; want 8 misses, 3 batches, 7 nodes", st)
+	}
+	close(held.release)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.GetBatch(ctx, ids); err != nil || len(got) != len(ids) {
+		t.Fatalf("reading the prefetched nodes: %d of %d, %v", len(got), len(ids), err)
+	}
+	if st := c.Stats(); st.Misses != 8 || st.Hits != 8 || st.BatchGets != 3 {
+		t.Errorf("the reads a prefetch served: %+v; want 8 hits and no batch", st)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Prefetch(ctx, ids); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a prefetch of cached nodes allocates %v times", n)
+	}
+	if st := c.Stats(); st.Misses != 8 || st.Hits != 8 || st.BatchGets != 3 {
+		t.Errorf("a prefetch of cached nodes moved the counters: %+v", st)
 	}
 }

@@ -99,6 +99,27 @@ func (sc *Scratch) Reset() {
 	sc.extents, sc.ids, sc.nodes = sc.extents[:0], sc.ids[:0], sc.nodes[:0]
 }
 
+// Leaves appends to ids the leaves snapshot v reads the blocks of r
+// through, in block order: (blob, owner, b*blockSize, blockSize) for
+// each block b some version <= v wrote (ownerLocked); a hole names
+// none. r must lie inside the snapshot and v be indexed (Through()).
+// Resolve names its leaves here, and so does a streamed reader that
+// fetches a window's leaves ahead of its reads.
+func (o *Owners) Leaves(ids []NodeID, meta blob.Meta, v blob.Version, r blob.Range) ([]NodeID, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if v > o.through {
+		return nil, fmt.Errorf("mdtree: block index reaches version %d, snapshot is %d", o.through, v)
+	}
+	bs := meta.BlockSize
+	for b, end := r.Off/bs, blob.Blocks(r.End(), bs); b < end; b++ {
+		if w := o.ownerLocked(b, v); w != blob.NoVersion {
+			ids = append(ids, NodeID{Blob: meta.ID, Version: w, Off: b * bs, Span: bs})
+		}
+	}
+	return ids, nil
+}
+
 // Resolve returns what the package's Resolve returns for a snapshot v <=
 // Through() — the ordered extents covering r, the same blocks at the
 // same offsets — without walking the tree: each block's leaf is named
@@ -116,28 +137,26 @@ func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.V
 	}
 	bs := meta.BlockSize
 	first, end := r.Off/bs, blob.Blocks(r.End(), bs)
-	out := slices.Grow(sc.extents[:0], int(end-first))
-	ids := slices.Grow(sc.ids[:0], int(end-first))
-	o.mu.RLock()
-	if v > o.through {
-		o.mu.RUnlock()
-		return nil, fmt.Errorf("mdtree: block index reaches version %d, snapshot is %d", o.through, v)
+	ids, err := o.Leaves(slices.Grow(sc.ids[:0], int(end-first)), meta, v, r)
+	if err != nil {
+		return nil, err
 	}
+	sc.ids = ids
+	out := slices.Grow(sc.extents[:0], int(end-first))
+	i := 0
 	for b := first; b < end; b++ {
 		part := blob.Range{Off: b * bs, Len: bs}.Intersection(r)
-		w := o.ownerLocked(b, v)
 		switch n := len(out); {
-		case w != blob.NoVersion:
-			ids = append(ids, NodeID{Blob: meta.ID, Version: w, Off: b * bs, Span: bs})
+		case i < len(ids) && ids[i].Off == b*bs:
 			out = append(out, Extent{FileOff: part.Off, Len: part.Len, HasData: true, DataOff: part.Off - b*bs})
+			i++
 		case n > 0 && !out[n-1].HasData:
 			out[n-1].Len += part.Len
 		default:
 			out = append(out, Extent{FileOff: part.Off, Len: part.Len})
 		}
 	}
-	o.mu.RUnlock()
-	sc.extents, sc.ids = out, ids
+	sc.extents = out
 	if len(ids) == 0 {
 		return out, nil
 	}
@@ -146,7 +165,7 @@ func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.V
 	if err := fetchLevel(ctx, st, ids, leaves); err != nil {
 		return nil, err
 	}
-	i := 0
+	i = 0
 	for k := range out {
 		if !out[k].HasData {
 			continue

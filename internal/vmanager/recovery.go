@@ -266,7 +266,10 @@ func (s *State) loadSnapshot(p []byte) error {
 			meta:     blob.Meta{ID: id, BlockSize: r.I64(), Replication: int(r.U32())},
 			assigned: make(map[blob.Version]time.Time),
 		}
-		bs.hist.Descs = decodeDescs(r)
+		var err error
+		if bs.hist.Descs, err = decodeDescs(r); err != nil {
+			return fmt.Errorf("vmanager: corrupt snapshot (history): %w", err)
+		}
 		nc := r.U32()
 		if r.Err() != nil || nc > uint32(r.Remaining()) {
 			return errors.New("vmanager: corrupt snapshot (committed run)")

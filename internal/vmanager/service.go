@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -304,16 +305,31 @@ func encodeDescs(b *wire.Buffer, ds []blob.WriteDesc) {
 	}
 }
 
-func decodeDescs(r *wire.Reader) []blob.WriteDesc {
+// descWireSize is what encodeDesc writes: 42 bytes, where a WriteDesc
+// takes 56 in memory.
+const descWireSize = 8 + 8 + 8 + 8 + 1 + 8 + 1
+
+// errDescCount reports a descriptor count that the bytes after it
+// cannot hold.
+var errDescCount = errors.New("vmanager: descriptor count exceeds the bytes that follow")
+
+// decodeDescs reads what encodeDescs wrote. A count is checked against
+// the bytes left before anything is allocated for it, so a corrupt
+// message of R bytes costs at most about 1.3·R, whatever count it
+// claims.
+func decodeDescs(r *wire.Reader) ([]blob.WriteDesc, error) {
 	n := r.U32()
-	if r.Err() != nil || n > uint32(r.Remaining()) {
-		return nil
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if uint64(n)*descWireSize > uint64(r.Remaining()) {
+		return nil, errDescCount
 	}
 	out := make([]blob.WriteDesc, 0, n)
 	for i := uint32(0); i < n; i++ {
 		out = append(out, decodeDesc(r))
 	}
-	return out
+	return out, r.Err()
 }
 
 func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -600,15 +616,23 @@ func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteK
 		b.I64(size)
 		b.U64(nonce)
 		b.U64(uint64(since))
-	}, func(p []byte) error {
-		r := wire.NewReader(p)
-		a = Assignment{Version: blob.Version(r.U64()), Off: r.I64(), Size: r.I64(), Descs: decodeDescs(r)}
-		return r.Err()
+	}, func(p []byte) (err error) {
+		a, err = decodeAssignment(p)
+		return err
 	})
 	if err != nil {
 		return Assignment{}, err
 	}
 	return a, nil
+}
+
+// decodeAssignment decodes an AssignVersion reply.
+func decodeAssignment(p []byte) (Assignment, error) {
+	r := wire.NewReader(p)
+	a := Assignment{Version: blob.Version(r.U64()), Off: r.I64(), Size: r.I64()}
+	var err error
+	a.Descs, err = decodeDescs(r)
+	return a, err
 }
 
 // Commit reports a completed write.
@@ -639,33 +663,44 @@ func (c *Client) Latest(ctx context.Context, id blob.ID) (v blob.Version, size i
 // LatestSince is Latest for a caller about to read the version: the one
 // RPC also returns what State.LatestSince says of (since, published].
 func (c *Client) LatestSince(ctx context.Context, id blob.ID, since blob.Version) (v blob.Version, size int64, descs []blob.WriteDesc, err error) {
-	err = c.callBlob(ctx, id, mLatest, func(p []byte) error {
-		r := wire.NewReader(p)
-		v, size = blob.Version(r.U64()), r.I64()
-		if r.Remaining() > 0 { // absent from a manager that predates the field
-			descs = decodeDescs(r)
-		}
-		return r.Err()
+	err = c.callBlob(ctx, id, mLatest, func(p []byte) (err error) {
+		v, size, descs, err = decodeLatestSince(p)
+		return err
 	}, uint64(since))
 	return v, size, descs, err
 }
 
+// decodeLatestSince decodes a LatestSince reply.
+func decodeLatestSince(p []byte) (v blob.Version, size int64, descs []blob.WriteDesc, err error) {
+	r := wire.NewReader(p)
+	v, size = blob.Version(r.U64()), r.I64()
+	if r.Remaining() > 0 { // absent from a manager that predates the field
+		descs, err = decodeDescs(r)
+	}
+	return v, size, descs, cmp.Or(err, r.Err())
+}
+
 // VersionInfo fetches one version's descriptor.
 func (c *Client) VersionInfo(ctx context.Context, id blob.ID, v blob.Version) (d blob.WriteDesc, err error) {
-	err = c.callBlob(ctx, id, mVersionInfo, func(p []byte) error {
-		r := wire.NewReader(p)
-		d = decodeDesc(r)
-		return r.Err()
+	err = c.callBlob(ctx, id, mVersionInfo, func(p []byte) (err error) {
+		d, err = decodeVersionInfo(p)
+		return err
 	}, uint64(v))
 	return d, err
 }
 
+// decodeVersionInfo decodes a VersionInfo reply.
+func decodeVersionInfo(p []byte) (blob.WriteDesc, error) {
+	r := wire.NewReader(p)
+	d := decodeDesc(r)
+	return d, r.Err()
+}
+
 // History fetches descriptors after since.
 func (c *Client) History(ctx context.Context, id blob.ID, since blob.Version) (ds []blob.WriteDesc, err error) {
-	err = c.callBlob(ctx, id, mHistory, func(p []byte) error {
-		r := wire.NewReader(p)
-		ds = decodeDescs(r)
-		return r.Err()
+	err = c.callBlob(ctx, id, mHistory, func(p []byte) (err error) {
+		ds, err = decodeDescs(wire.NewReader(p))
+		return err
 	}, uint64(since))
 	return ds, err
 }

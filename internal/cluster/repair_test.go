@@ -472,13 +472,13 @@ func TestGCPurgesOverlay(t *testing.T) {
 
 	// Find the victim-held blocks that gained overlay entries, split by
 	// the version that wrote them (the write nonce identifies it).
-	descs, err := client.VM().History(ctx, m.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nonceOf := map[blob.Version]uint64{}
-	for _, d := range descs {
-		nonceOf[d.Version] = d.Nonce
+	for _, v := range []blob.Version{v1, v2} {
+		d, err := client.VM().VersionInfo(ctx, m.ID, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonceOf[v] = d.Nonce
 	}
 	keys, err := cl.ProviderService(victim).Store().Keys("b")
 	if err != nil {

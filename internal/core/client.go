@@ -10,6 +10,10 @@
 // serialized step) followed by concurrent metadata weaving. Readers are
 // completely decoupled: they only ever see published, immutable
 // snapshots.
+//
+// No sync.Mutex is held across a network wait: it would queue callers
+// behind the slowest round trip. A lock spanning one (a leaf window's
+// prefetch) is a one-slot channel, left when a waiter's context ends.
 package core
 
 import (
@@ -527,18 +531,6 @@ func (c *Client) gcBlocks(id blob.ID, nonce uint64, addrs []string) {
 	}
 }
 
-// resolve maps a range of the snapshot onto extents, for reads and
-// layout queries alike: by naming its leaves when the pin brought the
-// block index up to the version, into sc; by walking the tree when it
-// could not.
-func (s *Snapshot) resolve(ctx context.Context, r blob.Range, sc *mdtree.Scratch) ([]mdtree.Extent, error) {
-	c, m := s.b.c, s.b.meta
-	if s.owners != nil {
-		return s.owners.Resolve(ctx, c.meta, m, s.version, s.size, r, sc)
-	}
-	return mdtree.Resolve(ctx, c.meta, m, s.version, s.size, r)
-}
-
 // read is one readInto or Locations call's working set: the leaves its
 // range resolves to, the fetches that fill it and the window that runs
 // them provider by provider. The client recycles it (Client.reads), so a read allocates
@@ -603,7 +595,7 @@ func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	defer rd.release()
 	t0 := time.Now()
 	rctx, sp := c.tracer.Start(ctx, "resolve")
-	extents, err := s.resolve(rctx, blob.Range{Off: off, Len: int64(len(dst))}, &rd.leaves)
+	extents, err := s.owners.Resolve(rctx, c.meta, s.b.meta, s.version, s.size, blob.Range{Off: off, Len: int64(len(dst))}, &rd.leaves)
 	sp.Finish(err)
 	c.mResolve.ObserveSince(t0)
 	if err != nil {

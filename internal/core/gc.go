@@ -6,6 +6,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
+	"blobseer/internal/vmanager"
 )
 
 // GCStats summarizes one garbage-collection sweep.
@@ -31,15 +32,15 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	if err != nil {
 		return GCStats{}, err
 	}
-	// Full history: the liveness analysis needs every descriptor up to
-	// the prune point (descriptors themselves are never discarded).
-	descs, err := c.vm.History(ctx, id, 0)
+	// Liveness needs every descriptor up to keep, so keep may not pass
+	// the published history (descriptors are never discarded).
+	hist := &blob.History{}
+	pub, _, err := c.vm.LatestSince(ctx, id, 0, hist.Extend)
 	if err != nil {
 		return GCStats{}, err
 	}
-	hist := &blob.History{}
-	if err := hist.Extend(descs); err != nil {
-		return GCStats{}, err
+	if keep > pub {
+		return GCStats{}, fmt.Errorf("%w: keep %d, published %d", vmanager.ErrBadPrune, keep, pub)
 	}
 
 	from, err := c.vm.Prune(ctx, id, keep)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"time"
 
 	"blobseer/internal/blob"
@@ -82,14 +81,18 @@ func (b *Blob) Latest(ctx context.Context) (*Snapshot, error) {
 
 // Snapshot pins published version v; v == blob.NoVersion pins the
 // latest (see Latest). It is the one place a Snapshot is made, so every
-// way of pinning extends the client's block index of the blob. A version
-// not yet published fails with ErrNotPublished, a garbage-collected one
-// with vmanager.ErrPruned. The (version, size) pair is resolved once: no
-// ReadAt or Locations call goes back to the version manager.
+// way of pinning extends the client's block index of the blob, a page of
+// history at a time. A version not yet published fails with
+// ErrNotPublished, a garbage-collected one with vmanager.ErrPruned. The
+// (version, size) pair is resolved once: no ReadAt or Locations call
+// goes back to the version manager.
 func (b *Blob) Snapshot(ctx context.Context, v blob.Version) (*Snapshot, error) {
 	c, id := b.c, b.meta.ID
 	owners := &c.state(id).owners
-	pub, size, descs, err := c.vm.LatestSince(ctx, id, owners.Through())
+	pub, size, err := c.vm.LatestSince(ctx, id, owners.Through(), func(descs []blob.WriteDesc) error {
+		owners.Extend(b.meta.BlockSize, descs)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -106,12 +109,7 @@ func (b *Blob) Snapshot(ctx context.Context, v blob.Version) (*Snapshot, error) 
 		}
 		size = d.SizeAfter
 	}
-	s := &Snapshot{b: b, ctx: ctx, version: v, size: size}
-	owners.Extend(b.meta.BlockSize, descs)
-	if owners.Through() >= v {
-		s.owners = owners
-	}
-	return s, nil
+	return &Snapshot{b: b, ctx: ctx, version: v, size: size, owners: owners}, nil
 }
 
 // WaitPublished blocks until version v is published (the snapshot
@@ -191,19 +189,17 @@ func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
 // Snapshot is a pinned, immutable published version of a BLOB. The
 // (version, size) pair is resolved at creation, so reads cost zero
 // version-manager round-trips, however many the snapshot serves or
-// writers publish meanwhile. Normally the pin's reply carried every
-// write descriptor up to the version, so the client knows which version
-// owns each block and a read fetches exactly its leaves: one batched
-// metadata round trip, none when the immutable-node cache has them. A
-// client too far behind for one reply walks the segment tree from the
-// version's root instead, one batched round trip per level. A Snapshot
-// is safe for concurrent use: ReadAt may run from many goroutines.
+// writers publish meanwhile. The pin brought every write descriptor up
+// to the version, so the client knows which version owns each block
+// and a read fetches exactly its leaves: one batched metadata round
+// trip, none when the immutable-node cache has them. A Snapshot is safe
+// for concurrent use: ReadAt may run from many goroutines.
 type Snapshot struct {
 	b       *Blob
 	ctx     context.Context // pinned at creation; bare ReadAt runs under it
 	version blob.Version
 	size    int64
-	owners  *mdtree.Owners // the client's block index, when it reaches version; else nil
+	owners  *mdtree.Owners // the client's block index of the blob, through version at least
 }
 
 var _ io.ReaderAt = (*Snapshot)(nil)
@@ -268,7 +264,7 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location, error) {
 	rd := s.b.c.newRead(ctx)
 	defer rd.release()
-	extents, err := s.resolve(ctx, blob.Range{Off: off, Len: length}, &rd.leaves)
+	extents, err := s.owners.Resolve(ctx, s.b.c.meta, s.b.meta, s.version, s.size, blob.Range{Off: off, Len: length}, &rd.leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -337,8 +333,9 @@ const leafBlocks = 32
 // the client's node cache, a window at a time, so that its block
 // fetches there resolve from memory. The first fetch outside the run
 // fetches the next window while the reader's other fetches wait on mu,
-// so they open no flights of their own. A window is as wide as the run
-// the reader has shown asks: the first of a run covers the block
+// so they open no flights of their own; one whose context ends (a Seek
+// or Close dropped it) stops waiting at once. A window is as wide as
+// the run the reader has shown asks: the first of a run covers the block
 // fetched and its readahead, and each window that goes on from the
 // last is twice the run so far, up to most, and ends by the next
 // multiple of most blocks. A reader that reads a block or two fetches
@@ -351,19 +348,18 @@ type leafWindow struct {
 	bs          int64
 	first, most int64 // a window's bytes: the first of a run, and at most
 
-	mu       sync.Mutex
+	mu       chan struct{} // a one-slot lock: it is held across a round trip
 	run, end int64
 }
 
 // newLeafWindow returns a window for a reader of s whose stream reads
 // readahead blocks ahead, or nil where none applies, which reads as
-// before: a client without a node cache, a snapshot read by walking the
-// tree (its pin could not index it), or a cache whose shards hold fewer
-// than two leaves. A window is at most a shard's capacity, so a
+// before: a client without a node cache, or a cache whose shards hold
+// fewer than two leaves. A window is at most a shard's capacity, so a
 // prefetch never evicts its own leaves.
 func (s *Snapshot) newLeafWindow(readahead int) *leafWindow {
 	nc, ok := s.b.c.meta.(*mdtree.NodeCache)
-	if !ok || s.owners == nil {
+	if !ok {
 		return nil
 	}
 	most := min(leafBlocks, nc.PrefetchRoom())
@@ -374,7 +370,7 @@ func (s *Snapshot) newLeafWindow(readahead int) *leafWindow {
 	// A fetch after a seek comes alone; the next, and a stream's first,
 	// comes with its readahead: readahead+2 blocks in all.
 	first := min(max(readahead, 0)+2, most)
-	return &leafWindow{s: s, nc: nc, bs: bs, first: int64(first) * bs, most: int64(most) * bs}
+	return &leafWindow{s: s, nc: nc, bs: bs, first: int64(first) * bs, most: int64(most) * bs, mu: make(chan struct{}, 1)}
 }
 
 // cover makes sure the leaves of the window holding off are cached.
@@ -388,13 +384,17 @@ func (s *Snapshot) newLeafWindow(readahead int) *leafWindow {
 // fetches take mu out of order. A failed or canceled prefetch leaves
 // the run as it was; the read then fetches its own leaf, as without a
 // window. A fetch whose context has ended (a Seek or Close dropped it)
-// fetches nothing ahead.
+// fetches nothing ahead, and stops waiting for the window if it was.
 func (lw *leafWindow) cover(ctx context.Context, off int64) {
 	if lw == nil || ctx.Err() != nil {
 		return
 	}
-	lw.mu.Lock()
-	defer lw.mu.Unlock()
+	select {
+	case lw.mu <- struct{}{}:
+	case <-ctx.Done():
+		return
+	}
+	defer func() { <-lw.mu }()
 	if ctx.Err() != nil || off >= lw.run && off < lw.end {
 		return
 	}

@@ -312,3 +312,82 @@ func readAcrossWindows(r io.ReadSeeker, rng *rand.Rand, data []byte) error {
 	}
 	return nil
 }
+
+// blockingMeta holds every metadata batch while hold is set, until
+// release closes, and says on entered when one is held.
+type blockingMeta struct {
+	mdtree.Store
+	hold    *atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s blockingMeta) GetBatch(ctx context.Context, ids []mdtree.NodeID) (map[mdtree.NodeID]mdtree.Node, error) {
+	if s.hold.Load() {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return s.Store.GetBatch(ctx, ids)
+}
+
+// TestLeafWindowWaiterLeavesOnCancel: no lock is held across a network
+// wait in a way that traps a waiter. While one fetch's prefetch is held
+// in the metadata store, a second fetch on the same window waits for
+// it, and once its context is canceled (a Seek or Close dropped it) it
+// returns at once instead of waiting for the stalled prefetch.
+func TestLeafWindowWaiterLeavesOnCancel(t *testing.T) {
+	mem := mdtree.NewMemStore()
+	d := startMini(t, 2, mem)
+	var hold atomic.Bool
+	bm := blockingMeta{Store: mem, hold: &hold, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	d.clientMeta = bm
+	ctx := context.Background()
+	w, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(ctx, stampedBlocks(40)); err != nil {
+		t.Fatal(err)
+	}
+	b, err := pinClient(t, d, -1).OpenBlob(ctx, w.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw := s.newLeafWindow(2)
+	hold.Store(true)
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		lw.cover(ctx, 0)
+	}()
+	<-bm.entered // the first fetch's prefetch is in the store
+
+	waiter, cancel := context.WithCancel(ctx)
+	second := make(chan struct{})
+	go func() {
+		defer close(second)
+		lw.cover(waiter, 20*pinBS)
+	}()
+	select {
+	case <-second:
+		t.Fatal("a fetch outside the window did not wait for the window's prefetch")
+	case <-time.After(20 * time.Millisecond):
+	}
+	cancel()
+	select {
+	case <-second:
+	case <-time.After(100 * time.Millisecond):
+		t.Error("a canceled fetch still waits for another fetch's stalled prefetch")
+	}
+	hold.Store(false)
+	close(bm.release)
+	<-first
+	<-second
+	if lw.run != 0 || lw.end == 0 {
+		t.Errorf("the held prefetch set the window to [%d,%d)", lw.run, lw.end)
+	}
+}

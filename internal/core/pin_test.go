@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -13,11 +15,12 @@ import (
 )
 
 // These tests hold the read path to the versioning contract — a reader
-// of v sees exactly the writes <= v — on both ways a Snapshot resolves:
-// from the client's block index (the pin brought the history) and by
-// walking the tree (it could not). They run with released buffers
-// poisoned, so a descriptor or node decoded out of a recycled frame
-// shows as a wrong read.
+// of v sees exactly the writes <= v. A Snapshot resolves from the
+// client's block index, which its pin brought up to the version; the
+// paper's tree walk, mdtree.Resolve run directly on the metadata store,
+// is the reference it is checked against. They run with released
+// buffers poisoned, so a descriptor or node decoded out of a recycled
+// frame shows as a wrong read.
 
 const pinBS = int64(4 * 1024)
 
@@ -60,11 +63,44 @@ func readAll(s *Snapshot) ([]byte, error) {
 	return buf, nil
 }
 
-// walking returns s as a pin that learned no history would have made it.
-func walking(s *Snapshot) *Snapshot {
-	w := *s
-	w.owners = nil
-	return &w
+// dataExtents returns the extents of es that hold data: the walk splits
+// a run of holes along subtree edges where the index keeps it whole, so
+// only these compare.
+func dataExtents(es []mdtree.Extent) []mdtree.Extent {
+	var out []mdtree.Extent
+	for _, e := range es {
+		if e.HasData {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func sameExtents(a, b []mdtree.Extent) bool {
+	return slices.EqualFunc(dataExtents(a), dataExtents(b), func(x, y mdtree.Extent) bool {
+		return x.FileOff == y.FileOff && x.Len == y.Len && x.DataOff == y.DataOff &&
+			x.Block.Key == y.Block.Key && x.Block.Len == y.Block.Len && slices.Equal(x.Block.Providers, y.Block.Providers)
+	})
+}
+
+// walkAgrees checks s against the tree walk over st: the index must
+// resolve the whole snapshot to the blocks mdtree.Resolve does, at the
+// same offsets.
+func walkAgrees(st mdtree.Store, s *Snapshot) error {
+	ctx, r := context.Background(), blob.Range{Len: s.size}
+	walk, err := mdtree.Resolve(ctx, st, s.b.meta, s.version, s.size, r)
+	if err != nil {
+		return fmt.Errorf("walk of v%d: %w", s.version, err)
+	}
+	var sc mdtree.Scratch
+	index, err := s.owners.Resolve(ctx, s.b.c.meta, s.b.meta, s.version, s.size, r, &sc)
+	if err != nil {
+		return fmt.Errorf("index of v%d: %w", s.version, err)
+	}
+	if !sameExtents(index, walk) {
+		return fmt.Errorf("v%d: the index resolves to %+v, the walk to %+v", s.version, index, walk)
+	}
+	return nil
 }
 
 // TestPinnedSnapshotStableWhileItsClientOverwrites: the client that
@@ -87,8 +123,8 @@ func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.owners == nil {
-		t.Fatal("a pin from version 0 of a 2-version blob did not bring the history")
+	if through := s.owners.Through(); through != 2 {
+		t.Fatalf("a pin from version 0 of a 2-version blob indexed %d versions", through)
 	}
 	before, err := readAll(s)
 	if err != nil || !bytes.Equal(before, want) {
@@ -103,11 +139,11 @@ func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
 	if through := s.owners.Through(); through != 8 {
 		t.Fatalf("block index reaches version %d after pinning version 8", through)
 	}
-	for name, snap := range map[string]*Snapshot{"index": s, "walk": walking(s)} {
-		after, err := readAll(snap)
-		if err != nil || !bytes.Equal(after, before) {
-			t.Errorf("%s: v2 reads differently after its client overwrote it (err %v)", name, err)
-		}
+	if after, err := readAll(s); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("v2 reads differently after its client overwrote it (err %v)", err)
+	}
+	if err := walkAgrees(d.meta, s); err != nil {
+		t.Error(err)
 	}
 	// And an old version pinned late, by a client that only knows the
 	// whole history, is still that version.
@@ -121,8 +157,8 @@ func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
 }
 
 // TestAbortedVersionReadsAsZerosOnBothPaths: a version whose writer
-// failed is repaired to leaves without data; both resolves must land on
-// those leaves, and on the later writes beside them.
+// failed is repaired to leaves without data; the index and the walk
+// must both land on those leaves, and on the later writes beside them.
 func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 	poisonReleased(t)
 	inner := mdtree.NewMemStore()
@@ -153,13 +189,11 @@ func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.owners == nil {
-		t.Fatal("pin did not bring the history")
+	if got, err := readAll(s); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("blob with an aborted version 2 reads wrong (err %v)", err)
 	}
-	for name, snap := range map[string]*Snapshot{"index": s, "walk": walking(s)} {
-		if got, err := readAll(snap); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("%s: blob with an aborted version 2 reads wrong (err %v)", name, err)
-		}
+	if err := walkAgrees(inner, s); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -185,18 +219,29 @@ func TestSnapshotBelowPrunePointNeverReadsAnotherVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snaps []*Snapshot
+	walks := map[blob.Version][]mdtree.Extent{} // each version's blocks, before GC
 	for v := range content {
 		s, err := rb.Snapshot(ctx, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps = append(snaps, s, walking(s))
+		snaps = append(snaps, s)
+		if walks[v], err = mdtree.Resolve(ctx, d.meta, s.b.meta, v, s.size, blob.Range{Len: s.size}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := w.GC(ctx, b.ID(), 3); err != nil {
 		t.Fatal(err)
 	}
 	failed := 0
 	for _, s := range snaps {
+		// The walk of a pruned version may fail, but one that succeeds
+		// names that version's blocks.
+		if got, err := mdtree.Resolve(ctx, d.meta, s.b.meta, s.version, s.size, blob.Range{Len: s.size}); err != nil {
+			failed++
+		} else if !sameExtents(got, walks[s.version]) {
+			t.Errorf("v%d after GC(keep 3): the walk succeeded with blocks of another version", s.version)
+		}
 		for _, r := range []blob.Range{{Off: 0, Len: 4 * pinBS}, {Off: 0, Len: pinBS}, {Off: pinBS, Len: pinBS}} {
 			got := make([]byte, r.Len)
 			if _, err := s.ReadAt(got, r.Off); err != nil && err != io.EOF {
@@ -216,10 +261,11 @@ func TestSnapshotBelowPrunePointNeverReadsAnotherVersion(t *testing.T) {
 	}
 }
 
-// TestPinBeyondDescriptorCapWalksTheTree: a client further behind than
-// one Latest reply carries learns nothing from the pin, and its
-// snapshot walks the tree — to the same bytes.
-func TestPinBeyondDescriptorCapWalksTheTree(t *testing.T) {
+// TestPinBeyondDescriptorCapPages: a client further behind than one
+// Latest reply carries catches up a page at a time. Its pin reaches the
+// version through the block index with two Latest calls, and a 4-block
+// read then costs one metadata batch, the bytes the walk names.
+func TestPinBeyondDescriptorCapPages(t *testing.T) {
 	poisonReleased(t)
 	mem := mdtree.NewMemStore()
 	d := startMini(t, 2, mem)
@@ -250,20 +296,27 @@ func TestPinBeyondDescriptorCapWalksTheTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ops := d.vm.Ops()
 	s, err := rb.Latest(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Version() != behind+1 || s.owners != nil {
-		t.Fatalf("pin %d versions behind: version %d, index %v; want a snapshot without one", behind+1, s.Version(), s.owners)
+	if now := d.vm.Ops(); now.Latest != ops.Latest+2 || now.Total() != ops.Total()+2 {
+		t.Errorf("a pin %d versions behind cost the version manager %+v -> %+v, want exactly two Latest calls", behind+1, ops, now)
+	}
+	if s.Version() != behind+1 || s.owners.Through() != behind+1 {
+		t.Fatalf("pin %d versions behind: version %d, index through %d", behind+1, s.Version(), s.owners.Through())
 	}
 	_, batches := mem.BatchOps()
 	got, err := readAll(s)
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("tree-walk read: %v", err)
+		t.Fatalf("read through the paged index: %v", err)
 	}
-	if _, after := mem.BatchOps(); after-batches < 2 {
-		t.Errorf("a 4-block read took %d batched fetches: that is not a walk of a 3-level tree", after-batches)
+	if _, after := mem.BatchOps(); after-batches != 1 {
+		t.Errorf("a 4-block read took %d batched fetches, want 1: its leaves", after-batches)
+	}
+	if err := walkAgrees(mem, s); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -296,7 +349,7 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now := d.vm.Ops(); now.Latest != ops.Latest+1 || now.History != ops.History || now.Total() != ops.Total()+1 {
+	if now := d.vm.Ops(); now.Latest != ops.Latest+1 || now.Total() != ops.Total()+1 {
 		t.Errorf("one pin cost the version manager %+v -> %+v, want exactly one Latest", ops, now)
 	}
 
@@ -327,20 +380,20 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 		t.Errorf("warm 3-block read: %d batches, %d nodes, want none", batches, nodes)
 	}
 
-	// The same read by a client that has to walk: a level at a time.
-	wb, err := pinClient(t, d, -1).OpenBlob(ctx, b.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := wb.Latest(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The same range resolved by walking the tree: a level at a time.
+	_, b0 := mem.BatchOps()
 	_, n0 := mem.Ops()
-	batches, _ := read(walking(ws))
+	walk, err := mdtree.Resolve(ctx, mem, s.b.meta, s.version, s.size, blob.Range{Off: off, Len: int64(len(buf))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b1 := mem.BatchOps()
 	_, n1 := mem.Ops()
-	if depth := int64(4); batches != depth || n1-n0 <= 3 { // a batch per level, the root's of one node
-		t.Errorf("tree-walk 3-block read: %d batches, %d nodes; want %d levels and inner nodes among them", batches, n1-n0, depth)
+	if depth := int64(4); b1-b0 != depth || n1-n0 <= 3 { // a batch per level, the root's of one node
+		t.Errorf("tree walk of a 3-block range: %d batches, %d nodes; want %d levels and inner nodes among them", b1-b0, n1-n0, depth)
+	}
+	if err := walkAgrees(mem, s); err != nil || len(dataExtents(walk)) != 3 {
+		t.Errorf("the walk names %d blocks of the range (%v), want the 3 the index read", len(dataExtents(walk)), err)
 	}
 }
 
@@ -424,7 +477,7 @@ func TestBlobStateTableIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := readAll(s); err != nil || !bytes.Equal(got, blocksOf('a', 'b')) || s.owners == nil {
-		t.Errorf("re-pinned dropped blob: err %v, index %v", err, s.owners)
+	if got, err := readAll(s); err != nil || !bytes.Equal(got, blocksOf('a', 'b')) || s.owners.Through() != s.Version() {
+		t.Errorf("re-pinned dropped blob: err %v, index through %d", err, s.owners.Through())
 	}
 }

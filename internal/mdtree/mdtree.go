@@ -17,9 +17,10 @@
 // Readers reach the same leaves two ways. One that holds the history up
 // to its snapshot (Owners, fed by the descriptors a pin returns) names
 // each leaf the way Build does and fetches the leaves alone, in one
-// batch. One that does not walks down from the snapshot's root (Resolve),
-// a batch per level whatever the history's length; repair, the simulator
-// and the tests' reference run that walk.
+// batch; clients and repair read this way. One that does not walks down
+// from the snapshot's root (Resolve), a batch per level whatever the
+// history's length; only the simulator and the tests' reference run
+// that walk.
 package mdtree
 
 import (

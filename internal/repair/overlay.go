@@ -1,5 +1,5 @@
 // Package repair implements BlobSeer's self-healing maintenance plane:
-// a scanner that walks published versions' metadata and diffs every
+// a scanner that reads published versions' metadata and diffs every
 // block's replica set against live membership, and a bounded-concurrency
 // executor that drives provider-to-provider re-replication until each
 // block is back at its target replication level.

@@ -133,7 +133,7 @@ type scannedBlock struct {
 	want int
 }
 
-// Scan walks every blob's still-readable published versions, collects
+// Scan reads every blob's still-readable published versions, collects
 // the unique blocks their metadata trees reference, and diffs each
 // block's replica set (original providers plus overlay relocations)
 // against live membership. It returns the repair work list; an empty
@@ -150,7 +150,7 @@ func (e *Engine) Scan(ctx context.Context) ([]Task, error) {
 	return st.tasks, nil
 }
 
-// scanState is one metadata walk's outcome: the repair work list plus
+// scanState is one metadata scan's outcome: the repair work list plus
 // the recorded-holder map the orphan audit diffs inventory against.
 type scanState struct {
 	tasks   []Task
@@ -201,11 +201,13 @@ func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, err
 	return st, nil
 }
 
-// collectBlocks resolves every still-readable published version of
-// every blob and returns the unique referenced blocks with their
-// replication targets. The walk is bounded by the live version count;
-// versions share subtrees, so the same block surfacing from many
-// versions collapses into one entry.
+// collectBlocks names every block a still-readable published version
+// of every blob reads, with its replication target: the leaves of the
+// oldest kept version over its whole size, plus those each later version
+// wrote itself. The block index names them from the paged history and
+// one batch fetches each leaf once; no inner node is read. A leaf with
+// no providers (an aborted write's), or gone (freed by a GC since the
+// prune point was read), holds no block.
 func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedBlock, error) {
 	ids, err := e.cfg.VM.ListBlobs(ctx)
 	if err != nil {
@@ -217,41 +219,40 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 		if err != nil {
 			return nil, fmt.Errorf("repair: meta of blob %d: %w", id, err)
 		}
-		published, _, err := e.cfg.VM.Latest(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if published == blob.NoVersion {
-			continue
-		}
 		oldest, err := e.cfg.VM.PrunedBelow(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		descs, err := e.cfg.VM.History(ctx, id, 0)
+		var owners mdtree.Owners
+		var leaves []mdtree.NodeID
+		_, _, err = e.cfg.VM.LatestSince(ctx, id, 0, func(descs []blob.WriteDesc) (err error) {
+			owners.Extend(meta.BlockSize, descs)
+			for _, d := range descs {
+				switch {
+				case d.Version == oldest:
+					leaves, err = owners.Leaves(leaves, meta, d.Version, blob.Range{Len: d.SizeAfter})
+				case d.Version > oldest:
+					leaves, err = owners.Leaves(leaves, meta, d.Version, d.Range())
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("repair: history of blob %d: %w", id, err)
 		}
-		hist := &blob.History{}
-		if err := hist.Extend(descs); err != nil {
-			return nil, err
+		nodes, err := e.cfg.Meta.GetBatch(ctx, leaves)
+		if err != nil {
+			return nil, fmt.Errorf("repair: leaves of blob %d: %w", id, err)
 		}
-		for v := oldest; v <= published; v++ {
-			d, ok := hist.Desc(v)
-			if !ok || d.Aborted {
+		for _, n := range nodes {
+			if len(n.Block.Providers) == 0 {
 				continue
 			}
-			extents, err := mdtree.Resolve(ctx, e.cfg.Meta, meta, v, d.SizeAfter, blob.Range{Off: 0, Len: d.SizeAfter})
-			if err != nil {
-				return nil, fmt.Errorf("repair: resolve blob %d v%d: %w", id, v, err)
-			}
-			for _, ext := range extents {
-				if !ext.HasData || len(ext.Block.Providers) == 0 {
-					continue
-				}
-				if _, ok := out[ext.Block.Key]; !ok {
-					out[ext.Block.Key] = &scannedBlock{ref: ext.Block, want: meta.Replication}
-				}
+			if _, ok := out[n.Block.Key]; !ok {
+				out[n.Block.Key] = &scannedBlock{ref: n.Block, want: meta.Replication}
 			}
 		}
 	}
@@ -425,10 +426,10 @@ func (e *Engine) Orphans(ctx context.Context) (map[string]int, error) {
 	return orphans, err
 }
 
-// Status performs one combined metadata walk and returns both the
+// Status performs one combined metadata scan and returns both the
 // repair work list and the orphan audit — what bsfsctl's providers
 // command shows. Callers needing both must use this instead of
-// Scan+Orphans, which would each pay a full walk of their own.
+// Scan+Orphans, which would each pay a full scan of their own.
 func (e *Engine) Status(ctx context.Context) ([]Task, map[string]int, error) {
 	mem, err := e.membership(ctx)
 	if err != nil {
@@ -459,17 +460,19 @@ func (e *Engine) auditWith(ctx context.Context, mem *membership, holders map[blo
 	}
 	infos := make(map[blob.ID]*blobInfo, len(ids))
 	for _, id := range ids {
-		descs, err := e.cfg.VM.History(ctx, id, 0)
-		if err != nil {
-			return nil, err
-		}
 		oldest, err := e.cfg.VM.PrunedBelow(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		bi := &blobInfo{nonces: make(map[uint64]blob.WriteDesc, len(descs)), oldest: oldest}
-		for _, d := range descs {
-			bi.nonces[d.Nonce] = d
+		bi := &blobInfo{nonces: make(map[uint64]blob.WriteDesc), oldest: oldest}
+		_, _, err = e.cfg.VM.LatestSince(ctx, id, 0, func(descs []blob.WriteDesc) error {
+			for _, d := range descs {
+				bi.nonces[d.Nonce] = d
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		infos[id] = bi
 	}

@@ -1,0 +1,228 @@
+package repair_test
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"maps"
+	"slices"
+	"testing"
+
+	"blobseer/internal/blob"
+	"blobseer/internal/cluster"
+	"blobseer/internal/core"
+	"blobseer/internal/mdtree"
+)
+
+const bs = 4096
+
+func deploy(t *testing.T) (*cluster.BlobSeer, *core.Client) {
+	t.Helper()
+	cl, err := cluster.StartBlobSeer(cluster.Config{DataProviders: 4, BlockSize: bs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Stop)
+	return cl, cl.NewClient("")
+}
+
+// walkedKeys is the reference a scan is held to: the union, over every
+// published version of every blob that is not pruned, of the blocks
+// with providers that a walk of the version's tree (mdtree.Resolve)
+// names.
+func walkedKeys(t *testing.T, cl *cluster.BlobSeer, c *core.Client) map[blob.BlockKey]bool {
+	t.Helper()
+	ctx, vm := context.Background(), c.VM()
+	ids, err := vm.ListBlobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[blob.BlockKey]bool{}
+	for _, id := range ids {
+		meta, err := vm.GetMeta(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, _, err := vm.Latest(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldest, err := vm.PrunedBelow(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := oldest; v <= pub; v++ {
+			d, err := vm.VersionInfo(ctx, id, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walkInto(t, keys, cl, meta, v, d.SizeAfter)
+		}
+	}
+	return keys
+}
+
+// walkInto adds to keys the blocks with providers that a walk of
+// version v's tree names.
+func walkInto(t *testing.T, keys map[blob.BlockKey]bool, cl *cluster.BlobSeer, meta blob.Meta, v blob.Version, size int64) {
+	t.Helper()
+	ext, err := mdtree.Resolve(context.Background(), cl.MetaStore, meta, v, size, blob.Range{Len: size})
+	if err != nil {
+		t.Fatalf("walk of blob %d v%d: %v", meta.ID, v, err)
+	}
+	for _, e := range ext {
+		if e.HasData && len(e.Block.Providers) > 0 {
+			keys[e.Block.Key] = true
+		}
+	}
+}
+
+// sortedKeys renders a key set for a failure message.
+func sortedKeys(m map[blob.BlockKey]bool) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k.String())
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestScanFindsWhatEveryLiveVersionReads: on blobs with overwrites,
+// appends, a partial tail, aborted versions and prune points, the blocks
+// a scan names from the history are exactly those the walks of every
+// published, unpruned version reach.
+func TestScanFindsWhatEveryLiveVersionReads(t *testing.T) {
+	cl, c := deploy(t)
+	ctx := context.Background()
+	st := cl.VMService().State()
+	fill := func(b byte, blocks int) []byte { return bytes.Repeat([]byte{b}, blocks*bs) }
+	open := func() *core.Blob {
+		t.Helper()
+		b, err := c.CreateBlob(ctx, bs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	must := func(_ blob.Version, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	abort := func(b *core.Blob, off, size int64) {
+		t.Helper()
+		kind := blob.KindWrite
+		if off < 0 {
+			kind = blob.KindAppend
+		}
+		a, err := st.AssignVersion(b.ID(), kind, off, size, 0xab047, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Abort(b.ID(), a.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Overwrites, appends, an aborted append, a partial tail, pruned
+	// below version 3.
+	a := open()
+	must(a.Write(ctx, 0, fill('a', 4)))
+	must(a.Write(ctx, bs, fill('b', 1)))
+	must(a.Append(ctx, fill('c', 2)))
+	abort(a, -1, bs)
+	must(a.Write(ctx, 2*bs, fill('d', 2)))
+	must(a.Append(ctx, []byte("tail")))
+	must(a.Write(ctx, 0, fill('e', 1)))
+	if _, err := c.GC(ctx, a.ID(), 3); err != nil {
+		t.Fatal(err)
+	}
+
+	// Never pruned, overwritten in the middle.
+	b := open()
+	must(b.Append(ctx, fill('f', 3)))
+	must(b.Write(ctx, bs, fill('g', 1)))
+	must(b.Append(ctx, fill('h', 1)))
+
+	// Pruned up to an aborted overwrite: its snapshot still reads the
+	// block beside it, which only the first version wrote.
+	d := open()
+	must(d.Write(ctx, 0, fill('i', 2)))
+	abort(d, 0, bs)
+	if _, err := c.GC(ctx, d.ID(), 2); err != nil {
+		t.Fatal(err)
+	}
+
+	open() // never written
+
+	want := walkedKeys(t, cl, c)
+	got, err := cl.RepairEngine().ScannedKeys(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !maps.Equal(got, want) {
+		t.Errorf("the scan names %d blocks, the walks of the live versions %d:\nscan %v\nwalk %v",
+			len(got), len(want), sortedKeys(got), sortedKeys(want))
+	}
+	if tasks, err := cl.RepairEngine().Scan(ctx); err != nil || len(tasks) != 0 {
+		t.Errorf("a fully replicated deployment: %d repair tasks, %v", len(tasks), err)
+	}
+}
+
+// TestGCAndScanSeeAHistoryLongerThanAPage: with more published versions
+// than one Latest reply carries, a repair scan still reaches the last
+// of them, and GC prunes up to it.
+func TestGCAndScanSeeAHistoryLongerThanAPage(t *testing.T) {
+	cl, c := deploy(t)
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, bs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A long history without the cost of writing it: versions assigned
+	// and committed straight at the manager, each an overwrite of block
+	// 0. They have no trees, and need none, because the real write that
+	// follows covers the whole blob and borrows nothing.
+	st := cl.VMService().State()
+	const behind = 10000 // above the manager's page of 8,192 descriptors
+	for i := 0; i < behind; i++ {
+		a, err := st.AssignVersion(b.ID(), blob.KindWrite, 0, bs, uint64(i+1), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Commit(b.ID(), a.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := bytes.Repeat([]byte("long history"), 4*bs/12+1)[:4*bs]
+	last, err := b.Write(ctx, 0, data)
+	if err != nil || last != behind+1 {
+		t.Fatalf("write after %d versions: v%d, %v", behind, last, err)
+	}
+	want := map[blob.BlockKey]bool{}
+	walkInto(t, want, cl, b.Meta(), last, int64(len(data)))
+	if len(want) != 4 {
+		t.Fatalf("the walks name %d blocks, want the last write's 4", len(want))
+	}
+	for pass, keep := range []blob.Version{0, last} {
+		if keep != 0 {
+			stats, err := c.GC(ctx, b.ID(), keep)
+			if err != nil || stats.From != 1 || stats.To != keep {
+				t.Fatalf("GC(keep %d) = %+v, %v; want versions [1, %d) pruned", keep, stats, err, keep)
+			}
+		}
+		got, err := cl.RepairEngine().ScannedKeys(ctx)
+		if err != nil || !maps.Equal(got, want) {
+			t.Errorf("pass %d: the scan names %v (%v), want the last write's %v", pass, sortedKeys(got), err, sortedKeys(want))
+		}
+	}
+	s, err := b.Latest(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := s.ReadAt(got, 0); err != nil && err != io.EOF || !bytes.Equal(got, data) {
+		t.Errorf("the last version after GC: %v", err)
+	}
+}

@@ -38,6 +38,10 @@
 // those rules for the control plane: it encodes the request again for
 // every attempt and recycles the response as soon as the caller's
 // decoder has returned.
+//
+// No sync.Mutex is held across a network wait: it would queue callers
+// behind the slowest round trip. A conn's writer lock is held while one
+// frame goes out; a call waits for its response holding no lock.
 package rpc
 
 import (

@@ -91,9 +91,24 @@ func TestFrameOwnership(t *testing.T) {
 			}
 			kept = append(kept, a)
 		}
-		hist, err := c.History(ctx, m.ID, 0)
+		// The same 40 writes, published on a blob of their own (m's stay
+		// in flight for the subtests below).
+		twin, err := svc.State().CreateBlob(B, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 40; i++ {
+			a, err := svc.State().AssignVersion(twin.ID, blob.KindAppend, 0, B, uint64(i), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.State().Commit(twin.ID, a.Version); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hist, _, err := readHistory(ctx, c, twin.ID, 0)
 		if err != nil || len(hist) != 40 {
-			t.Fatalf("History = %d descriptors, %v", len(hist), err)
+			t.Fatalf("history = %d descriptors, %v", len(hist), err)
 		}
 		for i := 0; i < 200; i++ { // recycle every frame those results came in
 			if _, _, err := c.Latest(ctx, m.ID); err != nil {
@@ -106,7 +121,7 @@ func TestFrameOwnership(t *testing.T) {
 				t.Fatalf("assignment %d changed after its frame was recycled: %+v", v, a)
 			}
 			if hist[i] != a.Descs[i] {
-				t.Fatalf("History[%d] = %+v, assignment said %+v", i, hist[i], a.Descs[i])
+				t.Fatalf("history[%d] = %+v, assignment said %+v", i, hist[i], a.Descs[i])
 			}
 		}
 	})

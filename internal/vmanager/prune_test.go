@@ -79,13 +79,11 @@ func TestPruneGatesVersionInfo(t *testing.T) {
 			t.Errorf("VersionInfo(v%d) = %v, want kept", v, err)
 		}
 	}
-	// Latest and History are unaffected: descriptors are never dropped.
-	if v, size, err := s.Latest(id); err != nil || v != 4 || size != 4*1024 {
-		t.Errorf("Latest = (%d, %d, %v)", v, size, err)
-	}
-	descs, err := s.History(id, 0)
-	if err != nil || len(descs) != 4 {
-		t.Errorf("History kept %d descriptors, want 4 (err %v)", len(descs), err)
+	// Latest and the history are unaffected: descriptors are never
+	// dropped.
+	v, size, descs, err := s.LatestSince(id, 0)
+	if err != nil || v != 4 || size != 4*1024 || len(descs) != 4 {
+		t.Errorf("LatestSince = (%d, %d, %d descriptors, %v), want 4 of them", v, size, len(descs), err)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestDescCountIsBoundedByTheBytes(t *testing.T) {
 }
 
 // FuzzVMReplies feeds the client's reply decoders — AssignVersion's,
-// LatestSince's, VersionInfo's and History's — arbitrary bytes, as a
+// LatestSince's, VersionInfo's and the descriptor list's — arbitrary bytes, as a
 // corrupt or hostile version manager would send them. None may panic,
 // and together they may allocate no more than a small multiple of what
 // they were sent.
@@ -75,7 +75,7 @@ func FuzzVMReplies(f *testing.F) {
 	f.Add(reply(3, descs)) // an assignment
 	f.Add(reply(2, descs)) // a pin
 	f.Add(reply(2, nil)[:16])
-	f.Add(reply(0, descs)) // a history
+	f.Add(reply(0, descs)) // a descriptor list
 	f.Add(reply(0, descs)[:4+descWireSize+3])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})
 	f.Fuzz(func(t *testing.T, p []byte) {

@@ -1,7 +1,6 @@
 package vmanager
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -24,7 +23,7 @@ const (
 	mAbort
 	mLatest
 	mVersionInfo
-	mHistory
+	_ // 8 is retired: a blob's history pages through mLatest
 	mWaitPublished
 	mListBlobs
 	mPrune
@@ -41,6 +40,7 @@ const (
 	CodeTimeout
 	CodePruned
 	CodeBadPrune
+	CodeAborted
 )
 
 func codeFor(err error) uint16 {
@@ -59,6 +59,8 @@ func codeFor(err error) uint16 {
 		return CodePruned
 	case errors.Is(err, ErrBadPrune):
 		return CodeBadPrune
+	case errors.Is(err, ErrAborted):
+		return CodeAborted
 	default:
 		return rpc.StatusError
 	}
@@ -92,6 +94,8 @@ func errFromCode(err error) error {
 		return ErrPruned
 	case CodeBadPrune:
 		return ErrBadPrune
+	case CodeAborted:
+		return ErrAborted
 	default:
 		return err
 	}
@@ -138,7 +142,6 @@ type OpCounts struct {
 	Abort       int64
 	Latest      int64
 	VersionInfo int64
-	History     int64
 	Wait        int64
 	List        int64
 	Prune       int64
@@ -148,19 +151,19 @@ type OpCounts struct {
 // Total sums every per-op counter.
 func (o OpCounts) Total() int64 {
 	return o.Create + o.GetMeta + o.Assign + o.Commit + o.Abort + o.Latest +
-		o.VersionInfo + o.History + o.Wait + o.List + o.Prune + o.PrunedBelow
+		o.VersionInfo + o.Wait + o.List + o.Prune + o.PrunedBelow
 }
 
-// opNames maps RPC method numbers to metric-name suffixes.
+// opNames maps RPC method numbers to metric-name suffixes ("": retired).
 var opNames = [mPrunedBelow]string{
 	"create", "get_meta", "assign", "commit", "abort", "latest",
-	"version_info", "history", "wait", "list", "prune", "pruned_below",
+	"version_info", "", "wait", "list", "prune", "pruned_below",
 }
 
 // MethodName maps an RPC method number to its operation name, for the
 // server-side tracer.
 func MethodName(m uint16) string {
-	if m >= 1 && m <= mPrunedBelow {
+	if m >= 1 && m <= mPrunedBelow && opNames[m-1] != "" {
 		return opNames[m-1]
 	}
 	return "unknown"
@@ -185,6 +188,9 @@ func NewService(state *State) *Service {
 	s := &Service{state: state, stopJanitor: make(chan struct{})}
 	s.reg = obs.NewRegistry()
 	for m := uint16(1); m <= mPrunedBelow; m++ {
+		if opNames[m-1] == "" {
+			continue
+		}
 		s.ops[m-1] = s.reg.Counter("ops_" + opNames[m-1])
 		s.opLatency[m-1] = s.reg.Histogram("latency_" + opNames[m-1])
 	}
@@ -208,7 +214,6 @@ func (s *Service) Ops() OpCounts {
 		Abort:       s.ops[mAbort-1].Value(),
 		Latest:      s.ops[mLatest-1].Value(),
 		VersionInfo: s.ops[mVersionInfo-1].Value(),
-		History:     s.ops[mHistory-1].Value(),
 		Wait:        s.ops[mWaitPublished-1].Value(),
 		List:        s.ops[mListBlobs-1].Value(),
 		Prune:       s.ops[mPrune-1].Value(),
@@ -268,7 +273,6 @@ func (s *Service) Mux() *rpc.Mux {
 	m.HandleFrame(mAbort, s.counted(mAbort, s.handleAbort))
 	m.HandleFrame(mLatest, s.counted(mLatest, s.handleLatest))
 	m.HandleFrame(mVersionInfo, s.counted(mVersionInfo, s.handleVersionInfo))
-	m.HandleFrame(mHistory, s.counted(mHistory, s.handleHistory))
 	m.HandleFrame(mWaitPublished, s.counted(mWaitPublished, s.handleWait))
 	m.HandleFrame(mListBlobs, s.counted(mListBlobs, s.handleListBlobs))
 	m.HandleFrame(mPrune, s.counted(mPrune, s.handlePrune))
@@ -410,8 +414,8 @@ func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, erro
 func (s *Service) handleLatest(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
-	// since is optional: an 8-byte request (a size query, an older
-	// client) is answered without descriptors.
+	// since is optional: an 8-byte request (a size query) is answered
+	// without descriptors.
 	pinning, since := r.Remaining() >= 8, ^blob.Version(0)
 	if pinning {
 		since = blob.Version(r.U64())
@@ -445,22 +449,6 @@ func (s *Service) handleVersionInfo(ctx context.Context, p []byte) (*wire.Buffer
 	}
 	b := rpc.NewFrame(48)
 	encodeDesc(b, d)
-	return b, nil
-}
-
-func (s *Service) handleHistory(ctx context.Context, p []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(p)
-	id := blob.ID(r.U64())
-	since := blob.Version(r.U64())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	ds, err := s.state.History(id, since)
-	if err != nil {
-		return nil, wrap(err)
-	}
-	b := rpc.NewFrame(4 + len(ds)*48)
-	encodeDescs(b, ds)
 	return b, nil
 }
 
@@ -660,24 +648,43 @@ func (c *Client) Latest(ctx context.Context, id blob.ID) (v blob.Version, size i
 	return v, size, err
 }
 
-// LatestSince is Latest for a caller about to read the version: the one
-// RPC also returns what State.LatestSince says of (since, published].
-func (c *Client) LatestSince(ctx context.Context, id blob.ID, since blob.Version) (v blob.Version, size int64, descs []blob.WriteDesc, err error) {
-	err = c.callBlob(ctx, id, mLatest, func(p []byte) (err error) {
-		v, size, descs, err = decodeLatestSince(p)
-		return err
-	}, uint64(since))
-	return v, size, descs, err
+// LatestSince is Latest that also hands page the descriptors of (since,
+// published], a reply's page of at most latestDescsCap at a time: it
+// asks again from the last version it got, up to the version its first
+// reply published, so writers that keep publishing cannot keep it
+// asking. An error from page ends the call. It is the one history read.
+func (c *Client) LatestSince(ctx context.Context, id blob.ID, since blob.Version, page func([]blob.WriteDesc) error) (pub blob.Version, size int64, err error) {
+	for first := true; first || since < pub; first = false {
+		var descs []blob.WriteDesc
+		err = c.callBlob(ctx, id, mLatest, func(p []byte) (err error) {
+			v, sz, ds, err := decodeLatestSince(p)
+			if first {
+				pub, size = v, sz
+			}
+			descs = ds
+			return err
+		}, uint64(since))
+		if err != nil {
+			return 0, 0, err
+		}
+		if since >= pub || len(descs) == 0 {
+			break
+		}
+		descs = descs[:min(uint64(len(descs)), uint64(pub-since))] // none published after the first reply
+		if err := page(descs); err != nil {
+			return 0, 0, err
+		}
+		since += blob.Version(len(descs))
+	}
+	return pub, size, nil
 }
 
 // decodeLatestSince decodes a LatestSince reply.
 func decodeLatestSince(p []byte) (v blob.Version, size int64, descs []blob.WriteDesc, err error) {
 	r := wire.NewReader(p)
 	v, size = blob.Version(r.U64()), r.I64()
-	if r.Remaining() > 0 { // absent from a manager that predates the field
-		descs, err = decodeDescs(r)
-	}
-	return v, size, descs, cmp.Or(err, r.Err())
+	descs, err = decodeDescs(r)
+	return v, size, descs, err
 }
 
 // VersionInfo fetches one version's descriptor.
@@ -694,15 +701,6 @@ func decodeVersionInfo(p []byte) (blob.WriteDesc, error) {
 	r := wire.NewReader(p)
 	d := decodeDesc(r)
 	return d, r.Err()
-}
-
-// History fetches descriptors after since.
-func (c *Client) History(ctx context.Context, id blob.ID, since blob.Version) (ds []blob.WriteDesc, err error) {
-	err = c.callBlob(ctx, id, mHistory, func(p []byte) (err error) {
-		ds, err = decodeDescs(wire.NewReader(p))
-		return err
-	}, uint64(since))
-	return ds, err
 }
 
 // WaitPublished blocks until v is published or timeout passes. The
@@ -750,7 +748,7 @@ func versionReply(v *blob.Version) func([]byte) error {
 }
 
 // PrunedBelow returns the oldest still-readable version of the blob
-// (1 if never pruned). The repair scanner uses it to bound its walk to
+// (1 if never pruned). The repair scanner uses it to bound its scan to
 // versions whose metadata still exists.
 func (c *Client) PrunedBelow(ctx context.Context, id blob.ID) (v blob.Version, err error) {
 	err = c.callBlob(ctx, id, mPrunedBelow, versionReply(&v))

@@ -297,13 +297,17 @@ func TestClientRoutesPerBlobOps(t *testing.T) {
 	}
 }
 
-// TestRetiredMethodsUnknown: methods 13 (WAL status) and 14 (forced
-// snapshot) are retired, since the log compacts itself, and no later
-// method reuses their numbers: a caller built before the retirement
-// gets "unknown method", never another operation's answer.
+// TestRetiredMethodsUnknown: method 8 (History) is retired, since
+// Latest pages the history, and so are 13 (WAL status) and 14 (forced
+// snapshot), since the log compacts itself; no later method reuses their
+// numbers: a caller built before the retirement gets "unknown method",
+// never another operation's answer.
 func TestRetiredMethodsUnknown(t *testing.T) {
 	c, _ := startShardedVM(t, 1)
-	for _, m := range []uint16{13, 14} {
+	if MethodName(8) != "unknown" {
+		t.Errorf("retired method 8 is named %q", MethodName(8))
+	}
+	for _, m := range []uint16{8, 13, 14} {
 		err := c.call(context.Background(), 0, m, 0, nil, nil)
 		if want := fmt.Sprintf("unknown method %d", m); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("method %d answered %v, want %q", m, err, want)

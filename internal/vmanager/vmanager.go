@@ -51,6 +51,9 @@ var (
 	ErrPruned = errors.New("vmanager: version garbage-collected")
 	// ErrBadPrune is returned for prune points beyond the published version.
 	ErrBadPrune = errors.New("vmanager: prune point not published yet")
+	// ErrAborted is returned for the commit of a version that was
+	// aborted: no reader will see what its writer wrote.
+	ErrAborted = errors.New("vmanager: version aborted")
 )
 
 // Repairer rebuilds the metadata of an aborted version so that higher
@@ -318,8 +321,15 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 }
 
 // Commit records that version v's data and metadata are fully written
-// and publishes every version whose predecessors are all committed.
+// and publishes every version whose predecessors are all committed. A
+// version that was aborted fails with ErrAborted, even while its repair
+// runs: its writer's data will never be read.
 func (s *State) Commit(id blob.ID, v blob.Version) error {
+	return s.commit(id, v, false)
+}
+
+// commit is Commit, and with aborted set, the publish that ends Abort.
+func (s *State) commit(id blob.ID, v blob.Version, aborted bool) error {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -329,6 +339,9 @@ func (s *State) Commit(id blob.ID, v blob.Version) error {
 	}
 	if v == blob.NoVersion || v > bs.hist.Latest() {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
+	}
+	if d, _ := bs.hist.Desc(v); d.Aborted && !aborted {
+		return fmt.Errorf("%w: %d", ErrAborted, v)
 	}
 	// Journal *before* the in-memory publish advances: the ack the
 	// client is about to receive promises the version survives a
@@ -394,7 +407,7 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 			return fmt.Errorf("vmanager: repair of aborted version %d: %w", v, err)
 		}
 	}
-	return s.Commit(id, v)
+	return s.commit(id, v, true)
 }
 
 // Latest returns the newest published version and the blob size at it.
@@ -403,19 +416,19 @@ func (s *State) Latest(id blob.ID) (blob.Version, int64, error) {
 	return v, size, err
 }
 
-// latestDescsCap bounds the descriptors one LatestSince reply carries; a
-// reader further behind walks the tree, whose cost does not grow with
-// the history. Over loopback TCP a pin costs 0.12 ms per 1,000 and a walk
-// costs each read 0.13 ms more than naming its leaves: 1,100 repay
-// themselves on the first read, 8,192 (1.1 ms, 344 KB) by the eighth.
+// latestDescsCap is the page size of a blob's history: the most
+// descriptors one LatestSince reply carries, 8,192 × 42 B = 344 KB on
+// the wire, however long the history. A reader further behind asks
+// again from the last version it got (Client.LatestSince).
 const latestDescsCap = 8192
 
 // LatestSince is the call every reader (and BSFS open) issues first:
-// Latest, plus the descriptors of (since, published] as a read-only view
-// — the hint AssignVersion hands a writer, so the reader too can name
-// its leaves without walking to them. Published versions only (their
-// descriptors can no longer change or vanish), and none for a since at
-// or past the published version or more than latestDescsCap behind it.
+// Latest, plus the first page of the descriptors of (since, published]
+// as a read-only view — the hint AssignVersion hands a writer, so the
+// reader too can name its leaves without walking to them. Published
+// versions only (their descriptors can no longer change or vanish), at
+// most latestDescsCap of them, and none for a since at or past the
+// published version.
 func (s *State) LatestSince(id blob.ID, since blob.Version) (blob.Version, int64, []blob.WriteDesc, error) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
@@ -425,8 +438,8 @@ func (s *State) LatestSince(id blob.ID, since blob.Version) (blob.Version, int64
 		return 0, 0, nil, ErrUnknownBlob
 	}
 	var descs []blob.WriteDesc
-	if pub := bs.published; since < pub && pub-since <= latestDescsCap {
-		descs = bs.hist.Since(since)[: pub-since : pub-since]
+	if n := min(bs.published-since, latestDescsCap); since < bs.published {
+		descs = bs.hist.Since(since)[:n:n]
 	}
 	return bs.published, bs.hist.SizeAt(bs.published), descs, nil
 }
@@ -449,19 +462,6 @@ func (s *State) VersionInfo(id blob.ID, v blob.Version) (blob.WriteDesc, error) 
 		return blob.WriteDesc{}, fmt.Errorf("%w: version %d (oldest kept: %d)", ErrPruned, v, bs.prunedBelow)
 	}
 	return d, nil
-}
-
-// History returns descriptors for versions in (since, latest], as a
-// read-only view.
-func (s *State) History(id blob.ID, since blob.Version) ([]blob.WriteDesc, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	bs, ok := st.blobs[id]
-	if !ok {
-		return nil, ErrUnknownBlob
-	}
-	return bs.hist.Since(since), nil
 }
 
 // Prune advances the blob's oldest readable version to keep: versions

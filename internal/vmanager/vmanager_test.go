@@ -249,8 +249,7 @@ func TestAbortWithRepairKeepsLaterVersionsReadable(t *testing.T) {
 		t.Errorf("live data = %d, want %d", dataLen, B)
 	}
 	// The aborted version is marked in the history hint.
-	ds, _ := s.History(m.ID, 0)
-	if !ds[0].Aborted {
+	if d, _ := s.VersionInfo(m.ID, 1); !d.Aborted {
 		t.Error("aborted descriptor not marked")
 	}
 }

@@ -4,7 +4,7 @@
 //
 //	blobseerd -role meta      -listen 127.0.0.1:7101
 //	blobseerd -role meta      -listen 127.0.0.1:7102
-//	blobseerd -role vmanager  -listen 127.0.0.1:7001 -meta 127.0.0.1:7101,127.0.0.1:7102
+//	blobseerd -role vmanager  -listen 127.0.0.1:7001
 //	blobseerd -role pmanager  -listen 127.0.0.1:7002 -strategy roundrobin
 //	blobseerd -role namespace -listen 127.0.0.1:7003 -vmanager 127.0.0.1:7001
 //	blobseerd -role provider  -listen 127.0.0.1:7201 -pmanager 127.0.0.1:7002 -host host-0
@@ -15,8 +15,8 @@
 // mod K and keeps its own WAL), and hand every consumer the full
 // comma-separated shard list in shard order:
 //
-//	blobseerd -role vmanager  -listen 127.0.0.1:7001 -shard 0/2 -meta ...
-//	blobseerd -role vmanager  -listen 127.0.0.1:7011 -shard 1/2 -meta ...
+//	blobseerd -role vmanager  -listen 127.0.0.1:7001 -shard 0/2
+//	blobseerd -role vmanager  -listen 127.0.0.1:7011 -shard 1/2
 //	blobseerd -role namespace -listen 127.0.0.1:7003 -vmanager 127.0.0.1:7001,127.0.0.1:7011
 //
 // The self-healing plane adds two moving parts: providers heartbeat
@@ -82,9 +82,9 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	var (
 		role     = fs.String("role", "", "daemon role: vmanager | pmanager | provider | meta | namespace | repair | namenode | datanode")
 		listen   = fs.String("listen", "127.0.0.1:0", "TCP listen address")
-		metas    = fs.String("meta", "", "comma-separated metadata provider addresses (vmanager: abort repair; required for -role vmanager)")
-		metaRepl = fs.Int("meta-replication", 1, "DHT replication level (vmanager repair path)")
-		metaCach = fs.Int("meta-cache", 0, "vmanager: immutable-node cache entries for the repair store (<0 default, 0 off)")
+		metas    = fs.String("meta", "", "comma-separated metadata provider addresses (repair role; required there)")
+		metaRepl = fs.Int("meta-replication", 1, "DHT replication level (repair role)")
+		metaCach = fs.Int("meta-cache", 0, "repair: immutable-node cache entries for the scan's metadata reads (<0 default, 0 off)")
 		shard    = fs.String("shard", "", "vmanager: shard identity k/K (e.g. 0/4); empty = unsharded")
 		vmAddr   = fs.String("vmanager", "", "version manager address, comma-separated shard list when sharded (namespace/repair roles)")
 		pmAddr   = fs.String("pmanager", "", "provider manager address (provider role; registers at startup)")

@@ -50,8 +50,7 @@ func TestDeployment(t *testing.T) {
 	dir := t.TempDir()
 	meta0, _ := daemon(t, "-role", "meta")
 	meta1, _ := daemon(t, "-role", "meta")
-	metas := meta0 + "," + meta1
-	vmArgs := []string{"-role", "vmanager", "-meta", metas, "-meta-replication", "2", "-data-dir", dir}
+	vmArgs := []string{"-role", "vmanager", "-data-dir", dir}
 	vm, stopVM := daemon(t, vmArgs...)
 	pm, stopPM := daemon(t, "-role", "pmanager")
 	ns, stopNS := daemon(t, "-role", "namespace", "-vmanager", vm, "-data-dir", dir)
@@ -184,9 +183,8 @@ func TestDataDirWrittenInProcess(t *testing.T) {
 	}
 	cl.Stop()
 
-	meta, _ := daemon(t, "-role", "meta")
-	vm0, _ := daemon(t, "-role", "vmanager", "-shard", "0/2", "-meta", meta, "-data-dir", dir)
-	vm1, _ := daemon(t, "-role", "vmanager", "-shard", "1/2", "-meta", meta, "-data-dir", dir)
+	vm0, _ := daemon(t, "-role", "vmanager", "-shard", "0/2", "-data-dir", dir)
+	vm1, _ := daemon(t, "-role", "vmanager", "-shard", "1/2", "-data-dir", dir)
 	ns, _ := daemon(t, "-role", "namespace", "-vmanager", vm0+","+vm1, "-data-dir", dir)
 	pool := rpc.NewPool(rpc.TCPDialer)
 	defer pool.Close()
@@ -207,6 +205,31 @@ func TestDataDirWrittenInProcess(t *testing.T) {
 	}
 }
 
+// TestVManagerNeedsNoMetadataProviders: a version manager starts with no
+// -meta, and aborting a version, which it does without writing any
+// metadata, publishes it.
+func TestVManagerNeedsNoMetadataProviders(t *testing.T) {
+	addr, _ := daemon(t, "-role", "vmanager")
+	pool := rpc.NewPool(rpc.TCPDialer)
+	defer pool.Close()
+	vm := vmanager.NewClient(pool, addr)
+	ctx := context.Background()
+	m, err := vm.CreateBlob(ctx, 4096, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := vm.AssignVersion(ctx, m.ID, blob.KindAppend, 0, 4096, 1, blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Abort(ctx, m.ID, a.Version); err != nil {
+		t.Fatal(err)
+	}
+	if pub, _, err := vm.Latest(ctx, m.ID); err != nil || pub != a.Version {
+		t.Errorf("latest after the abort = %d, %v; want %d", pub, err, a.Version)
+	}
+}
+
 // TestUsageErrors pins the command-line mistakes blobseerd reports
 // (rather than panicking on, or starting a half-configured daemon).
 func TestUsageErrors(t *testing.T) {
@@ -216,8 +239,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{nil, "-role is required"},
 		{[]string{"-role", "namespace", "-vmanager", ","}, "namespace: -vmanager is required"},
-		{[]string{"-role", "vmanager", "-meta", "m", "-shard", "2/2"}, `vmanager: bad -shard "2/2" (want k/K with 0 <= k < K)`},
-		{[]string{"-role", "vmanager"}, "vmanager: -meta is required"},
+		{[]string{"-role", "vmanager", "-shard", "2/2"}, `vmanager: bad -shard "2/2" (want k/K with 0 <= k < K)`},
 		{[]string{"-role", "provider"}, "provider: -pmanager is required"},
 		{[]string{"-role", "datanode"}, "datanode: -namenode is required"},
 		{[]string{"-role", "pmanager", "-strategy", "best"}, `unknown strategy "best"`},

@@ -165,8 +165,8 @@ type WriteDesc struct {
 	Len       int64
 	SizeAfter int64
 	Kind      WriteKind
-	Nonce     uint64 // the writer's block-key nonce (GC and abort repair)
-	Aborted   bool   // true if the writer died and the VM repaired the version
+	Nonce     uint64 // the writer's block-key nonce (GC)
+	Aborted   bool   // true if the VM aborted the write: its blocks read as zeros
 }
 
 // Range returns the byte range covered by the write.
@@ -258,7 +258,7 @@ func (h *History) Since(since Version) []WriteDesc {
 }
 
 // View returns the history as recorded so far, in O(1), for a reader
-// that outlives the owner's lock (a metadata build, an abort repair).
+// that outlives the owner's lock (a metadata build).
 // The view is a value: changes to either side never reach the other.
 func (h *History) View() History {
 	v := History{Descs: h.Since(0), shared: true}
@@ -339,7 +339,7 @@ func (h *History) Append(d WriteDesc) error {
 
 // Extend merges a contiguous descriptor suffix fetched from the version
 // manager into the local cache. Overlapping entries that differ are
-// overwritten (an entry may change Aborted status after a repair).
+// overwritten (an in-flight writer's entry may since have been aborted).
 func (h *History) Extend(descs []WriteDesc) error {
 	for _, d := range descs {
 		idx := int(d.Version) - 1
@@ -361,8 +361,9 @@ func (h *History) Extend(descs []WriteDesc) error {
 
 // LatestIntersecting returns the newest version w <= upTo whose write
 // range intersects r (NoVersion if none). Aborted versions still count:
-// their metadata exists (repaired to describe an empty payload), so
-// borrowing from them stays well-defined.
+// they own what they wrote, which reads as zeros, so a tree may borrow
+// from one whose nodes were never written — readers name leaves from
+// the history and never follow such a reference (mdtree.Owners).
 //
 // It scans back from upTo and skips, whole, the largest indexed group
 // ending where it stands whose writes all miss r. An append's left

@@ -247,8 +247,8 @@ func (c *BlobSeer) start() error {
 	}
 	ep := node.Endpoints{Meta: c.MetaAddrs, MetaReplication: cfg.MetaReplication}
 
-	// Version manager shards, each repairing aborted writes over the DHT
-	// and recovered from its own WAL when the deployment is durable.
+	// Version manager shards, each recovered from its own WAL when the
+	// deployment is durable.
 	// Shard 0 keeps the historical "vmanager" name, so a single-shard
 	// deployment looks the same as ever.
 	for k := 0; k < cfg.VMShards; k++ {
@@ -257,7 +257,7 @@ func (c *BlobSeer) start() error {
 			name = fmt.Sprintf("vmanager-%d", k)
 		}
 		n, err := c.startNode(node.Config{
-			Role: node.VManager, Plane: c.obs.Plane(name), Endpoints: ep,
+			Role: node.VManager, Plane: c.obs.Plane(name),
 			Shard:        vmanager.ShardInfo{Index: k, Count: cfg.VMShards},
 			WriteTimeout: cfg.WriteTimeout, DataDir: cfg.DataDir,
 		}, "")

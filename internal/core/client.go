@@ -364,8 +364,8 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	}
 	if werr := c.putBlocks(ctx, data, m.BlockSize, refs); werr != nil {
 		// The paper: "If, for some reason, writing of a block fails,
-		// then the whole write fails." No version was assigned, so no
-		// repair is needed — just GC the orphaned blocks.
+		// then the whole write fails." No version was assigned, so none
+		// needs aborting — just GC the orphaned blocks.
 		c.gcBlocks(id, nonce, targets.Addrs)
 		return 0, werr
 	}
@@ -387,7 +387,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	if err != nil {
 		// The version was assigned: leaving it dangling would stall
 		// publication of every later version until the janitor notices.
-		// Abort it so the version manager repairs the line now.
+		// Abort it so publication moves past it now.
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return 0, fmt.Errorf("core: history cache failed (%v) and abort failed: %w", err, aerr)
 		}
@@ -398,13 +398,9 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	// Phase 2b: weave and store metadata, concurrently with all other
 	// writers (including ones still working on lower versions).
 	if _, err := mdtree.Build(ctx, c.meta, m, &hist, a.Version, refs); err != nil {
-		// Whatever Build managed to write through into the cache is
-		// suspect from here on: the janitor will eventually abort this
-		// version and the repairer rewrite its nodes in place. Purge
-		// unconditionally — invalidation is local and always safe.
-		c.invalidateMetaVersion(id, a.Version)
-		// Let the version manager repair the line so later versions
-		// stay readable, then GC our blocks.
+		// Abort, so that publication moves past the version and readers
+		// take its blocks for holes whatever nodes Build left, then GC
+		// our blocks.
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return 0, fmt.Errorf("core: metadata build failed (%v) and abort failed: %w", err, aerr)
 		}
@@ -414,10 +410,12 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 
 	// Phase 2c: report success; the VM publishes in version order.
 	if err := c.vm.Commit(ctx, id, a.Version); err != nil {
-		// A failed commit usually means the janitor aborted us and the
-		// repairer rewrote our nodes; what we write-through cached is
-		// now stale.
-		c.invalidateMetaVersion(id, a.Version)
+		// Aborted (the janitor gave up on us): no reader names our
+		// blocks, so free them. Any other error may hide a commit that
+		// landed, whose blocks are read: keep them.
+		if errors.Is(err, vmanager.ErrAborted) {
+			c.gcBlocks(id, nonce, targets.Addrs)
+		}
 		return 0, err
 	}
 	return a.Version, nil
@@ -505,16 +503,6 @@ func (c *Client) chainOrder(ctx context.Context, replicas []string) []string {
 	ordered = append(ordered, replicas[:i]...)
 	ordered = append(ordered, replicas[i+1:]...)
 	return ordered
-}
-
-// invalidateMetaVersion purges a version's nodes from the client's
-// metadata cache after an abort: repair re-Builds those node IDs with
-// empty block refs, so the cached copies no longer match the published
-// tree.
-func (c *Client) invalidateMetaVersion(id blob.ID, v blob.Version) {
-	if nc, ok := c.meta.(*mdtree.NodeCache); ok {
-		nc.InvalidateVersion(id, v)
-	}
 }
 
 // gcBlocks best-effort deletes every block a failed write stored on the
@@ -645,7 +633,7 @@ func (c *Client) fetches(ctx context.Context, fs []fetch, extents []mdtree.Exten
 		e := &extents[i]
 		sub := dst[e.FileOff-off : e.FileOff-off+e.Len]
 		if !e.HasData || len(e.Block.Providers) == 0 {
-			clear(sub) // hole or repaired-abort leaf reads as zeros
+			clear(sub) // a hole, an aborted version's blocks included, reads as zeros
 			continue
 		}
 		fs = append(fs, fetch{e: e, dst: sub, first: c.firstReplica(ctx, e.Block.Providers)})

@@ -54,9 +54,9 @@ type miniDeploy struct {
 	vm     *vmanager.Service
 	vmAddr string
 	pmAddr string
-	// meta is the version manager's (repair) view of the metadata
-	// store; clientMeta is what clients write through — tests may wrap
-	// it with failure injection without breaking abort repair.
+	// meta is the metadata store itself; clientMeta is what clients
+	// write through — tests may wrap it with failure injection and
+	// still inspect the store through meta.
 	meta       mdtree.Store
 	clientMeta mdtree.Store
 	provStore  []*countingStore
@@ -77,7 +77,7 @@ func startMini(t *testing.T, nProv int, meta mdtree.Store) *miniDeploy {
 		t.Cleanup(func() { srv.Close() })
 		return name
 	}
-	d.vm = vmanager.NewService(vmanager.NewState(vmanager.MetadataRepairer(meta)))
+	d.vm = vmanager.NewService(vmanager.NewState(nil))
 	d.vmAddr = serve("vmanager", d.vm.Mux())
 	pmState := pmanager.NewState(placement.NewRoundRobin())
 	d.pmAddr = serve("pmanager", pmanager.NewService(pmState).Mux())
@@ -263,13 +263,13 @@ func (f *failingMetaStore) PutBatch(ctx context.Context, nodes []mdtree.Node) er
 
 // TestFailedWriteAbortsAssignedVersion pins the version-leak fix: when
 // a write dies after AssignVersion, doWrite must abort the version so
-// the publication line is repaired immediately — a later write must
-// publish without waiting for any janitor.
+// publication moves past it immediately — a later write must publish
+// without waiting for any janitor.
 func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	const blockSize = int64(4 * 1024)
 	inner := mdtree.NewMemStore()
 	meta := &failingMetaStore{MemStore: inner}
-	d := startMini(t, 2, inner) // the VM repairs through the healthy view
+	d := startMini(t, 2, inner)
 	d.clientMeta = meta
 	c, _ := d.newClient(t)
 	ctx := context.Background()
@@ -285,7 +285,7 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	meta.broken.Store(false)
 
 	// No deployment janitor runs here: only doWrite's own abort can
-	// have repaired the line, so this publishes (or the test hangs on
+	// have resolved the version, so this publishes (or the test hangs on
 	// the stalled version and times out below).
 	v, err := b.Append(ctx, make([]byte, blockSize))
 	if err != nil {

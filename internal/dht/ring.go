@@ -40,8 +40,8 @@
 // that implements store.BatchPutter (the mem store) then keeps the
 // batch with shared backing, every key cut from one string and every
 // value from one buffer, two allocations whatever its size. One batch is
-// one write's tree nodes, which GC and abort repair replace together, or
-// a one-key Put's pair, so the shared backing is let go of as a whole.
+// one write's tree nodes, which GC deletes together, or a one-key Put's
+// pair, so the shared backing is let go of as a whole.
 // The metadata provider answers an mMetaGetBatch with every key cut from
 // one string and every value lent by the store and copied once, into the
 // response.

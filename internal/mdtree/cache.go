@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blobseer/internal/blob"
 	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
@@ -208,8 +207,7 @@ func (c *NodeCache) shard(id NodeID) *cacheShard {
 
 // insertLocked adds or refreshes id under the shard lock, evicting the
 // coldest entry when over capacity. The value is overwritten even on a
-// hit: nodes are immutable for readers, but abort repair re-Builds an
-// aborted version's nodes under the same IDs with empty block refs.
+// hit, so the cache never serves an older copy than its store's.
 func (c *NodeCache) insertLocked(s *cacheShard, id NodeID, n Node) {
 	e, ok := s.entries[id]
 	switch {
@@ -256,7 +254,7 @@ func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
 // nodes a reader's block index names (Owners.Resolve) are leaves, and
 // the writer's own inner nodes would only push them out. An inner node
 // already cached — a tree walk fetched it — is replaced rather than left
-// stale, because abort repair rebuilds nodes under the same IDs.
+// to differ from the store.
 func (c *NodeCache) wrote(n Node) {
 	s := c.shard(n.ID)
 	s.mu.Lock()
@@ -496,28 +494,6 @@ func (c *NodeCache) refetch(ctx context.Context, ids []NodeID, out []Node, at []
 func (c *NodeCache) fetch(ctx context.Context, ids []NodeID, out []Node) error {
 	c.batchGets.Add(1)
 	return fillFrom(ctx, c.inner, ids, out)
-}
-
-// InvalidateVersion drops every cached node materialized by version v
-// of blob b and returns how many were dropped. Callers use it when the
-// immutability assumption is knowingly broken: the version manager's
-// abort repair re-Builds an aborted version's nodes in place, so a
-// writer whose write was aborted must purge what it write-through
-// cached or it would keep reading its own pre-abort tree.
-func (c *NodeCache) InvalidateVersion(b blob.ID, v blob.Version) int {
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for id, e := range s.entries {
-			if id.Blob == b && id.Version == v {
-				s.drop(e)
-				dropped++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return dropped
 }
 
 // Delete implements Store: the node is invalidated here and removed

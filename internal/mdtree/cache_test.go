@@ -380,42 +380,10 @@ func TestCacheThroughDHTStoreKeysDiffer(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidateVersion(t *testing.T) {
-	ctx := context.Background()
-	inner := NewMemStore()
-	cache := NewNodeCache(inner, 0)
-	for v := blob.Version(1); v <= 2; v++ {
-		for i := 0; i < 4; i++ {
-			n := Node{ID: NodeID{Blob: 1, Version: v, Off: int64(i) * B, Span: B}, Leaf: true}
-			if err := cache.Put(ctx, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if dropped := cache.InvalidateVersion(1, 1); dropped != 4 {
-		t.Errorf("invalidated %d nodes, want 4", dropped)
-	}
-	_, gets0 := inner.Ops()
-	// Version 1 must refetch from the store, version 2 must still hit.
-	if _, err := cache.Get(ctx, NodeID{Blob: 1, Version: 1, Off: 0, Span: B}); err != nil {
-		t.Fatal(err)
-	}
-	if _, gets := inner.Ops(); gets != gets0+1 {
-		t.Errorf("invalidated node served from cache (gets %d -> %d)", gets0, gets)
-	}
-	if _, err := cache.Get(ctx, NodeID{Blob: 1, Version: 2, Off: 0, Span: B}); err != nil {
-		t.Fatal(err)
-	}
-	if _, gets := inner.Ops(); gets != gets0+1 {
-		t.Error("version 2 node was invalidated too")
-	}
-}
-
 func TestCacheRefreshesRepairedNode(t *testing.T) {
-	// Abort repair re-Builds an aborted version's nodes in place with
-	// empty block refs; a write-through of a repaired node must replace
-	// the cached original, not be ignored — a leaf, and an inner node
-	// a tree walk brought into the cache.
+	// A write-through of a node already cached must replace the cached
+	// copy, not be ignored — a leaf, and an inner node a tree walk
+	// brought into the cache.
 	ctx := context.Background()
 	inner := NewMemStore()
 	cache := NewNodeCache(inner, 0)

@@ -20,7 +20,9 @@
 // batch; clients and repair read this way. One that does not walks down
 // from the snapshot's root (Resolve), a batch per level whatever the
 // history's length; only the simulator and the tests' reference run
-// that walk.
+// that walk. An aborted version may have no tree at all, and a later
+// one may borrow from it all the same: the index reads what an aborted
+// version owns as holes from its descriptor, and never looks.
 package mdtree
 
 import (
@@ -254,8 +256,8 @@ func (b *builder) node(r blob.Range) (ChildRef, error) {
 }
 
 // PlanNodes returns the node IDs version v would materialize, without
-// storing anything. The version manager's abort-repair and the
-// large-scale simulator use it: repair re-creates exactly these nodes,
+// storing anything. Garbage collection (DeadNodes) and the large-scale
+// simulator use it: GC deletes those of them no kept version reaches,
 // and the simulator charges one DHT message per planned node.
 func PlanNodes(meta blob.Meta, h *blob.History, v blob.Version) ([]NodeID, error) {
 	d, ok := h.Desc(v)

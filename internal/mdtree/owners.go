@@ -15,13 +15,14 @@ import (
 // wrote each block, ascending. It answers a reader's one question —
 // which version owns block b in snapshot v — by binary search, where
 // blob.History.LatestIntersecting walks the history back from v. It is
-// extended with *published* descriptors only (their ranges never change,
-// so no entry is ever rewritten). The zero value is empty; safe for
-// concurrent use.
+// extended with *published* descriptors only (their ranges and their
+// aborted marks never change, so no entry is ever rewritten). The zero
+// value is empty; safe for concurrent use.
 type Owners struct {
 	mu      sync.RWMutex
 	through blob.Version // versions 1..through are indexed
 	byBlock map[int64][]blob.Version
+	aborted []blob.Version // the indexed versions whose writers were aborted, ascending
 }
 
 // Through returns the newest version indexed.
@@ -50,6 +51,9 @@ func (o *Owners) Extend(blockSize int64, descs []blob.WriteDesc) {
 		for b, end := d.Off/blockSize, blob.Blocks(d.Off+d.Len, blockSize); b < end; b++ {
 			o.byBlock[b] = append(o.byBlock[b], d.Version)
 		}
+		if d.Aborted {
+			o.aborted = append(o.aborted, d.Version)
+		}
 		o.through = d.Version
 	}
 }
@@ -57,7 +61,8 @@ func (o *Owners) Extend(blockSize int64, descs []blob.WriteDesc) {
 // ownerLocked returns the newest version <= v that wrote block b, or
 // NoVersion (a hole): the rule builder.node weaves leaves by, so (blob,
 // owner, b*blockSize, blockSize) names the leaf v reads b through. An
-// aborted version counts: its repaired leaf exists and holds no data.
+// aborted version counts: it owns its blocks, which read as zeros, not
+// as what an older version wrote there (Leaves).
 func (o *Owners) ownerLocked(b int64, v blob.Version) blob.Version {
 	ws := o.byBlock[b]
 	i := sort.Search(len(ws), func(i int) bool { return ws[i] > v })
@@ -99,10 +104,21 @@ func (sc *Scratch) Reset() {
 	sc.extents, sc.ids, sc.nodes = sc.extents[:0], sc.ids[:0], sc.nodes[:0]
 }
 
+// abortedLocked reports whether version w's writer was aborted.
+func (o *Owners) abortedLocked(w blob.Version) bool {
+	if len(o.aborted) == 0 {
+		return false
+	}
+	_, found := slices.BinarySearch(o.aborted, w)
+	return found
+}
+
 // Leaves appends to ids the leaves snapshot v reads the blocks of r
 // through, in block order: (blob, owner, b*blockSize, blockSize) for
-// each block b some version <= v wrote (ownerLocked); a hole names
-// none. r must lie inside the snapshot and v be indexed (Through()).
+// each block b some version <= v wrote (ownerLocked). A hole names none,
+// and neither does a block whose owner was aborted: it reads as a hole
+// from the history alone, whatever its writer stored in the metadata.
+// r must lie inside the snapshot and v be indexed (Through()).
 // Resolve names its leaves here, and so does a streamed reader that
 // fetches a window's leaves ahead of its reads.
 func (o *Owners) Leaves(ids []NodeID, meta blob.Meta, v blob.Version, r blob.Range) ([]NodeID, error) {
@@ -113,7 +129,7 @@ func (o *Owners) Leaves(ids []NodeID, meta blob.Meta, v blob.Version, r blob.Ran
 	}
 	bs := meta.BlockSize
 	for b, end := r.Off/bs, blob.Blocks(r.End(), bs); b < end; b++ {
-		if w := o.ownerLocked(b, v); w != blob.NoVersion {
+		if w := o.ownerLocked(b, v); w != blob.NoVersion && !o.abortedLocked(w) {
 			ids = append(ids, NodeID{Blob: meta.ID, Version: w, Off: b * bs, Span: bs})
 		}
 	}
@@ -124,12 +140,13 @@ func (o *Owners) Leaves(ids []NodeID, meta blob.Meta, v blob.Version, r blob.Ran
 // Through() — the ordered extents covering r, the same blocks at the
 // same offsets — without walking the tree: each block's leaf is named
 // from the index and all are fetched in one batch (one metadata round
-// trip, none when cached; inner nodes are never read). One difference:
+// trip, none when cached; inner nodes are never read). Two differences:
 // adjacent holes come back as one extent, where the walk splits them
-// along subtree boundaries. The extents, the leaf IDs and the nodes go
-// into sc's slices, so a call allocates nothing of its own once they
-// have grown to the read; the extents' provider lists are the store's,
-// shared.
+// along subtree boundaries; and a block an aborted version owns is a
+// hole, where the walk lands on whatever leaf is stored for it. The
+// extents, the leaf IDs and the nodes go into sc's slices, so a call
+// allocates nothing of its own once they have grown to the read; the
+// extents' provider lists are the store's, shared.
 func (o *Owners) Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size int64, r blob.Range, sc *Scratch) ([]Extent, error) {
 	r, err := clampRead(v, size, r)
 	if err != nil || r.IsEmpty() {

@@ -15,13 +15,15 @@ import (
 // The invariant under test is the versioning contract seen from the
 // metadata: a reader of snapshot v sees exactly the writes <= v. The
 // tree walk (Resolve) is the reference; Owners.Resolve must name the
-// same leaves from the history alone.
+// same leaves from the history alone, and read an aborted version's
+// blocks as zeros, as the walk of the harness's reference tree does.
 
 const eqBS = 8 // block size of the equivalence harness
 
 // aborted records a version whose writer died: the descriptor is marked
-// aborted and the repairer's tree (leaves without providers) is built,
-// as vmanager.MetadataRepairer does.
+// aborted, and the reference tree the walk reads gets leaves without
+// providers for it, which read as zeros. Production stores no tree for
+// an aborted version; the index must never look for one.
 func (th *treeHarness) aborted(off, n int64) error {
 	th.nonce++
 	v := th.h.Latest() + 1
@@ -45,7 +47,7 @@ func (th *treeHarness) aborted(off, n int64) error {
 //	1 overwrite whole blocks inside the blob (may run past EOF)
 //	2 write past EOF, leaving an interior hole: the root span grows and
 //	  older subtrees are bridged
-//	3 a write as in 0 or 1 whose writer died: aborted and repaired
+//	3 a write as in 0 or 1 whose writer died: aborted
 func applyOps(th *treeHarness, ops []byte) error {
 	for ; len(ops) >= 3; ops = ops[3:] {
 		kind, a, b := ops[0]%4, int64(ops[1]), int64(ops[2])
@@ -72,6 +74,17 @@ func applyOps(th *treeHarness, ops []byte) error {
 		}
 	}
 	return nil
+}
+
+// emptyLeavesAsHoles turns the extents of leaves without providers, the
+// reference tree's aborted blocks, into holes: both read as zeros.
+func emptyLeavesAsHoles(in []Extent) []Extent {
+	for i, e := range in {
+		if e.HasData && len(e.Block.Providers) == 0 {
+			in[i] = Extent{FileOff: e.FileOff, Len: e.Len}
+		}
+	}
+	return in
 }
 
 // coalesceHoles merges adjacent hole extents: the walk splits a run of
@@ -125,7 +138,7 @@ func checkEquivalence(t *testing.T, ops, queries []byte) {
 			if werr != nil || gerr != nil {
 				t.Fatalf("ops %v v%d %v: walk err %v, direct err %v", ops, v, r, werr, gerr)
 			}
-			if want = coalesceHoles(want); !reflect.DeepEqual(got, want) {
+			if want = coalesceHoles(emptyLeavesAsHoles(want)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("ops %v v%d %v:\n direct %+v\n   walk %+v", ops, v, r, got, want)
 			}
 		}
@@ -236,7 +249,7 @@ func FuzzDecodeNode(f *testing.F) {
 	f.Add(EncodeNode(Node{ID: id, Left: ChildRef{Version: 1}, Right: ChildRef{Version: 2}}))
 	f.Add(EncodeNode(Node{ID: id, Leaf: true, Block: BlockRef{
 		Key: blob.BlockKey{Blob: 1, Nonce: 9, Seq: 3}, Providers: []string{"p0", "p1"}, Len: 64}}))
-	f.Add(EncodeNode(Node{ID: id, Leaf: true})) // a repaired leaf: no providers
+	f.Add(EncodeNode(Node{ID: id, Leaf: true})) // a leaf with no providers
 	f.Add([]byte{1, 0, 0})
 	f.Fuzz(func(t *testing.T, val []byte) {
 		n, err := DecodeNode(id, val)

@@ -109,8 +109,8 @@ func (l *replicaLists) read(r *wire.Reader, val []byte) ([]string, error) {
 	return list, nil
 }
 
-// MemStore is an in-process Store used by unit tests, the version
-// manager's repair planner tests and the simulator. It counts
+// MemStore is an in-process Store used by unit tests and the
+// simulator. It counts
 // operations so experiments can charge DHT message costs.
 type MemStore struct {
 	mu         sync.RWMutex

@@ -17,7 +17,6 @@ import (
 
 	"blobseer/internal/dht"
 	"blobseer/internal/hdfs"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/namespace"
 	"blobseer/internal/obs"
 	"blobseer/internal/placement"
@@ -59,7 +58,7 @@ type Config struct {
 	Host     string // provider, datanode: host label for affinity scheduling
 
 	Shard        vmanager.ShardInfo // vmanager: identity k/K (zero = unsharded)
-	MetaCache    int                // vmanager, repair: node-cache entries (<0 default, 0 off)
+	MetaCache    int                // repair: node-cache entries (<0 default, 0 off)
 	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
 	// DataDir makes vmanager and namespace durable: they journal to, and
 	// recover from, DataDir/vmanager (DataDir/vmanager/shard-k when
@@ -173,17 +172,13 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		return n.Prov.Mux(), provider.MethodName, nil
 
 	case VManager:
-		if len(cfg.Meta) == 0 {
-			return nil, nil, errors.New("vmanager: -meta is required")
-		}
-		rep := vmanager.MetadataRepairer(mdtree.MaybeCache(Connect(cfg.Pool, cfg.Endpoints).MetaStore, cfg.MetaCache))
 		sub := "vmanager"
 		if cfg.Shard.Count > 1 { // one WAL per shard: recovery never crosses shards
 			sub = filepath.Join(sub, fmt.Sprintf("shard-%d", cfg.Shard.Index))
 		}
 		st, log, err := openState(n, sub,
-			func(l *wal.Log) (*vmanager.State, error) { return vmanager.RecoverShard(l, rep, cfg.Shard) },
-			func() *vmanager.State { return vmanager.NewShardState(rep, cfg.Shard) })
+			func(l *wal.Log) (*vmanager.State, error) { return vmanager.Recover(l, &cfg.Shard) },
+			func() *vmanager.State { return vmanager.NewState(&cfg.Shard) })
 		if err != nil {
 			return nil, nil, err
 		}

@@ -59,17 +59,14 @@ func startTCP(t *testing.T, cfg node.Config, addr string) *node.Node {
 // shape on /metrics, the one place it is reported; a volatile role has
 // no log and no wal_* gauge.
 func TestDurableRolesExportWALGauges(t *testing.T) {
-	meta := startTCP(t, node.Config{Role: node.Meta}, "")
-	defer meta.Stop()
 	pool := rpc.NewPool(rpc.TCPDialer)
 	defer pool.Close()
 	dir := t.TempDir()
-	eps := node.Endpoints{Meta: []string{meta.Addr}}
-	vm := startTCP(t, node.Config{Role: node.VManager, Pool: pool, DataDir: dir, Endpoints: eps}, "")
+	vm := startTCP(t, node.Config{Role: node.VManager, Pool: pool, DataDir: dir}, "")
 	defer vm.Stop()
 	ns := startTCP(t, node.Config{Role: node.Namespace, Pool: pool, DataDir: dir, Endpoints: node.Endpoints{VM: []string{vm.Addr}}}, "")
 	defer ns.Stop()
-	volatile := startTCP(t, node.Config{Role: node.VManager, Pool: pool, Endpoints: eps}, "")
+	volatile := startTCP(t, node.Config{Role: node.VManager, Pool: pool}, "")
 	defer volatile.Stop()
 
 	for name, reg := range map[string]*obs.Registry{"vmanager": vm.VM.Metrics(), "namespace": ns.NS.Metrics()} {
@@ -98,21 +95,19 @@ func TestDurableRolesExportWALGauges(t *testing.T) {
 // refused once the stop cut it off: Stop may not close the log while a
 // handler can still acknowledge.
 func TestStopAcknowledgesNothingItDidNotLog(t *testing.T) {
-	meta := startTCP(t, node.Config{Role: node.Meta}, "") // the vmanager's abort-repair store
-	defer meta.Stop()
 	for round := 0; round < 50; round++ {
-		stopUnderLoad(t, t.TempDir(), meta.Addr)
+		stopUnderLoad(t, t.TempDir())
 	}
 }
 
-func stopUnderLoad(t *testing.T, dir, meta string) {
+func stopUnderLoad(t *testing.T, dir string) {
 	const writers, warm = 3, 2 // each writer has this many acks before the stop
 	ctx := context.Background()
 	pool := rpc.NewPool(rpc.TCPDialer)
 	defer pool.Close()
 	once := rpc.Backoff{Attempts: 1} // a refused call fails, it does not wait for a restart
 
-	vmCfg := node.Config{Role: node.VManager, Pool: pool, DataDir: dir, Endpoints: node.Endpoints{Meta: []string{meta}}}
+	vmCfg := node.Config{Role: node.VManager, Pool: pool, DataDir: dir}
 	vmNode := startTCP(t, vmCfg, "")
 	nsCfg := node.Config{Role: node.Namespace, Pool: pool, DataDir: dir, Endpoints: node.Endpoints{VM: []string{vmNode.Addr}}}
 	nsNode := startTCP(t, nsCfg, "")

@@ -205,9 +205,10 @@ func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, err
 // of every blob reads, with its replication target: the leaves of the
 // oldest kept version over its whole size, plus those each later version
 // wrote itself. The block index names them from the paged history and
-// one batch fetches each leaf once; no inner node is read. A leaf with
-// no providers (an aborted write's), or gone (freed by a GC since the
-// prune point was read), holds no block.
+// one batch fetches each leaf once; no inner node is read. A block an
+// aborted version owns reads as a hole and names no leaf; a leaf with no
+// providers, or gone (freed by a GC since the prune point was read),
+// holds no block.
 func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedBlock, error) {
 	ids, err := e.cfg.VM.ListBlobs(ctx)
 	if err != nil {

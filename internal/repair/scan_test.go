@@ -26,11 +26,12 @@ func deploy(t *testing.T) (*cluster.BlobSeer, *core.Client) {
 	return cl, cl.NewClient("")
 }
 
-// walkedKeys is the reference a scan is held to: the union, over every
-// published version of every blob that is not pruned, of the blocks
-// with providers that a walk of the version's tree (mdtree.Resolve)
-// names.
-func walkedKeys(t *testing.T, cl *cluster.BlobSeer, c *core.Client) map[blob.BlockKey]bool {
+// historyKeys is the reference a scan is held to: the union, over every
+// published version of every blob that is not pruned, of the blocks the
+// version reads, named from the history alone. A block is read from the
+// newest write at or below the version that covers it, unless that
+// write was aborted: then it reads as zeros, from no block.
+func historyKeys(t *testing.T, c *core.Client) map[blob.BlockKey]bool {
 	t.Helper()
 	ctx, vm := context.Background(), c.VM()
 	ids, err := vm.ListBlobs(ctx)
@@ -39,24 +40,22 @@ func walkedKeys(t *testing.T, cl *cluster.BlobSeer, c *core.Client) map[blob.Blo
 	}
 	keys := map[blob.BlockKey]bool{}
 	for _, id := range ids {
-		meta, err := vm.GetMeta(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pub, _, err := vm.Latest(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		oldest, err := vm.PrunedBelow(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		h := &blob.History{}
+		pub, _, err := vm.LatestSince(ctx, id, 0, h.Extend)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := oldest; v <= pub; v++ {
-			d, err := vm.VersionInfo(ctx, id, v)
-			if err != nil {
-				t.Fatal(err)
+			for b := int64(0); b < blob.Blocks(h.SizeAt(v), bs); b++ {
+				w := h.LatestIntersecting(blob.Range{Off: b * bs, Len: bs}, v)
+				if d, ok := h.Desc(w); ok && !d.Aborted {
+					keys[blob.BlockKey{Blob: id, Nonce: d.Nonce, Seq: uint32(b - d.Off/bs)}] = true
+				}
 			}
-			walkInto(t, keys, cl, meta, v, d.SizeAfter)
 		}
 	}
 	return keys
@@ -89,8 +88,8 @@ func sortedKeys(m map[blob.BlockKey]bool) []string {
 
 // TestScanFindsWhatEveryLiveVersionReads: on blobs with overwrites,
 // appends, a partial tail, aborted versions and prune points, the blocks
-// a scan names from the history are exactly those the walks of every
-// published, unpruned version reach.
+// a scan names are exactly those every published, unpruned version
+// reads by its history.
 func TestScanFindsWhatEveryLiveVersionReads(t *testing.T) {
 	cl, c := deploy(t)
 	ctx := context.Background()
@@ -123,6 +122,20 @@ func TestScanFindsWhatEveryLiveVersionReads(t *testing.T) {
 		if err := st.Abort(b.ID(), a.Version); err != nil {
 			t.Fatal(err)
 		}
+		// The aborted writer's metadata lands late, naming a provider:
+		// no version reads it, so no scan may name its blocks.
+		h := &blob.History{}
+		if err := h.Extend(a.Descs); err != nil {
+			t.Fatal(err)
+		}
+		refs := make([]mdtree.BlockRef, blob.Blocks(size, bs))
+		for i := range refs {
+			key := blob.BlockKey{Blob: b.ID(), Nonce: 0xab047, Seq: uint32(i)}
+			refs[i] = mdtree.BlockRef{Key: key, Providers: cl.ProviderAddrs[:1], Len: min(bs, size-int64(i)*bs)}
+		}
+		if _, err := mdtree.Build(ctx, cl.MetaStore, b.Meta(), h, a.Version, refs); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Overwrites, appends, an aborted append, a partial tail, pruned
@@ -145,8 +158,9 @@ func TestScanFindsWhatEveryLiveVersionReads(t *testing.T) {
 	must(b.Write(ctx, bs, fill('g', 1)))
 	must(b.Append(ctx, fill('h', 1)))
 
-	// Pruned up to an aborted overwrite: its snapshot still reads the
-	// block beside it, which only the first version wrote.
+	// Pruned up to an aborted overwrite: its snapshot reads the block it
+	// overwrote as zeros, and still reads the block beside it, which
+	// only the first version wrote.
 	d := open()
 	must(d.Write(ctx, 0, fill('i', 2)))
 	abort(d, 0, bs)
@@ -156,13 +170,13 @@ func TestScanFindsWhatEveryLiveVersionReads(t *testing.T) {
 
 	open() // never written
 
-	want := walkedKeys(t, cl, c)
+	want := historyKeys(t, c)
 	got, err := cl.RepairEngine().ScannedKeys(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 || !maps.Equal(got, want) {
-		t.Errorf("the scan names %d blocks, the walks of the live versions %d:\nscan %v\nwalk %v",
+		t.Errorf("the scan names %d blocks, the live versions' histories %d:\nscan %v\nhistory %v",
 			len(got), len(want), sortedKeys(got), sortedKeys(want))
 	}
 	if tasks, err := cl.RepairEngine().Scan(ctx); err != nil || len(tasks) != 0 {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
 )
@@ -61,7 +60,7 @@ func cutFirst(dial rpc.Dialer) (rpc.Dialer, *atomic.Int32) {
 
 func TestFrameOwnership(t *testing.T) {
 	n := rpc.NewInprocNetwork()
-	svc := NewService(NewState(MetadataRepairer(mdtree.NewMemStore())))
+	svc := NewService(NewState(nil))
 	lis, err := n.Listen("vmanager")
 	if err != nil {
 		t.Fatal(err)

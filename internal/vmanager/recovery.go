@@ -54,28 +54,22 @@ func encodeVersionRec(t uint8, id blob.ID, v blob.Version) []byte {
 	return b.Bytes()
 }
 
-// Recover rebuilds a single-shard version-manager State from the log
-// (snapshot first, then the record suffix) and attaches the log, so
-// subsequent mutations are journaled and the log compacts itself. A
-// fresh/empty log yields a fresh State, so this is the only constructor
-// the durable deployment path needs.
+// Recover rebuilds a version-manager State from the log (snapshot
+// first, then the record suffix) and attaches the log, so subsequent
+// mutations are journaled and the log compacts itself. A fresh/empty
+// log yields a fresh State, so this is the only constructor the durable
+// deployment path needs. si names the shard, as for NewState (nil:
+// unsharded). Each shard journals only the blobs it owns into its own
+// log, so shard recovery is fully independent of its siblings; a log
+// written under another shard topology fails loudly instead of
+// silently merging foreign state.
 //
 // Replay is idempotent: records already reflected in the state (e.g.
 // folded into the snapshot, or replayed twice) are skipped, so
 // recovering from a log that was already recovered once produces the
 // same state.
-func Recover(log *wal.Log, repair Repairer) (*State, error) {
-	return RecoverShard(log, repair, ShardInfo{})
-}
-
-// RecoverShard is Recover for one shard of a sharded deployment. Each
-// shard journals only the blobs it owns into its own log, so shard
-// recovery is fully independent of its siblings. The log must have
-// been written under the same shard topology: replaying a record for a
-// blob this shard does not own fails loudly instead of silently
-// merging foreign state.
-func RecoverShard(log *wal.Log, repair Repairer, si ShardInfo) (*State, error) {
-	s := NewShardState(repair, si)
+func Recover(log *wal.Log, si *ShardInfo) (*State, error) {
+	s := NewState(si)
 	err := log.Replay(func(p []byte, isSnap bool) error {
 		if isSnap {
 			return s.loadSnapshot(p)
@@ -97,9 +91,9 @@ func (s *State) shardMismatch(id blob.ID) error {
 
 // applyRecord folds one WAL record into the state. Mutations here
 // mirror the live mutators minus validation (the record was only
-// written after validation passed) and minus side effects (no repair
-// calls, no client acks — a version whose abort-repair never finished
-// is still in `assigned`, so the janitor re-aborts it after recovery).
+// written after validation passed) and minus side effects (no client
+// acks). An abort publishes as it does live; the commit record a log
+// may hold after it is then a no-op.
 func (s *State) applyRecord(p []byte) error {
 	r := wire.NewReader(p)
 	t := r.U8()
@@ -161,9 +155,7 @@ func (s *State) applyRecord(p []byte) error {
 		if v == blob.NoVersion || v > bs.hist.Latest() {
 			return fmt.Errorf("vmanager: commit record for unassigned version %d of blob %d", v, id)
 		}
-		bs.committed[v-1] = true
-		delete(bs.assigned, v)
-		bs.advanceLocked()
+		bs.commitLocked(v)
 	case recAbort:
 		v := blob.Version(r.U64())
 		if err := r.Err(); err != nil {
@@ -177,6 +169,7 @@ func (s *State) applyRecord(p []byte) error {
 			return fmt.Errorf("vmanager: abort record for unassigned version %d of blob %d", v, id)
 		}
 		bs.hist.MarkAborted(v)
+		bs.commitLocked(v)
 	case recPrune:
 		keep := blob.Version(r.U64())
 		if err := r.Err(); err != nil {

@@ -1,6 +1,7 @@
 package vmanager
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -291,5 +292,70 @@ func TestVersionLogCompactsItself(t *testing.T) {
 	}
 	if v := assignCommit(t, r, m.ID, 4096); v != 2001 {
 		t.Errorf("first version after recovery = %d, want 2001", v)
+	}
+}
+
+// TestAbortIsOneLogSync: an abort marks and publishes its version under
+// one record, so it waits for one fsync.
+func TestAbortIsOneLogSync(t *testing.T) {
+	s := openState(t, t.TempDir())
+	m, _ := s.CreateBlob(4096, 1)
+	a, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.log.Status().Syncs
+	if err := s.Abort(m.ID, a.Version); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.log.Status().Syncs - before; got != 1 {
+		t.Errorf("the abort issued %d fsyncs, want 1", got)
+	}
+	if pub, _, _ := s.Latest(m.ID); pub != a.Version {
+		t.Errorf("published = %d after the abort, want %d", pub, a.Version)
+	}
+}
+
+// TestRecoverAbortRecord: an abort record publishes its version on
+// replay, whether a commit record follows it (the two-record abort of
+// older logs) or not (an abort whose publish never reached the log).
+func TestRecoverAbortRecord(t *testing.T) {
+	m := blob.Meta{ID: 1, BlockSize: 4096, Replication: 1}
+	d := blob.WriteDesc{Version: 1, Len: 4096, SizeAfter: 4096, Kind: blob.KindAppend, Nonce: 9}
+	for _, tc := range []struct {
+		name string
+		tail [][]byte
+	}{
+		{"abort alone", [][]byte{encodeVersionRec(recAbort, m.ID, 1)}},
+		{"abort then commit", [][]byte{encodeVersionRec(recAbort, m.ID, 1), encodeVersionRec(recCommit, m.ID, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range append([][]byte{encodeCreate(m), encodeAssign(m.ID, d, time.Now())}, tc.tail...) {
+				if err := log.AppendSync(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := openState(t, dir)
+			if pub, size, err := r.Latest(m.ID); err != nil || pub != 1 || size != 4096 {
+				t.Errorf("recovered Latest = (%d, %d, %v), want (1, 4096)", pub, size, err)
+			}
+			if got, err := r.VersionInfo(m.ID, 1); err != nil || !got.Aborted {
+				t.Errorf("recovered version 1 = %+v, %v; want it aborted", got, err)
+			}
+			if exp := r.Expired(0); len(exp) != 0 {
+				t.Errorf("recovered in-flight versions %+v, want none", exp)
+			}
+			if err := r.Commit(m.ID, 1); !errors.Is(err, ErrAborted) {
+				t.Errorf("commit after recovery = %v, want ErrAborted", err)
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
@@ -97,35 +96,6 @@ func errFromCode(err error) error {
 	case CodeAborted:
 		return ErrAborted
 	default:
-		return err
-	}
-}
-
-// MetadataRepairer returns a Repairer that rebuilds an aborted
-// version's tree over st with empty block references: reads of the
-// aborted range resolve to leaves with no providers and are zero-filled
-// (the aborted writer's data was never defined).
-func MetadataRepairer(st mdtree.Store) Repairer {
-	return func(meta blob.Meta, hist *blob.History, v blob.Version) error {
-		d, ok := hist.Desc(v)
-		if !ok {
-			return ErrBadVersion
-		}
-		n := blob.Blocks(d.Len, meta.BlockSize)
-		refs := make([]mdtree.BlockRef, n)
-		for i := range refs {
-			ln := meta.BlockSize
-			if int64(i) == n-1 {
-				if rem := d.Len - int64(n-1)*meta.BlockSize; rem > 0 {
-					ln = rem
-				}
-			}
-			refs[i] = mdtree.BlockRef{
-				Key: blob.BlockKey{Blob: meta.ID, Nonce: d.Nonce, Seq: uint32(i)},
-				Len: ln,
-			}
-		}
-		_, err := mdtree.Build(context.Background(), st, meta, hist, v, refs)
 		return err
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
 )
@@ -15,7 +14,7 @@ import (
 func startVM(t *testing.T) *Client {
 	t.Helper()
 	n := rpc.NewInprocNetwork()
-	svc := NewService(NewState(MetadataRepairer(mdtree.NewMemStore())))
+	svc := NewService(NewState(nil))
 	lis, err := n.Listen("vmanager")
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +121,7 @@ func TestClientWaitPublished(t *testing.T) {
 }
 
 func TestJanitorAbortsStuckWriters(t *testing.T) {
-	st := mdtree.NewMemStore()
-	svc := NewService(NewState(MetadataRepairer(st)))
+	svc := NewService(NewState(nil))
 	defer svc.StopJanitor()
 	s := svc.State()
 	m, _ := s.CreateBlob(B, 1)
@@ -133,7 +131,7 @@ func TestJanitorAbortsStuckWriters(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if v, _, _ := s.Latest(m.ID); v == 1 {
-			break // janitor aborted + repaired + published
+			break // janitor aborted + published
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("janitor never reclaimed the stuck write")

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/mdtree"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wal"
 )
@@ -24,7 +23,7 @@ func startShardedVM(t *testing.T, k int) (*Client, []*Service) {
 	addrs := make([]string, k)
 	svcs := make([]*Service, k)
 	for i := 0; i < k; i++ {
-		svc := NewService(NewShardState(MetadataRepairer(mdtree.NewMemStore()), ShardInfo{Index: i, Count: k}))
+		svc := NewService(NewState(&ShardInfo{Index: i, Count: k}))
 		svcs[i] = svc
 		addrs[i] = fmt.Sprintf("vmanager-%d", i)
 		lis, err := n.Listen(addrs[i])
@@ -66,7 +65,7 @@ func TestShardStateMintsOwnedIDs(t *testing.T) {
 		{1, 4, []blob.ID{1, 5, 9}},
 		{3, 4, []blob.ID{3, 7, 11}},
 	} {
-		s := NewShardState(nil, ShardInfo{Index: tc.k, Count: tc.n})
+		s := NewState(&ShardInfo{Index: tc.k, Count: tc.n})
 		for i, want := range tc.want {
 			m, err := s.CreateBlob(B, 1)
 			if err != nil {
@@ -82,17 +81,17 @@ func TestShardStateMintsOwnedIDs(t *testing.T) {
 	}
 }
 
-// TestRecoverShardRoundTrip replays a shard's WAL into a fresh state
+// TestShardRecoverRoundTrip replays a shard's WAL into a fresh state
 // and checks both the publication line and the minting cursor survive
 // with the shard stride intact.
-func TestRecoverShardRoundTrip(t *testing.T) {
+func TestShardRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	si := ShardInfo{Index: 2, Count: 4}
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RecoverShard(log, nil, si)
+	st, err := Recover(log, &si)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestRecoverShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := RecoverShard(log2, nil, si)
+	re, err := Recover(log2, &si)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,16 +138,16 @@ func TestRecoverShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoverShardRejectsForeignLog pins the guard: replaying a WAL
+// TestShardRecoverRejectsForeignLog pins the guard: replaying a WAL
 // into a shard that does not own its blobs fails loudly instead of
 // silently splitting a blob's history across shards.
-func TestRecoverShardRejectsForeignLog(t *testing.T) {
+func TestShardRecoverRejectsForeignLog(t *testing.T) {
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RecoverShard(log, nil, ShardInfo{Index: 1, Count: 4})
+	st, err := Recover(log, &ShardInfo{Index: 1, Count: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestRecoverShardRejectsForeignLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log2.Close()
-	if _, err := RecoverShard(log2, nil, ShardInfo{Index: 3, Count: 4}); err == nil ||
+	if _, err := Recover(log2, &ShardInfo{Index: 3, Count: 4}); err == nil ||
 		!strings.Contains(err.Error(), "shard") {
 		t.Fatalf("foreign-shard replay err = %v, want shard-ownership error", err)
 	}

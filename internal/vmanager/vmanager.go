@@ -6,9 +6,9 @@
 // (metadata weaving) runs fully in parallel across writers.
 //
 // Publication ordering implements the paper's linearizability rule: a
-// snapshot v becomes visible only when the metadata of every version
-// <= v has been committed, so readers always observe consistent,
-// immutable snapshots.
+// snapshot v becomes visible only when every version <= v has been
+// committed with its metadata, or aborted, so readers always observe
+// consistent, immutable snapshots.
 //
 // Serialization is per *blob*, not global, and the manager scales on
 // both axes:
@@ -55,11 +55,6 @@ var (
 	// aborted: no reader will see what its writer wrote.
 	ErrAborted = errors.New("vmanager: version aborted")
 )
-
-// Repairer rebuilds the metadata of an aborted version so that higher
-// versions woven against it remain readable. The production wiring uses
-// mdtree.Build over the metadata DHT with empty block references.
-type Repairer func(meta blob.Meta, hist *blob.History, v blob.Version) error
 
 // ShardInfo identifies one horizontal shard of the version-manager
 // control plane: this service owns exactly the blob IDs id with
@@ -135,8 +130,6 @@ type State struct {
 
 	stripes [numStripes]stripe
 
-	repair Repairer
-
 	// log, when non-nil, journals every mutation for crash recovery
 	// (see recovery.go). Recover sets it before the State is shared and
 	// nothing changes it afterwards; nil keeps the historical
@@ -163,18 +156,16 @@ type waiter struct {
 	ch      chan struct{}
 }
 
-// NewState returns an empty single-shard version manager core. repair
-// may be nil (aborted versions then publish without metadata; tests
-// only).
-func NewState(repair Repairer) *State {
-	return NewShardState(repair, ShardInfo{})
-}
-
-// NewShardState returns an empty version manager core owning shard
-// si.Index of si.Count. It panics on an out-of-range index.
-func NewShardState(repair Repairer, si ShardInfo) *State {
-	si = si.normalize()
-	s := &State{shard: si, nextID: si.firstID(), repair: repair}
+// NewState returns an empty version manager core owning shard si.Index
+// of si.Count; a nil si means unsharded. It panics on an out-of-range
+// index.
+func NewState(si *ShardInfo) *State {
+	var shard ShardInfo
+	if si != nil {
+		shard = *si
+	}
+	shard = shard.normalize()
+	s := &State{shard: shard, nextID: shard.firstID()}
 	for i := range s.stripes {
 		s.stripes[i].blobs = make(map[blob.ID]*blobState)
 	}
@@ -322,14 +313,9 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 
 // Commit records that version v's data and metadata are fully written
 // and publishes every version whose predecessors are all committed. A
-// version that was aborted fails with ErrAborted, even while its repair
-// runs: its writer's data will never be read.
+// version that was aborted fails with ErrAborted: its writer's data
+// will never be read.
 func (s *State) Commit(id blob.ID, v blob.Version) error {
-	return s.commit(id, v, false)
-}
-
-// commit is Commit, and with aborted set, the publish that ends Abort.
-func (s *State) commit(id blob.ID, v blob.Version, aborted bool) error {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -340,7 +326,7 @@ func (s *State) commit(id blob.ID, v blob.Version, aborted bool) error {
 	if v == blob.NoVersion || v > bs.hist.Latest() {
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	if d, _ := bs.hist.Desc(v); d.Aborted && !aborted {
+	if d, _ := bs.hist.Desc(v); d.Aborted {
 		return fmt.Errorf("%w: %d", ErrAborted, v)
 	}
 	// Journal *before* the in-memory publish advances: the ack the
@@ -351,10 +337,16 @@ func (s *State) commit(id blob.ID, v blob.Version, aborted bool) error {
 	if err := s.appendStriped(func() []byte { return encodeVersionRec(recCommit, id, v) }); err != nil {
 		return err
 	}
+	bs.commitLocked(v)
+	return nil
+}
+
+// commitLocked marks v resolved — committed or aborted — and publishes
+// what that lets through.
+func (bs *blobState) commitLocked(v blob.Version) {
 	bs.committed[v-1] = true
 	delete(bs.assigned, v)
 	bs.advanceLocked()
-	return nil
 }
 
 // advanceLocked publishes consecutive committed versions and wakes
@@ -374,40 +366,31 @@ func (bs *blobState) advanceLocked() {
 	bs.waiters = kept
 }
 
-// Abort marks version v as failed, rebuilds its metadata as an empty
-// patch (so later versions that wove references to it stay readable)
-// and then commits it so publication can advance past it.
+// Abort marks version v as failed and resolves it, so publication can
+// advance past it, in one step and one log record. An aborted version
+// needs no metadata: its descriptor carries the mark, and a reader's
+// block index reads every block it owns as a hole (mdtree.Owners), so
+// whatever its writer stored never shows.
 func (s *State) Abort(id blob.ID, v blob.Version) error {
 	st := s.stripeFor(id)
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	bs, ok := st.blobs[id]
 	if !ok {
-		st.mu.Unlock()
 		return ErrUnknownBlob
 	}
 	if v == blob.NoVersion || v > bs.hist.Latest() {
-		st.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 	if bs.committed[v-1] {
-		st.mu.Unlock()
 		return fmt.Errorf("vmanager: version %d already committed", v)
 	}
-	bs.hist.MarkAborted(v)
 	if err := s.appendStriped(func() []byte { return encodeVersionRec(recAbort, id, v) }); err != nil {
-		st.mu.Unlock()
 		return err
 	}
-	// The repair below reads a view: O(1) here, stable outside the lock.
-	meta, hist, repair := bs.meta, bs.hist.View(), s.repair
-	st.mu.Unlock()
-
-	if repair != nil {
-		if err := repair(meta, &hist, v); err != nil {
-			return fmt.Errorf("vmanager: repair of aborted version %d: %w", v, err)
-		}
-	}
-	return s.commit(id, v, true)
+	bs.hist.MarkAborted(v)
+	bs.commitLocked(v)
+	return nil
 }
 
 // Latest returns the newest published version and the blob size at it.

@@ -188,12 +188,26 @@ func TestWaitPublishedTimeout(t *testing.T) {
 	}
 }
 
-func TestAbortWithRepairKeepsLaterVersionsReadable(t *testing.T) {
-	// Writer A (v1) dies after version assignment. Writer B (v2) wove
-	// references to v1's metadata. After the VM repairs v1, v2's
-	// snapshot must be fully readable with v1's range zero-filled.
+// ownersOf returns the block index a reader of m's published history
+// builds.
+func ownersOf(t *testing.T, s *State, m blob.Meta) *mdtree.Owners {
+	t.Helper()
+	_, _, descs, err := s.LatestSince(m.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o mdtree.Owners
+	o.Extend(m.BlockSize, descs)
+	return &o
+}
+
+// TestAbortedVersionNeedsNoMetadata: writer A (v1) dies after version
+// assignment and writer B (v2) wove references to v1's planned nodes.
+// Aborting v1 writes no node, and v2's snapshot reads through the
+// index with v1's range as a hole and B's block intact.
+func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 	st := mdtree.NewMemStore()
-	s := NewState(MetadataRepairer(st))
+	s := NewState(nil)
 	m, err := s.CreateBlob(B, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -226,31 +240,76 @@ func TestAbortWithRepairKeepsLaterVersionsReadable(t *testing.T) {
 		t.Fatalf("published %d too early", v)
 	}
 	// The janitor (here: direct call) aborts v1.
+	nodes := st.Len()
 	if err := s.Abort(m.ID, a1.Version); err != nil {
 		t.Fatal(err)
 	}
+	if st.Len() != nodes {
+		t.Errorf("the store held %d nodes before the abort, %d after", nodes, st.Len())
+	}
 	v, size, _ := s.Latest(m.ID)
 	if v != 2 || size != 3*B {
-		t.Fatalf("after repair: published %d size %d", v, size)
+		t.Fatalf("after the abort: published %d size %d", v, size)
 	}
-	// v2's snapshot must resolve: blocks 0-1 zero-filled (aborted),
-	// block 2 has data.
-	ext, err := mdtree.Resolve(ctx, st, m, 2, 3*B, blob.Range{Off: 0, Len: 3 * B})
+	// v2's snapshot resolves: blocks 0-1 a hole (aborted), block 2 B's.
+	ext, err := ownersOf(t, s, m).Resolve(ctx, st, m, 2, 3*B, blob.Range{Len: 3 * B}, new(mdtree.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dataLen int64
-	for _, e := range ext {
-		if e.HasData && len(e.Block.Providers) > 0 {
-			dataLen += e.Len
-		}
-	}
-	if dataLen != B {
-		t.Errorf("live data = %d, want %d", dataLen, B)
+	if len(ext) != 2 || ext[0].HasData || ext[0].Len != 2*B ||
+		!ext[1].HasData || ext[1].FileOff != 2*B || ext[1].Block.Key != refs[0].Key {
+		t.Errorf("v2 resolves to %+v, want a hole over v1's blocks, then B's block", ext)
 	}
 	// The aborted version is marked in the history hint.
 	if d, _ := s.VersionInfo(m.ID, 1); !d.Aborted {
 		t.Error("aborted descriptor not marked")
+	}
+}
+
+// TestLateWriterOfAnAbortedVersionStaysHidden: the janitor aborts a
+// slow writer's one-block overwrite, then the writer's metadata lands.
+// Its commit fails, and the index must go on reading the block as a
+// hole: nothing stored in the metadata store changes what an aborted
+// version reads.
+func TestLateWriterOfAnAbortedVersionStaysHidden(t *testing.T) {
+	ctx, st, s := context.Background(), mdtree.NewMemStore(), NewState(nil)
+	m := newBlob(t, s)
+	build := func(a Assignment, nonce uint64, provider string) {
+		t.Helper()
+		h := &blob.History{}
+		if err := h.Extend(a.Descs); err != nil {
+			t.Fatal(err)
+		}
+		refs := []mdtree.BlockRef{{Key: blob.BlockKey{Blob: m.ID, Nonce: nonce, Seq: 0}, Providers: []string{provider}, Len: B}}
+		if _, err := mdtree.Build(ctx, st, m, h, a.Version, refs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a1, err := s.AssignVersion(m.ID, blob.KindAppend, 0, B, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build(a1, 1, "first-writer")
+	if err := s.Commit(m.ID, a1.Version); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := s.AssignVersion(m.ID, blob.KindWrite, 0, B, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Abort(m.ID, a2.Version); err != nil {
+		t.Fatal(err)
+	}
+	build(a2, 2, "aborted-writer")
+	if err := s.Commit(m.ID, a2.Version); !errors.Is(err, ErrAborted) {
+		t.Fatalf("commit of the aborted version = %v, want ErrAborted", err)
+	}
+	ext, err := ownersOf(t, s, m).Resolve(ctx, st, m, a2.Version, B, blob.Range{Len: B}, new(mdtree.Scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ext) != 1 || ext[0].HasData {
+		t.Errorf("v2 block 0 resolves to %+v, want a hole", ext)
 	}
 }
 

@@ -196,8 +196,8 @@ func TestDataDirWrittenInProcess(t *testing.T) {
 			t.Fatalf("namespace daemon on the in-process DataDir: %s: %v", path, err)
 		}
 		shards[vmanager.ShardOf(id, 2)] = true
-		if got, _, err := clients.VM().Latest(ctx, id); err != nil || got != v {
-			t.Errorf("vmanager daemons on the in-process DataDir: %s latest = %d (%v), want %d", path, got, err, v)
+		if h, err := clients.VM().Latest(ctx, id); err != nil || h.Published != v {
+			t.Errorf("vmanager daemons on the in-process DataDir: %s latest = %d (%v), want %d", path, h.Published, err, v)
 		}
 	}
 	if len(shards) != 2 {
@@ -225,8 +225,8 @@ func TestVManagerNeedsNoMetadataProviders(t *testing.T) {
 	if err := vm.Abort(ctx, m.ID, a.Version); err != nil {
 		t.Fatal(err)
 	}
-	if pub, _, err := vm.Latest(ctx, m.ID); err != nil || pub != a.Version {
-		t.Errorf("latest after the abort = %d, %v; want %d", pub, err, a.Version)
+	if h, err := vm.Latest(ctx, m.ID); err != nil || h.Published != a.Version {
+		t.Errorf("latest after the abort = %d, %v; want %d", h.Published, err, a.Version)
 	}
 }
 

@@ -81,8 +81,8 @@ func main() {
 
 	// Every snapshot remains readable: the "branch" a slow pipeline
 	// stage pinned at v1 still sees is byte-identical to the original.
-	// Snapshot pins (version, size) once — no VersionInfo round-trip
-	// per read, and ReadAt reuses one caller-owned buffer throughout.
+	// Snapshot pins (version, size) once, and ReadAt reuses one
+	// caller-owned buffer throughout.
 	buf := make([]byte, 5*blockSize)
 	for _, v := range []blobseer.Version{v1, v2, v3} {
 		s, err := b.Snapshot(ctx, v)

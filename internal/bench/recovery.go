@@ -120,8 +120,8 @@ func AblationCrashRecovery(dir string, versions int) ([]Series, error) {
 		}
 		survived := 0
 		vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
-		if pub, _, err := vm.Latest(ctx, b.ID()); err == nil {
-			survived = int(pub)
+		if h, err := vm.Latest(ctx, b.ID()); err == nil {
+			survived = int(h.Published)
 		}
 		c.Stop()
 		out = append(out, Series{

@@ -258,7 +258,7 @@ func TestConcurrentAppendersSharedFile(t *testing.T) {
 	wg.Wait()
 	// Wait for publication of all appends.
 	id, _ := cl.NSService().State().GetFile("/shared-log")
-	if _, _, err := cl.VMService().State().WaitPublished(id, N, 10*time.Second); err != nil {
+	if err := cl.VMService().State().WaitPublished(id, N, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	got := readFile(t, f, "/shared-log")

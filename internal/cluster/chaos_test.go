@@ -120,9 +120,9 @@ func TestChaosVManagerKillRestart(t *testing.T) {
 	vm := vmanager.NewClient(c.Pool, c.VMAddrs...)
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	pub, _, err := vm.WaitPublished(wctx, id, maxAcked, 25*time.Second)
+	head, err := vm.WaitPublished(wctx, id, 0, maxAcked, 25*time.Second, nil)
 	if err != nil {
-		t.Fatalf("acknowledged version %d never published after recovery: %v (published %d)", maxAcked, err, pub)
+		t.Fatalf("acknowledged version %d never published after recovery: %v", maxAcked, err)
 	}
 
 	// Every acknowledged version must be present, non-aborted, and its
@@ -133,11 +133,15 @@ func TestChaosVManagerKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist, err := HistoryOf(rctx, vm, id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := make([]byte, cfg.BlockSize)
 	for _, v := range acked {
-		d, err := vm.VersionInfo(rctx, id, v)
-		if err != nil {
-			t.Fatalf("acknowledged version %d lost: %v", v, err)
+		d, ok := hist.Desc(v)
+		if !ok {
+			t.Fatalf("acknowledged version %d lost (history reaches %d)", v, hist.Latest())
 		}
 		if d.Aborted {
 			t.Fatalf("acknowledged version %d was aborted by recovery", v)
@@ -161,12 +165,12 @@ func TestChaosVManagerKillRestart(t *testing.T) {
 	if err := c.RestartVManager(); err != nil {
 		t.Fatal(err)
 	}
-	pub2, _, err := vm.Latest(context.Background(), id)
+	h2, err := vm.Latest(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub2 < pub {
-		t.Fatalf("second recovery regressed publication: %d -> %d", pub, pub2)
+	if h2.Published < head.Published {
+		t.Fatalf("second recovery regressed publication: %d -> %d", head.Published, h2.Published)
 	}
 }
 
@@ -203,8 +207,8 @@ func TestChaosWaitPublishedRearms(t *testing.T) {
 	}
 	res := make(chan waitResult, 1)
 	go func() {
-		pub, _, err := vm.WaitPublished(ctx, m.ID, 1, 20*time.Second)
-		res <- waitResult{pub, err}
+		h, err := vm.WaitPublished(ctx, m.ID, 0, 1, 20*time.Second, nil)
+		res <- waitResult{h.Published, err}
 	}()
 	time.Sleep(100 * time.Millisecond) // let the waiter arm server-side
 
@@ -326,7 +330,7 @@ func TestChaosNoWALLosesState(t *testing.T) {
 	if err := c.RestartVManager(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.GetMeta(ctx, m.ID); !errors.Is(err, vmanager.ErrUnknownBlob) {
+	if _, err := vm.Latest(ctx, m.ID); !errors.Is(err, vmanager.ErrUnknownBlob) {
 		t.Fatalf("volatile restart kept blob %d (err=%v); expected it lost", m.ID, err)
 	}
 }

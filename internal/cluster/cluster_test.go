@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cluster"
@@ -48,6 +49,15 @@ func pinBlob(ctx context.Context, c *core.Client, id blob.ID, v blob.Version) (*
 		return nil, err
 	}
 	return b.Snapshot(ctx, v)
+}
+
+// waitBlob pins version v of blob id once it is published.
+func waitBlob(ctx context.Context, c *core.Client, id blob.ID, v blob.Version, timeout time.Duration) (*core.Snapshot, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return b.WaitPublished(ctx, v, timeout)
 }
 
 // readBlob returns up to length bytes at off of version v, clamped at

@@ -62,26 +62,22 @@ func TestDeadWriterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub, _, _ := vm.Latest(ctx, m.ID); pub >= corpse {
-		t.Fatalf("publication advanced past the un-repaired corpse: %d", pub)
+	if h, _ := vm.Latest(ctx, m.ID); h.Published >= corpse {
+		t.Fatalf("publication advanced past the un-repaired corpse: %d", h.Published)
 	}
 
 	// The janitor (50 ms threshold) must reclaim it.
-	pub, _, err := c.WaitPublished(ctx, m.ID, healthy, 5*time.Second)
-	if err != nil {
+	if _, err := waitBlob(ctx, c, m.ID, healthy, 5*time.Second); err != nil {
 		t.Fatalf("publication never advanced past the dead writer: %v", err)
-	}
-	if pub < healthy {
-		t.Fatalf("published %d, want >= %d", pub, healthy)
 	}
 
 	// The corpse's descriptor is marked aborted and its range reads as
 	// zeros; the healthy append is intact after it.
-	d, err := vm.VersionInfo(ctx, m.ID, corpse)
+	hist, err := cluster.HistoryOf(ctx, vm, m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Aborted {
+	if d, _ := hist.Desc(corpse); !d.Aborted {
 		t.Error("corpse version not marked aborted")
 	}
 	got, err := readBlob(ctx, c, m.ID, healthy, 0, 3*block)

@@ -21,7 +21,7 @@ func writeBlocks(t *testing.T, cl *cluster.BlobSeer, id blob.ID, nBlocks int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.WaitPublished(ctx, id, v, 5*time.Second); err != nil {
+	if _, err := waitBlob(ctx, client, id, v, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return payload
@@ -458,7 +458,7 @@ func TestGCPurgesOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.WaitPublished(ctx, m.ID, v2, 5*time.Second); err != nil {
+	if _, err := waitBlob(ctx, client, m.ID, v2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -472,12 +472,13 @@ func TestGCPurgesOverlay(t *testing.T) {
 
 	// Find the victim-held blocks that gained overlay entries, split by
 	// the version that wrote them (the write nonce identifies it).
+	hist, err := cluster.HistoryOf(ctx, client.VM(), m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	nonceOf := map[blob.Version]uint64{}
 	for _, v := range []blob.Version{v1, v2} {
-		d, err := client.VM().VersionInfo(ctx, m.ID, v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d, _ := hist.Desc(v)
 		nonceOf[v] = d.Nonce
 	}
 	keys, err := cl.ProviderService(victim).Store().Keys("b")

@@ -246,13 +246,17 @@ func TestChaosVMShardKillRestart(t *testing.T) {
 	vm.SetRetry(rpc.Backoff{Attempts: 10, Base: 20 * time.Millisecond, Max: 200 * time.Millisecond})
 	wctx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()
-	if _, _, err := vm.WaitPublished(wctx, vic.ID(), maxAcked, 15*time.Second); err != nil {
+	if _, err := vm.WaitPublished(wctx, vic.ID(), 0, maxAcked, 15*time.Second, nil); err != nil {
 		t.Fatalf("acked version %d never published after shard recovery: %v", maxAcked, err)
 	}
+	hist, err := HistoryOf(ctx, vm, vic.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range vicAcked {
-		d, err := vm.VersionInfo(ctx, vic.ID(), v)
-		if err != nil {
-			t.Fatalf("acked version %d lost across shard crash: %v", v, err)
+		d, ok := hist.Desc(v)
+		if !ok {
+			t.Fatalf("acked version %d lost across shard crash (history reaches %d)", v, hist.Latest())
 		}
 		if d.Aborted {
 			t.Fatalf("acked version %d aborted by recovery", v)

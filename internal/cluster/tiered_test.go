@@ -195,7 +195,7 @@ func TestGCReclaimsDemotedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.WaitPublished(ctx, m.ID, v2, 5*time.Second); err != nil {
+	if _, err := waitBlob(ctx, client, m.ID, v2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 

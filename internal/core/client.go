@@ -302,32 +302,23 @@ func (c *Client) Meta(ctx context.Context, id blob.ID) (blob.Meta, error) {
 		return m, nil
 	}
 	ctx, sp := c.tracer.Start(ctx, "meta")
-	m, err := c.vm.GetMeta(ctx, id)
+	h, err := c.vm.Latest(ctx, id)
 	sp.Finish(err)
 	if err != nil {
 		return blob.Meta{}, err
 	}
 	c.mu.Lock()
-	st.meta = m
+	st.meta = h.Meta
 	c.mu.Unlock()
-	return m, nil
+	return h.Meta, nil
 }
 
 // Latest returns the newest published version and the blob size at it.
 func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, error) {
 	ctx, sp := c.tracer.Start(ctx, "latest")
-	v, size, err := c.vm.Latest(ctx, id)
+	h, err := c.vm.Latest(ctx, id)
 	sp.Finish(err)
-	return v, size, err
-}
-
-// WaitPublished blocks until version v is published (the snapshot
-// notification mechanism of Section III-A5).
-func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, timeout time.Duration) (blob.Version, int64, error) {
-	ctx, sp := c.tracer.Start(ctx, "wait")
-	pv, size, err := c.vm.WaitPublished(ctx, id, v, timeout)
-	sp.Finish(err)
-	return pv, size, err
+	return h.Published, h.Size, err
 }
 
 // doWrite is the two-phase write protocol behind Blob.Write and

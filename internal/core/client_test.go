@@ -50,6 +50,15 @@ func appendBlob(ctx context.Context, c *core.Client, id blob.ID, data []byte) (b
 	return b.Append(ctx, data)
 }
 
+// waitBlob pins version v of blob id once it is published.
+func waitBlob(ctx context.Context, c *core.Client, id blob.ID, v blob.Version, timeout time.Duration) (*core.Snapshot, error) {
+	b, err := c.OpenBlob(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	return b.WaitPublished(ctx, v, timeout)
+}
+
 // readBlob returns up to length bytes at off of version v (NoVersion =
 // latest published), clamped at the snapshot size: a read past EOF or
 // of an unpublished blob returns (nil, nil).
@@ -224,9 +233,13 @@ func TestConcurrentAppendsAllLand(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	v, size, err := setup.WaitPublished(ctx, m.ID, N, 10*time.Second)
-	if err != nil || v != N || size != N*B {
-		t.Fatalf("after appends: v%d size %d, %v", v, size, err)
+	s, err := waitBlob(ctx, setup, m.ID, N, 10*time.Second)
+	if err != nil {
+		t.Fatalf("after appends: %v", err)
+	}
+	size := s.Size()
+	if size != N*B {
+		t.Fatalf("after appends: size %d", size)
 	}
 	got, err := readBlob(ctx, setup, m.ID, blob.NoVersion, 0, size)
 	if err != nil {
@@ -276,7 +289,7 @@ func TestConcurrentWritersDisjointBlocks(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, _, err := setup.WaitPublished(ctx, m.ID, N+1, 10*time.Second); err != nil {
+	if _, err := waitBlob(ctx, setup, m.ID, N+1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readBlob(ctx, setup, m.ID, blob.NoVersion, 0, 8*B)

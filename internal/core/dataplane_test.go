@@ -291,7 +291,7 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.WaitPublished(ctx, b.ID(), v, 2*time.Second); err != nil {
+	if _, err := b.WaitPublished(ctx, v, 2*time.Second); err != nil {
 		t.Fatalf("version after failed write never published: %v", err)
 	}
 	// The failed write's blocks were garbage collected.

@@ -35,12 +35,14 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	// Liveness needs every descriptor up to keep, so keep may not pass
 	// the published history (descriptors are never discarded).
 	hist := &blob.History{}
-	pub, _, err := c.vm.LatestSince(ctx, id, 0, hist.Extend)
+	h, err := c.vm.LatestSince(ctx, id, 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
+		return hist.Extend(descs)
+	})
 	if err != nil {
 		return GCStats{}, err
 	}
-	if keep > pub {
-		return GCStats{}, fmt.Errorf("%w: keep %d, published %d", vmanager.ErrBadPrune, keep, pub)
+	if keep > h.Published {
+		return GCStats{}, fmt.Errorf("%w: keep %d, published %d", vmanager.ErrBadPrune, keep, h.Published)
 	}
 
 	from, err := c.vm.Prune(ctx, id, keep)

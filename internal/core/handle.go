@@ -11,6 +11,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
 	"blobseer/internal/stream"
+	"blobseer/internal/vmanager"
 )
 
 // ErrNegativeOffset is returned by ReadAt for offsets below zero (the
@@ -80,45 +81,52 @@ func (b *Blob) Latest(ctx context.Context) (*Snapshot, error) {
 }
 
 // Snapshot pins published version v; v == blob.NoVersion pins the
-// latest (see Latest). It is the one place a Snapshot is made, so every
-// way of pinning extends the client's block index of the blob, a page of
-// history at a time. A version not yet published fails with
-// ErrNotPublished, a garbage-collected one with vmanager.ErrPruned. The
-// (version, size) pair is resolved once: no ReadAt or Locations call
+// latest (see Latest). Every Snapshot is made by pin, so every way of
+// pinning extends the client's block index of the blob, a page of
+// history at a time. A version not yet published
+// fails with ErrNotPublished, a garbage-collected one with
+// vmanager.ErrPruned. The (version, size) pair is resolved once, with
+// the history, by one version-manager call: no ReadAt or Locations call
 // goes back to the version manager.
 func (b *Blob) Snapshot(ctx context.Context, v blob.Version) (*Snapshot, error) {
-	c, id := b.c, b.meta.ID
-	owners := &c.state(id).owners
-	pub, size, err := c.vm.LatestSince(ctx, id, owners.Through(), func(descs []blob.WriteDesc) error {
-		owners.Extend(b.meta.BlockSize, descs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case v == blob.NoVersion:
-		v = pub
-	case v > pub:
-		return nil, fmt.Errorf("%w: version %d, published %d", ErrNotPublished, v, pub)
-	case v < pub:
-		// Also the check that v has not been pruned.
-		d, err := c.vm.VersionInfo(ctx, id, v)
-		if err != nil {
-			return nil, err
-		}
-		size = d.SizeAfter
-	}
-	return &Snapshot{b: b, ctx: ctx, version: v, size: size, owners: owners}, nil
+	return b.pin(ctx, v, false, 0)
 }
 
 // WaitPublished blocks until version v is published (the snapshot
-// notification mechanism of Section III-A5), then pins it.
+// notification mechanism of Section III-A5), then pins it, with the
+// same call.
 func (b *Blob) WaitPublished(ctx context.Context, v blob.Version, timeout time.Duration) (*Snapshot, error) {
-	if _, _, err := b.c.vm.WaitPublished(ctx, b.meta.ID, v, timeout); err != nil {
-		return nil, err
+	return b.pin(ctx, v, true, timeout)
+}
+
+// pin makes the Snapshot of v from one head, read after waiting up to
+// timeout for v to publish if wait is set. The call asks from the
+// version the client's block index reaches, and the history after it
+// extends the index.
+func (b *Blob) pin(ctx context.Context, v blob.Version, wait bool, timeout time.Duration) (*Snapshot, error) {
+	id, owners := b.meta.ID, &b.c.state(b.meta.ID).owners
+	page := func(_ vmanager.Head, descs []blob.WriteDesc) error {
+		owners.Extend(b.meta.BlockSize, descs)
+		return nil
 	}
-	return b.Snapshot(ctx, v)
+	var h vmanager.Head
+	var err error
+	if wait {
+		h, err = b.c.vm.WaitPublished(ctx, id, owners.Through(), v, timeout, page)
+	} else {
+		h, err = b.c.vm.LatestSince(ctx, id, owners.Through(), v, page)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case v == blob.NoVersion:
+		v = h.Published
+	case v > h.Published:
+		return nil, fmt.Errorf("%w: version %d, published %d", ErrNotPublished, v, h.Published)
+	case v < h.Oldest:
+		return nil, fmt.Errorf("%w: version %d (oldest kept: %d)", vmanager.ErrPruned, v, h.Oldest)
+	}
+	return &Snapshot{b: b, ctx: ctx, version: v, size: h.Size, owners: owners}, nil
 }
 
 // WriterOptions configures a streaming writer over a Blob.

@@ -179,7 +179,7 @@ func (cc *countedConn) answers(p []byte) []sentCall {
 // that moves a call shows here as one number.
 func TestRPCsPerOperation(t *testing.T) {
 	const bs = pinBS
-	d := startMini(t, 4, mdtree.NewMemStore()) // the version manager's repairs, none here
+	d := startMini(t, 4, mdtree.NewMemStore())
 	var metaAddrs []string
 	for i := 0; i < 2; i++ {
 		addr := fmt.Sprintf("meta-%d", i)
@@ -319,15 +319,27 @@ func TestRPCsPerOperation(t *testing.T) {
 		},
 		want: rpcCount{vm: 4, pm: 1, prov: 2, meta: 2, seq: 9},
 	}, {
-		// An older version: the descriptors published since the client's
-		// last pin, and the version's size, which also says it was not
-		// garbage-collected.
+		// An older version: one reply brings the descriptors published
+		// since the client's last pin, the version's size and the prune
+		// point, which says it was not garbage-collected.
 		name: "pin",
 		op: func() error {
 			pinned, err = b.Snapshot(ctx, v16)
 			return err
 		},
-		want: rpcCount{vm: 2, seq: 2},
+		want: rpcCount{vm: 1, seq: 1},
+	}, {
+		// Waiting for a version already published pins it with the
+		// same one reply.
+		name: "wait_published",
+		op: func() error {
+			s, err := b.WaitPublished(ctx, v16, time.Second)
+			if err == nil && (s.Version() != v16 || s.Size() != 16*bs) {
+				err = fmt.Errorf("waited for v%d, pinned v%d of %d bytes", v16, s.Version(), s.Size())
+			}
+			return err
+		},
+		want: rpcCount{vm: 1, seq: 1},
 	}, {
 		// The 16 leaves in one batch per metadata provider, then each
 		// provider once for all four of its blocks.

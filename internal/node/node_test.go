@@ -183,8 +183,8 @@ func stopUnderLoad(t *testing.T, dir string) {
 	ns.SetRetry(rpc.DefaultBackoff)
 	for w := 0; w < writers; w++ {
 		want := blob.Version(published[w].Load())
-		if got, _, err := vm.Latest(ctx, blobs[w]); err != nil || got < want {
-			t.Errorf("writer %d: version %d was acknowledged, recovered latest is %d (%v)", w, want, got, err)
+		if h, err := vm.Latest(ctx, blobs[w]); err != nil || h.Published < want {
+			t.Errorf("writer %d: version %d was acknowledged, recovered latest is %d (%v)", w, want, h.Published, err)
 		}
 		for i := int64(0); i < created[w].Load(); i++ {
 			if _, err := ns.GetFile(ctx, fmt.Sprintf("/w%d/f%d", w, i)); err != nil {

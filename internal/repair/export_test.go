@@ -18,3 +18,13 @@ func (e *Engine) ScannedKeys(ctx context.Context) (map[blob.BlockKey]bool, error
 	}
 	return keys, nil
 }
+
+// Audit runs the orphan audit alone, against live membership and no
+// scanned holders.
+func (e *Engine) Audit(ctx context.Context) (map[string]int, error) {
+	mem, err := e.membership(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return e.auditWith(ctx, mem, nil)
+}

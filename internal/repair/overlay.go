@@ -52,11 +52,34 @@ type KV interface {
 // repair. It implements core.LocationOverlay.
 type Overlay struct {
 	kv    KV
-	addMu [16]sync.Mutex // striped by block key: Add's read-merge-write, atomic among adders through this Overlay
+	addMu [16]slot // striped by block key: Add's read-merge-write, atomic among adders through this Overlay
 }
 
 // NewOverlay returns an overlay stored in kv.
-func NewOverlay(kv KV) *Overlay { return &Overlay{kv: kv} }
+func NewOverlay(kv KV) *Overlay {
+	o := &Overlay{kv: kv}
+	for i := range o.addMu {
+		o.addMu[i] = make(slot, 1)
+	}
+	return o
+}
+
+// slot is a one-slot lock for a critical section that waits on the
+// network: no sync.Mutex is held across a network wait, so a waiter
+// whose context ends leaves at once with its error instead of queueing
+// behind a holder that never returns.
+type slot chan struct{}
+
+func (s slot) lock(ctx context.Context) error {
+	select {
+	case s <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (s slot) unlock() { <-s }
 
 // overlayKey renders the DHT key of a block's overlay entry.
 func overlayKey(k blob.BlockKey) string { return "loc/" + k.String() }
@@ -82,7 +105,8 @@ func (o *Overlay) Get(ctx context.Context, key blob.BlockKey) ([]string, error) 
 
 // Add merges addrs into the block's overlay entry. Adders through one
 // Overlay (the one repair daemon of a deployment) are atomic: the
-// read-merge-write runs under the key's lock. Engines in different
+// read-merge-write runs under the key's lock, which a caller whose
+// context ends stops waiting for with ctx.Err(). Engines in different
 // processes can still overlap (that daemon and an operator's bsfsctl
 // decommission), so the write is also verified: the entry is read back
 // and re-merged until it contains every address we meant to record.
@@ -92,9 +116,11 @@ func (o *Overlay) Add(ctx context.Context, key blob.BlockKey, addrs []string) er
 	if len(addrs) == 0 {
 		return nil
 	}
-	mu := &o.addMu[(uint64(key.Blob)^key.Nonce^uint64(key.Seq))%uint64(len(o.addMu))]
-	mu.Lock()
-	defer mu.Unlock()
+	mu := o.addMu[(uint64(key.Blob)^key.Nonce^uint64(key.Seq))%uint64(len(o.addMu))]
+	if err := mu.lock(ctx); err != nil {
+		return err
+	}
+	defer mu.unlock()
 	const attempts = 4
 	for i := 0; i < attempts; i++ {
 		existing, err := o.Get(ctx, key)

@@ -40,7 +40,7 @@ type Engine struct {
 	cfg Config
 	reg *obs.Registry
 
-	runMu sync.Mutex // serializes RunOnce/Decommission
+	runMu slot // serializes RunOnce/Decommission
 
 	mu   sync.Mutex
 	stop chan struct{}
@@ -49,7 +49,7 @@ type Engine struct {
 
 // New returns an engine over cfg.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, reg: obs.NewRegistry()}
+	e := &Engine{cfg: cfg, reg: obs.NewRegistry(), runMu: make(slot, 1)}
 	lastGauge := func(pick func(Report) int64) func() int64 {
 		return func() int64 { return pick(e.LastReport()) }
 	}
@@ -216,24 +216,16 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 	}
 	out := make(map[blob.BlockKey]*scannedBlock)
 	for _, id := range ids {
-		meta, err := e.cfg.VM.GetMeta(ctx, id)
-		if err != nil {
-			return nil, fmt.Errorf("repair: meta of blob %d: %w", id, err)
-		}
-		oldest, err := e.cfg.VM.PrunedBelow(ctx, id)
-		if err != nil {
-			return nil, err
-		}
 		var owners mdtree.Owners
 		var leaves []mdtree.NodeID
-		_, _, err = e.cfg.VM.LatestSince(ctx, id, 0, func(descs []blob.WriteDesc) (err error) {
-			owners.Extend(meta.BlockSize, descs)
+		h, err := e.cfg.VM.LatestSince(ctx, id, 0, blob.NoVersion, func(h vmanager.Head, descs []blob.WriteDesc) (err error) {
+			owners.Extend(h.Meta.BlockSize, descs)
 			for _, d := range descs {
 				switch {
-				case d.Version == oldest:
-					leaves, err = owners.Leaves(leaves, meta, d.Version, blob.Range{Len: d.SizeAfter})
-				case d.Version > oldest:
-					leaves, err = owners.Leaves(leaves, meta, d.Version, d.Range())
+				case d.Version == h.Oldest:
+					leaves, err = owners.Leaves(leaves, h.Meta, d.Version, blob.Range{Len: d.SizeAfter})
+				case d.Version > h.Oldest:
+					leaves, err = owners.Leaves(leaves, h.Meta, d.Version, d.Range())
 				}
 				if err != nil {
 					return err
@@ -253,7 +245,7 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 				continue
 			}
 			if _, ok := out[n.Block.Key]; !ok {
-				out[n.Block.Key] = &scannedBlock{ref: n.Block, want: meta.Replication}
+				out[n.Block.Key] = &scannedBlock{ref: n.Block, want: h.Meta.Replication}
 			}
 		}
 	}
@@ -278,10 +270,13 @@ func dedupAddrs(sets ...[]string) []string {
 // block is pushed to freshly chosen live providers, relocations are
 // recorded in the overlay, and the pass's report is returned. Repair
 // traffic is exactly the missing replicas — blocks already at their
-// replication target move zero bytes.
+// replication target move zero bytes. A pass waits for the one in
+// progress, and returns ctx.Err() if its context ends first.
 func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
+	if err := e.runMu.lock(ctx); err != nil {
+		return Report{}, err
+	}
+	defer e.runMu.unlock()
 	start := time.Now()
 	mem, err := e.membership(ctx)
 	if err != nil {
@@ -461,12 +456,8 @@ func (e *Engine) auditWith(ctx context.Context, mem *membership, holders map[blo
 	}
 	infos := make(map[blob.ID]*blobInfo, len(ids))
 	for _, id := range ids {
-		oldest, err := e.cfg.VM.PrunedBelow(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		bi := &blobInfo{nonces: make(map[uint64]blob.WriteDesc), oldest: oldest}
-		_, _, err = e.cfg.VM.LatestSince(ctx, id, 0, func(descs []blob.WriteDesc) error {
+		bi := &blobInfo{nonces: make(map[uint64]blob.WriteDesc)}
+		h, err := e.cfg.VM.LatestSince(ctx, id, 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
 			for _, d := range descs {
 				bi.nonces[d.Nonce] = d
 			}
@@ -475,6 +466,7 @@ func (e *Engine) auditWith(ctx context.Context, mem *membership, holders map[blo
 		if err != nil {
 			return nil, err
 		}
+		bi.oldest = h.Oldest
 		infos[id] = bi
 	}
 

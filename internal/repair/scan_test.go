@@ -12,6 +12,7 @@ import (
 	"blobseer/internal/cluster"
 	"blobseer/internal/core"
 	"blobseer/internal/mdtree"
+	"blobseer/internal/vmanager"
 )
 
 const bs = 4096
@@ -40,16 +41,14 @@ func historyKeys(t *testing.T, c *core.Client) map[blob.BlockKey]bool {
 	}
 	keys := map[blob.BlockKey]bool{}
 	for _, id := range ids {
-		oldest, err := vm.PrunedBelow(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		h := &blob.History{}
-		pub, _, err := vm.LatestSince(ctx, id, 0, h.Extend)
+		head, err := vm.LatestSince(ctx, id, 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
+			return h.Extend(descs)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := oldest; v <= pub; v++ {
+		for v := head.Oldest; v <= head.Published; v++ {
 			for b := int64(0); b < blob.Blocks(h.SizeAt(v), bs); b++ {
 				w := h.LatestIntersecting(blob.Range{Off: b * bs, Len: bs}, v)
 				if d, ok := h.Desc(w); ok && !d.Aborted {
@@ -238,5 +237,55 @@ func TestGCAndScanSeeAHistoryLongerThanAPage(t *testing.T) {
 	got := make([]byte, len(data))
 	if _, err := s.ReadAt(got, 0); err != nil && err != io.EOF || !bytes.Equal(got, data) {
 		t.Errorf("the last version after GC: %v", err)
+	}
+}
+
+// TestScanAsksTheManagerOncePerBlob: a scan and an audit each list the
+// blobs, then make one version-manager call per blob, which brings its
+// meta, prune point and history at once, for a history as long as one
+// page of 8,192 descriptors.
+func TestScanAsksTheManagerOncePerBlob(t *testing.T) {
+	cl, c := deploy(t)
+	ctx := context.Background()
+	long, err := c.CreateBlob(ctx, bs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cl.VMService().State()
+	for i := 0; i < 8192; i++ {
+		a, err := st.AssignVersion(long.ID(), blob.KindWrite, 0, bs, uint64(i+1), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Commit(long.ID(), a.Version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written, err := c.CreateBlob(ctx, bs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := written.Append(ctx, bytes.Repeat([]byte{'w'}, 4*bs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateBlob(ctx, bs, 1); err != nil { // no version at all
+		t.Fatal(err)
+	}
+	const blobs = 3
+	e, vm := cl.RepairEngine(), cl.VMService()
+	for _, run := range []struct {
+		name string
+		call func() error
+	}{
+		{"scan", func() error { _, err := e.ScannedKeys(ctx); return err }},
+		{"audit", func() error { _, err := e.Audit(ctx); return err }},
+	} {
+		before := vm.Ops().Total()
+		if err := run.call(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if calls := vm.Ops().Total() - before; calls != 1+blobs {
+			t.Errorf("one %s of %d blobs made %d version-manager calls, want %d", run.name, blobs, calls, 1+blobs)
+		}
 	}
 }

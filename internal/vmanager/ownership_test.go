@@ -110,7 +110,7 @@ func TestFrameOwnership(t *testing.T) {
 			t.Fatalf("history = %d descriptors, %v", len(hist), err)
 		}
 		for i := 0; i < 200; i++ { // recycle every frame those results came in
-			if _, _, err := c.Latest(ctx, m.ID); err != nil {
+			if _, err := c.Latest(ctx, m.ID); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -128,15 +128,15 @@ func TestFrameOwnership(t *testing.T) {
 	t.Run("coded error", func(t *testing.T) {
 		c := newClient(n.Dial)
 		for i := 0; i < 3; i++ {
-			if _, _, err := c.Latest(ctx, 999); !errors.Is(err, ErrUnknownBlob) {
+			if _, err := c.Latest(ctx, 999); !errors.Is(err, ErrUnknownBlob) {
 				t.Fatalf("Latest of an unknown blob = %v", err)
 			}
 			if err := c.Commit(ctx, m.ID, 9999); !errors.Is(err, ErrBadVersion) {
 				t.Fatalf("Commit of an unassigned version = %v", err)
 			}
 		}
-		if d, err := c.VersionInfo(ctx, m.ID, 7); err != nil || d.Version != 7 || d.Nonce != 7 {
-			t.Fatalf("VersionInfo after error replies = %+v, %v", d, err)
+		if h, err := c.Latest(ctx, m.ID); err != nil || h.Meta != m || h.Published != 0 {
+			t.Fatalf("head after error replies = %+v, %v", h, err)
 		}
 	})
 
@@ -149,13 +149,13 @@ func TestFrameOwnership(t *testing.T) {
 		if err := c.Commit(ctx, m.ID, 1); err != nil || dials.Load() != 2 {
 			t.Fatalf("Commit across a cut connection = %v after %d dials, want success on the second", err, dials.Load())
 		}
-		if v, size, err := c.Latest(ctx, m.ID); err != nil || v != 1 || size != B {
-			t.Fatalf("Latest = %d/%d, %v; want 1/%d", v, size, err, B)
+		if h, err := c.Latest(ctx, m.ID); err != nil || h.Published != 1 || h.Size != B {
+			t.Fatalf("Latest = %+v, %v; want 1/%d", h, err, B)
 		}
 		dial, _ = cutFirst(n.Dial)
 		c = newClient(dial)
-		if d, err := c.VersionInfo(ctx, m.ID, 3); err != nil || d.Version != 3 || d.Off != 2*B {
-			t.Fatalf("VersionInfo across a cut connection = %+v, %v", d, err)
+		if ds, _, err := readHistory(ctx, c, m.ID, 0); err != nil || len(ds) != 1 || ds[0].Nonce != 1 {
+			t.Fatalf("history across a cut connection = %+v, %v", ds, err)
 		}
 	})
 
@@ -164,7 +164,7 @@ func TestFrameOwnership(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := c.WaitPublished(cctx, m.ID, 2, 0)
+			_, err := c.WaitPublished(cctx, m.ID, 0, 2, 0, nil)
 			done <- err
 		}()
 		for svc.State().PendingWaiters(m.ID) == 0 {
@@ -179,8 +179,8 @@ func TestFrameOwnership(t *testing.T) {
 		if err := c.Commit(ctx, m.ID, 2); err != nil {
 			t.Fatal(err)
 		}
-		if v, size, err := c.Latest(ctx, m.ID); err != nil || v != 2 || size != 2*B {
-			t.Fatalf("Latest after a drained response = %d/%d, %v", v, size, err)
+		if h, err := c.Latest(ctx, m.ID); err != nil || h.Published != 2 || h.Size != 2*B {
+			t.Fatalf("Latest after a drained response = %+v, %v", h, err)
 		}
 	})
 }

@@ -43,8 +43,8 @@ func TestPruneBasics(t *testing.T) {
 	if from != 1 {
 		t.Errorf("first prune from = %d, want 1", from)
 	}
-	if pb, _ := s.PrunedBelow(id); pb != 3 {
-		t.Errorf("PrunedBelow = %d, want 3", pb)
+	if pb := oldest(t, s, id); pb != 3 {
+		t.Errorf("prune point = %d, want 3", pb)
 	}
 
 	// Monotone: re-pruning at or below the point is a no-op.
@@ -54,7 +54,7 @@ func TestPruneBasics(t *testing.T) {
 	if from, err = s.Prune(id, 2); err != nil || from != 2 {
 		t.Errorf("backwards prune: from=%d err=%v", from, err)
 	}
-	if pb, _ := s.PrunedBelow(id); pb != 3 {
+	if pb := oldest(t, s, id); pb != 3 {
 		t.Errorf("prune point moved backwards to %d", pb)
 	}
 
@@ -64,26 +64,30 @@ func TestPruneBasics(t *testing.T) {
 	}
 }
 
-func TestPruneGatesVersionInfo(t *testing.T) {
+// oldest returns the prune point the head of id reports.
+func oldest(t *testing.T, s *State, id blob.ID) blob.Version {
+	t.Helper()
+	h, _, err := s.LatestSince(id, ^blob.Version(0), blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Oldest
+}
+
+// TestHeadCarriesPrunePoint: the head names the oldest kept version, 1
+// before any prune, and pruning leaves the rest of the head and the
+// history as they were: descriptors are never dropped.
+func TestHeadCarriesPrunePoint(t *testing.T) {
 	s, id := pruneState(t, 4)
+	if pb := oldest(t, s, id); pb != 1 {
+		t.Errorf("prune point of a blob never pruned = %d, want 1", pb)
+	}
 	if _, err := s.Prune(id, 3); err != nil {
 		t.Fatal(err)
 	}
-	for v := blob.Version(1); v <= 2; v++ {
-		if _, err := s.VersionInfo(id, v); !errors.Is(err, ErrPruned) {
-			t.Errorf("VersionInfo(v%d) = %v, want ErrPruned", v, err)
-		}
-	}
-	for v := blob.Version(3); v <= 4; v++ {
-		if _, err := s.VersionInfo(id, v); err != nil {
-			t.Errorf("VersionInfo(v%d) = %v, want kept", v, err)
-		}
-	}
-	// Latest and the history are unaffected: descriptors are never
-	// dropped.
-	v, size, descs, err := s.LatestSince(id, 0)
-	if err != nil || v != 4 || size != 4*1024 || len(descs) != 4 {
-		t.Errorf("LatestSince = (%d, %d, %d descriptors, %v), want 4 of them", v, size, len(descs), err)
+	h, descs, err := s.LatestSince(id, 0, 2)
+	if err != nil || h.Oldest != 3 || h.Published != 4 || h.Size != 2*1024 || len(descs) != 4 {
+		t.Errorf("LatestSince = (%+v, %d descriptors, %v), want oldest 3, 4 descriptors", h, len(descs), err)
 	}
 }
 

@@ -72,14 +72,10 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if err != nil || pub != wantPub || size != wantSize {
 		t.Errorf("Latest = (%d, %d, %v), want (%d, %d)", pub, size, err, wantPub, wantSize)
 	}
-	if pb, _ := r.PrunedBelow(m.ID); pb != 3 {
-		t.Errorf("PrunedBelow = %d, want 3", pb)
+	if h, _, _ := r.LatestSince(m.ID, 0, 0); h.Oldest != 3 {
+		t.Errorf("prune point = %d, want 3", h.Oldest)
 	}
-	d, err := r.VersionInfo(m.ID, a.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Aborted {
+	if d := descOf(t, r, m.ID, a.Version); !d.Aborted {
 		t.Errorf("aborted flag lost for version %d", a.Version)
 	}
 	// A new write after recovery continues the version line.
@@ -347,8 +343,8 @@ func TestRecoverAbortRecord(t *testing.T) {
 			if pub, size, err := r.Latest(m.ID); err != nil || pub != 1 || size != 4096 {
 				t.Errorf("recovered Latest = (%d, %d, %v), want (1, 4096)", pub, size, err)
 			}
-			if got, err := r.VersionInfo(m.ID, 1); err != nil || !got.Aborted {
-				t.Errorf("recovered version 1 = %+v, %v; want it aborted", got, err)
+			if got := descOf(t, r, m.ID, 1); !got.Aborted {
+				t.Errorf("recovered version 1 = %+v; want it aborted", got)
 			}
 			if exp := r.Expired(0); len(exp) != 0 {
 				t.Errorf("recovered in-flight versions %+v, want none", exp)

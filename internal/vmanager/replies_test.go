@@ -55,10 +55,10 @@ func TestDescCountIsBoundedByTheBytes(t *testing.T) {
 }
 
 // FuzzVMReplies feeds the client's reply decoders — AssignVersion's,
-// LatestSince's, VersionInfo's and the descriptor list's — arbitrary bytes, as a
-// corrupt or hostile version manager would send them. None may panic,
-// and together they may allocate no more than a small multiple of what
-// they were sent.
+// the head that Latest and WaitPublished answer with, and the
+// descriptor list's — arbitrary bytes, as a corrupt or hostile version
+// manager would send them. None may panic, and together they may
+// allocate no more than a small multiple of what they were sent.
 func FuzzVMReplies(f *testing.F) {
 	descs := []blob.WriteDesc{
 		{Version: 1, Len: 4096, SizeAfter: 4096, Kind: blob.KindAppend, Nonce: 7},
@@ -72,17 +72,22 @@ func FuzzVMReplies(f *testing.F) {
 		encodeDescs(b, ds)
 		return b.Bytes()
 	}
+	head := func(ds []blob.WriteDesc) []byte {
+		b := wire.NewBuffer(64)
+		encodeHead(b, Head{Meta: blob.Meta{BlockSize: 4096, Replication: 2}, Published: 2, Oldest: 1, Size: 4196}, ds)
+		return b.Bytes()
+	}
 	f.Add(reply(3, descs)) // an assignment
-	f.Add(reply(2, descs)) // a pin
-	f.Add(reply(2, nil)[:16])
+	f.Add(head(descs))     // a pin: the head and a page
+	f.Add(head(nil))       // the head alone
+	f.Add(head(nil)[:headWireSize-3])
 	f.Add(reply(0, descs)) // a descriptor list
 	f.Add(reply(0, descs)[:4+descWireSize+3])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		grew := allocatedBy(func() {
 			_, _ = decodeAssignment(p)
-			_, _, _, _ = decodeLatestSince(p)
-			_, _ = decodeVersionInfo(p)
+			_, _, _ = decodeHead(p)
 			_, _ = decodeDescs(wire.NewReader(p))
 		})
 		if grew > 4<<10+8*uint64(len(p)) {

@@ -16,18 +16,22 @@ import (
 // RPC method numbers.
 const (
 	mCreateBlob uint16 = iota + 1
-	mGetMeta
+	// 2 (GetMeta) is retired: the head of every mLatest reply carries the meta.
+	_
 	mAssignVersion
 	mCommit
 	mAbort
 	mLatest
-	mVersionInfo
-	_ // 8 is retired: a blob's history pages through mLatest
+	// 7 (VersionInfo) is retired: the head carries the size at the version asked for.
+	// 8 (History) is retired: a blob's history pages through mLatest.
+	_
+	_
 	mWaitPublished
 	mListBlobs
 	mPrune
-	mPrunedBelow
+	// 12 (PrunedBelow) is retired: the head carries the prune point.
 	// 13 and 14 are retired: the log compacts itself (wal.Log.Compact).
+	mLast = mPrune // the highest method number
 )
 
 // RPC status codes for the sentinel errors.
@@ -105,35 +109,30 @@ func errFromCode(err error) error {
 // deployment each shard keeps its own counts, which is what makes
 // shard imbalance (and shard-local routing) directly observable.
 type OpCounts struct {
-	Create      int64
-	GetMeta     int64
-	Assign      int64
-	Commit      int64
-	Abort       int64
-	Latest      int64
-	VersionInfo int64
-	Wait        int64
-	List        int64
-	Prune       int64
-	PrunedBelow int64
+	Create int64
+	Assign int64
+	Commit int64
+	Abort  int64
+	Latest int64
+	Wait   int64
+	List   int64
+	Prune  int64
 }
 
 // Total sums every per-op counter.
 func (o OpCounts) Total() int64 {
-	return o.Create + o.GetMeta + o.Assign + o.Commit + o.Abort + o.Latest +
-		o.VersionInfo + o.Wait + o.List + o.Prune + o.PrunedBelow
+	return o.Create + o.Assign + o.Commit + o.Abort + o.Latest + o.Wait + o.List + o.Prune
 }
 
 // opNames maps RPC method numbers to metric-name suffixes ("": retired).
-var opNames = [mPrunedBelow]string{
-	"create", "get_meta", "assign", "commit", "abort", "latest",
-	"version_info", "", "wait", "list", "prune", "pruned_below",
+var opNames = [mLast]string{
+	"create", "", "assign", "commit", "abort", "latest", "", "", "wait", "list", "prune",
 }
 
 // MethodName maps an RPC method number to its operation name, for the
 // server-side tracer.
 func MethodName(m uint16) string {
-	if m >= 1 && m <= mPrunedBelow && opNames[m-1] != "" {
+	if m >= 1 && m <= mLast && opNames[m-1] != "" {
 		return opNames[m-1]
 	}
 	return "unknown"
@@ -147,8 +146,8 @@ type Service struct {
 	// WaitPublished counts before it answers), and latency, observed on
 	// exit.
 	reg       *obs.Registry
-	ops       [mPrunedBelow]*obs.Counter
-	opLatency [mPrunedBelow]*obs.Histogram
+	ops       [mLast]*obs.Counter
+	opLatency [mLast]*obs.Histogram
 
 	stopJanitor chan struct{}
 }
@@ -157,7 +156,7 @@ type Service struct {
 func NewService(state *State) *Service {
 	s := &Service{state: state, stopJanitor: make(chan struct{})}
 	s.reg = obs.NewRegistry()
-	for m := uint16(1); m <= mPrunedBelow; m++ {
+	for m := uint16(1); m <= mLast; m++ {
 		if opNames[m-1] == "" {
 			continue
 		}
@@ -177,17 +176,14 @@ func (s *Service) State() *State { return s.state }
 // Ops reports the dispatch count split by operation.
 func (s *Service) Ops() OpCounts {
 	return OpCounts{
-		Create:      s.ops[mCreateBlob-1].Value(),
-		GetMeta:     s.ops[mGetMeta-1].Value(),
-		Assign:      s.ops[mAssignVersion-1].Value(),
-		Commit:      s.ops[mCommit-1].Value(),
-		Abort:       s.ops[mAbort-1].Value(),
-		Latest:      s.ops[mLatest-1].Value(),
-		VersionInfo: s.ops[mVersionInfo-1].Value(),
-		Wait:        s.ops[mWaitPublished-1].Value(),
-		List:        s.ops[mListBlobs-1].Value(),
-		Prune:       s.ops[mPrune-1].Value(),
-		PrunedBelow: s.ops[mPrunedBelow-1].Value(),
+		Create: s.ops[mCreateBlob-1].Value(),
+		Assign: s.ops[mAssignVersion-1].Value(),
+		Commit: s.ops[mCommit-1].Value(),
+		Abort:  s.ops[mAbort-1].Value(),
+		Latest: s.ops[mLatest-1].Value(),
+		Wait:   s.ops[mWaitPublished-1].Value(),
+		List:   s.ops[mListBlobs-1].Value(),
+		Prune:  s.ops[mPrune-1].Value(),
 	}
 }
 
@@ -237,16 +233,13 @@ func (s *Service) StopJanitor() {
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
 	m.HandleFrame(mCreateBlob, s.counted(mCreateBlob, s.handleCreate))
-	m.HandleFrame(mGetMeta, s.counted(mGetMeta, s.handleGetMeta))
 	m.HandleFrame(mAssignVersion, s.counted(mAssignVersion, s.handleAssign))
 	m.HandleFrame(mCommit, s.counted(mCommit, s.handleCommit))
 	m.HandleFrame(mAbort, s.counted(mAbort, s.handleAbort))
 	m.HandleFrame(mLatest, s.counted(mLatest, s.handleLatest))
-	m.HandleFrame(mVersionInfo, s.counted(mVersionInfo, s.handleVersionInfo))
 	m.HandleFrame(mWaitPublished, s.counted(mWaitPublished, s.handleWait))
 	m.HandleFrame(mListBlobs, s.counted(mListBlobs, s.handleListBlobs))
 	m.HandleFrame(mPrune, s.counted(mPrune, s.handlePrune))
-	m.HandleFrame(mPrunedBelow, s.counted(mPrunedBelow, s.handlePrunedBelow))
 	return m
 }
 
@@ -322,22 +315,6 @@ func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, err
 	return b, nil
 }
 
-func (s *Service) handleGetMeta(ctx context.Context, p []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(p)
-	id := blob.ID(r.U64())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	m, err := s.state.GetMeta(id)
-	if err != nil {
-		return nil, wrap(err)
-	}
-	b := rpc.NewFrame(12)
-	b.I64(m.BlockSize)
-	b.U32(uint32(m.Replication))
-	return b, nil
-}
-
 func (s *Service) handleAssign(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	id := blob.ID(r.U64())
@@ -381,63 +358,52 @@ func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, erro
 	return nil, wrap(s.state.Abort(id, v))
 }
 
-func (s *Service) handleLatest(ctx context.Context, p []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(p)
-	id := blob.ID(r.U64())
-	// since is optional: an 8-byte request (a size query) is answered
-	// without descriptors.
-	pinning, since := r.Remaining() >= 8, ^blob.Version(0)
-	if pinning {
-		since = blob.Version(r.U64())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	v, size, descs, err := s.state.LatestSince(id, since)
+// headReply is the reply of mLatest and mWaitPublished, whose requests
+// name the blob, the version the caller's history reaches (since) and
+// the version whose size it asks (at).
+func (s *Service) headReply(id blob.ID, since, at blob.Version) (*wire.Buffer, error) {
+	h, descs, err := s.state.LatestSince(id, since, at)
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := rpc.NewFrame(20 + len(descs)*42) // 42 B a descriptor
-	b.U64(uint64(v))
-	b.I64(size)
-	if pinning {
-		encodeDescs(b, descs)
-	}
+	b := rpc.NewFrame(headWireSize + 4 + len(descs)*descWireSize)
+	encodeHead(b, h, descs)
 	return b, nil
 }
 
-func (s *Service) handleVersionInfo(ctx context.Context, p []byte) (*wire.Buffer, error) {
+// encodeHead writes the head, then the page of descriptors.
+func encodeHead(b *wire.Buffer, h Head, descs []blob.WriteDesc) {
+	b.I64(h.Meta.BlockSize)
+	b.U32(uint32(h.Meta.Replication))
+	b.U64(uint64(h.Published))
+	b.U64(uint64(h.Oldest))
+	b.I64(h.Size)
+	encodeDescs(b, descs)
+}
+
+// headWireSize is what encodeHead writes before the descriptors.
+const headWireSize = 8 + 4 + 8 + 8 + 8
+
+func (s *Service) handleLatest(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
-	id := blob.ID(r.U64())
-	v := blob.Version(r.U64())
+	id, since, at := blob.ID(r.U64()), blob.Version(r.U64()), blob.Version(r.U64())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	d, err := s.state.VersionInfo(id, v)
-	if err != nil {
-		return nil, wrap(err)
-	}
-	b := rpc.NewFrame(48)
-	encodeDesc(b, d)
-	return b, nil
+	return s.headReply(id, since, at)
 }
 
 func (s *Service) handleWait(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
-	id := blob.ID(r.U64())
-	v := blob.Version(r.U64())
+	id, since, at := blob.ID(r.U64()), blob.Version(r.U64()), blob.Version(r.U64())
 	timeoutMs := r.I64()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	pub, size, err := s.state.WaitPublished(id, v, time.Duration(timeoutMs)*time.Millisecond)
-	if err != nil {
+	if err := s.state.WaitPublished(id, at, time.Duration(timeoutMs)*time.Millisecond); err != nil {
 		return nil, wrap(err)
 	}
-	b := rpc.NewFrame(16)
-	b.U64(uint64(pub))
-	b.I64(size)
-	return b, nil
+	return s.headReply(id, since, at)
 }
 
 func (s *Service) handleListBlobs(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -463,21 +429,6 @@ func (s *Service) handlePrune(ctx context.Context, p []byte) (*wire.Buffer, erro
 	}
 	b := rpc.NewFrame(8)
 	b.U64(uint64(from))
-	return b, nil
-}
-
-func (s *Service) handlePrunedBelow(ctx context.Context, p []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(p)
-	id := blob.ID(r.U64())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	v, err := s.state.PrunedBelow(id)
-	if err != nil {
-		return nil, wrap(err)
-	}
-	b := rpc.NewFrame(8)
-	b.U64(uint64(v))
 	return b, nil
 }
 
@@ -550,20 +501,6 @@ func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication in
 	return m, nil
 }
 
-// GetMeta fetches a blob's static configuration.
-func (c *Client) GetMeta(ctx context.Context, id blob.ID) (blob.Meta, error) {
-	m := blob.Meta{ID: id}
-	err := c.callBlob(ctx, id, mGetMeta, func(p []byte) error {
-		r := wire.NewReader(p)
-		m.BlockSize, m.Replication = r.I64(), int(r.U32())
-		return r.Err()
-	})
-	if err != nil {
-		return blob.Meta{}, err
-	}
-	return m, nil
-}
-
 // AssignVersion requests a version number for a prepared write.
 func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version) (Assignment, error) {
 	var a Assignment
@@ -603,87 +540,79 @@ func (c *Client) Abort(ctx context.Context, id blob.ID, v blob.Version) error {
 	return c.callBlob(ctx, id, mAbort, nil, uint64(v))
 }
 
-// versionAndSize is the response Latest and WaitPublished share.
-func versionAndSize(v *blob.Version, size *int64) func([]byte) error {
-	return func(p []byte) error {
-		r := wire.NewReader(p)
-		*v, *size = blob.Version(r.U64()), r.I64()
-		return r.Err()
+// Latest returns the blob's head: its meta, published version, prune
+// point and size.
+func (c *Client) Latest(ctx context.Context, id blob.ID) (Head, error) {
+	return c.LatestSince(ctx, id, 0, blob.NoVersion, nil)
+}
+
+// LatestSince returns the blob's head, with the size at version at (at
+// the published version when at is NoVersion or unpublished), and hands
+// page the same head and the descriptors of (since, published], a
+// reply's page of at most latestDescsCap at a time: it asks again from
+// the last version it got, up to the version its first reply published,
+// so writers that keep publishing cannot keep it asking. A nil page
+// asks for the head alone; an error from page ends the call. It is the
+// one read of a blob's state and history.
+func (c *Client) LatestSince(ctx context.Context, id blob.ID, since, at blob.Version, page func(Head, []blob.WriteDesc) error) (Head, error) {
+	return c.pages(ctx, mLatest, id, since, at, 0, page)
+}
+
+// WaitPublished is LatestSince once version at is published: it blocks
+// until then or until timeout passes (timeout <= 0 waits forever),
+// which it reports as ErrTimeout. The wait blocks server-side by
+// design, so it is exempted from the per-call I/O deadline; if the
+// manager restarts mid-wait the retry in call re-issues it, re-arming
+// the waiter on the recovered state.
+func (c *Client) WaitPublished(ctx context.Context, id blob.ID, since, at blob.Version, timeout time.Duration, page func(Head, []blob.WriteDesc) error) (Head, error) {
+	return c.pages(ctx, mWaitPublished, id, since, at, timeout, page)
+}
+
+// pages is LatestSince whose first call is method m: mLatest, or
+// mWaitPublished with its timeout.
+func (c *Client) pages(ctx context.Context, m uint16, id blob.ID, since, at blob.Version, timeout time.Duration, page func(Head, []blob.WriteDesc) error) (h Head, err error) {
+	if page == nil {
+		since = ^blob.Version(0)
 	}
-}
-
-// Latest returns the newest published version and size.
-func (c *Client) Latest(ctx context.Context, id blob.ID) (v blob.Version, size int64, err error) {
-	err = c.callBlob(ctx, id, mLatest, versionAndSize(&v, &size))
-	return v, size, err
-}
-
-// LatestSince is Latest that also hands page the descriptors of (since,
-// published], a reply's page of at most latestDescsCap at a time: it
-// asks again from the last version it got, up to the version its first
-// reply published, so writers that keep publishing cannot keep it
-// asking. An error from page ends the call. It is the one history read.
-func (c *Client) LatestSince(ctx context.Context, id blob.ID, since blob.Version, page func([]blob.WriteDesc) error) (pub blob.Version, size int64, err error) {
-	for first := true; first || since < pub; first = false {
+	for first := true; first || since < h.Published; first = false {
 		var descs []blob.WriteDesc
-		err = c.callBlob(ctx, id, mLatest, func(p []byte) (err error) {
-			v, sz, ds, err := decodeLatestSince(p)
+		dec := func(p []byte) (err error) {
+			hd, ds, err := decodeHead(p)
 			if first {
-				pub, size = v, sz
+				h = hd
+				h.Meta.ID = id
 			}
 			descs = ds
 			return err
-		}, uint64(since))
-		if err != nil {
-			return 0, 0, err
 		}
-		if since >= pub || len(descs) == 0 {
+		if first && m == mWaitPublished {
+			err = c.callBlob(rpc.NoTimeout(ctx), id, m, dec, uint64(since), uint64(at), uint64(timeout/time.Millisecond))
+		} else {
+			err = c.callBlob(ctx, id, mLatest, dec, uint64(since), uint64(at))
+		}
+		if err != nil {
+			return Head{}, err
+		}
+		if since >= h.Published || len(descs) == 0 {
 			break
 		}
-		descs = descs[:min(uint64(len(descs)), uint64(pub-since))] // none published after the first reply
-		if err := page(descs); err != nil {
-			return 0, 0, err
+		descs = descs[:min(uint64(len(descs)), uint64(h.Published-since))] // none published after the first reply
+		if err := page(h, descs); err != nil {
+			return Head{}, err
 		}
 		since += blob.Version(len(descs))
 	}
-	return pub, size, nil
+	return h, nil
 }
 
-// decodeLatestSince decodes a LatestSince reply.
-func decodeLatestSince(p []byte) (v blob.Version, size int64, descs []blob.WriteDesc, err error) {
+// decodeHead reads what encodeHead wrote: an mLatest or mWaitPublished
+// reply.
+func decodeHead(p []byte) (h Head, descs []blob.WriteDesc, err error) {
 	r := wire.NewReader(p)
-	v, size = blob.Version(r.U64()), r.I64()
+	h.Meta = blob.Meta{BlockSize: r.I64(), Replication: int(r.U32())}
+	h.Published, h.Oldest, h.Size = blob.Version(r.U64()), blob.Version(r.U64()), r.I64()
 	descs, err = decodeDescs(r)
-	return v, size, descs, err
-}
-
-// VersionInfo fetches one version's descriptor.
-func (c *Client) VersionInfo(ctx context.Context, id blob.ID, v blob.Version) (d blob.WriteDesc, err error) {
-	err = c.callBlob(ctx, id, mVersionInfo, func(p []byte) (err error) {
-		d, err = decodeVersionInfo(p)
-		return err
-	}, uint64(v))
-	return d, err
-}
-
-// decodeVersionInfo decodes a VersionInfo reply.
-func decodeVersionInfo(p []byte) (blob.WriteDesc, error) {
-	r := wire.NewReader(p)
-	d := decodeDesc(r)
-	return d, r.Err()
-}
-
-// WaitPublished blocks until v is published or timeout passes. The
-// call blocks server-side by design, so it is exempted from the
-// per-call I/O deadline; if the manager restarts mid-wait the retry in
-// call re-issues it, re-arming the waiter on the recovered state.
-func (c *Client) WaitPublished(ctx context.Context, id blob.ID, v blob.Version, timeout time.Duration) (pub blob.Version, size int64, err error) {
-	err = c.call(rpc.NoTimeout(ctx), ShardOf(id, len(c.addrs)), mWaitPublished, 24, func(b *wire.Buffer) {
-		b.U64(uint64(id))
-		b.U64(uint64(v))
-		b.I64(int64(timeout / time.Millisecond))
-	}, versionAndSize(&pub, &size))
-	return pub, size, err
+	return h, descs, err
 }
 
 // ListBlobs returns all blob IDs, merging every shard's list into
@@ -715,14 +644,6 @@ func versionReply(v *blob.Version) func([]byte) error {
 		*v = blob.Version(r.U64())
 		return r.Err()
 	}
-}
-
-// PrunedBelow returns the oldest still-readable version of the blob
-// (1 if never pruned). The repair scanner uses it to bound its scan to
-// versions whose metadata still exists.
-func (c *Client) PrunedBelow(ctx context.Context, id blob.ID) (v blob.Version, err error) {
-	err = c.callBlob(ctx, id, mPrunedBelow, versionReply(&v))
-	return v, err
 }
 
 // Prune advances the oldest readable version to keep, returning the

@@ -3,6 +3,7 @@ package vmanager
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,9 +39,9 @@ func TestClientRoundTrip(t *testing.T) {
 	if m.ID == 0 {
 		t.Fatal("zero blob id")
 	}
-	got, err := c.GetMeta(ctx, m.ID)
-	if err != nil || got.BlockSize != B || got.Replication != 2 {
-		t.Fatalf("GetMeta = %+v, %v", got, err)
+	got, err := c.Latest(ctx, m.ID)
+	if err != nil || got.Meta != m || got.Published != 0 || got.Size != 0 {
+		t.Fatalf("head of a new blob = %+v, %v", got, err)
 	}
 
 	a, err := c.AssignVersion(ctx, m.ID, blob.KindAppend, 0, 2*B, 0x11, 0)
@@ -56,13 +57,8 @@ func TestClientRoundTrip(t *testing.T) {
 	if err := c.Commit(ctx, m.ID, a.Version); err != nil {
 		t.Fatal(err)
 	}
-	v, size, err := c.Latest(ctx, m.ID)
-	if err != nil || v != 1 || size != 2*B {
-		t.Fatalf("Latest = %d/%d, %v", v, size, err)
-	}
-	d, err := c.VersionInfo(ctx, m.ID, 1)
-	if err != nil || d.SizeAfter != 2*B {
-		t.Fatalf("VersionInfo = %+v, %v", d, err)
+	if h, err := c.Latest(ctx, m.ID); err != nil || h.Published != 1 || h.Size != 2*B {
+		t.Fatalf("Latest = %+v, %v", h, err)
 	}
 	if ds, pub, err := readHistory(ctx, c, m.ID, 0); err != nil || len(ds) != 1 || pub != 1 {
 		t.Fatalf("history = %+v through v%d, %v", ds, pub, err)
@@ -77,7 +73,7 @@ func TestClientSentinelErrors(t *testing.T) {
 	c := startVM(t)
 	ctx := context.Background()
 
-	if _, err := c.GetMeta(ctx, 42); !errors.Is(err, ErrUnknownBlob) {
+	if _, err := c.Latest(ctx, 42); !errors.Is(err, ErrUnknownBlob) {
 		t.Errorf("unknown blob over RPC = %v", err)
 	}
 	m, _ := c.CreateBlob(ctx, B, 1)
@@ -95,9 +91,18 @@ func TestClientWaitPublished(t *testing.T) {
 	m, _ := c.CreateBlob(ctx, B, 1)
 	a, _ := c.AssignVersion(ctx, m.ID, blob.KindAppend, 0, B, 1, 0)
 
+	// The answer is the head once the version publishes, and the page
+	// of history it asked for.
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.WaitPublished(ctx, m.ID, a.Version, 5*time.Second)
+		var page []blob.WriteDesc
+		h, err := c.WaitPublished(ctx, m.ID, 0, a.Version, 5*time.Second, func(_ Head, descs []blob.WriteDesc) error {
+			page = descs
+			return nil
+		})
+		if err == nil && (h.Published != a.Version || h.Size != B || h.Meta != m || len(page) != 1 || page[0].Nonce != 1) {
+			err = fmt.Errorf("wait answered %+v with %+v", h, page)
+		}
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -115,7 +120,7 @@ func TestClientWaitPublished(t *testing.T) {
 
 	// Timeout path.
 	c.AssignVersion(ctx, m.ID, blob.KindAppend, 0, B, 2, 0)
-	if _, _, err := c.WaitPublished(ctx, m.ID, 2, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := c.WaitPublished(ctx, m.ID, 0, 2, 20*time.Millisecond, nil); !errors.Is(err, ErrTimeout) {
 		t.Errorf("timeout over RPC = %v", err)
 	}
 }
@@ -138,7 +143,7 @@ func TestJanitorAbortsStuckWriters(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if d, _ := s.VersionInfo(m.ID, 1); !d.Aborted {
+	if d := descOf(t, s, m.ID, 1); !d.Aborted {
 		t.Error("stuck write not marked aborted")
 	}
 }
@@ -147,17 +152,17 @@ func TestJanitorAbortsStuckWriters(t *testing.T) {
 // the client's pager, and the version it stopped at.
 func readHistory(ctx context.Context, c *Client, id blob.ID, since blob.Version) ([]blob.WriteDesc, blob.Version, error) {
 	var ds []blob.WriteDesc
-	pub, _, err := c.LatestSince(ctx, id, since, func(page []blob.WriteDesc) error {
+	h, err := c.LatestSince(ctx, id, since, blob.NoVersion, func(_ Head, page []blob.WriteDesc) error {
 		ds = append(ds, page...)
 		return nil
 	})
-	return ds, pub, err
+	return ds, h.Published, err
 }
 
 // TestLatestSinceCarriesPublishedDescriptors: a pinning Latest returns
-// the descriptors of (since, published] in the same reply — published
-// versions only, none to a caller already there — and the 8-byte
-// request of a size query is answered with version and size alone.
+// the descriptors of (since, published] in the same reply as the head —
+// published versions only, none to a caller already there — and a
+// caller that asks for the head alone gets the head and an empty page.
 func TestLatestSinceCarriesPublishedDescriptors(t *testing.T) {
 	c := startVM(t)
 	ctx := context.Background()
@@ -181,15 +186,15 @@ func TestLatestSinceCarriesPublishedDescriptors(t *testing.T) {
 	assign() // version 4 stays in flight
 
 	pages := 0
-	v, size, err := c.LatestSince(ctx, m.ID, 1, func(descs []blob.WriteDesc) error {
+	h, err := c.LatestSince(ctx, m.ID, 1, 2, func(h Head, descs []blob.WriteDesc) error {
 		pages++
-		if len(descs) != 2 || descs[0].Version != 2 || descs[1].Version != 3 || descs[1].SizeAfter != 3*B {
-			t.Errorf("descriptors since 1 = %+v, want exactly versions 2 and 3 (4 is unpublished)", descs)
+		if h.Published != 3 || len(descs) != 2 || descs[0].Version != 2 || descs[1].Version != 3 || descs[1].SizeAfter != 3*B {
+			t.Errorf("descriptors since 1 = %+v under %+v, want exactly versions 2 and 3 (4 is unpublished)", descs, h)
 		}
 		return nil
 	})
-	if err != nil || v != 3 || size != 3*B || pages != 1 {
-		t.Fatalf("LatestSince = v%d size %d in %d pages, %v", v, size, pages, err)
+	if err != nil || h.Published != 3 || h.Size != 2*B || h.Meta != m || pages != 1 {
+		t.Fatalf("LatestSince = %+v in %d pages, %v", h, pages, err)
 	}
 	for _, since := range []blob.Version{3, 4, 99} {
 		if ds, pub, err := readHistory(ctx, c, m.ID, since); err != nil || len(ds) != 0 || pub != 3 {
@@ -197,11 +202,15 @@ func TestLatestSinceCarriesPublishedDescriptors(t *testing.T) {
 		}
 	}
 
-	// A size query's request is the blob ID alone; the reply must be
-	// exactly version and size.
-	err = c.call(ctx, 0, mLatest, 8, func(b *wire.Buffer) { b.U64(uint64(m.ID)) }, func(p []byte) error {
-		if len(p) != 16 {
-			t.Errorf("8-byte Latest request answered with %d bytes, want 16", len(p))
+	// A request from past the published version is answered with the
+	// head and an empty page.
+	err = c.call(ctx, 0, mLatest, 24, func(b *wire.Buffer) {
+		b.U64(uint64(m.ID))
+		b.U64(3)
+		b.U64(0)
+	}, func(p []byte) error {
+		if len(p) != headWireSize+4 {
+			t.Errorf("a head-only reply of %d bytes, want %d", len(p), headWireSize+4)
 		}
 		return nil
 	})
@@ -232,13 +241,13 @@ func TestLatestSincePagesALongHistory(t *testing.T) {
 	for i := 0; i < total; i++ {
 		publish()
 	}
-	if _, _, descs, _ := s.LatestSince(big.ID, 0); len(descs) != latestDescsCap || descs[0].Version != 1 {
+	if _, descs, _ := s.LatestSince(big.ID, 0, 0); len(descs) != latestDescsCap || descs[0].Version != 1 {
 		t.Errorf("a gap of %d got %d descriptors, want the first %d", total, len(descs), latestDescsCap)
 	}
-	if _, _, descs, _ := s.LatestSince(big.ID, latestDescsCap); len(descs) != 10 || descs[0].Version != latestDescsCap+1 {
+	if _, descs, _ := s.LatestSince(big.ID, latestDescsCap, 0); len(descs) != 10 || descs[0].Version != latestDescsCap+1 {
 		t.Errorf("the next page got %d descriptors, want the last 10", len(descs))
 	}
-	if _, _, descs, _ := s.LatestSince(big.ID, 10); len(descs) != latestDescsCap {
+	if _, descs, _ := s.LatestSince(big.ID, 10, 0); len(descs) != latestDescsCap {
 		t.Errorf("a gap of exactly the cap got %d descriptors, want %d", len(descs), latestDescsCap)
 	}
 
@@ -257,7 +266,7 @@ func TestLatestSincePagesALongHistory(t *testing.T) {
 
 	var got []blob.WriteDesc
 	before := svc.Ops().Latest
-	pub, _, err := c.LatestSince(context.Background(), big.ID, 0, func(page []blob.WriteDesc) error {
+	h, err := c.LatestSince(context.Background(), big.ID, 0, 0, func(_ Head, page []blob.WriteDesc) error {
 		if len(page) > latestDescsCap {
 			t.Errorf("a page of %d descriptors, more than the cap %d", len(page), latestDescsCap)
 		}
@@ -267,8 +276,8 @@ func TestLatestSincePagesALongHistory(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil || pub != total {
-		t.Fatalf("paged read: published v%d, %v; want v%d", pub, err, total)
+	if err != nil || h.Published != total {
+		t.Fatalf("paged read: published v%d, %v; want v%d", h.Published, err, total)
 	}
 	if calls := svc.Ops().Latest - before; calls != 2 {
 		t.Errorf("reading %d descriptors took %d Latest calls, want 2", total, calls)
@@ -282,7 +291,7 @@ func TestLatestSincePagesALongHistory(t *testing.T) {
 		}
 	}
 	stop := errors.New("stop")
-	if _, _, err := c.LatestSince(context.Background(), big.ID, 0, func([]blob.WriteDesc) error { return stop }); !errors.Is(err, stop) {
+	if _, err := c.LatestSince(context.Background(), big.ID, 0, 0, func(Head, []blob.WriteDesc) error { return stop }); !errors.Is(err, stop) {
 		t.Errorf("an error from the page function came back as %v", err)
 	}
 }
@@ -304,8 +313,8 @@ func TestCommitOfAbortedVersionFails(t *testing.T) {
 	if err := s.Commit(m.ID, a.Version); !errors.Is(err, ErrAborted) {
 		t.Errorf("commit after abort = %v, want ErrAborted", err)
 	}
-	if d, err := s.VersionInfo(m.ID, a.Version); err != nil || !d.Aborted {
-		t.Errorf("VersionInfo = %+v, %v; want aborted", d, err)
+	if d := descOf(t, s, m.ID, a.Version); !d.Aborted {
+		t.Errorf("descriptor = %+v; want aborted", d)
 	}
 
 	c := startVM(t)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -212,10 +213,10 @@ func TestClientCreateBlobRace(t *testing.T) {
 				t.Fatalf("minted %d unique ids, want %d", len(ids), goroutines*perG)
 			}
 			// Every ID must resolve through the shard the routing rule
-			// picks: GetMeta goes to addrs[ShardOf(id, K)], and only the
+			// picks: Latest goes to addrs[ShardOf(id, K)], and only the
 			// minting shard knows it.
 			for id := range ids {
-				if _, err := c.GetMeta(ctx, id); err != nil {
+				if _, err := c.Latest(ctx, id); err != nil {
 					t.Fatalf("blob %d not found on predicted shard %d: %v", id, ShardOf(id, shards), err)
 				}
 			}
@@ -268,17 +269,20 @@ func TestClientRoutesPerBlobOps(t *testing.T) {
 			if err := c.Commit(ctx, m.ID, a.Version); err != nil {
 				t.Fatal(err)
 			}
-			v, size, err := c.Latest(ctx, m.ID)
-			if err != nil || v != a.Version || size != B {
-				t.Fatalf("Latest = %d/%d, %v", v, size, err)
+			h, err := c.Latest(ctx, m.ID)
+			if err != nil || h.Published != a.Version || h.Size != B {
+				t.Fatalf("Latest = %+v, %v", h, err)
 			}
-			if d, err := c.VersionInfo(ctx, m.ID, v); err != nil || d.SizeAfter != B {
-				t.Fatalf("VersionInfo = %+v, %v", d, err)
+			if ds, _, err := readHistory(ctx, c, m.ID, 0); err != nil || len(ds) != 1 || ds[0].SizeAfter != B {
+				t.Fatalf("history = %+v, %v", ds, err)
+			}
+			if h, err := c.WaitPublished(ctx, m.ID, 0, a.Version, 0, nil); err != nil || h.Published != a.Version {
+				t.Fatalf("WaitPublished = %+v, %v", h, err)
 			}
 			// An ID the owning shard never minted: routed there, rejected there.
 			missing := m.ID + blob.ID(shards*10) // same shard, unknown blob
-			if _, err := c.GetMeta(ctx, missing); !errors.Is(err, ErrUnknownBlob) {
-				t.Fatalf("GetMeta(missing) err = %v, want ErrUnknownBlob", err)
+			if _, err := c.Latest(ctx, missing); !errors.Is(err, ErrUnknownBlob) {
+				t.Fatalf("Latest(missing) err = %v, want ErrUnknownBlob", err)
 			}
 			// The owner saw exactly this blob's traffic; every other
 			// shard saw none of it.
@@ -286,7 +290,7 @@ func TestClientRoutesPerBlobOps(t *testing.T) {
 			for k, svc := range svcs {
 				want := OpCounts{}
 				if k == owner {
-					want = OpCounts{Create: 1, GetMeta: 1, Assign: 1, Commit: 1, Latest: 1, VersionInfo: 1}
+					want = OpCounts{Create: 1, Assign: 1, Commit: 1, Latest: 3, Wait: 1}
 				}
 				if ops := svc.Ops(); ops != want {
 					t.Errorf("shard %d ops = %+v, want %+v (owner %d)", k, ops, want, owner)
@@ -296,20 +300,28 @@ func TestClientRoutesPerBlobOps(t *testing.T) {
 	}
 }
 
-// TestRetiredMethodsUnknown: method 8 (History) is retired, since
-// Latest pages the history, and so are 13 (WAL status) and 14 (forced
-// snapshot), since the log compacts itself; no later method reuses their
-// numbers: a caller built before the retirement gets "unknown method",
-// never another operation's answer.
+// TestRetiredMethodsUnknown: methods 2 (GetMeta), 7 (VersionInfo) and
+// 12 (PrunedBelow) are retired, since the head of every Latest reply
+// carries what they answered, and so is 8 (History), since Latest pages
+// the history, and 13 (WAL status) and 14 (forced snapshot), since the
+// log compacts itself; no later method reuses their numbers: a caller
+// built before the retirement gets "unknown method", never another
+// operation's answer. Eight methods are served.
 func TestRetiredMethodsUnknown(t *testing.T) {
 	c, _ := startShardedVM(t, 1)
-	if MethodName(8) != "unknown" {
-		t.Errorf("retired method 8 is named %q", MethodName(8))
-	}
-	for _, m := range []uint16{8, 13, 14} {
+	retired := []uint16{2, 7, 8, 12, 13, 14}
+	served := 0
+	for m := uint16(1); m <= 16; m++ {
 		err := c.call(context.Background(), 0, m, 0, nil, nil)
-		if want := fmt.Sprintf("unknown method %d", m); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("method %d answered %v, want %q", m, err, want)
+		unknown := err != nil && strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", m))
+		if !unknown {
+			served++
 		}
+		if slices.Contains(retired, m) && (!unknown || MethodName(m) != "unknown") {
+			t.Errorf("retired method %d answered %v and is named %q, want unknown", m, err, MethodName(m))
+		}
+	}
+	if served != 8 {
+		t.Errorf("%d methods are served, want 8", served)
 	}
 }

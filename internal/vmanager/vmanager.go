@@ -21,6 +21,14 @@
 //     congruent to their index mod K (see ShardInfo and Client). IDs
 //     are minted shard-locally with stride K, so shards never
 //     coordinate — not even for CreateBlob.
+//
+// A service answers eight RPC methods. Writers call CreateBlob,
+// AssignVersion, Commit and Abort. Readers call Latest and
+// WaitPublished: each reply is the blob's Head (meta, published
+// version, prune point, size), then a page of the published history,
+// so one call pins a snapshot. GC and repair add ListBlobs and Prune.
+// Methods 2, 7, 8, 12, 13 and 14 are retired and answer "unknown
+// method".
 package vmanager
 
 import (
@@ -395,8 +403,18 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 
 // Latest returns the newest published version and the blob size at it.
 func (s *State) Latest(id blob.ID) (blob.Version, int64, error) {
-	v, size, _, err := s.LatestSince(id, ^blob.Version(0))
-	return v, size, err
+	h, _, err := s.LatestSince(id, ^blob.Version(0), blob.NoVersion)
+	return h.Published, h.Size, err
+}
+
+// Head is a blob's state as one reply of the version manager reports
+// it: everything a reader needs to pin a snapshot, read under one lock
+// hold, so no part of it can move while another is read.
+type Head struct {
+	Meta      blob.Meta
+	Published blob.Version
+	Oldest    blob.Version // the prune point: versions below it are garbage-collected (1 if never pruned)
+	Size      int64        // the blob's size at the version asked for, or at Published
 }
 
 // latestDescsCap is the page size of a blob's history: the most
@@ -406,45 +424,30 @@ func (s *State) Latest(id blob.ID) (blob.Version, int64, error) {
 const latestDescsCap = 8192
 
 // LatestSince is the call every reader (and BSFS open) issues first:
-// Latest, plus the first page of the descriptors of (since, published]
-// as a read-only view — the hint AssignVersion hands a writer, so the
-// reader too can name its leaves without walking to them. Published
-// versions only (their descriptors can no longer change or vanish), at
-// most latestDescsCap of them, and none for a since at or past the
-// published version.
-func (s *State) LatestSince(id blob.ID, since blob.Version) (blob.Version, int64, []blob.WriteDesc, error) {
+// the blob's head, with its size at version at (at Published when at is
+// NoVersion or not yet published), plus the first page of the
+// descriptors of (since, published] as a read-only view — the hint
+// AssignVersion hands a writer, so the reader too can name its leaves
+// without walking to them. Published versions only (their descriptors
+// can no longer change or vanish), at most latestDescsCap of them, and
+// none for a since at or past the published version.
+func (s *State) LatestSince(id blob.ID, since, at blob.Version) (Head, []blob.WriteDesc, error) {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	bs, ok := st.blobs[id]
 	if !ok {
-		return 0, 0, nil, ErrUnknownBlob
+		return Head{}, nil, ErrUnknownBlob
 	}
+	if at == blob.NoVersion || at > bs.published {
+		at = bs.published
+	}
+	h := Head{Meta: bs.meta, Published: bs.published, Oldest: max(bs.prunedBelow, 1), Size: bs.hist.SizeAt(at)}
 	var descs []blob.WriteDesc
 	if n := min(bs.published-since, latestDescsCap); since < bs.published {
 		descs = bs.hist.Since(since)[:n:n]
 	}
-	return bs.published, bs.hist.SizeAt(bs.published), descs, nil
-}
-
-// VersionInfo returns the descriptor of a published or in-flight
-// version (readers need SizeAfter to compute the root span).
-func (s *State) VersionInfo(id blob.ID, v blob.Version) (blob.WriteDesc, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	bs, ok := st.blobs[id]
-	if !ok {
-		return blob.WriteDesc{}, ErrUnknownBlob
-	}
-	d, ok := bs.hist.Desc(v)
-	if !ok {
-		return blob.WriteDesc{}, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	if v < bs.prunedBelow {
-		return blob.WriteDesc{}, fmt.Errorf("%w: version %d (oldest kept: %d)", ErrPruned, v, bs.prunedBelow)
-	}
-	return d, nil
+	return h, descs, nil
 }
 
 // Prune advances the blob's oldest readable version to keep: versions
@@ -483,38 +486,21 @@ func (s *State) Prune(id blob.ID, keep blob.Version) (from blob.Version, err err
 	return from, nil
 }
 
-// PrunedBelow returns the oldest readable version (1 if never pruned).
-func (s *State) PrunedBelow(id blob.ID) (blob.Version, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	bs, ok := st.blobs[id]
-	if !ok {
-		return 0, ErrUnknownBlob
-	}
-	if bs.prunedBelow == blob.NoVersion {
-		return 1, nil
-	}
-	return bs.prunedBelow, nil
-}
-
 // WaitPublished blocks until version v is published or the timeout
-// expires (timeout <= 0 waits forever). It returns the published
-// version and size at return time. This is the paper's "mechanism that
-// allows the client to find out when new snapshot versions are
-// available".
-func (s *State) WaitPublished(id blob.ID, v blob.Version, timeout time.Duration) (blob.Version, int64, error) {
+// expires (timeout <= 0 waits forever), which it reports as
+// ErrTimeout. This is the paper's "mechanism that allows the client to
+// find out when new snapshot versions are available".
+func (s *State) WaitPublished(id blob.ID, v blob.Version, timeout time.Duration) error {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	bs, ok := st.blobs[id]
 	if !ok {
 		st.mu.Unlock()
-		return 0, 0, ErrUnknownBlob
+		return ErrUnknownBlob
 	}
 	if bs.published >= v {
-		pub, size := bs.published, bs.hist.SizeAt(bs.published)
 		st.mu.Unlock()
-		return pub, size, nil
+		return nil
 	}
 	ch := make(chan struct{})
 	bs.waiters = append(bs.waiters, waiter{version: v, ch: ch})
@@ -528,13 +514,6 @@ func (s *State) WaitPublished(id blob.ID, v blob.Version, timeout time.Duration)
 	}
 	select {
 	case <-ch:
-		pub, size, err := s.Latest(id)
-		if err == nil && pub < v {
-			// Woken by ReleaseWaiters (shutdown/crash), not by the
-			// publication: report a timeout, never a false success.
-			return pub, size, ErrTimeout
-		}
-		return pub, size, err
 	case <-timer:
 		// Deregister, or every timed-out poll would leak its waiter
 		// slot (and channel) in bs.waiters until publication.
@@ -546,15 +525,16 @@ func (s *State) WaitPublished(id blob.ID, v blob.Version, timeout time.Duration)
 			}
 		}
 		st.mu.Unlock()
-		// The publish may have raced the timer; prefer reporting it.
-		select {
-		case <-ch:
-			return s.Latest(id)
-		default:
-		}
-		pub, size, _ := s.Latest(id)
-		return pub, size, ErrTimeout
 	}
+	// The publish may have raced the timer; a waiter woken by
+	// ReleaseWaiters (shutdown, crash) finds v unpublished and reports
+	// a timeout, never a false success.
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if bs.published < v {
+		return ErrTimeout
+	}
+	return nil
 }
 
 // PendingWaiters returns the number of registered WaitPublished

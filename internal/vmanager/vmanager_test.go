@@ -151,11 +151,11 @@ func TestWaitPublished(t *testing.T) {
 
 	done := make(chan blob.Version, 1)
 	go func() {
-		v, _, err := s.WaitPublished(m.ID, 1, 5*time.Second)
-		if err != nil {
+		if err := s.WaitPublished(m.ID, 1, 5*time.Second); err != nil {
 			done <- 0
 			return
 		}
+		v, _, _ := s.Latest(m.ID)
 		done <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -176,15 +176,13 @@ func TestWaitPublishedTimeout(t *testing.T) {
 	s := NewState(nil)
 	m := newBlob(t, s)
 	s.AssignVersion(m.ID, blob.KindAppend, 0, B, 1, 0)
-	_, _, err := s.WaitPublished(m.ID, 1, 20*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
+	if err := s.WaitPublished(m.ID, 1, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 	// Already-published waits return immediately.
 	s.Commit(m.ID, 1)
-	v, _, err := s.WaitPublished(m.ID, 1, 0)
-	if err != nil || v != 1 {
-		t.Errorf("immediate wait = %d, %v", v, err)
+	if err := s.WaitPublished(m.ID, 1, 0); err != nil {
+		t.Errorf("immediate wait = %v", err)
 	}
 }
 
@@ -192,7 +190,7 @@ func TestWaitPublishedTimeout(t *testing.T) {
 // builds.
 func ownersOf(t *testing.T, s *State, m blob.Meta) *mdtree.Owners {
 	t.Helper()
-	_, _, descs, err := s.LatestSince(m.ID, 0)
+	_, descs, err := s.LatestSince(m.ID, 0, blob.NoVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +259,7 @@ func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 		t.Errorf("v2 resolves to %+v, want a hole over v1's blocks, then B's block", ext)
 	}
 	// The aborted version is marked in the history hint.
-	if d, _ := s.VersionInfo(m.ID, 1); !d.Aborted {
+	if d := descOf(t, s, m.ID, 1); !d.Aborted {
 		t.Error("aborted descriptor not marked")
 	}
 }
@@ -380,16 +378,37 @@ func TestConcurrentAssignDistinctVersions(t *testing.T) {
 	}
 }
 
-func TestVersionInfo(t *testing.T) {
+// descOf returns the descriptor of published version v.
+func descOf(t *testing.T, s *State, id blob.ID, v blob.Version) blob.WriteDesc {
+	t.Helper()
+	_, descs, err := s.LatestSince(id, v-1, blob.NoVersion)
+	if err != nil || len(descs) == 0 || descs[0].Version != v {
+		t.Fatalf("descriptor of v%d: %+v, %v", v, descs, err)
+	}
+	return descs[0]
+}
+
+// TestHeadSizeAt: the head carries the meta, the published version and
+// the size at the version asked for; at NoVersion, and at a version not
+// yet published, the size at the published version.
+func TestHeadSizeAt(t *testing.T) {
 	s := NewState(nil)
 	m := newBlob(t, s)
-	s.AssignVersion(m.ID, blob.KindAppend, 0, B+B/2, 7, 0)
-	d, err := s.VersionInfo(m.ID, 1)
-	if err != nil || d.SizeAfter != B+B/2 || d.Nonce != 7 {
-		t.Errorf("VersionInfo = %+v, %v", d, err)
+	for _, n := range []int64{B, B / 2} {
+		a, _ := s.AssignVersion(m.ID, blob.KindAppend, 0, n, 7, 0)
+		if err := s.Commit(m.ID, a.Version); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := s.VersionInfo(m.ID, 9); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("bad version err = %v", err)
+	s.AssignVersion(m.ID, blob.KindWrite, 2*B, B, 8, 0) // v3 stays in flight
+	for at, want := range map[blob.Version]int64{1: B, 2: B + B/2, blob.NoVersion: B + B/2, 3: B + B/2, 9: B + B/2} {
+		h, descs, err := s.LatestSince(m.ID, 2, at)
+		if err != nil || h.Meta != m || h.Published != 2 || h.Oldest != 1 || h.Size != want || len(descs) != 0 {
+			t.Errorf("head at v%d = %+v with %d descriptors, %v; want size %d", at, h, len(descs), err, want)
+		}
+	}
+	if _, _, err := s.LatestSince(99, 0, 0); !errors.Is(err, ErrUnknownBlob) {
+		t.Errorf("head of an unknown blob: %v", err)
 	}
 }
 
@@ -434,7 +453,7 @@ func TestWaitPublishedTimeoutDeregistersWaiter(t *testing.T) {
 	s.AssignVersion(m.ID, blob.KindAppend, 0, B, 1, 0)
 
 	for i := 0; i < 25; i++ {
-		if _, _, err := s.WaitPublished(m.ID, 1, time.Millisecond); !errors.Is(err, ErrTimeout) {
+		if err := s.WaitPublished(m.ID, 1, time.Millisecond); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("poll %d err = %v, want ErrTimeout", i, err)
 		}
 	}
@@ -445,8 +464,7 @@ func TestWaitPublishedTimeoutDeregistersWaiter(t *testing.T) {
 	// A live waiter still counts, and publication still wakes it.
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.WaitPublished(m.ID, 1, 5*time.Second)
-		done <- err
+		done <- s.WaitPublished(m.ID, 1, 5*time.Second)
 	}()
 	for i := 0; i < 100 && s.PendingWaiters(m.ID) == 0; i++ {
 		time.Sleep(time.Millisecond)

@@ -33,8 +33,8 @@ type Config struct {
 	Replication int
 	// ReadaheadBlocks is the reader's asynchronous prefetch window: up
 	// to this many blocks are fetched by background goroutines ahead of
-	// a sequential stream. 0 (or negative) keeps reads fully
-	// synchronous — one block fetched at a time, on demand.
+	// a sequential stream. 0 (or negative) fetches nothing ahead — one
+	// block at a time, on demand.
 	ReadaheadBlocks int
 	// WriteBehindDepth is the writer's write-behind window: up to this
 	// many full-block commits proceed in the background while Write

@@ -46,7 +46,8 @@ type Config struct {
 	WriteTimeout    time.Duration // janitor abort threshold; 0 disables
 	UseTCP          bool          // listen on loopback TCP instead of inproc
 	// BSFS streaming-pipeline tunables (Section IV-B): 0 picks the
-	// bsfs defaults, negative disables (fully synchronous block I/O).
+	// bsfs defaults, negative disables them (nothing read ahead, every
+	// block commit awaited).
 	ReadaheadBlocks  int // reader async prefetch window, in blocks
 	WriteBehindDepth int // writer background commits in flight
 

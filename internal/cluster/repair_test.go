@@ -3,12 +3,18 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"net/url"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/cluster"
 	"blobseer/internal/node"
+	"blobseer/internal/store"
 )
 
 // writeBlocks publishes an nBlocks-block payload and returns it.
@@ -141,6 +147,82 @@ func TestRepairConvergesAfterProviderDeath(t *testing.T) {
 	got, err = readBlob(ctx, fromAddrs, m.ID, blob.NoVersion, 0, int64(len(payload)))
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("client built from endpoints read %d of %d bytes after relocation: %v", len(got), len(payload), err)
+	}
+}
+
+// refusingStore fails its next PutWriter once armed: a provider that
+// refuses one frame, then recovers.
+type refusingStore struct {
+	store.Store
+	armed atomic.Bool
+}
+
+func (s *refusingStore) PutWriter(key string) (store.BlockWriter, error) {
+	if s.armed.CompareAndSwap(true, false) {
+		return nil, errors.New("injected refusal")
+	}
+	return s.Store.PutWriter(key)
+}
+
+// refusingStores maps each refusing:// store's host, the provider's
+// index, to the store it opened.
+var (
+	refusingStores   sync.Map
+	registerRefusing sync.Once
+)
+
+// TestRepairSurvivesOneRefusal: a repair target that refuses one frame
+// and recovers costs the pass one retry, not the block. Every attempt
+// pushes to the same target, so a refusal that outlived its transfer
+// would fail them all, and the next pass too.
+func TestRepairSurvivesOneRefusal(t *testing.T) {
+	registerRefusing.Do(func() {
+		store.Register("refusing", func(u *url.URL) (store.Store, error) {
+			st := &refusingStore{Store: store.NewMemStore()}
+			refusingStores.Store(u.Host, st)
+			return st, nil
+		})
+	})
+	cl, err := cluster.StartBlobSeer(cluster.Config{
+		DataProviders: 3,
+		Replication:   2,
+		BlockSize:     int64(blockSize),
+		StoreURL:      "refusing://{n}",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	ctx := context.Background()
+	m, err := cl.NewClient("").Create(ctx, int64(blockSize), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeBlocks(t, cl, m.ID, 1)
+
+	var holders []string
+	target := -1
+	for i, addr := range cl.ProviderAddrs {
+		if cl.ProviderService(addr).Store().Stats().Items == 1 {
+			holders = append(holders, addr)
+		} else {
+			target = i
+		}
+	}
+	if len(holders) != 2 || target < 0 {
+		t.Fatalf("block stored on %v, want 2 of 3 providers", holders)
+	}
+	cl.KillProvider(holders[0])
+	cl.PMService().State().MarkDead(holders[0])
+	st, _ := refusingStores.Load(fmt.Sprint(target))
+	st.(*refusingStore).armed.Store(true)
+
+	rep, err := cl.RepairEngine().RunOnce(ctx)
+	if err != nil || rep.Copies != 1 || rep.Failed != 0 {
+		t.Fatalf("repair pass = %+v, %v; want 1 copy and no failure", rep, err)
+	}
+	if n := cl.ProviderService(cl.ProviderAddrs[target]).Store().Stats().Items; n != 1 {
+		t.Errorf("repair target holds %d blocks, want 1", n)
 	}
 }
 

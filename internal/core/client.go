@@ -110,7 +110,7 @@ type Client struct {
 	// The client's own registry; exporting it is the caller's choice.
 	reg            *obs.Registry
 	mResolve       *obs.Histogram  // metadata resolve latency per readInto
-	chainFallbacks *obs.Counter    // blocks that fell back to direct puts
+	chainFallbacks *obs.Counter    // blocks that fell back to one-hop puts
 	deadReports    *obs.Counter    // MarkDead feedback reports sent
 	deadSuppressed *obs.Counter    // reports dropped by the per-provider rate limit
 	streams        *stream.Metrics // shared by every reader and writer of the client
@@ -201,8 +201,9 @@ func NewClient(cfg Config) *Client {
 func (c *Client) Metrics() *obs.Registry { return c.reg }
 
 // ChainFallbacks reports how many blocks this client pushed to every
-// replica itself because their replica chain failed — the signal that a
-// deployment is quietly paying R×B of client egress.
+// replica itself, one one-hop chained put each, because their replica
+// chain failed — the signal that a deployment is quietly paying R×B of
+// client egress.
 func (c *Client) ChainFallbacks() uint64 { return uint64(c.chainFallbacks.Value()) }
 
 // DeadReports reports how many MarkDead feedback reports this client
@@ -430,10 +431,12 @@ func (c *Client) putBlocks(ctx context.Context, data []byte, blockSize int64, re
 // chain: the client ships it once to the chain head and providers
 // forward frames hop to hop, so client egress is B bytes per block
 // whatever the replication level. When any chain hop fails mid-write (a
-// dead downstream hop, a timeout) the block falls back to direct puts.
-// Plain puts are idempotent whole-block writes, so replicas the chain
-// did reach are simply overwritten; the write only fails if a replica is
-// truly down.
+// dead downstream hop, a timeout) the block falls back to one one-hop
+// put per replica. Each is a transfer of its own, which the failed
+// chain's tombstones do not refuse and which supersedes whatever is
+// left of the chain's upload on its replica; a block's bytes never
+// change, so replicas the chain did reach are simply overwritten. The
+// write only fails if a replica is truly down.
 func (c *Client) putBlock(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
 	chain := c.chainOrder(ctx, replicas)
 	err := c.prov.PutChained(ctx, chain, key, chunk, provider.DefaultFrameSize)
@@ -454,11 +457,11 @@ func (c *Client) putBlock(ctx context.Context, replicas []string, key blob.Block
 }
 
 // putBlockDirect is putBlock's fallback: it pushes one block to each of
-// its replicas in parallel. How many blocks fall back at once is bounded
-// by putBlocks' window, as chained puts are.
+// its replicas in parallel, a chain of one each. How many blocks fall
+// back at once is bounded by putBlocks' window, as chained puts are.
 func (c *Client) putBlockDirect(ctx context.Context, replicas []string, key blob.BlockKey, chunk []byte) error {
 	return util.Windowed(len(replicas), len(replicas), func(i int) error {
-		if err := c.prov.Put(ctx, replicas[i], key, chunk); err != nil {
+		if err := c.prov.PutChained(ctx, replicas[i:i+1], key, chunk, provider.DefaultFrameSize); err != nil {
 			c.reportDead(replicas[i], err)
 			return fmt.Errorf("core: store block %s on %s: %w", key, replicas[i], err)
 		}

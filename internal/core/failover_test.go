@@ -75,7 +75,7 @@ func TestReadFailsOverToReplica(t *testing.T) {
 
 // TestWriteFallsBackWhenChainBreaks: a provider that errors mid-chain
 // (a mixed-version or misbehaving hop) must not fail the write — the
-// client falls back to direct per-replica puts, and every block still
+// client falls back to one-hop per-replica puts, and every block still
 // ends up byte-identical on its full replica set.
 func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 	const block = int64(4 * util.KB)
@@ -91,7 +91,8 @@ func TestWriteFallsBackWhenChainBreaks(t *testing.T) {
 	defer cl.Stop()
 	ctx := context.Background()
 
-	// Every provider refuses chained puts; plain puts still work.
+	// Every provider refuses the frames it must forward; one-hop puts
+	// still work.
 	for _, addr := range cl.ProviderAddrs {
 		cl.ProviderService(addr).BreakChain(true)
 	}

@@ -292,7 +292,7 @@ func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location
 // Snapshot.
 type ReaderOptions struct {
 	// Readahead is the asynchronous prefetch window, in blocks. <= 0
-	// keeps reads fully synchronous.
+	// fetches nothing ahead: one block at a time, on demand.
 	Readahead int
 }
 

@@ -156,30 +156,44 @@ func TestPutChainedRefusedWithoutForwarder(t *testing.T) {
 	}
 }
 
+// TestBreakChainInjection: a broken provider refuses every frame it must
+// forward, so a chain it heads fails with CodeChainFail while a one-hop
+// put to it, which forwards nothing, is taken — that is what the
+// fallback relies on. A hop never commits a block its downstream failed.
 func TestBreakChainInjection(t *testing.T) {
 	c, addrs, svcs := chainCluster(t, 2)
 	ctx := context.Background()
 	key := blob.BlockKey{Blob: 5, Nonce: 9, Seq: 0}
 
-	svcs[1].BreakChain(true)
+	svcs[0].BreakChain(true)
 	err := c.PutChained(ctx, addrs, key, []byte("payload"), 0)
 	if err == nil || rpc.CodeOf(err) != CodeChainFail {
-		t.Fatalf("broken tail: err = %v, want CodeChainFail", err)
+		t.Fatalf("broken head: err = %v, want CodeChainFail", err)
 	}
-	// Commits are gated on downstream acks: the head must not have
-	// published a block whose tail never stored it.
-	if svcs[0].Store().Has(key.String()) {
-		t.Fatal("head committed a block its broken tail never acked")
+	for i, svc := range svcs {
+		if svc.Store().Has(key.String()) {
+			t.Fatalf("replica %d stored a block of a chain its broken head refused", i)
+		}
 	}
-	// Plain puts are unaffected — that is what the fallback relies on.
-	if err := c.Put(ctx, addrs[1], key, []byte("payload")); err != nil {
-		t.Fatalf("plain put to chain-broken provider: %v", err)
+	// One-hop puts are unaffected, and a re-sent block is a fresh
+	// transfer: the failed one's tombstone does not refuse it.
+	for _, addr := range addrs {
+		if err := c.Put(ctx, addr, key, []byte("payload")); err != nil {
+			t.Fatalf("one-hop put to %s: %v", addr, err)
+		}
 	}
-	// After unbreaking, a fresh write (fresh nonce, as real clients
-	// always use) chains normally; the failed key stays tombstoned.
-	svcs[1].BreakChain(false)
-	fresh := blob.BlockKey{Blob: 5, Nonce: 10, Seq: 0}
-	if err := c.PutChained(ctx, addrs, fresh, []byte("payload"), 0); err != nil {
+	svcs[0].BreakChain(false)
+
+	// Commits are gated on downstream acks: a head whose tail is
+	// unreachable must not publish the block.
+	lost := blob.BlockKey{Blob: 5, Nonce: 10, Seq: 0}
+	if err := c.PutChained(ctx, []string{addrs[0], "nowhere"}, lost, []byte("payload"), 0); rpc.CodeOf(err) != CodeChainFail {
+		t.Fatalf("chain to an unreachable tail: err = %v, want CodeChainFail", err)
+	}
+	if svcs[0].Store().Has(lost.String()) {
+		t.Fatal("head committed a block its unreachable tail never acked")
+	}
+	if err := c.PutChained(ctx, addrs, lost, []byte("payload"), 0); err != nil {
 		t.Fatalf("chain after unbreak: %v", err)
 	}
 }
@@ -226,7 +240,7 @@ func TestDeleteWriteTombstonesInFlightChains(t *testing.T) {
 	// write failed does), then let a straggler frame arrive: it must
 	// not resurrect the block.
 	head := svcs[0]
-	if err := head.applyFrame(key, chunkOf(data, 0, 1024)); err != nil {
+	if _, err := head.land(key, 1, chunkOf(data, 0, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DeleteWrite(ctx, addrs[0], key.Blob, key.Nonce); err != nil {
@@ -258,6 +272,7 @@ func TestChainFrameRejectsAbsurdTotal(t *testing.T) {
 	for _, total := range []int64{1<<40 + 1, int64(wire.MaxFrameSize) + 1} {
 		b := wire.NewBuffer(64)
 		encodeKey(b, blob.BlockKey{Blob: 7, Nonce: 1})
+		b.U64(1)
 		b.StringSlice(nil)
 		b.Chunk(wire.Chunk{Off: total - 1, Total: total, Data: []byte{1}})
 		if _, err := svc.handlePutChained(context.Background(), append(b.Bytes(), b.Tail()...)); err == nil {

@@ -22,11 +22,11 @@ func rawKey(b []byte, k blob.BlockKey) []byte {
 }
 
 // TestMethodNumbersPinned sends raw frames to a provider: the retired
-// presence check and stat (methods 3 and 6) are unknown to it, and put,
-// get, delete-write, delete-block, chained put, block report and
-// replicate keep their numbers (1, 2, 4, 5, 7, 8 and 9) and payloads, so
-// a client of either side of the retirement agrees on them. A get range
-// of negative length is refused.
+// whole-block put, presence check and stat (methods 1, 3 and 6) are
+// unknown to it, and get, delete-write, delete-block, chained put, block
+// report and replicate keep their numbers (2, 4, 5, 7, 8 and 9) and
+// payloads, the chained put's naming its transfer. A get range of
+// negative length is refused.
 func TestMethodNumbersPinned(t *testing.T) {
 	c, addrs, svcs := chainCluster(t, 2)
 	st := svcs[0].Store()
@@ -44,15 +44,16 @@ func TestMethodNumbersPinned(t *testing.T) {
 	}
 	k := blob.BlockKey{Blob: 1, Nonce: 2, Seq: 3}
 	k2 := blob.BlockKey{Blob: 1, Nonce: 5}
-	for _, m := range []uint16{3, 6} {
+	for _, m := range []uint16{1, 3, 6} {
 		err := call(m, rawKey(nil, k), nil)
 		if want := fmt.Sprintf("unknown method %d", m); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("method %d answered %v, want %q", m, err, want)
 		}
 	}
 
-	if err := call(1, str(rawKey(nil, k), "abc"), answers(nil)); err != nil {
-		t.Fatalf("put (1): %v", err)
+	// key | transfer | chain [] | off 0 | total 3 | data
+	if err := call(7, str(u64(u64(u32(u64(rawKey(nil, k), 0x71), 0), 0), 3), "abc"), answers(nil)); err != nil {
+		t.Fatalf("one-hop chained put (7): %v", err)
 	}
 	if err := call(2, encodeRange(k, 1, 5), answers(append(u32(nil, 2), "bc"...))); err != nil {
 		t.Fatalf("get (2): %v", err)
@@ -60,8 +61,8 @@ func TestMethodNumbersPinned(t *testing.T) {
 	if err := call(2, encodeRange(k, 0, -1), nil); err == nil || strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("get (2) of a negative length = %v, want it refused", err)
 	}
-	// key | chain [addrs[1]] | off 0 | total 4 | data
-	chained := str(u64(u64(str(u32(rawKey(nil, k2), 1), addrs[1]), 0), 4), "wxyz")
+	// key | transfer | chain [addrs[1]] | off 0 | total 4 | data
+	chained := str(u64(u64(str(u32(u64(rawKey(nil, k2), 0x72), 1), addrs[1]), 0), 4), "wxyz")
 	if err := call(7, chained, answers(nil)); err != nil {
 		t.Fatalf("chained put (7): %v", err)
 	}

@@ -4,14 +4,14 @@
 // same implementation backs the datanodes of the HDFS-like baseline,
 // which reuses the block read/write protocol.
 //
-// Beyond whole-block put/get, providers form the streaming chain
-// replication data plane: a client ships each block once to the head of
-// a replica chain as a sequence of fixed-size frames, and every hop
-// persists each frame locally while concurrently forwarding it to the
-// next replica. The ack of a frame travels back from the tail, so the
-// client's last-frame ack means the whole chain holds the block. This
-// moves the (R-1)×B bytes of replication traffic off the client's
-// uplink and onto provider-to-provider links.
+// A block reaches a provider one way, the streaming chained upload: a
+// client ships each block once to the head of a replica chain as a
+// sequence of fixed-size frames, and every hop persists each frame
+// locally while concurrently forwarding it to the next replica. The ack
+// of a frame travels back from the tail, so the client's last-frame ack
+// means the whole chain holds the block. This moves the (R-1)×B bytes
+// of replication traffic off the client's uplink and onto
+// provider-to-provider links. A put to one provider is a chain of one.
 //
 // # Wire format
 //
@@ -19,21 +19,21 @@
 // strings and byte slices). A block key serializes as
 // blob u64 | nonce u64 | seq u32. The methods:
 //
-//	1 mPutBlock     request:  key | data bytes32                 response: empty
 //	2 mGetBlock     request:  (key | off i64 | len i64)+,        response: count u32 per range, then that many
 //	                          every len >= 0                               bytes per range (or status CodeNotFound)
 //	4 mDeleteWrite  request:  blob u64 | nonce u64               response: deleted u32
 //	5 mDeleteBlock  request:  key                                response: empty
-//	7 mPutChained   request:  key | chain stringslice |          response: empty (or status CodeChainFail)
+//	7 mPutChained   request:  key | transfer u64 |               response: empty (or status CodeChainFail)
+//	                          chain stringslice |
 //	                          off i64 | total i64 |
 //	                          data bytes32
 //	8 mBlockReport  request:  prefix string                      response: count u32 | key*
 //	9 mReplicate    request:  key | targets stringslice          response: empty (or status CodeNotFound /
 //	                                                                       CodeChainFail)
 //
-// Methods 3 and 6, a presence check and a storage stat, are retired and
-// their numbers reserved: a provider answers them with the rpc layer's
-// unknown-method error (heartbeats carry the stats instead).
+// Methods 1, 3 and 6 (whole-block put, presence check, storage stat)
+// are retired and their numbers reserved: a provider answers them with
+// the rpc layer's unknown-method error.
 //
 // mBlockReport is the repair plane's inventory primitive: it enumerates
 // the block keys the provider's store currently holds under prefix
@@ -43,16 +43,30 @@
 // traffic stays provider-to-provider and inherits the chain's
 // commit-on-tail-ack guarantees.
 //
+// # Chained uploads
+//
 // mPutChained's chain lists the replicas downstream of the receiver;
 // each hop re-frames the payload with itself stripped (chain[1:]) and
 // forwards to chain[0]. Frames are self-describing (off/total), so hops
-// apply them in any arrival order. A handler responds only after its
-// local write and the downstream ack for the same frame both complete,
-// and a hop commits its block only once every byte is both locally
-// written and acked by the whole downstream chain — a failed chain
-// never publishes the block anywhere upstream of the failure. Any error
-// surfaces to the client as CodeChainFail, the signal to fall back to
-// client-side fan-out.
+// apply them in any arrival order, and a frame overlapping bytes its
+// transfer already delivered is refused. A handler responds only after
+// its local write and the downstream ack for the same frame both
+// complete, and a hop commits its block only once every byte is both
+// locally written and acked by the whole downstream chain — a failed
+// chain never publishes the block anywhere upstream of the failure.
+// Any error surfaces to the client as CodeChainFail, the signal to fall
+// back to one one-hop put per replica.
+//
+// Every call of Client.PutChained is one transfer, named by a random
+// 64-bit id that each of its frames carries and each hop forwards. A
+// provider takes a frame unless its write was garbage-collected here
+// (DeleteWrite) or its transfer failed, was reaped or was superseded
+// here; the refusal says which. A new transfer of a key supersedes a
+// live upload of another (a key's bytes never change). A dead
+// transfer's tombstone refuses its stragglers for two upload TTLs, so
+// a frame of a reaped upload is not acked, while a re-sent block, a
+// fresh transfer, is taken. Service.BreakChain (a broken downstream
+// link) refuses every frame to forward; a one-hop put gets through.
 package provider
 
 import (
@@ -60,6 +74,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,10 +87,10 @@ import (
 	"blobseer/internal/wire"
 )
 
-// RPC method numbers. Methods 3 and 6 are retired; their numbers stay
-// reserved.
+// RPC method numbers. Methods 1, 3 and 6 are retired; their numbers
+// stay reserved.
 const (
-	mPutBlock uint16 = iota + 1
+	_ uint16 = iota + 1
 	mGetBlock
 	_
 	mDeleteWrite
@@ -106,7 +121,7 @@ const CodeNotFound uint16 = 10
 
 // CodeChainFail is the RPC status for a chained put or replication push
 // that failed at this hop or anywhere downstream; clients fall back to
-// direct fan-out.
+// one one-hop put per replica.
 const CodeChainFail uint16 = 11
 
 // ErrBlockNotFound is returned when a requested block is absent.
@@ -135,7 +150,6 @@ type Service struct {
 	reg          *obs.Registry
 	mBytesIn     *obs.Counter
 	mBytesOut    *obs.Counter
-	mPuts        *obs.Counter
 	mGets        *obs.Counter
 	mChainFrames *obs.Counter
 	mCommits     *obs.Counter
@@ -144,7 +158,7 @@ type Service struct {
 	mReplicas    *obs.Counter
 	mHopLatency  *obs.Histogram
 
-	chainBroken atomic.Bool // test hook: fail every chained put
+	chainBroken atomic.Bool // test hook: refuse every frame to forward
 
 	mu      sync.Mutex
 	uploads map[blob.BlockKey]*upload
@@ -158,10 +172,10 @@ type Service struct {
 	// block would be referenced by no metadata and its nonce GC already
 	// ran, so nothing would ever delete it again.
 	deleted map[writeID]time.Time
-	// failed tombstones recently failed upload keys so in-flight
-	// sibling frames of a doomed chain are rejected outright instead of
-	// re-creating a partial upload that pins a buffer until the reaper.
-	failed map[blob.BlockKey]time.Time
+	// dead tombstones recently failed, reaped and superseded transfers
+	// so their frames still in the pipe are refused instead of being
+	// acked into a fresh partial upload that never commits.
+	dead map[uint64]time.Time
 }
 
 // writeID names one write operation's blocks: every key of its blob and
@@ -175,16 +189,21 @@ func writeOf(k blob.BlockKey) writeID { return writeID{k.Blob, k.Nonce} }
 
 // upload tracks one in-flight chained block transfer.
 type upload struct {
+	xfer       uint64       // the transfer whose frames it takes
 	lastActive atomic.Int64 // unix nanos of the latest frame (stale sweep)
 
 	mu        sync.Mutex
 	w         store.BlockWriter
 	total     int64
-	received  int64 // bytes written locally
-	acked     int64 // bytes both written locally and acked downstream
+	spans     []span  // the frames written locally
+	inline    [4]span // spans' backing for a block of up to four frames
+	acked     int64   // bytes both written locally and acked downstream
 	committed bool
 	failed    bool
 }
+
+// span is a run [off, end) of an upload's bytes.
+type span struct{ off, end int64 }
 
 func (u *upload) touch() { u.lastActive.Store(time.Now().UnixNano()) }
 
@@ -210,7 +229,7 @@ func NewService(st store.Store, opts ...Option) *Service {
 		store:   st,
 		uploads: make(map[blob.BlockKey]*upload),
 		deleted: make(map[writeID]time.Time),
-		failed:  make(map[blob.BlockKey]time.Time),
+		dead:    make(map[uint64]time.Time),
 	}
 	for _, o := range opts {
 		o(s)
@@ -218,7 +237,6 @@ func NewService(st store.Store, opts ...Option) *Service {
 	s.reg = obs.NewRegistry()
 	s.mBytesIn = s.reg.Counter("bytes_in")
 	s.mBytesOut = s.reg.Counter("bytes_out")
-	s.mPuts = s.reg.Counter("puts")
 	s.mGets = s.reg.Counter("gets")
 	s.mChainFrames = s.reg.Counter("chain_frames")
 	s.mCommits = s.reg.Counter("chain_commits")
@@ -247,14 +265,14 @@ func NewService(st store.Store, opts ...Option) *Service {
 // HTTP export.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
-// BreakChain makes every chained put fail at this provider (failure
-// injection for tests: forces clients onto the fan-out fallback).
+// BreakChain makes this provider refuse every frame it must forward, a
+// broken downstream link (failure injection for tests: it forces
+// clients onto the one-hop fallback puts, which it still takes).
 func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 
 // Mux returns the RPC dispatch table for the service.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.HandleFrame(mPutBlock, s.handlePutBlock)
 	m.HandleFrame(mGetBlock, s.handleGetBlock)
 	m.HandleFrame(mDeleteWrite, s.handleDeleteWrite)
 	m.HandleFrame(mDeleteBlock, s.handleDeleteBlock)
@@ -279,34 +297,6 @@ func encodeKey(b *wire.Buffer, k blob.BlockKey) {
 	b.U64(uint64(k.Blob))
 	b.U64(k.Nonce)
 	b.U32(k.Seq)
-}
-
-func (s *Service) handlePutBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
-	r := wire.NewReader(payload)
-	key := decodeKey(r)
-	data := r.Bytes32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.store.Put(key.String(), data); err != nil {
-		return nil, fmt.Errorf("provider: put %s: %w", key, err)
-	}
-	// rpc runs requests concurrently, so a put can land after its write's
-	// DeleteWrite and leave a block no metadata references and no GC will
-	// delete again. DeleteWrite tombstones before it deletes, so a check
-	// after the put sees every interleaving: a tombstone found here is
-	// undone here, and one set later precedes a delete of this block. The
-	// per-key failed tombstone does not count: a fallback put overwrites
-	// exactly such a key.
-	s.mu.Lock()
-	_, gone := s.deleted[writeOf(key)]
-	s.mu.Unlock()
-	if gone {
-		return nil, errors.Join(fmt.Errorf("provider: put %s: its write was garbage-collected", key), s.store.Delete(key.String()))
-	}
-	s.mPuts.Inc()
-	s.mBytesIn.Add(int64(len(data)))
-	return nil, nil
 }
 
 // rangeSize is the encoded size of one range of an mGetBlock request.
@@ -401,41 +391,48 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
+	xfer := r.U64()
 	chain := r.StringSlice()
 	ck := r.Chunk()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	// A doomed transfer also dooms whatever frames of it already
-	// landed: abort the partial upload before erroring out.
-	if s.chainBroken.Load() {
-		s.failUpload(key)
-		return nil, rpc.CodedError(CodeChainFail, "provider: chain broken (injected)")
+	if err := s.putFrame(ctx, key, xfer, chain, ck); err != nil {
+		// A doomed frame dooms its transfer, and whatever frames of it
+		// already landed here.
+		s.failTransfer(key, xfer)
+		if rpc.CodeOf(err) == CodeChainFail {
+			return nil, err // keep the downstream hop's detail
+		}
+		return nil, rpc.CodedError(CodeChainFail, fmt.Sprintf("provider: chained put %s: %v", key, err))
 	}
-	// The Total cap mirrors plain Put's implicit bound (the whole block
-	// travels inside one wire.MaxFrameSize frame there): without it a
-	// single tiny frame claiming a huge Total would force an Off-sized
-	// allocation or sparse file.
-	if ck.Off < 0 || ck.Total <= 0 || ck.Total > wire.MaxFrameSize ||
-		ck.Off+int64(len(ck.Data)) > ck.Total {
-		s.failUpload(key)
-		return nil, rpc.CodedError(CodeChainFail,
-			fmt.Sprintf("provider: bad chain frame for %s: off %d len %d total %d", key, ck.Off, len(ck.Data), ck.Total))
-	}
-	if len(chain) > 0 && s.fwd == nil {
-		// No partial upload to abort: frames of one block all carry the
-		// same chain, so every one of them is rejected right here.
-		return nil, rpc.CodedError(CodeChainFail, "provider: no forwarder for downstream chain")
-	}
-	if s.writeDoomed(key) {
-		return nil, rpc.CodedError(CodeChainFail,
-			fmt.Sprintf("provider: write of %s was garbage-collected or failed", key))
-	}
+	return nil, nil
+}
 
+// putFrame writes one frame of transfer xfer here while forwarding it
+// down the chain, and commits the block once every byte is both written
+// here and acked downstream. It first refuses a frame no transfer could
+// bring: one to forward through a broken link or without a forwarder,
+// or one outside its block. The Total cap keeps a tiny frame claiming a
+// huge Total from forcing an Off-sized allocation or sparse file; a
+// block fits one wire frame, as a whole-block get response must.
+func (s *Service) putFrame(ctx context.Context, key blob.BlockKey, xfer uint64, chain []string, ck wire.Chunk) error {
+	switch {
+	case len(chain) > 0 && s.chainBroken.Load():
+		return errors.New("chain broken (injected)")
+	case len(chain) > 0 && s.fwd == nil:
+		return errors.New("no forwarder for downstream chain")
+	case ck.Off < 0 || len(ck.Data) == 0 || ck.Total > wire.MaxFrameSize || ck.Off+int64(len(ck.Data)) > ck.Total:
+		return fmt.Errorf("bad chain frame: off %d len %d total %d", ck.Off, len(ck.Data), ck.Total)
+	}
+	u, err := s.admit(key, xfer, ck.Total)
+	if err != nil {
+		return err
+	}
 	// Forward downstream concurrently with the local write; the frame's
 	// ack requires both, so acks propagate back from the chain tail. The
 	// forwarded frame's tail aliases the request, which rpc keeps until
-	// this handler returns.
+	// the handler returns.
 	var fwd chan error // nil at the tail of a chain: nothing to wait for
 	if len(chain) > 0 {
 		done := make(chan error, 1)
@@ -447,55 +444,70 @@ func (s *Service) handlePutChained(ctx context.Context, payload []byte) (*wire.B
 			ctx, cancel := context.WithTimeout(ctx, chainHopTimeout)
 			defer cancel()
 			t0 := time.Now()
-			err := s.fwd.putChainFrame(ctx, chain[0], key, chain[1:], ck)
+			err := s.fwd.putChainFrame(ctx, chain[0], key, xfer, chain[1:], ck)
 			s.mHopLatency.ObserveSince(t0)
 			done <- err
 		}()
 	}
 	s.mChainFrames.Inc()
 	s.mBytesIn.Add(int64(len(ck.Data)))
-	err := s.applyFrame(key, ck)
+	err = u.write(ck)
 	if fwd != nil {
 		if ferr := <-fwd; err == nil {
 			err = ferr
 		}
 	}
-	if err == nil {
-		// The frame is down locally and on every downstream replica;
-		// commit once that holds for the whole block. Gating the commit
-		// on the downstream acks (not just local bytes) keeps a hop
-		// from publishing a block whose chain failed.
-		err = s.finishFrame(key, ck)
-	}
 	if err != nil {
-		s.failUpload(key)
-		if rpc.CodeOf(err) == CodeChainFail {
-			return nil, err // keep the downstream hop's detail
-		}
-		return nil, rpc.CodedError(CodeChainFail, fmt.Sprintf("provider: chained put %s: %v", key, err))
+		return err
 	}
-	return nil, nil
+	// Gating the commit on the downstream acks (not just local bytes)
+	// keeps a hop from publishing a block whose chain failed.
+	return s.finishFrame(key, u, ck)
 }
 
-// applyFrame writes one frame into the block's in-flight upload,
-// creating it on the first-arriving frame (which, with pipelining, need
-// not be the first-offset frame) and committing once all bytes landed.
-func (s *Service) applyFrame(key blob.BlockKey, ck wire.Chunk) error {
+// admit returns the upload transfer xfer's frames of key land in, made
+// by its first-arriving frame, under the package doc's admission rule:
+// a superseded upload is failed and its transfer tombstoned. Admission
+// and DeleteWrite both hold s.mu, so every live upload is in the table
+// when a DeleteWrite sweeps it: none commits after its write's GC.
+func (s *Service) admit(key blob.BlockKey, xfer uint64, total int64) (*upload, error) {
 	s.mu.Lock()
-	u, ok := s.uploads[key]
-	if !ok {
-		w, err := s.store.PutWriter(key.String())
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		u = &upload{w: w, total: ck.Total}
-		u.touch()
-		s.uploads[key] = u
-		s.armReaperLocked()
+	if _, ok := s.deleted[writeOf(key)]; ok {
+		s.mu.Unlock()
+		return nil, errors.New("its write was garbage-collected here")
 	}
+	if _, ok := s.dead[xfer]; ok {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("transfer %016x failed, was reaped or was superseded here", xfer)
+	}
+	old := s.uploads[key]
+	if old != nil && old.xfer == xfer {
+		s.mu.Unlock()
+		return old, nil
+	}
+	w, err := s.store.PutWriter(key.String())
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	if old != nil {
+		bury(s.dead, old.xfer)
+	}
+	u := &upload{xfer: xfer, w: w, total: total}
+	u.spans = u.inline[:0]
+	u.touch()
+	s.uploads[key] = u
+	s.armReaperLocked()
 	s.mu.Unlock()
+	if old != nil {
+		old.fail()
+		s.mFailed.Inc()
+	}
+	return u, nil
+}
 
+// write stores one frame of the upload's transfer locally.
+func (u *upload) write(ck wire.Chunk) error {
 	u.touch()
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -507,43 +519,37 @@ func (s *Service) applyFrame(key blob.BlockKey, ck wire.Chunk) error {
 	case u.total != ck.Total:
 		return fmt.Errorf("frame total %d does not match upload total %d", ck.Total, u.total)
 	}
-	if err := u.w.WriteAt(ck.Data, ck.Off); err != nil {
+	if err := u.claim(ck.Off, ck.Off+int64(len(ck.Data))); err != nil {
 		return err
 	}
-	u.received += int64(len(ck.Data))
-	if u.received > u.total {
-		return fmt.Errorf("frames overflow block: %d of %d bytes", u.received, u.total)
+	return u.w.WriteAt(ck.Data, ck.Off)
+}
+
+// claim records [off, end) as written, refusing a range that overlaps
+// bytes already written: a transfer's frames are disjoint, so once the
+// acked bytes add up to the total, every byte of the block is there.
+func (u *upload) claim(off, end int64) error {
+	for _, sp := range u.spans {
+		if off < sp.end && sp.off < end {
+			return fmt.Errorf("frame [%d, %d) overlaps bytes already received", off, end)
+		}
 	}
+	u.spans = append(u.spans, span{off, end})
 	return nil
 }
 
-// finishFrame records that one frame is fully replicated (locally
-// written and acked by the whole downstream chain) and commits the
-// block once every byte is.
-func (s *Service) finishFrame(key blob.BlockKey, ck wire.Chunk) error {
-	s.mu.Lock()
-	u := s.uploads[key]
-	s.mu.Unlock()
-	if u == nil {
-		return errors.New("upload vanished before completion")
-	}
-
+// finishFrame records that one frame of u's transfer is fully
+// replicated (locally written and acked by the whole downstream chain)
+// and commits the block once every byte is.
+func (s *Service) finishFrame(key blob.BlockKey, u *upload, ck wire.Chunk) error {
 	u.mu.Lock()
 	if u.failed {
 		u.mu.Unlock()
 		return errors.New("upload already failed")
 	}
 	u.acked += int64(len(ck.Data))
-	complete := u.acked >= u.total
+	complete := u.acked == u.total
 	if complete {
-		// Last gate before the block becomes visible: a DeleteWrite
-		// that raced in tombstoned the write before touching the store,
-		// so re-checking here keeps the commit from resurrecting a
-		// garbage-collected block.
-		if s.writeDoomed(key) {
-			u.mu.Unlock()
-			return errors.New("write was garbage-collected or failed")
-		}
 		if err := u.w.Commit(); err != nil {
 			u.mu.Unlock()
 			return err
@@ -563,25 +569,34 @@ func (s *Service) finishFrame(key blob.BlockKey, ck wire.Chunk) error {
 	return nil
 }
 
-// failUpload aborts and forgets the block's in-flight upload, if any,
-// and tombstones the key so sibling frames still in the pipe are
-// rejected instead of starting a fresh doomed upload.
-func (s *Service) failUpload(key blob.BlockKey) {
+// failTransfer tombstones the transfer, so its frames still in the pipe
+// are refused, and aborts and forgets its upload here, if any.
+func (s *Service) failTransfer(key blob.BlockKey, xfer uint64) {
 	s.mu.Lock()
+	bury(s.dead, xfer)
 	u := s.uploads[key]
-	delete(s.uploads, key)
-	now := time.Now()
-	for fk, at := range s.failed {
-		if now.Sub(at) > 2*uploadTTL {
-			delete(s.failed, fk)
-		}
+	if u != nil && u.xfer == xfer {
+		delete(s.uploads, key)
+	} else {
+		u = nil
 	}
-	s.failed[key] = now
 	s.mu.Unlock()
 	if u != nil {
 		u.fail()
 		s.mFailed.Inc()
 	}
+}
+
+// bury tombstones k in m and drops the tombstones older than two upload
+// TTLs. Caller holds s.mu.
+func bury[K comparable](m map[K]time.Time, k K) {
+	now := time.Now()
+	for x, at := range m {
+		if now.Sub(at) > 2*uploadTTL {
+			delete(m, x)
+		}
+	}
+	m[k] = now
 }
 
 func (u *upload) fail() {
@@ -612,13 +627,16 @@ func (s *Service) armReaperLocked() {
 // must not pin a buffer or temp file forever, even on an otherwise idle
 // provider. A long transfer over a slow link is never idle that long
 // and is spared. The sweep runs every half TTL while uploads are in
-// flight, so a stale one goes within one and a half TTLs.
+// flight, so a stale one goes within one and a half TTLs. A reaped
+// transfer is tombstoned: a frame of it that arrives later is refused,
+// never acked into an upload that cannot complete.
 func (s *Service) reap() {
 	var stale []*upload
 	s.mu.Lock()
 	for k, u := range s.uploads {
 		if u.idle() > uploadTTL {
 			delete(s.uploads, k)
+			bury(s.dead, u.xfer)
 			stale = append(stale, u)
 		}
 	}
@@ -644,13 +662,7 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) (*wire.
 	// neither finish an existing upload nor start a fresh one and
 	// commit an unreferenced block after the GC.
 	s.mu.Lock()
-	now := time.Now()
-	for p, at := range s.deleted {
-		if now.Sub(at) > 2*uploadTTL {
-			delete(s.deleted, p)
-		}
-	}
-	s.deleted[w] = now
+	bury(s.deleted, w)
 	var doomed []*upload
 	for k, u := range s.uploads {
 		if writeOf(k) == w {
@@ -669,18 +681,6 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) (*wire.
 	b := rpc.NewFrame(4)
 	b.U32(uint32(n))
 	return b, nil
-}
-
-// writeDoomed reports whether the frame's write was recently
-// garbage-collected on this provider or its upload already failed.
-func (s *Service) writeDoomed(key blob.BlockKey) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.deleted[writeOf(key)]; ok {
-		return true
-	}
-	_, ok := s.failed[key]
-	return ok
 }
 
 func (s *Service) handleDeleteBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
@@ -771,14 +771,10 @@ type Client struct {
 // NewClient returns a provider client over pool.
 func NewClient(pool *rpc.Pool) *Client { return &Client{pool: pool} }
 
-// Put stores one block on the provider at addr.
+// Put stores one block on the provider at addr: a chained put down a
+// chain of one.
 func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data []byte) error {
-	f := rpc.NewFrame(24)
-	encodeKey(f, key)
-	f.Tail32(data)
-	resp, err := c.callFrame(ctx, addr, mPutBlock, f)
-	wire.PutBuf(resp)
-	return err
+	return c.PutChained(ctx, []string{addr}, key, data, 0)
 }
 
 // oneAttempt is the schedule of the small calls (Delete, BlockReport, ...),
@@ -804,12 +800,14 @@ func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *w
 // multiple spare copies of large blocks in transit buffers.
 const chainWindow = 4
 
-// PutChained streams one block along a replica chain: the block is cut
-// into frames of frameSize (DefaultFrameSize if <= 0) and pipelined to
-// addrs[0], which persists them while forwarding to addrs[1:]. The call
-// returns once every frame is acked by the whole chain — i.e. all
-// replicas hold the block. Any chain failure surfaces as an error with
-// code CodeChainFail; callers fall back to per-replica Put.
+// PutChained streams one block along a replica chain as one transfer,
+// named by a random id: the block is cut into frames of frameSize
+// (DefaultFrameSize if <= 0) and pipelined to addrs[0], which persists
+// them while forwarding to addrs[1:]. The call returns once every frame
+// is acked by the whole chain — i.e. all replicas hold the block. Any
+// chain failure surfaces as an error with code CodeChainFail; callers
+// fall back to one one-hop PutChained per replica, each a fresh
+// transfer that the failed one's tombstones do not refuse.
 func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockKey, data []byte, frameSize int) error {
 	if len(addrs) == 0 {
 		return errors.New("provider: empty replica chain")
@@ -820,10 +818,10 @@ func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockK
 	if frameSize <= 0 {
 		frameSize = DefaultFrameSize
 	}
-	head, chain := addrs[0], addrs[1:]
+	head, chain, xfer := addrs[0], addrs[1:], rand.Uint64()
 	total := int64(len(data))
 	if len(data) <= frameSize { // one frame (every stream block, every append): no window to run
-		return c.putChainFrame(ctx, head, key, chain, wire.Chunk{Total: total, Data: data})
+		return c.putChainFrame(ctx, head, key, xfer, chain, wire.Chunk{Total: total, Data: data})
 	}
 
 	// A failed frame cancels the rest immediately: without this, a hung
@@ -835,7 +833,7 @@ func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockK
 	return util.Windowed(frames, chainWindow, func(i int) error {
 		off := i * frameSize
 		ck := wire.Chunk{Off: int64(off), Total: total, Data: data[off:min(off+frameSize, len(data))]}
-		err := c.putChainFrame(fctx, head, key, chain, ck)
+		err := c.putChainFrame(fctx, head, key, xfer, chain, ck)
 		if err != nil {
 			cancel()
 		}
@@ -843,11 +841,12 @@ func (c *Client) PutChained(ctx context.Context, addrs []string, key blob.BlockK
 	})
 }
 
-// putChainFrame ships one frame to addr, naming the replicas still
-// downstream of it.
-func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockKey, chain []string, ck wire.Chunk) error {
-	f := rpc.NewFrame(64)
+// putChainFrame ships one frame of transfer xfer to addr, naming the
+// replicas still downstream of it.
+func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockKey, xfer uint64, chain []string, ck wire.Chunk) error {
+	f := rpc.NewFrame(72)
 	encodeKey(f, key)
+	f.U64(xfer)
 	f.StringSlice(chain)
 	f.Chunk(ck)
 	resp, err := c.callFrame(ctx, addr, mPutChained, f)

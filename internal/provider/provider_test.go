@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"blobseer/internal/blob"
@@ -101,11 +102,9 @@ func TestDeleteWriteGC(t *testing.T) {
 	}
 }
 
-// TestPutAfterDeleteWriteRefused: a plain put of a key whose write was
+// TestPutAfterDeleteWriteRefused: a one-hop put of a key whose write was
 // garbage-collected (a fallback put that the rpc server ran after the
-// GC's DeleteWrite) is refused and leaves nothing behind, while a key
-// whose chained upload failed still takes a plain put: that is the
-// fallback.
+// GC's DeleteWrite) is refused, says why, and leaves nothing behind.
 func TestPutAfterDeleteWriteRefused(t *testing.T) {
 	c, addr, svc := startProvider(t)
 	ctx := context.Background()
@@ -113,23 +112,15 @@ func TestPutAfterDeleteWriteRefused(t *testing.T) {
 	if _, err := c.DeleteWrite(ctx, addr, key.Blob, key.Nonce); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(ctx, addr, key, []byte("late")); err == nil {
-		t.Error("put of a garbage-collected write's block succeeded")
+	err := c.Put(ctx, addr, key, []byte("late"))
+	if rpc.CodeOf(err) != CodeChainFail || !strings.Contains(err.Error(), "garbage-collected") {
+		t.Errorf("put of a garbage-collected write's block = %v, want a CodeChainFail naming the GC", err)
 	}
 	if st := svc.Store().Stats(); st.Items != 0 {
 		t.Fatalf("a refused put left %d items in the store", st.Items)
 	}
-
-	failed := blob.BlockKey{Blob: 4, Nonce: 0xd2}
-	svc.BreakChain(true)
-	if err := c.PutChained(ctx, []string{addr}, failed, []byte("chained"), 0); rpc.CodeOf(err) != CodeChainFail {
-		t.Fatalf("chained put to a broken chain = %v, want CodeChainFail", err)
-	}
-	if err := c.Put(ctx, addr, failed, []byte("fallback")); err != nil {
-		t.Fatalf("fallback put of a failed upload's key: %v", err)
-	}
-	if got, err := svc.Store().Get(failed.String()); err != nil || string(got) != "fallback" {
-		t.Fatalf("fallback put stored %q, %v", got, err)
+	if n := svc.inflight(); n != 0 {
+		t.Fatalf("a refused put left %d uploads in flight", n)
 	}
 }
 

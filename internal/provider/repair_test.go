@@ -17,14 +17,25 @@ import (
 // each other).
 func startProviders(t *testing.T, n int) (*Client, []string, []*Service) {
 	t.Helper()
+	stores := make([]store.Store, n)
+	for i := range stores {
+		stores[i] = store.NewMemStore()
+	}
+	return providersOver(t, stores...)
+}
+
+// providersOver is startProviders over the given stores, one provider
+// each.
+func providersOver(t *testing.T, stores ...store.Store) (*Client, []string, []*Service) {
+	t.Helper()
 	net := rpc.NewInprocNetwork()
 	pool := rpc.NewPool(net.Dial)
 	t.Cleanup(pool.Close)
-	addrs := make([]string, n)
-	svcs := make([]*Service, n)
-	for i := 0; i < n; i++ {
+	addrs := make([]string, len(stores))
+	svcs := make([]*Service, len(stores))
+	for i, st := range stores {
 		addrs[i] = fmt.Sprintf("prov-%d", i)
-		svcs[i] = NewService(store.NewMemStore(), WithForwarder(pool))
+		svcs[i] = NewService(st, WithForwarder(pool))
 		lis, err := net.Listen(addrs[i])
 		if err != nil {
 			t.Fatal(err)

@@ -26,8 +26,9 @@ type ReaderConfig struct {
 	BlockSize int64
 	// Readahead is the asynchronous prefetch window: up to this many
 	// blocks are fetched by background goroutines ahead of a sequential
-	// stream. <= 0 keeps reads fully synchronous — one block fetched at
-	// a time, on demand.
+	// stream. <= 0 fetches nothing ahead — one block at a time, on
+	// demand, with the reader's lock down so Close and Seek never wait
+	// on it.
 	Readahead int
 	// Metrics, when non-nil, counts this reader's pipeline activity
 	// into its client's registry.
@@ -50,11 +51,11 @@ type PipelinedReader interface {
 // Reader is a sequential io.ReadSeekCloser over a pinned snapshot with
 // whole-block prefetching: when the requested data is not cached, the
 // full enclosing block is fetched (Section IV-B), so a Hadoop-style
-// sequence of 4 KB reads costs one block transfer. With Readahead > 0
-// the reader also detects sequential access and keeps a bounded window
-// of blocks in flight ahead of the stream position, fetched by
-// background goroutines, so consuming block i overlaps the transfer of
-// blocks i+1..i+N.
+// sequence of 4 KB reads costs one block transfer. Every block comes
+// through the window, fetched by a background goroutine; with Readahead
+// > 0 the reader also detects sequential access and keeps up to that
+// many blocks in flight ahead of the stream position, so consuming
+// block i overlaps the transfer of blocks i+1..i+N.
 type Reader struct {
 	ctx       context.Context
 	fetch     Fetch
@@ -184,22 +185,9 @@ func (r *Reader) Read(p []byte) (int, error) {
 func (r *Reader) lockedFetch(off int64) ([]byte, error) {
 	blockStart := off / r.blockSize * r.blockSize
 	if r.cacheOff != blockStart || off-blockStart >= int64(len(r.cache)) {
-		length := min(r.blockSize, r.size-blockStart)
-		if r.readahead > 0 {
-			if err := r.lockedLoadPipelined(off, blockStart, length); err != nil {
-				return nil, err
-			}
-			return r.cache[off-r.cacheOff:], nil
-		}
-		if r.cache == nil {
-			r.cache = wire.GetBuf(int(r.blockSize))
-		}
-		r.cacheOff = -1 // the buffer is being overwritten
-		r.cache = r.cache[:length]
-		if err := r.fetch(r.ctx, blockStart, r.cache); err != nil {
+		if err := r.lockedLoadPipelined(off, blockStart, min(r.blockSize, r.size-blockStart)); err != nil {
 			return nil, err
 		}
-		r.cacheOff = blockStart
 	}
 	return r.cache[off-r.cacheOff:], nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"blobseer/internal/stream"
 )
@@ -182,6 +183,46 @@ func TestReaderClosedSemantics(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Errorf("double Close = %v", err)
+	}
+}
+
+// TestReaderCloseDoesNotWaitOnFetch: with no readahead, a Read's fetch
+// still runs with the reader's lock down, so Close returns at once
+// while it is pending and the Read ends with ErrReaderClosed.
+func TestReaderCloseDoesNotWaitOnFetch(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	r := stream.NewReader(context.Background(), stream.ReaderConfig{
+		Fetch: func(ctx context.Context, off int64, p []byte) error {
+			close(started)
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-release:
+				return errors.New("fetch released by the test's end")
+			}
+		},
+		Size:      B,
+		BlockSize: B,
+	})
+	read := make(chan error, 1)
+	go func() {
+		_, err := r.Read(make([]byte, 8))
+		read <- err
+	}()
+	<-started
+	closed := make(chan error, 1)
+	go func() { closed <- r.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("Close still blocked 100 ms into a pending fetch")
+	}
+	if err := <-read; !errors.Is(err, stream.ErrReaderClosed) {
+		t.Errorf("Read cut short by Close = %v, want ErrReaderClosed", err)
 	}
 }
 

@@ -340,7 +340,7 @@ func BenchmarkHDFSWrite(b *testing.B) {
 // it with -benchtime=2000x (CI does).
 func BenchmarkAppendShared(b *testing.B) {
 	const blockSize, appenders = 64 * util.KB, 2
-	cl, err := blobseer.Start(blobseer.Config{BlockSize: blockSize, MetaCacheSize: -1, UseTCP: true})
+	cl, err := blobseer.Start(blobseer.Config{BlockSize: blockSize, UseTCP: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -395,27 +395,26 @@ func BenchmarkAppendShared(b *testing.B) {
 }
 
 // BenchmarkStreamReadCold is the paper's Fig 4 shape for one map task
-// on the real stack: a fresh BSFS client (a cold node cache, as a new
-// task has) opens a 16-block file on file:// stores and reads it in
-// 64 KB calls through the default readahead, over loopback TCP. What it
-// allocates per block, client and daemons together, is the read path's
-// bookkeeping: about 19.6 today, of which some 10 are the fresh
-// client's own, spread over its 16 blocks; the rest are each call's
-// handler goroutine, the leaf the node cache keeps, the file the
-// provider sends, its path and the prefetch's goroutine. It was 33.5
-// while every fetch, resolve and cache miss built records it dropped on
-// return, and 21 while each block fetched its own leaf. It also counts
-// the metadata batches the client sends per block: the stream fetches
-// its leaves a window at a time, windows of 4, 8 and 4 blocks here, so
-// the whole file takes three (3/16 per block), where a batch per block
-// reads 1. Run it with -benchtime=100x (CI does).
+// on the real stack: a fresh BSFS client (cold, as a new task is) opens
+// a 16-block file on file:// stores and reads it in 64 KB calls through
+// the default readahead, over loopback TCP. What it allocates per block,
+// client and daemons together, is the read path's bookkeeping: about
+// 14 today, most of them the fresh client's own, spread over its 16
+// blocks, and each call's handler goroutine, the file the provider
+// sends, its path and the prefetch's goroutine. It was 33.5 while every
+// fetch, resolve and cache miss built records it dropped on return, 21
+// while each block fetched its own leaf and 19.6 while the stream
+// fetched its leaves a window at a time. It also counts the metadata
+// batches the metadata providers answer per block: none, since the
+// pin's descriptors name every block's replicas, where windows of
+// leaves took 3/16 per block and a batch per block 1. Run it with
+// -benchtime=100x (CI does).
 func BenchmarkStreamReadCold(b *testing.B) {
 	const blockSize, blocks, call = util.MB, 16, 64 * util.KB
 	cl, err := blobseer.Start(blobseer.Config{
-		BlockSize:     blockSize,
-		MetaCacheSize: -1,
-		UseTCP:        true,
-		StoreURL:      "file://" + b.TempDir() + "/p{n}",
+		BlockSize: blockSize,
+		UseTCP:    true,
+		StoreURL:  "file://" + b.TempDir() + "/p{n}",
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -437,7 +436,7 @@ func BenchmarkStreamReadCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := make([]byte, call)
-	readCold := func() *bsfs.FS {
+	readCold := func() {
 		fsys, err := cl.NewBSFS("")
 		if err != nil {
 			b.Fatal(err)
@@ -451,35 +450,32 @@ func BenchmarkStreamReadCold(b *testing.B) {
 			b.Fatalf("read %d bytes, %v; want %d", n, err, blocks*blockSize)
 		}
 		r.Close()
-		return fsys
 	}
 	readCold() // connections dialed, free lists filled
-	clients := make([]*bsfs.FS, 0, b.N)
+	metaBatches := func() (n int64) {
+		for _, addr := range cl.MetaAddrs {
+			n += cl.MetaService(addr).Metrics().Histogram("get_batch_size").Count()
+		}
+		return n
+	}
+	batches := metaBatches()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.SetBytes(blocks * blockSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clients = append(clients, readCold())
+		readCold()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N*blocks)
-	var batches int64
-	for _, fsys := range clients {
-		h, err := fsys.OpenBlob(ctx, "/bench/input")
-		if err != nil {
-			b.Fatal(err)
-		}
-		batches += h.Client().MetaCacheStats().BatchGets
-	}
-	perBlock := float64(batches) / float64(b.N*blocks)
+	perBlock := float64(metaBatches()-batches) / float64(b.N*blocks)
 	b.ReportMetric(allocs, "allocs/block")
 	b.ReportMetric(perBlock, "meta_batches/block")
-	if b.N >= 50 && allocs > 25 {
-		b.Errorf("%.1f allocations per block of a cold BSFS read, want at most 25", allocs)
+	if b.N >= 50 && allocs > 20 {
+		b.Errorf("%.1f allocations per block of a cold BSFS read, want at most 20", allocs)
 	}
-	if perBlock > 0.25 {
-		b.Errorf("%.2f metadata batches per block of a cold BSFS read, want at most 0.25", perBlock)
+	if perBlock > 0 {
+		b.Errorf("%.2f metadata batches per block of a cold BSFS read, want none", perBlock)
 	}
 }

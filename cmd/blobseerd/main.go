@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		listen   = fs.String("listen", "127.0.0.1:0", "TCP listen address")
 		metas    = fs.String("meta", "", "comma-separated metadata provider addresses (repair role; required there)")
 		metaRepl = fs.Int("meta-replication", 1, "DHT replication level (repair role)")
-		metaCach = fs.Int("meta-cache", 0, "repair: immutable-node cache entries for the scan's metadata reads (<0 default, 0 off)")
 		shard    = fs.String("shard", "", "vmanager: shard identity k/K (e.g. 0/4); empty = unsharded")
 		vmAddr   = fs.String("vmanager", "", "version manager address, comma-separated shard list when sharded (namespace/repair roles)")
 		pmAddr   = fs.String("pmanager", "", "provider manager address (provider role; registers at startup)")
@@ -119,9 +118,9 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 			Meta: node.SplitAddrs(*metas), MetaReplication: *metaRepl,
 		},
 		NamenodeAddr: *nnAddr, StoreURL: *storeURL, Host: *host,
-		MetaCache: *metaCach, WriteTimeout: *wtimeout,
-		DataDir:     *dataDir,
-		ExpireAfter: *expire, Heartbeat: *hbEvery, BlockSize: *blockSz,
+		WriteTimeout: *wtimeout,
+		DataDir:      *dataDir,
+		ExpireAfter:  *expire, Heartbeat: *hbEvery, BlockSize: *blockSz,
 		RepairInterval: *repEvery,
 		MetricsAddr:    *metAddr, Logf: log.Printf,
 	}

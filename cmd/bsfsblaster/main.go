@@ -92,7 +92,6 @@ func main() {
 	// from and in whose exporter serves /metrics and /trace.
 	var (
 		clients *node.Clients
-		mcache  int
 		exp     *obs.Exporter
 	)
 	if *sim {
@@ -112,18 +111,18 @@ func main() {
 		clients = node.Connect(cl.Pool, node.Endpoints{
 			VM: cl.VMAddrs, PM: cl.PMAddr, NS: cl.NSAddr, Meta: cl.MetaAddrs, MetaReplication: cl.Cfg.MetaReplication,
 		})
-		mcache, exp = cl.Cfg.MetaCacheSize, cl.Obs()
+		exp = cl.Obs()
 		if url := cl.MetricsURL(); url != "" {
 			log.Printf("metrics on %s/metrics", url)
 		}
 	} else {
-		ep, c, err := conn()
+		ep, err := conn()
 		if err != nil {
 			log.Fatal(err)
 		}
 		pool := rpc.NewPool(rpc.TCPDialer)
 		defer pool.Close()
-		clients, mcache, exp = node.Connect(pool, ep), c, obs.NewExporter()
+		clients, exp = node.Connect(pool, ep), obs.NewExporter()
 		if *metAddr != "" {
 			bound, stop, err := exp.Serve(*metAddr)
 			if err != nil {
@@ -134,7 +133,7 @@ func main() {
 		}
 	}
 	clients.Tracer = exp.Plane("client").Tracer() // records the ops -trace-every tags
-	client := clients.Core("", mcache)
+	client := clients.Core("")
 	exp.Register("client", client.Metrics())
 	reg := obs.NewRegistry()
 	exp.Register("blaster", reg)

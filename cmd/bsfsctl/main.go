@@ -130,7 +130,7 @@ func main() {
 		return
 	}
 
-	ep, mcache, err := conn()
+	ep, err := conn()
 	if err != nil {
 		fatal(err)
 	}
@@ -145,13 +145,13 @@ func main() {
 	// file-system layer involved.
 	switch cmd {
 	case "providers", "decommission":
-		if err := runAdmin(ctx, clients.PM(), clients.Repair(mcache), cmd, args); err != nil {
+		if err := runAdmin(ctx, clients.PM(), clients.Repair(), cmd, args); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	fsys, err := clients.BSFS(clients.Core(*host, mcache), bsfs.Config{
+	fsys, err := clients.BSFS(clients.Core(*host), bsfs.Config{
 		BlockSize:        *blockSz,
 		Replication:      *repl,
 		ReadaheadBlocks:  stream.DefaultReadahead,

@@ -12,6 +12,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -155,22 +156,56 @@ func (k WriteKind) String() string {
 }
 
 // WriteDesc describes one committed-or-in-progress write: the version it
-// was assigned, the byte range it covers, and the blob size after it.
-// The ordered sequence of WriteDescs is the blob's history; it is the
-// "hint" the version manager hands to writers so they can weave metadata
-// concurrently with lower-version writers still in progress.
+// was assigned, the byte range it covers, the blob size after it, and
+// where its blocks live. The ordered sequence of WriteDescs is the
+// blob's history; it is the "hint" the version manager hands to writers
+// so they can weave metadata concurrently with lower-version writers
+// still in progress, and the index a reader names each block's replicas
+// from.
 type WriteDesc struct {
 	Version   Version
 	Off       int64
 	Len       int64
 	SizeAfter int64
 	Kind      WriteKind
-	Nonce     uint64 // the writer's block-key nonce (GC)
+	Nonce     uint64 // the writer's block-key nonce: block i is BlockKey{Blob, Nonce, i}
 	Aborted   bool   // true if the VM aborted the write: its blocks read as zeros
+	// Replicas is the write's placement: block i's replica addresses,
+	// primary first, are Replicas[i*R : (i+1)*R] at the blob's
+	// replication R. Nil when the writer sent none.
+	// Read-only: descriptors with the same placement share it.
+	Replicas []string
 }
 
 // Range returns the byte range covered by the write.
 func (d WriteDesc) Range() Range { return Range{Off: d.Off, Len: d.Len} }
+
+// Equal reports whether d and o describe the same write, placement
+// included.
+func (d WriteDesc) Equal(o WriteDesc) bool {
+	return d.Version == o.Version && d.Off == o.Off && d.Len == o.Len && d.SizeAfter == o.SizeAfter &&
+		d.Kind == o.Kind && d.Nonce == o.Nonce && d.Aborted == o.Aborted && slices.Equal(d.Replicas, o.Replicas)
+}
+
+// CheckPlacement reports whether the write's placement fits it in a
+// blob of configuration m: none at all (a writer that sent none), or
+// m.Replication non-empty addresses for each of its blocks. It also
+// refuses a range no write can have, so that whoever indexes d by block
+// stays in bounds.
+func (d WriteDesc) CheckPlacement(m Meta) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	if d.Off < 0 || d.Len < 0 || d.Off > math.MaxInt64-d.Len || d.Off%m.BlockSize != 0 {
+		return fmt.Errorf("blob: version %d writes [%d,+%d), no block-aligned range", d.Version, d.Off, d.Len)
+	}
+	n, k := Blocks(d.Len, m.BlockSize), int64(len(d.Replicas))
+	if k > 0 && (n > k || n*int64(m.Replication) != k || slices.Contains(d.Replicas, "")) {
+		return fmt.Errorf("blob: version %d: a placement of %d addresses, not %d non-empty ones for each of %d blocks",
+			d.Version, k, m.Replication, n)
+	}
+	return nil
+}
 
 // History is the dense, version-ordered sequence of write descriptors of
 // one blob. Descs[i] has Version == i+1. The version manager owns the
@@ -273,7 +308,7 @@ func (h *History) View() History {
 // capped, so that making them again cannot write where a view reads.
 func (h *History) set(idx int, d WriteDesc) {
 	old := h.Descs[idx]
-	if old == d {
+	if old.Equal(d) {
 		return
 	}
 	if h.shared {

@@ -236,7 +236,7 @@ func TestHistoryViewIsImmutable(t *testing.T) {
 				}
 			}
 			for _, hv := range views {
-				if !slices.Equal(hv.view.Descs, hv.want) {
+				if !slices.EqualFunc(hv.view.Descs, hv.want, WriteDesc.Equal) {
 					return false
 				}
 			}
@@ -274,7 +274,7 @@ func TestHistoryViewUnderRace(t *testing.T) {
 			default:
 			}
 			for i, d := range want {
-				if got, ok := view.Desc(Version(i + 1)); !ok || got != d {
+				if got, ok := view.Desc(Version(i + 1)); !ok || !got.Equal(d) {
 					t.Errorf("view of version %d changed to %+v", i+1, got)
 					return
 				}

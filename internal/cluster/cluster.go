@@ -41,7 +41,7 @@ type Config struct {
 	BlockSize       int64
 	Replication     int // data replication level
 	MetaReplication int // DHT replication level
-	MetaCacheSize   int // per-client immutable-node cache entries (<0 default, 0 off)
+	MetaCacheSize   int // ignored: clients read no tree node, so they keep no node cache (core.Config.MetaCacheSize)
 	Strategy        placement.Strategy
 	WriteTimeout    time.Duration // janitor abort threshold; 0 disables
 	UseTCP          bool          // listen on loopback TCP instead of inproc
@@ -302,7 +302,7 @@ func (c *BlobSeer) start() error {
 	c.MetaStore, c.Overlay = c.clients.MetaStore, c.clients.Overlay
 	// The repair engine runs over the deployment's own client stack, on
 	// demand: tests and tools drive RunOnce.
-	c.repairEng = c.clients.Repair(0)
+	c.repairEng = c.clients.Repair()
 	c.obs.Register("repair", c.repairEng.Metrics())
 
 	// Every daemon's plane is exported under its service name — the
@@ -346,7 +346,7 @@ func (c *BlobSeer) HostOf(i int) string { return fmt.Sprintf("host-%d", i) }
 // (a dedicated, non-co-deployed node, as in the paper's microbenchmark
 // boot-up phases) or one of HostOf(i) for a co-deployed client.
 func (c *BlobSeer) NewClient(host string) *core.Client {
-	return c.clients.Core(host, c.Cfg.MetaCacheSize)
+	return c.clients.Core(host)
 }
 
 // NewBSFS returns a BSFS file-system client for this deployment.

@@ -21,7 +21,6 @@ func TestHandleAPIAcrossTCP(t *testing.T) {
 		DataProviders: 3,
 		MetaProviders: 2,
 		BlockSize:     block,
-		MetaCacheSize: -1,
 		UseTCP:        true,
 	})
 	if err != nil {

@@ -27,8 +27,9 @@ func findService(n *obs.Node, prefix string, depth int) (*obs.Node, int) {
 
 // TestClusterTraceEndToEnd is the acceptance path: one traced BSFS-level
 // read against a live in-process cluster must stitch into a single tree
-// whose root is the client span, with the version manager, metadata DHT
-// and data provider server spans correctly nested below it.
+// whose root is the client span, with the version manager and data
+// provider server spans correctly nested below it, and no metadata DHT
+// span: the pin's descriptors name every block's replicas.
 func TestClusterTraceEndToEnd(t *testing.T) {
 	cl, err := StartBlobSeer(Config{
 		DataProviders: 2,
@@ -99,15 +100,10 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 			vm.Span.Op, vm.Span.Parent, vmDepth, tree)
 	}
 
-	// The metadata DHT serves the tree resolution under the client's
-	// resolve span, which itself nests under readat.
-	meta, metaDepth := findService(root, "meta-", 0)
-	if meta == nil {
-		t.Fatalf("no metadata DHT span in the tree:\n%s", tree)
-	}
-	if metaDepth < 2 {
-		t.Errorf("meta span %s.%s at depth %d, want nested under the client's resolve\n%s",
-			meta.Span.Service, meta.Span.Op, metaDepth, tree)
+	// The pin named every block's replicas: the read asks no metadata
+	// provider.
+	if meta, _ := findService(root, "meta-", 0); meta != nil {
+		t.Errorf("a read's trace holds a metadata span %s.%s:\n%s", meta.Span.Service, meta.Span.Op, tree)
 	}
 
 	// The data providers serve the block fetches below readat.

@@ -15,7 +15,7 @@ import (
 // per version: 3.5 KB at the first point, 450 KB at the second.)
 func TestAppendCostDoesNotGrowWithHistory(t *testing.T) {
 	const bs = 1024
-	cl := startCluster(t, cluster.Config{DataProviders: 2, MetaProviders: 2, BlockSize: bs, MetaCacheSize: 64})
+	cl := startCluster(t, cluster.Config{DataProviders: 2, MetaProviders: 2, BlockSize: bs})
 	ctx := context.Background()
 	b, err := cl.NewClient("").CreateBlob(ctx, bs, 1)
 	if err != nil {

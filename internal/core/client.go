@@ -11,9 +11,13 @@
 // completely decoupled: they only ever see published, immutable
 // snapshots.
 //
+// Reads are the paper's too, one hop shorter: a pin brings the
+// snapshot's write descriptors, each with its write's placement, so a
+// read names every block's replicas from them and goes straight to the
+// data providers — no metadata provider is asked.
+//
 // No sync.Mutex is held across a network wait: it would queue callers
-// behind the slowest round trip. A lock spanning one (a leaf window's
-// prefetch) is a one-slot channel, left when a waiter's context ends.
+// behind the slowest round trip.
 package core
 
 import (
@@ -59,22 +63,18 @@ type Config struct {
 	// an unsharded control plane is the one-address case.
 	VMAddrs   []string
 	PMAddr    string       // provider manager endpoint
-	MetaStore mdtree.Store // metadata DHT (mdtree.NewDHTStore) or test store
+	MetaStore mdtree.Store // metadata DHT (mdtree.NewDHTStore) or test store: writes build trees there, GC deletes them
 	Host      string       // this client's host name, for locality-aware placement
 
-	// MetaCacheSize bounds the client-side cache of immutable tree
-	// nodes: > 0 wraps MetaStore in an mdtree.NodeCache with that many
-	// entries, < 0 uses mdtree.DefaultCacheSize, 0 disables caching.
-	// Safe at any setting — nodes never change once written — and worth
-	// enabling whenever the same ranges are read repeatedly (MapReduce
-	// input scans).
+	// MetaCacheSize is ignored: a client reads no tree node, so it
+	// keeps no node cache. It stays for the callers that still set it.
 	MetaCacheSize int
 
 	// Overlay resolves relocated replicas: when the repair plane copies
 	// a block off a dead provider, the new location is recorded here
-	// (metadata is immutable, so the original replica set in the tree
-	// leaf never changes). Reads consult it only after exhausting a
-	// block's original replicas; nil disables the lookup.
+	// (descriptors are immutable, so the original replica set a write's
+	// descriptor names never changes). Reads consult it only after
+	// exhausting a block's original replicas; nil disables the lookup.
 	Overlay LocationOverlay
 
 	// Tracer, when non-nil, records client-side spans (read, readat,
@@ -109,7 +109,7 @@ type Client struct {
 
 	// The client's own registry; exporting it is the caller's choice.
 	reg            *obs.Registry
-	mResolve       *obs.Histogram  // metadata resolve latency per readInto
+	mResolve       *obs.Histogram  // block-index resolve latency per readInto
 	chainFallbacks *obs.Counter    // blocks that fell back to one-hop puts
 	deadReports    *obs.Counter    // MarkDead feedback reports sent
 	deadSuppressed *obs.Counter    // reports dropped by the per-provider rate limit
@@ -131,7 +131,7 @@ type blobState struct {
 	// hist is the writer's weaving hint, in-flight writes included;
 	// owners the reader's, published versions only. Kept apart because an
 	// in-flight descriptor can vanish (a restarted version manager reissues
-	// an unlogged version number): a reader must not name a leaf from one.
+	// an unlogged version number): a reader must not name a block from one.
 	hist   blob.History
 	owners mdtree.Owners
 }
@@ -171,7 +171,7 @@ func NewClient(cfg Config) *Client {
 		vm:             vmanager.NewClient(cfg.Pool, cfg.VMAddrs...),
 		pm:             pmanager.NewClient(cfg.Pool, cfg.PMAddr),
 		prov:           provider.NewClient(cfg.Pool),
-		meta:           mdtree.MaybeCache(cfg.MetaStore, cfg.MetaCacheSize),
+		meta:           cfg.MetaStore,
 		host:           cfg.Host,
 		overlay:        cfg.Overlay,
 		reg:            reg,
@@ -186,16 +186,14 @@ func NewClient(cfg Config) *Client {
 		hosts:          make(map[string]string),
 		reported:       make(map[string]time.Time),
 	}
-	reg.GaugeFunc("meta_cache_hits", func() int64 { return c.MetaCacheStats().Hits })
-	reg.GaugeFunc("meta_cache_misses", func() int64 { return c.MetaCacheStats().Misses })
 	if f, ok := cfg.MetaStore.(interface{ Fallbacks() int64 }); ok {
 		reg.GaugeFunc("meta_replica_fallbacks", f.Fallbacks)
 	}
 	return c
 }
 
-// Metrics exposes the client's registry: resolve latency, node-cache and
-// replica-fallback gauges, failure-feedback counters and the streaming
+// Metrics exposes the client's registry: resolve latency, the metadata
+// store's replica-fallback gauge, failure-feedback counters and the streaming
 // layer's pipeline instruments. Registering it with an obs.Exporter is
 // what makes a client metered.
 func (c *Client) Metrics() *obs.Registry { return c.reg }
@@ -248,14 +246,9 @@ func (c *Client) reportDead(addr string, err error) {
 	}()
 }
 
-// MetaCacheStats returns the client's node-cache counters, or zeroes
-// when the client runs uncached.
-func (c *Client) MetaCacheStats() mdtree.CacheStats {
-	if nc, ok := c.meta.(*mdtree.NodeCache); ok {
-		return nc.Stats()
-	}
-	return mdtree.CacheStats{}
-}
+// MetaCacheStats returns zeroes: a client keeps no node cache (see
+// Config.MetaCacheSize). It stays for the callers that still ask.
+func (c *Client) MetaCacheStats() mdtree.CacheStats { return mdtree.CacheStats{} }
 
 // nonceSource hands out write nonces unique across clients with
 // overwhelming probability: a random 64-bit base plus a counter.
@@ -367,7 +360,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	c.mu.Lock()
 	since := st.hist.Latest()
 	c.mu.Unlock()
-	a, err := c.vm.AssignVersion(ctx, id, kind, off, int64(len(data)), nonce, since)
+	a, err := c.vm.AssignVersion(ctx, id, kind, off, int64(len(data)), nonce, since, targets.Addrs...)
 	if err != nil {
 		c.gcBlocks(id, nonce, targets.Addrs)
 		return 0, err
@@ -513,7 +506,7 @@ func (c *Client) gcBlocks(id blob.ID, nonce uint64, addrs []string) {
 	}
 }
 
-// read is one readInto or Locations call's working set: the leaves its
+// read is one readInto or Locations call's working set: the extents its
 // range resolves to, the fetches that fill it and the window that runs
 // them provider by provider. The client recycles it (Client.reads), so a read allocates
 // none of it once the client has run as many reads at once before. It
@@ -522,7 +515,7 @@ func (c *Client) gcBlocks(id blob.ID, nonce uint64, addrs []string) {
 type read struct {
 	c       *Client
 	ctx     context.Context
-	leaves  mdtree.Scratch
+	extents mdtree.Scratch
 	fetches []fetch // sorted by first replica: a run per provider
 	win     util.Window
 	group   func(g int) error // fetchGroup of the g-th run, bound once
@@ -541,7 +534,7 @@ func (c *Client) newRead(ctx context.Context) *read {
 
 // release hands rd back to its client.
 func (rd *read) release() {
-	rd.leaves.Reset()
+	rd.extents.Reset()
 	if wire.Poisoning() {
 		for i := range rd.fetches {
 			rd.fetches[i] = fetch{first: -1}
@@ -576,9 +569,7 @@ func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	rd := c.newRead(ctx)
 	defer rd.release()
 	t0 := time.Now()
-	rctx, sp := c.tracer.Start(ctx, "resolve")
-	extents, err := s.owners.Resolve(rctx, c.meta, s.b.meta, s.version, s.size, blob.Range{Off: off, Len: int64(len(dst))}, &rd.leaves)
-	sp.Finish(err)
+	extents, err := s.owners.Resolve(s.b.meta, s.version, s.size, blob.Range{Off: off, Len: int64(len(dst))}, &rd.extents)
 	c.mResolve.ObserveSince(t0)
 	if err != nil {
 		return err
@@ -626,7 +617,7 @@ func (c *Client) fetches(ctx context.Context, fs []fetch, extents []mdtree.Exten
 	for i := range extents {
 		e := &extents[i]
 		sub := dst[e.FileOff-off : e.FileOff-off+e.Len]
-		if !e.HasData || len(e.Block.Providers) == 0 {
+		if !e.HasData {
 			clear(sub) // a hole, an aborted version's blocks included, reads as zeros
 			continue
 		}

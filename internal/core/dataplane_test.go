@@ -304,10 +304,11 @@ func TestFailedWriteAbortsAssignedVersion(t *testing.T) {
 	}
 }
 
-// TestGCKeepsLeavesItCannotRead: a sweep that cannot read a dead leaf
-// fails, with the leaf — the only record of where its block lives —
-// still stored and the block still on its provider.
-func TestGCKeepsLeavesItCannotRead(t *testing.T) {
+// TestGCFreesBlocksWithoutReadingLeaves: a sweep names each dead block
+// and its replicas from the write's descriptor, so it reads no leaf: with
+// every metadata read failing it still frees the overwritten version's
+// block and deletes its leaf.
+func TestGCFreesBlocksWithoutReadingLeaves(t *testing.T) {
 	const blockSize = int64(4 * 1024)
 	inner := mdtree.NewMemStore()
 	meta := &failingMetaStore{MemStore: inner}
@@ -326,18 +327,19 @@ func TestGCKeepsLeavesItCannotRead(t *testing.T) {
 		}
 	}
 	meta.readsBroken.Store(true)
-	if _, err := c.GC(ctx, b.ID(), v); err == nil {
-		t.Error("GC succeeded without reading the dead leaf")
+	st, err := c.GC(ctx, b.ID(), v)
+	if err != nil {
+		t.Fatalf("GC with every metadata read failing: %v", err)
 	}
-	if leaf := (mdtree.NodeID{Blob: b.ID(), Version: 1, Span: blockSize}); !inner.Has(leaf) {
-		t.Error("GC deleted a leaf whose block it did not free")
+	if leaf := (mdtree.NodeID{Blob: b.ID(), Version: 1, Span: blockSize}); inner.Has(leaf) {
+		t.Error("GC left the dead leaf stored")
 	}
 	var items int64
 	for _, cs := range d.provStore {
 		items += cs.Stats().Items
 	}
-	if items != 2 {
-		t.Errorf("%d blocks on providers after a failed GC, want both versions' 2", items)
+	if items != 1 || st.BlocksFreed != 1 {
+		t.Errorf("%d blocks on providers after GC, %d freed; want v2's 1 left and v1's freed", items, st.BlocksFreed)
 	}
 }
 

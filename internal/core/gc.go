@@ -36,6 +36,11 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	// the published history (descriptors are never discarded).
 	hist := &blob.History{}
 	h, err := c.vm.LatestSince(ctx, id, 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
+		for _, d := range descs {
+			if err := d.CheckPlacement(m); err != nil {
+				return err
+			}
+		}
 		return hist.Extend(descs)
 	})
 	if err != nil {
@@ -60,9 +65,7 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 			return st, fmt.Errorf("core: gc of version %d: %w", k, err)
 		}
 		if !d.Aborted {
-			if err := c.freeBlocks(ctx, dead, &st); err != nil {
-				return st, fmt.Errorf("core: gc of version %d: %w", k, err)
-			}
+			c.freeBlocks(ctx, m, d, dead, &st)
 		}
 		for _, dn := range dead {
 			if err := c.meta.Delete(ctx, dn.ID); err != nil {
@@ -74,32 +77,19 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	return st, nil
 }
 
-// freeBlocks deletes the data blocks the dead leaves among dead name. It
-// runs before any of those nodes is deleted, because a leaf is the only
-// record of where its payload lives: the leaves come in one batch, and a
-// batch that fails fails the sweep with every leaf still stored. A leaf
-// absent from the batch was deleted by an earlier sweep, with its block.
-func (c *Client) freeBlocks(ctx context.Context, dead []mdtree.DeadNode, st *GCStats) error {
-	var leaves []mdtree.NodeID
+// freeBlocks deletes the data blocks the dead leaves among dead name,
+// all version d's: a leaf's block is d's block at the leaf's offset,
+// and d's placement says where it lives, so no leaf is read. A version
+// whose writer sent no placement frees nothing.
+func (c *Client) freeBlocks(ctx context.Context, m blob.Meta, d blob.WriteDesc, dead []mdtree.DeadNode, st *GCStats) {
 	for _, dn := range dead {
-		if dn.Leaf {
-			leaves = append(leaves, dn.ID)
-		}
-	}
-	if len(leaves) == 0 {
-		return nil
-	}
-	nodes, err := c.meta.GetBatch(ctx, leaves)
-	if err != nil {
-		return fmt.Errorf("read dead leaves: %w", err)
-	}
-	for _, id := range leaves {
-		node, ok := nodes[id]
-		if !ok {
+		if !dn.Leaf || len(d.Replicas) == 0 {
 			continue
 		}
-		for _, addr := range node.Block.Providers {
-			if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
+		seq, r := (dn.ID.Off-d.Off)/m.BlockSize, int64(m.Replication)
+		key := blob.BlockKey{Blob: m.ID, Nonce: d.Nonce, Seq: uint32(seq)}
+		for _, addr := range d.Replicas[seq*r : (seq+1)*r] {
+			if err := c.prov.Delete(ctx, addr, key); err == nil {
 				st.BlocksFreed++
 			}
 		}
@@ -107,16 +97,15 @@ func (c *Client) freeBlocks(ctx context.Context, dead []mdtree.DeadNode, st *GCS
 		// dangling relocation entry would point readers at storage the
 		// providers already reclaimed.
 		if c.overlay != nil {
-			extras, err := c.overlay.Get(ctx, node.Block.Key)
+			extras, err := c.overlay.Get(ctx, key)
 			if err == nil {
 				for _, addr := range extras {
-					if err := c.prov.Delete(ctx, addr, node.Block.Key); err == nil {
+					if err := c.prov.Delete(ctx, addr, key); err == nil {
 						st.BlocksFreed++
 					}
 				}
-				_ = c.overlay.Remove(ctx, node.Block.Key)
+				_ = c.overlay.Remove(ctx, key)
 			}
 		}
 	}
-	return nil
 }

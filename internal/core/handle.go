@@ -102,12 +102,12 @@ func (b *Blob) WaitPublished(ctx context.Context, v blob.Version, timeout time.D
 // pin makes the Snapshot of v from one head, read after waiting up to
 // timeout for v to publish if wait is set. The call asks from the
 // version the client's block index reaches, and the history after it
-// extends the index.
+// extends the index; a descriptor whose placement does not fit it fails
+// the pin.
 func (b *Blob) pin(ctx context.Context, v blob.Version, wait bool, timeout time.Duration) (*Snapshot, error) {
 	id, owners := b.meta.ID, &b.c.state(b.meta.ID).owners
 	page := func(_ vmanager.Head, descs []blob.WriteDesc) error {
-		owners.Extend(b.meta.BlockSize, descs)
-		return nil
+		return owners.Extend(b.meta, descs)
 	}
 	var h vmanager.Head
 	var err error
@@ -198,10 +198,10 @@ func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
 // (version, size) pair is resolved at creation, so reads cost zero
 // version-manager round-trips, however many the snapshot serves or
 // writers publish meanwhile. The pin brought every write descriptor up
-// to the version, so the client knows which version owns each block
-// and a read fetches exactly its leaves: one batched metadata round
-// trip, none when the immutable-node cache has them. A Snapshot is safe
-// for concurrent use: ReadAt may run from many goroutines.
+// to the version, each with its write's placement, so the client knows
+// which version owns each block and which providers hold it: a read
+// asks no metadata provider, and goes straight to the data. A Snapshot
+// is safe for concurrent use: ReadAt may run from many goroutines.
 type Snapshot struct {
 	b       *Blob
 	ctx     context.Context // pinned at creation; bare ReadAt runs under it
@@ -266,13 +266,13 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 
 // Locations returns the block locations covering [off, off+length) of
 // the pinned snapshot — the layout primitive affinity schedulers ask
-// (Section IV-C) — without re-resolving the version. The slices are the
-// caller's: a provider list is copied out of the node cache, whose
-// leaves share theirs.
+// (Section IV-C) — from the descriptors the pin brought: no version or
+// metadata round trip. The slices are the caller's: a provider list is
+// copied out of the descriptor, whose placement descriptors share.
 func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location, error) {
 	rd := s.b.c.newRead(ctx)
 	defer rd.release()
-	extents, err := s.owners.Resolve(ctx, s.b.c.meta, s.b.meta, s.version, s.size, blob.Range{Off: off, Len: length}, &rd.leaves)
+	extents, err := s.owners.Resolve(s.b.meta, s.version, s.size, blob.Range{Off: off, Len: length}, &rd.extents)
 	if err != nil {
 		return nil, err
 	}
@@ -299,13 +299,9 @@ type ReaderOptions struct {
 // NewReader returns a sequential io.ReadSeekCloser over the snapshot
 // with whole-block caching and bounded asynchronous readahead — the
 // engine BSFS file readers run on, available to raw-blob applications
-// directly. Through a node cache it also reads the metadata ahead: its
-// block fetches name their leaves a window at a time, a window growing
-// with the run the reader streams up to leafBlocks blocks, so a cold
-// stream pays one metadata round trip per window, not one per block
-// (leafWindow).
+// directly. Its block fetches are ReadAt calls, so a cold stream, like
+// a read, sends nothing but its data requests.
 func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reader {
-	lw := s.newLeafWindow(o.Readahead)
 	return stream.NewReader(ctx, stream.ReaderConfig{
 		Size:      s.size,
 		BlockSize: s.b.meta.BlockSize,
@@ -316,7 +312,6 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 			// and readahead prefetches both show up in the trace.
 			ctx, sp := s.b.c.tracer.Start(ctx, "stream.fetch")
 			defer func() { sp.Finish(err) }()
-			lw.cover(ctx, off)
 			n, err := s.ReadAtContext(ctx, p, off)
 			if err != nil && err != io.EOF {
 				return err
@@ -327,102 +322,4 @@ func (s *Snapshot) NewReader(ctx context.Context, o ReaderOptions) *stream.Reade
 			return nil
 		},
 	})
-}
-
-// leafBlocks is the most blocks whose leaves a streamed reader fetches
-// with one batch. A cold 128-block partition then makes 6 metadata
-// round trips instead of 128 (windows of 4, 8, 20 and three of 32); a
-// wider window saves little more, and each client keeps a node-cache
-// flight as wide as its widest batch.
-const leafBlocks = 32
-
-// leafWindow is a streamed reader's metadata readahead: the run of
-// blocks [run, end) of its snapshot whose leaves it has fetched into
-// the client's node cache, a window at a time, so that its block
-// fetches there resolve from memory. The first fetch outside the run
-// fetches the next window while the reader's other fetches wait on mu,
-// so they open no flights of their own; one whose context ends (a Seek
-// or Close dropped it) stops waiting at once. A window is as wide as
-// the run the reader has shown asks: the first of a run covers the block
-// fetched and its readahead, and each window that goes on from the
-// last is twice the run so far, up to most, and ends by the next
-// multiple of most blocks. A reader that reads a block or two fetches
-// few more leaves than it reads; one that streams on fetches its
-// leaves leafBlocks at a time, and one that streams a partition of
-// whole windows none past its end.
-type leafWindow struct {
-	s           *Snapshot
-	nc          *mdtree.NodeCache
-	bs          int64
-	first, most int64 // a window's bytes: the first of a run, and at most
-
-	mu       chan struct{} // a one-slot lock: it is held across a round trip
-	run, end int64
-}
-
-// newLeafWindow returns a window for a reader of s whose stream reads
-// readahead blocks ahead, or nil where none applies, which reads as
-// before: a client without a node cache, or a cache whose shards hold
-// fewer than two leaves. A window is at most a shard's capacity, so a
-// prefetch never evicts its own leaves.
-func (s *Snapshot) newLeafWindow(readahead int) *leafWindow {
-	nc, ok := s.b.c.meta.(*mdtree.NodeCache)
-	if !ok {
-		return nil
-	}
-	most := min(leafBlocks, nc.PrefetchRoom())
-	if most < 2 {
-		return nil
-	}
-	bs := s.b.meta.BlockSize
-	// A fetch after a seek comes alone; the next, and a stream's first,
-	// comes with its readahead: readahead+2 blocks in all.
-	first := min(max(readahead, 0)+2, most)
-	return &leafWindow{s: s, nc: nc, bs: bs, first: int64(first) * bs, most: int64(most) * bs, mu: make(chan struct{}, 1)}
-}
-
-// cover makes sure the leaves of the window holding off are cached.
-// Outside the run it fetches, with one batch, those the cache lacks of
-// the next window: the one that goes on from the run if off lies
-// within it, else the first of a new run, from off's block. A new run
-// starts at block 0 if off lies within its first window's width of it:
-// a stream's first fetch comes with its readahead, and whichever of
-// them takes mu first must open a window that holds them all. A run
-// is checked whole, not only its last window, because readahead
-// fetches take mu out of order. A failed or canceled prefetch leaves
-// the run as it was; the read then fetches its own leaf, as without a
-// window. A fetch whose context has ended (a Seek or Close dropped it)
-// fetches nothing ahead, and stops waiting for the window if it was.
-func (lw *leafWindow) cover(ctx context.Context, off int64) {
-	if lw == nil || ctx.Err() != nil {
-		return
-	}
-	select {
-	case lw.mu <- struct{}{}:
-	case <-ctx.Done():
-		return
-	}
-	defer func() { <-lw.mu }()
-	if ctx.Err() != nil || off >= lw.run && off < lw.end {
-		return
-	}
-	start := off / lw.bs * lw.bs
-	run, span := start, lw.first
-	next := min(lw.most, 2*(lw.end-lw.run), (lw.end/lw.most+1)*lw.most-lw.end)
-	switch {
-	case lw.end > lw.run && off >= lw.end && off < lw.end+next: // the run goes on
-		run, start, span = lw.run, lw.end, next
-	case start < lw.first:
-		run, start = 0, 0
-	}
-	s := lw.s
-	end := min(s.size, start+span)
-	var buf [leafBlocks]mdtree.NodeID // on the stack
-	ids, err := s.owners.Leaves(buf[:0], s.b.meta, s.version, blob.Range{Off: start, Len: end - start})
-	if err == nil {
-		err = lw.nc.Prefetch(ctx, ids)
-	}
-	if err == nil {
-		lw.run, lw.end = run, end
-	}
 }

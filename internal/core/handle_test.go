@@ -144,12 +144,11 @@ func TestLatestOnUnpublishedBlob(t *testing.T) {
 // TestSnapshotPinnedMetadataOps is the op-count regression pin for the
 // handle redesign: after one warming read, N repeated ReadAt calls
 // against a pinned Snapshot must cost ZERO version-manager round-trips
-// and ZERO metadata-DHT fetches (the node cache serves the tree).
+// and ZERO metadata-DHT fetches (the pin named every block's replicas).
 func TestSnapshotPinnedMetadataOps(t *testing.T) {
 	cl := startCluster(t, cluster.Config{
 		DataProviders: 4,
 		MetaProviders: 2,
-		MetaCacheSize: -1, // default-sized immutable-node cache
 	})
 	ctx := context.Background()
 	c := cl.NewClient("")
@@ -176,10 +175,15 @@ func TestSnapshotPinnedMetadataOps(t *testing.T) {
 			t.Fatal("pinned read returned wrong data")
 		}
 	}
-	read() // warm the node cache
+	read() // warm the connections
 
-	vmCalls := cl.VMService().Ops().Total()
-	warm := c.MetaCacheStats()
+	metaGets := func() (n int64) {
+		for _, addr := range cl.MetaAddrs {
+			n += cl.MetaService(addr).Metrics().Counter("gets").Value()
+		}
+		return n
+	}
+	vmCalls, gets := cl.VMService().Ops().Total(), metaGets()
 	const N = 10
 	for i := 0; i < N; i++ {
 		read()
@@ -187,9 +191,8 @@ func TestSnapshotPinnedMetadataOps(t *testing.T) {
 	if got := cl.VMService().Ops().Total(); got != vmCalls {
 		t.Errorf("%d repeated pinned reads cost %d version-manager round-trips, want 0", N, got-vmCalls)
 	}
-	warmer := c.MetaCacheStats()
-	if warmer.Misses != warm.Misses {
-		t.Errorf("%d repeated pinned reads missed the node cache %d times, want 0", N, warmer.Misses-warm.Misses)
+	if got := metaGets(); got != gets {
+		t.Errorf("%d repeated pinned reads asked the metadata providers for %d keys, want 0", N, got-gets)
 	}
 }
 
@@ -198,7 +201,7 @@ func TestSnapshotPinnedMetadataOps(t *testing.T) {
 // publishing new versions — the pinned snapshot must stay bit-stable
 // and data-race free (run under -race in CI).
 func TestParallelReadAtWhileWritersPublish(t *testing.T) {
-	cl := startCluster(t, cluster.Config{DataProviders: 6, MetaProviders: 2, MetaCacheSize: -1})
+	cl := startCluster(t, cluster.Config{DataProviders: 6, MetaProviders: 2})
 	ctx := context.Background()
 	c := cl.NewClient("")
 	b, err := c.CreateBlob(ctx, B, 1)
@@ -373,7 +376,7 @@ func TestSnapshotLocationsPinned(t *testing.T) {
 // of the snapshot fetches nor what a later Locations reports, though the
 // node cache holds the leaves and leaves placed alike share one list.
 func TestLocationsAreTheCallers(t *testing.T) {
-	cl := startCluster(t, cluster.Config{DataProviders: 4, MetaProviders: 2, MetaCacheSize: -1})
+	cl := startCluster(t, cluster.Config{DataProviders: 4, MetaProviders: 2})
 	ctx := context.Background()
 	c := cl.NewClient("")
 	b, err := c.CreateBlob(ctx, B, 1)

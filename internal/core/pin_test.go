@@ -3,24 +3,29 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
 	"blobseer/internal/rpc"
+	"blobseer/internal/stream"
 	"blobseer/internal/wire"
 )
 
 // These tests hold the read path to the versioning contract — a reader
 // of v sees exactly the writes <= v. A Snapshot resolves from the
-// client's block index, which its pin brought up to the version; the
-// paper's tree walk, mdtree.Resolve run directly on the metadata store,
-// is the reference it is checked against. They run with released
-// buffers poisoned, so a descriptor or node decoded out of a recycled
-// frame shows as a wrong read.
+// client's block index, which its pin brought up to the version, each
+// block's replicas from its write's placement; the paper's tree walk,
+// mdtree.Resolve run directly on the metadata store, is the reference
+// it is checked against. They run with released buffers poisoned, so a
+// descriptor decoded out of a recycled frame shows as a wrong read.
 
 const pinBS = int64(4 * 1024)
 
@@ -29,13 +34,12 @@ func poisonReleased(t *testing.T) {
 	t.Cleanup(func() { wire.PoisonReleased(false) })
 }
 
-// pinClient returns a fresh client of d (cold caches) with a node cache
-// of cacheSize entries (0: none, so every resolve reaches d's store).
-func pinClient(t *testing.T, d *miniDeploy, cacheSize int) *Client {
+// pinClient returns a fresh client of d: it knows no blob yet.
+func pinClient(t *testing.T, d *miniDeploy) *Client {
 	t.Helper()
 	pool := rpc.NewPool(d.net.Dial)
 	t.Cleanup(pool.Close)
-	return NewClient(Config{Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr, MetaStore: d.clientMeta, MetaCacheSize: cacheSize})
+	return NewClient(Config{Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr, MetaStore: d.clientMeta})
 }
 
 func blocksOf(tags ...byte) []byte {
@@ -93,7 +97,7 @@ func walkAgrees(st mdtree.Store, s *Snapshot) error {
 		return fmt.Errorf("walk of v%d: %w", s.version, err)
 	}
 	var sc mdtree.Scratch
-	index, err := s.owners.Resolve(ctx, s.b.c.meta, s.b.meta, s.version, s.size, r, &sc)
+	index, err := s.owners.Resolve(s.b.meta, s.version, s.size, r, &sc)
 	if err != nil {
 		return fmt.Errorf("index of v%d: %w", s.version, err)
 	}
@@ -106,11 +110,11 @@ func walkAgrees(st mdtree.Store, s *Snapshot) error {
 // TestPinnedSnapshotStableWhileItsClientOverwrites: the client that
 // pinned v goes on to overwrite the same blocks and to pin again, so its
 // block index runs far ahead of v. The snapshot must keep naming v's
-// leaves.
+// blocks.
 func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
 	poisonReleased(t)
 	d := startMini(t, 2, mdtree.NewMemStore())
-	c := pinClient(t, d, 0)
+	c := pinClient(t, d)
 	ctx := context.Background()
 	b, err := c.CreateBlob(ctx, pinBS, 1)
 	if err != nil {
@@ -158,9 +162,9 @@ func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
 
 // TestAbortedVersionReadsAsZerosOnBothPaths: a version whose writer
 // failed has no metadata to read. Its blocks read as zeros through
-// ReadAt and through a streamed reader, which fetches its leaves a
-// window ahead — an aborted overwrite included, which must not show the
-// older bytes under it — and the later writes beside them read intact.
+// ReadAt and through a streamed reader — an aborted overwrite included,
+// which must not show the older bytes under it — and the later writes
+// beside them read intact.
 func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 	poisonReleased(t)
 	inner := mdtree.NewMemStore()
@@ -168,7 +172,7 @@ func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 	d := startMini(t, 2, inner)
 	d.clientMeta = meta
 	ctx := context.Background()
-	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	b, err := pinClient(t, d).CreateBlob(ctx, pinBS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +192,7 @@ func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 	failing(func() (blob.Version, error) { return b.Write(ctx, 0, blocksOf('y')) })
 	want := map[blob.Version][]byte{3: blocksOf('a', 'a', 0, 'c'), 4: blocksOf(0, 'a', 0, 'c')}
 
-	rb, err := pinClient(t, d, -1).OpenBlob(ctx, b.ID())
+	rb, err := pinClient(t, d).OpenBlob(ctx, b.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +223,7 @@ func TestSnapshotBelowPrunePointNeverReadsAnotherVersion(t *testing.T) {
 	poisonReleased(t)
 	d := startMini(t, 2, mdtree.NewMemStore())
 	ctx := context.Background()
-	w := pinClient(t, d, 0)
+	w := pinClient(t, d)
 	b, err := w.CreateBlob(ctx, pinBS, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +233,7 @@ func TestSnapshotBelowPrunePointNeverReadsAnotherVersion(t *testing.T) {
 	mustWrite(t, b, 1, blocksOf('c'))
 	content := map[blob.Version][]byte{1: blocksOf('a', 'a', 'a', 'a'), 2: blocksOf('a', 'b', 'a', 'a')}
 
-	rb, err := pinClient(t, d, -1).OpenBlob(ctx, b.ID())
+	rb, err := pinClient(t, d).OpenBlob(ctx, b.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,20 +283,21 @@ func TestSnapshotBelowPrunePointNeverReadsAnotherVersion(t *testing.T) {
 // TestPinBeyondDescriptorCapPages: a client further behind than one
 // Latest reply carries catches up a page at a time. Its pin reaches the
 // version through the block index with two Latest calls, and a 4-block
-// read then costs one metadata batch, the bytes the walk names.
+// read then sends no metadata call, and reads the bytes the walk names.
 func TestPinBeyondDescriptorCapPages(t *testing.T) {
 	poisonReleased(t)
 	mem := mdtree.NewMemStore()
 	d := startMini(t, 2, mem)
 	ctx := context.Background()
-	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	b, err := pinClient(t, d).CreateBlob(ctx, pinBS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A long history without the cost of writing it: versions assigned
 	// and committed straight at the manager, each an overwrite of block
-	// 0. They have no trees, and need none, because the real write that
-	// follows covers the whole blob and borrows nothing.
+	// 0. They have no trees and no placement, and need neither, because
+	// the real write that follows covers the whole blob and borrows
+	// nothing.
 	vm := d.vm.State()
 	const behind = 10000 // above vmanager's cap on descriptors per reply
 	for i := 0; i < behind; i++ {
@@ -307,7 +312,7 @@ func TestPinBeyondDescriptorCapPages(t *testing.T) {
 	want := blocksOf('w', 'x', 'y', 'z')
 	mustWrite(t, b, 0, want)
 
-	rb, err := pinClient(t, d, 0).OpenBlob(ctx, b.ID())
+	rb, err := pinClient(t, d).OpenBlob(ctx, b.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,25 +332,25 @@ func TestPinBeyondDescriptorCapPages(t *testing.T) {
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read through the paged index: %v", err)
 	}
-	if _, after := mem.BatchOps(); after-batches != 1 {
-		t.Errorf("a 4-block read took %d batched fetches, want 1: its leaves", after-batches)
+	if _, after := mem.BatchOps(); after != batches {
+		t.Errorf("a 4-block read took %d batched metadata fetches, want none", after-batches)
 	}
 	if err := walkAgrees(mem, s); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestReadCostsOneMetadataRoundTrip pins the point of the block index:
-// a cold read reaches the metadata store in exactly one batch holding
-// exactly its leaves, a warm one not at all, and a pin is one Latest
-// call at the version manager — where the tree walk pays a round trip
-// per level.
-func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
+// TestReadSendsNoMetadataCall pins the point of placements in the
+// descriptors: a pin is one Latest call at the version manager, and a
+// read after it, cold or warm, by the pinning client or by the one that
+// wrote the blocks, reaches the metadata store not at all — where the
+// tree walk pays a round trip per level.
+func TestReadSendsNoMetadataCall(t *testing.T) {
 	poisonReleased(t)
 	mem := mdtree.NewMemStore()
 	d := startMini(t, 2, mem)
 	ctx := context.Background()
-	b, err := pinClient(t, d, 0).CreateBlob(ctx, pinBS, 1)
+	b, err := pinClient(t, d).CreateBlob(ctx, pinBS, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +359,7 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 	mustWrite(t, b, 4, blocksOf('E'))
 	want := blocksOf('a', 'b', 'c', 'D', 'E', 'f', 'g', 'h')
 
-	c := pinClient(t, d, -1)
-	rb, err := c.OpenBlob(ctx, b.ID())
+	rb, err := pinClient(t, d).OpenBlob(ctx, b.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +371,14 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 	if now := d.vm.Ops(); now.Latest != ops.Latest+1 || now.Total() != ops.Total()+1 {
 		t.Errorf("one pin cost the version manager %+v -> %+v, want exactly one Latest", ops, now)
 	}
+	ws, err := b.Latest(ctx) // the writer's own pin
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Three blocks, unaligned, across both overwrites.
 	off, buf := 2*pinBS+100, make([]byte, 2*pinBS+200)
-	read := func(s *Snapshot) (batches, nodes int64) {
-		t.Helper()
+	for i, s := range []*Snapshot{s, s, ws} {
 		_, b0 := mem.BatchOps()
 		_, n0 := mem.Ops()
 		if _, err := s.ReadAt(buf, off); err != nil {
@@ -380,19 +387,12 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 		if !bytes.Equal(buf, want[off:off+int64(len(buf))]) {
 			t.Fatal("wrong bytes")
 		}
-		_, b1 := mem.BatchOps()
-		_, n1 := mem.Ops()
-		return b1 - b0, n1 - n0
-	}
-	cached := c.MetaCacheStats().BatchGets
-	if batches, nodes := read(s); batches != 1 || nodes != 3 {
-		t.Errorf("cold 3-block read: %d batches fetching %d nodes, want 1 batch of the 3 leaves", batches, nodes)
-	}
-	if got := c.MetaCacheStats().BatchGets - cached; got != 1 {
-		t.Errorf("cold 3-block read: node cache issued %d batched fetches, want 1", got)
-	}
-	if batches, nodes := read(s); batches != 0 || nodes != 0 {
-		t.Errorf("warm 3-block read: %d batches, %d nodes, want none", batches, nodes)
+		if _, b1 := mem.BatchOps(); b1 != b0 {
+			t.Errorf("read %d of 3 blocks: %d metadata batches, want none", i, b1-b0)
+		}
+		if _, n1 := mem.Ops(); n1 != n0 {
+			t.Errorf("read %d of 3 blocks: %d metadata gets, want none", i, n1-n0)
+		}
 	}
 
 	// The same range resolved by walking the tree: a level at a time.
@@ -412,48 +412,12 @@ func TestReadCostsOneMetadataRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppenderCachesExactlyItsLeaves: what an append writes through the
-// client's node cache stays cached only if a reader names it — the
-// appended leaves, never the spine above them — and a read of them
-// through the same client reaches the metadata store not at all.
-func TestAppenderCachesExactlyItsLeaves(t *testing.T) {
-	poisonReleased(t)
-	mem := mdtree.NewMemStore()
-	d := startMini(t, 2, mem)
-	c := pinClient(t, d, -1)
-	ctx := context.Background()
-	b, err := c.CreateBlob(ctx, pinBS, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := blocksOf('a', 'b', 'c', 'd', 'e')
-	for _, data := range [][]byte{want[:3*pinBS], want[3*pinBS:]} {
-		if _, err := b.Append(ctx, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.MetaCacheStats().Size; got != 5 {
-		t.Errorf("after appending 5 blocks the writer caches %d nodes, want its 5 leaves", got)
-	}
-	s, err := b.Latest(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, gets := mem.Ops()
-	if got, err := readAll(s); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("read back: %v", err)
-	}
-	if _, after := mem.Ops(); after != gets {
-		t.Errorf("reading its own appends cost the writer %d metadata gets, want 0", after-gets)
-	}
-}
-
 // TestBlobStateTableIsBounded: the per-blob cache holds maxBlobStates
 // blobs, the least recently used goes first, and nothing that still
 // holds a dropped state — or comes back to the blob — notices.
 func TestBlobStateTableIsBounded(t *testing.T) {
 	d := startMini(t, 2, mdtree.NewMemStore())
-	c := pinClient(t, d, 0)
+	c := pinClient(t, d)
 	ctx := context.Background()
 	first, err := c.CreateBlob(ctx, pinBS, 1)
 	if err != nil {
@@ -495,4 +459,97 @@ func TestBlobStateTableIsBounded(t *testing.T) {
 	if got, err := readAll(s); err != nil || !bytes.Equal(got, blocksOf('a', 'b')) || s.owners.Through() != s.Version() {
 		t.Errorf("re-pinned dropped blob: err %v, index through %d", err, s.owners.Through())
 	}
+}
+
+// stampedBlocks returns n blocks in which every aligned 8-byte word
+// holds its own offset, so a byte of the wrong block is a mismatch
+// wherever it lands.
+func stampedBlocks(n int) []byte {
+	d := make([]byte, int64(n)*pinBS)
+	for off := 0; off < len(d); off += 8 {
+		binary.LittleEndian.PutUint64(d[off:], uint64(off))
+	}
+	return d
+}
+
+// TestStreamReadersSeekAcrossBlocks runs two readers of one snapshot,
+// each moved by two goroutines of a fresh client: reads and seeks cross
+// block and readahead edges while block fetches are in flight, and the
+// first goroutine done closes its reader under the other. Released
+// buffers and records are scribbled over (wire.PoisonReleased), and
+// every byte read is checked against the stamp of its offset.
+func TestStreamReadersSeekAcrossBlocks(t *testing.T) {
+	poisonReleased(t)
+	const blocks = 48
+	d := startMini(t, 3, mdtree.NewMemStore())
+	ctx := context.Background()
+	w, err := pinClient(t, d).CreateBlob(ctx, pinBS, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := stampedBlocks(blocks)
+	if _, err := w.Append(ctx, data); err != nil {
+		t.Fatal(err)
+	}
+	for round := uint64(0); round < 6; round++ {
+		b, err := pinClient(t, d).OpenBlob(ctx, w.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := b.Latest(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for k := uint64(0); k < 2; k++ {
+			r := s.NewReader(ctx, ReaderOptions{Readahead: 3})
+			var once sync.Once
+			for h := uint64(0); h < 2; h++ {
+				wg.Add(1)
+				go func(seed uint64) {
+					defer wg.Done()
+					defer once.Do(func() { r.Close() })
+					if err := readAcrossEdges(r, rand.New(rand.NewPCG(seed, 50)), data); err != nil {
+						t.Error(err)
+					}
+				}(100*round + 10*k + h)
+			}
+		}
+		wg.Wait()
+	}
+}
+
+// readAcrossEdges reads r in 8-byte multiples and seeks it, now and
+// then, to near the edge of a run of 4 blocks, checking each Read
+// against the stamp it starts with: another goroutine moves r too. A
+// reader closed under it ends the run.
+func readAcrossEdges(r io.ReadSeeker, rng *rand.Rand, data []byte) error {
+	const run = 4 * pinBS
+	size := int64(len(data))
+	p := make([]byte, pinBS+8)
+	for step := 0; step < 40; step++ {
+		n, err := r.Read(p[:8*(1+rng.IntN(len(p)/8))])
+		if errors.Is(err, stream.ErrReaderClosed) {
+			return nil
+		}
+		if err != nil && err != io.EOF {
+			return err
+		}
+		if n > 0 {
+			at := int64(binary.LittleEndian.Uint64(p))
+			if n%8 != 0 || at%8 != 0 || at+int64(n) > size || !bytes.Equal(p[:n], data[at:at+int64(n)]) {
+				return errors.New("a stream read returned bytes that are no range of the blob")
+			}
+		}
+		if rng.IntN(4) == 0 { // to within a block of some run's edge
+			edge := rng.Int64N(size/run+1) * run
+			off := min(max(edge+(rng.Int64N(2*pinBS/8)-pinBS/8)*8, 0), size-8)
+			if _, err := r.Seek(off, io.SeekStart); errors.Is(err, stream.ErrReaderClosed) {
+				return nil
+			} else if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -32,11 +32,10 @@ func stamped(n int) []byte {
 }
 
 // TestRecycledReadRecordsStayInTheirCall holds the read path's recycled
-// records — a client's read working sets and node-cache flights, a
-// stream reader's block loads — to their calls. Eight goroutines share
-// one snapshot and mix overlapping reads of 1–3 blocks (so 1–3
-// providers) with layout queries, through a node cache far smaller than
-// the tree, so calls keep joining each other's flights. Meanwhile two
+// records — a client's read working sets, a stream reader's block
+// loads — to their calls. Eight goroutines share one snapshot and mix
+// overlapping reads of 1–3 blocks (so 1–3 providers) with layout
+// queries. Meanwhile two
 // BSFS readers on the same client seek backward and forward and close
 // with prefetches in flight. Released records and buffers are
 // scribbled over (wire.PoisonReleased), so a holder that outlived one
@@ -50,7 +49,6 @@ func TestRecycledReadRecordsStayInTheirCall(t *testing.T) {
 		DataProviders: 3,
 		MetaProviders: 2,
 		BlockSize:     B,
-		MetaCacheSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -201,7 +201,7 @@ func TestRPCsPerOperation(t *testing.T) {
 			pool = rpc.NewPool(counter.dial(d))
 		}
 		t.Cleanup(pool.Close)
-		return NewClient(Config{Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr, MetaStore: metaOver(pool), MetaCacheSize: 1024})
+		return NewClient(Config{Pool: pool, VMAddrs: []string{d.vmAddr}, PMAddr: d.pmAddr, MetaStore: metaOver(pool)})
 	}
 	ctx := context.Background()
 	setup := newClient(false)
@@ -275,9 +275,6 @@ func TestRPCsPerOperation(t *testing.T) {
 		name string
 		op   func() error
 		want rpcCount
-		// seqFrom, if set, is the least depth the row may reach: its
-		// calls race, so the longest chain of them is a range
-		seqFrom int
 	}{{
 		// Placement, the blocks side by side, the version, the tree's
 		// nodes on each metadata provider side by side, the commit.
@@ -307,8 +304,8 @@ func TestRPCsPerOperation(t *testing.T) {
 		},
 		want: rpcCount{vm: 3, pm: 1, prov: 1, meta: 2, seq: 6},
 	}, {
-		// Onto a half block: the size, the pin, the tail's leaf, the tail,
-		// then the merged block goes out as an aligned write.
+		// Onto a half block: the size, the pin, the tail, then the merged
+		// block goes out as an aligned write.
 		name: "unaligned_append",
 		op: func() error {
 			w := unaligned.NewWriter(ctx, WriterOptions{Append: true})
@@ -317,7 +314,7 @@ func TestRPCsPerOperation(t *testing.T) {
 			}
 			return w.Close()
 		},
-		want: rpcCount{vm: 4, pm: 1, prov: 2, meta: 2, seq: 9},
+		want: rpcCount{vm: 4, pm: 1, prov: 2, meta: 1, seq: 8},
 	}, {
 		// An older version: one reply brings the descriptors published
 		// since the client's last pin, the version's size and the prune
@@ -341,24 +338,19 @@ func TestRPCsPerOperation(t *testing.T) {
 		},
 		want: rpcCount{vm: 1, seq: 1},
 	}, {
-		// The 16 leaves in one batch per metadata provider, then each
-		// provider once for all four of its blocks.
+		// The pin named every block's replicas: each provider once for
+		// all four of its blocks, side by side, and no metadata call.
 		name: "cold_read_of_16_blocks_over_4_providers",
 		op:   readBack,
-		want: rpcCount{meta: 2, prov: 4, seq: 2},
+		want: rpcCount{prov: 4, seq: 1},
 	}, {
 		name: "warm_read",
 		op:   readBack,
 		want: rpcCount{prov: 4, seq: 1},
 	}, {
-		// The stream's first fetch sends for the leaves of blocks 0-3,
-		// one batch per metadata provider, while its two fetches of
-		// readahead wait for them; the readahead that reaches block 4
-		// sends for 4-11, and the one that reaches 12 for 12-15: three
-		// windows, six metadata calls. Each block is one call to its
-		// provider, three at a time: 3 + ceil(16/3) in sequence, or one
-		// less where the second window's batch lands with the data call
-		// that was sent alongside it.
+		// Each block is one call to its provider, the fetch and its two
+		// of readahead at a time: ceil(16/3) in sequence, and no
+		// metadata call.
 		name: "cold_stream_of_16_blocks",
 		op: func() error {
 			r := freshPin.NewReader(ctx, ReaderOptions{Readahead: 2})
@@ -372,8 +364,7 @@ func TestRPCsPerOperation(t *testing.T) {
 			}
 			return nil
 		},
-		want:    rpcCount{meta: 6, prov: 16, seq: 9},
-		seqFrom: 8,
+		want: rpcCount{prov: 16, seq: 6},
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -382,9 +373,6 @@ func TestRPCsPerOperation(t *testing.T) {
 			got := counter.disarm()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if row.seqFrom > 0 && got.seq >= row.seqFrom && got.seq < row.want.seq {
-				got.seq = row.want.seq
 			}
 			if got != row.want {
 				t.Errorf("costs %v; want %v", got, row.want)

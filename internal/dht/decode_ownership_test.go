@@ -10,7 +10,7 @@ import (
 	"blobseer/internal/mdtree"
 )
 
-// Nodes a DHTStore decodes, their interned provider lists included, stay
+// Nodes a DHTStore decodes, their provider lists included, stay
 // intact once the frames they arrived in are released and reused.
 func init() {
 	dht.OwnershipCases = append(dht.OwnershipCases, struct {

@@ -65,11 +65,18 @@
 //
 // Two key families share the DHT, distinguished by prefix:
 //
-//	"t<blob>/<version>/<off>/<span>"  segment-tree nodes (package mdtree)
+//	"t<blob>/<version>/<off>/<span>"  segment-tree nodes (package mdtree):
+//	                                  written by every write, deleted by
+//	                                  version GC, read by no client — a
+//	                                  pin's descriptors carry each block's
+//	                                  replicas — only by tree walks (the
+//	                                  simulator, tests, benchmarks)
 //	"loc/b<blob>/<nonce hex>/<seq>"   location-overlay entries (package
 //	                                  repair): value is a stringslice of
 //	                                  extra provider addresses holding
-//	                                  repair copies of the block
+//	                                  repair copies of the block; the one
+//	                                  key family a read may ask for, once
+//	                                  a block's own replicas all failed
 //
 // Tree nodes are immutable; overlay entries are whole-value replaced by
 // the (single-writer) repair engine and deleted by version GC.

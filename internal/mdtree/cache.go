@@ -20,9 +20,10 @@ import (
 // resolve entirely from memory with zero DHT traffic.
 //
 // Writes go through to the store and leave their leaves cached, and
-// only those: a reader names leaves from its block index, so the leaves
-// a client wrote read back at no metadata cost, while the O(log n) inner
-// nodes of each write are fetched only by a tree walk that needs them.
+// only those: a walk that reaches a leaf the client wrote reads it from
+// memory, while the O(log n) inner nodes of each write are fetched only
+// by a walk that needs them. Clients read no node (Owners): a cache
+// serves the tree walk, as the simulator and the benchmarks run it.
 //
 // Concurrent misses for the same node are deduplicated singleflight-
 // style: one fetch travels to the store, every other caller waits for
@@ -157,19 +158,6 @@ func NewNodeCache(inner Store, capacity int) *NodeCache {
 // Inner exposes the wrapped store (tests, stats).
 func (c *NodeCache) Inner() Store { return c.inner }
 
-// MaybeCache applies the configuration convention shared by daemon
-// flags and client configs: size 0 leaves st uncached, size < 0 wraps
-// it with DefaultCacheSize, size > 0 wraps it with that capacity.
-func MaybeCache(st Store, size int) Store {
-	if size == 0 {
-		return st
-	}
-	if size < 0 {
-		size = 0 // NewNodeCache's "use the default" convention
-	}
-	return NewNodeCache(st, size)
-}
-
 // CacheStats is a snapshot of the cache's counters.
 type CacheStats struct {
 	Hits      int64 // lookups served from memory
@@ -250,11 +238,11 @@ func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
 	return nil
 }
 
-// wrote caches a node the instant it is durable, if it is a leaf: the
-// nodes a reader's block index names (Owners.Resolve) are leaves, and
-// the writer's own inner nodes would only push them out. An inner node
-// already cached — a tree walk fetched it — is replaced rather than left
-// to differ from the store.
+// wrote caches a node the instant it is durable, if it is a leaf: a
+// walk that reaches it reads it from memory, and the writer's own inner
+// nodes would only push leaves out. An inner node already cached — a
+// tree walk fetched it — is replaced rather than left to differ from
+// the store.
 func (c *NodeCache) wrote(n Node) {
 	s := c.shard(n.ID)
 	s.mu.Lock()
@@ -374,48 +362,6 @@ func (c *NodeCache) get(ctx context.Context, ids []NodeID, out []Node) error {
 	}
 	return nil
 }
-
-// Prefetch caches the nodes ids name ahead of the reads that will ask
-// for them: those neither cached nor being fetched go out as one flight
-// of this call, which other calls missing them join as they would a
-// get's. It waits on no other call's flight and copies nothing out.
-// Each node it fetches counts one miss, the read that later finds it
-// one hit, and the flight one batch. On an error nothing is cached, and
-// a get that joined the flight retries it under its own context. The
-// flight is sized for cap(ids) nodes, so a caller whose batches grow to
-// a bound, passing each in one buffer of that bound, sizes it once.
-func (c *NodeCache) Prefetch(ctx context.Context, ids []NodeID) error {
-	var own *flight
-	for _, id := range ids {
-		s := c.shard(id)
-		s.mu.Lock()
-		_, cached := s.hitLocked(id) // refreshed, so that the window's own inserts do not evict it
-		if _, flying := s.flights[id]; !cached && !flying {
-			c.misses.Add(1)
-			if own == nil {
-				own = c.newFlight()
-				own.ids = slices.Grow(own.ids, cap(ids)) // once, not by doublings
-			}
-			s.flights[id] = flightSlot{f: own, j: int32(len(own.ids))}
-			own.ids = append(own.ids, id)
-		}
-		s.mu.Unlock()
-	}
-	if own == nil {
-		return nil
-	}
-	own.nodes = slices.Grow(own.nodes[:0], cap(own.ids))[:len(own.ids)]
-	own.err = c.fetch(ctx, own.ids, own.nodes)
-	c.complete(own)
-	err := own.err
-	c.release(own)
-	return err
-}
-
-// PrefetchRoom is how many nodes one Prefetch can cache, or keep
-// cached, without evicting one of its own: a shard's capacity, since
-// all of them may hash to one shard.
-func (c *NodeCache) PrefetchRoom() int { return c.perCap }
 
 // newFlight returns an empty flight its caller holds the one reference
 // to: a released one, else a new one.

@@ -2,7 +2,7 @@ package mdtree
 
 import (
 	"context"
-	"slices"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,20 +62,22 @@ func TestCacheWriteThroughMakesReadFree(t *testing.T) {
 	cache := NewNodeCache(inner, 0)
 	h, m := buildBlocks(t, cache, 8)
 
-	// The writer's cache holds what Build wrote that a reader names — the
-	// 8 leaves, not the 7 inner nodes above them — so a read through the
-	// block index touches the store not at all.
+	// The writer's cache holds the leaves Build wrote, not the 7 inner
+	// nodes above them, so reading the leaves touches the store not at
+	// all.
 	if st := cache.Stats(); st.Size != 8 {
 		t.Errorf("write-through cached %d nodes, want the 8 leaves", st.Size)
 	}
-	var o Owners
-	o.Extend(B, h.Descs)
-	ext, err := o.Resolve(ctx, cache, m, 1, 8*B, blob.Range{Off: 0, Len: 8 * B}, new(Scratch))
+	ids := make([]NodeID, 8)
+	for i := range ids {
+		ids[i] = NodeID{Blob: m.ID, Version: h.Latest(), Off: int64(i) * B, Span: B}
+	}
+	got, err := cache.GetBatch(ctx, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ext) != 8 {
-		t.Fatalf("read resolved %d extents, want 8", len(ext))
+	if len(got) != 8 {
+		t.Fatalf("read %d leaves, want 8", len(got))
 	}
 	if _, gets := inner.Ops(); gets != 0 {
 		t.Errorf("read after write-through issued %d store gets, want 0", gets)
@@ -572,115 +574,34 @@ func TestGetBatchAllHitsAllocateOnlyTheResult(t *testing.T) {
 
 // leafFiller fills every id with a leaf naming one provider, through the
 // fill path and without allocating: a store whose cost is not measured.
-type leafFiller struct{ Store }
-
-var leafProviders = []string{"p0"}
-
-func (leafFiller) fill(_ context.Context, ids []NodeID, out []Node) error {
-	for i, id := range ids {
-		out[i] = Node{ID: id, Leaf: true, Block: BlockRef{Providers: leafProviders, Len: id.Span}}
-	}
-	return nil
-}
-
-// TestColdResolveAllocatesNothing: a resolve into a kept Scratch,
-// through a full node cache that misses on every call, allocates
-// nothing of its own — no extents, IDs, nodes or flight — once the
-// cache's entries and its recycled flight exist.
+// TestColdResolveAllocatesNothing: a resolve into a kept Scratch
+// allocates nothing of its own — no extents, and no provider list, which
+// it shares with the descriptor — and reads no node: it is handed no
+// store.
 func TestColdResolveAllocatesNothing(t *testing.T) {
-	ctx, m := context.Background(), blob.Meta{ID: 1, BlockSize: eqBS, Replication: 1}
+	m := blob.Meta{ID: 1, BlockSize: eqBS, Replication: 2}
+	replicas := make([]string, 2*64)
+	for i := range replicas {
+		replicas[i] = fmt.Sprintf("p%d", i%5)
+	}
 	var o Owners
-	o.Extend(eqBS, []blob.WriteDesc{{Version: 1, Len: 64 * eqBS, SizeAfter: 64 * eqBS}})
-	cache := NewNodeCache(leafFiller{}, cacheShardCount) // one entry per shard
+	if err := o.Extend(m, []blob.WriteDesc{{Version: 1, Len: 64 * eqBS, SizeAfter: 64 * eqBS, Replicas: replicas}}); err != nil {
+		t.Fatal(err)
+	}
 	var sc Scratch
 	i := 0
 	resolve := func() {
 		i = (i + 7) % 61
 		r := blob.Range{Off: int64(i)*eqBS + eqBS/2, Len: 2 * eqBS}
-		ext, err := o.Resolve(ctx, cache, m, 1, 64*eqBS, r, &sc)
-		if err != nil || len(ext) != 3 || ext[1].Block.Len != eqBS {
+		ext, err := o.Resolve(m, 1, 64*eqBS, r, &sc)
+		if err != nil || len(ext) != 3 || ext[1].Block.Len != eqBS || ext[1].Block.Providers[1] != replicas[2*(i+1)+1] {
 			t.Fatalf("Resolve(%v) = %v, %v; want 3 data extents", r, ext, err)
 		}
 	}
 	for range 64 {
-		resolve() // every shard full, the scratch grown
+		resolve() // the scratch grown
 	}
-	misses := cache.Stats().Misses
 	if n := testing.AllocsPerRun(100, resolve); n != 0 {
-		t.Errorf("a cold 3-leaf resolve allocates %v times", n)
-	}
-	if cache.Stats().Misses == misses {
-		t.Error("the resolves hit the cache: nothing cold was measured")
-	}
-}
-
-// holdingStore holds a batch that asks for node hold until release is
-// closed; other batches go straight through.
-type holdingStore struct {
-	*MemStore
-	hold    NodeID
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (h *holdingStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	if slices.Contains(ids, h.hold) {
-		h.entered <- struct{}{}
-		<-h.release
-	}
-	return h.MemStore.GetBatch(ctx, ids)
-}
-
-// TestPrefetchCountsAMissPerNodeItFetches pins the counters a prefetch
-// moves: a miss for each node it sends for and one batch for all of
-// them, nothing for a node already cached or in another call's flight,
-// which it does not wait for. The reads it served then count a hit
-// each, and a prefetch of cached nodes allocates nothing.
-func TestPrefetchCountsAMissPerNodeItFetches(t *testing.T) {
-	ctx := context.Background()
-	mem := NewMemStore()
-	ids := make([]NodeID, 8)
-	for i := range ids {
-		ids[i] = NodeID{Blob: 1, Version: 1, Off: int64(i) * B, Span: B}
-		if err := mem.Put(ctx, Node{ID: ids[i], Leaf: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	held := &holdingStore{MemStore: mem, hold: ids[0], entered: make(chan struct{}), release: make(chan struct{})}
-	c := NewNodeCache(held, 0)
-	if _, err := c.Get(ctx, ids[1]); err != nil { // cached
-		t.Fatal(err)
-	}
-	joined := make(chan error)
-	go func() { // in flight, held
-		_, err := c.Get(ctx, ids[0])
-		joined <- err
-	}()
-	<-held.entered
-	if err := c.Prefetch(ctx, ids); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 8 || st.Hits != 0 || st.BatchGets != 3 || st.Size != 7 {
-		t.Errorf("after a prefetch beside a cached node and a held flight: %+v; want 8 misses, 3 batches, 7 nodes", st)
-	}
-	close(held.release)
-	if err := <-joined; err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.GetBatch(ctx, ids); err != nil || len(got) != len(ids) {
-		t.Fatalf("reading the prefetched nodes: %d of %d, %v", len(got), len(ids), err)
-	}
-	if st := c.Stats(); st.Misses != 8 || st.Hits != 8 || st.BatchGets != 3 {
-		t.Errorf("the reads a prefetch served: %+v; want 8 hits and no batch", st)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := c.Prefetch(ctx, ids); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("a prefetch of cached nodes allocates %v times", n)
-	}
-	if st := c.Stats(); st.Misses != 8 || st.Hits != 8 || st.BatchGets != 3 {
-		t.Errorf("a prefetch of cached nodes moved the counters: %+v", st)
+		t.Errorf("a 3-block resolve allocates %v times", n)
 	}
 }

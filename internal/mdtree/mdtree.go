@@ -14,15 +14,17 @@
 // that concurrent lower-version writers are *still producing* — the
 // paper's key trick for fully parallel metadata generation.
 //
-// Readers reach the same leaves two ways. One that holds the history up
-// to its snapshot (Owners, fed by the descriptors a pin returns) names
-// each leaf the way Build does and fetches the leaves alone, in one
-// batch; clients and repair read this way. One that does not walks down
-// from the snapshot's root (Resolve), a batch per level whatever the
-// history's length; only the simulator and the tests' reference run
-// that walk. An aborted version may have no tree at all, and a later
-// one may borrow from it all the same: the index reads what an aborted
-// version owns as holes from its descriptor, and never looks.
+// No production reader reads a node. Every descriptor a pin returns
+// carries its write's placement, so a reader that holds the history up
+// to its snapshot (Owners) derives what each block's leaf holds — key,
+// replicas, length — and sends nothing: clients, repair scans and
+// garbage collection read this way. Writers still write the tree; the
+// garbage collector plans from it which versions' blocks are dead
+// (DeadNodes), the simulator charges its messages, and the walk down
+// from a snapshot's root (Resolve, a batch per level) is the reference
+// the index is tested against. An aborted version may have no tree at
+// all, and a later one may borrow from it all the same: the index reads
+// what an aborted version owns as holes from its descriptor.
 package mdtree
 
 import (
@@ -63,7 +65,7 @@ func (id NodeID) Range() blob.Range { return blob.Range{Off: id.Off, Len: id.Spa
 // BlockRef locates one stored data block from a leaf.
 type BlockRef struct {
 	Key       blob.BlockKey
-	Providers []string // replica addresses, primary first; read-only (decoded leaves share it)
+	Providers []string // replica addresses, primary first; read-only (extents share the descriptor's)
 	Len       int64    // bytes actually stored (<= block size; last block may be partial)
 }
 
@@ -97,14 +99,11 @@ type Node struct {
 // Put and Get are one-node batches; Get fails on an absent node. Delete
 // removes a node (garbage collection of pruned versions).
 //
-// The package's own stores read through a fill path besides (filler):
-// a NodeCache over a DHTStore fills the caller's nodes in the order of
-// their ids, a hit from memory and every miss of a call with one
-// dht.GetEach, decoded straight from the response frames — no map, key
-// string or value copy per node. GetBatch is a map built over it. The
-// path stays outside Store, found by type assertion, so that a store
-// wrapping a DHTStore behind Store's methods alone (a tracing or timing
-// seam) still receives every read a NodeCache misses as a GetBatch.
+// A NodeCache reads through a fill path besides (filler): it fills the
+// caller's nodes in the order of their ids, a hit from memory and every
+// miss of a call with one GetBatch of its store. The path stays outside
+// Store, found by type assertion, so that a store wrapping a NodeCache
+// behind Store's methods alone still works.
 type Store interface {
 	PutBatch(ctx context.Context, nodes []Node) error
 	GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error)

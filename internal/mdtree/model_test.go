@@ -73,20 +73,33 @@ func (th *treeHarness) write(off int64, data []byte) error {
 	if off+int64(len(data)) > size {
 		size = off + int64(len(data))
 	}
-	if err := th.h.Append(blob.WriteDesc{Version: v, Off: off, Len: int64(len(data)), SizeAfter: size}); err != nil {
+	n := blob.Blocks(int64(len(data)), th.meta.BlockSize)
+	replicas := th.placement(n)
+	if err := th.h.Append(blob.WriteDesc{Version: v, Off: off, Len: int64(len(data)), SizeAfter: size, Nonce: th.nonce, Replicas: replicas}); err != nil {
 		return err
 	}
-	n := blob.Blocks(int64(len(data)), th.meta.BlockSize)
 	refs := make([]BlockRef, n)
+	r := int64(th.meta.Replication)
 	for i := int64(0); i < n; i++ {
 		start := i * th.meta.BlockSize
 		end := util.Min(start+th.meta.BlockSize, int64(len(data)))
 		key := blob.BlockKey{Blob: 1, Nonce: th.nonce, Seq: uint32(i)}
 		th.blocks[key] = append([]byte(nil), data[start:end]...)
-		refs[i] = BlockRef{Key: key, Providers: []string{"p"}, Len: end - start}
+		refs[i] = BlockRef{Key: key, Providers: replicas[i*r : (i+1)*r], Len: end - start}
 	}
 	_, err := Build(context.Background(), th.st, th.meta, th.h, v, refs)
 	return err
+}
+
+// placement names the replicas of a write of n blocks, block i's R
+// at [i*R, (i+1)*R): addresses that differ from block to block and
+// write to write, so that a block named from the wrong place shows.
+func (th *treeHarness) placement(n int64) []string {
+	out := make([]string, 0, n*int64(th.meta.Replication))
+	for i := range n * int64(th.meta.Replication) {
+		out = append(out, fmt.Sprintf("p%d", (int64(th.nonce)*7+i*3)%11))
+	}
+	return out
 }
 
 func (th *treeHarness) read(v blob.Version, off, length int64) ([]byte, error) {

@@ -14,21 +14,25 @@ import (
 
 // The invariant under test is the versioning contract seen from the
 // metadata: a reader of snapshot v sees exactly the writes <= v. The
-// tree walk (Resolve) is the reference; Owners.Resolve must name the
-// same leaves from the history alone, and read an aborted version's
-// blocks as zeros, as the walk of the harness's reference tree does.
+// tree walk (Resolve) is the reference; Owners.Resolve must build, from
+// the descriptors alone, each block the walk's leaf holds — key,
+// providers, length — and read an aborted version's blocks as zeros, as
+// the walk of the harness's reference tree does. This is the proof that
+// a reader loses nothing by reading no leaf.
 
 const eqBS = 8 // block size of the equivalence harness
 
-// aborted records a version whose writer died: the descriptor is marked
-// aborted, and the reference tree the walk reads gets leaves without
-// providers for it, which read as zeros. Production stores no tree for
-// an aborted version; the index must never look for one.
+// aborted records a version whose writer died: the descriptor, which
+// carries the placement its writer sent, is marked aborted, and the
+// reference tree the walk reads gets leaves without providers for it,
+// which read as zeros. Production stores no tree for an aborted
+// version; the index must read its blocks as holes all the same.
 func (th *treeHarness) aborted(off, n int64) error {
 	th.nonce++
 	v := th.h.Latest() + 1
 	size := max(th.h.SizeAt(th.h.Latest()), off+n)
-	if err := th.h.Append(blob.WriteDesc{Version: v, Off: off, Len: n, SizeAfter: size, Nonce: th.nonce, Aborted: true}); err != nil {
+	d := blob.WriteDesc{Version: v, Off: off, Len: n, SizeAfter: size, Nonce: th.nonce, Aborted: true, Replicas: th.placement(blob.Blocks(n, th.meta.BlockSize))}
+	if err := th.h.Append(d); err != nil {
 		return err
 	}
 	refs := make([]BlockRef, blob.Blocks(n, th.meta.BlockSize))
@@ -102,24 +106,31 @@ func coalesceHoles(in []Extent) []Extent {
 	return out
 }
 
-// checkEquivalence builds the history ops describes and compares the
-// two resolves at every version over the whole snapshot, every single
-// block and the ranges queries names (two bytes each: offset, length).
+// checkEquivalence builds the history ops describes, at replication 2,
+// and compares the two resolves — the blocks the index builds from the
+// descriptors and the leaves the walk reads — at every version over the
+// whole snapshot, every single block and the ranges queries names (two
+// bytes each: offset, length).
 func checkEquivalence(t *testing.T, ops, queries []byte) {
 	t.Helper()
 	ctx := context.Background()
 	th := newHarness(t, eqBS)
+	th.meta.Replication = 2
 	if err := applyOps(th, ops); err != nil {
 		t.Fatalf("ops %v: %v", ops, err)
 	}
 	// The index is extended the way a reader's pins extend it: in runs.
 	var o Owners
 	half := th.h.Len() / 2
-	o.Extend(eqBS, th.h.Descs[:half])
-	if _, err := o.Resolve(ctx, th.st, th.meta, th.h.Latest(), 1, blob.Range{Len: 1}, new(Scratch)); half < th.h.Len() && err == nil {
+	if err := o.Extend(th.meta, th.h.Descs[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Resolve(th.meta, th.h.Latest(), 1, blob.Range{Len: 1}, new(Scratch)); half < th.h.Len() && err == nil {
 		t.Fatalf("index through version %d resolved version %d", half, th.h.Latest())
 	}
-	o.Extend(eqBS, th.h.Descs) // overlaps the first run
+	if err := o.Extend(th.meta, th.h.Descs); err != nil { // overlaps the first run
+		t.Fatal(err)
+	}
 	if o.Through() != th.h.Latest() {
 		t.Fatalf("index through %d, history has %d versions", o.Through(), th.h.Latest())
 	}
@@ -134,7 +145,7 @@ func checkEquivalence(t *testing.T, ops, queries []byte) {
 		}
 		for _, r := range ranges {
 			want, werr := Resolve(ctx, th.st, th.meta, v, size, r)
-			got, gerr := o.Resolve(ctx, th.st, th.meta, v, size, r, new(Scratch))
+			got, gerr := o.Resolve(th.meta, v, size, r, new(Scratch))
 			if werr != nil || gerr != nil {
 				t.Fatalf("ops %v v%d %v: walk err %v, direct err %v", ops, v, r, werr, gerr)
 			}
@@ -189,7 +200,6 @@ func TestResolveEquivalenceRandomHistories(t *testing.T) {
 // client's older snapshots read through it; a read of version v must not
 // see an extension, whole or half done.
 func TestOwnersExtendedWhileRead(t *testing.T) {
-	ctx := context.Background()
 	th := newHarness(t, eqBS)
 	const versions = 200
 	for v := 0; v < versions; v++ { // every version overwrites block v%4 of 4
@@ -204,8 +214,10 @@ func TestOwnersExtendedWhileRead(t *testing.T) {
 		}
 	}
 	var o Owners
-	o.Extend(eqBS, th.h.Descs[:8])
-	want, err := o.Resolve(ctx, th.st, th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS}, new(Scratch))
+	if err := o.Extend(th.meta, th.h.Descs[:8]); err != nil {
+		t.Fatal(err)
+	}
+	want, err := o.Resolve(th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +227,7 @@ func TestOwnersExtendedWhileRead(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for o.Through() < versions {
-				got, err := o.Resolve(ctx, th.st, th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS}, new(Scratch))
+				got, err := o.Resolve(th.meta, 8, 4*eqBS, blob.Range{Len: 4 * eqBS}, new(Scratch))
 				if err != nil || !reflect.DeepEqual(got, want) {
 					t.Errorf("version 8 resolved differently while the index grew: %v", err)
 					return
@@ -224,7 +236,9 @@ func TestOwnersExtendedWhileRead(t *testing.T) {
 		}()
 	}
 	for n := 9; n <= versions; n++ {
-		o.Extend(eqBS, th.h.Descs[n-3:n]) // overlapping runs, as racing pins deliver them
+		if err := o.Extend(th.meta, th.h.Descs[n-3:n]); err != nil { // overlapping runs, as racing pins deliver them
+			t.Error(err)
+		}
 	}
 	wg.Wait()
 }
@@ -271,36 +285,26 @@ func FuzzDecodeNode(f *testing.F) {
 	})
 }
 
-// leafStore answers every GetBatch with empty leaves, at no cost worth
-// measuring.
-type leafStore struct{ Store }
-
-func (leafStore) GetBatch(_ context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	out := make(map[NodeID]Node, len(ids))
-	for _, id := range ids {
-		out[id] = Node{ID: id, Leaf: true}
-	}
-	return out, nil
-}
-
 // BenchmarkResolveOneBlock resolves one block of a random snapshot on
 // the worst block there is: one that every version of the history
 // overwrote. The cost must not grow with the history (1,024 times the
 // versions: a few more steps of a binary search).
 func BenchmarkResolveOneBlock(b *testing.B) {
-	ctx, m := context.Background(), blob.Meta{ID: 1, BlockSize: eqBS, Replication: 1}
+	m := blob.Meta{ID: 1, BlockSize: eqBS, Replication: 1}
 	for _, versions := range []int{64, 65536} {
 		var o Owners
 		descs := make([]blob.WriteDesc, versions)
 		for i := range descs {
-			descs[i] = blob.WriteDesc{Version: blob.Version(i + 1), Off: 0, Len: eqBS, SizeAfter: eqBS}
+			descs[i] = blob.WriteDesc{Version: blob.Version(i + 1), Off: 0, Len: eqBS, SizeAfter: eqBS, Replicas: []string{"p0"}}
 		}
-		o.Extend(eqBS, descs)
+		if err := o.Extend(m, descs); err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("V=%d", versions), func(b *testing.B) {
 			rng := util.NewSplitMix64(1)
 			for i := 0; i < b.N; i++ {
 				v := blob.Version(1 + rng.Intn(versions))
-				ext, err := o.Resolve(ctx, leafStore{}, m, v, eqBS, blob.Range{Len: eqBS}, new(Scratch))
+				ext, err := o.Resolve(m, v, eqBS, blob.Range{Len: eqBS}, new(Scratch))
 				if err != nil || len(ext) != 1 {
 					b.Fatal(ext, err)
 				}

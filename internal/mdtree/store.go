@@ -8,7 +8,6 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dht"
-	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
 
@@ -35,15 +34,10 @@ func encodeNode(b *wire.Buffer, n Node) {
 
 // DecodeNode parses a node value fetched under id. Nothing it returns
 // aliases val, which may be a recycled frame.
-func DecodeNode(id NodeID, val []byte) (Node, error) { return decodeNode(id, val, nil) }
-
-// decodeNode is DecodeNode with a leaf's provider list interned in lists
-// when it is not nil.
-func decodeNode(id NodeID, val []byte, lists *replicaLists) (Node, error) {
+func DecodeNode(id NodeID, val []byte) (Node, error) {
 	r := wire.NewReader(val)
 	n := Node{ID: id}
 	n.Leaf = r.Bool()
-	var err error
 	if n.Leaf {
 		n.Block.Key = blob.BlockKey{
 			Blob:  blob.ID(r.U64()),
@@ -51,62 +45,15 @@ func decodeNode(id NodeID, val []byte, lists *replicaLists) (Node, error) {
 			Seq:   r.U32(),
 		}
 		n.Block.Len = r.I64()
-		n.Block.Providers, err = lists.read(r, val)
+		n.Block.Providers = r.StringSlice()
 	} else {
 		n.Left = ChildRef{Version: blob.Version(r.U64())}
 		n.Right = ChildRef{Version: blob.Version(r.U64())}
 	}
-	if err == nil {
-		err = r.Err()
-	}
-	if err != nil {
+	if err := r.Err(); err != nil {
 		return Node{}, fmt.Errorf("mdtree: decode %s: %w", id.Key(), err)
 	}
 	return n, nil
-}
-
-// replicaLists interns the provider lists of decoded leaves by their
-// encoding: a deployment places blocks on few distinct replica sets, so
-// a read decodes a list it has seen before and allocates nothing for it.
-// Leaves placed alike share one list, which is read-only. The table
-// starts afresh when full.
-type replicaLists struct {
-	mu sync.Mutex
-	m  map[string][]string
-}
-
-// maxReplicaLists bounds a replicaLists.
-const maxReplicaLists = 4096
-
-// read reads a leaf's provider list, the rest of r's body val: interned
-// in l, or a list of its own when l is nil.
-func (l *replicaLists) read(r *wire.Reader, val []byte) ([]string, error) {
-	if l == nil {
-		return r.StringSlice(), nil
-	}
-	start := len(val) - r.Remaining()
-	n := r.U32()
-	if r.Err() == nil && uint64(n)*4 > uint64(r.Remaining()) { // each address needs >= 4 prefix bytes
-		return nil, wire.ErrShortBuffer
-	}
-	for i := uint32(0); i < n; i++ {
-		r.Bytes32()
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	enc := val[start : len(val)-r.Remaining()]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if list, ok := l.m[string(enc)]; ok {
-		return list, nil
-	}
-	if len(l.m) >= maxReplicaLists || l.m == nil {
-		l.m = make(map[string][]string)
-	}
-	list := wire.NewReader(enc).StringSlice()
-	l.m[string(enc)] = list
-	return list, nil
 }
 
 // MemStore is an in-process Store used by unit tests and the
@@ -207,9 +154,7 @@ func (s *MemStore) Delete(_ context.Context, id NodeID) error {
 // DHTStore adapts the metadata DHT client to the tree Store interface —
 // the production path: tree nodes distributed over metadata providers.
 type DHTStore struct {
-	c     *dht.Client
-	fills util.FreeList[*fillCall]
-	lists replicaLists // the provider lists of the leaves it decodes
+	c *dht.Client
 }
 
 // NewDHTStore wraps c.
@@ -223,16 +168,17 @@ func (s *DHTStore) Fallbacks() int64 { return s.c.Fallbacks() }
 // Put implements Store: a one-node PutBatch.
 func (s *DHTStore) Put(ctx context.Context, n Node) error { return s.PutBatch(ctx, []Node{n}) }
 
-// Get implements Store: a one-node fill.
+// Get implements Store: a one-node GetBatch.
 func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
-	var out [1]Node
-	if err := s.fill(ctx, []NodeID{id}, out[:]); err != nil {
+	got, err := s.GetBatch(ctx, []NodeID{id})
+	if err != nil {
 		return Node{}, err
 	}
-	if out[0].ID != id {
+	n, ok := got[id]
+	if !ok {
 		return Node{}, dht.ErrNotFound
 	}
-	return out[0], nil
+	return n, nil
 }
 
 // PutBatch implements Store: the DHT client groups the nodes by
@@ -244,58 +190,32 @@ func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
 		func(i int, b *wire.Buffer) { encodeNode(b, nodes[i]) })
 }
 
-// GetBatch implements Store over the fill path.
+// GetBatch implements Store: one dht.GetEach, one multi-get RPC per
+// provider with per-key replica fall-through on misses, every node
+// decoded straight from its response frame.
 func (s *DHTStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	nodes := make([]Node, len(ids))
-	if err := s.fill(ctx, ids, nodes); err != nil {
+	out := make(map[NodeID]Node, len(ids))
+	var mu sync.Mutex // values from several providers decode at once
+	var bad error     // the first value that did not decode
+	err := s.c.GetEach(ctx, len(ids),
+		func(i int, dst []byte) []byte { return ids[i].AppendKey(dst) },
+		func(i int, val []byte) {
+			n, err := DecodeNode(ids[i], val)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				bad = cmp.Or(bad, err)
+				return
+			}
+			out[ids[i]] = n
+		})
+	if err := cmp.Or(err, bad); err != nil {
 		return nil, err
 	}
-	return byID(ids, nodes), nil
+	return out, nil
 }
 
 // Delete implements Store.
 func (s *DHTStore) Delete(ctx context.Context, id NodeID) error {
 	return s.c.Delete(ctx, id.Key())
-}
-
-// fill implements filler: one dht.GetEach, one multi-get RPC per
-// provider with per-key replica fall-through on misses, every node
-// decoded straight from its response frame into out.
-func (s *DHTStore) fill(ctx context.Context, ids []NodeID, out []Node) error {
-	clear(out[:len(ids)])
-	f, ok := s.fills.Get()
-	if !ok {
-		f = &fillCall{}
-		f.key, f.got = f.appendKey, f.decode
-	}
-	f.ids, f.out, f.lists = ids, out, &s.lists
-	err := cmp.Or(s.c.GetEach(ctx, len(ids), f.key, f.got), f.bad)
-	f.ids, f.out, f.bad = nil, nil, nil
-	s.fills.Put(f)
-	return err
-}
-
-// fillCall is one DHTStore fill in flight. Its callbacks are bound once,
-// so that a recycled record fills without allocating.
-type fillCall struct {
-	ids   []NodeID
-	out   []Node
-	lists *replicaLists
-	mu    sync.Mutex // guards bad: values from several providers decode at once
-	bad   error      // the first value that did not decode
-	key   func(int, []byte) []byte
-	got   func(int, []byte)
-}
-
-func (f *fillCall) appendKey(i int, dst []byte) []byte { return f.ids[i].AppendKey(dst) }
-
-func (f *fillCall) decode(i int, val []byte) {
-	n, err := decodeNode(f.ids[i], val, f.lists)
-	if err != nil {
-		f.mu.Lock()
-		f.bad = cmp.Or(f.bad, err)
-		f.mu.Unlock()
-		return
-	}
-	f.out[i] = n
 }

@@ -34,22 +34,20 @@ func SplitAddrs(s string) []string {
 }
 
 // ConnFlags registers the connection flags every client binary takes
-// (-vmanager -pmanager -namespace -meta -meta-replication -meta-cache).
-// Call the result after fs is parsed: it returns the endpoints they
-// name and the node-cache size.
-func ConnFlags(fs *flag.FlagSet) func() (Endpoints, int, error) {
+// (-vmanager -pmanager -namespace -meta -meta-replication). Call the
+// result after fs is parsed: it returns the endpoints they name.
+func ConnFlags(fs *flag.FlagSet) func() (Endpoints, error) {
 	vm := fs.String("vmanager", "127.0.0.1:7001", "comma-separated version manager shard addresses (shard order)")
 	pm := fs.String("pmanager", "127.0.0.1:7002", "provider manager address")
 	ns := fs.String("namespace", "127.0.0.1:7003", "namespace manager address")
 	meta := fs.String("meta", "127.0.0.1:7101", "comma-separated metadata provider addresses")
 	mrepl := fs.Int("meta-replication", 1, "DHT replication level")
-	mcache := fs.Int("meta-cache", -1, "immutable-node cache entries (<0 default, 0 off)")
-	return func() (Endpoints, int, error) {
+	return func() (Endpoints, error) {
 		ep := Endpoints{VM: SplitAddrs(*vm), PM: *pm, NS: *ns, Meta: SplitAddrs(*meta), MetaReplication: *mrepl}
 		if len(ep.VM) == 0 {
-			return ep, 0, errors.New("-vmanager: no addresses")
+			return ep, errors.New("-vmanager: no addresses")
 		}
-		return ep, *mcache, nil
+		return ep, nil
 	}
 }
 
@@ -85,18 +83,16 @@ func (c *Clients) PM() *pmanager.Client { return pmanager.NewClient(c.Pool, c.En
 func (c *Clients) NS() *namespace.Client { return namespace.NewClient(c.Pool, c.Endpoints.NS) }
 
 // Core returns a BLOB client. host is "" for a dedicated client node or
-// the label of the provider it is co-deployed with; cache sizes its
-// metadata node cache.
-func (c *Clients) Core(host string, cache int) *core.Client {
+// the label of the provider it is co-deployed with.
+func (c *Clients) Core(host string) *core.Client {
 	return core.NewClient(core.Config{
-		Pool:          c.Pool,
-		VMAddrs:       c.Endpoints.VM,
-		PMAddr:        c.Endpoints.PM,
-		MetaStore:     c.MetaStore,
-		Host:          host,
-		MetaCacheSize: cache,
-		Overlay:       c.Overlay,
-		Tracer:        c.Tracer,
+		Pool:      c.Pool,
+		VMAddrs:   c.Endpoints.VM,
+		PMAddr:    c.Endpoints.PM,
+		MetaStore: c.MetaStore,
+		Host:      host,
+		Overlay:   c.Overlay,
+		Tracer:    c.Tracer,
 	})
 }
 
@@ -108,14 +104,12 @@ func (c *Clients) BSFS(cl *core.Client, cfg bsfs.Config) (*bsfs.FS, error) {
 	return bsfs.New(cfg)
 }
 
-// Repair returns a repair engine (scanner and executor) over the stack;
-// cache sizes the scan path's node cache.
-func (c *Clients) Repair(cache int) *repair.Engine {
+// Repair returns a repair engine (scanner and executor) over the stack.
+func (c *Clients) Repair() *repair.Engine {
 	return repair.New(repair.Config{
 		VM:      c.VM(),
 		PM:      c.PM(),
 		Prov:    provider.NewClient(c.Pool),
-		Meta:    mdtree.MaybeCache(c.MetaStore, cache),
 		Overlay: c.Overlay,
 	})
 }

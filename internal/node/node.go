@@ -58,7 +58,6 @@ type Config struct {
 	Host     string // provider, datanode: host label for affinity scheduling
 
 	Shard        vmanager.ShardInfo // vmanager: identity k/K (zero = unsharded)
-	MetaCache    int                // repair: node-cache entries (<0 default, 0 off)
 	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
 	// DataDir makes vmanager and namespace durable: they journal to, and
 	// recover from, DataDir/vmanager (DataDir/vmanager/shard-k when
@@ -227,7 +226,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 		if cfg.RepairInterval <= 0 {
 			return nil, nil, errors.New("repair: -repair-interval must be positive")
 		}
-		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair(cfg.MetaCache)
+		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair()
 		cfg.Plane.Use(n.Repair.Metrics())
 		n.Repair.Start(cfg.RepairInterval)
 		n.loops = append(n.loops, n.Repair.Stop)

@@ -27,8 +27,7 @@ type Config struct {
 	VM      *vmanager.Client
 	PM      *pmanager.Client
 	Prov    *provider.Client
-	Meta    mdtree.Store // metadata tree store (scan path)
-	Overlay *Overlay     // relocation records (must be non-nil)
+	Overlay *Overlay // relocation records (must be non-nil)
 }
 
 // Engine is the repair plane: Scan finds under-replicated blocks,
@@ -134,7 +133,7 @@ type scannedBlock struct {
 }
 
 // Scan reads every blob's still-readable published versions, collects
-// the unique blocks their metadata trees reference, and diffs each
+// the unique blocks their descriptors place, and diffs each
 // block's replica set (original providers plus overlay relocations)
 // against live membership. It returns the repair work list; an empty
 // list means the deployment is fully replicated.
@@ -202,13 +201,12 @@ func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, err
 }
 
 // collectBlocks names every block a still-readable published version
-// of every blob reads, with its replication target: the leaves of the
-// oldest kept version over its whole size, plus those each later version
-// wrote itself. The block index names them from the paged history and
-// one batch fetches each leaf once; no inner node is read. A block an
-// aborted version owns reads as a hole and names no leaf; a leaf with no
-// providers, or gone (freed by a GC since the prune point was read),
-// holds no block.
+// of every blob reads, with its replication target: the blocks of the
+// oldest kept version over its whole size, plus those each later
+// version wrote itself. The block index names each one, with its
+// replicas, from the paged history; no tree node is read. A block an
+// aborted version owns reads as a hole and names none, and a block whose
+// writer sent no placement is not known to live anywhere.
 func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedBlock, error) {
 	ids, err := e.cfg.VM.ListBlobs(ctx)
 	if err != nil {
@@ -217,18 +215,17 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 	out := make(map[blob.BlockKey]*scannedBlock)
 	for _, id := range ids {
 		var owners mdtree.Owners
-		var leaves []mdtree.NodeID
-		h, err := e.cfg.VM.LatestSince(ctx, id, 0, blob.NoVersion, func(h vmanager.Head, descs []blob.WriteDesc) (err error) {
-			owners.Extend(h.Meta.BlockSize, descs)
+		var refs []mdtree.BlockRef
+		h, err := e.cfg.VM.LatestSince(ctx, id, 0, blob.NoVersion, func(h vmanager.Head, descs []blob.WriteDesc) error {
+			if err := owners.Extend(h.Meta, descs); err != nil {
+				return err
+			}
 			for _, d := range descs {
 				switch {
 				case d.Version == h.Oldest:
-					leaves, err = owners.Leaves(leaves, h.Meta, d.Version, blob.Range{Len: d.SizeAfter})
+					refs = owners.Blocks(refs, h.Meta, d.Version, blob.Range{Len: d.SizeAfter})
 				case d.Version > h.Oldest:
-					leaves, err = owners.Leaves(leaves, h.Meta, d.Version, d.Range())
-				}
-				if err != nil {
-					return err
+					refs = owners.Blocks(refs, h.Meta, d.Version, d.Range())
 				}
 			}
 			return nil
@@ -236,16 +233,9 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 		if err != nil {
 			return nil, fmt.Errorf("repair: history of blob %d: %w", id, err)
 		}
-		nodes, err := e.cfg.Meta.GetBatch(ctx, leaves)
-		if err != nil {
-			return nil, fmt.Errorf("repair: leaves of blob %d: %w", id, err)
-		}
-		for _, n := range nodes {
-			if len(n.Block.Providers) == 0 {
-				continue
-			}
-			if _, ok := out[n.Block.Key]; !ok {
-				out[n.Block.Key] = &scannedBlock{ref: n.Block, want: h.Meta.Replication}
+		for _, ref := range refs {
+			if _, ok := out[ref.Key]; !ok {
+				out[ref.Key] = &scannedBlock{ref: ref, want: h.Meta.Replication}
 			}
 		}
 	}

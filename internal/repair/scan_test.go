@@ -195,8 +195,9 @@ func TestGCAndScanSeeAHistoryLongerThanAPage(t *testing.T) {
 	}
 	// A long history without the cost of writing it: versions assigned
 	// and committed straight at the manager, each an overwrite of block
-	// 0. They have no trees, and need none, because the real write that
-	// follows covers the whole blob and borrows nothing.
+	// 0. They have no trees and no placement, and need neither, because
+	// the real write that follows covers the whole blob and borrows
+	// nothing.
 	st := cl.VMService().State()
 	const behind = 10000 // above the manager's page of 8,192 descriptors
 	for i := 0; i < behind; i++ {

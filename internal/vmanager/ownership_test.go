@@ -119,7 +119,7 @@ func TestFrameOwnership(t *testing.T) {
 			if a.Version != v || len(a.Descs) != i+1 || a.Descs[i].Nonce != uint64(i+1) || a.Descs[i].SizeAfter != int64(i+1)*B {
 				t.Fatalf("assignment %d changed after its frame was recycled: %+v", v, a)
 			}
-			if hist[i] != a.Descs[i] {
+			if !hist[i].Equal(a.Descs[i]) {
 				t.Fatalf("history[%d] = %+v, assignment said %+v", i, hist[i], a.Descs[i])
 			}
 		}

@@ -17,11 +17,25 @@ import (
 // replay never re-runs validation or re-derives anything.
 const (
 	recCreate uint8 = iota + 1
-	recAssign
+	// 2 was an assign logged before descriptors carried their
+	// placement; recovery refuses one (errNoPlacement).
+	recAssignUnplaced
 	recCommit
 	recAbort
 	recPrune
+	recAssign
 )
+
+// errNoPlacement fails the recovery of a log written before the version
+// manager logged each write's placement: its descriptors could not tell
+// a reader where any block lives. Clients, daemons and their logs are
+// rebuilt together across that change.
+var errNoPlacement = errors.New("vmanager: the log predates write placements (an assign without its replica addresses); it cannot be recovered by this version manager")
+
+// snapPlaced opens every snapshot whose descriptors carry their
+// placement. An older snapshot opens with its next blob ID, whose top
+// four bytes are zero.
+const snapPlaced uint32 = 0x706c6163 // "plac"
 
 // encodeCreate -> recCreate | id | blockSize | replication
 func encodeCreate(m blob.Meta) []byte {
@@ -33,15 +47,16 @@ func encodeCreate(m blob.Meta) []byte {
 	return b.Bytes()
 }
 
-// encodeAssign -> recAssign | id | desc | assignUnixNano. The assign
-// time rides along so a recovered manager's dead-writer janitor still
-// fires for writes that were in flight at the crash: their age is
-// measured from the original assignment, not from the restart.
+// encodeAssign -> recAssign | id | descs (the one, placement included)
+// | assignUnixNano. The assign time rides along so a recovered manager's
+// dead-writer janitor still fires for writes that were in flight at the
+// crash: their age is measured from the original assignment, not from
+// the restart.
 func encodeAssign(id blob.ID, d blob.WriteDesc, at time.Time) []byte {
-	b := wire.NewBuffer(64)
+	b := wire.NewBuffer(96)
 	b.U8(recAssign)
 	b.U64(uint64(id))
-	encodeDesc(b, d)
+	encodeDescs(b, []blob.WriteDesc{d})
 	b.I64(at.UnixNano())
 	return b.Bytes()
 }
@@ -126,11 +141,15 @@ func (s *State) applyRecord(p []byte) error {
 		}
 		s.idMu.Unlock()
 	case recAssign:
-		d := decodeDesc(r)
+		ds, err := decodeDescs(r, &s.placements)
 		at := time.Unix(0, r.I64())
-		if err := r.Err(); err != nil {
+		if err == nil && len(ds) != 1 {
+			err = fmt.Errorf("vmanager: an assign record of %d descriptors", len(ds))
+		}
+		if err := errors.Join(err, r.Err()); err != nil {
 			return err
 		}
+		d := ds[0]
 		bs, ok := st.blobs[id]
 		if !ok {
 			return fmt.Errorf("vmanager: assign record for unknown blob %d", id)
@@ -182,6 +201,8 @@ func (s *State) applyRecord(p []byte) error {
 		if keep > bs.prunedBelow {
 			bs.prunedBelow = keep
 		}
+	case recAssignUnplaced:
+		return fmt.Errorf("%w: blob %d", errNoPlacement, id)
 	default:
 		return fmt.Errorf("vmanager: unknown WAL record type %d", t)
 	}
@@ -210,11 +231,12 @@ func (s *State) appendStriped(rec func() []byte) error {
 }
 
 // encodeSnapshotAllLocked serializes the full state. Callers hold
-// every stripe lock and idMu. Layout: u64 nextID | u32 nblobs | per
-// blob: id, blockSize, replication, descs, committed bools, published,
-// prunedBelow, assigned (v, unixNano) pairs.
+// every stripe lock and idMu. Layout: u32 snapPlaced | u64 nextID | u32
+// nblobs | per blob: id, blockSize, replication, descs, committed
+// bools, published, prunedBelow, assigned (v, unixNano) pairs.
 func (s *State) encodeSnapshotAllLocked() []byte {
 	b := wire.NewBuffer(256)
+	b.U32(snapPlaced)
 	b.U64(uint64(s.nextID))
 	n := 0
 	for i := range s.stripes {
@@ -245,6 +267,9 @@ func (s *State) encodeSnapshotAllLocked() []byte {
 
 func (s *State) loadSnapshot(p []byte) error {
 	r := wire.NewReader(p)
+	if r.U32() != snapPlaced {
+		return fmt.Errorf("%w: a snapshot without the placement mark", errNoPlacement)
+	}
 	nextID := blob.ID(r.U64())
 	n := r.U32()
 	for i := range s.stripes {
@@ -260,7 +285,7 @@ func (s *State) loadSnapshot(p []byte) error {
 			assigned: make(map[blob.Version]time.Time),
 		}
 		var err error
-		if bs.hist.Descs, err = decodeDescs(r); err != nil {
+		if bs.hist.Descs, err = decodeDescs(r, &s.placements); err != nil {
 			return fmt.Errorf("vmanager: corrupt snapshot (history): %w", err)
 		}
 		nc := r.U32()

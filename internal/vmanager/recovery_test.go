@@ -2,6 +2,8 @@ package vmanager
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,9 +25,19 @@ func openState(t *testing.T, dir string) *State {
 	return s
 }
 
+// assignCommit appends size bytes to blob id, placed on R addresses a
+// block that differ from version to version, and publishes them.
 func assignCommit(t *testing.T, s *State, id blob.ID, size int64) blob.Version {
 	t.Helper()
-	a, err := s.AssignVersion(id, blob.KindAppend, 0, size, 0, blob.NoVersion)
+	m, err := s.GetMeta(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replicas []string
+	for i := range blob.Blocks(size, m.BlockSize) * int64(m.Replication) {
+		replicas = append(replicas, fmt.Sprintf("p%d", (int64(len(s.Blobs()))+i)%7))
+	}
+	a, err := s.AssignVersion(id, blob.KindAppend, 0, size, 0, blob.NoVersion, replicas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +70,13 @@ func TestRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPub, wantSize, _ := s.Latest(m.ID)
+	_, wantDescs, _ := s.LatestSince(m.ID, 0, 0)
 	s.CloseWAL()
 
 	r := openState(t, dir)
+	if _, descs, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(descs, wantDescs, blob.WriteDesc.Equal) {
+		t.Errorf("recovered history %+v, want %+v", descs, wantDescs)
+	}
 	meta, err := r.GetMeta(m.ID)
 	if err != nil {
 		t.Fatalf("recovered state lost the blob: %v", err)
@@ -188,9 +204,13 @@ func TestSnapshotCompactAndRecover(t *testing.T) {
 	if st := s.log.Status(); st.SnapshotSeq == 0 || st.Snapshots != 1 {
 		t.Errorf("snapshot not recorded in WAL status: %+v", st)
 	}
+	_, wantDescs, _ := s.LatestSince(m.ID, 0, 0)
 	s.CloseWAL()
 
 	r := openState(t, dir)
+	if _, descs, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(descs, wantDescs, blob.WriteDesc.Equal) || len(descs[0].Replicas) != 2 {
+		t.Errorf("history recovered through a snapshot %+v, want %+v", descs, wantDescs)
+	}
 	pub, _, err := r.Latest(m.ID)
 	if err != nil {
 		t.Fatal(err)

@@ -44,6 +44,7 @@ const (
 	CodePruned
 	CodeBadPrune
 	CodeAborted
+	CodeBadPlacement
 )
 
 func codeFor(err error) uint16 {
@@ -64,6 +65,8 @@ func codeFor(err error) uint16 {
 		return CodeBadPrune
 	case errors.Is(err, ErrAborted):
 		return CodeAborted
+	case errors.Is(err, ErrBadPlacement):
+		return CodeBadPlacement
 	default:
 		return rpc.StatusError
 	}
@@ -99,6 +102,8 @@ func errFromCode(err error) error {
 		return ErrBadPrune
 	case CodeAborted:
 		return ErrAborted
+	case CodeBadPlacement:
+		return ErrBadPlacement
 	default:
 		return err
 	}
@@ -243,62 +248,6 @@ func (s *Service) Mux() *rpc.Mux {
 	return m
 }
 
-func encodeDesc(b *wire.Buffer, d blob.WriteDesc) {
-	b.U64(uint64(d.Version))
-	b.I64(d.Off)
-	b.I64(d.Len)
-	b.I64(d.SizeAfter)
-	b.U8(uint8(d.Kind))
-	b.U64(d.Nonce)
-	b.Bool(d.Aborted)
-}
-
-func decodeDesc(r *wire.Reader) blob.WriteDesc {
-	return blob.WriteDesc{
-		Version:   blob.Version(r.U64()),
-		Off:       r.I64(),
-		Len:       r.I64(),
-		SizeAfter: r.I64(),
-		Kind:      blob.WriteKind(r.U8()),
-		Nonce:     r.U64(),
-		Aborted:   r.Bool(),
-	}
-}
-
-func encodeDescs(b *wire.Buffer, ds []blob.WriteDesc) {
-	b.U32(uint32(len(ds)))
-	for _, d := range ds {
-		encodeDesc(b, d)
-	}
-}
-
-// descWireSize is what encodeDesc writes: 42 bytes, where a WriteDesc
-// takes 56 in memory.
-const descWireSize = 8 + 8 + 8 + 8 + 1 + 8 + 1
-
-// errDescCount reports a descriptor count that the bytes after it
-// cannot hold.
-var errDescCount = errors.New("vmanager: descriptor count exceeds the bytes that follow")
-
-// decodeDescs reads what encodeDescs wrote. A count is checked against
-// the bytes left before anything is allocated for it, so a corrupt
-// message of R bytes costs at most about 1.3·R, whatever count it
-// claims.
-func decodeDescs(r *wire.Reader) ([]blob.WriteDesc, error) {
-	n := r.U32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if uint64(n)*descWireSize > uint64(r.Remaining()) {
-		return nil, errDescCount
-	}
-	out := make([]blob.WriteDesc, 0, n)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, decodeDesc(r))
-	}
-	return out, r.Err()
-}
-
 func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	blockSize := r.I64()
@@ -323,14 +272,23 @@ func (s *Service) handleAssign(ctx context.Context, p []byte) (*wire.Buffer, err
 	size := r.I64()
 	nonce := r.U64()
 	since := blob.Version(r.U64())
+	var buf [8]string // a one-block write's placement, on the stack
+	replicas := buf[:0]
+	for i, n := uint32(0), r.U32(); i < n && r.Err() == nil; i++ {
+		if a := r.Bytes32(); len(a) > 0 {
+			replicas = append(replicas, s.state.placements.addr(a))
+		} else if r.Err() == nil {
+			return nil, errAddrTable
+		}
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	a, err := s.state.AssignVersion(id, kind, off, size, nonce, since)
+	a, err := s.state.AssignVersion(id, kind, off, size, nonce, since, replicas...)
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := rpc.NewFrame(64)
+	b := rpc.NewFrame(64 + 8*len(replicas))
 	b.U64(uint64(a.Version))
 	b.I64(a.Off)
 	b.I64(a.Size)
@@ -366,7 +324,7 @@ func (s *Service) headReply(id blob.ID, since, at blob.Version) (*wire.Buffer, e
 	if err != nil {
 		return nil, wrap(err)
 	}
-	b := rpc.NewFrame(headWireSize + 4 + len(descs)*descWireSize)
+	b := rpc.NewFrame(headWireSize + 8 + len(descs)*(descWireSize+4*h.Meta.Replication))
 	encodeHead(b, h, descs)
 	return b, nil
 }
@@ -446,6 +404,8 @@ type Client struct {
 	addrs []string // shard k's endpoint at index k
 	retry rpc.Backoff
 	next  atomic.Uint64 // round-robin cursor for CreateBlob
+
+	placements interner // the placements of the descriptors it decodes, shared
 }
 
 // NewClient returns a client for the version-manager shard services at
@@ -501,18 +461,28 @@ func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication in
 	return m, nil
 }
 
-// AssignVersion requests a version number for a prepared write.
-func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version) (Assignment, error) {
+// AssignVersion requests a version number for a prepared write whose
+// blocks are stored on replicas, block i's at [i*R, (i+1)*R) at the
+// blob's replication R, primary first (see State.AssignVersion).
+func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version, replicas ...string) (Assignment, error) {
 	var a Assignment
-	err := c.call(ctx, ShardOf(id, len(c.addrs)), mAssignVersion, 48, func(b *wire.Buffer) {
+	n := 52
+	for _, r := range replicas {
+		n += 4 + len(r)
+	}
+	err := c.call(ctx, ShardOf(id, len(c.addrs)), mAssignVersion, n, func(b *wire.Buffer) {
 		b.U64(uint64(id))
 		b.U8(uint8(kind))
 		b.I64(off)
 		b.I64(size)
 		b.U64(nonce)
 		b.U64(uint64(since))
+		b.U32(uint32(len(replicas)))
+		for _, a := range replicas {
+			b.String(a)
+		}
 	}, func(p []byte) (err error) {
-		a, err = decodeAssignment(p)
+		a, err = decodeAssignment(p, &c.placements)
 		return err
 	})
 	if err != nil {
@@ -521,12 +491,13 @@ func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteK
 	return a, nil
 }
 
-// decodeAssignment decodes an AssignVersion reply.
-func decodeAssignment(p []byte) (Assignment, error) {
+// decodeAssignment decodes an AssignVersion reply, its placements
+// interned in in.
+func decodeAssignment(p []byte, in *interner) (Assignment, error) {
 	r := wire.NewReader(p)
 	a := Assignment{Version: blob.Version(r.U64()), Off: r.I64(), Size: r.I64()}
 	var err error
-	a.Descs, err = decodeDescs(r)
+	a.Descs, err = decodeDescs(r, in)
 	return a, err
 }
 
@@ -577,7 +548,7 @@ func (c *Client) pages(ctx context.Context, m uint16, id blob.ID, since, at blob
 	for first := true; first || since < h.Published; first = false {
 		var descs []blob.WriteDesc
 		dec := func(p []byte) (err error) {
-			hd, ds, err := decodeHead(p)
+			hd, ds, err := decodeHead(p, &c.placements)
 			if first {
 				h = hd
 				h.Meta.ID = id
@@ -606,12 +577,12 @@ func (c *Client) pages(ctx context.Context, m uint16, id blob.ID, since, at blob
 }
 
 // decodeHead reads what encodeHead wrote: an mLatest or mWaitPublished
-// reply.
-func decodeHead(p []byte) (h Head, descs []blob.WriteDesc, err error) {
+// reply, its placements interned in in.
+func decodeHead(p []byte, in *interner) (h Head, descs []blob.WriteDesc, err error) {
 	r := wire.NewReader(p)
 	h.Meta = blob.Meta{BlockSize: r.I64(), Replication: int(r.U32())}
 	h.Published, h.Oldest, h.Size = blob.Version(r.U64()), blob.Version(r.U64()), r.I64()
-	descs, err = decodeDescs(r)
+	descs, err = decodeDescs(r, in)
 	return h, descs, err
 }
 

@@ -23,10 +23,12 @@
 //     coordinate — not even for CreateBlob.
 //
 // A service answers eight RPC methods. Writers call CreateBlob,
-// AssignVersion, Commit and Abort. Readers call Latest and
+// AssignVersion (which carries the write's placement: every block's
+// replica addresses), Commit and Abort. Readers call Latest and
 // WaitPublished: each reply is the blob's Head (meta, published
 // version, prune point, size), then a page of the published history,
-// so one call pins a snapshot. GC and repair add ListBlobs and Prune.
+// placements included, so one call pins a snapshot and tells where
+// every block of it lives. GC and repair add ListBlobs and Prune.
 // Methods 2, 7, 8, 12, 13 and 14 are retired and answer "unknown
 // method".
 package vmanager
@@ -62,6 +64,9 @@ var (
 	// ErrAborted is returned for the commit of a version that was
 	// aborted: no reader will see what its writer wrote.
 	ErrAborted = errors.New("vmanager: version aborted")
+	// ErrBadPlacement is returned for an assign whose placement does not
+	// fit its write: not R non-empty addresses for each of its blocks.
+	ErrBadPlacement = errors.New("vmanager: malformed placement")
 )
 
 // ShardInfo identifies one horizontal shard of the version-manager
@@ -137,6 +142,8 @@ type State struct {
 	nextID blob.ID
 
 	stripes [numStripes]stripe
+
+	placements interner // the placements of every blob's history, shared
 
 	// log, when non-nil, journals every mutation for crash recovery
 	// (see recovery.go). Recover sets it before the State is shared and
@@ -270,10 +277,14 @@ type Assignment struct {
 
 // AssignVersion validates the write, assigns the next version number
 // (fixing the offset for appends), and returns the history delta since
-// sinceVersion. This method is the write path's serialization point —
-// per blob: writers to different blobs proceed through different
-// stripes in parallel.
-func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version) (Assignment, error) {
+// sinceVersion. replicas is the write's placement (blob.WriteDesc.Replicas),
+// which readers name each block's replicas from: one that does not fit
+// fails with ErrBadPlacement, and none at all is accepted (a read of a
+// block such a version owns fails). This method is the write path's
+// serialization point — per blob: writers to different blobs proceed
+// through different stripes in parallel.
+func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version, replicas ...string) (Assignment, error) {
+	replicas = s.placements.placement(replicas)
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -306,7 +317,10 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 	if off+size > after {
 		after = off + size
 	}
-	d := blob.WriteDesc{Version: v, Off: off, Len: size, SizeAfter: after, Kind: kind, Nonce: nonce}
+	d := blob.WriteDesc{Version: v, Off: off, Len: size, SizeAfter: after, Kind: kind, Nonce: nonce, Replicas: replicas}
+	if err := d.CheckPlacement(bs.meta); err != nil {
+		return Assignment{}, fmt.Errorf("%w: %v", ErrBadPlacement, err)
+	}
 	if err := bs.hist.Append(d); err != nil {
 		return Assignment{}, err
 	}
@@ -418,8 +432,9 @@ type Head struct {
 }
 
 // latestDescsCap is the page size of a blob's history: the most
-// descriptors one LatestSince reply carries, 8,192 × 42 B = 344 KB on
-// the wire, however long the history. A reader further behind asks
+// descriptors one LatestSince reply carries, 8,192 × 58 B = 475 KB on
+// the wire for one-block writes at replication 3, however long the
+// history. A reader further behind asks
 // again from the last version it got (Client.LatestSince).
 const latestDescsCap = 8192
 
@@ -427,8 +442,8 @@ const latestDescsCap = 8192
 // the blob's head, with its size at version at (at Published when at is
 // NoVersion or not yet published), plus the first page of the
 // descriptors of (since, published] as a read-only view — the hint
-// AssignVersion hands a writer, so the reader too can name its leaves
-// without walking to them. Published versions only (their descriptors
+// AssignVersion hands a writer, so the reader names every block's
+// replicas from it and reads no metadata tree. Published versions only (their descriptors
 // can no longer change or vanish), at most latestDescsCap of them, and
 // none for a since at or past the published version.
 func (s *State) LatestSince(id blob.ID, since, at blob.Version) (Head, []blob.WriteDesc, error) {

@@ -195,7 +195,9 @@ func ownersOf(t *testing.T, s *State, m blob.Meta) *mdtree.Owners {
 		t.Fatal(err)
 	}
 	var o mdtree.Owners
-	o.Extend(m.BlockSize, descs)
+	if err := o.Extend(m, descs); err != nil {
+		t.Fatal(err)
+	}
 	return &o
 }
 
@@ -213,12 +215,12 @@ func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 	ctx := context.Background()
 
 	// v1 assigned (writer then dies before weaving metadata).
-	a1, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 2*B, 0xdead, 0)
+	a1, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 2*B, 0xdead, 0, "p", "q")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// v2 assigned and fully written (weaves against v1's planned nodes).
-	a2, err := s.AssignVersion(m.ID, blob.KindAppend, 0, B, 0xbeef, 0)
+	a2, err := s.AssignVersion(m.ID, blob.KindAppend, 0, B, 0xbeef, 0, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,7 @@ func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 		t.Fatalf("after the abort: published %d size %d", v, size)
 	}
 	// v2's snapshot resolves: blocks 0-1 a hole (aborted), block 2 B's.
-	ext, err := ownersOf(t, s, m).Resolve(ctx, st, m, 2, 3*B, blob.Range{Len: 3 * B}, new(mdtree.Scratch))
+	ext, err := ownersOf(t, s, m).Resolve(m, 2, 3*B, blob.Range{Len: 3 * B}, new(mdtree.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestLateWriterOfAnAbortedVersionStaysHidden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a1, err := s.AssignVersion(m.ID, blob.KindAppend, 0, B, 1, 0)
+	a1, err := s.AssignVersion(m.ID, blob.KindAppend, 0, B, 1, 0, "first-writer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestLateWriterOfAnAbortedVersionStaysHidden(t *testing.T) {
 	if err := s.Commit(m.ID, a1.Version); err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.AssignVersion(m.ID, blob.KindWrite, 0, B, 2, 0)
+	a2, err := s.AssignVersion(m.ID, blob.KindWrite, 0, B, 2, 0, "aborted-writer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +304,7 @@ func TestLateWriterOfAnAbortedVersionStaysHidden(t *testing.T) {
 	if err := s.Commit(m.ID, a2.Version); !errors.Is(err, ErrAborted) {
 		t.Fatalf("commit of the aborted version = %v, want ErrAborted", err)
 	}
-	ext, err := ownersOf(t, s, m).Resolve(ctx, st, m, a2.Version, B, blob.Range{Len: B}, new(mdtree.Scratch))
+	ext, err := ownersOf(t, s, m).Resolve(m, a2.Version, B, blob.Range{Len: B}, new(mdtree.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,6 @@ func main() {
 		mixRead  = flag.Int("reads", 60, "mix weight: random reads")
 		mixWrite = flag.Int("writes", 20, "mix weight: whole-file writes")
 		mixApp   = flag.Int("appends", 10, "mix weight: shared-file appends")
-		budget   = flag.Float64("error-budget", 0.01, "highest tolerable failed-op fraction (concurrent unaligned appends can conflict by design)")
 		rate     = flag.Float64("rate", 0, "paced open-loop target in ops/s across all workers; latency is then also measured from each op's intended start (0 = closed loop)")
 		trEvery  = flag.Int("trace-every", 0, "tag every Nth op with a distributed trace and report the IDs (0 disables)")
 		trSample = flag.Float64("trace-sample", 0, "sim: head-sampling rate for the embedded cluster's client tracer")
@@ -165,30 +164,29 @@ func main() {
 		}
 	}
 	report, err := bench.RunBlaster(ctx, bench.BlasterConfig{
-		FS:          fsys,
-		Workers:     *workers,
-		Duration:    *duration,
-		Ramp:        *ramp,
-		Files:       *files,
-		FileSize:    *fileSize,
-		IOSize:      *ioSize,
-		MixOpen:     *mixOpen,
-		MixRead:     *mixRead,
-		MixWrite:    *mixWrite,
-		MixAppend:   *mixApp,
-		Rate:        *rate,
-		ErrorBudget: *budget,
-		Registry:    reg,
-		Trace:       traceHook,
-		TraceEvery:  *trEvery,
-		Seed:        *seed,
+		FS:         fsys,
+		Workers:    *workers,
+		Duration:   *duration,
+		Ramp:       *ramp,
+		Files:      *files,
+		FileSize:   *fileSize,
+		IOSize:     *ioSize,
+		MixOpen:    *mixOpen,
+		MixRead:    *mixRead,
+		MixWrite:   *mixWrite,
+		MixAppend:  *mixApp,
+		Rate:       *rate,
+		Registry:   reg,
+		Trace:      traceHook,
+		TraceEvery: *trEvery,
+		Seed:       *seed,
 	})
 	if err != nil {
 		log.Fatalf("run: %v", err)
 	}
 
-	log.Printf("measured %.1fs: %d ops (%.1f ops/s), read %.1f MB/s, write %.1f MB/s, error rate %.4f",
-		report.Seconds, report.TotalOps, report.OpsPerSec, report.ReadMBps, report.WriteMBps, report.ErrorRate)
+	log.Printf("measured %.1fs: %d ops (%.1f ops/s), read %.1f MB/s, write %.1f MB/s, error rate %.4f, %d cut by the window's end",
+		report.Seconds, report.TotalOps, report.OpsPerSec, report.ReadMBps, report.WriteMBps, report.ErrorRate, report.Cut)
 	for _, op := range []string{"open", "read", "write", "append"} {
 		st := report.Ops[op]
 		log.Printf("  %-6s count=%-8d errors=%-4d p50=%.0fµs p99=%.0fµs p999=%.0fµs",

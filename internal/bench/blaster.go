@@ -19,7 +19,7 @@ import (
 // file system (a live cluster's BSFS mount, or the HDFS baseline),
 // with an untimed ramp-up, a measured steady-state window, and a
 // BENCH_blaster.json report of sustained throughput, per-op latency
-// percentiles and the error rate against a budget. Every observation
+// percentiles and the error rate, which must be zero. Every observation
 // flows through an obs.Registry, so a -metrics-addr endpoint shows
 // the client side of the run live next to the daemons' own registries.
 
@@ -58,14 +58,11 @@ type BlasterConfig struct {
 	// closed-loop harness silently forgoes. The report then carries
 	// both corrected and service-time percentiles.
 	Rate float64
-	// ErrorBudget is the highest tolerable failed-op fraction over the
-	// measured window; Check() fails above it (default 0).
-	ErrorBudget float64
 	// Registry receives the blaster's live metrics (per-op latency
 	// histograms, op/error/byte counters). Nil creates a private one.
 	Registry *obs.Registry
 	// OnError, when non-nil, observes every failed op (diagnostics;
-	// the error is still counted against the budget).
+	// the op still counts as failed).
 	OnError func(op string, err error)
 	// Trace, when non-nil and TraceEvery > 0, wraps every TraceEvery-th
 	// op's context (e.g. with obs.WithRoot) and returns the trace ID
@@ -127,21 +124,23 @@ type BlasterReport struct {
 	// op's intended start time, so a stalled system's queueing delay is
 	// visible instead of silently omitted. Ops keeps the service-time
 	// view (measured from actual start) in both modes.
-	TargetRate  float64                   `json:"target_rate,omitempty"`
-	Corrected   map[string]BlasterOpStats `json:"corrected,omitempty"`
-	TraceIDs    []string                  `json:"trace_ids,omitempty"`
-	ErrorRate   float64                   `json:"error_rate"`
-	ErrorBudget float64                   `json:"error_budget"`
+	TargetRate float64                   `json:"target_rate,omitempty"`
+	Corrected  map[string]BlasterOpStats `json:"corrected,omitempty"`
+	TraceIDs   []string                  `json:"trace_ids,omitempty"`
+	ErrorRate  float64                   `json:"error_rate"`
+	// Cut counts the ops that failed because the run's own window
+	// ended under them (long-run mode's cancel); they are not failures.
+	Cut int64 `json:"cut"`
 }
 
-// Check validates the run: the window must have completed work and the
-// failed-op fraction must stay inside the budget.
+// Check validates the run: the window must have completed work and no
+// op may have failed.
 func (r BlasterReport) Check() error {
 	if r.TotalOps <= 0 {
 		return fmt.Errorf("blaster: no operations completed in the measured window")
 	}
-	if r.ErrorRate > r.ErrorBudget {
-		return fmt.Errorf("blaster: error rate %.4f exceeds budget %.4f", r.ErrorRate, r.ErrorBudget)
+	if r.ErrorRate > 0 {
+		return fmt.Errorf("blaster: error rate %.4f, want 0", r.ErrorRate)
 	}
 	return nil
 }
@@ -152,6 +151,7 @@ type blasterMetrics struct {
 	corr    map[string]*obs.Histogram // paced mode only: intended-start latency
 	ops     map[string]*obs.Counter
 	errs    map[string]*obs.Counter
+	cut     *obs.Counter
 	bytesR  *obs.Counter
 	bytesW  *obs.Counter
 	workers *obs.Gauge
@@ -162,6 +162,7 @@ func newBlasterMetrics(reg *obs.Registry, paced bool) *blasterMetrics {
 		lat:     make(map[string]*obs.Histogram, len(blasterOps)),
 		ops:     make(map[string]*obs.Counter, len(blasterOps)),
 		errs:    make(map[string]*obs.Counter, len(blasterOps)),
+		cut:     reg.Counter("ops_cut"),
 		bytesR:  reg.Counter("bytes_read"),
 		bytesW:  reg.Counter("bytes_written"),
 		workers: reg.Gauge("workers"),
@@ -304,10 +305,10 @@ func RunBlaster(ctx context.Context, cfg BlasterConfig) (BlasterReport, error) {
 	bm.workers.Set(0)
 
 	r := BlasterReport{
-		Workers:     cfg.Workers,
-		Seconds:     elapsed,
-		Ops:         make(map[string]BlasterOpStats, len(blasterOps)),
-		ErrorBudget: cfg.ErrorBudget,
+		Workers: cfg.Workers,
+		Seconds: elapsed,
+		Ops:     make(map[string]BlasterOpStats, len(blasterOps)),
+		Cut:     bm.cut.Value(),
 	}
 	var totalErrs int64
 	for _, op := range blasterOps {
@@ -400,6 +401,10 @@ func blasterWorker(ctx context.Context, cfg BlasterConfig, bm *blasterMetrics, i
 		octx := tags.wrap(ctx)
 		t0 := time.Now()
 		nbytes, err := blasterOp(octx, cfg, rng, id, op, buf)
+		if err != nil && ctx.Err() != nil {
+			bm.cut.Inc() // the window closed under it
+			continue
+		}
 		if err != nil {
 			bm.errs[op].Inc()
 			if cfg.OnError != nil {

@@ -12,7 +12,7 @@ import (
 
 // TestBlasterShortRun drives a short mixed load against an in-process
 // cluster and pins the report contract: work completed in the window,
-// every op type observed, errors within budget, and Check() green.
+// every op type observed, no op failed, and Check() green.
 func TestBlasterShortRun(t *testing.T) {
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 2,
@@ -36,15 +36,9 @@ func TestBlasterShortRun(t *testing.T) {
 		Ramp:     100 * time.Millisecond,
 		Files:    4,
 		IOSize:   8 * int(util.KB),
-		// Concurrent appends to a shared file race the unaligned-tail
-		// read-modify-write merge; the loser's republish can be rejected
-		// by the version manager (ErrUnaligned). That contention is a
-		// real property of the system under this mix, not a blaster bug
-		// — budget for it instead of demanding a spotless run.
-		ErrorBudget: 0.05,
-		Registry:    reg,
-		Seed:        42,
-		OnError:     func(op string, err error) { t.Logf("op %s: %v", op, err) },
+		Registry: reg,
+		Seed:     42,
+		OnError:  func(op string, err error) { t.Logf("op %s: %v", op, err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +48,6 @@ func TestBlasterShortRun(t *testing.T) {
 	}
 	if report.TotalOps == 0 || report.OpsPerSec <= 0 {
 		t.Fatalf("empty run: %+v", report)
-	}
-	if report.ErrorRate > report.ErrorBudget {
-		t.Fatalf("error rate %.4f exceeds budget %.4f", report.ErrorRate, report.ErrorBudget)
 	}
 	for _, op := range []string{"open", "read", "write", "append"} {
 		st, ok := report.Ops[op]
@@ -81,13 +72,13 @@ func TestBlasterShortRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	report2, err := RunBlaster(ctx, BlasterConfig{
-		FS:          fsys,
-		Workers:     2,
-		Duration:    0, // until ctx cancels
-		Files:       4,
-		IOSize:      4 * int(util.KB),
-		ErrorBudget: 0.05,
-		Seed:        7,
+		FS:       fsys,
+		Workers:  2,
+		Duration: 0, // until ctx cancels
+		Files:    4,
+		IOSize:   4 * int(util.KB),
+		Seed:     7,
+		OnError:  func(op string, err error) { t.Logf("long run: op %s: %v", op, err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,16 +88,16 @@ func TestBlasterShortRun(t *testing.T) {
 	}
 }
 
-// TestBlasterErrorBudget pins the gate: a report over budget fails
-// Check, one at or under it passes.
-func TestBlasterErrorBudget(t *testing.T) {
-	r := BlasterReport{TotalOps: 98, ErrorRate: 0.02, ErrorBudget: 0.01}
+// TestBlasterCheckFailsOnAnyError pins the gate: one failed op fails
+// Check, ops the window's end cut do not.
+func TestBlasterCheckFailsOnAnyError(t *testing.T) {
+	r := BlasterReport{TotalOps: 999, ErrorRate: 0.001}
 	if err := r.Check(); err == nil {
-		t.Fatal("Check passed over budget")
+		t.Fatal("Check passed a run with a failed op")
 	}
-	r.ErrorBudget = 0.02
+	r.ErrorRate, r.Cut = 0, 2
 	if err := r.Check(); err != nil {
-		t.Fatalf("Check failed at budget: %v", err)
+		t.Fatalf("Check failed a clean run: %v", err)
 	}
 	if err := (BlasterReport{}).Check(); err == nil {
 		t.Fatal("Check passed an empty run")
@@ -134,15 +125,14 @@ func TestBlasterPacedOpenLoop(t *testing.T) {
 
 	traced := 0
 	report, err := RunBlaster(context.Background(), BlasterConfig{
-		FS:          fsys,
-		Workers:     2,
-		Duration:    500 * time.Millisecond,
-		Ramp:        50 * time.Millisecond,
-		Files:       4,
-		IOSize:      4 * int(util.KB),
-		Rate:        200, // well under what the in-proc cluster sustains
-		ErrorBudget: 0.05,
-		Seed:        11,
+		FS:       fsys,
+		Workers:  2,
+		Duration: 500 * time.Millisecond,
+		Ramp:     50 * time.Millisecond,
+		Files:    4,
+		IOSize:   4 * int(util.KB),
+		Rate:     200, // well under what the in-proc cluster sustains
+		Seed:     11,
 		Trace: func(ctx context.Context) (context.Context, string) {
 			traced++
 			tctx, id := obs.WithRoot(ctx)
@@ -208,13 +198,12 @@ func TestBlasterClosedLoopHasNoCorrected(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := RunBlaster(context.Background(), BlasterConfig{
-		FS:          fsys,
-		Workers:     1,
-		Duration:    200 * time.Millisecond,
-		Files:       2,
-		IOSize:      4 * int(util.KB),
-		ErrorBudget: 0.05,
-		Seed:        3,
+		FS:       fsys,
+		Workers:  1,
+		Duration: 200 * time.Millisecond,
+		Files:    2,
+		IOSize:   4 * int(util.KB),
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)

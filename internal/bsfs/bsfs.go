@@ -111,11 +111,9 @@ func (f *FS) Create(ctx context.Context, path string, overwrite bool) (fs.Writer
 	return b.NewWriter(ctx, core.WriterOptions{Depth: f.cfg.WriteBehindDepth}), nil
 }
 
-// Append implements fs.FileSystem. Appends to block-aligned files (the
-// paper's Figure 5 workload) proceed with full write/write concurrency
-// through BlobSeer's native append. An unaligned tail is merged with a
-// read-modify-write on first flush, which is only safe for a single
-// appender — exactly the semantics Hadoop applications expect.
+// Append implements fs.FileSystem. Any number of appenders, of any
+// lengths, proceed side by side through BlobSeer's append (the paper's
+// Figure 5 workload): the version manager fixes where each lands.
 func (f *FS) Append(ctx context.Context, path string) (fs.Writer, error) {
 	b, err := f.OpenBlob(ctx, path)
 	if err != nil {

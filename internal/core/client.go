@@ -111,6 +111,7 @@ type Client struct {
 	reg            *obs.Registry
 	mResolve       *obs.Histogram  // block-index resolve latency per readInto
 	chainFallbacks *obs.Counter    // blocks that fell back to one-hop puts
+	appendMoves    *obs.Counter    // appends refused because the blob's end moved
 	deadReports    *obs.Counter    // MarkDead feedback reports sent
 	deadSuppressed *obs.Counter    // reports dropped by the per-provider rate limit
 	streams        *stream.Metrics // shared by every reader and writer of the client
@@ -177,6 +178,7 @@ func NewClient(cfg Config) *Client {
 		reg:            reg,
 		mResolve:       reg.Histogram("resolve_latency"),
 		chainFallbacks: reg.Counter("chain_fallbacks"),
+		appendMoves:    reg.Counter("append_moves"),
 		deadReports:    reg.Counter("dead_reports"),
 		deadSuppressed: reg.Counter("dead_reports_suppressed"),
 		streams:        stream.NewMetrics(reg),
@@ -316,10 +318,11 @@ func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, e
 }
 
 // doWrite is the two-phase write protocol behind Blob.Write and
-// Blob.Append.
-func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, off int64, data []byte) (_ blob.Version, err error) {
+// Blob.Append; base is an append's (vmanager.State.Assign).
+func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, off int64, base blob.Version, data []byte) (_ vmanager.Assignment, err error) {
+	var none vmanager.Assignment // what a failed write returns
 	if len(data) == 0 {
-		return 0, fmt.Errorf("core: empty %s", kind)
+		return none, fmt.Errorf("core: empty %s", kind)
 	}
 	op := "write"
 	if kind == blob.KindAppend {
@@ -329,14 +332,14 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	defer func() { sp.Finish(err) }()
 	id := m.ID
 	if kind == blob.KindWrite && off%m.BlockSize != 0 {
-		return 0, fmt.Errorf("core: write offset %d not aligned to block size %d", off, m.BlockSize)
+		return none, fmt.Errorf("core: write offset %d not aligned to block size %d", off, m.BlockSize)
 	}
 	nBlocks := int(blob.Blocks(int64(len(data)), m.BlockSize))
 
 	// Phase 1a: allocate providers for every block of the patch.
 	targets, err := c.pm.Allocate(ctx, nBlocks, m.Replication, c.host)
 	if err != nil {
-		return 0, fmt.Errorf("core: allocate providers: %w", err)
+		return none, fmt.Errorf("core: allocate providers: %w", err)
 	}
 
 	// Phase 1b: store all blocks, fully parallel with other writers.
@@ -352,7 +355,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		// then the whole write fails." No version was assigned, so none
 		// needs aborting — just GC the orphaned blocks.
 		c.gcBlocks(id, nonce, targets.Addrs)
-		return 0, werr
+		return none, werr
 	}
 
 	// Phase 2a: version assignment — the single serialization point.
@@ -360,10 +363,10 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	c.mu.Lock()
 	since := st.hist.Latest()
 	c.mu.Unlock()
-	a, err := c.vm.AssignVersion(ctx, id, kind, off, int64(len(data)), nonce, since, targets.Addrs...)
+	a, err := c.vm.Assign(ctx, id, kind, off, int64(len(data)), nonce, since, base, targets.Addrs...)
 	if err != nil {
 		c.gcBlocks(id, nonce, targets.Addrs)
-		return 0, err
+		return none, err
 	}
 	c.mu.Lock()
 	err = st.hist.Extend(a.Descs)
@@ -374,10 +377,10 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		// publication of every later version until the janitor notices.
 		// Abort it so publication moves past it now.
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
-			return 0, fmt.Errorf("core: history cache failed (%v) and abort failed: %w", err, aerr)
+			return none, fmt.Errorf("core: history cache failed (%v) and abort failed: %w", err, aerr)
 		}
 		c.gcBlocks(id, nonce, targets.Addrs)
-		return 0, fmt.Errorf("core: history cache: %w", err)
+		return none, fmt.Errorf("core: history cache: %w", err)
 	}
 
 	// Phase 2b: weave and store metadata, concurrently with all other
@@ -387,10 +390,10 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		// take its blocks for holes whatever nodes Build left, then GC
 		// our blocks.
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
-			return 0, fmt.Errorf("core: metadata build failed (%v) and abort failed: %w", err, aerr)
+			return none, fmt.Errorf("core: metadata build failed (%v) and abort failed: %w", err, aerr)
 		}
 		c.gcBlocks(id, nonce, targets.Addrs)
-		return 0, fmt.Errorf("core: metadata build: %w", err)
+		return none, fmt.Errorf("core: metadata build: %w", err)
 	}
 
 	// Phase 2c: report success; the VM publishes in version order.
@@ -401,9 +404,9 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		if errors.Is(err, vmanager.ErrAborted) {
 			c.gcBlocks(id, nonce, targets.Addrs)
 		}
-		return 0, err
+		return none, err
 	}
-	return a.Version, nil
+	return a, nil
 }
 
 // putBlocks stores the blocks of a patch, putConcurrency in flight, each

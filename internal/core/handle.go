@@ -63,13 +63,57 @@ func (b *Blob) Client() *Client { return b.c }
 // version may not be immediately readable: it publishes once all
 // lower versions commit (use WaitPublished to observe it).
 func (b *Blob) Write(ctx context.Context, off int64, data []byte) (blob.Version, error) {
-	return b.c.doWrite(ctx, b.meta, blob.KindWrite, off, data)
+	a, err := b.c.doWrite(ctx, b.meta, blob.KindWrite, off, blob.NoVersion, data)
+	return a.Version, err
 }
 
-// Append adds data at the end of the blob; the offset is fixed by the
-// version manager at assignment time (Section III-D).
+// Append adds data, of any length, at the end of the blob; the offset
+// is fixed by the version manager at assignment time (Section III-D),
+// so concurrent appends neither overlap nor leave gaps.
 func (b *Blob) Append(ctx context.Context, data []byte) (blob.Version, error) {
-	return b.c.doWrite(ctx, b.meta, blob.KindAppend, 0, data)
+	a, err := b.append(ctx, data, 0)
+	return a.Version, err
+}
+
+// maxAppendTries bounds how often one append is sent. Among N appenders
+// onto unaligned ends one lands per round: most are refused about N times.
+const maxAppendTries = 1024
+
+// append is Append told where the caller last saw the blob's end (0 if
+// unknown). Onto an unaligned end it pins the latest snapshot, its base,
+// and sends the base's tail, from the block boundary below its end,
+// then the data (vmanager.State.Assign). A refused append pins a newer
+// base, waiting for one to publish if need be, and goes again.
+func (b *Blob) append(ctx context.Context, data []byte, end int64) (vmanager.Assignment, error) {
+	var base *Snapshot
+	for range maxAppendTries {
+		if end%b.meta.BlockSize != 0 {
+			s, err := b.Latest(ctx)
+			if err == nil && base != nil && s.version == base.version {
+				s, err = b.WaitPublished(ctx, base.version+1, 0)
+			}
+			if err != nil {
+				return vmanager.Assignment{}, err
+			}
+			base, end = s, s.size
+		}
+		payload, on := data, blob.NoVersion
+		if rem := end % b.meta.BlockSize; rem != 0 {
+			payload = make([]byte, rem+int64(len(data)))
+			if _, err := base.ReadAtContext(ctx, payload[:rem], end-rem); err != nil && err != io.EOF {
+				return vmanager.Assignment{}, err
+			}
+			copy(payload[rem:], data)
+			on = base.version
+		}
+		a, err := b.c.doWrite(ctx, b.meta, blob.KindAppend, 0, on, payload)
+		if !errors.Is(err, vmanager.ErrUnaligned) && !errors.Is(err, vmanager.ErrEndMoved) {
+			return a, err
+		}
+		b.c.appendMoves.Inc()
+		end = -1 // unaligned, as far as is known
+	}
+	return vmanager.Assignment{}, fmt.Errorf("core: append refused %d times: the blob's end kept moving", maxAppendTries)
 }
 
 // Latest pins the newest published snapshot. An unpublished blob (no
@@ -131,12 +175,9 @@ func (b *Blob) pin(ctx context.Context, v blob.Version, wait bool, timeout time.
 
 // WriterOptions configures a streaming writer over a Blob.
 type WriterOptions struct {
-	// Append streams to the end of the blob. An unaligned existing tail
-	// is merged with one read-modify-write on first flush — only safe
-	// for a single appender, exactly the semantics Hadoop applications
-	// expect; block-aligned appends keep full append/append
-	// concurrency. When false the stream writes at fixed offsets
-	// starting from Off.
+	// Append streams to the end of the blob, each block an Append:
+	// appenders of any length run side by side. When false the stream
+	// writes at fixed offsets starting from Off.
 	Append bool
 	// Off is the starting offset of a non-append stream (must be
 	// block-aligned).
@@ -151,47 +192,31 @@ type WriterOptions struct {
 // blob one block-sized snapshot at a time — the engine BSFS file
 // writers run on, available to raw-blob applications directly.
 func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
-	return stream.NewWriter(ctx, stream.WriterConfig{
+	cfg := stream.WriterConfig{
 		BlockSize: b.meta.BlockSize,
 		Depth:     o.Depth,
 		Metrics:   b.c.streams,
-		Start: func(ctx context.Context) (stream.StartState, error) {
-			if !o.Append {
-				return stream.StartState{OffsetMode: true, Off: o.Off}, nil
-			}
-			// The size decides; the history a pin would bring is needed
-			// only to read an unaligned tail.
-			v, size, err := b.c.Latest(ctx, b.meta.ID)
-			if err != nil {
-				return stream.StartState{}, err
-			}
-			rem := size % b.meta.BlockSize
-			if rem == 0 {
-				return stream.StartState{}, nil // native append path
-			}
-			// An unaligned tail cannot go through native appends (the
-			// version manager rejects appends onto unaligned EOFs), so
-			// merge it once and continue with offset-tracked writes.
-			s, err := b.Snapshot(ctx, v)
-			if err != nil {
-				return stream.StartState{}, err
-			}
-			tailStart := size - rem
-			tail := make([]byte, rem)
-			if _, err := s.ReadAtContext(ctx, tail, tailStart); err != nil && err != io.EOF {
-				return stream.StartState{}, err
-			}
-			return stream.StartState{OffsetMode: true, Off: tailStart, Prefix: tail}, nil
-		},
+		Start:     func(context.Context) (int64, error) { return o.Off, nil },
 		WriteAt: func(ctx context.Context, off int64, data []byte) error {
 			_, err := b.Write(ctx, off, data)
 			return err
 		},
-		Append: func(ctx context.Context, data []byte) error {
-			_, err := b.Append(ctx, data)
+	}
+	if o.Append {
+		// The stream starts at the blob's size; each block is told where
+		// the one before left the end (one commit worker runs them).
+		var end int64
+		cfg.Start = func(ctx context.Context) (_ int64, err error) {
+			_, end, err = b.c.Latest(ctx, b.meta.ID)
+			return end, err
+		}
+		cfg.Append = func(ctx context.Context, data []byte) error {
+			a, err := b.append(ctx, data, end)
+			end = a.Size
 			return err
-		},
-	})
+		}
+	}
+	return stream.NewWriter(ctx, cfg)
 }
 
 // Snapshot is a pinned, immutable published version of a BLOB. The

@@ -247,6 +247,17 @@ func TestRPCsPerOperation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb, err := setup.CreateBlob(ctx, bs, 1) // for the raw unaligned append
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rb.Append(ctx, blocksOf('r')[:bs/2]); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := c.OpenBlob(ctx, rb.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A client whose first contact with the blob is the stream below,
 	// pinned before anything is counted, as a fresh map task is.
@@ -304,8 +315,9 @@ func TestRPCsPerOperation(t *testing.T) {
 		},
 		want: rpcCount{vm: 3, pm: 1, prov: 1, meta: 2, seq: 6},
 	}, {
-		// Onto a half block: the size, the pin, the tail, then the merged
-		// block goes out as an aligned write.
+		// Onto a half block: the size, which says the end is unaligned,
+		// the pin, the tail, then the merged block goes out as an append
+		// that names the pin as its base.
 		name: "unaligned_append",
 		op: func() error {
 			w := unaligned.NewWriter(ctx, WriterOptions{Append: true})
@@ -315,6 +327,16 @@ func TestRPCsPerOperation(t *testing.T) {
 			return w.Close()
 		},
 		want: rpcCount{vm: 4, pm: 1, prov: 2, meta: 1, seq: 8},
+	}, {
+		// A raw append knows nothing of the end: its block goes out as
+		// it is, the version manager refuses it and the client frees it.
+		// Then the pin, the tail, and the merged block as above.
+		name: "raw_unaligned_append",
+		op: func() error {
+			_, err := raw.Append(ctx, blocksOf('s')[:bs/4])
+			return err
+		},
+		want: rpcCount{vm: 4, pm: 2, prov: 4, meta: 1, seq: 11},
 	}, {
 		// An older version: one reply brings the descriptors published
 		// since the client's last pin, the version's size and the prune

@@ -88,7 +88,6 @@ func (f *FS) Create(ctx context.Context, path string, overwrite bool) (fs.Writer
 		Writer: stream.NewWriter(ctx, stream.WriterConfig{
 			BlockSize: f.cfg.BlockSize,
 			Depth:     stream.DefaultWriteBehind,
-			Start:     func(context.Context) (stream.StartState, error) { return stream.StartState{}, nil },
 			Append: func(ctx context.Context, data []byte) error {
 				bid, targets, err := f.nn.AddBlock(ctx, id, lease, f.cfg.Host, f.cfg.Replication)
 				if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,12 +103,22 @@ func (m *memSink) bytes() []byte {
 	return append([]byte(nil), m.data...)
 }
 
-func (m *memSink) writer(depth int, start func(ctx context.Context) (stream.StartState, error)) *stream.Writer {
+// writer streams into the sink from offset 0 through writeAt.
+func (m *memSink) writer(depth int) *stream.Writer {
 	return stream.NewWriter(context.Background(), stream.WriterConfig{
 		BlockSize: B,
 		Depth:     depth,
-		Start:     start,
 		WriteAt:   m.writeAt,
+	})
+}
+
+// appender streams onto the sink's end through append, starting where
+// the sink's content ends.
+func (m *memSink) appender(depth int) *stream.Writer {
+	return stream.NewWriter(context.Background(), stream.WriterConfig{
+		BlockSize: B,
+		Depth:     depth,
+		Start:     func(context.Context) (int64, error) { return int64(len(m.bytes())), nil },
 		Append:    m.append,
 	})
 }
@@ -230,7 +241,7 @@ func TestReaderCloseDoesNotWaitOnFetch(t *testing.T) {
 // whole blocks at block-aligned offsets plus one final partial block.
 func TestWriterOffsetModeCommitsAlignedBlocks(t *testing.T) {
 	sink := &memSink{}
-	w := sink.writer(0, nil)
+	w := sink.writer(0)
 	data := pattern('o', 3*B+100)
 	for off := 0; off < len(data); off += 777 {
 		end := min(off+777, len(data))
@@ -262,7 +273,7 @@ func TestWriterWriteBehindParity(t *testing.T) {
 	data := pattern('p', 5*B+1234)
 	run := func(depth int) []byte {
 		sink := &memSink{}
-		w := sink.writer(depth, nil)
+		w := sink.writer(depth)
 		for off := 0; off < len(data); off += 4096 {
 			end := min(off+4096, len(data))
 			if _, err := w.Write(data[off:end]); err != nil {
@@ -286,10 +297,7 @@ func TestWriterWriteBehindParity(t *testing.T) {
 // stream's block order.
 func TestWriterAppendModeSingleWorkerOrdered(t *testing.T) {
 	sink := &memSink{}
-	start := func(ctx context.Context) (stream.StartState, error) {
-		return stream.StartState{OffsetMode: false}, nil
-	}
-	w := sink.writer(3, start)
+	w := sink.appender(3)
 	data := pattern('q', 6*B)
 	for off := 0; off < len(data); off += 999 {
 		end := min(off+999, len(data))
@@ -303,34 +311,58 @@ func TestWriterAppendModeSingleWorkerOrdered(t *testing.T) {
 	if !bytes.Equal(sink.bytes(), data) {
 		t.Fatal("append stream out of order or corrupted")
 	}
+	for _, c := range sink.commits {
+		if c != fmt.Sprintf("a:%d", B) {
+			t.Errorf("commit %q from an aligned start, want whole blocks", c)
+		}
+	}
 }
 
-// TestWriterStartPrefixMerge: the Start hook's prefix (the unaligned-
-// tail read-modify-write merge) lands exactly once at the start offset.
-func TestWriterStartPrefixMerge(t *testing.T) {
-	tail := pattern('t', 100)
-	sink := &memSink{}
-	// Pre-existing content: one full block plus the unaligned tail.
-	if err := sink.writeAt(context.Background(), 0, pattern('x', B)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.writeAt(context.Background(), B, tail); err != nil {
-		t.Fatal(err)
-	}
-	start := func(ctx context.Context) (stream.StartState, error) {
-		return stream.StartState{OffsetMode: true, Off: B, Prefix: tail}, nil
-	}
-	w := sink.writer(2, start)
-	added := pattern('z', 2*B)
-	if _, err := w.Write(added); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := append(append(append([]byte(nil), pattern('x', B)...), tail...), added...)
-	if !bytes.Equal(sink.bytes(), want) {
-		t.Fatal("prefix merge mismatch")
+// TestWriterShortFirstBlock: a stream that starts mid-block cuts its
+// blocks on the file's block boundaries, so only its first block is
+// short and every later one but the last is whole and aligned, through
+// appends and fixed-offset writes alike, synchronous or write-behind.
+func TestWriterShortFirstBlock(t *testing.T) {
+	const start = B + 100
+	old := pattern('x', start)
+	added := pattern('z', 2*B+50)
+	for _, depth := range []int{0, 2} {
+		for _, appending := range []bool{true, false} {
+			sink := &memSink{}
+			if err := sink.writeAt(context.Background(), 0, old); err != nil {
+				t.Fatal(err)
+			}
+			sink.commits = nil
+			w := sink.appender(depth)
+			want := []string{fmt.Sprintf("a:%d", B-100), fmt.Sprintf("a:%d", B), "a:150"}
+			if !appending {
+				w = stream.NewWriter(context.Background(), stream.WriterConfig{
+					BlockSize: B,
+					Depth:     depth,
+					Start:     func(context.Context) (int64, error) { return start, nil },
+					WriteAt:   sink.writeAt,
+				})
+				want = []string{fmt.Sprintf("w@%d:%d", start, B-100), fmt.Sprintf("w@%d:%d", 2*B, B), fmt.Sprintf("w@%d:150", 3*B)}
+			}
+			for off := 0; off < len(added); off += 1000 {
+				if _, err := w.Write(added[off:min(off+1000, len(added))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sink.bytes(), append(old, added...)) {
+				t.Errorf("depth %d, appending %v: content mismatch", depth, appending)
+			}
+			if !appending {
+				slices.Sort(sink.commits) // write-behind writes run side by side
+				slices.Sort(want)
+			}
+			if !slices.Equal(sink.commits, want) {
+				t.Errorf("depth %d, appending %v: commits %v, want %v", depth, appending, sink.commits, want)
+			}
+		}
 	}
 }
 
@@ -339,7 +371,7 @@ func TestWriterStartPrefixMerge(t *testing.T) {
 // reporting it; a failed final flush never latches success.
 func TestWriterErrorLatchedAndCloseContract(t *testing.T) {
 	sink := &memSink{}
-	w := sink.writer(2, nil)
+	w := sink.writer(2)
 	if _, err := w.Write(pattern('e', B)); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +402,7 @@ func TestWriterErrorLatchedAndCloseContract(t *testing.T) {
 	// Synchronous tail-loss pin: a failing final flush keeps failing on
 	// repeat Close instead of silently reporting the tail durable.
 	sink2 := &memSink{}
-	w2 := sink2.writer(0, nil)
+	w2 := sink2.writer(0)
 	if _, err := w2.Write(pattern('f', B/2)); err != nil {
 		t.Fatal(err)
 	}

@@ -17,40 +17,28 @@ const (
 	DefaultWriteBehind = 2
 )
 
-// StartState is the write mode a Writer resolves on its first flush.
-type StartState struct {
-	// OffsetMode streams commit at self-tracked offsets (create-mode
-	// streams, appends continuing after an unaligned-tail merge); when
-	// false, commits go through the storage layer's native append and
-	// the offset is fixed by the version manager at assignment time.
-	OffsetMode bool
-	// Off is the file offset of the first flush in offset mode.
-	Off int64
-	// Prefix is prepended to the stream's buffered data before the
-	// first flush — the read-modify-write merge of an unaligned tail.
-	Prefix []byte
-}
-
 // WriterConfig wires a Writer to its blob.
 type WriterConfig struct {
-	// BlockSize is the commit granularity: data is committed one full
-	// block at a time, plus one final (possibly partial) block at Close.
+	// BlockSize is the commit granularity: blocks are cut on the file's
+	// block boundaries, counted from where the stream starts, so only
+	// the first (short when the stream starts mid-block) and the final
+	// one (committed at Close) may be partial.
 	BlockSize int64
 	// Depth is the write-behind window: up to this many full-block
 	// commits proceed in the background while Write keeps buffering.
 	// <= 0 keeps writes fully synchronous — each block commit completes
 	// before Write returns.
 	Depth int
-	// Start resolves the write mode on first flush (nil = offset mode
-	// from offset 0). It runs at most once.
-	Start func(ctx context.Context) (StartState, error)
-	// WriteAt commits data at a fixed, block-aligned offset (required).
+	// Start tells, on first flush, where the stream starts (nil: at 0).
+	// It runs at most once.
+	Start func(ctx context.Context) (int64, error)
+	// Append, when set, commits every block through the storage layer's
+	// append, in stream order: the offset is fixed at assignment time.
+	// Otherwise each block goes through WriteAt at its file offset.
 	// Neither callback may retain data: it is a recycled block buffer
 	// the writer refills as soon as the callback returns.
+	Append  func(ctx context.Context, data []byte) error
 	WriteAt func(ctx context.Context, off int64, data []byte) error
-	// Append commits data through the storage layer's native append
-	// (required unless Start always selects offset mode).
-	Append func(ctx context.Context, data []byte) error
 	// Metrics, when non-nil, counts this writer's write-behind activity
 	// into its client's registry.
 	Metrics *Metrics
@@ -69,13 +57,12 @@ type Writer struct {
 	blockSize int64
 	depth     int
 
-	mu         sync.Mutex
-	started    bool
-	offsetMode bool   // create mode, or append after an unaligned-tail merge
-	written    int64  // offset mode: file offset of the next flush
-	buf        []byte // a wire.GetBuf slice of block capacity, recycled after its commit
-	closed     bool
-	closeErr   error
+	mu       sync.Mutex
+	started  bool
+	written  int64  // file offset of the next flush
+	buf      []byte // a wire.GetBuf slice of block capacity, recycled after its commit
+	closed   bool
+	closeErr error
 
 	// Write-behind state (depth > 0). Workers never take mu, so
 	// holding it across a blocking enqueue cannot deadlock.
@@ -88,8 +75,8 @@ type Writer struct {
 
 var _ io.WriteCloser = (*Writer)(nil)
 
-// wbBlock is one full block handed to the write-behind pool. off < 0
-// marks a block-aligned append (offset fixed by the version manager).
+// wbBlock is one block handed to the write-behind pool, with the file
+// offset it starts at.
 type wbBlock struct {
 	off  int64
 	data []byte
@@ -170,98 +157,73 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// lockedStart resolves the write mode on first flush through the Start
-// hook: offset-tracked streams and merged unaligned-tail appends track
-// offsets themselves; native appends leave offset assignment to the
-// storage layer.
-func (w *Writer) lockedStart() error {
-	if w.started {
-		return nil
+// commit sends one block starting at file offset off.
+func (w *Writer) commit(off int64, data []byte) error {
+	if w.cfg.Append != nil {
+		return w.cfg.Append(w.ctx, data)
 	}
-	st := StartState{OffsetMode: true}
-	if w.cfg.Start != nil {
-		var err error
-		st, err = w.cfg.Start(w.ctx)
-		if err != nil {
-			return err
-		}
-	}
-	w.offsetMode = st.OffsetMode
-	w.written = st.Off
-	if len(st.Prefix) > 0 {
-		merged := append(append(wire.GetBuf(int(w.blockSize)+len(w.buf)), st.Prefix...), w.buf...)
-		wire.PutBuf(w.buf)
-		w.buf = merged
-	}
-	w.started = true
-	return nil
+	return w.cfg.WriteAt(w.ctx, off, data)
 }
 
 // lockedFlush commits buffered data. Unless final, it only commits
-// whole blocks so every flush offset stays block-aligned (the
-// remainder stays buffered for the next round). With write-behind
-// enabled, non-final flushes enqueue whole blocks to the background
-// pool instead of committing inline. On error the buffered data stays
-// put, so a transient failure loses nothing; else the buffer is reused.
+// what reaches a block boundary, so every block but the stream's first
+// and last is whole and aligned (the remainder stays buffered for the
+// next round). With write-behind enabled, non-final flushes enqueue the
+// blocks to the background pool instead of committing inline. On error
+// the buffered data stays put, so a transient failure loses nothing;
+// else the buffer is reused.
 func (w *Writer) lockedFlush(final bool) error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	if err := w.lockedStart(); err != nil {
-		return err
-	}
-	if w.depth > 0 && !final {
-		return w.lockedEnqueueFull()
-	}
-	flushLen := int64(len(w.buf))
-	if !final {
-		flushLen -= flushLen % w.blockSize
-		if flushLen == 0 {
-			return nil // no whole block buffered yet
-		}
-	}
-	data := w.buf[:flushLen]
-	if !w.offsetMode {
-		// Native append: fully concurrent with other appenders, the
-		// storage layer fixes the offset (Figure 5's workload).
-		if err := w.cfg.Append(w.ctx, data); err != nil {
+	if !w.started && w.cfg.Start != nil {
+		off, err := w.cfg.Start(w.ctx)
+		if err != nil {
 			return err
 		}
-	} else {
-		if err := w.cfg.WriteAt(w.ctx, w.written, data); err != nil {
-			return err
-		}
-		w.written += flushLen
+		w.written = off
 	}
-	w.buf = w.buf[:copy(w.buf, w.buf[flushLen:])]
-	return nil
-}
-
-// lockedEnqueueFull hands every whole buffered block to the
-// write-behind pool, blocking while the window is full.
-func (w *Writer) lockedEnqueueFull() error {
-	for int64(len(w.buf)) >= w.blockSize {
-		if err := w.asyncErr(); err != nil {
+	w.started = true
+	for len(w.buf) > 0 {
+		n := int(w.blockSize - w.written%w.blockSize) // to the next block boundary
+		if len(w.buf) < n {
+			if !final {
+				return nil // no whole block buffered yet
+			}
+			n = len(w.buf)
+		}
+		if w.depth > 0 && !final {
+			if err := w.asyncErr(); err != nil {
+				return err
+			}
+			w.lockedEnqueue(n)
+			continue
+		}
+		if err := w.commit(w.written, w.buf[:n]); err != nil {
 			return err
 		}
-		// The block travels in its own buffer (the worker recycles it);
-		// whatever lies past it moves to a fresh one, taken only if needed.
-		blk, rest := wbBlock{off: -1, data: w.buf[:w.blockSize]}, w.buf[w.blockSize:]
-		if w.buf = nil; len(rest) > 0 {
-			w.buf = append(wire.GetBuf(int(w.blockSize)), rest...)
-		}
-		if w.offsetMode {
-			blk.off = w.written
-			w.written += w.blockSize
-		}
-		w.lockedEnsureWorkers()
-		w.cfg.Metrics.wbDepth.Add(1)
-		w.queue <- blk
+		w.written += int64(n)
+		w.buf = w.buf[:copy(w.buf, w.buf[n:])]
 	}
 	return nil
 }
 
-// lockedEnsureWorkers starts the commit pool on first use. Offset-mode
+// lockedEnqueue hands the first n buffered bytes to the write-behind
+// pool as one block, blocking while the window is full.
+func (w *Writer) lockedEnqueue(n int) {
+	// The block travels in its own buffer (the worker recycles it);
+	// whatever lies past it moves to a fresh one, taken only if needed.
+	blk, rest := wbBlock{off: w.written, data: w.buf[:n]}, w.buf[n:]
+	if w.buf = nil; len(rest) > 0 {
+		w.buf = append(wire.GetBuf(int(w.blockSize)), rest...)
+	}
+	w.written += int64(n)
+	w.lockedEnsureWorkers()
+	w.cfg.Metrics.wbDepth.Add(1)
+	w.queue <- blk
+}
+
+// lockedEnsureWorkers starts the commit pool on first use. WriteAt
 // streams commit up to depth blocks concurrently (each block's offset
 // is fixed at enqueue time, so completion order is irrelevant —
 // exactly the write/write concurrency BlobSeer is built for). Appends
@@ -272,9 +234,9 @@ func (w *Writer) lockedEnsureWorkers() {
 		return
 	}
 	w.queue = make(chan wbBlock, w.depth)
-	workers := 1
-	if w.offsetMode {
-		workers = w.depth
+	workers := w.depth
+	if w.cfg.Append != nil {
+		workers = 1
 	}
 	for i := 0; i < workers; i++ {
 		w.wg.Add(1)
@@ -293,13 +255,7 @@ func (w *Writer) commitLoop() {
 			w.cfg.Metrics.commitDone(0)
 			continue
 		}
-		var err error
-		if blk.off >= 0 {
-			err = w.cfg.WriteAt(w.ctx, blk.off, blk.data)
-		} else {
-			err = w.cfg.Append(w.ctx, blk.data)
-		}
-		if err != nil {
+		if err := w.commit(blk.off, blk.data); err != nil {
 			w.setAsyncErr(err)
 		}
 		w.cfg.Metrics.commitDone(int64(len(blk.data)))

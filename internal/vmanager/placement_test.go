@@ -63,7 +63,8 @@ func TestAssignChecksPlacement(t *testing.T) {
 			b.I64(0)
 			b.I64(B)
 			b.U64(1)
-			b.U64(0)
+			b.U64(0) // since
+			b.U64(0) // base
 			b.Extend(len(tail))
 			copy(b.Bytes()[b.Len()-len(tail):], tail)
 		}, nil)

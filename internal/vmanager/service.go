@@ -34,49 +34,27 @@ const (
 	mLast = mPrune // the highest method number
 )
 
-// RPC status codes for the sentinel errors.
-const (
-	CodeUnknownBlob uint16 = 20 + iota
-	CodeUnaligned
-	CodeBadRange
-	CodeBadVersion
-	CodeTimeout
-	CodePruned
-	CodeBadPrune
-	CodeAborted
-	CodeBadPlacement
-)
-
-func codeFor(err error) uint16 {
-	switch {
-	case errors.Is(err, ErrUnknownBlob):
-		return CodeUnknownBlob
-	case errors.Is(err, ErrUnaligned):
-		return CodeUnaligned
-	case errors.Is(err, ErrBadRange):
-		return CodeBadRange
-	case errors.Is(err, ErrBadVersion):
-		return CodeBadVersion
-	case errors.Is(err, ErrTimeout):
-		return CodeTimeout
-	case errors.Is(err, ErrPruned):
-		return CodePruned
-	case errors.Is(err, ErrBadPrune):
-		return CodeBadPrune
-	case errors.Is(err, ErrAborted):
-		return CodeAborted
-	case errors.Is(err, ErrBadPlacement):
-		return CodeBadPlacement
-	default:
-		return rpc.StatusError
-	}
+// sentinels are the errors the service answers with a code of their
+// own: sentinels[i] as code 20+i, so a new one goes at the end.
+var sentinels = []error{
+	ErrUnknownBlob, ErrUnaligned, ErrBadRange, ErrBadVersion, ErrTimeout,
+	ErrPruned, ErrBadPrune, ErrAborted, ErrBadPlacement, ErrEndMoved,
 }
+
+const firstCode uint16 = 20
 
 func wrap(err error) error {
 	if err == nil {
 		return nil
 	}
-	return rpc.CodedError(codeFor(err), err.Error())
+	code := rpc.StatusError
+	for i, s := range sentinels {
+		if errors.Is(err, s) {
+			code = firstCode + uint16(i)
+			break
+		}
+	}
+	return rpc.CodedError(code, err.Error())
 }
 
 // errFromCode converts an RPC error back to the matching sentinel so
@@ -85,28 +63,10 @@ func errFromCode(err error) error {
 	if err == nil {
 		return nil
 	}
-	switch rpc.CodeOf(err) {
-	case CodeUnknownBlob:
-		return ErrUnknownBlob
-	case CodeUnaligned:
-		return ErrUnaligned
-	case CodeBadRange:
-		return ErrBadRange
-	case CodeBadVersion:
-		return ErrBadVersion
-	case CodeTimeout:
-		return ErrTimeout
-	case CodePruned:
-		return ErrPruned
-	case CodeBadPrune:
-		return ErrBadPrune
-	case CodeAborted:
-		return ErrAborted
-	case CodeBadPlacement:
-		return ErrBadPlacement
-	default:
-		return err
+	if i := int(rpc.CodeOf(err)) - int(firstCode); i >= 0 && i < len(sentinels) {
+		return sentinels[i]
 	}
+	return err
 }
 
 // OpCounts is the per-operation dispatch breakdown of one
@@ -271,7 +231,7 @@ func (s *Service) handleAssign(ctx context.Context, p []byte) (*wire.Buffer, err
 	off := r.I64()
 	size := r.I64()
 	nonce := r.U64()
-	since := blob.Version(r.U64())
+	since, base := blob.Version(r.U64()), blob.Version(r.U64())
 	var buf [8]string // a one-block write's placement, on the stack
 	replicas := buf[:0]
 	for i, n := uint32(0), r.U32(); i < n && r.Err() == nil; i++ {
@@ -284,7 +244,7 @@ func (s *Service) handleAssign(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	a, err := s.state.AssignVersion(id, kind, off, size, nonce, since, replicas...)
+	a, err := s.state.Assign(id, kind, off, size, nonce, since, base, replicas...)
 	if err != nil {
 		return nil, wrap(err)
 	}
@@ -461,12 +421,18 @@ func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication in
 	return m, nil
 }
 
-// AssignVersion requests a version number for a prepared write whose
-// blocks are stored on replicas, block i's at [i*R, (i+1)*R) at the
-// blob's replication R, primary first (see State.AssignVersion).
+// AssignVersion is Assign without a base.
 func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version, replicas ...string) (Assignment, error) {
+	return c.Assign(ctx, id, kind, off, size, nonce, since, blob.NoVersion, replicas...)
+}
+
+// Assign requests a version number for a prepared write whose
+// blocks are stored on replicas, block i's at [i*R, (i+1)*R) at the
+// blob's replication R, primary first; an append onto an unaligned end
+// names its base (see State.Assign).
+func (c *Client) Assign(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since, base blob.Version, replicas ...string) (Assignment, error) {
 	var a Assignment
-	n := 52
+	n := 60
 	for _, r := range replicas {
 		n += 4 + len(r)
 	}
@@ -477,6 +443,7 @@ func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteK
 		b.I64(size)
 		b.U64(nonce)
 		b.U64(uint64(since))
+		b.U64(uint64(base))
 		b.U32(uint32(len(replicas)))
 		for _, a := range replicas {
 			b.String(a)

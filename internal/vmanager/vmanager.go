@@ -22,9 +22,15 @@
 //     are minted shard-locally with stride K, so shards never
 //     coordinate — not even for CreateBlob.
 //
+// An append onto an unaligned end carries the tail of its base (the
+// snapshot it read) and lands at the tail's block boundary, unless a
+// later version wrote there (ErrEndMoved: the client retries on a newer
+// base, see core.Blob.Append). If the janitor aborts it, the tail it
+// carried reads as zeros.
+//
 // A service answers eight RPC methods. Writers call CreateBlob,
 // AssignVersion (which carries the write's placement: every block's
-// replica addresses), Commit and Abort. Readers call Latest and
+// replica addresses, and an append's base), Commit and Abort. Readers call Latest and
 // WaitPublished: each reply is the blob's Head (meta, published
 // version, prune point, size), then a page of the published history,
 // placements included, so one call pins a snapshot and tells where
@@ -36,6 +42,7 @@ package vmanager
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -48,8 +55,8 @@ import (
 var (
 	// ErrUnknownBlob is returned for operations on nonexistent blobs.
 	ErrUnknownBlob = errors.New("vmanager: unknown blob")
-	// ErrUnaligned is returned when a write offset (or an append onto
-	// an unaligned EOF) violates the block-alignment rule.
+	// ErrUnaligned is returned when a write offset (or an append without
+	// a base onto an unaligned end) violates the block-alignment rule.
 	ErrUnaligned = errors.New("vmanager: offset not block-aligned")
 	// ErrBadRange is returned for empty or mid-blob partial-block writes.
 	ErrBadRange = errors.New("vmanager: invalid write range")
@@ -67,6 +74,9 @@ var (
 	// ErrBadPlacement is returned for an assign whose placement does not
 	// fit its write: not R non-empty addresses for each of its blocks.
 	ErrBadPlacement = errors.New("vmanager: malformed placement")
+	// ErrEndMoved refuses an append that carries its base's tail when a
+	// version after the base wrote at or past the tail's block boundary.
+	ErrEndMoved = errors.New("vmanager: the blob's end moved since the append's base")
 )
 
 // ShardInfo identifies one horizontal shard of the version-manager
@@ -275,15 +285,25 @@ type Assignment struct {
 	Descs   []blob.WriteDesc
 }
 
-// AssignVersion validates the write, assigns the next version number
+// AssignVersion is Assign without a base.
+func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version, replicas ...string) (Assignment, error) {
+	return s.Assign(id, kind, off, size, nonce, since, blob.NoVersion, replicas...)
+}
+
+// Assign validates the write, assigns the next version number
 // (fixing the offset for appends), and returns the history delta since
-// sinceVersion. replicas is the write's placement (blob.WriteDesc.Replicas),
+// sinceVersion. An append onto an unaligned end names its base: the
+// version whose tail, from the block boundary below its end, the
+// append's data starts with. It lands at that boundary, unless a
+// version after the base wrote at or past it (ErrEndMoved); one without
+// a base lands at the end, which must be aligned (ErrUnaligned).
+// replicas is the write's placement (blob.WriteDesc.Replicas),
 // which readers name each block's replicas from: one that does not fit
 // fails with ErrBadPlacement, and none at all is accepted (a read of a
 // block such a version owns fails). This method is the write path's
 // serialization point — per blob: writers to different blobs proceed
 // through different stripes in parallel.
-func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version, replicas ...string) (Assignment, error) {
+func (s *State) Assign(id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since, base blob.Version, replicas ...string) (Assignment, error) {
 	replicas = s.placements.placement(replicas)
 	st := s.stripeFor(id)
 	st.mu.Lock()
@@ -297,14 +317,20 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 	}
 	B := bs.meta.BlockSize
 	cur := bs.hist.SizeAt(bs.hist.Latest()) // size incl. in-progress writers
-	if kind == blob.KindAppend {
+	switch {
+	case kind == blob.KindAppend && base > bs.hist.Latest():
+		return Assignment{}, fmt.Errorf("%w: base %d", ErrBadVersion, base)
+	case kind == blob.KindAppend && base != blob.NoVersion:
+		end := bs.hist.SizeAt(base)
+		off = end - end%B
+		if w := bs.hist.LatestIntersecting(blob.Range{Off: off, Len: math.MaxInt64 - off}, bs.hist.Latest()); w > base {
+			return Assignment{}, fmt.Errorf("%w: version %d wrote at or past %d after base %d", ErrEndMoved, w, off, base)
+		}
+	case kind == blob.KindAppend:
 		off = cur
 	}
 	if off%B != 0 {
-		if kind == blob.KindAppend {
-			return Assignment{}, fmt.Errorf("%w: append onto unaligned EOF %d (use the file-layer read-modify-write path)", ErrUnaligned, cur)
-		}
-		return Assignment{}, fmt.Errorf("%w: offset %d", ErrUnaligned, off)
+		return Assignment{}, fmt.Errorf("%w: %s at %d", ErrUnaligned, kind, off)
 	}
 	// Partial final blocks are only legal at (or past) EOF; a mid-blob
 	// write must cover whole blocks, otherwise the new leaf would lose

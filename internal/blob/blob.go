@@ -169,7 +169,7 @@ type WriteDesc struct {
 	SizeAfter int64
 	Kind      WriteKind
 	Nonce     uint64 // the writer's block-key nonce: block i is BlockKey{Blob, Nonce, i}
-	Aborted   bool   // true if the VM aborted the write: its blocks read as zeros
+	Aborted   bool   // true if the VM aborted the write: it wrote nothing, and no snapshot reads its blocks
 	// Replicas is the write's placement: block i's replica addresses,
 	// primary first, are Replicas[i*R : (i+1)*R] at the blob's
 	// replication R. Nil when the writer sent none.
@@ -395,10 +395,10 @@ func (h *History) Extend(descs []WriteDesc) error {
 }
 
 // LatestIntersecting returns the newest version w <= upTo whose write
-// range intersects r (NoVersion if none). Aborted versions still count:
-// they own what they wrote, which reads as zeros, so a tree may borrow
-// from one whose nodes were never written — readers name leaves from
-// the history and never follow such a reference (mdtree.Owners).
+// range intersects r (NoVersion if none). Aborted versions still count,
+// so a tree may borrow from one whose nodes were never written; readers
+// never follow such a reference: they name blocks from the block index
+// (mdtree.Owners), which skips aborted versions.
 //
 // It scans back from upTo and skips, whole, the largest indexed group
 // ending where it stands whose writes all miss r. An append's left

@@ -387,8 +387,8 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	// writers (including ones still working on lower versions).
 	if _, err := mdtree.Build(ctx, c.meta, m, &hist, a.Version, refs); err != nil {
 		// Abort, so that publication moves past the version and readers
-		// take its blocks for holes whatever nodes Build left, then GC
-		// our blocks.
+		// name none of its blocks whatever nodes Build left, then GC our
+		// blocks.
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return none, fmt.Errorf("core: metadata build failed (%v) and abort failed: %w", err, aerr)
 		}
@@ -621,7 +621,7 @@ func (c *Client) fetches(ctx context.Context, fs []fetch, extents []mdtree.Exten
 		e := &extents[i]
 		sub := dst[e.FileOff-off : e.FileOff-off+e.Len]
 		if !e.HasData {
-			clear(sub) // a hole, an aborted version's blocks included, reads as zeros
+			clear(sub) // a hole reads as zeros
 			continue
 		}
 		fs = append(fs, fetch{e: e, dst: sub, first: c.firstReplica(ctx, e.Block.Providers)})

@@ -227,10 +227,19 @@ func TestReadRotationSpreadsAcrossReplicas(t *testing.T) {
 }
 
 // failingMetaStore fails every Put while broken — the injection for
-// metadata-build failure mid-write — and every read while readsBroken.
+// metadata-build failure mid-write — every read while readsBroken, and
+// the Delete of node refused.
 type failingMetaStore struct {
 	*mdtree.MemStore
 	broken, readsBroken atomic.Bool
+	refused             mdtree.NodeID
+}
+
+func (f *failingMetaStore) Delete(ctx context.Context, id mdtree.NodeID) error {
+	if id == f.refused {
+		return errors.New("injected metadata delete failure")
+	}
+	return f.MemStore.Delete(ctx, id)
 }
 
 func (f *failingMetaStore) Get(ctx context.Context, id mdtree.NodeID) (mdtree.Node, error) {

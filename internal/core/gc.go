@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/mdtree"
@@ -18,15 +20,18 @@ type GCStats struct {
 
 // GC discards every snapshot version below keep and reclaims the
 // storage no kept version can reach (Section III-A1's version
-// garbaging). The sweep is differential-aware: a block written by a
-// pruned version survives if any kept snapshot still reads it through
-// a shared subtree; only nodes and blocks hidden by later writes (or
-// bridge nodes reachable solely from pruned roots) are deleted.
+// garbaging). A block a pruned version wrote is freed unless snapshot
+// keep still reads it, by the block index every reader asks
+// (mdtree.Owners); no later version reads a block keep does not. Tree
+// nodes no kept version reaches go too (mdtree.DeadNodes). An aborted
+// version frees nothing here: its writer freed its blocks.
 //
 // The prune point is advanced at the version manager first, so
 // concurrent readers of kept versions are never affected; a reader
 // pinned below keep loses its snapshot — the paper's stated contract
-// for garbaged versions.
+// for garbaged versions. A rerun finds nothing left to prune, so a
+// failure does not end the sweep: the rest is still freed, and the
+// failures come back joined with the stats.
 func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats, error) {
 	m, err := c.Meta(ctx, id)
 	if err != nil {
@@ -35,11 +40,10 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 	// Liveness needs every descriptor up to keep, so keep may not pass
 	// the published history (descriptors are never discarded).
 	hist := &blob.History{}
+	var owners mdtree.Owners
 	h, err := c.vm.LatestSince(ctx, id, 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
-		for _, d := range descs {
-			if err := d.CheckPlacement(m); err != nil {
-				return err
-			}
+		if err := owners.Extend(m, descs); err != nil {
+			return err
 		}
 		return hist.Extend(descs)
 	})
@@ -55,39 +59,51 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 		return GCStats{}, err
 	}
 	st := GCStats{From: from, To: keep}
+	var errs []error
+	var live []mdtree.BlockRef
 	for k := from; k < keep; k++ {
 		d, ok := hist.Desc(k)
 		if !ok {
-			return st, fmt.Errorf("core: gc: history missing version %d", k)
+			errs = append(errs, fmt.Errorf("core: gc: history missing version %d", k))
+			continue
+		}
+		if !d.Aborted {
+			live = owners.Blocks(live[:0], m, keep, d.Range())
+			c.freeBlocks(ctx, m, d, live, &st)
 		}
 		dead, err := mdtree.DeadNodes(m, hist, k, keep)
 		if err != nil {
-			return st, fmt.Errorf("core: gc of version %d: %w", k, err)
+			errs = append(errs, fmt.Errorf("core: gc of version %d: %w", k, err))
+			continue
 		}
-		if !d.Aborted {
-			c.freeBlocks(ctx, m, d, dead, &st)
-		}
-		for _, dn := range dead {
-			if err := c.meta.Delete(ctx, dn.ID); err != nil {
-				return st, fmt.Errorf("core: gc: delete node %s: %w", dn.ID.Key(), err)
+		for _, n := range dead {
+			if err := c.meta.Delete(ctx, n); err != nil {
+				errs = append(errs, fmt.Errorf("core: gc: delete node %s: %w", n.Key(), err))
+				continue
 			}
 			st.NodesFreed++
 		}
 	}
-	return st, nil
+	return st, errors.Join(errs...)
 }
 
-// freeBlocks deletes the data blocks the dead leaves among dead name,
-// all version d's: a leaf's block is d's block at the leaf's offset,
-// and d's placement says where it lives, so no leaf is read. A version
+// freeBlocks deletes the blocks version d stored that live, the blocks
+// snapshot keep reads over d's range in block order, does not name.
+// d's placement says where each lives, so no leaf is read; a version
 // whose writer sent no placement frees nothing.
-func (c *Client) freeBlocks(ctx context.Context, m blob.Meta, d blob.WriteDesc, dead []mdtree.DeadNode, st *GCStats) {
-	for _, dn := range dead {
-		if !dn.Leaf || len(d.Replicas) == 0 {
+func (c *Client) freeBlocks(ctx context.Context, m blob.Meta, d blob.WriteDesc, live []mdtree.BlockRef, st *GCStats) {
+	if len(d.Replicas) == 0 {
+		return
+	}
+	// d's blocks still read come in seq order among the others.
+	live = slices.DeleteFunc(live, func(ref mdtree.BlockRef) bool { return ref.Key.Nonce != d.Nonce })
+	r := int64(m.Replication)
+	for seq := range blob.Blocks(d.Len, m.BlockSize) {
+		key := blob.BlockKey{Blob: m.ID, Nonce: d.Nonce, Seq: uint32(seq)}
+		if len(live) > 0 && live[0].Key == key {
+			live = live[1:]
 			continue
 		}
-		seq, r := (dn.ID.Off-d.Off)/m.BlockSize, int64(m.Replication)
-		key := blob.BlockKey{Blob: m.ID, Nonce: d.Nonce, Seq: uint32(seq)}
 		for _, addr := range d.Replicas[seq*r : (seq+1)*r] {
 			if err := c.prov.Delete(ctx, addr, key); err == nil {
 				st.BlocksFreed++

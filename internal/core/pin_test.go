@@ -161,10 +161,10 @@ func TestPinnedSnapshotStableWhileItsClientOverwrites(t *testing.T) {
 }
 
 // TestAbortedVersionReadsAsZerosOnBothPaths: a version whose writer
-// failed has no metadata to read. Its blocks read as zeros through
-// ReadAt and through a streamed reader — an aborted overwrite included,
-// which must not show the older bytes under it — and the later writes
-// beside them read intact.
+// failed has no metadata to read, and wrote nothing. Through ReadAt and
+// through a streamed reader, an aborted append's blocks read as zeros,
+// an aborted overwrite reads the older bytes under it, and the later
+// writes beside them read intact.
 func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 	poisonReleased(t)
 	inner := mdtree.NewMemStore()
@@ -190,7 +190,7 @@ func TestAbortedVersionReadsAsZerosOnBothPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	failing(func() (blob.Version, error) { return b.Write(ctx, 0, blocksOf('y')) })
-	want := map[blob.Version][]byte{3: blocksOf('a', 'a', 0, 'c'), 4: blocksOf(0, 'a', 0, 'c')}
+	want := map[blob.Version][]byte{3: blocksOf('a', 'a', 0, 'c'), 4: blocksOf('a', 'a', 0, 'c')}
 
 	rb, err := pinClient(t, d).OpenBlob(ctx, b.ID())
 	if err != nil {

@@ -10,11 +10,13 @@ import (
 // versions stay accessible "as long as they have not been garbaged for
 // the sake of storage space").
 //
-// Because trees share subtrees, pruning version k must keep every node
-// and data block that any kept version (>= keep) can still reach. The
-// reachability rule falls out of the deterministic borrow rule ("a
-// child covering range R borrows the newest version w <= v whose write
-// intersects R"):
+// Which data blocks die is the block index's answer (Owners): a pruned
+// version's block is dead unless the oldest kept snapshot still reads
+// it. What is left here is the tree writers still store: because trees
+// share subtrees, pruning version k must keep every node any kept
+// version (>= keep) can still reach. The reachability rule falls out of
+// the deterministic borrow rule ("a child covering range R borrows the
+// newest version w <= v whose write intersects R", aborted or not):
 //
 //   - A node (k, R) that intersects k's own write range is reachable
 //     from kept version v >= k exactly when no version w in (k, v]
@@ -26,22 +28,12 @@ import (
 //     k's write, and child references always name intersecting
 //     versions, so bridges are reachable only through k's own root:
 //     dead as soon as k is pruned.
-//
-// Dead leaves carry the block references whose payloads can be removed
-// from the data providers; DeadNodes reports them so the caller can
-// free data before deleting the metadata.
-
-// DeadNode is one metadata node that no kept version can reach.
-type DeadNode struct {
-	ID   NodeID
-	Leaf bool
-}
 
 // DeadNodes returns the nodes materialized by pruned version k that
 // become unreachable once every version < keep is discarded. The
 // history must contain descriptors for all versions up to at least
 // keep. k must be < keep.
-func DeadNodes(meta blob.Meta, h *blob.History, k, keep blob.Version) ([]DeadNode, error) {
+func DeadNodes(meta blob.Meta, h *blob.History, k, keep blob.Version) ([]NodeID, error) {
 	if k >= keep {
 		return nil, fmt.Errorf("mdtree: version %d is kept (keep=%d)", k, keep)
 	}
@@ -54,19 +46,13 @@ func DeadNodes(meta blob.Meta, h *blob.History, k, keep blob.Version) ([]DeadNod
 		return nil, err
 	}
 	write := d.Range()
-	var out []DeadNode
+	dead := ids[:0]
 	for _, id := range ids {
-		r := id.Range()
-		dead := !write.Intersects(r) // bridge: only k's own tree reaches it
-		if !dead {
-			// Hidden from every kept version by a later write?
-			if w := h.LatestIntersecting(r, keep); w > k {
-				dead = true
-			}
-		}
-		if dead {
-			out = append(out, DeadNode{ID: id, Leaf: r.Len == meta.BlockSize})
+		// A bridge is reachable only from k's own root; any other node
+		// is hidden from every kept version by a later write over it.
+		if r := id.Range(); !write.Intersects(r) || h.LatestIntersecting(r, keep) > k {
+			dead = append(dead, id)
 		}
 	}
-	return out, nil
+	return dead, nil
 }

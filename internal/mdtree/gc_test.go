@@ -43,9 +43,9 @@ func TestDeadNodesFigure1(t *testing.T) {
 	}
 	deadSet := make(map[string]bool)
 	leaves := 0
-	for _, d := range dead1 {
-		deadSet[d.ID.Key()] = true
-		if d.Leaf {
+	for _, id := range dead1 {
+		deadSet[id.Key()] = true
+		if id.Span == gcBlock {
 			leaves++
 		}
 	}
@@ -134,8 +134,8 @@ func TestDeadNodesKeptReadsUnaffected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range dead {
-			if err := st.Delete(t.Context(), d.ID); err != nil {
+		for _, id := range dead {
+			if err := st.Delete(t.Context(), id); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -17,14 +17,15 @@
 // No production reader reads a node. Every descriptor a pin returns
 // carries its write's placement, so a reader that holds the history up
 // to its snapshot (Owners) derives what each block's leaf holds — key,
-// replicas, length — and sends nothing: clients, repair scans and
-// garbage collection read this way. Writers still write the tree; the
-// garbage collector plans from it which versions' blocks are dead
-// (DeadNodes), the simulator charges its messages, and the walk down
-// from a snapshot's root (Resolve, a batch per level) is the reference
-// the index is tested against. An aborted version may have no tree at
-// all, and a later one may borrow from it all the same: the index reads
-// what an aborted version owns as holes from its descriptor.
+// replicas, length — and sends nothing: clients, repair scans and the
+// garbage collector's choice of dead blocks all ask the index. Writers
+// still write the tree; the garbage collector deletes the nodes no kept
+// version reaches (DeadNodes), the simulator charges its messages, and
+// the walk down from a snapshot's root (Resolve, a batch per level) is
+// the reference the index is tested against. An aborted version may
+// have no tree at all, and a later one may borrow from it all the same;
+// the index skips it, so a block reads what the newest version that
+// was not aborted wrote there.
 package mdtree
 
 import (

@@ -12,9 +12,11 @@ import (
 
 // Owners is a blob's write history indexed by block: the versions that
 // wrote each block, ascending, and each version's nonce and placement.
-// It answers a reader's one question — which stored block does snapshot
-// v read block b from, and on which providers — by binary search, where
-// a leaf would cost a metadata round trip. It is extended with
+// It answers the one question readers, repair scans and the garbage
+// collector ask — which stored block does snapshot v read block b from,
+// and on which providers — by binary search, where a leaf would cost a
+// metadata round trip. An aborted write wrote nothing: it keeps its
+// version number, and no block names it. It is extended with
 // *published* descriptors only, which never change. The zero value is
 // empty; safe for concurrent use.
 type Owners struct {
@@ -24,13 +26,12 @@ type Owners struct {
 	writes  []written // version v's at v-1
 }
 
-// written is what Owners keeps of one version: 56 bytes, its placement
+// written is what Owners keeps of one version: 48 bytes, its placement
 // shared with the descriptor it came from.
 type written struct {
 	nonce    uint64
 	off, end int64    // the byte range written
 	replicas []string // blob.WriteDesc.Replicas
-	aborted  bool
 }
 
 // Through returns the newest version indexed.
@@ -61,20 +62,20 @@ func (o *Owners) Extend(m blob.Meta, descs []blob.WriteDesc) error {
 		if err := d.CheckPlacement(m); err != nil {
 			return fmt.Errorf("mdtree: blob %d: %w", m.ID, err)
 		}
-		for b, end := d.Off/m.BlockSize, blob.Blocks(d.Off+d.Len, m.BlockSize); b < end; b++ {
-			o.byBlock[b] = append(o.byBlock[b], d.Version)
+		for b, end := d.Off/m.BlockSize, blob.Blocks(d.Off+d.Len, m.BlockSize); b < end && !d.Aborted; b++ {
+			o.byBlock[b] = append(o.byBlock[b], d.Version) // an aborted write owns no block
 		}
-		o.writes = append(o.writes, written{nonce: d.Nonce, off: d.Off, end: d.Off + d.Len, replicas: d.Replicas, aborted: d.Aborted})
+		o.writes = append(o.writes, written{nonce: d.Nonce, off: d.Off, end: d.Off + d.Len, replicas: d.Replicas})
 		o.through = d.Version
 	}
 	return nil
 }
 
-// ownerLocked returns the newest version <= v that wrote block b, or
-// NoVersion (a hole): the rule builder.node weaves leaves by, so the
-// block it names is the one v's tree holds for b. An aborted version
-// counts: it owns its blocks, which read as zeros, not as what an older
-// version wrote there (blockLocked).
+// ownerLocked returns the newest version <= v that wrote block b and was
+// not aborted, or NoVersion (a hole). Where no aborted version stands
+// between them, that is the version whose leaf v's tree holds for b;
+// where one does, v reads what was there before it, as if it had never
+// been assigned.
 func (o *Owners) ownerLocked(b int64, v blob.Version) blob.Version {
 	ws := o.byBlock[b]
 	i := sort.Search(len(ws), func(i int) bool { return ws[i] > v })
@@ -85,13 +86,12 @@ func (o *Owners) ownerLocked(b int64, v blob.Version) blob.Version {
 }
 
 // blockLocked returns the stored block snapshot v reads block b from —
-// its key, its replicas primary first and its length, what b's leaf in
-// v's tree holds — or false for a hole: a block no version <= v wrote,
-// or one whose owner was aborted, which reads as zeros whatever its
-// writer stored. A block whose owner sent no placement fails.
+// its key, its replicas primary first and its length, as its owner's
+// leaf holds them — or false for a hole: a block no version <= v wrote
+// and kept. A block whose owner sent no placement fails.
 func (o *Owners) blockLocked(m blob.Meta, b int64, v blob.Version) (BlockRef, bool, error) {
 	w := o.ownerLocked(b, v)
-	if w == blob.NoVersion || o.writes[w-1].aborted {
+	if w == blob.NoVersion {
 		return BlockRef{}, false, nil
 	}
 	wr := &o.writes[w-1]
@@ -112,7 +112,8 @@ func (o *Owners) blockLocked(m blob.Meta, b int64, v blob.Version) (BlockRef, bo
 // of r from, in block order, holes left out (blockLocked), and so are
 // blocks whose owner sent no placement: nothing says where they live.
 // r must lie inside the snapshot and v be indexed (Through()). A repair
-// scan names the blocks it checks here.
+// scan names the blocks it checks here, and the garbage collector the
+// blocks it keeps.
 func (o *Owners) Blocks(refs []BlockRef, m blob.Meta, v blob.Version, r blob.Range) []BlockRef {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -152,9 +153,11 @@ func (sc *Scratch) Reset() {
 // Through() — the ordered extents covering r, each block's key,
 // replicas and length as its leaf holds them — from the index alone,
 // sending nothing. Two differences: adjacent holes come back as one
-// extent, where the walk splits them along subtree boundaries; and a
-// block an aborted version owns is a hole. The extents go into sc, so
-// a call allocates nothing once sc has grown to the read.
+// extent, where the walk splits them along subtree boundaries; and
+// where the walk reaches an aborted version's leaf, the index reads
+// what the snapshot before that version read there (ownerLocked). The
+// extents go into sc, so a call allocates nothing once sc has grown to
+// the read.
 func (o *Owners) Resolve(m blob.Meta, v blob.Version, size int64, r blob.Range, sc *Scratch) ([]Extent, error) {
 	r, err := clampRead(v, size, r)
 	if err != nil || r.IsEmpty() {

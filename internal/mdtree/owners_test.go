@@ -13,20 +13,21 @@ import (
 )
 
 // The invariant under test is the versioning contract seen from the
-// metadata: a reader of snapshot v sees exactly the writes <= v. The
-// tree walk (Resolve) is the reference; Owners.Resolve must build, from
-// the descriptors alone, each block the walk's leaf holds — key,
-// providers, length — and read an aborted version's blocks as zeros, as
-// the walk of the harness's reference tree does. This is the proof that
-// a reader loses nothing by reading no leaf.
+// metadata: a reader of snapshot v sees exactly the writes <= v that
+// were not aborted. The tree walk (Resolve) is the reference;
+// Owners.Resolve must build, from the descriptors alone, each block the
+// walk's leaf holds — key, providers, length — and, where the walk
+// reaches an aborted version's leaf, the block the snapshot before that
+// version read there (reference). This is the proof that a reader loses
+// nothing by reading no leaf.
 
 const eqBS = 8 // block size of the equivalence harness
 
 // aborted records a version whose writer died: the descriptor, which
 // carries the placement its writer sent, is marked aborted, and the
-// reference tree the walk reads gets leaves without providers for it,
-// which read as zeros. Production stores no tree for an aborted
-// version; the index must read its blocks as holes all the same.
+// reference tree the walk reads gets leaves without providers for it.
+// Production stores no tree for an aborted version, or part of one;
+// the index must name none of its blocks either way.
 func (th *treeHarness) aborted(off, n int64) error {
 	th.nonce++
 	v := th.h.Latest() + 1
@@ -80,15 +81,47 @@ func applyOps(th *treeHarness, ops []byte) error {
 	return nil
 }
 
-// emptyLeavesAsHoles turns the extents of leaves without providers, the
-// reference tree's aborted blocks, into holes: both read as zeros.
-func emptyLeavesAsHoles(in []Extent) []Extent {
-	for i, e := range in {
-		if e.HasData && len(e.Block.Providers) == 0 {
-			in[i] = Extent{FileOff: e.FileOff, Len: e.Len}
+// reference is what the walk of snapshot v reads over r, with what an
+// aborted write stored taken back out: where the walk reaches the leaf
+// of an aborted version w, the block read there is the one the walk at
+// w-1 reads, repeated until a leaf of a version that was not aborted,
+// or a hole.
+func (th *treeHarness) reference(v blob.Version, size int64, r blob.Range) []Extent {
+	th.t.Helper()
+	ext, err := Resolve(context.Background(), th.st, th.meta, v, size, r)
+	if err != nil {
+		th.t.Fatalf("walk of v%d %v: %v", v, r, err)
+	}
+	for i, e := range ext {
+		w := th.abortedOwner(e)
+		if w == blob.NoVersion {
+			continue
+		}
+		// e lies in one block: read it at w-1 from the block's start,
+		// which that snapshot may end inside of.
+		start := e.FileOff - e.DataOff
+		under := th.reference(w-1, th.h.SizeAt(w-1), blob.Range{Off: start, Len: e.FileOff + e.Len - start})
+		if len(under) > 0 && under[0].HasData {
+			ext[i].Block = under[0].Block
+		} else {
+			ext[i] = Extent{FileOff: e.FileOff, Len: e.Len}
 		}
 	}
-	return in
+	return coalesceHoles(ext)
+}
+
+// abortedOwner returns the aborted version whose leaf e is, or
+// NoVersion.
+func (th *treeHarness) abortedOwner(e Extent) blob.Version {
+	if !e.HasData {
+		return blob.NoVersion
+	}
+	for _, d := range th.h.Descs {
+		if d.Aborted && d.Nonce == e.Block.Key.Nonce {
+			return d.Version
+		}
+	}
+	return blob.NoVersion
 }
 
 // coalesceHoles merges adjacent hole extents: the walk splits a run of
@@ -108,12 +141,11 @@ func coalesceHoles(in []Extent) []Extent {
 
 // checkEquivalence builds the history ops describes, at replication 2,
 // and compares the two resolves — the blocks the index builds from the
-// descriptors and the leaves the walk reads — at every version over the
-// whole snapshot, every single block and the ranges queries names (two
-// bytes each: offset, length).
+// descriptors and the leaves the walk reads (reference) — at every
+// version over the whole snapshot, every single block and the ranges
+// queries names (two bytes each: offset, length).
 func checkEquivalence(t *testing.T, ops, queries []byte) {
 	t.Helper()
-	ctx := context.Background()
 	th := newHarness(t, eqBS)
 	th.meta.Replication = 2
 	if err := applyOps(th, ops); err != nil {
@@ -144,12 +176,12 @@ func checkEquivalence(t *testing.T, ops, queries []byte) {
 			ranges = append(ranges, blob.Range{Off: int64(q[0]) % (size + 3), Len: int64(q[1])})
 		}
 		for _, r := range ranges {
-			want, werr := Resolve(ctx, th.st, th.meta, v, size, r)
-			got, gerr := o.Resolve(th.meta, v, size, r, new(Scratch))
-			if werr != nil || gerr != nil {
-				t.Fatalf("ops %v v%d %v: walk err %v, direct err %v", ops, v, r, werr, gerr)
+			want := th.reference(v, size, r)
+			got, err := o.Resolve(th.meta, v, size, r, new(Scratch))
+			if err != nil {
+				t.Fatalf("ops %v v%d %v: %v", ops, v, r, err)
 			}
-			if want = coalesceHoles(emptyLeavesAsHoles(want)); !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("ops %v v%d %v:\n direct %+v\n   walk %+v", ops, v, r, got, want)
 			}
 		}

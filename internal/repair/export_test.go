@@ -8,7 +8,7 @@ import (
 
 // ScannedKeys returns the keys of the blocks a scan finds live.
 func (e *Engine) ScannedKeys(ctx context.Context) (map[blob.BlockKey]bool, error) {
-	blocks, err := e.collectBlocks(ctx)
+	blocks, _, err := e.collectBlocks(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -17,14 +17,4 @@ func (e *Engine) ScannedKeys(ctx context.Context) (map[blob.BlockKey]bool, error
 		keys[k] = true
 	}
 	return keys, nil
-}
-
-// Audit runs the orphan audit alone, against live membership and no
-// scanned holders.
-func (e *Engine) Audit(ctx context.Context) (map[string]int, error) {
-	mem, err := e.membership(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return e.auditWith(ctx, mem, nil)
 }

@@ -150,21 +150,22 @@ func (e *Engine) Scan(ctx context.Context) ([]Task, error) {
 }
 
 // scanState is one metadata scan's outcome: the repair work list plus
-// the recorded-holder map the orphan audit diffs inventory against.
+// what the orphan audit diffs inventory against.
 type scanState struct {
 	tasks   []Task
 	nBlocks int
 	holders map[blob.BlockKey]map[string]bool // originals ∪ overlay, live or not
+	nonces  map[blob.ID]map[uint64]bool       // every published write's, per blob
 }
 
 // scanWith diffs the block inventory against the given membership
 // snapshot.
 func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, error) {
-	blocks, err := e.collectBlocks(ctx)
+	blocks, nonces, err := e.collectBlocks(ctx)
 	if err != nil {
 		return nil, err
 	}
-	st := &scanState{nBlocks: len(blocks), holders: make(map[blob.BlockKey]map[string]bool, len(blocks))}
+	st := &scanState{nBlocks: len(blocks), holders: make(map[blob.BlockKey]map[string]bool, len(blocks)), nonces: nonces}
 	for _, sb := range blocks {
 		extras, err := e.cfg.Overlay.Get(ctx, sb.ref.Key)
 		if err != nil {
@@ -204,23 +205,27 @@ func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, err
 // of every blob reads, with its replication target: the blocks of the
 // oldest kept version over its whole size, plus those each later
 // version wrote itself. The block index names each one, with its
-// replicas, from the paged history; no tree node is read. A block an
-// aborted version owns reads as a hole and names none, and a block whose
-// writer sent no placement is not known to live anywhere.
-func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedBlock, error) {
+// replicas, from the paged history; no tree node is read. An aborted
+// write names none, and a block whose writer sent no placement is not
+// known to live anywhere. The same walk returns the nonces of every
+// published write of each blob.
+func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedBlock, map[blob.ID]map[uint64]bool, error) {
 	ids, err := e.cfg.VM.ListBlobs(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("repair: list blobs: %w", err)
+		return nil, nil, fmt.Errorf("repair: list blobs: %w", err)
 	}
 	out := make(map[blob.BlockKey]*scannedBlock)
+	nonces := make(map[blob.ID]map[uint64]bool, len(ids))
 	for _, id := range ids {
 		var owners mdtree.Owners
 		var refs []mdtree.BlockRef
+		written := make(map[uint64]bool)
 		h, err := e.cfg.VM.LatestSince(ctx, id, 0, blob.NoVersion, func(h vmanager.Head, descs []blob.WriteDesc) error {
 			if err := owners.Extend(h.Meta, descs); err != nil {
 				return err
 			}
 			for _, d := range descs {
+				written[d.Nonce] = true
 				switch {
 				case d.Version == h.Oldest:
 					refs = owners.Blocks(refs, h.Meta, d.Version, blob.Range{Len: d.SizeAfter})
@@ -231,15 +236,16 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("repair: history of blob %d: %w", id, err)
+			return nil, nil, fmt.Errorf("repair: history of blob %d: %w", id, err)
 		}
+		nonces[id] = written
 		for _, ref := range refs {
 			if _, ok := out[ref.Key]; !ok {
 				out[ref.Key] = &scannedBlock{ref: ref, want: h.Meta.Replication}
 			}
 		}
 	}
-	return out, nil
+	return out, nonces, nil
 }
 
 func dedupAddrs(sets ...[]string) []string {
@@ -397,8 +403,9 @@ func (e *Engine) repairBlock(ctx context.Context, t Task, targets []string) (int
 // provider:
 //
 //   - its blob is unknown to the version manager;
-//   - its write was aborted (the best-effort GC missed this copy);
-//   - its version was pruned and no kept version still references it;
+//   - its write is published, but no still-readable version reads it:
+//     the write was aborted (the best-effort GC missed this copy), or
+//     pruned and hidden by later writes;
 //   - the block is referenced, but this provider is in neither the
 //     original replica set nor the overlay (a stray copy — e.g. leaked
 //     by a repair push whose overlay record was lost, or left behind on
@@ -425,41 +432,15 @@ func (e *Engine) Status(ctx context.Context) ([]Task, map[string]int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	orphans, err := e.auditWith(ctx, mem, st.holders)
+	orphans, err := e.auditWith(ctx, mem, st)
 	if err != nil {
 		return nil, nil, err
 	}
 	return st.tasks, orphans, nil
 }
 
-// auditWith diffs each live provider's block report against the
-// recorded-holder map from a scan.
-func (e *Engine) auditWith(ctx context.Context, mem *membership, holders map[blob.BlockKey]map[string]bool) (map[string]int, error) {
-	// Per-blob descriptor tables: nonce -> descriptor, plus prune point.
-	type blobInfo struct {
-		nonces map[uint64]blob.WriteDesc
-		oldest blob.Version
-	}
-	ids, err := e.cfg.VM.ListBlobs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	infos := make(map[blob.ID]*blobInfo, len(ids))
-	for _, id := range ids {
-		bi := &blobInfo{nonces: make(map[uint64]blob.WriteDesc)}
-		h, err := e.cfg.VM.LatestSince(ctx, id, 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
-			for _, d := range descs {
-				bi.nonces[d.Nonce] = d
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		bi.oldest = h.Oldest
-		infos[id] = bi
-	}
-
+// auditWith diffs each live provider's block report against a scan.
+func (e *Engine) auditWith(ctx context.Context, mem *membership, st *scanState) (map[string]int, error) {
 	out := make(map[string]int, len(mem.source))
 	for addr := range mem.source {
 		report, err := e.cfg.Prov.BlockReport(ctx, addr, "")
@@ -468,23 +449,14 @@ func (e *Engine) auditWith(ctx context.Context, mem *membership, holders map[blo
 		}
 		n := 0
 		for _, k := range report {
-			if set, ok := holders[k]; ok {
+			if set, ok := st.holders[k]; ok {
 				if !set[addr] {
 					n++ // stray copy of a live block
 				}
 				continue
 			}
-			bi, ok := infos[k.Blob]
-			if !ok {
-				n++ // unknown blob
-				continue
-			}
-			d, ok := bi.nonces[k.Nonce]
-			if !ok {
-				continue // possibly an in-flight write; not auditable
-			}
-			if d.Aborted || d.Version < bi.oldest {
-				n++ // aborted or pruned write the GC sweep missed here
+			if written, ok := st.nonces[k.Blob]; !ok || written[k.Nonce] {
+				n++ // unknown blob, or a published write no readable version reads
 			}
 		}
 		out[addr] = n

@@ -30,8 +30,8 @@ func deploy(t *testing.T) (*cluster.BlobSeer, *core.Client) {
 // historyKeys is the reference a scan is held to: the union, over every
 // published version of every blob that is not pruned, of the blocks the
 // version reads, named from the history alone. A block is read from the
-// newest write at or below the version that covers it, unless that
-// write was aborted: then it reads as zeros, from no block.
+// newest write at or below the version that covers it and was not
+// aborted; if there is none, it reads as zeros, from no block.
 func historyKeys(t *testing.T, c *core.Client) map[blob.BlockKey]bool {
 	t.Helper()
 	ctx, vm := context.Background(), c.VM()
@@ -50,8 +50,12 @@ func historyKeys(t *testing.T, c *core.Client) map[blob.BlockKey]bool {
 		}
 		for v := head.Oldest; v <= head.Published; v++ {
 			for b := int64(0); b < blob.Blocks(h.SizeAt(v), bs); b++ {
-				w := h.LatestIntersecting(blob.Range{Off: b * bs, Len: bs}, v)
-				if d, ok := h.Desc(w); ok && !d.Aborted {
+				r := blob.Range{Off: b * bs, Len: bs}
+				w := h.LatestIntersecting(r, v)
+				for d, ok := h.Desc(w); ok && d.Aborted; d, ok = h.Desc(w) {
+					w = h.LatestIntersecting(r, w-1)
+				}
+				if d, ok := h.Desc(w); ok {
 					keys[blob.BlockKey{Blob: id, Nonce: d.Nonce, Seq: uint32(b - d.Off/bs)}] = true
 				}
 			}
@@ -157,9 +161,8 @@ func TestScanFindsWhatEveryLiveVersionReads(t *testing.T) {
 	must(b.Write(ctx, bs, fill('g', 1)))
 	must(b.Append(ctx, fill('h', 1)))
 
-	// Pruned up to an aborted overwrite: its snapshot reads the block it
-	// overwrote as zeros, and still reads the block beside it, which
-	// only the first version wrote.
+	// Pruned up to an aborted overwrite: its snapshot reads both blocks
+	// the first version wrote, the one under the aborted write included.
 	d := open()
 	must(d.Write(ctx, 0, fill('i', 2)))
 	abort(d, 0, bs)
@@ -241,10 +244,11 @@ func TestGCAndScanSeeAHistoryLongerThanAPage(t *testing.T) {
 	}
 }
 
-// TestScanAsksTheManagerOncePerBlob: a scan and an audit each list the
-// blobs, then make one version-manager call per blob, which brings its
-// meta, prune point and history at once, for a history as long as one
-// page of 8,192 descriptors.
+// TestScanAsksTheManagerOncePerBlob: a scan, and a status (the scan
+// with the orphan audit on it), each list the blobs, then make one
+// version-manager call per blob, which brings its meta, prune point and
+// history at once, for a history as long as one page of 8,192
+// descriptors.
 func TestScanAsksTheManagerOncePerBlob(t *testing.T) {
 	cl, c := deploy(t)
 	ctx := context.Background()
@@ -279,7 +283,7 @@ func TestScanAsksTheManagerOncePerBlob(t *testing.T) {
 		call func() error
 	}{
 		{"scan", func() error { _, err := e.ScannedKeys(ctx); return err }},
-		{"audit", func() error { _, err := e.Audit(ctx); return err }},
+		{"status", func() error { _, _, err := e.Status(ctx); return err }},
 	} {
 		before := vm.Ops().Total()
 		if err := run.call(); err != nil {
@@ -288,5 +292,80 @@ func TestScanAsksTheManagerOncePerBlob(t *testing.T) {
 		if calls := vm.Ops().Total() - before; calls != 1+blobs {
 			t.Errorf("one %s of %d blobs made %d version-manager calls, want %d", run.name, blobs, calls, 1+blobs)
 		}
+	}
+}
+
+// TestAuditCountsWhatNoReadableVersionReads: a held block is an orphan
+// when its blob is unknown, or when its write is published and no
+// still-readable version reads it — an aborted write, or a pruned one
+// later writes hid; a block of a write no descriptor names yet may be
+// in flight and is not counted. A block a kept snapshot reads under an
+// aborted overwrite is no orphan.
+func TestAuditCountsWhatNoReadableVersionReads(t *testing.T) {
+	cl, c := deploy(t)
+	ctx := context.Background()
+	b, err := c.CreateBlob(ctx, bs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Write(ctx, 0, bytes.Repeat([]byte{'a'}, 2*bs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Write(ctx, bs, bytes.Repeat([]byte{'b'}, bs)); err != nil {
+		t.Fatal(err)
+	}
+	st := cl.VMService().State()
+	const abortedNonce = 0xab047
+	a, err := st.AssignVersion(b.ID(), blob.KindWrite, 0, bs, abortedNonce, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Abort(b.ID(), a.Version); err != nil {
+		t.Fatal(err)
+	}
+	keep, err := b.Append(ctx, bytes.Repeat([]byte{'c'}, bs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GC(ctx, b.ID(), keep); err != nil {
+		t.Fatal(err)
+	}
+	var first uint64 // the nonce of version 1
+	if _, err := c.VM().LatestSince(ctx, b.ID(), 0, blob.NoVersion, func(_ vmanager.Head, descs []blob.WriteDesc) error {
+		if descs[0].Version == 1 {
+			first = descs[0].Nonce
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	addr := cl.ProviderAddrs[0]
+	plant := func(k blob.BlockKey) {
+		t.Helper()
+		if err := cl.ProviderService(addr).Store().Put(k.String(), []byte("left behind")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orphans := func() int {
+		t.Helper()
+		_, got, err := cl.RepairEngine().Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, c := range got {
+			n += c
+		}
+		return n
+	}
+	if n := orphans(); n != 0 {
+		t.Fatalf("%d orphans after GC: v%d reads v1's block 0 under the aborted overwrite, and GC freed v1's block 1", n, keep)
+	}
+	plant(blob.BlockKey{Blob: b.ID(), Nonce: abortedNonce})     // the aborted write's
+	plant(blob.BlockKey{Blob: b.ID(), Nonce: first, Seq: 1})    // pruned, hidden by v2
+	plant(blob.BlockKey{Blob: b.ID() + 100, Nonce: 1})          // an unknown blob's
+	plant(blob.BlockKey{Blob: b.ID(), Nonce: abortedNonce + 1}) // a write in flight
+	if n := orphans(); n != 3 {
+		t.Errorf("%d orphans, want the aborted, the pruned and the unknown blob's block", n)
 	}
 }

@@ -26,7 +26,7 @@
 // snapshot it read) and lands at the tail's block boundary, unless a
 // later version wrote there (ErrEndMoved: the client retries on a newer
 // base, see core.Blob.Append). If the janitor aborts it, the tail it
-// carried reads as zeros.
+// carried reads as it did before, as under any aborted write.
 //
 // A service answers eight RPC methods. Writers call CreateBlob,
 // AssignVersion (which carries the write's placement: every block's

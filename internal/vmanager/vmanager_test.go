@@ -3,6 +3,7 @@ package vmanager
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -268,9 +269,9 @@ func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 
 // TestLateWriterOfAnAbortedVersionStaysHidden: the janitor aborts a
 // slow writer's one-block overwrite, then the writer's metadata lands.
-// Its commit fails, and the index must go on reading the block as a
-// hole: nothing stored in the metadata store changes what an aborted
-// version reads.
+// Its commit fails, and the index must go on reading the block the
+// first writer stored, never the aborted writer's: nothing stored in
+// the metadata store changes what an aborted version reads.
 func TestLateWriterOfAnAbortedVersionStaysHidden(t *testing.T) {
 	ctx, st, s := context.Background(), mdtree.NewMemStore(), NewState(nil)
 	m := newBlob(t, s)
@@ -308,8 +309,9 @@ func TestLateWriterOfAnAbortedVersionStaysHidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ext) != 1 || ext[0].HasData {
-		t.Errorf("v2 block 0 resolves to %+v, want a hole", ext)
+	first := blob.BlockKey{Blob: m.ID, Nonce: 1, Seq: 0}
+	if len(ext) != 1 || !ext[0].HasData || ext[0].Block.Key != first || !slices.Equal(ext[0].Block.Providers, []string{"first-writer"}) {
+		t.Errorf("v2 block 0 resolves to %+v, want first-writer's block %s", ext, first)
 	}
 }
 

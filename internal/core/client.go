@@ -49,11 +49,8 @@ import (
 // writes (Section III-A5).
 var ErrNotPublished = errors.New("core: version not published yet")
 
-// Concurrency limits for the data path.
-const (
-	putConcurrency   = 8  // block uploads in flight per write
-	fetchConcurrency = 16 // block downloads in flight per read
-)
+// putConcurrency bounds the block uploads in flight per write.
+const putConcurrency = 8
 
 // Config wires a Client to a deployment.
 type Config struct {
@@ -510,28 +507,30 @@ func (c *Client) gcBlocks(id blob.ID, nonce uint64, addrs []string) {
 }
 
 // read is one readInto or Locations call's working set: the extents its
-// range resolves to, the fetches that fill it and the window that runs
-// them provider by provider. The client recycles it (Client.reads), so a read allocates
-// none of it once the client has run as many reads at once before. It
-// never outlives its call: release clears it, or scribbles over it
-// under wire.PoisonReleased.
+// range resolves to, the fetches that fill them, their ranges and the
+// calls those went out in. The client recycles it (Client.reads), so a
+// read allocates none of it once the client has run as many reads at
+// once before. It never outlives its call: release clears it, or
+// scribbles over it under wire.PoisonReleased.
 type read struct {
 	c       *Client
-	ctx     context.Context
 	extents mdtree.Scratch
-	fetches []fetch // sorted by first replica: a run per provider
-	win     util.Window
-	group   func(g int) error // fetchGroup of the g-th run, bound once
+	fetches []fetch               // sorted by first replica: a run per provider
+	ranges  []provider.Range      // ranges[i] is fetches[i]'s
+	calls   []provider.PendingGet // in fetch order, each over a run of ranges
+	// The first room of ranges and calls: a record that only ever read
+	// one block (a stream's block fetches) allocates neither.
+	ranges0 [1]provider.Range
+	calls0  [1]provider.PendingGet
 }
 
 // newRead returns a working set for one call.
-func (c *Client) newRead(ctx context.Context) *read {
+func (c *Client) newRead() *read {
 	rd, ok := c.reads.Get()
 	if !ok {
 		rd = &read{c: c}
-		rd.group = rd.fetchRun
+		rd.ranges, rd.calls = rd.ranges0[:0], rd.calls0[:0]
 	}
-	rd.ctx = ctx
 	return rd
 }
 
@@ -542,20 +541,16 @@ func (rd *read) release() {
 		for i := range rd.fetches {
 			rd.fetches[i] = fetch{first: -1}
 		}
+		for i := range rd.ranges {
+			rd.ranges[i] = provider.Range{N: -1}
+		}
 	} else {
 		clear(rd.fetches)
+		clear(rd.ranges)
 	}
-	rd.fetches, rd.ctx = rd.fetches[:0], nil
+	clear(rd.calls)
+	rd.fetches, rd.ranges, rd.calls = rd.fetches[:0], rd.ranges[:0], rd.calls[:0]
 	rd.c.reads.Put(rd)
-}
-
-// fetchRun reads the g-th provider's run of rd.fetches.
-func (rd *read) fetchRun(g int) error {
-	lo := 0
-	for ; g > 0; g-- {
-		lo = runEnd(rd.fetches, lo)
-	}
-	return rd.c.fetchGroup(rd.ctx, rd.fetches[lo:runEnd(rd.fetches, lo)])
 }
 
 // readInto resolves [off, off+len(dst)) of the snapshot into extents and
@@ -563,13 +558,16 @@ func (rd *read) fetchRun(g int) error {
 // dst — the zero-copy core of Snapshot.ReadAt: no whole-range
 // intermediate buffer exists at any point. The extents whose first
 // replica is the same provider ride one call (one round trip per
-// provider, not per block), the providers in parallel. Holes and the
-// zero tails of short blocks are cleared explicitly (dst may be a reused
-// buffer holding stale bytes). The requested range must lie inside the
-// snapshot.
+// provider, not per block). The calling goroutine sends every provider's
+// call, then waits on each in turn, so the providers work in parallel
+// and the read starts no goroutine; a call that failed fails over its
+// own extents, and the read returns only once no call it started can
+// still write into dst. Holes and the zero tails of short blocks are
+// cleared explicitly (dst may be a reused buffer holding stale bytes).
+// The requested range must lie inside the snapshot.
 func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	c := s.b.c
-	rd := c.newRead(ctx)
+	rd := c.newRead()
 	defer rd.release()
 	t0 := time.Now()
 	extents, err := s.owners.Resolve(s.b.meta, s.version, s.size, blob.Range{Off: off, Len: int64(len(dst))}, &rd.extents)
@@ -579,19 +577,27 @@ func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	}
 	fs := c.fetches(ctx, rd.fetches[:0], extents, off, dst)
 	rd.fetches = fs
-	if len(fs) == 0 {
-		return nil
-	}
 	// Stable, so a provider serves its ranges in file order.
 	slices.SortStableFunc(fs, func(a, b fetch) int { return strings.Compare(a.addr(), b.addr()) })
-	providers := 0
-	for i := 0; i < len(fs); i = runEnd(fs, i) {
-		providers++
+	rs := rd.ranges[:0]
+	for _, f := range fs {
+		rs = append(rs, provider.Range{Key: f.e.Block.Key, Off: f.e.DataOff, Dst: f.dst})
 	}
-	if providers == 1 {
-		return c.fetchGroup(ctx, fs)
+	rd.ranges = rs
+	for i := 0; i < len(fs); {
+		j := runEnd(fs, i)
+		rd.calls = c.prov.StartRanges(ctx, fs[i].addr(), rs[i:j], rd.calls)
+		i = j
 	}
-	return rd.win.Run(providers, fetchConcurrency, rd.group)
+	lo := 0
+	for _, call := range rd.calls {
+		hi := lo + call.Len()
+		if werr := call.Wait(); err == nil {
+			err = c.settle(ctx, fs[lo:hi], rs[lo:hi], werr)
+		}
+		lo = hi
+	}
+	return err
 }
 
 // runEnd returns where the run of fetches that starts at fs[i], all
@@ -644,24 +650,17 @@ func (c *Client) firstReplica(ctx context.Context, replicas []string) int {
 	return 0
 }
 
-// fetchGroup reads extents that try the same provider first with one
-// call to it; if that call fails, each extent fails over on its own.
-func (c *Client) fetchGroup(ctx context.Context, fs []fetch) error {
-	var vec [16]provider.Range // on the stack: one per block of a 1 MB read of 64 KB blocks
-	rs := vec[:0]
-	for _, f := range fs {
-		rs = append(rs, provider.Range{Key: f.e.Block.Key, Off: f.e.DataOff, Dst: f.dst})
-	}
-	addr := fs[0].addr()
-	err := c.prov.GetRanges(ctx, addr, rs)
+// settle completes fetches that one call to their first replica read
+// into rs, or failed to with err: then each extent fails over on its own.
+func (c *Client) settle(ctx context.Context, fs []fetch, rs []provider.Range, err error) error {
 	if err != nil {
-		c.reportDead(addr, err)
+		c.reportDead(fs[0].addr(), err)
 	}
 	for i, f := range fs {
 		n := rs[i].N
 		if err != nil {
 			// A provider that answered may hold this block even though it
-			// lacks another of the group's: ask it again, alone.
+			// lacks another of the call's: ask it again, alone.
 			askFirst := len(fs) > 1 && !rpc.TransportFailure(err)
 			var ferr error
 			if n, ferr = c.fetchExtentInto(ctx, f, err, askFirst); ferr != nil {

@@ -295,7 +295,7 @@ func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int,
 // metadata round trip. The slices are the caller's: a provider list is
 // copied out of the descriptor, whose placement descriptors share.
 func (s *Snapshot) Locations(ctx context.Context, off, length int64) ([]Location, error) {
-	rd := s.b.c.newRead(ctx)
+	rd := s.b.c.newRead()
 	defer rd.release()
 	extents, err := s.owners.Resolve(s.b.meta, s.version, s.size, blob.Range{Off: off, Len: length}, &rd.extents)
 	if err != nil {

@@ -109,7 +109,10 @@ func (l countedListener) Accept() (net.Conn, error) {
 // writev each, leaving two plain Writes — a tailed frame that lost the
 // vectored write would show as two more.
 func BenchmarkPutGet1M(b *testing.B) {
-	const parentAllocs = 28 // what the op allocated while it still copied the block into and out of frames
+	// 8 per op since a mem:// get runs on the connection's goroutine (9
+	// before), and the 19 of headroom kept since the op stopped copying
+	// the block into and out of frames (28 then).
+	const budgetAllocs = 27
 	wire.PoisonReleased(false)
 	defer wire.PoisonReleased(true)
 	lis, err := rpc.ListenTCP("127.0.0.1:0")
@@ -162,8 +165,8 @@ func BenchmarkPutGet1M(b *testing.B) {
 	b.ReportMetric(perByte, "alloc-B/payload-B")
 	b.ReportMetric(allocs, "allocs/put+get")
 	b.ReportMetric(perFrame, "conn-writes/frame")
-	if b.N >= 20 && (perByte > 1.02 || allocs > parentAllocs || perFrame > 1) {
+	if b.N >= 20 && (perByte > 1.02 || allocs > budgetAllocs || perFrame > 1) {
 		b.Errorf("%.3f B/B, %.1f allocations and %.2f conn writes per frame for a 1 MB put and get, want at most 1.02, %d and 1",
-			perByte, allocs, perFrame, parentAllocs)
+			perByte, allocs, perFrame, budgetAllocs)
 	}
 }

@@ -273,7 +273,15 @@ func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 // Mux returns the RPC dispatch table for the service.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.HandleFrame(mGetBlock, s.handleGetBlock)
+	if _, ok := s.store.(store.Lender); ok {
+		// A lending store's get waits on nothing: its bytes go out as the
+		// response's tails, on the connection's goroutine. A file store's
+		// keeps a goroutine: its tails go by sendfile, which measured
+		// slower inline.
+		m.HandleInline(mGetBlock, s.handleGetBlock)
+	} else {
+		m.HandleFrame(mGetBlock, s.handleGetBlock)
+	}
 	m.HandleFrame(mDeleteWrite, s.handleDeleteWrite)
 	m.HandleFrame(mDeleteBlock, s.handleDeleteBlock)
 	m.HandleFrame(mPutChained, s.handlePutChained)
@@ -782,19 +790,6 @@ func (c *Client) Put(ctx context.Context, addr string, key blob.BlockKey, data [
 // they are not retried here, their callers own replica failover.
 var oneAttempt = rpc.Backoff{}
 
-// callFrame sends the request encoded in f to addr over the data path:
-// f is rpc's from here on, the response goes back to wire.PutBuf. A
-// response of a u32 count per dst and the pieces lands in dsts
-// (rpc.Client.CallInto).
-func (c *Client) callFrame(ctx context.Context, addr string, method uint16, f *wire.Buffer, dsts ...[]byte) ([]byte, error) {
-	cl, err := c.pool.Get(addr)
-	if err != nil {
-		f.Release()
-		return nil, err
-	}
-	return cl.CallInto(ctx, method, f, dsts...)
-}
-
 // chainWindow is how many frames of one block a client (or forwarding
 // hop) keeps in flight: enough to hide per-hop latency without holding
 // multiple spare copies of large blocks in transit buffers.
@@ -849,7 +844,7 @@ func (c *Client) putChainFrame(ctx context.Context, addr string, key blob.BlockK
 	f.U64(xfer)
 	f.StringSlice(chain)
 	f.Chunk(ck)
-	resp, err := c.callFrame(ctx, addr, mPutChained, f)
+	resp, err := c.pool.StartInto(ctx, addr, mPutChained, f).Wait()
 	wire.PutBuf(resp)
 	return err
 }
@@ -890,12 +885,8 @@ type Range struct {
 // written only between call and return; on error the N are unspecified.
 func (c *Client) GetRanges(ctx context.Context, addr string, rs []Range) error {
 	for len(rs) > 0 {
-		k, body := 1, 4+len(rs[0].Dst)
-		for k < len(rs) && body+4+len(rs[k].Dst) <= maxGetBody {
-			body += 4 + len(rs[k].Dst)
-			k++
-		}
-		if err := c.getRanges(ctx, addr, rs[:k]); err != nil {
+		k := fitFrame(rs)
+		if err := waitRanges(c.startRanges(ctx, addr, rs[:k]), rs[:k]); err != nil {
 			return err
 		}
 		rs = rs[k:]
@@ -903,9 +894,46 @@ func (c *Client) GetRanges(ctx context.Context, addr string, rs []Range) error {
 	return nil
 }
 
-// getRanges is one mGetBlock call: the ranges in, a count per range and
-// the pieces back, each piece landing in its range's Dst.
-func (c *Client) getRanges(ctx context.Context, addr string, rs []Range) error {
+// StartRanges is GetRanges's send half: it sends the ranges to the
+// provider at addr, one mGetBlock call per run of them that fits a
+// response frame, and appends each started call to ps. Every one must be
+// waited on; until its Wait returns, its ranges' Dst are the call's.
+func (c *Client) StartRanges(ctx context.Context, addr string, rs []Range, ps []PendingGet) []PendingGet {
+	for len(rs) > 0 {
+		k := fitFrame(rs)
+		ps = append(ps, PendingGet{call: c.startRanges(ctx, addr, rs[:k]), rs: rs[:k]})
+		rs = rs[k:]
+	}
+	return ps
+}
+
+// fitFrame returns how many of rs, at least one, one response frame holds.
+func fitFrame(rs []Range) int {
+	k, body := 1, 4+len(rs[0].Dst)
+	for k < len(rs) && body+4+len(rs[k].Dst) <= maxGetBody {
+		body += 4 + len(rs[k].Dst)
+		k++
+	}
+	return k
+}
+
+// PendingGet is one mGetBlock call that has gone out: its ranges' bytes
+// land in their Dst, and Wait sets their N.
+type PendingGet struct {
+	call rpc.Pending
+	rs   []Range
+}
+
+// Len returns how many ranges the call carries.
+func (p PendingGet) Len() int { return len(p.rs) }
+
+// Wait waits for the call's response and sets each range's N; on error
+// the N are unspecified. Once it has returned, nothing writes to the Dst.
+func (p PendingGet) Wait() error { return waitRanges(p.call, p.rs) }
+
+// startRanges sends one mGetBlock call: the ranges in, a count per range
+// and the pieces back, each piece landing in its range's Dst.
+func (c *Client) startRanges(ctx context.Context, addr string, rs []Range) rpc.Pending {
 	var vec [16][]byte // on the stack: enough for a 1 MB read of 64 KB blocks
 	dsts := vec[:0]
 	f := rpc.NewFrame(rangeSize * len(rs))
@@ -915,7 +943,14 @@ func (c *Client) getRanges(ctx context.Context, addr string, rs []Range) error {
 		f.I64(int64(len(r.Dst)))
 		dsts = append(dsts, r.Dst)
 	}
-	counts, err := c.callFrame(ctx, addr, mGetBlock, f, dsts...)
+	return c.pool.StartInto(ctx, addr, mGetBlock, f, dsts...)
+}
+
+// waitRanges waits for call, rs's mGetBlock, and sets each range's N from
+// the counts it answers with. (rs is a parameter of its own, not a field
+// of the call's, so that a caller's ranges on its stack stay there.)
+func waitRanges(call rpc.Pending, rs []Range) error {
+	counts, err := call.Wait()
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,7 @@ func TestLateResponseIsDrained(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := c.call(ctx, 1, frameOf(nil), recycled, nil)
+			_, err := c.start(ctx, 1, frameOf(nil), recycled, nil).Wait()
 			done <- err
 		}()
 		time.Sleep(10 * time.Millisecond) // let the request reach the handler

@@ -42,6 +42,13 @@
 // No sync.Mutex is held across a network wait: it would queue callers
 // behind the slowest round trip. A conn's writer lock is held while one
 // frame goes out; a call waits for its response holding no lock.
+// Likewise a request runs in a goroutine of its own, so that a handler
+// may wait (for a publication, a downstream hop, a log sync), unless its
+// method is registered with HandleInline: such a handler waits on
+// nothing but its own response write, and runs on the connection's
+// goroutine. A caller talking to many peers at once need not start
+// goroutines either: StartInto sends a call and Pending.Wait collects
+// it, so one goroutine can send every request first and then wait.
 package rpc
 
 import (
@@ -305,11 +312,18 @@ type FrameHandler func(ctx context.Context, payload []byte) (*wire.Buffer, error
 // Mux dispatches requests by method number. The zero value is usable.
 type Mux struct {
 	mu       sync.RWMutex
-	handlers map[uint16]FrameHandler
+	handlers map[uint16]handler
+}
+
+// handler is a registered method: its function, and whether it runs on
+// the connection's goroutine (HandleInline).
+type handler struct {
+	fn     FrameHandler
+	inline bool
 }
 
 // NewMux returns an empty Mux.
-func NewMux() *Mux { return &Mux{handlers: make(map[uint16]FrameHandler)} }
+func NewMux() *Mux { return &Mux{handlers: make(map[uint16]handler)} }
 
 // Handle registers fn for method m, replacing any previous handler. Its
 // response is copied into a frame.
@@ -324,25 +338,37 @@ func (x *Mux) Handle(m uint16, fn HandlerFunc) {
 }
 
 // HandleFrame registers fn for method m, replacing any previous handler.
-func (x *Mux) HandleFrame(m uint16, fn FrameHandler) {
+// Each request runs in a goroutine of its own.
+func (x *Mux) HandleFrame(m uint16, fn FrameHandler) { x.register(m, handler{fn: fn}) }
+
+// HandleInline is HandleFrame for a handler that waits on nothing but
+// its own response write: it runs on the connection's goroutine, which
+// reads the connection's next request only once the response is out.
+// That costs no parallelism, since one connection's responses go out
+// one at a time anyway, and saves the request its goroutine.
+func (x *Mux) HandleInline(m uint16, fn FrameHandler) { x.register(m, handler{fn: fn, inline: true}) }
+
+func (x *Mux) register(m uint16, h handler) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.handlers == nil {
-		x.handlers = make(map[uint16]FrameHandler)
+		x.handlers = make(map[uint16]handler)
 	}
-	x.handlers[m] = fn
+	x.handlers[m] = h
 }
 
-func (x *Mux) lookup(m uint16) (FrameHandler, bool) {
+// lookup returns method m's handler; its fn is nil for an unknown method.
+func (x *Mux) lookup(m uint16) handler {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	fn, ok := x.handlers[m]
-	return fn, ok
+	return x.handlers[m]
 }
 
 // Server serves RPC requests on accepted connections. Each request runs
 // in its own goroutine, so handlers may block (the version manager's
-// wait-for-publication call relies on this).
+// wait-for-publication call relies on this), except that a method
+// registered with HandleInline runs on its connection's goroutine, and
+// may wait on nothing but its response write.
 type Server struct {
 	mux *Mux
 
@@ -456,21 +482,32 @@ func (s *Server) serveConn(conn net.Conn) {
 			wire.PutBuf(req)
 			return
 		}
-		if _, _, _, _, ok := parseRequest(req); !ok {
+		id, method, payload, tc, ok := parseRequest(req)
+		if !ok {
 			wire.PutBuf(req)
 			return // protocol violation; drop the connection
 		}
+		h := s.mux.lookup(method)
+		if h.inline || h.fn == nil { // an unknown method is answered at once
+			resp, status := s.dispatch(tc, h.fn, method, payload)
+			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
+			wire.PutBuf(req)
+			if err != nil {
+				return
+			}
+			continue
+		}
+		fn := h.fn
 		hwg.Add(1)
 		go func() {
 			defer hwg.Done()
-			// Parsed again rather than captured: req alone makes the
-			// closure 64 bytes, the parsed header made it 144.
+			// Parsed again rather than captured: req and fn make the
+			// closure 64 bytes, the parsed header made it 144. The
+			// handler and the response write each run one call below
+			// the closure: a goroutine starts on a small stack, and
+			// every frame deeper brings a request nearer copying it.
 			id, method, payload, tc, _ := parseRequest(req)
-			ctx := context.Background()
-			if !tc.Trace.IsZero() {
-				ctx = obs.NewContext(ctx, tc)
-			}
-			resp, status := s.dispatch(ctx, method, payload)
+			resp, status := s.dispatch(tc, fn, method, payload)
 			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
 			wire.PutBuf(req) // the response is out: nothing references the request now
 			if err != nil {
@@ -497,10 +534,15 @@ func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc obs.
 	return id, method, req[len(req)-r.Remaining():], tc, r.Err() == nil && flags&flagResponse == 0
 }
 
-func (s *Server) dispatch(ctx context.Context, method uint16, payload []byte) (*wire.Buffer, uint16) {
-	fn, ok := s.mux.lookup(method)
-	if !ok {
+// dispatch runs fn, the handler of method (nil: unknown method), on a
+// request's payload and returns the response frame and its status.
+func (s *Server) dispatch(tc obs.Context, fn FrameHandler, method uint16, payload []byte) (*wire.Buffer, uint16) {
+	if fn == nil {
 		return frameOf([]byte(fmt.Sprintf("unknown method %d", method))), StatusError
+	}
+	ctx := context.Background()
+	if !tc.Trace.IsZero() {
+		ctx = obs.NewContext(ctx, tc)
 	}
 	var sp obs.Active
 	if s.tracer != nil {
@@ -581,14 +623,14 @@ func NewClient(conn net.Conn) *Client {
 // payload is copied into a frame and not retained; the result is read
 // from the connection into a slice of its own, the caller's to keep.
 func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
-	return c.call(ctx, method, frameOf(payload), false, nil)
+	return c.start(ctx, method, frameOf(payload), false, nil).Wait()
 }
 
 // CallFrame is Call for the data path: the request is already encoded
 // in req (from NewFrame), which rpc owns from here on, and the result
 // is a recycled slice the caller hands to wire.PutBuf when done.
 func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer) ([]byte, error) {
-	return c.call(ctx, method, req, true, nil)
+	return c.start(ctx, method, req, true, nil).Wait()
 }
 
 // CallInto is CallFrame for a response of k = len(dsts) pieces: k u32
@@ -600,10 +642,31 @@ func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer)
 // (ctx, I/O timeout) while its response is landing returns once that
 // read has ended. With no dsts, CallInto is CallFrame.
 func (c *Client) CallInto(ctx context.Context, method uint16, req *wire.Buffer, dsts ...[]byte) (resp []byte, err error) {
-	return c.call(ctx, method, req, true, dsts)
+	return c.start(ctx, method, req, true, dsts).Wait()
 }
 
-func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recycled bool, dsts [][]byte) ([]byte, error) {
+// StartInto is CallInto's send half: it sends the request and returns
+// without waiting, so that one goroutine can have calls out to many
+// peers at once. The call's Wait is CallInto's return; until Wait has
+// returned, the dsts are the call's.
+func (c *Client) StartInto(ctx context.Context, method uint16, req *wire.Buffer, dsts ...[]byte) Pending {
+	return c.start(ctx, method, req, true, dsts)
+}
+
+// Pending is a call whose request has gone out. Every started call is
+// waited on, exactly once: until then its record stays out of the
+// client's free list, and a response can still land in its dsts.
+type Pending struct {
+	c       *Client
+	ctx     context.Context
+	cl      *call // nil: the call failed before or while sending, with err
+	err     error
+	id      uint64
+	d       time.Duration    // the I/O timeout the call went out under
+	timeout <-chan time.Time // the response bound; nil: none
+}
+
+func (c *Client) start(ctx context.Context, method uint16, req *wire.Buffer, recycled bool, dsts [][]byte) Pending {
 	id := c.nextID.Add(1)
 
 	// A context that is already done fails the call here, not by a coin
@@ -616,7 +679,7 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 	if err != nil {
 		c.mu.Unlock()
 		req.Release()
-		return nil, err
+		return Pending{err: err}
 	}
 	var cl *call
 	if n := len(c.free); n > 0 {
@@ -642,14 +705,14 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 		// wire; the connection is unusable for framing either way.
 		c.conn.Close()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil, fmt.Errorf("%w: frame write stalled for %v", ErrCallTimeout, d)
+			return Pending{err: fmt.Errorf("%w: frame write stalled for %v", ErrCallTimeout, d)}
 		}
-		return nil, fmt.Errorf("rpc: send: %w", err)
+		return Pending{err: fmt.Errorf("rpc: send: %w", err)}
 	}
 
 	// The response bound: skipped when the caller manages its own
 	// deadline or explicitly opted out (long-blocking waits).
-	var ioTimer <-chan time.Time
+	p := Pending{c: c, ctx: ctx, cl: cl, id: id, d: d}
 	if d > 0 && !hasNoTimeout(ctx) {
 		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 			if cl.timer == nil {
@@ -657,10 +720,20 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 			} else {
 				cl.timer.Reset(d)
 			}
-			ioTimer = cl.timer.C
+			p.timeout = cl.timer.C
 		}
 	}
+	return p
+}
 
+// Wait waits for the call's response, its I/O timeout or its context,
+// whichever comes first, and returns what Call, CallFrame or CallInto
+// would have. Once it has returned, nothing writes to the call's dsts.
+func (p Pending) Wait() ([]byte, error) {
+	c, cl := p.c, p.cl
+	if cl == nil {
+		return nil, p.err
+	}
 	select {
 	case res := <-cl.ch:
 		c.release(cl)
@@ -672,12 +745,12 @@ func (c *Client) call(ctx context.Context, method uint16, req *wire.Buffer, recy
 			return nil, res.err
 		}
 		return nil, &RemoteError{Code: res.status, Msg: string(res.payload)}
-	case <-ioTimer:
-		c.abandon(id, cl)
-		return nil, fmt.Errorf("%w: no response within %v", ErrCallTimeout, d)
-	case <-ctx.Done():
-		c.abandon(id, cl)
-		return nil, ctx.Err()
+	case <-p.timeout:
+		c.abandon(p.id, cl)
+		return nil, fmt.Errorf("%w: no response within %v", ErrCallTimeout, p.d)
+	case <-p.ctx.Done():
+		c.abandon(p.id, cl)
+		return nil, p.ctx.Err()
 	}
 }
 

@@ -2,12 +2,15 @@ package rpc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"blobseer/internal/wire"
 )
 
 // startServer wires a mux to a fresh inproc endpoint and returns a dialer.
@@ -137,6 +140,66 @@ func TestBlockingHandlerDoesNotStallOthers(t *testing.T) {
 	close(release)
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
+	}
+}
+
+// TestInlineMethodAnswersInRequestOrder: an inline method is answered on
+// the connection's goroutine, while a spawned handler on the same
+// connection is blocked, and its responses leave in request order
+// though each later request takes its handler less time (spawned, they
+// would leave last first).
+func TestInlineMethodAnswersInRequestOrder(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	mux := NewMux()
+	mux.Handle(1, func(context.Context, []byte) ([]byte, error) {
+		close(entered)
+		<-release
+		return []byte("slow"), nil
+	})
+	mux.HandleInline(2, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+		time.Sleep(time.Duration(p[0]) * time.Millisecond)
+		return frameOf(p), nil
+	})
+	n, addr, _ := startServer(t, mux)
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the server's Close, which waits for the handler
+	conn, err := n.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const k = 6
+	sent := make(chan error, 1)
+	go func() {
+		if _, err := conn.Write(rawFrame(100, 1, 0, nil)); err != nil {
+			sent <- err
+			return
+		}
+		<-entered
+		var reqs []byte
+		for i := 0; i < k; i++ {
+			reqs = append(reqs, rawFrame(uint64(i+1), 2, 0, []byte{byte(k - i)})...)
+		}
+		_, err := conn.Write(reqs)
+		sent <- err
+	}()
+	for i := 0; i < k; i++ {
+		frame, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := binary.BigEndian.Uint64(frame); id != uint64(i+1) || frame[hdrLen] != byte(k-i) {
+			t.Fatalf("response %d answers request %d (body %v), want request %d", i, id, frame[hdrLen:], i+1)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	free()
+	frame, err := wire.ReadFrame(conn, 0)
+	if err != nil || binary.BigEndian.Uint64(frame) != 100 || string(frame[hdrLen:]) != "slow" {
+		t.Fatalf("the blocked call's response = %q, %v", frame, err)
 	}
 }
 

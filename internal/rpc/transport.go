@@ -207,6 +207,17 @@ func (p *Pool) Call(ctx context.Context, b Backoff, addr string, m uint16, size 
 	return derr
 }
 
+// StartInto is Client.StartInto on addr's client, which req goes to
+// either way: a failure to dial comes back from the call's Wait.
+func (p *Pool) StartInto(ctx context.Context, addr string, m uint16, req *wire.Buffer, dsts ...[]byte) Pending {
+	cl, err := p.Get(addr)
+	if err != nil {
+		req.Release()
+		return Pending{err: err}
+	}
+	return cl.StartInto(ctx, m, req, dsts...)
+}
+
 // Close closes every pooled client.
 func (p *Pool) Close() {
 	p.mu.Lock()

@@ -269,27 +269,3 @@ func TestWindowed(t *testing.T) {
 		t.Errorf("Windowed(1) = %v", err)
 	}
 }
-
-// TestWindowReuse: a kept Window runs batch after batch — a failed one
-// does not stick — and allocates only the closures of the goroutines it
-// starts.
-func TestWindowReuse(t *testing.T) {
-	var w Window
-	boom := errors.New("boom")
-	if err := w.Run(4, 2, func(i int) error {
-		if i == 1 {
-			return boom
-		}
-		return nil
-	}); err != boom {
-		t.Fatalf("Run = %v, want boom", err)
-	}
-	var ran atomic.Int32
-	count := func(int) error { ran.Add(1); return nil }
-	if err := w.Run(4, 2, count); err != nil || ran.Load() != 4 {
-		t.Fatalf("Run after a failure = %v with %d of 4 run", err, ran.Load())
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = w.Run(3, 4, count) }); n > 2 {
-		t.Errorf("a 3-task Run allocates %v times, want at most its 2 goroutines' closures", n)
-	}
-}

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"strings"
 	"testing"
 
 	"blobseer/internal/obs"
@@ -116,6 +118,26 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	if snap["namespace"].Counters["ops_create_file"] == 0 {
 		t.Error("namespace create_file counter is zero after Create")
 	}
+	// Every role's server meters each method by name: the write
+	// allocated its blocks, chained them to the providers and put its
+	// tree nodes to the metadata providers.
+	if snap["pmanager"].Counters["ops_allocate"] == 0 {
+		t.Error("pmanager ops_allocate is zero after a write")
+	}
+	summed := func(prefix, metric string) (n int64) {
+		for svc, s := range snap {
+			if strings.HasPrefix(svc, prefix) {
+				n += s.Counters[metric]
+			}
+		}
+		return n
+	}
+	if summed("provider-", "ops_put_chained") == 0 {
+		t.Error("no provider counts an ops_put_chained after a write")
+	}
+	if summed("meta-", "ops_put_batch") == 0 {
+		t.Error("no metadata provider counts an ops_put_batch after a write")
+	}
 	// The recycled-buffer free lists every frame above came from: the
 	// smallest class carried the control calls, all of them recycled.
 	pool := snap["wire"].Gauges
@@ -124,5 +146,45 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	}
 	if _, ok := pool["pool_1024k_misses"]; !ok || len(pool) != 3*11 {
 		t.Errorf("wire pool exports %d gauges, want hits, misses and parked_bytes for 11 classes up to 1024k", len(pool))
+	}
+}
+
+// TestHDFSNamenodeMetered: the namenode is named and metered like every
+// other role: a traced write counts its add_block calls and records
+// server spans named add_block, not m3.
+func TestHDFSNamenodeMetered(t *testing.T) {
+	h, err := StartHDFS(HDFSConfig{Datanodes: 2, BlockSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Stop()
+	fsys, err := h.NewFS("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, id := obs.WithRoot(context.Background())
+	w, err := fsys.Create(ctx, "/m/file", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(bytes.Repeat([]byte("nn"), 3*4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	plane := h.node(h.NNAddr).Config().Plane
+	if n := plane.Registry().Snapshot().Counters["ops_add_block"]; n < 3 {
+		t.Errorf("namenode ops_add_block = %d after a 3-block write, want >= 3", n)
+	}
+	named := 0
+	for _, sp := range plane.Tracer().Spans(id) {
+		if sp.Op == "add_block" {
+			named++
+		}
+	}
+	if named == 0 {
+		t.Errorf("the traced write left no namenode span named add_block: %+v", plane.Tracer().Spans(id))
 	}
 }

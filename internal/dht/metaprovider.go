@@ -27,20 +27,6 @@ const (
 	mMetaGetBatch
 )
 
-// methodNames maps method numbers to operation names (method - 1).
-var methodNames = [mMetaGetBatch]string{
-	"put", "get", "delete", "stat", "put_batch", "get_batch",
-}
-
-// MethodName maps an RPC method number to its operation name, for the
-// server-side tracer.
-func MethodName(m uint16) string {
-	if m >= 1 && m <= mMetaGetBatch {
-		return methodNames[m-1]
-	}
-	return "unknown"
-}
-
 // CodeNotFound is the RPC status for a missing metadata key.
 const CodeNotFound uint16 = 11
 
@@ -60,7 +46,6 @@ type MetaService struct {
 	reg       *obs.Registry
 	mPuts     *obs.Counter
 	mGets     *obs.Counter
-	mDeletes  *obs.Counter
 	mBatchPut *obs.Histogram // pairs per put-batch RPC
 	mBatchGet *obs.Histogram // keys per get-batch RPC
 	mBytesIn  *obs.Counter
@@ -75,7 +60,6 @@ func NewMetaService(st store.Store) *MetaService {
 	s := &MetaService{store: st, reg: obs.NewRegistry()}
 	s.mPuts = s.reg.Counter("puts")
 	s.mGets = s.reg.Counter("gets")
-	s.mDeletes = s.reg.Counter("deletes")
 	s.mBatchPut = s.reg.Histogram("put_batch_size")
 	s.mBatchGet = s.reg.Histogram("get_batch_size")
 	s.mBytesIn = s.reg.Counter("bytes_in")
@@ -88,16 +72,17 @@ func NewMetaService(st store.Store) *MetaService {
 // Store exposes the underlying store (tests, failure injection).
 func (s *MetaService) Store() store.Store { return s.store }
 
-// Metrics exposes the metadata provider's registry (op counts, batch
-// size histograms, store occupancy) for HTTP export.
+// Metrics exposes the metadata provider's registry (per-method counts,
+// errors and latency, keys put and got, batch size histograms, store
+// occupancy) for HTTP export.
 func (s *MetaService) Metrics() *obs.Registry { return s.reg }
 
-// Mux returns the RPC dispatch table.
+// Mux returns the RPC dispatch table, metered on the service's registry.
 func (s *MetaService) Mux() *rpc.Mux {
-	m := rpc.NewMux()
-	m.HandleFrame(mMetaDelete, s.handleDelete)
-	m.HandleFrame(mMetaPutBatch, s.handlePutBatch)
-	m.HandleFrame(mMetaGetBatch, s.handleGetBatch)
+	m := rpc.NewMeteredMux(s.reg)
+	m.HandleFrame(mMetaDelete, "delete", s.handleDelete)
+	m.HandleFrame(mMetaPutBatch, "put_batch", s.handlePutBatch)
+	m.HandleFrame(mMetaGetBatch, "get_batch", s.handleGetBatch)
 	return m
 }
 
@@ -116,7 +101,6 @@ func (s *MetaService) handleDelete(ctx context.Context, payload []byte) (*wire.B
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	s.mDeletes.Inc()
 	return nil, s.store.Delete(key)
 }
 

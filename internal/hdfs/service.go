@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"blobseer/internal/fs"
+	"blobseer/internal/obs"
 	"blobseer/internal/placement"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
@@ -27,29 +28,34 @@ const (
 
 // Service is the namenode RPC shell.
 type Service struct {
-	nn *Namenode
+	nn  *Namenode
+	reg *obs.Registry
 }
 
 // NewService wraps nn.
-func NewService(nn *Namenode) *Service { return &Service{nn: nn} }
+func NewService(nn *Namenode) *Service { return &Service{nn: nn, reg: obs.NewRegistry()} }
 
 // Namenode exposes the core (tests).
 func (s *Service) Namenode() *Namenode { return s.nn }
 
-// Mux returns the dispatch table.
+// Metrics exposes the namenode's registry (per-method counts, errors and
+// latency) for HTTP export.
+func (s *Service) Metrics() *obs.Registry { return s.reg }
+
+// Mux returns the dispatch table, metered on the namenode's registry.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMux()
-	m.HandleFrame(mRegisterDatanode, s.handleRegister)
-	m.HandleFrame(mCreate, s.handleCreate)
-	m.HandleFrame(mAddBlock, s.handleAddBlock)
-	m.HandleFrame(mCompleteBlock, s.handleCompleteBlock)
-	m.HandleFrame(mCompleteFile, s.handleCompleteFile)
-	m.HandleFrame(mGetBlockLocations, s.handleGetBlockLocations)
-	m.HandleFrame(mStat, s.handleStat)
-	m.HandleFrame(mList, s.handleList)
-	m.HandleFrame(mMkdirs, s.handleMkdirs)
-	m.HandleFrame(mDelete, s.handleDelete)
-	m.HandleFrame(mRename, s.handleRename)
+	m := rpc.NewMeteredMux(s.reg)
+	m.HandleFrame(mRegisterDatanode, "register_datanode", s.handleRegister)
+	m.HandleFrame(mCreate, "create", s.handleCreate)
+	m.HandleFrame(mAddBlock, "add_block", s.handleAddBlock)
+	m.HandleFrame(mCompleteBlock, "complete_block", s.handleCompleteBlock)
+	m.HandleFrame(mCompleteFile, "complete_file", s.handleCompleteFile)
+	m.HandleFrame(mGetBlockLocations, "get_block_locations", s.handleGetBlockLocations)
+	m.HandleFrame(mStat, "stat", s.handleStat)
+	m.HandleFrame(mList, "list", s.handleList)
+	m.HandleFrame(mMkdirs, "mkdirs", s.handleMkdirs)
+	m.HandleFrame(mDelete, "delete", s.handleDelete)
+	m.HandleFrame(mRename, "rename", s.handleRename)
 	return m
 }
 

@@ -365,14 +365,14 @@ func NewJTService(jt *JobTracker) *JTService { return &JTService{jt: jt} }
 // Mux returns the dispatch table.
 func (s *JTService) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mSubmitJob, s.handleSubmit)
-	m.Handle(mRequestTasks, s.handleRequestTasks)
-	m.Handle(mReportTask, s.handleReport)
-	m.Handle(mJobStatus, s.handleStatus)
+	m.HandleFrame(mSubmitJob, "submit_job", s.handleSubmit)
+	m.HandleFrame(mRequestTasks, "request_tasks", s.handleRequestTasks)
+	m.HandleFrame(mReportTask, "report_task", s.handleReport)
+	m.HandleFrame(mJobStatus, "job_status", s.handleStatus)
 	return m
 }
 
-func (s *JTService) handleSubmit(ctx context.Context, p []byte) ([]byte, error) {
+func (s *JTService) handleSubmit(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	conf := decodeConf(r)
 	if err := r.Err(); err != nil {
@@ -382,12 +382,12 @@ func (s *JTService) handleSubmit(ctx context.Context, p []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	b := wire.NewBuffer(8)
+	b := rpc.NewFrame(8)
 	b.U64(id)
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *JTService) handleRequestTasks(ctx context.Context, p []byte) ([]byte, error) {
+func (s *JTService) handleRequestTasks(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	addr := r.String()
 	host := r.String()
@@ -397,7 +397,7 @@ func (s *JTService) handleRequestTasks(ctx context.Context, p []byte) ([]byte, e
 		return nil, err
 	}
 	asgs, gc := s.jt.RequestTasks(addr, host, mapSlots, reduceSlots)
-	b := wire.NewBuffer(128)
+	b := rpc.NewFrame(128)
 	b.U32(uint32(len(asgs)))
 	for _, a := range asgs {
 		b.U64(a.JobID)
@@ -412,10 +412,10 @@ func (s *JTService) handleRequestTasks(ctx context.Context, p []byte) ([]byte, e
 	for _, id := range gc {
 		b.U64(id)
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-func (s *JTService) handleReport(ctx context.Context, p []byte) ([]byte, error) {
+func (s *JTService) handleReport(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	jobID := r.U64()
 	taskType := r.U8()
@@ -429,7 +429,7 @@ func (s *JTService) handleReport(ctx context.Context, p []byte) ([]byte, error) 
 	return nil, s.jt.Report(jobID, taskType, taskID, addr, success, errMsg)
 }
 
-func (s *JTService) handleStatus(ctx context.Context, p []byte) ([]byte, error) {
+func (s *JTService) handleStatus(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	jobID := r.U64()
 	if err := r.Err(); err != nil {
@@ -439,7 +439,7 @@ func (s *JTService) handleStatus(ctx context.Context, p []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	b := wire.NewBuffer(64)
+	b := rpc.NewFrame(64)
 	b.U8(uint8(st.State))
 	b.U32(uint32(st.MapsTotal))
 	b.U32(uint32(st.MapsDone))
@@ -447,7 +447,7 @@ func (s *JTService) handleStatus(ctx context.Context, p []byte) ([]byte, error) 
 	b.U32(uint32(st.LocalMaps))
 	b.U32(uint32(st.RemoteMaps))
 	b.String(st.Err)
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // JTClient is the jobtracker RPC client (used by tasktrackers and by
@@ -462,89 +462,79 @@ func NewJTClient(pool *rpc.Pool, addr string) *JTClient {
 	return &JTClient{pool: pool, addr: addr}
 }
 
-func (c *JTClient) call(ctx context.Context, m uint16, payload []byte) ([]byte, error) {
-	cl, err := c.pool.Get(c.addr)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Call(ctx, m, payload)
+// call issues one RPC (see rpc.Pool.Call for enc and dec). One attempt:
+// a retried Submit could submit a job twice.
+func (c *JTClient) call(ctx context.Context, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
+	return c.pool.Call(ctx, rpc.Backoff{}, c.addr, m, size, enc, dec)
 }
 
 // Submit sends a job.
-func (c *JTClient) Submit(ctx context.Context, conf JobConf) (uint64, error) {
-	b := wire.NewBuffer(128)
-	encodeConf(b, conf)
-	resp, err := c.call(ctx, mSubmitJob, b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	id := r.U64()
-	return id, r.Err()
+func (c *JTClient) Submit(ctx context.Context, conf JobConf) (id uint64, err error) {
+	err = c.call(ctx, mSubmitJob, 128, func(b *wire.Buffer) { encodeConf(b, conf) }, func(p []byte) error {
+		r := wire.NewReader(p)
+		id = r.U64()
+		return r.Err()
+	})
+	return id, err
 }
 
 // RequestTasks polls for work.
-func (c *JTClient) RequestTasks(ctx context.Context, addr, host string, mapSlots, reduceSlots int) ([]Assignment, []uint64, error) {
-	b := wire.NewBuffer(64)
-	b.String(addr)
-	b.String(host)
-	b.U32(uint32(mapSlots))
-	b.U32(uint32(reduceSlots))
-	resp, err := c.call(ctx, mRequestTasks, b.Bytes())
-	if err != nil {
-		return nil, nil, err
-	}
-	r := wire.NewReader(resp)
-	n := r.U32()
-	asgs := make([]Assignment, 0, n)
-	for i := uint32(0); i < n; i++ {
-		a := Assignment{JobID: r.U64(), Type: r.U8(), TaskID: int(r.U32())}
-		a.Conf = decodeConf(r)
-		a.Split = decodeSplit(r)
-		a.NumMaps = int(r.U32())
-		a.MapAddrs = r.StringSlice()
-		asgs = append(asgs, a)
-	}
-	g := r.U32()
-	gc := make([]uint64, 0, g)
-	for i := uint32(0); i < g; i++ {
-		gc = append(gc, r.U64())
-	}
-	return asgs, gc, r.Err()
+func (c *JTClient) RequestTasks(ctx context.Context, addr, host string, mapSlots, reduceSlots int) (asgs []Assignment, gc []uint64, err error) {
+	err = c.call(ctx, mRequestTasks, 64, func(b *wire.Buffer) {
+		b.String(addr)
+		b.String(host)
+		b.U32(uint32(mapSlots))
+		b.U32(uint32(reduceSlots))
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		n := r.U32()
+		asgs = make([]Assignment, 0, n)
+		for i := uint32(0); i < n; i++ {
+			a := Assignment{JobID: r.U64(), Type: r.U8(), TaskID: int(r.U32())}
+			a.Conf = decodeConf(r)
+			a.Split = decodeSplit(r)
+			a.NumMaps = int(r.U32())
+			a.MapAddrs = r.StringSlice()
+			asgs = append(asgs, a)
+		}
+		g := r.U32()
+		gc = make([]uint64, 0, g)
+		for i := uint32(0); i < g; i++ {
+			gc = append(gc, r.U64())
+		}
+		return r.Err()
+	})
+	return asgs, gc, err
 }
 
 // Report sends a task outcome.
 func (c *JTClient) Report(ctx context.Context, jobID uint64, taskType uint8, taskID int, addr string, success bool, errMsg string) error {
-	b := wire.NewBuffer(64)
-	b.U64(jobID)
-	b.U8(taskType)
-	b.U32(uint32(taskID))
-	b.String(addr)
-	b.Bool(success)
-	b.String(errMsg)
-	_, err := c.call(ctx, mReportTask, b.Bytes())
-	return err
+	return c.call(ctx, mReportTask, 64, func(b *wire.Buffer) {
+		b.U64(jobID)
+		b.U8(taskType)
+		b.U32(uint32(taskID))
+		b.String(addr)
+		b.Bool(success)
+		b.String(errMsg)
+	}, nil)
 }
 
 // Status polls a job.
-func (c *JTClient) Status(ctx context.Context, jobID uint64) (JobStatus, error) {
-	b := wire.NewBuffer(8)
-	b.U64(jobID)
-	resp, err := c.call(ctx, mJobStatus, b.Bytes())
-	if err != nil {
-		return JobStatus{}, err
-	}
-	r := wire.NewReader(resp)
-	st := JobStatus{
-		State:       JobState(r.U8()),
-		MapsTotal:   int(r.U32()),
-		MapsDone:    int(r.U32()),
-		ReducesDone: int(r.U32()),
-		LocalMaps:   int(r.U32()),
-		RemoteMaps:  int(r.U32()),
-		Err:         r.String(),
-	}
-	return st, r.Err()
+func (c *JTClient) Status(ctx context.Context, jobID uint64) (st JobStatus, err error) {
+	err = c.call(ctx, mJobStatus, 8, func(b *wire.Buffer) { b.U64(jobID) }, func(p []byte) error {
+		r := wire.NewReader(p)
+		st = JobStatus{
+			State:       JobState(r.U8()),
+			MapsTotal:   int(r.U32()),
+			MapsDone:    int(r.U32()),
+			ReducesDone: int(r.U32()),
+			LocalMaps:   int(r.U32()),
+			RemoteMaps:  int(r.U32()),
+			Err:         r.String(),
+		}
+		return r.Err()
+	})
+	return st, err
 }
 
 // Wait polls a job until it leaves JobRunning, returning its final

@@ -70,11 +70,11 @@ func NewTaskTracker(cfg TaskTrackerConfig) *TaskTracker {
 // Mux returns the tracker's RPC dispatch table (shuffle service).
 func (t *TaskTracker) Mux() *rpc.Mux {
 	m := rpc.NewMux()
-	m.Handle(mGetMapOutput, t.handleGetMapOutput)
+	m.HandleFrame(mGetMapOutput, "get_map_output", t.handleGetMapOutput)
 	return m
 }
 
-func (t *TaskTracker) handleGetMapOutput(ctx context.Context, p []byte) ([]byte, error) {
+func (t *TaskTracker) handleGetMapOutput(ctx context.Context, p []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(p)
 	jobID := r.U64()
 	mapTask := int(r.U32())
@@ -88,9 +88,9 @@ func (t *TaskTracker) handleGetMapOutput(ctx context.Context, p []byte) ([]byte,
 	if !ok {
 		return nil, fmt.Errorf("mapred: no output for job %d map %d partition %d", jobID, mapTask, partition)
 	}
-	b := wire.NewBuffer(4 + len(data))
+	b := rpc.NewFrame(4 + len(data))
 	b.Bytes32(data)
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Start launches the heartbeat loop.
@@ -331,22 +331,19 @@ func (t *TaskTracker) fetchMapOutput(ctx context.Context, addr string, jobID uin
 		}
 		return decodeKVs(data)
 	}
-	cl, err := t.cfg.Pool.Get(addr)
-	if err != nil {
-		return nil, err
-	}
-	b := wire.NewBuffer(16)
-	b.U64(jobID)
-	b.U32(uint32(mapTask))
-	b.U32(uint32(partition))
-	resp, err := cl.Call(ctx, mGetMapOutput, b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	data := r.Bytes32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return decodeKVs(data)
+	// One attempt: a failed fetch fails the reduce task.
+	var kvs []KV
+	err := t.cfg.Pool.Call(ctx, rpc.Backoff{}, addr, mGetMapOutput, 16, func(b *wire.Buffer) {
+		b.U64(jobID)
+		b.U32(uint32(mapTask))
+		b.U32(uint32(partition))
+	}, func(p []byte) (err error) {
+		r := wire.NewReader(p)
+		data := r.Bytes32()
+		if err = r.Err(); err == nil {
+			kvs, err = decodeKVs(data) // copies every key and value out of p
+		}
+		return err
+	})
+	return kvs, err
 }

@@ -30,20 +30,6 @@ const (
 	mStatEntry
 )
 
-// methodNames maps method numbers to operation names (method - 1).
-var methodNames = [mStatEntry]string{
-	"create_file", "get_file", "mkdirs", "delete", "rename", "list", "stat",
-}
-
-// MethodName maps an RPC method number to its operation name, for the
-// server-side tracer.
-func MethodName(m uint16) string {
-	if m >= 1 && m <= mStatEntry {
-		return methodNames[m-1]
-	}
-	return "unknown"
-}
-
 type entry struct {
 	name     string
 	isDir    bool

@@ -2,7 +2,6 @@ package namespace
 
 import (
 	"context"
-	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/fs"
@@ -29,34 +28,16 @@ func (s *Service) State() *State { return s.state }
 // counts, latency histograms) for HTTP export.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
-// timed wraps a handler with a per-op counter, error counter, and
-// latency histogram.
-func (s *Service) timed(name string, fn rpc.FrameHandler) rpc.FrameHandler {
-	ops := s.reg.Counter("ops_" + name)
-	errs := s.reg.Counter("errors_" + name)
-	lat := s.reg.Histogram("latency_" + name)
-	return func(ctx context.Context, p []byte) (*wire.Buffer, error) {
-		ops.Inc()
-		t0 := time.Now()
-		resp, err := fn(ctx, p)
-		lat.ObserveSince(t0)
-		if err != nil {
-			errs.Inc()
-		}
-		return resp, err
-	}
-}
-
-// Mux returns the RPC dispatch table.
+// Mux returns the RPC dispatch table, metered on the service's registry.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMux()
-	m.HandleFrame(mCreateFile, s.timed("create_file", s.handleCreateFile))
-	m.HandleFrame(mGetFile, s.timed("get_file", s.handleGetFile))
-	m.HandleFrame(mMkdirs, s.timed("mkdirs", s.handleMkdirs))
-	m.HandleFrame(mDelete, s.timed("delete", s.handleDelete))
-	m.HandleFrame(mRename, s.timed("rename", s.handleRename))
-	m.HandleFrame(mList, s.timed("list", s.handleList))
-	m.HandleFrame(mStatEntry, s.timed("stat", s.handleStatEntry))
+	m := rpc.NewMeteredMux(s.reg)
+	m.HandleFrame(mCreateFile, "create_file", s.handleCreateFile)
+	m.HandleFrame(mGetFile, "get_file", s.handleGetFile)
+	m.HandleFrame(mMkdirs, "mkdirs", s.handleMkdirs)
+	m.HandleFrame(mDelete, "delete", s.handleDelete)
+	m.HandleFrame(mRename, "rename", s.handleRename)
+	m.HandleFrame(mList, "list", s.handleList)
+	m.HandleFrame(mStatEntry, "stat", s.handleStatEntry)
 	return m
 }
 

@@ -118,14 +118,14 @@ func Start(cfg Config) (n *Node, err error) {
 			n = nil
 		}
 	}()
-	mux, opName, err := n.build()
+	mux, err := n.build()
 	if err != nil {
 		return n, err
 	}
 	if mux != nil {
 		n.Addr = cfg.Listener.Addr().String()
 		n.srv = rpc.NewServer(mux)
-		n.srv.SetTrace(cfg.Plane.Tracer(), opName)
+		n.srv.SetTrace(cfg.Plane.Tracer())
 		go n.srv.Serve(cfg.Listener)
 		n.logf("%s listening on %s", cfg.Plane.Name(), n.Addr)
 	}
@@ -144,31 +144,31 @@ func Start(cfg Config) (n *Node, err error) {
 }
 
 // build constructs the role's service and returns its dispatch table
-// and the method namer for server spans (both nil for repair, a pure
-// client). The usage errors name blobseerd's flags: it is their caller.
-func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
+// (nil for repair, a pure client). The usage errors name blobseerd's
+// flags: it is their caller.
+func (n *Node) build() (mux *rpc.Mux, err error) {
 	cfg := &n.cfg
 	switch cfg.Role {
 	case Meta, Provider, Datanode:
 		if cfg.Role == Provider && cfg.PM == "" {
-			return nil, nil, errors.New("provider: -pmanager is required")
+			return nil, errors.New("provider: -pmanager is required")
 		}
 		if cfg.Role == Datanode && cfg.NamenodeAddr == "" {
-			return nil, nil, errors.New("datanode: -namenode is required")
+			return nil, errors.New("datanode: -namenode is required")
 		}
 		if n.store, err = store.Open(cmp.Or(cfg.StoreURL, "mem://")); err != nil {
-			return nil, nil, fmt.Errorf("open store: %w", err)
+			return nil, fmt.Errorf("open store: %w", err)
 		}
 		if cfg.Role == Meta {
 			n.Meta = dht.NewMetaService(n.store)
 			cfg.Plane.Use(n.Meta.Metrics())
-			return n.Meta.Mux(), dht.MethodName, nil
+			return n.Meta.Mux(), nil
 		}
 		// Providers and datanodes forward chain frames to the replicas
 		// downstream of them: BlobSeer's chain and HDFS's pipeline.
 		n.Prov = provider.NewService(n.store, provider.WithForwarder(cfg.Pool))
 		cfg.Plane.Use(n.Prov.Metrics())
-		return n.Prov.Mux(), provider.MethodName, nil
+		return n.Prov.Mux(), nil
 
 	case VManager:
 		sub := "vmanager"
@@ -179,7 +179,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			func(l *wal.Log) (*vmanager.State, error) { return vmanager.Recover(l, &cfg.Shard) },
 			func() *vmanager.State { return vmanager.NewState(&cfg.Shard) })
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		n.VM = vmanager.NewService(st)
 		walGauges(n.VM.Metrics(), log)
@@ -188,7 +188,7 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			n.loops = append(n.loops, n.VM.StopJanitor)
 		}
 		cfg.Plane.Use(n.VM.Metrics())
-		return n.VM.Mux(), vmanager.MethodName, nil
+		return n.VM.Mux(), nil
 
 	case PManager:
 		n.PM = pmanager.NewService(pmanager.NewState(cfg.Strategy))
@@ -197,43 +197,44 @@ func (n *Node) build() (mux *rpc.Mux, opName func(uint16) string, err error) {
 			n.loops = append(n.loops, n.PM.StopExpiry)
 		}
 		cfg.Plane.Use(n.PM.Metrics())
-		return n.PM.Mux(), pmanager.MethodName, nil
+		return n.PM.Mux(), nil
 
 	case Namespace:
 		if len(cfg.VM) == 0 {
-			return nil, nil, errors.New("namespace: -vmanager is required")
+			return nil, errors.New("namespace: -vmanager is required")
 		}
 		creator := namespace.VMBlobCreator(vmanager.NewClient(cfg.Pool, cfg.VM...))
 		st, log, err := openState(n, "namespace",
 			func(l *wal.Log) (*namespace.State, error) { return namespace.Recover(l, creator) },
 			func() *namespace.State { return namespace.NewState(creator) })
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		n.NS = namespace.NewService(st)
 		walGauges(n.NS.Metrics(), log)
 		cfg.Plane.Use(n.NS.Metrics())
-		return n.NS.Mux(), namespace.MethodName, nil
+		return n.NS.Mux(), nil
 
 	case Namenode:
 		n.NN = hdfs.NewService(hdfs.NewNamenode(cfg.BlockSize, cfg.Strategy))
-		return n.NN.Mux(), nil, nil
+		cfg.Plane.Use(n.NN.Metrics())
+		return n.NN.Mux(), nil
 
 	case Repair:
 		if len(cfg.VM) == 0 || cfg.PM == "" || len(cfg.Meta) == 0 {
-			return nil, nil, errors.New("repair: -vmanager, -pmanager and -meta are required")
+			return nil, errors.New("repair: -vmanager, -pmanager and -meta are required")
 		}
 		if cfg.RepairInterval <= 0 {
-			return nil, nil, errors.New("repair: -repair-interval must be positive")
+			return nil, errors.New("repair: -repair-interval must be positive")
 		}
 		n.Repair = Connect(cfg.Pool, cfg.Endpoints).Repair()
 		cfg.Plane.Use(n.Repair.Metrics())
 		n.Repair.Start(cfg.RepairInterval)
 		n.loops = append(n.loops, n.Repair.Stop)
 		n.logf("repair loop running (every %s)", cfg.RepairInterval)
-		return nil, nil, nil
+		return nil, nil
 	}
-	return nil, nil, fmt.Errorf("unknown role %q", cfg.Role)
+	return nil, fmt.Errorf("unknown role %q", cfg.Role)
 }
 
 // openState returns a control-plane role's state: recovered from the

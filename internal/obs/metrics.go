@@ -139,12 +139,32 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
+	var now int64
+	if h.window > 0 {
+		now = time.Now().UnixNano()
+	}
+	h.observe(v, now)
+}
+
+// ObserveSince records the elapsed nanoseconds since t0. It reads the
+// clock once: the reading that ends the interval also picks its window.
+func (h *Histogram) ObserveSince(t0 time.Time) {
+	if h == nil {
+		return
+	}
+	now := time.Now()
+	h.observe(int64(now.Sub(t0)), now.UnixNano())
+}
+
+// observe records v at now, the wall clock in ns (read only when h is
+// windowed).
+func (h *Histogram) observe(v, now int64) {
 	idx := bucketIndex(v)
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[idx].Add(1)
 	if h.window > 0 {
-		e := time.Now().UnixNano() / h.window
+		e := now / h.window
 		w := &h.win[int(e%histWindows)]
 		if old := w.epoch.Load(); old != e {
 			if w.epoch.CompareAndSwap(old, e) {
@@ -161,14 +181,6 @@ func (h *Histogram) Observe(v int64) {
 		w.sum.Add(v)
 		w.buckets[idx].Add(1)
 	}
-}
-
-// ObserveSince records the elapsed nanoseconds since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(int64(time.Since(t0)))
 }
 
 // Count returns the number of observations.

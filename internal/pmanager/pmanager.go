@@ -30,20 +30,6 @@ const (
 	mDecommission
 )
 
-// methodNames maps method numbers to operation names (method - 1).
-var methodNames = [mDecommission]string{
-	"register", "allocate", "list", "mark_dead", "heartbeat", "decommission",
-}
-
-// MethodName maps an RPC method number to its operation name, for the
-// server-side tracer.
-func MethodName(m uint16) string {
-	if m >= 1 && m <= mDecommission {
-		return methodNames[m-1]
-	}
-	return "unknown"
-}
-
 // CodeNoProviders maps placement.ErrNoProviders across the wire.
 const CodeNoProviders uint16 = 30
 
@@ -318,6 +304,10 @@ type Service struct {
 	state *State
 	reg   *obs.Registry
 
+	blocksAllocated   *obs.Counter // blocks placed by successful allocations
+	heartbeatsUnknown *obs.Counter // heartbeats from providers not registered
+	expired           *obs.Counter // providers the liveness loop retired
+
 	expiryMu   sync.Mutex
 	stopExpiry chan struct{}
 }
@@ -325,6 +315,9 @@ type Service struct {
 // NewService wraps state.
 func NewService(state *State) *Service {
 	s := &Service{state: state, reg: obs.NewRegistry()}
+	s.blocksAllocated = s.reg.Counter("blocks_allocated")
+	s.heartbeatsUnknown = s.reg.Counter("heartbeats_unknown")
+	s.expired = s.reg.Counter("expired")
 	s.reg.GaugeFunc("providers_live", func() int64 {
 		live, _, _ := state.Membership()
 		return int64(live)
@@ -346,8 +339,9 @@ func NewService(state *State) *Service {
 // State exposes the core.
 func (s *Service) State() *State { return s.state }
 
-// Metrics exposes the manager's registry (membership gauges, heartbeat
-// lag, allocation counters) for HTTP export.
+// Metrics exposes the manager's registry (per-method counts, errors and
+// latency, membership gauges, heartbeat lag, blocks allocated) for HTTP
+// export.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // StartExpiry launches the liveness loop: every interval, providers
@@ -372,7 +366,7 @@ func (s *Service) StartExpiry(maxAge, interval time.Duration) {
 				return
 			case <-t.C:
 				if n := s.state.ExpireStale(maxAge); n > 0 {
-					s.reg.Counter("expired").Add(int64(n))
+					s.expired.Add(int64(n))
 				}
 			}
 		}
@@ -389,15 +383,15 @@ func (s *Service) StopExpiry() {
 	}
 }
 
-// Mux returns the RPC dispatch table.
+// Mux returns the RPC dispatch table, metered on the manager's registry.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMux()
-	m.HandleFrame(mRegister, s.handleRegister)
-	m.HandleFrame(mAllocate, s.handleAllocate)
-	m.HandleFrame(mList, s.handleList)
-	m.HandleFrame(mMarkDead, s.handleMarkDead)
-	m.HandleFrame(mHeartbeat, s.handleHeartbeat)
-	m.HandleFrame(mDecommission, s.handleDecommission)
+	m := rpc.NewMeteredMux(s.reg)
+	m.HandleFrame(mRegister, "register", s.handleRegister)
+	m.HandleFrame(mAllocate, "allocate", s.handleAllocate)
+	m.HandleFrame(mList, "list", s.handleList)
+	m.HandleFrame(mMarkDead, "mark_dead", s.handleMarkDead)
+	m.HandleFrame(mHeartbeat, "heartbeat", s.handleHeartbeat)
+	m.HandleFrame(mDecommission, "decommission", s.handleDecommission)
 	return m
 }
 
@@ -409,7 +403,6 @@ func (s *Service) handleRegister(ctx context.Context, p []byte) (*wire.Buffer, e
 		return nil, err
 	}
 	s.state.Register(addr, host)
-	s.reg.Counter("registrations").Inc()
 	return nil, nil
 }
 
@@ -422,9 +415,8 @@ func (s *Service) handleHeartbeat(ctx context.Context, p []byte) (*wire.Buffer, 
 		return nil, err
 	}
 	known := s.state.Heartbeat(addr, st)
-	s.reg.Counter("heartbeats").Inc()
 	if !known {
-		s.reg.Counter("heartbeats_unknown").Inc()
+		s.heartbeatsUnknown.Inc()
 	}
 	b := rpc.NewFrame(1)
 	b.Bool(known)
@@ -438,7 +430,6 @@ func (s *Service) handleMarkDead(ctx context.Context, p []byte) (*wire.Buffer, e
 		return nil, err
 	}
 	s.state.MarkDead(addr)
-	s.reg.Counter("mark_dead").Inc()
 	return nil, nil
 }
 
@@ -449,7 +440,6 @@ func (s *Service) handleDecommission(ctx context.Context, p []byte) (*wire.Buffe
 		return nil, err
 	}
 	s.state.Decommission(addr)
-	s.reg.Counter("decommissions").Inc()
 	return nil, nil
 }
 
@@ -462,17 +452,14 @@ func (s *Service) handleAllocate(ctx context.Context, p []byte) (*wire.Buffer, e
 		return nil, err
 	}
 	b := rpc.NewFrame(64)
-	err := s.state.encodeAllocation(b, nBlocks, replicas, clientHost)
-	s.reg.Counter("allocations").Inc()
-	if err != nil {
+	if err := s.state.encodeAllocation(b, nBlocks, replicas, clientHost); err != nil {
 		b.Release()
-		s.reg.Counter("allocation_errors").Inc()
 		if errors.Is(err, placement.ErrNoProviders) {
 			return nil, rpc.CodedError(CodeNoProviders, err.Error())
 		}
 		return nil, err
 	}
-	s.reg.Counter("blocks_allocated").Add(int64(nBlocks))
+	s.blocksAllocated.Add(int64(nBlocks))
 	return b, nil
 }
 

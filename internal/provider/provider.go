@@ -101,21 +101,6 @@ const (
 	mReplicate
 )
 
-// methodNames maps method numbers to operation names (method - 1).
-var methodNames = [mReplicate]string{
-	"put_block", "get_block", "has_block", "delete_write", "delete_block",
-	"stat", "put_chained", "block_report", "replicate",
-}
-
-// MethodName maps an RPC method number to its operation name, for the
-// server-side tracer.
-func MethodName(m uint16) string {
-	if m >= 1 && m <= mReplicate {
-		return methodNames[m-1]
-	}
-	return "unknown"
-}
-
 // CodeNotFound is the RPC status for a missing block.
 const CodeNotFound uint16 = 10
 
@@ -260,9 +245,9 @@ func NewService(st store.Store, opts ...Option) *Service {
 	return s
 }
 
-// Metrics exposes the provider's registry (bytes in/out, chain frame
-// and hop-latency stats, stale-upload sweeps, per-tier counters) for
-// HTTP export.
+// Metrics exposes the provider's registry (per-method counts, errors
+// and latency, bytes in/out, chain frame and hop-latency stats,
+// stale-upload sweeps, per-tier counters) for HTTP export.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // BreakChain makes this provider refuse every frame it must forward, a
@@ -270,23 +255,24 @@ func (s *Service) Metrics() *obs.Registry { return s.reg }
 // clients onto the one-hop fallback puts, which it still takes).
 func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 
-// Mux returns the RPC dispatch table for the service.
+// Mux returns the RPC dispatch table for the service, metered on its
+// registry.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMux()
+	m := rpc.NewMeteredMux(s.reg)
 	if _, ok := s.store.(store.Lender); ok {
 		// A lending store's get waits on nothing: its bytes go out as the
 		// response's tails, on the connection's goroutine. A file store's
 		// keeps a goroutine: its tails go by sendfile, which measured
 		// slower inline.
-		m.HandleInline(mGetBlock, s.handleGetBlock)
+		m.HandleInline(mGetBlock, "get_block", s.handleGetBlock)
 	} else {
-		m.HandleFrame(mGetBlock, s.handleGetBlock)
+		m.HandleFrame(mGetBlock, "get_block", s.handleGetBlock)
 	}
-	m.HandleFrame(mDeleteWrite, s.handleDeleteWrite)
-	m.HandleFrame(mDeleteBlock, s.handleDeleteBlock)
-	m.HandleFrame(mPutChained, s.handlePutChained)
-	m.HandleFrame(mBlockReport, s.handleBlockReport)
-	m.HandleFrame(mReplicate, s.handleReplicate)
+	m.HandleFrame(mDeleteWrite, "delete_write", s.handleDeleteWrite)
+	m.HandleFrame(mDeleteBlock, "delete_block", s.handleDeleteBlock)
+	m.HandleFrame(mPutChained, "put_chained", s.handlePutChained)
+	m.HandleFrame(mBlockReport, "block_report", s.handleBlockReport)
+	m.HandleFrame(mReplicate, "replicate", s.handleReplicate)
 	return m
 }
 

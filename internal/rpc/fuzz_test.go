@@ -50,7 +50,7 @@ func FuzzServerFrame(f *testing.F) {
 	mux := NewMux()
 	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	mux.Handle(2, func(context.Context, []byte) ([]byte, error) { return nil, errors.New("refused") })
-	mux.HandleFrame(3, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+	mux.HandleFrame(3, "tailed", func(_ context.Context, p []byte) (*wire.Buffer, error) {
 		r := wire.NewReader(p)
 		id, v := r.U64(), r.U64()
 		switch {
@@ -106,7 +106,7 @@ func FuzzServerFrame(f *testing.F) {
 	})
 }
 
-// FuzzCallIntoResponse answers a CallInto of 1 to 4 dsts (sizes: a byte
+// FuzzCallIntoResponse answers a StartInto call of 1 to 4 dsts (sizes: a byte
 // each) over net.Pipe with an arbitrary response — flags, status and body
 // — and then a well-formed one. Nothing may panic; no byte may land in a
 // dst past its count, nor in any dst when the call fails (a misfit among
@@ -159,7 +159,7 @@ func FuzzCallIntoResponse(f *testing.F) {
 				}
 			}
 		}()
-		resp, err := c.CallInto(context.Background(), 1, NewFrame(0), dsts...)
+		resp, err := c.StartInto(context.Background(), 1, NewFrame(0), dsts...).Wait()
 		for i, b := range backing {
 			landed := 0
 			if err == nil {
@@ -171,7 +171,7 @@ func FuzzCallIntoResponse(f *testing.F) {
 		}
 		wire.PutBuf(resp)
 
-		resp, err = c.CallInto(context.Background(), 1, NewFrame(0), dsts...)
+		resp, err = c.StartInto(context.Background(), 1, NewFrame(0), dsts...).Wait()
 		if framed := flags&flagResponse != 0; framed != (err == nil) {
 			t.Fatalf("the call after a response of flags %#x = %v", flags, err)
 		} else if !framed {

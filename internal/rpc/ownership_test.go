@@ -261,12 +261,12 @@ func TestAbandonedCallRecordIsReused(t *testing.T) {
 // not decode fails the call without another attempt.
 func TestPoolCall(t *testing.T) {
 	mux := NewMux()
-	mux.HandleFrame(1, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+	mux.HandleFrame(1, "echo", func(_ context.Context, p []byte) (*wire.Buffer, error) {
 		f := NewFrame(len(p))
 		f.String(string(p))
 		return f, nil
 	})
-	mux.HandleFrame(2, func(context.Context, []byte) (*wire.Buffer, error) { return nil, nil })
+	mux.HandleFrame(2, "nothing", func(context.Context, []byte) (*wire.Buffer, error) { return nil, nil })
 	mux.Handle(3, func(context.Context, []byte) ([]byte, error) { return nil, CodedError(77, "refused") })
 	n, addr, _ := startServer(t, mux)
 	var dials atomic.Int32
@@ -331,8 +331,8 @@ func TestCallAllocations(t *testing.T) {
 	defer wire.PoisonReleased(true)
 	payload := bytes.Repeat([]byte{3}, 64)
 	mux := NewMux()
-	mux.HandleFrame(1, func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
-	mux.HandleFrame(2, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+	mux.HandleFrame(1, "echo", func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
+	mux.HandleFrame(2, "into", func(_ context.Context, p []byte) (*wire.Buffer, error) {
 		f := NewFrame(4)
 		f.Tail32(payload)
 		return f, nil
@@ -363,7 +363,7 @@ func TestCallAllocations(t *testing.T) {
 		tailed := testing.AllocsPerRun(500, func() {
 			f := NewFrame(4)
 			f.Tail32(payload)
-			resp, err := c.CallInto(ctx, 2, f, dst)
+			resp, err := c.StartInto(ctx, 2, f, dst).Wait()
 			if err != nil || !bytes.Equal(dst, payload) {
 				t.Fatal(err)
 			}
@@ -386,7 +386,7 @@ func TestWarmCallFrameAllocatesOnlyItsHandler(t *testing.T) {
 	wire.PoisonReleased(false) // the poison bookkeeping allocates
 	defer wire.PoisonReleased(true)
 	mux := NewMux()
-	mux.HandleFrame(1, func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
+	mux.HandleFrame(1, "echo", func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
 	lis, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

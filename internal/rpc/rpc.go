@@ -4,6 +4,13 @@
 // (real TCP for deployments, an in-process network for tests and
 // embedded clusters).
 //
+// Every service method is registered under a name (Mux.HandleFrame,
+// Mux.HandleInline), and the Server dispatches, names and meters it in
+// one place: a service hands its registry to NewMeteredMux once, and
+// each method exports ops_<name>, errors_<name> and latency_<name>
+// there; under a tracer (Server.SetTrace) each traced request records a
+// span of that name.
+//
 // Frame layout (inside a wire frame):
 //
 //	u64 request id | u16 method | u8 flags | u16 status | [trace] | payload...
@@ -31,13 +38,13 @@
 // the caller's, are sent with the frame (one writev on TCP) and must not
 // change until the call — or, for a response, the handler's frame write
 // — has returned. A frame's file tails (AttachFile) are the frame's and
-// follow the others, by sendfile on TCP. CallInto's dsts are written only between call and
-// return, each only up to the count the response gives it, and none of
-// them when any count does not fit: a call that gives up while its
-// response is landing returns once the read has ended. Pool.Call wraps
-// those rules for the control plane: it encodes the request again for
-// every attempt and recycles the response as soon as the caller's
-// decoder has returned.
+// follow the others, by sendfile on TCP. StartInto's dsts are written
+// only until its Wait returns, each only up to the count the response
+// gives it, and none of them when any count does not fit: a call that
+// gives up while its response is landing returns once the read has
+// ended. Pool.Call wraps those rules for the control plane: it encodes
+// the request again for every attempt and recycles the response as soon
+// as the caller's decoder has returned.
 //
 // No sync.Mutex is held across a network wait: it would queue callers
 // behind the slowest round trip. A conn's writer lock is held while one
@@ -198,7 +205,7 @@ const StatusError uint16 = 1
 // distinguish them from remote application errors and retry safely.
 var ErrConnBroken = errors.New("rpc: connection broken")
 
-// ErrMisfit fails a CallInto whose response is not a u32 count per
+// ErrMisfit fails a StartInto call whose response is not a u32 count per
 // destination followed by that many bytes for each, or gives one a count
 // larger than it holds: nothing was written to any destination.
 var ErrMisfit = errors.New("rpc: response does not fit its destinations")
@@ -298,67 +305,113 @@ func CodeOf(err error) uint16 {
 
 // HandlerFunc processes one request payload and returns a response
 // payload or an error. ctx carries the request's trace context (if the
-// frame was traced), so handlers that fan out — a provider forwarding
-// down a replica chain, the namespace manager calling the version
-// manager — propagate causality by passing ctx to their own calls.
-// payload is valid until the handler returns; the response may alias it.
+// frame was traced), so handlers that fan out propagate causality by
+// passing ctx to their own calls. payload is valid until the handler
+// returns; the response may alias it. Only the benchmark module's echo
+// probe registers one (Handle); services register FrameHandlers.
 type HandlerFunc func(ctx context.Context, payload []byte) ([]byte, error)
 
-// FrameHandler is a HandlerFunc that encodes its response straight into
-// a frame from NewFrame: the server sends that frame without copying it
-// and releases it.
+// FrameHandler processes one request payload and encodes its response
+// straight into a frame from NewFrame: the server sends that frame
+// without copying it and releases it. ctx carries the request's trace
+// context (if the frame was traced), so handlers that fan out — a
+// provider forwarding down a replica chain, the namespace manager
+// calling the version manager — propagate causality by passing ctx to
+// their own calls. payload is valid until the handler returns; the
+// response may alias it.
 type FrameHandler func(ctx context.Context, payload []byte) (*wire.Buffer, error)
 
-// Mux dispatches requests by method number. The zero value is usable.
+// Mux dispatches requests by method number, and names each method: its
+// server span carries the name, and a Mux built by NewMeteredMux meters
+// it as ops_<name> (counted when a request reaches the handler),
+// errors_<name> and latency_<name> (both when the handler returns). The
+// zero value is usable and unmetered.
 type Mux struct {
+	reg      *obs.Registry // nil: unmetered
 	mu       sync.RWMutex
-	handlers map[uint16]handler
+	handlers map[uint16]*handler
 }
 
-// handler is a registered method: its function, and whether it runs on
-// the connection's goroutine (HandleInline).
+// handler is a registered method: its function, its name, its meters
+// (nil when the Mux is unmetered) and whether it runs on the
+// connection's goroutine (HandleInline).
 type handler struct {
 	fn     FrameHandler
 	inline bool
+	name   string // "": registered by Handle, spans read m<N>
+	ops    *obs.Counter
+	errs   *obs.Counter
+	lat    *obs.Histogram
 }
 
-// NewMux returns an empty Mux.
-func NewMux() *Mux { return &Mux{handlers: make(map[uint16]handler)} }
+// NewMux returns an empty, unmetered Mux.
+func NewMux() *Mux { return &Mux{} }
+
+// NewMeteredMux returns an empty Mux that meters every named method on
+// reg, the service's registry.
+func NewMeteredMux(reg *obs.Registry) *Mux { return &Mux{reg: reg} }
 
 // Handle registers fn for method m, replacing any previous handler. Its
-// response is copied into a frame.
+// response is copied into a frame, and the method has no name: it is
+// not metered and its spans read m<N>. Only the benchmark module's echo
+// probe uses it.
 func (x *Mux) Handle(m uint16, fn HandlerFunc) {
-	x.HandleFrame(m, func(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+	x.register(m, &handler{fn: func(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 		resp, err := fn(ctx, payload)
 		if err != nil {
 			return nil, err
 		}
 		return frameOf(resp), nil
-	})
+	}})
 }
 
-// HandleFrame registers fn for method m, replacing any previous handler.
-// Each request runs in a goroutine of its own.
-func (x *Mux) HandleFrame(m uint16, fn FrameHandler) { x.register(m, handler{fn: fn}) }
+// HandleFrame registers fn as method m, named name, replacing any
+// previous handler of m. Each request runs in a goroutine of its own.
+// It panics on an empty name, or on one another method of x has: the
+// two would share their meters.
+func (x *Mux) HandleFrame(m uint16, name string, fn FrameHandler) {
+	x.register(m, &handler{fn: fn, name: mustName(m, name)})
+}
 
 // HandleInline is HandleFrame for a handler that waits on nothing but
 // its own response write: it runs on the connection's goroutine, which
 // reads the connection's next request only once the response is out.
 // That costs no parallelism, since one connection's responses go out
 // one at a time anyway, and saves the request its goroutine.
-func (x *Mux) HandleInline(m uint16, fn FrameHandler) { x.register(m, handler{fn: fn, inline: true}) }
+func (x *Mux) HandleInline(m uint16, name string, fn FrameHandler) {
+	x.register(m, &handler{fn: fn, inline: true, name: mustName(m, name)})
+}
 
-func (x *Mux) register(m uint16, h handler) {
+func mustName(m uint16, name string) string {
+	if name == "" {
+		panic(fmt.Sprintf("rpc: method %d registered without a name", m))
+	}
+	return name
+}
+
+// register files h as method m, its meters resolved.
+func (x *Mux) register(m uint16, h *handler) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	if h.name != "" {
+		for other, o := range x.handlers {
+			if other != m && o.name == h.name {
+				panic(fmt.Sprintf("rpc: methods %d and %d are both named %q", other, m, h.name))
+			}
+		}
+		// A nil registry hands out nil meters, which count nothing.
+		h.ops = x.reg.Counter("ops_" + h.name)
+		h.errs = x.reg.Counter("errors_" + h.name)
+		h.lat = x.reg.Histogram("latency_" + h.name)
+	}
 	if x.handlers == nil {
-		x.handlers = make(map[uint16]handler)
+		x.handlers = make(map[uint16]*handler)
 	}
 	x.handlers[m] = h
 }
 
-// lookup returns method m's handler; its fn is nil for an unknown method.
-func (x *Mux) lookup(m uint16) handler {
+// lookup returns method m's handler, nil for an unknown method.
+func (x *Mux) lookup(m uint16) *handler {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	return x.handlers[m]
@@ -368,12 +421,12 @@ func (x *Mux) lookup(m uint16) handler {
 // in its own goroutine, so handlers may block (the version manager's
 // wait-for-publication call relies on this), except that a method
 // registered with HandleInline runs on its connection's goroutine, and
-// may wait on nothing but its response write.
+// may wait on nothing but its response write. Every request the Mux
+// knows is metered by its method's name (see Mux) and, under a tracer,
+// records a span of that name.
 type Server struct {
-	mux *Mux
-
+	mux    *Mux
 	tracer *obs.Tracer
-	opName func(uint16) string
 
 	mu     sync.Mutex
 	lis    net.Listener
@@ -387,13 +440,11 @@ func NewServer(mux *Mux) *Server {
 	return &Server{mux: mux, conns: make(map[net.Conn]struct{})}
 }
 
-// SetTrace attaches a tracer: every dispatched request records one
-// server-side span, named via opName (each service package exports a
-// MethodName for this). Must be called before Serve.
-func (s *Server) SetTrace(t *obs.Tracer, opName func(uint16) string) {
-	s.tracer = t
-	s.opName = opName
-}
+// SetTrace attaches a tracer: every dispatched request that carries a
+// sampled trace context records one server-side span, named as its
+// method is registered (m<N> for a method registered by Handle). Must
+// be called before Serve.
+func (s *Server) SetTrace(t *obs.Tracer) { s.tracer = t }
 
 // Serve accepts connections from lis until the server is closed. It
 // always returns a non-nil error; after Close the error is net.ErrClosed.
@@ -488,8 +539,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // protocol violation; drop the connection
 		}
 		h := s.mux.lookup(method)
-		if h.inline || h.fn == nil { // an unknown method is answered at once
-			resp, status := s.dispatch(tc, h.fn, method, payload)
+		if h == nil || h.inline { // an unknown method is answered at once
+			resp, status := s.dispatch(tc, h, method, payload)
 			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
 			wire.PutBuf(req)
 			if err != nil {
@@ -497,17 +548,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		fn := h.fn
 		hwg.Add(1)
 		go func() {
 			defer hwg.Done()
-			// Parsed again rather than captured: req and fn make the
+			// Parsed again rather than captured: req and h make the
 			// closure 64 bytes, the parsed header made it 144. The
 			// handler and the response write each run one call below
 			// the closure: a goroutine starts on a small stack, and
 			// every frame deeper brings a request nearer copying it.
 			id, method, payload, tc, _ := parseRequest(req)
-			resp, status := s.dispatch(tc, fn, method, payload)
+			resp, status := s.dispatch(tc, h, method, payload)
 			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
 			wire.PutBuf(req) // the response is out: nothing references the request now
 			if err != nil {
@@ -534,11 +584,19 @@ func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc obs.
 	return id, method, req[len(req)-r.Remaining():], tc, r.Err() == nil && flags&flagResponse == 0
 }
 
-// dispatch runs fn, the handler of method (nil: unknown method), on a
-// request's payload and returns the response frame and its status.
-func (s *Server) dispatch(tc obs.Context, fn FrameHandler, method uint16, payload []byte) (*wire.Buffer, uint16) {
-	if fn == nil {
+// dispatch runs h, the handler of method (nil: unknown method), on a
+// request's payload and returns the response frame and its status. The
+// method's request is counted on entry, so a handler that waits (a
+// parked WaitPublished) counts before it answers; an unmetered method
+// reads no clock.
+func (s *Server) dispatch(tc obs.Context, h *handler, method uint16, payload []byte) (*wire.Buffer, uint16) {
+	if h == nil {
 		return frameOf([]byte(fmt.Sprintf("unknown method %d", method))), StatusError
+	}
+	h.ops.Inc()
+	var t0 time.Time
+	if h.lat != nil {
+		t0 = time.Now()
 	}
 	ctx := context.Background()
 	if !tc.Trace.IsZero() {
@@ -546,16 +604,16 @@ func (s *Server) dispatch(tc obs.Context, fn FrameHandler, method uint16, payloa
 	}
 	var sp obs.Active
 	if s.tracer != nil {
-		var name string
-		if s.opName != nil {
-			name = s.opName(method)
-		} else {
+		name := h.name
+		if name == "" {
 			name = "m" + strconv.Itoa(int(method))
 		}
 		ctx, sp = s.tracer.Start(ctx, name)
 	}
-	resp, err := fn(ctx, payload)
+	resp, err := h.fn(ctx, payload)
+	h.lat.ObserveSince(t0)
 	if err != nil {
+		h.errs.Inc()
 		code := CodeOf(err)
 		sp.FinishCode(code, err.Error())
 		return frameOf([]byte(err.Error())), code
@@ -600,7 +658,7 @@ type call struct {
 	ch       chan callResult // buffered: the read loop never blocks on it
 	timer    *time.Timer     // the response bound, stopped between calls
 	recycled bool            // read the response payload into a wire.GetBuf slice
-	// CallInto's destinations, copied into a vector of the record's own
+	// StartInto's destinations, copied into a vector of the record's own
 	// so that the caller's may live on its stack.
 	dsts [][]byte
 }
@@ -622,6 +680,8 @@ func NewClient(conn net.Conn) *Client {
 // Call sends a request and waits for its response or ctx cancellation.
 // payload is copied into a frame and not retained; the result is read
 // from the connection into a slice of its own, the caller's to keep.
+// Services call through Pool.Call; only the benchmark module's echo
+// probe calls this.
 func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
 	return c.start(ctx, method, frameOf(payload), false, nil).Wait()
 }
@@ -633,22 +693,17 @@ func (c *Client) CallFrame(ctx context.Context, method uint16, req *wire.Buffer)
 	return c.start(ctx, method, req, true, nil).Wait()
 }
 
-// CallInto is CallFrame for a response of k = len(dsts) pieces: k u32
-// counts, then that many bytes for each piece in turn. Piece i is read
-// off the connection straight into dsts[i], past its count dsts[i] is
-// left as it was, and resp is the counts alone. A successful response of
-// another shape fails with ErrMisfit and writes to no destination. The
-// dsts are written only between call and return: a call that gives up
-// (ctx, I/O timeout) while its response is landing returns once that
-// read has ended. With no dsts, CallInto is CallFrame.
-func (c *Client) CallInto(ctx context.Context, method uint16, req *wire.Buffer, dsts ...[]byte) (resp []byte, err error) {
-	return c.start(ctx, method, req, true, dsts).Wait()
-}
-
-// StartInto is CallInto's send half: it sends the request and returns
-// without waiting, so that one goroutine can have calls out to many
-// peers at once. The call's Wait is CallInto's return; until Wait has
-// returned, the dsts are the call's.
+// StartInto sends a CallFrame whose response is k = len(dsts) pieces —
+// k u32 counts, then that many bytes for each piece in turn — and
+// returns without waiting, so that one goroutine can have calls out to
+// many peers at once. The call's Wait reads piece i off the connection
+// straight into dsts[i], leaves dsts[i] as it was past its count, and
+// returns the counts alone; a successful response of another shape
+// fails with ErrMisfit and writes to no destination. The dsts are the
+// call's until Wait has returned, and written only before: a call that
+// gives up (ctx, I/O timeout) while its response is landing returns
+// once that read has ended. With no dsts, StartInto(...).Wait() is
+// CallFrame.
 func (c *Client) StartInto(ctx context.Context, method uint16, req *wire.Buffer, dsts ...[]byte) Pending {
 	return c.start(ctx, method, req, true, dsts)
 }
@@ -727,8 +782,8 @@ func (c *Client) start(ctx context.Context, method uint16, req *wire.Buffer, rec
 }
 
 // Wait waits for the call's response, its I/O timeout or its context,
-// whichever comes first, and returns what Call, CallFrame or CallInto
-// would have. Once it has returned, nothing writes to the call's dsts.
+// whichever comes first, and returns what Call or CallFrame would have,
+// or for a call with dsts the counts (see StartInto). Once it has returned, nothing writes to the call's dsts.
 func (p Pending) Wait() ([]byte, error) {
 	c, cl := p.c, p.cl
 	if cl == nil {
@@ -900,7 +955,7 @@ func land(conn net.Conn, n int, dsts [][]byte) (payload []byte, misfit, err erro
 }
 
 // countsFit reports whether counts, a u32 per dst, each fit their dst
-// and add up to body bytes: the check CallInto makes of a response's
+// and add up to body bytes: the check StartInto's Wait makes of a response's
 // counts before it lands a byte.
 func countsFit(counts []byte, dsts [][]byte, body int) bool {
 	for i, dst := range dsts {

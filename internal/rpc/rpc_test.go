@@ -156,7 +156,7 @@ func TestInlineMethodAnswersInRequestOrder(t *testing.T) {
 		<-release
 		return []byte("slow"), nil
 	})
-	mux.HandleInline(2, func(_ context.Context, p []byte) (*wire.Buffer, error) {
+	mux.HandleInline(2, "sleep", func(_ context.Context, p []byte) (*wire.Buffer, error) {
 		time.Sleep(time.Duration(p[0]) * time.Millisecond)
 		return frameOf(p), nil
 	})

@@ -101,7 +101,7 @@ func TestTailedFramesMatchCopiedEncoding(t *testing.T) {
 		for _, tailed := range []bool{false, true} {
 			cli, srv := connPair(t, tcp)
 			mux := NewMux()
-			mux.HandleFrame(7, func(context.Context, []byte) (*wire.Buffer, error) { return encode(tailed), nil })
+			mux.HandleFrame(7, "tailed", func(context.Context, []byte) (*wire.Buffer, error) { return encode(tailed), nil })
 			s := NewServer(mux)
 			s.wg.Add(1)
 			go s.serveConn(srv)
@@ -223,8 +223,8 @@ func intoMux(data []byte, entered chan<- struct{}, gate <-chan struct{}) *Mux {
 		return f, nil
 	}
 	mux := NewMux()
-	mux.HandleFrame(1, answer)
-	mux.HandleFrame(2, func(ctx context.Context, p []byte) (*wire.Buffer, error) {
+	mux.HandleFrame(1, "answer", answer)
+	mux.HandleFrame(2, "blocked", func(ctx context.Context, p []byte) (*wire.Buffer, error) {
 		entered <- struct{}{}
 		<-gate
 		return answer(ctx, p)
@@ -241,7 +241,7 @@ func askFor(sizes ...int) *wire.Buffer {
 	return f
 }
 
-// TestCallInto: the data lands in dst and only the count comes back; a
+// TestCallInto: a StartInto call's data lands in dst and only the count comes back; a
 // count larger than dst fails the call with ErrMisfit and, like a coded
 // error, writes nothing into dst and leaves the connection serving.
 func TestCallInto(t *testing.T) {
@@ -251,9 +251,9 @@ func TestCallInto(t *testing.T) {
 	dst := bytes.Repeat([]byte{0xAA}, 200_000)
 
 	for _, want := range []int{200_000, 1234, 0} { // full, short, empty
-		resp, err := c.CallInto(ctx, 1, askFor(want), dst)
+		resp, err := c.StartInto(ctx, 1, askFor(want), dst).Wait()
 		if err != nil || len(resp) != 4 || int(binary.BigEndian.Uint32(resp)) != want {
-			t.Fatalf("CallInto for %d bytes = head %x, %v", want, resp, err)
+			t.Fatalf("StartInto for %d bytes = head %x, %v", want, resp, err)
 		}
 		wire.PutBuf(resp)
 		if !bytes.Equal(dst[:want], data[:want]) {
@@ -267,10 +267,10 @@ func TestCallInto(t *testing.T) {
 		copy(dst, bytes.Repeat([]byte{0xAA}, len(dst)))
 	}
 
-	if _, err := c.CallInto(ctx, 1, askFor(200_001), dst); !errors.Is(err, ErrMisfit) {
+	if _, err := c.StartInto(ctx, 1, askFor(200_001), dst).Wait(); !errors.Is(err, ErrMisfit) {
 		t.Fatalf("a count larger than dst = %v, want ErrMisfit", err)
 	}
-	if _, err := c.CallInto(ctx, 3, askFor(0), dst); CodeOf(err) != 77 {
+	if _, err := c.StartInto(ctx, 3, askFor(0), dst).Wait(); CodeOf(err) != 77 {
 		t.Fatalf("coded error with a destination = %v", err)
 	}
 	if !bytes.Equal(dst, bytes.Repeat([]byte{0xAA}, len(dst))) {
@@ -296,9 +296,9 @@ func TestCallIntoLandsPieces(t *testing.T) {
 
 		dsts := [][]byte{make([]byte, 65_536), make([]byte, 1), make([]byte, 20_000), make([]byte, 12_000)}
 		for round := 0; round < 3; round++ { // recycled frames and records in between
-			resp, err := c.CallInto(ctx, 1, askFor(sizes...), dsts...)
+			resp, err := c.StartInto(ctx, 1, askFor(sizes...), dsts...).Wait()
 			if err != nil || len(resp) != 4*len(sizes) {
-				t.Fatalf("tcp=%v: CallInto = %d-byte head, %v", tcp, len(resp), err)
+				t.Fatalf("tcp=%v: StartInto = %d-byte head, %v", tcp, len(resp), err)
 			}
 			for i, n := range sizes {
 				if got := int(binary.BigEndian.Uint32(resp[4*i:])); got != n {
@@ -315,7 +315,7 @@ func TestCallIntoLandsPieces(t *testing.T) {
 		}
 
 		marked := [][]byte{bytes.Repeat([]byte{0x5C}, 10), bytes.Repeat([]byte{0x5C}, 10)}
-		if _, err := c.CallInto(ctx, 1, askFor(10, 11), marked...); !errors.Is(err, ErrMisfit) {
+		if _, err := c.StartInto(ctx, 1, askFor(10, 11), marked...).Wait(); !errors.Is(err, ErrMisfit) {
 			t.Fatalf("tcp=%v: a count larger than its destination = %v, want ErrMisfit", tcp, err)
 		}
 		for i, d := range marked {
@@ -359,15 +359,15 @@ func TestCallIntoMisfitKeepsFraming(t *testing.T) {
 			}
 		}()
 		dsts := [][]byte{bytes.Repeat([]byte{0x5C}, 10), bytes.Repeat([]byte{0x5C}, 10)}
-		if _, err := c.CallInto(context.Background(), 1, NewFrame(0), dsts...); !errors.Is(err, ErrMisfit) {
-			t.Fatalf("%s: CallInto = %v, want ErrMisfit", name, err)
+		if _, err := c.StartInto(context.Background(), 1, NewFrame(0), dsts...).Wait(); !errors.Is(err, ErrMisfit) {
+			t.Fatalf("%s: StartInto = %v, want ErrMisfit", name, err)
 		}
 		for i, d := range dsts {
 			if !bytes.Equal(d, bytes.Repeat([]byte{0x5C}, 10)) {
 				t.Fatalf("%s: destination %d was written", name, i)
 			}
 		}
-		resp, err := c.CallInto(context.Background(), 1, NewFrame(0), dsts...)
+		resp, err := c.StartInto(context.Background(), 1, NewFrame(0), dsts...).Wait()
 		if err != nil || string(dsts[0][:3]) != "abc" || string(dsts[1][:2]) != "de" {
 			t.Fatalf("%s: the call after the misfit = %v, pieces %q %q", name, err, dsts[0][:3], dsts[1][:2])
 		}
@@ -377,7 +377,7 @@ func TestCallIntoMisfitKeepsFraming(t *testing.T) {
 	}
 }
 
-// TestAbandonedCallIntoLeavesDstAlone: a call that gave up (ctx, I/O
+// TestAbandonedCallIntoLeavesDstAlone: a StartInto call that gave up (ctx, I/O
 // timeout) while its handler was still working has returned the caller's
 // buffer for good: the late response, and 50 calls after it, write
 // nothing there.
@@ -398,7 +398,7 @@ func TestAbandonedCallIntoLeavesDstAlone(t *testing.T) {
 		} else {
 			go func() { <-entered; cancel() }()
 		}
-		_, err := c.CallInto(ctx, 2, askFor(len(dst)), dst)
+		_, err := c.StartInto(ctx, 2, askFor(len(dst)), dst).Wait()
 		if !errors.Is(err, want) {
 			t.Fatalf("abandoned call = %v, want %v", err, want)
 		}
@@ -409,7 +409,7 @@ func TestAbandonedCallIntoLeavesDstAlone(t *testing.T) {
 		copy(dst, pattern)
 		gate <- struct{}{} // the late answer is on its way
 		for i := 0; i < 50; i++ {
-			resp, err := c.CallInto(context.Background(), 1, askFor(len(other)), other)
+			resp, err := c.StartInto(context.Background(), 1, askFor(len(other)), other).Wait()
 			if err != nil || !bytes.Equal(other, data) {
 				t.Fatalf("call %d after the abandoned one = %v", i, err)
 			}
@@ -459,7 +459,7 @@ func TestAbandonWaitsForTheReadIntoDst(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := c.CallInto(ctx, 1, askFor(sizes...), dsts...)
+			_, err := c.StartInto(ctx, 1, askFor(sizes...), dsts...).Wait()
 			done <- err
 		}()
 		<-held.entered
@@ -476,7 +476,7 @@ func TestAbandonWaitsForTheReadIntoDst(t *testing.T) {
 		if i := len(dsts) / 2; !bytes.Equal(dsts[i], data[i*pieceStride:][:sizes[i]]) { // the read that had begun ran to its end
 			t.Errorf("%d pieces: the read into the held destination was cut short", len(sizes))
 		}
-		resp, err := c.CallInto(context.Background(), 1, askFor(10), make([]byte, 10))
+		resp, err := c.StartInto(context.Background(), 1, askFor(10), make([]byte, 10)).Wait()
 		if err != nil {
 			t.Fatalf("%d pieces: call after the abandoned one = %v", len(sizes), err)
 		}
@@ -508,7 +508,7 @@ func TestAbandonIsBoundedWithoutIOTimeout(t *testing.T) {
 	dst := make([]byte, len(data))
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.CallInto(ctx, 1, askFor(len(dst)), dst)
+		_, err := c.StartInto(ctx, 1, askFor(len(dst)), dst).Wait()
 		done <- err
 	}()
 	select {

@@ -97,18 +97,18 @@ func TestWireFormatTraced(t *testing.T) {
 }
 
 // TestTracePropagation: a traced call's server-side span must join the
-// caller's trace with the caller's span as parent, named via the
-// registered MethodName function.
+// caller's trace with the caller's span as parent, named as its method
+// is registered.
 func TestTracePropagation(t *testing.T) {
 	mux := NewMux()
-	mux.Handle(3, func(ctx context.Context, p []byte) ([]byte, error) {
+	mux.HandleFrame(3, "op3", func(ctx context.Context, p []byte) (*wire.Buffer, error) {
 		// The traced request's handler must see the inbound context.
 		if string(p) == "traced" {
 			if tc, ok := obs.FromContext(ctx); !ok || tc.Trace.IsZero() {
 				t.Error("handler ctx carries no trace context")
 			}
 		}
-		return []byte("ok"), nil
+		return frameOf([]byte("ok")), nil
 	})
 	n := NewInprocNetwork()
 	lis, err := n.Listen("traced")
@@ -117,7 +117,7 @@ func TestTracePropagation(t *testing.T) {
 	}
 	tr := obs.NewTracer("svc")
 	srv := NewServer(mux)
-	srv.SetTrace(tr, func(m uint16) string { return "op3" })
+	srv.SetTrace(tr)
 	go srv.Serve(lis)
 	defer srv.Close()
 
@@ -170,7 +170,7 @@ func TestTraceErrorSpan(t *testing.T) {
 	}
 	tr := obs.NewTracer("svc")
 	srv := NewServer(mux)
-	srv.SetTrace(tr, nil) // no name fn: the numeric fallback
+	srv.SetTrace(tr) // a method registered by Handle has no name: the numeric fallback
 	go srv.Serve(lis)
 	defer srv.Close()
 
@@ -200,8 +200,8 @@ func TestTraceErrorSpan(t *testing.T) {
 // finally answers.
 func TestTraceSurvivesRetryRedial(t *testing.T) {
 	mux := NewMux()
-	mux.Handle(5, func(ctx context.Context, p []byte) ([]byte, error) {
-		return []byte("ok"), nil
+	mux.HandleFrame(5, "flaky_op", func(ctx context.Context, p []byte) (*wire.Buffer, error) {
+		return frameOf([]byte("ok")), nil
 	})
 	n := NewInprocNetwork()
 	lis, err := n.Listen("flaky")
@@ -210,7 +210,7 @@ func TestTraceSurvivesRetryRedial(t *testing.T) {
 	}
 	tr := obs.NewTracer("svc")
 	srv := NewServer(mux)
-	srv.SetTrace(tr, func(m uint16) string { return "flaky_op" })
+	srv.SetTrace(tr)
 	go srv.Serve(lis)
 	defer srv.Close()
 

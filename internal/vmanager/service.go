@@ -31,7 +31,6 @@ const (
 	mPrune
 	// 12 (PrunedBelow) is retired: the head carries the prune point.
 	// 13 and 14 are retired: the log compacts itself (wal.Log.Compact).
-	mLast = mPrune // the highest method number
 )
 
 // sentinels are the errors the service answers with a code of their
@@ -89,46 +88,17 @@ func (o OpCounts) Total() int64 {
 	return o.Create + o.Assign + o.Commit + o.Abort + o.Latest + o.Wait + o.List + o.Prune
 }
 
-// opNames maps RPC method numbers to metric-name suffixes ("": retired).
-var opNames = [mLast]string{
-	"create", "", "assign", "commit", "abort", "latest", "", "", "wait", "list", "prune",
-}
-
-// MethodName maps an RPC method number to its operation name, for the
-// server-side tracer.
-func MethodName(m uint16) string {
-	if m >= 1 && m <= mLast && opNames[m-1] != "" {
-		return opNames[m-1]
-	}
-	return "unknown"
-}
-
 // Service is the RPC shell around State, plus the dead-writer janitor.
 type Service struct {
 	state *State
-
-	// Per RPC method - 1: dispatches, counted on entry (a parked
-	// WaitPublished counts before it answers), and latency, observed on
-	// exit.
-	reg       *obs.Registry
-	ops       [mLast]*obs.Counter
-	opLatency [mLast]*obs.Histogram
+	reg   *obs.Registry
 
 	stopJanitor chan struct{}
 }
 
 // NewService wraps state.
 func NewService(state *State) *Service {
-	s := &Service{state: state, stopJanitor: make(chan struct{})}
-	s.reg = obs.NewRegistry()
-	for m := uint16(1); m <= mLast; m++ {
-		if opNames[m-1] == "" {
-			continue
-		}
-		s.ops[m-1] = s.reg.Counter("ops_" + opNames[m-1])
-		s.opLatency[m-1] = s.reg.Histogram("latency_" + opNames[m-1])
-	}
-	return s
+	return &Service{state: state, reg: obs.NewRegistry(), stopJanitor: make(chan struct{})}
 }
 
 // Metrics exposes the shard's registry (per-op latency histograms and
@@ -138,30 +108,18 @@ func (s *Service) Metrics() *obs.Registry { return s.reg }
 // State exposes the core (simulator, tests).
 func (s *Service) State() *State { return s.state }
 
-// Ops reports the dispatch count split by operation.
+// Ops reports the dispatch count split by operation: the ops_* counters
+// the Mux meters, each counted as its request reaches the handler.
 func (s *Service) Ops() OpCounts {
 	return OpCounts{
-		Create: s.ops[mCreateBlob-1].Value(),
-		Assign: s.ops[mAssignVersion-1].Value(),
-		Commit: s.ops[mCommit-1].Value(),
-		Abort:  s.ops[mAbort-1].Value(),
-		Latest: s.ops[mLatest-1].Value(),
-		Wait:   s.ops[mWaitPublished-1].Value(),
-		List:   s.ops[mListBlobs-1].Value(),
-		Prune:  s.ops[mPrune-1].Value(),
-	}
-}
-
-// counted wraps a handler with its dispatch counter and latency
-// histogram.
-func (s *Service) counted(m uint16, fn rpc.FrameHandler) rpc.FrameHandler {
-	ops, h := s.ops[m-1], s.opLatency[m-1]
-	return func(ctx context.Context, p []byte) (*wire.Buffer, error) {
-		ops.Inc()
-		t0 := time.Now()
-		resp, err := fn(ctx, p)
-		h.ObserveSince(t0)
-		return resp, err
+		Create: s.reg.Counter("ops_create").Value(),
+		Assign: s.reg.Counter("ops_assign").Value(),
+		Commit: s.reg.Counter("ops_commit").Value(),
+		Abort:  s.reg.Counter("ops_abort").Value(),
+		Latest: s.reg.Counter("ops_latest").Value(),
+		Wait:   s.reg.Counter("ops_wait").Value(),
+		List:   s.reg.Counter("ops_list").Value(),
+		Prune:  s.reg.Counter("ops_prune").Value(),
 	}
 }
 
@@ -194,17 +152,17 @@ func (s *Service) StopJanitor() {
 	}
 }
 
-// Mux returns the RPC dispatch table.
+// Mux returns the RPC dispatch table, metered on the shard's registry.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMux()
-	m.HandleFrame(mCreateBlob, s.counted(mCreateBlob, s.handleCreate))
-	m.HandleFrame(mAssignVersion, s.counted(mAssignVersion, s.handleAssign))
-	m.HandleFrame(mCommit, s.counted(mCommit, s.handleCommit))
-	m.HandleFrame(mAbort, s.counted(mAbort, s.handleAbort))
-	m.HandleFrame(mLatest, s.counted(mLatest, s.handleLatest))
-	m.HandleFrame(mWaitPublished, s.counted(mWaitPublished, s.handleWait))
-	m.HandleFrame(mListBlobs, s.counted(mListBlobs, s.handleListBlobs))
-	m.HandleFrame(mPrune, s.counted(mPrune, s.handlePrune))
+	m := rpc.NewMeteredMux(s.reg)
+	m.HandleFrame(mCreateBlob, "create", s.handleCreate)
+	m.HandleFrame(mAssignVersion, "assign", s.handleAssign)
+	m.HandleFrame(mCommit, "commit", s.handleCommit)
+	m.HandleFrame(mAbort, "abort", s.handleAbort)
+	m.HandleFrame(mLatest, "latest", s.handleLatest)
+	m.HandleFrame(mWaitPublished, "wait", s.handleWait)
+	m.HandleFrame(mListBlobs, "list", s.handleListBlobs)
+	m.HandleFrame(mPrune, "prune", s.handlePrune)
 	return m
 }
 

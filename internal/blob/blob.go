@@ -78,8 +78,12 @@ type BlockKey struct {
 	Seq   uint32 // block index within the write's payload
 }
 
-func (k BlockKey) String() string {
-	return string(strconv.AppendUint(k.appendPrefix(make([]byte, 0, 48)), uint64(k.Seq), 10))
+func (k BlockKey) String() string { return string(k.AppendText(make([]byte, 0, 48))) }
+
+// AppendText appends the key's text, the name it is stored under
+// (String), to b: a caller that reuses b names a block without allocating.
+func (k BlockKey) AppendText(b []byte) []byte {
+	return strconv.AppendUint(k.appendPrefix(b), uint64(k.Seq), 10)
 }
 
 func (k BlockKey) appendPrefix(b []byte) []byte {

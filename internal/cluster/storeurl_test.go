@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blobseer/internal/cluster"
+	"blobseer/internal/store/storetest"
 )
 
 // TestStoreURLExpandsPerProvider: "{n}" in Config.StoreURL becomes the
@@ -27,7 +28,7 @@ func TestStoreURLExpandsPerProvider(t *testing.T) {
 	if err := st0.Put("k", []byte("zero")); err != nil {
 		t.Fatal(err)
 	}
-	if cl.ProviderService(cl.ProviderAddrs[1]).Store().Has("k") {
+	if storetest.Holds(t, cl.ProviderService(cl.ProviderAddrs[1]).Store(), "k") {
 		t.Fatal("providers share a directory; {n} substitution failed")
 	}
 }

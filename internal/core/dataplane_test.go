@@ -44,7 +44,7 @@ type countingStore struct {
 	gets atomic.Int64
 }
 
-func (c *countingStore) ReadAt(key string, p []byte, off int64) (int, error) {
+func (c *countingStore) ReadAt(key, p []byte, off int64) (int, error) {
 	c.gets.Add(1)
 	return c.Store.ReadAt(key, p, off)
 }

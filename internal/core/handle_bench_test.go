@@ -64,17 +64,18 @@ func BenchmarkSnapshotReadAt(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.SetBytes(s.Size())
-	// The budget of a warm 8-block read, client and daemons together: 8
-	// now that the read starts no goroutine (it sends every provider's
-	// call, then waits on each, and a mem:// provider answers on its
-	// connection's goroutine), 15 when each provider past the first was
-	// fetched in a goroutine of the read's and each request ran in one of
-	// the provider's, 22 when each read built its extents, fetches and
+	// The budget of a warm 8-block read, client and daemons together: 0
+	// now that a provider names each block by its key's bytes, 8 while it
+	// built each key's string once the read started no goroutine (it
+	// sends every provider's call, then waits on each, and a mem://
+	// provider answers on its connection's goroutine), 15 when each
+	// provider past the first was fetched in a goroutine of the read's and
+	// each request ran in one of the provider's, 22 when each read built its extents, fetches and
 	// provider window, 32 when every frame allocated its wire.Buffer, 58
 	// when every block was a call of its own, 77 when the tree was walked
 	// to the leaves.
-	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 11 {
-		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 11", allocs, nBlocks)
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 3 {
+		b.Errorf("%.0f allocations per warm %d-block ReadAt, want at most 3", allocs, nBlocks)
 	}
 }
 
@@ -135,14 +136,16 @@ func BenchmarkSnapshotReadAtColdMeta(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.SetBytes(int64(len(buf)))
-	// The budget of a 3-block read, client and daemons together: 3 now
-	// that the read starts no goroutine at either end, 8 while it fetched
+	// The budget of a 3-block read, client and daemons together: 0 now
+	// that a provider names each block by its key's bytes, 3 while it
+	// built each key's string and the read started no goroutine at
+	// either end, 8 while it fetched
 	// each provider past the first in a goroutine and each request ran in
 	// one at the provider, 10 when each fetched its 3 leaves through a
 	// node cache whose flights and the read's working set were recycled,
 	// 21 when each read built them, 43 when every layer built its own map,
 	// strings and copies for each key.
-	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 5 {
-		b.Errorf("%.1f allocations per 3-block ReadAt of a fresh client, want at most 5", allocs)
+	if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1000 && allocs > 2 {
+		b.Errorf("%.1f allocations per 3-block ReadAt of a fresh client, want at most 2", allocs)
 	}
 }

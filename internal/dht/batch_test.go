@@ -8,6 +8,7 @@ import (
 
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/store/storetest"
 	"blobseer/internal/wire"
 )
 
@@ -25,7 +26,7 @@ func TestDHTPutBatchReplicates(t *testing.T) {
 	for _, kv := range kvs {
 		n := 0
 		for _, s := range svcs {
-			if s.Store().Has(kv.Key) {
+			if storetest.Holds(t, s.Store(), kv.Key) {
 				n++
 			}
 		}
@@ -192,7 +193,7 @@ func TestDHTDeleteParallelStillDeletesEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, s := range svcs {
-			if s.Store().Has(k) {
+			if storetest.Holds(t, s.Store(), k) {
 				t.Errorf("replica %d still has %s", j, k)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/store/storetest"
 )
 
 func TestRingLookupDeterministic(t *testing.T) {
@@ -171,7 +172,7 @@ func TestDHTReplication(t *testing.T) {
 	}
 	n := 0
 	for _, s := range svcs {
-		if s.store.Has("replicated-key") {
+		if storetest.Holds(t, s.store, "replicated-key") {
 			n++
 		}
 	}
@@ -208,7 +209,7 @@ func TestDHTDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range svcs {
-		if s.store.Has("k") {
+		if storetest.Holds(t, s.store, "k") {
 			t.Errorf("replica %d still has key", i)
 		}
 	}

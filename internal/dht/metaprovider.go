@@ -88,11 +88,11 @@ func (s *MetaService) Mux() *rpc.Mux {
 
 // value returns key's value: lent when the store lends (store.Lender),
 // so that the response frame is its only copy.
-func (s *MetaService) value(key string) ([]byte, error) {
+func (s *MetaService) value(key []byte) ([]byte, error) {
 	if l, ok := s.store.(store.Lender); ok {
 		return l.Lend(key, 0, -1)
 	}
-	return s.store.Get(key)
+	return s.store.Get(string(key))
 }
 
 func (s *MetaService) handleDelete(ctx context.Context, payload []byte) (*wire.Buffer, error) {
@@ -152,9 +152,9 @@ func (s *MetaService) handlePutBatch(ctx context.Context, payload []byte) (*wire
 
 // handleGetBatch answers a multi-get. A missing key is not an RPC
 // error: each requested key gets a presence flag so one response
-// carries hits and authoritative misses side by side. Every key is cut
-// from one string, and every value is lent and copied once, into a
-// response sized to fit them all.
+// carries hits and authoritative misses side by side. Every key is
+// looked up as the request's bytes, and every value is lent and copied
+// once, into a response sized to fit them all.
 func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	n := r.U32()
@@ -169,15 +169,13 @@ func (s *MetaService) handleGetBatch(ctx context.Context, payload []byte) (*wire
 		}
 	}()
 	vals = slices.Grow(vals, int(n))
-	all := string(payload)
 	size := 4
 	for i := uint32(0); i < n; i++ {
 		k := r.Bytes32()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		end := len(payload) - r.Remaining()
-		val, err := s.value(all[end-len(k) : end])
+		val, err := s.value(k)
 		switch {
 		case err == store.ErrNotFound:
 		case err != nil:

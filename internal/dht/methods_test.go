@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blobseer/internal/rpc"
+	"blobseer/internal/store/storetest"
 	"blobseer/internal/wire"
 )
 
@@ -32,7 +33,7 @@ func TestMethodNumbersPinned(t *testing.T) {
 			t.Errorf("method %d answered %v, want %q", m, err, want)
 		}
 	}
-	if st.Has("k") {
+	if storetest.Holds(t, st, "k") {
 		t.Fatal("a retired method stored its key")
 	}
 
@@ -57,7 +58,7 @@ func TestMethodNumbersPinned(t *testing.T) {
 	}
 	key := wire.NewBuffer(16)
 	key.String("a")
-	if err := call(3, key.Bytes(), nil); err != nil || st.Has("a") || !st.Has("b") {
-		t.Fatalf("delete (3) of a: %v; a stored %v, b stored %v", err, st.Has("a"), st.Has("b"))
+	if err := call(3, key.Bytes(), nil); err != nil || storetest.Holds(t, st, "a") || !storetest.Holds(t, st, "b") {
+		t.Fatalf("delete (3) of a: %v; a stored %v, b stored %v", err, storetest.Holds(t, st, "a"), storetest.Holds(t, st, "b"))
 	}
 }

@@ -371,7 +371,9 @@ func TestSharedOutputConcurrentAppendMode(t *testing.T) {
 	}
 }
 
-func TestTaskRetryOnFailure(t *testing.T) {
+// The retry tests' apps are process-global, so they register once:
+// -count=N runs each test N times against the same two apps.
+func init() {
 	mapred.RegisterApp("flaky-test-app", &mapred.App{
 		NewMapper: func(conf *mapred.JobConf) (mapred.Mapper, error) {
 			return &flakyMapper{tag: "flaky", failures: 2}, nil
@@ -380,6 +382,18 @@ func TestTaskRetryOnFailure(t *testing.T) {
 			return []mapred.Split{{Synthetic: true, SynthSeq: 0, SynthSize: 1}}, nil
 		},
 	})
+	mapred.RegisterApp("always-fails-app", &mapred.App{
+		NewMapper: func(conf *mapred.JobConf) (mapred.Mapper, error) {
+			return &flakyMapper{tag: "doomed", failures: 1 << 30}, nil
+		},
+		MakeSplits: func(ctx context.Context, fsys fs.FileSystem, conf *mapred.JobConf) ([]mapred.Split, error) {
+			return []mapred.Split{{Synthetic: true}}, nil
+		},
+	})
+}
+
+func TestTaskRetryOnFailure(t *testing.T) {
+	resetFlaky("flaky")
 	fsFor := backends[0].start(t, 2)
 	m := startEngine(t, fsFor, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -396,17 +410,13 @@ func TestTaskRetryOnFailure(t *testing.T) {
 	if st.MapsDone != 1 {
 		t.Errorf("status = %+v", st)
 	}
+	if n := resetFlaky("flaky"); n != 3 {
+		t.Errorf("the map ran %d times, want 3: two injected failures, then a success", n)
+	}
 }
 
 func TestJobFailsAfterMaxAttempts(t *testing.T) {
-	mapred.RegisterApp("always-fails-app", &mapred.App{
-		NewMapper: func(conf *mapred.JobConf) (mapred.Mapper, error) {
-			return &flakyMapper{tag: "doomed", failures: 1 << 30}, nil
-		},
-		MakeSplits: func(ctx context.Context, fsys fs.FileSystem, conf *mapred.JobConf) ([]mapred.Split, error) {
-			return []mapred.Split{{Synthetic: true}}, nil
-		},
-	})
+	resetFlaky("doomed")
 	fsFor := backends[0].start(t, 2)
 	m := startEngine(t, fsFor, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -434,6 +444,20 @@ var flakyAttempts = struct {
 	mu sync.Mutex
 	n  map[string]int
 }{n: map[string]int{}}
+
+// resetFlaky forgets tag's attempts, so that a run of a test counts
+// its own, and returns how many there were.
+func resetFlaky(tag string) (n int) {
+	flakyAttempts.mu.Lock()
+	defer flakyAttempts.mu.Unlock()
+	for key, a := range flakyAttempts.n {
+		if strings.HasPrefix(key, tag+"/") {
+			n += a
+			delete(flakyAttempts.n, key)
+		}
+	}
+	return n
+}
 
 func (f *flakyMapper) Map(ctx context.Context, rec mapred.Record, emit mapred.Emit) error {
 	key := f.tag + "/" + rec.Key

@@ -11,19 +11,22 @@ import (
 )
 
 // Owners is a blob's write history indexed by block: the versions that
-// wrote each block, ascending, and each version's nonce and placement.
-// It answers the one question readers, repair scans and the garbage
-// collector ask — which stored block does snapshot v read block b from,
-// and on which providers — by binary search, where a leaf would cost a
-// metadata round trip. An aborted write wrote nothing: it keeps its
-// version number, and no block names it. It is extended with
-// *published* descriptors only, which never change. The zero value is
-// empty; safe for concurrent use.
+// wrote each block, and each version's nonce and placement. It answers
+// the one question readers, repair scans and the garbage collector ask —
+// which stored block does snapshot v read block b from, and on which
+// providers — from memory, where a leaf would cost a metadata round
+// trip. A block keeps its newest writer in a map entry, and its earlier
+// writers, ascending, in a slice only once rewritten: pinning a BSFS
+// file, which writes each block once, costs the map's growth. An aborted
+// write wrote nothing: it keeps its version number, and no block names
+// it. It is extended with *published* descriptors only, which never
+// change. The zero value is empty; safe for concurrent use.
 type Owners struct {
 	mu      sync.RWMutex
 	through blob.Version // versions 1..through are indexed
-	byBlock map[int64][]blob.Version
-	writes  []written // version v's at v-1
+	newest  map[int64]blob.Version
+	earlier map[int64][]blob.Version // of blocks written more than once
+	writes  []written                // version v's at v-1
 }
 
 // written is what Owners keeps of one version: 48 bytes, its placement
@@ -49,9 +52,10 @@ func (o *Owners) Through() blob.Version {
 func (o *Owners) Extend(m blob.Meta, descs []blob.WriteDesc) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.byBlock == nil {
-		o.byBlock = make(map[int64][]blob.Version)
+	if o.newest == nil {
+		o.newest, o.earlier = make(map[int64]blob.Version), make(map[int64][]blob.Version)
 	}
+	o.writes = slices.Grow(o.writes, len(descs))
 	for _, d := range descs {
 		if d.Version <= o.through {
 			continue
@@ -63,7 +67,10 @@ func (o *Owners) Extend(m blob.Meta, descs []blob.WriteDesc) error {
 			return fmt.Errorf("mdtree: blob %d: %w", m.ID, err)
 		}
 		for b, end := d.Off/m.BlockSize, blob.Blocks(d.Off+d.Len, m.BlockSize); b < end && !d.Aborted; b++ {
-			o.byBlock[b] = append(o.byBlock[b], d.Version) // an aborted write owns no block
+			if w, ok := o.newest[b]; ok {
+				o.earlier[b] = append(o.earlier[b], w)
+			}
+			o.newest[b] = d.Version // an aborted write owns no block
 		}
 		o.writes = append(o.writes, written{nonce: d.Nonce, off: d.Off, end: d.Off + d.Len, replicas: d.Replicas})
 		o.through = d.Version
@@ -77,7 +84,10 @@ func (o *Owners) Extend(m blob.Meta, descs []blob.WriteDesc) error {
 // where one does, v reads what was there before it, as if it had never
 // been assigned.
 func (o *Owners) ownerLocked(b int64, v blob.Version) blob.Version {
-	ws := o.byBlock[b]
+	if w := o.newest[b]; w <= v {
+		return w // NoVersion where no version wrote b
+	}
+	ws := o.earlier[b]
 	i := sort.Search(len(ws), func(i int) bool { return ws[i] > v })
 	if i == 0 {
 		return blob.NoVersion

@@ -203,6 +203,9 @@ var equivalenceTable = []struct {
 	{"aborted append, then appends", []byte{0, 0, 7, 3, 0, 15, 0, 0, 7}, []byte{0, 60, 9, 9}},
 	{"aborted overwrite under later writes", []byte{0, 0, 31, 3, 1, 1, 1, 1, 0, 3, 3, 2}, []byte{0, 40, 8, 16}},
 	{"hole only", []byte{2, 3, 0}, []byte{0, 200, 17, 2}},
+	// v1 writes the block, v2 overwrites it, v3 aborts an overwrite and
+	// v4 overwrites it again: its newest writer and two earlier ones.
+	{"overwritten, aborted, overwritten", []byte{0, 0, 7, 1, 0, 0, 3, 1, 0, 1, 0, 0}, []byte{0, 8, 3, 2}},
 }
 
 func TestResolveEquivalenceTable(t *testing.T) {
@@ -273,6 +276,27 @@ func TestOwnersExtendedWhileRead(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestExtendAllocations: pinning a file that wrote each block once
+// costs the index's growth, not an allocation per block.
+func TestExtendAllocations(t *testing.T) {
+	const blocks = 1024
+	m := blob.Meta{ID: 1, BlockSize: eqBS, Replication: 1}
+	descs := make([]blob.WriteDesc, blocks)
+	for i := range descs {
+		off := int64(i) * eqBS
+		descs[i] = blob.WriteDesc{Version: blob.Version(i + 1), Off: off, Len: eqBS, SizeAfter: off + eqBS, Nonce: uint64(i + 1), Replicas: []string{"p0"}}
+	}
+	n := testing.AllocsPerRun(20, func() {
+		var o Owners
+		if err := o.Extend(m, descs); err != nil || o.Through() != blocks {
+			t.Fatalf("Extend: %v, through %d", err, o.Through())
+		}
+	})
+	if n > 40 {
+		t.Errorf("Extend of %d one-block writes allocates %v times, want at most 40", blocks, n)
+	}
 }
 
 func FuzzResolveEquivalence(f *testing.F) {

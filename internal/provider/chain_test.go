@@ -9,6 +9,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/store/storetest"
 	"blobseer/internal/wire"
 )
 
@@ -105,7 +106,7 @@ func TestPutChainedMidChainFailurePropagates(t *testing.T) {
 		t.Errorf("error code = %d, want CodeChainFail", rpc.CodeOf(err))
 	}
 	for i, svc := range svcs {
-		if svc.Store().Has(key.String()) {
+		if storetest.Holds(t, svc.Store(), key.String()) {
 			t.Errorf("replica %d committed a block from a failed chain", i)
 		}
 		if st := svc.Store().Stats(); st.Items != 0 {
@@ -171,7 +172,7 @@ func TestBreakChainInjection(t *testing.T) {
 		t.Fatalf("broken head: err = %v, want CodeChainFail", err)
 	}
 	for i, svc := range svcs {
-		if svc.Store().Has(key.String()) {
+		if storetest.Holds(t, svc.Store(), key.String()) {
 			t.Fatalf("replica %d stored a block of a chain its broken head refused", i)
 		}
 	}
@@ -190,7 +191,7 @@ func TestBreakChainInjection(t *testing.T) {
 	if err := c.PutChained(ctx, []string{addrs[0], "nowhere"}, lost, []byte("payload"), 0); rpc.CodeOf(err) != CodeChainFail {
 		t.Fatalf("chain to an unreachable tail: err = %v, want CodeChainFail", err)
 	}
-	if svcs[0].Store().Has(lost.String()) {
+	if storetest.Holds(t, svcs[0].Store(), lost.String()) {
 		t.Fatal("head committed a block its unreachable tail never acked")
 	}
 	if err := c.PutChained(ctx, addrs, lost, []byte("payload"), 0); err != nil {
@@ -250,7 +251,7 @@ func TestDeleteWriteTombstonesInFlightChains(t *testing.T) {
 	if err == nil || rpc.CodeOf(err) != CodeChainFail {
 		t.Fatalf("straggler frame after DeleteWrite: err = %v, want CodeChainFail", err)
 	}
-	if head.Store().Has(key.String()) {
+	if storetest.Holds(t, head.Store(), key.String()) {
 		t.Fatal("garbage-collected write resurrected by straggler chain frame")
 	}
 	// A fresh write (new nonce) is unaffected.

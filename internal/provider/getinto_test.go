@@ -109,10 +109,11 @@ func (l countedListener) Accept() (net.Conn, error) {
 // writev each, leaving two plain Writes — a tailed frame that lost the
 // vectored write would show as two more.
 func BenchmarkPutGet1M(b *testing.B) {
-	// 8 per op since a mem:// get runs on the connection's goroutine (9
-	// before), and the 19 of headroom kept since the op stopped copying
-	// the block into and out of frames (28 then).
-	const budgetAllocs = 27
+	// 7 per op since the provider names the block by its key's bytes (8
+	// while it built the key's string, 9 before a mem:// get ran on the
+	// connection's goroutine), and the 19 of headroom kept since the op
+	// stopped copying the block into and out of frames (28 then).
+	const budgetAllocs = 26
 	wire.PoisonReleased(false)
 	defer wire.PoisonReleased(true)
 	lis, err := rpc.ListenTCP("127.0.0.1:0")

@@ -252,3 +252,29 @@ func FuzzGetBlockRanges(f *testing.F) {
 		}
 	})
 }
+
+// TestGetBlockAllocatesNothing: serving a 3-range get off a store that
+// lends allocates nothing once the frame and key scratch are recycled:
+// no block's key becomes a string of its own.
+func TestGetBlockAllocatesNothing(t *testing.T) {
+	wire.PoisonReleased(false) // the poison bookkeeping allocates
+	defer wire.PoisonReleased(true)
+	st := store.NewMemStore()
+	svc := NewService(st)
+	var req []byte
+	for i := range 3 {
+		key := blob.BlockKey{Blob: 1 << 40, Nonce: 0xfedcba9876543210, Seq: 1<<31 + uint32(i)} // a text longer than 32 bytes
+		st.Put(key.String(), marked(1_000))
+		req = append(req, encodeRange(key, 100, 500)...)
+	}
+	get := func() {
+		f, err := svc.handleGetBlock(context.Background(), req)
+		if err != nil || f.Len() != 3*4 || binary.BigEndian.Uint32(f.Bytes()[8:]) != 500 {
+			t.Fatalf("get = %v", err)
+		}
+		f.Release()
+	}
+	if n := testing.AllocsPerRun(100, get); n != 0 {
+		t.Errorf("a 3-range get allocates %v times, want 0", n)
+	}
+}

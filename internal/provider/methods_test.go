@@ -10,6 +10,7 @@ import (
 
 	"blobseer/internal/blob"
 	"blobseer/internal/rpc"
+	"blobseer/internal/store/storetest"
 	"blobseer/internal/wire"
 )
 
@@ -80,10 +81,10 @@ func TestMethodNumbersPinned(t *testing.T) {
 			t.Fatalf("downstream replica of %v = %q, %v; want %q", tc.key, got, err, tc.want)
 		}
 	}
-	if err := call(5, rawKey(nil, k2), answers(nil)); err != nil || st.Has(k2.String()) {
-		t.Fatalf("delete block (5): %v; still stored %v", err, st.Has(k2.String()))
+	if err := call(5, rawKey(nil, k2), answers(nil)); err != nil || storetest.Holds(t, st, k2.String()) {
+		t.Fatalf("delete block (5): %v; still stored %v", err, storetest.Holds(t, st, k2.String()))
 	}
-	if err := call(4, u64(u64(nil, 1), 2), answers(u32(nil, 1))); err != nil || st.Has(k.String()) {
-		t.Fatalf("delete write (4): %v; still stored %v", err, st.Has(k.String()))
+	if err := call(4, u64(u64(nil, 1), 2), answers(u32(nil, 1))); err != nil || storetest.Holds(t, st, k.String()) {
+		t.Fatalf("delete write (4): %v; still stored %v", err, storetest.Holds(t, st, k.String()))
 	}
 }

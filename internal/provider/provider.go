@@ -145,6 +145,8 @@ type Service struct {
 
 	chainBroken atomic.Bool // test hook: refuse every frame to forward
 
+	keyTexts util.FreeList[[]byte] // a get's scratch for its ranges' store keys
+
 	mu      sync.Mutex
 	uploads map[blob.BlockKey]*upload
 	// reaper sweeps the upload table for stale uploads while it holds
@@ -315,8 +317,10 @@ const maxFileTails = 16
 // handleGetBlock serves every range of the request in one response and never
 // copies their bytes into a slice of their own: a store that lends sends
 // its own bytes as the response frame's tails, a file store its files,
-// any other reads straight into the frame. A negative length is refused,
-// and a missing block fails the whole request.
+// any other reads straight into the frame. Each range's store key is
+// written into one recycled scratch, which the store keeps none of. A
+// negative length is refused, and a missing block fails the whole
+// request.
 func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	k := len(payload) / rangeSize
 	if k == 0 || len(payload) != k*rangeSize {
@@ -343,25 +347,28 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 	}
 	f := rpc.NewFrame(int(size))
 	f.Extend(4 * k) // the counts, filled in as the pieces come
+	name, _ := s.keyTexts.Get()
+	defer func() { s.keyTexts.Put(name) }()
 	var sent int64
 	r := wire.NewReader(payload)
 	for i := 0; i < k; i++ {
 		key, off, length := decodeRange(r)
+		name = key.AppendText(name[:0])
 		var n int
 		var err error
 		if byRef {
 			var data []byte
-			data, err = l.Lend(key.String(), off, length)
+			data, err = l.Lend(name, off, length)
 			f.Attach(data)
 			n = len(data)
 		} else if i >= firstFile {
-			file, m, ferr := fl.LendFile(key.String(), off, length)
+			file, m, ferr := fl.LendFile(name, off, length)
 			if err = ferr; err == nil {
 				f.AttachFile(file, max(off, 0), m)
 			}
 			n = int(m)
 		} else {
-			n, err = s.store.ReadAt(key.String(), f.Extend(int(length)), off)
+			n, err = s.store.ReadAt(name, f.Extend(int(length)), off)
 			f.Truncate(f.Len() - int(length) + n)
 		}
 		if err == nil && sent+int64(n) > maxGetBody-int64(4*k) {

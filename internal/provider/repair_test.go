@@ -10,6 +10,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/store/storetest"
 )
 
 // startProviders brings up n chained-capable providers on one inproc
@@ -104,7 +105,7 @@ func TestReplicatePushesOverChain(t *testing.T) {
 			t.Errorf("target %d missing replica: %v", i, err)
 		}
 	}
-	if svcs[1].Store().Has(key.String()) {
+	if storetest.Holds(t, svcs[1].Store(), key.String()) {
 		t.Error("untargeted provider received the block")
 	}
 

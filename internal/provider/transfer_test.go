@@ -12,6 +12,7 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
+	"blobseer/internal/store/storetest"
 	"blobseer/internal/wire"
 )
 
@@ -94,7 +95,7 @@ func TestReapedTransferFramesRefused(t *testing.T) {
 			t.Errorf("frame %d after the reap = %v, want a CodeChainFail naming the reap", i+2, err)
 		}
 	}
-	if svcs[0].Store().Has(key.String()) || svcs[0].counter("chain_commits") != 0 {
+	if storetest.Holds(t, svcs[0].Store(), key.String()) || svcs[0].counter("chain_commits") != 0 {
 		t.Error("a reaped transfer committed its block")
 	}
 	if n := svcs[0].inflight(); n != 0 {
@@ -123,7 +124,7 @@ func TestFailedTransferStragglerRefused(t *testing.T) {
 			t.Fatalf("uploads_inflight = %d after straggler frame %d", n, i+1)
 		}
 	}
-	if svcs[0].Store().Has(key.String()) {
+	if storetest.Holds(t, svcs[0].Store(), key.String()) {
 		t.Error("a failed transfer committed its block")
 	}
 }

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/store"
 	"blobseer/internal/store/storetest"
 )
@@ -113,7 +116,7 @@ func lenderOf(t *testing.T, st store.Store) lendFunc {
 	switch l := st.(type) {
 	case store.Lender:
 		return func(key string, off, length int64) (io.ReadSeeker, error) {
-			v, err := l.Lend(key, off, length)
+			v, err := l.Lend([]byte(key), off, length)
 			if err == nil && cap(v) != len(v) {
 				err = fmt.Errorf("lent %d bytes with room for %d", len(v), cap(v))
 			}
@@ -121,7 +124,7 @@ func lenderOf(t *testing.T, st store.Store) lendFunc {
 		}
 	case store.FileLender:
 		return func(key string, off, length int64) (io.ReadSeeker, error) {
-			f, n, err := l.LendFile(key, off, length)
+			f, n, err := l.LendFile([]byte(key), off, length)
 			if err != nil {
 				return nil, err
 			}
@@ -204,4 +207,29 @@ func openURL(t *testing.T, rawURL string) store.Store {
 		t.Fatalf("Open(%q): %v", rawURL, err)
 	}
 	return st
+}
+
+// TestFSKeyFileName pins the file a block key is stored in: the hex of
+// its text, so a file:// directory written by any earlier build reads
+// back, whether the key comes as a string or as the bytes a provider
+// writes it into.
+func TestFSKeyFileName(t *testing.T) {
+	dir := t.TempDir()
+	st := openURL(t, "file://"+dir)
+	defer st.Close()
+	key := blob.BlockKey{Blob: 7, Nonce: 0xab, Seq: 3}
+	const name = "62372f61622f33" // hex of "b7/ab/3"
+	if err := os.WriteFile(filepath.Join(dir, name), []byte("written by hand"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, 32)
+	if n, err := st.ReadAt(key.AppendText(nil), p, 0); err != nil || string(p[:n]) != "written by hand" {
+		t.Fatalf("ReadAt(%s) = %q, %v; want the file %s", key, p[:n], err, name)
+	}
+	if err := st.Put(key.String(), []byte("put")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != "put" {
+		t.Fatalf("file %s after Put(%s) = %q, %v", name, key, got, err)
+	}
 }

@@ -86,7 +86,7 @@ func TestOpenFilePaths(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st2.Close()
-	if !st2.Has("k") {
+	if !holds(t, st2, "k") {
 		t.Fatal("block not visible through second store over same dir")
 	}
 }

@@ -50,8 +50,9 @@ func NewFSStore(dir string, syncWrites bool) (*FSStore, error) {
 
 // path names key's file: the directory and the key's hex encoding, built
 // as the one string the file system call is given (which copies it
-// once more, to end it with a NUL).
-func (s *FSStore) path(key string) string {
+// once more, to end it with a NUL). A key as bytes names the file its
+// string names.
+func path[K keyBytes](s *FSStore, key K) string {
 	const digits = "0123456789abcdef"
 	var room [256]byte // on the stack unless the directory is long
 	b := append(room[:0], s.base...)
@@ -65,7 +66,7 @@ func (s *FSStore) path(key string) string {
 func (s *FSStore) Put(key string, val []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	tmp := s.path(key) + ".tmp"
+	tmp := path(s, key) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("fsstore: put %s: %w", key, err)
@@ -86,7 +87,7 @@ func (s *FSStore) Put(key string, val []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("fsstore: close %s: %w", key, err)
 	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
+	if err := os.Rename(tmp, path(s, key)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("fsstore: commit %s: %w", key, err)
 	}
@@ -115,7 +116,7 @@ func (s *FSStore) syncDir() error {
 // temp file (the ".tmp" suffix keeps it invisible to DeletePrefix and
 // Stats); Commit renames it into place atomically.
 func (s *FSStore) PutWriter(key string) (BlockWriter, error) {
-	tmp := fmt.Sprintf("%s.w%d.tmp", s.path(key), s.seq.Add(1))
+	tmp := fmt.Sprintf("%s.w%d.tmp", path(s, key), s.seq.Add(1))
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("fsstore: stream %s: %w", key, err)
@@ -167,7 +168,7 @@ func (w *fsWriter) Commit() error {
 	}
 	w.s.mu.RLock()
 	defer w.s.mu.RUnlock()
-	if err := os.Rename(w.tmp, w.s.path(w.key)); err != nil {
+	if err := os.Rename(w.tmp, path(w.s, w.key)); err != nil {
 		os.Remove(w.tmp)
 		return fmt.Errorf("fsstore: commit %s: %w", w.key, err)
 	}
@@ -195,18 +196,18 @@ func (s *FSStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -1
 
 // GetRange implements Store.
 func (s *FSStore) GetRange(key string, off, length int64) ([]byte, error) {
-	return s.readRange(key, off, length, func(n int64) []byte { return make([]byte, n) })
+	return s.readRange([]byte(key), off, length, func(n int64) []byte { return make([]byte, n) })
 }
 
 // ReadAt implements Store.
-func (s *FSStore) ReadAt(key string, p []byte, off int64) (int, error) {
+func (s *FSStore) ReadAt(key, p []byte, off int64) (int, error) {
 	got, err := s.readRange(key, off, int64(len(p)), func(n int64) []byte { return p[:n] })
 	return len(got), err
 }
 
 // readRange reads [off, off+length) of key's file, clamped to the file,
 // into the slice dst supplies for the clamped length.
-func (s *FSStore) readRange(key string, off, length int64, dst func(n int64) []byte) ([]byte, error) {
+func (s *FSStore) readRange(key []byte, off, length int64, dst func(n int64) []byte) ([]byte, error) {
 	f, l, err := s.LendFile(key, off, length)
 	if err != nil {
 		return nil, err
@@ -223,10 +224,10 @@ func (s *FSStore) readRange(key string, off, length int64, dst func(n int64) []b
 }
 
 // LendFile implements FileLender.
-func (s *FSStore) LendFile(key string, off, length int64) (*os.File, int64, error) {
+func (s *FSStore) LendFile(key []byte, off, length int64) (*os.File, int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	f, err := os.Open(s.path(key))
+	f, err := os.Open(path(s, key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, 0, ErrNotFound
 	}
@@ -242,19 +243,11 @@ func (s *FSStore) LendFile(key string, off, length int64) (*os.File, int64, erro
 	return f, l, nil
 }
 
-// Has implements Store.
-func (s *FSStore) Has(key string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
 // Delete implements Store.
 func (s *FSStore) Delete(key string) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	err := os.Remove(s.path(key))
+	err := os.Remove(path(s, key))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}

@@ -31,7 +31,7 @@ func NewMemStore() *MemStore {
 
 // shard places key by its 32-bit FNV-1a hash, inlined: hash/fnv and
 // the []byte(key) copy cost two allocations on every operation.
-func (s *MemStore) shard(key string) *memShard {
+func shard[K keyBytes](s *MemStore, key K) *memShard {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
@@ -42,7 +42,7 @@ func (s *MemStore) shard(key string) *memShard {
 // Put implements Store.
 func (s *MemStore) Put(key string, val []byte) error {
 	cp := append([]byte(nil), val...)
-	sh := s.shard(key)
+	sh := shard(s, key)
 	sh.mu.Lock()
 	sh.m[key] = cp
 	sh.mu.Unlock()
@@ -69,7 +69,7 @@ func (s *MemStore) PutBatch(pairs []Pair) error {
 		keys = keys[len(p.Key):]
 		vals = append(vals, p.Val...)
 		val := vals[len(vals)-len(p.Val) : len(vals) : len(vals)]
-		sh := s.shard(key)
+		sh := shard(s, key)
 		sh.mu.Lock()
 		sh.m[key] = val
 		sh.mu.Unlock()
@@ -82,24 +82,26 @@ func (s *MemStore) PutBatch(pairs []Pair) error {
 func (s *MemStore) PutWriter(key string) (BlockWriter, error) { return newBufWriter(s, key), nil }
 
 func (s *MemStore) install(key string, buf []byte) error {
-	sh := s.shard(key)
+	sh := shard(s, key)
 	sh.mu.Lock()
 	sh.m[key] = buf
 	sh.mu.Unlock()
 	return nil
 }
 
-// stored returns key's value as the store holds it: never modified in
-// place (Put installs a fresh slice), so safe to read without the lock.
-func (s *MemStore) stored(key string) ([]byte, error) {
-	sh := s.shard(key)
+// lend returns [off, off+length) of key's value as the store holds it:
+// never modified in place (Put installs a fresh slice), so safe to read
+// without the lock. A map index by string(key) copies nothing.
+func lend[K keyBytes](s *MemStore, key K, off, length int64) ([]byte, error) {
+	sh := shard(s, key)
 	sh.mu.RLock()
-	v, ok := sh.m[key]
+	v, ok := sh.m[string(key)]
 	sh.mu.RUnlock()
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return v, nil
+	o, l := clampRange(int64(len(v)), off, length)
+	return v[o : o+l : o+l], nil
 }
 
 // Get implements Store.
@@ -107,35 +109,24 @@ func (s *MemStore) Get(key string) ([]byte, error) { return s.GetRange(key, 0, -
 
 // GetRange implements Store.
 func (s *MemStore) GetRange(key string, off, length int64) ([]byte, error) {
-	v, err := s.Lend(key, off, length)
+	v, err := lend(s, key, off, length)
 	return append([]byte(nil), v...), err
 }
 
 // Lend implements Lender.
-func (s *MemStore) Lend(key string, off, length int64) ([]byte, error) {
-	v, err := s.stored(key)
-	if err != nil {
-		return nil, err
-	}
-	o, l := clampRange(int64(len(v)), off, length)
-	return v[o : o+l : o+l], nil
+func (s *MemStore) Lend(key []byte, off, length int64) ([]byte, error) {
+	return lend(s, key, off, length)
 }
 
 // ReadAt implements Store.
-func (s *MemStore) ReadAt(key string, p []byte, off int64) (int, error) {
-	v, err := s.Lend(key, off, int64(len(p)))
+func (s *MemStore) ReadAt(key, p []byte, off int64) (int, error) {
+	v, err := lend(s, key, off, int64(len(p)))
 	return copy(p, v), err
-}
-
-// Has implements Store.
-func (s *MemStore) Has(key string) bool {
-	_, err := s.stored(key)
-	return err == nil
 }
 
 // Delete implements Store.
 func (s *MemStore) Delete(key string) error {
-	sh := s.shard(key)
+	sh := shard(s, key)
 	sh.mu.Lock()
 	delete(sh.m, key)
 	sh.mu.Unlock()

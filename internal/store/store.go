@@ -13,7 +13,10 @@
 // BlockWriter.WriteAt copy (callers recycle their buffers right after)
 // — Get and GetRange return slices that are the caller's, and ReadAt
 // fills caller memory and touches none of it past the count it returns.
-// The one exception runs the other way: what a Lender lends is still the
+// The reads a provider serves (ReadAt, Lend, LendFile) take the key as
+// bytes and keep none of them, so a caller writes each key into one
+// buffer it reuses, and mem:// finds a block without allocating. The
+// one exception runs the other way: what a Lender lends is still the
 // store's, and read-only for ever.
 package store
 
@@ -21,6 +24,10 @@ import (
 	"errors"
 	"os"
 )
+
+// keyBytes is a key as either of its forms: a string, or bytes that the
+// store reads during the call and keeps none of.
+type keyBytes interface{ ~string | ~[]byte }
 
 // ErrNotFound is returned when a key is absent.
 var ErrNotFound = errors.New("store: key not found")
@@ -76,9 +83,9 @@ type Store interface {
 	// ReadAt is GetRange into the caller's memory: it copies up to
 	// len(p) bytes at off within the value into p and returns the count,
 	// short when the value ends first — not an error, unlike io.ReaderAt.
-	ReadAt(key string, p []byte, off int64) (int, error)
-	// Has reports whether key exists.
-	Has(key string) bool
+	// It keeps none of key. A zero-length ReadAt tells whether key is
+	// stored: ErrNotFound, or a count of 0 and no error.
+	ReadAt(key, p []byte, off int64) (int, error)
 	// Delete removes key (no error if absent).
 	Delete(key string) error
 	// DeletePrefix removes all keys with the given prefix, returning
@@ -101,9 +108,10 @@ type Store interface {
 // and fall back to ReadAt. Lend is GetRange by reference: the bytes as
 // the store holds them, read-only for ever, and unchanged for as long as
 // they are referenced, even once the key is overwritten or deleted. A
-// provider sends them as a frame's byte tail (wire.Buffer.Attach).
+// provider sends them as a frame's byte tail (wire.Buffer.Attach). Lend
+// keeps none of key.
 type Lender interface {
-	Lend(key string, off, length int64) ([]byte, error)
+	Lend(key []byte, off, length int64) ([]byte, error)
 }
 
 // FileLender is Lender for a backend that keeps each value in a file
@@ -111,9 +119,10 @@ type Lender interface {
 // the range like GetRange, lending the n bytes at max(off, 0). The caller
 // closes the file — a provider hands it to a frame as a file tail
 // (wire.Buffer.AttachFile) — and its bytes outlive an overwrite or delete
-// of the key, neither of which touches an open file.
+// of the key, neither of which touches an open file. LendFile keeps
+// none of key.
 type FileLender interface {
-	LendFile(key string, off, length int64) (f *os.File, n int64, err error)
+	LendFile(key []byte, off, length int64) (f *os.File, n int64, err error)
 }
 
 // Pair is one key/value of a BatchPutter's batch, both still the caller's.

@@ -76,7 +76,7 @@ func TestStoreBasics(t *testing.T) {
 	for name, s := range engines(t) {
 		t.Run(name, func(t *testing.T) {
 			defer s.Close()
-			if s.Has("k") {
+			if holds(t, s, "k") {
 				t.Error("fresh store has key")
 			}
 			if _, err := s.Get("k"); !errors.Is(err, ErrNotFound) {
@@ -100,7 +100,7 @@ func TestStoreBasics(t *testing.T) {
 			if err := s.Delete("k"); err != nil {
 				t.Fatal(err)
 			}
-			if s.Has("k") {
+			if holds(t, s, "k") {
 				t.Error("key survives delete")
 			}
 			if err := s.Delete("k"); err != nil {
@@ -163,10 +163,10 @@ func TestStoreDeletePrefix(t *testing.T) {
 			if n != 2 {
 				t.Errorf("deleted %d, want 2", n)
 			}
-			if s.Has("b1/aa/0") || s.Has("b1/aa/1") {
+			if holds(t, s, "b1/aa/0") || holds(t, s, "b1/aa/1") {
 				t.Error("prefixed keys survive")
 			}
-			if !s.Has("b1/ab/0") || !s.Has("b2/aa/0") {
+			if !holds(t, s, "b1/ab/0") || !holds(t, s, "b2/aa/0") {
 				t.Error("unrelated keys deleted")
 			}
 		})
@@ -270,19 +270,34 @@ func TestFSStoreBinaryKeysAndPersistence(t *testing.T) {
 
 // TestMemShardPlacement pins the inlined shard hash to hash/fnv's
 // FNV-1a, so keys stay in the shards earlier builds put them in, and
-// pins that placing a key allocates nothing.
+// pins that reading a key given as bytes allocates nothing.
 func TestMemShardPlacement(t *testing.T) {
 	s := NewMemStore()
 	for _, key := range []string{"", "a", "b1/2/3", "t7/9/0/4096", "blöb\x00key"} {
 		h := fnv.New32a()
 		h.Write([]byte(key))
-		if got, want := s.shard(key), &s.shards[h.Sum32()%memShards]; got != want {
+		if got, want := shard(s, key), &s.shards[h.Sum32()%memShards]; got != want {
 			t.Errorf("shard(%q) moved", key)
 		}
+		if got, want := shard(s, []byte(key)), shard(s, key); got != want {
+			t.Errorf("shard(%q) differs between the key's bytes and its string", key)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { s.Has("b1/2/3") }); n != 0 {
-		t.Errorf("Has allocates %v times per call", n)
+	key := []byte("b1844674407/fedcba9876543210/4294967295") // longer than a string converts on the stack
+	s.Put(string(key), []byte("v"))
+	if n := testing.AllocsPerRun(100, func() { s.ReadAt(key, make([]byte, 1), 0); s.Lend(key, 0, -1) }); n != 0 {
+		t.Errorf("ReadAt and Lend allocate %v times per call", n)
 	}
+}
+
+// holds reports whether s stores key, by a zero-length ReadAt.
+func holds(t *testing.T, s Store, key string) bool {
+	t.Helper()
+	_, err := s.ReadAt([]byte(key), nil, 0)
+	if err != nil && err != ErrNotFound {
+		t.Fatalf("ReadAt(%q, nothing): %v", key, err)
+	}
+	return err == nil
 }
 
 // TestLendFileAllocs pins what lending a block's file allocates: its path
@@ -297,8 +312,9 @@ func TestLendFileAllocs(t *testing.T) {
 	if err := s.Put("b1/7f/3", []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
+	key := []byte("b1/7f/3")
 	lend := func() {
-		f, n, err := s.LendFile("b1/7f/3", 2, 100)
+		f, n, err := s.LendFile(key, 2, 100)
 		if err != nil || n != 8 {
 			t.Fatalf("LendFile = %d, %v; want 8 bytes", n, err)
 		}

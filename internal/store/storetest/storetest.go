@@ -9,7 +9,9 @@ package storetest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -30,6 +32,7 @@ func Run(t *testing.T, mk func(t *testing.T) store.Store) {
 		{"NotFound", testNotFound},
 		{"GetRangeClamps", testGetRangeClamps},
 		{"WritesCopy", testWritesCopy},
+		{"KeyBytes", testKeyBytes},
 		{"HasDelete", testHasDelete},
 		{"PutWriter", testPutWriter},
 		{"PutWriterInvisible", testPutWriterInvisible},
@@ -50,11 +53,35 @@ func Run(t *testing.T, mk func(t *testing.T) store.Store) {
 	}
 }
 
+// Holds reports whether st stores key, by the zero-length ReadAt that
+// tells a hit from ErrNotFound; any other error fails t.
+func Holds(t testing.TB, st store.Store, key string) bool {
+	t.Helper()
+	_, err := st.ReadAt([]byte(key), nil, 0)
+	if err != nil && err != store.ErrNotFound {
+		t.Fatalf("ReadAt(%q, nothing): %v", key, err)
+	}
+	return err == nil
+}
+
 func put(t *testing.T, st store.Store, key, val string) {
 	t.Helper()
 	if err := st.Put(key, []byte(val)); err != nil {
 		t.Fatalf("Put(%q): %v", key, err)
 	}
+}
+
+// stream opens a writer for key and writes val at 0, uncommitted.
+func stream(t *testing.T, st store.Store, key, val string) store.BlockWriter {
+	t.Helper()
+	w, err := st.PutWriter(key)
+	if err == nil {
+		err = w.WriteAt([]byte(val), 0)
+	}
+	if err != nil {
+		t.Fatalf("streaming %q: %v", key, err)
+	}
+	return w
 }
 
 func get(t *testing.T, st store.Store, key string) string {
@@ -96,11 +123,11 @@ func testNotFound(t *testing.T, st store.Store) {
 	if _, err := st.GetRange("missing", 0, 4); err != store.ErrNotFound {
 		t.Fatalf("GetRange(missing) err = %v, want ErrNotFound", err)
 	}
-	if _, err := st.ReadAt("missing", make([]byte, 4), 0); err != store.ErrNotFound {
+	if _, err := st.ReadAt([]byte("missing"), make([]byte, 4), 0); err != store.ErrNotFound {
 		t.Fatalf("ReadAt(missing) err = %v, want ErrNotFound", err)
 	}
-	if st.Has("missing") {
-		t.Fatal("Has(missing) = true")
+	if Holds(t, st, "missing") {
+		t.Fatal("Holds(missing) = true")
 	}
 	if err := st.Delete("missing"); err != nil {
 		t.Fatalf("Delete(missing) must be a no-op, got %v", err)
@@ -142,7 +169,7 @@ func testGetRangeClamps(t *testing.T, st store.Store) {
 		// ReadAt clamps the same way into caller memory, and leaves
 		// everything past the count it returns alone.
 		p := []byte("################")
-		n, err := st.ReadAt("k", p[:c.length], c.off)
+		n, err := st.ReadAt([]byte("k"), p[:c.length], c.off)
 		if err != nil || string(p[:n]) != c.want || strings.Trim(string(p[n:]), "#") != "" {
 			t.Fatalf("ReadAt(%d bytes at %d) = %d, %v leaving %q, want %q then untouched", c.length, c.off, n, err, p, c.want)
 		}
@@ -170,16 +197,64 @@ func testWritesCopy(t *testing.T, st store.Store) {
 	}
 }
 
+// testKeyBytes: ReadAt, and Lend and LendFile where the backend has
+// them, take the key as bytes: they find what Put and PutWriter stored,
+// miss with ErrNotFound, and keep none of the key, whose buffer a
+// provider fills with the next block's.
+func testKeyBytes(t *testing.T, st store.Store) {
+	put(t, st, "b1/a/0", "put")
+	if err := stream(t, st, "b1/a/1", "streamed").Commit(); err != nil {
+		t.Fatal(err)
+	}
+	reads := []func(key []byte) ([]byte, error){func(key []byte) ([]byte, error) {
+		p := make([]byte, 16)
+		n, err := st.ReadAt(key, p, 0)
+		return p[:n], err
+	}}
+	if l, ok := st.(store.Lender); ok {
+		reads = append(reads, func(key []byte) ([]byte, error) { return l.Lend(key, 0, -1) })
+	}
+	if l, ok := st.(store.FileLender); ok {
+		reads = append(reads, func(key []byte) ([]byte, error) {
+			f, n, err := l.LendFile(key, 0, -1)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return io.ReadAll(io.NewSectionReader(f, 0, n))
+		})
+	}
+	show := func(v []byte, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return string(v)
+	}
+	for i, read := range reads {
+		for key, want := range map[string]string{"b1/a/0": "put", "b1/a/1": "streamed", "b1/a/2": store.ErrNotFound.Error()} {
+			buf := []byte(key)
+			first := show(read(buf))
+			clear(buf)
+			if again := show(read([]byte(key))); first != want || again != want || show(read(buf)) != store.ErrNotFound.Error() {
+				t.Fatalf("read %d of %q = %q, then %q once its key buffer was cleared; want %q", i, key, first, again, want)
+			}
+		}
+	}
+	if keys, err := st.Keys(""); err != nil || len(keys) != 2 {
+		t.Fatalf("Keys after the reads = %q, %v", keys, err)
+	}
+}
+
 func testHasDelete(t *testing.T, st store.Store) {
 	put(t, st, "k", "v")
-	if !st.Has("k") {
-		t.Fatal("Has(k) = false after Put")
+	if !Holds(t, st, "k") {
+		t.Fatal("Holds(k) = false after Put")
 	}
 	if err := st.Delete("k"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if st.Has("k") {
-		t.Fatal("Has(k) = true after Delete")
+	if Holds(t, st, "k") {
+		t.Fatal("Holds(k) = true after Delete")
 	}
 	if _, err := st.Get("k"); err != store.ErrNotFound {
 		t.Fatalf("Get after Delete err = %v, want ErrNotFound", err)
@@ -187,22 +262,13 @@ func testHasDelete(t *testing.T, st store.Store) {
 }
 
 func testPutWriter(t *testing.T, st store.Store) {
-	w, err := st.PutWriter("k")
-	if err != nil {
-		t.Fatalf("PutWriter: %v", err)
-	}
 	// Frames land out of order and overlapping; the last write wins.
-	if err := w.WriteAt([]byte("6789"), 6); err != nil {
-		t.Fatalf("WriteAt: %v", err)
+	w, err := st.PutWriter("k")
+	if err == nil {
+		err = errors.Join(w.WriteAt([]byte("6789"), 6), w.WriteAt([]byte("012345"), 0), w.WriteAt([]byte("345"), 3), w.Commit())
 	}
-	if err := w.WriteAt([]byte("012345"), 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	if err := w.WriteAt([]byte("345"), 3); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := get(t, st, "k"); got != "0123456789" {
 		t.Fatalf("assembled block = %q, want 0123456789", got)
@@ -210,15 +276,9 @@ func testPutWriter(t *testing.T, st store.Store) {
 }
 
 func testPutWriterInvisible(t *testing.T, st store.Store) {
-	w, err := st.PutWriter("k")
-	if err != nil {
-		t.Fatalf("PutWriter: %v", err)
-	}
-	if err := w.WriteAt([]byte("partial"), 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	if st.Has("k") {
-		t.Fatal("in-flight write visible via Has")
+	w := stream(t, st, "k", "partial")
+	if Holds(t, st, "k") {
+		t.Fatal("in-flight write visible via ReadAt")
 	}
 	if _, err := st.Get("k"); err != store.ErrNotFound {
 		t.Fatalf("in-flight write visible via Get: err = %v", err)
@@ -239,30 +299,18 @@ func testPutWriterInvisible(t *testing.T, st store.Store) {
 }
 
 func testPutWriterAbort(t *testing.T, st store.Store) {
-	w, err := st.PutWriter("k")
-	if err != nil {
-		t.Fatalf("PutWriter: %v", err)
-	}
-	if err := w.WriteAt([]byte("doomed"), 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
+	w := stream(t, st, "k", "doomed")
 	if err := w.Abort(); err != nil {
 		t.Fatalf("Abort: %v", err)
 	}
-	if st.Has("k") {
+	if Holds(t, st, "k") {
 		t.Fatal("aborted write visible")
 	}
 
 	// A writer overwriting an existing block must not clobber it before
 	// Commit, and the committed value replaces the old one.
 	put(t, st, "x", "old")
-	w2, err := st.PutWriter("x")
-	if err != nil {
-		t.Fatalf("PutWriter: %v", err)
-	}
-	if err := w2.WriteAt([]byte("new!"), 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
+	w2 := stream(t, st, "x", "new!")
 	if got := get(t, st, "x"); got != "old" {
 		t.Fatalf("old value clobbered pre-Commit: %q", got)
 	}
@@ -279,40 +327,25 @@ func testDeletePrefix(t *testing.T, st store.Store) {
 	put(t, st, "blk/2", "bb")
 	put(t, st, "blk/3", "ccc")
 	put(t, st, "other", "dddd")
-	n, err := st.DeletePrefix("blk/")
-	if err != nil {
-		t.Fatalf("DeletePrefix: %v", err)
+	if n, err := st.DeletePrefix("blk/"); err != nil || n != 3 {
+		t.Fatalf("DeletePrefix = (%d, %v), want (3, nil)", n, err)
 	}
-	if n != 3 {
-		t.Fatalf("DeletePrefix removed %d, want 3", n)
-	}
-	if st.Has("blk/2") {
+	if Holds(t, st, "blk/2") {
 		t.Fatal("prefixed key survived DeletePrefix")
 	}
-	if !st.Has("other") {
+	if !Holds(t, st, "other") {
 		t.Fatal("unrelated key removed by DeletePrefix")
 	}
-	n, err = st.DeletePrefix("blk/")
-	if err != nil || n != 0 {
+	if n, err := st.DeletePrefix("blk/"); err != nil || n != 0 {
 		t.Fatalf("second DeletePrefix = (%d, %v), want (0, nil)", n, err)
 	}
 }
 
 func testDeletePrefixSkipsInFlight(t *testing.T, st store.Store) {
 	put(t, st, "blk/done", "x")
-	w, err := st.PutWriter("blk/inflight")
-	if err != nil {
-		t.Fatalf("PutWriter: %v", err)
-	}
-	if err := w.WriteAt([]byte("y"), 0); err != nil {
-		t.Fatalf("WriteAt: %v", err)
-	}
-	n, err := st.DeletePrefix("blk/")
-	if err != nil {
-		t.Fatalf("DeletePrefix: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("DeletePrefix counted %d, want 1 (in-flight write is not a block)", n)
+	w := stream(t, st, "blk/inflight", "y")
+	if n, err := st.DeletePrefix("blk/"); err != nil || n != 1 {
+		t.Fatalf("DeletePrefix = (%d, %v), want (1, nil): an in-flight write is not a block", n, err)
 	}
 	// The sweep must not have broken the in-flight writer.
 	if err := w.Commit(); err != nil {
@@ -328,25 +361,9 @@ func testKeys(t *testing.T, st store.Store) {
 	put(t, st, "a/2", "x")
 	put(t, st, "b/1", "x")
 	all, err := st.Keys("")
-	if err != nil {
-		t.Fatalf("Keys: %v", err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("Keys(\"\") = %v, want 3 keys", all)
-	}
-	as, err := st.Keys("a/")
-	if err != nil {
-		t.Fatalf("Keys: %v", err)
-	}
-	if len(as) != 2 {
-		t.Fatalf("Keys(a/) = %v, want 2 keys", as)
-	}
-	seen := map[string]bool{}
-	for _, k := range as {
-		seen[k] = true
-	}
-	if !seen["a/1"] || !seen["a/2"] {
-		t.Fatalf("Keys(a/) = %v", as)
+	as, aerr := st.Keys("a/")
+	if slices.Sort(as); err != nil || aerr != nil || len(all) != 3 || !slices.Equal(as, []string{"a/1", "a/2"}) {
+		t.Fatalf("Keys(\"\") = %v, %v; Keys(a/) = %v, %v; want 3 keys, then a/1 and a/2", all, err, as, aerr)
 	}
 }
 
@@ -389,12 +406,8 @@ func testAwkwardKeys(t *testing.T, st store.Store) {
 			t.Fatalf("Get(%q) = %q", k, got)
 		}
 	}
-	all, err := st.Keys("")
-	if err != nil {
-		t.Fatalf("Keys: %v", err)
-	}
-	if len(all) != len(keys) {
-		t.Fatalf("Keys = %v, want %d keys", all, len(keys))
+	if all, err := st.Keys(""); err != nil || len(all) != len(keys) {
+		t.Fatalf("Keys = %v, %v; want %d keys", all, err, len(keys))
 	}
 }
 

@@ -23,7 +23,7 @@ func TestStreamWriterOutOfOrderFrames(t *testing.T) {
 				}
 			}
 			// Invisible until commit.
-			if s.Has("k") {
+			if holds(t, s, "k") {
 				t.Fatal("uncommitted stream visible")
 			}
 			if err := w.Commit(); err != nil {
@@ -58,7 +58,7 @@ func TestStreamWriterAbort(t *testing.T) {
 			if err := w.Abort(); err != nil {
 				t.Fatal(err)
 			}
-			if s.Has("k") {
+			if holds(t, s, "k") {
 				t.Error("aborted stream visible")
 			}
 			if st := s.Stats(); st.Items != 0 || st.Bytes != 0 {
@@ -134,7 +134,7 @@ func TestStreamWriterUncommittedInvisibleToPrefixOps(t *testing.T) {
 			if err := w.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if !s.Has("b1/aa/0") {
+			if !holds(t, s, "b1/aa/0") {
 				t.Error("commit after unrelated DeletePrefix lost the value")
 			}
 		})
@@ -164,7 +164,7 @@ func TestFSStoreSweepsOrphanedTempFilesOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if !s2.Has("kept") {
+	if !holds(t, s2, "kept") {
 		t.Error("committed value lost across reopen")
 	}
 	entries, err := os.ReadDir(dir)

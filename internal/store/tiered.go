@@ -36,7 +36,7 @@ type TierCounters struct {
 // Store: writes go through to both tiers, reads hit the hot tier first
 // and transparently promote cold blocks back on a miss, a policy loop
 // demotes idle blocks by dropping their hot copy, and every
-// contract operation (Keys, Has, Delete, DeletePrefix) spans both
+// contract operation (Keys, Delete, DeletePrefix) spans both
 // tiers — so providers, block reports, repair and GC see one logical
 // store and a demoted block still counts as present. Build one with
 // NewTiered or a "tiered://?hot=...&cold=..." URL.
@@ -127,14 +127,14 @@ func (s *Tiered) GetRange(key string, off, length int64) ([]byte, error) {
 }
 
 // ReadAt implements Store, promoting like GetRange.
-func (s *Tiered) ReadAt(key string, p []byte, off int64) (int, error) {
+func (s *Tiered) ReadAt(key, p []byte, off int64) (int, error) {
 	n, err := s.hot.ReadAt(key, p, off)
 	if err == ErrNotFound {
-		val, err := s.readCold(key)
+		val, err := s.readCold(string(key))
 		o, l := clampRange(int64(len(val)), off, int64(len(p)))
 		return copy(p, val[o:o+l]), err
 	}
-	s.hotHit(key, err)
+	s.hotHit(string(key), err)
 	return n, err
 }
 
@@ -168,7 +168,7 @@ func (s *Tiered) touch(key string) {
 func (s *Tiered) promote(key string, val []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.cold.Has(key) {
+	if _, err := s.cold.ReadAt([]byte(key), nil, 0); err != nil {
 		return // deleted while we were reading; do not resurrect it
 	}
 	if err := s.hot.Put(key, val); err != nil {
@@ -177,11 +177,6 @@ func (s *Tiered) promote(key string, val []byte) {
 	s.access[key] = time.Now()
 	s.promotions.Add(1)
 	s.evictLocked()
-}
-
-// Has implements Store: a block in either tier is present.
-func (s *Tiered) Has(key string) bool {
-	return s.hot.Has(key) || s.cold.Has(key)
 }
 
 // Delete implements Store, removing the key from both tiers.

@@ -19,8 +19,8 @@ func TestTieredWriteThroughLandsBothTiers(t *testing.T) {
 	if err := ti.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if !hot.Has("k") || !cold.Has("k") {
-		t.Fatalf("write-through put: hot=%v cold=%v, want both", hot.Has("k"), cold.Has("k"))
+	if !holds(t, hot, "k") || !holds(t, cold, "k") {
+		t.Fatalf("write-through put: hot=%v cold=%v, want both", holds(t, hot, "k"), holds(t, cold, "k"))
 	}
 }
 
@@ -32,7 +32,7 @@ func TestTieredPromotionOnRead(t *testing.T) {
 	if n, err := ti.DemoteNow(); err != nil || n != 1 {
 		t.Fatalf("DemoteNow = (%d, %v)", n, err)
 	}
-	if hot.Has("k") {
+	if holds(t, hot, "k") {
 		t.Fatal("block still hot after demotion")
 	}
 
@@ -40,7 +40,7 @@ func TestTieredPromotionOnRead(t *testing.T) {
 	if err != nil || string(got) != "hello world" {
 		t.Fatalf("Get after demotion = %q, %v", got, err)
 	}
-	if !hot.Has("k") {
+	if !holds(t, hot, "k") {
 		t.Fatal("read did not promote the block back to hot")
 	}
 	c := ti.Counters()
@@ -69,7 +69,7 @@ func TestTieredGetRangePromotes(t *testing.T) {
 	if err != nil || string(got) != "3456" {
 		t.Fatalf("GetRange after demotion = %q, %v", got, err)
 	}
-	if !hot.Has("k") {
+	if !holds(t, hot, "k") {
 		t.Fatal("range read did not promote the whole block")
 	}
 	// Past-end clamp still holds on the cold path.
@@ -98,10 +98,10 @@ func TestTieredDemoteAfterSparesRecent(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("DemoteNow = (%d, %v), want (1, nil)", n, err)
 	}
-	if hot.Has("old") {
+	if holds(t, hot, "old") {
 		t.Fatal("idle block not demoted")
 	}
-	if !hot.Has("new") {
+	if !holds(t, hot, "new") {
 		t.Fatal("recent block demoted")
 	}
 }
@@ -120,10 +120,10 @@ func TestTieredMaxHotBytesEvictsLRU(t *testing.T) {
 		t.Fatalf("hot tier over budget: %d bytes", st.Bytes)
 	}
 	// The most recent keys stay hot; the oldest were evicted.
-	if !hot.Has("k3") {
+	if !holds(t, hot, "k3") {
 		t.Fatal("most recent block evicted")
 	}
-	if hot.Has("k0") {
+	if holds(t, hot, "k0") {
 		t.Fatal("oldest block still hot")
 	}
 	// Evicted blocks remain readable (promotion pulls them back).
@@ -180,13 +180,13 @@ func TestTieredDeleteSpansTiers(t *testing.T) {
 	if err := ti.Delete("gone"); err != nil {
 		t.Fatal(err)
 	}
-	if hot.Has("gone") || cold.Has("gone") {
+	if holds(t, hot, "gone") || holds(t, cold, "gone") {
 		t.Fatal("Delete left a tier copy behind")
 	}
 	if err := ti.Delete("cold-only"); err != nil {
 		t.Fatal(err)
 	}
-	if cold.Has("cold-only") {
+	if holds(t, cold, "cold-only") {
 		t.Fatal("Delete missed the demoted copy")
 	}
 }
@@ -209,7 +209,7 @@ func TestTieredDeletePrefixCountsDistinct(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("DeletePrefix = (%d, %v), want (3, nil)", n, err)
 	}
-	if ti.Has("p/1") {
+	if holds(t, ti, "p/1") {
 		t.Fatal("prefixed key survived")
 	}
 }
@@ -220,13 +220,13 @@ func TestTieredPolicyLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for hot.Has("k") && time.Now().Before(deadline) {
+	for holds(t, hot, "k") && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if hot.Has("k") {
+	if holds(t, hot, "k") {
 		t.Fatal("policy loop never demoted the block")
 	}
-	if !cold.Has("k") {
+	if !holds(t, cold, "k") {
 		t.Fatal("demoted block missing from cold")
 	}
 	got, err := ti.Get("k")

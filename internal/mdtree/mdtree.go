@@ -37,6 +37,7 @@ import (
 	"strconv"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/util"
 )
 
 // NodeID names a segment-tree node. Span is the number of bytes the
@@ -105,6 +106,9 @@ type Node struct {
 // miss of a call with one GetBatch of its store. The path stays outside
 // Store, found by type assertion, so that a store wrapping a NodeCache
 // behind Store's methods alone still works.
+//
+// PutBatch keeps no reference to nodes once it has returned: Build
+// recycles the list.
 type Store interface {
 	PutBatch(ctx context.Context, nodes []Node) error
 	GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error)
@@ -182,7 +186,14 @@ func Build(ctx context.Context, st Store, meta blob.Meta, h *blob.History, v blo
 	// A patch of k blocks materializes its leaves, their ancestors inside
 	// the patch (fewer than k more) and a path up to the root.
 	room := 2*len(blocks) + bits.Len64(uint64(span/meta.BlockSize))
-	b := &builder{meta: meta, h: *h, v: v, update: update, blocks: blocks, out: make([]Node, 0, room)}
+	out, _ := builtNodes.Get()
+	b := &builder{meta: meta, h: *h, v: v, update: update, blocks: blocks, out: slices.Grow(out, room)}
+	defer func() {
+		if cap(b.out) <= maxKeptNodes {
+			clear(b.out)
+			builtNodes.Put(b.out[:0])
+		}
+	}()
 	if _, err := b.node(blob.Range{Off: 0, Len: span}); err != nil {
 		return 0, err
 	}
@@ -194,6 +205,11 @@ func Build(ctx context.Context, st Store, meta blob.Meta, h *blob.History, v blo
 	}
 	return len(b.out), nil
 }
+
+// builtNodes recycles Build's node lists, up to maxKeptNodes nodes each.
+var builtNodes util.FreeList[[]Node]
+
+const maxKeptNodes = 256
 
 type builder struct {
 	meta   blob.Meta

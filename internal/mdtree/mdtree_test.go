@@ -428,3 +428,37 @@ func TestNodeKeyFormat(t *testing.T) {
 		}
 	}
 }
+
+// droppingStore counts the nodes a batch puts and keeps none of them.
+type droppingStore struct {
+	Store
+	put int
+}
+
+func (s *droppingStore) PutBatch(_ context.Context, nodes []Node) error {
+	s.put += len(nodes)
+	return nil
+}
+
+// TestWarmBuildAllocatesNothing: Build takes its node list from the
+// last Build's, so a warm one-block overwrite of a 512-block blob, a
+// leaf and its 9 ancestors, allocates nothing of its own (1 while each
+// Build made its own list, about 1.4 KB of a 128 KB block's write).
+func TestWarmBuildAllocatesNothing(t *testing.T) {
+	h := &blob.History{}
+	mustAppend(t, h, blob.WriteDesc{Version: 1, Off: 0, Len: 512 * B, SizeAfter: 512 * B, Kind: blob.KindAppend})
+	mustAppend(t, h, blob.WriteDesc{Version: 2, Off: 7 * B, Len: B, SizeAfter: 512 * B})
+	st, blocks := &droppingStore{}, refs(0xb2, 1, 0)
+	build := func() {
+		if n, err := Build(context.Background(), st, meta(), h, 2, blocks); err != nil || n != 10 {
+			t.Fatalf("Build = %d nodes, %v; want 10", n, err)
+		}
+	}
+	build()
+	if n := testing.AllocsPerRun(100, build); n != 0 {
+		t.Errorf("a warm Build allocates %v times, want none", n)
+	}
+	if st.put != 10*102 {
+		t.Errorf("%d nodes put, want %d", st.put, 10*102)
+	}
+}

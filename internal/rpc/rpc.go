@@ -49,13 +49,14 @@
 // No sync.Mutex is held across a network wait: it would queue callers
 // behind the slowest round trip. A conn's writer lock is held while one
 // frame goes out; a call waits for its response holding no lock.
-// Likewise a request runs in a goroutine of its own, so that a handler
-// may wait (for a publication, a downstream hop, a log sync), unless its
-// method is registered with HandleInline: such a handler waits on
-// nothing but its own response write, and runs on the connection's
-// goroutine. A caller talking to many peers at once need not start
-// goroutines either: StartInto sends a call and Pending.Wait collects
-// it, so one goroutine can send every request first and then wait.
+// Likewise a request runs on a handler goroutine, parked since its last
+// request, so that a handler may wait (for a publication, a downstream
+// hop, a log sync), unless its method is registered with HandleInline:
+// such a handler waits on nothing but its own response write, and runs
+// on the connection's goroutine. A caller talking to many peers at once
+// need not start goroutines either: StartInto sends a call and
+// Pending.Wait collects it, so one goroutine can send every request
+// first and then wait.
 package rpc
 
 import (
@@ -366,7 +367,7 @@ func (x *Mux) Handle(m uint16, fn HandlerFunc) {
 }
 
 // HandleFrame registers fn as method m, named name, replacing any
-// previous handler of m. Each request runs in a goroutine of its own.
+// previous handler of m. Each request runs on a handler goroutine.
 // It panics on an empty name, or on one another method of x has: the
 // two would share their meters.
 func (x *Mux) HandleFrame(m uint16, name string, fn FrameHandler) {
@@ -377,7 +378,7 @@ func (x *Mux) HandleFrame(m uint16, name string, fn FrameHandler) {
 // its own response write: it runs on the connection's goroutine, which
 // reads the connection's next request only once the response is out.
 // That costs no parallelism, since one connection's responses go out
-// one at a time anyway, and saves the request its goroutine.
+// one at a time anyway, and saves the request its handoff.
 func (x *Mux) HandleInline(m uint16, name string, fn FrameHandler) {
 	x.register(m, &handler{fn: fn, inline: true, name: mustName(m, name)})
 }
@@ -418,12 +419,13 @@ func (x *Mux) lookup(m uint16) *handler {
 }
 
 // Server serves RPC requests on accepted connections. Each request runs
-// in its own goroutine, so handlers may block (the version manager's
-// wait-for-publication call relies on this), except that a method
-// registered with HandleInline runs on its connection's goroutine, and
-// may wait on nothing but its response write. Every request the Mux
-// knows is metered by its method's name (see Mux) and, under a tracer,
-// records a span of that name.
+// on a handler goroutine: a parked one, or a new one when none is, so
+// handlers may block (the version manager's wait-for-publication call
+// relies on this), except that a method registered with HandleInline
+// runs on its connection's goroutine, and may wait on nothing but its
+// response write. Every request the Mux knows is metered by its
+// method's name (see Mux) and, under a tracer, records a span of that
+// name.
 type Server struct {
 	mux    *Mux
 	tracer *obs.Tracer
@@ -433,11 +435,27 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+
+	work     chan request  // unbuffered: taken only by a parked handler
+	severed  chan struct{} // closed by Sever: parked handlers exit
+	parked   atomic.Int32  // handlers parked on work, or about to be
+	handlers sync.WaitGroup
+}
+
+// maxParked bounds the handler goroutines parked between requests.
+const maxParked = 64
+
+// request is a request frame handed to a handler goroutine.
+type request struct {
+	req []byte
+	h   *handler
+	fw  *frameWriter
+	wg  *sync.WaitGroup
 }
 
 // NewServer returns a server dispatching through mux.
 func NewServer(mux *Mux) *Server {
-	return &Server{mux: mux, conns: make(map[net.Conn]struct{})}
+	return &Server{mux: mux, conns: make(map[net.Conn]struct{}), work: make(chan request), severed: make(chan struct{})}
 }
 
 // SetTrace attaches a tracer: every dispatched request that carries a
@@ -480,6 +498,7 @@ func (s *Server) Serve(lis net.Listener) error {
 func (s *Server) Close() error {
 	s.Sever()
 	s.wg.Wait()
+	s.handlers.Wait() // every connection is gone: nothing starts one now
 	return nil
 }
 
@@ -496,6 +515,7 @@ func (s *Server) Sever() {
 		return
 	}
 	s.closed = true
+	close(s.severed)
 	lis := s.lis
 	for c := range s.conns {
 		c.Close()
@@ -533,38 +553,57 @@ func (s *Server) serveConn(conn net.Conn) {
 			wire.PutBuf(req)
 			return
 		}
-		id, method, payload, tc, ok := parseRequest(req)
+		_, method, _, _, ok := parseRequest(req)
 		if !ok {
 			wire.PutBuf(req)
 			return // protocol violation; drop the connection
 		}
 		h := s.mux.lookup(method)
+		r := request{req, h, fw, &hwg}
+		hwg.Add(1)
 		if h == nil || h.inline { // an unknown method is answered at once
-			resp, status := s.dispatch(tc, h, method, payload)
-			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
-			wire.PutBuf(req)
-			if err != nil {
-				return
-			}
+			s.serveOne(r) // a failed write closes conn: the next read fails
 			continue
 		}
-		hwg.Add(1)
-		go func() {
-			defer hwg.Done()
-			// Parsed again rather than captured: req and h make the
-			// closure 64 bytes, the parsed header made it 144. The
-			// handler and the response write each run one call below
-			// the closure: a goroutine starts on a small stack, and
-			// every frame deeper brings a request nearer copying it.
-			id, method, payload, tc, _ := parseRequest(req)
-			resp, status := s.dispatch(tc, h, method, payload)
-			err := fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
-			wire.PutBuf(req) // the response is out: nothing references the request now
-			if err != nil {
-				fw.conn.Close()
-			}
-		}()
+		select {
+		case s.work <- r:
+		default:
+			s.handlers.Add(1)
+			go s.handle(r)
+		}
 	}
+}
+
+// handle serves r, then parks for the next request until the server is
+// severed, or exits when maxParked handlers are parked already: a
+// reused goroutine allocates nothing and has its stack grown already.
+func (s *Server) handle(r request) {
+	defer s.handlers.Done()
+	for {
+		s.serveOne(r)
+		if s.parked.Add(1) > maxParked {
+			s.parked.Add(-1)
+			return
+		}
+		select {
+		case r = <-s.work:
+			s.parked.Add(-1)
+		case <-s.severed:
+			return
+		}
+	}
+}
+
+// serveOne answers a request, inline or on a handler goroutine.
+func (s *Server) serveOne(r request) {
+	id, method, payload, tc, _ := parseRequest(r.req)
+	resp, status := s.dispatch(tc, r.h, method, payload)
+	err := r.fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
+	wire.PutBuf(r.req) // the response is out: nothing references the request now
+	if err != nil {
+		r.fw.conn.Close()
+	}
+	r.wg.Done()
 }
 
 // parseRequest splits a request frame into its header fields, sampled

@@ -47,7 +47,7 @@ type Tiered struct {
 	hotHits, coldHits, promotions, demotions atomic.Int64
 
 	mu     sync.Mutex
-	access map[string]time.Time // last access per hot-resident key
+	access map[string]*time.Time // last access per hot-resident key
 	stop   chan struct{}
 }
 
@@ -59,7 +59,7 @@ func NewTiered(hot, cold Store, opts TierOptions) *Tiered {
 		hot:    hot,
 		cold:   cold,
 		opts:   opts,
-		access: make(map[string]time.Time),
+		access: make(map[string]*time.Time),
 	}
 	if opts.Interval > 0 {
 		s.stop = make(chan struct{})
@@ -92,7 +92,7 @@ func (s *Tiered) Put(key string, val []byte) error {
 	if err := s.hot.Put(key, val); err != nil {
 		return err
 	}
-	s.access[key] = time.Now()
+	s.stampLocked(key)
 	s.evictLocked()
 	return nil
 }
@@ -122,7 +122,7 @@ func (s *Tiered) GetRange(key string, off, length int64) ([]byte, error) {
 		}
 		return val, nil
 	}
-	s.hotHit(key, err)
+	hotHit(s, key, err)
 	return val, err
 }
 
@@ -134,14 +134,20 @@ func (s *Tiered) ReadAt(key, p []byte, off int64) (int, error) {
 		o, l := clampRange(int64(len(val)), off, int64(len(p)))
 		return copy(p, val[o:o+l]), err
 	}
-	s.hotHit(string(key), err)
+	hotHit(s, key, err)
 	return n, err
 }
 
-func (s *Tiered) hotHit(key string, err error) {
+// hotHit counts a hot read and stamps its key's access time in place: a
+// hit allocates nothing, whichever form its key came in.
+func hotHit[K keyBytes](s *Tiered, key K, err error) {
 	if err == nil {
 		s.hotHits.Add(1)
-		s.touch(key)
+		s.mu.Lock()
+		if at := s.access[string(key)]; at != nil {
+			*at = time.Now()
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -155,14 +161,6 @@ func (s *Tiered) readCold(key string) ([]byte, error) {
 	return val, err
 }
 
-func (s *Tiered) touch(key string) {
-	s.mu.Lock()
-	if _, ok := s.access[key]; ok {
-		s.access[key] = time.Now()
-	}
-	s.mu.Unlock()
-}
-
 // promote installs a cold block's value in the hot tier. Best-effort:
 // a full hot tier or a raced delete leaves the read correct either way.
 func (s *Tiered) promote(key string, val []byte) {
@@ -174,7 +172,7 @@ func (s *Tiered) promote(key string, val []byte) {
 	if err := s.hot.Put(key, val); err != nil {
 		return
 	}
-	s.access[key] = time.Now()
+	s.stampLocked(key)
 	s.promotions.Add(1)
 	s.evictLocked()
 }
@@ -282,7 +280,7 @@ func (s *Tiered) DemoteNow() (int, error) {
 	}
 	byAge := make([]aged, 0, len(s.access))
 	for k, at := range s.access {
-		byAge = append(byAge, aged{k, at})
+		byAge = append(byAge, aged{k, *at})
 	}
 	sort.Slice(byAge, func(i, j int) bool { return byAge[i].at.Before(byAge[j].at) })
 
@@ -318,6 +316,17 @@ func (s *Tiered) DemoteNow() (int, error) {
 	return n, nil
 }
 
+// stampLocked records an access to key, hot-resident now. Caller holds
+// s.mu.
+func (s *Tiered) stampLocked(key string) {
+	now := time.Now()
+	if at := s.access[key]; at != nil {
+		*at = now
+	} else {
+		s.access[key] = &now
+	}
+}
+
 // evictLocked demotes least-recently-used blocks until the hot tier is
 // back under MaxHotBytes (called after every hot insert).
 func (s *Tiered) evictLocked() {
@@ -329,7 +338,7 @@ func (s *Tiered) evictLocked() {
 		oldest, at := "", time.Time{}
 		for k, t := range s.access {
 			if oldest == "" || t.Before(at) {
-				oldest, at = k, t
+				oldest, at = k, *t
 			}
 		}
 		sz, err := s.sizeOf(oldest)

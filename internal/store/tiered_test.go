@@ -92,7 +92,7 @@ func TestTieredDemoteAfterSparesRecent(t *testing.T) {
 	}
 	// Backdate "old" beyond the idle threshold.
 	ti.mu.Lock()
-	ti.access["old"] = time.Now().Add(-2 * time.Hour)
+	*ti.access["old"] = time.Now().Add(-2 * time.Hour)
 	ti.mu.Unlock()
 	n, err := ti.DemoteNow()
 	if err != nil || n != 1 {

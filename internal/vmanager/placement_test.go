@@ -205,3 +205,48 @@ func TestRecoveryRefusesALogWithoutPlacements(t *testing.T) {
 		l.Close()
 	}
 }
+
+// TestAssignHandlerAllocations: the assign handler decodes a one-block
+// write's placement into a buffer on its own stack, and State.Assign
+// keeps the placement it interned apart from the one it was handed, so
+// the buffer stays there. A warm one-block append, decoded, assigned and
+// answered, allocates nothing but its share of the history's growth, less
+// than one per call (1 while Assign reassigned its parameter to the
+// interned placement, which moved the buffer to the heap).
+func TestAssignHandlerAllocations(t *testing.T) {
+	wire.PoisonReleased(false) // the poison bookkeeping allocates
+	defer wire.PoisonReleased(true)
+	svc := NewService(NewState(nil))
+	m, err := svc.state.CreateBlob(B, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := wire.NewBuffer(128)
+	var since blob.Version
+	assign := func() {
+		req.Reset()
+		req.U64(uint64(m.ID))
+		req.U8(uint8(blob.KindAppend))
+		req.I64(0)
+		req.I64(B)
+		req.U64(1)
+		req.U64(uint64(since))
+		req.U64(uint64(blob.NoVersion))
+		req.U32(3)
+		for _, a := range []string{"p0", "p1", "p2"} {
+			req.String(a)
+		}
+		resp, err := svc.handleAssign(context.Background(), req.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Release()
+		since++
+	}
+	for range 100 {
+		assign()
+	}
+	if allocs := testing.AllocsPerRun(1000, assign); allocs > 0 {
+		t.Errorf("%.2f allocations per warm one-block assign, want none", allocs)
+	}
+}

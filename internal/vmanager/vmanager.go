@@ -304,7 +304,7 @@ func (s *State) AssignVersion(id blob.ID, kind blob.WriteKind, off, size int64, 
 // serialization point — per blob: writers to different blobs proceed
 // through different stripes in parallel.
 func (s *State) Assign(id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since, base blob.Version, replicas ...string) (Assignment, error) {
-	replicas = s.placements.placement(replicas)
+	placed := s.placements.placement(replicas)
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -343,7 +343,7 @@ func (s *State) Assign(id blob.ID, kind blob.WriteKind, off, size int64, nonce u
 	if off+size > after {
 		after = off + size
 	}
-	d := blob.WriteDesc{Version: v, Off: off, Len: size, SizeAfter: after, Kind: kind, Nonce: nonce, Replicas: replicas}
+	d := blob.WriteDesc{Version: v, Off: off, Len: size, SizeAfter: after, Kind: kind, Nonce: nonce, Replicas: placed}
 	if err := d.CheckPlacement(bs.meta); err != nil {
 		return Assignment{}, fmt.Errorf("%w: %v", ErrBadPlacement, err)
 	}

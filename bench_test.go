@@ -92,14 +92,6 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	report(b, out)
 }
 
-func BenchmarkAblationMetadataProviders(b *testing.B) {
-	var out []bench.Series
-	for i := 0; i < b.N; i++ {
-		out = bench.AblationMetadataProviders(150, []int{1, 5, 20})
-	}
-	report(b, out)
-}
-
 func BenchmarkAblationVMService(b *testing.B) {
 	var out []bench.Series
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -140,8 +141,8 @@ func TestDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
-	if got, _, err := cl.VMService().State().Latest(b.ID()); err != nil || got != version {
-		t.Errorf("in-process vmanager on the daemons' -data-dir: latest = %d (%v), want %d", got, err, version)
+	if h, _, err := cl.VMService().State().LatestSince(b.ID(), math.MaxUint64, 0); err != nil || h.Published != version {
+		t.Errorf("in-process vmanager on the daemons' -data-dir: latest = %d (%v), want %d", h.Published, err, version)
 	}
 	if got, err := cl.NSService().State().GetFile("/data/input"); err != nil || got != b.ID() {
 		t.Errorf("in-process namespace on the daemons' -data-dir: /data/input = %d (%v), want blob %d", got, err, b.ID())

@@ -23,17 +23,7 @@ func AblationPlacement(clients int) []Series {
 		placement.NewRoundRobin(), placement.NewRandom(7), placement.NewRandomSticky(8, 7), placement.NewLeastLoaded(),
 	}
 	return sweep("clients", "MB/s per client", []float64{float64(clients)}, names, func(a, _ int) float64 {
-		st, nodes := deploy("BSFS", simstore.DefaultTuning(), strategies[a], metaCount, BlockSize, 1)
-		return readChunks(st, nodes, clients)
-	})
-}
-
-// AblationMetadataProviders re-runs the Figure 4 workload with the
-// metadata DHT shrunk to 1, 5 and 20 providers: the decentralized
-// metadata claim of Section III-A3 (ref [13]).
-func AblationMetadataProviders(clients int, metaCounts []int) []Series {
-	return sweep("clients", "MB/s per client", []float64{float64(clients)}, labels("meta=%d", metaCounts), func(a, _ int) float64 {
-		st, nodes := deploy("BSFS", simstore.DefaultTuning(), placement.NewRoundRobin(), metaCounts[a], BlockSize, 1)
+		st, nodes := deploy("BSFS", simstore.DefaultTuning(), strategies[a], BlockSize, 1)
 		return readChunks(st, nodes, clients)
 	})
 }
@@ -76,7 +66,7 @@ func AblationReplication(fileGB float64, replications []int) []Series {
 // blocks with r copies each: the dedicated client's MB/s writing gb
 // rounded down to whole blocks.
 func writeThroughput(bs int64, r int, gb float64) float64 {
-	st, _ := deploy("BSFS", simstore.DefaultTuning(), placement.NewRoundRobin(), metaCount, bs, r)
+	st, _ := deploy("BSFS", simstore.DefaultTuning(), placement.NewRoundRobin(), bs, r)
 	size := chunks(gb, bs)
 	return mbps(size, writeFile(st, clientNode, "/f", size))
 }

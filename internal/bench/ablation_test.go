@@ -32,14 +32,6 @@ func TestAblationPlacementDirection(t *testing.T) {
 	}
 }
 
-func TestAblationMetadataProvidersDirection(t *testing.T) {
-	series := AblationMetadataProviders(100, []int{1, 20})
-	one, twenty := single(t, series[0]), single(t, series[1])
-	if twenty <= one {
-		t.Errorf("20 metadata providers (%.1f) should beat 1 (%.1f)", twenty, one)
-	}
-}
-
 func TestAblationVMServiceDirection(t *testing.T) {
 	series := AblationVMService(100, []float64{0.5, 50})
 	fast, slow := single(t, series[0]), single(t, series[1])

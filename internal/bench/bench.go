@@ -75,7 +75,6 @@ func Figures(quick bool) []Experiment {
 func Ablations() []Experiment {
 	return []Experiment{
 		{"placement", "Ablation — placement strategy (Fig-4 workload, 150 readers)", func() []Series { return AblationPlacement(150) }},
-		{"metadata", "Ablation — metadata providers (Fig-4 workload, 150 readers)", func() []Series { return AblationMetadataProviders(150, []int{1, 5, 10, 20}) }},
 		{"vmservice", "Ablation — version-manager service time (Fig-5 workload, 150 appenders)", func() []Series { return AblationVMService(150, []float64{0.5, 2, 10, 50}) }},
 		{"blocksize", "Ablation — block size (4 GB single writer)", func() []Series { return AblationBlockSize(4, []int{16, 32, 64, 128}) }},
 		{"replication", "Ablation — replication level (4 GB single writer)", func() []Series { return AblationReplication(4, []int{1, 2, 3}) }},
@@ -183,17 +182,17 @@ var systems = []string{"HDFS", "BSFS"}
 // deploy builds system ("HDFS" or "BSFS") on the paper's 270 machines
 // plus the dedicated client, and returns its file view and its storage
 // machines. The control node (the namenode, or the version manager
-// with the provider manager) is node 0; BSFS's metas metadata
+// with the provider manager) is node 0; BSFS's metaCount metadata
 // providers come next and storage takes the rest. Files stripe over
 // bs-byte chunks, with r copies each on BSFS.
-func deploy(system string, tun simstore.Tuning, s placement.Strategy, metas int, bs int64, r int) (simstore.Storage, []simnet.NodeID) {
+func deploy(system string, tun simstore.Tuning, s placement.Strategy, bs int64, r int) (simstore.Storage, []simnet.NodeID) {
 	net := simnet.New(sim.NewEnv(), simnet.Grid5000(fabricNodes))
 	nodes := nodeRange(1, totalNodes-1)
 	if system == "HDFS" {
 		return simstore.NewHDFSFiles(simstore.NewHDFS(net, tun, s, 0, nodes), bs), nodes
 	}
-	b := simstore.NewBSFS(net, tun, s, 0, nodes[:metas], nodes[metas:])
-	return simstore.NewBSFSFiles(b, bs, r), nodes[metas:]
+	b := simstore.NewBSFS(net, tun, s, 0, nodes[:metaCount], nodes[metaCount:])
+	return simstore.NewBSFSFiles(b, bs, r), nodes[metaCount:]
 }
 
 // paperPlacement is each system's own placement: round-robin for BSFS;
@@ -207,7 +206,7 @@ func paperPlacement(system string, seed uint64) placement.Strategy {
 
 // paper deploys system as the figures run it.
 func paper(system string, seed uint64) (simstore.Storage, []simnet.NodeID) {
-	return deploy(system, simstore.DefaultTuning(), paperPlacement(system, seed), metaCount, BlockSize, 1)
+	return deploy(system, simstore.DefaultTuning(), paperPlacement(system, seed), BlockSize, 1)
 }
 
 // nodeRange returns the n machines numbered from first.
@@ -280,7 +279,7 @@ func appendAll(st simstore.Storage, nodes []simnet.NodeID, files []string, strid
 // each append one chunk to one shared file at once. It returns their
 // aggregate MB/s.
 func appendShared(tun simstore.Tuning, n int) float64 {
-	st, nodes := deploy("BSFS", tun, placement.NewRoundRobin(), metaCount, BlockSize, 1)
+	st, nodes := deploy("BSFS", tun, placement.NewRoundRobin(), BlockSize, 1)
 	must(st.CreateFile("/f"))
 	return mbps(int64(n)*BlockSize, appendAll(st, nodes, slices.Repeat([]string{"/f"}, n), 1, 1))
 }

@@ -65,7 +65,7 @@ func AblationVMShards(writers, versions int, shardCounts []int) []Series {
 	return sweep("shards", "publishes/sec", floats(shardCounts), []string{"sharded-vm"}, func(_, i int) float64 {
 		tun := simstore.DefaultTuning()
 		tun.VMShards = shardCounts[i]
-		st, nodes := deploy("BSFS", tun, placement.NewRoundRobin(), metaCount, controlBlock, 1)
+		st, nodes := deploy("BSFS", tun, placement.NewRoundRobin(), controlBlock, 1)
 		files := make([]string, writers)
 		for w := range files {
 			files[w] = fmt.Sprint("/f", w)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -116,10 +117,10 @@ func TestSmallWritesBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, _ := cl.VMService().State().Latest(id)
+	h, _, _ := cl.VMService().State().LatestSince(id, math.MaxUint64, 0)
 	wantVersions := (len(want) + B - 1) / B
-	if int(v) != wantVersions {
-		t.Errorf("blob has %d versions, want %d (one per block)", v, wantVersions)
+	if int(h.Published) != wantVersions {
+		t.Errorf("blob has %d versions, want %d (one per block)", h.Published, wantVersions)
 	}
 }
 

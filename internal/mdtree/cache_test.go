@@ -2,7 +2,6 @@ package mdtree
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,7 +94,6 @@ func TestCacheBoundedEviction(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	// Per-shard capacity is ceil(32/16) = 2, so at most 32 entries total.
 	if st.Size > 32 {
 		t.Errorf("cache holds %d entries, bound is 32", st.Size)
 	}
@@ -107,114 +105,16 @@ func TestCacheBoundedEviction(t *testing.T) {
 	}
 }
 
-// blockingStore delays GetBatch until released, counting inner fetches —
-// proves singleflight dedup.
-type blockingStore struct {
-	*MemStore
-	enter chan struct{} // one token per arrived GetBatch
-	gate  chan struct{} // closed to release all GetBatches
-	calls atomic.Int64
-}
-
-func (b *blockingStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	b.calls.Add(1)
-	b.enter <- struct{}{}
-	<-b.gate
-	return b.MemStore.GetBatch(ctx, ids)
-}
-
-func TestCacheSingleflightDedupsConcurrentMisses(t *testing.T) {
-	ctx := context.Background()
-	mem := NewMemStore()
-	id := NodeID{Blob: 1, Version: 1, Off: 0, Span: B}
-	if err := mem.Put(ctx, Node{ID: id, Leaf: true}); err != nil {
-		t.Fatal(err)
-	}
-	bs := &blockingStore{MemStore: mem, enter: make(chan struct{}, 64), gate: make(chan struct{})}
-	cache := NewNodeCache(bs, 0)
-
-	const readers = 32
-	var wg sync.WaitGroup
-	errs := make([]error, readers)
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = cache.Get(ctx, id)
-		}(i)
-	}
-	<-bs.enter // exactly one fetch reached the store
-	close(bs.gate)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("reader %d: %v", i, err)
-		}
-	}
-	if got := bs.calls.Load(); got != 1 {
-		t.Errorf("%d inner fetches for %d concurrent misses, want 1", got, readers)
-	}
-}
-
-// cancelOwnerStore fails the first GetBatch with its caller's context
-// error (once that context is canceled) and serves normally afterwards.
-type cancelOwnerStore struct {
-	*MemStore
-	calls   atomic.Int64
-	started chan struct{}
-}
-
-func (s *cancelOwnerStore) GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error) {
-	if s.calls.Add(1) == 1 {
-		close(s.started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	return s.MemStore.GetBatch(ctx, ids)
-}
-
-func TestCacheJoinerSurvivesOwnerCancellation(t *testing.T) {
-	// A canceled flight owner must not fail joiners whose own contexts
-	// are live: they retry the fetch themselves.
-	mem := NewMemStore()
-	id := NodeID{Blob: 1, Version: 1, Off: 0, Span: B}
-	if err := mem.Put(context.Background(), Node{ID: id, Leaf: true}); err != nil {
-		t.Fatal(err)
-	}
-	st := &cancelOwnerStore{MemStore: mem, started: make(chan struct{})}
-	cache := NewNodeCache(st, 0)
-
-	ownerCtx, cancel := context.WithCancel(context.Background())
-	ownerErr := make(chan error, 1)
-	go func() {
-		_, err := cache.Get(ownerCtx, id)
-		ownerErr <- err
-	}()
-	<-st.started // the owner's fetch is in flight; its flight is registered
-
-	joinerErr := make(chan error, 1)
-	go func() {
-		_, err := cache.Get(context.Background(), id)
-		joinerErr <- err
-	}()
-	cancel()
-	if err := <-ownerErr; err == nil {
-		t.Error("canceled owner succeeded")
-	}
-	if err := <-joinerErr; err != nil {
-		t.Errorf("joiner inherited the owner's cancellation: %v", err)
-	}
-}
-
 func TestCacheMissError(t *testing.T) {
 	ctx := context.Background()
-	cache := NewNodeCache(NewMemStore(), 0)
+	inner := NewMemStore()
+	cache := NewNodeCache(inner, 0)
 	if _, err := cache.Get(ctx, NodeID{Blob: 1, Version: 9, Off: 0, Span: B}); err == nil {
 		t.Error("absent node returned without error")
 	}
 	// Errors must not be cached: store the node, the next Get succeeds.
 	id := NodeID{Blob: 1, Version: 9, Off: 0, Span: B}
-	if err := cache.Inner().Put(ctx, Node{ID: id, Leaf: true}); err != nil {
+	if err := inner.Put(ctx, Node{ID: id, Leaf: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cache.Get(ctx, id); err != nil {
@@ -342,23 +242,6 @@ func TestCacheConcurrentResolveBuildRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestCacheShardSpread(t *testing.T) {
-	// Sequential tree NodeIDs must not all land in one shard.
-	c := NewNodeCache(NewMemStore(), 0)
-	counts := make(map[*cacheShard]int)
-	for i := 0; i < 1024; i++ {
-		counts[c.shard(NodeID{Blob: 1, Version: 3, Off: int64(i) * B, Span: B})]++
-	}
-	if len(counts) < cacheShardCount/2 {
-		t.Errorf("1024 sequential ids hit only %d/%d shards", len(counts), cacheShardCount)
-	}
-	for s, n := range counts {
-		if n > 1024/2 {
-			t.Errorf("shard %p owns %d/1024 ids", s, n)
-		}
-	}
-}
-
 func TestCacheThroughDHTStoreKeysDiffer(t *testing.T) {
 	// Guard against NodeID map-key collisions: distinct ids must stay
 	// distinct entries.
@@ -445,104 +328,8 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-func TestCacheGetBatchSingleflightAcrossCallers(t *testing.T) {
-	// Two concurrent GetBatch calls over the same cold ids must not both
-	// hit the store for every id.
-	ctx := context.Background()
-	mem := NewMemStore()
-	ids := make([]NodeID, 16)
-	for i := range ids {
-		ids[i] = NodeID{Blob: 1, Version: 1, Off: int64(i) * B, Span: B}
-		if err := mem.Put(ctx, Node{ID: ids[i], Leaf: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cache := NewNodeCache(mem, 0)
-	const callers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := cache.GetBatch(ctx, ids)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if len(got) != len(ids) {
-				t.Errorf("resolved %d/%d", len(got), len(ids))
-			}
-		}()
-	}
-	wg.Wait()
-	_, gets := mem.Ops()
-	if gets > int64(len(ids)*callers/2) {
-		t.Errorf("%d inner gets for %d ids x %d callers (dedup ineffective)", gets, len(ids), callers)
-	}
-}
-
-// TestCacheEvictsColdestFirst pins the LRU order inside one shard: a
-// hit or a rewrite makes an entry the most recent, the entry touched
-// longest ago goes first, and what a full shard allocates per insert is
-// nothing (the evicted entry is reused).
-func TestCacheEvictsColdestFirst(t *testing.T) {
-	cache := NewNodeCache(NewMemStore(), 4*cacheShardCount) // 4 entries per shard
-	ctx := context.Background()
-	var ids []NodeID // nodes of one shard
-	for v := blob.Version(1); len(ids) < 7; v++ {
-		id := NodeID{Blob: 1, Version: v, Span: B}
-		if cache.shard(id) == &cache.shards[0] {
-			ids = append(ids, id)
-		}
-	}
-	put := func(i int) {
-		t.Helper()
-		if err := cache.Put(ctx, Node{ID: ids[i], Leaf: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cached := func(i int) bool {
-		s := cache.shard(ids[i])
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		_, ok := s.entries[ids[i]]
-		return ok
-	}
-	for i := 0; i < 4; i++ {
-		put(i)
-	}
-	if _, err := cache.Get(ctx, ids[0]); err != nil { // 0 is recent again
-		t.Fatal(err)
-	}
-	put(1) // and so is 1: coldest first is now 2, 3, 0, 1
-	for next, evicted := range []int{2, 3, 0} {
-		put(4 + next)
-		if cached(evicted) {
-			t.Fatalf("inserting node %d into a full shard kept node %d", 4+next, evicted)
-		}
-	}
-	for _, i := range []int{1, 4, 5, 6} {
-		if !cached(i) {
-			t.Errorf("node %d was evicted out of turn", i)
-		}
-	}
-	if st := cache.Stats(); st.Evictions != 3 || st.Size != 4 {
-		t.Errorf("stats = %+v, want 3 evictions and 4 entries", st)
-	}
-	s := &cache.shards[0]
-	allocs := testing.AllocsPerRun(100, func() {
-		s.mu.Lock()
-		cache.insertLocked(s, ids[0], Node{ID: ids[0]})
-		cache.insertLocked(s, ids[2], Node{ID: ids[2]})
-		s.mu.Unlock()
-	})
-	if allocs != 0 {
-		t.Errorf("inserting into a full shard allocates %.1f times", allocs)
-	}
-}
-
 // TestGetBatchAllHitsAllocateOnlyTheResult: a batch the cache serves
-// whole makes its result map and nothing else — no flight bookkeeping.
+// whole makes its result map and nothing else.
 func TestGetBatchAllHitsAllocateOnlyTheResult(t *testing.T) {
 	mem := NewMemStore()
 	_, m := buildBlocks(t, mem, 16)
@@ -569,39 +356,5 @@ func TestGetBatchAllHitsAllocateOnlyTheResult(t *testing.T) {
 	})
 	if allHit > resultOnly {
 		t.Errorf("an all-hit GetBatch of %d ids allocates %.0f times, its result map alone %.0f", len(ids), allHit, resultOnly)
-	}
-}
-
-// leafFiller fills every id with a leaf naming one provider, through the
-// fill path and without allocating: a store whose cost is not measured.
-// TestColdResolveAllocatesNothing: a resolve into a kept Scratch
-// allocates nothing of its own — no extents, and no provider list, which
-// it shares with the descriptor — and reads no node: it is handed no
-// store.
-func TestColdResolveAllocatesNothing(t *testing.T) {
-	m := blob.Meta{ID: 1, BlockSize: eqBS, Replication: 2}
-	replicas := make([]string, 2*64)
-	for i := range replicas {
-		replicas[i] = fmt.Sprintf("p%d", i%5)
-	}
-	var o Owners
-	if err := o.Extend(m, []blob.WriteDesc{{Version: 1, Len: 64 * eqBS, SizeAfter: 64 * eqBS, Replicas: replicas}}); err != nil {
-		t.Fatal(err)
-	}
-	var sc Scratch
-	i := 0
-	resolve := func() {
-		i = (i + 7) % 61
-		r := blob.Range{Off: int64(i)*eqBS + eqBS/2, Len: 2 * eqBS}
-		ext, err := o.Resolve(m, 1, 64*eqBS, r, &sc)
-		if err != nil || len(ext) != 3 || ext[1].Block.Len != eqBS || ext[1].Block.Providers[1] != replicas[2*(i+1)+1] {
-			t.Fatalf("Resolve(%v) = %v, %v; want 3 data extents", r, ext, err)
-		}
-	}
-	for range 64 {
-		resolve() // the scratch grown
-	}
-	if n := testing.AllocsPerRun(100, resolve); n != 0 {
-		t.Errorf("a 3-block resolve allocates %v times", n)
 	}
 }

@@ -20,12 +20,13 @@
 // replicas, length — and sends nothing: clients, repair scans and the
 // garbage collector's choice of dead blocks all ask the index. Writers
 // still write the tree; the garbage collector deletes the nodes no kept
-// version reaches (DeadNodes), the simulator charges its messages, and
-// the walk down from a snapshot's root (Resolve, a batch per level) is
-// the reference the index is tested against. An aborted version may
-// have no tree at all, and a later one may borrow from it all the same;
-// the index skips it, so a block reads what the newest version that
-// was not aborted wrote there.
+// version reaches (DeadNodes), the simulator charges the messages of
+// the nodes a write plans (PlanNodes), and the walk down from a
+// snapshot's root (Resolve, a batch per level) is the reference the
+// index is tested against. An aborted version may have no tree at all,
+// and a later one may borrow from it all the same; the index skips it,
+// so a block reads what the newest version that was not aborted wrote
+// there.
 package mdtree
 
 import (
@@ -91,21 +92,15 @@ type Node struct {
 }
 
 // Store is where tree nodes live: the metadata DHT in deployments, an
-// in-memory map in unit tests and the simulator. Nodes move in batches:
-// Build ships a whole patch's nodes with one PutBatch, grouped per
-// provider, and a read fetches a whole tree level (or all the leaves it
-// names) with one GetBatch, a round trip per provider — the difference
-// between O(nodes) and O(depth) metadata latency on the read path.
+// in-memory map in unit tests. Nodes move in batches: Build ships a
+// whole patch's nodes with one PutBatch, grouped per provider, and a
+// tree walk fetches a whole level with one GetBatch, a round trip per
+// provider — the difference between O(nodes) and O(depth) metadata
+// latency.
 // GetBatch omits absent nodes from its result, and fails only when a
 // node's presence could not be decided (e.g. all replicas unreachable).
 // Put and Get are one-node batches; Get fails on an absent node. Delete
 // removes a node (garbage collection of pruned versions).
-//
-// A NodeCache reads through a fill path besides (filler): it fills the
-// caller's nodes in the order of their ids, a hit from memory and every
-// miss of a call with one GetBatch of its store. The path stays outside
-// Store, found by type assertion, so that a store wrapping a NodeCache
-// behind Store's methods alone still works.
 //
 // PutBatch keeps no reference to nodes once it has returned: Build
 // recycles the list.
@@ -121,39 +116,13 @@ type Store interface {
 // it.
 type BatchStore = Store
 
-// filler is the fill path (see Store): fill fetches the nodes ids name
-// into out, in the same order. A node absent from the store leaves the
-// zero Node in its slot (ID unset: stored nodes have versions >= 1);
-// fill fails when a node's presence could not be decided.
-type filler interface {
-	fill(ctx context.Context, ids []NodeID, out []Node) error
-}
-
-// fillFrom fetches the nodes ids name from st into out, as filler does:
-// through st's fill path when it has one, with one GetBatch otherwise.
-func fillFrom(ctx context.Context, st Store, ids []NodeID, out []Node) error {
-	if f, ok := st.(filler); ok {
-		return f.fill(ctx, ids, out)
+// getOne is Get as a one-node GetBatch of st: an absent node fails.
+func getOne(ctx context.Context, st Store, id NodeID) (Node, error) {
+	got, err := st.GetBatch(ctx, []NodeID{id})
+	if n, ok := got[id]; ok || err != nil {
+		return n, err
 	}
-	got, err := st.GetBatch(ctx, ids)
-	if err != nil {
-		return err
-	}
-	for i, id := range ids {
-		out[i] = got[id]
-	}
-	return nil
-}
-
-// byID maps the nodes a fill found to their ids.
-func byID(ids []NodeID, nodes []Node) map[NodeID]Node {
-	out := make(map[NodeID]Node, len(ids))
-	for i, n := range nodes {
-		if n.ID == ids[i] {
-			out[n.ID] = n
-		}
-	}
-	return out
+	return Node{}, fmt.Errorf("mdtree: node %s not found", id.Key())
 }
 
 // Build generates and stores the metadata tree for version v. The
@@ -274,7 +243,7 @@ func (b *builder) node(r blob.Range) (ChildRef, error) {
 // PlanNodes returns the node IDs version v would materialize, without
 // storing anything. Garbage collection (DeadNodes) and the large-scale
 // simulator use it: GC deletes those of them no kept version reaches,
-// and the simulator charges one DHT message per planned node.
+// and the simulator bills a write for storing them.
 func PlanNodes(meta blob.Meta, h *blob.History, v blob.Version) ([]NodeID, error) {
 	d, ok := h.Desc(v)
 	if !ok {
@@ -331,7 +300,6 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 	var out []Extent
 	ids := make([]NodeID, 0, 16)
 	covers := make([]blob.Range, 0, 16)
-	var nodes []Node
 	for len(frontier) > 0 {
 		// Split the level into holes (resolved immediately) and present
 		// nodes (fetched together).
@@ -351,12 +319,16 @@ func Resolve(ctx context.Context, st Store, meta blob.Meta, v blob.Version, size
 		if len(ids) == 0 {
 			break
 		}
-		nodes = slices.Grow(nodes[:0], len(ids))[:len(ids)]
-		if err := fetchLevel(ctx, st, ids, nodes); err != nil {
-			return nil, err
+		nodes, err := st.GetBatch(ctx, ids)
+		if err != nil {
+			return nil, fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
 		}
 		var next []slot
-		for i, n := range nodes {
+		for i, id := range ids {
+			n, ok := nodes[id]
+			if !ok {
+				return nil, fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
+			}
 			cover := covers[i]
 			part := cover.Intersection(want)
 			if n.Leaf {
@@ -395,18 +367,4 @@ func clampRead(v blob.Version, size int64, r blob.Range) (blob.Range, error) {
 		r.Len = size - r.Off
 	}
 	return r, nil
-}
-
-// fetchLevel gets nodes ids into the caller's nodes[:len(ids)], in
-// their order, with one batch (fillFrom). An absent node fails it.
-func fetchLevel(ctx context.Context, st Store, ids []NodeID, nodes []Node) error {
-	if err := fillFrom(ctx, st, ids, nodes); err != nil {
-		return fmt.Errorf("mdtree: fetch level (%d nodes): %w", len(ids), err)
-	}
-	for i, id := range ids {
-		if nodes[i].ID != id {
-			return fmt.Errorf("mdtree: fetch %s: node not found", id.Key())
-		}
-	}
-	return nil
 }

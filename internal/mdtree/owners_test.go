@@ -368,3 +368,35 @@ func BenchmarkResolveOneBlock(b *testing.B) {
 		})
 	}
 }
+
+// TestColdResolveAllocatesNothing: a resolve into a kept Scratch
+// allocates nothing of its own — no extents, and no provider list, which
+// it shares with the descriptor — and reads no node: it is handed no
+// store.
+func TestColdResolveAllocatesNothing(t *testing.T) {
+	m := blob.Meta{ID: 1, BlockSize: eqBS, Replication: 2}
+	replicas := make([]string, 2*64)
+	for i := range replicas {
+		replicas[i] = fmt.Sprintf("p%d", i%5)
+	}
+	var o Owners
+	if err := o.Extend(m, []blob.WriteDesc{{Version: 1, Len: 64 * eqBS, SizeAfter: 64 * eqBS, Replicas: replicas}}); err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	i := 0
+	resolve := func() {
+		i = (i + 7) % 61
+		r := blob.Range{Off: int64(i)*eqBS + eqBS/2, Len: 2 * eqBS}
+		ext, err := o.Resolve(m, 1, 64*eqBS, r, &sc)
+		if err != nil || len(ext) != 3 || ext[1].Block.Len != eqBS || ext[1].Block.Providers[1] != replicas[2*(i+1)+1] {
+			t.Fatalf("Resolve(%v) = %v, %v; want 3 data extents", r, ext, err)
+		}
+	}
+	for range 64 {
+		resolve() // the scratch grown
+	}
+	if n := testing.AllocsPerRun(100, resolve); n != 0 {
+		t.Errorf("a 3-block resolve allocates %v times", n)
+	}
+}

@@ -56,9 +56,8 @@ func DecodeNode(id NodeID, val []byte) (Node, error) {
 	return n, nil
 }
 
-// MemStore is an in-process Store used by unit tests and the
-// simulator. It counts
-// operations so experiments can charge DHT message costs.
+// MemStore is an in-process Store used by unit tests. It counts
+// operations so tests can pin the batches a walk or a build sends.
 type MemStore struct {
 	mu         sync.RWMutex
 	nodes      map[string]Node
@@ -75,14 +74,7 @@ func NewMemStore() *MemStore { return &MemStore{nodes: make(map[string]Node)} }
 func (s *MemStore) Put(ctx context.Context, n Node) error { return s.PutBatch(ctx, []Node{n}) }
 
 // Get implements Store: a one-node GetBatch.
-func (s *MemStore) Get(ctx context.Context, id NodeID) (Node, error) {
-	got, _ := s.GetBatch(ctx, []NodeID{id})
-	n, ok := got[id]
-	if !ok {
-		return Node{}, fmt.Errorf("mdtree: node %s not found", id.Key())
-	}
-	return n, nil
-}
+func (s *MemStore) Get(ctx context.Context, id NodeID) (Node, error) { return getOne(ctx, s, id) }
 
 // Has reports whether the node exists (tests).
 func (s *MemStore) Has(id NodeID) bool {

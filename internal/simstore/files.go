@@ -98,11 +98,11 @@ func (f *BSFSFiles) Size(name string) int64 {
 	if !ok {
 		return 0
 	}
-	_, size, err := f.B.VM.Latest(id)
+	h, err := f.B.head(id)
 	if err != nil {
 		return 0
 	}
-	return size
+	return h.Size
 }
 
 // ChunkNodes implements Storage.

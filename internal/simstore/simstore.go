@@ -1,23 +1,26 @@
 // Package simstore models BSFS and the HDFS-like baseline at the
 // paper's deployment scale (270 nodes) on the simulated Grid'5000
 // fabric, for what Section V plots: BSFS writes, appends and reads
-// (chain replication, replica rotation, batched metadata traffic, the
+// (chain replication, replica rotation, batched metadata writes, the
 // version manager's serialized assignment, sharded by blob) and the
 // HDFS baseline's namenode, chunk pipeline and local-first placement.
 // The *decision logic* is the real library code — placement strategies
 // (internal/placement), version assignment and publication ordering
-// (vmanager.State), and segment-tree construction and resolution
-// (mdtree over an in-memory store) — while only the data movement is
-// fluid-simulated. The figures' shapes therefore emerge from the same
-// algorithms a real deployment runs; the per-stream efficiency
-// constants of DefaultTuning are the single calibration. Failures,
-// repair, store tiering and the client's streaming windows are not
-// modeled: the real stack's own tests and benchmarks cover them.
+// (vmanager.State), the tree nodes each write stores (mdtree.PlanNodes)
+// and the block index a reader names every block's replicas from
+// (mdtree.Owners) — while only the data movement is fluid-simulated. A
+// read, like the real client's, pins its snapshot with one
+// version-manager call and sends no metadata call. The figures' shapes
+// therefore emerge from the same algorithms a real deployment runs; the
+// per-stream efficiency constants of DefaultTuning are the single
+// calibration. Failures, repair, store tiering and the client's
+// streaming windows are not modeled: the real stack's own tests and
+// benchmarks cover them.
 package simstore
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"blobseer/internal/blob"
@@ -44,8 +47,8 @@ type Tuning struct {
 	VMService      sim.Time // version-manager service per op (the serialization point)
 	VMShards       int      // control-plane shards; blob id % K picks the serving shard (0/1 = single manager)
 	NNService      sim.Time // namenode service per op
-	MetaService    sim.Time // metadata provider service per op
-	MetaFanout     int      // concurrent per-provider batch RPCs per client
+	MetaService    sim.Time // metadata provider service per tree node a write stores
+	MetaFanout     int      // concurrent per-provider batch RPCs per writer
 	PipelineDepth  int      // concurrent block flows per BSFS client
 
 	// HDFSLocalWriteBps caps a datanode's local write path (loopback
@@ -112,9 +115,8 @@ type BSFS struct {
 	Net *simnet.Net
 	Tun Tuning
 
-	VM    *vmanager.State
-	PM    *pmanager.State
-	Store *mdtree.MemStore
+	VM *vmanager.State
+	PM *pmanager.State
 
 	vmNode    simnet.NodeID
 	provNode  map[string]simnet.NodeID
@@ -123,7 +125,8 @@ type BSFS struct {
 	ring      *dht.Ring
 	vmRes     []*sim.Resource // one service queue per control-plane shard
 	metaRes   map[string]*sim.Resource
-	readRR    int // rotates the replica serving each extent fetch
+	owners    map[blob.ID]*mdtree.Owners // each blob's block index, as its readers' pins extended it
+	readRR    int                        // rotates the replica serving each extent fetch
 }
 
 // NewBSFS deploys a simulated BlobSeer instance: the version manager
@@ -138,11 +141,11 @@ func NewBSFS(net *simnet.Net, tun Tuning, strategy placement.Strategy, vmNode si
 		Env: net.Env(), Net: net, Tun: tun,
 		VM:       vmanager.NewState(nil),
 		PM:       pmanager.NewState(strategy),
-		Store:    mdtree.NewMemStore(),
 		vmNode:   vmNode,
 		provNode: make(map[string]simnet.NodeID),
 		metaNode: make(map[string]simnet.NodeID),
 		metaRes:  make(map[string]*sim.Resource),
+		owners:   make(map[blob.ID]*mdtree.Owners),
 		vmRes:    make([]*sim.Resource, shards),
 	}
 	for k := range b.vmRes {
@@ -173,9 +176,9 @@ func (b *BSFS) CreateBlob(blockSize int64, replication int) blob.Meta {
 	return m
 }
 
-// chargeMetaOps bills DHT traffic for a set of tree-node keys the way
-// the real client now ships them: grouped by responsible provider, one
-// batched RPC per provider in parallel. Each provider still pays the
+// chargeMetaOps bills the DHT traffic of the tree nodes a write stores
+// the way the real client ships them: grouped by responsible provider,
+// one batched RPC per provider in parallel. Each provider still pays the
 // per-node service time (its store is touched once per node), but the
 // per-node network round-trip collapses into one per provider.
 func (b *BSFS) chargeMetaOps(p *sim.Proc, client simnet.NodeID, keys []string) {
@@ -214,10 +217,11 @@ func (b *BSFS) readCap() float64  { return b.Tun.BSFSReadEff * b.Net.Config().Up
 // Write performs the full two-phase write protocol from node client.
 // It returns the assigned version.
 func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64) (blob.Version, error) {
-	m, err := b.VM.GetMeta(id)
+	h, err := b.head(id)
 	if err != nil {
 		return 0, err
 	}
+	m := h.Meta
 	nBlocks := int(blob.Blocks(size, m.BlockSize))
 
 	// Provider allocation (provider manager co-hosted with the VM node).
@@ -265,34 +269,20 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 	// Phase 2a: version assignment — the only serialized step, queued
 	// on the service resource of the shard owning this blob (the
 	// simulated twin of vmanager.Client's ShardOf(id, K) dispatch).
-	// Writers to blobs on different shards never share a queue.
+	// Writers to blobs on different shards never share a queue. The
+	// assignment carries the write's placement, which readers name
+	// every block's replicas from.
 	b.Net.Message(p, client, b.vmNode, 128)
 	b.vmShardRes(id).Use(p, b.Tun.VMService)
-	a, err := b.VM.AssignVersion(id, kind, off, size, nonce, 0)
+	a, err := b.VM.AssignVersion(id, kind, off, size, nonce, 0, targets.Addrs...)
 	if err != nil {
 		return 0, err
 	}
 
-	// Phase 2b: metadata weaving over the real tree code.
+	// Phase 2b: metadata weaving, billed for the nodes the real tree
+	// code plans for this version.
 	hist := &blob.History{}
 	if err := hist.Extend(a.Descs); err != nil {
-		return 0, err
-	}
-	refs := make([]mdtree.BlockRef, nBlocks)
-	for i := range refs {
-		ln := m.BlockSize
-		if i == nBlocks-1 {
-			if rem := size - int64(nBlocks-1)*m.BlockSize; rem > 0 {
-				ln = rem
-			}
-		}
-		refs[i] = mdtree.BlockRef{
-			Key:       blob.BlockKey{Blob: id, Nonce: nonce, Seq: uint32(i)},
-			Providers: targets.Block(i),
-			Len:       ln,
-		}
-	}
-	if _, err := mdtree.Build(context.Background(), b.Store, m, hist, a.Version, refs); err != nil {
 		return 0, err
 	}
 	created, err := mdtree.PlanNodes(m, hist, a.Version)
@@ -313,50 +303,46 @@ func (b *BSFS) Write(p *sim.Proc, client simnet.NodeID, id blob.ID, kind blob.Wr
 	return a.Version, nil
 }
 
-// countingStore records the fetch pattern Resolve produces so reads can
-// be billed: each GetBatch is one frontier level (one batched round-trip
-// per provider).
-type countingStore struct {
-	*mdtree.MemStore
-	levels [][]string
+// head returns the blob's configuration and published state, without
+// its history.
+func (b *BSFS) head(id blob.ID) (vmanager.Head, error) {
+	h, _, err := b.VM.LatestSince(id, math.MaxUint64, blob.NoVersion)
+	return h, err
 }
 
-func (c *countingStore) GetBatch(ctx context.Context, ids []mdtree.NodeID) (map[mdtree.NodeID]mdtree.Node, error) {
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = id.Key()
+// resolve pins the blob's latest published version and returns the
+// extents covering r, as the real client's Snapshot does: the pin's
+// history extends the blob's block index, which names every block's
+// replicas, so no tree node is read.
+func (b *BSFS) resolve(id blob.ID, r blob.Range) ([]mdtree.Extent, error) {
+	o := b.owners[id]
+	if o == nil {
+		o = new(mdtree.Owners)
+		b.owners[id] = o
 	}
-	c.levels = append(c.levels, keys)
-	return c.MemStore.GetBatch(ctx, ids)
+	for {
+		h, descs, err := b.VM.LatestSince(id, o.Through(), blob.NoVersion)
+		if err != nil {
+			return nil, err
+		}
+		if err := o.Extend(h.Meta, descs); err != nil {
+			return nil, err
+		}
+		if len(descs) == 0 || o.Through() >= h.Published {
+			var sc mdtree.Scratch
+			return o.Resolve(h.Meta, h.Published, h.Size, r, &sc)
+		}
+	}
 }
 
 // Read fetches [off, off+size) of the latest published version from
 // node client, returning the bytes-equivalent amount read.
 func (b *BSFS) Read(p *sim.Proc, client simnet.NodeID, id blob.ID, off, size int64) (int64, error) {
-	m, err := b.VM.GetMeta(id)
-	if err != nil {
-		return 0, err
-	}
-	// Latest-version query.
+	// The pin: one version-manager call, the only metadata a read sends.
 	b.Net.Message(p, client, b.vmNode, 64)
-	v, vsize, err := b.VM.Latest(id)
+	extents, err := b.resolve(id, blob.Range{Off: off, Len: size})
 	if err != nil {
 		return 0, err
-	}
-	if v == blob.NoVersion {
-		return 0, nil
-	}
-	cs := &countingStore{MemStore: b.Store}
-	extents, err := mdtree.Resolve(context.Background(), cs, m, v, vsize, blob.Range{Off: off, Len: size})
-	if err != nil {
-		return 0, err
-	}
-	// Tree descent: one batched multi-get round per frontier level.
-	// Levels are inherently sequential (a level's children are unknown
-	// until it is fetched), but within a level all providers answer in
-	// parallel.
-	for _, level := range cs.levels {
-		b.chargeMetaOps(p, client, level)
 	}
 	// Block fetches. A replica co-located with the reading client is
 	// served locally (Map/Reduce schedules tasks for exactly that);
@@ -397,15 +383,7 @@ func (b *BSFS) Layout() []int { return b.PM.Layout() }
 // fabric node storing it (the simulated Map/Reduce scheduler's locality
 // source).
 func (b *BSFS) LocationsOf(id blob.ID) ([]simnet.NodeID, error) {
-	m, err := b.VM.GetMeta(id)
-	if err != nil {
-		return nil, err
-	}
-	v, size, err := b.VM.Latest(id)
-	if err != nil || v == blob.NoVersion {
-		return nil, err
-	}
-	extents, err := mdtree.Resolve(context.Background(), b.Store, m, v, size, blob.Range{Off: 0, Len: size})
+	extents, err := b.resolve(id, blob.Range{Off: 0, Len: math.MaxInt64})
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,13 @@
 package simstore
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/mdtree"
 	"blobseer/internal/placement"
 	"blobseer/internal/sim"
 	"blobseer/internal/simnet"
@@ -54,8 +57,8 @@ func TestBSFSWriteAssignsSequentialVersions(t *testing.T) {
 			t.Errorf("write %d got version %d", i, v)
 		}
 	}
-	if _, size, err := b.VM.Latest(m.ID); err != nil || size != 3*testBlock {
-		t.Errorf("latest size = %d, err %v; want %d", size, err, 3*testBlock)
+	if h, err := b.head(m.ID); err != nil || h.Size != 3*testBlock {
+		t.Errorf("latest size = %d, err %v; want %d", h.Size, err, 3*testBlock)
 	}
 }
 
@@ -389,7 +392,97 @@ func TestConcurrentBSFSWritersAllCommit(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("want %d distinct versions, got %d", n, len(seen))
 	}
-	if _, size, _ := b.VM.Latest(m.ID); size != n*testBlock {
-		t.Errorf("final size %d, want %d", size, int64(n)*testBlock)
+	if h, _ := b.head(m.ID); h.Size != n*testBlock {
+		t.Errorf("final size %d, want %d", h.Size, int64(n)*testBlock)
+	}
+}
+
+// TestReadResolvesFromTheBlockIndex: a simulated read, like the real
+// client's, names every block's replicas from the descriptors its pin
+// fetched. It moves no byte to or from a metadata provider and waits on
+// none, and the extents it reads are those the tree walk (mdtree.Resolve,
+// the reference) finds in the tree the same writes build.
+func TestReadResolvesFromTheBlockIndex(t *testing.T) {
+	tun := DefaultTuning()
+	tun.MetaService = 3600 * sim.Second // a read that waited on a metadata provider would take hours
+	net := simnet.New(sim.NewEnv(), simnet.Grid5000(12))
+	metas := []simnet.NodeID{1, 2}
+	b := NewBSFS(net, tun, placement.NewRoundRobin(), 0, metas, []simnet.NodeID{3, 4, 5, 6, 7, 8, 9})
+	m := b.CreateBlob(testBlock, 2)
+	writes := []struct {
+		kind      blob.WriteKind
+		off, size int64
+	}{
+		{blob.KindWrite, 0, 3 * testBlock},
+		{blob.KindAppend, 0, 2 * testBlock},
+		{blob.KindWrite, testBlock, 2 * testBlock}, // an overwrite of two writes' blocks
+		{blob.KindAppend, 0, testBlock / 2},        // a partial tail
+	}
+	b.Env.Go(func(p *sim.Proc) {
+		for i, w := range writes {
+			if _, err := b.Write(p, 10, m.ID, w.kind, w.off, w.size, uint64(i)+1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	b.Env.Run()
+
+	metaTraffic := func() (bytes float64) {
+		for _, n := range metas {
+			bytes += net.EgressOf(n) + net.IngressOf(n)
+		}
+		return bytes
+	}
+	before := metaTraffic()
+	read := blob.Range{Off: testBlock / 2, Len: 4 * testBlock}
+	var took sim.Time
+	b.Env.Go(func(p *sim.Proc) {
+		start := p.Now()
+		if n, err := b.Read(p, 11, m.ID, read.Off, read.Len); err != nil || n != read.Len {
+			t.Errorf("read %d bytes, %v; want %d", n, err, read.Len)
+		}
+		took = p.Now() - start
+	})
+	b.Env.Run()
+	if moved := metaTraffic() - before; moved != 0 {
+		t.Errorf("a read moved %.0f bytes to or from the metadata providers, want 0", moved)
+	}
+	if took >= tun.MetaService {
+		t.Errorf("a read took %.0fs: it waited on a metadata provider", took.Seconds())
+	}
+
+	ctx := context.Background()
+	h, descs, err := b.VM.LatestSince(m.ID, 0, blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := &blob.History{}
+	if err := hist.Extend(descs); err != nil {
+		t.Fatal(err)
+	}
+	tree := mdtree.NewMemStore()
+	for _, d := range descs {
+		refs := make([]mdtree.BlockRef, blob.Blocks(d.Len, m.BlockSize))
+		for i := range refs {
+			refs[i] = mdtree.BlockRef{
+				Key:       blob.BlockKey{Blob: m.ID, Nonce: d.Nonce, Seq: uint32(i)},
+				Providers: d.Replicas[i*m.Replication : (i+1)*m.Replication],
+				Len:       min(m.BlockSize, d.Len-int64(i)*m.BlockSize),
+			}
+		}
+		if _, err := mdtree.Build(ctx, tree, m, hist, d.Version, refs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []blob.Range{read, {Off: 0, Len: h.Size}} {
+		want, err := mdtree.Resolve(ctx, tree, m, h.Published, h.Size, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.resolve(m.ID, r)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("extents of %v = %+v, %v; the tree walk finds %+v", r, got, err, want)
+		}
 	}
 }

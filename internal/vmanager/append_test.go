@@ -118,7 +118,7 @@ func TestRecoverMergedAppend(t *testing.T) {
 	if _, got, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(got, want, blob.WriteDesc.Equal) {
 		t.Errorf("recovered history %+v, want %+v", got, want)
 	}
-	if pub, size, err := r.Latest(m.ID); err != nil || pub != a.Version || size != B+B/2+7 {
+	if pub, size, err := latest(r, m.ID); err != nil || pub != a.Version || size != B+B/2+7 {
 		t.Errorf("recovered Latest = (%d, %d, %v), want (%d, %d)", pub, size, err, a.Version, B+B/2+7)
 	}
 }

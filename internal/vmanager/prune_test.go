@@ -103,7 +103,7 @@ func TestPruneDoesNotBlockNewWrites(t *testing.T) {
 	if err := s.Commit(id, a.Version); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := s.Latest(id); v != 4 {
+	if v, _, _ := latest(s, id); v != 4 {
 		t.Errorf("write after prune: latest %d, want 4", v)
 	}
 }

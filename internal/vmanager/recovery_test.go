@@ -29,10 +29,11 @@ func openState(t *testing.T, dir string) *State {
 // block that differ from version to version, and publishes them.
 func assignCommit(t *testing.T, s *State, id blob.ID, size int64) blob.Version {
 	t.Helper()
-	m, err := s.GetMeta(id)
+	h, _, err := s.LatestSince(id, 0, blob.NoVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := h.Meta
 	var replicas []string
 	for i := range blob.Blocks(size, m.BlockSize) * int64(m.Replication) {
 		replicas = append(replicas, fmt.Sprintf("p%d", (int64(len(s.Blobs()))+i)%7))
@@ -69,7 +70,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if _, err := s.Prune(m.ID, 3); err != nil {
 		t.Fatal(err)
 	}
-	wantPub, wantSize, _ := s.Latest(m.ID)
+	wantPub, wantSize, _ := latest(s, m.ID)
 	_, wantDescs, _ := s.LatestSince(m.ID, 0, 0)
 	s.CloseWAL()
 
@@ -77,14 +78,14 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if _, descs, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(descs, wantDescs, blob.WriteDesc.Equal) {
 		t.Errorf("recovered history %+v, want %+v", descs, wantDescs)
 	}
-	meta, err := r.GetMeta(m.ID)
+	h, _, err := r.LatestSince(m.ID, 0, blob.NoVersion)
 	if err != nil {
 		t.Fatalf("recovered state lost the blob: %v", err)
 	}
-	if meta != m {
-		t.Errorf("meta = %+v, want %+v", meta, m)
+	if h.Meta != m {
+		t.Errorf("meta = %+v, want %+v", h.Meta, m)
 	}
-	pub, size, err := r.Latest(m.ID)
+	pub, size, err := latest(r, m.ID)
 	if err != nil || pub != wantPub || size != wantSize {
 		t.Errorf("Latest = (%d, %d, %v), want (%d, %d)", pub, size, err, wantPub, wantSize)
 	}
@@ -96,7 +97,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 	// A new write after recovery continues the version line.
 	v := assignCommit(t, r, m.ID, 4096)
-	if pub, _, _ := r.Latest(m.ID); pub != v {
+	if pub, _, _ := latest(r, m.ID); pub != v {
 		t.Errorf("post-recovery publish = %d, want %d", pub, v)
 	}
 }
@@ -122,7 +123,7 @@ func TestRecoverInFlightVersionFeedsJanitor(t *testing.T) {
 	if err := r.Abort(m.ID, a.Version); err != nil {
 		t.Fatal(err)
 	}
-	if pub, _, _ := r.Latest(m.ID); pub != a.Version {
+	if pub, _, _ := latest(r, m.ID); pub != a.Version {
 		t.Errorf("published = %d, want %d after janitor abort", pub, a.Version)
 	}
 }
@@ -156,11 +157,11 @@ func TestRecoverIdempotentSecondReplay(t *testing.T) {
 
 	// First recovery.
 	r1 := openState(t, dir)
-	pub1, size1, _ := r1.Latest(m.ID)
+	pub1, size1, _ := latest(r1, m.ID)
 	r1.CloseWAL()
 	// Second recovery over the very same (untouched) log.
 	r2 := openState(t, dir)
-	pub2, size2, _ := r2.Latest(m.ID)
+	pub2, size2, _ := latest(r2, m.ID)
 	if pub1 != pub2 || size1 != size2 {
 		t.Fatalf("second replay diverged: (%d,%d) vs (%d,%d)", pub1, size1, pub2, size2)
 	}
@@ -179,7 +180,7 @@ func TestRecoverIdempotentSecondReplay(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("replay onto recovered state: %v", err)
 	}
-	pub3, size3, _ := r2.Latest(m.ID)
+	pub3, size3, _ := latest(r2, m.ID)
 	if pub3 != pub1 || size3 != size1 {
 		t.Errorf("double-applied state = (%d,%d), want (%d,%d)", pub3, size3, pub1, size1)
 	}
@@ -211,15 +212,15 @@ func TestSnapshotCompactAndRecover(t *testing.T) {
 	if _, descs, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(descs, wantDescs, blob.WriteDesc.Equal) || len(descs[0].Replicas) != 2 {
 		t.Errorf("history recovered through a snapshot %+v, want %+v", descs, wantDescs)
 	}
-	pub, _, err := r.Latest(m.ID)
+	pub, _, err := latest(r, m.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pub != 5 {
 		t.Errorf("published after snapshot+suffix recovery = %d, want 5", pub)
 	}
-	if meta, _ := r.GetMeta(m.ID); meta.Replication != 2 {
-		t.Errorf("meta lost through snapshot: %+v", meta)
+	if h, _, _ := r.LatestSince(m.ID, 0, blob.NoVersion); h.Meta.Replication != 2 {
+		t.Errorf("meta lost through snapshot: %+v", h.Meta)
 	}
 	if exp := r.Expired(0); len(exp) != 1 || exp[0].Version != in.Version {
 		t.Errorf("in-flight version %d lost through snapshot: %+v", in.Version, exp)
@@ -236,7 +237,7 @@ func TestCommitIdempotent(t *testing.T) {
 	if err := s.Commit(m.ID, v); err != nil {
 		t.Fatalf("second commit of %d: %v", v, err)
 	}
-	if pub, _, _ := s.Latest(m.ID); pub != v {
+	if pub, _, _ := latest(s, m.ID); pub != v {
 		t.Errorf("published = %d, want %d", pub, v)
 	}
 }
@@ -265,7 +266,7 @@ func TestNoWALStateUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	assignCommit(t, s, m.ID, 4096)
-	if pub, _, err := s.Latest(m.ID); err != nil || pub != 1 {
+	if pub, _, err := latest(s, m.ID); err != nil || pub != 1 {
 		t.Errorf("published without log = (%d, %v), want (1, nil)", pub, err)
 	}
 }
@@ -303,7 +304,7 @@ func TestVersionLogCompactsItself(t *testing.T) {
 	}
 
 	r := open()
-	if pub, size, err := r.Latest(m.ID); err != nil || pub != 2000 || size != 2000*4096 {
+	if pub, size, err := latest(r, m.ID); err != nil || pub != 2000 || size != 2000*4096 {
 		t.Errorf("recovered latest = (%d, %d, %v), want (2000, %d, nil)", pub, size, err, 2000*4096)
 	}
 	if v := assignCommit(t, r, m.ID, 4096); v != 2001 {
@@ -327,7 +328,7 @@ func TestAbortIsOneLogSync(t *testing.T) {
 	if got := s.log.Status().Syncs - before; got != 1 {
 		t.Errorf("the abort issued %d fsyncs, want 1", got)
 	}
-	if pub, _, _ := s.Latest(m.ID); pub != a.Version {
+	if pub, _, _ := latest(s, m.ID); pub != a.Version {
 		t.Errorf("published = %d after the abort, want %d", pub, a.Version)
 	}
 }
@@ -360,7 +361,7 @@ func TestRecoverAbortRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := openState(t, dir)
-			if pub, size, err := r.Latest(m.ID); err != nil || pub != 1 || size != 4096 {
+			if pub, size, err := latest(r, m.ID); err != nil || pub != 1 || size != 4096 {
 				t.Errorf("recovered Latest = (%d, %d, %v), want (1, 4096)", pub, size, err)
 			}
 			if got := descOf(t, r, m.ID, 1); !got.Aborted {

@@ -135,7 +135,7 @@ func TestJanitorAbortsStuckWriters(t *testing.T) {
 	svc.StartJanitor(10*time.Millisecond, 5*time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if v, _, _ := s.Latest(m.ID); v == 1 {
+		if v, _, _ := latest(s, m.ID); v == 1 {
 			break // janitor aborted + published
 		}
 		if time.Now().After(deadline) {

@@ -126,7 +126,7 @@ func TestShardRecoverRoundTrip(t *testing.T) {
 	if got := re.Shard(); got != si {
 		t.Fatalf("recovered shard info %+v, want %+v", got, si)
 	}
-	if v, _, err := re.Latest(m.ID); err != nil || v != a.Version {
+	if v, _, err := latest(re, m.ID); err != nil || v != a.Version {
 		t.Fatalf("recovered Latest = %d, %v; want %d", v, err, a.Version)
 	}
 	// The minting cursor must resume on the shard's stride.

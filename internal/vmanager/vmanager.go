@@ -246,18 +246,6 @@ func (s *State) CreateBlob(blockSize int64, replication int) (blob.Meta, error) 
 	return m, nil
 }
 
-// GetMeta returns the static configuration of a blob.
-func (s *State) GetMeta(id blob.ID) (blob.Meta, error) {
-	st := s.stripeFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	bs, ok := st.blobs[id]
-	if !ok {
-		return blob.Meta{}, ErrUnknownBlob
-	}
-	return bs.meta, nil
-}
-
 // Blobs lists all blob IDs in ascending order (CLI/debugging).
 func (s *State) Blobs() []blob.ID {
 	var out []blob.ID
@@ -439,12 +427,6 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 	bs.hist.MarkAborted(v)
 	bs.commitLocked(v)
 	return nil
-}
-
-// Latest returns the newest published version and the blob size at it.
-func (s *State) Latest(id blob.ID) (blob.Version, int64, error) {
-	h, _, err := s.LatestSince(id, ^blob.Version(0), blob.NoVersion)
-	return h.Published, h.Size, err
 }
 
 // Head is a blob's state as one reply of the version manager reports

@@ -3,6 +3,7 @@ package vmanager
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -14,6 +15,13 @@ import (
 )
 
 const B = 64 * 1024 // block size for these tests
+
+// latest returns blob id's published version and its size there, read
+// the way a pin that asks for no history reads them.
+func latest(s *State, id blob.ID) (blob.Version, int64, error) {
+	h, _, err := s.LatestSince(id, math.MaxUint64, blob.NoVersion)
+	return h.Published, h.Size, err
+}
 
 func newBlob(t *testing.T, s *State) blob.Meta {
 	t.Helper()
@@ -34,11 +42,11 @@ func TestCreateBlob(t *testing.T) {
 	if _, err := s.CreateBlob(0, 1); err == nil {
 		t.Error("invalid block size accepted")
 	}
-	got, err := s.GetMeta(m1.ID)
-	if err != nil || got.BlockSize != B {
-		t.Errorf("GetMeta = %+v, %v", got, err)
+	got, _, err := s.LatestSince(m1.ID, 0, blob.NoVersion)
+	if err != nil || got.Meta.BlockSize != B {
+		t.Errorf("head = %+v, %v", got, err)
 	}
-	if _, err := s.GetMeta(999); !errors.Is(err, ErrUnknownBlob) {
+	if _, _, err := s.LatestSince(999, 0, blob.NoVersion); !errors.Is(err, ErrUnknownBlob) {
 		t.Errorf("unknown blob err = %v", err)
 	}
 	if len(s.Blobs()) != 2 {
@@ -119,13 +127,13 @@ func TestPublicationOrdering(t *testing.T) {
 	if err := s.Commit(m.ID, 2); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := s.Latest(m.ID); v != 0 {
+	if v, _, _ := latest(s, m.ID); v != 0 {
 		t.Fatalf("published %d before v1 committed", v)
 	}
 	if err := s.Commit(m.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	v, size, _ := s.Latest(m.ID)
+	v, size, _ := latest(s, m.ID)
 	if v != 2 || size != 2*B {
 		t.Errorf("published = %d (size %d), want 2 (%d)", v, size, 2*B)
 	}
@@ -156,7 +164,7 @@ func TestWaitPublished(t *testing.T) {
 			done <- 0
 			return
 		}
-		v, _, _ := s.Latest(m.ID)
+		v, _, _ := latest(s, m.ID)
 		done <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -237,7 +245,7 @@ func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing published yet: v1 blocks the line.
-	if v, _, _ := s.Latest(m.ID); v != 0 {
+	if v, _, _ := latest(s, m.ID); v != 0 {
 		t.Fatalf("published %d too early", v)
 	}
 	// The janitor (here: direct call) aborts v1.
@@ -248,7 +256,7 @@ func TestAbortedVersionNeedsNoMetadata(t *testing.T) {
 	if st.Len() != nodes {
 		t.Errorf("the store held %d nodes before the abort, %d after", nodes, st.Len())
 	}
-	v, size, _ := s.Latest(m.ID)
+	v, size, _ := latest(s, m.ID)
 	if v != 2 || size != 3*B {
 		t.Fatalf("after the abort: published %d size %d", v, size)
 	}
@@ -440,7 +448,7 @@ func TestRandomCommitOrderPublishesInOrder(t *testing.T) {
 		for w := 1; w <= N && committed[w]; w++ {
 			want = blob.Version(w)
 		}
-		got, _, _ := s.Latest(m.ID)
+		got, _, _ := latest(s, m.ID)
 		if got != want {
 			t.Fatalf("after commit %d: published %d, want %d", v, got, want)
 		}

@@ -1,10 +1,9 @@
-// Package cluster assembles whole deployments in one process: every
-// daemon of Figure 2 (version manager, provider manager, data
-// providers, metadata providers, namespace manager) started as a
-// node.Node over an in-process or loopback-TCP transport, exactly as the
-// automated Grid'5000 deployment of Section V-A starts one blobseerd per
-// physical machine. Tests, examples and the CLI tools all start clusters
-// through this package.
+// Package cluster assembles whole deployments in one process: BlobSeer
+// (every daemon of Figure 2), the HDFS-like baseline and the Map/Reduce
+// engine, each daemon started as a node.Node over an in-process or
+// loopback-TCP transport, exactly as the automated Grid'5000 deployment
+// of Section V-A starts one daemon per physical machine. Tests, examples
+// and the CLI tools all start clusters through this package.
 package cluster
 
 import (

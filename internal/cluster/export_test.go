@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/obs"
 	"blobseer/internal/vmanager"
 )
 
@@ -14,4 +15,12 @@ func HistoryOf(ctx context.Context, vm *vmanager.Client, id blob.ID) (*blob.Hist
 		return h.Extend(descs)
 	})
 	return h, err
+}
+
+// Planes returns the jobtracker's plane and each tracker's.
+func (m *MapRed) Planes() (jt *obs.Plane, trackers []*obs.Plane) {
+	for i := 0; i < m.Cfg.Trackers; i++ {
+		trackers = append(trackers, m.node(trackerAddr(i)).Config().Plane)
+	}
+	return m.node(m.JTAddr).Config().Plane, trackers
 }

@@ -1,40 +1,23 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
 	"blobseer/internal/fs"
 	"blobseer/internal/mapred"
-	"blobseer/internal/rpc"
+	"blobseer/internal/node"
+	"blobseer/internal/obs"
 )
 
 // MapRedConfig describes a Map/Reduce deployment over some storage
-// layer. FSFor builds a FileSystem client for a given host — the
-// co-deployment knob: passing the storage cluster's HostOf(i) for
-// tracker i reproduces the paper's "tasktracker co-deployed with a
-// datanode/provider on the same physical machine".
+// layer. Tracker i runs on host-i, the host both storage deployments
+// give their node i (HostOf(i)), and FSFor builds each tracker's
+// FileSystem client for its host: the paper's tasktracker co-deployed
+// with a provider or datanode on the same physical machine.
 type MapRedConfig struct {
-	Trackers    int
-	MapSlots    int
-	ReduceSlots int
-	Poll        time.Duration
-	FSFor       func(host string) (fs.FileSystem, error)
-	Hosts       []string // host of each tracker; default host-0..host-N-1
-}
-
-func (c *MapRedConfig) fill() {
-	if c.Trackers == 0 {
-		c.Trackers = 3
-	}
-	if c.Poll == 0 {
-		c.Poll = 2 * time.Millisecond
-	}
-	if c.Hosts == nil {
-		for i := 0; i < c.Trackers; i++ {
-			c.Hosts = append(c.Hosts, fmt.Sprintf("host-%d", i))
-		}
-	}
+	Trackers int // default 3
+	FSFor    func(host string) (fs.FileSystem, error)
 }
 
 // MapRed is a running Map/Reduce deployment (jobtracker +
@@ -43,79 +26,67 @@ type MapRed struct {
 	Cfg MapRedConfig
 	fabric
 	JTAddr string
-
-	trackers []*mapred.TaskTracker
-	servers  []*rpc.Server
 }
 
-// StartMapRed deploys the engine. jtFS is the FileSystem the jobtracker
-// uses for split computation (typically FSFor("")).
+// StartMapRed deploys the engine: a jobtracker, which computes splits
+// through FSFor(""), and the trackers.
 func StartMapRed(cfg MapRedConfig) (*MapRed, error) {
-	cfg.fill()
+	if cfg.Trackers == 0 {
+		cfg.Trackers = 3
+	}
 	if cfg.FSFor == nil {
-		return nil, fmt.Errorf("cluster: MapRedConfig.FSFor is required")
+		return nil, errors.New("cluster: MapRedConfig.FSFor is required")
 	}
 	m := &MapRed{Cfg: cfg}
 	m.init(false)
-
-	jtFS, err := cfg.FSFor("")
-	if err != nil {
+	if err := m.start(); err != nil {
+		m.Stop()
 		return nil, err
-	}
-	jtSvc := mapred.NewJTService(mapred.NewJobTracker(jtFS))
-	lis, err := m.listen("jobtracker", "")
-	if err != nil {
-		return nil, err
-	}
-	srv := rpc.NewServer(jtSvc.Mux())
-	m.servers = append(m.servers, srv)
-	go srv.Serve(lis)
-	m.JTAddr = "jobtracker"
-
-	for i := 0; i < cfg.Trackers; i++ {
-		host := cfg.Hosts[i]
-		tfs, err := cfg.FSFor(host)
-		if err != nil {
-			m.Stop()
-			return nil, err
-		}
-		addr := fmt.Sprintf("tracker-%d", i)
-		tt := mapred.NewTaskTracker(mapred.TaskTrackerConfig{
-			Addr:        addr,
-			Host:        host,
-			FS:          tfs,
-			JT:          mapred.NewJTClient(m.Pool, m.JTAddr),
-			Pool:        m.Pool,
-			MapSlots:    cfg.MapSlots,
-			ReduceSlots: cfg.ReduceSlots,
-			Poll:        cfg.Poll,
-		})
-		tlis, err := m.listen(addr, "")
-		if err != nil {
-			m.Stop()
-			return nil, err
-		}
-		tsrv := rpc.NewServer(tt.Mux())
-		m.servers = append(m.servers, tsrv)
-		go tsrv.Serve(tlis)
-		tt.Start()
-		m.trackers = append(m.trackers, tt)
 	}
 	return m, nil
 }
+
+func (m *MapRed) start() error {
+	jtFS, err := m.Cfg.FSFor("")
+	if err != nil {
+		return err
+	}
+	jt, err := m.startNode(node.Config{Role: node.JobTracker, Plane: obs.NewPlane("jobtracker"), FS: jtFS}, "")
+	if err != nil {
+		return err
+	}
+	m.JTAddr = jt.Addr
+	for i := 0; i < m.Cfg.Trackers; i++ {
+		host := fmt.Sprintf("host-%d", i)
+		tfs, err := m.Cfg.FSFor(host)
+		if err != nil {
+			return err
+		}
+		if _, err := m.startNode(node.Config{
+			Role: node.TaskTracker, Plane: obs.NewPlane(trackerAddr(i)),
+			FS: tfs, JobTrackerAddr: m.JTAddr, Host: host,
+		}, ""); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// trackerAddr is tracker i's address: on the in-process network a node
+// listens under its plane's name.
+func trackerAddr(i int) string { return fmt.Sprintf("tracker-%d", i) }
 
 // Client returns a jobtracker client for submissions.
 func (m *MapRed) Client() *mapred.JTClient {
 	return mapred.NewJTClient(m.Pool, m.JTAddr)
 }
 
-// Stop shuts the deployment down.
+// Stop shuts the deployment down: the trackers, then the jobtracker
+// their last reports go to.
 func (m *MapRed) Stop() {
-	for _, tt := range m.trackers {
-		tt.Stop()
+	addrs := make([]string, 0, m.Cfg.Trackers+1)
+	for i := 0; i < m.Cfg.Trackers; i++ {
+		addrs = append(addrs, trackerAddr(i))
 	}
-	for _, s := range m.servers {
-		s.Close()
-	}
-	m.stop()
+	m.stop(append(addrs, m.JTAddr)...)
 }

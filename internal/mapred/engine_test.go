@@ -280,19 +280,8 @@ func TestLocalityPreferredScheduling(t *testing.T) {
 	}
 	w.Close()
 
-	hosts := make([]string, 4)
-	for i := range hosts {
-		hosts[i] = cl.HostOf(i)
-	}
-	m, err := cluster.StartMapRed(cluster.MapRedConfig{
-		Trackers: 4,
-		Hosts:    hosts,
-		FSFor:    fsFor,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
+	// Tracker i runs on host-i, cl.HostOf(i): one tracker per provider.
+	m := startEngine(t, fsFor, 4)
 
 	st, err := runJob(ctx, m.Client(), mapred.JobConf{
 		Name:       "grep-local",

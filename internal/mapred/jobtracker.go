@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"blobseer/internal/fs"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
 )
@@ -62,7 +64,6 @@ type JobStatus struct {
 type taskState struct {
 	phase    taskPhase
 	attempts int
-	tracker  string // tracker addr running (or having run) the task
 }
 
 type job struct {
@@ -96,12 +97,12 @@ type JobTracker struct {
 	fsys    fs.FileSystem
 	nextJob uint64
 	jobs    map[uint64]*job
-	done    []uint64 // recently finished jobs (trackers GC their shuffle state)
+	done    map[string][]uint64 // per tracker addr: ended jobs whose map outputs it holds
 }
 
 // NewJobTracker returns a jobtracker using fsys for split computation.
 func NewJobTracker(fsys fs.FileSystem) *JobTracker {
-	return &JobTracker{fsys: fsys, jobs: make(map[uint64]*job)}
+	return &JobTracker{fsys: fsys, jobs: make(map[uint64]*job), done: make(map[string][]uint64)}
 }
 
 // Submit computes splits and enqueues a job.
@@ -145,8 +146,9 @@ func (jt *JobTracker) Submit(ctx context.Context, conf JobConf) (uint64, error) 
 
 // RequestTasks assigns up to mapSlots map tasks and reduceSlots reduce
 // tasks to the tracker at addr/host, preferring node-local splits —
-// the affinity scheduling of Section IV-C. It also returns IDs of jobs
-// whose shuffle state the tracker may garbage-collect.
+// the affinity scheduling of Section IV-C. It also returns the IDs of
+// ended jobs whose map outputs that tracker holds, once each, so it can
+// drop their shuffle state.
 func (jt *JobTracker) RequestTasks(addr, host string, mapSlots, reduceSlots int) ([]Assignment, []uint64) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
@@ -164,12 +166,11 @@ func (jt *JobTracker) RequestTasks(addr, host string, mapSlots, reduceSlots int)
 				if j.maps[i].phase != taskPending {
 					continue
 				}
-				local := hostIn(host, j.splits[i].Hosts)
+				local := host != "" && slices.Contains(j.splits[i].Hosts, host)
 				if pass == 0 && !local {
 					continue
 				}
 				j.maps[i].phase = taskRunning
-				j.maps[i].tracker = addr
 				if local {
 					j.localMaps++
 				} else {
@@ -192,7 +193,6 @@ func (jt *JobTracker) RequestTasks(addr, host string, mapSlots, reduceSlots int)
 					continue
 				}
 				j.reds[i].phase = taskRunning
-				j.reds[i].tracker = addr
 				out = append(out, Assignment{
 					JobID: j.id, Type: taskReduce, TaskID: i, Conf: j.conf,
 					NumMaps: len(j.maps), MapAddrs: append([]string(nil), j.mapOutputAddrs...),
@@ -201,21 +201,9 @@ func (jt *JobTracker) RequestTasks(addr, host string, mapSlots, reduceSlots int)
 			}
 		}
 	}
-	gc := jt.done
-	jt.done = nil
+	gc := jt.done[addr]
+	delete(jt.done, addr)
 	return out, gc
-}
-
-func hostIn(host string, hosts []string) bool {
-	if host == "" {
-		return false
-	}
-	for _, h := range hosts {
-		if h == host {
-			return true
-		}
-	}
-	return false
 }
 
 // Report records a task attempt's outcome. Failed tasks are retried up
@@ -244,27 +232,35 @@ func (jt *JobTracker) Report(jobID uint64, taskType uint8, taskID int, addr stri
 		if taskType == taskMap {
 			j.mapsDone++
 			j.mapOutputAddrs[taskID] = addr
+			if j.state != JobRunning { // a map that outlived its failed job
+				jt.done[addr] = append(jt.done[addr], j.id)
+			}
 		} else {
 			j.redsDone++
 		}
-		jt.maybeFinishLocked(j)
+		if j.mapsDone == len(j.maps) && j.redsDone == len(j.reds) {
+			jt.endLocked(j, JobSucceeded)
+		}
 		return nil
 	}
 	ts.attempts++
 	if ts.attempts >= j.conf.MaxAttempts {
-		j.state = JobFailed
 		j.errMsg = fmt.Sprintf("task %d failed %d times: %s", taskID, ts.attempts, errMsg)
-		jt.done = append(jt.done, j.id)
+		jt.endLocked(j, JobFailed)
 		return nil
 	}
 	ts.phase = taskPending // retry
 	return nil
 }
 
-func (jt *JobTracker) maybeFinishLocked(j *job) {
-	if j.mapsDone == len(j.maps) && j.redsDone == len(j.reds) {
-		j.state = JobSucceeded
-		jt.done = append(jt.done, j.id)
+// endLocked ends j and queues its ID for every tracker holding one of
+// its map outputs, so each drops them on its next poll.
+func (jt *JobTracker) endLocked(j *job, state JobState) {
+	j.state = state
+	for i, addr := range j.mapOutputAddrs {
+		if addr != "" && !slices.Contains(j.mapOutputAddrs[:i], addr) {
+			jt.done[addr] = append(jt.done[addr], j.id)
+		}
 	}
 }
 
@@ -356,15 +352,20 @@ func decodeSplit(r *wire.Reader) Split {
 
 // JTService is the jobtracker RPC shell.
 type JTService struct {
-	jt *JobTracker
+	jt  *JobTracker
+	reg *obs.Registry
 }
 
 // NewJTService wraps jt.
-func NewJTService(jt *JobTracker) *JTService { return &JTService{jt: jt} }
+func NewJTService(jt *JobTracker) *JTService { return &JTService{jt: jt, reg: obs.NewRegistry()} }
 
-// Mux returns the dispatch table.
+// Metrics exposes the jobtracker's registry (per-method counts, errors
+// and latency) for HTTP export.
+func (s *JTService) Metrics() *obs.Registry { return s.reg }
+
+// Mux returns the dispatch table, metered on the jobtracker's registry.
 func (s *JTService) Mux() *rpc.Mux {
-	m := rpc.NewMux()
+	m := rpc.NewMeteredMux(s.reg)
 	m.HandleFrame(mSubmitJob, "submit_job", s.handleSubmit)
 	m.HandleFrame(mRequestTasks, "request_tasks", s.handleRequestTasks)
 	m.HandleFrame(mReportTask, "report_task", s.handleReport)
@@ -491,6 +492,9 @@ func (c *JTClient) RequestTasks(ctx context.Context, addr, host string, mapSlots
 		asgs = make([]Assignment, 0, n)
 		for i := uint32(0); i < n; i++ {
 			a := Assignment{JobID: r.U64(), Type: r.U8(), TaskID: int(r.U32())}
+			if a.Type > taskReduce {
+				return fmt.Errorf("mapred: unknown task type %d", a.Type)
+			}
 			a.Conf = decodeConf(r)
 			a.Split = decodeSplit(r)
 			a.NumMaps = int(r.U32())

@@ -8,6 +8,7 @@
 package mapred
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -293,7 +294,7 @@ func newLineReader(ctx context.Context, fsys fs.FileSystem, split Split, version
 func (lr *lineReader) nextLine() (string, int64, error) {
 	start := lr.pos
 	for {
-		if i := indexByte(lr.buf, '\n'); i >= 0 {
+		if i := bytes.IndexByte(lr.buf, '\n'); i >= 0 {
 			line := string(lr.buf[:i])
 			lr.buf = lr.buf[i+1:]
 			lr.pos += int64(i + 1)
@@ -335,12 +336,3 @@ func (lr *lineReader) next() (Record, bool, error) {
 func (lr *lineReader) close() error { return lr.r.Close() }
 
 var errEOF = fmt.Errorf("mapred: end of split")
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}

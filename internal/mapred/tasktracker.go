@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blobseer/internal/fs"
+	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
 )
@@ -16,38 +17,33 @@ const (
 	mGetMapOutput uint16 = iota + 1
 )
 
+// A tracker runs at most mapSlots maps (Hadoop 0.20's default, which
+// the paper ran) and reduceSlots reduces at once, and asks the
+// jobtracker for work every poll.
+const (
+	mapSlots    = 2
+	reduceSlots = 1
+	poll        = 2 * time.Millisecond
+)
+
 // TaskTrackerConfig configures one tracker.
 type TaskTrackerConfig struct {
-	Addr        string // this tracker's RPC endpoint (shuffle serving)
-	Host        string // physical host (locality matching)
-	FS          fs.FileSystem
-	JT          *JTClient
-	Pool        *rpc.Pool
-	MapSlots    int           // concurrent map tasks (2 in the paper's Hadoop era)
-	ReduceSlots int           // concurrent reduce tasks
-	Poll        time.Duration // heartbeat interval
-}
-
-func (c *TaskTrackerConfig) fill() {
-	if c.MapSlots <= 0 {
-		c.MapSlots = 2
-	}
-	if c.ReduceSlots <= 0 {
-		c.ReduceSlots = 1
-	}
-	if c.Poll <= 0 {
-		c.Poll = 5 * time.Millisecond
-	}
+	Addr string // this tracker's RPC endpoint (shuffle serving)
+	Host string // physical host (locality matching)
+	FS   fs.FileSystem
+	JT   *JTClient
+	Pool *rpc.Pool
 }
 
 // TaskTracker executes map and reduce tasks and serves map outputs to
 // reducers (the shuffle).
 type TaskTracker struct {
 	cfg TaskTrackerConfig
+	reg *obs.Registry
 
 	mu      sync.Mutex
 	outputs map[string][]byte // shuffle key -> serialized KVs
-	running int
+	running [2]int            // tasks in flight, by type (taskMap, taskReduce)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -59,17 +55,22 @@ func shuffleKey(jobID uint64, mapTask, partition int) string {
 
 // NewTaskTracker returns an unstarted tracker.
 func NewTaskTracker(cfg TaskTrackerConfig) *TaskTracker {
-	cfg.fill()
 	return &TaskTracker{
 		cfg:     cfg,
+		reg:     obs.NewRegistry(),
 		outputs: make(map[string][]byte),
 		stop:    make(chan struct{}),
 	}
 }
 
-// Mux returns the tracker's RPC dispatch table (shuffle service).
+// Metrics exposes the tracker's registry (per-method counts, errors and
+// latency) for HTTP export.
+func (t *TaskTracker) Metrics() *obs.Registry { return t.reg }
+
+// Mux returns the tracker's RPC dispatch table (shuffle service),
+// metered on its registry.
 func (t *TaskTracker) Mux() *rpc.Mux {
-	m := rpc.NewMux()
+	m := rpc.NewMeteredMux(t.reg)
 	m.HandleFrame(mGetMapOutput, "get_map_output", t.handleGetMapOutput)
 	return m
 }
@@ -99,20 +100,17 @@ func (t *TaskTracker) Start() {
 	go t.loop()
 }
 
-// Stop terminates the tracker and waits for in-flight tasks.
+// Stop terminates a started tracker, once, and waits for in-flight
+// tasks.
 func (t *TaskTracker) Stop() {
-	select {
-	case <-t.stop:
-	default:
-		close(t.stop)
-	}
+	close(t.stop)
 	t.wg.Wait()
 }
 
 func (t *TaskTracker) loop() {
 	defer t.wg.Done()
 	ctx := context.Background()
-	ticker := time.NewTicker(t.cfg.Poll)
+	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
 		select {
@@ -121,12 +119,12 @@ func (t *TaskTracker) loop() {
 		case <-ticker.C:
 		}
 		t.mu.Lock()
-		free := t.cfg.MapSlots + t.cfg.ReduceSlots - t.running
+		maps, reduces := mapSlots-t.running[taskMap], reduceSlots-t.running[taskReduce]
 		t.mu.Unlock()
-		if free <= 0 {
+		if maps == 0 && reduces == 0 {
 			continue
 		}
-		asgs, gc, err := t.cfg.JT.RequestTasks(ctx, t.cfg.Addr, t.cfg.Host, free, free)
+		asgs, gc, err := t.cfg.JT.RequestTasks(ctx, t.cfg.Addr, t.cfg.Host, maps, reduces)
 		if err != nil {
 			continue // jobtracker unreachable; retry next beat
 		}
@@ -135,7 +133,7 @@ func (t *TaskTracker) loop() {
 		}
 		for _, a := range asgs {
 			t.mu.Lock()
-			t.running++
+			t.running[a.Type]++
 			t.mu.Unlock()
 			t.wg.Add(1)
 			go func(a Assignment) {
@@ -147,7 +145,7 @@ func (t *TaskTracker) loop() {
 				}
 				_ = t.cfg.JT.Report(ctx, a.JobID, a.Type, a.TaskID, t.cfg.Addr, err == nil, msg)
 				t.mu.Lock()
-				t.running--
+				t.running[a.Type]--
 				t.mu.Unlock()
 			}(a)
 		}

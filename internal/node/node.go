@@ -1,8 +1,10 @@
-// Package node is the one place that knows how a role of the paper's
-// Figure 2 becomes a running service (Start, Stop, Kill) and how a set
-// of addresses becomes a client stack (Connect). internal/cluster runs
-// N nodes in one process, cmd/blobseerd one node per process: same
-// construction, same registration, same stop order.
+// Package node is the one place that knows how a role becomes a running
+// service (Start, Stop, Kill) and how a set of addresses becomes a
+// client stack (Connect). The roles are the daemons of the paper's
+// Figure 2 and the repair loop, the HDFS-like baseline's namenode and
+// datanodes, and the Map/Reduce jobtracker and tasktrackers.
+// internal/cluster runs N nodes in one process, cmd/blobseerd one node
+// per process: same construction, same registration, same stop order.
 package node
 
 import (
@@ -16,7 +18,9 @@ import (
 	"time"
 
 	"blobseer/internal/dht"
+	"blobseer/internal/fs"
 	"blobseer/internal/hdfs"
+	"blobseer/internal/mapred"
 	"blobseer/internal/namespace"
 	"blobseer/internal/obs"
 	"blobseer/internal/placement"
@@ -39,6 +43,9 @@ const (
 	Repair    = "repair"
 	Namenode  = "namenode"
 	Datanode  = "datanode"
+
+	JobTracker  = "jobtracker"
+	TaskTracker = "tasktracker"
 )
 
 // Config describes one node; a role reads only the fields that name it.
@@ -48,14 +55,16 @@ type Config struct {
 	// owns it from the call on, also when Start fails.
 	Listener net.Listener
 	// Pool carries the node's own calls (registration, heartbeats, chain
-	// forwarding, blob creation, DHT access) to the peers Endpoints and
-	// NamenodeAddr name. The caller closes it after Stop.
+	// forwarding, blob creation, DHT access, task polls, shuffle fetches)
+	// to its peers. The caller closes it after Stop.
 	Pool *rpc.Pool
 	Endpoints
-	NamenodeAddr string // datanode
+	NamenodeAddr   string // datanode
+	JobTrackerAddr string // tasktracker
 
-	StoreURL string // meta, provider, datanode: store.Open URL ("" = mem://)
-	Host     string // provider, datanode: host label for affinity scheduling
+	StoreURL string        // meta, provider, datanode: store.Open URL ("" = mem://)
+	Host     string        // provider, datanode, tasktracker: host label for affinity scheduling
+	FS       fs.FileSystem // jobtracker, tasktracker: the storage layer jobs read and write
 
 	Shard        vmanager.ShardInfo // vmanager: identity k/K (zero = unsharded)
 	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
@@ -83,7 +92,7 @@ type Config struct {
 }
 
 // Node is a running service. The role decides which one service field
-// is set (a datanode is a provider service).
+// is set (a datanode is a provider service; a jobtracker sets none).
 type Node struct {
 	Addr string // bound address ("" for repair)
 
@@ -94,6 +103,7 @@ type Node struct {
 	Meta   *dht.MetaService
 	NN     *hdfs.Service
 	Repair *repair.Engine
+	TT     *mapred.TaskTracker
 
 	cfg   Config
 	srv   *rpc.Server
@@ -220,6 +230,23 @@ func (n *Node) build() (mux *rpc.Mux, err error) {
 		cfg.Plane.Use(n.NN.Metrics())
 		return n.NN.Mux(), nil
 
+	case JobTracker, TaskTracker:
+		// Both run in-process only: blobseerd has no file system flag.
+		if cfg.FS == nil || (cfg.Role == TaskTracker && cfg.JobTrackerAddr == "") {
+			return nil, fmt.Errorf("%s: Config.FS and a tasktracker's JobTrackerAddr are required", cfg.Role)
+		}
+		if cfg.Role == JobTracker {
+			jt := mapred.NewJTService(mapred.NewJobTracker(cfg.FS))
+			cfg.Plane.Use(jt.Metrics())
+			return jt.Mux(), nil
+		}
+		n.TT = mapred.NewTaskTracker(mapred.TaskTrackerConfig{
+			Addr: cfg.Listener.Addr().String(), Host: cfg.Host, FS: cfg.FS,
+			JT: mapred.NewJTClient(cfg.Pool, cfg.JobTrackerAddr), Pool: cfg.Pool,
+		})
+		cfg.Plane.Use(n.TT.Metrics())
+		return n.TT.Mux(), nil
+
 	case Repair:
 		if len(cfg.VM) == 0 || cfg.PM == "" || len(cfg.Meta) == 0 {
 			return nil, errors.New("repair: -vmanager, -pmanager and -meta are required")
@@ -283,7 +310,8 @@ func walGauges(reg *obs.Registry, log *wal.Log) {
 }
 
 // announce registers a storage node with its manager, so clients need
-// the manager's address alone, and starts a provider's liveness loop.
+// the manager's address alone, and starts a provider's liveness loop or
+// a tasktracker's poll for work.
 func (n *Node) announce() error {
 	cfg := &n.cfg
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -305,6 +333,9 @@ func (n *Node) announce() error {
 			return fmt.Errorf("register with namenode %s: %w", cfg.NamenodeAddr, err)
 		}
 		n.logf("registered with namenode %s as host %q", cfg.NamenodeAddr, cfg.Host)
+	case TaskTracker:
+		n.TT.Start()
+		n.loops = append(n.loops, n.TT.Stop)
 	}
 	return nil
 }

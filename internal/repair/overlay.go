@@ -179,8 +179,7 @@ func (o *Overlay) Remove(ctx context.Context, key blob.BlockKey) error {
 	return o.kv.Delete(ctx, overlayKey(key))
 }
 
-// MemKV is an in-memory KV for tests and the simulator. Safe for
-// concurrent use.
+// MemKV is an in-memory KV for tests. Safe for concurrent use.
 type MemKV struct {
 	mu sync.Mutex
 	m  map[string][]byte

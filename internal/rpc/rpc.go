@@ -345,7 +345,9 @@ type handler struct {
 	lat    *obs.Histogram
 }
 
-// NewMux returns an empty, unmetered Mux.
+// NewMux returns an empty, unmetered Mux. Every service meters its
+// methods (NewMeteredMux): only tests and the benchmark module's echo
+// probe, the one Handle caller, serve an unmetered Mux.
 func NewMux() *Mux { return &Mux{} }
 
 // NewMeteredMux returns an empty Mux that meters every named method on

@@ -102,7 +102,8 @@ type Client struct {
 	nonce   nonceSource
 	readRR  atomic.Uint64 // rotates the first replica tried per fetch
 	overlay LocationOverlay
-	reads   util.FreeList[*read] // readInto's working sets, made as concurrent reads need them
+	reads   util.FreeList[*read]  // readInto's working sets, made as concurrent reads need them
+	writes  util.FreeList[*write] // doWrite's, likewise
 
 	// The client's own registry; exporting it is the caller's choice.
 	reg            *obs.Registry
@@ -314,8 +315,66 @@ func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, e
 	return h.Published, h.Size, err
 }
 
+// write is one doWrite call's working set: its blocks' refs, the
+// placement they name their replicas from (Allocate's vector) and the
+// descriptors its assignment brings (Assign's). The client recycles it
+// (Client.writes), as it does a read's, so a write allocates none of it
+// once the client has run as many writes at once before. It never
+// outlives its call: release clears it, or scribbles over it under
+// wire.PoisonReleased.
+type write struct {
+	c     *Client
+	refs  []mdtree.BlockRef
+	addrs []string
+	descs []blob.WriteDesc
+}
+
+// maxKeptWrite bounds each vector a recycled write keeps: a write of a
+// thousand blocks, or a first write that brought a long history, should
+// not pin its vectors in the client for ever.
+const maxKeptWrite = 1024
+
+// newWrite returns a working set for one write.
+func (c *Client) newWrite() *write {
+	w, ok := c.writes.Get()
+	if !ok {
+		w = &write{c: c}
+	}
+	return w
+}
+
+// release hands w back to its client.
+func (w *write) release() {
+	if wire.Poisoning() {
+		for i := range w.refs {
+			w.refs[i] = mdtree.BlockRef{Len: -1}
+		}
+		for i := range w.addrs {
+			w.addrs[i] = "\xdb"
+		}
+		for i := range w.descs {
+			w.descs[i] = blob.WriteDesc{Off: -1, Len: -1}
+		}
+	} else {
+		clear(w.refs)
+		clear(w.addrs)
+		clear(w.descs)
+	}
+	w.refs, w.addrs, w.descs = keep(w.refs), keep(w.addrs), keep(w.descs)
+	w.c.writes.Put(w)
+}
+
+// keep returns v emptied, or nil when it is too long to keep.
+func keep[T any](v []T) []T {
+	if cap(v) > maxKeptWrite {
+		return nil
+	}
+	return v[:0]
+}
+
 // doWrite is the two-phase write protocol behind Blob.Write and
-// Blob.Append; base is an append's (vmanager.State.Assign).
+// Blob.Append; base is an append's (vmanager.State.Assign). The
+// Assignment it returns has no Descs: they were its working set's.
 func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, off int64, base blob.Version, data []byte) (_ vmanager.Assignment, err error) {
 	var none vmanager.Assignment // what a failed write returns
 	if len(data) == 0 {
@@ -332,16 +391,23 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		return none, fmt.Errorf("core: write offset %d not aligned to block size %d", off, m.BlockSize)
 	}
 	nBlocks := int(blob.Blocks(int64(len(data)), m.BlockSize))
+	wr := c.newWrite()
+	defer wr.release()
 
 	// Phase 1a: allocate providers for every block of the patch.
-	targets, err := c.pm.Allocate(ctx, nBlocks, m.Replication, c.host)
+	targets, err := c.pm.Allocate(ctx, nBlocks, m.Replication, c.host, wr.addrs)
 	if err != nil {
 		return none, fmt.Errorf("core: allocate providers: %w", err)
 	}
+	wr.addrs = targets.Addrs
 
 	// Phase 1b: store all blocks, fully parallel with other writers.
 	nonce := c.nonce.next()
-	refs := make([]mdtree.BlockRef, nBlocks)
+	if cap(wr.refs) < nBlocks {
+		wr.refs = make([]mdtree.BlockRef, nBlocks)
+	}
+	wr.refs = wr.refs[:nBlocks]
+	refs := wr.refs
 	for i := range refs {
 		start := int64(i) * m.BlockSize
 		key := blob.BlockKey{Blob: id, Nonce: nonce, Seq: uint32(i)}
@@ -360,13 +426,14 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	c.mu.Lock()
 	since := st.hist.Latest()
 	c.mu.Unlock()
-	a, err := c.vm.Assign(ctx, id, kind, off, int64(len(data)), nonce, since, base, targets.Addrs...)
+	a, err := c.vm.Assign(ctx, id, kind, off, int64(len(data)), nonce, since, base, wr.descs, targets.Addrs...)
 	if err != nil {
 		c.gcBlocks(id, nonce, targets.Addrs)
 		return none, err
 	}
+	wr.descs, a.Descs = a.Descs, nil
 	c.mu.Lock()
-	err = st.hist.Extend(a.Descs)
+	err = st.hist.Extend(wr.descs)
 	hist := st.hist.View() // read-only, stable during the metadata build
 	c.mu.Unlock()
 	if err != nil {

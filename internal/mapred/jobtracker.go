@@ -96,13 +96,36 @@ type JobTracker struct {
 	mu      sync.Mutex
 	fsys    fs.FileSystem
 	nextJob uint64
-	jobs    map[uint64]*job
+	jobs    map[uint64]*job     // running, and ended within jobRetention
+	running []*job              // in submission order: what a poll walks
+	ended   []endedJob          // in end order: what forgetting pops
 	done    map[string][]uint64 // per tracker addr: ended jobs whose map outputs it holds
 }
+
+// endedJob is a job that ended at at.
+type endedJob struct {
+	id uint64
+	at time.Time
+}
+
+// jobRetention is how long an ended job stays known (Status answers
+// for it); then the jobtracker forgets it, so that a long-running one
+// holds the jobs of the last few minutes, not of its whole life. Tests
+// shorten it.
+var jobRetention = 10 * time.Minute
 
 // NewJobTracker returns a jobtracker using fsys for split computation.
 func NewJobTracker(fsys fs.FileSystem) *JobTracker {
 	return &JobTracker{fsys: fsys, jobs: make(map[uint64]*job), done: make(map[string][]uint64)}
+}
+
+// forgetLocked drops the jobs that ended more than jobRetention ago.
+// Caller holds jt.mu.
+func (jt *JobTracker) forgetLocked() {
+	for len(jt.ended) > 0 && time.Since(jt.ended[0].at) > jobRetention {
+		delete(jt.jobs, jt.ended[0].id)
+		jt.ended = jt.ended[1:]
+	}
 }
 
 // Submit computes splits and enqueues a job.
@@ -140,7 +163,9 @@ func (jt *JobTracker) Submit(ctx context.Context, conf JobConf) (uint64, error) 
 		reds:           make([]taskState, conf.NumReduces),
 		mapOutputAddrs: make([]string, len(splits)),
 	}
+	jt.forgetLocked()
 	jt.jobs[j.id] = j
+	jt.running = append(jt.running, j)
 	return j.id, nil
 }
 
@@ -148,15 +173,14 @@ func (jt *JobTracker) Submit(ctx context.Context, conf JobConf) (uint64, error) 
 // tasks to the tracker at addr/host, preferring node-local splits —
 // the affinity scheduling of Section IV-C. It also returns the IDs of
 // ended jobs whose map outputs that tracker holds, once each, so it can
-// drop their shuffle state.
+// drop their shuffle state. Running jobs are served in submission
+// order.
 func (jt *JobTracker) RequestTasks(addr, host string, mapSlots, reduceSlots int) ([]Assignment, []uint64) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
+	jt.forgetLocked()
 	var out []Assignment
-	for _, j := range jt.jobs {
-		if j.state != JobRunning {
-			continue
-		}
+	for _, j := range jt.running {
 		// Map tasks: node-local first, then any pending (remote maps).
 		for pass := 0; pass < 2 && mapSlots > 0; pass++ {
 			for i := range j.maps {
@@ -211,8 +235,14 @@ func (jt *JobTracker) RequestTasks(addr, host string, mapSlots, reduceSlots int)
 func (jt *JobTracker) Report(jobID uint64, taskType uint8, taskID int, addr string, success bool, errMsg string) error {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
+	jt.forgetLocked()
 	j, ok := jt.jobs[jobID]
 	if !ok {
+		if success && taskType == taskMap && jobID != 0 && jobID <= jt.nextJob {
+			// A map that outlived its forgotten job: its tracker drops
+			// the output on its next poll.
+			jt.done[addr] = append(jt.done[addr], jobID)
+		}
 		return fmt.Errorf("mapred: unknown job %d", jobID)
 	}
 	var ts *taskState
@@ -254,9 +284,15 @@ func (jt *JobTracker) Report(jobID uint64, taskType uint8, taskID int, addr stri
 }
 
 // endLocked ends j and queues its ID for every tracker holding one of
-// its map outputs, so each drops them on its next poll.
+// its map outputs, so each drops them on its next poll. The job leaves
+// the polls' walk now, and the jobtracker jobRetention later.
 func (jt *JobTracker) endLocked(j *job, state JobState) {
+	if j.state != JobRunning {
+		return // ended already: a straggler's report does not end it again
+	}
 	j.state = state
+	jt.running = slices.DeleteFunc(jt.running, func(r *job) bool { return r == j })
+	jt.ended = append(jt.ended, endedJob{j.id, time.Now()})
 	for i, addr := range j.mapOutputAddrs {
 		if addr != "" && !slices.Contains(j.mapOutputAddrs[:i], addr) {
 			jt.done[addr] = append(jt.done[addr], j.id)
@@ -268,6 +304,7 @@ func (jt *JobTracker) endLocked(j *job, state JobState) {
 func (jt *JobTracker) Status(jobID uint64) (JobStatus, error) {
 	jt.mu.Lock()
 	defer jt.mu.Unlock()
+	jt.forgetLocked()
 	j, ok := jt.jobs[jobID]
 	if !ok {
 		return JobStatus{}, fmt.Errorf("mapred: unknown job %d", jobID)

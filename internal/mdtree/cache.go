@@ -2,6 +2,7 @@ package mdtree
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -66,6 +67,7 @@ func (c *NodeCache) PutBatch(ctx context.Context, nodes []Node) error {
 	defer c.mu.Unlock()
 	for _, n := range nodes {
 		if _, cached := c.nodes[n.ID]; n.Leaf || cached {
+			n.Block.Providers = slices.Clone(n.Block.Providers) // the writer's, recycled
 			c.insertLocked(n)
 		}
 	}

@@ -102,8 +102,9 @@ type Node struct {
 // Put and Get are one-node batches; Get fails on an absent node. Delete
 // removes a node (garbage collection of pruned versions).
 //
-// PutBatch keeps no reference to nodes once it has returned: Build
-// recycles the list.
+// PutBatch keeps no reference to nodes once it has returned, nor to a
+// leaf's Providers: Build recycles the list, and a writer the
+// placement vector the leaves name their replicas in.
 type Store interface {
 	PutBatch(ctx context.Context, nodes []Node) error
 	GetBatch(ctx context.Context, ids []NodeID) (map[NodeID]Node, error)

@@ -4,10 +4,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/dht"
+	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
 
@@ -111,6 +113,7 @@ func (s *MemStore) BatchOps() (putBatches, getBatches int64) {
 func (s *MemStore) PutBatch(_ context.Context, nodes []Node) error {
 	s.mu.Lock()
 	for _, n := range nodes {
+		n.Block.Providers = slices.Clone(n.Block.Providers) // the writer's, recycled
 		s.nodes[n.ID.Key()] = n
 	}
 	s.puts += int64(len(nodes))
@@ -146,8 +149,19 @@ func (s *MemStore) Delete(_ context.Context, id NodeID) error {
 // DHTStore adapts the metadata DHT client to the tree Store interface —
 // the production path: tree nodes distributed over metadata providers.
 type DHTStore struct {
-	c *dht.Client
+	c       *dht.Client
+	batches util.FreeList[*nodeBatch] // PutBatch's encoders
 }
+
+// nodeBatch encodes one PutBatch's nodes for the DHT client. It is
+// recycled with its method value bound, so a batch hands the client an
+// encoder without allocating one.
+type nodeBatch struct {
+	nodes  []Node
+	encode func(i int, b *wire.Buffer) // nb.encodeNode
+}
+
+func (nb *nodeBatch) encodeNode(i int, b *wire.Buffer) { encodeNode(b, nb.nodes[i]) }
 
 // NewDHTStore wraps c.
 func NewDHTStore(c *dht.Client) *DHTStore { return &DHTStore{c: c} }
@@ -177,9 +191,16 @@ func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
 // provider, has each encoded straight into its provider's frame and
 // replicates each group with one parallel RPC per provider.
 func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
-	return s.c.PutEach(ctx, len(nodes),
-		func(i int, dst []byte) []byte { return nodes[i].ID.AppendKey(dst) },
-		func(i int, b *wire.Buffer) { encodeNode(b, nodes[i]) })
+	nb, ok := s.batches.Get()
+	if !ok {
+		nb = new(nodeBatch)
+		nb.encode = nb.encodeNode
+	}
+	nb.nodes = nodes
+	err := s.c.PutEach(ctx, len(nodes), func(i int, dst []byte) []byte { return nodes[i].ID.AppendKey(dst) }, nb.encode)
+	nb.nodes = nil
+	s.batches.Put(nb)
+	return err
 }
 
 // GetBatch implements Store: one dht.GetEach, one multi-get RPC per

@@ -113,7 +113,7 @@ func TestFrameOwnership(t *testing.T) {
 	}
 
 	t.Run("results outlive their frames", func(t *testing.T) {
-		targets, err := c.Allocate(ctx, 8, 2, "")
+		targets, err := c.Allocate(ctx, 8, 2, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestFrameOwnership(t *testing.T) {
 			t.Fatalf("List = %v, %v", infos, err)
 		}
 		for i := 0; i < 200; i++ { // recycle every frame those results came in
-			if _, err := c.Allocate(ctx, 1, 1, "host-of-provider-a"); err != nil {
+			if _, err := c.Allocate(ctx, 1, 1, "host-of-provider-a", nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -137,7 +137,7 @@ func TestFrameOwnership(t *testing.T) {
 	t.Run("coded error", func(t *testing.T) {
 		var errs []error
 		for i := 0; i < 3; i++ {
-			_, err := c.Allocate(ctx, 1, 7, "")
+			_, err := c.Allocate(ctx, 1, 7, "", nil)
 			errs = append(errs, err)
 		}
 		for _, err := range errs { // the message was copied out of its frame
@@ -146,7 +146,7 @@ func TestFrameOwnership(t *testing.T) {
 				t.Fatalf("Allocate of 7 replicas on 3 providers = %v", err)
 			}
 		}
-		targets, err := c.Allocate(ctx, 2, 3, "")
+		targets, err := c.Allocate(ctx, 2, 3, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestFrameOwnership(t *testing.T) {
 
 	t.Run("retry re-encodes", func(t *testing.T) {
 		dial, dials := cutFirst(n.Dial)
-		targets, err := newClient(dial).Allocate(ctx, 5, 2, "host-of-provider-b")
+		targets, err := newClient(dial).Allocate(ctx, 5, 2, "host-of-provider-b", nil)
 		if err != nil || dials.Load() != 2 {
 			t.Fatalf("Allocate across a cut connection = %v after %d dials, want success on the second", err, dials.Load())
 		}
@@ -170,7 +170,7 @@ func TestFrameOwnership(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
 		done := make(chan error, 1)
 		go func() {
-			_, err := c.Allocate(cctx, 1, 1, "")
+			_, err := c.Allocate(cctx, 1, 1, "", nil)
 			done <- err
 		}()
 		<-strategy.entered
@@ -182,7 +182,7 @@ func TestFrameOwnership(t *testing.T) {
 		strategy.gate = nil
 		strategy.mu.Unlock()
 		close(gate) // the late response is drained off the connection
-		targets, err := c.Allocate(ctx, 3, 1, "")
+		targets, err := c.Allocate(ctx, 3, 1, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

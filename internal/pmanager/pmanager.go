@@ -547,9 +547,11 @@ func (c *Client) MarkDead(ctx context.Context, addr string) error {
 }
 
 // Allocate requests placement targets for nBlocks blocks. The
-// placement is decoded into one vector, its addresses interned: what a
-// call allocates is that vector.
-func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost string) (Placement, error) {
+// placement is decoded into into[:0], its addresses interned, so a
+// caller that passes a vector of its own back call after call makes a
+// call allocate nothing once it is long enough; a nil into gets one of
+// the placement's size.
+func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost string, into []string) (Placement, error) {
 	var out Placement
 	err := c.call(ctx, mAllocate, 16+len(clientHost), func(b *wire.Buffer) {
 		b.U32(uint32(nBlocks))
@@ -560,7 +562,10 @@ func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost
 		if n := r.U32(); r.Err() != nil || int(n) != nBlocks || nBlocks*replicas > r.Remaining()/4 {
 			return fmt.Errorf("pmanager: an allocation of %d blocks of %d replicas answered with %d", nBlocks, replicas, n)
 		}
-		out = Placement{Addrs: make([]string, 0, nBlocks*replicas), Replicas: replicas}
+		out = Placement{Addrs: into[:0], Replicas: replicas}
+		if cap(into) < nBlocks*replicas {
+			out.Addrs = make([]string, 0, nBlocks*replicas)
+		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		for i := 0; i < nBlocks && r.Err() == nil; i++ {

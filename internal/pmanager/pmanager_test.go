@@ -260,7 +260,7 @@ func TestServiceRPCRoundTrip(t *testing.T) {
 	if err := c.Register(ctx, "p9", "h9"); err != nil {
 		t.Fatal(err)
 	}
-	targets, err := c.Allocate(ctx, 4, 2, "h0")
+	targets, err := c.Allocate(ctx, 4, 2, "h0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestServiceNoProvidersOverRPC(t *testing.T) {
 	pool := rpc.NewPool(n.Dial)
 	defer pool.Close()
 	c := NewClient(pool, "pm")
-	if _, err := c.Allocate(context.Background(), 1, 1, ""); !errors.Is(err, placement.ErrNoProviders) {
+	if _, err := c.Allocate(context.Background(), 1, 1, "", nil); !errors.Is(err, placement.ErrNoProviders) {
 		t.Errorf("err = %v, want ErrNoProviders", err)
 	}
 }
@@ -344,7 +344,7 @@ func TestAllocateBoundsWireCounts(t *testing.T) {
 		}
 	}
 	c := NewClient(pool, "pm")
-	if targets, err := c.Allocate(ctx, 2, 3, ""); err != nil || len(targets.Addrs) != 6 {
+	if targets, err := c.Allocate(ctx, 2, 3, "", nil); err != nil || len(targets.Addrs) != 6 {
 		t.Fatalf("Allocate after the refusals = %v, %v", targets, err)
 	}
 }

@@ -241,7 +241,7 @@ func TestDeleteWriteTombstonesInFlightChains(t *testing.T) {
 	// write failed does), then let a straggler frame arrive: it must
 	// not resurrect the block.
 	head := svcs[0]
-	if _, err := head.land(key, 1, chunkOf(data, 0, 1024)); err != nil {
+	if err := head.land(key, 1, chunkOf(data, 0, 1024), false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DeleteWrite(ctx, addrs[0], key.Blob, key.Nonce); err != nil {

@@ -67,6 +67,20 @@
 // a frame of a reaped upload is not acked, while a re-sent block, a
 // fresh transfer, is taken. Service.BreakChain (a broken downstream
 // link) refuses every frame to forward; a one-hop put gets through.
+//
+// An upload record (one per transfer in flight here) is recycled, and
+// so is its block writer, so a put allocates what it stores and no
+// record of its own. The record is held by the upload table while it is
+// in it, and by each frame handler between admission and its return.
+// The table's hold passes to whichever path takes the record out of the
+// table: the frame that commits the block, a failed transfer, the
+// reaper, a DeleteWrite or a superseding transfer. Each drops it once it
+// has finished or failed the upload, and the last hold dropped returns
+// the record to the service's free list, where the next transfer's
+// first frame takes it. A frame handler that holds a record therefore
+// never sees it reused under it; a stale one would, and panics on the
+// transfer id that no longer matches (under wire.PoisonReleased a
+// released record is scribbled over at once, so it fails before reuse).
 package provider
 
 import (
@@ -145,7 +159,8 @@ type Service struct {
 
 	chainBroken atomic.Bool // test hook: refuse every frame to forward
 
-	keyTexts util.FreeList[[]byte] // a get's scratch for its ranges' store keys
+	keyTexts  util.FreeList[[]byte]  // a get's scratch for its ranges' store keys
+	uploadRec util.FreeList[*upload] // released upload records (package doc)
 
 	mu      sync.Mutex
 	uploads map[blob.BlockKey]*upload
@@ -158,11 +173,11 @@ type Service struct {
 	// cannot re-create a block after DeleteWrite reclaimed it — that
 	// block would be referenced by no metadata and its nonce GC already
 	// ran, so nothing would ever delete it again.
-	deleted map[writeID]time.Time
+	deleted tombstones[writeID]
 	// dead tombstones recently failed, reaped and superseded transfers
 	// so their frames still in the pipe are refused instead of being
 	// acked into a fresh partial upload that never commits.
-	dead map[uint64]time.Time
+	dead tombstones[uint64]
 }
 
 // writeID names one write operation's blocks: every key of its blob and
@@ -174,13 +189,15 @@ type writeID struct {
 
 func writeOf(k blob.BlockKey) writeID { return writeID{k.Blob, k.Nonce} }
 
-// upload tracks one in-flight chained block transfer.
+// upload tracks one in-flight chained block transfer. It is recycled
+// once the last of its holds is dropped (package doc).
 type upload struct {
 	xfer       uint64       // the transfer whose frames it takes
 	lastActive atomic.Int64 // unix nanos of the latest frame (stale sweep)
+	holds      atomic.Int32 // the table's while it is in it, one per frame handler
 
 	mu        sync.Mutex
-	w         store.BlockWriter
+	w         store.BlockWriter // nil once committed or aborted: the store's again
 	total     int64
 	spans     []span  // the frames written locally
 	inline    [4]span // spans' backing for a block of up to four frames
@@ -191,6 +208,10 @@ type upload struct {
 
 // span is a run [off, end) of an upload's bytes.
 type span struct{ off, end int64 }
+
+// poisonXfer is a released record's transfer id under
+// wire.PoisonReleased: no frame's, so a stale holder's next use panics.
+const poisonXfer = 0xdbdbdbdbdbdbdbdb
 
 func (u *upload) touch() { u.lastActive.Store(time.Now().UnixNano()) }
 
@@ -215,8 +236,6 @@ func NewService(st store.Store, opts ...Option) *Service {
 	s := &Service{
 		store:   st,
 		uploads: make(map[blob.BlockKey]*upload),
-		deleted: make(map[writeID]time.Time),
-		dead:    make(map[uint64]time.Time),
 	}
 	for _, o := range opts {
 		o(s)
@@ -430,6 +449,7 @@ func (s *Service) putFrame(ctx context.Context, key blob.BlockKey, xfer uint64, 
 	if err != nil {
 		return err
 	}
+	defer s.release(u)
 	// Forward downstream concurrently with the local write; the frame's
 	// ack requires both, so acks propagate back from the chain tail. The
 	// forwarded frame's tail aliases the request, which rpc keeps until
@@ -452,7 +472,7 @@ func (s *Service) putFrame(ctx context.Context, key blob.BlockKey, xfer uint64, 
 	}
 	s.mChainFrames.Inc()
 	s.mBytesIn.Add(int64(len(ck.Data)))
-	err = u.write(ck)
+	err = u.write(xfer, ck)
 	if fwd != nil {
 		if ferr := <-fwd; err == nil {
 			err = ferr
@@ -463,26 +483,29 @@ func (s *Service) putFrame(ctx context.Context, key blob.BlockKey, xfer uint64, 
 	}
 	// Gating the commit on the downstream acks (not just local bytes)
 	// keeps a hop from publishing a block whose chain failed.
-	return s.finishFrame(key, u, ck)
+	return s.finishFrame(key, u, xfer, ck)
 }
 
 // admit returns the upload transfer xfer's frames of key land in, made
 // by its first-arriving frame, under the package doc's admission rule:
 // a superseded upload is failed and its transfer tombstoned. Admission
 // and DeleteWrite both hold s.mu, so every live upload is in the table
-// when a DeleteWrite sweeps it: none commits after its write's GC.
+// when a DeleteWrite sweeps it: none commits after its write's GC. The
+// caller holds the upload until it calls release.
 func (s *Service) admit(key blob.BlockKey, xfer uint64, total int64) (*upload, error) {
 	s.mu.Lock()
-	if _, ok := s.deleted[writeOf(key)]; ok {
+	now := time.Now()
+	if s.deleted.has(writeOf(key), now) {
 		s.mu.Unlock()
 		return nil, errors.New("its write was garbage-collected here")
 	}
-	if _, ok := s.dead[xfer]; ok {
+	if s.dead.has(xfer, now) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("transfer %016x failed, was reaped or was superseded here", xfer)
 	}
 	old := s.uploads[key]
 	if old != nil && old.xfer == xfer {
+		old.holds.Add(1)
 		s.mu.Unlock()
 		return old, nil
 	}
@@ -492,26 +515,62 @@ func (s *Service) admit(key blob.BlockKey, xfer uint64, total int64) (*upload, e
 		return nil, err
 	}
 	if old != nil {
-		bury(s.dead, old.xfer)
+		s.dead.bury(old.xfer, now)
 	}
-	u := &upload{xfer: xfer, w: w, total: total}
-	u.spans = u.inline[:0]
-	u.touch()
+	u, ok := s.uploadRec.Get()
+	if !ok {
+		u = new(upload)
+	}
+	u.xfer, u.w, u.total = xfer, w, total
+	u.spans, u.acked, u.committed, u.failed = u.inline[:0], 0, false, false
+	u.lastActive.Store(now.UnixNano())
+	u.holds.Store(2) // the table's and the caller's
 	s.uploads[key] = u
 	s.armReaperLocked()
 	s.mu.Unlock()
 	if old != nil {
-		old.fail()
+		s.drop(old) // the table's hold on old passed to this path
 		s.mFailed.Inc()
 	}
 	return u, nil
 }
 
-// write stores one frame of the upload's transfer locally.
-func (u *upload) write(ck wire.Chunk) error {
+// release drops one hold on u. The last one returns the record to the
+// free list; under wire.PoisonReleased it is scribbled over first, so
+// that a stale holder fails at once.
+func (s *Service) release(u *upload) {
+	if u.holds.Add(-1) != 0 {
+		return
+	}
+	u.mu.Lock()
+	u.w = nil // committed or aborted already: the store's again
+	if wire.Poisoning() {
+		u.xfer, u.total, u.acked = poisonXfer, -1, -1
+		u.failed, u.committed = true, true
+		for i := range u.inline {
+			u.inline[i] = span{-1, -1}
+		}
+		u.spans = nil
+	}
+	u.mu.Unlock()
+	s.uploadRec.Put(u)
+}
+
+// drop fails u, which the caller has taken out of the upload table,
+// and releases the table's hold on it.
+func (s *Service) drop(u *upload) {
+	u.fail()
+	s.release(u)
+}
+
+// write stores one frame of transfer xfer in its upload here. The first
+// frame written of a block of several has the writer make room for the
+// whole block at once, where growing frame by frame would copy it.
+func (u *upload) write(xfer uint64, ck wire.Chunk) error {
 	u.touch()
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	u.mustBe(xfer)
 	switch {
 	case u.failed:
 		return errors.New("upload already failed")
@@ -523,7 +582,19 @@ func (u *upload) write(ck wire.Chunk) error {
 	if err := u.claim(ck.Off, ck.Off+int64(len(ck.Data))); err != nil {
 		return err
 	}
+	if p, ok := u.w.(store.Presizer); ok && len(u.spans) == 1 && int64(len(ck.Data)) < u.total {
+		p.Presize(u.total)
+	}
 	return u.w.WriteAt(ck.Data, ck.Off)
+}
+
+// mustBe panics unless u is transfer xfer's: a frame handler holds its
+// upload, so a mismatch is a record released and reused under it.
+// Caller holds u.mu.
+func (u *upload) mustBe(xfer uint64) {
+	if u.xfer != xfer {
+		panic(fmt.Sprintf("provider: a frame of transfer %016x in a released upload record (now %016x)", xfer, u.xfer))
+	}
 }
 
 // claim records [off, end) as written, refusing a range that overlaps
@@ -542,39 +613,52 @@ func (u *upload) claim(off, end int64) error {
 // finishFrame records that one frame of u's transfer is fully
 // replicated (locally written and acked by the whole downstream chain)
 // and commits the block once every byte is.
-func (s *Service) finishFrame(key blob.BlockKey, u *upload, ck wire.Chunk) error {
-	u.mu.Lock()
-	if u.failed {
-		u.mu.Unlock()
-		return errors.New("upload already failed")
+func (s *Service) finishFrame(key blob.BlockKey, u *upload, xfer uint64, ck wire.Chunk) error {
+	complete, err := u.ack(xfer, int64(len(ck.Data)))
+	if !complete {
+		return err
 	}
-	u.acked += int64(len(ck.Data))
-	complete := u.acked == u.total
-	if complete {
-		if err := u.w.Commit(); err != nil {
-			u.mu.Unlock()
-			return err
-		}
-		u.committed = true
-		s.mCommits.Inc()
+	s.mCommits.Inc()
+	s.mu.Lock()
+	mine := s.uploads[key] == u
+	if mine {
+		delete(s.uploads, key)
 	}
-	u.mu.Unlock()
-
-	if complete {
-		s.mu.Lock()
-		if s.uploads[key] == u {
-			delete(s.uploads, key)
-		}
-		s.mu.Unlock()
+	s.mu.Unlock()
+	if mine {
+		s.release(u) // the table's hold, passed to this path
 	}
 	return nil
+}
+
+// ack adds n acked bytes to transfer xfer's upload and commits the block
+// once they are all of it, reporting whether this call did.
+func (u *upload) ack(xfer uint64, n int64) (committed bool, err error) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.mustBe(xfer)
+	if u.failed {
+		return false, errors.New("upload already failed")
+	}
+	u.acked += n
+	if u.acked != u.total {
+		return false, nil
+	}
+	w := u.w
+	u.w = nil // spent, whether Commit succeeds or not
+	if err := w.Commit(); err != nil {
+		u.failed = true
+		return false, err
+	}
+	u.committed = true
+	return true, nil
 }
 
 // failTransfer tombstones the transfer, so its frames still in the pipe
 // are refused, and aborts and forgets its upload here, if any.
 func (s *Service) failTransfer(key blob.BlockKey, xfer uint64) {
 	s.mu.Lock()
-	bury(s.dead, xfer)
+	s.dead.bury(xfer, time.Now())
 	u := s.uploads[key]
 	if u != nil && u.xfer == xfer {
 		delete(s.uploads, key)
@@ -583,23 +667,59 @@ func (s *Service) failTransfer(key blob.BlockKey, xfer uint64) {
 	}
 	s.mu.Unlock()
 	if u != nil {
-		u.fail()
+		s.drop(u)
 		s.mFailed.Inc()
 	}
 }
 
-// bury tombstones k in m and drops the tombstones older than two upload
-// TTLs. Caller holds s.mu.
-func bury[K comparable](m map[K]time.Time, k K) {
-	now := time.Now()
-	for x, at := range m {
-		if now.Sub(at) > 2*uploadTTL {
-			delete(m, x)
-		}
-	}
-	m[k] = now
+// tombstones is a set of keys each buried for two upload TTLs: a map for
+// the lookups, and the burials in time order beside it, so that pruning
+// pops the expired ones off the front instead of scanning the map. Times
+// are monotonic nanoseconds since epoch. The zero value is empty. Its
+// owner holds s.mu.
+type tombstones[K comparable] struct {
+	at    map[K]int64
+	order []burial[K] // oldest first; a key buried again stays in it twice
 }
 
+type burial[K comparable] struct {
+	key K
+	at  int64
+}
+
+// epoch is what tombstone times count from.
+var epoch = time.Now()
+
+func since(now time.Time) int64 { return int64(now.Sub(epoch)) }
+
+// expired reports whether a tombstone dug at at no longer refuses at now.
+func expired(at, now int64) bool { return now-at > int64(2*uploadTTL) }
+
+// has reports whether k lies buried at now.
+func (t *tombstones[K]) has(k K, now time.Time) bool {
+	at, ok := t.at[k]
+	return ok && !expired(at, since(now))
+}
+
+// bury tombstones k at now, which is no earlier than any burial before
+// it, and forgets the expired ones.
+func (t *tombstones[K]) bury(k K, now time.Time) {
+	n := since(now)
+	for len(t.order) > 0 && expired(t.order[0].at, n) {
+		// A key buried again since keeps its newer time.
+		if b := t.order[0]; t.at[b.key] == b.at {
+			delete(t.at, b.key)
+		}
+		t.order = t.order[1:]
+	}
+	if t.at == nil {
+		t.at = make(map[K]int64)
+	}
+	t.at[k] = n
+	t.order = append(t.order, burial[K]{k, n})
+}
+
+// fail aborts the upload unless it has committed or failed already.
 func (u *upload) fail() {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -608,6 +728,7 @@ func (u *upload) fail() {
 	}
 	u.failed = true
 	u.w.Abort()
+	u.w = nil
 }
 
 // armReaperLocked starts the stale-upload sweep unless it is running.
@@ -634,10 +755,11 @@ func (s *Service) armReaperLocked() {
 func (s *Service) reap() {
 	var stale []*upload
 	s.mu.Lock()
+	now := time.Now()
 	for k, u := range s.uploads {
 		if u.idle() > uploadTTL {
 			delete(s.uploads, k)
-			bury(s.dead, u.xfer)
+			s.dead.bury(u.xfer, now)
 			stale = append(stale, u)
 		}
 	}
@@ -647,7 +769,7 @@ func (s *Service) reap() {
 	}
 	s.mu.Unlock()
 	for _, u := range stale {
-		u.fail()
+		s.drop(u)
 		s.mReaps.Inc()
 	}
 }
@@ -663,7 +785,7 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) (*wire.
 	// neither finish an existing upload nor start a fresh one and
 	// commit an unreferenced block after the GC.
 	s.mu.Lock()
-	bury(s.deleted, w)
+	s.deleted.bury(w, time.Now())
 	var doomed []*upload
 	for k, u := range s.uploads {
 		if writeOf(k) == w {
@@ -673,7 +795,7 @@ func (s *Service) handleDeleteWrite(ctx context.Context, payload []byte) (*wire.
 	}
 	s.mu.Unlock()
 	for _, u := range doomed {
-		u.fail()
+		s.drop(u)
 	}
 	n, err := s.store.DeletePrefix(blob.BlockKey{Blob: w.blob, Nonce: w.nonce}.WritePrefix())
 	if err != nil {

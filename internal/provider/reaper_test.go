@@ -36,14 +36,19 @@ func (s *Service) inflight() int {
 
 func (s *Service) counter(name string) int64 { return s.Metrics().Snapshot().Counters[name] }
 
-// land writes one frame of transfer xfer locally, as a handler does
-// before the frame's downstream ack, and returns the upload it landed in.
-func (s *Service) land(key blob.BlockKey, xfer uint64, ck wire.Chunk) (*upload, error) {
+// land writes one frame of transfer xfer locally, as a handler does,
+// and records its downstream ack when acked: without it the frame is
+// one whose ack never came.
+func (s *Service) land(key blob.BlockKey, xfer uint64, ck wire.Chunk, acked bool) error {
 	u, err := s.admit(key, xfer, ck.Total)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return u, u.write(ck)
+	defer s.release(u)
+	if err := u.write(xfer, ck); err != nil || !acked {
+		return err
+	}
+	return s.finishFrame(key, u, xfer, ck)
 }
 
 // TestReaperAbortsAbandonedUpload: an upload whose writer died
@@ -53,7 +58,7 @@ func TestReaperAbortsAbandonedUpload(t *testing.T) {
 	_, _, svcs := chainCluster(t, 1)
 	key := blob.BlockKey{Blob: 20, Nonce: 1}
 	data := bytes.Repeat([]byte{9}, 4096)
-	if _, err := svcs[0].land(key, 1, chunkOf(data, 0, 1024)); err != nil {
+	if err := svcs[0].land(key, 1, chunkOf(data, 0, 1024), false); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -80,11 +85,7 @@ func TestReaperSparesLiveTransfer(t *testing.T) {
 	data := bytes.Repeat([]byte{5}, 16*256)
 	for off := 0; off < len(data); off += 256 { // 16 frames over ~4 TTLs
 		ck := chunkOf(data, off, off+256)
-		u, err := svcs[0].land(key, 1, ck)
-		if err != nil {
-			t.Fatalf("frame at %d: %v", off, err)
-		}
-		if err := svcs[0].finishFrame(key, u, ck); err != nil {
+		if err := svcs[0].land(key, 1, ck, true); err != nil {
 			t.Fatalf("frame at %d: %v", off, err)
 		}
 		time.Sleep(20 * time.Millisecond)

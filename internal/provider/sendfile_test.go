@@ -287,10 +287,11 @@ func TestGetFileTailCap(t *testing.T) {
 // TCP: one 1 MB block read into the caller's buffer. The block goes from
 // page cache to socket, so the server takes no payload-sized frame from
 // the pool, where reading it into the frame took one (≈1 pool byte per
-// payload byte); the gate fails above 0.01, or above the allocations per
-// get of that copy path.
+// payload byte); the gate fails above 0.01, or above 5 allocations per
+// get: about 4 today and a quarter of headroom (9, the copy path's 8 and
+// their amortized share, until the gates were set to their readings).
 func BenchmarkGetFile1M(b *testing.B) {
-	const copyPathAllocs = 9 // 8 per get, and up to 0.6 more amortized over 20 gets
+	const budgetAllocs = 5
 	wire.PoisonReleased(false)
 	defer wire.PoisonReleased(true)
 	st := fileStore(b)
@@ -327,8 +328,8 @@ func BenchmarkGetFile1M(b *testing.B) {
 	perByte := float64(poolTaken()-taken) / float64(b.N) / size
 	b.ReportMetric(allocs, "allocs/get")
 	b.ReportMetric(perByte, "pool-B/payload-B")
-	if b.N >= 20 && (allocs > copyPathAllocs || perByte > 0.01) {
+	if b.N >= 20 && (allocs > budgetAllocs || perByte > 0.01) {
 		b.Errorf("%.1f allocations and %.3f frame-pool bytes per payload byte for a 1 MB file:// get, want at most %d and 0.01",
-			allocs, perByte, copyPathAllocs)
+			allocs, perByte, budgetAllocs)
 	}
 }

@@ -3,18 +3,23 @@ package store
 import (
 	"errors"
 	"sync"
+
+	"blobseer/internal/util"
 )
 
 // bufWriter is the shared frame-assembly engine behind the backends
 // that buffer a streaming block before installing it in one shot (mem,
 // tiered). Frames land at arbitrary offsets; Commit hands the assembled
 // buffer to the backend's install, which takes ownership (no copy).
+// Once Commit or Abort has returned, the writer goes back to its
+// backend's writerPool for the next PutWriter.
 type bufWriter struct {
 	mu   sync.Mutex
 	buf  []byte
-	done bool
+	done bool // committed or aborted: idle in its pool, or reused
 	key  string
 	to   installer
+	pool *writerPool
 }
 
 // installer is a backend that takes an assembled value as its own.
@@ -22,8 +27,32 @@ type installer interface {
 	install(key string, buf []byte) error
 }
 
-func newBufWriter(to installer, key string) *bufWriter {
-	return &bufWriter{key: key, to: to}
+// writerPool recycles one backend's bufWriters, so a put allocates its
+// block and key, not a writer.
+type writerPool struct {
+	free util.FreeList[*bufWriter]
+}
+
+// get returns a writer assembling key's value for to.
+func (p *writerPool) get(to installer, key string) *bufWriter {
+	w, ok := p.free.Get()
+	if !ok {
+		w = &bufWriter{to: to, pool: p}
+	}
+	w.key, w.done = key, false
+	return w
+}
+
+// Presize implements Presizer: the buffer is allocated at the value's
+// size once, where appending frame after frame would copy it as it grew.
+func (w *bufWriter) Presize(n int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.done && n > int64(cap(w.buf)) {
+		grown := make([]byte, len(w.buf), n)
+		copy(grown, w.buf)
+		w.buf = grown
+	}
 }
 
 func (w *bufWriter) WriteAt(p []byte, off int64) error {
@@ -59,20 +88,32 @@ func (w *bufWriter) WriteAt(p []byte, off int64) error {
 
 func (w *bufWriter) Commit() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.done {
+		w.mu.Unlock()
 		return errors.New("store: commit on finished writer")
 	}
-	w.done = true
-	buf := w.buf
-	w.buf = nil
-	return w.to.install(w.key, buf)
+	key, buf := w.key, w.buf
+	w.finishLocked()
+	w.mu.Unlock()
+	err := w.to.install(key, buf)
+	w.pool.free.Put(w)
+	return err
 }
 
 func (w *bufWriter) Abort() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.done = true
-	w.buf = nil
+	if w.done {
+		w.mu.Unlock()
+		return nil
+	}
+	w.finishLocked()
+	w.mu.Unlock()
+	w.pool.free.Put(w)
 	return nil
+}
+
+// finishLocked spends the writer: it keeps neither its key nor its
+// buffer, which install now owns or nothing does. Caller holds w.mu.
+func (w *bufWriter) finishLocked() {
+	w.done, w.key, w.buf = true, "", nil
 }

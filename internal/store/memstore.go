@@ -12,7 +12,8 @@ const memShards = 16
 // stored, which is what lets it lend them (Lender). A batch is copied
 // whole (BatchPutter).
 type MemStore struct {
-	shards [memShards]memShard
+	shards  [memShards]memShard
+	writers writerPool
 }
 
 type memShard struct {
@@ -78,8 +79,9 @@ func (s *MemStore) PutBatch(pairs []Pair) error {
 }
 
 // PutWriter implements Store. Frames accumulate in a private buffer
-// whose ownership transfers to the store on Commit (no copy).
-func (s *MemStore) PutWriter(key string) (BlockWriter, error) { return newBufWriter(s, key), nil }
+// whose ownership transfers to the store on Commit (no copy); the
+// writer itself is recycled. It implements Presizer.
+func (s *MemStore) PutWriter(key string) (BlockWriter, error) { return s.writers.get(s, key), nil }
 
 func (s *MemStore) install(key string, buf []byte) error {
 	sh := shard(s, key)

@@ -55,14 +55,27 @@ type Stats struct {
 // until Commit; Abort discards everything written so far. A writer is
 // safe for concurrent use with other store operations, but individual
 // WriteAt calls are serialized by the caller per writer.
+//
+// A writer is not used after Commit or Abort returns, nor finished
+// twice: a backend may hand it to a later PutWriter (mem and tiered
+// recycle theirs).
 type BlockWriter interface {
 	// WriteAt stores p at byte offset off within the value.
 	WriteAt(p []byte, off int64) error
 	// Commit publishes the assembled value under the writer's key,
-	// replacing any previous value. The writer is spent afterwards.
+	// replacing any previous value. It ends the writer's use.
 	Commit() error
-	// Abort discards the partial value. Safe after Commit (no-op).
+	// Abort discards the partial value. It ends the writer's use.
 	Abort() error
+}
+
+// Presizer is the optional interface of a BlockWriter that assembles
+// its value in memory; callers type-assert for it. Presize(n), called
+// before the first WriteAt, says the value will be n bytes, so that a
+// value of many frames is allocated once at its size instead of grown
+// frame by frame. A caller with one frame to write has no need of it.
+type Presizer interface {
+	Presize(n int64)
 }
 
 // Store is a flat key-value blob store with sub-range reads. Keys are

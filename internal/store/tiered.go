@@ -46,6 +46,8 @@ type Tiered struct {
 
 	hotHits, coldHits, promotions, demotions atomic.Int64
 
+	writers writerPool
+
 	mu     sync.Mutex
 	access map[string]*time.Time // last access per hot-resident key
 	stop   chan struct{}
@@ -99,8 +101,9 @@ func (s *Tiered) Put(key string, val []byte) error {
 
 // PutWriter implements Store: frames assemble locally and land through
 // the tier write path in one shot on Commit, so neither tier ever
-// holds a partial block.
-func (s *Tiered) PutWriter(key string) (BlockWriter, error) { return newBufWriter(s, key), nil }
+// holds a partial block. The writer is recycled, and implements
+// Presizer.
+func (s *Tiered) PutWriter(key string) (BlockWriter, error) { return s.writers.get(s, key), nil }
 
 func (s *Tiered) install(key string, buf []byte) error { return s.Put(key, buf) }
 

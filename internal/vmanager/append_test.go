@@ -86,10 +86,10 @@ func TestEndMovedCrossesTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Assign(ctx, m.ID, blob.KindAppend, 0, B, 3, 0, 1); !errors.Is(err, ErrEndMoved) {
+	if _, err := c.Assign(ctx, m.ID, blob.KindAppend, 0, B, 3, 0, 1, nil); !errors.Is(err, ErrEndMoved) {
 		t.Errorf("stale base over RPC = %v, want ErrEndMoved", err)
 	}
-	if a, err := c.Assign(ctx, m.ID, blob.KindAppend, 0, B, 3, 0, 2); err != nil || a.Off != 0 || a.Size != B {
+	if a, err := c.Assign(ctx, m.ID, blob.KindAppend, 0, B, 3, 0, 2, nil); err != nil || a.Off != 0 || a.Size != B {
 		t.Errorf("append onto the latest base over RPC = %+v, %v", a, err)
 	}
 }

@@ -151,13 +151,15 @@ func encodeDescs(b *wire.Buffer, ds []blob.WriteDesc) {
 	addrIndexes.Put(ix)
 }
 
-// decodeDescs reads what encodeDescs wrote, its placements interned in
-// in. A count is checked against the bytes left before anything is
-// allocated for it, so a corrupt message of R bytes costs a small
-// multiple of R, whatever count it claims; an empty address or an index
-// outside the table fails it. Whether a placement fits its descriptor
-// is for its reader to check (blob.WriteDesc.CheckPlacement).
-func decodeDescs(r *wire.Reader, in *interner) ([]blob.WriteDesc, error) {
+// decodeDescs reads what encodeDescs wrote into into[:0] (grown if it is
+// too short; nil gets a vector of the descriptors' count), their
+// placements interned in in. A count is checked against the bytes left
+// before anything is allocated for it, so a corrupt message of R bytes
+// costs a small multiple of R, whatever count it claims; an empty
+// address or an index outside the table fails it. Whether a placement
+// fits its descriptor is for its reader to check
+// (blob.WriteDesc.CheckPlacement).
+func decodeDescs(r *wire.Reader, in *interner, into []blob.WriteDesc) ([]blob.WriteDesc, error) {
 	na := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -181,7 +183,10 @@ func decodeDescs(r *wire.Reader, in *interner) ([]blob.WriteDesc, error) {
 	if uint64(n)*descWireSize > uint64(r.Remaining()) {
 		return nil, errDescCount
 	}
-	out := make([]blob.WriteDesc, 0, n)
+	out := into[:0]
+	if cap(out) < int(n) {
+		out = make([]blob.WriteDesc, 0, n)
+	}
 	for i := uint32(0); i < n; i++ {
 		d := blob.WriteDesc{
 			Version:   blob.Version(r.U64()),

@@ -141,7 +141,7 @@ func (s *State) applyRecord(p []byte) error {
 		}
 		s.idMu.Unlock()
 	case recAssign:
-		ds, err := decodeDescs(r, &s.placements)
+		ds, err := decodeDescs(r, &s.placements, nil)
 		at := time.Unix(0, r.I64())
 		if err == nil && len(ds) != 1 {
 			err = fmt.Errorf("vmanager: an assign record of %d descriptors", len(ds))
@@ -285,7 +285,7 @@ func (s *State) loadSnapshot(p []byte) error {
 			assigned: make(map[blob.Version]time.Time),
 		}
 		var err error
-		if bs.hist.Descs, err = decodeDescs(r, &s.placements); err != nil {
+		if bs.hist.Descs, err = decodeDescs(r, &s.placements, nil); err != nil {
 			return fmt.Errorf("vmanager: corrupt snapshot (history): %w", err)
 		}
 		nc := r.U32()

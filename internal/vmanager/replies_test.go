@@ -49,7 +49,7 @@ func TestDescCountIsBoundedByTheBytes(t *testing.T) {
 		binary.BigEndian.PutUint32(reply, c.addrs)
 		binary.BigEndian.PutUint32(reply[4:], c.descs)
 		var err error
-		grew := allocatedBy(func() { _, err = decodeDescs(wire.NewReader(reply), in) })
+		grew := allocatedBy(func() { _, err = decodeDescs(wire.NewReader(reply), in, nil) })
 		if !errors.Is(err, c.want) {
 			t.Errorf("%d addresses and %d descriptors in %d bytes decoded with error %v, want %v", c.addrs, c.descs, body, err, c.want)
 		}
@@ -59,11 +59,11 @@ func TestDescCountIsBoundedByTheBytes(t *testing.T) {
 	}
 	reply := make([]byte, 8+body)
 	binary.BigEndian.PutUint32(reply[4:], fits)
-	ds, err := decodeDescs(wire.NewReader(reply), in)
+	ds, err := decodeDescs(wire.NewReader(reply), in, nil)
 	if err != nil || len(ds) != int(fits) {
 		t.Fatalf("a count that fits: %d descriptors, %v; want %d", len(ds), err, fits)
 	}
-	if grew := allocatedBy(func() { _, _ = decodeDescs(wire.NewReader(reply), in) }); grew > 2*uint64(len(reply)) {
+	if grew := allocatedBy(func() { _, _ = decodeDescs(wire.NewReader(reply), in, nil) }); grew > 2*uint64(len(reply)) {
 		t.Errorf("%d descriptors in %d bytes allocated %d bytes, want at most twice the bytes", fits, len(reply), grew)
 	}
 }
@@ -131,14 +131,14 @@ func FuzzVMReplies(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		in := new(interner)
 		grew := allocatedBy(func() {
-			_, _ = decodeAssignment(p, in)
+			_, _ = decodeAssignment(p, in, nil)
 			_, _, _ = decodeHead(p, in)
-			_, _ = decodeDescs(wire.NewReader(p), in)
+			_, _ = decodeDescs(wire.NewReader(p), in, nil)
 		})
 		if grew > 4<<10+8*uint64(len(p)) {
 			t.Fatalf("a %d-byte reply made the decoders allocate %d bytes", len(p), grew)
 		}
-		ds, err := decodeDescs(wire.NewReader(p), in)
+		ds, err := decodeDescs(wire.NewReader(p), in, nil)
 		if err == nil && 8+len(ds)*descWireSize > len(p) {
 			t.Fatalf("%d descriptors decoded out of %d bytes", len(ds), len(p))
 		}
@@ -146,7 +146,7 @@ func FuzzVMReplies(f *testing.F) {
 		if err == nil {
 			indexPage(t, m, 1<<20, ds)
 		}
-		if a, err := decodeAssignment(p, in); err == nil {
+		if a, err := decodeAssignment(p, in, nil); err == nil {
 			indexPage(t, m, a.Size, a.Descs)
 		}
 		if h, ds, err := decodeHead(p, in); err == nil {

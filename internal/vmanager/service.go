@@ -379,16 +379,20 @@ func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication in
 	return m, nil
 }
 
-// AssignVersion is Assign without a base.
+// AssignVersion is Assign without a base, its descriptors in a vector
+// of their own.
 func (c *Client) AssignVersion(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since blob.Version, replicas ...string) (Assignment, error) {
-	return c.Assign(ctx, id, kind, off, size, nonce, since, blob.NoVersion, replicas...)
+	return c.Assign(ctx, id, kind, off, size, nonce, since, blob.NoVersion, nil, replicas...)
 }
 
 // Assign requests a version number for a prepared write whose
 // blocks are stored on replicas, block i's at [i*R, (i+1)*R) at the
 // blob's replication R, primary first; an append onto an unaligned end
-// names its base (see State.Assign).
-func (c *Client) Assign(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since, base blob.Version, replicas ...string) (Assignment, error) {
+// names its base (see State.Assign). The reply's descriptors are
+// decoded into descs[:0], grown if it is too short (nil gets a vector
+// of their own): a caller that passes its vector back call after call
+// gets Assignment.Descs in it, valid until it passes it again.
+func (c *Client) Assign(ctx context.Context, id blob.ID, kind blob.WriteKind, off, size int64, nonce uint64, since, base blob.Version, descs []blob.WriteDesc, replicas ...string) (Assignment, error) {
 	var a Assignment
 	n := 60
 	for _, r := range replicas {
@@ -407,7 +411,7 @@ func (c *Client) Assign(ctx context.Context, id blob.ID, kind blob.WriteKind, of
 			b.String(a)
 		}
 	}, func(p []byte) (err error) {
-		a, err = decodeAssignment(p, &c.placements)
+		a, err = decodeAssignment(p, &c.placements, descs)
 		return err
 	})
 	if err != nil {
@@ -416,13 +420,13 @@ func (c *Client) Assign(ctx context.Context, id blob.ID, kind blob.WriteKind, of
 	return a, nil
 }
 
-// decodeAssignment decodes an AssignVersion reply, its placements
-// interned in in.
-func decodeAssignment(p []byte, in *interner) (Assignment, error) {
+// decodeAssignment decodes an AssignVersion reply, its descriptors into
+// descs[:0] and their placements interned in in.
+func decodeAssignment(p []byte, in *interner, descs []blob.WriteDesc) (Assignment, error) {
 	r := wire.NewReader(p)
 	a := Assignment{Version: blob.Version(r.U64()), Off: r.I64(), Size: r.I64()}
 	var err error
-	a.Descs, err = decodeDescs(r, in)
+	a.Descs, err = decodeDescs(r, in, descs)
 	return a, err
 }
 
@@ -507,7 +511,7 @@ func decodeHead(p []byte, in *interner) (h Head, descs []blob.WriteDesc, err err
 	r := wire.NewReader(p)
 	h.Meta = blob.Meta{BlockSize: r.I64(), Replication: int(r.U32())}
 	h.Published, h.Oldest, h.Size = blob.Version(r.U64()), blob.Version(r.U64()), r.I64()
-	descs, err = decodeDescs(r, in)
+	descs, err = decodeDescs(r, in, nil)
 	return h, descs, err
 }
 

@@ -116,27 +116,6 @@ func BenchmarkAblationReplication(b *testing.B) {
 	report(b, out)
 }
 
-// BenchmarkAblationTiering measures the tiered hot/cold store engine on
-// real fs backends: hot-path read overhead vs a plain fs store, the
-// cold-read + promotion cost after demoting every block, and the
-// restored hot rate on re-read. The summary ratios are the acceptance
-// claim: every demoted block readable, hot path within 10% of plain fs.
-func BenchmarkAblationTiering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := bench.TieringReport(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Check(); err != nil {
-			b.Fatal(err)
-		}
-		report(b, r.Sections[0].Series)
-		for _, k := range []string{"hot_ratio", "promoted_ratio", "readable"} {
-			b.ReportMetric(r.Values[k], k)
-		}
-	}
-}
-
 // BenchmarkAblationPrefetch measures the real BSFS client's prefetch /
 // write-behind cache (Section IV-B): a Hadoop-style sequence of 4 KB
 // reads over a striped file, with and without the readahead window.

@@ -33,10 +33,10 @@
 //	blobseerd -role namenode -listen 127.0.0.1:8001 -block-size 67108864
 //	blobseerd -role datanode -listen 127.0.0.1:8201 -namenode 127.0.0.1:8001 -host host-0
 //
-// Block payloads live in memory by default; pass -store to select any
+// Block payloads live in memory by default; pass -store to select a
 // backend by URL — "file:///var/blocks?sync=1" for a file-backed store,
-// or "tiered://?hot=mem://&cold=file:///var/blocks" for the hot/cold
-// tiered engine (see the store package for the policy knobs).
+// whose recently read blocks the OS page cache keeps in memory. An
+// unknown scheme fails with the list of registered ones.
 // The control-plane daemons (vmanager, namespace) are volatile by
 // default; pass -data-dir to journal every mutation to a write-ahead
 // log, fsynced before the mutation is acknowledged, and recover the
@@ -89,7 +89,7 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		pmAddr   = fs.String("pmanager", "", "provider manager address (provider role; registers at startup)")
 		nnAddr   = fs.String("namenode", "", "namenode address (datanode role; registers at startup)")
 		host     = fs.String("host", "", "physical host label exposed for affinity scheduling (provider/datanode)")
-		storeURL = fs.String("store", "", "block-store backend URL: mem:// | file:///path?sync=1 | tiered://?hot=...&cold=... (default: mem://)")
+		storeURL = fs.String("store", "", "block-store backend URL: mem:// | file:///path?sync=1 (default: mem://)")
 		strategy = fs.String("strategy", "roundrobin", "placement strategy: roundrobin | random | sticky | leastloaded (pmanager/namenode)")
 		seed     = fs.Uint64("seed", 1, "placement RNG seed (random/sticky)")
 		stickyW  = fs.Int("sticky-window", 8, "sticky placement window (namenode's HDFS-0.20-like clustering)")

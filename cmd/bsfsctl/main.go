@@ -47,7 +47,6 @@ import (
 	"blobseer/internal/pmanager"
 	"blobseer/internal/repair"
 	"blobseer/internal/rpc"
-	"blobseer/internal/store"
 	"blobseer/internal/stream"
 	"blobseer/internal/util"
 )
@@ -165,19 +164,6 @@ func main() {
 	}
 }
 
-// formatTiers renders a per-tier occupancy breakdown like
-// "hot=12/48MB cold=340/1.2GB" (blocks/bytes per tier).
-func formatTiers(tiers []store.TierStat) string {
-	if len(tiers) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(tiers))
-	for i, t := range tiers {
-		parts[i] = fmt.Sprintf("%s=%d/%s", t.Name, t.Items, util.FormatBytes(t.Bytes))
-	}
-	return strings.Join(parts, " ")
-}
-
 // runAdmin handles the membership/repair commands.
 func runAdmin(ctx context.Context, pm *pmanager.Client, eng *repair.Engine, cmd string, args []string) error {
 	switch cmd {
@@ -203,28 +189,11 @@ func runAdmin(ctx context.Context, pm *pmanager.Client, eng *repair.Engine, cmd 
 				backlog[a]++
 			}
 		}
-		// Providers on a tiered backend report per-tier occupancy; show
-		// the breakdown column when any row carries one.
-		tiered := false
-		for _, in := range infos {
-			if len(in.Tiers) > 0 {
-				tiered = true
-				break
-			}
-		}
-		fmt.Printf("%-24s %-12s %8s %12s %6s %9s %8s %6s",
+		fmt.Printf("%-24s %-12s %8s %12s %6s %9s %8s %6s\n",
 			"ADDRESS", "HOST", "BLOCKS", "BYTES", "ALIVE", "DRAINING", "BACKLOG", "STRAY")
-		if tiered {
-			fmt.Printf("  %s", "TIERS")
-		}
-		fmt.Println()
 		for _, in := range infos {
-			fmt.Printf("%-24s %-12s %8d %12d %6v %9v %8d %6d",
+			fmt.Printf("%-24s %-12s %8d %12d %6v %9v %8d %6d\n",
 				in.Addr, in.Host, in.Blocks, in.Bytes, in.Alive, in.Draining, backlog[in.Addr], orphans[in.Addr])
-			if tiered {
-				fmt.Printf("  %s", formatTiers(in.Tiers))
-			}
-			fmt.Println()
 		}
 		fmt.Printf("repair backlog: %d under-replicated block(s)\n", len(tasks))
 		return nil

@@ -9,13 +9,12 @@
 //	figures -ablations       # the design-choice ablations (internal/bench/ablation.go)
 //	figures -recovery        # crash-recovery ablation, BENCH_recovery.json
 //	figures -vmshard         # control-plane sharding + group commit, BENCH_vmshard.json
-//	figures -tiering         # hot/cold store tiering ablation, BENCH_tiering.json
-//	                         # (the three combine: -recovery -vmshard -tiering runs all of them)
+//	                         # (the two combine: -recovery -vmshard runs both)
 //	figures -selftest        # live-stack sanity check before a long sweep
 //
 // The figures and ablations are simulated and deterministic: every run
-// prints the same digits (-recovery, -vmshard and -tiering run the real
-// stack and do not). Their sweeps are bench.Figures and bench.Ablations;
+// prints the same digits (-recovery and -vmshard run the real stack and
+// do not). Their sweeps are bench.Figures and bench.Ablations;
 // internal/bench's golden test pins what -quick and -ablations print,
 // and its shape tests pin the expected curves.
 package main
@@ -79,7 +78,6 @@ func main() {
 		ablations = flag.Bool("ablations", false, "run the ablation experiments instead of the figures")
 		recovery  = flag.Bool("recovery", false, "run the crash-recovery ablation and write BENCH_recovery.json")
 		vmshard   = flag.Bool("vmshard", false, "run the control-plane sharding ablation and write BENCH_vmshard.json")
-		tiering   = flag.Bool("tiering", false, "run the hot/cold store tiering ablation and write BENCH_tiering.json")
 		check     = flag.Bool("selftest", false, "run a live-stack handle-API sanity check and exit")
 	)
 	flag.Parse()
@@ -105,7 +103,6 @@ func main() {
 	}{
 		{"recovery", *recovery, bench.RecoveryReport},
 		{"vmshard", *vmshard, bench.VMShardReport},
-		{"tiering", *tiering, bench.TieringReport},
 	}
 	ran := false
 	for _, r := range reports {

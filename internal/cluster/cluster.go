@@ -95,8 +95,7 @@ type Config struct {
 	TraceSlow   time.Duration
 
 	// StoreURL selects every data provider's block-store backend (see
-	// store.Open): "mem://" (the default when empty), "file:///path",
-	// or a composing "tiered://?hot=...&cold=...".
+	// store.Open): "mem://" (the default when empty) or "file:///path".
 	// A "{n}" anywhere in the URL expands to the provider index, so one
 	// template configures the whole fleet without directory collisions.
 	StoreURL string

@@ -418,8 +418,7 @@ func (n *Node) Kill() {
 }
 
 // Stop shuts the node down for good: Kill, then the block store is
-// closed (which stops a tiered store's policy loop). Stopping a nil,
-// killed or stopped node is safe.
+// closed. Stopping a nil, killed or stopped node is safe.
 func (n *Node) Stop() {
 	n.Kill()
 	if n != nil && n.store != nil {

@@ -441,8 +441,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // GaugeFunc registers a callback gauge: fn is evaluated at snapshot
 // time only, so it may hold locks or walk state that would be too
-// expensive per-operation (WAL status, membership tables, tier
-// counters).
+// expensive per-operation (WAL status, membership tables, store
+// occupancy).
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {
 		return

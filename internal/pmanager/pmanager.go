@@ -226,9 +226,6 @@ type ProviderInfo struct {
 	Bytes    int64 // heartbeat-reported payload bytes (0 until the first heartbeat)
 	Alive    bool
 	Draining bool
-	// Tiers carries the per-tier occupancy breakdown when the provider
-	// runs a tiered store (nil for single-tier backends).
-	Tiers []store.TierStat
 }
 
 // List returns a snapshot of the membership. Block/byte counts come
@@ -243,7 +240,6 @@ func (s *State) List() []ProviderInfo {
 		if st, ok := s.reported[n.Addr]; ok {
 			info.Blocks = st.Items
 			info.Bytes = st.Bytes
-			info.Tiers = st.Tiers
 		}
 		out[i] = info
 	}
@@ -410,7 +406,6 @@ func (s *Service) handleHeartbeat(ctx context.Context, p []byte) (*wire.Buffer, 
 	r := wire.NewReader(p)
 	addr := r.String()
 	st := store.Stats{Items: r.I64(), Bytes: r.I64()}
-	st.Tiers = store.DecodeTiers(r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -474,7 +469,6 @@ func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error
 		b.I64(in.Bytes)
 		b.Bool(in.Alive)
 		b.Bool(in.Draining)
-		store.EncodeTiers(b, in.Tiers)
 	}
 	return b, nil
 }
@@ -522,11 +516,10 @@ func (c *Client) Register(ctx context.Context, addr, host string) error {
 // means the manager does not know this provider (it restarted and lost
 // its membership): the caller must Register again.
 func (c *Client) Heartbeat(ctx context.Context, addr string, stats store.Stats) (known bool, err error) {
-	err = c.call(ctx, mHeartbeat, 64+32*len(stats.Tiers), func(b *wire.Buffer) {
+	err = c.call(ctx, mHeartbeat, 64, func(b *wire.Buffer) {
 		b.String(addr)
 		b.I64(stats.Items)
 		b.I64(stats.Bytes)
-		store.EncodeTiers(b, stats.Tiers)
 	}, func(p []byte) error {
 		r := wire.NewReader(p)
 		known = r.Bool()
@@ -616,7 +609,6 @@ func (c *Client) List(ctx context.Context) ([]ProviderInfo, error) {
 				Bytes:    r.I64(),
 				Alive:    r.Bool(),
 				Draining: r.Bool(),
-				Tiers:    store.DecodeTiers(r),
 			})
 		}
 		return r.Err()

@@ -257,18 +257,12 @@ func NewService(st store.Store, opts ...Option) *Service {
 	})
 	s.reg.GaugeFunc("store_items", func() int64 { return s.store.Stats().Items })
 	s.reg.GaugeFunc("store_bytes", func() int64 { return s.store.Stats().Bytes })
-	if t, ok := st.(*store.Tiered); ok {
-		s.reg.GaugeFunc("tier_hot_hits", func() int64 { return t.Counters().HotHits })
-		s.reg.GaugeFunc("tier_cold_hits", func() int64 { return t.Counters().ColdHits })
-		s.reg.GaugeFunc("tier_promotions", func() int64 { return t.Counters().Promotions })
-		s.reg.GaugeFunc("tier_demotions", func() int64 { return t.Counters().Demotions })
-	}
 	return s
 }
 
 // Metrics exposes the provider's registry (per-method counts, errors
 // and latency, bytes in/out, chain frame and hop-latency stats,
-// stale-upload sweeps, per-tier counters) for HTTP export.
+// stale-upload sweeps, store occupancy) for HTTP export.
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // BreakChain makes this provider refuse every frame it must forward, a

@@ -13,9 +13,8 @@
 // version-manager call and sends no metadata call. The figures' shapes
 // therefore emerge from the same algorithms a real deployment runs; the
 // per-stream efficiency constants of DefaultTuning are the single
-// calibration. Failures, repair, store tiering and the client's
-// streaming windows are not modeled: the real stack's own tests and
-// benchmarks cover them.
+// calibration. Failures, repair and the client's streaming windows are
+// not modeled: the real stack's own tests and benchmarks cover them.
 package simstore
 
 import (

@@ -3,44 +3,19 @@ package store
 import (
 	"errors"
 	"sync"
-
-	"blobseer/internal/util"
 )
 
-// bufWriter is the shared frame-assembly engine behind the backends
-// that buffer a streaming block before installing it in one shot (mem,
-// tiered). Frames land at arbitrary offsets; Commit hands the assembled
-// buffer to the backend's install, which takes ownership (no copy).
-// Once Commit or Abort has returned, the writer goes back to its
-// backend's writerPool for the next PutWriter.
+// bufWriter is MemStore's frame-assembly engine: it buffers a streaming
+// block before installing it in one shot. Frames land at arbitrary
+// offsets; Commit hands the assembled buffer to the store's install,
+// which takes ownership (no copy). Once Commit or Abort has returned,
+// the writer goes back to its store's free list for the next PutWriter.
 type bufWriter struct {
 	mu   sync.Mutex
 	buf  []byte
-	done bool // committed or aborted: idle in its pool, or reused
+	done bool // committed or aborted: idle on its free list, or reused
 	key  string
-	to   installer
-	pool *writerPool
-}
-
-// installer is a backend that takes an assembled value as its own.
-type installer interface {
-	install(key string, buf []byte) error
-}
-
-// writerPool recycles one backend's bufWriters, so a put allocates its
-// block and key, not a writer.
-type writerPool struct {
-	free util.FreeList[*bufWriter]
-}
-
-// get returns a writer assembling key's value for to.
-func (p *writerPool) get(to installer, key string) *bufWriter {
-	w, ok := p.free.Get()
-	if !ok {
-		w = &bufWriter{to: to, pool: p}
-	}
-	w.key, w.done = key, false
-	return w
+	to   *MemStore
 }
 
 // Presize implements Presizer: the buffer is allocated at the value's
@@ -95,9 +70,9 @@ func (w *bufWriter) Commit() error {
 	key, buf := w.key, w.buf
 	w.finishLocked()
 	w.mu.Unlock()
-	err := w.to.install(key, buf)
-	w.pool.free.Put(w)
-	return err
+	w.to.install(key, buf)
+	w.to.writers.Put(w)
+	return nil
 }
 
 func (w *bufWriter) Abort() error {
@@ -108,7 +83,7 @@ func (w *bufWriter) Abort() error {
 	}
 	w.finishLocked()
 	w.mu.Unlock()
-	w.pool.free.Put(w)
+	w.to.writers.Put(w)
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/store"
@@ -31,23 +30,6 @@ var backends = []struct {
 	}},
 	{"FSSync", func(t *testing.T) store.Store {
 		return openURL(t, "file://"+t.TempDir()+"?sync=1")
-	}},
-	{"TieredWriteThrough", func(t *testing.T) store.Store {
-		return openURL(t, "tiered://?hot=mem://&cold=mem://")
-	}},
-	{"TieredFSCold", func(t *testing.T) store.Store {
-		return openURL(t, "tiered://?hot=mem://&cold=file://"+t.TempDir())
-	}},
-	// The contract must hold while the policy loop demotes everything
-	// it can as fast as it can — reads land mid-demotion and must still
-	// see every committed block via promotion.
-	{"TieredAggressiveDemotion", func(t *testing.T) store.Store {
-		hot := store.NewMemStore()
-		cold := store.NewMemStore()
-		return store.NewTiered(hot, cold, store.TierOptions{
-			DemoteAfter: 0,
-			Interval:    time.Millisecond,
-		})
 	}},
 }
 

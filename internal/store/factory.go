@@ -5,10 +5,8 @@ import (
 	"maps"
 	"net/url"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Opener constructs a Store from a parsed URL. The query carries
@@ -22,9 +20,9 @@ var (
 )
 
 // Register installs an opener for a URL scheme, replacing any previous
-// registration. The built-in schemes (mem, file, tiered) are
-// registered at init; deployments can add their own backends (an S3
-// SDK, a dedup engine, ...) without touching this package.
+// registration. The built-in schemes (mem, file) are registered at
+// init; deployments can add their own backends (an S3 SDK, a dedup
+// engine, ...) without touching this package.
 func Register(scheme string, open Opener) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -33,35 +31,39 @@ func Register(scheme string, open Opener) {
 
 // Open constructs a store from a backend URL:
 //
-//	mem://                                sharded in-memory store
-//	file:///var/blocks?sync=1             file-backed store (sync=1 fsyncs writes
-//	                                      and directory renames)
-//	tiered://?hot=mem://&cold=file:///c   hot/cold tiered engine; see tiered.go
-//	                                      for the policy knobs (max-hot-bytes,
-//	                                      demote-after, demote-every)
+//	mem://                      sharded in-memory store
+//	file:///var/blocks?sync=1   file-backed store (sync=1 fsyncs writes
+//	                            and directory renames)
 //
-// An option the backend does not read is an error. Nested URLs inside
-// tiered:// only need escaping when they carry a query of their own
-// (url.QueryEscape the whole nested URL then).
+// or any scheme a deployment registered. An option the backend does not
+// read is an error, and so is a scheme nobody registered: its message
+// names the registered ones.
 func Open(rawURL string) (Store, error) {
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %q: %w", rawURL, err)
 	}
 	if u.Scheme == "" {
-		return nil, fmt.Errorf("store: open %q: no scheme (want mem://, file://, tiered://)", rawURL)
+		return nil, fmt.Errorf("store: open %q: no scheme (registered: %s)", rawURL, registered())
 	}
 	registryMu.RLock()
 	open, ok := registry[strings.ToLower(u.Scheme)]
 	registryMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("store: open %q: unknown backend scheme %q", rawURL, u.Scheme)
+		return nil, fmt.Errorf("store: open %q: unknown backend scheme %q (registered: %s)", rawURL, u.Scheme, registered())
 	}
 	st, err := open(u)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %q: %w", rawURL, err)
 	}
 	return st, nil
+}
+
+// registered lists the registered schemes, sorted.
+func registered() string {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	return strings.Join(slices.Sorted(maps.Keys(registry)), ", ")
 }
 
 func init() {
@@ -72,7 +74,6 @@ func init() {
 		return NewMemStore(), nil
 	})
 	Register("file", openFile)
-	Register("tiered", openTiered)
 }
 
 // onlyParams fails on the first query key, in sorted order, that is not
@@ -107,39 +108,6 @@ func openFile(u *url.URL) (Store, error) {
 	return NewFSStore(path, boolParam(q, "sync"))
 }
 
-func openTiered(u *url.URL) (Store, error) {
-	q := u.Query()
-	if err := onlyParams(q, "hot", "cold", "max-hot-bytes", "demote-after", "demote-every"); err != nil {
-		return nil, fmt.Errorf("tiered store: %w", err)
-	}
-	hotURL, coldURL := q.Get("hot"), q.Get("cold")
-	if hotURL == "" || coldURL == "" {
-		return nil, fmt.Errorf("tiered store: want hot= and cold= backend URLs")
-	}
-	var opts TierOptions
-	var err error
-	opts.MaxHotBytes, err = sizeParam(q, "max-hot-bytes")
-	if err == nil {
-		opts.DemoteAfter, err = durParam(q, "demote-after")
-	}
-	if err == nil {
-		opts.Interval, err = durParam(q, "demote-every")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tiered store: %w", err)
-	}
-	hot, err := Open(hotURL)
-	if err != nil {
-		return nil, fmt.Errorf("tiered store: hot tier: %w", err)
-	}
-	cold, err := Open(coldURL)
-	if err != nil {
-		hot.Close()
-		return nil, fmt.Errorf("tiered store: cold tier: %w", err)
-	}
-	return NewTiered(hot, cold, opts), nil
-}
-
 // boolParam reads a boolean query option: absent or "0"/"false" is
 // false, anything else ("1", "true", bare "sync=") is true.
 func boolParam(q url.Values, name string) bool {
@@ -148,28 +116,4 @@ func boolParam(q url.Values, name string) bool {
 	}
 	v := strings.ToLower(q.Get(name))
 	return v != "0" && v != "false"
-}
-
-func sizeParam(q url.Values, name string) (int64, error) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad %s %q (want a byte count)", name, v)
-	}
-	return n, nil
-}
-
-func durParam(q url.Values, name string) (time.Duration, error) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("bad %s %q (want a duration like 30s)", name, v)
-	}
-	return d, nil
 }

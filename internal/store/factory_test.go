@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestOpenSchemes(t *testing.T) {
@@ -16,7 +15,6 @@ func TestOpenSchemes(t *testing.T) {
 		{"mem://", "*store.MemStore"},
 		{"file://" + t.TempDir(), "*store.FSStore"},
 		{"file://" + t.TempDir() + "?sync=1", "*store.FSStore"},
-		{"tiered://?hot=mem://&cold=mem://", "*store.Tiered"},
 	}
 	for _, c := range cases {
 		st, err := Open(c.url)
@@ -34,11 +32,6 @@ func TestOpenSchemes(t *testing.T) {
 			if !ok {
 				t.Fatalf("Open(%q) = %T", c.url, st)
 			}
-		case "*store.Tiered":
-			_, ok := st.(*Tiered)
-			if !ok {
-				t.Fatalf("Open(%q) = %T", c.url, st)
-			}
 		}
 		st.Close()
 	}
@@ -50,18 +43,23 @@ func TestOpenErrors(t *testing.T) {
 		"bogus://x",
 		"mem://?sync=1",
 		"file://" + t.TempDir() + "?snyc=1", // a mistyped option is refused, not ignored
-		"tiered://?hot=mem://&cold=mem://&write-back=1",
-		"tiered://?hot=mem://?x=1&cold=mem://", // the nested store refuses it too
-		"tiered://",                            // missing hot= and cold=
-		"tiered://?hot=mem://",                 // missing cold=
-		"tiered://?hot=x://&cold=mem://",       // bad nested scheme
-		"tiered://?hot=mem://&cold=mem://&max-hot-bytes=abc",
-		"tiered://?hot=mem://&cold=mem://&demote-after=xyz",
 	}
 	for _, u := range bad {
 		if st, err := Open(u); err == nil {
 			st.Close()
 			t.Fatalf("Open(%q) succeeded, want error", u)
+		}
+	}
+	// An unknown scheme's error names the registered ones, read from the
+	// registry, and so does a missing scheme's. The hot/cold scheme is
+	// gone: the page cache is the hot tier over file://.
+	for _, u := range []string{"http://h/b", "tiered://?hot=mem://&cold=mem://", "/var/blocks"} {
+		_, err := Open(u)
+		if err == nil {
+			t.Fatalf("Open(%q) succeeded, want error", u)
+		}
+		if !strings.Contains(err.Error(), "file, mem") {
+			t.Errorf("Open(%q) = %v, want it to name the file and mem schemes", u, err)
 		}
 	}
 	if _, err := Open("http://h/b"); err == nil || !strings.Contains(err.Error(), "unknown backend scheme") {
@@ -91,33 +89,6 @@ func TestOpenFilePaths(t *testing.T) {
 	}
 }
 
-func TestOpenTieredOptions(t *testing.T) {
-	q := url.Values{}
-	q.Set("hot", "mem://")
-	q.Set("cold", "mem://")
-	q.Set("max-hot-bytes", "4096")
-	q.Set("demote-after", "250ms")
-	q.Set("demote-every", "1s")
-	st, err := Open("tiered://?" + q.Encode())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer st.Close()
-	ti, ok := st.(*Tiered)
-	if !ok {
-		t.Fatalf("Open = %T", st)
-	}
-	if ti.opts.MaxHotBytes != 4096 {
-		t.Fatalf("MaxHotBytes = %d", ti.opts.MaxHotBytes)
-	}
-	if ti.opts.DemoteAfter != 250*time.Millisecond {
-		t.Fatalf("DemoteAfter = %v", ti.opts.DemoteAfter)
-	}
-	if ti.opts.Interval != time.Second {
-		t.Fatalf("Interval = %v", ti.opts.Interval)
-	}
-}
-
 func TestRegisterCustomScheme(t *testing.T) {
 	shared := NewMemStore()
 	Register("custom-test", func(u *url.URL) (Store, error) { return shared, nil })
@@ -128,10 +99,8 @@ func TestRegisterCustomScheme(t *testing.T) {
 	if st != Store(shared) {
 		t.Fatalf("Open returned %T, want the registered instance", st)
 	}
-	// A tiered URL can nest a custom scheme too.
-	ti, err := Open("tiered://?hot=mem://&cold=custom-test://x")
-	if err != nil {
-		t.Fatalf("Open(tiered over custom): %v", err)
+	// The error for an unknown scheme lists the new one with the built-ins.
+	if _, err := Open("bogus://x"); err == nil || !strings.Contains(err.Error(), "custom-test, file, mem") {
+		t.Fatalf("Open(bogus://x) = %v, want it to list custom-test, file and mem in order", err)
 	}
-	ti.Close()
 }

@@ -3,6 +3,8 @@ package store
 import (
 	"strings"
 	"sync"
+
+	"blobseer/internal/util"
 )
 
 const memShards = 16
@@ -13,7 +15,7 @@ const memShards = 16
 // whole (BatchPutter).
 type MemStore struct {
 	shards  [memShards]memShard
-	writers writerPool
+	writers util.FreeList[*bufWriter] // so a put allocates its block and key, not a writer
 }
 
 type memShard struct {
@@ -81,14 +83,20 @@ func (s *MemStore) PutBatch(pairs []Pair) error {
 // PutWriter implements Store. Frames accumulate in a private buffer
 // whose ownership transfers to the store on Commit (no copy); the
 // writer itself is recycled. It implements Presizer.
-func (s *MemStore) PutWriter(key string) (BlockWriter, error) { return s.writers.get(s, key), nil }
+func (s *MemStore) PutWriter(key string) (BlockWriter, error) {
+	w, ok := s.writers.Get()
+	if !ok {
+		w = &bufWriter{to: s}
+	}
+	w.key, w.done = key, false
+	return w, nil
+}
 
-func (s *MemStore) install(key string, buf []byte) error {
+func (s *MemStore) install(key string, buf []byte) {
 	sh := shard(s, key)
 	sh.mu.Lock()
 	sh.m[key] = buf
 	sh.mu.Unlock()
-	return nil
 }
 
 // lend returns [off, off+length) of key's value as the store holds it:

@@ -2,10 +2,9 @@
 // metadata providers. Backends are selected by URL through Open (see
 // factory.go): a sharded in-memory store ("mem://", the default for
 // experiments, mirroring the paper's RAM-resident providers), a
-// file-backed store for durable deployments ("file:///dir?sync=1"), and
-// a composing write-through hot/cold tiered engine
-// ("tiered://?hot=...&cold=...") that drops idle blocks' hot copies and
-// promotes them back on read.
+// file-backed store for durable deployments ("file:///dir?sync=1"). There
+// is no hot tier over the file store: the OS page cache already keeps
+// recently read blocks in memory.
 // Every backend implements the full Store contract, so providers, the
 // repair plane and GC run unchanged on any of them.
 //
@@ -32,21 +31,11 @@ type keyBytes interface{ ~string | ~[]byte }
 // ErrNotFound is returned when a key is absent.
 var ErrNotFound = errors.New("store: key not found")
 
-// TierStat is one storage tier's occupancy inside a composite store.
-type TierStat struct {
-	Name  string // "hot" / "cold"
-	Items int64
-	Bytes int64
-}
-
-// Stats summarizes a store's contents. Items and Bytes count the
-// logical contents (each key once, however many tiers hold a copy);
-// Tiers breaks physical occupancy down per tier for composite engines
-// (empty for flat backends).
+// Stats summarizes a store's contents: how many keys it holds and their
+// values' total bytes.
 type Stats struct {
 	Items int64
 	Bytes int64
-	Tiers []TierStat
 }
 
 // BlockWriter assembles one value from frames that may arrive in any
@@ -57,8 +46,8 @@ type Stats struct {
 // WriteAt calls are serialized by the caller per writer.
 //
 // A writer is not used after Commit or Abort returns, nor finished
-// twice: a backend may hand it to a later PutWriter (mem and tiered
-// recycle theirs).
+// twice: a backend may hand it to a later PutWriter (mem recycles
+// its own).
 type BlockWriter interface {
 	// WriteAt stores p at byte offset off within the value.
 	WriteAt(p []byte, off int64) error

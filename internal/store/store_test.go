@@ -290,26 +290,6 @@ func TestMemShardPlacement(t *testing.T) {
 	}
 }
 
-// TestTieredHotReadAllocatesNothing: a read that hits the hot tier by the
-// key's bytes stamps the key's access time in place, so it allocates no
-// more than the MemStore under it does (1 while the stamp converted the
-// key to a string).
-func TestTieredHotReadAllocatesNothing(t *testing.T) {
-	s := NewTiered(NewMemStore(), NewMemStore(), TierOptions{})
-	defer s.Close()
-	key := []byte("b1844674407/fedcba9876543210/4294967295") // longer than a string converts on the stack
-	if err := s.Put(string(key), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	p := make([]byte, 1)
-	if n := testing.AllocsPerRun(100, func() { s.ReadAt(key, p, 0) }); n != 0 {
-		t.Errorf("a hot ReadAt allocates %v times per call, want none", n)
-	}
-	if got := s.hotHits.Load(); got != 101 {
-		t.Errorf("%d hot hits counted, want 101", got)
-	}
-}
-
 // holds reports whether s stores key, by a zero-length ReadAt.
 func holds(t *testing.T, s Store, key string) bool {
 	t.Helper()

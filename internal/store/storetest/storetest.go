@@ -1,5 +1,5 @@
 // Package storetest is the shared conformance harness for Store
-// backends. Every backend — mem, fs, tiered — must pass the same
+// backends. Every backend — mem, fs — must pass the same
 // contract: Run exercises the visibility, clamping, enumeration and
 // concurrency semantics the provider and repair planes rely on, so a
 // new backend is wired in by writing an opener, not by re-deriving the

@@ -229,7 +229,7 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 	// Blocks behind the stream position are dead weight: drop them.
 	r.lockedPruneBehind(blockStart)
 
-	for attempt := 0; ; attempt++ {
+	for {
 		f.waiters++
 		for !f.finished {
 			r.landed.Wait()
@@ -260,10 +260,13 @@ func (r *Reader) lockedLoadPipelined(off, blockStart, length int64) error {
 		if err == nil {
 			return nil
 		}
-		// A prefetch canceled by a concurrent Seek (whose target then
-		// turned out to need this block after all) is not a stream
-		// error: retry once in the foreground.
-		if attempt > 0 || !errors.Is(err, context.Canceled) || r.ctx.Err() != nil {
+		// A fetch canceled by a concurrent Seek (whose target then turned
+		// out to need this block after all) is not a stream error: fetch
+		// it again, however many Seeks have moved the stream away and
+		// back. With the reader open and its context live, only a Seek
+		// cancels a fetch, so every pass here follows one and the loop
+		// cannot spin.
+		if !errors.Is(err, context.Canceled) || r.ctx.Err() != nil {
 			return err
 		}
 		f = r.startFetch(blockStart, length)

@@ -25,15 +25,24 @@ func pattern(tag byte, n int) []byte {
 	return d
 }
 
-// memSource is an in-memory snapshot with per-fetch accounting and an
-// optional per-fetch failure hook.
+// memSource is an in-memory snapshot with per-fetch accounting, an
+// optional per-fetch failure switch and an optional hook every fetch
+// runs first.
 type memSource struct {
 	data    []byte
 	fetches atomic.Int64
 	fail    atomic.Bool
+	// hold, when set, runs at the start of every fetch; a non-nil error
+	// it returns is the fetch's.
+	hold func(ctx context.Context, off int64) error
 }
 
 func (m *memSource) fetch(ctx context.Context, off int64, p []byte) error {
+	if m.hold != nil {
+		if err := m.hold(ctx, off); err != nil {
+			return err
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -175,6 +184,71 @@ func TestReaderSeekCancelsWindow(t *testing.T) {
 	}
 	if !bytes.Equal(got, src.data[7*B:]) {
 		t.Error("read after seek mismatch")
+	}
+}
+
+// TestReaderRefetchesAfterEverySeekBack: a Read waiting on a block
+// whose fetch a Seek canceled fetches it again when the stream is back
+// at the Read's position, however many times that happens. Here two
+// Seeks away and back each cancel a held fetch; the third fetch runs.
+// A reader that refetched only once returned the second cancel as the
+// Read's error.
+func TestReaderRefetchesAfterEverySeekBack(t *testing.T) {
+	const at = 2 * B
+	held := make(chan struct{})
+	var calls atomic.Int32
+	src := &memSource{data: pattern('k', 6*B)}
+	src.hold = func(ctx context.Context, off int64) error {
+		if calls.Add(1) > 2 {
+			return nil
+		}
+		held <- struct{}{}
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	r := src.reader(0)
+	defer r.Close()
+	if _, err := r.Seek(at, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		n   int
+		err error
+	}
+	read := make(chan result, 1)
+	buf := make([]byte, 100)
+	go func() {
+		n, err := r.Read(buf)
+		read <- result{n, err}
+	}()
+	for i := range 2 {
+		select {
+		case <-held:
+		case res := <-read:
+			t.Fatalf("Read returned (%d, %v) before fetch %d was held", res.n, res.err, i+1)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("fetch %d never started", i+1)
+		}
+		// The Read waits with the lock down: away cancels its fetch, and
+		// back puts the stream where the Read started.
+		if _, err := r.Seek(5*B, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Seek(at, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var res result
+	select {
+	case res = <-read:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Read never returned")
+	}
+	if res.err != nil || !bytes.Equal(buf[:res.n], src.data[at:at+res.n]) || res.n == 0 {
+		t.Fatalf("Read = (%d, %v), want bytes from %d", res.n, res.err, at)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Errorf("%d fetches, want 3: two canceled, one served", got)
 	}
 }
 

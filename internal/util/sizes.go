@@ -1,9 +1,7 @@
-// Package util provides small shared helpers: byte-size constants and
-// formatting, summary statistics, and deterministic RNG plumbing used
+// Package util provides small shared helpers: byte-size constants,
+// summary statistics, and deterministic RNG plumbing used
 // across the BlobSeer reproduction.
 package util
-
-import "fmt"
 
 // Byte size constants. The paper's experiments use 64 MB blocks (the
 // HDFS chunk size) and 4 KB fine-grain reads.
@@ -13,22 +11,6 @@ const (
 	GB int64 = 1 << 30
 	TB int64 = 1 << 40
 )
-
-// FormatBytes renders n as a human-readable base-2 size ("64.0MB").
-func FormatBytes(n int64) string {
-	switch {
-	case n >= TB:
-		return fmt.Sprintf("%.1fTB", float64(n)/float64(TB))
-	case n >= GB:
-		return fmt.Sprintf("%.1fGB", float64(n)/float64(GB))
-	case n >= MB:
-		return fmt.Sprintf("%.1fMB", float64(n)/float64(MB))
-	case n >= KB:
-		return fmt.Sprintf("%.1fKB", float64(n)/float64(KB))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
 
 // CeilDiv returns ceil(a/b) for positive b.
 func CeilDiv(a, b int64) int64 {

@@ -12,25 +12,6 @@ import (
 	"time"
 )
 
-func TestFormatBytes(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{0, "0B"},
-		{512, "512B"},
-		{KB, "1.0KB"},
-		{64 * MB, "64.0MB"},
-		{3 * GB / 2, "1.5GB"},
-		{2 * TB, "2.0TB"},
-	}
-	for _, c := range cases {
-		if got := FormatBytes(c.in); got != c.want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, want int64 }{
 		{0, 4, 0},

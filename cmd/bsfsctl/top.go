@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -12,7 +13,8 @@ import (
 // runTop polls one or more /metrics endpoints (see -metrics and
 // blobseerd -metrics-addr / cluster MetricsAddr) and renders a
 // cluster-wide view: per-service counters with rates computed from
-// successive scrapes, gauges, and latency histogram percentiles.
+// successive scrapes, gauges, and latency histogram percentiles over
+// each interval (differenced the same way).
 // Endpoints are merged by service name, so one in-proc cluster
 // endpoint and a fleet of per-daemon endpoints render identically.
 // When the same name arrives from several endpoints (a fleet of
@@ -55,35 +57,39 @@ func runTop(endpoints []string, interval time.Duration, iters int) error {
 				merged[svc+"@"+sm.ep] = sm.s
 			}
 		}
-		printTop(merged, prev, interval, i > 0)
+		printTop(os.Stdout, merged, prev, interval, i > 0)
 		prev = merged
 	}
 	return nil
 }
 
 // printTop renders one scrape. Rates need two samples, so the first
-// tick shows totals only.
-func printTop(cur, prev map[string]obs.Snapshot, interval time.Duration, haveRates bool) {
-	fmt.Printf("=== %s  (%d service(s)) ===\n", time.Now().Format("15:04:05"), len(cur))
+// tick shows totals and each histogram since its process started; from
+// the second on, a histogram line covers the last interval alone.
+func printTop(w io.Writer, cur, prev map[string]obs.Snapshot, interval time.Duration, haveRates bool) {
+	fmt.Fprintf(w, "=== %s  (%d service(s)) ===\n", time.Now().Format("15:04:05"), len(cur))
 	for _, svc := range sortedNames(cur) {
 		s := cur[svc]
 		p, hadPrev := prev[svc]
-		fmt.Printf("%s\n", svc)
+		fmt.Fprintf(w, "%s\n", svc)
 		for _, k := range sortedNames(s.Counters) {
 			v := s.Counters[k]
 			if haveRates && hadPrev {
 				rate := float64(v-p.Counters[k]) / interval.Seconds()
-				fmt.Printf("  %-28s %12d  %10.1f/s\n", k, v, rate)
+				fmt.Fprintf(w, "  %-28s %12d  %10.1f/s\n", k, v, rate)
 			} else {
-				fmt.Printf("  %-28s %12d\n", k, v)
+				fmt.Fprintf(w, "  %-28s %12d\n", k, v)
 			}
 		}
 		for _, k := range sortedNames(s.Gauges) {
-			fmt.Printf("  %-28s %12d\n", k, s.Gauges[k])
+			fmt.Fprintf(w, "  %-28s %12d\n", k, s.Gauges[k])
 		}
 		for _, k := range sortedNames(s.Histograms) {
 			h := s.Histograms[k]
-			fmt.Printf("  %-28s %12d  p50=%s p99=%s p999=%s\n",
+			if haveRates && hadPrev {
+				h = h.Since(p.Histograms[k])
+			}
+			fmt.Fprintf(w, "  %-28s %12d  p50=%s p99=%s p999=%s\n",
 				k, h.Count, formatQuantile(h.P50), formatQuantile(h.P99), formatQuantile(h.P999))
 		}
 	}

@@ -99,9 +99,7 @@ func (c *BlasterConfig) fill() {
 	}
 }
 
-// BlasterOpStats summarizes one op type over the measured window
-// (percentiles cover the whole run including ramp — the mix is
-// identical in both phases, so the contamination is noise-level).
+// BlasterOpStats summarizes one op type over the measured window.
 type BlasterOpStats struct {
 	Count  int64   `json:"count"`
 	Errors int64   `json:"errors"`
@@ -281,7 +279,7 @@ func RunBlaster(ctx context.Context, cfg BlasterConfig) (BlasterReport, error) {
 	}
 
 	// Ramp (untimed), then snapshot-bracket the measured window: rates
-	// come from counter deltas, so the warm-up never inflates them.
+	// and percentiles come from deltas, so the warm-up never reaches them.
 	if cfg.Ramp > 0 {
 		select {
 		case <-time.After(cfg.Ramp):
@@ -312,7 +310,7 @@ func RunBlaster(ctx context.Context, cfg BlasterConfig) (BlasterReport, error) {
 	}
 	var totalErrs int64
 	for _, op := range blasterOps {
-		h := snap1.Histograms["latency_"+op]
+		h := snap1.Histograms["latency_"+op].Since(snap0.Histograms["latency_"+op])
 		st := BlasterOpStats{
 			Count:  snap1.Counters["ops_"+op] - snap0.Counters["ops_"+op],
 			Errors: snap1.Counters["errors_"+op] - snap0.Counters["errors_"+op],
@@ -328,7 +326,7 @@ func RunBlaster(ctx context.Context, cfg BlasterConfig) (BlasterReport, error) {
 		r.TargetRate = cfg.Rate
 		r.Corrected = make(map[string]BlasterOpStats, len(blasterOps))
 		for _, op := range blasterOps {
-			h := snap1.Histograms["corrected_"+op]
+			h := snap1.Histograms["corrected_"+op].Since(snap0.Histograms["corrected_"+op])
 			r.Corrected[op] = BlasterOpStats{
 				Count:  r.Ops[op].Count,
 				Errors: r.Ops[op].Errors,

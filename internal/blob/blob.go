@@ -51,8 +51,8 @@ func (r Range) Intersects(o Range) bool {
 
 // Intersection returns the overlapping part of r and o (possibly empty).
 func (r Range) Intersection(o Range) Range {
-	off := util.Max(r.Off, o.Off)
-	end := util.Min(r.End(), o.End())
+	off := max(r.Off, o.Off)
+	end := min(r.End(), o.End())
 	if end <= off {
 		return Range{Off: off, Len: 0}
 	}

@@ -82,7 +82,7 @@ func (th *treeHarness) write(off int64, data []byte) error {
 	r := int64(th.meta.Replication)
 	for i := int64(0); i < n; i++ {
 		start := i * th.meta.BlockSize
-		end := util.Min(start+th.meta.BlockSize, int64(len(data)))
+		end := min(start+th.meta.BlockSize, int64(len(data)))
 		key := blob.BlockKey{Blob: 1, Nonce: th.nonce, Seq: uint32(i)}
 		th.blocks[key] = append([]byte(nil), data[start:end]...)
 		refs[i] = BlockRef{Key: key, Providers: replicas[i*r : (i+1)*r], Len: end - start}

@@ -198,9 +198,9 @@ func (e *Exporter) serveTrace(w http.ResponseWriter, req *http.Request) {
 
 // serveMetrics renders every registry: JSON by default, scrape-friendly
 // line-oriented text with ?format=text. The text format carries `# type`
-// hints, cumulative histogram bucket lines (service.metric.bucket{le=N}
-// count, closed by le=+Inf), and the windowed recent view, so external
-// collectors can ingest it without the JSON path.
+// hints and cumulative histogram bucket lines (service.metric.bucket{le=N}
+// count, closed by le=+Inf), so external collectors can ingest it
+// without the JSON path and difference two scrapes for a window.
 func (e *Exporter) serveMetrics(w http.ResponseWriter, req *http.Request) {
 	snap := e.Snapshot()
 	if req.URL.Query().Get("format") != "text" {
@@ -233,12 +233,6 @@ func (e *Exporter) serveMetrics(w http.ResponseWriter, req *http.Request) {
 			fmt.Fprintf(w, "%s.%s{p50} %.0f\n", svc, k, h.P50)
 			fmt.Fprintf(w, "%s.%s{p99} %.0f\n", svc, k, h.P99)
 			fmt.Fprintf(w, "%s.%s{p999} %.0f\n", svc, k, h.P999)
-			if r := h.Recent; r != nil {
-				fmt.Fprintf(w, "%s.%s{recent_count} %d\n", svc, k, r.Count)
-				fmt.Fprintf(w, "%s.%s{recent_p50} %.0f\n", svc, k, r.P50)
-				fmt.Fprintf(w, "%s.%s{recent_p99} %.0f\n", svc, k, r.P99)
-				fmt.Fprintf(w, "%s.%s{recent_p999} %.0f\n", svc, k, r.P999)
-			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -159,5 +160,66 @@ func TestFetchTimesOut(t *testing.T) {
 		}
 	case <-time.After(fetchTimeout + 5*time.Second):
 		t.Fatalf("fetch from a silent endpoint still blocked after %s", fetchTimeout+5*time.Second)
+	}
+}
+
+// TestTextFormatScrape pins the scrape-friendly text contract: type
+// hints and cumulative bucket lines closed by +Inf.
+func TestTextFormatScrape(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("ops").Add(7)
+	reg.Gauge("depth").Set(3)
+	h := reg.Histogram("lat")
+	h.Observe(3)
+	h.Observe(100)
+
+	e := NewExporter()
+	e.Register("svc", reg)
+	srv := httptest.NewServer(e)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/metrics?format=text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+
+	for _, want := range []string{
+		"# type svc.ops counter",
+		"svc.ops 7",
+		"# type svc.depth gauge",
+		"svc.depth 3",
+		"# type svc.lat histogram",
+		"svc.lat.bucket{le=4} 1",      // value 3 lands in (2, 4]
+		"svc.lat.bucket{le=128} 2",    // value 100 closes the cumulative run
+		"svc.lat.bucket{le=+Inf} 2\n", // always emitted, equals count
+		"svc.lat{count} 2",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("text export missing %q:\n%s", want, text)
+		}
+	}
+
+	// Cumulative bucket lines must be monotonically non-decreasing in
+	// the order emitted.
+	var prev int64 = -1
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.Contains(line, ".bucket{le=") || strings.Contains(line, "+Inf") {
+			continue
+		}
+		j := strings.Index(line, "} ")
+		c, err := strconv.ParseInt(line[j+2:], 10, 64)
+		if err != nil {
+			t.Fatalf("unparseable bucket line %q: %v", line, err)
+		}
+		if c < prev {
+			t.Fatalf("bucket counts regressed at %q", line)
+		}
+		prev = c
 	}
 }

@@ -6,9 +6,11 @@
 //
 // Metrics are counters, gauges, callback gauges, and fixed-bucket
 // latency histograms with interpolated percentiles. They are built for
-// hot paths — one atomic add per counter increment, one atomic add plus
-// an O(1) bucket index per histogram observation — and every method is
-// safe on a nil receiver, so a nil *Registry records nothing.
+// hot paths — one atomic add per counter increment, three plus an O(1)
+// bucket index per histogram observation — and every method is safe on
+// a nil receiver, so a nil *Registry records nothing. Every metric is
+// cumulative since its process started; a reader takes a window by
+// differencing two snapshots.
 //
 // Tracing carries 128-bit trace IDs on the RPC frame between services;
 // each process records the spans it executes into a bounded in-memory
@@ -88,43 +90,15 @@ func (g *Gauge) Value() int64 {
 // 64 buckets cover every int64, from 1 ns to ~292 years.
 const histBuckets = 64
 
-// Rate windowing: in addition to the cumulative buckets, a histogram
-// keeps histWindows rotating bucket windows of DefaultWindow each and
-// reports the merge of the last DefaultWindowMerge as its "recent"
-// view — so a mid-run latency regression shows up instead of diluting
-// into since-process-start history. Rotation is epoch-stamped CAS:
-// the first observer of a new epoch zeroes the slot it reuses.
-// Observations racing a rotation may land in either epoch; that
-// boundary noise is acceptable for a monitoring window.
-const (
-	histWindows = 8
-	// DefaultWindow is the span of one rotating window slot.
-	DefaultWindow = 10 * time.Second
-	// DefaultWindowMerge is how many trailing windows merge into the
-	// "recent" view (3 × 10s ≈ the last half minute).
-	DefaultWindowMerge = 3
-)
-
-type histWindow struct {
-	epoch   atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
 // Histogram records int64 observations (latency in nanoseconds, batch
 // sizes, frame counts, ...) into power-of-two buckets and estimates
 // quantiles by linear interpolation inside the hit bucket. All methods
-// are lock-free. The zero value is cumulative-only; registry-created
-// histograms also maintain the rotating recent windows.
+// are lock-free. Its counts are cumulative since it was made; a reader
+// that wants a window differences two snapshots (HistSnapshot.Since).
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
-
-	window   int64 // window slot span in ns; 0 disables windowing
-	winMerge int   // trailing windows merged into the recent view
-	win      [histWindows]histWindow
 }
 
 func bucketIndex(v int64) int {
@@ -139,47 +113,15 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	var now int64
-	if h.window > 0 {
-		now = time.Now().UnixNano()
-	}
-	h.observe(v, now)
-}
-
-// ObserveSince records the elapsed nanoseconds since t0. It reads the
-// clock once: the reading that ends the interval also picks its window.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h == nil {
-		return
-	}
-	now := time.Now()
-	h.observe(int64(now.Sub(t0)), now.UnixNano())
-}
-
-// observe records v at now, the wall clock in ns (read only when h is
-// windowed).
-func (h *Histogram) observe(v, now int64) {
-	idx := bucketIndex(v)
 	h.count.Add(1)
 	h.sum.Add(v)
-	h.buckets[idx].Add(1)
-	if h.window > 0 {
-		e := now / h.window
-		w := &h.win[int(e%histWindows)]
-		if old := w.epoch.Load(); old != e {
-			if w.epoch.CompareAndSwap(old, e) {
-				// This slot last held epoch e-histWindows; the winner
-				// of the CAS recycles it for the new epoch.
-				w.count.Store(0)
-				w.sum.Store(0)
-				for i := range w.buckets {
-					w.buckets[i].Store(0)
-				}
-			}
-		}
-		w.count.Add(1)
-		w.sum.Add(v)
-		w.buckets[idx].Add(1)
+	h.buckets[bucketIndex(v)].Add(1)
+}
+
+// ObserveSince records the elapsed nanoseconds since t0.
+func (h *Histogram) ObserveSince(t0 time.Time) {
+	if h != nil {
+		h.Observe(int64(time.Since(t0)))
 	}
 }
 
@@ -191,23 +133,10 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by walking the bucket
-// counts and interpolating linearly inside the bucket where the rank
-// falls. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	var b [histBuckets]int64
-	for i := range b {
-		b[i] = h.buckets[i].Load()
-	}
-	return quantileOf(&b, h.count.Load(), q)
-}
-
-// quantileOf is the interpolation shared by the cumulative and the
-// windowed views: it walks a plain bucket-count array so merged window
-// snapshots get the same estimator as live histograms.
+// quantileOf estimates the q-quantile (0 < q <= 1) of the bucket
+// counts b holding total observations, by walking the buckets and
+// interpolating linearly inside the bucket where the rank falls.
+// Returns 0 with no observations.
 func quantileOf(b *[histBuckets]int64, total int64, q float64) float64 {
 	if total <= 0 {
 		return 0
@@ -252,22 +181,10 @@ type HistBucket struct {
 	Count int64 `json:"count"`
 }
 
-// WindowStats is the merged view of a histogram's trailing windows:
-// the same count/sum/percentile shape as the cumulative view, but
-// covering only the last Seconds of observations.
-type WindowStats struct {
-	Seconds float64 `json:"seconds"`
-	Count   int64   `json:"count"`
-	Sum     int64   `json:"sum"`
-	P50     float64 `json:"p50"`
-	P99     float64 `json:"p99"`
-	P999    float64 `json:"p999"`
-}
-
 // HistSnapshot is a histogram's exported shape: count, sum, the three
-// interpolated percentiles every BlobSeer dashboard cares about, the
-// cumulative bucket counts (up to the highest populated bucket), and —
-// for windowed histograms — the merged recent view.
+// interpolated percentiles every BlobSeer dashboard cares about, and
+// the cumulative bucket counts (up to the highest populated bucket),
+// which are what a reader differences to take a window.
 type HistSnapshot struct {
 	Count   int64        `json:"count"`
 	Sum     int64        `json:"sum"`
@@ -275,7 +192,6 @@ type HistSnapshot struct {
 	P99     float64      `json:"p99"`
 	P999    float64      `json:"p999"`
 	Buckets []HistBucket `json:"buckets,omitempty"`
-	Recent  *WindowStats `json:"recent,omitempty"`
 }
 
 // bucketLe is bucket i's inclusive upper bound as an int64 (the last
@@ -296,59 +212,66 @@ func (h *Histogram) SnapshotValues() HistSnapshot {
 		return HistSnapshot{}
 	}
 	var b [histBuckets]int64
-	top := -1
 	for i := range b {
 		b[i] = h.buckets[i].Load()
-		if b[i] != 0 {
+	}
+	return snapshotOf(&b, h.count.Load(), h.sum.Load())
+}
+
+// Since returns the histogram of what was observed between prev and h,
+// two snapshots of one histogram: the buckets are differenced and
+// count, sum and percentiles recomputed. A prev that is not earlier
+// than h (the process restarted in between) leaves h as it is.
+func (h HistSnapshot) Since(prev HistSnapshot) HistSnapshot {
+	if prev.Count > h.Count {
+		return h
+	}
+	b, pb := h.bucketCounts(), prev.bucketCounts()
+	for i := range b {
+		if pb[i] > b[i] {
+			return h
+		}
+		b[i] -= pb[i]
+	}
+	return snapshotOf(&b, h.Count-prev.Count, h.Sum-prev.Sum)
+}
+
+// bucketCounts undoes the cumulation of s.Buckets.
+func (s HistSnapshot) bucketCounts() (b [histBuckets]int64) {
+	var cum int64
+	for i := 0; i < len(s.Buckets) && i < histBuckets; i++ {
+		b[i] = s.Buckets[i].Count - cum
+		cum = s.Buckets[i].Count
+	}
+	return b
+}
+
+// snapshotOf shapes per-bucket counts into a snapshot, for the
+// since-start view and for any window alike. The percentiles rank
+// within the buckets' own total: count is read apart from them, and
+// an observation in flight may be in one and not yet in the other.
+func snapshotOf(b *[histBuckets]int64, count, sum int64) HistSnapshot {
+	top := -1
+	var n int64
+	for i, c := range b {
+		if c != 0 {
 			top = i
+			n += c
 		}
 	}
-	count := h.count.Load()
 	s := HistSnapshot{
 		Count: count,
-		Sum:   h.sum.Load(),
-		P50:   quantileOf(&b, count, 0.50),
-		P99:   quantileOf(&b, count, 0.99),
-		P999:  quantileOf(&b, count, 0.999),
+		Sum:   sum,
+		P50:   quantileOf(b, n, 0.50),
+		P99:   quantileOf(b, n, 0.99),
+		P999:  quantileOf(b, n, 0.999),
 	}
 	var cum int64
 	for i := 0; i <= top; i++ {
 		cum += b[i]
 		s.Buckets = append(s.Buckets, HistBucket{Le: bucketLe(i), Count: cum})
 	}
-	s.Recent = h.Recent()
 	return s
-}
-
-// Recent merges the histogram's trailing windows (the last winMerge
-// slots, current one included) into one view. Nil when the histogram
-// is not windowed.
-func (h *Histogram) Recent() *WindowStats {
-	if h == nil || h.window <= 0 {
-		return nil
-	}
-	e0 := time.Now().UnixNano() / h.window
-	var b [histBuckets]int64
-	var count, sum int64
-	for i := range h.win {
-		w := &h.win[i]
-		e := w.epoch.Load()
-		if e <= e0 && e > e0-int64(h.winMerge) {
-			count += w.count.Load()
-			sum += w.sum.Load()
-			for j := range b {
-				b[j] += w.buckets[j].Load()
-			}
-		}
-	}
-	return &WindowStats{
-		Seconds: time.Duration(h.window * int64(h.winMerge)).Seconds(),
-		Count:   count,
-		Sum:     sum,
-		P50:     quantileOf(&b, count, 0.50),
-		P99:     quantileOf(&b, count, 0.99),
-		P999:    quantileOf(&b, count, 0.999),
-	}
 }
 
 // Snapshot is a point-in-time copy of one registry: plain values only,
@@ -370,43 +293,16 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	funcs    map[string]func() int64
 	hists    map[string]*Histogram
-
-	window   time.Duration
-	winMerge int
 }
 
-// NewRegistry returns an empty registry. Its histograms rotate recent
-// windows at the package defaults; SetWindow overrides.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		funcs:    make(map[string]func() int64),
 		hists:    make(map[string]*Histogram),
-		window:   DefaultWindow,
-		winMerge: DefaultWindowMerge,
 	}
-}
-
-// SetWindow configures the rotating-window span and merge depth for
-// histograms created after the call (tests shrink the window to
-// milliseconds; d <= 0 turns windowing off entirely).
-func (r *Registry) SetWindow(d time.Duration, merge int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.window = d
-	if merge < 1 {
-		merge = 1
-	}
-	if merge > histWindows-1 {
-		// One slot is always the epoch being overwritten next; merging
-		// all 8 would mix a window from two rotations ago into "recent".
-		merge = histWindows - 1
-	}
-	r.winMerge = merge
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -461,10 +357,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{winMerge: r.winMerge}
-		if r.window > 0 {
-			h.window = int64(r.window)
-		}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	h := r.Histogram("z")
 	h.Observe(100)
 	h.ObserveSince(time.Now())
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.SnapshotValues().P50 != 0 {
 		t.Fatal("nil histogram must stay empty")
 	}
 	r.GaugeFunc("f", func() int64 { return 1 })
@@ -68,7 +69,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	p50, p99, p999 := h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
+	s := h.SnapshotValues()
+	p50, p99, p999 := s.P50, s.P99, s.P999
 	if !(p50 < p99 && p99 < p999) {
 		t.Fatalf("quantiles not ordered: p50=%v p99=%v p999=%v", p50, p99, p999)
 	}
@@ -93,10 +95,11 @@ func TestHistogramWideSpread(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(int64(time.Second))
 	}
-	if p50 := h.Quantile(0.50); p50 > float64(4*time.Microsecond) {
+	s := h.SnapshotValues()
+	if p50 := s.P50; p50 > float64(4*time.Microsecond) {
 		t.Fatalf("p50 = %v ns, want ~1µs", p50)
 	}
-	if p999 := h.Quantile(0.999); p999 < float64(500*time.Millisecond) {
+	if p999 := s.P999; p999 < float64(500*time.Millisecond) {
 		t.Fatalf("p999 = %v ns, want ~1s", p999)
 	}
 	if h.Observe(-5); h.Count() != 101 {
@@ -119,6 +122,70 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("count = %d, want 8000", h.Count())
+	}
+}
+
+// TestSnapshotBucketsCumulative: the exported bucket counts are
+// cumulative (each le's count includes every smaller bucket), closing
+// at the total.
+func TestSnapshotBucketsCumulative(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat")
+	for _, v := range []int64{1, 1, 3, 10, 1000} {
+		h.Observe(v)
+	}
+	s := h.SnapshotValues()
+	if len(s.Buckets) == 0 {
+		t.Fatal("snapshot has no buckets")
+	}
+	var prevLe, prevCount int64
+	for _, b := range s.Buckets {
+		if b.Le <= prevLe {
+			t.Fatalf("bucket bounds not increasing: %d after %d", b.Le, prevLe)
+		}
+		if b.Count < prevCount {
+			t.Fatalf("bucket counts not cumulative: %d after %d", b.Count, prevCount)
+		}
+		prevLe, prevCount = b.Le, b.Count
+	}
+	if last := s.Buckets[len(s.Buckets)-1].Count; last != 5 {
+		t.Errorf("top bucket count = %d, want the total 5", last)
+	}
+	// Spot-check the first bucket: both observations of 1 land in le=1.
+	if s.Buckets[0].Le != 1 || s.Buckets[0].Count != 2 {
+		t.Errorf("first bucket = {le=%d} %d, want {le=1} 2", s.Buckets[0].Le, s.Buckets[0].Count)
+	}
+}
+
+// TestSinceIsTheWindow: differencing two snapshots of one histogram
+// gives exactly the histogram of what was observed between them, so a
+// slow warm-up leaves no trace in the window's percentiles.
+func TestSinceIsTheWindow(t *testing.T) {
+	h, fast := &Histogram{}, &Histogram{}
+	for i := 0; i < 100; i++ {
+		h.Observe(int64(time.Second) + int64(i))
+	}
+	prev := h.SnapshotValues()
+	for i := 0; i < 1000; i++ {
+		v := int64(time.Microsecond) + int64(i)
+		h.Observe(v)
+		fast.Observe(v)
+	}
+	cur := h.SnapshotValues()
+
+	if got, want := cur.Since(prev), fast.SnapshotValues(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Since = %+v\nwant the fast observations alone: %+v", got, want)
+	}
+	if got := cur.Since(HistSnapshot{}); !reflect.DeepEqual(got, cur) {
+		t.Errorf("Since(zero) = %+v, want the snapshot itself %+v", got, cur)
+	}
+	// A restart between the snapshots: the process that answers now
+	// saw more observations than before, but none of the slow ones.
+	if got := fast.SnapshotValues().Since(prev); !reflect.DeepEqual(got, fast.SnapshotValues()) {
+		t.Errorf("Since(a prev from before a restart) = %+v, want the later snapshot unchanged", got)
+	}
+	if got := prev.Since(cur); !reflect.DeepEqual(got, prev) {
+		t.Errorf("Since(a later prev) = %+v, want the snapshot unchanged", got)
 	}
 }
 

@@ -17,36 +17,39 @@ const ringSpans = 4096
 // scan every stripe; recording touches exactly one.
 const nStripes = 8
 
-type stripe struct {
+// ring keeps the last len(buf) values put into it, behind its own lock.
+type ring[T any] struct {
 	mu   sync.Mutex
-	buf  []Span
+	buf  []T
 	next int
 	full bool
 }
 
-func (st *stripe) record(sp Span) {
-	st.mu.Lock()
-	st.buf[st.next] = sp
-	st.next++
-	if st.next == len(st.buf) {
-		st.next = 0
-		st.full = true
+func (r *ring[T]) put(v T) {
+	r.mu.Lock()
+	r.buf[r.next] = v
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.full = true
 	}
-	st.mu.Unlock()
+	r.mu.Unlock()
 }
 
-func (st *stripe) collect(id ID, out []Span) []Span {
-	st.mu.Lock()
-	n := st.next
-	if st.full {
-		n = len(st.buf)
+// appendTo appends the retained values keep accepts (every one if keep
+// is nil) to out, oldest first.
+func (r *ring[T]) appendTo(out []T, keep func(*T) bool) []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	start, n := 0, r.next
+	if r.full {
+		start, n = r.next, len(r.buf)
 	}
 	for i := 0; i < n; i++ {
-		if st.buf[i].Trace == id {
-			out = append(out, st.buf[i])
+		if v := &r.buf[(start+i)%len(r.buf)]; keep == nil || keep(v) {
+			out = append(out, *v)
 		}
 	}
-	st.mu.Unlock()
 	return out
 }
 
@@ -74,15 +77,11 @@ type Tracer struct {
 	// iff a random uint64 is below it (0 = never, MaxUint64 = always).
 	sample atomic.Uint64
 	// slow (ns, 0 = off) arms slow-root capture: every root is traced
-	// and the ones slower than the threshold are indexed in slowBuf.
+	// and the ones slower than the threshold are indexed in slowRoots.
 	slow atomic.Int64
 
-	stripes [nStripes]stripe
-
-	slowMu   sync.Mutex
-	slowBuf  []Root
-	slowNext int
-	slowFull bool
+	stripes   [nStripes]ring[Span]
+	slowRoots ring[Root]
 
 	recorded atomic.Uint64 // total spans recorded (tests, leak checks)
 }
@@ -95,7 +94,7 @@ func NewTracer(service string) *Tracer {
 	for i := range t.stripes {
 		t.stripes[i].buf = make([]Span, ringSpans/nStripes)
 	}
-	t.slowBuf = make([]Root, 64)
+	t.slowRoots.buf = make([]Root, 64)
 	return t
 }
 
@@ -204,7 +203,7 @@ func (a Active) FinishCode(code uint16, msg string) {
 		return
 	}
 	d := time.Since(a.start)
-	t.stripes[uint64(a.id)%nStripes].record(Span{
+	t.stripes[uint64(a.id)%nStripes].put(Span{
 		Trace:    a.trace,
 		ID:       a.id,
 		Parent:   a.parent,
@@ -218,7 +217,7 @@ func (a Active) FinishCode(code uint16, msg string) {
 	t.recorded.Add(1)
 	if a.parent == 0 {
 		if s := t.slow.Load(); s > 0 && d >= time.Duration(s) {
-			t.recordSlow(Root{
+			t.slowRoots.put(Root{
 				Trace:    a.trace,
 				Service:  t.service,
 				Op:       a.op,
@@ -230,17 +229,6 @@ func (a Active) FinishCode(code uint16, msg string) {
 	}
 }
 
-func (t *Tracer) recordSlow(r Root) {
-	t.slowMu.Lock()
-	t.slowBuf[t.slowNext] = r
-	t.slowNext++
-	if t.slowNext == len(t.slowBuf) {
-		t.slowNext = 0
-		t.slowFull = true
-	}
-	t.slowMu.Unlock()
-}
-
 // Spans returns every retained span of trace id, unordered.
 func (t *Tracer) Spans(id ID) []Span {
 	if t == nil {
@@ -248,7 +236,7 @@ func (t *Tracer) Spans(id ID) []Span {
 	}
 	var out []Span
 	for i := range t.stripes {
-		out = t.stripes[i].collect(id, out)
+		out = t.stripes[i].appendTo(out, func(sp *Span) bool { return sp.Trace == id })
 	}
 	return out
 }
@@ -259,14 +247,7 @@ func (t *Tracer) SlowRoots() []Root {
 	if t == nil {
 		return nil
 	}
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
-	var out []Root
-	if t.slowFull {
-		out = append(out, t.slowBuf[t.slowNext:]...)
-	}
-	out = append(out, t.slowBuf[:t.slowNext]...)
-	return out
+	return t.slowRoots.appendTo(nil, nil)
 }
 
 // Recorded returns the total number of spans ever recorded — the

@@ -6,7 +6,6 @@ import (
 	"blobseer/internal/blob"
 	"blobseer/internal/sim"
 	"blobseer/internal/simnet"
-	"blobseer/internal/util"
 )
 
 // Storage is the file-level view the simulated Map/Reduce engine uses —
@@ -150,7 +149,7 @@ func (f *HDFSFiles) CreateFile(name string) error { return f.H.CreateFile(name) 
 
 // AppendBlock implements Storage.
 func (f *HDFSFiles) AppendBlock(p *sim.Proc, client simnet.NodeID, name string, n int64) error {
-	return f.H.AppendBlock(p, client, name, util.Min(n, f.BlockSz))
+	return f.H.AppendBlock(p, client, name, min(n, f.BlockSz))
 }
 
 // ReadRange implements Storage.

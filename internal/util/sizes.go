@@ -37,19 +37,3 @@ func NextPow2(n int64) int64 {
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int64) bool { return n > 0 && n&(n-1) == 0 }
-
-// Min returns the smaller of a and b.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -72,15 +72,6 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 {
-		t.Error("Min broken")
-	}
-	if Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Max broken")
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	if m := Mean(nil); m != 0 {
 		t.Errorf("Mean(nil) = %v", m)
@@ -88,29 +79,6 @@ func TestMeanStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
-	}
-	if sd := StdDev(xs); math.Abs(sd-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", sd)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 5 {
-		t.Errorf("p100 = %v", p)
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("empty percentile = %v", p)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
 	}
 }
 

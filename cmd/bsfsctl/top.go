@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"blobseer/internal/obs"
@@ -90,17 +91,22 @@ func printTop(w io.Writer, cur, prev map[string]obs.Snapshot, interval time.Dura
 				h = h.Since(p.Histograms[k])
 			}
 			fmt.Fprintf(w, "  %-28s %12d  p50=%s p99=%s p999=%s\n",
-				k, h.Count, formatQuantile(h.P50), formatQuantile(h.P99), formatQuantile(h.P999))
+				k, h.Count, formatQuantile(k, h.P50), formatQuantile(k, h.P99), formatQuantile(k, h.P999))
 		}
 	}
 }
 
-// formatQuantile renders a histogram quantile: values that look like
-// nanosecond latencies print as durations, small ones (batch sizes,
-// depths) print as plain numbers.
-func formatQuantile(v float64) string {
-	if v >= 1e4 { // >= 10µs: almost certainly a latency in ns
-		return time.Duration(v).Round(time.Microsecond).String()
+// formatQuantile renders a quantile of the histogram called name in the
+// histogram's one unit: a latency (latency_*, *_latency, corrected_*)
+// is nanoseconds and prints as a duration, anything else (batch sizes)
+// as a plain number.
+func formatQuantile(name string, v float64) string {
+	if strings.HasPrefix(name, "latency_") || strings.HasSuffix(name, "_latency") || strings.HasPrefix(name, "corrected_") {
+		d := time.Duration(v)
+		if d < 10*time.Microsecond {
+			return d.Round(10 * time.Nanosecond).String()
+		}
+		return d.Round(time.Microsecond).String()
 	}
 	return fmt.Sprintf("%.0f", v)
 }

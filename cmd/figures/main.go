@@ -10,7 +10,6 @@
 //	figures -recovery        # crash-recovery ablation, BENCH_recovery.json
 //	figures -vmshard         # control-plane sharding + group commit, BENCH_vmshard.json
 //	                         # (the two combine: -recovery -vmshard runs both)
-//	figures -selftest        # live-stack sanity check before a long sweep
 //
 // The figures and ablations are simulated and deterministic: every run
 // prints the same digits (-recovery and -vmshard run the real stack and
@@ -20,56 +19,12 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
-	"blobseer"
 	"blobseer/internal/bench"
 )
-
-// selftest deploys the real (in-process) stack and drives one
-// handle-based round trip — CreateBlob, write-behind streaming,
-// pinned-snapshot ReadAt — so a broken client surface fails fast
-// instead of twenty minutes into a figure sweep.
-func selftest() error {
-	const block = 64 << 10
-	cl, err := blobseer.Start(blobseer.Config{DataProviders: 4, BlockSize: block})
-	if err != nil {
-		return err
-	}
-	defer cl.Stop()
-	ctx := context.Background()
-	b, err := cl.NewClient("").CreateBlob(ctx, block, 1)
-	if err != nil {
-		return err
-	}
-	payload := bytes.Repeat([]byte("figures-selftest "), 2*block/16)
-	w := b.NewWriter(ctx, blobseer.WriterOptions{Depth: 2})
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	s, err := b.Latest(ctx)
-	if err != nil {
-		return err
-	}
-	back := make([]byte, s.Size())
-	if _, err := s.ReadAt(back, 0); err != nil && err != io.EOF {
-		return err
-	}
-	if !bytes.Equal(back, payload) {
-		return fmt.Errorf("selftest: snapshot read mismatch (%d bytes)", len(back))
-	}
-	fmt.Printf("selftest ok: v%d, %d bytes round-tripped through Blob/Snapshot handles\n",
-		s.Version(), s.Size())
-	return nil
-}
 
 func main() {
 	var (
@@ -78,17 +33,8 @@ func main() {
 		ablations = flag.Bool("ablations", false, "run the ablation experiments instead of the figures")
 		recovery  = flag.Bool("recovery", false, "run the crash-recovery ablation and write BENCH_recovery.json")
 		vmshard   = flag.Bool("vmshard", false, "run the control-plane sharding ablation and write BENCH_vmshard.json")
-		check     = flag.Bool("selftest", false, "run a live-stack handle-API sanity check and exit")
 	)
 	flag.Parse()
-
-	if *check {
-		if err := selftest(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	die := func(what string, err error) {
 		if err != nil {

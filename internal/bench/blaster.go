@@ -296,10 +296,13 @@ func RunBlaster(ctx context.Context, cfg BlasterConfig) (BlasterReport, error) {
 	} else {
 		<-ctx.Done() // long-run mode: measure until canceled
 	}
-	elapsed := time.Since(t0).Seconds()
-	snap1 := cfg.Registry.Snapshot()
+	// Stop the workers before the closing snapshot: each observes its
+	// latency and then its corrected latency, so an op in flight now
+	// lands in both histograms' window, not in one alone.
 	close(stop)
 	wg.Wait()
+	elapsed := time.Since(t0).Seconds()
+	snap1 := cfg.Registry.Snapshot()
 	bm.workers.Set(0)
 
 	r := BlasterReport{

@@ -1,7 +1,6 @@
 package dht
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -233,218 +232,108 @@ func (c *Client) GetBatch(ctx context.Context, keys []string) (map[string][]byte
 	return out, nil
 }
 
-// GetEach fetches n keys in rounds, one per replica. A round sends every
-// provider one mMetaGetBatch (a chunk per frame) carrying the unresolved
-// keys it is the next replica of — the primaries first, all providers in
-// parallel, one from the caller's goroutine — and a key its provider
-// misses, or whose provider is down, falls through to its next replica
-// in the next round. key appends key i to dst, once per key before
-// anything is sent; a key that repeats is fetched once. got(i, val) runs
-// once for every key i found, with val straight from the response frame:
-// val is valid only until got returns. Values from different providers
-// arrive in parallel, so got may run concurrently for different keys. A key
-// that gets no call was authoritatively missing on every replica; if any
-// key could not be resolved either way (all its remaining replicas
-// unreachable), GetEach returns an error, because for immutable metadata
-// an inconclusive miss must not be read as a hole. Like PutEach's, the
-// keys, their placement and the sends live in a record the client
-// recycles: a warm call allocates none of them.
+// GetEach fetches n keys in rounds, one per replica. A round groups the
+// unresolved keys by the replica it names for each, and sends each of
+// those providers one mMetaGetBatch per chunk of keys, the providers in
+// parallel; a key its provider misses, or whose provider is down, is
+// asked of its next replica in the next round. key appends key i to
+// dst, once per key before anything is sent. got(i, val) runs once for
+// every key i found, with val straight from the response frame: val is
+// valid only until got returns. Values from different providers arrive
+// in parallel, so got may run concurrently for different keys. A key
+// that gets no call was authoritatively missing on every replica; if
+// any key could not be resolved either way (all its remaining replicas
+// unreachable), GetEach returns an error, because for immutable
+// metadata an inconclusive miss must not be read as a hole.
 func (c *Client) GetEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, got func(i int, val []byte)) error {
 	if n == 0 {
 		return nil
 	}
-	gc, ok := c.getCalls.Get()
-	if !ok {
-		gc = &getCall{c: c}
-		gc.bind(gc.send)
-	}
-	err := gc.place(c, n, key)
-	if err == nil {
-		gc.ctx, gc.got = ctx, got
-		err = gc.rounds()
-	}
-	gc.ctx, gc.got, gc.lastErr = nil, nil, nil
-	if cap(gc.keys) <= maxKeptKeys {
-		c.getCalls.Put(gc)
-	}
-	return err
-}
-
-// getCall is one GetEach in flight. During a round at is only read: the
-// senders share it, and each writes found and misses of its own keys
-// alone.
-type getCall struct {
-	c *Client
-	placed
-	sends
-	per    []*getSend       // the sends of a round, by node
-	at     []int32          // per key: the ring node asked this round, askedNone or repeated
-	link   []int32          // per key: the next key spelled the same, -1 for none
-	found  []bool           // per key: answered
-	misses []int32          // per key: replicas that answered not-found
-	first  map[uint64]int32 // key hash -> its first key, to find repeats
-
-	ctx     context.Context
-	got     func(int, []byte)
-	mu      sync.Mutex // guards lastErr
-	lastErr error
-}
-
-// Values of getCall.at besides ring nodes.
-const (
-	askedNone = -1 // found: nothing left to ask
-	repeated  = -2 // a repeat of an earlier key, answered with it
-)
-
-// rounds asks every key of each replica in turn until all are resolved.
-func (gc *getCall) rounds() error {
-	n := gc.len()
-	gc.linkRepeats(n)
-	for round := 0; round < gc.reps; round++ {
-		gc.nodes = gc.nodes[:0]
-		for i := 0; i < n; i++ {
-			switch {
-			case gc.at[i] == repeated:
-			case gc.found[i]:
-				gc.at[i] = askedNone
-			default:
-				gc.at[i] = gc.owners(i)[round]
-				gc.addNode(gc.at[i])
-				if round > 0 {
-					gc.c.fallbacks.Add(1)
-				}
-			}
-		}
-		if len(gc.nodes) == 0 {
-			break
-		}
-		for len(gc.per) < len(gc.nodes) {
-			s := &getSend{gc: gc}
-			s.enc, s.dec = s.encode, s.decode
-			gc.per = append(gc.per, s)
-		}
-		gc.run()
-	}
-	for i := 0; i < n; i++ {
-		if gc.at[i] != repeated && !gc.found[i] && int(gc.misses[i]) < gc.reps {
-			return fmt.Errorf("dht: get batch: key %q unresolved (%d/%d replicas answered not-found): %w", gc.key(i), gc.misses[i], gc.reps, gc.lastErr)
-		}
-	}
-	return nil
-}
-
-// linkRepeats resets the per-key state of n keys and links every key
-// spelled like an earlier one to it.
-func (gc *getCall) linkRepeats(n int) {
-	gc.at = slices.Grow(gc.at[:0], n)[:n]
-	gc.link = slices.Grow(gc.link[:0], n)[:n]
-	gc.found = slices.Grow(gc.found[:0], n)[:n]
-	gc.misses = slices.Grow(gc.misses[:0], n)[:n]
-	clear(gc.at)
-	clear(gc.found)
-	clear(gc.misses)
-	for i := range gc.link {
-		gc.link[i] = -1
-	}
-	if n == 1 {
-		return
-	}
-	if gc.first == nil {
-		gc.first = make(map[uint64]int32, n)
-	}
-	clear(gc.first)
-	for i := 0; i < n; i++ {
-		h := hash64(gc.key(i))
-		f, seen := gc.first[h]
-		switch {
-		case !seen:
-			gc.first[h] = int32(i)
-		case bytes.Equal(gc.key(int(f)), gc.key(i)): // else a hash collision, asked on its own
-			gc.at[i] = repeated
-			gc.link[i], gc.link[f] = gc.link[f], int32(i)
-		}
-	}
-}
-
-// send asks the k-th ring node of the round for its keys, a chunk per
-// frame. A failed call leaves the rest of them unresolved, to be asked
-// of their next replica.
-func (gc *getCall) send(k int) {
-	s := gc.per[k]
-	s.node = gc.nodes[k]
-	addr, n := gc.c.ring.nodes[s.node], gc.len()
-	size := min(4+4*n+len(gc.keys), 1<<20)
-	for s.start = 0; ; s.start = s.next {
-		for s.start < n && gc.at[s.start] != s.node {
-			s.start++
-		}
-		if s.start == n {
-			return
-		}
-		if err := gc.c.callAddr(gc.ctx, addr, mMetaGetBatch, size, s.enc, s.dec); err != nil {
-			gc.mu.Lock()
-			gc.lastErr = fmt.Errorf("dht: get batch from %s: %w", addr, err)
-			gc.mu.Unlock()
-			return
-		}
-	}
-}
-
-// getSend is one provider's share of a round: the chunk in flight asks
-// it for the keys in [start, next) that at names it for, asked of them.
-// Its encoder and decoder are bound once, so that a recycled call sends
-// without allocating.
-type getSend struct {
-	gc                 *getCall
-	node               int32
-	start, next, asked int
-	enc                func(*wire.Buffer)
-	dec                func([]byte) error
-}
-
-// encode writes the chunk's request, from start on.
-func (s *getSend) encode(b *wire.Buffer) {
-	gc, n := s.gc, s.gc.len()
-	b.U32(0) // the key count, known once the chunk is cut
-	s.asked = 0
-	for s.next = s.start; s.next < n && s.asked < maxBatchPairs; s.next++ {
-		if gc.at[s.next] == s.node {
-			b.Bytes32(gc.key(s.next))
-			s.asked++
-		}
-	}
-	binary.BigEndian.PutUint32(b.Bytes(), uint32(s.asked))
-}
-
-// decode hands the chunk's values on. The whole response decodes before
-// any of them does, so an answer cut short resolves none of its keys.
-func (s *getSend) decode(p []byte) error {
-	r := wire.NewReader(p)
-	if k := r.U32(); r.Err() == nil && int(k) != s.asked {
-		return fmt.Errorf("%d answers for %d keys", k, s.asked)
-	}
-	for i := 0; i < s.asked; i++ {
-		r.Bool()
-		r.Bytes32()
-	}
-	if err := r.Err(); err != nil {
+	var ps placed
+	if err := ps.place(c, n, key); err != nil {
 		return err
 	}
-	r = wire.NewReader(p[4:])
-	gc := s.gc
-	for i := s.start; i < s.next; i++ {
-		if gc.at[i] != s.node {
-			continue
+	found := make([]bool, n)
+	misses := make([]int, n) // per key: replicas that answered not-found
+	var mu sync.Mutex        // guards lastErr
+	var lastErr error
+	for round := 0; round < ps.reps; round++ {
+		var nodes []int32
+		asked := map[int32][]int{} // per node: the keys asked of it
+		for i := range n {
+			if found[i] {
+				continue
+			}
+			node := ps.owners(i)[round]
+			if asked[node] == nil {
+				nodes = append(nodes, node)
+			}
+			asked[node] = append(asked[node], i)
+			if round > 0 {
+				c.fallbacks.Add(1)
+			}
 		}
-		found, val := r.Bool(), r.Bytes32()
-		if !found {
-			gc.misses[i]++
-			continue
+		if len(nodes) == 0 {
+			break
 		}
-		gc.found[i] = true
-		for j := i; j >= 0; j = int(gc.link[j]) {
-			gc.got(j, val)
+		// A provider that fails leaves its keys to their next replica.
+		fanOut(len(nodes), func(k int) error {
+			addr, keys := c.ring.nodes[nodes[k]], asked[nodes[k]]
+			for len(keys) > 0 {
+				chunk := keys[:min(len(keys), maxBatchPairs)]
+				keys = keys[len(chunk):]
+				if err := c.getChunk(ctx, addr, ps, chunk, found, misses, got); err != nil {
+					mu.Lock()
+					lastErr = fmt.Errorf("dht: get batch from %s: %w", addr, err)
+					mu.Unlock()
+					return nil
+				}
+			}
+			return nil
+		})
+	}
+	for i := range n {
+		if !found[i] && misses[i] < ps.reps {
+			return fmt.Errorf("dht: get batch: key %q unresolved (%d/%d replicas answered not-found): %w", ps.key(i), misses[i], ps.reps, lastErr)
 		}
 	}
 	return nil
+}
+
+// getChunk asks addr for the keys of chunk in one frame and marks each
+// found or missed. The whole response decodes before any value is
+// handed on, so an answer cut short resolves none of its keys.
+func (c *Client) getChunk(ctx context.Context, addr string, ps placed, chunk []int, found []bool, misses []int, got func(int, []byte)) error {
+	size := 4
+	for _, i := range chunk {
+		size += 4 + len(ps.key(i))
+	}
+	return c.callAddr(ctx, addr, mMetaGetBatch, size, func(b *wire.Buffer) {
+		b.U32(uint32(len(chunk)))
+		for _, i := range chunk {
+			b.Bytes32(ps.key(i))
+		}
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		if k := r.U32(); r.Err() == nil && int(k) != len(chunk) {
+			return fmt.Errorf("%d answers for %d keys", k, len(chunk))
+		}
+		for range chunk {
+			r.Bool()
+			r.Bytes32()
+		}
+		if err := r.Err(); err != nil {
+			return err
+		}
+		r = wire.NewReader(p[4:])
+		for _, i := range chunk {
+			if ok, val := r.Bool(), r.Bytes32(); ok {
+				found[i] = true
+				got(i, val)
+			} else {
+				misses[i]++
+			}
+		}
+		return nil
+	})
 }

@@ -27,8 +27,10 @@ const (
 	mMetaGetBatch
 )
 
-// CodeNotFound is the RPC status for a missing metadata key.
-const CodeNotFound uint16 = 11
+// CodeNotFound is ErrNotFound's status code. A miss travels as a
+// presence flag in a multi-get's answer, never as a status; the code
+// keeps the sentinel apart from every other service's.
+const CodeNotFound uint16 = 12
 
 // ErrNotFound is returned when a metadata key is absent from every
 // queried replica.
@@ -222,7 +224,6 @@ type Client struct {
 	fallbacks atomic.Int64
 
 	putCalls util.FreeList[*putCall] // PutEach's records, recycled
-	getCalls util.FreeList[*getCall] // GetEach's records, recycled
 }
 
 // metaBackoff is the per-replica retry schedule. It is deliberately

@@ -20,9 +20,12 @@
 // one-key batches. A put sends every provider that holds a replica of
 // any pair one frame (a chunk per frame) with all its pairs, in
 // parallel. A get goes in rounds, one per replica: round r sends each
-// provider one mMetaGetBatch with the unresolved keys whose r-th replica
-// it is, in parallel, so a key its primary misses, or whose primary is
-// down, is asked of its next replica in the next round:
+// provider one mMetaGetBatch (a chunk per frame) with the unresolved
+// keys whose r-th replica it is, in parallel, so a key its primary
+// misses, or whose primary is down, is asked of its next replica in the
+// next round. The reads in production are the repair overlay's one-key
+// gets; the batches of many keys are the tree walks of tests and
+// benchmark probes:
 //
 //	5 mMetaPutBatch  request:  count u32, then per pair: key string | val bytes32
 //	                 response: empty (the whole batch fails on any error)
@@ -50,9 +53,10 @@
 //
 // Client.PutEach and Client.GetEach are the batch calls for a caller
 // that encodes its keys and values itself; PutBatch and GetBatch wrap
-// them for string keys. Both recycle what a call needs (keys in one
-// byte vector, owners as ring indices, the per-provider sends), so a
-// warm call allocates per call, not per key. Their callbacks own
+// them for string keys. Both keep a call's keys in one byte vector and
+// its owners as ring indices; PutEach also recycles them and its
+// per-provider sends, so a warm put allocates per call, not per key,
+// as every write stores its tree nodes. Their callbacks own
 // nothing past their return: PutEach's val appends a value to the frame
 // being encoded and runs again for every retry of that frame, so it must
 // be pure; GetEach's got receives each value straight from its response

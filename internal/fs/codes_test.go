@@ -3,50 +3,24 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"blobseer/internal/rpc"
 )
 
-// TestErrCodesRoundTrip: every sentinel survives the wrap -> wire ->
-// unwrap path so errors.Is works across RPC boundaries.
+// TestErrCodesRoundTrip: every sentinel, wrapped with a handler's
+// detail, survives the wire (its code and message) so errors.Is works
+// across RPC boundaries and the detail reaches the client.
 func TestErrCodesRoundTrip(t *testing.T) {
 	sentinels := []error{
 		ErrNotFound, ErrExists, ErrIsDir, ErrNotDir, ErrNotEmpty, ErrNoAppend, ErrBusy,
 	}
 	for _, want := range sentinels {
-		wrapped := WrapErr(fmt.Errorf("context: %w", want))
-		if wrapped == nil {
-			t.Fatalf("%v wrapped to nil", want)
-		}
-		// Simulate the wire: only the code and message survive.
-		wire := rpc.CodedError(rpc.CodeOf(wrapped), wrapped.Error())
-		got := UnwrapErr(wire)
-		if !errors.Is(got, want) {
+		sent := fmt.Errorf("%w: /a/b", want)
+		got := &rpc.RemoteError{Code: rpc.CodeOf(sent), Msg: sent.Error()}
+		if !errors.Is(got, want) || !strings.Contains(got.Error(), "/a/b") {
 			t.Errorf("%v did not survive the wire: got %v", want, got)
 		}
-	}
-}
-
-func TestErrCodesIdentityForUnknown(t *testing.T) {
-	if WrapErr(nil) != nil || UnwrapErr(nil) != nil {
-		t.Fatal("nil must stay nil")
-	}
-	plain := errors.New("something else")
-	if WrapErr(plain) != plain {
-		t.Error("unknown errors must pass through WrapErr")
-	}
-	if UnwrapErr(plain) != plain {
-		t.Error("unknown errors must pass through UnwrapErr")
-	}
-}
-
-func TestErrCodesDistinct(t *testing.T) {
-	seen := map[uint16]error{}
-	for _, m := range codeByErr {
-		if prev, dup := seen[m.code]; dup {
-			t.Errorf("code %d assigned to both %v and %v", m.code, prev, m.err)
-		}
-		seen[m.code] = m.err
 	}
 }

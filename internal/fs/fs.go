@@ -7,21 +7,26 @@ package fs
 
 import (
 	"context"
-	"errors"
 	"io"
 	"strings"
 
+	"blobseer/internal/rpc"
 	"blobseer/internal/stream"
 )
 
-// Errors shared by all implementations.
+// Errors shared by all implementations, each with its RPC status code
+// (40-46), so that clients of the BSFS namespace manager and of the
+// HDFS-like namenode match the same sentinels across the wire.
 var (
-	ErrNotFound = errors.New("fs: no such file or directory")
-	ErrExists   = errors.New("fs: file already exists")
-	ErrIsDir    = errors.New("fs: is a directory")
-	ErrNotDir   = errors.New("fs: not a directory")
-	ErrNotEmpty = errors.New("fs: directory not empty")
-	ErrNoAppend = errors.New("fs: append not supported by this file system")
+	ErrNotFound = rpc.CodedError(40, "fs: no such file or directory")
+	ErrExists   = rpc.CodedError(41, "fs: file already exists")
+	ErrIsDir    = rpc.CodedError(42, "fs: is a directory")
+	ErrNotDir   = rpc.CodedError(43, "fs: not a directory")
+	ErrNotEmpty = rpc.CodedError(44, "fs: directory not empty")
+	ErrNoAppend = rpc.CodedError(45, "fs: append not supported by this file system")
+	// ErrBusy is returned when a file is already held by another writer
+	// (the HDFS-like baseline enforces single-writer semantics).
+	ErrBusy = rpc.CodedError(46, "fs: file is open by another writer")
 
 	// ErrClosed is the shared sentinel for any operation on a closed
 	// handle; ErrReaderClosed and ErrWriterClosed both match it under

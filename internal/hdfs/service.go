@@ -2,11 +2,9 @@ package hdfs
 
 import (
 	"context"
-	"errors"
 
 	"blobseer/internal/fs"
 	"blobseer/internal/obs"
-	"blobseer/internal/placement"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
 )
@@ -79,7 +77,7 @@ func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, err
 	}
 	id, err := s.nn.Create(path, overwrite, lease)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(8)
 	b.U64(uint64(id))
@@ -96,11 +94,8 @@ func (s *Service) handleAddBlock(ctx context.Context, p []byte) (*wire.Buffer, e
 		return nil, err
 	}
 	bid, addrs, err := s.nn.AddBlock(id, lease, clientHost, replicas)
-	if errors.Is(err, placement.ErrNoProviders) {
-		return nil, rpc.CodedError(CodeNoProviders, err.Error())
-	}
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(32)
 	b.U64(uint64(bid))
@@ -117,7 +112,7 @@ func (s *Service) handleCompleteBlock(ctx context.Context, p []byte) (*wire.Buff
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.nn.CompleteBlock(id, lease, bid, length))
+	return nil, s.nn.CompleteBlock(id, lease, bid, length)
 }
 
 func (s *Service) handleCompleteFile(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -127,7 +122,7 @@ func (s *Service) handleCompleteFile(ctx context.Context, p []byte) (*wire.Buffe
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.nn.CompleteFile(id, lease))
+	return nil, s.nn.CompleteFile(id, lease)
 }
 
 func (s *Service) handleGetBlockLocations(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -139,7 +134,7 @@ func (s *Service) handleGetBlockLocations(ctx context.Context, p []byte) (*wire.
 	}
 	blocks, size, err := s.nn.GetBlockLocations(path, off, length)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(64)
 	b.I64(size)
@@ -172,7 +167,7 @@ func (s *Service) handleStat(ctx context.Context, p []byte) (*wire.Buffer, error
 	}
 	st, err := s.nn.Stat(path)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(32)
 	encodeStatus(b, st)
@@ -187,7 +182,7 @@ func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error
 	}
 	sts, err := s.nn.List(path)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(64)
 	b.U32(uint32(len(sts)))
@@ -203,7 +198,7 @@ func (s *Service) handleMkdirs(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.nn.Mkdirs(path))
+	return nil, s.nn.Mkdirs(path)
 }
 
 func (s *Service) handleDelete(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -213,7 +208,7 @@ func (s *Service) handleDelete(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.nn.Delete(path, recursive))
+	return nil, s.nn.Delete(path, recursive)
 }
 
 func (s *Service) handleRename(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -222,7 +217,7 @@ func (s *Service) handleRename(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.nn.Rename(src, dst))
+	return nil, s.nn.Rename(src, dst)
 }
 
 // NNClient is the namenode RPC client.
@@ -240,15 +235,8 @@ func NewNNClient(pool *rpc.Pool, addr string) *NNClient {
 // the namenode keeps no log to come back from, and Create and AddBlock
 // are not idempotent.
 func (c *NNClient) call(ctx context.Context, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
-	err := c.pool.Call(ctx, rpc.Backoff{}, c.addr, m, size, enc, dec)
-	if rpc.CodeOf(err) == CodeNoProviders {
-		return placement.ErrNoProviders
-	}
-	return fs.UnwrapErr(err)
+	return c.pool.Call(ctx, rpc.Backoff{}, c.addr, m, size, enc, dec)
 }
-
-// CodeNoProviders mirrors pmanager's code for a full cluster outage.
-const CodeNoProviders uint16 = 30
 
 // Register announces a datanode.
 func (c *NNClient) Register(ctx context.Context, addr, host string) error {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/fs"
 	"blobseer/internal/obs"
 	"blobseer/internal/rpc"
 	"blobseer/internal/wire"
@@ -52,7 +51,7 @@ func (s *Service) handleCreateFile(ctx context.Context, p []byte) (*wire.Buffer,
 	}
 	id, err := s.state.CreateFile(ctx, path, blockSize, replication, overwrite)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(8)
 	b.U64(uint64(id))
@@ -67,7 +66,7 @@ func (s *Service) handleGetFile(ctx context.Context, p []byte) (*wire.Buffer, er
 	}
 	id, err := s.state.GetFile(path)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(8)
 	b.U64(uint64(id))
@@ -80,7 +79,7 @@ func (s *Service) handleMkdirs(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.state.Mkdirs(path))
+	return nil, s.state.Mkdirs(path)
 }
 
 func (s *Service) handleDelete(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -92,7 +91,7 @@ func (s *Service) handleDelete(ctx context.Context, p []byte) (*wire.Buffer, err
 	}
 	orphans, err := s.state.Delete(path, recursive)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(4 + 8*len(orphans))
 	b.U32(uint32(len(orphans)))
@@ -109,7 +108,7 @@ func (s *Service) handleRename(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fs.WrapErr(s.state.Rename(src, dst))
+	return nil, s.state.Rename(src, dst)
 }
 
 func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -120,7 +119,7 @@ func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error
 	}
 	entries, err := s.state.List(path)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(64)
 	b.U32(uint32(len(entries)))
@@ -140,7 +139,7 @@ func (s *Service) handleStatEntry(ctx context.Context, p []byte) (*wire.Buffer, 
 	}
 	e, err := s.state.StatEntry(path)
 	if err != nil {
-		return nil, fs.WrapErr(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(32)
 	b.String(e.Name)
@@ -171,12 +170,12 @@ func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 // call issues one RPC about path (see rpc.Pool.Call for enc and dec);
 // enc, when non-nil, appends what follows the path.
 func (c *Client) call(ctx context.Context, m uint16, path string, enc func(*wire.Buffer), dec func([]byte) error) error {
-	return fs.UnwrapErr(c.pool.Call(ctx, c.retry, c.addr, m, 64+len(path), func(b *wire.Buffer) {
+	return c.pool.Call(ctx, c.retry, c.addr, m, 64+len(path), func(b *wire.Buffer) {
 		b.String(path)
 		if enc != nil {
 			enc(b)
 		}
-	}, dec))
+	}, dec)
 }
 
 // blobReply decodes a response that is one blob ID.

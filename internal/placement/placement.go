@@ -9,9 +9,9 @@
 package placement
 
 import (
-	"errors"
 	"fmt"
 
+	"blobseer/internal/rpc"
 	"blobseer/internal/util"
 )
 
@@ -26,8 +26,13 @@ type Node struct {
 	Draining bool
 }
 
+// CodeNoProviders is ErrNoProviders' RPC status code.
+const CodeNoProviders uint16 = 30
+
 // ErrNoProviders is returned when no alive node can satisfy a request.
-var ErrNoProviders = errors.New("placement: no alive providers")
+// The provider manager and the namenode answer with it, and their
+// clients match it across the wire.
+var ErrNoProviders = rpc.CodedError(CodeNoProviders, "placement: no alive providers")
 
 // Strategy selects storage targets for new blocks.
 type Strategy interface {

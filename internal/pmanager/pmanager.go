@@ -8,7 +8,6 @@ package pmanager
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -29,9 +28,6 @@ const (
 	mHeartbeat
 	mDecommission
 )
-
-// CodeNoProviders maps placement.ErrNoProviders across the wire.
-const CodeNoProviders uint16 = 30
 
 // State is the provider manager's pure core (no I/O): membership plus
 // the placement strategy. Safe for concurrent use; allocation calls are
@@ -449,9 +445,6 @@ func (s *Service) handleAllocate(ctx context.Context, p []byte) (*wire.Buffer, e
 	b := rpc.NewFrame(64)
 	if err := s.state.encodeAllocation(b, nBlocks, replicas, clientHost); err != nil {
 		b.Release()
-		if errors.Is(err, placement.ErrNoProviders) {
-			return nil, rpc.CodedError(CodeNoProviders, err.Error())
-		}
 		return nil, err
 	}
 	s.blocksAllocated.Add(int64(nBlocks))
@@ -572,9 +565,6 @@ func (c *Client) Allocate(ctx context.Context, nBlocks, replicas int, clientHost
 		return r.Err()
 	})
 	if err != nil {
-		if rpc.CodeOf(err) == CodeNoProviders {
-			return Placement{}, placement.ErrNoProviders
-		}
 		return Placement{}, err
 	}
 	return out, nil

@@ -246,11 +246,23 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rpc: remote error (code %d): %s", e.Code, e.Msg)
 }
 
+// Is reports whether the handler answered with target's code, so that
+// errors.Is(err, sentinel) holds across the wire for every sentinel
+// declared with CodedError. The generic StatusError matches nothing.
+func (e *RemoteError) Is(target error) bool {
+	c, ok := target.(Coder)
+	return ok && e.Code != StatusError && c.RPCCode() == e.Code
+}
+
 // Coder is implemented by errors that carry a protocol status code so
 // they survive the wire round-trip as something machine-checkable.
 type Coder interface{ RPCCode() uint16 }
 
-// CodedError creates an error carrying an explicit status code.
+// CodedError creates an error carrying an explicit status code. An
+// error that crosses the wire is declared this way, where it is
+// defined, with a code no other sentinel of any service uses: a handler
+// returns it (wrapped or not), dispatch answers with its code and
+// message, and the client's RemoteError matches it under errors.Is.
 func CodedError(code uint16, msg string) error { return &codedError{code: code, msg: msg} }
 
 type codedError struct {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,37 @@ func TestRemoteError(t *testing.T) {
 	}
 	if CodeOf(err) != 42 {
 		t.Errorf("CodeOf = %d", CodeOf(err))
+	}
+}
+
+// TestRemoteErrorMatchesItsSentinel: a handler's coded sentinel,
+// wrapped with detail, comes back as a RemoteError that matches the
+// sentinel under errors.Is and keeps the detail; another code, and the
+// generic StatusError, match nothing.
+func TestRemoteErrorMatchesItsSentinel(t *testing.T) {
+	errGone := CodedError(42, "svc: gone")
+	mux := NewMux()
+	mux.Handle(2, func(ctx context.Context, p []byte) ([]byte, error) {
+		return nil, fmt.Errorf("%w: item %s", errGone, p)
+	})
+	mux.Handle(3, func(ctx context.Context, p []byte) ([]byte, error) {
+		return nil, errors.New("plain")
+	})
+	n, addr, _ := startServer(t, mux)
+	conn, _ := n.Dial(addr)
+	c := NewClient(conn)
+	defer c.Close()
+
+	_, err := c.Call(context.Background(), 2, []byte("x7"))
+	if !errors.Is(err, errGone) || !strings.Contains(err.Error(), "svc: gone: item x7") {
+		t.Errorf("err = %v, want a match for %v keeping the handler's detail", err, errGone)
+	}
+	if errors.Is(err, CodedError(43, "svc: other")) {
+		t.Errorf("code 42 matched a code-43 sentinel")
+	}
+	_, err = c.Call(context.Background(), 3, nil)
+	if errors.Is(err, CodedError(StatusError, "generic")) {
+		t.Errorf("a StatusError answer matched a sentinel: %v", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package vmanager
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -32,41 +31,6 @@ const (
 	// 12 (PrunedBelow) is retired: the head carries the prune point.
 	// 13 and 14 are retired: the log compacts itself (wal.Log.Compact).
 )
-
-// sentinels are the errors the service answers with a code of their
-// own: sentinels[i] as code 20+i, so a new one goes at the end.
-var sentinels = []error{
-	ErrUnknownBlob, ErrUnaligned, ErrBadRange, ErrBadVersion, ErrTimeout,
-	ErrPruned, ErrBadPrune, ErrAborted, ErrBadPlacement, ErrEndMoved,
-}
-
-const firstCode uint16 = 20
-
-func wrap(err error) error {
-	if err == nil {
-		return nil
-	}
-	code := rpc.StatusError
-	for i, s := range sentinels {
-		if errors.Is(err, s) {
-			code = firstCode + uint16(i)
-			break
-		}
-	}
-	return rpc.CodedError(code, err.Error())
-}
-
-// errFromCode converts an RPC error back to the matching sentinel so
-// client-side errors.Is checks work across the wire.
-func errFromCode(err error) error {
-	if err == nil {
-		return nil
-	}
-	if i := int(rpc.CodeOf(err)) - int(firstCode); i >= 0 && i < len(sentinels) {
-		return sentinels[i]
-	}
-	return err
-}
 
 // OpCounts is the per-operation dispatch breakdown of one
 // version-manager service, in RPC-method order. In a sharded
@@ -175,7 +139,7 @@ func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, err
 	}
 	m, err := s.state.CreateBlob(blockSize, replication)
 	if err != nil {
-		return nil, wrap(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(8)
 	b.U64(uint64(m.ID))
@@ -204,7 +168,7 @@ func (s *Service) handleAssign(ctx context.Context, p []byte) (*wire.Buffer, err
 	}
 	a, err := s.state.Assign(id, kind, off, size, nonce, since, base, replicas...)
 	if err != nil {
-		return nil, wrap(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(64 + 8*len(replicas))
 	b.U64(uint64(a.Version))
@@ -221,7 +185,7 @@ func (s *Service) handleCommit(ctx context.Context, p []byte) (*wire.Buffer, err
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, wrap(s.state.Commit(id, v))
+	return nil, s.state.Commit(id, v)
 }
 
 func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -231,7 +195,7 @@ func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, erro
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return nil, wrap(s.state.Abort(id, v))
+	return nil, s.state.Abort(id, v)
 }
 
 // headReply is the reply of mLatest and mWaitPublished, whose requests
@@ -240,7 +204,7 @@ func (s *Service) handleAbort(ctx context.Context, p []byte) (*wire.Buffer, erro
 func (s *Service) headReply(id blob.ID, since, at blob.Version) (*wire.Buffer, error) {
 	h, descs, err := s.state.LatestSince(id, since, at)
 	if err != nil {
-		return nil, wrap(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(headWireSize + 8 + len(descs)*(descWireSize+4*h.Meta.Replication))
 	encodeHead(b, h, descs)
@@ -277,7 +241,7 @@ func (s *Service) handleWait(ctx context.Context, p []byte) (*wire.Buffer, error
 		return nil, err
 	}
 	if err := s.state.WaitPublished(id, at, time.Duration(timeoutMs)*time.Millisecond); err != nil {
-		return nil, wrap(err)
+		return nil, err
 	}
 	return s.headReply(id, since, at)
 }
@@ -301,7 +265,7 @@ func (s *Service) handlePrune(ctx context.Context, p []byte) (*wire.Buffer, erro
 	}
 	from, err := s.state.Prune(id, keep)
 	if err != nil {
-		return nil, wrap(err)
+		return nil, err
 	}
 	b := rpc.NewFrame(8)
 	b.U64(uint64(from))
@@ -346,7 +310,7 @@ func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
 // call issues one RPC to shard k (see rpc.Pool.Call for enc and dec).
 func (c *Client) call(ctx context.Context, k int, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
-	return errFromCode(c.pool.Call(ctx, c.retry, c.addrs[k], m, size, enc, dec))
+	return c.pool.Call(ctx, c.retry, c.addrs[k], m, size, enc, dec)
 }
 
 // callBlob issues one RPC to the shard owning id; most requests are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,6 +83,18 @@ func TestClientSentinelErrors(t *testing.T) {
 	}
 	if err := c.Commit(ctx, m.ID, 7); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version over RPC = %v", err)
+	}
+}
+
+// TestClientErrorKeepsTheDetail: a sentinel crosses the wire with the
+// handler's whole message, here the version ErrBadVersion was about.
+func TestClientErrorKeepsTheDetail(t *testing.T) {
+	c := startVM(t)
+	ctx := context.Background()
+	m, _ := c.CreateBlob(ctx, B, 1)
+	err := c.Commit(ctx, m.ID, 7)
+	if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), ErrBadVersion.Error()+": 7") {
+		t.Errorf("commit of unassigned version 7 over RPC = %v, want ErrBadVersion naming 7", err)
 	}
 }
 

@@ -40,7 +40,6 @@
 package vmanager
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -48,35 +47,37 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/rpc"
 	"blobseer/internal/wal"
 )
 
-// Sentinel validation errors (mapped to RPC codes by the service).
+// Sentinel validation errors, each with its RPC status code (20-29),
+// so that a client matches them across the wire.
 var (
 	// ErrUnknownBlob is returned for operations on nonexistent blobs.
-	ErrUnknownBlob = errors.New("vmanager: unknown blob")
+	ErrUnknownBlob = rpc.CodedError(20, "vmanager: unknown blob")
 	// ErrUnaligned is returned when a write offset (or an append without
 	// a base onto an unaligned end) violates the block-alignment rule.
-	ErrUnaligned = errors.New("vmanager: offset not block-aligned")
+	ErrUnaligned = rpc.CodedError(21, "vmanager: offset not block-aligned")
 	// ErrBadRange is returned for empty or mid-blob partial-block writes.
-	ErrBadRange = errors.New("vmanager: invalid write range")
+	ErrBadRange = rpc.CodedError(22, "vmanager: invalid write range")
 	// ErrBadVersion is returned for commits/aborts of unassigned versions.
-	ErrBadVersion = errors.New("vmanager: no such assigned version")
+	ErrBadVersion = rpc.CodedError(23, "vmanager: no such assigned version")
 	// ErrTimeout is returned by WaitPublished when the deadline passes.
-	ErrTimeout = errors.New("vmanager: wait timed out")
+	ErrTimeout = rpc.CodedError(24, "vmanager: wait timed out")
 	// ErrPruned is returned when reading a version that Prune discarded.
-	ErrPruned = errors.New("vmanager: version garbage-collected")
+	ErrPruned = rpc.CodedError(25, "vmanager: version garbage-collected")
 	// ErrBadPrune is returned for prune points beyond the published version.
-	ErrBadPrune = errors.New("vmanager: prune point not published yet")
+	ErrBadPrune = rpc.CodedError(26, "vmanager: prune point not published yet")
 	// ErrAborted is returned for the commit of a version that was
 	// aborted: no reader will see what its writer wrote.
-	ErrAborted = errors.New("vmanager: version aborted")
+	ErrAborted = rpc.CodedError(27, "vmanager: version aborted")
 	// ErrBadPlacement is returned for an assign whose placement does not
 	// fit its write: not R non-empty addresses for each of its blocks.
-	ErrBadPlacement = errors.New("vmanager: malformed placement")
+	ErrBadPlacement = rpc.CodedError(28, "vmanager: malformed placement")
 	// ErrEndMoved refuses an append that carries its base's tail when a
 	// version after the base wrote at or past the tail's block boundary.
-	ErrEndMoved = errors.New("vmanager: the blob's end moved since the append's base")
+	ErrEndMoved = rpc.CodedError(29, "vmanager: the blob's end moved since the append's base")
 )
 
 // ShardInfo identifies one horizontal shard of the version-manager

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
 
@@ -277,7 +278,7 @@ func (c *Client) GetEach(ctx context.Context, n int, key func(i int, dst []byte)
 			break
 		}
 		// A provider that fails leaves its keys to their next replica.
-		fanOut(len(nodes), func(k int) error {
+		util.Windowed(len(nodes), len(nodes), func(k int) error {
 			addr, keys := c.ring.nodes[nodes[k]], asked[nodes[k]]
 			for len(keys) > 0 {
 				chunk := keys[:min(len(keys), maxBatchPairs)]

@@ -216,7 +216,6 @@ type Client struct {
 	ring     *Ring
 	pool     *rpc.Pool
 	replicas int
-	retry    rpc.Backoff
 
 	// fallbacks counts reads that could not be served by the first
 	// replica tried and fell through to a later one (dead or lagging
@@ -238,11 +237,8 @@ func NewClient(ring *Ring, pool *rpc.Pool, replicas int) *Client {
 	if replicas < 1 {
 		replicas = 1
 	}
-	return &Client{ring: ring, pool: pool, replicas: replicas, retry: metaBackoff}
+	return &Client{ring: ring, pool: pool, replicas: replicas}
 }
-
-// SetRetry overrides the per-replica retry schedule.
-func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
 // Ring exposes the client's ring (location queries, tests).
 func (c *Client) Ring() *Ring { return c.ring }
@@ -252,11 +248,11 @@ func (c *Client) Ring() *Ring { return c.ring }
 func (c *Client) Fallbacks() int64 { return c.fallbacks.Load() }
 
 // callAddr issues one RPC against a specific metadata provider,
-// re-dialing and retrying transport failures per the client schedule
-// (see rpc.Pool.Call for enc and dec). Puts and deletes are idempotent;
+// re-dialing and retrying transport failures per metaBackoff (see
+// rpc.Pool.Call for enc and dec). Puts and deletes are idempotent;
 // gets are read-only — all safe to repeat.
 func (c *Client) callAddr(ctx context.Context, addr string, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
-	return c.pool.Call(ctx, c.retry, addr, m, size, enc, dec)
+	return c.pool.Call(ctx, metaBackoff, addr, m, size, enc, dec)
 }
 
 // Put stores key on every replica in parallel, a one-key PutEach; it
@@ -264,41 +260,6 @@ func (c *Client) callAddr(ctx context.Context, addr string, m uint16, size int, 
 // version can commit).
 func (c *Client) Put(ctx context.Context, key string, val []byte) error {
 	return c.PutBatch(ctx, []wire.KV{{Key: key, Val: val}})
-}
-
-// fanOut runs fn(0..n-1) concurrently, one of them on the caller's
-// goroutine, and returns the first error. Its goroutines share one
-// closure, so what a call allocates does not grow with n.
-func fanOut(n int, fn func(i int) error) error {
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		return fn(0)
-	}
-	var st struct {
-		wg   sync.WaitGroup
-		next atomic.Int32
-		mu   sync.Mutex
-		err  error
-	}
-	run := func() {
-		defer st.wg.Done()
-		if err := fn(int(st.next.Add(1)) - 1); err != nil {
-			st.mu.Lock()
-			if st.err == nil {
-				st.err = err
-			}
-			st.mu.Unlock()
-		}
-	}
-	st.wg.Add(n)
-	for i := 1; i < n; i++ {
-		go run() // a func value without arguments: no closure per goroutine
-	}
-	run()
-	st.wg.Wait()
-	return st.err
 }
 
 // Get fetches key from the first answering replica, a one-key GetEach.
@@ -322,13 +283,23 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 }
 
 // Delete removes key from all replicas in parallel (best effort; used
-// by GC).
+// by GC). Every replica is asked; the first failure is returned.
 func (c *Client) Delete(ctx context.Context, key string) error {
 	addrs := c.ring.Lookup(key, c.replicas)
 	if len(addrs) == 0 {
 		return errEmptyRing
 	}
-	return fanOut(len(addrs), func(i int) error {
-		return c.callAddr(ctx, addrs[i], mMetaDelete, 8+len(key), func(b *wire.Buffer) { b.String(key) }, nil)
+	var mu sync.Mutex
+	var first error
+	util.Windowed(len(addrs), len(addrs), func(i int) error {
+		if err := c.callAddr(ctx, addrs[i], mMetaDelete, 8+len(key), func(b *wire.Buffer) { b.String(key) }, nil); err != nil {
+			mu.Lock()
+			if first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}
+		return nil // a failure must not keep the other replicas unasked
 	})
+	return first
 }

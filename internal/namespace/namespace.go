@@ -3,11 +3,19 @@
 // directory structure onto BlobSeer's flat BLOB space. It is involved
 // only in file open/create/delete/rename — actual data access goes
 // straight to BlobSeer, preserving the decentralized metadata benefits.
+//
+// With a log attached (Recover), every mutation runs in three steps:
+// validate without changing the tree, journal its record, then apply
+// the record through the one apply function replay also calls
+// (applyCreate, mkdirs, applyDelete, applyRename). A refused record —
+// invalid, or one the log failed to write — changes nothing, and a log
+// that failed a write or an fsync refuses every later record.
 package namespace
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +24,6 @@ import (
 	"blobseer/internal/fs"
 	"blobseer/internal/vmanager"
 	"blobseer/internal/wal"
-	"blobseer/internal/wire"
 )
 
 // RPC method numbers.
@@ -75,13 +82,18 @@ func NewState(creator BlobCreator) *State {
 	}
 }
 
-// lookup walks to the entry at path. Returns (entry, parent, name).
+// lookup walks to the entry at path. Returns (entry, parent, name); a
+// missing entry comes back nil with the last directory on its way as
+// parent, and a file on the way makes both nil.
 func (s *State) lookup(path string) (*entry, *entry, string) {
-	parts := fs.Split(path)
 	cur := s.root
 	var parent *entry
 	name := ""
-	for _, p := range parts {
+	for rest := path; rest != ""; {
+		var p string
+		if p, rest, _ = strings.Cut(rest, "/"); p == "" || p == "." {
+			continue // as fs.Split, without building a slice
+		}
 		if !cur.isDir {
 			return nil, nil, ""
 		}
@@ -89,21 +101,20 @@ func (s *State) lookup(path string) (*entry, *entry, string) {
 		if !ok {
 			return nil, cur, p
 		}
-		parent = cur
-		name = p
-		cur = next
-	}
-	if len(parts) == 0 {
-		return cur, nil, ""
+		parent, name, cur = cur, p, next
 	}
 	return cur, parent, name
 }
 
 // mkdirs creates missing directories along path, returning the final
-// directory entry.
+// directory entry. It is the apply of a mkdirs record.
 func (s *State) mkdirs(path string) (*entry, error) {
 	cur := s.root
-	for _, p := range fs.Split(path) {
+	for rest := path; rest != ""; {
+		var p string
+		if p, rest, _ = strings.Cut(rest, "/"); p == "" || p == "." {
+			continue
+		}
 		if !cur.isDir {
 			return nil, fs.ErrNotDir
 		}
@@ -136,31 +147,38 @@ func (s *State) CreateFile(ctx context.Context, path string, blockSize int64, re
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	switch old, parent, _ := s.lookup(path); {
+	case old == nil && parent == nil:
+		return 0, fs.ErrNotDir
+	case old != nil && old.isDir:
+		return 0, fs.ErrIsDir
+	case old != nil && !overwrite:
+		return 0, fs.ErrExists
+	}
+	// The record carries the allocated blob ID: replay must re-link
+	// the same blob, never re-invoke the creator.
+	if err := s.appendLocked(func() []byte { return encodeCreate(path, id) }); err != nil {
+		return 0, err
+	}
+	return id, s.applyCreate(path, id)
+}
+
+// applyCreate links path to blob id, creating its parent directories
+// and orphaning the blob of a file it overwrites.
+func (s *State) applyCreate(path string, id blob.ID) error {
 	dir, err := s.mkdirs(fs.Parent(path))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	name := fs.Base(path)
 	if old, ok := dir.children[name]; ok {
 		if old.isDir {
-			return 0, fs.ErrIsDir
-		}
-		if !overwrite {
-			return 0, fs.ErrExists
+			return fmt.Errorf("namespace: create of %q over a directory", path)
 		}
 		s.orphaned = append(s.orphaned, old.blobID)
 	}
 	dir.children[name] = &entry{name: name, blobID: id}
-	// The record carries the allocated blob ID: replay must re-link
-	// the same blob, never re-invoke the creator.
-	b := wire.NewBuffer(16 + len(path))
-	b.U8(recNSCreate)
-	b.String(path)
-	b.U64(uint64(id))
-	if err := s.appendLocked(b.Bytes()); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return nil
 }
 
 // GetFile resolves a file path to its BLOB.
@@ -182,10 +200,14 @@ func (s *State) Mkdirs(path string) error {
 	path = fs.Clean(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.mkdirs(path); err != nil {
+	if e, parent, _ := s.lookup(path); e == nil && parent == nil || e != nil && !e.isDir {
+		return fs.ErrNotDir
+	}
+	if err := s.appendLocked(func() []byte { return encodePaths(recNSMkdirs, path) }); err != nil {
 		return err
 	}
-	return s.appendLocked(encodePath(recNSMkdirs, path))
+	_, err := s.mkdirs(path)
+	return err
 }
 
 // Delete unlinks a file or directory. Non-empty directories require
@@ -197,31 +219,38 @@ func (s *State) Delete(path string, recursive bool) ([]blob.ID, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, parent, name := s.lookup(path)
+	e, parent, _ := s.lookup(path)
 	if e == nil || parent == nil {
 		return nil, fs.ErrNotFound
 	}
 	if e.isDir && len(e.children) > 0 && !recursive {
 		return nil, fs.ErrNotEmpty
 	}
-	var orphans []blob.ID
-	var collect func(*entry)
-	collect = func(en *entry) {
-		if !en.isDir {
-			orphans = append(orphans, en.blobID)
-			return
-		}
-		for _, ch := range en.children {
-			collect(ch)
-		}
-	}
-	collect(e)
-	delete(parent.children, name)
-	s.orphaned = append(s.orphaned, orphans...)
-	if err := s.appendLocked(encodePath(recNSDelete, path)); err != nil {
+	if err := s.appendLocked(func() []byte { return encodePaths(recNSDelete, path) }); err != nil {
 		return nil, err
 	}
-	return orphans, nil
+	return s.applyDelete(path), nil
+}
+
+// applyDelete unlinks the entry at path, which exists, and returns the
+// blobs of the files it held, which join the orphan list.
+func (s *State) applyDelete(path string) []blob.ID {
+	e, parent, name := s.lookup(path)
+	delete(parent.children, name)
+	orphans := e.files(nil)
+	s.orphaned = append(s.orphaned, orphans...)
+	return orphans
+}
+
+// files appends the blobs of the files at and under e to out.
+func (e *entry) files(out []blob.ID) []blob.ID {
+	if !e.isDir {
+		return append(out, e.blobID)
+	}
+	for _, ch := range e.children {
+		out = ch.files(out)
+	}
+	return out
 }
 
 // Rename moves a file or directory to dst (whose parent must resolve).
@@ -235,26 +264,43 @@ func (s *State) Rename(src, dst string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, parent, name := s.lookup(src)
-	if e == nil || parent == nil {
+	if err := s.checkRename(src, dst); err != nil {
+		return err
+	}
+	if err := s.appendLocked(func() []byte { return encodePaths(recNSRename, src, dst) }); err != nil {
+		return err
+	}
+	return s.applyRename(src, dst)
+}
+
+// checkRename reports why src cannot move to dst: fs.ErrNotFound
+// without src, fs.ErrNotDir with a file on dst's parent chain,
+// fs.ErrExists when dst exists.
+func (s *State) checkRename(src, dst string) error {
+	if e, parent, _ := s.lookup(src); e == nil || parent == nil {
 		return fs.ErrNotFound
 	}
+	switch e, parent, _ := s.lookup(dst); {
+	case e != nil:
+		return fs.ErrExists
+	case parent == nil:
+		return fs.ErrNotDir
+	}
+	return nil
+}
+
+// applyRename relinks the entry at src, which exists, as dst, whose
+// parent chain it creates.
+func (s *State) applyRename(src, dst string) error {
 	dstDir, err := s.mkdirs(fs.Parent(dst))
 	if err != nil {
 		return err
 	}
-	dstName := fs.Base(dst)
-	if _, exists := dstDir.children[dstName]; exists {
-		return fs.ErrExists
-	}
+	e, parent, name := s.lookup(src)
 	delete(parent.children, name)
-	e.name = dstName
-	dstDir.children[dstName] = e
-	b := wire.NewBuffer(24 + len(src) + len(dst))
-	b.U8(recNSRename)
-	b.String(src)
-	b.String(dst)
-	return s.appendLocked(b.Bytes())
+	e.name = fs.Base(dst)
+	dstDir.children[e.name] = e
+	return nil
 }
 
 // Entry is one listing row.
@@ -304,7 +350,7 @@ func (s *State) Orphaned() []blob.ID {
 	if len(out) == 0 {
 		return nil
 	}
-	if err := s.appendLocked([]byte{recNSDrain}); err != nil {
+	if err := s.appendLocked(func() []byte { return encodePaths(recNSDrain) }); err != nil {
 		// Keep the list: better to re-offer orphans after a crash
 		// (GC of a missing blob is a no-op) than to leak them.
 		return nil

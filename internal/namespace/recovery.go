@@ -44,6 +44,10 @@ func Recover(log *wal.Log, creator BlobCreator) (*State, error) {
 	return s, nil
 }
 
+// applyRecord decodes one WAL record and applies it through the apply
+// function the live mutator calls after journaling it, unless the tree
+// already reflects it (a record folded into the snapshot, or replayed
+// twice).
 func (s *State) applyRecord(p []byte) error {
 	r := wire.NewReader(p)
 	t := r.U8()
@@ -56,71 +60,39 @@ func (s *State) applyRecord(p []byte) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		dir, err := s.mkdirs(fs.Parent(path))
-		if err != nil {
-			return err
+		if e, _, _ := s.lookup(path); e != nil && !e.isDir && e.blobID == id {
+			return nil // already applied
 		}
-		name := fs.Base(path)
-		if old, ok := dir.children[name]; ok {
-			if old.isDir {
-				return fmt.Errorf("namespace: create record for %q over a directory", path)
-			}
-			if old.blobID == id {
-				return nil // already applied
-			}
-			s.orphaned = append(s.orphaned, old.blobID) // overwrite
-		}
-		dir.children[name] = &entry{name: name, blobID: id}
+		return s.applyCreate(path, id)
 	case recNSMkdirs:
 		path := r.String()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if _, err := s.mkdirs(path); err != nil {
-			return err
-		}
+		_, err := s.mkdirs(path)
+		return err
 	case recNSDelete:
 		path := r.String()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		e, parent, name := s.lookup(path)
-		if e == nil || parent == nil {
+		if e, parent, _ := s.lookup(path); e == nil || parent == nil {
 			return nil // already applied
 		}
-		var collect func(*entry)
-		collect = func(en *entry) {
-			if !en.isDir {
-				s.orphaned = append(s.orphaned, en.blobID)
-				return
-			}
-			for _, ch := range en.children {
-				collect(ch)
-			}
-		}
-		collect(e)
-		delete(parent.children, name)
+		s.applyDelete(path)
 	case recNSRename:
 		src := r.String()
 		dst := r.String()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		e, parent, name := s.lookup(src)
-		if e == nil || parent == nil {
-			return nil // already applied (or applied then src re-created)
-		}
-		dstDir, err := s.mkdirs(fs.Parent(dst))
-		if err != nil {
+		switch err := s.checkRename(src, dst); {
+		case errors.Is(err, fs.ErrNotFound), errors.Is(err, fs.ErrExists):
+			return nil // already applied (or applied, then src re-created)
+		case err != nil:
 			return err
 		}
-		dstName := fs.Base(dst)
-		if _, exists := dstDir.children[dstName]; exists {
-			return nil // already applied
-		}
-		delete(parent.children, name)
-		e.name = dstName
-		dstDir.children[dstName] = e
+		return s.applyRename(src, dst)
 	case recNSDrain:
 		// The GC consumed the orphan list at this point in history;
 		// dropping it on replay stops recovery from re-offering blobs
@@ -132,20 +104,35 @@ func (s *State) applyRecord(p []byte) error {
 	return nil
 }
 
-// appendLocked journals one record if a log is attached; callers hold
-// s.mu so log order matches mutation order. Namespace mutations are
-// low-rate and all client-acknowledged, so every record is fsynced.
-func (s *State) appendLocked(p []byte) error {
+// appendLocked journals the record rec encodes if a log is attached;
+// without one nothing is encoded. It is the middle step of every
+// mutation: the caller validates without changing the tree, and applies
+// the record, through the apply replay calls, only once this returned
+// nil, so a refused record changes nothing. Callers hold s.mu so log
+// order matches mutation order. Every record is fsynced.
+func (s *State) appendLocked(rec func() []byte) error {
 	if s.log == nil {
 		return nil
 	}
-	return s.log.AppendSync(p)
+	return s.log.AppendSync(rec())
 }
 
-func encodePath(t uint8, path string) []byte {
+// encodeCreate -> recNSCreate | path | blob ID
+func encodeCreate(path string, id blob.ID) []byte {
 	b := wire.NewBuffer(16 + len(path))
-	b.U8(t)
+	b.U8(recNSCreate)
 	b.String(path)
+	b.U64(uint64(id))
+	return b.Bytes()
+}
+
+// encodePaths -> t | paths...
+func encodePaths(t uint8, paths ...string) []byte {
+	b := wire.NewBuffer(64)
+	b.U8(t)
+	for _, p := range paths {
+		b.String(p)
+	}
 	return b.Bytes()
 }
 

@@ -468,9 +468,8 @@ func (s *Service) handleList(ctx context.Context, p []byte) (*wire.Buffer, error
 
 // Client is the provider-manager RPC client.
 type Client struct {
-	pool  *rpc.Pool
-	addr  string
-	retry rpc.Backoff
+	pool *rpc.Pool
+	addr string
 
 	mu    sync.Mutex
 	addrs map[string]string // provider addresses seen in placements, interned
@@ -485,15 +484,12 @@ const maxInterned = 4096
 // are idempotent or safely repeatable, so transport failures are
 // retried with rpc.DefaultBackoff.
 func NewClient(pool *rpc.Pool, addr string) *Client {
-	return &Client{pool: pool, addr: addr, retry: rpc.DefaultBackoff, addrs: make(map[string]string)}
+	return &Client{pool: pool, addr: addr, addrs: make(map[string]string)}
 }
-
-// SetRetry overrides the client's retry schedule.
-func (c *Client) SetRetry(b rpc.Backoff) { c.retry = b }
 
 // call issues one RPC (see rpc.Pool.Call for enc and dec).
 func (c *Client) call(ctx context.Context, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
-	return c.pool.Call(ctx, c.retry, c.addr, m, size, enc, dec)
+	return c.pool.Call(ctx, rpc.DefaultBackoff, c.addr, m, size, enc, dec)
 }
 
 // Register announces a provider.

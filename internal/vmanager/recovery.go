@@ -104,10 +104,10 @@ func (s *State) shardMismatch(id blob.ID) error {
 		id, s.shard.Index, s.shard.Count)
 }
 
-// applyRecord folds one WAL record into the state. Mutations here
-// mirror the live mutators minus validation (the record was only
-// written after validation passed) and minus side effects (no client
-// acks). An abort publishes as it does live; the commit record a log
+// applyRecord decodes one WAL record and applies it through the apply
+// function the live mutator calls after journaling it, unless the state
+// already reflects it (a record folded into the snapshot, or replayed
+// twice). An abort publishes as it does live; the commit record a log
 // may hold after it is then a no-op.
 func (s *State) applyRecord(p []byte) error {
 	r := wire.NewReader(p)
@@ -119,27 +119,24 @@ func (s *State) applyRecord(p []byte) error {
 	st := s.stripeFor(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	switch t {
-	case recCreate:
-		blockSize := r.I64()
-		replication := int(r.U32())
+	if t == recCreate {
+		m := blob.Meta{ID: id, BlockSize: r.I64(), Replication: int(r.U32())}
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if _, ok := st.blobs[id]; ok {
-			return nil // already applied
+		if _, ok := st.blobs[id]; !ok { // else already applied
+			s.applyCreate(st, m)
 		}
-		st.blobs[id] = &blobState{
-			meta:     blob.Meta{ID: id, BlockSize: blockSize, Replication: replication},
-			assigned: make(map[blob.Version]time.Time),
-		}
-		// Re-arm minting past every replayed ID, preserving this
-		// shard's residue class (IDs advance with stride Count).
-		s.idMu.Lock()
-		if id >= s.nextID {
-			s.nextID = id + blob.ID(s.shard.Count)
-		}
-		s.idMu.Unlock()
+		return nil
+	}
+	if t == recAssignUnplaced {
+		return fmt.Errorf("%w: blob %d", errNoPlacement, id)
+	}
+	bs, ok := st.blobs[id]
+	if !ok {
+		return fmt.Errorf("vmanager: record type %d for unknown blob %d", t, id)
+	}
+	switch t {
 	case recAssign:
 		ds, err := decodeDescs(r, &s.placements, nil)
 		at := time.Unix(0, r.I64())
@@ -149,60 +146,24 @@ func (s *State) applyRecord(p []byte) error {
 		if err := errors.Join(err, r.Err()); err != nil {
 			return err
 		}
-		d := ds[0]
-		bs, ok := st.blobs[id]
-		if !ok {
-			return fmt.Errorf("vmanager: assign record for unknown blob %d", id)
+		if ds[0].Version > bs.hist.Latest() { // else already applied
+			return bs.applyAssign(ds[0], at)
 		}
-		if d.Version <= bs.hist.Latest() {
-			return nil // already applied
-		}
-		if err := bs.hist.Append(d); err != nil {
-			return err
-		}
-		bs.committed = append(bs.committed, false)
-		bs.assigned[d.Version] = at
-	case recCommit:
+	case recCommit, recAbort:
 		v := blob.Version(r.U64())
 		if err := r.Err(); err != nil {
 			return err
 		}
-		bs, ok := st.blobs[id]
-		if !ok {
-			return fmt.Errorf("vmanager: commit record for unknown blob %d", id)
-		}
 		if v == blob.NoVersion || v > bs.hist.Latest() {
-			return fmt.Errorf("vmanager: commit record for unassigned version %d of blob %d", v, id)
+			return fmt.Errorf("vmanager: record type %d for unassigned version %d of blob %d", t, v, id)
 		}
-		bs.commitLocked(v)
-	case recAbort:
-		v := blob.Version(r.U64())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		bs, ok := st.blobs[id]
-		if !ok {
-			return fmt.Errorf("vmanager: abort record for unknown blob %d", id)
-		}
-		if v == blob.NoVersion || v > bs.hist.Latest() {
-			return fmt.Errorf("vmanager: abort record for unassigned version %d of blob %d", v, id)
-		}
-		bs.hist.MarkAborted(v)
-		bs.commitLocked(v)
+		bs.applyResolve(v, t == recAbort)
 	case recPrune:
 		keep := blob.Version(r.U64())
 		if err := r.Err(); err != nil {
 			return err
 		}
-		bs, ok := st.blobs[id]
-		if !ok {
-			return fmt.Errorf("vmanager: prune record for unknown blob %d", id)
-		}
-		if keep > bs.prunedBelow {
-			bs.prunedBelow = keep
-		}
-	case recAssignUnplaced:
-		return fmt.Errorf("%w: blob %d", errNoPlacement, id)
+		bs.applyPrune(keep)
 	default:
 		return fmt.Errorf("vmanager: unknown WAL record type %d", t)
 	}
@@ -210,19 +171,14 @@ func (s *State) applyRecord(p []byte) error {
 }
 
 // appendStriped journals the record rec encodes if a log is attached;
-// without one nothing is encoded. Callers hold
-// the stripe lock of the blob the record is about, which serializes
-// log order with mutation order *per blob* — the property replay
-// depends on (records for different blobs are independent under
-// replay, so their cross-stripe interleaving is free). The record is
-// on disk before this returns, so no acknowledged mutation — an
-// assigned version number included — is lost to a crash.
-//
-// On a log error the in-memory mutation has already happened; the
-// caller surfaces the error so the client treats the operation as
-// failed. The memory/disk divergence this leaves (an assigned version
-// the disk never heard of) is the same shape as a lost in-flight
-// writer, which the janitor already cleans up.
+// without one nothing is encoded. It is the middle step of every
+// mutation: the caller validates without changing anything, and applies
+// the record, through the apply replay calls, only once this returned
+// nil, so a refused record changes nothing. Callers hold the stripe
+// lock of the blob the record is about, which orders its records as its
+// mutations, the property replay depends on. The record is on disk
+// before this returns, so no acknowledged mutation — an assigned
+// version number included — is lost to a crash.
 func (s *State) appendStriped(rec func() []byte) error {
 	if s.log == nil {
 		return nil
@@ -331,10 +287,10 @@ func (s *State) loadSnapshot(p []byte) error {
 // is exactly the log prefix it supersedes; version-manager operations
 // pause for the duration.
 func (s *State) snapshot() error {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
 	s.lockAll()
 	defer s.unlockAll()
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
 	return s.log.SaveSnapshot(s.encodeSnapshotAllLocked())
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,18 +245,50 @@ func TestCommitIdempotent(t *testing.T) {
 
 // TestMutationAfterCloseWALFails: a closed log stays attached, so a
 // mutation after CloseWAL fails instead of being acknowledged without
-// ever reaching the log.
+// ever reaching the log, and the refused record changes nothing.
 func TestMutationAfterCloseWALFails(t *testing.T) {
 	s := openState(t, t.TempDir())
 	m, err := s.CreateBlob(4096, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assignCommit(t, s, m.ID, 4096)
+	assignCommit(t, s, m.ID, 4096)
+	in, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
+	before := view(s)
+
 	if _, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion); err == nil {
 		t.Fatal("AssignVersion after CloseWAL succeeded; the assignment was never journaled")
+	}
+	if exp := s.Expired(0); len(exp) != 1 || exp[0].Version != in.Version {
+		t.Errorf("in flight after a refused assign: %+v, want only version %d", exp, in.Version)
+	}
+	if _, err := s.CreateBlob(4096, 1); err == nil {
+		t.Fatal("CreateBlob after CloseWAL succeeded")
+	}
+	if ids := s.Blobs(); !slices.Equal(ids, []blob.ID{m.ID}) {
+		t.Errorf("blobs after a refused create: %v, want [%d]", ids, m.ID)
+	}
+	if _, err := s.Prune(m.ID, 2); err == nil {
+		t.Fatal("Prune after CloseWAL succeeded")
+	}
+	if h, _, _ := s.LatestSince(m.ID, 0, blob.NoVersion); h.Oldest != 1 {
+		t.Errorf("prune point after a refused prune: %d, want 1", h.Oldest)
+	}
+	if err := s.Commit(m.ID, in.Version); err == nil {
+		t.Fatal("Commit after CloseWAL succeeded")
+	}
+	if err := s.Abort(m.ID, in.Version); err == nil {
+		t.Fatal("Abort after CloseWAL succeeded")
+	}
+	if after := view(s); after != before {
+		t.Errorf("refused mutations changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 
@@ -374,5 +407,44 @@ func TestRecoverAbortRecord(t *testing.T) {
 				t.Errorf("commit after recovery = %v, want ErrAborted", err)
 			}
 		})
+	}
+}
+
+// TestCreatesWhileCompacting: creates that re-arm minting under their
+// stripe lock run beside the log's background snapshots, which take
+// every stripe lock and the minting lock, and the log recovers every
+// blob they acknowledged.
+func TestCreatesWhileCompacting(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Recover(log, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				if _, err := s.CreateBlob(4096, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.log.Status(); st.Snapshots == 0 {
+		t.Errorf("no snapshot ran beside the creates: %+v", st)
+	}
+	if got := openState(t, dir).Blobs(); !slices.Equal(got, s.Blobs()) || len(got) != 800 {
+		t.Errorf("recovered %d blobs, want the 800 created", len(got))
 	}
 }

@@ -37,6 +37,14 @@
 // every block of it lives. GC and repair add ListBlobs and Prune.
 // Methods 2, 7, 8, 12, 13 and 14 are retired and answer "unknown
 // method".
+//
+// With a log attached (Recover), every mutation runs in three steps:
+// validate without changing anything, journal its record, then apply
+// the record through the one apply function replay also calls
+// (applyCreate, applyAssign, applyResolve, applyPrune). A refused
+// record — invalid, or one the log failed to write — changes nothing,
+// and a log that failed a write or an fsync refuses every later record,
+// so the live state never holds a mutation recovery would not rebuild.
 package vmanager
 
 import (
@@ -240,11 +248,24 @@ func (s *State) CreateBlob(blockSize int64, replication int) (blob.Meta, error) 
 	st := s.stripeFor(m.ID)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.blobs[m.ID] = &blobState{meta: m, assigned: make(map[blob.Version]time.Time)}
 	if err := s.appendStriped(func() []byte { return encodeCreate(m) }); err != nil {
 		return blob.Meta{}, err
 	}
+	s.applyCreate(st, m)
 	return m, nil
+}
+
+// applyCreate registers the empty blob m and re-arms minting past its
+// ID in this shard's residue class (IDs advance with stride Count),
+// which only a replayed create needs. Callers hold st's lock; nothing
+// takes a stripe lock while it holds idMu.
+func (s *State) applyCreate(st *stripe, m blob.Meta) {
+	st.blobs[m.ID] = &blobState{meta: m, assigned: make(map[blob.Version]time.Time)}
+	s.idMu.Lock()
+	if m.ID >= s.nextID {
+		s.nextID = m.ID + blob.ID(s.shard.Count)
+	}
+	s.idMu.Unlock()
 }
 
 // Blobs lists all blob IDs in ascending order (CLI/debugging).
@@ -336,16 +357,25 @@ func (s *State) Assign(id blob.ID, kind blob.WriteKind, off, size int64, nonce u
 	if err := d.CheckPlacement(bs.meta); err != nil {
 		return Assignment{}, fmt.Errorf("%w: %v", ErrBadPlacement, err)
 	}
-	if err := bs.hist.Append(d); err != nil {
-		return Assignment{}, err
-	}
-	bs.committed = append(bs.committed, false)
 	at := time.Now()
-	bs.assigned[v] = at
 	if err := s.appendStriped(func() []byte { return encodeAssign(id, d, at) }); err != nil {
 		return Assignment{}, err
 	}
+	if err := bs.applyAssign(d, at); err != nil {
+		return Assignment{}, err
+	}
 	return Assignment{Version: v, Off: off, Size: after, Descs: bs.hist.Since(since)}, nil
+}
+
+// applyAssign adds d, the blob's next version, to its history as in
+// flight since at.
+func (bs *blobState) applyAssign(d blob.WriteDesc, at time.Time) error {
+	if err := bs.hist.Append(d); err != nil {
+		return err
+	}
+	bs.committed = append(bs.committed, false)
+	bs.assigned[d.Version] = at
+	return nil
 }
 
 // Commit records that version v's data and metadata are fully written
@@ -366,21 +396,21 @@ func (s *State) Commit(id blob.ID, v blob.Version) error {
 	if d, _ := bs.hist.Desc(v); d.Aborted {
 		return fmt.Errorf("%w: %d", ErrAborted, v)
 	}
-	// Journal *before* the in-memory publish advances: the ack the
-	// client is about to receive promises the version survives a
-	// crash, so the record must be on disk first. Concurrent commits on
-	// other stripes issue their fsyncs in parallel; the WAL coalesces
-	// them into shared group commits.
+	// Concurrent commits on other stripes issue their fsyncs in
+	// parallel; the WAL coalesces them into shared group commits.
 	if err := s.appendStriped(func() []byte { return encodeVersionRec(recCommit, id, v) }); err != nil {
 		return err
 	}
-	bs.commitLocked(v)
+	bs.applyResolve(v, false)
 	return nil
 }
 
-// commitLocked marks v resolved — committed or aborted — and publishes
-// what that lets through.
-func (bs *blobState) commitLocked(v blob.Version) {
+// applyResolve resolves v — committed, or aborted, which marks it so —
+// and publishes what that lets through.
+func (bs *blobState) applyResolve(v blob.Version, aborted bool) {
+	if aborted {
+		bs.hist.MarkAborted(v)
+	}
 	bs.committed[v-1] = true
 	delete(bs.assigned, v)
 	bs.advanceLocked()
@@ -425,8 +455,7 @@ func (s *State) Abort(id blob.ID, v blob.Version) error {
 	if err := s.appendStriped(func() []byte { return encodeVersionRec(recAbort, id, v) }); err != nil {
 		return err
 	}
-	bs.hist.MarkAborted(v)
-	bs.commitLocked(v)
+	bs.applyResolve(v, true)
 	return nil
 }
 
@@ -503,11 +532,17 @@ func (s *State) Prune(id blob.ID, keep blob.Version) (from blob.Version, err err
 	if keep <= from {
 		return keep, nil
 	}
-	bs.prunedBelow = keep
 	if err := s.appendStriped(func() []byte { return encodeVersionRec(recPrune, id, keep) }); err != nil {
 		return 0, err
 	}
+	bs.applyPrune(keep)
 	return from, nil
+}
+
+// applyPrune advances the prune point to keep; a point at or below the
+// current one changes nothing.
+func (bs *blobState) applyPrune(keep blob.Version) {
+	bs.prunedBelow = max(bs.prunedBelow, keep)
 }
 
 // WaitPublished blocks until version v is published or the timeout

@@ -12,7 +12,15 @@
 // and recovery replays them in order into a fresh in-memory state.
 // AppendSync, the only way in, returns once its record is fsynced, so
 // every acknowledged mutation survives a power loss; concurrent
-// appenders share fsyncs (group commit).
+// appenders share fsyncs (group commit). A role validates a mutation,
+// appends its record, and applies it only once AppendSync returned nil,
+// so a refused record changes nothing.
+//
+// A log that failed a write or an fsync stops: every later append and
+// snapshot fails. Past its last fsync the file's content is unknown —
+// a short write leaves a torn record, behind which replay never reads
+// and which Open truncates, with all that follows it — so the one safe
+// next step is a restart, whose Open repairs the tail.
 //
 // On-disk layout (this comment is the format's authoritative doc,
 // alongside the provider and dht wire-format package comments):
@@ -157,6 +165,7 @@ type Log struct {
 	compactFails uint64
 
 	closed bool
+	failed error // the first failed write or fsync, which stopped the log
 }
 
 // Open opens (creating if needed) the log in dir.
@@ -352,33 +361,57 @@ func (l *Log) AppendSync(payload []byte) error {
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
 
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return errClosed
-	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(l.seq + 1); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		l.compactLocked()
-	}
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.size += int64(recHeaderSize + len(payload))
-	l.records++
-	seq := l.records
+	seq, err := l.writeLocked(hdr[:], payload)
 	l.mu.Unlock()
-
+	if err != nil {
+		return err
+	}
 	// Group commit: the record is in the file; fsync outside l.mu so
 	// concurrent appenders keep writing while the flush runs.
 	return l.syncTo(seq)
+}
+
+// writeLocked writes one framed record, rotating first if the segment
+// is full, and returns its append sequence. A failed write stops the
+// log. Callers hold l.mu.
+func (l *Log) writeLocked(hdr, payload []byte) (uint64, error) {
+	if err := l.stoppedLocked(); err != nil {
+		return 0, err
+	}
+	if l.size >= l.opts.SegmentBytes {
+		if err := l.rotateLocked(l.seq + 1); err != nil {
+			return 0, l.failLocked(err)
+		}
+		l.compactLocked()
+	}
+	if _, err := l.f.Write(hdr); err != nil {
+		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
+	}
+	if _, err := l.f.Write(payload); err != nil {
+		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
+	}
+	l.size += int64(len(hdr) + len(payload))
+	l.records++
+	return l.records, nil
+}
+
+// stoppedLocked is the error a closed or failed log answers an append
+// or a snapshot with. Callers hold l.mu.
+func (l *Log) stoppedLocked() error {
+	if l.closed {
+		return errClosed
+	}
+	return l.failed
+}
+
+// failLocked stops the log after err, a failed write or fsync, and
+// returns err. Restart repairs the tail (Open truncates a torn record).
+// Callers hold l.mu.
+func (l *Log) failLocked(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("wal: stopped by an earlier failure: %w", err)
+	}
+	return err
 }
 
 // syncTo returns once record seq is durable. Callers whose record was
@@ -392,9 +425,9 @@ func (l *Log) syncTo(seq uint64) error {
 			l.mu.Unlock()
 			return nil // a previous group commit covered this record
 		}
-		if l.closed {
+		if err := l.stoppedLocked(); err != nil {
 			l.mu.Unlock()
-			return errClosed
+			return err // after a failed fsync, another could falsely succeed
 		}
 		if !l.syncing {
 			break // no leader in flight: lead the next group commit
@@ -432,13 +465,14 @@ func (l *Log) syncTo(seq uint64) error {
 	// A concurrent rotation/snapshot may have synced (then closed) the
 	// segment under us; if it advanced past seq the record is durable
 	// and the stale-handle error is moot.
-	covered := l.synced >= seq
+	if err != nil && l.synced < seq {
+		err = l.failLocked(fmt.Errorf("wal: fsync: %w", err))
+	} else {
+		err = nil
+	}
 	l.syncDone.Broadcast()
 	l.mu.Unlock()
-	if err != nil && !covered {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	return nil
+	return err
 }
 
 // syncLocked fsyncs under l.mu (seal and close paths — not the
@@ -448,7 +482,7 @@ func (l *Log) syncLocked() error {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return l.failLocked(fmt.Errorf("wal: fsync: %w", err))
 	}
 	l.synced, l.syncedSize = l.records, l.size
 	l.syncs++
@@ -471,7 +505,7 @@ func (l *Log) Compact(snapshot func() error) {
 // compactLocked starts the registered compaction if the rule holds and
 // none is running. Callers hold l.mu.
 func (l *Log) compactLocked() {
-	if l.compact == nil || l.compacting || l.closed || l.sealed <= max(l.opts.SegmentBytes, l.snapBytes) {
+	if l.compact == nil || l.compacting || l.stoppedLocked() != nil || l.sealed <= max(l.opts.SegmentBytes, l.snapBytes) {
 		return
 	}
 	l.compacting = true
@@ -518,9 +552,9 @@ func (l *Log) Close() error {
 // and no two calls overlap.
 func (l *Log) SaveSnapshot(state []byte) error {
 	l.mu.Lock()
-	if l.closed {
+	if err := l.stoppedLocked(); err != nil {
 		l.mu.Unlock()
-		return errClosed
+		return err
 	}
 	// Seal the current segment: the snapshot supersedes segments
 	// 1..seq, and new appends go to seq+1 so compaction has a clean
@@ -531,6 +565,7 @@ func (l *Log) SaveSnapshot(state []byte) error {
 	}
 	snapSeq := l.seq
 	if err := l.rotateLocked(l.seq + 1); err != nil {
+		err = l.failLocked(err)
 		l.mu.Unlock()
 		return err
 	}

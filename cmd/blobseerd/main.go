@@ -26,7 +26,7 @@
 //
 //	blobseerd -role pmanager -listen 127.0.0.1:7002 -expire-after 15s
 //	blobseerd -role repair   -vmanager 127.0.0.1:7001 -pmanager 127.0.0.1:7002 \
-//	          -meta 127.0.0.1:7101,127.0.0.1:7102 -repair-interval 30s
+//	          -repair-interval 30s
 //
 // The baseline file system uses the namenode/datanode roles instead:
 //
@@ -82,8 +82,6 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	var (
 		role     = fs.String("role", "", "daemon role: vmanager | pmanager | provider | meta | namespace | repair | namenode | datanode")
 		listen   = fs.String("listen", "127.0.0.1:0", "TCP listen address")
-		metas    = fs.String("meta", "", "comma-separated metadata provider addresses (repair role; required there)")
-		metaRepl = fs.Int("meta-replication", 1, "DHT replication level (repair role)")
 		shard    = fs.String("shard", "", "vmanager: shard identity k/K (e.g. 0/4); empty = unsharded")
 		vmAddr   = fs.String("vmanager", "", "version manager address, comma-separated shard list when sharded (namespace/repair roles)")
 		pmAddr   = fs.String("pmanager", "", "provider manager address (provider role; registers at startup)")
@@ -112,11 +110,8 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		return errors.New("-role is required")
 	}
 	cfg := node.Config{
-		Role: *role,
-		Endpoints: node.Endpoints{
-			VM: node.SplitAddrs(*vmAddr), PM: *pmAddr,
-			Meta: node.SplitAddrs(*metas), MetaReplication: *metaRepl,
-		},
+		Role:         *role,
+		Endpoints:    node.Endpoints{VM: node.SplitAddrs(*vmAddr), PM: *pmAddr},
 		NamenodeAddr: *nnAddr, StoreURL: *storeURL, Host: *host,
 		WriteTimeout: *wtimeout,
 		DataDir:      *dataDir,
@@ -145,7 +140,7 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	cfg.Pool = rpc.NewPool(rpc.TCPDialer)
 	defer cfg.Pool.Close()
 	// The repair daemon serves no RPC: it is a pure client of the
-	// version manager, provider manager, metadata DHT and providers.
+	// version manager, provider manager and providers.
 	if *role != node.Repair {
 		var err error
 		if cfg.Listener, err = rpc.ListenTCP(*listen); err != nil {

@@ -244,7 +244,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-role", "provider"}, "provider: -pmanager is required"},
 		{[]string{"-role", "datanode"}, "datanode: -namenode is required"},
 		{[]string{"-role", "pmanager", "-strategy", "best"}, `unknown strategy "best"`},
-		{[]string{"-role", "repair", "-vmanager", "a", "-pmanager", "b"}, "repair: -vmanager, -pmanager and -meta are required"},
+		{[]string{"-role", "repair", "-vmanager", "a"}, "repair: -vmanager and -pmanager are required"},
+		{[]string{"-role", "repair", "-meta", "a"}, "flag provided but not defined: -meta"},
 		{[]string{"-role", "janitor"}, `unknown role "janitor"`},
 		{[]string{"-role", "tasktracker"}, "tasktracker: Config.FS and a tasktracker's JobTrackerAddr are required"},
 		{[]string{"-role", "vmanager", "-wal-sync", "5ms"}, "flag provided but not defined: -wal-sync"},

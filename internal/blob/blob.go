@@ -176,8 +176,9 @@ type WriteDesc struct {
 	Aborted   bool   // true if the VM aborted the write: it wrote nothing, and no snapshot reads its blocks
 	// Replicas is the write's placement: block i's replica addresses,
 	// primary first, are Replicas[i*R : (i+1)*R] at the blob's
-	// replication R. Nil when the writer sent none.
-	// Read-only: descriptors with the same placement share it.
+	// replication R. Nil when the writer sent none. A repair's
+	// relocation replaces it (History.SetReplicas); nothing changes it in
+	// place: descriptors with the same placement share it.
 	Replicas []string
 }
 
@@ -217,7 +218,8 @@ func (d WriteDesc) CheckPlacement(m Meta) error {
 // AssignVersion/GetHistory replies. The owner serializes its own calls;
 // what it hands out through View and Since is read-only and needs no
 // lock: the backing array is only ever appended to, and an entry that
-// really changes (Extend, MarkAborted) is written to a fresh copy.
+// really changes (Extend, MarkAborted, SetReplicas) is written to a fresh
+// copy.
 // Descs is for reading; change a history through its methods only.
 //
 // Beside Descs a history keeps an index for LatestIntersecting: for every
@@ -334,6 +336,19 @@ func (h *History) MarkAborted(v Version) bool {
 	d, ok := h.Desc(v)
 	if ok {
 		d.Aborted = true
+		h.set(int(v)-1, d)
+	}
+	return ok
+}
+
+// SetReplicas replaces version v's placement with replicas (a
+// relocation); false if v is not recorded. Where a view may alias the
+// entry, the history is copied first, so what was handed out never
+// changes: a call costs O(versions) then.
+func (h *History) SetReplicas(v Version, replicas []string) bool {
+	d, ok := h.Desc(v)
+	if ok {
+		d.Replicas = replicas
 		h.set(int(v)-1, d)
 	}
 	return ok

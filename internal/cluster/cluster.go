@@ -208,7 +208,10 @@ type BlobSeer struct {
 	ProviderAddrs []string
 	MetaAddrs     []string
 	MetaStore     mdtree.Store
-	Overlay       *repair.Overlay
+	// Overlay is always nil: a repair amends the write's placement at
+	// the version manager. It stays for the callers that still hand it
+	// to core.Config.Overlay, which is ignored.
+	Overlay core.LocationOverlay
 
 	clients   *node.Clients // the stack every NewClient/NewBSFS is built from
 	repairEng *repair.Engine
@@ -297,7 +300,7 @@ func (c *BlobSeer) start() error {
 	c.clients = node.Connect(c.Pool, ep)
 	c.clients.Tracer = c.obs.Plane("client").Tracer()
 	c.clients.Tracer.SetSampling(cfg.TraceSample, cfg.TraceSlow)
-	c.MetaStore, c.Overlay = c.clients.MetaStore, c.clients.Overlay
+	c.MetaStore = c.clients.MetaStore
 	// The repair engine runs over the deployment's own client stack, on
 	// demand: tests and tools drive RunOnce.
 	c.repairEng = c.clients.Repair()

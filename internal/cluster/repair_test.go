@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,8 +49,8 @@ func liveItems(cl *cluster.BlobSeer, addrs []string) int64 {
 // test: with R=3, killing one provider after publish converges every
 // affected block back to 3 live replicas with repair traffic pinned to
 // exactly the lost blocks, and reads keep succeeding — through the
-// location overlay — even after every original replica of a block has
-// died post-repair.
+// placements the repair amended — even after every original replica of
+// a block has died post-repair.
 func TestRepairConvergesAfterProviderDeath(t *testing.T) {
 	const nBlocks = 8
 	cl, err := cluster.StartBlobSeer(cluster.Config{
@@ -124,8 +125,7 @@ func TestRepairConvergesAfterProviderDeath(t *testing.T) {
 
 	// Second and third original deaths post-repair: blocks whose whole
 	// original replica set was {p0,p1,p2} are now reachable only via
-	// the overlay's relocated copies. Reads must still return the full
-	// payload.
+	// the relocated copies. Reads must still return the full payload.
 	for _, addr := range cl.ProviderAddrs[1:3] {
 		cl.KillProvider(addr)
 		cl.PMService().State().MarkDead(addr)
@@ -415,9 +415,8 @@ func TestDecommissionDrainThenRetire(t *testing.T) {
 }
 
 // TestOrphanAuditFindsStrays pins the inventory path (block reports
-// over store key enumeration): a block copy that no metadata or
-// overlay record accounts for shows up in the audit, and a clean
-// deployment audits clean.
+// over store key enumeration): a block copy that no placement accounts
+// for shows up in the audit, and a clean deployment audits clean.
 func TestOrphanAuditFindsStrays(t *testing.T) {
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 4,
@@ -437,7 +436,7 @@ func TestOrphanAuditFindsStrays(t *testing.T) {
 	writeBlocks(t, cl, m.ID, 4)
 
 	eng := cl.RepairEngine()
-	orphans, err := eng.Orphans(ctx)
+	_, orphans, err := eng.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,9 +446,9 @@ func TestOrphanAuditFindsStrays(t *testing.T) {
 		}
 	}
 
-	// Plant a stray: a copy of a live block on a provider that is in
-	// neither its replica set nor the overlay (the signature of a
-	// repair push whose relocation record was lost).
+	// Plant a stray: a copy of a live block on a provider that is not
+	// in its placement (the signature of a repair push whose relocation
+	// was refused).
 	var strayAddr string
 	snap, err := pinBlob(ctx, client, m.ID, blob.NoVersion)
 	if err != nil {
@@ -494,7 +493,7 @@ func TestOrphanAuditFindsStrays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orphans, err = eng.Orphans(ctx)
+	_, orphans, err = eng.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,10 +509,11 @@ func TestOrphanAuditFindsStrays(t *testing.T) {
 	}
 }
 
-// TestGCPurgesOverlay pins the overlay lifecycle: version GC deletes
-// relocated replicas with their blocks and removes the overlay entry,
-// leaving no dangling relocation records.
-func TestGCPurgesOverlay(t *testing.T) {
+// TestGCFreesRelocatedReplicas: a repair's copies take their places in
+// their writes' placements, and version GC frees a block wherever its
+// amended placement puts it: the copies of the hidden version's blocks
+// go, the kept version's stay.
+func TestGCFreesRelocatedReplicas(t *testing.T) {
 	cl, err := cluster.StartBlobSeer(cluster.Config{
 		DataProviders: 4,
 		Replication:   2,
@@ -543,66 +543,68 @@ func TestGCPurgesOverlay(t *testing.T) {
 	if _, err := waitBlob(ctx, client, m.ID, v2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	before, err := cluster.HistoryOf(ctx, client.VM(), m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Kill a provider and repair: some blocks gain overlay entries.
+	// Kill a provider and repair: the blocks it held move.
 	victim := cl.ProviderAddrs[0]
 	cl.KillProvider(victim)
 	cl.PMService().State().MarkDead(victim)
 	if _, err := cl.RepairEngine().RunOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	after, err := cluster.HistoryOf(ctx, client.VM(), m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Find the victim-held blocks that gained overlay entries, split by
-	// the version that wrote them (the write nonce identifies it).
-	hist, err := cluster.HistoryOf(ctx, client.VM(), m.ID)
-	if err != nil {
-		t.Fatal(err)
+	// Where each version's blocks were copied: the addresses a block's
+	// replica slot names now and did not before.
+	type copied struct {
+		key  blob.BlockKey
+		addr string
 	}
-	nonceOf := map[blob.Version]uint64{}
+	moved := map[blob.Version][]copied{}
 	for _, v := range []blob.Version{v1, v2} {
-		d, _ := hist.Desc(v)
-		nonceOf[v] = d.Nonce
-	}
-	keys, err := cl.ProviderService(victim).Store().Keys("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1Relocated, v2Relocated []blob.BlockKey
-	for _, k := range keys {
-		bk, err := blob.ParseBlockKey(k)
-		if err != nil {
-			continue
-		}
-		if extras, _ := cl.Overlay.Get(ctx, bk); len(extras) > 0 {
-			switch bk.Nonce {
-			case nonceOf[v1]:
-				v1Relocated = append(v1Relocated, bk)
-			case nonceOf[v2]:
-				v2Relocated = append(v2Relocated, bk)
+		was, _ := before.Desc(v)
+		now, _ := after.Desc(v)
+		for i, addr := range now.Replicas {
+			if addr == victim {
+				t.Errorf("version %d still places block %d on the dead %s: %v", v, i/2, victim, now.Replicas)
+			}
+			if lo := i / 2 * 2; !slices.Contains(was.Replicas[lo:lo+2], addr) {
+				moved[v] = append(moved[v], copied{blob.BlockKey{Blob: m.ID, Nonce: now.Nonce, Seq: uint32(i / 2)}, addr})
 			}
 		}
 	}
-	if len(v1Relocated) == 0 {
-		t.Fatal("repair recorded no overlay entries for v1 blocks")
+	if len(moved[v1]) == 0 {
+		t.Fatal("repair moved no block of v1")
+	}
+	held := func(c copied) bool {
+		_, err := cl.ProviderService(c.addr).Store().Get(c.key.String())
+		return err == nil
+	}
+	for _, c := range append(moved[v1], moved[v2]...) {
+		if !held(c) {
+			t.Fatalf("the copy of %s that %s's placement names is not there", c.key, c.addr)
+		}
 	}
 
-	// GC everything below v2: v1's hidden blocks and their relocation
-	// records go; v2's survive.
+	// GC everything below v2: v1's hidden blocks go, their copies with
+	// them; v2's survive.
 	if _, err := client.GC(ctx, m.ID, v2); err != nil {
 		t.Fatal(err)
 	}
-	for _, bk := range v1Relocated {
-		extras, err := cl.Overlay.Get(ctx, bk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(extras) != 0 {
-			t.Errorf("overlay entry for GC'd block %s survived: %v", bk, extras)
+	for _, c := range moved[v1] {
+		if held(c) {
+			t.Errorf("the copy of GC'd block %s survived on %s", c.key, c.addr)
 		}
 	}
-	for _, bk := range v2Relocated {
-		if extras, _ := cl.Overlay.Get(ctx, bk); len(extras) == 0 {
-			t.Errorf("overlay entry for live block %s purged by GC", bk)
+	for _, c := range moved[v2] {
+		if !held(c) {
+			t.Errorf("the copy of live block %s on %s was freed by GC", c.key, c.addr)
 		}
 	}
 	// The current version still reads.

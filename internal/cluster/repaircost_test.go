@@ -14,7 +14,7 @@ import (
 )
 
 // metaGets sums the metadata providers' "gets" counters: the keys they
-// were asked for, tree nodes and overlay records alike.
+// were asked for.
 func metaGets(cl *cluster.BlobSeer) int64 {
 	var n int64
 	for _, addr := range cl.MetaAddrs {
@@ -24,11 +24,11 @@ func metaGets(cl *cluster.BlobSeer) int64 {
 }
 
 // TestScanReadsNoTreeNode pins what one repair scan of a blob built
-// from single-block appends costs the metadata providers: the one
-// overlay record each of its 256 live blocks is looked up by, and no
-// tree node — the descriptors name every block and its replicas. A scan
-// that fetched each live leaf read 256 nodes here, and one that
-// resolved every version's whole tree 66,305.
+// from single-block appends costs the metadata providers: nothing — the
+// descriptors name every block and its replicas, relocated ones
+// included. A scan that looked up a DHT relocation record per live
+// block asked 256 keys here, one that fetched each live leaf 256 more,
+// and one that resolved every version's whole tree 66,305.
 func TestScanReadsNoTreeNode(t *testing.T) {
 	const versions = 256
 	cl, err := cluster.StartBlobSeer(cluster.Config{BlockSize: int64(blockSize)})
@@ -55,10 +55,9 @@ func TestScanReadsNoTreeNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := repair.New(repair.Config{
-		VM:      vmanager.NewClient(cl.Pool, cl.VMAddrs...),
-		PM:      pmanager.NewClient(cl.Pool, cl.PMAddr),
-		Prov:    provider.NewClient(cl.Pool),
-		Overlay: cl.Overlay,
+		VM:   vmanager.NewClient(cl.Pool, cl.VMAddrs...),
+		PM:   pmanager.NewClient(cl.Pool, cl.PMAddr),
+		Prov: provider.NewClient(cl.Pool),
 	})
 	before, t0 := metaGets(cl), time.Now()
 	tasks, err := eng.Scan(ctx)
@@ -70,7 +69,7 @@ func TestScanReadsNoTreeNode(t *testing.T) {
 	if len(tasks) != 0 {
 		t.Errorf("a fully replicated blob has %d repair tasks", len(tasks))
 	}
-	if gets != versions {
-		t.Errorf("the metadata providers answered %d gets, want %d: one overlay record per live block, no tree node", gets, versions)
+	if gets != 0 {
+		t.Errorf("the metadata providers answered %d gets, want none", gets)
 	}
 }

@@ -67,11 +67,10 @@ type Config struct {
 	// keeps no node cache. It stays for the callers that still set it.
 	MetaCacheSize int
 
-	// Overlay resolves relocated replicas: when the repair plane copies
-	// a block off a dead provider, the new location is recorded here
-	// (descriptors are immutable, so the original replica set a write's
-	// descriptor names never changes). Reads consult it only after
-	// exhausting a block's original replicas; nil disables the lookup.
+	// Overlay is ignored: a repair amends the write's placement at the
+	// version manager, which a reader asks once every replica its
+	// snapshot names has failed. It stays for the callers that still
+	// set it.
 	Overlay LocationOverlay
 
 	// Tracer, when non-nil, records client-side spans (read, readat,
@@ -82,10 +81,7 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// LocationOverlay is the read path's view of the repair plane's
-// relocation records (implemented by repair.Overlay). Get returns the
-// extra providers holding repair copies of the block (nil when none);
-// Remove purges the record when the block itself is garbage-collected.
+// LocationOverlay is the type of the ignored Config.Overlay.
 type LocationOverlay interface {
 	Get(ctx context.Context, key blob.BlockKey) ([]string, error)
 	Remove(ctx context.Context, key blob.BlockKey) error
@@ -94,16 +90,15 @@ type LocationOverlay interface {
 // Client is a BlobSeer client. It is safe for concurrent use; all
 // state it keeps is cache (per-blob state, provider host map).
 type Client struct {
-	vm      *vmanager.Client
-	pm      *pmanager.Client
-	prov    *provider.Client
-	meta    mdtree.Store
-	host    string
-	nonce   nonceSource
-	readRR  atomic.Uint64 // rotates the first replica tried per fetch
-	overlay LocationOverlay
-	reads   util.FreeList[*read]  // readInto's working sets, made as concurrent reads need them
-	writes  util.FreeList[*write] // doWrite's, likewise
+	vm     *vmanager.Client
+	pm     *pmanager.Client
+	prov   *provider.Client
+	meta   mdtree.Store
+	host   string
+	nonce  nonceSource
+	readRR atomic.Uint64         // rotates the first replica tried per fetch
+	reads  util.FreeList[*read]  // readInto's working sets, made as concurrent reads need them
+	writes util.FreeList[*write] // doWrite's, likewise
 
 	// The client's own registry; exporting it is the caller's choice.
 	reg            *obs.Registry
@@ -172,7 +167,6 @@ func NewClient(cfg Config) *Client {
 		prov:           provider.NewClient(cfg.Pool),
 		meta:           cfg.MetaStore,
 		host:           cfg.Host,
-		overlay:        cfg.Overlay,
 		reg:            reg,
 		mResolve:       reg.Histogram("resolve_latency"),
 		chainFallbacks: reg.Counter("chain_fallbacks"),
@@ -186,16 +180,13 @@ func NewClient(cfg Config) *Client {
 		hosts:          make(map[string]string),
 		reported:       make(map[string]time.Time),
 	}
-	if f, ok := cfg.MetaStore.(interface{ Fallbacks() int64 }); ok {
-		reg.GaugeFunc("meta_replica_fallbacks", f.Fallbacks)
-	}
 	return c
 }
 
-// Metrics exposes the client's registry: resolve latency, the metadata
-// store's replica-fallback gauge, failure-feedback counters and the streaming
-// layer's pipeline instruments. Registering it with an obs.Exporter is
-// what makes a client metered.
+// Metrics exposes the client's registry: resolve latency,
+// failure-feedback counters and the streaming layer's pipeline
+// instruments. Registering it with an obs.Exporter is what makes a
+// client metered.
 func (c *Client) Metrics() *obs.Registry { return c.reg }
 
 // ChainFallbacks reports how many blocks this client pushed to every
@@ -660,7 +651,7 @@ func (s *Snapshot) readInto(ctx context.Context, off int64, dst []byte) error {
 	for _, call := range rd.calls {
 		hi := lo + call.Len()
 		if werr := call.Wait(); err == nil {
-			err = c.settle(ctx, fs[lo:hi], rs[lo:hi], werr)
+			err = s.settle(ctx, fs[lo:hi], rs[lo:hi], werr)
 		}
 		lo = hi
 	}
@@ -719,7 +710,8 @@ func (c *Client) firstReplica(ctx context.Context, replicas []string) int {
 
 // settle completes fetches that one call to their first replica read
 // into rs, or failed to with err: then each extent fails over on its own.
-func (c *Client) settle(ctx context.Context, fs []fetch, rs []provider.Range, err error) error {
+func (s *Snapshot) settle(ctx context.Context, fs []fetch, rs []provider.Range, err error) error {
+	c := s.b.c
 	if err != nil {
 		c.reportDead(fs[0].addr(), err)
 	}
@@ -730,7 +722,7 @@ func (c *Client) settle(ctx context.Context, fs []fetch, rs []provider.Range, er
 			// lacks another of the call's: ask it again, alone.
 			askFirst := len(fs) > 1 && !rpc.TransportFailure(err)
 			var ferr error
-			if n, ferr = c.fetchExtentInto(ctx, f, err, askFirst); ferr != nil {
+			if n, ferr = s.fetchExtentInto(ctx, f, err, askFirst); ferr != nil {
 				return ferr
 			}
 		}
@@ -742,13 +734,15 @@ func (c *Client) settle(ctx context.Context, fs []fetch, rs []provider.Range, er
 // fetchExtentInto is one extent's failover after the call to its first
 // replica failed with firstErr: it reads the extent into f.dst from the
 // other replicas in rotation order (then the first one again, when
-// askFirst), and once the original replica set is exhausted from the
-// repair copies the location overlay knows of. It returns the byte count
-// stored (a block shorter than the request leaves a zero tail for the
-// caller to clear). Providers that failed at the transport level are
-// reported to the provider manager.
-func (c *Client) fetchExtentInto(ctx context.Context, f fetch, firstErr error, askFirst bool) (int, error) {
-	e, dst := f.e, f.dst
+// askFirst). Once every replica the snapshot names has failed, a repair
+// may have moved the block since the snapshot was pinned: the version
+// manager is asked once where the block lives now, the client's block
+// index keeps the answer, and the replicas not tried yet are. It
+// returns the byte count stored (a block shorter than the request
+// leaves a zero tail for the caller to clear). Providers that failed at
+// the transport level are reported to the provider manager.
+func (s *Snapshot) fetchExtentInto(ctx context.Context, f fetch, firstErr error, askFirst bool) (int, error) {
+	c, e, dst := s.b.c, f.e, f.dst
 	n := len(e.Block.Providers)
 	tries := n - 1
 	if askFirst {
@@ -764,26 +758,18 @@ func (c *Client) fetchExtentInto(ctx context.Context, f fetch, firstErr error, a
 		c.reportDead(addr, err)
 		lastErr = err
 	}
-	// Every original replica failed; a repair pass may have relocated
-	// the block. Addresses already tried are skipped.
-	if c.overlay != nil {
-		extras, oerr := c.overlay.Get(ctx, e.Block.Key)
-		if oerr == nil {
-			tried := make(map[string]bool, n)
-			for _, a := range e.Block.Providers {
-				tried[a] = true
+	if now, err := c.vm.Replicas(ctx, e.Block.Key); err == nil {
+		s.owners.Relocate(s.b.meta, e.Block.Key, now)
+		for _, addr := range now {
+			if slices.Contains(e.Block.Providers, addr) {
+				continue
 			}
-			for _, addr := range extras {
-				if tried[addr] {
-					continue
-				}
-				got, err := c.prov.GetInto(ctx, addr, e.Block.Key, e.DataOff, dst)
-				if err == nil {
-					return got, nil
-				}
-				c.reportDead(addr, err)
-				lastErr = err
+			got, err := c.prov.GetInto(ctx, addr, e.Block.Key, e.DataOff, dst)
+			if err == nil {
+				return got, nil
 			}
+			c.reportDead(addr, err)
+			lastErr = err
 		}
 	}
 	return 0, fmt.Errorf("core: all replicas failed for %s: %w", e.Block.Key, lastErr)

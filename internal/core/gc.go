@@ -89,8 +89,8 @@ func (c *Client) GC(ctx context.Context, id blob.ID, keep blob.Version) (GCStats
 
 // freeBlocks deletes the blocks version d stored that live, the blocks
 // snapshot keep reads over d's range in block order, does not name.
-// d's placement says where each lives, so no leaf is read; a version
-// whose writer sent no placement frees nothing.
+// d's placement, as repairs amended it, says where each lives, so no
+// leaf is read; a version whose writer sent no placement frees nothing.
 func (c *Client) freeBlocks(ctx context.Context, m blob.Meta, d blob.WriteDesc, live []mdtree.BlockRef, st *GCStats) {
 	if len(d.Replicas) == 0 {
 		return
@@ -107,20 +107,6 @@ func (c *Client) freeBlocks(ctx context.Context, m blob.Meta, d blob.WriteDesc, 
 		for _, addr := range d.Replicas[seq*r : (seq+1)*r] {
 			if err := c.prov.Delete(ctx, addr, key); err == nil {
 				st.BlocksFreed++
-			}
-		}
-		// Repair copies and their overlay record go with the block: a
-		// dangling relocation entry would point readers at storage the
-		// providers already reclaimed.
-		if c.overlay != nil {
-			extras, err := c.overlay.Get(ctx, key)
-			if err == nil {
-				for _, addr := range extras {
-					if err := c.prov.Delete(ctx, addr, key); err == nil {
-						st.BlocksFreed++
-					}
-				}
-				_ = c.overlay.Remove(ctx, key)
 			}
 		}
 	}

@@ -270,9 +270,6 @@ func (c *Client) GetEach(ctx context.Context, n int, key func(i int, dst []byte)
 				nodes = append(nodes, node)
 			}
 			asked[node] = append(asked[node], i)
-			if round > 0 {
-				c.fallbacks.Add(1)
-			}
 		}
 		if len(nodes) == 0 {
 			break

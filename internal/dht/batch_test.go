@@ -33,7 +33,7 @@ func TestDHTPutBatchReplicates(t *testing.T) {
 		if n != 2 {
 			t.Errorf("key %s on %d providers, want 2", kv.Key, n)
 		}
-		got, err := c.Get(ctx, kv.Key)
+		got, err := c.get(ctx, kv.Key)
 		if err != nil || !bytes.Equal(got, kv.Val) {
 			t.Errorf("Get(%s) = %q, %v", kv.Key, got, err)
 		}
@@ -46,7 +46,7 @@ func TestDHTGetBatch(t *testing.T) {
 	keys := make([]string, 80)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
-		if err := c.Put(ctx, keys[i], []byte(keys[i]+"-v")); err != nil {
+		if err := c.put(ctx, keys[i], []byte(keys[i]+"-v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestDHTGetBatch(t *testing.T) {
 func TestDHTGetBatchAuthoritativeMiss(t *testing.T) {
 	c, _ := startDHT(t, 3, 2)
 	ctx := context.Background()
-	if err := c.Put(ctx, "present", []byte("v")); err != nil {
+	if err := c.put(ctx, "present", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetBatch(ctx, []string{"present", "absent-1", "absent-2"})
@@ -91,7 +91,7 @@ func TestDHTGetBatchSurvivesReplicaLoss(t *testing.T) {
 	keys := make([]string, 40)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("node-%d", i)
-		if err := c.Put(ctx, keys[i], []byte{byte(i)}); err != nil {
+		if err := c.put(ctx, keys[i], []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestDHTGetBatchSurvivesReplicaLoss(t *testing.T) {
 func TestDHTGetBatchDeduplicatesKeys(t *testing.T) {
 	c, _ := startDHT(t, 3, 1)
 	ctx := context.Background()
-	if err := c.Put(ctx, "dup", []byte("v")); err != nil {
+	if err := c.put(ctx, "dup", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.GetBatch(ctx, []string{"dup", "dup", "dup"})
@@ -160,13 +160,13 @@ func TestDHTGetMissVsTransportFailure(t *testing.T) {
 	ctx := context.Background()
 
 	c, _ := startDHT(t, 3, 3)
-	_, err := c.Get(ctx, "absent")
+	_, err := c.get(ctx, "absent")
 	if rpc.CodeOf(err) != CodeNotFound {
 		t.Errorf("all-replicas miss: err = %v, want ErrNotFound", err)
 	}
 
 	cd, _ := startDHTDown(t, 3, 1, 3)
-	_, err = cd.Get(ctx, "absent")
+	_, err = cd.get(ctx, "absent")
 	if err == nil {
 		t.Fatal("get with dead replica succeeded")
 	}
@@ -186,7 +186,7 @@ func TestDHTDeleteParallelStillDeletesEverywhere(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("gc-%d", i)
-		if err := c.Put(ctx, k, []byte("x")); err != nil {
+		if err := c.put(ctx, k, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Delete(ctx, k); err != nil {
@@ -259,7 +259,7 @@ func TestDHTPutBatchConcurrentCalls(t *testing.T) {
 					return
 				}
 				for _, kv := range kvs {
-					if got, err := c.Get(ctx, kv.Key); err != nil || !bytes.Equal(got, kv.Val) {
+					if got, err := c.get(ctx, kv.Key); err != nil || !bytes.Equal(got, kv.Val) {
 						errs <- fmt.Errorf("Get(%s) = %q, %v; want %q", kv.Key, got, err, kv.Val)
 						return
 					}

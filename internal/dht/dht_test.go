@@ -9,6 +9,7 @@ import (
 	"blobseer/internal/rpc"
 	"blobseer/internal/store"
 	"blobseer/internal/store/storetest"
+	"blobseer/internal/wire"
 )
 
 func TestRingLookupDeterministic(t *testing.T) {
@@ -68,10 +69,10 @@ func TestClientOnEmptyRingFails(t *testing.T) {
 	pool := rpc.NewPool(rpc.NewInprocNetwork().Dial)
 	t.Cleanup(pool.Close)
 	c, ctx := NewClient(NewRing(nil, 8), pool, 2), context.Background()
-	if err := c.Put(ctx, "k", []byte("v")); err == nil {
+	if err := c.put(ctx, "k", []byte("v")); err == nil {
 		t.Error("put on an empty ring succeeded")
 	}
-	if _, err := c.Get(ctx, "k"); err == nil || rpc.CodeOf(err) == CodeNotFound {
+	if _, err := c.get(ctx, "k"); err == nil || rpc.CodeOf(err) == CodeNotFound {
 		t.Errorf("get on an empty ring = %v, want a failure that is not a miss", err)
 	}
 	if err := c.Delete(ctx, "k"); err == nil {
@@ -141,10 +142,10 @@ func startDHT(t *testing.T, n, replicas int) (*Client, []*MetaService) {
 func TestDHTPutGet(t *testing.T) {
 	c, _ := startDHT(t, 5, 2)
 	ctx := context.Background()
-	if err := c.Put(ctx, "node/1/0/64", []byte("leaf")); err != nil {
+	if err := c.put(ctx, "node/1/0/64", []byte("leaf")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Get(ctx, "node/1/0/64")
+	v, err := c.get(ctx, "node/1/0/64")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestDHTPutGet(t *testing.T) {
 
 func TestDHTMissingKey(t *testing.T) {
 	c, _ := startDHT(t, 3, 2)
-	_, err := c.Get(context.Background(), "absent")
+	_, err := c.get(context.Background(), "absent")
 	if err == nil {
 		t.Fatal("get of absent key succeeded")
 	}
@@ -167,7 +168,7 @@ func TestDHTMissingKey(t *testing.T) {
 func TestDHTReplication(t *testing.T) {
 	c, svcs := startDHT(t, 4, 3)
 	ctx := context.Background()
-	if err := c.Put(ctx, "replicated-key", []byte("v")); err != nil {
+	if err := c.put(ctx, "replicated-key", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
@@ -184,18 +185,18 @@ func TestDHTReplication(t *testing.T) {
 func TestDHTReadSurvivesReplicaLoss(t *testing.T) {
 	c, svcs := startDHT(t, 4, 3)
 	ctx := context.Background()
-	if err := c.Put(ctx, "k", []byte("v")); err != nil {
+	if err := c.put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// Wipe the primary replica's store: reads must fall through to the
 	// surviving replicas.
-	primary := c.Ring().Lookup("k", 1)[0]
+	primary := c.ring.Lookup("k", 1)[0]
 	for i, s := range svcs {
 		if fmt.Sprintf("meta-%d", i) == primary {
 			s.store.Delete("k")
 		}
 	}
-	v, err := c.Get(ctx, "k")
+	v, err := c.get(ctx, "k")
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Get after primary loss = %q, %v", v, err)
 	}
@@ -204,7 +205,7 @@ func TestDHTReadSurvivesReplicaLoss(t *testing.T) {
 func TestDHTDelete(t *testing.T) {
 	c, svcs := startDHT(t, 3, 3)
 	ctx := context.Background()
-	c.Put(ctx, "k", []byte("v"))
+	c.put(ctx, "k", []byte("v"))
 	if err := c.Delete(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestDHTManyKeysSpread(t *testing.T) {
 	c, svcs := startDHT(t, 5, 1)
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
-		if err := c.Put(ctx, fmt.Sprintf("key-%d", i), []byte("x")); err != nil {
+		if err := c.put(ctx, fmt.Sprintf("key-%d", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,4 +229,28 @@ func TestDHTManyKeysSpread(t *testing.T) {
 			t.Errorf("metadata provider %d stores nothing", i)
 		}
 	}
+}
+
+// put stores key on every replica in parallel, a one-key PutEach; it
+// fails if any replica write fails.
+func (c *Client) put(ctx context.Context, key string, val []byte) error {
+	return c.PutBatch(ctx, []wire.KV{{Key: key, Val: val}})
+}
+
+// get fetches key from the first answering replica, a one-key GetEach.
+// It returns ErrNotFound only when every replica authoritatively
+// reported the key missing; if any replica was unreachable the miss is
+// inconclusive and the transport error is returned instead.
+func (c *Client) get(ctx context.Context, key string) ([]byte, error) {
+	var val []byte // non-nil once found: the frame v arrives in is recycled
+	err := c.GetEach(ctx, 1,
+		func(_ int, dst []byte) []byte { return append(dst, key...) },
+		func(_ int, v []byte) { val = append([]byte{}, v...) })
+	if err == nil && val == nil {
+		err = ErrNotFound
+	}
+	if err != nil {
+		return nil, err
+	}
+	return val, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blobseer/internal/obs"
@@ -217,11 +216,6 @@ type Client struct {
 	pool     *rpc.Pool
 	replicas int
 
-	// fallbacks counts reads that could not be served by the first
-	// replica tried and fell through to a later one (dead or lagging
-	// metadata providers make this grow).
-	fallbacks atomic.Int64
-
 	putCalls util.FreeList[*putCall] // PutEach's records, recycled
 }
 
@@ -240,46 +234,12 @@ func NewClient(ring *Ring, pool *rpc.Pool, replicas int) *Client {
 	return &Client{ring: ring, pool: pool, replicas: replicas}
 }
 
-// Ring exposes the client's ring (location queries, tests).
-func (c *Client) Ring() *Ring { return c.ring }
-
-// Fallbacks reports how many reads fell through past the first replica
-// (single and batched gets combined).
-func (c *Client) Fallbacks() int64 { return c.fallbacks.Load() }
-
 // callAddr issues one RPC against a specific metadata provider,
 // re-dialing and retrying transport failures per metaBackoff (see
 // rpc.Pool.Call for enc and dec). Puts and deletes are idempotent;
 // gets are read-only — all safe to repeat.
 func (c *Client) callAddr(ctx context.Context, addr string, m uint16, size int, enc func(*wire.Buffer), dec func([]byte) error) error {
 	return c.pool.Call(ctx, metaBackoff, addr, m, size, enc, dec)
-}
-
-// Put stores key on every replica in parallel, a one-key PutEach; it
-// fails if any replica write fails (metadata must be durable before a
-// version can commit).
-func (c *Client) Put(ctx context.Context, key string, val []byte) error {
-	return c.PutBatch(ctx, []wire.KV{{Key: key, Val: val}})
-}
-
-// Get fetches key from the first answering replica, a one-key GetEach.
-// It returns ErrNotFound only when every replica authoritatively
-// reported the key missing; if any replica was unreachable the miss is
-// inconclusive and the transport error is returned instead, so callers
-// can distinguish "the key does not exist" from "the key may exist on a
-// dead provider".
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	var val []byte // non-nil once found: the frame v arrives in is recycled
-	err := c.GetEach(ctx, 1,
-		func(_ int, dst []byte) []byte { return append(dst, key...) },
-		func(_ int, v []byte) { val = append([]byte{}, v...) })
-	if err == nil && val == nil {
-		err = ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	return val, nil
 }
 
 // Delete removes key from all replicas in parallel (best effort; used

@@ -21,7 +21,7 @@ func TestMethodNumbersPinned(t *testing.T) {
 	c, svcs := startDHT(t, 1, 1)
 	st := svcs[0].Store()
 	call := func(m uint16, req []byte, dec func([]byte) error) error {
-		return c.pool.Call(context.Background(), rpc.Backoff{Attempts: 1}, c.Ring().Nodes()[0], m, len(req),
+		return c.pool.Call(context.Background(), rpc.Backoff{Attempts: 1}, c.ring.Nodes()[0], m, len(req),
 			func(b *wire.Buffer) { copy(b.Extend(len(req)), req) }, dec)
 	}
 	pair := wire.NewBuffer(16)

@@ -119,12 +119,12 @@ func TestFrameOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := c.Get(ctx, key(5))
+		one, err := c.get(ctx, key(5))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ { // recycle every frame those results came in
-			if _, err := c.Get(ctx, key(i%len(kvs))); err != nil {
+			if _, err := c.get(ctx, key(i%len(kvs))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,7 +136,7 @@ func TestFrameOwnership(t *testing.T) {
 
 	t.Run("coded error", func(t *testing.T) {
 		for i := 0; i < 3; i++ {
-			if _, err := c.Get(ctx, "t9/9/9/9"); !errors.Is(err, ErrNotFound) && rpc.CodeOf(err) != CodeNotFound {
+			if _, err := c.get(ctx, "t9/9/9/9"); !errors.Is(err, ErrNotFound) && rpc.CodeOf(err) != CodeNotFound {
 				t.Fatalf("Get of a missing key = %v", err)
 			}
 		}

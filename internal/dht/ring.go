@@ -16,16 +16,14 @@
 //	3 mMetaDelete    request:  key string                   response: empty
 //
 // Keys are stored and fetched only in batches, one multi-key payload per
-// provider instead of one RPC per key; Client.Put and Client.Get are
-// one-key batches. A put sends every provider that holds a replica of
+// provider instead of one RPC per key. A put sends every provider that holds a replica of
 // any pair one frame (a chunk per frame) with all its pairs, in
 // parallel. A get goes in rounds, one per replica: round r sends each
 // provider one mMetaGetBatch (a chunk per frame) with the unresolved
 // keys whose r-th replica it is, in parallel, so a key its primary
 // misses, or whose primary is down, is asked of its next replica in the
-// next round. The reads in production are the repair overlay's one-key
-// gets; the batches of many keys are the tree walks of tests and
-// benchmark probes:
+// next round. No production path reads the DHT; the batches of many
+// keys are the tree walks of tests and benchmark probes:
 //
 //	5 mMetaPutBatch  request:  count u32, then per pair: key string | val bytes32
 //	                 response: empty (the whole batch fails on any error)
@@ -43,8 +41,8 @@
 // that implements store.BatchPutter (the mem store) then keeps the
 // batch with shared backing, every key cut from one string and every
 // value from one buffer, two allocations whatever its size. One batch is
-// one write's tree nodes, which GC deletes together, or a one-key Put's
-// pair, so the shared backing is let go of as a whole.
+// one write's tree nodes, which GC deletes together, so the shared
+// backing is let go of as a whole.
 // The metadata provider answers an mMetaGetBatch with every key cut from
 // one string and every value lent by the store and copied once, into the
 // response.
@@ -67,23 +65,17 @@
 //
 // # Key namespaces
 //
-// Two key families share the DHT, distinguished by prefix:
+// The DHT holds one key family:
 //
 //	"t<blob>/<version>/<off>/<span>"  segment-tree nodes (package mdtree):
 //	                                  written by every write, deleted by
 //	                                  version GC, read by no client — a
 //	                                  pin's descriptors carry each block's
-//	                                  replicas — only by tree walks (the
-//	                                  simulator, tests, benchmarks)
-//	"loc/b<blob>/<nonce hex>/<seq>"   location-overlay entries (package
-//	                                  repair): value is a stringslice of
-//	                                  extra provider addresses holding
-//	                                  repair copies of the block; the one
-//	                                  key family a read may ask for, once
-//	                                  a block's own replicas all failed
+//	                                  replicas, as repairs amended them —
+//	                                  only by tree walks (the simulator,
+//	                                  tests, benchmarks)
 //
-// Tree nodes are immutable; overlay entries are whole-value replaced by
-// the (single-writer) repair engine and deleted by version GC.
+// Tree nodes are immutable.
 package dht
 
 import (

@@ -19,8 +19,10 @@ import (
 // writers, ascending, in a slice only once rewritten: pinning a BSFS
 // file, which writes each block once, costs the map's growth. An aborted
 // write wrote nothing: it keeps its version number, and no block names
-// it. It is extended with *published* descriptors only, which never
-// change. The zero value is empty; safe for concurrent use.
+// it. It is extended with *published* descriptors only, whose ranges
+// never change; a placement changes only by a repair's relocation, which
+// a reader learns block by block (Relocate). The zero value is empty;
+// safe for concurrent use.
 type Owners struct {
 	mu      sync.RWMutex
 	through blob.Version // versions 1..through are indexed
@@ -76,6 +78,27 @@ func (o *Owners) Extend(m blob.Meta, descs []blob.WriteDesc) error {
 		o.through = d.Version
 	}
 	return nil
+}
+
+// Relocate records that a repair moved the block key names to replicas
+// (vmanager.State.Relocate), on a copy of its write's placement, which
+// extents resolved before keep. Replicas that are not one block's, or a
+// key no indexed write stored, change nothing.
+func (o *Owners) Relocate(m blob.Meta, key blob.BlockKey, replicas []string) {
+	if len(replicas) != m.Replication || slices.Contains(replicas, "") {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := len(o.writes) - 1; i >= 0; i-- {
+		if wr := &o.writes[i]; wr.nonce == key.Nonce {
+			if lo := int(key.Seq) * m.Replication; lo+m.Replication <= len(wr.replicas) {
+				wr.replicas = slices.Clone(wr.replicas)
+				copy(wr.replicas[lo:], replicas)
+			}
+			return
+		}
+	}
 }
 
 // ownerLocked returns the newest version <= v that wrote block b and was

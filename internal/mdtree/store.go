@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"blobseer/internal/blob"
-	"blobseer/internal/dht"
 	"blobseer/internal/util"
 	"blobseer/internal/wire"
 )
@@ -149,43 +148,39 @@ func (s *MemStore) Delete(_ context.Context, id NodeID) error {
 // DHTStore adapts the metadata DHT client to the tree Store interface —
 // the production path: tree nodes distributed over metadata providers.
 type DHTStore struct {
-	c       *dht.Client
+	c       dhtClient
 	batches util.FreeList[*nodeBatch] // PutBatch's encoders
 }
 
-// nodeBatch encodes one PutBatch's nodes for the DHT client. It is
-// recycled with its method value bound, so a batch hands the client an
-// encoder without allocating one.
-type nodeBatch struct {
-	nodes  []Node
-	encode func(i int, b *wire.Buffer) // nb.encodeNode
+// dhtClient is what a DHTStore asks of the metadata DHT's client
+// (dht.Client), named here so that importing the block index does not
+// link the DHT.
+type dhtClient interface {
+	PutEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, val func(i int, b *wire.Buffer)) error
+	GetEach(ctx context.Context, n int, key func(i int, dst []byte) []byte, got func(i int, val []byte)) error
+	Delete(ctx context.Context, key string) error
 }
 
-func (nb *nodeBatch) encodeNode(i int, b *wire.Buffer) { encodeNode(b, nb.nodes[i]) }
+// nodeBatch encodes one PutBatch's nodes for the DHT client. It is
+// recycled with its method values bound, so a batch hands the client
+// its key and value encoders without allocating either.
+type nodeBatch struct {
+	nodes  []Node
+	key    func(i int, dst []byte) []byte // nb.appendKey
+	encode func(i int, b *wire.Buffer)    // nb.encodeNode
+}
 
-// NewDHTStore wraps c.
-func NewDHTStore(c *dht.Client) *DHTStore { return &DHTStore{c: c} }
+func (nb *nodeBatch) appendKey(i int, dst []byte) []byte { return nb.nodes[i].ID.AppendKey(dst) }
+func (nb *nodeBatch) encodeNode(i int, b *wire.Buffer)   { encodeNode(b, nb.nodes[i]) }
 
-// Fallbacks surfaces the DHT client's replica-fallback count (reads
-// that could not be served by the first replica tried) so client
-// metrics can export it without reaching through the store.
-func (s *DHTStore) Fallbacks() int64 { return s.c.Fallbacks() }
+// NewDHTStore wraps c, a *dht.Client.
+func NewDHTStore(c dhtClient) *DHTStore { return &DHTStore{c: c} }
 
 // Put implements Store: a one-node PutBatch.
 func (s *DHTStore) Put(ctx context.Context, n Node) error { return s.PutBatch(ctx, []Node{n}) }
 
 // Get implements Store: a one-node GetBatch.
-func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) {
-	got, err := s.GetBatch(ctx, []NodeID{id})
-	if err != nil {
-		return Node{}, err
-	}
-	n, ok := got[id]
-	if !ok {
-		return Node{}, dht.ErrNotFound
-	}
-	return n, nil
-}
+func (s *DHTStore) Get(ctx context.Context, id NodeID) (Node, error) { return getOne(ctx, s, id) }
 
 // PutBatch implements Store: the DHT client groups the nodes by
 // provider, has each encoded straight into its provider's frame and
@@ -194,10 +189,10 @@ func (s *DHTStore) PutBatch(ctx context.Context, nodes []Node) error {
 	nb, ok := s.batches.Get()
 	if !ok {
 		nb = new(nodeBatch)
-		nb.encode = nb.encodeNode
+		nb.key, nb.encode = nb.appendKey, nb.encodeNode
 	}
 	nb.nodes = nodes
-	err := s.c.PutEach(ctx, len(nodes), func(i int, dst []byte) []byte { return nodes[i].ID.AppendKey(dst) }, nb.encode)
+	err := s.c.PutEach(ctx, len(nodes), nb.key, nb.encode)
 	nb.nodes = nil
 	s.batches.Put(nb)
 	return err

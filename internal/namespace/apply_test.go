@@ -2,12 +2,14 @@ package namespace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
 
+	"blobseer/internal/fs"
 	"blobseer/internal/wal"
 )
 
@@ -35,7 +37,8 @@ func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Recover(log, (&seqCreator{}).create)
+	cr := &seqCreator{}
+	s, err := Recover(log, cr.create)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,11 @@ func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 		op, a, b := ops[0], ops[1], ops[2]
 		switch op % 6 {
 		case 0:
+			calls := cr.calls
 			_, err = s.CreateFile(ctx, pathOf(a), 4096, 1, b%2 == 1)
+			if (errors.Is(err, fs.ErrExists) || errors.Is(err, fs.ErrIsDir) || errors.Is(err, fs.ErrNotDir)) && cr.calls != calls {
+				t.Errorf("a create of %s refused with %v minted a blob", pathOf(a), err)
+			}
 		case 1:
 			err = s.Mkdirs(pathOf(a))
 		case 2:
@@ -148,6 +155,33 @@ func FuzzLiveEqualsRecovered(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkLiveEqualsRecovered(t, ops[:min(len(ops), 3*64)])
 	})
+}
+
+// TestRefusedCreatesMintNoBlob: a create that finds a file without
+// overwrite, a directory, or a file on its way is refused before the
+// blob creator is called, so it leaves no blob behind that no file
+// names.
+func TestRefusedCreatesMintNoBlob(t *testing.T) {
+	ctx, cr := context.Background(), &seqCreator{}
+	s := openNS(t, t.TempDir(), cr)
+	if _, err := s.CreateFile(ctx, "/d/f", 4096, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Mkdirs("/e"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		want error
+	}{{"/d/f", fs.ErrExists}, {"/e", fs.ErrIsDir}, {"/", fs.ErrIsDir}, {"/d/f/g", fs.ErrNotDir}} {
+		calls := cr.calls
+		if _, err := s.CreateFile(ctx, tc.path, 4096, 1, false); !errors.Is(err, tc.want) {
+			t.Errorf("create of %s = %v, want %v", tc.path, err, tc.want)
+		}
+		if cr.calls != calls {
+			t.Errorf("the refused create of %s called the blob creator %d times", tc.path, cr.calls-calls)
+		}
+	}
 }
 
 // TestMutationAfterCloseWALFails: a mutation after CloseWAL fails, and

@@ -139,21 +139,25 @@ func (s *State) CreateFile(ctx context.Context, path string, blockSize int64, re
 	if path == "/" {
 		return 0, fs.ErrIsDir
 	}
-	// Allocate the blob before taking the lock (RPC under a mutex
-	// would serialize unrelated namespace traffic).
+	s.mu.RLock()
+	err := s.checkCreate(path, overwrite)
+	s.mu.RUnlock()
+	if err != nil {
+		return 0, err
+	}
+	// Allocate the blob between the two checks, with no lock held (an
+	// RPC under the mutex would serialize unrelated namespace traffic).
+	// That leaves one race: a create the path changed under in between
+	// is refused by the second check, and its blob is named by no file
+	// and on no orphan list, for a sweep of unnamed blobs to reclaim.
 	id, err := s.creator(ctx, blockSize, replication)
 	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch old, parent, _ := s.lookup(path); {
-	case old == nil && parent == nil:
-		return 0, fs.ErrNotDir
-	case old != nil && old.isDir:
-		return 0, fs.ErrIsDir
-	case old != nil && !overwrite:
-		return 0, fs.ErrExists
+	if err := s.checkCreate(path, overwrite); err != nil {
+		return 0, err
 	}
 	// The record carries the allocated blob ID: replay must re-link
 	// the same blob, never re-invoke the creator.
@@ -161,6 +165,21 @@ func (s *State) CreateFile(ctx context.Context, path string, blockSize int64, re
 		return 0, err
 	}
 	return id, s.applyCreate(path, id)
+}
+
+// checkCreate refuses a create of path that applyCreate could not
+// apply, or that would replace a file without overwrite. Callers hold
+// the lock.
+func (s *State) checkCreate(path string, overwrite bool) error {
+	switch old, parent, _ := s.lookup(path); {
+	case old == nil && parent == nil:
+		return fs.ErrNotDir
+	case old != nil && old.isDir:
+		return fs.ErrIsDir
+	case old != nil && !overwrite:
+		return fs.ErrExists
+	}
+	return nil
 }
 
 // applyCreate links path to blob id, creating its parent directories

@@ -52,15 +52,12 @@ func ConnFlags(fs *flag.FlagSet) func() (Endpoints, error) {
 }
 
 // Clients is the client stack over one deployment: the DHT-backed
-// metadata store and relocation overlay, built once, plus constructors
-// for every client that rides on them and on Pool.
+// metadata store, built once, plus constructors for every client that
+// rides on it and on Pool.
 type Clients struct {
 	Endpoints Endpoints
 	Pool      *rpc.Pool
 	MetaStore mdtree.Store
-	// Overlay shares the metadata DHT: relocation records are tiny KV
-	// entries under their own key prefix.
-	Overlay *repair.Overlay
 	// Tracer records the spans of every BLOB client built here (nil =
 	// none); its sampling policy is the caller's.
 	Tracer *obs.Tracer
@@ -70,7 +67,7 @@ type Clients struct {
 // until a client is used.
 func Connect(pool *rpc.Pool, ep Endpoints) *Clients {
 	kv := dht.NewClient(dht.NewRing(ep.Meta, dht.DefaultVnodes), pool, ep.MetaReplication)
-	return &Clients{Endpoints: ep, Pool: pool, MetaStore: mdtree.NewDHTStore(kv), Overlay: repair.NewOverlay(kv)}
+	return &Clients{Endpoints: ep, Pool: pool, MetaStore: mdtree.NewDHTStore(kv)}
 }
 
 // VM returns a client over every version-manager shard.
@@ -91,7 +88,6 @@ func (c *Clients) Core(host string) *core.Client {
 		PMAddr:    c.Endpoints.PM,
 		MetaStore: c.MetaStore,
 		Host:      host,
-		Overlay:   c.Overlay,
 		Tracer:    c.Tracer,
 	})
 }
@@ -104,12 +100,9 @@ func (c *Clients) BSFS(cl *core.Client, cfg bsfs.Config) (*bsfs.FS, error) {
 	return bsfs.New(cfg)
 }
 
-// Repair returns a repair engine (scanner and executor) over the stack.
+// Repair returns a repair engine (scanner and executor) over the stack:
+// it asks the version managers, the provider manager and the providers,
+// never the metadata DHT.
 func (c *Clients) Repair() *repair.Engine {
-	return repair.New(repair.Config{
-		VM:      c.VM(),
-		PM:      c.PM(),
-		Prov:    provider.NewClient(c.Pool),
-		Overlay: c.Overlay,
-	})
+	return repair.New(repair.Config{VM: c.VM(), PM: c.PM(), Prov: provider.NewClient(c.Pool)})
 }

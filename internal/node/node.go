@@ -248,8 +248,8 @@ func (n *Node) build() (mux *rpc.Mux, err error) {
 		return n.TT.Mux(), nil
 
 	case Repair:
-		if len(cfg.VM) == 0 || cfg.PM == "" || len(cfg.Meta) == 0 {
-			return nil, errors.New("repair: -vmanager, -pmanager and -meta are required")
+		if len(cfg.VM) == 0 || cfg.PM == "" {
+			return nil, errors.New("repair: -vmanager and -pmanager are required")
 		}
 		if cfg.RepairInterval <= 0 {
 			return nil, errors.New("repair: -repair-interval must be positive")
@@ -307,6 +307,12 @@ func walGauges(reg *obs.Registry, log *wal.Log) {
 	gauge("unsnapshotted", func(st wal.Status) int64 { return int64(st.LastSeq - st.SnapshotSeq) })
 	gauge("snapshots", func(st wal.Status) int64 { return int64(st.Snapshots) })
 	gauge("compact_failures", func(st wal.Status) int64 { return int64(st.CompactFailures) })
+	gauge("stopped", func(st wal.Status) int64 {
+		if st.Stopped {
+			return 1
+		}
+		return 0
+	})
 }
 
 // announce registers a storage node with its manager, so clients need

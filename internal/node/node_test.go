@@ -71,7 +71,7 @@ func TestDurableRolesExportWALGauges(t *testing.T) {
 
 	for name, reg := range map[string]*obs.Registry{"vmanager": vm.VM.Metrics(), "namespace": ns.NS.Metrics()} {
 		g := reg.Snapshot().Gauges
-		for _, k := range []string{"wal_segments", "wal_log_bytes", "wal_records", "wal_syncs", "wal_snapshots", "wal_compact_failures"} {
+		for _, k := range []string{"wal_segments", "wal_log_bytes", "wal_records", "wal_syncs", "wal_snapshots", "wal_compact_failures", "wal_stopped"} {
 			if _, ok := g[k]; !ok {
 				t.Errorf("%s exports no %s gauge: %v", name, k, g)
 			}

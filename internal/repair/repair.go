@@ -1,8 +1,24 @@
+// Package repair implements BlobSeer's self-healing maintenance plane:
+// a scanner that reads published versions' descriptors and diffs every
+// block's replica set against live membership, and a bounded-concurrency
+// executor that drives provider-to-provider re-replication until each
+// block is back at its target replication level.
+//
+// A write's bytes and range never change after its ack; its placement
+// may. A copy repair pushes takes the slot of a replica on a dead or
+// draining provider in its write's placement, which the version manager
+// amends (vmanager.State.Relocate), one call per blob per pass. Readers,
+// the garbage collector and the next scan name the copy from the
+// descriptors, as they name every replica, so there is no second
+// placement map, and a pass needs no metadata provider.
 package repair
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,10 +40,9 @@ const (
 
 // Config wires an Engine to a deployment.
 type Config struct {
-	VM      *vmanager.Client
-	PM      *pmanager.Client
-	Prov    *provider.Client
-	Overlay *Overlay // relocation records (must be non-nil)
+	VM   *vmanager.Client
+	PM   *pmanager.Client
+	Prov *provider.Client
 }
 
 // Engine is the repair plane: Scan finds under-replicated blocks,
@@ -39,7 +54,11 @@ type Engine struct {
 	cfg Config
 	reg *obs.Registry
 
-	runMu slot // serializes RunOnce/Decommission
+	// runMu serializes RunOnce/Decommission. It is a one-slot channel,
+	// not a sync.Mutex, because a pass waits on the network: a waiter
+	// whose context ends leaves at once with its error instead of
+	// queueing behind a holder that never returns.
+	runMu chan struct{}
 
 	mu   sync.Mutex
 	stop chan struct{}
@@ -48,7 +67,7 @@ type Engine struct {
 
 // New returns an engine over cfg.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, reg: obs.NewRegistry(), runMu: make(slot, 1)}
+	e := &Engine{cfg: cfg, reg: obs.NewRegistry(), runMu: make(chan struct{}, 1)}
 	lastGauge := func(pick func(Report) int64) func() int64 {
 		return func() int64 { return pick(e.LastReport()) }
 	}
@@ -67,9 +86,13 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 type Task struct {
 	Key     blob.BlockKey
 	Len     int64    // stored bytes (repair traffic accounting)
-	Holders []string // live providers currently holding the block (originals + overlay)
+	Holders []string // live providers of the block's placement
 	Sources []string // usable copy sources (live, including draining providers)
 	Missing int      // replicas to create
+	// Replaced names the placement's addresses off live membership,
+	// dead ones before draining ones: the copies take their slots, in
+	// this order.
+	Replaced []string
 }
 
 // Report summarizes one repair pass.
@@ -88,10 +111,6 @@ func (e *Engine) LastReport() Report {
 	defer e.mu.Unlock()
 	return e.last
 }
-
-// Copies returns the cumulative number of replicas the engine created —
-// the op-count regression tests pin it to exactly the lost blocks.
-func (e *Engine) Copies() int64 { return e.reg.Counter("re_replications").Value() }
 
 // membership is the scanner's view of the provider pool.
 type membership struct {
@@ -133,10 +152,9 @@ type scannedBlock struct {
 }
 
 // Scan reads every blob's still-readable published versions, collects
-// the unique blocks their descriptors place, and diffs each
-// block's replica set (original providers plus overlay relocations)
-// against live membership. It returns the repair work list; an empty
-// list means the deployment is fully replicated.
+// the unique blocks their descriptors place, and diffs each block's
+// replica set against live membership. It returns the repair work
+// list; an empty list means the deployment is fully replicated.
 func (e *Engine) Scan(ctx context.Context) ([]Task, error) {
 	mem, err := e.membership(ctx)
 	if err != nil {
@@ -154,7 +172,7 @@ func (e *Engine) Scan(ctx context.Context) ([]Task, error) {
 type scanState struct {
 	tasks   []Task
 	nBlocks int
-	holders map[blob.BlockKey]map[string]bool // originals ∪ overlay, live or not
+	holders map[blob.BlockKey]map[string]bool // the placement's, live or not
 	nonces  map[blob.ID]map[uint64]bool       // every published write's, per blob
 }
 
@@ -167,17 +185,17 @@ func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, err
 	}
 	st := &scanState{nBlocks: len(blocks), holders: make(map[blob.BlockKey]map[string]bool, len(blocks)), nonces: nonces}
 	for _, sb := range blocks {
-		extras, err := e.cfg.Overlay.Get(ctx, sb.ref.Key)
-		if err != nil {
-			return nil, fmt.Errorf("repair: overlay lookup %s: %w", sb.ref.Key, err)
-		}
-		all := dedupAddrs(sb.ref.Providers, extras)
-		recorded := make(map[string]bool, len(all))
-		var holders, sources []string
-		for _, a := range all {
+		recorded := make(map[string]bool, len(sb.ref.Providers))
+		var holders, sources, dead, draining []string
+		for _, a := range sb.ref.Providers {
 			recorded[a] = true
-			if mem.live[a] {
+			switch {
+			case mem.live[a]:
 				holders = append(holders, a)
+			case mem.source[a]:
+				draining = append(draining, a)
+			default:
+				dead = append(dead, a)
 			}
 			if mem.source[a] {
 				sources = append(sources, a)
@@ -189,11 +207,12 @@ func (e *Engine) scanWith(ctx context.Context, mem *membership) (*scanState, err
 			continue
 		}
 		st.tasks = append(st.tasks, Task{
-			Key:     sb.ref.Key,
-			Len:     sb.ref.Len,
-			Holders: holders,
-			Sources: sources,
-			Missing: missing,
+			Key:      sb.ref.Key,
+			Len:      sb.ref.Len,
+			Holders:  holders,
+			Sources:  sources,
+			Missing:  missing,
+			Replaced: append(dead, draining...),
 		})
 	}
 	// Deterministic execution order (and stable tests).
@@ -248,31 +267,20 @@ func (e *Engine) collectBlocks(ctx context.Context) (map[blob.BlockKey]*scannedB
 	return out, nonces, nil
 }
 
-func dedupAddrs(sets ...[]string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, set := range sets {
-		for _, a := range set {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}
-
 // RunOnce performs one scan-and-repair pass: every under-replicated
-// block is pushed to freshly chosen live providers, relocations are
-// recorded in the overlay, and the pass's report is returned. Repair
-// traffic is exactly the missing replicas — blocks already at their
-// replication target move zero bytes. A pass waits for the one in
-// progress, and returns ctx.Err() if its context ends first.
+// block is pushed to freshly chosen live providers, each blob's copies
+// then take the slots of the replicas they replace in one Relocate, and
+// the pass's report is returned. Repair traffic is exactly the missing
+// replicas — blocks already at their replication target move zero
+// bytes. A pass waits for the one in progress, and returns ctx.Err() if
+// its context ends first.
 func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
-	if err := e.runMu.lock(ctx); err != nil {
-		return Report{}, err
+	select {
+	case e.runMu <- struct{}{}:
+		defer func() { <-e.runMu }()
+	case <-ctx.Done():
+		return Report{}, ctx.Err()
 	}
-	defer e.runMu.unlock()
 	start := time.Now()
 	mem, err := e.membership(ctx)
 	if err != nil {
@@ -285,7 +293,9 @@ func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
 	tasks := st.tasks
 
 	rep := Report{Blocks: st.nBlocks, UnderReplicated: len(tasks)}
-	var mu sync.Mutex // guards rep counters and mem.load
+	var mu sync.Mutex // guards rep counters, mem.load and the moves
+	moves := make(map[blob.ID][]vmanager.Move)
+	blocks := make(map[blob.ID]int) // the blocks each blob's moves copied
 	sem := make(chan struct{}, parallelRepairs)
 	var wg sync.WaitGroup
 	for _, t := range tasks {
@@ -298,7 +308,7 @@ func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
 		go func(t Task) {
 			defer func() { <-sem; wg.Done() }()
 			mu.Lock()
-			targets := pickTargets(mem, t, t.Missing)
+			targets := pickTargets(mem, t, min(t.Missing, len(t.Replaced)))
 			mu.Unlock()
 			if len(targets) == 0 {
 				mu.Lock()
@@ -306,21 +316,38 @@ func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
 				mu.Unlock()
 				return
 			}
-			n, err := e.repairBlock(ctx, t, targets)
+			err := e.repairBlock(ctx, t, targets)
 			mu.Lock()
-			rep.Copies += n
+			defer mu.Unlock()
 			if err != nil {
 				rep.Failed++
 				// The copies were not made: return the load charge so
 				// later passes don't see phantom placement.
-				for _, a := range targets[n:] {
+				for _, a := range targets {
 					mem.load[a]--
 				}
+				return
 			}
-			mu.Unlock()
+			for i, to := range targets {
+				moves[t.Key.Blob] = append(moves[t.Key.Blob], vmanager.Move{Key: t.Key, From: t.Replaced[i], To: to})
+			}
+			blocks[t.Key.Blob]++
 		}(t)
 	}
 	wg.Wait()
+	// A relocation the version manager refuses leaves its blob's copies
+	// unrecorded: the next scan still counts those blocks
+	// under-replicated and copies them again, which overwrites
+	// idempotently.
+	var errs []error
+	for _, id := range slices.Sorted(maps.Keys(moves)) {
+		if err := e.cfg.VM.Relocate(ctx, id, moves[id]); err != nil {
+			rep.Failed += blocks[id]
+			errs = append(errs, fmt.Errorf("repair: relocate blocks of blob %d: %w", id, err))
+			continue
+		}
+		rep.Copies += len(moves[id])
+	}
 	rep.Elapsed = time.Since(start)
 	e.mu.Lock()
 	e.last = rep
@@ -328,9 +355,9 @@ func (e *Engine) RunOnce(ctx context.Context) (Report, error) {
 	e.reg.Counter("passes").Inc()
 	e.reg.Counter("re_replications").Add(int64(rep.Copies))
 	if rep.Failed > 0 {
-		return rep, fmt.Errorf("repair: %d of %d under-replicated blocks not repaired", rep.Failed, rep.UnderReplicated)
+		errs = append([]error{fmt.Errorf("repair: %d of %d under-replicated blocks not repaired", rep.Failed, rep.UnderReplicated)}, errs...)
 	}
-	return rep, nil
+	return rep, errors.Join(errs...)
 }
 
 // pickTargets chooses up to n live providers that do not already hold
@@ -363,10 +390,9 @@ func pickTargets(mem *membership, t Task, n int) []string {
 }
 
 // repairBlock pushes the block from one of its sources to targets,
-// rotating sources and backing off between attempts. It returns the
-// number of replicas created (all-or-nothing per chained push, so on
-// success that is len(targets)).
-func (e *Engine) repairBlock(ctx context.Context, t Task, targets []string) (int, error) {
+// rotating sources and backing off between attempts. A chained push
+// is all-or-nothing: on success every target holds a copy.
+func (e *Engine) repairBlock(ctx context.Context, t Task, targets []string) error {
 	backoff := retryBackoff
 	var lastErr error
 	for attempt := 0; attempt < repairAttempts; attempt++ {
@@ -375,54 +401,37 @@ func (e *Engine) repairBlock(ctx context.Context, t Task, targets []string) (int
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
-				return 0, ctx.Err()
+				return ctx.Err()
 			}
 			backoff *= 2
 		}
 		src := t.Sources[attempt%len(t.Sources)]
-		if err := e.cfg.Prov.Replicate(ctx, src, t.Key, targets); err != nil {
-			lastErr = err
-			continue
+		if lastErr = e.cfg.Prov.Replicate(ctx, src, t.Key, targets); lastErr == nil {
+			return nil
 		}
-		if err := e.cfg.Overlay.Add(ctx, t.Key, targets); err != nil {
-			// The copies exist but are unrecorded: the next scan still
-			// counts the block under-replicated and retries, and the
-			// re-push overwrites idempotently.
-			return 0, fmt.Errorf("repair: record overlay for %s: %w", t.Key, err)
-		}
-		return len(targets), nil
 	}
-	return 0, fmt.Errorf("repair: block %s: %w", t.Key, lastErr)
+	return fmt.Errorf("repair: block %s: %w", t.Key, lastErr)
 }
 
-// Orphans audits provider inventory against referenced metadata: every
-// live provider's block report (the mBlockReport RPC over
-// store.Store.Keys) is diffed against the union of replica sets and
-// overlay relocations the scanner derives. A held block counts as an
-// orphan when nothing can ever read or reclaim it through this
-// provider:
+// Status performs one metadata scan and returns both the repair work
+// list (Scan's) and, per live provider, its orphans — what bsfsctl's
+// providers command shows. The orphan audit diffs every live provider's
+// block report (the mBlockReport RPC over store.Store.Keys) against the
+// placements the scan derives. A held block counts as an orphan when
+// nothing can ever read or reclaim it through this provider:
 //
 //   - its blob is unknown to the version manager;
 //   - its write is published, but no still-readable version reads it:
 //     the write was aborted (the best-effort GC missed this copy), or
 //     pruned and hidden by later writes;
-//   - the block is referenced, but this provider is in neither the
-//     original replica set nor the overlay (a stray copy — e.g. leaked
-//     by a repair push whose overlay record was lost, or left behind on
-//     a drained provider).
+//   - the block is referenced, but this provider is not in its
+//     placement (a stray copy — e.g. leaked by a repair push whose
+//     relocation was refused, or left on a provider that came back
+//     after a repair replaced it).
 //
 // Blocks whose nonce appears in no descriptor are skipped: a write in
 // flight stores its blocks before version assignment, so they are
 // indistinguishable from future data.
-func (e *Engine) Orphans(ctx context.Context) (map[string]int, error) {
-	_, orphans, err := e.Status(ctx)
-	return orphans, err
-}
-
-// Status performs one combined metadata scan and returns both the
-// repair work list and the orphan audit — what bsfsctl's providers
-// command shows. Callers needing both must use this instead of
-// Scan+Orphans, which would each pay a full scan of their own.
 func (e *Engine) Status(ctx context.Context) ([]Task, map[string]int, error) {
 	mem, err := e.membership(ctx)
 	if err != nil {

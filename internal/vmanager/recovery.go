@@ -11,7 +11,7 @@ import (
 )
 
 // WAL record types. The version manager logs every state mutation —
-// create/assign/commit/abort/prune — and recovery replays them into a
+// create/assign/commit/abort/prune/relocate — and recovery replays them into a
 // fresh State. Records are self-contained (they carry the values the
 // mutation *produced*, e.g. the assigned version and fixed offset), so
 // replay never re-runs validation or re-derives anything.
@@ -24,6 +24,7 @@ const (
 	recAbort
 	recPrune
 	recAssign
+	recRelocate
 )
 
 // errNoPlacement fails the recovery of a log written before the version
@@ -164,6 +165,12 @@ func (s *State) applyRecord(p []byte) error {
 			return err
 		}
 		bs.applyPrune(keep)
+	case recRelocate:
+		moves, err := decodeMoves(r, id, &s.placements)
+		if err != nil {
+			return err
+		}
+		return bs.applyRelocate(moves, &s.placements) // skips moves already applied
 	default:
 		return fmt.Errorf("vmanager: unknown WAL record type %d", t)
 	}

@@ -30,6 +30,11 @@ const (
 	mPrune
 	// 12 (PrunedBelow) is retired: the head carries the prune point.
 	// 13 and 14 are retired: the log compacts itself (wal.Log.Compact).
+	_
+	_
+	_
+	mRelocate
+	mReplicas
 )
 
 // OpCounts is the per-operation dispatch breakdown of one
@@ -127,7 +132,34 @@ func (s *Service) Mux() *rpc.Mux {
 	m.HandleFrame(mWaitPublished, "wait", s.handleWait)
 	m.HandleFrame(mListBlobs, "list", s.handleListBlobs)
 	m.HandleFrame(mPrune, "prune", s.handlePrune)
+	m.HandleFrame(mRelocate, "relocate", s.handleRelocate)
+	m.HandleFrame(mReplicas, "replicas", s.handleReplicas)
 	return m
+}
+
+func (s *Service) handleRelocate(ctx context.Context, p []byte) (*wire.Buffer, error) {
+	r := wire.NewReader(p)
+	id := blob.ID(r.U64())
+	moves, err := decodeMoves(r, id, &s.state.placements)
+	if err != nil {
+		return nil, err
+	}
+	return nil, s.state.Relocate(id, moves)
+}
+
+func (s *Service) handleReplicas(ctx context.Context, p []byte) (*wire.Buffer, error) {
+	r := wire.NewReader(p)
+	key := blob.BlockKey{Blob: blob.ID(r.U64()), Nonce: r.U64(), Seq: r.U32()}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	addrs, err := s.state.Replicas(key)
+	if err != nil {
+		return nil, err
+	}
+	b := rpc.NewFrame(64)
+	b.StringSlice(addrs)
+	return b, nil
 }
 
 func (s *Service) handleCreate(ctx context.Context, p []byte) (*wire.Buffer, error) {
@@ -499,6 +531,31 @@ func (c *Client) ListBlobs(ctx context.Context) ([]blob.ID, error) {
 	}
 	slices.Sort(out)
 	return out, nil
+}
+
+// Relocate amends the placements of published writes of blob id by
+// moves (see State.Relocate).
+func (c *Client) Relocate(ctx context.Context, id blob.ID, moves []Move) error {
+	return c.call(ctx, ShardOf(id, len(c.addrs)), mRelocate, 12+64*len(moves), func(b *wire.Buffer) {
+		b.U64(uint64(id))
+		encodeMoves(b, moves)
+	}, nil)
+}
+
+// Replicas returns the replica addresses of the block key names, primary
+// first, as relocations left them (see State.Replicas).
+func (c *Client) Replicas(ctx context.Context, key blob.BlockKey) ([]string, error) {
+	var addrs []string
+	err := c.call(ctx, ShardOf(key.Blob, len(c.addrs)), mReplicas, 20, func(b *wire.Buffer) {
+		b.U64(uint64(key.Blob))
+		b.U64(key.Nonce)
+		b.U32(key.Seq)
+	}, func(p []byte) error {
+		r := wire.NewReader(p)
+		addrs = r.StringSlice()
+		return r.Err()
+	})
+	return addrs, err
 }
 
 // versionReply decodes a response that is one version number.

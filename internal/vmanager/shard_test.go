@@ -306,12 +306,16 @@ func TestClientRoutesPerBlobOps(t *testing.T) {
 // the history, and 13 (WAL status) and 14 (forced snapshot), since the
 // log compacts itself; no later method reuses their numbers: a caller
 // built before the retirement gets "unknown method", never another
-// operation's answer. Eight methods are served.
+// operation's answer. Ten methods are served: Relocate and Replicas
+// came after the retirements, as 15 and 16.
 func TestRetiredMethodsUnknown(t *testing.T) {
 	c, _ := startShardedVM(t, 1)
+	if mRelocate != 15 || mReplicas != 16 {
+		t.Fatalf("Relocate and Replicas are methods %d and %d, want 15 and 16", mRelocate, mReplicas)
+	}
 	retired := []uint16{2, 7, 8, 12, 13, 14}
 	served := 0
-	for m := uint16(1); m <= 16; m++ {
+	for m := uint16(1); m <= 20; m++ {
 		err := c.call(context.Background(), 0, m, 0, nil, nil)
 		unknown := err != nil && strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", m))
 		if !unknown {
@@ -321,7 +325,7 @@ func TestRetiredMethodsUnknown(t *testing.T) {
 			t.Errorf("retired method %d answered %v, want unknown method", m, err)
 		}
 	}
-	if served != 8 {
-		t.Errorf("%d methods are served, want 8", served)
+	if served != 10 {
+		t.Errorf("%d methods are served, want 10", served)
 	}
 }

@@ -28,20 +28,24 @@
 // base, see core.Blob.Append). If the janitor aborts it, the tail it
 // carried reads as it did before, as under any aborted write.
 //
-// A service answers eight RPC methods. Writers call CreateBlob,
+// A service answers ten RPC methods. Writers call CreateBlob,
 // AssignVersion (which carries the write's placement: every block's
 // replica addresses, and an append's base), Commit and Abort. Readers call Latest and
 // WaitPublished: each reply is the blob's Head (meta, published
 // version, prune point, size), then a page of the published history,
 // placements included, so one call pins a snapshot and tells where
-// every block of it lives. GC and repair add ListBlobs and Prune.
+// every block of it lives. GC and repair add ListBlobs and Prune, and
+// repair Relocate: the version manager is the one authority on where a
+// block lives, and a copy repair pushes off a dead provider takes that
+// replica's place in its write's placement. A reader whose every
+// replica of a block failed asks Replicas once for where it lives now.
 // Methods 2, 7, 8, 12, 13 and 14 are retired and answer "unknown
 // method".
 //
 // With a log attached (Recover), every mutation runs in three steps:
 // validate without changing anything, journal its record, then apply
 // the record through the one apply function replay also calls
-// (applyCreate, applyAssign, applyResolve, applyPrune). A refused
+// (applyCreate, applyAssign, applyResolve, applyPrune, applyRelocate). A refused
 // record — invalid, or one the log failed to write — changes nothing,
 // and a log that failed a write or an fsync refuses every later record,
 // so the live state never holds a mutation recovery would not rebuild.
@@ -481,9 +485,10 @@ const latestDescsCap = 8192
 // NoVersion or not yet published), plus the first page of the
 // descriptors of (since, published] as a read-only view — the hint
 // AssignVersion hands a writer, so the reader names every block's
-// replicas from it and reads no metadata tree. Published versions only (their descriptors
-// can no longer change or vanish), at most latestDescsCap of them, and
-// none for a since at or past the published version.
+// replicas from it and reads no metadata tree. Published versions only
+// (their ranges and nonces can no longer change or vanish; a placement
+// changes only by Relocate), at most latestDescsCap of them, and none
+// for a since at or past the published version.
 func (s *State) LatestSince(id blob.ID, since, at blob.Version) (Head, []blob.WriteDesc, error) {
 	st := s.stripeFor(id)
 	st.mu.Lock()

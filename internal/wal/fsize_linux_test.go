@@ -15,9 +15,9 @@ import (
 // the process's file-size limit leaves a torn record in the segment.
 // An append acknowledged after it would land behind the torn record,
 // which Open truncates with all that follows it, so the log refuses
-// every append after a failed one, and every acknowledged record
-// survives the reopen. The limit is process-wide: this test must not
-// run in parallel with another.
+// every append after a failed one, says so in its Status, and every
+// acknowledged record survives the reopen. The limit is process-wide:
+// this test must not run in parallel with another.
 func TestNoAcknowledgedRecordLostAfterFailedAppend(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -57,10 +57,16 @@ func TestNoAcknowledgedRecordLostAfterFailedAppend(t *testing.T) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &cut); err != nil {
 		t.Skipf("cannot lower the file-size limit: %v", err)
 	}
+	if l.Status().Stopped {
+		t.Fatal("a log that never failed reads as stopped")
+	}
 	failed := l.AppendSync(bytes.Repeat([]byte("x"), 64))
 	restore()
 	if failed == nil {
 		t.Fatal("an append past the file-size limit succeeded")
+	}
+	if !l.Status().Stopped {
+		t.Error("a log a failed write stopped does not read as stopped")
 	}
 
 	after := []byte("acked-after-failure")

@@ -115,6 +115,7 @@ type Status struct {
 	LastSyncUnix    int64  // wall time of the last fsync, 0 if never
 	Snapshots       uint64 // snapshots saved since Open
 	CompactFailures uint64 // compactions that failed since Open, each retried at the next rotation
+	Stopped         bool   // a failed write or fsync stopped the log: it refuses every append until a restart reopens it
 }
 
 // Log is an append-only record log. All methods are safe for
@@ -668,6 +669,7 @@ func (l *Log) Status() Status {
 		Syncs:           l.syncs,
 		Snapshots:       l.snapshots,
 		CompactFailures: l.compactFails,
+		Stopped:         l.failed != nil,
 	}
 	if !l.lastSync.IsZero() {
 		st.LastSyncUnix = l.lastSync.Unix()

@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 		seed     = fs.Uint64("seed", 1, "placement RNG seed (random/sticky)")
 		stickyW  = fs.Int("sticky-window", 8, "sticky placement window (namenode's HDFS-0.20-like clustering)")
 		blockSz  = fs.Int64("block-size", 64*util.MB, "chunk size in bytes (namenode)")
-		wtimeout = fs.Duration("write-timeout", 0, "vmanager: abort writers silent for this long (0 disables the janitor)")
+		wtimeout = fs.Duration("write-timeout", node.DefaultWriteTimeout, "vmanager: abort writes uncommitted this long after their assign (0 disables the janitor)")
 		dataDir  = fs.String("data-dir", "", "vmanager/namespace: WAL directory for crash-durable state (default: volatile)")
 		hbEvery  = fs.Duration("heartbeat", 5*time.Second, "provider: heartbeat interval to the provider manager (0 disables)")
 		expire   = fs.Duration("expire-after", 0, "pmanager: mark providers silent this long dead (0 disables the liveness loop)")

@@ -7,15 +7,15 @@
 //	figures -fig 4           # only Figure 4
 //	figures -fig 6b -quick   # Figure 6b, coarse sweep
 //	figures -ablations       # the design-choice ablations (internal/bench/ablation.go)
-//	figures -recovery        # crash-recovery ablation, BENCH_recovery.json
-//	figures -vmshard         # control-plane sharding + group commit, BENCH_vmshard.json
-//	                         # (the two combine: -recovery -vmshard runs both)
 //
 // The figures and ablations are simulated and deterministic: every run
-// prints the same digits (-recovery and -vmshard run the real stack and
-// do not). Their sweeps are bench.Figures and bench.Ablations;
-// internal/bench's golden test pins what -quick and -ablations print,
-// and its shape tests pin the expected curves.
+// prints the same digits. Their sweeps are bench.Figures and
+// bench.Ablations; internal/bench's golden test pins what -quick and
+// -ablations print, and its shape tests pin the expected curves. The
+// real stack's control-plane claims (crash durability, fsync cost,
+// group commit, replay time) are tests and benchmarks in the packages
+// they measure: internal/cluster's chaos tests and internal/vmanager's
+// BenchmarkAssignCommit and BenchmarkRecover.
 package main
 
 import (
@@ -31,42 +31,8 @@ func main() {
 		fig       = flag.String("fig", "all", "figure to regenerate: 3a | 3b | 4 | 5 | 6a | 6b | all")
 		quick     = flag.Bool("quick", false, "coarse sweeps (3 points per curve)")
 		ablations = flag.Bool("ablations", false, "run the ablation experiments instead of the figures")
-		recovery  = flag.Bool("recovery", false, "run the crash-recovery ablation and write BENCH_recovery.json")
-		vmshard   = flag.Bool("vmshard", false, "run the control-plane sharding ablation and write BENCH_vmshard.json")
 	)
 	flag.Parse()
-
-	die := func(what string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", what, err)
-			os.Exit(1)
-		}
-	}
-	reports := []struct {
-		name string
-		on   bool
-		run  func(quick bool) (bench.Report, error)
-	}{
-		{"recovery", *recovery, bench.RecoveryReport},
-		{"vmshard", *vmshard, bench.VMShardReport},
-	}
-	ran := false
-	for _, r := range reports {
-		if !r.on {
-			continue
-		}
-		ran = true
-		rep, err := r.run(*quick)
-		die(r.name+" bench", err)
-		fmt.Print(rep)
-		path := "BENCH_" + r.name + ".json"
-		die("write report", bench.WriteJSON(path, rep))
-		fmt.Println("wrote", path)
-		die(r.name+" acceptance", rep.Check())
-	}
-	if ran {
-		return
-	}
 
 	exps, want := bench.Figures(*quick), *fig
 	if *ablations {

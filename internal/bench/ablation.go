@@ -62,6 +62,29 @@ func AblationReplication(fileGB float64, replications []int) []Series {
 	})
 }
 
+// AblationVMShards splits the version manager into K shards, each with
+// the calibrated service time AblationVMService sweeps, and measures
+// aggregate publish throughput with each writer appending versions
+// 64 KB chunks to its own blob (the Map/Reduce output pattern: many
+// files, many writers). The simulated manager picks a blob's shard
+// with vmanager.ShardOf, the rule the real client routes by, so
+// writers on different shards never share a service queue and
+// throughput scales ~linearly in K until the data path becomes the
+// floor (Section III-A4).
+func AblationVMShards(writers, versions int, shardCounts []int) []Series {
+	return sweep("shards", "publishes/sec", floats(shardCounts), []string{"sharded-vm"}, func(_, i int) float64 {
+		tun := simstore.DefaultTuning()
+		tun.VMShards = shardCounts[i]
+		st, nodes := deploy("BSFS", tun, placement.NewRoundRobin(), 64*util.KB, 1)
+		files := make([]string, writers)
+		for w := range files {
+			files[w] = fmt.Sprint("/f", w)
+			must(st.CreateFile(files[w]))
+		}
+		return float64(writers*versions) / appendAll(st, nodes, files, 7, versions).Seconds()
+	})
+}
+
 // writeThroughput is the single-writer workload on BSFS over bs-byte
 // blocks with r copies each: the dedicated client's MB/s writing gb
 // rounded down to whole blocks.

@@ -84,19 +84,34 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestReportCheck(t *testing.T) {
-	r := Report{
-		Values: map[string]float64{"readable": 1, "hot_ratio": 0.85, "blocks": 32},
-		Min:    map[string]float64{"readable": 1, "hot_ratio": 0.9},
+// TestAblationVMShardsDirection pins the sharding claim: with the
+// version manager's service time the bottleneck, 4 shards must buy at
+// least 2.5x the aggregate publish throughput of 1 under 8 concurrent
+// writers (the acceptance bar; ideal is 4x minus the data-path floor).
+func TestAblationVMShardsDirection(t *testing.T) {
+	series := AblationVMShards(8, 10, []int{1, 4})
+	if len(series) != 1 || len(series[0].Points) != 2 {
+		t.Fatalf("malformed series: %+v", series)
 	}
-	if err := r.Check(); err == nil || !strings.Contains(err.Error(), "hot_ratio") {
-		t.Fatalf("Check() = %v, want the hot_ratio shortfall", err)
+	one, four := series[0].Points[0].Y, series[0].Points[1].Y
+	if four < 2.5*one {
+		t.Errorf("4 shards should buy >=2.5x publish throughput over 1: %.0f vs %.0f/s", four, one)
 	}
-	r.Values["hot_ratio"] = 0.95
-	if err := r.Check(); err != nil {
-		t.Fatalf("Check() = %v, want nil", err)
+}
+
+// TestAblationVMShardsMonotone checks the full sweep keeps climbing:
+// more shards never cost throughput while the control plane is the
+// bottleneck.
+func TestAblationVMShardsMonotone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep in -short mode")
 	}
-	if s := r.String(); s != "blocks=32 hot_ratio=0.950 readable=1\n" {
-		t.Fatalf("String() = %q", s)
+	series := AblationVMShards(8, 10, []int{1, 2, 4, 8})
+	pts := series[0].Points
+	for i := 1; i < len(pts); i++ {
+		if pts[i].Y <= pts[i-1].Y {
+			t.Errorf("K=%.0f (%.0f/s) should beat K=%.0f (%.0f/s)",
+				pts[i].X, pts[i].Y, pts[i-1].X, pts[i-1].Y)
+		}
 	}
 }

@@ -4,15 +4,12 @@
 // the same few drivers: a deployment on the paper topology, the
 // dedicated single writer, the concurrent chunk readers, the concurrent
 // appenders, and the Map/Reduce storage of Figure 6. Figures and
-// Ablations list what cmd/figures prints; the real-stack experiments
-// return a Report.
+// Ablations list what cmd/figures prints.
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
-	"math"
 	"os"
 	"slices"
 	"strings"
@@ -78,54 +75,8 @@ func Ablations() []Experiment {
 		{"vmservice", "Ablation — version-manager service time (Fig-5 workload, 150 appenders)", func() []Series { return AblationVMService(150, []float64{0.5, 2, 10, 50}) }},
 		{"blocksize", "Ablation — block size (4 GB single writer)", func() []Series { return AblationBlockSize(4, []int{16, 32, 64, 128}) }},
 		{"replication", "Ablation — replication level (4 GB single writer)", func() []Series { return AblationReplication(4, []int{1, 2, 3}) }},
+		{"vmshards", "Ablation — version-manager shards (8 writers, one blob each)", func() []Series { return AblationVMShards(8, 50, []int{1, 2, 4, 8}) }},
 	}
-}
-
-// Report is a real-stack experiment's result, written as a BENCH_*.json
-// file: titled tables of series, named values, and the least value each
-// checked name may take.
-type Report struct {
-	Sections []Section          `json:"sections"`
-	Values   map[string]float64 `json:"values,omitempty"`
-	Min      map[string]float64 `json:"min,omitempty"`
-}
-
-// Section is one titled table of a report.
-type Section struct {
-	Title  string   `json:"title"`
-	Series []Series `json:"series"`
-}
-
-// String renders the report's tables and values for the terminal.
-func (r Report) String() string {
-	var sb strings.Builder
-	for _, s := range r.Sections {
-		sb.WriteString(Table(s.Title, s.Series) + "\n")
-	}
-	sep := ""
-	for _, k := range slices.Sorted(maps.Keys(r.Values)) {
-		v, prec := r.Values[k], 3
-		if v == math.Trunc(v) {
-			prec = 0
-		}
-		fmt.Fprintf(&sb, "%s%s=%.*f", sep, k, prec, v)
-		sep = " "
-	}
-	if sep != "" {
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Check fails when a value falls below its minimum: the acceptance a
-// report pins where it runs alone on its machine.
-func (r Report) Check() error {
-	for _, k := range slices.Sorted(maps.Keys(r.Min)) {
-		if v := r.Values[k]; v < r.Min[k] {
-			return fmt.Errorf("%s = %.3f, want >= %g", k, v, r.Min[k])
-		}
-	}
-	return nil
 }
 
 // WriteJSON writes a report (a BENCH_*.json file) to path, indented for

@@ -9,8 +9,8 @@ import "fmt"
 // transport level, the signature clients see from a real dead process)
 // and the in-memory state is dropped; a "restart" starts the same node
 // configuration again on the same address, which rebuilds the state from
-// the WAL — or from nothing when the deployment runs without one, which
-// is exactly the data-loss ablation AblationCrashRecovery measures.
+// the WAL — or from nothing when the deployment runs without one, the
+// data loss TestChaosNoWALLosesState pins.
 
 // restart starts the killed daemon at addr again: same configuration,
 // same address.

@@ -42,7 +42,7 @@ type Config struct {
 	MetaReplication int // DHT replication level
 	MetaCacheSize   int // ignored: clients read no tree node, so they keep no node cache (core.Config.MetaCacheSize)
 	Strategy        placement.Strategy
-	WriteTimeout    time.Duration // janitor abort threshold; 0 disables
+	WriteTimeout    time.Duration // janitor abort threshold; 0 picks node.DefaultWriteTimeout, negative disables
 	UseTCP          bool          // listen on loopback TCP instead of inproc
 	// BSFS streaming-pipeline tunables (Section IV-B): 0 picks the
 	// bsfs defaults, negative disables them (nothing read ahead, every
@@ -122,6 +122,9 @@ func (c *Config) fill() {
 	}
 	if c.VMShards == 0 {
 		c.VMShards = 1
+	}
+	if c.WriteTimeout == 0 {
+		c.WriteTimeout = node.DefaultWriteTimeout
 	}
 	if c.ReadaheadBlocks == 0 {
 		c.ReadaheadBlocks = stream.DefaultReadahead

@@ -48,6 +48,14 @@ const (
 	TaskTracker = "tasktracker"
 )
 
+// DefaultWriteTimeout is the write timeout deployments start the
+// version manager with: a write assigned longer ago than this and not
+// committed is aborted, so a writer that dies between assign and commit
+// stalls its blob's publication for at most this long. It is the
+// providers' upload TTL, after which a dead writer's unfinished blocks
+// are dropped too.
+const DefaultWriteTimeout = time.Minute
+
 // Config describes one node; a role reads only the fields that name it.
 type Config struct {
 	Role string
@@ -67,7 +75,7 @@ type Config struct {
 	FS       fs.FileSystem // jobtracker, tasktracker: the storage layer jobs read and write
 
 	Shard        vmanager.ShardInfo // vmanager: identity k/K (zero = unsharded)
-	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never)
+	WriteTimeout time.Duration      // vmanager: abort writers silent this long (0 = never; see DefaultWriteTimeout)
 	// DataDir makes vmanager and namespace durable: they journal to, and
 	// recover from, DataDir/vmanager (DataDir/vmanager/shard-k when
 	// sharded) and DataDir/namespace, fsyncing every record before the

@@ -12,7 +12,7 @@ import (
 	"blobseer/internal/wal"
 )
 
-func openState(t *testing.T, dir string) *State {
+func openState(t testing.TB, dir string) *State {
 	t.Helper()
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {

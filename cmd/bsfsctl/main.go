@@ -20,6 +20,7 @@
 //	bsfsctl [conn flags] providers                # membership, liveness, repair backlog
 //	bsfsctl [conn flags] decommission 127.0.0.1:7201  # drain, then retire
 //	bsfsctl -metrics 127.0.0.1:9101 top           # rates and gauges, wal_* included
+//	bsfsctl -metrics 127.0.0.1:9101,127.0.0.1:9102 profile 10s  # CPU share by role and method
 //
 // Connection flags:
 //
@@ -75,6 +76,7 @@ commands:
   top [interval [count]]   poll -metrics endpoints and show cluster-wide rates
   trace <trace-id>         stitch a distributed trace from every -metrics endpoint
   trace slow               list slow-sampled root operations across endpoints
+  profile <duration>       profile every -metrics endpoint at once: CPU share by role and method
 
 flags:
 `)
@@ -87,7 +89,7 @@ func main() {
 		blockSz = flag.Int64("block-size", 64*util.MB, "striping unit for new files")
 		repl    = flag.Int("replication", 1, "replication level for new files")
 		host    = flag.String("host", "", "client host label (affinity experiments)")
-		metEPs  = flag.String("metrics", "", "comma-separated /metrics endpoints (top command)")
+		metEPs  = flag.String("metrics", "", "comma-separated /metrics endpoints (top, trace and profile commands)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -116,6 +118,14 @@ func main() {
 			iters = n
 		}
 		if err := runTop(node.SplitAddrs(*metEPs), interval, iters); err != nil {
+			fatal(err)
+		}
+		return
+	}
+
+	// profile only talks HTTP to /debug/pprof endpoints.
+	if flag.Arg(0) == "profile" {
+		if err := runProfile(node.SplitAddrs(*metEPs), flag.Args()[1:]); err != nil {
 			fatal(err)
 		}
 		return

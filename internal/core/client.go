@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -300,6 +301,8 @@ func (c *Client) Meta(ctx context.Context, id blob.ID) (blob.Meta, error) {
 
 // Latest returns the newest published version and the blob size at it.
 func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, error) {
+	enter(ctx, opPin)
+	defer pprof.SetGoroutineLabels(ctx)
 	ctx, sp := c.tracer.Start(ctx, "latest")
 	h, err := c.vm.Latest(ctx, id)
 	sp.Finish(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"slices"
 	"time"
 
@@ -29,9 +30,43 @@ type Blob struct {
 	meta blob.Meta
 }
 
+// op is a public entry point's profiler label, op=<name>, and the
+// context that carries it, built once: labelling a call allocates
+// nothing.
+type op struct {
+	name   string
+	labels context.Context
+}
+
+func newOp(name string) *op {
+	return &op{name, pprof.WithLabels(context.Background(), pprof.Labels("op", name))}
+}
+
+var (
+	opOpen, opCreate  = newOp("open"), newOp("create")
+	opWrite, opAppend = newOp("write"), newOp("append")
+	opPin, opRead     = newOp("pin"), newOp("read")
+)
+
+// enter labels the calling goroutine's samples with o until the entry
+// point's deferred pprof.SetGoroutineLabels(ctx). A caller labels its
+// goroutine through its ctx (pprof.Do): those labels are kept, and o
+// joins them, at the cost of one labelled context per call.
+func enter(ctx context.Context, o *op) {
+	labelled := false
+	pprof.ForLabels(ctx, func(string, string) bool { labelled = true; return false })
+	if labelled {
+		pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("op", o.name)))
+		return
+	}
+	pprof.SetGoroutineLabels(o.labels)
+}
+
 // OpenBlob returns a handle on an existing BLOB, resolving its static
 // configuration once (cached across the client).
 func (c *Client) OpenBlob(ctx context.Context, id blob.ID) (*Blob, error) {
+	enter(ctx, opOpen)
+	defer pprof.SetGoroutineLabels(ctx)
 	m, err := c.Meta(ctx, id)
 	if err != nil {
 		return nil, err
@@ -41,6 +76,8 @@ func (c *Client) OpenBlob(ctx context.Context, id blob.ID) (*Blob, error) {
 
 // CreateBlob allocates a new empty BLOB and returns its handle.
 func (c *Client) CreateBlob(ctx context.Context, blockSize int64, replication int) (*Blob, error) {
+	enter(ctx, opCreate)
+	defer pprof.SetGoroutineLabels(ctx)
 	m, err := c.Create(ctx, blockSize, replication)
 	if err != nil {
 		return nil, err
@@ -63,6 +100,8 @@ func (b *Blob) Client() *Client { return b.c }
 // version may not be immediately readable: it publishes once all
 // lower versions commit (use WaitPublished to observe it).
 func (b *Blob) Write(ctx context.Context, off int64, data []byte) (blob.Version, error) {
+	enter(ctx, opWrite)
+	defer pprof.SetGoroutineLabels(ctx)
 	a, err := b.c.doWrite(ctx, b.meta, blob.KindWrite, off, blob.NoVersion, data)
 	return a.Version, err
 }
@@ -83,14 +122,18 @@ const maxAppendTries = 1024
 // unknown). Onto an unaligned end it pins the latest snapshot, its base,
 // and sends the base's tail, from the block boundary below its end,
 // then the data (vmanager.State.Assign). A refused append pins a newer
-// base, waiting for one to publish if need be, and goes again.
+// base, waiting for one to publish if need be, and goes again. It is
+// an entry point, for Append and an appending stream, and calls no
+// other, so that op=append labels all of it.
 func (b *Blob) append(ctx context.Context, data []byte, end int64) (vmanager.Assignment, error) {
+	enter(ctx, opAppend)
+	defer pprof.SetGoroutineLabels(ctx)
 	var base *Snapshot
 	for range maxAppendTries {
 		if end%b.meta.BlockSize != 0 {
-			s, err := b.Latest(ctx)
+			s, err := b.pin(ctx, blob.NoVersion, false, 0)
 			if err == nil && base != nil && s.version == base.version {
-				s, err = b.WaitPublished(ctx, base.version+1, 0)
+				s, err = b.pin(ctx, base.version+1, true, 0)
 			}
 			if err != nil {
 				return vmanager.Assignment{}, err
@@ -100,7 +143,7 @@ func (b *Blob) append(ctx context.Context, data []byte, end int64) (vmanager.Ass
 		payload, on := data, blob.NoVersion
 		if rem := end % b.meta.BlockSize; rem != 0 {
 			payload = make([]byte, rem+int64(len(data)))
-			if _, err := base.ReadAtContext(ctx, payload[:rem], end-rem); err != nil && err != io.EOF {
+			if _, err := base.readAt(ctx, payload[:rem], end-rem); err != nil && err != io.EOF {
 				return vmanager.Assignment{}, err
 			}
 			copy(payload[rem:], data)
@@ -121,7 +164,9 @@ func (b *Blob) append(ctx context.Context, data []byte, end int64) (vmanager.Ass
 // blob.NoVersion — explicitly distinguishable from a zero-length
 // clamp. The same call fetches the history Snapshot reads by.
 func (b *Blob) Latest(ctx context.Context) (*Snapshot, error) {
-	return b.Snapshot(ctx, blob.NoVersion)
+	enter(ctx, opPin)
+	defer pprof.SetGoroutineLabels(ctx)
+	return b.pin(ctx, blob.NoVersion, false, 0)
 }
 
 // Snapshot pins published version v; v == blob.NoVersion pins the
@@ -133,6 +178,8 @@ func (b *Blob) Latest(ctx context.Context) (*Snapshot, error) {
 // the history, by one version-manager call: no ReadAt or Locations call
 // goes back to the version manager.
 func (b *Blob) Snapshot(ctx context.Context, v blob.Version) (*Snapshot, error) {
+	enter(ctx, opPin)
+	defer pprof.SetGoroutineLabels(ctx)
 	return b.pin(ctx, v, false, 0)
 }
 
@@ -140,6 +187,8 @@ func (b *Blob) Snapshot(ctx context.Context, v blob.Version) (*Snapshot, error) 
 // notification mechanism of Section III-A5), then pins it, with the
 // same call.
 func (b *Blob) WaitPublished(ctx context.Context, v blob.Version, timeout time.Duration) (*Snapshot, error) {
+	enter(ctx, opPin)
+	defer pprof.SetGoroutineLabels(ctx)
 	return b.pin(ctx, v, true, timeout)
 }
 
@@ -261,6 +310,14 @@ func (s *Snapshot) ReadAt(p []byte, off int64) (int, error) {
 
 // ReadAtContext is ReadAt under an explicit context.
 func (s *Snapshot) ReadAtContext(ctx context.Context, p []byte, off int64) (int, error) {
+	enter(ctx, opRead)
+	defer pprof.SetGoroutineLabels(ctx)
+	return s.readAt(ctx, p, off)
+}
+
+// readAt is ReadAtContext without its label, for an append's read of
+// its base's tail.
+func (s *Snapshot) readAt(ctx context.Context, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrNegativeOffset
 	}

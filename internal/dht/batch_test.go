@@ -3,6 +3,7 @@ package dht
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -155,14 +156,14 @@ func startDHTDown(t *testing.T, n, down, replicas int) (*Client, []*MetaService)
 
 func TestDHTGetMissVsTransportFailure(t *testing.T) {
 	// With every replica up, a missing key is an authoritative
-	// ErrNotFound. With one replica down, the same lookup must NOT claim
+	// errNotFound. With one replica down, the same lookup must NOT claim
 	// not-found: the key might live on the dead provider.
 	ctx := context.Background()
 
 	c, _ := startDHT(t, 3, 3)
 	_, err := c.get(ctx, "absent")
-	if rpc.CodeOf(err) != CodeNotFound {
-		t.Errorf("all-replicas miss: err = %v, want ErrNotFound", err)
+	if !errors.Is(err, errNotFound) {
+		t.Errorf("all-replicas miss: err = %v, want errNotFound", err)
 	}
 
 	cd, _ := startDHTDown(t, 3, 1, 3)
@@ -170,8 +171,8 @@ func TestDHTGetMissVsTransportFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("get with dead replica succeeded")
 	}
-	if rpc.CodeOf(err) == CodeNotFound {
-		t.Errorf("inconclusive miss reported as ErrNotFound: %v", err)
+	if errors.Is(err, errNotFound) {
+		t.Errorf("inconclusive miss reported as errNotFound: %v", err)
 	}
 
 	// GetBatch must apply the same rule.

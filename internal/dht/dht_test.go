@@ -2,6 +2,7 @@ package dht
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -72,7 +73,7 @@ func TestClientOnEmptyRingFails(t *testing.T) {
 	if err := c.put(ctx, "k", []byte("v")); err == nil {
 		t.Error("put on an empty ring succeeded")
 	}
-	if _, err := c.get(ctx, "k"); err == nil || rpc.CodeOf(err) == CodeNotFound {
+	if _, err := c.get(ctx, "k"); err == nil || errors.Is(err, errNotFound) {
 		t.Errorf("get on an empty ring = %v, want a failure that is not a miss", err)
 	}
 	if err := c.Delete(ctx, "k"); err == nil {
@@ -160,8 +161,8 @@ func TestDHTMissingKey(t *testing.T) {
 	if err == nil {
 		t.Fatal("get of absent key succeeded")
 	}
-	if rpc.CodeOf(err) != CodeNotFound {
-		t.Errorf("code = %d", rpc.CodeOf(err))
+	if !errors.Is(err, errNotFound) {
+		t.Errorf("get of absent key = %v, want errNotFound", err)
 	}
 }
 
@@ -237,8 +238,11 @@ func (c *Client) put(ctx context.Context, key string, val []byte) error {
 	return c.PutBatch(ctx, []wire.KV{{Key: key, Val: val}})
 }
 
+// errNotFound is get's miss: a key absent from every queried replica.
+var errNotFound = errors.New("dht: key not found")
+
 // get fetches key from the first answering replica, a one-key GetEach.
-// It returns ErrNotFound only when every replica authoritatively
+// It returns errNotFound only when every replica authoritatively
 // reported the key missing; if any replica was unreachable the miss is
 // inconclusive and the transport error is returned instead.
 func (c *Client) get(ctx context.Context, key string) ([]byte, error) {
@@ -247,7 +251,7 @@ func (c *Client) get(ctx context.Context, key string) ([]byte, error) {
 		func(_ int, dst []byte) []byte { return append(dst, key...) },
 		func(_ int, v []byte) { val = append([]byte{}, v...) })
 	if err == nil && val == nil {
-		err = ErrNotFound
+		err = errNotFound
 	}
 	if err != nil {
 		return nil, err

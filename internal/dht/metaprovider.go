@@ -26,15 +26,6 @@ const (
 	mMetaGetBatch
 )
 
-// CodeNotFound is ErrNotFound's status code. A miss travels as a
-// presence flag in a multi-get's answer, never as a status; the code
-// keeps the sentinel apart from every other service's.
-const CodeNotFound uint16 = 12
-
-// ErrNotFound is returned when a metadata key is absent from every
-// queried replica.
-var ErrNotFound = rpc.CodedError(CodeNotFound, "dht: key not found")
-
 var errEmptyRing = errors.New("dht: empty ring")
 
 // MetaService is the metadata-provider daemon implementation: a plain
@@ -79,11 +70,18 @@ func (s *MetaService) Store() store.Store { return s.store }
 func (s *MetaService) Metrics() *obs.Registry { return s.reg }
 
 // Mux returns the RPC dispatch table, metered on the service's registry.
+// A lending store (mem://) keeps its values in memory, so its methods
+// wait on nothing and run inline (rpc's dispatch rule); a file store's
+// wait on the disk.
 func (s *MetaService) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
-	m.HandleFrame(mMetaDelete, "delete", s.handleDelete)
-	m.HandleFrame(mMetaPutBatch, "put_batch", s.handlePutBatch)
-	m.HandleFrame(mMetaGetBatch, "get_batch", s.handleGetBatch)
+	m := rpc.NewMeteredMux("meta", s.reg)
+	handle := m.HandleFrame
+	if _, ok := s.store.(store.Lender); ok {
+		handle = m.HandleInline
+	}
+	handle(mMetaDelete, "delete", s.handleDelete)
+	handle(mMetaPutBatch, "put_batch", s.handlePutBatch)
+	handle(mMetaGetBatch, "get_batch", s.handleGetBatch)
 	return m
 }
 

@@ -136,7 +136,7 @@ func TestFrameOwnership(t *testing.T) {
 
 	t.Run("coded error", func(t *testing.T) {
 		for i := 0; i < 3; i++ {
-			if _, err := c.get(ctx, "t9/9/9/9"); !errors.Is(err, ErrNotFound) && rpc.CodeOf(err) != CodeNotFound {
+			if _, err := c.get(ctx, "t9/9/9/9"); !errors.Is(err, errNotFound) {
 				t.Fatalf("Get of a missing key = %v", err)
 			}
 		}

@@ -41,19 +41,22 @@ func (s *Service) Namenode() *Namenode { return s.nn }
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // Mux returns the dispatch table, metered on the namenode's registry.
+// The namenode keeps everything in memory, so every method waits on
+// nothing and runs inline (rpc's dispatch rule), as BSFS's control
+// plane's do.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
-	m.HandleFrame(mRegisterDatanode, "register_datanode", s.handleRegister)
-	m.HandleFrame(mCreate, "create", s.handleCreate)
-	m.HandleFrame(mAddBlock, "add_block", s.handleAddBlock)
-	m.HandleFrame(mCompleteBlock, "complete_block", s.handleCompleteBlock)
-	m.HandleFrame(mCompleteFile, "complete_file", s.handleCompleteFile)
-	m.HandleFrame(mGetBlockLocations, "get_block_locations", s.handleGetBlockLocations)
-	m.HandleFrame(mStat, "stat", s.handleStat)
-	m.HandleFrame(mList, "list", s.handleList)
-	m.HandleFrame(mMkdirs, "mkdirs", s.handleMkdirs)
-	m.HandleFrame(mDelete, "delete", s.handleDelete)
-	m.HandleFrame(mRename, "rename", s.handleRename)
+	m := rpc.NewMeteredMux("namenode", s.reg)
+	m.HandleInline(mRegisterDatanode, "register_datanode", s.handleRegister)
+	m.HandleInline(mCreate, "create", s.handleCreate)
+	m.HandleInline(mAddBlock, "add_block", s.handleAddBlock)
+	m.HandleInline(mCompleteBlock, "complete_block", s.handleCompleteBlock)
+	m.HandleInline(mCompleteFile, "complete_file", s.handleCompleteFile)
+	m.HandleInline(mGetBlockLocations, "get_block_locations", s.handleGetBlockLocations)
+	m.HandleInline(mStat, "stat", s.handleStat)
+	m.HandleInline(mList, "list", s.handleList)
+	m.HandleInline(mMkdirs, "mkdirs", s.handleMkdirs)
+	m.HandleInline(mDelete, "delete", s.handleDelete)
+	m.HandleInline(mRename, "rename", s.handleRename)
 	return m
 }
 

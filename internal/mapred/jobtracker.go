@@ -402,7 +402,7 @@ func (s *JTService) Metrics() *obs.Registry { return s.reg }
 
 // Mux returns the dispatch table, metered on the jobtracker's registry.
 func (s *JTService) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
+	m := rpc.NewMeteredMux("jobtracker", s.reg)
 	m.HandleFrame(mSubmitJob, "submit_job", s.handleSubmit)
 	m.HandleFrame(mRequestTasks, "request_tasks", s.handleRequestTasks)
 	m.HandleFrame(mReportTask, "report_task", s.handleReport)

@@ -70,7 +70,7 @@ func (t *TaskTracker) Metrics() *obs.Registry { return t.reg }
 // Mux returns the tracker's RPC dispatch table (shuffle service),
 // metered on its registry.
 func (t *TaskTracker) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(t.reg)
+	m := rpc.NewMeteredMux("tasktracker", t.reg)
 	m.HandleFrame(mGetMapOutput, "get_map_output", t.handleGetMapOutput)
 	return m
 }

@@ -28,15 +28,22 @@ func (s *Service) State() *State { return s.state }
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // Mux returns the RPC dispatch table, metered on the service's registry.
+// Lookups wait on nothing and run inline (rpc's dispatch rule); so do
+// the mutations of a namespace without a log. A create calls the
+// version manager, and keeps its handler goroutine.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
+	m := rpc.NewMeteredMux("namespace", s.reg)
+	mutate := m.HandleInline
+	if s.state.log != nil {
+		mutate = m.HandleFrame
+	}
 	m.HandleFrame(mCreateFile, "create_file", s.handleCreateFile)
-	m.HandleFrame(mGetFile, "get_file", s.handleGetFile)
-	m.HandleFrame(mMkdirs, "mkdirs", s.handleMkdirs)
-	m.HandleFrame(mDelete, "delete", s.handleDelete)
-	m.HandleFrame(mRename, "rename", s.handleRename)
-	m.HandleFrame(mList, "list", s.handleList)
-	m.HandleFrame(mStatEntry, "stat", s.handleStatEntry)
+	m.HandleInline(mGetFile, "get_file", s.handleGetFile)
+	mutate(mMkdirs, "mkdirs", s.handleMkdirs)
+	mutate(mDelete, "delete", s.handleDelete)
+	mutate(mRename, "rename", s.handleRename)
+	m.HandleInline(mList, "list", s.handleList)
+	m.HandleInline(mStatEntry, "stat", s.handleStatEntry)
 	return m
 }
 

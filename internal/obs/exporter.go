@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"net/url"
 	"slices"
 	"sort"
@@ -142,14 +143,20 @@ func (e *Exporter) SlowRoots() []Root {
 	return out
 }
 
-// Serve answers HTTP on addr ("127.0.0.1:0" picks a port). It returns
+// Serve answers HTTP on addr ("127.0.0.1:0" picks a port): the
+// exporter, and the process's profiles under /debug/pprof/
+// (net/http/pprof; `bsfsctl profile` reads the CPU profile). It returns
 // the bound address and a function that stops serving.
 func (e *Exporter) Serve(addr string) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: e}
+	mux := http.NewServeMux()
+	mux.Handle("/", e)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

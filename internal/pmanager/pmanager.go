@@ -376,14 +376,16 @@ func (s *Service) StopExpiry() {
 }
 
 // Mux returns the RPC dispatch table, metered on the manager's registry.
+// Membership lives in memory, so every method waits on nothing and runs
+// inline (rpc's dispatch rule).
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
-	m.HandleFrame(mRegister, "register", s.handleRegister)
-	m.HandleFrame(mAllocate, "allocate", s.handleAllocate)
-	m.HandleFrame(mList, "list", s.handleList)
-	m.HandleFrame(mMarkDead, "mark_dead", s.handleMarkDead)
-	m.HandleFrame(mHeartbeat, "heartbeat", s.handleHeartbeat)
-	m.HandleFrame(mDecommission, "decommission", s.handleDecommission)
+	m := rpc.NewMeteredMux("pmanager", s.reg)
+	m.HandleInline(mRegister, "register", s.handleRegister)
+	m.HandleInline(mAllocate, "allocate", s.handleAllocate)
+	m.HandleInline(mList, "list", s.handleList)
+	m.HandleInline(mMarkDead, "mark_dead", s.handleMarkDead)
+	m.HandleInline(mHeartbeat, "heartbeat", s.handleHeartbeat)
+	m.HandleInline(mDecommission, "decommission", s.handleDecommission)
 	return m
 }
 

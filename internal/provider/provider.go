@@ -273,7 +273,7 @@ func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 // Mux returns the RPC dispatch table for the service, metered on its
 // registry.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
+	m := rpc.NewMeteredMux("provider", s.reg)
 	if _, ok := s.store.(store.Lender); ok {
 		// A lending store's get waits on nothing: its bytes go out as the
 		// response's tails, on the connection's goroutine. A file store's

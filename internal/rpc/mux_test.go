@@ -16,7 +16,7 @@ import (
 func TestMeteredMux(t *testing.T) {
 	for _, inline := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		mux := NewMeteredMux(reg)
+		mux := NewMeteredMux("test", reg)
 		entered, release := make(chan struct{}), make(chan struct{})
 		refuse := func(context.Context, []byte) (*wire.Buffer, error) {
 			close(entered)
@@ -93,7 +93,7 @@ func TestRegisterWithoutNamePanics(t *testing.T) {
 // would share their meters; re-registering a method under its own name
 // replaces it.
 func TestRegisterDuplicateNamePanics(t *testing.T) {
-	mux := NewMeteredMux(obs.NewRegistry())
+	mux := NewMeteredMux("test", obs.NewRegistry())
 	fn := func(context.Context, []byte) (*wire.Buffer, error) { return nil, nil }
 	mux.HandleFrame(1, "put", fn)
 	mux.HandleInline(1, "put", fn) // the same method again: no panic

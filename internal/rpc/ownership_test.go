@@ -431,11 +431,18 @@ func (c *countConn) Write(p []byte) (int, error) {
 
 // benchEcho measures Call round trips over loopback TCP through a
 // wrapped net.Conn (where net.Buffers would degrade to one Write per
-// slice) and reports the client's conn writes per frame.
-func benchEcho(b *testing.B, size int) {
+// slice) and reports the client's conn writes per frame. With inline,
+// the echo is registered with HandleInline: one call at a time keeps
+// the connection idle between requests, which is the inline rule's
+// worst case (see HandleInline).
+func benchEcho(b *testing.B, size int, inline bool) {
 	wire.PoisonReleased(false)
 	mux := NewMux()
-	mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	if inline {
+		mux.HandleInline(1, "echo", func(_ context.Context, p []byte) (*wire.Buffer, error) { return frameOf(p), nil })
+	} else {
+		mux.Handle(1, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	}
 	lis, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -472,5 +479,9 @@ func benchEcho(b *testing.B, size int) {
 	}
 }
 
-func BenchmarkCallEcho64B(b *testing.B) { benchEcho(b, 64) }
-func BenchmarkCallEcho1M(b *testing.B)  { benchEcho(b, 1<<20) }
+func BenchmarkCallEcho64B(b *testing.B) {
+	b.Run("spawned", func(b *testing.B) { benchEcho(b, 64, false) })
+	b.Run("inline", func(b *testing.B) { benchEcho(b, 64, true) })
+}
+
+func BenchmarkCallEcho1M(b *testing.B) { benchEcho(b, 1<<20, false) }

@@ -27,8 +27,11 @@
 // Buffer ownership: every frame is a recycled wire.Buffer over one
 // recycled slice (wire.GetBuf) with room for its headers in front of the
 // payload, so a frame costs one conn.Write, no copy to join the two and,
-// once warm, no allocation. A handler's payload is valid until the
-// handler returns (its response may alias it); a frame handed to
+// once warm, no allocation. Each end reads its connection through one
+// bufio.Reader, so a small frame costs one read, its length prefix with
+// it; a large one's bulk, past what that read buffered, goes straight
+// from the socket into its destination. A handler's payload is valid
+// until the handler returns (its response may alias it); a frame handed to
 // CallFrame or returned by a FrameHandler is rpc's from then on, and the
 // *wire.Buffer itself is dead once rpc has sent it: rpc releases it, and
 // it is handed out again to whoever asks for a frame next. Call's result
@@ -51,15 +54,26 @@
 // frame goes out; a call waits for its response holding no lock.
 // Likewise a request runs on a handler goroutine, parked since its last
 // request, so that a handler may wait (for a publication, a downstream
-// hop, a log sync), unless its method is registered with HandleInline:
-// such a handler waits on nothing but its own response write, and runs
-// on the connection's goroutine. A caller talking to many peers at once
-// need not start goroutines either: StartInto sends a call and
-// Pending.Wait collects it, so one goroutine can send every request
-// first and then wait.
+// hop, a log sync).
+//
+// The dispatch rule: a method whose handler waits on nothing — no other
+// process, no log sync, no disk — is registered with HandleInline and
+// runs on the connection's goroutine, which saves each request the
+// hand-off to a parked handler; every other method is registered with
+// HandleFrame. Each service decides in its Mux from its own
+// configuration: whether its state has a log, whether its store lends.
+// A caller talking to many peers at once need not start goroutines
+// either: StartInto sends a call and Pending.Wait collects it, so one
+// goroutine can send every request first and then wait.
+//
+// Profiles: a handler runs under the profiler labels role (the Mux's)
+// and method, set by dispatch from a context built once per method, so
+// labelling allocates nothing; a connection's goroutines carry
+// rpc=serve-conn (a server's) and rpc=read-loop (a client's).
 package rpc
 
 import (
+	"bufio"
 	"cmp"
 	"context"
 	"encoding/binary"
@@ -68,6 +82,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -340,18 +355,21 @@ type FrameHandler func(ctx context.Context, payload []byte) (*wire.Buffer, error
 // errors_<name> and latency_<name> (both when the handler returns). The
 // zero value is usable and unmetered.
 type Mux struct {
+	role     string        // the role label of every method's samples
 	reg      *obs.Registry // nil: unmetered
 	mu       sync.RWMutex
 	handlers map[uint16]*handler
 }
 
 // handler is a registered method: its function, its name, its meters
-// (nil when the Mux is unmetered) and whether it runs on the
-// connection's goroutine (HandleInline).
+// (nil when the Mux is unmetered), whether it runs on the connection's
+// goroutine (HandleInline), and the context its requests start from,
+// which carries its profiler labels.
 type handler struct {
 	fn     FrameHandler
 	inline bool
 	name   string // "": registered by Handle, spans read m<N>
+	labels context.Context
 	ops    *obs.Counter
 	errs   *obs.Counter
 	lat    *obs.Histogram
@@ -363,8 +381,8 @@ type handler struct {
 func NewMux() *Mux { return &Mux{} }
 
 // NewMeteredMux returns an empty Mux that meters every named method on
-// reg, the service's registry.
-func NewMeteredMux(reg *obs.Registry) *Mux { return &Mux{reg: reg} }
+// reg, the service's registry, and labels its samples with role.
+func NewMeteredMux(role string, reg *obs.Registry) *Mux { return &Mux{role: role, reg: reg} }
 
 // Handle registers fn for method m, replacing any previous handler. Its
 // response is copied into a frame, and the method has no name: it is
@@ -381,18 +399,21 @@ func (x *Mux) Handle(m uint16, fn HandlerFunc) {
 }
 
 // HandleFrame registers fn as method m, named name, replacing any
-// previous handler of m. Each request runs on a handler goroutine.
-// It panics on an empty name, or on one another method of x has: the
-// two would share their meters.
+// previous handler of m. Each request runs on a handler goroutine, so
+// fn may wait: on another process, a log sync, the disk. It panics on
+// an empty name, or on one another method of x has: the two would share
+// their meters.
 func (x *Mux) HandleFrame(m uint16, name string, fn FrameHandler) {
 	x.register(m, &handler{fn: fn, name: mustName(m, name)})
 }
 
 // HandleInline is HandleFrame for a handler that waits on nothing but
-// its own response write: it runs on the connection's goroutine, which
-// reads the connection's next request only once the response is out.
-// That costs no parallelism, since one connection's responses go out
-// one at a time anyway, and saves the request its handoff.
+// its own response write (no other process, no log sync, no disk): it
+// runs on the connection's goroutine, which reads the connection's next
+// request only once the response is out. That saves the request its
+// hand-off, and costs an idle connection's first request a little more
+// (BenchmarkCallEcho64B's inline arm); a handler that waits would hold
+// up every later request on its connection.
 func (x *Mux) HandleInline(m uint16, name string, fn FrameHandler) {
 	x.register(m, &handler{fn: fn, inline: true, name: mustName(m, name)})
 }
@@ -404,10 +425,11 @@ func mustName(m uint16, name string) string {
 	return name
 }
 
-// register files h as method m, its meters resolved.
+// register files h as method m, its meters and labels resolved.
 func (x *Mux) register(m uint16, h *handler) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	h.labels = pprof.WithLabels(context.Background(), pprof.Labels("role", x.role, "method", cmp.Or(h.name, "m"+strconv.Itoa(int(m)))))
 	if h.name != "" {
 		for other, o := range x.handlers {
 			if other != m && o.name == h.name {
@@ -437,9 +459,10 @@ func (x *Mux) lookup(m uint16) *handler {
 // handlers may block (the version manager's wait-for-publication call
 // relies on this), except that a method registered with HandleInline
 // runs on its connection's goroutine, and may wait on nothing but its
-// response write. Every request the Mux knows is metered by its
-// method's name (see Mux) and, under a tracer, records a span of that
-// name.
+// response write: the package's dispatch rule. Every request the Mux
+// knows is metered by its method's name (see Mux), runs under its
+// role and method profiler labels and, under a tracer, records a span
+// of that name.
 type Server struct {
 	mux    *Mux
 	tracer *obs.Tracer
@@ -540,7 +563,16 @@ func (s *Server) Sever() {
 	}
 }
 
+// connLabels and readLoopLabels label a connection's goroutines: a
+// server's, and the handlers it starts, between requests, and a
+// client's read loop.
+var (
+	connLabels     = pprof.WithLabels(context.Background(), pprof.Labels("rpc", "serve-conn"))
+	readLoopLabels = pprof.WithLabels(context.Background(), pprof.Labels("rpc", "read-loop"))
+)
+
 func (s *Server) serveConn(conn net.Conn) {
+	pprof.SetGoroutineLabels(connLabels)
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
@@ -549,13 +581,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	fw := &frameWriter{conn: conn}
+	// Buffered, a small request comes off the socket in one read, its
+	// length with it; a large one's bulk goes straight into req.
+	br := bufio.NewReader(conn)
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
 	var pre [wire.FrameLenSize]byte
 	for {
 		// An oversize length drops the connection before any
 		// payload-sized buffer is taken.
-		if _, err := io.ReadFull(conn, pre[:]); err != nil {
+		if _, err := io.ReadFull(br, pre[:]); err != nil {
 			return
 		}
 		n := int(binary.BigEndian.Uint32(pre[:]))
@@ -563,7 +598,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		req := wire.GetBuf(n)[:n]
-		if _, err := io.ReadFull(conn, req); err != nil {
+		if _, err := io.ReadFull(br, req); err != nil {
 			wire.PutBuf(req)
 			return
 		}
@@ -651,7 +686,7 @@ func (s *Server) dispatch(tc obs.Context, h *handler, method uint16, payload []b
 	if h.lat != nil {
 		t0 = time.Now()
 	}
-	ctx := context.Background()
+	ctx := h.labels
 	if !tc.Trace.IsZero() {
 		ctx = obs.NewContext(ctx, tc)
 	}
@@ -663,7 +698,9 @@ func (s *Server) dispatch(tc obs.Context, h *handler, method uint16, payload []b
 		}
 		ctx, sp = s.tracer.Start(ctx, name)
 	}
+	pprof.SetGoroutineLabels(h.labels)
 	resp, err := h.fn(ctx, payload)
+	pprof.SetGoroutineLabels(connLabels)
 	h.lat.ObserveSince(t0)
 	if err != nil {
 		h.errs.Inc()
@@ -909,12 +946,14 @@ func (c *Client) release(cl *call) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) readLoop() {
+	pprof.SetGoroutineLabels(readLoopLabels)
 	var err error
 	var pre [wire.FrameLenSize + hdrLen]byte
+	br := bufio.NewReader(c.conn) // as a server's (serveConn)
 	for {
 		// Length prefix and header first: which call the frame answers
 		// decides where its payload is read to.
-		if _, err = io.ReadFull(c.conn, pre[:]); err != nil {
+		if _, err = io.ReadFull(br, pre[:]); err != nil {
 			break
 		}
 		n := int(binary.BigEndian.Uint32(pre[:])) - hdrLen
@@ -938,15 +977,15 @@ func (c *Client) readLoop() {
 		res := callResult{status: status}
 		switch {
 		case !ok: // the call gave up: drain its response
-			_, err = io.CopyN(io.Discard, c.conn, int64(n))
+			_, err = io.CopyN(io.Discard, br, int64(n))
 		case dsts != nil:
-			res.payload, res.err, err = land(c.conn, n, dsts)
+			res.payload, res.err, err = land(br, n, dsts)
 		case recycled:
 			res.payload = wire.GetBuf(n)[:n]
-			_, err = io.ReadFull(c.conn, res.payload)
+			_, err = io.ReadFull(br, res.payload)
 		default:
 			res.payload = make([]byte, n)
-			_, err = io.ReadFull(c.conn, res.payload)
+			_, err = io.ReadFull(br, res.payload)
 		}
 		// Deliver only to a call that is still waiting (it may have
 		// given up during the read), under the lock abandon takes.
@@ -984,23 +1023,23 @@ func (c *Client) readLoop() {
 // destinations: a u32 count per dst, then the pieces, each straight into
 // its dst. The counts are the payload. A body of another shape is
 // drained and answered with ErrMisfit before any byte reaches a dst.
-func land(conn net.Conn, n int, dsts [][]byte) (payload []byte, misfit, err error) {
+func land(r io.Reader, n int, dsts [][]byte) (payload []byte, misfit, err error) {
 	head := 4 * len(dsts)
 	if n < head {
-		_, err = io.CopyN(io.Discard, conn, int64(n))
+		_, err = io.CopyN(io.Discard, r, int64(n))
 		return nil, ErrMisfit, err
 	}
 	payload = wire.GetBuf(head)[:head]
-	if _, err = io.ReadFull(conn, payload); err != nil {
+	if _, err = io.ReadFull(r, payload); err != nil {
 		return payload, nil, err
 	}
 	if !countsFit(payload, dsts, n-head) {
 		wire.PutBuf(payload)
-		_, err = io.CopyN(io.Discard, conn, int64(n-head))
+		_, err = io.CopyN(io.Discard, r, int64(n-head))
 		return nil, ErrMisfit, err
 	}
 	for i, dst := range dsts {
-		if _, err = io.ReadFull(conn, dst[:binary.BigEndian.Uint32(payload[4*i:])]); err != nil {
+		if _, err = io.ReadFull(r, dst[:binary.BigEndian.Uint32(payload[4*i:])]); err != nil {
 			break
 		}
 	}

@@ -80,7 +80,7 @@ func BenchmarkAssignCommit(b *testing.B) {
 // allocations per replayed record, and fails above the allocations per
 // record it is budgeted.
 func BenchmarkRecover(b *testing.B) {
-	const budget = 4.0 // allocations per record
+	const budget = 1.0 // allocations per record
 	dir := b.TempDir()
 	s := openState(b, dir)
 	if err := pairs(s, newBlobs(b, s, 1), 1, 250); err != nil {

@@ -122,18 +122,26 @@ func (s *Service) StopJanitor() {
 }
 
 // Mux returns the RPC dispatch table, metered on the shard's registry.
+// Reads wait on nothing and run inline (rpc's dispatch rule); so do the
+// mutations of a shard without a log, and a durable shard's keep their
+// handler goroutines, so that writers on one connection share an fsync.
+// A wait blocks until its version publishes.
 func (s *Service) Mux() *rpc.Mux {
-	m := rpc.NewMeteredMux(s.reg)
-	m.HandleFrame(mCreateBlob, "create", s.handleCreate)
-	m.HandleFrame(mAssignVersion, "assign", s.handleAssign)
-	m.HandleFrame(mCommit, "commit", s.handleCommit)
-	m.HandleFrame(mAbort, "abort", s.handleAbort)
-	m.HandleFrame(mLatest, "latest", s.handleLatest)
+	m := rpc.NewMeteredMux("vmanager", s.reg)
+	mutate := m.HandleInline
+	if s.state.log != nil {
+		mutate = m.HandleFrame
+	}
+	mutate(mCreateBlob, "create", s.handleCreate)
+	mutate(mAssignVersion, "assign", s.handleAssign)
+	mutate(mCommit, "commit", s.handleCommit)
+	mutate(mAbort, "abort", s.handleAbort)
+	m.HandleInline(mLatest, "latest", s.handleLatest)
 	m.HandleFrame(mWaitPublished, "wait", s.handleWait)
-	m.HandleFrame(mListBlobs, "list", s.handleListBlobs)
-	m.HandleFrame(mPrune, "prune", s.handlePrune)
-	m.HandleFrame(mRelocate, "relocate", s.handleRelocate)
-	m.HandleFrame(mReplicas, "replicas", s.handleReplicas)
+	m.HandleInline(mListBlobs, "list", s.handleListBlobs)
+	mutate(mPrune, "prune", s.handlePrune)
+	mutate(mRelocate, "relocate", s.handleRelocate)
+	m.HandleInline(mReplicas, "replicas", s.handleReplicas)
 	return m
 }
 

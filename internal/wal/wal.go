@@ -167,6 +167,12 @@ type Log struct {
 
 	closed bool
 	failed error // the first failed write or fsync, which stopped the log
+
+	// tail is segment tailSeq's valid bytes as Open read them, kept for
+	// Replay so that recovery reads the tail once; the first write, or
+	// Replay, drops it.
+	tail    []byte
+	tailSeq uint64
 }
 
 // Open opens (creating if needed) the log in dir.
@@ -274,10 +280,12 @@ func (l *Log) openTail() error {
 		l.segs = l.segs[:len(l.segs)-1]
 		return l.rotateLocked(seq)
 	}
-	valid, err := scanSegment(path, nil)
+	b, err := readSegment(path)
 	if err != nil {
 		return err
 	}
+	valid, _ := walkRecords(b, nil)
+	l.tail, l.tailSeq = b[:valid], seq
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: open tail: %w", err)
@@ -379,6 +387,7 @@ func (l *Log) writeLocked(hdr, payload []byte) (uint64, error) {
 	if err := l.stoppedLocked(); err != nil {
 		return 0, err
 	}
+	l.tail = nil
 	if l.size >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(l.seq + 1); err != nil {
 			return 0, l.failLocked(err)
@@ -624,6 +633,8 @@ func (l *Log) Replay(fn func(payload []byte, isSnapshot bool) error) error {
 	l.mu.Lock()
 	snapSeq := l.snapSeq
 	segs := append([]uint64(nil), l.segs...)
+	tail, tailSeq := l.tail, l.tailSeq
+	l.tail = nil
 	l.mu.Unlock()
 
 	if snapSeq > 0 {
@@ -636,21 +647,23 @@ func (l *Log) Replay(fn func(payload []byte, isSnapshot bool) error) error {
 		}
 	}
 	for i, seq := range segs {
-		last := i == len(segs)-1
-		valid, err := scanSegment(l.segPath(seq), func(rec []byte) error {
-			return fn(rec, false)
-		})
+		b := tail
+		if seq != tailSeq || b == nil {
+			var err error
+			if b, err = readSegment(l.segPath(seq)); err != nil {
+				return err
+			}
+		}
+		valid, err := walkRecords(b, func(rec []byte) error { return fn(rec, false) })
 		if err != nil {
 			return err
 		}
-		if !last {
+		if i < len(segs)-1 && valid != int64(len(b)) {
 			// A torn tail is only legal in the final segment: damage
 			// here means records clients saw acknowledged are gone,
 			// and replaying the suffix would resurrect a state that
 			// never existed. Fail loudly instead.
-			if fi, serr := os.Stat(l.segPath(seq)); serr == nil && valid != fi.Size() {
-				return fmt.Errorf("wal: segment %d: interior corruption at offset %d: %w", seq, valid, ErrCorrupt)
-			}
+			return fmt.Errorf("wal: segment %d: interior corruption at offset %d: %w", seq, valid, ErrCorrupt)
 		}
 	}
 	return nil
@@ -677,61 +690,55 @@ func (l *Log) Status() Status {
 	return st
 }
 
-// scanSegment walks a segment's records, calling fn (if non-nil) for
-// each intact one, and returns the byte offset after the last intact
-// record. Any invalid record — short header, impossible length,
-// truncated payload, CRC mismatch — stops the scan *without error*:
-// the returned offset is what openTail truncates to, and Replay
-// decides from context whether an early stop is a legal torn tail
-// (final segment) or interior corruption. A missing/garbled segment
-// header is unconditionally ErrCorrupt: there is nothing salvageable.
-func scanSegment(path string, fn func(rec []byte) error) (validLen int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: open segment: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("wal: stat segment: %w", err)
-	}
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+// readSegment reads a whole segment, in one read of the size its file
+// has, and checks its header. A missing or garbled header is
+// unconditionally ErrCorrupt: there is nothing salvageable.
+func readSegment(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("wal: read segment: %w", err)
+	case len(b) == 0:
 		// openTail recreates a last segment this short, so only an
 		// interior one gets here.
-		if err == io.EOF {
-			return 0, fmt.Errorf("wal: segment %s: empty: %w", path, ErrCorrupt)
-		}
-		return 0, fmt.Errorf("wal: segment %s: missing header: %w", path, ErrCorrupt)
+		return nil, fmt.Errorf("wal: segment %s: empty: %w", path, ErrCorrupt)
+	case len(b) < segHeaderSize:
+		return nil, fmt.Errorf("wal: segment %s: missing header: %w", path, ErrCorrupt)
+	case string(b[:segHeaderSize]) != Magic:
+		return nil, fmt.Errorf("wal: segment %s: bad magic %q: %w", path, b[:segHeaderSize], ErrCorrupt)
 	}
-	if string(hdr) != Magic {
-		return 0, fmt.Errorf("wal: segment %s: bad magic %q: %w", path, hdr, ErrCorrupt)
-	}
-	valid := int64(segHeaderSize)
-	var rh [recHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(f, rh[:]); err != nil {
-			return valid, nil // clean end (EOF) or partial header
+	return b, nil
+}
+
+// walkRecords walks the records of segment b (from readSegment),
+// calling fn (if non-nil) for each intact one, and returns the byte
+// offset after the last intact record. Each record fn gets is a
+// subslice of b, copied by nothing; recovery's decoders copy what they
+// keep. Any invalid record — short header, impossible length,
+// truncated payload, CRC mismatch — stops the walk *without error*: the
+// returned offset is what openTail truncates to, and Replay decides
+// from context whether an early stop is a legal torn tail (final
+// segment) or interior corruption.
+func walkRecords(b []byte, fn func(rec []byte) error) (validLen int64, err error) {
+	valid := segHeaderSize
+	for len(b)-valid >= recHeaderSize {
+		n := binary.BigEndian.Uint32(b[valid:])
+		want := binary.BigEndian.Uint32(b[valid+4:])
+		if n > maxRecordSize || int64(n) > int64(len(b)-valid-recHeaderSize) {
+			break // garbage length or partial payload: torn tail
 		}
-		n := binary.BigEndian.Uint32(rh[0:4])
-		want := binary.BigEndian.Uint32(rh[4:8])
-		if n > maxRecordSize || int64(n) > fi.Size()-valid-recHeaderSize {
-			return valid, nil // garbage length or partial payload: torn tail
-		}
-		rec := make([]byte, n)
-		if _, err := io.ReadFull(f, rec); err != nil {
-			return valid, nil // partial payload: torn tail
-		}
+		rec := b[valid+recHeaderSize : valid+recHeaderSize+int(n)]
 		if crc32.ChecksumIEEE(rec) != want {
-			return valid, nil // garbled payload: torn tail
+			break // garbled payload: torn tail
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return valid, err
+				return int64(valid), err
 			}
 		}
-		valid += int64(recHeaderSize + n)
+		valid += recHeaderSize + int(n)
 	}
+	return int64(valid), nil // clean end, or a partial record header
 }
 
 // readSnapshot loads and verifies a snapshot file.

@@ -41,7 +41,8 @@
 // default; pass -data-dir to journal every mutation to a write-ahead
 // log, fsynced before the mutation is acknowledged, and recover the
 // state on restart. SIGTERM stops serving, drains, and only then
-// closes the log.
+// closes the log. A log that fails a write or an fsync stops the
+// daemon non-zero; a restart on the same -data-dir repairs it.
 //
 // Every role is a node.Node (internal/node): the same construction,
 // registration and stop order the in-process deployments of
@@ -76,7 +77,8 @@ func main() {
 }
 
 // run starts the daemon args describe, reports its bound address to
-// started (when non-nil) and serves until ctx is done, then stops it.
+// started (when non-nil) and serves until ctx is done, or returns why
+// its log stopped it, then stops it.
 func run(ctx context.Context, args []string, started func(addr string)) error {
 	fs := flag.NewFlagSet("blobseerd", flag.ContinueOnError)
 	var (
@@ -154,8 +156,12 @@ func run(ctx context.Context, args []string, started func(addr string)) error {
 	if started != nil {
 		started(n.Addr)
 	}
-	<-ctx.Done()
-	log.Printf("shutting down")
+	select {
+	case <-ctx.Done():
+		log.Printf("shutting down")
+	case err = <-n.Failed():
+		err = fmt.Errorf("%s stopped: write-ahead log failed: %w", *role, err)
+	}
 	n.Stop()
-	return nil
+	return err
 }

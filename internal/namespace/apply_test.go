@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"blobseer/internal/blob"
 	"blobseer/internal/fs"
 	"blobseer/internal/wal"
 )
@@ -28,9 +29,10 @@ func pathOf(b byte) string {
 // refused. Each operation is three bytes: an opcode and two arguments.
 // The paths collide often, so creates find files and directories in
 // their way, deletes find non-empty directories and renames find their
-// destinations taken; the sequence may close the log midway, after
-// which every mutation is refused. Small segments make the log rotate
-// and compact itself under the operations.
+// destinations taken; a racing create finds its path created while its
+// blob was minted; the sequence may close the log midway, after which
+// every mutation is refused. Small segments make the log rotate and
+// compact itself under the operations.
 func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 	t.Helper()
 	log, err := wal.Open(dir, wal.Options{SegmentBytes: 512})
@@ -46,7 +48,7 @@ func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 	refused := 0
 	for ; len(ops) >= 3; ops = ops[3:] {
 		op, a, b := ops[0], ops[1], ops[2]
-		switch op % 6 {
+		switch op % 7 {
 		case 0:
 			calls := cr.calls
 			_, err = s.CreateFile(ctx, pathOf(a), 4096, 1, b%2 == 1)
@@ -62,13 +64,17 @@ func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 		case 4:
 			s.Orphaned()
 		case 5:
-			err = s.CloseWAL()
+			cr.race = func() { s.CreateFile(ctx, pathOf(a), 4096, 1, false) }
+			_, err = s.CreateFile(ctx, pathOf(a), 4096, 1, false)
+			cr.race = nil
+		case 6:
+			err = s.log.Close()
 		}
 		if err != nil {
 			refused++
 		}
 	}
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return s, refused
@@ -126,11 +132,11 @@ func randomOps(seed uint64, n int) []byte {
 	r := rand.New(rand.NewPCG(seed, 2))
 	ops := make([]byte, 0, 3*(n+n/4+1))
 	for range n {
-		ops = append(ops, byte(r.IntN(5)), byte(r.Uint32()), byte(r.Uint32()))
+		ops = append(ops, byte(r.IntN(6)), byte(r.Uint32()), byte(r.Uint32()))
 	}
-	ops = append(ops, 5, 0, 0)
+	ops = append(ops, 6, 0, 0)
 	for range n / 4 {
-		ops = append(ops, byte(r.IntN(5)), byte(r.Uint32()), byte(r.Uint32()))
+		ops = append(ops, byte(r.IntN(6)), byte(r.Uint32()), byte(r.Uint32()))
 	}
 	return ops
 }
@@ -151,7 +157,7 @@ func TestLiveEqualsRecovered(t *testing.T) {
 
 func FuzzLiveEqualsRecovered(f *testing.F) {
 	f.Add(randomOps(0, 20))
-	f.Add([]byte{0, 0x11, 0, 1, 0x05, 0, 3, 0x11, 0x22, 2, 0x05, 1, 5, 0, 0, 0, 0x01, 1})
+	f.Add([]byte{0, 0x11, 0, 5, 0x21, 0, 1, 0x05, 0, 3, 0x11, 0x22, 2, 0x05, 1, 6, 0, 0, 0, 0x01, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkLiveEqualsRecovered(t, ops[:min(len(ops), 3*64)])
 	})
@@ -184,7 +190,39 @@ func TestRefusedCreatesMintNoBlob(t *testing.T) {
 	}
 }
 
-// TestMutationAfterCloseWALFails: a mutation after CloseWAL fails, and
+// TestRacedCreateOrphansItsBlob: a create whose path another create
+// takes while its blob is minted is refused by the second check, and
+// the blob it minted is on the orphan list, live and after recovery.
+func TestRacedCreateOrphansItsBlob(t *testing.T) {
+	ctx, cr, dir := context.Background(), &seqCreator{}, t.TempDir()
+	s := openNS(t, dir, cr)
+	var winner blob.ID
+	cr.race = func() {
+		var err error
+		if winner, err = s.CreateFile(ctx, "/d/f", 4096, 1, false); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := s.CreateFile(ctx, "/d/f", 4096, 1, false); !errors.Is(err, fs.ErrExists) {
+		t.Fatalf("the raced create = %v, want %v", err, fs.ErrExists)
+	}
+	minted := cr.next // the loser's, minted after the winner's
+	if id, err := s.GetFile("/d/f"); err != nil || id != winner || id == minted {
+		t.Fatalf("/d/f = (%d, %v), want the winner's blob %d", id, err, winner)
+	}
+	s.mu.Lock()
+	live := slices.Clone(s.orphaned) // Orphaned would journal a drain
+	s.mu.Unlock()
+	if !slices.Equal(live, []blob.ID{minted}) {
+		t.Errorf("live orphans = %v, want the raced create's blob %d", live, minted)
+	}
+	s.log.Close()
+	if got := openNS(t, dir, &seqCreator{next: 1 << 20}).Orphaned(); !slices.Equal(got, []blob.ID{minted}) {
+		t.Errorf("recovered orphans = %v, want the raced create's blob %d", got, minted)
+	}
+}
+
+// TestMutationAfterCloseWALFails: a mutation after the log closed fails, and
 // the refused record changes nothing a reader can see.
 func TestMutationAfterCloseWALFails(t *testing.T) {
 	ctx := context.Background()
@@ -195,7 +233,7 @@ func TestMutationAfterCloseWALFails(t *testing.T) {
 	if err := s.Mkdirs("/e"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := view(t, s)
@@ -208,7 +246,7 @@ func TestMutationAfterCloseWALFails(t *testing.T) {
 		"rename":           func() error { return s.Rename("/d/f", "/z/f") },
 	} {
 		if refused() == nil {
-			t.Errorf("%s after CloseWAL succeeded; it was never journaled", name)
+			t.Errorf("%s after the log closed succeeded; it was never journaled", name)
 		}
 		if after := view(t, s); after != before {
 			t.Errorf("a refused %s changed the namespace:\nbefore:\n%s\nafter:\n%s", name, before, after)

@@ -8,8 +8,9 @@
 // validate without changing the tree, journal its record, then apply
 // the record through the one apply function replay also calls
 // (applyCreate, mkdirs, applyDelete, applyRename). A refused record —
-// invalid, or one the log failed to write — changes nothing, and a log
-// that failed a write or an fsync refuses every later record.
+// invalid, or one the log failed to write — changes nothing. A log that
+// failed refuses every later record, and the namespace stops there (its
+// node's fail-stop, internal/node).
 package namespace
 
 import (
@@ -147,9 +148,8 @@ func (s *State) CreateFile(ctx context.Context, path string, blockSize int64, re
 	}
 	// Allocate the blob between the two checks, with no lock held (an
 	// RPC under the mutex would serialize unrelated namespace traffic).
-	// That leaves one race: a create the path changed under in between
-	// is refused by the second check, and its blob is named by no file
-	// and on no orphan list, for a sweep of unnamed blobs to reclaim.
+	// A create the path changed under in between is refused by the
+	// second check, and its blob is journaled onto the orphan list.
 	id, err := s.creator(ctx, blockSize, replication)
 	if err != nil {
 		return 0, err
@@ -157,11 +157,15 @@ func (s *State) CreateFile(ctx context.Context, path string, blockSize int64, re
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkCreate(path, overwrite); err != nil {
+		if jerr := s.appendLocked(func() []byte { return encodeFile(recNSOrphan, path, id) }); jerr != nil {
+			return 0, jerr
+		}
+		s.orphaned = append(s.orphaned, id)
 		return 0, err
 	}
 	// The record carries the allocated blob ID: replay must re-link
 	// the same blob, never re-invoke the creator.
-	if err := s.appendLocked(func() []byte { return encodeCreate(path, id) }); err != nil {
+	if err := s.appendLocked(func() []byte { return encodeFile(recNSCreate, path, id) }); err != nil {
 		return 0, err
 	}
 	return id, s.applyCreate(path, id)

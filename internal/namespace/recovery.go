@@ -3,6 +3,7 @@ package namespace
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/fs"
@@ -21,6 +22,7 @@ const (
 	recNSDelete
 	recNSRename
 	recNSDrain
+	recNSOrphan
 )
 
 // Recover rebuilds a namespace State from the log and attaches it, so
@@ -54,16 +56,17 @@ func (s *State) applyRecord(p []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch t {
-	case recNSCreate:
+	case recNSCreate, recNSOrphan:
 		path := r.String()
 		id := blob.ID(r.U64())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if e, _, _ := s.lookup(path); e != nil && !e.isDir && e.blobID == id {
-			return nil // already applied
-		}
-		return s.applyCreate(path, id)
+		switch e, _, _ := s.lookup(path); {
+		case r.Err() != nil:
+			return r.Err()
+		case t == recNSOrphan && !slices.Contains(s.orphaned, id):
+			s.orphaned = append(s.orphaned, id)
+		case t == recNSCreate && (e == nil || e.isDir || e.blobID != id):
+			return s.applyCreate(path, id)
+		} // else already applied
 	case recNSMkdirs:
 		path := r.String()
 		if err := r.Err(); err != nil {
@@ -117,10 +120,11 @@ func (s *State) appendLocked(rec func() []byte) error {
 	return s.log.AppendSync(rec())
 }
 
-// encodeCreate -> recNSCreate | path | blob ID
-func encodeCreate(path string, id blob.ID) []byte {
+// encodeFile -> t | path | blob ID: a create of path, or the blob of a
+// create of path refused after it was minted (recNSOrphan).
+func encodeFile(t uint8, path string, id blob.ID) []byte {
 	b := wire.NewBuffer(16 + len(path))
-	b.U8(recNSCreate)
+	b.U8(t)
 	b.String(path)
 	b.U64(uint64(id))
 	return b.Bytes()
@@ -213,14 +217,4 @@ func (s *State) snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.log.SaveSnapshot(s.encodeSnapshotLocked())
-}
-
-// CloseWAL closes the attached log (graceful shutdown). The log stays
-// attached, so a mutation after it fails with the log's "closed" error
-// instead of being acknowledged unjournaled.
-func (s *State) CloseWAL() error {
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Close()
 }

@@ -11,19 +11,25 @@ import (
 )
 
 // seqCreator hands out sequential blob IDs and counts invocations, so
-// tests can assert that recovery never re-mints blobs.
+// tests can assert that recovery never re-mints blobs. A race set runs
+// once, inside the next call, between a create's two checks.
 type seqCreator struct {
 	next  blob.ID
 	calls int
+	race  func()
 }
 
 func (c *seqCreator) create(ctx context.Context, blockSize int64, replication int) (blob.ID, error) {
+	if race := c.race; race != nil {
+		c.race = nil
+		race()
+	}
 	c.calls++
 	c.next++
 	return c.next, nil
 }
 
-func openNS(t *testing.T, dir string, cr *seqCreator) *State {
+func openNS(t testing.TB, dir string, cr *seqCreator) *State {
 	t.Helper()
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -33,7 +39,7 @@ func openNS(t *testing.T, dir string, cr *seqCreator) *State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.CloseWAL() })
+	t.Cleanup(func() { s.log.Close() })
 	return s
 }
 
@@ -61,7 +67,7 @@ func TestNamespaceRecoverRoundTrip(t *testing.T) {
 	s.CreateFile(ctx, "/c.txt", 4096, 1, false)
 	idC2, _ := s.CreateFile(ctx, "/c.txt", 4096, 1, true)
 	callsBefore := cr.calls
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openNS(t, dir, cr)
 	if cr.calls != callsBefore {
@@ -96,7 +102,7 @@ func TestNamespaceDrainNotReplayed(t *testing.T) {
 	if got := s.Orphaned(); len(got) != 1 {
 		t.Fatalf("drain = %v", got)
 	}
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openNS(t, dir, cr)
 	if got := r.Orphaned(); len(got) != 0 {
@@ -123,7 +129,7 @@ func TestNamespaceSnapshotCompactAndRecover(t *testing.T) {
 	if st := s.log.Status(); st.SnapshotSeq == 0 || st.Snapshots != 1 {
 		t.Errorf("snapshot not recorded in WAL status: %+v", st)
 	}
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openNS(t, dir, cr)
 	if id, err := r.GetFile("/a/1"); err != nil || id != 1 {
@@ -157,7 +163,7 @@ func TestNamespaceLogCompactsItself(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.CloseWAL() })
+		t.Cleanup(func() { s.log.Close() })
 		return s
 	}
 	s := open()
@@ -174,7 +180,7 @@ func TestNamespaceLogCompactsItself(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.log.Status(); st.Segments > 2 {
@@ -201,7 +207,7 @@ func TestNamespaceRecoverIdempotentSecondReplay(t *testing.T) {
 	s.CreateFile(ctx, "/f", 4096, 1, false)
 	s.Mkdirs("/d")
 	s.Rename("/f", "/d/f")
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openNS(t, dir, cr)
 	// Re-apply the whole log onto the already-recovered state.

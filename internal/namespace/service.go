@@ -28,22 +28,22 @@ func (s *Service) State() *State { return s.state }
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // Mux returns the RPC dispatch table, metered on the service's registry.
-// Lookups wait on nothing and run inline (rpc's dispatch rule); so do
-// the mutations of a namespace without a log. A create calls the
-// version manager, and keeps its handler goroutine.
+// A create calls the version manager and keeps its handler goroutine;
+// with a log, whose records hold the tree's lock across an fsync, so
+// does every method. Without one the rest run inline (rpc's rule).
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMeteredMux("namespace", s.reg)
-	mutate := m.HandleInline
+	handle := m.HandleInline
 	if s.state.log != nil {
-		mutate = m.HandleFrame
+		handle = m.HandleFrame
 	}
 	m.HandleFrame(mCreateFile, "create_file", s.handleCreateFile)
-	m.HandleInline(mGetFile, "get_file", s.handleGetFile)
-	mutate(mMkdirs, "mkdirs", s.handleMkdirs)
-	mutate(mDelete, "delete", s.handleDelete)
-	mutate(mRename, "rename", s.handleRename)
-	m.HandleInline(mList, "list", s.handleList)
-	m.HandleInline(mStatEntry, "stat", s.handleStatEntry)
+	handle(mGetFile, "get_file", s.handleGetFile)
+	handle(mMkdirs, "mkdirs", s.handleMkdirs)
+	handle(mDelete, "delete", s.handleDelete)
+	handle(mRename, "rename", s.handleRename)
+	handle(mList, "list", s.handleList)
+	handle(mStatEntry, "stat", s.handleStatEntry)
 	return m
 }
 

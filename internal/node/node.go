@@ -5,6 +5,9 @@
 // datanodes, and the Map/Reduce jobtracker and tasktrackers.
 // internal/cluster runs N nodes in one process, cmd/blobseerd one node
 // per process: same construction, same registration, same stop order.
+// A durable role (DataDir) serves on a working log or is gone: when its
+// log fails, the node kills itself as Kill does, logs the cause and
+// hands it to Failed. Clients retry into the restarted role.
 package node
 
 import (
@@ -113,11 +116,13 @@ type Node struct {
 	Repair *repair.Engine
 	TT     *mapred.TaskTracker
 
-	cfg   Config
-	srv   *rpc.Server
-	store store.Store
-	loops []func() // stops what the role runs in the background
-	kill  sync.Once
+	cfg    Config
+	srv    *rpc.Server
+	store  store.Store
+	log    *wal.Log // a durable role's
+	loops  []func() // stops what the role runs in the background
+	kill   sync.Once
+	failed chan error // the cause, once a failed log stopped the node
 }
 
 // Start builds the role's service, serves it on cfg.Listener, announces
@@ -126,7 +131,7 @@ func Start(cfg Config) (n *Node, err error) {
 	if cfg.Plane == nil {
 		cfg.Plane = obs.NewPlane(cfg.Role)
 	}
-	n = &Node{cfg: cfg}
+	n = &Node{cfg: cfg, failed: make(chan error, 1)}
 	defer func() {
 		if err != nil {
 			if n.srv == nil && cfg.Listener != nil {
@@ -158,8 +163,22 @@ func Start(cfg Config) (n *Node, err error) {
 		n.loops = append(n.loops, func() { _ = stop() })
 		n.logf("metrics on http://%s/metrics (traces at /trace)", bound)
 	}
+	if n.log != nil {
+		// Kill waits for every handler, the one that hit the failure too.
+		n.log.OnFail(func(err error) {
+			go func() {
+				n.logf("%s: write-ahead log failed, stopping: %v", cfg.Plane.Name(), err)
+				n.Kill()
+				n.failed <- err
+			}()
+		})
+	}
 	return n, nil
 }
+
+// Failed receives the cause when a failed write-ahead log stopped the
+// node.
+func (n *Node) Failed() <-chan error { return n.failed }
 
 // build constructs the role's service and returns its dispatch table
 // (nil for repair, a pure client). The usage errors name blobseerd's
@@ -193,14 +212,14 @@ func (n *Node) build() (mux *rpc.Mux, err error) {
 		if cfg.Shard.Count > 1 { // one WAL per shard: recovery never crosses shards
 			sub = filepath.Join(sub, fmt.Sprintf("shard-%d", cfg.Shard.Index))
 		}
-		st, log, err := openState(n, sub,
+		st, err := openState(n, sub,
 			func(l *wal.Log) (*vmanager.State, error) { return vmanager.Recover(l, &cfg.Shard) },
 			func() *vmanager.State { return vmanager.NewState(&cfg.Shard) })
 		if err != nil {
 			return nil, err
 		}
 		n.VM = vmanager.NewService(st)
-		walGauges(n.VM.Metrics(), log)
+		walGauges(n.VM.Metrics(), n.log)
 		if cfg.WriteTimeout > 0 {
 			n.VM.StartJanitor(cfg.WriteTimeout, cfg.WriteTimeout/2)
 			n.loops = append(n.loops, n.VM.StopJanitor)
@@ -222,14 +241,14 @@ func (n *Node) build() (mux *rpc.Mux, err error) {
 			return nil, errors.New("namespace: -vmanager is required")
 		}
 		creator := namespace.VMBlobCreator(vmanager.NewClient(cfg.Pool, cfg.VM...))
-		st, log, err := openState(n, "namespace",
+		st, err := openState(n, "namespace",
 			func(l *wal.Log) (*namespace.State, error) { return namespace.Recover(l, creator) },
 			func() *namespace.State { return namespace.NewState(creator) })
 		if err != nil {
 			return nil, err
 		}
 		n.NS = namespace.NewService(st)
-		walGauges(n.NS.Metrics(), log)
+		walGauges(n.NS.Metrics(), n.log)
 		cfg.Plane.Use(n.NS.Metrics())
 		return n.NS.Mux(), nil
 
@@ -274,23 +293,24 @@ func (n *Node) build() (mux *rpc.Mux, err error) {
 
 // openState returns a control-plane role's state: recovered from the
 // write-ahead log under DataDir/sub when the node is durable (later
-// mutations are journaled there, and the log is returned), fresh and
+// mutations are journaled there, and the log becomes n.log), fresh and
 // volatile otherwise.
-func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fresh func() S) (st S, log *wal.Log, err error) {
+func openState[S any](n *Node, sub string, recover func(*wal.Log) (S, error), fresh func() S) (st S, err error) {
 	if n.cfg.DataDir == "" {
-		return fresh(), nil, nil
+		return fresh(), nil
 	}
-	log, err = wal.Open(filepath.Join(n.cfg.DataDir, sub), wal.Options{})
+	log, err := wal.Open(filepath.Join(n.cfg.DataDir, sub), wal.Options{})
 	if err != nil {
-		return st, nil, fmt.Errorf("open WAL under %s: %w", n.cfg.DataDir, err)
+		return st, fmt.Errorf("open WAL under %s: %w", n.cfg.DataDir, err)
 	}
 	if st, err = recover(log); err != nil {
 		log.Close()
-		return st, nil, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Plane.Name(), err)
+		return st, fmt.Errorf("%s: recover from WAL: %w", n.cfg.Plane.Name(), err)
 	}
 	ws := log.Status()
 	n.logf("%s: recovered from WAL (%d segment(s), %d bytes)", n.cfg.Plane.Name(), ws.Segments, ws.LogBytes)
-	return st, log, nil
+	n.log = log
+	return st, nil
 }
 
 // walGauges exports a durable role's log shape on reg as the wal_*
@@ -315,12 +335,6 @@ func walGauges(reg *obs.Registry, log *wal.Log) {
 	gauge("unsnapshotted", func(st wal.Status) int64 { return int64(st.LastSeq - st.SnapshotSeq) })
 	gauge("snapshots", func(st wal.Status) int64 { return int64(st.Snapshots) })
 	gauge("compact_failures", func(st wal.Status) int64 { return int64(st.CompactFailures) })
-	gauge("stopped", func(st wal.Status) int64 {
-		if st.Stopped {
-			return 1
-		}
-		return 0
-	})
 }
 
 // announce registers a storage node with its manager, so clients need
@@ -418,14 +432,10 @@ func (n *Node) Kill() {
 			}
 			n.srv.Close()
 		}
-		var err error
-		if n.VM != nil {
-			err = n.VM.State().CloseWAL()
+		if n.log == nil {
+			return
 		}
-		if n.NS != nil {
-			err = n.NS.State().CloseWAL()
-		}
-		if err != nil {
+		if err := n.log.Close(); err != nil {
 			n.logf("%s: close WAL: %v", n.cfg.Plane.Name(), err)
 		}
 	})

@@ -61,7 +61,9 @@
 // runs on the connection's goroutine, which saves each request the
 // hand-off to a parked handler; every other method is registered with
 // HandleFrame. Each service decides in its Mux from its own
-// configuration: whether its state has a log, whether its store lends.
+// configuration: whether its store lends, whether its state has a log.
+// A role with a log holds a lock across each record's fsync, so its
+// lookups, which take that lock, keep handler goroutines too.
 // A caller talking to many peers at once need not start goroutines
 // either: StartInto sends a call and Pending.Wait collects it, so one
 // goroutine can send every request first and then wait.

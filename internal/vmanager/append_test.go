@@ -112,7 +112,7 @@ func TestRecoverMergedAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, want, _ := s.LatestSince(m.ID, 0, 0)
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openState(t, dir)
 	if _, got, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(got, want, blob.WriteDesc.Equal) {

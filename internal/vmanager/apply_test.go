@@ -72,7 +72,7 @@ func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 		case 7:
 			_, err = s.Prune(id, pub-blob.Version(b%2))
 		case 8:
-			err = s.CloseWAL()
+			err = s.log.Close()
 		case 9:
 			err = s.Relocate(id, moves(s, id, a, b))
 		}
@@ -80,7 +80,7 @@ func runOps(t *testing.T, dir string, ops []byte) (*State, int) {
 			refused++
 		}
 	}
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return s, refused

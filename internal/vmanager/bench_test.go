@@ -87,7 +87,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 	records := float64(s.log.Status().Records)
-	s.CloseWAL()
+	s.log.Close()
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -100,7 +100,7 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.CloseWAL()
+		s.log.Close()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)

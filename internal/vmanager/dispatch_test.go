@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/rpc"
@@ -68,6 +69,45 @@ func TestDurableShardKeepsJournalingOffTheConnection(t *testing.T) {
 	wg.Wait()
 	if got := fsyncsPerRecord(before, s.log.Status()); got >= 1 {
 		t.Errorf("%d writers on one connection to a durable shard: %.3f fsyncs per record, want fewer than 1", writers, got)
+	}
+}
+
+// TestDurableShardKeepsLookupsOffTheConnection: on a durable shard a
+// mutation holds its blob's stripe lock across its record's fsync, and
+// a lookup takes that lock. Run inline, the lookup would wait out the
+// fsync on the connection's goroutine, and every later request on the
+// connection with it. The test holds one blob's stripe lock as such a
+// mutation does: a latest on that blob must not hold up a latest on a
+// blob of another stripe, sent behind it on the same connection.
+func TestDurableShardKeepsLookupsOffTheConnection(t *testing.T) {
+	s := openState(t, t.TempDir())
+	pool := rpc.NewPool(rpc.TCPDialer)
+	t.Cleanup(pool.Close)
+	c, ctx := NewClient(pool, serveTCP(t, s)), context.Background()
+	var ids []blob.ID
+	for len(ids) < 2 {
+		m, err := c.CreateBlob(ctx, B, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) == 0 || stripeIndex(m.ID) != stripeIndex(ids[0]) {
+			ids = append(ids, m.ID)
+		}
+	}
+	st := s.stripeFor(ids[0])
+	st.mu.Lock()
+	held := make(chan error, 1)
+	go func() { _, err := c.Latest(ctx, ids[0]); held <- err }()
+	time.Sleep(50 * time.Millisecond) // the held lookup reaches the shard first
+	wctx, cancel := context.WithTimeout(ctx, time.Second)
+	_, err := c.Latest(wctx, ids[1])
+	cancel()
+	st.mu.Unlock()
+	if err != nil {
+		t.Errorf("a latest on a free blob, behind one waiting for a held stripe lock on the same connection: %v", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -300,13 +300,3 @@ func (s *State) snapshot() error {
 	defer s.idMu.Unlock()
 	return s.log.SaveSnapshot(s.encodeSnapshotAllLocked())
 }
-
-// CloseWAL closes the attached log (graceful shutdown). The log stays
-// attached, so a mutation after it fails with the log's "closed" error
-// instead of being acknowledged unjournaled.
-func (s *State) CloseWAL() error {
-	if s.log == nil {
-		return nil
-	}
-	return s.log.Close()
-}

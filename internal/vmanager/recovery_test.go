@@ -22,7 +22,7 @@ func openState(t testing.TB, dir string) *State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.CloseWAL() })
+	t.Cleanup(func() { s.log.Close() })
 	return s
 }
 
@@ -73,7 +73,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 	wantPub, wantSize, _ := latest(s, m.ID)
 	_, wantDescs, _ := s.LatestSince(m.ID, 0, 0)
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openState(t, dir)
 	if _, descs, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(descs, wantDescs, blob.WriteDesc.Equal) {
@@ -113,7 +113,7 @@ func TestRecoverInFlightVersionFeedsJanitor(t *testing.T) {
 	}
 	// The crash we simulate is of the *writer and manager together*,
 	// after the assign was journaled.
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openState(t, dir)
 	exp := r.Expired(0)
@@ -136,7 +136,7 @@ func TestRecoverPreservesAssignTime(t *testing.T) {
 	if _, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion); err != nil {
 		t.Fatal(err)
 	}
-	s.CloseWAL()
+	s.log.Close()
 
 	time.Sleep(20 * time.Millisecond)
 	r := openState(t, dir)
@@ -154,12 +154,12 @@ func TestRecoverIdempotentSecondReplay(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		assignCommit(t, s, m.ID, 4096)
 	}
-	s.CloseWAL()
+	s.log.Close()
 
 	// First recovery.
 	r1 := openState(t, dir)
 	pub1, size1, _ := latest(r1, m.ID)
-	r1.CloseWAL()
+	r1.log.Close()
 	// Second recovery over the very same (untouched) log.
 	r2 := openState(t, dir)
 	pub2, size2, _ := latest(r2, m.ID)
@@ -207,7 +207,7 @@ func TestSnapshotCompactAndRecover(t *testing.T) {
 		t.Errorf("snapshot not recorded in WAL status: %+v", st)
 	}
 	_, wantDescs, _ := s.LatestSince(m.ID, 0, 0)
-	s.CloseWAL()
+	s.log.Close()
 
 	r := openState(t, dir)
 	if _, descs, _ := r.LatestSince(m.ID, 0, 0); !slices.EqualFunc(descs, wantDescs, blob.WriteDesc.Equal) || len(descs[0].Replicas) != 2 {
@@ -244,7 +244,7 @@ func TestCommitIdempotent(t *testing.T) {
 }
 
 // TestMutationAfterCloseWALFails: a closed log stays attached, so a
-// mutation after CloseWAL fails instead of being acknowledged without
+// mutation after the log closed fails instead of being acknowledged without
 // ever reaching the log, and the refused record changes nothing.
 func TestMutationAfterCloseWALFails(t *testing.T) {
 	s := openState(t, t.TempDir())
@@ -258,34 +258,34 @@ func TestMutationAfterCloseWALFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	before := view(s)
 
 	if _, err := s.AssignVersion(m.ID, blob.KindAppend, 0, 4096, 0, blob.NoVersion); err == nil {
-		t.Fatal("AssignVersion after CloseWAL succeeded; the assignment was never journaled")
+		t.Fatal("AssignVersion after the log closed succeeded; the assignment was never journaled")
 	}
 	if exp := s.Expired(0); len(exp) != 1 || exp[0].Version != in.Version {
 		t.Errorf("in flight after a refused assign: %+v, want only version %d", exp, in.Version)
 	}
 	if _, err := s.CreateBlob(4096, 1); err == nil {
-		t.Fatal("CreateBlob after CloseWAL succeeded")
+		t.Fatal("CreateBlob after the log closed succeeded")
 	}
 	if ids := s.Blobs(); !slices.Equal(ids, []blob.ID{m.ID}) {
 		t.Errorf("blobs after a refused create: %v, want [%d]", ids, m.ID)
 	}
 	if _, err := s.Prune(m.ID, 2); err == nil {
-		t.Fatal("Prune after CloseWAL succeeded")
+		t.Fatal("Prune after the log closed succeeded")
 	}
 	if h, _, _ := s.LatestSince(m.ID, 0, blob.NoVersion); h.Oldest != 1 {
 		t.Errorf("prune point after a refused prune: %d, want 1", h.Oldest)
 	}
 	if err := s.Commit(m.ID, in.Version); err == nil {
-		t.Fatal("Commit after CloseWAL succeeded")
+		t.Fatal("Commit after the log closed succeeded")
 	}
 	if err := s.Abort(m.ID, in.Version); err == nil {
-		t.Fatal("Abort after CloseWAL succeeded")
+		t.Fatal("Abort after the log closed succeeded")
 	}
 	if after := view(s); after != before {
 		t.Errorf("refused mutations changed the state:\nbefore:\n%s\nafter:\n%s", before, after)
@@ -318,7 +318,7 @@ func TestVersionLogCompactsItself(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.CloseWAL() })
+		t.Cleanup(func() { s.log.Close() })
 		return s
 	}
 	s := open()
@@ -329,7 +329,7 @@ func TestVersionLogCompactsItself(t *testing.T) {
 	for range 2000 {
 		assignCommit(t, s, m.ID, 4096)
 	}
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.log.Status(); st.Snapshots < 1 || st.CompactFailures != 0 {
@@ -438,7 +438,7 @@ func TestCreatesWhileCompacting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := s.CloseWAL(); err != nil {
+	if err := s.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.log.Status(); st.Snapshots == 0 {

@@ -122,26 +122,26 @@ func (s *Service) StopJanitor() {
 }
 
 // Mux returns the RPC dispatch table, metered on the shard's registry.
-// Reads wait on nothing and run inline (rpc's dispatch rule); so do the
-// mutations of a shard without a log, and a durable shard's keep their
-// handler goroutines, so that writers on one connection share an fsync.
-// A wait blocks until its version publishes.
+// Without a log every method but wait runs inline (rpc's dispatch rule).
+// A durable shard's all keep handler goroutines: a mutation holds its
+// blob's stripe lock across its record's fsync, which writers on one
+// connection share only off it, and a lookup would wait it out.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMeteredMux("vmanager", s.reg)
-	mutate := m.HandleInline
+	handle := m.HandleInline
 	if s.state.log != nil {
-		mutate = m.HandleFrame
+		handle = m.HandleFrame
 	}
-	mutate(mCreateBlob, "create", s.handleCreate)
-	mutate(mAssignVersion, "assign", s.handleAssign)
-	mutate(mCommit, "commit", s.handleCommit)
-	mutate(mAbort, "abort", s.handleAbort)
-	m.HandleInline(mLatest, "latest", s.handleLatest)
+	handle(mCreateBlob, "create", s.handleCreate)
+	handle(mAssignVersion, "assign", s.handleAssign)
+	handle(mCommit, "commit", s.handleCommit)
+	handle(mAbort, "abort", s.handleAbort)
+	handle(mLatest, "latest", s.handleLatest)
 	m.HandleFrame(mWaitPublished, "wait", s.handleWait)
-	m.HandleInline(mListBlobs, "list", s.handleListBlobs)
-	mutate(mPrune, "prune", s.handlePrune)
-	mutate(mRelocate, "relocate", s.handleRelocate)
-	m.HandleInline(mReplicas, "replicas", s.handleReplicas)
+	handle(mListBlobs, "list", s.handleListBlobs)
+	handle(mPrune, "prune", s.handlePrune)
+	handle(mRelocate, "relocate", s.handleRelocate)
+	handle(mReplicas, "replicas", s.handleReplicas)
 	return m
 }
 

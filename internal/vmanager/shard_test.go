@@ -110,7 +110,7 @@ func TestShardRecoverRoundTrip(t *testing.T) {
 	if err := st.Commit(m.ID, a.Version); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.CloseWAL(); err != nil {
+	if err := st.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,7 +122,7 @@ func TestShardRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.CloseWAL()
+	defer re.log.Close()
 	if got := re.Shard(); got != si {
 		t.Fatalf("recovered shard info %+v, want %+v", got, si)
 	}
@@ -155,7 +155,7 @@ func TestShardRecoverRejectsForeignLog(t *testing.T) {
 	if _, err := st.CreateBlob(B, 1); err != nil { // mints ID 1
 		t.Fatal(err)
 	}
-	if err := st.CloseWAL(); err != nil {
+	if err := st.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -47,8 +47,9 @@
 // the record through the one apply function replay also calls
 // (applyCreate, applyAssign, applyResolve, applyPrune, applyRelocate). A refused
 // record — invalid, or one the log failed to write — changes nothing,
-// and a log that failed a write or an fsync refuses every later record,
 // so the live state never holds a mutation recovery would not rebuild.
+// A log that failed refuses every later record, and the shard stops
+// there (its node's fail-stop, internal/node).
 package vmanager
 
 import (

@@ -20,7 +20,8 @@
 // snapshot fails. Past its last fsync the file's content is unknown —
 // a short write leaves a torn record, behind which replay never reads
 // and which Open truncates, with all that follows it — so the one safe
-// next step is a restart, whose Open repairs the tail.
+// next step is a restart, whose Open repairs the tail. The log reports
+// the failure once (OnFail), and the role around it stops there.
 //
 // On-disk layout (this comment is the format's authoritative doc,
 // alongside the provider and dht wire-format package comments):
@@ -165,8 +166,10 @@ type Log struct {
 	compactions  sync.WaitGroup
 	compactFails uint64
 
+	buf    []byte // the last record's header and payload, reused by the next
 	closed bool
-	failed error // the first failed write or fsync, which stopped the log
+	failed error       // the first failed write or fsync, which stopped the log
+	onFail func(error) // told of failed once (OnFail)
 
 	// tail is segment tailSeq's valid bytes as Open read them, kept for
 	// Replay so that recovery reads the tail once; the first write, or
@@ -365,12 +368,9 @@ func (l *Log) AppendSync(payload []byte) error {
 	if len(payload) > maxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [recHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-
+	crc := crc32.ChecksumIEEE(payload)
 	l.mu.Lock()
-	seq, err := l.writeLocked(hdr[:], payload)
+	seq, err := l.writeLocked(payload, crc)
 	l.mu.Unlock()
 	if err != nil {
 		return err
@@ -380,10 +380,11 @@ func (l *Log) AppendSync(payload []byte) error {
 	return l.syncTo(seq)
 }
 
-// writeLocked writes one framed record, rotating first if the segment
+// writeLocked writes one framed record, header and payload in one
+// write from the buffer the log keeps, rotating first if the segment
 // is full, and returns its append sequence. A failed write stops the
 // log. Callers hold l.mu.
-func (l *Log) writeLocked(hdr, payload []byte) (uint64, error) {
+func (l *Log) writeLocked(payload []byte, crc uint32) (uint64, error) {
 	if err := l.stoppedLocked(); err != nil {
 		return 0, err
 	}
@@ -394,13 +395,17 @@ func (l *Log) writeLocked(hdr, payload []byte) (uint64, error) {
 		}
 		l.compactLocked()
 	}
-	if _, err := l.f.Write(hdr); err != nil {
+	rec := binary.BigEndian.AppendUint32(l.buf[:0], uint32(len(payload)))
+	rec = binary.BigEndian.AppendUint32(rec, crc)
+	rec = append(rec, payload...)
+	_, err := l.f.Write(rec)
+	if l.buf = rec; cap(rec) > 64<<10 {
+		l.buf = nil // an oversized record's buffer is not kept
+	}
+	if err != nil {
 		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
 	}
-	if _, err := l.f.Write(payload); err != nil {
-		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
-	}
-	l.size += int64(len(hdr) + len(payload))
+	l.size += int64(len(rec))
 	l.records++
 	return l.records, nil
 }
@@ -420,8 +425,23 @@ func (l *Log) stoppedLocked() error {
 func (l *Log) failLocked(err error) error {
 	if l.failed == nil {
 		l.failed = fmt.Errorf("wal: stopped by an earlier failure: %w", err)
+		if l.onFail != nil {
+			l.onFail(err)
+		}
 	}
 	return err
+}
+
+// OnFail registers fn, called once, with the log locked, with the write
+// or fsync failure that stopped the log (at once if it has; a Close is
+// none). fn must neither block nor call the log.
+func (l *Log) OnFail(fn func(error)) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.onFail = fn
+	if l.failed != nil {
+		fn(errors.Unwrap(l.failed))
+	}
 }
 
 // syncTo returns once record seq is durable. Callers whose record was

@@ -2,6 +2,11 @@
 // the reproduction: a sticky-error buffer codec for message bodies and
 // length-prefixed framing for the transport. Hand-rolled encoding keeps
 // the data path allocation-light and dependency-free (stdlib only).
+//
+// Buffer ownership: a GetBuf slice (and a Buffer's frame) is its
+// holder's until PutBuf, which takes the only reference; the next
+// GetBuf may hand it out again. PoisonReleased (tests) fills released
+// buffers with 0xDB and panics on a double release.
 package wire
 
 import (

@@ -26,7 +26,8 @@ func ExampleBlob() {
 		log.Fatal(err)
 	}
 
-	// Stream 3 KB through the shared write-behind engine.
+	// Stream 3 KB through the shared write-behind engine: its 3 blocks
+	// are one run, which publishes as one version at Close.
 	w := b.NewWriter(ctx, blobseer.WriterOptions{Depth: 2})
 	for i := 0; i < 3; i++ {
 		if _, err := w.Write(make([]byte, 1<<10)); err != nil {
@@ -49,7 +50,7 @@ func ExampleBlob() {
 		log.Fatal(err)
 	}
 	fmt.Printf("published v%d, size %d\n", s.Version(), s.Size())
-	// Output: published v4, size 3072
+	// Output: published v2, size 3072
 }
 
 // ExampleSnapshot shows the handle-based read path: pin the latest

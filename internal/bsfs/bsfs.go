@@ -10,7 +10,8 @@
 // path to a BLOB handle (core.Blob), pins a snapshot (core.Snapshot),
 // and streams through the shared pipeline engine of internal/stream —
 // the same engine raw-blob applications get from Snapshot.NewReader
-// and Blob.NewWriter.
+// and Blob.NewWriter. Create's writer publishes a version per run of 16
+// blocks (readers see a run at a time, all at Close); Append's, per block.
 package bsfs
 
 import (
@@ -37,9 +38,9 @@ type Config struct {
 	// block at a time, on demand.
 	ReadaheadBlocks int
 	// WriteBehindDepth is the writer's write-behind window: up to this
-	// many full-block commits proceed in the background while Write
-	// keeps buffering. 0 (or negative) keeps writes fully synchronous —
-	// each block commit completes before Write returns.
+	// many full-block puts (appends, for Append) proceed in the background
+	// while Write keeps buffering. 0 (or negative) keeps writes fully
+	// synchronous — each block's completes before Write returns.
 	WriteBehindDepth int
 }
 

@@ -14,6 +14,7 @@ import (
 	"blobseer/internal/bsfs"
 	"blobseer/internal/cluster"
 	"blobseer/internal/fs"
+	"blobseer/internal/stream"
 	"blobseer/internal/vmanager"
 )
 
@@ -97,7 +98,7 @@ func TestSmallWritesBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []byte
-	for i := 0; i < 3*B/100+5; i++ {
+	for i := 0; i < (stream.RunBlocks+1)*B/100+5; i++ {
 		chunk := pattern(byte(i), 100)
 		if _, err := w.Write(chunk); err != nil {
 			t.Fatal(err)
@@ -111,16 +112,17 @@ func TestSmallWritesBuffered(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("buffered writes mismatch")
 	}
-	// The blob must have one version per block commit, not per Write
-	// call: ceil(len/B) versions.
+	// The blob must have one version per run of blocks, not per Write
+	// call: ceil(blocks/stream.RunBlocks) versions.
 	id, err := cl.NSService().State().GetFile("/small-writes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, _, _ := cl.VMService().State().LatestSince(id, math.MaxUint64, 0)
-	wantVersions := (len(want) + B - 1) / B
+	blocks := (len(want) + B - 1) / B
+	wantVersions := (blocks + stream.RunBlocks - 1) / stream.RunBlocks
 	if int(h.Published) != wantVersions {
-		t.Errorf("blob has %d versions, want %d (one per block)", h.Published, wantVersions)
+		t.Errorf("blob of %d blocks has %d versions, want %d (one per run)", blocks, h.Published, wantVersions)
 	}
 }
 
@@ -434,6 +436,22 @@ func TestManyFilesConcurrently(t *testing.T) {
 	for i, st := range sts {
 		if st.Size != int64(B+i*17) {
 			t.Errorf("part %d size = %d", i, st.Size)
+		}
+	}
+}
+
+// TestSmallFilesSpreadOverProviders: a file shorter than a block asks
+// the placement for its one block, not a run's worth, so round-robin
+// placement keeps spreading small files: 8 of them over 4 providers
+// put 2 on each (a 16-block grant per file put all 8 on one).
+func TestSmallFilesSpreadOverProviders(t *testing.T) {
+	f, cl := startFS(t)
+	for i := range 8 {
+		writeFile(t, f, fmt.Sprintf("/small-%d", i), pattern(byte(i), 100))
+	}
+	for _, addr := range cl.ProviderAddrs {
+		if n := cl.ProviderService(addr).Store().Stats().Items; n != 2 {
+			t.Errorf("%s holds %d blocks of the 8 small files, want 2", addr, n)
 		}
 	}
 }

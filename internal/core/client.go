@@ -318,6 +318,7 @@ func (c *Client) Latest(ctx context.Context, id blob.ID) (blob.Version, int64, e
 // wire.PoisonReleased.
 type write struct {
 	c     *Client
+	nonce uint64 // the blocks' keys carry it
 	refs  []mdtree.BlockRef
 	addrs []string
 	descs []blob.WriteDesc
@@ -367,8 +368,9 @@ func keep[T any](v []T) []T {
 }
 
 // doWrite is the two-phase write protocol behind Blob.Write and
-// Blob.Append; base is an append's (vmanager.State.Assign). The
-// Assignment it returns has no Descs: they were its working set's.
+// Blob.Append, store then publish; base is an append's
+// (vmanager.State.Assign). The Assignment it returns has no Descs:
+// they were its working set's.
 func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, off int64, base blob.Version, data []byte) (_ vmanager.Assignment, err error) {
 	var none vmanager.Assignment // what a failed write returns
 	if len(data) == 0 {
@@ -380,49 +382,63 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 	}
 	ctx, sp := c.tracer.Start(ctx, op)
 	defer func() { sp.Finish(err) }()
-	id := m.ID
 	if kind == blob.KindWrite && off%m.BlockSize != 0 {
 		return none, fmt.Errorf("core: write offset %d not aligned to block size %d", off, m.BlockSize)
 	}
-	nBlocks := int(blob.Blocks(int64(len(data)), m.BlockSize))
 	wr := c.newWrite()
 	defer wr.release()
+	if err := wr.store(ctx, m, data); err != nil {
+		return none, err
+	}
+	return wr.publish(ctx, m, kind, off, base, int64(len(data)))
+}
 
-	// Phase 1a: allocate providers for every block of the patch.
-	targets, err := c.pm.Allocate(ctx, nBlocks, m.Replication, c.host, wr.addrs)
+// grant is phase 1a: one placement grant for n blocks, which wr.refs
+// names, each but its length, under a nonce of their own.
+func (wr *write) grant(ctx context.Context, m blob.Meta, n int) error {
+	p, err := wr.c.pm.Allocate(ctx, n, m.Replication, wr.c.host, wr.addrs)
 	if err != nil {
-		return none, fmt.Errorf("core: allocate providers: %w", err)
+		return fmt.Errorf("core: allocate providers: %w", err)
 	}
-	wr.addrs = targets.Addrs
+	wr.addrs, wr.nonce, wr.refs = p.Addrs, wr.c.nonce.next(), slices.Grow(wr.refs[:0], n)[:n]
+	for i := range wr.refs {
+		wr.refs[i] = mdtree.BlockRef{Key: blob.BlockKey{Blob: m.ID, Nonce: wr.nonce, Seq: uint32(i)}, Providers: p.Block(i)}
+	}
+	return nil
+}
 
-	// Phase 1b: store all blocks, fully parallel with other writers.
-	nonce := c.nonce.next()
-	if cap(wr.refs) < nBlocks {
-		wr.refs = make([]mdtree.BlockRef, nBlocks)
+// store is phase 1: one placement grant, then every block of data,
+// fully parallel with other writers. A failed store freed its blocks.
+func (wr *write) store(ctx context.Context, m blob.Meta, data []byte) error {
+	if err := wr.grant(ctx, m, int(blob.Blocks(int64(len(data)), m.BlockSize))); err != nil {
+		return err
 	}
-	wr.refs = wr.refs[:nBlocks]
-	refs := wr.refs
-	for i := range refs {
-		start := int64(i) * m.BlockSize
-		key := blob.BlockKey{Blob: id, Nonce: nonce, Seq: uint32(i)}
-		refs[i] = mdtree.BlockRef{Key: key, Providers: targets.Block(i), Len: min(m.BlockSize, int64(len(data))-start)}
+	for i := range wr.refs {
+		wr.refs[i].Len = min(m.BlockSize, int64(len(data))-int64(i)*m.BlockSize)
 	}
-	if werr := c.putBlocks(ctx, data, m.BlockSize, refs); werr != nil {
+	if err := wr.c.putBlocks(ctx, data, m.BlockSize, wr.refs); err != nil {
 		// The paper: "If, for some reason, writing of a block fails,
 		// then the whole write fails." No version was assigned, so none
 		// needs aborting — just GC the orphaned blocks.
-		c.gcBlocks(id, nonce, targets.Addrs)
-		return none, werr
+		wr.c.gcBlocks(m.ID, wr.nonce, wr.addrs)
+		return err
 	}
+	return nil
+}
 
+// publish is phase 2: the blocks wr.refs names, size bytes from off,
+// become one version. A failed publish freed them, unless it may have
+// published.
+func (wr *write) publish(ctx context.Context, m blob.Meta, kind blob.WriteKind, off int64, base blob.Version, size int64) (vmanager.Assignment, error) {
+	c, id, none := wr.c, m.ID, vmanager.Assignment{}
 	// Phase 2a: version assignment — the single serialization point.
 	st := c.state(id)
 	c.mu.Lock()
 	since := st.hist.Latest()
 	c.mu.Unlock()
-	a, err := c.vm.Assign(ctx, id, kind, off, int64(len(data)), nonce, since, base, wr.descs, targets.Addrs...)
+	a, err := c.vm.Assign(ctx, id, kind, off, size, wr.nonce, since, base, wr.descs, wr.addrs[:len(wr.refs)*m.Replication]...)
 	if err != nil {
-		c.gcBlocks(id, nonce, targets.Addrs)
+		c.gcBlocks(id, wr.nonce, wr.addrs)
 		return none, err
 	}
 	wr.descs, a.Descs = a.Descs, nil
@@ -437,20 +453,20 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return none, fmt.Errorf("core: history cache failed (%v) and abort failed: %w", err, aerr)
 		}
-		c.gcBlocks(id, nonce, targets.Addrs)
+		c.gcBlocks(id, wr.nonce, wr.addrs)
 		return none, fmt.Errorf("core: history cache: %w", err)
 	}
 
 	// Phase 2b: weave and store metadata, concurrently with all other
 	// writers (including ones still working on lower versions).
-	if _, err := mdtree.Build(ctx, c.meta, m, &hist, a.Version, refs); err != nil {
+	if _, err := mdtree.Build(ctx, c.meta, m, &hist, a.Version, wr.refs); err != nil {
 		// Abort, so that publication moves past the version and readers
 		// name none of its blocks whatever nodes Build left, then GC our
 		// blocks.
 		if aerr := c.vm.Abort(ctx, id, a.Version); aerr != nil {
 			return none, fmt.Errorf("core: metadata build failed (%v) and abort failed: %w", err, aerr)
 		}
-		c.gcBlocks(id, nonce, targets.Addrs)
+		c.gcBlocks(id, wr.nonce, wr.addrs)
 		return none, fmt.Errorf("core: metadata build: %w", err)
 	}
 
@@ -460,7 +476,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 		// blocks, so free them. Any other error may hide a commit that
 		// landed, whose blocks are read: keep them.
 		if errors.Is(err, vmanager.ErrAborted) {
-			c.gcBlocks(id, nonce, targets.Addrs)
+			c.gcBlocks(id, wr.nonce, wr.addrs)
 		}
 		return none, err
 	}
@@ -469,7 +485,7 @@ func (c *Client) doWrite(ctx context.Context, m blob.Meta, kind blob.WriteKind, 
 
 // putBlocks stores the blocks of a patch, putConcurrency in flight, each
 // shipped once to the head of its replica chain, and returns the first
-// error. A one-block write (every stream block, every append) is a
+// error. A one-block write (each append-stream block, most appends) is a
 // plain call.
 func (c *Client) putBlocks(ctx context.Context, data []byte, blockSize int64, refs []mdtree.BlockRef) error {
 	if len(refs) == 1 {

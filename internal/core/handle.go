@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime/pprof"
 	"slices"
+	"sync"
 	"time"
 
 	"blobseer/internal/blob"
@@ -232,40 +233,91 @@ type WriterOptions struct {
 	// block-aligned).
 	Off int64
 	// Depth is the write-behind window: up to this many full-block
-	// commits proceed in the background while Write keeps buffering.
-	// <= 0 keeps writes fully synchronous.
+	// puts (commits, for an append stream) proceed in the background
+	// while Write keeps buffering. <= 0 keeps writes fully synchronous.
 	Depth int
 }
 
-// NewWriter returns a write-behind streaming writer committing to the
-// blob one block-sized snapshot at a time — the engine BSFS file
-// writers run on, available to raw-blob applications directly.
+// NewWriter returns a write-behind streaming writer over the blob — the
+// engine BSFS file writers run on, available to raw-blob applications
+// directly. A create-mode stream publishes a version per run of
+// stream.RunBlocks blocks, so readers see its bytes a run at a time,
+// and all of them at Close; an append stream, one per block.
 func (b *Blob) NewWriter(ctx context.Context, o WriterOptions) *stream.Writer {
 	cfg := stream.WriterConfig{
 		BlockSize: b.meta.BlockSize,
 		Depth:     o.Depth,
 		Metrics:   b.c.streams,
 		Start:     func(context.Context) (int64, error) { return o.Off, nil },
-		WriteAt: func(ctx context.Context, off int64, data []byte) error {
-			_, err := b.Write(ctx, off, data)
-			return err
-		},
 	}
-	if o.Append {
-		// The stream starts at the blob's size; each block is told where
-		// the one before left the end (one commit worker runs them).
-		var end int64
-		cfg.Start = func(ctx context.Context) (_ int64, err error) {
-			_, end, err = b.c.Latest(ctx, b.meta.ID)
-			return end, err
-		}
-		cfg.Append = func(ctx context.Context, data []byte) error {
-			a, err := b.append(ctx, data, end)
-			end = a.Size
-			return err
-		}
+	if !o.Append {
+		r := &run{b: b, off: o.Off}
+		cfg.WriteAt, cfg.EndRun = r.store, r.end
+		return stream.NewWriter(ctx, cfg)
+	}
+	// The stream starts at the blob's size; each block is told where
+	// the one before left the end (one commit worker runs them).
+	var end int64
+	cfg.Start = func(ctx context.Context) (_ int64, err error) {
+		_, end, err = b.c.Latest(ctx, b.meta.ID)
+		return end, err
+	}
+	cfg.Append = func(ctx context.Context, data []byte) error {
+		a, err := b.append(ctx, data, end)
+		end = a.Size
+		return err
 	}
 	return stream.NewWriter(ctx, cfg)
+}
+
+// run is a create-mode stream's run of blocks: its first block to go
+// out takes a placement grant for stream.RunBlocks blocks, the others
+// wait for it, and the run's end publishes them and starts the next.
+type run struct {
+	b    *Blob
+	off  int64 // the file offset of the run's first block
+	once sync.Once
+	wr   *write // the grant and the blocks' refs
+	err  error  // the grant's
+}
+
+func (r *run) store(ctx context.Context, off int64, data []byte) error {
+	enter(ctx, opWrite)
+	defer pprof.SetGoroutineLabels(ctx)
+	bs := r.b.meta.BlockSize
+	r.once.Do(func() {
+		n := stream.RunBlocks
+		if off%bs == 0 && int64(len(data)) < bs {
+			n = 1 // a short block opening its run is the stream's last
+		}
+		r.wr = r.b.c.newWrite()
+		r.err = r.wr.grant(ctx, r.b.meta, n)
+	})
+	if r.err != nil {
+		return r.err
+	}
+	ref := &r.wr.refs[off/bs-r.off/bs]
+	ref.Len = int64(len(data))
+	return r.b.c.putBlock(ctx, ref.Providers, ref.Key, data)
+}
+
+// end publishes the run's blocks, through file offset to, as one
+// version, or frees them when failed says one of them was not stored.
+func (r *run) end(ctx context.Context, to int64, failed error) (err error) {
+	enter(ctx, opWrite)
+	defer pprof.SetGoroutineLabels(ctx)
+	m, wr, off := r.b.meta, r.wr, r.off // a block of the run took the grant
+	*r = run{b: r.b, off: to}
+	defer wr.release()
+	if failed != nil {
+		r.b.c.gcBlocks(m.ID, wr.nonce, wr.addrs)
+		return failed
+	}
+	ctx, sp := r.b.c.tracer.Start(ctx, "write")
+	defer func() { sp.Finish(err) }()
+	wr.refs = wr.refs[:blob.Blocks(to-off, m.BlockSize)]
+	_, err = wr.publish(ctx, m, blob.KindWrite, off, blob.NoVersion, to-off)
+	return err
 }
 
 // Snapshot is a pinned, immutable published version of a BLOB. The

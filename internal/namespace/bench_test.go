@@ -47,8 +47,8 @@ func BenchmarkGetFile(b *testing.B) {
 		durable bool
 		budget  float64 // allocations per op
 	}{
-		{"mem", false, 6},
-		{"wal", true, 6},
+		{"mem", false, 1},
+		{"wal", true, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := benchState(b, tc.durable)

@@ -208,7 +208,7 @@ func (s *State) applyCreate(path string, id blob.ID) error {
 func (s *State) GetFile(path string) (blob.ID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, _, _ := s.lookup(fs.Clean(path))
+	e, _, _ := s.lookup(path) // lookup skips what fs.Clean drops, and allocates nothing
 	if e == nil {
 		return 0, fs.ErrNotFound
 	}

@@ -7,8 +7,9 @@
 //
 // The package is storage-agnostic: a Reader pulls data through a Fetch
 // function over a pinned immutable snapshot, and a Writer pushes
-// full-block commits through WriteAt/Append hooks. core wires these to
-// Snapshot.ReadAt and Blob.Write/Blob.Append; tests wire them to
+// full-block commits through WriteAt/Append hooks, and may end runs of
+// them through EndRun. core wires these to Snapshot.ReadAt, to a run's
+// block puts and publish, and to Blob.Append; tests wire them to
 // in-memory backends.
 //
 // A Reader's background fetch is a record (blockLoad) and a block

@@ -565,3 +565,101 @@ func TestPipelinedReadAllocatesOnlyItsGoroutines(t *testing.T) {
 		t.Errorf("a pipelined read allocates %.2f times per block, want its goroutine's closure and little more", perBlock)
 	}
 }
+
+// runSink is a memSink whose stream has runs: it logs every EndRun,
+// with how many bytes the sink held when it came.
+type runSink struct {
+	memSink
+	ends    []string     // "end@<end>:<bytes held>" or "failed"
+	endFail error        // what EndRun returns
+	failOff atomic.Int64 // the block offset whose commit fails, when > 0
+}
+
+func (m *runSink) writer(depth int) *stream.Writer {
+	return stream.NewWriter(context.Background(), stream.WriterConfig{
+		BlockSize: B,
+		Depth:     depth,
+		WriteAt: func(ctx context.Context, off int64, p []byte) error {
+			if f := m.failOff.Load(); f > 0 && off == f {
+				return errors.New("runSink: injected commit failure")
+			}
+			return m.writeAt(ctx, off, p)
+		},
+		EndRun: func(_ context.Context, end int64, failed error) error {
+			if failed != nil {
+				m.ends = append(m.ends, "failed")
+				return failed
+			}
+			m.ends = append(m.ends, fmt.Sprintf("end@%d:%d", end, len(m.bytes())))
+			return m.endFail
+		},
+	})
+}
+
+// TestWriterRunsEndEveryRunBlocks: a writer with an EndRun ends a run
+// after every RunBlocks blocks and at Close, each time with every block
+// of the run committed, synchronous or write-behind.
+func TestWriterRunsEndEveryRunBlocks(t *testing.T) {
+	const R = stream.RunBlocks
+	data := pattern('r', (2*R+3)*B+100)
+	for _, depth := range []int{0, 3} {
+		sink := &runSink{}
+		w := sink.writer(depth)
+		for off := 0; off < len(data); off += 1000 {
+			if _, err := w.Write(data[off:min(off+1000, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sink.bytes(), data) {
+			t.Errorf("depth %d: content mismatch", depth)
+		}
+		want := []string{fmt.Sprintf("end@%d:%d", R*B, R*B), fmt.Sprintf("end@%d:%d", 2*R*B, 2*R*B), fmt.Sprintf("end@%d:%d", len(data), len(data))}
+		if !slices.Equal(sink.ends, want) {
+			t.Errorf("depth %d: runs ended %v, want %v", depth, sink.ends, want)
+		}
+	}
+}
+
+// TestWriterFailedRunIsLatched: a failed commit ends its run failed,
+// once, and a failed EndRun fails the stream: either way the run's
+// committed blocks are gone, so no retry may report the stream written.
+func TestWriterFailedRunIsLatched(t *testing.T) {
+	for _, depth := range []int{0, 2} {
+		sink := &runSink{}
+		sink.failOff.Store(3 * B)
+		w := sink.writer(depth)
+		_, werr := w.Write(pattern('f', 5*B))
+		if werr == nil && depth == 0 {
+			t.Errorf("depth %d: a synchronous failed commit did not fail its Write", depth)
+		}
+		if depth == 0 {
+			sink.failOff.Store(0) // the fault clears: the run's lost blocks stay lost
+		}
+		cerr := w.Close()
+		if cerr == nil || w.Close() == nil {
+			t.Errorf("depth %d: Close after a failed commit = %v, then nil", depth, cerr)
+		}
+		if !slices.Equal(sink.ends, []string{"failed"}) {
+			t.Errorf("depth %d: runs ended %v, want one failed", depth, sink.ends)
+		}
+	}
+
+	// The last run's EndRun fails at Close: no retry succeeds.
+	sink := &runSink{endFail: errors.New("runSink: publish refused")}
+	w := sink.writer(2)
+	if _, err := w.Write(pattern('g', B/2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); !errors.Is(err, sink.endFail) {
+		t.Fatalf("Close with a failing EndRun = %v", err)
+	}
+	if err := w.Close(); !errors.Is(err, sink.endFail) {
+		t.Fatalf("repeat Close after a failed EndRun = %v", err)
+	}
+	if len(sink.ends) != 1 {
+		t.Errorf("runs ended %v, want the one", sink.ends)
+	}
+}

@@ -17,7 +17,17 @@ const (
 	DefaultWriteBehind = 2
 )
 
-// WriterConfig wires a Writer to its blob.
+// RunBlocks is how many blocks a run of a writer with an EndRun holds.
+// A BlobSeer create-mode stream publishes a run as one version, whose
+// placement then holds 16×R addresses, as a 16-block Blob.Write's does,
+// which the version manager keeps and a pin pages already. Past 16 a
+// stream saves less than 1/16 of a version's cost per MB, while pins
+// page more and readers wait longer to see bytes.
+const RunBlocks = 16
+
+// WriterConfig wires a Writer to its blob. A BlobSeer create-mode
+// stream stores blocks through WriteAt and publishes runs through
+// EndRun; an append stream publishes each block through Append.
 type WriterConfig struct {
 	// BlockSize is the commit granularity: blocks are cut on the file's
 	// block boundaries, counted from where the stream starts, so only
@@ -25,9 +35,9 @@ type WriterConfig struct {
 	// one (committed at Close) may be partial.
 	BlockSize int64
 	// Depth is the write-behind window: up to this many full-block
-	// commits proceed in the background while Write keeps buffering.
-	// <= 0 keeps writes fully synchronous — each block commit completes
-	// before Write returns.
+	// commits proceed in the background while Write keeps buffering
+	// (Depth+1 block buffers at most). <= 0 keeps writes fully
+	// synchronous — each block commit completes before Write returns.
 	Depth int
 	// Start tells, on first flush, where the stream starts (nil: at 0).
 	// It runs at most once.
@@ -39,6 +49,12 @@ type WriterConfig struct {
 	// the writer refills as soon as the callback returns.
 	Append  func(ctx context.Context, data []byte) error
 	WriteAt func(ctx context.Context, off int64, data []byte) error
+	// EndRun, when set, ends a run: the writer calls it after every
+	// RunBlocks blocks and at Close, once the run's commits are done.
+	// failed is nil if they all succeeded, the run reaching file offset
+	// end; else it is the first commit error, and nothing of the run
+	// may be made visible. An error it returns fails the stream.
+	EndRun func(ctx context.Context, end int64, failed error) error
 	// Metrics, when non-nil, counts this writer's write-behind activity
 	// into its client's registry.
 	Metrics *Metrics
@@ -50,17 +66,17 @@ type WriterConfig struct {
 // run on a bounded background worker pool while Write keeps buffering;
 // commit errors are latched and surfaced on the next Write or Close,
 // and Close drains the window before committing the final partial
-// block.
+// block. With an EndRun the window also drains at each run's end, and
+// a failed commit is latched: the run's other blocks are lost with it.
 type Writer struct {
-	ctx       context.Context
-	cfg       WriterConfig
-	blockSize int64
-	depth     int
+	ctx context.Context
+	cfg WriterConfig // Depth >= 0
 
 	mu       sync.Mutex
 	started  bool
 	written  int64  // file offset of the next flush
 	buf      []byte // a wire.GetBuf slice of block capacity, recycled after its commit
+	run      int    // blocks handed on since the last run ended
 	closed   bool
 	closeErr error
 
@@ -86,18 +102,10 @@ type wbBlock struct {
 // pinned for the writer's lifetime: canceling it fails all later
 // commits.
 func NewWriter(ctx context.Context, cfg WriterConfig) *Writer {
-	depth := cfg.Depth
-	if depth < 0 {
-		depth = 0
-	}
+	cfg.Depth = max(cfg.Depth, 0)
 	cfg.Metrics = orNoMetrics(cfg.Metrics)
 	cfg.Metrics.writersOpen.Add(1)
-	return &Writer{
-		ctx:       ctx,
-		cfg:       cfg,
-		blockSize: cfg.BlockSize,
-		depth:     depth,
-	}
+	return &Writer{ctx: ctx, cfg: cfg}
 }
 
 // asyncErr returns the latched background commit error, if any.
@@ -107,6 +115,7 @@ func (w *Writer) asyncErr() error {
 	return w.werr
 }
 
+// setAsyncErr latches err unless one is latched already; nil is none.
 func (w *Writer) setAsyncErr(err error) {
 	w.errMu.Lock()
 	if w.werr == nil {
@@ -131,14 +140,14 @@ func (w *Writer) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
 		if w.buf == nil {
-			w.buf = wire.GetBuf(int(w.blockSize))
+			w.buf = wire.GetBuf(int(w.cfg.BlockSize))
 		}
-		room := int(w.blockSize) - len(w.buf)
+		room := int(w.cfg.BlockSize) - len(w.buf)
 		if room <= 0 {
 			if err := w.lockedFlush(false); err != nil {
 				return total, err
 			}
-			room = int(w.blockSize) - len(w.buf)
+			room = int(w.cfg.BlockSize) - len(w.buf)
 		}
 		n := len(p)
 		if n > room {
@@ -149,7 +158,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 		total += n
 	}
 	// Eagerly flush full blocks so long streams commit as they go.
-	if int64(len(w.buf)) >= w.blockSize {
+	if int64(len(w.buf)) >= w.cfg.BlockSize {
 		if err := w.lockedFlush(false); err != nil {
 			return total, err
 		}
@@ -170,11 +179,11 @@ func (w *Writer) commit(off int64, data []byte) error {
 // and last is whole and aligned (the remainder stays buffered for the
 // next round). With write-behind enabled, non-final flushes enqueue the
 // blocks to the background pool instead of committing inline. On error
-// the buffered data stays put, so a transient failure loses nothing;
-// else the buffer is reused.
+// the buffered data stays put, so a transient failure loses nothing,
+// unless it failed a run; else the buffer is reused.
 func (w *Writer) lockedFlush(final bool) error {
-	if len(w.buf) == 0 {
-		return nil
+	if err := w.asyncErr(); err != nil || len(w.buf) == 0 {
+		return err
 	}
 	if !w.started && w.cfg.Start != nil {
 		off, err := w.cfg.Start(w.ctx)
@@ -185,27 +194,49 @@ func (w *Writer) lockedFlush(final bool) error {
 	}
 	w.started = true
 	for len(w.buf) > 0 {
-		n := int(w.blockSize - w.written%w.blockSize) // to the next block boundary
+		n := int(w.cfg.BlockSize - w.written%w.cfg.BlockSize) // to the next block boundary
 		if len(w.buf) < n {
 			if !final {
 				return nil // no whole block buffered yet
 			}
 			n = len(w.buf)
 		}
-		if w.depth > 0 && !final {
-			if err := w.asyncErr(); err != nil {
+		w.run++
+		if w.cfg.Depth > 0 && !final {
+			w.lockedEnqueue(n)
+		} else if err := w.commit(w.written, w.buf[:n]); err != nil {
+			if w.cfg.EndRun != nil {
+				w.setAsyncErr(err) // the run is lost with its block
+			}
+			return err
+		} else {
+			w.written += int64(n)
+			w.buf = w.buf[:copy(w.buf, w.buf[n:])]
+		}
+		if w.run == RunBlocks && w.cfg.EndRun != nil {
+			if err := w.lockedEndRun(); err != nil {
 				return err
 			}
-			w.lockedEnqueue(n)
-			continue
 		}
-		if err := w.commit(w.written, w.buf[:n]); err != nil {
-			return err
-		}
-		w.written += int64(n)
-		w.buf = w.buf[:copy(w.buf, w.buf[n:])]
 	}
 	return nil
+}
+
+// lockedDrain waits for the write-behind workers to finish and exit.
+func (w *Writer) lockedDrain() {
+	if w.queue != nil {
+		close(w.queue)
+		w.wg.Wait()
+		w.queue = nil
+	}
+}
+
+// lockedEndRun drains the window, ends the run, and returns the latched error.
+func (w *Writer) lockedEndRun() error {
+	w.lockedDrain()
+	w.run = 0
+	w.setAsyncErr(w.cfg.EndRun(w.ctx, w.written, w.asyncErr()))
+	return w.asyncErr()
 }
 
 // lockedEnqueue hands the first n buffered bytes to the write-behind
@@ -215,7 +246,7 @@ func (w *Writer) lockedEnqueue(n int) {
 	// whatever lies past it moves to a fresh one, taken only if needed.
 	blk, rest := wbBlock{off: w.written, data: w.buf[:n]}, w.buf[n:]
 	if w.buf = nil; len(rest) > 0 {
-		w.buf = append(wire.GetBuf(int(w.blockSize)), rest...)
+		w.buf = append(wire.GetBuf(int(w.cfg.BlockSize)), rest...)
 	}
 	w.written += int64(n)
 	w.lockedEnsureWorkers()
@@ -233,8 +264,8 @@ func (w *Writer) lockedEnsureWorkers() {
 	if w.queue != nil {
 		return
 	}
-	w.queue = make(chan wbBlock, w.depth)
-	workers := w.depth
+	w.queue = make(chan wbBlock, w.cfg.Depth)
+	workers := w.cfg.Depth
 	if w.cfg.Append != nil {
 		workers = 1
 	}
@@ -263,10 +294,10 @@ func (w *Writer) commitLoop() {
 	}
 }
 
-// Close drains the write-behind window, then commits the final
-// (possibly partial) block. A failed Close does not latch the writer
-// closed-with-success: retrying is allowed (the unflushed tail is
-// preserved), and once a background commit error is latched every
+// Close drains the write-behind window, commits the final (possibly
+// partial) block and ends the run. A failed Close does not latch the
+// writer closed-with-success: retrying is allowed (the unflushed tail
+// is preserved), and once a background commit error is latched every
 // further Close reports it instead of pretending the data is safe.
 func (w *Writer) Close() error {
 	w.mu.Lock()
@@ -274,18 +305,17 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return w.closeErr
 	}
-	if w.queue != nil {
-		close(w.queue)
-		w.wg.Wait()
-		w.queue = nil
+	w.lockedDrain()
+	if err := w.lockedFlush(true); err != nil && w.asyncErr() == nil {
+		return err // nothing latched: the tail stays buffered for a retry
+	}
+	if w.run > 0 && w.cfg.EndRun != nil {
+		w.lockedEndRun() // the last run, or what a failed one stored
 	}
 	if err := w.asyncErr(); err != nil {
 		w.closed = true
 		w.closeErr = err
 		w.cfg.Metrics.writersOpen.Add(-1)
-		return err
-	}
-	if err := w.lockedFlush(true); err != nil {
 		return err
 	}
 	wire.PutBuf(w.buf)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,29 +118,42 @@ func BenchmarkRecover(b *testing.B) {
 // version manager: 8 concurrent durable publishers, each on its own
 // blob, must share fsyncs (strictly fewer fsyncs than records) and
 // beat 2x the single-writer rate — the whole point of leader-follower
-// batching.
+// batching. The 1-writer and 8-writer arms alternate over five rounds
+// and the medians are compared, so a burst of disk load from other
+// tests that hits one arm's run does not decide the ratio.
 func TestGroupCommitCoalesces(t *testing.T) {
-	const versions = 200
-	rate := map[int]float64{}
-	var perRecord float64
-	for _, w := range []int{1, 8} {
-		s := openState(t, t.TempDir())
-		ids := newBlobs(t, s, w)
-		logged := s.log.Status()
-		start := time.Now()
-		if err := pairs(s, ids, w, w*versions); err != nil {
-			t.Fatal(err)
+	const versions, rounds = 200, 5
+	rates := map[int][]float64{}
+	var perRecord []float64
+	for range rounds {
+		for _, w := range []int{1, 8} {
+			s := openState(t, t.TempDir())
+			ids := newBlobs(t, s, w)
+			logged := s.log.Status()
+			start := time.Now()
+			if err := pairs(s, ids, w, w*versions); err != nil {
+				t.Fatal(err)
+			}
+			rates[w] = append(rates[w], float64(w*versions)/time.Since(start).Seconds())
+			if w == 8 {
+				perRecord = append(perRecord, fsyncsPerRecord(logged, s.log.Status()))
+			}
 		}
-		rate[w] = float64(w*versions) / time.Since(start).Seconds()
-		perRecord = fsyncsPerRecord(logged, s.log.Status())
 	}
-	one, eight := rate[1], rate[8]
+	one, eight, synced := median(rates[1]), median(rates[8]), median(perRecord)
 	if eight < 2*one {
-		t.Errorf("8 concurrent writers should publish >2x faster than 1 under group commit: %.0f vs %.0f/s", eight, one)
+		t.Errorf("8 concurrent writers should publish >2x faster than 1 under group commit: median %.0f vs %.0f/s (rounds %.0f vs %.0f)", eight, one, rates[8], rates[1])
 	}
-	if perRecord >= 1.0 {
-		t.Errorf("8 writers should coalesce fsyncs (fsyncs/record < 1), got %.3f", perRecord)
+	if synced >= 1.0 {
+		t.Errorf("8 writers should coalesce fsyncs (fsyncs/record < 1), got a median of %.3f (rounds %.3f)", synced, perRecord)
 	}
+}
+
+// median returns the middle of an odd number of values.
+func median(v []float64) float64 {
+	v = slices.Clone(v)
+	slices.Sort(v)
+	return v[len(v)/2]
 }
 
 // benchReplicas places every pair's one block at replication 3.

@@ -54,7 +54,7 @@ type interner struct {
 
 const (
 	maxInterned = 4096
-	internWidth = 4 // placements of up to this many addresses are shared: one block's at replication <= 4
+	internWidth = 16 // placements of up to this many addresses are shared: a 16-block stream run's at replication 1
 )
 
 // placementKey names a short placement: its length and its addresses.

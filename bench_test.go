@@ -305,17 +305,20 @@ func BenchmarkHDFSWrite(b *testing.B) {
 // TCP. At that size the per-call control path (placement, version
 // grant, tree build, DHT batch, publish) is the cost, and it must be
 // constant in the blob's age: the budget is the mem store's resident
-// copy plus 15%, and 8 allocations per append. About 6.6 are left, all
-// of them what the deployment stores: the block and its key at the
-// provider, and at the metadata providers each batch's keys and values
-// (two batches of two, and now and then a map growing). No per-call
-// record is left: the provider recycles its upload records and block
-// writers, the client a write's refs, placement and descriptors, and
-// the metadata store its batch encoders. It was 12.4 while each of
-// those six was made per append (the budget was 20), and 20.6 while
-// every call was handled on a goroutine of its own, the version
-// manager's assign moved its placement buffer to the heap and each tree
-// build made its own node list. Run it with -benchtime=2000x (CI does).
+// copy plus 15%, and 3 allocations per append. About 2.6 are left at
+// 2,000 appends (2.2 at 20,000), all of them what the deployment
+// stores: the block and its key at the provider, and the stores' maps
+// growing; a metadata provider takes a fresh pair of chunks to carve
+// batches' keys and values from about once in 130 appends. No
+// per-call record is left: the provider recycles its upload records and
+// block writers, the client a write's refs, placement and descriptors,
+// and the metadata store its batch encoders. It was 6.6 while each
+// metadata batch allocated its own keys and values (the budget was 8),
+// 12.4 while each of those six was made per append (the budget was 20),
+// and 20.6 while every call was handled on a goroutine of its own, the
+// version manager's assign moved its placement buffer to the heap and
+// each tree build made its own node list. Run it with -benchtime=2000x
+// (CI does).
 func BenchmarkAppendShared(b *testing.B) {
 	const blockSize, appenders = 64 * util.KB, 2
 	cl, err := blobseer.Start(blobseer.Config{BlockSize: blockSize, UseTCP: true})
@@ -367,8 +370,8 @@ func BenchmarkAppendShared(b *testing.B) {
 	allocs := float64(after.Mallocs-before.Mallocs) / ops
 	b.ReportMetric(perByte, "alloc-B/payload-B")
 	b.ReportMetric(allocs, "allocs/append")
-	if b.N >= 1000 && (perByte > 1.15 || allocs > 8) {
-		b.Errorf("%.2f bytes and %.1f allocations per 64 KB append, want at most 1.15 B/B and 8", perByte, allocs)
+	if b.N >= 1000 && (perByte > 1.15 || allocs > 3) {
+		b.Errorf("%.2f bytes and %.1f allocations per 64 KB append, want at most 1.15 B/B and 3", perByte, allocs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"context"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestVManagerFailsStopAndComesBackWhole(t *testing.T) {
 		}
 	}
 
-	cutFileSize(t, cfg.DataDir, func() {
+	cutFileSize(t, cfg.DataDir, 12, func() {
 		if appendBlock(3) == nil {
 			t.Error("an append past the file-size limit was acknowledged")
 		}
@@ -94,10 +95,72 @@ func TestVManagerFailsStopAndComesBackWhole(t *testing.T) {
 	}
 }
 
-// cutFileSize runs fn with the process's file-size limit just past the
-// largest file under dir (room for a record's header and 4 bytes of
-// its payload), so the next record written there is cut short.
-func cutFileSize(t *testing.T, dir string, fn func()) {
+// TestRefusedCommitIsRetriedOnTheRestart: when a durable version
+// manager's log refuses an append's commit record, the shard sends no
+// reply and stops; the client's retry carries the commit to the
+// restarted shard, so that append is acknowledged and the blob's next
+// append publishes within 5 s, with the janitor at its one-minute
+// default. While the refused commit was answered with an error, the
+// client gave up on it, its version stayed in flight in the restarted
+// shard, and the blob published nothing until the janitor aborted it,
+// about 60 s later. The same file-size limit as above: not parallel.
+func TestRefusedCommitIsRetriedOnTheRestart(t *testing.T) {
+	cfg := Config{DataProviders: 2, MetaProviders: 1, BlockSize: 64 * util.KB, DataDir: t.TempDir()}
+	c, err := StartBlobSeer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	ctx := context.Background()
+	h, err := c.NewClient("").CreateBlob(ctx, cfg.BlockSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, int(cfg.BlockSize)) }
+	before := largestFile(t, cfg.DataDir)
+	if _, err := h.Append(ctx, block(0)); err != nil {
+		t.Fatal(err)
+	}
+	// An append journals an assign record, then a commit record: room
+	// for all but the last byte of the two cuts the commit short.
+	perAppend := largestFile(t, cfg.DataDir) - before
+	refused := make(chan error, 1)
+	cutFileSize(t, cfg.DataDir, perAppend-1, func() {
+		go func() {
+			_, err := h.Append(ctx, block(1))
+			refused <- err
+		}()
+		select {
+		case <-c.node(c.VMAddrs[0]).Failed():
+		case <-time.After(10 * time.Second):
+			t.Fatal("the shard whose log refused a commit record did not stop")
+		}
+	})
+	if err := c.RestartVManager(); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	v, err := h.Append(wctx, block(2))
+	if err != nil {
+		t.Fatalf("an append after the restart: %v", err)
+	}
+	snap, err := h.WaitPublished(wctx, v, 5*time.Second)
+	if err != nil {
+		t.Fatalf("version %d did not publish within 5 s of the restart: %v", v, err)
+	}
+	if err := <-refused; err != nil {
+		t.Fatalf("the append whose commit record was refused: %v", err)
+	}
+	buf := make([]byte, 3*cfg.BlockSize)
+	if n, err := snap.ReadAtContext(ctx, buf, 0); n != len(buf) || !bytes.Equal(buf, slices.Concat(block(0), block(1), block(2))) {
+		t.Fatalf("the blob reads %d bytes (%v), not its three appends", n, err)
+	}
+}
+
+// largestFile is the size of the largest file under dir: a role's log
+// segment.
+func largestFile(t *testing.T, dir string) int64 {
 	t.Helper()
 	var size int64
 	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
@@ -113,12 +176,22 @@ func cutFileSize(t *testing.T, dir string, fn func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return size
+}
+
+// cutFileSize runs fn with the process's file-size limit room bytes past
+// the largest file under dir, so the next record written there past
+// room is cut short. 12 is room for a record's header and 4 bytes of its
+// payload.
+func cutFileSize(t *testing.T, dir string, room int64, fn func()) {
+	t.Helper()
+	size := largestFile(t, dir)
 	var old syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
 		t.Fatal(err)
 	}
 	cut := old
-	cut.Cur = uint64(size) + 12
+	cut.Cur = uint64(size + room)
 	if cut.Cur > old.Cur {
 		t.Skipf("file-size limit %d is below the log's end", old.Cur)
 	}

@@ -236,6 +236,13 @@ var ErrMisfit = errors.New("rpc: response does not fit its destinations")
 // like a dead one.
 var ErrCallTimeout = errors.New("rpc: call timed out")
 
+// ErrNoReply, wrapped in a handler's error, has the server send no
+// reply: dispatch closes the request's connection instead, so the caller
+// sees a transport failure, which Retry repeats, where an answer would
+// have ended the call. A role whose log refused a mutation's record
+// returns it: the role is stopping, and the call belongs to its restart.
+var ErrNoReply = errors.New("rpc: no reply")
+
 // noTimeoutKey marks a context as exempt from the client's per-call
 // I/O deadline.
 type noTimeoutKey struct{}
@@ -649,7 +656,10 @@ func (s *Server) handle(r request) {
 func (s *Server) serveOne(r request) {
 	id, method, payload, tc, _ := parseRequest(r.req)
 	resp, status := s.dispatch(tc, r.h, method, payload)
-	err := r.fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
+	err := ErrNoReply
+	if resp != nil {
+		err = r.fw.writeFrame(0, resp, id, method, flagResponse, status, obs.Context{})
+	}
 	wire.PutBuf(r.req) // the response is out: nothing references the request now
 	if err != nil {
 		r.fw.conn.Close()
@@ -678,7 +688,8 @@ func parseRequest(req []byte) (id uint64, method uint16, payload []byte, tc obs.
 // request's payload and returns the response frame and its status. The
 // method's request is counted on entry, so a handler that waits (a
 // parked WaitPublished) counts before it answers; an unmetered method
-// reads no clock.
+// reads no clock. The frame is nil when the handler's error wraps
+// ErrNoReply: the request gets no answer.
 func (s *Server) dispatch(tc obs.Context, h *handler, method uint16, payload []byte) (*wire.Buffer, uint16) {
 	if h == nil {
 		return frameOf([]byte(fmt.Sprintf("unknown method %d", method))), StatusError
@@ -708,6 +719,9 @@ func (s *Server) dispatch(tc obs.Context, h *handler, method uint16, payload []b
 		h.errs.Inc()
 		code := CodeOf(err)
 		sp.FinishCode(code, err.Error())
+		if errors.Is(err, ErrNoReply) {
+			return nil, code
+		}
 		return frameOf([]byte(err.Error())), code
 	}
 	sp.FinishCode(StatusOK, "")

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,6 +102,42 @@ func TestRemoteErrorMatchesItsSentinel(t *testing.T) {
 	_, err = c.Call(context.Background(), 3, nil)
 	if errors.Is(err, CodedError(StatusError, "generic")) {
 		t.Errorf("a StatusError answer matched a sentinel: %v", err)
+	}
+}
+
+// TestNoReplyClosesTheConnection: a handler error that wraps ErrNoReply
+// gets no answer, inline or on a handler goroutine: the server closes
+// the connection, so the caller sees a transport failure rather than a
+// remote error, and a retry, on a fresh connection, gets the answer the
+// handler gives next.
+func TestNoReplyClosesTheConnection(t *testing.T) {
+	var calls [3]atomic.Int32
+	answer := func(m uint16) ([]byte, error) {
+		if calls[m].Add(1)%2 == 1 { // odd calls: the log refused the record
+			return nil, fmt.Errorf("%w: the log refused the record", ErrNoReply)
+		}
+		return []byte("answered"), nil
+	}
+	mux := NewMux()
+	mux.Handle(1, func(ctx context.Context, p []byte) ([]byte, error) { return answer(1) })
+	mux.HandleInline(2, "inline", func(ctx context.Context, p []byte) (*wire.Buffer, error) {
+		resp, err := answer(2)
+		return frameOf(resp), err
+	})
+	n, addr, _ := startServer(t, mux)
+	pool := NewPool(n.Dial)
+	defer pool.Close()
+	for _, m := range []uint16{1, 2} {
+		err := pool.Call(context.Background(), Backoff{}, addr, m, 0, nil, nil)
+		if err == nil || !TransportFailure(err) {
+			t.Errorf("method %d without retries: err = %v, want a transport failure", m, err)
+		}
+		var got string
+		err = pool.Call(context.Background(), Backoff{Attempts: 5, Base: time.Millisecond}, addr, m, 0, nil,
+			func(p []byte) error { got = string(p); return nil })
+		if err != nil || got != "answered" {
+			t.Errorf("method %d with retries = %q, %v; want the answer after no reply", m, got, err)
+		}
 	}
 }
 

@@ -9,13 +9,26 @@ import (
 
 const memShards = 16
 
+// batchChunk is the size of the chunks PutBatch carves batches from, one
+// for keys and one for values: large enough that a metadata provider's
+// batch, a few hundred bytes of tree nodes, costs a small fraction of an
+// allocation, and small enough that a node kept after a prune deleted
+// its neighbours pins little beside it.
+const batchChunk = 16 << 10
+
 // MemStore is a sharded in-memory Store. Values are copied on Put and
 // Get so callers can reuse buffers freely, and never modified once
-// stored, which is what lets it lend them (Lender). A batch is copied
-// whole (BatchPutter).
+// stored, which is what lets it lend them (Lender). PutBatch copies a
+// batch's keys and values into the free ends of two chunks the store
+// keeps (BatchPutter); a stored pair keeps its chunks alive until it is
+// overwritten or deleted, as its neighbours' pairs do.
 type MemStore struct {
 	shards  [memShards]memShard
 	writers util.FreeList[*bufWriter] // so a put allocates its block and key, not a writer
+
+	chunkMu sync.Mutex      // guards the chunks, held only to carve and copy
+	keys    strings.Builder // the key chunk: written bytes never change, so strings cut from it stay valid
+	vals    []byte          // the value chunk, len the carved part
 }
 
 type memShard struct {
@@ -52,26 +65,34 @@ func (s *MemStore) Put(key string, val []byte) error {
 	return nil
 }
 
-// PutBatch implements BatchPutter in two allocations whatever the batch
-// holds: the keys are cut from one string, the values from one buffer.
-// Each value is capped at its own end, so a lent value never reaches
-// its neighbour.
+// PutBatch implements BatchPutter. The batch's keys and values are
+// carved from the store's chunks, so a batch allocates nothing unless it
+// does not fit in what is left of them: then a fresh chunk is taken, of
+// batchChunk bytes or the batch's size if larger. Each value is capped at
+// its own end, so a lent value never reaches its neighbour.
 func (s *MemStore) PutBatch(pairs []Pair) error {
 	var nk, nv int
 	for _, p := range pairs {
 		nk, nv = nk+len(p.Key), nv+len(p.Val)
 	}
-	var kb strings.Builder
-	kb.Grow(nk)
-	for _, p := range pairs {
-		kb.Write(p.Key)
+	s.chunkMu.Lock()
+	if s.keys.Cap()-s.keys.Len() < nk {
+		s.keys.Reset()
+		s.keys.Grow(max(batchChunk, nk))
 	}
-	keys, vals := kb.String(), make([]byte, 0, nv)
+	if cap(s.vals)-len(s.vals) < nv {
+		s.vals = make([]byte, 0, max(batchChunk, nv))
+	}
+	k0, v0 := s.keys.Len(), len(s.vals)
 	for _, p := range pairs {
-		key := keys[:len(p.Key)]
-		keys = keys[len(p.Key):]
-		vals = append(vals, p.Val...)
-		val := vals[len(vals)-len(p.Val) : len(vals) : len(vals)]
+		s.keys.Write(p.Key)
+		s.vals = append(s.vals, p.Val...)
+	}
+	keys, vals := s.keys.String()[k0:], s.vals[v0:]
+	s.chunkMu.Unlock()
+	for _, p := range pairs {
+		key, val := keys[:len(p.Key)], vals[:len(p.Val):len(p.Val)]
+		keys, vals = keys[len(p.Key):], vals[len(p.Val):]
 		sh := shard(s, key)
 		sh.mu.Lock()
 		sh.m[key] = val

@@ -1,7 +1,8 @@
 // Package storetest is the shared conformance harness for Store
 // backends. Every backend — mem, fs — must pass the same
 // contract: Run exercises the visibility, clamping, enumeration and
-// concurrency semantics the provider and repair planes rely on, so a
+// concurrency semantics the provider and repair planes rely on, and a
+// BatchPutter's batches as the metadata providers store them, so a
 // new backend is wired in by writing an opener, not by re-deriving the
 // contract from the consumers.
 package storetest
@@ -43,6 +44,10 @@ func Run(t *testing.T, mk func(t *testing.T) store.Store) {
 		{"Stats", testStats},
 		{"AwkwardKeys", testAwkwardKeys},
 		{"Concurrent", testConcurrent},
+		{"BatchNeighbours", testBatchNeighbours},
+		{"BatchLarge", testBatchLarge},
+		{"BatchOverwrite", testBatchOverwrite},
+		{"BatchAfterDeletePrefix", testBatchAfterDeletePrefix},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,6 +87,28 @@ func stream(t *testing.T, st store.Store, key, val string) store.BlockWriter {
 		t.Fatalf("streaming %q: %v", key, err)
 	}
 	return w
+}
+
+// putBatch stores kv, alternating keys and values, as one batch through
+// st's BatchPutter, skipping t for a backend that has none. It clears the
+// batch's bytes once stored: what the store keeps must be its own copy.
+func putBatch(t *testing.T, st store.Store, kv ...string) {
+	t.Helper()
+	bp, ok := st.(store.BatchPutter)
+	if !ok {
+		t.Skip("not a BatchPutter")
+	}
+	pairs := make([]store.Pair, 0, len(kv)/2)
+	for i := 0; i+1 < len(kv); i += 2 {
+		pairs = append(pairs, store.Pair{Key: []byte(kv[i]), Val: []byte(kv[i+1])})
+	}
+	if err := bp.PutBatch(pairs); err != nil {
+		t.Fatalf("PutBatch of %d pairs: %v", len(pairs), err)
+	}
+	for _, p := range pairs {
+		clear(p.Key)
+		clear(p.Val)
+	}
 }
 
 func get(t *testing.T, st store.Store, key string) string {
@@ -413,6 +440,7 @@ func testAwkwardKeys(t *testing.T, st store.Store) {
 
 func testConcurrent(t *testing.T, st store.Store) {
 	const workers, per = 8, 16
+	bp, batches := st.(store.BatchPutter)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -421,7 +449,15 @@ func testConcurrent(t *testing.T, st store.Store) {
 			for i := 0; i < per; i++ {
 				key := fmt.Sprintf("w%d/k%d", w, i)
 				val := fmt.Sprintf("value-%d-%d", w, i)
-				if i%2 == 0 {
+				if i%4 == 2 && batches {
+					// Values large enough that the workers' batches use
+					// up whatever a backend carves them from, at once.
+					val = strings.Repeat(val, 200)
+					if err := bp.PutBatch([]store.Pair{{Key: []byte(key), Val: []byte(val)}}); err != nil {
+						t.Errorf("PutBatch(%q): %v", key, err)
+						return
+					}
+				} else if i%2 == 0 {
 					if err := st.Put(key, []byte(val)); err != nil {
 						t.Errorf("Put(%q): %v", key, err)
 						return
@@ -460,5 +496,85 @@ func testConcurrent(t *testing.T, st store.Store) {
 	keys, err := st.Keys("w3/")
 	if err != nil || len(keys) != per {
 		t.Fatalf("Keys(w3/) = %d keys, %v; want %d", len(keys), err, per)
+	}
+}
+
+// reads fails t unless every key of kv, alternating keys and values,
+// reads back its value.
+func reads(t *testing.T, st store.Store, kv ...string) {
+	t.Helper()
+	for i := 0; i+1 < len(kv); i += 2 {
+		if got := get(t, st, kv[i]); got != kv[i+1] {
+			t.Fatalf("Get(%q) = %.20q (%d bytes), want %.20q (%d bytes)", kv[i], got, len(got), kv[i+1], len(kv[i+1]))
+		}
+	}
+}
+
+// testBatchNeighbours: two small batches, which a backend may carve from
+// one chunk, each read back whole, and a value lent from the first
+// reaches no byte past its own end and does not change when the second
+// lands beside it.
+func testBatchNeighbours(t *testing.T, st store.Store) {
+	putBatch(t, st, "n/1", "first", "n/2", "second")
+	var lent []byte
+	if l, ok := st.(store.Lender); ok {
+		v, err := l.Lend([]byte("n/1"), 0, -1)
+		if err != nil || cap(v) != len(v) {
+			t.Fatalf("Lend(n/1) = %d bytes with room for %d, %v; want cap == len", len(v), cap(v), err)
+		}
+		lent = v
+	}
+	putBatch(t, st, "n/3", "third", "n/1", "again")
+	reads(t, st, "n/1", "again", "n/2", "second", "n/3", "third")
+	if lent != nil && string(lent) != "first" {
+		t.Fatalf("value lent before the second batch reads %q, want first", lent)
+	}
+}
+
+// testBatchLarge: a batch far larger than any chunk a backend would carve
+// small batches from stores whole, and so does a small batch after it.
+func testBatchLarge(t *testing.T, st store.Store) {
+	var kv []string
+	for i := range 64 {
+		kv = append(kv, fmt.Sprintf("big/%02d", i), strings.Repeat(string(rune('a'+i%26)), 16<<10+i))
+	}
+	putBatch(t, st, kv...)
+	putBatch(t, st, "small", "after")
+	reads(t, st, append(kv, "small", "after")...)
+	if s := st.Stats(); s.Items != 65 {
+		t.Fatalf("Stats().Items = %d, want 65", s.Items)
+	}
+}
+
+// testBatchOverwrite: a key stored by a batch is replaced by a later
+// batch, within a batch by its later pair, and by a Put, and replaced
+// values grow and shrink.
+func testBatchOverwrite(t *testing.T, st store.Store) {
+	putBatch(t, st, "k", "first", "other", "kept")
+	putBatch(t, st, "k", "second-and-longer")
+	reads(t, st, "k", "second-and-longer", "other", "kept")
+	putBatch(t, st, "k", "3rd", "k", "4th-in-the-same-batch")
+	reads(t, st, "k", "4th-in-the-same-batch")
+	put(t, st, "k", "put")
+	reads(t, st, "k", "put", "other", "kept")
+	if s := st.Stats(); s.Items != 2 || s.Bytes != 7 {
+		t.Fatalf("Stats = {Items:%d Bytes:%d}, want {2 7}", s.Items, s.Bytes)
+	}
+}
+
+// testBatchAfterDeletePrefix: DeletePrefix("") forgets every batched key,
+// and a batch after it stores as into an empty store.
+func testBatchAfterDeletePrefix(t *testing.T, st store.Store) {
+	putBatch(t, st, "a", "alpha", "b", "beta")
+	if n, err := st.DeletePrefix(""); err != nil || n != 2 {
+		t.Fatalf("DeletePrefix(\"\") = (%d, %v), want (2, nil)", n, err)
+	}
+	putBatch(t, st, "c", "gamma", "a", "again")
+	reads(t, st, "c", "gamma", "a", "again")
+	if Holds(t, st, "b") {
+		t.Fatal("a deleted key came back after the next batch")
+	}
+	if all, err := st.Keys(""); err != nil || len(all) != 2 {
+		t.Fatalf("Keys = %v, %v; want a and c", all, err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blobseer/internal/blob"
+	"blobseer/internal/rpc"
 	"blobseer/internal/wal"
 	"blobseer/internal/wire"
 )
@@ -185,12 +186,17 @@ func (s *State) applyRecord(p []byte) error {
 // lock of the blob the record is about, which orders its records as its
 // mutations, the property replay depends on. The record is on disk
 // before this returns, so no acknowledged mutation — an assigned
-// version number included — is lost to a crash.
+// version number included — is lost to a crash. A record the log
+// refused gets its caller no reply (rpc.ErrNoReply): the shard is
+// stopping, and the caller's retry reaches its restart.
 func (s *State) appendStriped(rec func() []byte) error {
 	if s.log == nil {
 		return nil
 	}
-	return s.log.AppendSync(rec())
+	if err := s.log.AppendSync(rec()); err != nil {
+		return fmt.Errorf("%w: %w", rpc.ErrNoReply, err)
+	}
+	return nil
 }
 
 // encodeSnapshotAllLocked serializes the full state. Callers hold

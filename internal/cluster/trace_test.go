@@ -106,13 +106,15 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		t.Errorf("a read's trace holds a metadata span %s.%s:\n%s", meta.Span.Service, meta.Span.Op, tree)
 	}
 
-	// The data providers serve the block fetches below readat.
+	// The data providers serve the block fetches below readat. They
+	// share the client's host, so it asks by name (get_named); their
+	// mem:// stores answer with the bytes.
 	prov, provDepth := findService(root, "provider-", 0)
 	if prov == nil {
 		t.Fatalf("no provider span in the tree:\n%s", tree)
 	}
-	if prov.Span.Op != "get_block" || provDepth < 2 {
-		t.Errorf("provider span = op %q depth %d, want get_block under readat\n%s",
+	if prov.Span.Op != "get_named" || provDepth < 2 {
+		t.Errorf("provider span = op %q depth %d, want get_named under readat\n%s",
 			prov.Span.Op, provDepth, tree)
 	}
 

@@ -104,10 +104,11 @@ func answerOnce(conn net.Conn, body []byte) ([]byte, error) {
 }
 
 // pipeClient returns a client whose every dial yields the near end of a
-// pipe whose far end is returned.
+// pipe whose far end is returned. The pipe reports a peer on another
+// host, so the client's gets are mGetBlock calls.
 func pipeClient(t testing.TB) (*Client, net.Conn) {
 	cli, srv := net.Pipe()
-	pool := rpc.NewPool(func(string) (net.Conn, error) { return cli, nil })
+	pool := rpc.NewPool(func(string) (net.Conn, error) { return remoteConn{cli}, nil })
 	t.Cleanup(func() { pool.Close(); srv.Close() })
 	return NewClient(pool), srv
 }

@@ -25,8 +25,8 @@ func rawKey(b []byte, k blob.BlockKey) []byte {
 // TestMethodNumbersPinned sends raw frames to a provider: the retired
 // whole-block put, presence check and stat (methods 1, 3 and 6) are
 // unknown to it, and get, delete-write, delete-block, chained put, block
-// report and replicate keep their numbers (2, 4, 5, 7, 8 and 9) and
-// payloads, the chained put's naming its transfer. A get range of
+// report, replicate and get by name keep their numbers (2, 4, 5, 7, 8, 9
+// and 10) and payloads, the chained put's naming its transfer. A get range of
 // negative length is refused.
 func TestMethodNumbersPinned(t *testing.T) {
 	c, addrs, svcs := chainCluster(t, 2)
@@ -61,6 +61,11 @@ func TestMethodNumbersPinned(t *testing.T) {
 	}
 	if err := call(2, encodeRange(k, 0, -1), nil); err == nil || strings.Contains(err.Error(), "unknown method") {
 		t.Fatalf("get (2) of a negative length = %v, want it refused", err)
+	}
+	// A mem:// store answers a get by name with an empty first piece and
+	// the bytes.
+	if err := call(10, encodeRange(k, 1, 5), answers(append(u32(u32(nil, 0), 2), "bc"...))); err != nil {
+		t.Fatalf("get by name (10): %v", err)
 	}
 	// key | transfer | chain [addrs[1]] | off 0 | total 4 | data
 	chained := str(u64(u64(str(u32(u64(rawKey(nil, k2), 0x72), 1), addrs[1]), 0), 4), "wxyz")

@@ -30,10 +30,18 @@
 //	8 mBlockReport  request:  prefix string                      response: count u32 | key*
 //	9 mReplicate    request:  key | targets stringslice          response: empty (or status CodeNotFound /
 //	                                                                       CodeChainFail)
+//	10 mGetNamed    request:  as mGetBlock                       response: as mGetBlock, with one more piece
+//	                                                                       first: empty when the bytes follow, or
+//	                                                                       dir string | dev u64 | ino u64 |
+//	                                                                       count u32 per range, and no bytes
 //
 // Methods 1, 3 and 6 (whole-block put, presence check, storage stat)
 // are retired and their numbers reserved: a provider answers them with
 // the rpc layer's unknown-method error.
+//
+// mGetNamed is the get of a client on the provider's host: a store that
+// names its files (store.FileNamer) answers by name, and the client reads
+// the files itself; any other answers with the bytes.
 //
 // mBlockReport is the repair plane's inventory primitive: it enumerates
 // the block keys the provider's store currently holds under prefix
@@ -89,9 +97,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"blobseer/internal/blob"
 	"blobseer/internal/obs"
@@ -113,6 +124,7 @@ const (
 	mPutChained
 	mBlockReport
 	mReplicate
+	mGetNamed
 )
 
 // CodeNotFound is the RPC status for a missing block.
@@ -150,6 +162,7 @@ type Service struct {
 	mBytesIn     *obs.Counter
 	mBytesOut    *obs.Counter
 	mGets        *obs.Counter
+	mNamed       *obs.Counter
 	mChainFrames *obs.Counter
 	mCommits     *obs.Counter
 	mFailed      *obs.Counter
@@ -244,6 +257,7 @@ func NewService(st store.Store, opts ...Option) *Service {
 	s.mBytesIn = s.reg.Counter("bytes_in")
 	s.mBytesOut = s.reg.Counter("bytes_out")
 	s.mGets = s.reg.Counter("gets")
+	s.mNamed = s.reg.Counter("gets_by_name")
 	s.mChainFrames = s.reg.Counter("chain_frames")
 	s.mCommits = s.reg.Counter("chain_commits")
 	s.mFailed = s.reg.Counter("failed_uploads")
@@ -274,15 +288,16 @@ func (s *Service) BreakChain(broken bool) { s.chainBroken.Store(broken) }
 // registry.
 func (s *Service) Mux() *rpc.Mux {
 	m := rpc.NewMeteredMux("provider", s.reg)
+	// A lending store's get waits on nothing: its bytes go out as the
+	// response's tails, on the connection's goroutine. A file store's
+	// keeps a goroutine: its tails go by sendfile, which measured slower
+	// inline.
+	get := m.HandleFrame
 	if _, ok := s.store.(store.Lender); ok {
-		// A lending store's get waits on nothing: its bytes go out as the
-		// response's tails, on the connection's goroutine. A file store's
-		// keeps a goroutine: its tails go by sendfile, which measured
-		// slower inline.
-		m.HandleInline(mGetBlock, "get_block", s.handleGetBlock)
-	} else {
-		m.HandleFrame(mGetBlock, "get_block", s.handleGetBlock)
+		get = m.HandleInline
 	}
+	get(mGetBlock, "get_block", s.handleGetBlock)
+	get(mGetNamed, "get_named", s.handleGetNamed)
 	m.HandleFrame(mDeleteWrite, "delete_write", s.handleDeleteWrite)
 	m.HandleFrame(mDeleteBlock, "delete_block", s.handleDeleteBlock)
 	m.HandleFrame(mPutChained, "put_chained", s.handlePutChained)
@@ -335,6 +350,11 @@ const maxFileTails = 16
 // negative length is refused, and a missing block fails the whole
 // request.
 func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+	return s.getBlock(payload, 0)
+}
+
+// getBlock answers an mGetBlock request with lead empty pieces first.
+func (s *Service) getBlock(payload []byte, lead int) (*wire.Buffer, error) {
 	k := len(payload) / rangeSize
 	if k == 0 || len(payload) != k*rangeSize {
 		return nil, fmt.Errorf("provider: a get request of %d bytes is not a list of %d-byte ranges", len(payload), rangeSize)
@@ -345,7 +365,7 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 	if byFile {
 		firstFile = max(0, k-maxFileTails)
 	}
-	size := int64(4 * k) // the counts and the ranges read into the frame
+	size := int64(4 * (k + lead)) // the counts and the ranges read into the frame
 	for i, r := 0, wire.NewReader(payload); r.Remaining() > 0; i++ {
 		_, _, length := decodeRange(r)
 		if length < 0 {
@@ -359,7 +379,7 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 		return nil, fmt.Errorf("provider: a get of %d ranges asks for %d bytes, more than a frame holds", k, size)
 	}
 	f := rpc.NewFrame(int(size))
-	f.Extend(4 * k) // the counts, filled in as the pieces come
+	clear(f.Extend(4 * (k + lead))) // the counts, filled in as the pieces come
 	name, _ := s.keyTexts.Get()
 	defer func() { s.keyTexts.Put(name) }()
 	var sent int64
@@ -384,7 +404,7 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 			n, err = s.store.ReadAt(name, f.Extend(int(length)), off)
 			f.Truncate(f.Len() - int(length) + n)
 		}
-		if err == nil && sent+int64(n) > maxGetBody-int64(4*k) {
+		if err == nil && sent+int64(n) > maxGetBody-int64(4*(k+lead)) {
 			err = fmt.Errorf("provider: a get of %d ranges would send more than a frame holds", k)
 		}
 		if err != nil {
@@ -394,11 +414,59 @@ func (s *Service) handleGetBlock(ctx context.Context, payload []byte) (*wire.Buf
 			}
 			return nil, err
 		}
-		binary.BigEndian.PutUint32(f.Bytes()[4*i:], uint32(n))
+		binary.BigEndian.PutUint32(f.Bytes()[4*(lead+i):], uint32(n))
 		sent += int64(n)
 	}
 	s.mGets.Add(int64(k))
 	s.mBytesOut.Add(sent)
+	return f, nil
+}
+
+// maxNamedDir bounds the directory a by-name answer names, so that the
+// client's buffer for the answer is small: a provider whose directory is
+// longer answers with the bytes.
+const maxNamedDir = 1024
+
+// handleGetNamed answers mGetNamed: by name off a store that keeps its
+// blocks in files, else as mGetBlock, behind an empty first piece. A
+// missing block fails the whole request, as it fails mGetBlock.
+func (s *Service) handleGetNamed(ctx context.Context, payload []byte) (*wire.Buffer, error) {
+	fn, ok := s.store.(store.FileNamer)
+	if !ok {
+		return s.getBlock(payload, 1)
+	}
+	dir, dev, ino := fn.Dir()
+	k := len(payload) / rangeSize
+	if k == 0 || len(payload) != k*rangeSize || len(dir) > maxNamedDir {
+		return s.getBlock(payload, 1) // which refuses a malformed request
+	}
+	reply := 4 + len(dir) + 16 + 4*k
+	f := rpc.NewFrame(4*(k+1) + reply)
+	f.U32(uint32(reply))
+	clear(f.Extend(4 * k))
+	f.String(dir)
+	f.U64(dev)
+	f.U64(ino)
+	name, _ := s.keyTexts.Get()
+	defer func() { s.keyTexts.Put(name) }()
+	for r := wire.NewReader(payload); r.Remaining() > 0; {
+		key, off, length := decodeRange(r)
+		name = key.AppendText(name[:0])
+		size, err := fn.Size(name)
+		if err == nil && length < 0 {
+			err = fmt.Errorf("provider: a get range of negative length %d", length)
+		}
+		if err != nil {
+			f.Release()
+			if err == store.ErrNotFound {
+				err = ErrBlockNotFound
+			}
+			return nil, err
+		}
+		f.U32(uint32(max(0, min(length, size-max(off, 0)))))
+	}
+	s.mGets.Add(int64(k))
+	s.mNamed.Add(int64(k))
 	return f, nil
 }
 
@@ -844,7 +912,9 @@ func (s *Service) handleBlockReport(ctx context.Context, payload []byte) (*wire.
 
 // handleReplicate pushes one locally stored block to the target
 // providers, reusing the chained data plane (this provider is the
-// chain's client). It is the repair executor's work primitive.
+// chain's client). It is the repair executor's work primitive. A
+// lending store lends the block it pushes, a file store reads it into a
+// recycled buffer; only another store copies it.
 func (s *Service) handleReplicate(ctx context.Context, payload []byte) (*wire.Buffer, error) {
 	r := wire.NewReader(payload)
 	key := decodeKey(r)
@@ -858,7 +928,25 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) (*wire.Bu
 	if s.fwd == nil {
 		return nil, rpc.CodedError(CodeChainFail, "provider: no forwarder for replication push")
 	}
-	data, err := s.store.Get(key.String())
+	name, _ := s.keyTexts.Get()
+	name = key.AppendText(name[:0])
+	var data, buf []byte
+	var err error
+	switch st := s.store.(type) {
+	case store.Lender:
+		data, err = st.Lend(name, 0, -1)
+	case store.FileNamer:
+		var n int64
+		if n, err = st.Size(name); err == nil {
+			buf = wire.GetBuf(int(n))[:n]
+			_, err = s.store.ReadAt(name, buf, 0)
+			data = buf
+		}
+	default:
+		data, err = s.store.Get(string(name))
+	}
+	s.keyTexts.Put(name)
+	defer wire.PutBuf(buf)
 	if err == store.ErrNotFound {
 		return nil, ErrBlockNotFound
 	}
@@ -880,13 +968,19 @@ func (s *Service) handleReplicate(ctx context.Context, payload []byte) (*wire.Bu
 }
 
 // Client talks to data providers. One Client serves calls to any number
-// of providers through a shared connection pool.
+// of providers through a shared connection pool. It gets from a provider
+// on its own host by name (mGetNamed) until the provider answers with
+// bytes, a check of its directory fails or a file of it is refused; from
+// then on it asks that provider for bytes (mGetBlock).
 type Client struct {
 	pool *rpc.Pool
+
+	mu   sync.Mutex
+	dirs map[string]string // by provider address: its directory, checked, or "" for bytes
 }
 
 // NewClient returns a provider client over pool.
-func NewClient(pool *rpc.Pool) *Client { return &Client{pool: pool} }
+func NewClient(pool *rpc.Pool) *Client { return &Client{pool: pool, dirs: map[string]string{}} }
 
 // Put stores one block on the provider at addr: a chained put down a
 // chain of one.
@@ -995,7 +1089,8 @@ type Range struct {
 func (c *Client) GetRanges(ctx context.Context, addr string, rs []Range) error {
 	for len(rs) > 0 {
 		k := fitFrame(rs)
-		if err := waitRanges(c.startRanges(ctx, addr, rs[:k]), rs[:k]); err != nil {
+		call, named := c.startRanges(ctx, addr, rs[:k])
+		if err := c.waitRanges(ctx, addr, call, named, rs[:k]); err != nil {
 			return err
 		}
 		rs = rs[k:]
@@ -1010,7 +1105,8 @@ func (c *Client) GetRanges(ctx context.Context, addr string, rs []Range) error {
 func (c *Client) StartRanges(ctx context.Context, addr string, rs []Range, ps []PendingGet) []PendingGet {
 	for len(rs) > 0 {
 		k := fitFrame(rs)
-		ps = append(ps, PendingGet{call: c.startRanges(ctx, addr, rs[:k]), rs: rs[:k]})
+		call, named := c.startRanges(ctx, addr, rs[:k])
+		ps = append(ps, PendingGet{c: c, ctx: ctx, addr: addr, call: call, named: named, rs: rs[:k]})
 		rs = rs[k:]
 	}
 	return ps
@@ -1026,11 +1122,15 @@ func fitFrame(rs []Range) int {
 	return k
 }
 
-// PendingGet is one mGetBlock call that has gone out: its ranges' bytes
-// land in their Dst, and Wait sets their N.
+// PendingGet is one get that has gone out (mGetBlock or mGetNamed): its
+// ranges' bytes land in their Dst, and Wait sets their N.
 type PendingGet struct {
-	call rpc.Pending
-	rs   []Range
+	c     *Client
+	ctx   context.Context
+	addr  string
+	call  rpc.Pending
+	named []byte // an mGetNamed call's first piece; nil for mGetBlock
+	rs    []Range
 }
 
 // Len returns how many ranges the call carries.
@@ -1038,13 +1138,24 @@ func (p PendingGet) Len() int { return len(p.rs) }
 
 // Wait waits for the call's response and sets each range's N; on error
 // the N are unspecified. Once it has returned, nothing writes to the Dst.
-func (p PendingGet) Wait() error { return waitRanges(p.call, p.rs) }
+// An answer by name is read from the provider's files here, on the
+// caller's goroutine.
+func (p PendingGet) Wait() error { return p.c.waitRanges(p.ctx, p.addr, p.call, p.named, p.rs) }
 
-// startRanges sends one mGetBlock call: the ranges in, a count per range
-// and the pieces back, each piece landing in its range's Dst.
-func (c *Client) startRanges(ctx context.Context, addr string, rs []Range) rpc.Pending {
-	var vec [16][]byte // on the stack: enough for a 1 MB read of 64 KB blocks
+// startRanges sends one get: the ranges in, a count per range and the
+// pieces back, each piece landing in its range's Dst. A provider on this
+// host is asked for mGetNamed, whose first piece lands in named.
+func (c *Client) startRanges(ctx context.Context, addr string, rs []Range) (call rpc.Pending, named []byte) {
+	var vec [17][]byte // on the stack: a 1 MB read of 64 KB blocks, and an answer by name
 	dsts := vec[:0]
+	c.mu.Lock()
+	dir, seen := c.dirs[addr]
+	c.mu.Unlock()
+	m := mGetBlock
+	if (dir != "" || !seen) && c.pool.SameHost(addr) {
+		m, named = mGetNamed, wire.GetBuf(4+maxNamedDir+16+4*len(rs))
+		dsts = append(dsts, named[:cap(named)])
+	}
 	f := rpc.NewFrame(rangeSize * len(rs))
 	for _, r := range rs {
 		encodeKey(f, r.Key)
@@ -1052,22 +1163,110 @@ func (c *Client) startRanges(ctx context.Context, addr string, rs []Range) rpc.P
 		f.I64(int64(len(r.Dst)))
 		dsts = append(dsts, r.Dst)
 	}
-	return c.pool.StartInto(ctx, addr, mGetBlock, f, dsts...)
+	return c.pool.StartInto(ctx, addr, m, f, dsts...), named
 }
 
-// waitRanges waits for call, rs's mGetBlock, and sets each range's N from
-// the counts it answers with. (rs is a parameter of its own, not a field
-// of the call's, so that a caller's ranges on its stack stay there.)
-func waitRanges(call rpc.Pending, rs []Range) error {
+// waitRanges waits for call, rs's get, and sets each range's N from the
+// counts it answers with, or reads the ranges by name. (rs is a
+// parameter of its own, not a field of the call's, so that a caller's
+// ranges on its stack stay there.)
+func (c *Client) waitRanges(ctx context.Context, addr string, call rpc.Pending, named []byte, rs []Range) error {
+	defer wire.PutBuf(named)
 	counts, err := call.Wait()
 	if err != nil {
 		return err
 	}
-	for i := range rs {
-		rs[i].N = int(binary.BigEndian.Uint32(counts[4*i:]))
+	defer wire.PutBuf(counts)
+	lead := 0
+	if named != nil {
+		if n := binary.BigEndian.Uint32(counts); n > 0 {
+			return c.readNamed(ctx, addr, named[:n], rs)
+		}
+		c.mu.Lock()
+		c.dirs[addr] = "" // it names no files: ask it for bytes from now on
+		c.mu.Unlock()
+		lead = 1
 	}
-	wire.PutBuf(counts)
+	for i := range rs {
+		rs[i].N = int(binary.BigEndian.Uint32(counts[4*(lead+i):]))
+	}
 	return nil
+}
+
+// readNamed reads rs from the files of the provider at addr, whose
+// answer by name is reply. A file gone since the provider counted it is
+// a missing block. Any other failure, of the answer, the check of its
+// directory or a file, has the call asked again for bytes, as every
+// later call to the provider is.
+func (c *Client) readNamed(ctx context.Context, addr string, reply []byte, rs []Range) error {
+	if dir, ok := c.checkDir(addr, reply, rs); ok {
+		var keyRoom [64]byte
+		var nameRoom [256]byte
+		var err error
+		for i := 0; i < len(rs) && err == nil; i++ {
+			if r := &rs[i]; r.N > 0 {
+				name := store.AppendFileName(nameRoom[:0], dir, r.Key.AppendText(keyRoom[:0]))
+				err = store.ReadFileAt(name, r.Dst[:r.N], max(r.Off, 0))
+			}
+		}
+		switch err {
+		case nil:
+			return nil
+		case store.ErrNotFound:
+			return ErrBlockNotFound
+		}
+	}
+	c.mu.Lock()
+	c.dirs[addr] = ""
+	c.mu.Unlock()
+	return c.GetRanges(ctx, addr, rs)
+}
+
+// checkDir parses reply, an answer by name from the provider at addr,
+// and returns the directory to read rs from: the one reply names, once
+// this host shows it with the identity reply gives it. The first answer
+// is checked; a later one that names another directory is refused.
+func (c *Client) checkDir(addr string, reply []byte, rs []Range) (string, bool) {
+	dir, dev, ino, ok := parseNamed(reply, rs)
+	c.mu.Lock()
+	known, seen := c.dirs[addr]
+	c.mu.Unlock()
+	if !ok || seen {
+		return known, ok && known == string(dir)
+	}
+	if hdev, hino, err := store.DirID(string(dir)); err != nil || hdev != dev || hino != ino {
+		return "", false
+	}
+	c.mu.Lock()
+	if _, seen = c.dirs[addr]; !seen {
+		c.dirs[addr] = string(dir)
+	}
+	known = c.dirs[addr]
+	c.mu.Unlock()
+	return known, known == string(dir)
+}
+
+// parseNamed splits an answer by name into the provider's directory and
+// its identity, and sets each range's N from its count. It refuses a
+// directory that is not absolute and clean, and a count its range does
+// not hold: a file read is then the directory's, named by a key's hex.
+func parseNamed(reply []byte, rs []Range) (dir []byte, dev, ino uint64, ok bool) {
+	r := wire.NewReader(reply)
+	dir, dev, ino = r.Bytes32(), r.U64(), r.U64()
+	fit := true
+	for i := range rs {
+		n := r.U32()
+		fit = fit && int64(n) <= int64(len(rs[i].Dst))
+		rs[i].N = int(n)
+	}
+	return dir, dev, ino, fit && r.Err() == nil && r.Remaining() == 0 && cleanAbs(dir)
+}
+
+// cleanAbs reports whether dir is absolute and clean, as filepath.Clean
+// leaves it, and holds no NUL, which would end its name early.
+func cleanAbs(dir []byte) bool {
+	s := unsafe.String(unsafe.SliceData(dir), len(dir)) // a view, read here only
+	return filepath.IsAbs(s) && filepath.Clean(s) == s && strings.IndexByte(s, 0) < 0
 }
 
 // DeleteWrite garbage-collects every block a write operation stored on

@@ -176,6 +176,22 @@ func (p *Pool) Get(addr string) (*Client, error) {
 	return c, nil
 }
 
+// SameHost reports whether addr's peer runs on this host, as its
+// connection (dialled if need be) shows: an in-process pipe (an
+// InprocNetwork's), or TCP whose ends have one IP or are both loopback.
+func (p *Pool) SameHost(addr string) bool {
+	c, err := p.Get(addr)
+	if err != nil {
+		return false
+	}
+	if c.conn.RemoteAddr().Network() == "pipe" {
+		return true
+	}
+	l, lok := c.conn.LocalAddr().(*net.TCPAddr)
+	r, rok := c.conn.RemoteAddr().(*net.TCPAddr)
+	return lok && rok && (l.IP.Equal(r.IP) || l.IP.IsLoopback() && r.IP.IsLoopback())
+}
+
 // Call is the control-plane call every manager client makes: one
 // request to addr, transport failures retried per b. enc encodes the
 // request into a fresh recycled frame on every attempt, because rpc

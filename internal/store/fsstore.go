@@ -18,9 +18,9 @@ import (
 // the durable engine for real deployments of providers and metadata
 // providers; experiments default to MemStore.
 type FSStore struct {
-	dir  string
-	base string // dir and a separator: what a key's file name is appended to
-	sync bool   // fsync after writes
+	dir      string // absolute and clean
+	dev, ino uint64 // dir's identity (DirID); zero where the platform has none
+	sync     bool   // fsync after writes
 
 	mu  sync.RWMutex  // guards cross-file operations (DeletePrefix vs Put races)
 	seq atomic.Uint64 // distinguishes concurrent streaming writers' temp files
@@ -31,7 +31,11 @@ type FSStore struct {
 // orphaned by a crash mid-write are swept on open (no writer can be
 // live at that point).
 func NewFSStore(dir string, syncWrites bool) (*FSStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := filepath.Abs(dir)
+	if err == nil {
+		err = os.MkdirAll(dir, 0o755)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("fsstore: %w", err)
 	}
 	if entries, err := os.ReadDir(dir); err == nil {
@@ -41,26 +45,22 @@ func NewFSStore(dir string, syncWrites bool) (*FSStore, error) {
 			}
 		}
 	}
-	base := filepath.Clean(dir)
-	if !os.IsPathSeparator(base[len(base)-1]) {
-		base += string(filepath.Separator)
-	}
-	return &FSStore{dir: dir, base: base, sync: syncWrites}, nil
+	s := &FSStore{dir: dir, sync: syncWrites}
+	s.dev, s.ino, _ = DirID(dir)
+	return s, nil
 }
 
-// path names key's file: the directory and the key's hex encoding, built
-// as the one string the file system call is given (which copies it
-// once more, to end it with a NUL). A key as bytes names the file its
-// string names.
+// path names key's file (AppendFileName's name, without its NUL) as the
+// one string the file system call is given, which copies it once more to
+// end it with a NUL. A key as bytes names the file its string names.
 func path[K keyBytes](s *FSStore, key K) string {
-	const digits = "0123456789abcdef"
 	var room [256]byte // on the stack unless the directory is long
-	b := append(room[:0], s.base...)
-	for i := 0; i < len(key); i++ {
-		b = append(b, digits[key[i]>>4], digits[key[i]&0xf])
-	}
-	return string(b)
+	b := AppendFileName(room[:0], s.dir, key)
+	return string(b[:len(b)-1])
 }
+
+// Dir implements FileNamer, with Size on Linux.
+func (s *FSStore) Dir() (string, uint64, uint64) { return s.dir, s.dev, s.ino }
 
 // Put implements Store.
 func (s *FSStore) Put(key string, val []byte) error {

@@ -12,9 +12,9 @@
 // BlockWriter.WriteAt copy (callers recycle their buffers right after)
 // — Get and GetRange return slices that are the caller's, and ReadAt
 // fills caller memory and touches none of it past the count it returns.
-// The reads a provider serves (ReadAt, Lend, LendFile) take the key as
-// bytes and keep none of them, so a caller writes each key into one
-// buffer it reuses, and mem:// finds a block without allocating. The
+// The reads a provider serves (ReadAt, Lend, LendFile, Size) take the
+// key as bytes and keep none of them, so a caller writes each key into
+// one buffer it reuses, and mem:// finds a block without allocating. The
 // one exception runs the other way: what a Lender lends is still the
 // store's, and read-only for ever.
 package store
@@ -22,6 +22,7 @@ package store
 import (
 	"errors"
 	"os"
+	"path/filepath"
 )
 
 // keyBytes is a key as either of its forms: a string, or bytes that the
@@ -125,6 +126,35 @@ type Lender interface {
 // none of key.
 type FileLender interface {
 	LendFile(key []byte, off, length int64) (f *os.File, n int64, err error)
+}
+
+// FileNamer is the optional interface of a backend that keeps each value
+// whole in a file of one directory, named by AppendFileName, and replaces
+// a file only by rename (file://). A process on the same host that may
+// read the directory reads a value from its file itself: Size says how
+// long the value is, and the file may be gone by the time it is opened.
+type FileNamer interface {
+	// Dir returns the directory, absolute and clean, and its device and
+	// inode numbers (DirID's).
+	Dir() (dir string, dev, ino uint64)
+	// Size returns the length of key's value from one look at its file
+	// that allocates nothing, or ErrNotFound. It keeps none of key.
+	Size(key []byte) (int64, error)
+}
+
+// AppendFileName appends to b the name of key's file in dir, a
+// FileNamer's directory: dir, a separator and the key's hex encoding,
+// then a NUL, which ends the name for the system calls ReadFileAt makes.
+func AppendFileName[K keyBytes](b []byte, dir string, key K) []byte {
+	const digits = "0123456789abcdef"
+	b = append(b, dir...)
+	if len(dir) == 0 || !os.IsPathSeparator(dir[len(dir)-1]) {
+		b = append(b, filepath.Separator)
+	}
+	for i := 0; i < len(key); i++ {
+		b = append(b, digits[key[i]>>4], digits[key[i]&0xf])
+	}
+	return append(b, 0)
 }
 
 // Pair is one key/value of a BatchPutter's batch, both still the caller's.
